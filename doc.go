@@ -159,7 +159,12 @@
 // and rows inserted into a sampled relation carry their hidden field as
 // fixed evidence. UPDATE/DELETE predicates are resolved once against one
 // world and the resulting row-level ops are replayed on every chain, so
-// the chains' worlds never diverge.
+// the chains' worlds never diverge. Resolution evaluates the predicate
+// inside an unordered scan and sorts only the matching RowIDs; the op
+// list is in ascending RowID order. Applied ops go through the same
+// row-keyed change log as the sampler's flips (see "The walk step"
+// below), so a row updated and updated back, or inserted and deleted,
+// within one batch nets to nothing.
 //
 // The data-epoch contract sits next to the plan-IR contract above: every
 // committed write bumps the database's data epoch (ExecResult.Epoch,
@@ -292,6 +297,45 @@
 // in push form — delta operators emit signed (tuple, count) pairs
 // downstream — and the same ownership rule, so eval and maintenance
 // share key encodings and allocation discipline.
+//
+// # The walk step: proposals, scoring, the Δ log
+//
+// One Metropolis-Hastings step allocates nothing except the
+// copy-on-write row of a real flip (pinned by TestWalkAllocBudget and
+// internal/mcmc/testdata/alloc_budget.txt). Four contracts make that so:
+//
+//   - mcmc.Proposer is two-phase. Propose(rng) hypothesizes a
+//     modification, returns its log score delta and log proposal ratio
+//     by value, and remembers the move as the proposer's pending move
+//     without touching the world. Accept() commits the pending move of
+//     the most recent Propose; the sampler calls it at most once, and
+//     only for an accepted proposal. A pending no-op commits nothing.
+//     Wrapping proposers forward Accept to the proposer that drew the
+//     pending move. learn.Proposer (ProposeRank + Accept) is the same
+//     protocol for SampleRank.
+//   - Scoring is array-indexed. learn.Weights, the sparse map, is the
+//     training representation; ie.Model.Compile lays the weights out as
+//     one dense table per factor template (emission [vocab×labels],
+//     capitalization, bias, transition [labels×labels], skip [2]).
+//     Scores sum the same factors in the same order as before. Scoring
+//     recompiles when Weights.Version has moved; compile explicitly
+//     before sharing a model between goroutines (exp.BuildNER does).
+//   - world.ChangeLog nets by row identity. Per relation it keeps one
+//     entry per row touched since the last Drain — the tuple the row
+//     had first, the tuple it has now — behind a map on the RowID;
+//     sampler flips go through a world.Field handle resolved once at
+//     bind time. Drain emits, per touched row whose latest tuple is not
+//     key-identical to its first, (old, −1) and (new, +1). A→B→A and
+//     insert-then-delete drain empty.
+//   - An ivm.BaseDelta returned by Drain is valid until the next Drain
+//     on that log. Its tuples are stable (the store replaces rows, never
+//     mutates them) and may be retained; the map and the row slices are
+//     reused. It is a plain list of signed rows, not a set: operators
+//     fold signed counts.
+//
+// The walk itself is unchanged by any of this: testdata/trajectory.txt
+// in internal/mcmc, internal/ie, internal/coref and internal/exp pin a
+// fixed-seed run of every proposer, recorded on the closure-based API.
 //
 // # Internals
 //

@@ -23,6 +23,8 @@ type tinyWorld struct {
 	vars []*factor.Var
 	log  *world.ChangeLog
 	rows []relstore.RowID
+
+	i, newVal int // pending move
 }
 
 var tinyStrings = []string{"IBM", "IBM", "Smith", "said"}
@@ -72,18 +74,19 @@ func newTinyWorld(seed int64) *tinyWorld {
 
 // Propose implements mcmc.Proposer with database write-through.
 func (tw *tinyWorld) Propose(rng *rand.Rand) mcmc.Proposal {
-	i := rng.Intn(len(tw.vars))
-	v := tw.vars[i]
-	newVal := rng.Intn(v.Dom.Size())
-	return mcmc.Proposal{
-		LogScoreDelta: tw.g.ScoreDelta(v, newVal),
-		Accept: func() {
-			v.Val = newVal
-			ref := world.FieldRef{Rel: "TOKEN", Row: tw.rows[i], Col: 2}
-			if err := tw.log.SetField(ref, relstore.String(v.Dom.Values[newVal])); err != nil {
-				panic(err)
-			}
-		},
+	tw.i = rng.Intn(len(tw.vars))
+	v := tw.vars[tw.i]
+	tw.newVal = rng.Intn(v.Dom.Size())
+	return mcmc.Proposal{LogScoreDelta: tw.g.ScoreDelta(v, tw.newVal)}
+}
+
+// Accept commits the pending move (variable i takes newVal).
+func (tw *tinyWorld) Accept() {
+	v := tw.vars[tw.i]
+	v.Val = tw.newVal
+	ref := world.FieldRef{Rel: "TOKEN", Row: tw.rows[tw.i], Col: 2}
+	if err := tw.log.SetField(ref, relstore.String(v.Dom.Values[tw.newVal])); err != nil {
+		panic(err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
@@ -61,8 +62,17 @@ type MoveProposer struct {
 	State *State
 	Model PairScorer
 
-	log  *world.ChangeLog
-	rows []relstore.RowID
+	// Write-through binding: the CLUSTER column of MENTION, resolved once.
+	bound bool
+	field world.Field
+	rows  []relstore.RowID
+
+	// The pending move: mention m goes to cluster target (< 0 = a fresh
+	// singleton); noop when there is nowhere to move. others is the
+	// scratch list of candidate clusters.
+	m, target int
+	noop      bool
+	others    []int
 }
 
 // NewMoveProposer builds a proposer over the state.
@@ -76,8 +86,11 @@ func (p *MoveProposer) BindDB(log *world.ChangeLog, rows []relstore.RowID) error
 	if len(rows) != len(p.State.Mentions) {
 		return fmt.Errorf("coref: row map covers %d mentions, state has %d", len(rows), len(p.State.Mentions))
 	}
-	p.log = log
-	p.rows = rows
+	field, err := log.Field(MentionRelation, ClusterCol)
+	if err != nil {
+		return err
+	}
+	p.bound, p.field, p.rows = true, field, rows
 	return nil
 }
 
@@ -97,19 +110,22 @@ func (p *MoveProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 	s := p.State
 	m := rng.Intn(len(s.Mentions))
 	optsFwd := p.options(m)
-	if optsFwd == 0 {
+	p.noop = optsFwd == 0
+	if p.noop {
 		// Single cluster containing a single mention: nowhere to go.
 		return mcmc.Proposal{}
 	}
 	// Choose the target uniformly among other clusters (+ fresh unless
 	// singleton).
 	from := s.Cluster(m)
-	others := make([]int, 0, s.NumClusters())
-	for _, c := range s.ClusterIDs() {
+	others := p.others[:0]
+	for c := range s.members {
 		if c != from {
 			others = append(others, c)
 		}
 	}
+	slices.Sort(others)
+	p.others = others
 	target := -1 // fresh singleton
 	pick := rng.Intn(optsFwd)
 	if pick < len(others) {
@@ -136,22 +152,24 @@ func (p *MoveProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 	if optsBack > 0 {
 		logQ = math.Log(float64(optsFwd)) - math.Log(float64(optsBack))
 	}
-	return mcmc.Proposal{
-		LogScoreDelta: delta,
-		LogQRatio:     logQ,
-		Accept: func() {
-			dest := s.Move(m, target)
-			if p.log != nil {
-				ref := world.FieldRef{Rel: MentionRelation, Row: p.rows[m], Col: ClusterCol}
-				if err := p.log.SetField(ref, relstore.Int(int64(dest))); err != nil {
-					// A mention deleted by DML stops mirroring; the
-					// in-memory clustering keeps being sampled.
-					if !errors.Is(err, relstore.ErrNotFound) {
-						panic(fmt.Sprintf("coref: write-through failed: %v", err))
-					}
-				}
+	p.m, p.target = m, target
+	return mcmc.Proposal{LogScoreDelta: delta, LogQRatio: logQ}
+}
+
+// Accept implements mcmc.Proposer.
+func (p *MoveProposer) Accept() {
+	if p.noop {
+		return
+	}
+	dest := p.State.Move(p.m, p.target)
+	if p.bound {
+		if err := p.field.Set(p.rows[p.m], relstore.Int(int64(dest))); err != nil {
+			// A mention deleted by DML stops mirroring; the in-memory
+			// clustering keeps being sampled.
+			if !errors.Is(err, relstore.ErrNotFound) {
+				panic(fmt.Sprintf("coref: write-through failed: %v", err))
 			}
-		},
+		}
 	}
 }
 

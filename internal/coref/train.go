@@ -103,6 +103,11 @@ func objectiveDelta(s *State, m, target int) float64 {
 type RankMoveProposer struct {
 	State *State
 	Model *TrainableModel
+
+	// The pending move: mention m goes to cluster target; noop when there
+	// is nowhere to move.
+	m, target int
+	noop      bool
 }
 
 // ProposeRank implements learn.Proposer.
@@ -114,7 +119,8 @@ func (p *RankMoveProposer) ProposeRank(rng *rand.Rand) learn.Proposal {
 	if s.IsSingleton(m) {
 		opts = k - 1
 	}
-	if opts <= 0 {
+	p.noop = opts <= 0
+	if p.noop {
 		return learn.Proposal{FeatureDelta: learn.FeatureVector{}}
 	}
 	from := s.Cluster(m)
@@ -128,10 +134,17 @@ func (p *RankMoveProposer) ProposeRank(rng *rand.Rand) learn.Proposal {
 	if pick := rng.Intn(opts); pick < len(others) {
 		target = others[pick]
 	}
+	p.m, p.target = m, target
 	return learn.Proposal{
 		FeatureDelta:   p.Model.featureDelta(s, m, target),
 		ObjectiveDelta: objectiveDelta(s, m, target),
-		Accept:         func() { s.Move(m, target) },
+	}
+}
+
+// Accept implements learn.Proposer.
+func (p *RankMoveProposer) Accept() {
+	if !p.noop {
+		p.State.Move(p.m, p.target)
 	}
 }
 

@@ -97,8 +97,11 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 		temp = DefaultTemperature
 	}
 	for k, v := range model.W.W {
-		model.W.W[k] = v / temp
+		model.W.Set(k, v/temp)
 	}
+	// The weights are final: lay them out for array-indexed scoring before
+	// chains on several goroutines share the model.
+	model.Compile()
 
 	db := relstore.NewDB()
 	rows, err := ie.LoadCorpus(db, corpus, ie.LO)

@@ -11,15 +11,6 @@ import (
 // correctness oracle for the MCMC sampler and as the classical baseline
 // (Lafferty et al.'s linear-chain CRF) that skip chains outperform.
 
-// nodeScore sums the factors private to position i under label l:
-// emission, capitalization and bias (everything in localScore except the
-// transitions and skip edges).
-func (m *Model) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
-	return m.W.Get(EmissionKey(ld.strIDs[i], l)) +
-		m.W.Get(CapsKey(ld.caps[i], l)) +
-		m.W.Get(BiasKey(l))
-}
-
 // ChainMarginals computes the exact per-token label marginals of the
 // linear-chain model by forward-backward. It refuses to run on a
 // skip-chain model, where the result would be wrong.
@@ -27,7 +18,7 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	if m.UseSkip {
 		return nil, fmt.Errorf("ie: ChainMarginals requires a linear-chain model (UseSkip=false)")
 	}
-	n := len(ld.Labels)
+	t, n := m.tables(), len(ld.Labels)
 	if n == 0 {
 		return nil, nil
 	}
@@ -35,22 +26,22 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	beta := make([][NumLabels]float64, n)
 
 	for l := Label(0); l < NumLabels; l++ {
-		alpha[0][l] = m.nodeScore(ld, 0, l)
+		alpha[0][l] = t.nodeScore(ld, 0, l)
 		beta[n-1][l] = 0
 	}
 	var terms [NumLabels]float64
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = alpha[i-1][p] + m.W.Get(TransKey(p, l))
+				terms[p] = alpha[i-1][p] + t.trans[p][l]
 			}
-			alpha[i][l] = m.nodeScore(ld, i, l) + logSumExp(terms[:])
+			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
 	}
 	for i := n - 2; i >= 0; i-- {
 		for l := Label(0); l < NumLabels; l++ {
 			for nx := Label(0); nx < NumLabels; nx++ {
-				terms[nx] = m.W.Get(TransKey(l, nx)) + m.nodeScore(ld, i+1, nx) + beta[i+1][nx]
+				terms[nx] = t.trans[l][nx] + t.nodeScore(ld, i+1, nx) + beta[i+1][nx]
 			}
 			beta[i][l] = logSumExp(terms[:])
 		}
@@ -74,21 +65,21 @@ func (m *Model) ChainLogZ(ld *LabeledDoc) (float64, error) {
 	if m.UseSkip {
 		return 0, fmt.Errorf("ie: ChainLogZ requires a linear-chain model (UseSkip=false)")
 	}
-	n := len(ld.Labels)
+	t, n := m.tables(), len(ld.Labels)
 	if n == 0 {
 		return 0, nil
 	}
 	var prev, cur [NumLabels]float64
 	for l := Label(0); l < NumLabels; l++ {
-		prev[l] = m.nodeScore(ld, 0, l)
+		prev[l] = t.nodeScore(ld, 0, l)
 	}
 	var terms [NumLabels]float64
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = prev[p] + m.W.Get(TransKey(p, l))
+				terms[p] = prev[p] + t.trans[p][l]
 			}
-			cur[l] = m.nodeScore(ld, i, l) + logSumExp(terms[:])
+			cur[l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
 		prev = cur
 	}
@@ -101,26 +92,26 @@ func (m *Model) ViterbiDecode(ld *LabeledDoc) ([]Label, float64, error) {
 	if m.UseSkip {
 		return nil, 0, fmt.Errorf("ie: ViterbiDecode requires a linear-chain model (UseSkip=false)")
 	}
-	n := len(ld.Labels)
+	t, n := m.tables(), len(ld.Labels)
 	if n == 0 {
 		return nil, 0, nil
 	}
 	delta := make([][NumLabels]float64, n)
 	back := make([][NumLabels]Label, n)
 	for l := Label(0); l < NumLabels; l++ {
-		delta[0][l] = m.nodeScore(ld, 0, l)
+		delta[0][l] = t.nodeScore(ld, 0, l)
 	}
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			best := math.Inf(-1)
 			var argBest Label
 			for p := Label(0); p < NumLabels; p++ {
-				s := delta[i-1][p] + m.W.Get(TransKey(p, l))
+				s := delta[i-1][p] + t.trans[p][l]
 				if s > best {
 					best, argBest = s, p
 				}
 			}
-			delta[i][l] = best + m.nodeScore(ld, i, l)
+			delta[i][l] = best + t.nodeScore(ld, i, l)
 			back[i][l] = argBest
 		}
 	}

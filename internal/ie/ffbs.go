@@ -22,22 +22,22 @@ func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	if m.UseSkip {
 		return fmt.Errorf("ie: SampleChain requires a linear-chain model (UseSkip=false)")
 	}
-	n := len(ld.Labels)
+	t, n := m.tables(), len(ld.Labels)
 	if n == 0 {
 		return nil
 	}
 	// Forward pass (same recursion as ChainMarginals).
 	alpha := make([][NumLabels]float64, n)
 	for l := Label(0); l < NumLabels; l++ {
-		alpha[0][l] = m.nodeScore(ld, 0, l)
+		alpha[0][l] = t.nodeScore(ld, 0, l)
 	}
 	var terms [NumLabels]float64
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = alpha[i-1][p] + m.W.Get(TransKey(p, l))
+				terms[p] = alpha[i-1][p] + t.trans[p][l]
 			}
-			alpha[i][l] = m.nodeScore(ld, i, l) + logSumExp(terms[:])
+			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
 	}
 	// Backward sampling: y_n ~ α_n, then y_i ~ α_i(y) · ψ(y, y_{i+1}).
@@ -45,7 +45,7 @@ func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	for i := n - 2; i >= 0; i-- {
 		next := ld.Labels[i+1]
 		for l := Label(0); l < NumLabels; l++ {
-			terms[l] = alpha[i][l] + m.W.Get(TransKey(l, next))
+			terms[l] = alpha[i][l] + t.trans[l][next]
 		}
 		ld.Labels[i] = sampleLog(rng, terms[:])
 	}
@@ -61,7 +61,7 @@ func (t *Tagger) SampleCorpus(rng *rand.Rand) error {
 			return err
 		}
 		// Propagate to the database (and delta log) where bound.
-		if t.log != nil {
+		if t.bound {
 			fresh := append([]Label{}, ld.Labels...)
 			copy(ld.Labels, saved)
 			for i, l := range fresh {
@@ -108,8 +108,9 @@ func (t *Tagger) GibbsStep(rng *rand.Rand) (doc, pos int) {
 	ld := t.Docs[d]
 	var logw [NumLabels]float64
 	old := ld.Labels[i]
+	tab := t.Model.tables()
 	for l := Label(0); l < NumLabels; l++ {
-		logw[l] = t.Model.localScore(ld, i, l)
+		logw[l] = t.Model.localScore(tab, ld, i, l)
 	}
 	newLabel := sampleLog(rng, logw[:])
 	if newLabel != old {

@@ -52,10 +52,74 @@ func CapsKey(caps bool, l Label) uint64 {
 // tokens within a document. The skip edges make the unrolled graph loopy,
 // so exact inference is intractable — which is exactly the regime the
 // paper's MCMC evaluator targets.
+//
+// W is the sparse parameter vector SampleRank trains. Scoring never probes
+// it: every score is read from dense per-template tables compiled from W
+// (Compile), so one factor costs one array index.
 type Model struct {
 	W       *learn.Weights
 	Vocab   *Vocab
 	UseSkip bool
+
+	tab *scoreTables
+}
+
+// scoreTables is θ laid out for array indexing, one table per factor
+// template.
+type scoreTables struct {
+	version  uint64    // W.Version() the tables were compiled at
+	emission []float64 // [string id × NumLabels + label]
+	caps     [2][NumLabels]float64
+	bias     [NumLabels]float64
+	trans    [NumLabels][NumLabels]float64 // [prev][next]
+	skip     [2]float64                    // [labels agree]
+}
+
+// emit returns the emission weight of (string id, label); strings
+// interned after the tables were compiled have no weight yet.
+func (t *scoreTables) emit(strID int, l Label) float64 {
+	if i := strID*NumLabels + int(l); i < len(t.emission) {
+		return t.emission[i]
+	}
+	return 0
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Compile lays the current weights out in the dense scoring tables.
+// Scoring does this by itself whenever W has moved (through Set or
+// Update) since the last compile; call it explicitly once the weights
+// are final and before the model is shared between goroutines, so that
+// concurrent chains only ever read the tables.
+func (m *Model) Compile() {
+	w, n := m.W, m.Vocab.Size()
+	t := &scoreTables{version: w.Version(), emission: make([]float64, n*NumLabels)}
+	for l := Label(0); l < NumLabels; l++ {
+		for id := 0; id < n; id++ {
+			t.emission[id*NumLabels+int(l)] = w.Get(EmissionKey(id, l))
+		}
+		t.caps[0][l] = w.Get(CapsKey(false, l))
+		t.caps[1][l] = w.Get(CapsKey(true, l))
+		t.bias[l] = w.Get(BiasKey(l))
+		for next := Label(0); next < NumLabels; next++ {
+			t.trans[l][next] = w.Get(TransKey(l, next))
+		}
+	}
+	t.skip[0], t.skip[1] = w.Get(SkipKey(false)), w.Get(SkipKey(true))
+	m.tab = t
+}
+
+// tables returns the scoring tables, recompiling them if W has moved.
+func (m *Model) tables() *scoreTables {
+	if m.tab == nil || m.tab.version != m.W.Version() {
+		m.Compile()
+	}
+	return m.tab
 }
 
 // NewModel builds an untrained model over the vocabulary.
@@ -144,21 +208,25 @@ func (m *Model) localFeatures(fv learn.FeatureVector, ld *LabeledDoc, i int, l L
 	}
 }
 
-// localScore sums θ·φ over the factors touching position i under label l.
-func (m *Model) localScore(ld *LabeledDoc, i int, l Label) float64 {
-	w := m.W
-	s := w.Get(EmissionKey(ld.strIDs[i], l)) +
-		w.Get(CapsKey(ld.caps[i], l)) +
-		w.Get(BiasKey(l))
+// nodeScore sums the factors private to position i under label l:
+// emission, capitalization and bias.
+func (t *scoreTables) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
+	return t.emit(ld.strIDs[i], l) + t.caps[b2i(ld.caps[i])][l] + t.bias[l]
+}
+
+// localScore sums θ·φ over the factors touching position i under label l,
+// in the same order as localFeatures lists them.
+func (m *Model) localScore(t *scoreTables, ld *LabeledDoc, i int, l Label) float64 {
+	s := t.nodeScore(ld, i, l)
 	if i > 0 {
-		s += w.Get(TransKey(ld.Labels[i-1], l))
+		s += t.trans[ld.Labels[i-1]][l]
 	}
 	if i+1 < len(ld.Labels) {
-		s += w.Get(TransKey(l, ld.Labels[i+1]))
+		s += t.trans[l][ld.Labels[i+1]]
 	}
 	if m.UseSkip {
 		for _, q := range ld.skip[i] {
-			s += w.Get(SkipKey(ld.Labels[q] == l))
+			s += t.skip[b2i(ld.Labels[q] == l)]
 		}
 	}
 	return s
@@ -173,7 +241,8 @@ func (m *Model) ScoreDelta(ld *LabeledDoc, i int, newLabel Label) float64 {
 	if newLabel == old {
 		return 0
 	}
-	return m.localScore(ld, i, newLabel) - m.localScore(ld, i, old)
+	t := m.tables()
+	return m.localScore(t, ld, i, newLabel) - m.localScore(t, ld, i, old)
 }
 
 // FeatureDelta returns φ(w') − φ(w) for the same relabeling, used by
@@ -193,14 +262,12 @@ func (m *Model) FeatureDelta(ld *LabeledDoc, i int, newLabel Label) learn.Featur
 // the current hypothesis. Used only by tests and diagnostics; inference
 // never needs it.
 func (m *Model) DocScore(ld *LabeledDoc) float64 {
-	w := m.W
+	t := m.tables()
 	var s float64
 	for i, l := range ld.Labels {
-		s += w.Get(EmissionKey(ld.strIDs[i], l)) +
-			w.Get(CapsKey(ld.caps[i], l)) +
-			w.Get(BiasKey(l))
+		s += t.nodeScore(ld, i, l)
 		if i > 0 {
-			s += w.Get(TransKey(ld.Labels[i-1], l))
+			s += t.trans[ld.Labels[i-1]][l]
 		}
 	}
 	if m.UseSkip {
@@ -208,7 +275,7 @@ func (m *Model) DocScore(ld *LabeledDoc) float64 {
 		for i := range ld.Labels {
 			for _, q := range ld.skip[i] {
 				if int32(i) < q {
-					s += w.Get(SkipKey(ld.Labels[q] == ld.Labels[i]))
+					s += t.skip[b2i(ld.Labels[q] == ld.Labels[i])]
 				}
 			}
 		}

@@ -21,23 +21,20 @@ const maxSpanLen = 3
 // transitions overlapping the span, and each incident skip edge exactly
 // once.
 func (m *Model) regionScore(ld *LabeledDoc, i, n int) float64 {
-	w := m.W
+	t := m.tables()
 	var s float64
 	end := i + n
 	for j := i; j < end; j++ {
-		l := ld.Labels[j]
-		s += w.Get(EmissionKey(ld.strIDs[j], l)) +
-			w.Get(CapsKey(ld.caps[j], l)) +
-			w.Get(BiasKey(l))
+		s += t.nodeScore(ld, j, ld.Labels[j])
 	}
 	if i > 0 {
-		s += w.Get(TransKey(ld.Labels[i-1], ld.Labels[i]))
+		s += t.trans[ld.Labels[i-1]][ld.Labels[i]]
 	}
 	for j := i + 1; j < end; j++ {
-		s += w.Get(TransKey(ld.Labels[j-1], ld.Labels[j]))
+		s += t.trans[ld.Labels[j-1]][ld.Labels[j]]
 	}
 	if end < len(ld.Labels) {
-		s += w.Get(TransKey(ld.Labels[end-1], ld.Labels[end]))
+		s += t.trans[ld.Labels[end-1]][ld.Labels[end]]
 	}
 	if m.UseSkip {
 		for j := i; j < end; j++ {
@@ -47,7 +44,7 @@ func (m *Model) regionScore(ld *LabeledDoc, i, n int) float64 {
 				if int(q) >= i && int(q) < end && int(q) < j {
 					continue
 				}
-				s += w.Get(SkipKey(ld.Labels[q] == ld.Labels[j]))
+				s += t.skip[b2i(ld.Labels[q] == ld.Labels[j])]
 			}
 		}
 	}
@@ -59,8 +56,8 @@ func (m *Model) regionScore(ld *LabeledDoc, i, n int) float64 {
 func (m *Model) SpanScoreDelta(ld *LabeledDoc, i int, newLabels []Label) float64 {
 	n := len(newLabels)
 	before := m.regionScore(ld, i, n)
-	saved := make([]Label, n)
-	copy(saved, ld.Labels[i:i+n])
+	var buf [maxSpanLen]Label // proposed spans fit; longer ones spill to the heap
+	saved := append(buf[:0], ld.Labels[i:i+n]...)
 	copy(ld.Labels[i:], newLabels)
 	after := m.regionScore(ld, i, n)
 	copy(ld.Labels[i:], saved)
@@ -76,6 +73,11 @@ func (m *Model) SpanScoreDelta(ld *LabeledDoc, i int, newLabels []Label) float64
 // reaches every world) keeps the chain ergodic.
 type SpanProposer struct {
 	Tagger *Tagger
+
+	// The pending move: positions [i, i+n) of document d take newLabels;
+	// n == 0 when the step is a no-op.
+	d, i, n   int
+	newLabels [maxSpanLen]Label
 }
 
 // spanPattern writes candidate pattern c (0 = all-O, 1..4 = mention of
@@ -126,24 +128,23 @@ func (sp *SpanProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 	// Reversibility guard: the reverse move must be proposable, i.e. the
 	// current span content must itself be a candidate pattern.
 	if !isSpanPattern(ld.Labels[i : i+n]) {
+		sp.n = 0
 		return mcmc.Proposal{}
 	}
-	var newLabels [maxSpanLen]Label
-	spanPattern(rng.Intn(5), n, newLabels[:])
-	delta := m0(t).SpanScoreDelta(ld, i, newLabels[:n])
-	return mcmc.Proposal{
-		LogScoreDelta: delta,
-		Accept: func() {
-			for j := 0; j < n; j++ {
-				if ld.Labels[i+j] != newLabels[j] {
-					t.apply(d, i+j, newLabels[j])
-				}
-			}
-		},
-	}
+	sp.d, sp.i, sp.n = d, i, n
+	spanPattern(rng.Intn(5), n, sp.newLabels[:])
+	return mcmc.Proposal{LogScoreDelta: t.Model.SpanScoreDelta(ld, i, sp.newLabels[:n])}
 }
 
-func m0(t *Tagger) *Model { return t.Model }
+// Accept implements mcmc.Proposer.
+func (sp *SpanProposer) Accept() {
+	labels := sp.Tagger.Docs[sp.d].Labels
+	for j := 0; j < sp.n; j++ {
+		if labels[sp.i+j] != sp.newLabels[j] {
+			sp.Tagger.apply(sp.d, sp.i+j, sp.newLabels[j])
+		}
+	}
+}
 
 // MixedProposer interleaves single-site and block proposals, choosing a
 // block move with probability BlockProb. Mixtures of symmetric kernels
@@ -152,7 +153,8 @@ type MixedProposer struct {
 	Tagger    *Tagger
 	BlockProb float64
 
-	span SpanProposer
+	span  SpanProposer
+	block bool // the pending move is the span proposer's
 }
 
 // NewMixedProposer builds the mixture kernel.
@@ -162,8 +164,18 @@ func NewMixedProposer(t *Tagger, blockProb float64) *MixedProposer {
 
 // Propose implements mcmc.Proposer.
 func (mp *MixedProposer) Propose(rng *rand.Rand) mcmc.Proposal {
-	if rng.Float64() < mp.BlockProb {
+	mp.block = rng.Float64() < mp.BlockProb
+	if mp.block {
 		return mp.span.Propose(rng)
 	}
 	return mp.Tagger.Propose(rng)
+}
+
+// Accept implements mcmc.Proposer.
+func (mp *MixedProposer) Accept() {
+	if mp.block {
+		mp.span.Accept()
+	} else {
+		mp.Tagger.Accept()
+	}
 }

@@ -83,12 +83,28 @@ type Tagger struct {
 	ActiveDocs    int
 	StepsPerBatch int
 
-	log  *world.ChangeLog
-	rows [][]relstore.RowID
+	// Write-through binding: the LABEL column of TOKEN, resolved once.
+	bound bool
+	field world.Field
+	rows  [][]relstore.RowID
 
 	active       []int
 	sinceRefresh int
+
+	// The pending move of the two-phase proposal protocol: position i of
+	// document d takes newLabel.
+	d, i     int
+	newLabel Label
 }
+
+// labelValues are the stored forms of the label inventory, built once so
+// a flip does not re-box its label string.
+var labelValues = func() (vs [NumLabels]relstore.Value) {
+	for l := range vs {
+		vs[l] = relstore.String(LabelNames[l])
+	}
+	return vs
+}()
 
 // NewTagger builds inference state for every document of the corpus.
 func NewTagger(m *Model, c *Corpus, init Label) *Tagger {
@@ -111,8 +127,11 @@ func (t *Tagger) BindDB(log *world.ChangeLog, rows [][]relstore.RowID) error {
 			return fmt.Errorf("ie: doc %d row map has %d tokens, want %d", d, len(rows[d]), len(ld.Labels))
 		}
 	}
-	t.log = log
-	t.rows = rows
+	field, err := log.Field(TokenRelation, LabelCol)
+	if err != nil {
+		return err
+	}
+	t.bound, t.field, t.rows = true, field, rows
 	return nil
 }
 
@@ -178,9 +197,8 @@ func (t *Tagger) candidate(rng *rand.Rand, ld *LabeledDoc, i int) Label {
 // apply commits a label flip to memory and, when bound, to the database.
 func (t *Tagger) apply(d, i int, newLabel Label) {
 	t.Docs[d].Labels[i] = newLabel
-	if t.log != nil {
-		ref := world.FieldRef{Rel: TokenRelation, Row: t.rows[d][i], Col: LabelCol}
-		if err := t.log.SetField(ref, relstore.String(newLabel.String())); err != nil {
+	if t.bound {
+		if err := t.field.Set(t.rows[d][i], labelValues[newLabel]); err != nil {
 			// A row deleted by DML (the write path mutates evidence while
 			// chains keep walking) simply stops mirroring: the in-memory
 			// variable keeps being sampled, the store no longer holds the
@@ -198,21 +216,32 @@ func (t *Tagger) apply(d, i int, newLabel Label) {
 // Propose implements mcmc.Proposer: the proposal distribution of
 // Section 5.1 (uniform variable, uniform label, symmetric).
 func (t *Tagger) Propose(rng *rand.Rand) mcmc.Proposal {
-	d, i := t.pick(rng)
-	ld := t.Docs[d]
-	newLabel := t.candidate(rng, ld, i)
-	return mcmc.Proposal{
-		LogScoreDelta: t.Model.ScoreDelta(ld, i, newLabel),
-		Accept:        func() { t.apply(d, i, newLabel) },
+	ld := t.draw(rng)
+	return mcmc.Proposal{LogScoreDelta: t.Model.ScoreDelta(ld, t.i, t.newLabel)}
+}
+
+// draw picks the pending move — a position and a candidate label for it —
+// and returns the document it lies in.
+func (t *Tagger) draw(rng *rand.Rand) *LabeledDoc {
+	t.d, t.i = t.pick(rng)
+	ld := t.Docs[t.d]
+	t.newLabel = t.candidate(rng, ld, t.i)
+	return ld
+}
+
+// Accept implements mcmc.Proposer and learn.Proposer: it commits the
+// pending move. Proposing the label a position already has is a no-op.
+func (t *Tagger) Accept() {
+	if t.Docs[t.d].Labels[t.i] != t.newLabel {
+		t.apply(t.d, t.i, t.newLabel)
 	}
 }
 
 // ProposeRank implements learn.Proposer for SampleRank training. The
 // objective is per-token accuracy against the gold labels.
 func (t *Tagger) ProposeRank(rng *rand.Rand) learn.Proposal {
-	d, i := t.pick(rng)
-	ld := t.Docs[d]
-	newLabel := t.candidate(rng, ld, i)
+	ld := t.draw(rng)
+	i, newLabel := t.i, t.newLabel
 	obj := 0.0
 	gold := ld.Doc.Tokens[i].Gold
 	old := ld.Labels[i]
@@ -226,7 +255,6 @@ func (t *Tagger) ProposeRank(rng *rand.Rand) learn.Proposal {
 	return learn.Proposal{
 		FeatureDelta:   t.Model.FeatureDelta(ld, i, newLabel),
 		ObjectiveDelta: obj,
-		Accept:         func() { t.apply(d, i, newLabel) },
 	}
 }
 

@@ -34,28 +34,38 @@ import (
 	"factordb/internal/relstore"
 )
 
-// BaseDelta maps base-relation names to signed bags of changed rows: a
+// BaseDelta maps base-relation names to the signed rows that changed: a
 // tuple with count −n was removed n times (the paper's Δ⁻) and +n added
-// (Δ⁺). The tuples use the base relation's column layout.
-type BaseDelta map[string]*ra.Bag
+// (Δ⁺). The tuples use the base relation's column layout. Rows are a plain
+// list, not a set: the same tuple may appear more than once and with
+// either sign, and every operator folds signed counts.
+//
+// A delta handed out by world.ChangeLog.Drain is valid until the next
+// Drain on that log: the tuples are stable for good (relations replace
+// rows, never mutate them), but the containers are reused.
+type BaseDelta map[string]Rows
+
+// Rows is one relation's share of a BaseDelta.
+type Rows []ra.BagRow
+
+// Len returns the number of signed rows.
+func (r Rows) Len() int { return len(r) }
 
 // NewBaseDelta returns an empty delta set.
 func NewBaseDelta() BaseDelta { return make(BaseDelta) }
 
 // Add records a signed change of n copies of row in the named relation.
+// The tuple is not copied; callers must not mutate it afterwards.
 func (d BaseDelta) Add(rel string, row relstore.Tuple, n int64) {
-	bag, ok := d[rel]
-	if !ok {
-		bag = ra.NewBag(nil)
-		d[rel] = bag
+	if n != 0 {
+		d[rel] = append(d[rel], ra.BagRow{Tuple: row, N: n})
 	}
-	bag.Add(row, n)
 }
 
-// Empty reports whether the delta contains no net changes.
+// Empty reports whether the delta holds no rows.
 func (d BaseDelta) Empty() bool {
-	for _, bag := range d {
-		if bag.Len() > 0 {
+	for _, rows := range d {
+		if len(rows) > 0 {
 			return false
 		}
 	}
@@ -211,7 +221,7 @@ func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 
 // scanOp forwards base deltas for its table. It keeps no state: consumers
 // that need current contents (joins) maintain their own. Relation rows and
-// delta-bag rows are both stable, so scans own their emissions.
+// delta rows are both stable, so scans own their emissions.
 type scanOp struct {
 	b *ra.Bound
 }
@@ -227,11 +237,8 @@ func (o *scanOp) init(emit emitFn) error {
 }
 
 func (o *scanOp) apply(d BaseDelta, emit emitFn) {
-	if base, ok := d[o.b.Table]; ok {
-		base.Each(func(_ string, r *ra.BagRow) bool {
-			emit(r.Tuple, r.N)
-			return true
-		})
+	for _, r := range d[o.b.Table] {
+		emit(r.Tuple, r.N)
 	}
 }
 

@@ -243,7 +243,9 @@ func TestCancellingDeltaProducesNoChange(t *testing.T) {
 	db, tok, ids := buildTokenDB(16, 7)
 	bound, _ := ra.Bind(db, perSelect())
 	view, _ := NewView(bound)
-	// Flip a row away and back within one batch: net delta must cancel.
+	// Flip a row away and back within one batch. A BaseDelta is a plain
+	// row list (the change log nets by row identity before it fills one),
+	// so the four rows stay; the operators' signed folding must cancel them.
 	d := NewBaseDelta()
 	id := ids[0]
 	old, _ := tok.Get(id)
@@ -256,9 +258,6 @@ func TestCancellingDeltaProducesNoChange(t *testing.T) {
 	cur, _ := tok.Get(id)
 	d.Add("TOKEN", mid.Clone(), -1)
 	d.Add("TOKEN", cur.Clone(), 1)
-	if !d.Empty() {
-		t.Fatal("cancelling updates should yield an empty net delta")
-	}
 	dout := view.Apply(d)
 	if dout.Len() != 0 {
 		t.Errorf("cancelling delta produced output changes: %v", dump(dout))

@@ -32,9 +32,13 @@ func (f FeatureVector) AddAll(o FeatureVector, scale float64) {
 	}
 }
 
-// Weights is a sparse parameter vector θ.
+// Weights is a sparse parameter vector θ: the representation SampleRank
+// trains. Models that score on a hot path compile it into their own dense
+// tables and use Version to notice that it moved underneath them.
 type Weights struct {
 	W map[uint64]float64
+
+	version uint64
 }
 
 // NewWeights returns an all-zero weight vector.
@@ -44,7 +48,14 @@ func NewWeights() *Weights { return &Weights{W: make(map[uint64]float64)} }
 func (w *Weights) Get(k uint64) float64 { return w.W[k] }
 
 // Set assigns θ_k.
-func (w *Weights) Set(k uint64, v float64) { w.W[k] = v }
+func (w *Weights) Set(k uint64, v float64) {
+	w.W[k] = v
+	w.version++
+}
+
+// Version counts the Set and Update calls so far. Writes that go straight
+// to W are not counted.
+func (w *Weights) Version() uint64 { return w.version }
 
 // Dot returns θ·f.
 func (w *Weights) Dot(f FeatureVector) float64 {
@@ -60,6 +71,7 @@ func (w *Weights) Update(f FeatureVector, scale float64) {
 	for k, v := range f {
 		w.W[k] += scale * v
 	}
+	w.version++
 }
 
 // Clone returns an independent copy of the weights.
@@ -72,18 +84,19 @@ func (w *Weights) Clone() *Weights {
 }
 
 // Proposal is one hypothesized world modification exposed for training:
-// beyond the MCMC quantities it carries the sparse feature delta
-// φ(w')−φ(w) and the change in the ground-truth objective (for NER,
-// per-token accuracy against gold labels).
+// the sparse feature delta φ(w')−φ(w) and the change in the ground-truth
+// objective (for NER, per-token accuracy against gold labels).
 type Proposal struct {
 	FeatureDelta   FeatureVector
 	ObjectiveDelta float64
-	Accept         func()
 }
 
-// Proposer draws training proposals.
+// Proposer draws training proposals under the same two-phase protocol as
+// mcmc.Proposer: ProposeRank remembers the hypothesized modification as
+// the pending move, Accept commits the most recent one, at most once.
 type Proposer interface {
 	ProposeRank(rng *rand.Rand) Proposal
+	Accept()
 }
 
 // WalkStrategy selects how the training walk moves between states.
@@ -143,8 +156,8 @@ func (sr *SampleRank) Step() bool {
 	default:
 		accept = m >= 0 || sr.rng.Float64() < math.Exp(m)
 	}
-	if accept && p.Accept != nil {
-		p.Accept()
+	if accept {
+		sr.proposer.Accept()
 	}
 	return updated
 }

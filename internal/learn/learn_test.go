@@ -48,6 +48,8 @@ func TestWeightsDotUpdate(t *testing.T) {
 type toyInstance struct {
 	labels [2]int
 	gold   [2]int
+
+	tok, newLbl int // pending move
 }
 
 func key(tok, lbl int) uint64 { return uint64(tok)<<8 | uint64(lbl) }
@@ -73,12 +75,11 @@ func (ti *toyInstance) ProposeRank(rng *rand.Rand) Proposal {
 	ti.labels[tok] = newLbl
 	objAfter := ti.accuracy()
 	ti.labels[tok] = old
-	return Proposal{
-		FeatureDelta:   fd,
-		ObjectiveDelta: objAfter - objBefore,
-		Accept:         func() { ti.labels[tok] = newLbl },
-	}
+	ti.tok, ti.newLbl = tok, newLbl
+	return Proposal{FeatureDelta: fd, ObjectiveDelta: objAfter - objBefore}
 }
+
+func (ti *toyInstance) Accept() { ti.labels[ti.tok] = ti.newLbl }
 
 func TestSampleRankLearnsToy(t *testing.T) {
 	ti := &toyInstance{gold: [2]int{0, 1}}

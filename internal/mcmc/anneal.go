@@ -44,3 +44,7 @@ func (a *Annealer) Propose(rng *rand.Rand) Proposal {
 	}
 	return p
 }
+
+// Accept implements Proposer by committing the inner proposer's pending
+// move.
+func (a *Annealer) Accept() { a.Inner.Accept() }

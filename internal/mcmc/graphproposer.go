@@ -13,17 +13,21 @@ import (
 // proposal ratio q(w|w')/q(w'|w) is 1.
 type GraphProposer struct {
 	G *factor.Graph
+
+	// The pending move: variable v takes value newVal.
+	v      *factor.Var
+	newVal int
 }
 
 // Propose implements Proposer.
 func (p *GraphProposer) Propose(rng *rand.Rand) Proposal {
-	v := p.G.Vars[rng.Intn(len(p.G.Vars))]
-	newVal := rng.Intn(v.Dom.Size())
-	return Proposal{
-		LogScoreDelta: p.G.ScoreDelta(v, newVal),
-		Accept:        func() { v.Val = newVal },
-	}
+	p.v = p.G.Vars[rng.Intn(len(p.G.Vars))]
+	p.newVal = rng.Intn(p.v.Dom.Size())
+	return Proposal{LogScoreDelta: p.G.ScoreDelta(p.v, p.newVal)}
 }
+
+// Accept implements Proposer.
+func (p *GraphProposer) Accept() { p.v.Val = p.newVal }
 
 // MarginalCounter accumulates empirical marginals over an explicit graph,
 // used in tests to compare the sampler against exact enumeration.

@@ -5,6 +5,10 @@
 // arguments change) and commit it on acceptance. The normalization
 // constant Z cancels in the acceptance ratio, which is what makes
 // sampling tractable for models where computing Z is #P-hard.
+//
+// A step allocates nothing in this package: a Proposal is two floats
+// returned by value, and the modification it stands for stays inside the
+// proposer until the sampler calls Accept.
 package mcmc
 
 import (
@@ -13,7 +17,9 @@ import (
 	"math/rand"
 )
 
-// Proposal is a hypothesized modification to the current world.
+// Proposal is the Metropolis-Hastings view of a hypothesized modification
+// to the current world: the two log-ratios the acceptance test needs. The
+// modification itself stays with the proposer that drew it.
 type Proposal struct {
 	// LogScoreDelta is log π(w') − log π(w), computed from the factors
 	// adjacent to the changed variables only.
@@ -21,17 +27,22 @@ type Proposal struct {
 	// LogQRatio is log q(w|w') − log q(w'|w), the proposal-bias
 	// correction. Zero for symmetric proposal distributions.
 	LogQRatio float64
-	// Accept commits the modification to the world. It is invoked at most
-	// once, and only when the proposal is accepted.
-	Accept func()
 }
 
 // Proposer draws proposals from the proposal distribution q(·|w)
 // conditioned on the current world. Implementations must be
 // constraint-preserving: they only propose worlds with π(w') > 0
 // (Section 3.4's split-merge discussion).
+//
+// The protocol is two-phase. Propose hypothesizes a modification, scores
+// it and remembers it as the pending move, leaving the world untouched;
+// Accept commits the pending move of the most recent Propose. The sampler
+// calls Accept at most once per Propose, and only when the proposal is
+// accepted; a proposer whose pending move is a no-op (nothing to change,
+// or nowhere to move) commits nothing.
 type Proposer interface {
 	Propose(rng *rand.Rand) Proposal
+	Accept()
 }
 
 // Sampler runs the Metropolis-Hastings walk.
@@ -59,9 +70,7 @@ func (s *Sampler) Step() bool {
 	// α = min(1, π(w')q(w|w') / π(w)q(w'|w)); computed in log space.
 	logAlpha := p.LogScoreDelta + p.LogQRatio
 	if logAlpha >= 0 || s.rng.Float64() < math.Exp(logAlpha) {
-		if p.Accept != nil {
-			p.Accept()
-		}
+		s.proposer.Accept()
 		s.accepted++
 		return true
 	}

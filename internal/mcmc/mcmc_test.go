@@ -141,6 +141,8 @@ func TestDeterministicWithSeed(t *testing.T) {
 type biasedProposer struct {
 	g *factor.Graph
 	v *factor.Var
+
+	newVal int // pending move
 }
 
 func (p *biasedProposer) Propose(rng *rand.Rand) Proposal {
@@ -157,13 +159,14 @@ func (p *biasedProposer) Propose(rng *rand.Rand) Proposal {
 	if p.v.Val == 1 {
 		qBackward = 0.9
 	}
-	v := p.v
+	p.newVal = newVal
 	return Proposal{
-		LogScoreDelta: p.g.ScoreDelta(v, newVal),
+		LogScoreDelta: p.g.ScoreDelta(p.v, newVal),
 		LogQRatio:     math.Log(qBackward) - math.Log(qForward),
-		Accept:        func() { v.Val = newVal },
 	}
 }
+
+func (p *biasedProposer) Accept() { p.v.Val = p.newVal }
 
 func TestLogQRatioCorrection(t *testing.T) {
 	// A single unbiased binary variable sampled with a biased proposer:
@@ -186,17 +189,29 @@ func TestLogQRatioCorrection(t *testing.T) {
 	}
 }
 
-func TestNilAcceptIsSafe(t *testing.T) {
-	p := proposerFunc(func(*rand.Rand) Proposal {
-		return Proposal{LogScoreDelta: 1} // always accepted, no Accept fn
-	})
-	s := NewSampler(p, 1)
-	s.Run(10)
-	if s.Accepted() != 10 {
-		t.Errorf("Accepted = %d, want 10", s.Accepted())
-	}
+// countingProposer proposes a fixed score delta and counts commits.
+type countingProposer struct {
+	delta   float64
+	commits int
 }
 
-type proposerFunc func(*rand.Rand) Proposal
+func (p *countingProposer) Propose(*rand.Rand) Proposal { return Proposal{LogScoreDelta: p.delta} }
+func (p *countingProposer) Accept()                     { p.commits++ }
 
-func (f proposerFunc) Propose(rng *rand.Rand) Proposal { return f(rng) }
+// TestAcceptCalledOncePerAcceptedProposal pins the two-phase contract:
+// Accept runs exactly once for every accepted proposal and never for a
+// rejected one.
+func TestAcceptCalledOncePerAcceptedProposal(t *testing.T) {
+	up := &countingProposer{delta: 1}
+	s := NewSampler(up, 1)
+	s.Run(10)
+	if s.Accepted() != 10 || up.commits != 10 {
+		t.Errorf("uphill: Accepted = %d, commits = %d, want 10 and 10", s.Accepted(), up.commits)
+	}
+	down := &countingProposer{delta: math.Inf(-1)}
+	s = NewSampler(down, 1)
+	s.Run(10)
+	if s.Accepted() != 0 || down.commits != 0 {
+		t.Errorf("impossible: Accepted = %d, commits = %d, want 0 and 0", s.Accepted(), down.commits)
+	}
+}

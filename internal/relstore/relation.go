@@ -121,12 +121,13 @@ func (r *Relation) UpdateCol(id RowID, col int, v Value) (Tuple, error) {
 	if col < 0 || col >= len(old) {
 		return nil, fmt.Errorf("relstore: relation %q: column %d out of range", r.schema.Name, col)
 	}
-	row := old.Clone()
-	row[col] = v
-	if err := r.schema.Validate(row); err != nil {
+	// The stored row already conforms; only the new field can break that.
+	if err := r.schema.ValidateCol(col, v); err != nil {
 		return nil, err
 	}
-	for _, ix := range r.indexes {
+	row := old.Clone()
+	row[col] = v
+	if ix, ok := r.indexes[col]; ok {
 		ix.remove(id, old)
 		ix.add(id, row)
 	}

@@ -1,6 +1,9 @@
 package relstore
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Column describes one attribute of a relation schema.
 type Column struct {
@@ -58,15 +61,20 @@ func (s *Schema) Validate(t Tuple) error {
 		return fmt.Errorf("relstore: relation %q: tuple arity %d, want %d", s.Name, len(t), len(s.Cols))
 	}
 	for i, v := range t {
-		want := s.Cols[i].Type
-		got := v.Kind()
-		if got != want {
-			// Ints are acceptable where floats are expected.
-			if want == TFloat && got == TInt {
-				continue
-			}
-			return fmt.Errorf("relstore: relation %q: column %q has %v, want %v", s.Name, s.Cols[i].Name, got, want)
+		if err := s.ValidateCol(i, v); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// ValidateCol checks that v may be stored in column i, which must be in
+// range.
+func (s *Schema) ValidateCol(i int, v Value) error {
+	want, got := s.Cols[i].Type, v.Kind()
+	// Ints are acceptable where floats are expected.
+	if got != want && !(want == TFloat && got == TInt) {
+		return fmt.Errorf("relstore: relation %q: column %q has %v, want %v", s.Name, s.Cols[i].Name, got, want)
 	}
 	return nil
 }
@@ -103,6 +111,27 @@ func (t Tuple) Equal(o Tuple) bool {
 	}
 	for i := range t {
 		if !t[i].Equal(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Identical reports whether t and o encode to the same key: the same
+// kinds and payloads, position by position. It is stricter than Equal,
+// which compares TInt and TFloat numerically and −0 with 0 as equal while
+// their keys differ; anything that cancels tuples against each other the
+// way a keyed bag would must use this.
+func (t Tuple) Identical(o Tuple) bool {
+	if len(t) != len(o) {
+		return false
+	}
+	if len(t) > 0 && &t[0] == &o[0] {
+		return true
+	}
+	for i := range t {
+		a, b := &t[i], &o[i]
+		if a.kind != b.kind || a.i != b.i || a.s != b.s || math.Float64bits(a.f) != math.Float64bits(b.f) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
@@ -137,24 +138,32 @@ func resolveUpdate(rel *relstore.Relation, m *ra.Update) ([]Op, error) {
 		cols[i] = ci
 		vals[i] = s.Val
 	}
+	ids, err := matchRows(rel, m.Alias, m.Where)
+	if err != nil {
+		return nil, err
+	}
 	var ops []Op
-	err := matchRows(rel, m.Alias, m.Where, func(id relstore.RowID) {
+	for _, id := range ids {
 		ops = append(ops, Op{Kind: OpUpdate, Rel: sch.Name, Row: id, Cols: cols, Vals: vals})
-	})
-	return ops, err
+	}
+	return ops, nil
 }
 
 func resolveDelete(rel *relstore.Relation, m *ra.Delete) ([]Op, error) {
+	ids, err := matchRows(rel, m.Alias, m.Where)
+	if err != nil {
+		return nil, err
+	}
 	var ops []Op
-	err := matchRows(rel, m.Alias, m.Where, func(id relstore.RowID) {
+	for _, id := range ids {
 		ops = append(ops, Op{Kind: OpDelete, Rel: rel.Schema().Name, Row: id})
-	})
-	return ops, err
+	}
+	return ops, nil
 }
 
-// matchRows calls fn for every row satisfying where (nil = all rows), in
-// ascending RowID order so resolved op lists are deterministic.
-func matchRows(rel *relstore.Relation, alias string, where ra.Expr, fn func(relstore.RowID)) error {
+// matchRows returns the rows satisfying where (nil = all rows) in
+// ascending RowID order, so resolved op lists are deterministic.
+func matchRows(rel *relstore.Relation, alias string, where ra.Expr) ([]relstore.RowID, error) {
 	sch := rel.Schema()
 	if alias == "" {
 		alias = sch.Name
@@ -168,16 +177,24 @@ func matchRows(rel *relstore.Relation, alias string, where ra.Expr, fn func(rels
 		var err error
 		pred, err = ra.BindPredicate(rs, where)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	rel.ScanSorted(func(id relstore.RowID, t relstore.Tuple) bool {
-		if pred == nil || pred.Eval(t).AsBool() {
-			fn(id)
-		}
+	// The predicate runs inside an unordered scan; only the matches are
+	// sorted, so a selective statement does not pay for ordering the
+	// whole relation.
+	var ids []relstore.RowID
+	collect := func(id relstore.RowID, _ relstore.Tuple) bool {
+		ids = append(ids, id)
 		return true
-	})
-	return nil
+	}
+	if pred == nil {
+		rel.Scan(collect)
+	} else {
+		rel.ScanWhere(func(t relstore.Tuple) bool { return pred.Eval(t).AsBool() }, collect)
+	}
+	slices.Sort(ids)
+	return ids, nil
 }
 
 // ApplyOps replays a resolved op list through the change log, recording
@@ -215,16 +232,16 @@ func (l *ChangeLog) ApplyOps(ops []Op) (int64, error) {
 // assigned RowID is deterministic in the relation's insertion history, so
 // clones receiving identical op streams assign identical ids.
 func (l *ChangeLog) Insert(rel string, t relstore.Tuple) (relstore.RowID, error) {
-	r, err := l.db.Relation(rel)
+	rl, err := l.relation(rel)
 	if err != nil {
 		return 0, err
 	}
-	id, err := r.Insert(t)
+	id, err := rl.rel.Insert(t)
 	if err != nil {
 		return 0, err
 	}
-	now, _ := r.Get(id)
-	l.delta.Add(rel, now.Clone(), 1)
+	now, _ := rl.rel.Get(id)
+	rl.record(id, nil, now)
 	l.updates++
 	return id, nil
 }
@@ -233,10 +250,11 @@ func (l *ChangeLog) Insert(rel string, t relstore.Tuple) (relstore.RowID, error)
 // old tuple in Δ⁻ and the new one in Δ⁺ (a no-op when nothing changes).
 // ref.Col is ignored; cols carries the column positions.
 func (l *ChangeLog) UpdateFields(ref FieldRef, cols []int, vals []relstore.Value) error {
-	r, err := l.db.Relation(ref.Rel)
+	rl, err := l.relation(ref.Rel)
 	if err != nil {
 		return err
 	}
+	r := rl.rel
 	cur, ok := r.Get(ref.Row)
 	if !ok {
 		return fmt.Errorf("world: relation %q row %d: %w", ref.Rel, ref.Row, relstore.ErrNotFound)
@@ -260,23 +278,22 @@ func (l *ChangeLog) UpdateFields(ref FieldRef, cols []int, vals []relstore.Value
 		return err
 	}
 	now, _ := r.Get(ref.Row)
-	l.delta.Add(ref.Rel, old, -1)
-	l.delta.Add(ref.Rel, now.Clone(), 1)
+	rl.record(ref.Row, old, now)
 	l.updates++
 	return nil
 }
 
 // DeleteRow removes one row, recording its last value in Δ⁻.
 func (l *ChangeLog) DeleteRow(rel string, id relstore.RowID) error {
-	r, err := l.db.Relation(rel)
+	rl, err := l.relation(rel)
 	if err != nil {
 		return err
 	}
-	old, err := r.Delete(id)
+	old, err := rl.rel.Delete(id)
 	if err != nil {
 		return err
 	}
-	l.delta.Add(rel, old, -1)
+	rl.record(id, old, nil)
 	l.updates++
 	return nil
 }

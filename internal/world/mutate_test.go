@@ -170,3 +170,49 @@ func TestUpdateFieldsNoopAndMissingRow(t *testing.T) {
 		t.Errorf("SetField on deleted row = %v, want ErrNotFound", err)
 	}
 }
+
+// TestResolveOrderIsAscendingRowID pins the order of resolved ops: the
+// predicate is evaluated in an unordered scan, but the op list — which
+// every chain replays and the WAL records — is in ascending RowID order,
+// with and without a predicate.
+func TestResolveOrderIsAscendingRowID(t *testing.T) {
+	db := relstore.NewDB()
+	rel := db.MustCreate(relstore.MustSchema("N",
+		relstore.Column{Name: "ID", Type: relstore.TInt},
+		relstore.Column{Name: "PARITY", Type: relstore.TInt},
+	))
+	for i := 0; i < 500; i++ {
+		if _, err := rel.Insert(relstore.Tuple{relstore.Int(int64(i)), relstore.Int(int64(i % 2))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := relstore.RowID(0); id < 500; id += 7 { // leave gaps
+		if _, err := rel.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	even := ra.Eq(ra.Col(ra.C("", "PARITY")), ra.Const(relstore.Int(0)))
+	cases := []struct {
+		name string
+		mut  ra.Mutation
+		want int
+	}{
+		{"update where", &ra.Update{TableName: "N", Set: []ra.SetClause{{Col: "PARITY", Val: relstore.Int(2)}}, Where: even}, 214},
+		{"delete where", &ra.Delete{TableName: "N", Where: even}, 214},
+		{"delete all", &ra.Delete{TableName: "N"}, 428},
+	}
+	for _, c := range cases {
+		ops, err := ResolveMutation(db, c.mut)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(ops) != c.want {
+			t.Errorf("%s: %d ops, want %d", c.name, len(ops), c.want)
+		}
+		for i := 1; i < len(ops); i++ {
+			if ops[i-1].Row >= ops[i].Row {
+				t.Fatalf("%s: op %d on row %d follows row %d", c.name, i, ops[i].Row, ops[i-1].Row)
+			}
+		}
+	}
+}
