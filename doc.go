@@ -76,33 +76,52 @@
 // ring with WithTraceSampling. Read it from Rows.Trace, the "trace"
 // block of the /query response, DB.RecentTraces, or GET /debug/traces.
 //
-// The trace contract: a QueryTrace's spans are contiguous — each span's
-// StartNS equals the previous span's StartNS+DurNS, and the span
-// durations plus the first span's lead-in sum exactly to WallNS, so no
-// latency is unaccounted for. Span names are stable identifiers:
-// the served engine emits "compile", "cache_probe", "admission_wait",
-// "register", "sample_wait", "snapshot_merge" and "rank"; the local
-// modes emit "compile", "clone_world", "sample" and "rank". New spans
-// may be added in later releases (always preserving contiguity), and a
-// span whose stage was skipped (e.g. cache_probe under NoCache) is
-// omitted rather than emitted with zero duration; consumers must key on
-// span names, not positions. Outcome is one of "ok", "cached",
-// "early_stop", "partial" or "error". Tracing disabled costs
-// single-digit nanoseconds per query (BenchmarkTraceOverhead pins it).
+// The trace contract, the same for queries, writes (ExecTrace, "trace":
+// true on POST /exec) and the one-shot recovery trace that WithDataDir
+// publishes as Status.StartupTrace: spans are contiguous — each span's
+// StartNS equals the previous span's StartNS+DurNS, and the durations
+// plus the first span's lead-in sum exactly to WallNS, so no latency is
+// unaccounted for. A span whose stage was skipped is omitted rather than
+// emitted with zero duration, and new spans may be added (preserving
+// contiguity): key on names, not positions. Every mode runs the same
+// request pipeline and differs only in the sampling strategy under it —
+// "pool" is ModeServed's shared chain pool, "private" the local modes'
+// chain per query — so there is one glossary, which TestSpanGlossary
+// pins against the code:
 //
-// Writes trace under the same contract (ExecTrace, "trace": true on
-// POST /exec). Kind distinguishes the families sharing the ring:
-// "query", "exec", and the one-shot "recovery" startup trace. A served
-// write's spans are "compile", "admission_wait", "resolve",
-// "wal_append", "fsync" (carved out of the append once the WAL sink
-// reports its sync share), "fanout", then "burn_in", "delta_fold" and
-// "republish" clocked by the slowest chain, and "cache_invalidate"; a
-// durable local write emits "compile", "resolve", "wal_append", "fsync"
-// and "apply". Exec outcomes are "ok", "noop" (matched no rows, nothing
-// committed), "rejected", "canceled" or "error". With WithDataDir, the
-// recovery performed at Open is published as Status.StartupTrace —
-// "snapshot_load", "wal_replay" (attrs replayed_records, replayed_ops,
-// epoch) and, after a crash, "torn_tail_truncate".
+//	kind      span                emitted by  what is being timed
+//	query     compile             all         SQL to plan (attr plan_cache: hit, miss, prebound)
+//	query     cache_probe         all         result-cache lookup (attr result); not under NoCache
+//	query     admission_wait      all         the admission queue queries and writes share
+//	query     register            pool        view mount or registry hit per chain (attr view_reuse)
+//	query     sample_wait         pool        the chains walking until the budget is met
+//	query     snapshot_merge      pool        merging the per-chain estimators (attr samples)
+//	query     clone_world         private     cloning the prototype world
+//	query     sample              private     burn-in plus the whole sample budget (attr samples)
+//	query     rank                all         ORDER BY / LIMIT over the merged estimate
+//	exec      compile             all         SQL to mutation (attr plan_cache)
+//	exec      admission_wait      all         as for queries
+//	exec      resolve             all         predicate to row-level ops, on one world
+//	exec      wal_append          all         the durable log append (WithDataDir only)
+//	exec      fsync               all         the append's sync share, carved out once the WAL reports it
+//	exec      fanout              pool        ops delivered until every chain has applied them
+//	exec      burn_in             pool        the slowest chain's re-equilibration walk
+//	exec      delta_fold          pool        folding the write's delta into every live view
+//	exec      republish           pool        reset estimators republished to readers
+//	exec      apply               private     mutating the prototype world
+//	exec      cache_invalidate    all         the data-epoch bump
+//	recovery  snapshot_load       all         attr snapshot_epoch
+//	recovery  wal_replay          all         attrs replayed_records, replayed_ops, epoch
+//	recovery  torn_tail_truncate  all         only after a crash left a torn record
+//
+//	kind      outcomes
+//	query     ok cached early_stop partial error
+//	exec      ok noop rejected canceled error
+//	recovery  ok fresh
+//
+// ("noop" matched no rows and committed nothing; "fresh" is the first
+// open of a data directory.) Tracing disabled costs single-digit
+// nanoseconds per query (BenchmarkTraceOverhead pins it).
 //
 // Every trace carries a TraceID: the 32-hex trace-id of a W3C
 // traceparent, either propagated by the caller (TraceID/ExecTraceID
@@ -118,9 +137,10 @@
 // wall_ns, threshold_ns, and a span_ns group with durations summed per
 // span name — and its trace is kept in the ring so the trace_id resolves
 // on GET /debug/traces even when the client never opted into tracing.
-// Every Exec attempt additionally emits a "write.audit" record (outcome,
-// sql, epoch, rows_affected, and trace_id when traced); failures audit
-// at Warn, commits at Info. cmd/factordbd wires both through its
+// Every Exec attempt additionally emits a "write.audit" record — outcome,
+// sql, trace_id (when traced), epoch, and for an attempt that produced a
+// result rows_affected and elapsed (a duration) — the same keys under
+// every mode; failures audit at Warn, commits at Info. cmd/factordbd wires both through its
 // -log-format, -log-level and -slow-query flags, and
 // cmd/factorload -check-slow-log validates a captured JSON log against
 // this contract.
@@ -355,7 +375,7 @@
 //	internal/core      query evaluators (naive and materialized) + estimator
 //	internal/metrics   loss traces and serving counters
 //	internal/exp       experiment harness regenerating the paper's figures
-//	internal/serve     concurrent query-serving engine (ModeServed)
+//	internal/serve     the request pipeline and its sampling strategies
 //
 // Three commands sit on top of the facade: cmd/factordb evaluates a
 // single query from the command line, cmd/factordbd serves concurrent

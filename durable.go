@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"factordb/internal/metrics"
-	"factordb/internal/ra"
 	"factordb/internal/relstore"
 	"factordb/internal/store"
-	"factordb/internal/world"
 )
 
 // ErrRecovery marks durable-storage failures surfaced through the public
@@ -86,13 +84,6 @@ type durableSystem interface {
 	RestoreWorld(db *relstore.DB)
 }
 
-// worldOpsExecer is the split write capability behind the durable local
-// write path: resolve first, log the resolved batch, then apply.
-type worldOpsExecer interface {
-	ResolveExec(mut ra.Mutation) ([]world.Op, error)
-	ApplyExecOps(ops []world.Op) (int64, error)
-}
-
 // openDurability opens (or initializes) the data directory and installs
 // the recovered world into the system. Returns nil when durability is
 // not requested. On return the system's prototype world reflects every
@@ -141,11 +132,11 @@ func openDurability(o options, sys system, name string) (store.Storage, error) {
 // truncation), contiguous by construction, with the replay counters as
 // span attributes so a crash-recovery check can assert what was replayed.
 func (db *DB) recoveryTrace(rec store.Recovery) *QueryTrace {
-	id := db.traceID.Add(1)
+	id, traceID := db.eng.MintTraceID()
 	qt := &QueryTrace{
 		ID:      id,
 		SQL:     "(startup recovery)",
-		TraceID: db.genTraceID(id),
+		TraceID: traceID,
 		Kind:    "recovery",
 		Begin:   db.start,
 		Outcome: "ok",
@@ -177,7 +168,7 @@ func (db *DB) recoveryTrace(rec store.Recovery) *QueryTrace {
 }
 
 // registerStoreMetrics attaches the store's wal/checkpoint metrics to
-// the DB's registry (engine-owned in served mode).
+// the DB's registry.
 func registerStoreMetrics(st store.Storage, reg *metrics.Registry) {
 	if d, ok := st.(*store.DiskStore); ok && reg != nil {
 		d.RegisterMetrics(reg)

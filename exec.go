@@ -7,9 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"factordb/internal/ra"
 	"factordb/internal/serve"
-	"factordb/internal/world"
 )
 
 // ErrReadOnly is returned by Exec when the opened workload cannot absorb
@@ -63,13 +61,6 @@ func ExecTrace() ExecOption { return func(o *execOptions) { o.trace = true } }
 // header.
 func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.traceID = id } }
 
-// worldExecer is the optional system capability behind Exec in the local
-// modes: a workload whose prototype world can absorb a resolved DML
-// mutation durably (every later query clones the mutated world).
-type worldExecer interface {
-	Exec(mut ra.Mutation) (int64, error)
-}
-
 // Exec applies one DML statement — INSERT, UPDATE or DELETE — to the
 // probabilistic database and returns once every possible-world copy has
 // absorbed it. This is the paper's update model: the database is a single
@@ -94,149 +85,38 @@ type worldExecer interface {
 // evidence: a hidden (sampled) column assignment is overwritten as the
 // sampler revisits it.
 func (db *DB) Exec(ctx context.Context, sql string, opts ...ExecOption) (*ExecResult, error) {
-	if db.isClosed() {
+	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var eo execOptions
+	res, err := db.eng.ExecTraced(ctx, sql, execOpts(opts).engine())
+	return newExecResult(res, err)
+}
+
+func execOpts(opts []ExecOption) (eo execOptions) {
 	for _, f := range opts {
 		f(&eo)
 	}
-	if db.eng != nil {
-		res, err := db.eng.ExecTraced(ctx, sql, serve.ExecOptions{Trace: eo.trace, TraceID: eo.traceID})
-		if err != nil {
-			return nil, mapServeErr(err)
-		}
-		return &ExecResult{
-			RowsAffected: res.RowsAffected,
-			Epoch:        res.Epoch,
-			Chains:       res.Chains,
-			Elapsed:      res.Elapsed,
-			Trace:        traceFromServe(res.Trace),
-		}, nil
-	}
-
-	begin := time.Now()
-	tr := db.newLocalExecTrace(sql, eo, begin)
-	tr.span("compile")
-	mut, hit, err := db.plans.CompileMutation(sql)
-	if err != nil {
-		db.countFailed()
-		db.finishLocalExec(sql, nil, "error", tr, begin)
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	if hit {
-		db.planHits.Inc()
-		tr.attr("plan_cache", "hit")
-	} else {
-		tr.attr("plan_cache", "miss")
-	}
-	return db.execLocal(sql, mut, tr, begin)
+	return eo
 }
 
-// newLocalExecTrace decides tracing for one local write: client opt-in
-// (publish), or an armed slow-query log that needs the span breakdown in
-// case the write turns out slow (private). The write-audit log covers
-// every exec regardless.
-func (db *DB) newLocalExecTrace(sql string, eo execOptions, begin time.Time) *localTrace {
-	publish := eo.trace
-	if !publish && db.opts.slowQuery <= 0 {
-		return nil
-	}
-	tr := newLocalTrace(db.traceID.Add(1), sql, begin)
-	tr.publish = publish
-	tr.qt.Kind = "exec"
-	tr.qt.TraceID = eo.traceID
-	if tr.qt.TraceID == "" {
-		tr.qt.TraceID = db.genTraceID(tr.qt.ID)
-	}
-	return tr
+func (eo execOptions) engine() serve.ExecOptions {
+	return serve.ExecOptions{Trace: eo.trace, TraceID: eo.traceID}
 }
 
-// execLocal applies an already compiled mutation to the local prototype
-// world — the tail of Exec, shared with the prepared-statement path. A
-// traced write spans resolve / wal_append / fsync / apply contiguously;
-// every write, traced or not, lands in the outcome-labeled latency
-// histogram and the write-audit log.
-func (db *DB) execLocal(sql string, mut ra.Mutation, tr *localTrace, begin time.Time) (res *ExecResult, err error) {
-	outcome := "error"
-	defer func() { db.finishLocalExec(sql, res, outcome, tr, begin) }()
-	start := time.Now()
-	ex, ok := db.sys.(worldExecer)
-	if !ok {
-		return nil, fmt.Errorf("%w: the %s workload has no durable local world (open it with WithMode(ModeServed))",
-			ErrReadOnly, db.name)
-	}
-	// The write lock excludes queries mid-clone: local queries snapshot
-	// the prototype world under the read side, so they see either all of
-	// this mutation or none of it.
-	db.writeMu.Lock()
-	var n int64
-	var epoch int64
-	var walErr error
-	if db.store != nil {
-		// Durable path: resolve, log the resolved batch, then apply —
-		// write-ahead order, same as the served engine. A WAL failure
-		// vetoes the write with the world untouched.
-		ox, isOps := db.sys.(worldOpsExecer)
-		if !isOps {
-			db.writeMu.Unlock()
-			return nil, fmt.Errorf("%w: the %s workload cannot log resolved writes", ErrRecovery, db.name)
-		}
-		tr.span("resolve")
-		var ops []world.Op
-		ops, err = ox.ResolveExec(mut)
-		epoch = db.writeEpoch.Load()
-		if err == nil && len(ops) > 0 {
-			tr.span("wal_append")
-			if walErr = db.store.Append(epoch+1, ops); walErr == nil {
-				var fsyncNS int64
-				if fr, ok := db.store.(serve.FsyncReporter); ok {
-					fsyncNS = fr.LastFsyncNS()
-				}
-				tr.splitTail("fsync", fsyncNS)
-				tr.span("apply")
-				n, err = ox.ApplyExecOps(ops)
-				if err == nil {
-					epoch = db.writeEpoch.Add(1)
-				}
-			}
-		}
-	} else {
-		tr.span("apply")
-		n, err = ex.Exec(mut)
-		if err == nil {
-			// Bump inside the critical section so the reported epoch matches
-			// apply order under concurrent writers.
-			epoch = db.writeEpoch.Load()
-			if n > 0 { // a no-match mutation commits nothing
-				epoch = db.writeEpoch.Add(1)
-			}
-		}
-	}
-	db.writeMu.Unlock()
-	if walErr != nil {
-		return nil, fmt.Errorf("%w: wal append: %v", ErrRecovery, walErr)
-	}
+func newExecResult(res *serve.ExecResult, err error) (*ExecResult, error) {
 	if err != nil {
-		db.countFailed()
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return nil, mapServeErr(err)
 	}
-	if n > 0 {
-		db.writes.Inc()
-		outcome = "ok"
-	} else {
-		outcome = "noop"
-	}
-	res = &ExecResult{
-		RowsAffected: n,
-		Epoch:        epoch,
-		Chains:       1,
-		Elapsed:      time.Since(start),
-	}
-	return res, nil
+	return &ExecResult{
+		RowsAffected: res.RowsAffected,
+		Epoch:        res.Epoch,
+		Chains:       res.Chains,
+		Elapsed:      res.Elapsed,
+		Trace:        res.Trace,
+	}, nil
 }
 
 // mapServeErr rebrands the serving engine's sentinel errors onto the
@@ -252,16 +132,14 @@ func mapServeErr(err error) error {
 		return fmt.Errorf("%w: %s", ErrBadQuery, detail)
 	case errors.Is(err, serve.ErrOverloaded):
 		return ErrOverloaded
+	case errors.Is(err, serve.ErrReadOnly):
+		return fmt.Errorf("%w: no durable local world (open it with WithMode(ModeServed))", ErrReadOnly)
+	case errors.Is(err, serve.ErrWAL):
+		return fmt.Errorf("%w: %v", ErrRecovery, err)
 	}
 	return err
 }
 
 // WriteEpoch returns the data epoch: the number of writes committed since
-// Open. Served mode reports the engine's epoch (shared by all transports);
-// local modes count facade Execs.
-func (db *DB) WriteEpoch() int64 {
-	if db.eng != nil {
-		return db.eng.DataEpoch()
-	}
-	return db.writeEpoch.Load()
-}
+// Open (or recovered by it), shared by all transports.
+func (db *DB) WriteEpoch() int64 { return db.eng.DataEpoch() }

@@ -29,7 +29,7 @@ func (db *DB) explain(ctx context.Context, sql string) (*Rows, error) {
 	start := time.Now()
 	stmt, err := sqlparse.ParseStatement(sql)
 	if err != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	if stmt.Explain == nil {
@@ -55,7 +55,7 @@ func (db *DB) explain(ctx context.Context, sql string) (*Rows, error) {
 		}
 	}
 	if err != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	cis := make([]core.TupleCI, len(lines))
@@ -81,38 +81,25 @@ func (db *DB) explainQuery(target string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hit && db.eng == nil {
-		db.planHits.Inc()
-	}
 	lines := ra.Render(comp.Plan)
 	lines = append(lines, "plan fingerprint: "+comp.Fingerprint)
 
 	// The bound fingerprint keys the engine's shared-view registries. It
-	// needs a schema to bind against; a fresh chain-world clone of the
-	// prototype gives exactly the schema every chain binds with. The read
-	// lock excludes a concurrent local-mode Exec mid-mutation (in served
-	// mode the prototype is immutable after startup).
-	db.writeMu.RLock()
-	wl, _, werr := db.sys.NewChainWorld(0)
-	db.writeMu.RUnlock()
-	if werr != nil {
+	// needs a schema to bind against; a fresh clone of the prototype world
+	// gives exactly the schema every chain binds with.
+	if wl, _, werr := db.eng.CloneWorld(); werr != nil {
 		lines = append(lines, "bound fingerprint: n/a ("+werr.Error()+")")
 	} else if bound, berr := ra.Bind(wl.DB(), comp.Plan); berr != nil {
 		lines = append(lines, "bound fingerprint: n/a ("+berr.Error()+")")
 	} else {
 		bfp := bound.Fingerprint()
 		lines = append(lines, "bound fingerprint: "+bfp)
-		if db.eng != nil {
-			live, total := db.eng.LiveViewChains(bfp)
-			if live > 0 {
-				lines = append(lines, fmt.Sprintf(
-					"view sharing: reuse — a view with this fingerprint is live on %d/%d chains", live, total))
-			} else {
-				lines = append(lines, fmt.Sprintf(
-					"view sharing: fresh — no live view with this fingerprint on any of %d chains", total))
-			}
+		if live, total := db.eng.LiveViewChains(bfp); live > 0 {
+			lines = append(lines, fmt.Sprintf(
+				"view sharing: reuse — a view with this fingerprint is live on %d/%d chains", live, total))
 		} else {
-			lines = append(lines, "view sharing: n/a (local mode: each query samples a private view)")
+			lines = append(lines, fmt.Sprintf(
+				"view sharing: fresh — no live view with this fingerprint on any of %d chains", total))
 		}
 	}
 	lines = append(lines, "result spec: "+specString(comp.Spec))
@@ -130,39 +117,12 @@ func (db *DB) explainQuery(target string) ([]string, error) {
 func (db *DB) explainAnalyze(ctx context.Context, target string) ([]string, error) {
 	comp, hit, err := db.plans.CompileQuery(target)
 	if err != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	if hit && db.eng == nil {
-		db.planHits.Inc()
-	}
-	var st *ra.StreamStats
-	if db.eng != nil {
-		st, err = db.eng.Analyze(ctx, comp.Plan)
-		if err != nil {
-			return nil, mapServeErr(err)
-		}
-	} else {
-		// Same locking discipline as a local query: the clone excludes a
-		// concurrent Exec mid-mutation.
-		db.writeMu.RLock()
-		wl, _, werr := db.sys.NewChainWorld(0)
-		db.writeMu.RUnlock()
-		if werr != nil {
-			return nil, werr
-		}
-		bound, berr := ra.Bind(wl.DB(), comp.Plan)
-		if berr != nil {
-			db.countFailed()
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, berr)
-		}
-		it, _, stats, serr := ra.AnalyzeStream(bound)
-		if serr != nil {
-			db.countFailed()
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, serr)
-		}
-		it(func(relstore.Tuple, int64) bool { return true })
-		st = stats
+	st, err := db.eng.Analyze(ctx, comp.Plan)
+	if err != nil {
+		return nil, mapServeErr(err)
 	}
 	lines := st.Render()
 	lines = append(lines,
@@ -176,9 +136,6 @@ func (db *DB) explainMutation(target string) ([]string, error) {
 	mut, hit, err := db.plans.CompileMutation(target)
 	if err != nil {
 		return nil, err
-	}
-	if hit && db.eng == nil {
-		db.planHits.Inc()
 	}
 	return []string{mut.String(), "plan cache: " + hitMiss(hit)}, nil
 }

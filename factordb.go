@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"factordb/internal/exp"
@@ -99,8 +99,8 @@ type options struct {
 	traceEvery    int
 	planCacheSize int
 
-	// Structured logging and the slow-query log (see log.go); nil logger
-	// disables records, zero slowQuery disables the threshold.
+	// Structured logging and the slow-query log; nil logger disables
+	// records, zero slowQuery disables the threshold.
 	logger    *slog.Logger
 	slowQuery time.Duration
 
@@ -178,6 +178,23 @@ func WithTraceSampling(every int) Option { return func(o *options) { o.traceEver
 // no invalidation on writes.
 func WithPlanCache(entries int) Option { return func(o *options) { o.planCacheSize = entries } }
 
+// WithLogger installs a structured logger for the database's operational
+// records: the slow-query log, write-audit records, and background store
+// failures. All records go through log/slog, so the handler decides the
+// format (JSON for machines, text for people) and the level floor. Nil
+// (the default) disables structured logging.
+func WithLogger(l *slog.Logger) Option { return func(o *options) { o.logger = l } }
+
+// WithSlowQueryLog arms the slow-query log: any query or write whose wall
+// time reaches threshold emits a "slow_query" record — fingerprint, trace
+// ID, outcome, and the per-span time breakdown — through the WithLogger
+// handler, and its full trace is kept in the recent-traces ring so
+// GET /debug/traces can be cross-referenced by trace ID. Zero (the
+// default) disables it.
+func WithSlowQueryLog(threshold time.Duration) Option {
+	return func(o *options) { o.slowQuery = threshold }
+}
+
 // DB is a probabilistic database: one workload model opened under one
 // evaluation strategy, answering SQL queries with per-tuple marginal
 // probabilities and confidence intervals. It is safe for concurrent use.
@@ -188,44 +205,24 @@ type DB struct {
 	sys  system
 	name string
 
-	eng *serve.Engine // ModeServed only
+	// eng is the request pipeline — compile, caches, admission, tracing,
+	// logging, metrics, the write path — under every mode; the mode only
+	// selects the sampling strategy Open configures it with.
+	eng *serve.Engine
 
 	// plans memoizes compiled statements by their exact SQL byte string.
-	// One instance serves every entry point: the facade's Query/Exec/
-	// Prepare/EXPLAIN paths and (in served mode) the engine's own compile
-	// sites, so a statement warmed anywhere hits everywhere.
+	// One instance serves every entry point: the facade's Prepare/EXPLAIN
+	// paths and the engine's own compile sites, so a statement warmed
+	// anywhere hits everywhere.
 	plans *sqlparse.PlanCache
 
-	// store is the durable snapshot+WAL backend (nil without WithDataDir).
-	store store.Storage
-
-	// Local-mode observability (the served engine keeps its own).
-	reg         *metrics.Registry
-	queries     *metrics.Counter
-	failed      *metrics.Counter
-	writes      *metrics.Counter
-	planHits    *metrics.Counter
-	latency     *metrics.Histogram
-	execLatency *metrics.HistogramVec
-	localTraces *localTraceRing
-	traceID     atomic.Int64
-
-	// Shared observability: the structured logger, the W3C trace-ID seed,
-	// and the recovery trace assembled at Open (nil without a data dir).
-	logger       *slog.Logger
-	traceSeed    uint64
+	// store is the durable snapshot+WAL backend (nil without WithDataDir);
+	// startupTrace is the recovery trace assembled from it at Open.
+	store        store.Storage
 	startupTrace *QueryTrace
 
-	// Local-mode write path: writeMu excludes Exec from queries cloning
-	// the prototype world; writeEpoch counts committed writes. Served
-	// mode delegates both to the engine.
-	writeMu    sync.RWMutex
-	writeEpoch atomic.Int64
-
-	start time.Time
-
-	mu     sync.Mutex
-	closed bool
+	start     time.Time
+	closeOnce sync.Once
 }
 
 // Open builds (and, for the NER workload, trains) the model, then stands
@@ -251,79 +248,63 @@ func Open(model Model, opts ...Option) (*DB, error) {
 	}
 	db := &DB{opts: o, sys: sys, name: model.modelName(), start: time.Now()}
 	db.plans = sqlparse.NewPlanCache(o.planCacheSize)
-	db.logger = o.logger
-	db.traceSeed = uint64(db.start.UnixNano()) | 1 // W3C forbids all-zero trace IDs
 
 	// Recovery happens before any chain is cloned: openDurability swaps
-	// the recovered world into the system, so the pool below is stocked
-	// from post-replay evidence.
+	// the recovered world into the system, so every world cloned below
+	// carries post-replay evidence.
 	st, err := openDurability(o, sys, db.name)
 	if err != nil {
 		return nil, err
 	}
 	db.store = st
-	var recoveredEpoch int64
-	if st != nil {
-		rec := st.Recovery()
-		recoveredEpoch = rec.Epoch
-		db.startupTrace = db.recoveryTrace(rec)
+	cfg := serve.Config{
+		StepsPerSample: o.steps,
+		BurnIn:         o.burnIn,
+		Seed:           o.seed,
+		DefaultSamples: o.samples,
+		Plans:          db.plans,
+		Logger:         o.logger,
+		SlowQuery:      o.slowQuery,
 	}
-
-	if o.mode == ModeServed {
-		burnIn := o.burnIn
+	if st != nil {
+		cfg.WAL = st
+		cfg.InitialDataEpoch = st.Recovery().Epoch
+	}
+	// The one place the modes differ: which sampling strategy the engine
+	// runs, and which options reach it. The local modes evaluate every
+	// query on a private chain in its caller's goroutine, so the pool,
+	// cache, admission and trace-sampling options are simply not passed
+	// on: no result cache, no admission limit, client-opted traces only.
+	switch o.mode {
+	case ModeServed:
+		cfg.Chains = o.chains
+		cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries = o.maxConcurrent, o.maxQueued
+		cfg.CacheSize, cfg.CacheTTL = o.cacheSize, o.cacheTTL
+		cfg.TraceEvery = o.traceEvery
 		// A recovered world needs re-equilibration: the chains start from
 		// evidence the sampler never walked, so give them one sampling
 		// interval of burn-in unless the caller chose a budget explicitly.
-		if recoveredEpoch > 0 && burnIn == 0 {
-			burnIn = o.steps
+		if cfg.InitialDataEpoch > 0 && o.burnIn == 0 {
+			cfg.BurnIn = o.steps
 		}
-		cfg := serve.Config{
-			Chains:               o.chains,
-			StepsPerSample:       o.steps,
-			BurnIn:               burnIn,
-			Seed:                 o.seed,
-			DefaultSamples:       o.samples,
-			MaxConcurrentQueries: o.maxConcurrent,
-			MaxQueuedQueries:     o.maxQueued,
-			CacheSize:            o.cacheSize,
-			CacheTTL:             o.cacheTTL,
-			TraceEvery:           o.traceEvery,
-			Plans:                db.plans,
-			InitialDataEpoch:     recoveredEpoch,
-			Logger:               o.logger,
-			SlowQuery:            o.slowQuery,
+	default:
+		cfg.Mode = serve.PrivateNaive
+		if o.mode == ModeMaterialized {
+			cfg.Mode = serve.PrivateMaterialized
 		}
-		if st != nil {
-			cfg.WAL = st
-		}
-		eng, err := serve.New(sys, cfg)
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return nil, err
-		}
-		db.eng = eng
-		if st != nil {
-			registerStoreMetrics(st, eng.Metrics())
-		}
-		return db, nil
+		cfg.CacheSize = -1
+		cfg.MaxConcurrentQueries = math.MaxInt32
 	}
-	db.writeEpoch.Store(recoveredEpoch)
-	db.reg = metrics.NewRegistry()
-	db.queries = db.reg.NewCounter("factordb_queries_total", "queries evaluated")
-	db.failed = db.reg.NewCounter("factordb_queries_failed_total", "queries that failed to compile or bind")
-	db.writes = db.reg.NewCounter("factordb_writes_total", "DML mutations applied to the prototype world")
-	db.planHits = db.reg.NewCounter("factordb_plan_cache_hits_total",
-		"statements whose compiled plan was served from the raw-SQL plan cache")
-	db.latency = db.reg.NewHistogram("factordb_query_seconds", "per-query latency in seconds", nil)
-	db.execLatency = db.reg.NewHistogramVec("factordb_exec_seconds",
-		"per-write latency in seconds, labeled by outcome", nil, "outcome")
-	db.localTraces = newLocalTraceRing(64)
-	db.reg.NewGaugeFunc("factordb_write_epoch", "data epoch: committed DML mutations since open",
-		func() float64 { return float64(db.writeEpoch.Load()) })
+	db.eng, err = serve.New(sys, cfg)
+	if err != nil {
+		if st != nil {
+			st.Close()
+		}
+		return nil, err
+	}
 	if st != nil {
-		registerStoreMetrics(st, db.reg)
+		db.startupTrace = db.recoveryTrace(st.Recovery())
+		registerStoreMetrics(st, db.eng.Metrics())
 	}
 	return db, nil
 }
@@ -338,45 +319,22 @@ func (db *DB) Describe() string {
 
 // Chains reports the parallel chain count: the pool size in served mode,
 // one otherwise (each local query walks a private chain).
-func (db *DB) Chains() int {
-	if db.eng != nil {
-		return db.eng.Chains()
-	}
-	return 1
-}
+func (db *DB) Chains() int { return db.eng.Chains() }
 
 // Metrics exposes the DB's metric registry (the /metrics endpoint).
-func (db *DB) Metrics() *metrics.Registry {
-	if db.eng != nil {
-		return db.eng.Metrics()
-	}
-	return db.reg
-}
+func (db *DB) Metrics() *metrics.Registry { return db.eng.Metrics() }
 
 // Close releases the database. It is idempotent and safe to call
 // concurrently with in-flight queries, which return promptly with either
 // their partial estimate or ErrClosed.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil
-	}
-	db.closed = true
-	db.mu.Unlock()
-	// Engine first: stopping the chains ends the write stream, so the
-	// store's final flush below covers every committed record.
-	if db.eng != nil {
+func (db *DB) Close() (err error) {
+	db.closeOnce.Do(func() {
+		// Engine first: stopping the chains ends the write stream, so the
+		// store's final flush below covers every committed record.
 		db.eng.Close()
-	}
-	if db.store != nil {
-		return db.store.Close()
-	}
-	return nil
-}
-
-func (db *DB) isClosed() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.closed
+		if db.store != nil {
+			err = db.store.Close()
+		}
+	})
+	return err
 }

@@ -79,8 +79,8 @@ type healthResponse struct {
 	Epoch      int64   `json:"epoch"`
 	WriteEpoch int64   `json:"write_epoch"`
 	UptimeS    float64 `json:"uptime_s"`
-	// Chain-health summary (served mode; zero in the local modes): the
-	// pool-wide MH acceptance rate and the live shared-view count.
+	// Chain-health summary: the MH acceptance rate over every walk-step
+	// taken so far and the live shared-view count (served mode only).
 	AcceptanceRate float64 `json:"acceptance_rate"`
 	SharedViews    int64   `json:"shared_views"`
 	// Durability reports the snapshot+WAL store; null without a data dir.
@@ -224,11 +224,12 @@ func parseTraceparent(h string) string {
 // trace (and any slow-query or audit record, which carry the same ID)
 // into its distributed trace.
 func (db *DB) traceContext(w http.ResponseWriter, r *http.Request) string {
-	tid := parseTraceparent(r.Header.Get("traceparent"))
-	if tid == "" {
-		tid = db.genTraceID(db.traceID.Add(1))
+	// The response's parent-id is the serial of a freshly minted ID.
+	serial, tid := db.eng.MintTraceID()
+	if client := parseTraceparent(r.Header.Get("traceparent")); client != "" {
+		tid = client
 	}
-	w.Header().Set("traceparent", fmt.Sprintf("00-%s-%016x-01", tid, uint64(db.traceID.Add(1))))
+	w.Header().Set("traceparent", fmt.Sprintf("00-%s-%016x-01", tid, uint64(serial)))
 	return tid
 }
 
@@ -356,29 +357,19 @@ func statusFor(err error) int {
 func (db *DB) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if db.isClosed() {
+	if db.eng.Closed() {
 		status = "closed"
 		code = http.StatusServiceUnavailable
-	}
-	var epoch int64
-	if db.eng != nil {
-		epoch = db.eng.Epoch()
-	}
-	var acceptance float64
-	var views int64
-	if db.eng != nil {
-		acceptance = db.eng.AcceptanceRate()
-		views = db.eng.SharedViews()
 	}
 	writeJSON(w, code, healthResponse{
 		Status:         status,
 		Mode:           db.opts.mode.String(),
 		Chains:         db.Chains(),
-		Epoch:          epoch,
+		Epoch:          db.eng.Epoch(),
 		WriteEpoch:     db.WriteEpoch(),
 		UptimeS:        time.Since(db.start).Seconds(),
-		AcceptanceRate: acceptance,
-		SharedViews:    views,
+		AcceptanceRate: db.eng.AcceptanceRate(),
+		SharedViews:    db.eng.SharedViews(),
 		Durability:     db.Durability(),
 	})
 }

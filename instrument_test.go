@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -327,20 +328,34 @@ func recordsOf(recs []map[string]any, msg string) []map[string]any {
 // engines: slow_query records carry trace ID, kind, outcome, wall time
 // and span breakdown — and their trace IDs resolve in RecentTraces even
 // though the operations never opted into tracing — while every write
-// leaves a write.audit record.
+// leaves a write.audit record. The record shapes are one contract: a
+// local-mode database that commits a real write must log exactly the
+// served run's key sets.
 func TestSlowQueryLogAndAudit(t *testing.T) {
-	check := func(t *testing.T, db *DB, buf *syncBuffer, canExec bool) {
+	// keys of the newest slow_query record of each kind plus the newest
+	// write.audit record, keyed "slow_query/query", "write.audit", ...
+	type keySets map[string]string
+	check := func(t *testing.T, db *DB, buf *syncBuffer, table, key string, canExec bool) keySets {
 		t.Helper()
 		ctx := context.Background()
-		rows, err := db.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 0`, Samples(2), NoCache())
+		rows, err := db.Query(ctx, `SELECT STRING FROM `+table+` WHERE `+key+` = 0`, Samples(2), NoCache())
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows.Close()
 		if canExec {
-			if _, err := db.Exec(ctx, `UPDATE MENTION SET STRING = 'SLOW' WHERE MENTION_ID = 0`); err != nil {
+			if _, err := db.Exec(ctx, `UPDATE `+table+` SET STRING = 'SLOW' WHERE `+key+` = 0`); err != nil {
 				t.Fatal(err)
 			}
+		}
+		keys := keySets{}
+		keysOf := func(r map[string]any) string {
+			ks := make([]string, 0, len(r))
+			for k := range r {
+				ks = append(ks, k)
+			}
+			sort.Strings(ks)
+			return strings.Join(ks, " ")
 		}
 
 		recs := buf.lines(t)
@@ -356,6 +371,7 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 			}
 			kind, _ := r["kind"].(string)
 			kinds[kind] = true
+			keys["slow_query/"+kind] = keysOf(r)
 			if r["sql"] == "" || r["outcome"] == "" {
 				t.Errorf("slow_query record incomplete: %v", r)
 			}
@@ -391,21 +407,39 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 				t.Fatal("write left no write.audit record")
 			}
 			a := audits[len(audits)-1]
+			keys["write.audit"] = keysOf(a)
 			if a["outcome"] != "ok" || a["rows_affected"].(float64) != 1 || a["epoch"].(float64) < 1 {
 				t.Errorf("write.audit record = %v, want ok/1 row/epoch >= 1", a)
 			}
 		}
+		return keys
 	}
+	var served keySets
 	t.Run("served", func(t *testing.T) {
 		buf := &syncBuffer{}
 		db := openCorefDB(t, WithMode(ModeServed), WithChains(1),
 			WithLogger(jsonLogger(buf)), WithSlowQueryLog(time.Nanosecond))
-		check(t, db, buf, true)
+		served = check(t, db, buf, "MENTION", "MENTION_ID", true)
 	})
 	t.Run("local", func(t *testing.T) {
 		buf := &syncBuffer{}
 		db := openCorefDB(t, WithLogger(jsonLogger(buf)), WithSlowQueryLog(time.Nanosecond))
-		check(t, db, buf, false) // local coref is read-only
+		check(t, db, buf, "MENTION", "MENTION_ID", false) // local coref is read-only
+	})
+	t.Run("localWrite", func(t *testing.T) {
+		buf := &syncBuffer{}
+		db, err := Open(durableNER(), WithMode(ModeMaterialized), WithSteps(50),
+			WithLogger(jsonLogger(buf)), WithSlowQueryLog(time.Nanosecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		got := check(t, db, buf, "TOKEN", "TOK_ID", true)
+		for rec, want := range served {
+			if got[rec] != want {
+				t.Errorf("%s keys under ModeMaterialized = [%s], served logs [%s]", rec, got[rec], want)
+			}
+		}
 	})
 }
 

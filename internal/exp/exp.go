@@ -187,38 +187,27 @@ func (s *NERSystem) NewChainTagger(_ int) (*world.ChangeLog, *ie.Tagger, error) 
 	return s.newChainWorld()
 }
 
-// Exec applies one DML mutation to the prototype world, so every chain
-// world cloned afterwards carries it. This is the local-mode write path:
-// the serving engine never calls it (served writes fan out to the live
-// chain clones instead). The caller serializes Exec against NewChainWorld.
-//
-// Deleted TOKEN rows simply stop mirroring the tagger's in-memory
-// variables; inserted rows carry their LABEL as fixed evidence (no
-// in-memory variable samples them).
-func (s *NERSystem) Exec(mut ra.Mutation) (int64, error) {
-	ops, err := s.ResolveExec(mut)
-	if err != nil {
-		return 0, err
-	}
-	return s.ApplyExecOps(ops)
-}
-
 // ResolveExec resolves a DML mutation against the prototype world into
-// concrete row-level ops without applying them — the durable write path
-// logs the resolved batch between resolution and application.
+// concrete row-level ops without applying them — the local-mode write
+// path (the served engine resolves on its live chain clones instead) logs
+// the resolved batch between resolution and application. The caller
+// serializes ResolveExec/ApplyExecOps against NewChainWorld.
 func (s *NERSystem) ResolveExec(mut ra.Mutation) ([]world.Op, error) {
 	return world.ResolveMutation(s.protoDB, mut)
 }
 
 // ApplyExecOps applies a previously resolved op batch to the prototype
-// world. The change log is throwaway: the prototype world has no views
+// world, so every chain world cloned afterwards carries it. Deleted TOKEN
+// rows simply stop mirroring the tagger's in-memory variables; inserted
+// rows carry their LABEL as fixed evidence (no in-memory variable samples
+// them). The change log is throwaway: the prototype world has no views
 // to maintain, and chains clone the store, not the delta.
 func (s *NERSystem) ApplyExecOps(ops []world.Op) (int64, error) {
 	return world.NewChangeLog(s.protoDB).ApplyOps(ops)
 }
 
 // WorldDB exposes the prototype world — the evidence a durable store
-// snapshots. Callers must not mutate it; use Exec.
+// snapshots. Callers must not mutate it; use ApplyExecOps.
 func (s *NERSystem) WorldDB() *relstore.DB { return s.protoDB }
 
 // RestoreWorld replaces the prototype world with a recovered copy.

@@ -64,57 +64,6 @@ func (g *GaugeFunc) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %v\n", g.name, g.fn())
 }
 
-// Summary tracks the count, sum and max of observations (per-query
-// latency). Rendered as a Prometheus summary (<name>_count, <name>_sum)
-// plus a companion <name>_max gauge.
-type Summary struct {
-	name, help string
-
-	mu    sync.Mutex
-	count int64
-	sum   float64
-	max   float64
-}
-
-// Observe records one observation.
-func (s *Summary) Observe(v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count++
-	s.sum += v
-	if v > s.max {
-		s.max = v
-	}
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Mean returns the mean observation (0 when empty).
-func (s *Summary) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / float64(s.count)
-}
-
-func (s *Summary) write(w io.Writer) {
-	s.mu.Lock()
-	count, sum, max := s.count, s.sum, s.max
-	s.mu.Unlock()
-	writeHeader(w, s.name, s.help, "summary")
-	fmt.Fprintf(w, "%s_count %d\n", s.name, count)
-	fmt.Fprintf(w, "%s_sum %v\n", s.name, sum)
-	writeHeader(w, s.name+"_max", s.help+" (maximum)", "gauge")
-	fmt.Fprintf(w, "%s_max %v\n", s.name, max)
-}
-
 func writeHeader(w io.Writer, name, help, typ string) {
 	if help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
@@ -167,13 +116,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc
 	g := &GaugeFunc{name: name, help: help, fn: fn}
 	r.register(name, g)
 	return g
-}
-
-// NewSummary registers and returns a summary.
-func (r *Registry) NewSummary(name, help string) *Summary {
-	s := &Summary{name: name, help: help}
-	r.register(name, s)
-	return s
 }
 
 // WriteText renders every registered metric, sorted by name for

@@ -10,7 +10,7 @@ import (
 
 // Histogram counts observations into cumulative buckets, rendered in the
 // Prometheus text exposition as <name>_bucket{le="..."} series plus
-// <name>_sum and <name>_count. Unlike the Summary it supports quantile
+// <name>_sum and <name>_count. Unlike a count/sum pair it supports quantile
 // estimation at scrape (or report) time, which is what lets latency
 // trajectories be compared across runs — a mean hides the tail that
 // admission control and write burn-in actually move.

@@ -4,14 +4,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Snapshot persistence: a whole database (one possible world) can be
-// written to and restored from a stream. This backs the paper's
-// parallelization setup — "eight identical copies of the probabilistic
-// database" (Section 5.4) — when chains live in separate processes, and
-// lets experiment harnesses reuse expensive initial worlds.
+// written to and restored from a stream — the world encoding inside
+// internal/store's checkpoint files.
 
 // wireValue is the gob-encodable form of Value.
 type wireValue struct {
@@ -103,27 +100,4 @@ func ReadDB(r io.Reader) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// SaveFile writes the database snapshot to path.
-func (db *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := db.Dump(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile restores a database snapshot from path.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDB(f)
 }

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
@@ -85,19 +84,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	db := snapshotDB(t)
-	path := filepath.Join(t.TempDir(), "world.gob")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDBEqual(t, db, back)
-}
-
 func TestSnapshotEmptyDB(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewDB().Dump(&buf); err != nil {
@@ -115,11 +101,5 @@ func TestSnapshotEmptyDB(t *testing.T) {
 func TestReadDBGarbage(t *testing.T) {
 	if _, err := ReadDB(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage input: want error")
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file: want error")
 	}
 }

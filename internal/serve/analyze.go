@@ -8,39 +8,45 @@ import (
 	"factordb/internal/ra"
 )
 
-// Analyze is EXPLAIN ANALYZE's served backend: it runs one instrumented
-// evaluation of plan on every chain in the pool and merges the
-// per-operator counters. Each chain executes the pipeline against its
-// own world at an epoch boundary, so the aggregated actual-row counts
-// are a cross-chain sample of the plan's runtime behavior — per-chain
-// variance in the possible worlds averages out exactly the way the
-// engine's marginal estimates do.
+// Analyze is EXPLAIN ANALYZE's backend: one instrumented evaluation of
+// plan per world copy the strategy samples from, per-operator counters
+// merged.
 func (e *Engine) Analyze(ctx context.Context, plan ra.Plan) (*ra.StreamStats, error) {
-	if e.isClosed() {
+	if e.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	replies := make([]analyzeReply, len(e.chains))
-	done := make(chan struct{}, len(e.chains))
-	for i, c := range e.chains {
+	st, err := e.strat.analyze(ctx, plan)
+	if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ctx.Err()) {
+		e.m.failed.Inc()
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	return st, err
+}
+
+// analyze runs the pipeline on every chain in the pool. Each chain
+// executes it against its own world at an epoch boundary, so the
+// aggregated actual-row counts are a cross-chain sample of the plan's
+// runtime behavior — per-chain variance in the possible worlds averages
+// out exactly the way the engine's marginal estimates do.
+func (p pool) analyze(ctx context.Context, plan ra.Plan) (*ra.StreamStats, error) {
+	replies := make([]analyzeReply, len(p.chains))
+	done := make(chan struct{}, len(p.chains))
+	for i, c := range p.chains {
 		go func(i int, c *chain) {
 			replies[i] = c.analyze(ctx, plan)
 			done <- struct{}{}
 		}(i, c)
 	}
-	for range e.chains {
+	for range p.chains {
 		<-done
 	}
 	var total *ra.StreamStats
 	for i := range replies {
 		if err := replies[i].err; err != nil {
-			if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
-				return nil, err
-			}
-			e.m.failed.Inc()
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+			return nil, err
 		}
 		if total == nil {
 			total = replies[i].stats

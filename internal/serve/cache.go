@@ -31,6 +31,9 @@ type cacheEntry struct {
 // newResultCache returns a cache with the given capacity; capacity < 1
 // yields a disabled cache (all gets miss, puts are dropped).
 func newResultCache(capacity int, ttl time.Duration, evictions *metrics.Counter) *resultCache {
+	if capacity < 0 {
+		capacity = 0
+	}
 	return &resultCache{
 		cap:       capacity,
 		ttl:       ttl,

@@ -9,7 +9,6 @@ import (
 	"factordb/internal/mcmc"
 	"factordb/internal/metrics"
 	"factordb/internal/ra"
-	"factordb/internal/relstore"
 	"factordb/internal/world"
 )
 
@@ -258,7 +257,9 @@ func (c *chain) handle(msg any) {
 	case applyReq:
 		req.reply <- c.applyWrite(req.ops, req.burnIn, req.phases)
 	case analyzeReq:
-		st, err := c.analyzePlan(req.plan)
+		// Like every control message this runs at an epoch boundary, so
+		// the world it observes is the one the chain's views match.
+		st, err := analyzePlan(c.log.DB(), req.plan)
 		req.reply <- analyzeReply{stats: st, err: err}
 	default:
 		panic(fmt.Sprintf("serve: unknown chain control message %T", msg))
@@ -316,23 +317,6 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int, phases chan<- chainPhase)
 	}
 	mark(phaseRepublished)
 	return nil
-}
-
-// analyzePlan binds plan against the chain's world and runs the
-// instrumented streaming pipeline once, returning per-operator counters.
-// Like every control message it runs at an epoch boundary, so the world
-// it observes is exactly the one the chain's views are consistent with.
-func (c *chain) analyzePlan(plan ra.Plan) (*ra.StreamStats, error) {
-	bound, err := ra.Bind(c.log.DB(), plan)
-	if err != nil {
-		return nil, err
-	}
-	it, _, st, err := ra.AnalyzeStream(bound)
-	if err != nil {
-		return nil, err
-	}
-	it(func(relstore.Tuple, int64) bool { return true })
-	return st, nil
 }
 
 // register binds the plan against this chain's world and subscribes the

@@ -1,9 +1,12 @@
-// Package serve is the concurrent query-serving subsystem: a long-lived
-// engine that owns one trained probabilistic database per process and
-// answers SQL queries over it while a pool of parallel MCMC chains keeps
-// walking the possible-world space.
+// Package serve is the database's request pipeline: a long-lived engine
+// that owns one trained probabilistic database per process and answers
+// SQL queries and writes over it — plan and result caches, admission,
+// traces, logs, metrics, WAL and data epoch — on top of a sampling
+// strategy (see strategy.go). The default strategy, and the rest of this
+// comment, is the concurrent one: a pool of parallel MCMC chains that
+// keeps walking the possible-world space.
 //
-// The design generalizes the paper's materialization trick (Section 4.2)
+// The pool generalizes the paper's materialization trick (Section 4.2)
 // from one query to many: each chain owns a private clone of the world;
 // every in-flight query subscribes to an incrementally maintained view on
 // every chain; and one batch of k walk-steps then yields one sample for
@@ -30,8 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"factordb/internal/core"
 	"factordb/internal/mcmc"
 	"factordb/internal/metrics"
+	"factordb/internal/ra"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
@@ -42,6 +47,27 @@ import (
 type Source interface {
 	NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer, error)
 }
+
+// WritableSource is the optional Source capability behind writes under a
+// private-chain Mode: a prototype world that absorbs resolved ops, so
+// every world cloned afterwards carries them.
+type WritableSource interface {
+	ResolveExec(mut ra.Mutation) ([]world.Op, error)
+	ApplyExecOps(ops []world.Op) (int64, error)
+}
+
+// Mode selects how the engine obtains a query's samples (see strategy).
+type Mode uint8
+
+const (
+	// Pooled (the default) walks a long-lived pool of chains shared by
+	// every in-flight query.
+	Pooled Mode = iota
+	// PrivateNaive and PrivateMaterialized walk one private chain per
+	// query in the caller's goroutine — Algorithms 3 and 1 of the paper.
+	PrivateNaive
+	PrivateMaterialized
+)
 
 // WALSink receives every committed op batch before it is fanned out to
 // the chains — the write-ahead contract. Append must not return until
@@ -54,6 +80,9 @@ type WALSink interface {
 // Config parameterizes an Engine. Zero values take the documented
 // defaults.
 type Config struct {
+	// Mode selects the sampling strategy (default Pooled). The private
+	// modes have no pool: Chains is 1 and WriteBurnIn is unused.
+	Mode Mode
 	// Chains is the number of parallel MCMC chains (default: GOMAXPROCS,
 	// capped at 8).
 	Chains int
@@ -127,6 +156,9 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
+	if cfg.Mode != Pooled {
+		cfg.Chains = 1
+	}
 	if cfg.Chains <= 0 {
 		cfg.Chains = runtime.GOMAXPROCS(0)
 		if cfg.Chains > 8 {
@@ -176,6 +208,14 @@ func ChainSeed(base int64, chain int) int64 {
 // ErrClosed is returned by Query after Close.
 var ErrClosed = errors.New("serve: engine is closed")
 
+// ErrReadOnly is returned by Exec under a private-chain Mode when the
+// source has no prototype world to mutate (it is not a WritableSource).
+var ErrReadOnly = errors.New("serve: source has no writable prototype world")
+
+// ErrWAL wraps a WAL append failure: the write is vetoed with every
+// world untouched.
+var ErrWAL = errors.New("serve: wal append")
+
 // engineMetrics bundles the counters shared by the chains and sessions.
 type engineMetrics struct {
 	reg       *metrics.Registry
@@ -204,7 +244,11 @@ type engineMetrics struct {
 
 // Engine owns the trained world and serves concurrent queries over it.
 type Engine struct {
-	cfg    Config
+	cfg Config
+	src Source
+	// strat is the sampling strategy cfg.Mode selected; chains is the
+	// pool it walks, empty under a private-chain mode.
+	strat  strategy
 	chains []*chain
 	admit  *admission
 	cache  *resultCache
@@ -221,8 +265,8 @@ type Engine struct {
 
 	// writeMu serializes Exec calls: one logical mutation lands on every
 	// chain before the next begins, so the clones see identical op
-	// streams in identical order.
-	writeMu sync.Mutex
+	// streams in identical order. Its read side guards CloneWorld.
+	writeMu sync.RWMutex
 	// dataEpoch counts committed writes. It is folded into every
 	// result-cache key, so each write makes all earlier entries
 	// unreachable — no stale answer survives a mutation.
@@ -239,6 +283,7 @@ func New(src Source, cfg Config) (*Engine, error) {
 	m := newEngineMetrics()
 	e := &Engine{
 		cfg:    cfg,
+		src:    src,
 		admit:  newAdmission(cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries),
 		cache:  newResultCache(cfg.CacheSize, cfg.CacheTTL, m.evictions),
 		m:      m,
@@ -248,6 +293,16 @@ func New(src Source, cfg Config) (*Engine, error) {
 	}
 	e.traceSeed = uint64(e.start.UnixNano()) | 1 // W3C forbids all-zero IDs
 	e.dataEpoch.Store(cfg.InitialDataEpoch)
+	e.registerDerivedMetrics()
+	if cfg.Mode != Pooled {
+		mode := core.Naive
+		if cfg.Mode == PrivateMaterialized {
+			mode = core.Materialized
+		}
+		e.strat = private{e, mode}
+		return e, nil
+	}
+	e.strat = pool{e}
 	// Each chain goroutine starts as soon as its world is cloned, so the
 	// error path below can always stopChains: every chain in e.chains has
 	// a running goroutine that will close its done channel.
@@ -261,7 +316,6 @@ func New(src Source, cfg Config) (*Engine, error) {
 		e.chains = append(e.chains, c)
 		go c.run(cfg.BurnIn)
 	}
-	e.registerDerivedMetrics()
 	return e, nil
 }
 
@@ -298,7 +352,7 @@ func newEngineMetrics() *engineMetrics {
 // registerDerivedMetrics adds scrape-time gauges over engine state.
 func (e *Engine) registerDerivedMetrics() {
 	e.m.reg.NewGaugeFunc("factordb_chains", "parallel MCMC chains in the pool",
-		func() float64 { return float64(len(e.chains)) })
+		func() float64 { return float64(e.cfg.Chains) })
 	e.m.reg.NewGaugeFunc("factordb_acceptance_rate", "fraction of MH proposals accepted",
 		func() float64 {
 			steps := e.m.steps.Value()
@@ -406,10 +460,21 @@ func (e *Engine) Metrics() *metrics.Registry { return e.m.reg }
 // opt-in trace, bounded by Config.TraceRing.
 func (e *Engine) Traces() []*QueryTrace { return e.traces.snapshot() }
 
-// genTraceID mints a W3C-shaped trace ID (32 lowercase hex chars) for a
-// trace the client did not supply one for.
-func (e *Engine) genTraceID(id int64) string {
-	return fmt.Sprintf("%016x%016x", e.traceSeed, uint64(id))
+// MintTraceID assigns the next trace serial and the W3C-shaped trace ID
+// (32 lowercase hex chars) derived from it, for a trace the client did
+// not supply an ID for. Every ID the database assigns comes from here.
+func (e *Engine) MintTraceID() (int64, string) {
+	id := e.nextID.Add(1)
+	return id, fmt.Sprintf("%016x%016x", e.traceSeed, uint64(id))
+}
+
+// CloneWorld returns a fresh copy of the source's prototype world, taken
+// under the write read-lock: wholly before or wholly after any write a
+// private-chain mode applies to the prototype.
+func (e *Engine) CloneWorld() (*world.ChangeLog, mcmc.Proposer, error) {
+	e.writeMu.RLock()
+	defer e.writeMu.RUnlock()
+	return e.src.NewChainWorld(0)
 }
 
 // NoteBadQuery feeds the failed-query counter for queries rejected
@@ -417,8 +482,9 @@ func (e *Engine) genTraceID(id int64) string {
 // compile failures are recorded here rather than lost.
 func (e *Engine) NoteBadQuery() { e.m.failed.Inc() }
 
-// Chains returns the pool size.
-func (e *Engine) Chains() int { return len(e.chains) }
+// Chains returns the pool size (1 under a private-chain mode: each query
+// walks its own).
+func (e *Engine) Chains() int { return e.cfg.Chains }
 
 // AcceptanceRate reports the pool-wide fraction of MH proposals accepted
 // since the engine started (the /healthz chain-health summary).
@@ -447,7 +513,7 @@ func (e *Engine) LiveViewChains(fp string) (live, total int) {
 			}
 		}
 	}
-	return live, len(e.chains)
+	return live, e.cfg.Chains
 }
 
 // Epoch returns the highest epoch any chain has completed — a liveness
@@ -490,7 +556,8 @@ func (e *Engine) stopChains() {
 	}
 }
 
-func (e *Engine) isClosed() bool {
+// Closed reports whether Close has been called.
+func (e *Engine) Closed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.closed

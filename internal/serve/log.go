@@ -11,22 +11,22 @@ import (
 // Record shapes are part of the observability contract (see doc.go):
 // the factorload report and the CI log-validation job parse them.
 
-// newQueryTrace decides tracing for one query. Client opt-in and sampler
-// hits produce published traces (attached to the result and ringed); an
-// enabled slow-query log additionally records a private trace for every
-// query, so the span breakdown exists if this one crosses the threshold.
-func (e *Engine) newQueryTrace(sql string, opts QueryOptions) *qtrace {
-	publish := opts.Trace || e.tracer.hit()
+// startTrace decides tracing for one query or write (kind "query" or
+// "exec"). Client opt-in and sampler hits produce published traces
+// (attached to the result and ringed); an enabled slow-query log
+// additionally records a private trace for every operation, so the span
+// breakdown exists if this one crosses the threshold.
+func (e *Engine) startTrace(kind, sql string, want bool, traceID string) *qtrace {
+	publish := want || e.tracer.hit()
 	if !publish && e.cfg.SlowQuery <= 0 {
 		return nil
 	}
-	tr := newTrace(e.nextID.Add(1), sql, time.Now())
-	tr.publish = publish
-	tr.qt.Kind = "query"
-	tr.qt.TraceID = opts.TraceID
-	if tr.qt.TraceID == "" {
-		tr.qt.TraceID = e.genTraceID(tr.qt.ID)
+	id, minted := e.MintTraceID()
+	if traceID == "" {
+		traceID = minted
 	}
+	tr := newTrace(id, sql, time.Now())
+	tr.publish, tr.qt.Kind, tr.qt.TraceID = publish, kind, traceID
 	return tr
 }
 

@@ -140,7 +140,7 @@ func (r *registration) snapshot() (world.Snapshot[*core.Estimator], bool) {
 // evaluations alike carry defensive copies of the tuple slices, so
 // callers may sort or mutate them without corrupting the cache.
 func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
-	if e.isClosed() {
+	if e.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
@@ -156,7 +156,7 @@ func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Res
 	// nil check, so untraced queries pay one branch per would-be span.
 	// An enabled slow-query log records a private trace for every query
 	// so the breakdown exists if this one crosses the threshold.
-	tr := e.newQueryTrace(sql, opts)
+	tr := e.startTrace("query", sql, opts.Trace, opts.TraceID)
 
 	// Compile through the plan cache, keyed on the exact SQL byte string:
 	// a repeated spelling skips lexing, parsing and canonicalization and
@@ -185,7 +185,7 @@ func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Res
 // and re-plans without ever touching SQL text again. Semantics match
 // Query exactly: same admission, caching, tracing and merge behavior.
 func (e *Engine) QueryPlan(ctx context.Context, sql string, plan ra.Plan, spec ra.ResultSpec, opts QueryOptions) (*Result, error) {
-	if e.isClosed() {
+	if e.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
@@ -195,7 +195,7 @@ func (e *Engine) QueryPlan(ctx context.Context, sql string, plan ra.Plan, spec r
 	if err != nil {
 		return nil, err
 	}
-	tr := e.newQueryTrace(sql, opts)
+	tr := e.startTrace("query", sql, opts.Trace, opts.TraceID)
 	tr.span("compile")
 	tr.attr("plan_cache", "prebound")
 	comp := &sqlparse.Compiled{
@@ -286,7 +286,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	for attempt := 0; ; attempt++ {
 		epoch0 = e.dataEpoch.Load()
 		var err error
-		col, err = e.collectOnce(ctx, plan, spec, opts, z, tr)
+		col, err = e.strat.collectOnce(ctx, plan, spec, opts, z, tr)
 		if err != nil {
 			e.finishTrace(tr, "error")
 			return nil, err
@@ -339,7 +339,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		Columns:    comp.Cols,
 		Tuples:     tuples,
 		Samples:    merged.Samples(),
-		Chains:     len(e.chains),
+		Chains:     e.cfg.Chains,
 		Epoch:      col.epoch,
 		Confidence: opts.Confidence,
 		Partial:    partial,
@@ -390,10 +390,10 @@ type collection struct {
 // budget (or cancellation, shutdown, or ranked early stop), and merges
 // the per-chain snapshots. Each call is self-contained: its views are
 // detached before it returns.
-func (e *Engine) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
+func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
 	opts QueryOptions, z float64, tr *qtrace) (collection, error) {
-	perChain := int64((opts.Samples + len(e.chains) - 1) / len(e.chains))
-	regs := make([]*registration, 0, len(e.chains))
+	perChain := int64((opts.Samples + len(p.chains) - 1) / len(p.chains))
+	regs := make([]*registration, 0, len(p.chains))
 	defer func() {
 		// Detach any view that has not completed on its own; completed
 		// views were already removed by the chain.
@@ -407,10 +407,10 @@ func (e *Engine) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSp
 	}()
 	tr.span("register")
 	reused := 0
-	for _, c := range e.chains {
+	for _, c := range p.chains {
 		reg := &registration{
 			c:    c,
-			id:   viewID(e.nextID.Add(1)),
+			id:   viewID(p.nextID.Add(1)),
 			done: make(chan struct{}),
 		}
 		cell, hit, err := c.registerView(ctx, registerReq{
@@ -422,7 +422,7 @@ func (e *Engine) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSp
 		})
 		reg.cell = cell
 		if err != nil {
-			e.m.failed.Inc()
+			p.m.failed.Inc()
 			if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
 				return collection{}, err
 			}
@@ -435,7 +435,7 @@ func (e *Engine) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSp
 	}
 	// view_reuse tells registry hits (shared view already live) from
 	// fresh mounts, per chain.
-	tr.attr("view_reuse", fmt.Sprintf("%d/%d", reused, len(e.chains)))
+	tr.attr("view_reuse", fmt.Sprintf("%d/%d", reused, len(p.chains)))
 
 	// Ranked queries watch the merged snapshots while waiting: when the
 	// top k separates, the remaining budget is handed back to the pool.
@@ -483,7 +483,7 @@ wait:
 					lastEpochs = ep
 					if topKSeparated(regs, spec.Limit, z) {
 						col.earlyStop = true
-						e.m.topkStops.Inc()
+						p.m.topkStops.Inc()
 						break wait
 					}
 				}

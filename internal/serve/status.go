@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"strconv"
 	"time"
 )
 
@@ -24,15 +23,16 @@ type EngineStatus struct {
 	Views     []ViewHealth  `json:"views"`
 }
 
-// CacheStatus reports result-cache occupancy.
+// CacheStatus reports result-cache occupancy (all zero when disabled).
 type CacheStatus struct {
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }
 
-// ChainStatus is one chain's sampler health: cumulative walk volume, the
-// acceptance rate over it, and how many DML mutations the chain has
-// absorbed (its write generation).
+// ChainStatus is one pooled chain's sampler health: cumulative walk
+// volume, the acceptance rate over it, and how many DML mutations the
+// chain has absorbed — its write generation; skew across the pool means
+// a write is mid-fan-out.
 type ChainStatus struct {
 	ID             int     `json:"id"`
 	Epoch          int64   `json:"epoch"`
@@ -43,36 +43,34 @@ type ChainStatus struct {
 	Views          int64   `json:"views"`
 }
 
-// ViewHealth is one live shared view aggregated across the pool: the
-// total subscriber refcount, the per-chain sample counts' minimum (the
-// least-served chain bounds merged answers), and the cross-chain
-// convergence diagnostics. RHat and ESS are NaN-encoded as null in JSON
-// via the MarshalJSON of jsonFloat.
+// ViewHealth is one live shared view aggregated across the pool: its
+// plan fingerprint, the total subscriber refcount, the per-chain sample
+// counts' minimum (the least-served chain bounds merged answers), and
+// the cross-chain convergence diagnostics over the view's per-sample
+// answer cardinality. RHat and ESS are nil until enough observations
+// accumulate (at least 4 per chain, 2+ split sequences).
 type ViewHealth struct {
-	Fingerprint string    `json:"fingerprint"`
-	Subscribers int       `json:"subscribers"`
-	Chains      int       `json:"chains"`
-	MinSamples  int64     `json:"min_samples"`
-	RHat        jsonFloat `json:"rhat"`
-	ESS         jsonFloat `json:"ess"`
+	Fingerprint string   `json:"fingerprint"`
+	Subscribers int      `json:"subscribers"`
+	Chains      int      `json:"chains"`
+	MinSamples  int64    `json:"min_samples"`
+	RHat        *float64 `json:"rhat"`
+	ESS         *float64 `json:"ess"`
 }
 
-// jsonFloat marshals NaN and ±Inf as null (encoding/json rejects them).
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
+// finiteOrNil drops the diagnostics' NaN/Inf sentinels to nil for JSON.
+func finiteOrNil(v float64) *float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
+		return nil
 	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+	return &v
 }
 
 // Status assembles the introspection snapshot. Safe to call concurrently
 // with queries and writes; see EngineStatus for the consistency contract.
 func (e *Engine) Status() EngineStatus {
 	st := EngineStatus{
-		Chains:    len(e.chains),
+		Chains:    e.cfg.Chains,
 		Epoch:     e.Epoch(),
 		DataEpoch: e.dataEpoch.Load(),
 		UptimeS:   time.Since(e.start).Seconds(),
@@ -133,8 +131,8 @@ func (e *Engine) viewHealth() []ViewHealth {
 			Subscribers: a.subs,
 			Chains:      a.chains,
 			MinSamples:  a.minS,
-			RHat:        jsonFloat(splitRHat(a.series)),
-			ESS:         jsonFloat(effectiveSampleSize(a.series)),
+			RHat:        finiteOrNil(splitRHat(a.series)),
+			ESS:         finiteOrNil(effectiveSampleSize(a.series)),
 		})
 	}
 	sortViewHealth(out)

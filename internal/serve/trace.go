@@ -32,19 +32,22 @@ type TraceSpan struct {
 // immutable once returned (the engine hands the same pointer to the
 // result and the debug ring).
 type QueryTrace struct {
-	ID int64 `json:"id"`
-	// TraceID is the W3C-style correlation ID (32 lowercase hex chars):
-	// either propagated from the client's traceparent header or assigned
-	// by the engine when the trace was engine-initiated.
+	ID  int64  `json:"id"`
+	SQL string `json:"sql"`
+	// TraceID is the W3C trace-id (32 lowercase hex chars) correlating
+	// this trace with the caller's distributed trace: the one the client
+	// propagated (the TraceID option, or a traceparent header over HTTP),
+	// or one the database assigned. Slow-query and write-audit log
+	// records carry the same ID, so logs, /debug/traces and client traces
+	// cross-reference.
 	TraceID string `json:"trace_id,omitempty"`
-	// Kind distinguishes read traces ("query") from write traces ("exec")
-	// and the one-shot startup trace ("recovery").
+	// Kind distinguishes the trace families sharing the ring:
+	// "query" (SELECT), "exec" (DML write) and "recovery" (startup).
 	Kind    string      `json:"kind,omitempty"`
-	SQL     string      `json:"sql"`
 	Plan    string      `json:"plan_fingerprint,omitempty"`
 	Begin   time.Time   `json:"begin"`
 	WallNS  int64       `json:"wall_ns"`
-	Outcome string      `json:"outcome"` // ok | cached | early_stop | partial | error
+	Outcome string      `json:"outcome"` // see the span glossary in the factordb package doc
 	Spans   []TraceSpan `json:"spans"`
 }
 

@@ -62,7 +62,9 @@ type FsyncReporter interface {
 // with post-write samples only, and queries issued after Exec returns
 // never observe pre-write state. Committing bumps the data epoch, which
 // is part of every result-cache key, so all cached pre-write answers
-// become unreachable.
+// become unreachable. (Under a private-chain mode there are no chains to
+// fan out to: the ops are resolved against, and applied to, the source's
+// prototype world — ErrReadOnly when it has none.)
 //
 // Writes pass the same admission control as queries and are serialized
 // with each other. ctx is honored up to the point of no return: once the
@@ -76,11 +78,11 @@ func (e *Engine) Exec(ctx context.Context, sql string) (*ExecResult, error) {
 // ExecTraced is Exec with per-write options (tracing, trace-ID
 // propagation).
 func (e *Engine) ExecTraced(ctx context.Context, sql string, opts ExecOptions) (*ExecResult, error) {
-	if e.isClosed() {
+	if e.Closed() {
 		return nil, ErrClosed
 	}
 	begin := time.Now()
-	tr := e.newExecTrace(sql, opts)
+	tr := e.startTrace("exec", sql, opts.Trace, opts.TraceID)
 	tr.span("compile")
 	mut, cached, err := e.cfg.Plans.CompileMutation(sql)
 	if err != nil {
@@ -105,65 +107,33 @@ func (e *Engine) ExecMutation(ctx context.Context, sql string, mut ra.Mutation) 
 
 // ExecMutationTraced is ExecMutation with per-write options.
 func (e *Engine) ExecMutationTraced(ctx context.Context, sql string, mut ra.Mutation, opts ExecOptions) (*ExecResult, error) {
-	if e.isClosed() {
+	if e.Closed() {
 		return nil, ErrClosed
 	}
 	begin := time.Now()
-	tr := e.newExecTrace(sql, opts)
+	tr := e.startTrace("exec", sql, opts.Trace, opts.TraceID)
 	tr.span("compile")
 	tr.attr("plan_cache", "prebound")
 	return e.execMutation(ctx, sql, mut, tr, begin)
 }
 
-// newExecTrace decides tracing for one write: caller opt-in and sampler
-// hits produce published traces; an armed slow-query log additionally
-// records a private trace for every write, so the span breakdown exists
-// if this one crosses the threshold (writes share the query threshold).
-func (e *Engine) newExecTrace(sql string, opts ExecOptions) *qtrace {
-	publish := opts.Trace || e.tracer.hit()
-	if !publish && e.cfg.SlowQuery <= 0 {
-		return nil
-	}
-	tr := newTrace(e.nextID.Add(1), sql, time.Now())
-	tr.publish = publish
-	tr.qt.Kind = "exec"
-	tr.qt.TraceID = opts.TraceID
-	if tr.qt.TraceID == "" {
-		tr.qt.TraceID = e.genTraceID(tr.qt.ID)
-	}
-	return tr
-}
-
-// finishExec settles one exec attempt's observability: closes the trace,
-// emits the slow-query record when the write crossed the threshold,
-// rings published or slow traces, attaches published ones to the result,
-// observes the outcome-labeled latency histogram, and emits the
-// write-audit record.
+// finishExec settles one exec attempt's observability: the trace (closed,
+// slow-logged and ringed by finishTrace, attached to the result when
+// published), the outcome-labeled latency histogram, and the write-audit
+// record.
 func (e *Engine) finishExec(ctx context.Context, sql string, res *ExecResult, outcome string, tr *qtrace, begin time.Time) {
-	if tr != nil {
-		qt := tr.finish(outcome)
-		slow := e.cfg.SlowQuery > 0 && time.Duration(qt.WallNS) >= e.cfg.SlowQuery
-		if slow {
-			e.logSlowQuery(qt)
-		}
-		if tr.publish || slow {
-			e.traces.add(qt)
-		}
-		if res != nil && tr.publish {
-			res.Trace = qt
-		}
+	if qt := e.finishTrace(tr, outcome); res != nil {
+		res.Trace = qt
 	}
 	e.m.execLatency.With(outcome).Observe(time.Since(begin).Seconds())
 	e.auditWrite(ctx, sql, res, outcome, tr)
 }
 
 // execMutation is the shared write core behind Exec and ExecMutation:
-// admission, single-point resolution, WAL append, chain fan-out, epoch
-// bump. A traced write spans each stage contiguously —
-// compile / admission_wait / resolve / wal_append / fsync / fanout /
-// burn_in / delta_fold / republish / cache_invalidate — with the fan-out
-// phases clocked by the slowest chain (each phase span closes when every
-// chain has reported that phase done).
+// admission, single-point resolution, WAL append, the strategy's apply,
+// epoch bump. A traced write spans each stage contiguously —
+// compile / admission_wait / resolve / wal_append / fsync / the apply
+// spans / cache_invalidate.
 func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, tr *qtrace, begin time.Time) (res *ExecResult, err error) {
 	outcome := "error"
 	defer func() { e.finishExec(ctx, sql, res, outcome, tr, begin) }()
@@ -189,10 +159,13 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	start := time.Now()
 
 	tr.span("resolve")
-	ops, err := e.chains[0].resolveMutation(ctx, mut)
+	ops, err := e.strat.resolve(ctx, mut)
 	if err != nil {
 		if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
 			outcome = "canceled"
+			return nil, err
+		}
+		if errors.Is(err, ErrReadOnly) {
 			return nil, err
 		}
 		e.m.failed.Inc()
@@ -207,7 +180,7 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 		res = &ExecResult{
 			SQL:     sql,
 			Epoch:   e.dataEpoch.Load(),
-			Chains:  len(e.chains),
+			Chains:  e.cfg.Chains,
 			Elapsed: time.Since(start),
 		}
 		return res, nil
@@ -223,7 +196,7 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	if e.cfg.WAL != nil {
 		tr.span("wal_append")
 		if err := e.cfg.WAL.Append(epoch, ops); err != nil {
-			return nil, fmt.Errorf("serve: wal append: %w", err)
+			return nil, fmt.Errorf("%w: %v", ErrWAL, err)
 		}
 		var fsyncNS int64
 		if fr, ok := e.cfg.WAL.(FsyncReporter); ok {
@@ -232,18 +205,45 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 		tr.splitTail("fsync", fsyncNS)
 	}
 
-	// Point of no return: every chain must apply the same ops. Fan out in
-	// parallel and wait for all of them; only engine shutdown aborts. A
-	// traced write additionally collects per-chain phase marks, advancing
-	// the span as the whole pool completes each stage.
+	// Point of no return: every world copy must absorb the same ops.
+	if err := e.strat.apply(ops, tr); err != nil {
+		return nil, err
+	}
+
+	tr.span("cache_invalidate")
+	e.dataEpoch.Store(epoch) // == Add(1): writeMu serializes committers
+	e.m.writes.Inc()
+	outcome = "ok"
+	res = &ExecResult{
+		SQL:          sql,
+		RowsAffected: int64(len(ops)),
+		Epoch:        epoch,
+		Chains:       e.cfg.Chains,
+		Elapsed:      time.Since(start),
+	}
+	return res, nil
+}
+
+// resolve resolves once, on chain 0: chain worlds share row identities by
+// construction, so the op list is valid on every chain.
+func (p pool) resolve(ctx context.Context, mut ra.Mutation) ([]world.Op, error) {
+	return p.chains[0].resolveMutation(ctx, mut)
+}
+
+// apply fans the ops out to every chain in parallel and waits for all of
+// them; only engine shutdown aborts. A traced write spans fanout /
+// burn_in / delta_fold / republish, collecting per-chain phase marks and
+// advancing the span as the whole pool completes each stage — the phases
+// are clocked by the slowest chain.
+func (p pool) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("fanout")
 	var phases chan chainPhase
 	if tr != nil {
-		phases = make(chan chainPhase, len(e.chains)*int(numWritePhases))
+		phases = make(chan chainPhase, len(p.chains)*int(numWritePhases))
 	}
-	errs := make(chan error, len(e.chains))
-	for _, c := range e.chains {
-		go func(c *chain) { errs <- c.applyOps(e.cfg.WriteBurnIn, ops, phases) }(c)
+	errs := make(chan error, len(p.chains))
+	for _, c := range p.chains {
+		go func(c *chain) { errs <- c.applyOps(p.cfg.WriteBurnIn, ops, phases) }(c)
 	}
 	var failed error
 	counts := [numWritePhases]int{}
@@ -251,16 +251,16 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	// The span to open once every chain finishes the current phase; the
 	// last phase is closed by the reply collection itself.
 	next := [numWritePhases]string{"burn_in", "delta_fold", "republish", ""}
-	advance := func(p chainPhase) {
-		counts[p]++
-		for cur < numWritePhases && counts[cur] == len(e.chains) {
+	advance := func(ph chainPhase) {
+		counts[ph]++
+		for cur < numWritePhases && counts[cur] == len(p.chains) {
 			if next[cur] != "" {
 				tr.span(next[cur])
 			}
 			cur++
 		}
 	}
-	for done := 0; done < len(e.chains); {
+	for done := 0; done < len(p.chains); {
 		if phases == nil {
 			if err := <-errs; err != nil && failed == nil {
 				failed = err
@@ -274,8 +274,8 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 			if err != nil && failed == nil {
 				failed = err
 			}
-		case p := <-phases:
-			advance(p)
+		case ph := <-phases:
+			advance(ph)
 		}
 	}
 	// A chain buffers all its phase marks before replying, so any marks
@@ -283,28 +283,13 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	// phase spans open even when every reply won the select.
 	for phases != nil {
 		select {
-		case p := <-phases:
-			advance(p)
+		case ph := <-phases:
+			advance(ph)
 		default:
 			phases = nil
 		}
 	}
-	if failed != nil {
-		return nil, failed
-	}
-
-	tr.span("cache_invalidate")
-	e.dataEpoch.Store(epoch) // == Add(1): writeMu serializes committers
-	e.m.writes.Inc()
-	outcome = "ok"
-	res = &ExecResult{
-		SQL:          sql,
-		RowsAffected: int64(len(ops)),
-		Epoch:        epoch,
-		Chains:       len(e.chains),
-		Elapsed:      time.Since(start),
-	}
-	return res, nil
+	return failed
 }
 
 // DataEpoch returns the number of committed writes — the data-epoch

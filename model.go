@@ -118,12 +118,9 @@ func (t *targetedNER) NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer,
 	return log, tg, nil
 }
 
-// Exec forwards local-mode writes to the underlying prototype world;
-// proposal targeting only shapes the walk, not the write path. The
-// resolve/apply split and the world accessors forward likewise, so a
-// targeted NER database is just as durable as a plain one.
-func (t *targetedNER) Exec(mut ra.Mutation) (int64, error) { return t.sys.Exec(mut) }
-
+// The write and durability capabilities forward to the underlying
+// prototype world: proposal targeting only shapes the walk, so a
+// targeted NER database is just as writable and durable as a plain one.
 func (t *targetedNER) ResolveExec(mut ra.Mutation) ([]world.Op, error) {
 	return t.sys.ResolveExec(mut)
 }

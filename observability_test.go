@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -366,4 +369,115 @@ func TestQueryTraceFacade(t *testing.T) {
 			t.Fatalf("HTTP trace block missing: %+v", qr.Trace)
 		}
 	})
+}
+
+// TestSpanGlossary pins the span glossary in doc.go against the code.
+// Under every mode it drives a durable database through traced queries
+// and writes (fresh, cached, failing, no-op) and a torn-tail recovery,
+// then requires that the span names each trace kind emitted are exactly
+// the glossary rows for that mode's strategy, and that every kind and
+// outcome seen is a documented one.
+func TestSpanGlossary(t *testing.T) {
+	src, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]map[string]string{} // kind → span → all | pool | private
+	outcomes := map[string]map[string]bool{}
+	for _, line := range strings.Split(string(src), "\n") {
+		f := strings.Fields(strings.TrimPrefix(line, "//\t"))
+		if !strings.HasPrefix(line, "//\t") || len(f) < 2 || f[0] == "kind" {
+			continue
+		}
+		switch f[0] {
+		case "query", "exec", "recovery":
+			if len(f) > 2 && (f[2] == "all" || f[2] == "pool" || f[2] == "private") {
+				if spans[f[0]] == nil {
+					spans[f[0]] = map[string]string{}
+				}
+				spans[f[0]][f[1]] = f[2]
+				continue
+			}
+			outcomes[f[0]] = map[string]bool{}
+			for _, o := range f[1:] {
+				outcomes[f[0]][o] = true
+			}
+		}
+	}
+	if len(spans) != 3 || len(outcomes) != 3 {
+		t.Fatalf("doc.go glossary parsed to %d span kinds and %d outcome kinds, want 3 and 3", len(spans), len(outcomes))
+	}
+
+	for mode, strategy := range map[Mode]string{ModeNaive: "private", ModeMaterialized: "private", ModeServed: "pool"} {
+		t.Run(mode.String(), func(t *testing.T) {
+			emitted := map[string]map[string]bool{"query": {}, "exec": {}, "recovery": {}}
+			note := func(tr *QueryTrace) {
+				t.Helper()
+				if tr == nil {
+					t.Fatal("operation left no trace")
+				}
+				if !outcomes[tr.Kind][tr.Outcome] {
+					t.Errorf("kind %q outcome %q is not in the doc.go glossary", tr.Kind, tr.Outcome)
+				}
+				for _, s := range tr.Spans {
+					emitted[tr.Kind][s.Name] = true
+				}
+			}
+			ctx := context.Background()
+			dir := t.TempDir()
+			opts := durableOpts(dir, WithMode(mode), WithChains(2))
+			db, err := Open(durableNER(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			note(db.Status().StartupTrace)
+			const q = `SELECT STRING FROM TOKEN WHERE TOK_ID = 1`
+			for _, sql := range []string{q, q, `SELECT NOPE FROM TOKEN`} { // fresh, cached when served, failing
+				if rows, err := db.Query(ctx, sql, Samples(2), Trace()); err == nil {
+					rows.Close()
+				}
+			}
+			for _, id := range []int{1, 1 << 40} { // a commit, a no-op
+				if _, err := db.Exec(ctx, fmt.Sprintf(`UPDATE TOKEN SET STRING = 'g' WHERE TOK_ID = %d`, id), ExecTrace()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			traces := db.RecentTraces()
+			if len(traces) != 5 {
+				t.Fatalf("5 traced operations left %d traces", len(traces))
+			}
+			for _, tr := range traces {
+				note(tr)
+			}
+			db.Close()
+
+			// A crash mid-append leaves a torn record; recovery truncates it.
+			f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte{0, 0, 0, 9, 1, 2})
+			f.Close()
+			re, err := Open(durableNER(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			note(re.Status().StartupTrace)
+			re.Close()
+
+			for kind, rows := range spans {
+				for name, by := range rows {
+					if (by == "all" || by == strategy) != emitted[kind][name] {
+						t.Errorf("%s span %q: glossary says emitted by %q, %s strategy emitted=%v",
+							kind, name, by, strategy, emitted[kind][name])
+					}
+				}
+				for name := range emitted[kind] {
+					if _, ok := rows[name]; !ok {
+						t.Errorf("%s span %q is emitted but missing from the doc.go glossary", kind, name)
+					}
+				}
+			}
+		})
+	}
 }

@@ -3,10 +3,8 @@ package factordb
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"factordb/internal/ra"
-	"factordb/internal/serve"
 	"factordb/internal/sqlparse"
 )
 
@@ -34,16 +32,16 @@ type Stmt struct {
 // statement may be a SELECT (execute with Stmt.Query) or DML (execute
 // with Stmt.Exec); ? placeholders are bound positionally at execution.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
-	if db.isClosed() {
+	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
 	stmt, err := sqlparse.ParseStatement(sql)
 	if err != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	if stmt.Explain != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: EXPLAIN cannot be prepared (issue it through Query)", ErrBadQuery)
 	}
 	s := &Stmt{db: db, sql: sql, stmt: stmt}
@@ -56,7 +54,7 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 			s.mut, _, err = db.plans.CompileMutation(sql)
 		}
 		if err != nil {
-			db.countFailed()
+			db.eng.NoteBadQuery()
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
 	}
@@ -76,7 +74,7 @@ func (s *Stmt) Close() error { return nil }
 // canonicalized, so the plan fingerprint — and with it result-cache and
 // shared-view identity — matches the inlined spelling exactly.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
-	qo := queryOptions{samples: s.db.opts.samples, confidence: s.db.opts.confidence}
+	qo, _ := s.db.queryOpts(nil)
 	return s.query(ctx, args, qo)
 }
 
@@ -84,7 +82,7 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 // transports' placeholder-argument paths.
 func (s *Stmt) query(ctx context.Context, args []any, qo queryOptions) (*Rows, error) {
 	db := s.db
-	if db.isClosed() {
+	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
@@ -97,59 +95,20 @@ func (s *Stmt) query(ctx context.Context, args []any, qo queryOptions) (*Rows, e
 	// statement (where it returns the retained tree unchanged).
 	bound, err := sqlparse.BindArgs(s.stmt, args)
 	if err != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	comp := s.comp
 	if comp == nil {
 		plan, spec, err := sqlparse.PlanQuery(bound.Select)
 		if err != nil {
-			db.countFailed()
+			db.eng.NoteBadQuery()
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
-		comp = &sqlparse.Compiled{
-			Plan: plan,
-			Spec: spec,
-			Cols: ra.OutputColumns(plan),
-		}
+		comp = &sqlparse.Compiled{Plan: plan, Spec: spec}
 	}
-	cols := append([]string(nil), comp.Cols...)
-	if db.eng != nil {
-		res, err := db.eng.QueryPlan(ctx, s.sql, comp.Plan, comp.Spec, serve.QueryOptions{
-			Samples:    qo.samples,
-			Confidence: qo.confidence,
-			NoCache:    qo.noCache,
-			Trace:      qo.trace,
-			TraceID:    qo.traceID,
-		})
-		if err != nil {
-			return nil, mapServeErr(err)
-		}
-		if res.Partial && !qo.allowPartial {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, ErrClosed
-		}
-		return &Rows{
-			cols:       cols,
-			cis:        res.TupleCIs(),
-			i:          -1,
-			samples:    res.Samples,
-			chains:     res.Chains,
-			epoch:      res.Epoch,
-			confidence: res.Confidence,
-			partial:    res.Partial,
-			earlyStop:  res.EarlyStop,
-			cached:     res.Cached,
-			elapsed:    res.Elapsed,
-			trace:      traceFromServe(res.Trace),
-		}, nil
-	}
-	lt := db.newLocalQueryTrace(s.sql, qo)
-	lt.span("compile")
-	lt.attr("plan_cache", "prepared")
-	return db.queryLocal(ctx, s.sql, comp.Plan, comp.Spec, cols, qo, lt)
+	res, err := db.eng.QueryPlan(ctx, s.sql, comp.Plan, comp.Spec, qo.engine())
+	return newRows(ctx, res, err, qo)
 }
 
 // Exec executes a prepared DML statement with the given placeholder
@@ -162,7 +121,7 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*ExecResult, error) {
 // transports' placeholder-argument write paths.
 func (s *Stmt) exec(ctx context.Context, args []any, eo execOptions) (*ExecResult, error) {
 	db := s.db
-	if db.isClosed() {
+	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
@@ -173,34 +132,18 @@ func (s *Stmt) exec(ctx context.Context, args []any, eo execOptions) (*ExecResul
 	}
 	bound, err := sqlparse.BindArgs(s.stmt, args)
 	if err != nil {
-		db.countFailed()
+		db.eng.NoteBadQuery()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	mut := s.mut
 	if mut == nil {
 		if mut, err = sqlparse.LowerMutation(s.sql, bound); err != nil {
-			db.countFailed()
+			db.eng.NoteBadQuery()
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
 	}
-	if db.eng != nil {
-		res, err := db.eng.ExecMutationTraced(ctx, s.sql, mut, serve.ExecOptions{Trace: eo.trace, TraceID: eo.traceID})
-		if err != nil {
-			return nil, mapServeErr(err)
-		}
-		return &ExecResult{
-			RowsAffected: res.RowsAffected,
-			Epoch:        res.Epoch,
-			Chains:       res.Chains,
-			Elapsed:      res.Elapsed,
-			Trace:        traceFromServe(res.Trace),
-		}, nil
-	}
-	begin := time.Now()
-	tr := db.newLocalExecTrace(s.sql, eo, begin)
-	tr.span("compile")
-	tr.attr("plan_cache", "prepared")
-	return db.execLocal(s.sql, mut, tr, begin)
+	res, err := db.eng.ExecMutationTraced(ctx, s.sql, mut, eo.engine())
+	return newExecResult(res, err)
 }
 
 // queryArgs runs one SELECT with placeholder arguments through a
@@ -210,15 +153,9 @@ func (db *DB) queryArgs(ctx context.Context, sql string, args []any, opts ...Que
 	if len(args) == 0 {
 		return db.Query(ctx, sql, opts...)
 	}
-	qo := queryOptions{samples: db.opts.samples, confidence: db.opts.confidence}
-	for _, f := range opts {
-		f(&qo)
-	}
-	if qo.samples <= 0 {
-		qo.samples = db.opts.samples
-	}
-	if qo.confidence <= 0 || qo.confidence >= 1 {
-		return nil, fmt.Errorf("%w: confidence %v outside (0,1)", ErrBadQuery, qo.confidence)
+	qo, err := db.queryOpts(opts)
+	if err != nil {
+		return nil, err
 	}
 	stmt, err := db.Prepare(sql)
 	if err != nil {
@@ -233,13 +170,9 @@ func (db *DB) execArgs(ctx context.Context, sql string, args []any, opts ...Exec
 	if len(args) == 0 {
 		return db.Exec(ctx, sql, opts...)
 	}
-	var eo execOptions
-	for _, f := range opts {
-		f(&eo)
-	}
 	stmt, err := db.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return stmt.exec(ctx, args, eo)
+	return stmt.exec(ctx, args, execOpts(opts))
 }

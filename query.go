@@ -3,11 +3,7 @@ package factordb
 import (
 	"context"
 	"fmt"
-	"math"
-	"time"
 
-	"factordb/internal/core"
-	"factordb/internal/ra"
 	"factordb/internal/serve"
 	"factordb/internal/sqlparse"
 )
@@ -69,12 +65,32 @@ func TraceID(id string) QueryOption { return func(o *queryOptions) { o.traceID =
 // opened with: naive and materialized evaluate on a private chain in the
 // calling goroutine; served registers the query on the shared chain pool.
 func (db *DB) Query(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	if db.isClosed() {
+	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
+	qo, err := db.queryOpts(opts)
+	if err != nil {
 		return nil, err
 	}
+	// EXPLAIN is answered by the facade itself: it compiles (and caches)
+	// the target statement but never samples.
+	if sqlparse.IsExplain(sql) {
+		return db.explain(ctx, sql)
+	}
+	// The SQL goes straight to the engine, which compiles through the
+	// shared plan cache and returns the output column names with the
+	// result — the facade compiles nothing. The planner emits canonical
+	// plans (ra.Canonicalize), and the engine keys both its result cache
+	// and its per-chain shared views by plan fingerprint rather than SQL
+	// text — so however a query reaches the engine (this facade, the
+	// database/sql driver, or HTTP) and however it is spelled, equal
+	// queries share cache entries and materialized views.
+	res, err := db.eng.Query(ctx, sql, qo.engine())
+	return newRows(ctx, res, err, qo)
+}
+
+// queryOpts folds the per-call options over the DB defaults set at Open.
+func (db *DB) queryOpts(opts []QueryOption) (queryOptions, error) {
 	qo := queryOptions{samples: db.opts.samples, confidence: db.opts.confidence}
 	for _, f := range opts {
 		f(&qo)
@@ -83,61 +99,29 @@ func (db *DB) Query(ctx context.Context, sql string, opts ...QueryOption) (*Rows
 		qo.samples = db.opts.samples
 	}
 	if qo.confidence <= 0 || qo.confidence >= 1 {
-		return nil, fmt.Errorf("%w: confidence %v outside (0,1)", ErrBadQuery, qo.confidence)
+		return qo, fmt.Errorf("%w: confidence %v outside (0,1)", ErrBadQuery, qo.confidence)
 	}
-	// EXPLAIN is answered by the facade itself: it compiles (and caches)
-	// the target statement but never samples.
-	if sqlparse.IsExplain(sql) {
-		return db.explain(ctx, sql)
-	}
-	// Served mode hands the SQL straight to the engine, which compiles
-	// through the shared plan cache and returns the output column names
-	// with the result — the facade compiles nothing. The planner emits
-	// canonical plans (ra.Canonicalize), and the engine keys both its
-	// result cache and its per-chain shared views by plan fingerprint
-	// rather than SQL text — so however a query reaches the engine (this
-	// facade, the database/sql driver, or HTTP) and however it is
-	// spelled, equal queries share cache entries and materialized views.
-	if db.eng != nil {
-		return db.queryServed(ctx, sql, qo)
-	}
-	lt := db.newLocalQueryTrace(sql, qo)
-	lt.span("compile")
-	comp, hit, err := db.plans.CompileQuery(sql)
-	if err != nil {
-		db.countFailed()
-		db.finishLocalTrace(lt, "error")
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	if hit {
-		db.planHits.Inc()
-		lt.attr("plan_cache", "hit")
-	} else {
-		lt.attr("plan_cache", "miss")
-	}
-	lt.setPlan(comp.Fingerprint)
-	// Copy the cached column slice: Rows hands it to callers, who may
-	// append presentation columns.
-	cols := append([]string(nil), comp.Cols...)
-	return db.queryLocal(ctx, sql, comp.Plan, comp.Spec, cols, qo, lt)
+	return qo, nil
 }
 
-// queryServed delegates to the serving engine and maps its errors and
-// partial-result semantics onto the facade contract. Ranked clauses
-// (ORDER BY / LIMIT / the P pseudo-column) are applied by the engine at
-// snapshot-merge time, so Rows preserves the server-side order as-is.
-func (db *DB) queryServed(ctx context.Context, sql string, qo queryOptions) (*Rows, error) {
-	res, err := db.eng.Query(ctx, sql, serve.QueryOptions{
+func (qo queryOptions) engine() serve.QueryOptions {
+	return serve.QueryOptions{
 		Samples:    qo.samples,
 		Confidence: qo.confidence,
 		NoCache:    qo.noCache,
 		Trace:      qo.trace,
 		TraceID:    qo.traceID,
-	})
+	}
+}
+
+// newRows maps an engine answer — its errors and its partial-result
+// semantics — onto the facade contract. Ranked clauses (ORDER BY / LIMIT
+// / the P pseudo-column) were applied by the engine when it merged the
+// estimate, so Rows preserves its order as-is.
+func newRows(ctx context.Context, res *serve.Result, err error, qo queryOptions) (*Rows, error) {
 	if err != nil {
 		return nil, mapServeErr(err)
 	}
-	cols := append([]string(nil), res.Columns...)
 	if res.Partial && !qo.allowPartial {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -146,7 +130,9 @@ func (db *DB) queryServed(ctx context.Context, sql string, qo queryOptions) (*Ro
 		return nil, ErrClosed
 	}
 	return &Rows{
-		cols:       cols,
+		// Copy the cached column slice: Rows hands it to callers, who may
+		// append presentation columns.
+		cols:       append([]string(nil), res.Columns...),
 		cis:        res.TupleCIs(),
 		i:          -1,
 		samples:    res.Samples,
@@ -157,100 +143,6 @@ func (db *DB) queryServed(ctx context.Context, sql string, qo queryOptions) (*Ro
 		earlyStop:  res.EarlyStop,
 		cached:     res.Cached,
 		elapsed:    res.Elapsed,
-		trace:      traceFromServe(res.Trace),
+		trace:      res.Trace,
 	}, nil
-}
-
-// queryLocal evaluates the query on a private chain in the calling
-// goroutine — Algorithm 3 (naive) or Algorithm 1 (materialized) — and
-// applies the query's result-level ranking (ORDER BY / LIMIT / the P
-// pseudo-column) to the finished estimate.
-func (db *DB) queryLocal(ctx context.Context, sql string, plan ra.Plan, spec ra.ResultSpec, cols []string, qo queryOptions, lt *localTrace) (*Rows, error) {
-	start := time.Now()
-	// The read lock excludes a concurrent Exec mid-mutation: the private
-	// chain world is cloned from the prototype either wholly before or
-	// wholly after any write.
-	lt.span("clone_world")
-	db.writeMu.RLock()
-	log, proposer, err := db.sys.NewChainWorld(0)
-	db.writeMu.RUnlock()
-	if err != nil {
-		db.finishLocalTrace(lt, "error")
-		return nil, err
-	}
-	mode := core.Naive
-	if db.opts.mode == ModeMaterialized {
-		mode = core.Materialized
-	}
-	ev, err := core.NewEvaluator(mode, log, proposer, plan, db.opts.steps, db.opts.seed)
-	if err != nil {
-		db.countFailed()
-		db.finishLocalTrace(lt, "error")
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	lt.span("sample")
-	if db.opts.burnIn > 0 {
-		ev.Burn(db.opts.burnIn)
-	}
-	partial := false
-	for i := 0; i < qo.samples; i++ {
-		// The context is honored between samples: one sample is k
-		// walk-steps plus one (incremental) evaluation, the natural
-		// cancellation granularity of the algorithm.
-		if ctx.Err() != nil || db.isClosed() {
-			partial = true
-			break
-		}
-		if err := ev.CollectSample(); err != nil {
-			db.finishLocalTrace(lt, "error")
-			return nil, err
-		}
-	}
-	est := ev.Estimator()
-	lt.attr("samples", fmt.Sprintf("%d", est.Samples()))
-	if partial {
-		if est.Samples() == 0 || !qo.allowPartial {
-			db.finishLocalTrace(lt, "error")
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, ErrClosed
-		}
-	}
-	db.queries.Inc()
-	lt.span("rank")
-	cis := core.SortTupleCIs(est.ResultsCI(normalQuantile(qo.confidence)), spec)
-	elapsed := time.Since(start)
-	db.latency.Observe(elapsed.Seconds())
-	outcome := "ok"
-	if partial {
-		outcome = "partial"
-	}
-	qt := db.finishLocalTrace(lt, outcome)
-	return &Rows{
-		cols:       cols,
-		cis:        cis,
-		i:          -1,
-		samples:    est.Samples(),
-		chains:     1,
-		epoch:      log.Epoch(),
-		confidence: qo.confidence,
-		partial:    partial,
-		elapsed:    elapsed,
-		trace:      qt,
-	}, nil
-}
-
-func (db *DB) countFailed() {
-	if db.eng != nil {
-		db.eng.NoteBadQuery()
-		return
-	}
-	db.failed.Inc()
-}
-
-// normalQuantile converts a two-sided confidence mass into the normal
-// quantile z used by the Wilson interval (0.95 → 1.96).
-func normalQuantile(confidence float64) float64 {
-	return math.Sqrt2 * math.Erfinv(confidence)
 }

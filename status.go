@@ -1,8 +1,31 @@
 package factordb
 
 import (
-	"math"
 	"time"
+
+	"factordb/internal/serve"
+)
+
+// The observability types are the engine's own: one definition, one JSON
+// shape, whatever the mode.
+type (
+	// QueryTrace is the span breakdown of one query or write, returned by
+	// Rows.Trace / ExecResult.Trace for operations that opted in (in
+	// served mode the engine's trace sampler may also pick some). Span
+	// names and attribute keys are a stable contract — see the package
+	// documentation.
+	QueryTrace = serve.QueryTrace
+	// TraceSpan is one step of a trace. StartNS is the offset from the
+	// trace's Begin; spans are contiguous and in order, so their
+	// durations tile the wall time.
+	TraceSpan = serve.TraceSpan
+	// CacheStatus reports served-mode result-cache occupancy.
+	CacheStatus = serve.CacheStatus
+	// ChainStatus is one served chain's sampler health.
+	ChainStatus = serve.ChainStatus
+	// ViewHealth is one live shared view aggregated across the chain
+	// pool, with its cross-chain convergence diagnostics.
+	ViewHealth = serve.ViewHealth
 )
 
 // Status is the introspection snapshot behind GET /statusz: what the
@@ -33,89 +56,30 @@ type Status struct {
 	StartupTrace *QueryTrace `json:"startup_trace,omitempty"`
 }
 
-// CacheStatus reports served-mode result-cache occupancy.
-type CacheStatus struct {
-	Entries  int `json:"entries"`
-	Capacity int `json:"capacity"`
-}
-
-// ChainStatus is one served chain's sampler health.
-type ChainStatus struct {
-	ID             int     `json:"id"`
-	Epoch          int64   `json:"epoch"`
-	Steps          int64   `json:"steps"`
-	Accepted       int64   `json:"accepted"`
-	AcceptanceRate float64 `json:"acceptance_rate"`
-	// WriteGen counts the DML mutations this chain has absorbed; skew
-	// across the pool means a write is mid-fan-out.
-	WriteGen int64 `json:"write_gen"`
-	Views    int64 `json:"views"`
-}
-
-// ViewHealth is one live shared view aggregated across the chain pool:
-// its plan fingerprint, the total subscriber refcount, and the
-// cross-chain convergence diagnostics over the view's per-sample answer
-// cardinality. RHat and ESS are nil until enough observations accumulate
-// (at least 4 per chain, 2+ split sequences).
-type ViewHealth struct {
-	Fingerprint string   `json:"fingerprint"`
-	Subscribers int      `json:"subscribers"`
-	Chains      int      `json:"chains"`
-	MinSamples  int64    `json:"min_samples"`
-	RHat        *float64 `json:"rhat"`
-	ESS         *float64 `json:"ess"`
-}
-
-// finiteOrNil drops the diagnostics' NaN/Inf sentinels to nil for JSON.
-func finiteOrNil(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
 // Status assembles the introspection snapshot. It is safe to call
 // concurrently with queries and writes; the fields are gathered from
 // lock-free mirrors, so a snapshot taken during a write may show chains
 // one generation apart — the skew ChainStatus.WriteGen exists to expose.
 func (db *DB) Status() Status {
-	st := Status{
+	es := db.eng.Status()
+	return Status{
 		Mode:         db.opts.mode.String(),
-		Chains:       db.Chains(),
-		WriteEpoch:   db.WriteEpoch(),
+		Chains:       es.Chains,
+		Epoch:        es.Epoch,
+		WriteEpoch:   es.DataEpoch,
 		UptimeS:      time.Since(db.start).Seconds(),
+		InFlight:     es.InFlight,
+		Cache:        es.Cache,
+		Pool:         es.Pool,
+		Views:        es.Views,
 		Durability:   db.Durability(),
 		StartupTrace: db.startupTrace,
 	}
-	if db.eng == nil {
-		return st
-	}
-	es := db.eng.Status()
-	st.Epoch = es.Epoch
-	st.InFlight = es.InFlight
-	st.Cache = CacheStatus{Entries: es.Cache.Entries, Capacity: es.Cache.Capacity}
-	st.Pool = make([]ChainStatus, 0, len(es.Pool))
-	for _, c := range es.Pool {
-		st.Pool = append(st.Pool, ChainStatus{
-			ID:             c.ID,
-			Epoch:          c.Epoch,
-			Steps:          c.Steps,
-			Accepted:       c.Accepted,
-			AcceptanceRate: c.AcceptanceRate,
-			WriteGen:       c.WriteGen,
-			Views:          c.Views,
-		})
-	}
-	st.Views = make([]ViewHealth, 0, len(es.Views))
-	for _, v := range es.Views {
-		st.Views = append(st.Views, ViewHealth{
-			Fingerprint: v.Fingerprint,
-			Subscribers: v.Subscribers,
-			Chains:      v.Chains,
-			MinSamples:  v.MinSamples,
-			RHat:        finiteOrNil(float64(v.RHat)),
-			ESS:         finiteOrNil(float64(v.ESS)),
-		})
-	}
-	return st
 }
+
+// RecentTraces returns the most recent query and write traces, newest
+// first: client-opted traces, slow operations, and in served mode the
+// engine trace sampler's picks. The ring size is fixed (64 entries);
+// traces are immutable. GET /debug/traces on DebugHandler serves this
+// list.
+func (db *DB) RecentTraces() []*QueryTrace { return db.eng.Traces() }
