@@ -215,8 +215,10 @@
 // warms the cache for the real query) and answers without sampling.
 // The contract, identical through the facade, database/sql, POST
 // /query and the CLI: a single PLAN column of strings, one plan line
-// per row — the rendered operator tree, the plan fingerprint, the
-// result spec, and whether the plan cache already held the entry. Chains absorb a write at an epoch boundary, walk a configurable
+// per row — the rendered operator tree as bound (with the projections
+// column pruning put under join inputs, and a "column pruning:" line
+// when it put any), the plan fingerprint, the result spec, and whether
+// the plan cache already held the entry. Chains absorb a write at an epoch boundary, walk a configurable
 // burn-in, and reset the estimators of live views; a query in flight
 // across a write re-collects rather than blend pre- and post-write
 // samples, and queries issued after Exec returns never observe
@@ -277,7 +279,8 @@
 //     textual variants share one cache entry.
 //   - ra.Bound.Fingerprint (prefix "bfp1:") hashes the catalog-bound
 //     structure of every plan subtree — column positions rather than
-//     names, no aliases, no output names. The serving engine's per-chain
+//     names, no aliases, no output names — of the tree ra.Bind returns,
+//     which is the column-pruned one. The serving engine's per-chain
 //     view registries key physical materialized views on it: concurrent
 //     queries with equal plans share one incrementally maintained view
 //     per chain (refcounted, maintained once per walk batch regardless
@@ -294,6 +297,17 @@
 // of the paper's queries to enforce this.
 //
 // # Execution: the streaming iterator contract
+//
+// A query runs as compile → bind and prune → evaluate. ra.Bind resolves
+// columns and then narrows the tree: a top-down pass finds which output
+// columns of each node anything above it reads and projects every join
+// input onto the read ones (join keys, residual filter, ancestors'
+// references). The root, Distinct, Union/Diff and OrderLimit read every
+// column of their children; nothing is inserted where nothing would be
+// dropped, so a plan without a join binds as written. Every consumer —
+// ra.Stream, the ivm compiler, EXPLAIN, Bound.Fingerprint — sees that
+// one narrow tree; a maintained view therefore keeps a pruned join side
+// as (read columns, multiplicity) rows, not as base tuples.
 //
 // Bound plans execute through ra.Stream, which compiles the tree (after
 // non-mutating predicate pushdown) into a single re-runnable iterator:

@@ -81,8 +81,8 @@ func (db *DB) explainQuery(target string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	lines := ra.Render(comp.Plan)
-	lines = append(lines, "plan fingerprint: "+comp.Fingerprint)
+	tree := ra.Render(comp.Plan)
+	lines := []string{"plan fingerprint: " + comp.Fingerprint}
 
 	// The bound fingerprint keys the engine's shared-view registries. It
 	// needs a schema to bind against; a fresh clone of the prototype world
@@ -92,6 +92,12 @@ func (db *DB) explainQuery(target string) ([]string, error) {
 	} else if bound, berr := ra.Bind(wl.DB(), comp.Plan); berr != nil {
 		lines = append(lines, "bound fingerprint: n/a ("+berr.Error()+")")
 	} else {
+		if bound.Source != comp.Plan {
+			// Bind projected join inputs onto the columns the query reads;
+			// show the narrow tree, which is the one every evaluator runs.
+			tree = append(ra.Render(bound.Source),
+				"column pruning: join inputs projected onto the columns read above them")
+		}
 		bfp := bound.Fingerprint()
 		lines = append(lines, "bound fingerprint: "+bfp)
 		if live, total := db.eng.LiveViewChains(bfp); live > 0 {
@@ -104,7 +110,7 @@ func (db *DB) explainQuery(target string) ([]string, error) {
 	}
 	lines = append(lines, "result spec: "+specString(comp.Spec))
 	lines = append(lines, "plan cache: "+hitMiss(hit))
-	return lines, nil
+	return append(tree, lines...), nil
 }
 
 // explainAnalyze is EXPLAIN ANALYZE SELECT: compile through the shared

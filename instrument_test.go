@@ -105,6 +105,43 @@ func TestExplainAnalyzeFacade(t *testing.T) {
 	})
 }
 
+// TestExplainShowsBoundPlan pins what plain EXPLAIN renders: the tree as
+// bound. Query 3's token side reads only DOC_ID, so the plan shows the
+// projection column pruning put under that join input and says so;
+// Query 1 has no join and is shown as written.
+func TestExplainShowsBoundPlan(t *testing.T) {
+	db := sharedDB(t, ModeMaterialized)
+	explain := func(sql string) string {
+		t.Helper()
+		rows, err := db.Query(context.Background(), "EXPLAIN "+sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var lines []string
+		for rows.Next() {
+			var line string
+			if err := rows.Scan(&line); err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, line)
+		}
+		return strings.Join(lines, "\n")
+	}
+	q3 := explain(Query3)
+	for _, want := range []string{
+		"    Join[_c0.DOC_ID=_c1.DOC_ID]\n      Project[_c0.DOC_ID]\n        Scan(TOKEN AS _c0)\n      GroupAgg[",
+		"\ncolumn pruning: ", "\nplan fingerprint: qfp1:", "\nbound fingerprint: bfp1:", "\nview sharing: fresh",
+	} {
+		if !strings.Contains(q3, want) {
+			t.Errorf("EXPLAIN of Query 3 lacks %q:\n%s", want, q3)
+		}
+	}
+	if q1 := explain(Query1); strings.Contains(q1, "column pruning") || !strings.Contains(q1, "bound fingerprint: bfp1:") {
+		t.Errorf("EXPLAIN of Query 1 (no join, nothing to prune):\n%s", q1)
+	}
+}
+
 // TestTraceparentHeader pins the W3C trace-context handshake on the HTTP
 // transport: a well-formed inbound traceparent's trace-id is adopted —
 // echoed on the response header and stamped into the returned trace —

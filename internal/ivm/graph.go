@@ -18,10 +18,11 @@ import (
 //
 // Protocol: call NextRound exactly once per base delta, then Apply the
 // same delta through every mounted view. The round counter is what lets
-// an operator shared by several views tell "second consumer of this
+// an operator with several consumers tell "second consumer of this
 // round's delta" (serve the memoized output) apart from "next delta"
 // (recompute); stateful operators fold each delta into their state
-// exactly once either way.
+// exactly once either way. An operator with one consumer needs neither
+// the counter nor a memo and costs what it would in a private tree.
 type Graph struct {
 	round uint64
 	nodes map[string]*graphNode
@@ -33,12 +34,18 @@ func NewGraph() *Graph {
 	return &Graph{nodes: make(map[string]*graphNode)}
 }
 
-// graphNode wraps one shared operator with per-round output memoization
-// and a reference count (direct parents plus views rooted here). The memo
-// is a reusable row slice: the first consumer of a round records the
-// inner operator's emissions (cloning unowned tuples once) while
-// forwarding them; later consumers replay the recording. Recorded tuples
-// are therefore always stable and the node reports its emissions owned.
+// graphNode wraps one operator of the graph with a reference count
+// (direct parents plus views rooted here) and, while more than one
+// consumer holds it, per-round output memoization. A node with a single
+// consumer — every node of a view that shares nothing — is transparent:
+// emissions pass straight through, uncopied, with the inner operator's
+// ownership, and retaining consumers clone unowned tuples on first
+// insert exactly as they would under a private tree. A shared node
+// records the round's emissions while forwarding them to its first
+// consumer (cloning unowned tuples once, into the reusable memo) and
+// replays the recording to the others. The reference count only changes
+// in Mount and Unmount, which run between rounds, so one round never
+// mixes the two regimes.
 type graphNode struct {
 	g     *Graph
 	fp    string
@@ -49,22 +56,18 @@ type graphNode struct {
 	memo  []ra.BagRow
 }
 
-func (n *graphNode) owned() bool { return true }
+func (n *graphNode) owned() bool { return n.inner.owned() }
 
-func (n *graphNode) init(emit emitFn) error {
-	if n.inner.owned() {
-		return n.inner.init(emit)
-	}
-	return n.inner.init(func(t relstore.Tuple, c int64) {
-		emit(t.Clone(), c)
-	})
-}
+func (n *graphNode) init(emit emitFn) error { return n.inner.init(emit) }
 
-// apply computes the node's output delta once per round, recording it,
-// and replays the recording to every further consumer. Consumers treat
-// streamed tuples as read-only throughout this package, so sharing them
-// is safe.
+// apply computes the node's output delta once per round. Consumers treat
+// streamed tuples as read-only throughout this package, so sharing the
+// recorded ones is safe.
 func (n *graphNode) apply(d BaseDelta, emit emitFn) {
+	if n.refs == 1 {
+		n.inner.apply(d, emit)
+		return
+	}
 	if n.round == n.g.round {
 		for i := range n.memo {
 			emit(n.memo[i].Tuple, n.memo[i].N)
@@ -99,8 +102,10 @@ func (g *Graph) SubtreeHits() int64 { return g.hits }
 // and initializes it with a full evaluation. Mounting re-initializes any
 // reused operators along the new view's path; their state is a
 // deterministic function of the current base relations, so concurrent
-// views observe no change. Mount must be called between rounds (never
-// between NextRound and the round's Apply calls).
+// views observe no change. Operators the new view shares with no other
+// run as they would under NewView, so a view that shares nothing pays
+// nothing for being mounted here. Mount must be called between rounds
+// (never between NextRound and the round's Apply calls).
 func (g *Graph) Mount(b *ra.Bound) (*View, error) {
 	root, err := g.mountNode(b)
 	if err != nil {

@@ -23,10 +23,12 @@ type valCount struct {
 
 // groupState is the maintained state of one output group.
 type groupState struct {
+	mapKey  string // the group's key in groupAggOp.groups
 	key     relstore.Tuple
 	total   int64 // net multiplicity of input rows in the group
 	aggs    []aggState
 	lastRow relstore.Tuple // currently emitted output row, nil if none
+	touched bool           // queued in groupAggOp.touched by the running apply
 }
 
 // groupAggOp maintains per-group aggregate state and emits −old/+new
@@ -38,7 +40,7 @@ type groupAggOp struct {
 	child   op
 	groups  map[string]*groupState
 	global  bool
-	touched map[string]*groupState // reused across apply calls
+	touched []*groupState // groups the running apply changed; reused
 	kbuf    []byte
 }
 
@@ -50,7 +52,7 @@ func (o *groupAggOp) owned() bool { return true }
 
 func (o *groupAggOp) init(emit emitFn) error {
 	o.groups = make(map[string]*groupState)
-	o.touched = make(map[string]*groupState)
+	o.touched = o.touched[:0]
 	err := o.child.init(func(t relstore.Tuple, n int64) {
 		o.fold(o.group(t), t, n)
 	})
@@ -71,17 +73,16 @@ func (o *groupAggOp) init(emit emitFn) error {
 
 func (o *groupAggOp) apply(d BaseDelta, emit emitFn) {
 	o.child.apply(d, func(t relstore.Tuple, n int64) {
-		o.kbuf = ra.AppendKeyOf(o.kbuf[:0], t, o.b.GroupIdx)
-		g, ok := o.groups[string(o.kbuf)]
-		if !ok {
-			g = o.newGroup(t)
-			o.groups[string(o.kbuf)] = g
+		g := o.group(t)
+		if !g.touched {
+			g.touched = true
+			o.touched = append(o.touched, g)
 		}
-		o.touched[string(o.kbuf)] = g
 		o.fold(g, t, n)
 	})
-	for gk, g := range o.touched {
-		delete(o.touched, gk) // drain the reused set as it is processed
+	for i, g := range o.touched {
+		o.touched[i] = nil // drain the reused queue as it is processed
+		g.touched = false
 		oldRow := g.lastRow
 		var newRow relstore.Tuple
 		if g.total > 0 || o.global {
@@ -95,11 +96,15 @@ func (o *groupAggOp) apply(d BaseDelta, emit emitFn) {
 		}
 		g.lastRow = newRow
 		if g.total == 0 && !o.global {
-			delete(o.groups, gk)
+			delete(o.groups, g.mapKey)
 		}
 	}
+	o.touched = o.touched[:0]
 }
 
+// group returns the state of input's group, creating it on first sight;
+// a nil input names the global group. The key is built in a reused
+// buffer and becomes a string once per group, when the group is stored.
 func (o *groupAggOp) group(input relstore.Tuple) *groupState {
 	o.kbuf = o.kbuf[:0]
 	if input != nil {
@@ -108,7 +113,8 @@ func (o *groupAggOp) group(input relstore.Tuple) *groupState {
 	g, ok := o.groups[string(o.kbuf)]
 	if !ok {
 		g = o.newGroup(input)
-		o.groups[string(o.kbuf)] = g
+		g.mapKey = string(o.kbuf)
+		o.groups[g.mapKey] = g
 	}
 	return g
 }

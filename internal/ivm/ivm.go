@@ -96,7 +96,6 @@ type op interface {
 // relations under a stream of deltas.
 type View struct {
 	root   op
-	schema *ra.RowSchema
 	result *ra.Bag
 	kbuf   []byte
 }
@@ -115,7 +114,7 @@ func NewView(b *ra.Bound) (*View, error) {
 // newViewFrom materializes the initial answer from the operator tree's
 // init stream.
 func newViewFrom(root op, schema *ra.RowSchema) (*View, error) {
-	v := &View{root: root, schema: schema, result: ra.NewBag(schema)}
+	v := &View{root: root, result: ra.NewBag(schema)}
 	clone := !root.owned()
 	err := root.init(func(t relstore.Tuple, n int64) {
 		v.kbuf = t.AppendKey(v.kbuf[:0])
@@ -131,19 +130,15 @@ func newViewFrom(root op, schema *ra.RowSchema) (*View, error) {
 // as read-only; it remains valid (and current) across Apply calls.
 func (v *View) Result() *ra.Bag { return v.result }
 
-// Apply folds a base delta into the view and returns the signed change to
-// the query answer. The root's emissions stream directly into both the
-// maintained result and the returned delta; no intermediate bag exists
-// per operator.
-func (v *View) Apply(d BaseDelta) *ra.Bag {
-	out := ra.NewBag(v.schema)
+// Apply folds a base delta into the view: the root's emissions stream
+// straight into the maintained result, and no bag exists per operator or
+// per call. Callers read the answer from Result.
+func (v *View) Apply(d BaseDelta) {
 	clone := !v.root.owned()
 	v.root.apply(d, func(t relstore.Tuple, n int64) {
 		v.kbuf = t.AppendKey(v.kbuf[:0])
-		out.AddKeyedBytes(v.kbuf, t, n, clone)
 		v.result.AddKeyedBytes(v.kbuf, t, n, clone)
 	})
-	return out
 }
 
 // childCompiler turns a bound subtree into its delta operator. Private

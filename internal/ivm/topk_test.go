@@ -92,7 +92,7 @@ func TestOrderLimitEntryExit(t *testing.T) {
 
 	// "ada" leaves: "cyd" enters the top 2. The emitted delta must be
 	// exactly −ada +cyd.
-	diff := view.Apply(del("ada", -1))
+	diff := applyDiff(view, del("ada", -1))
 	has("bob", "cyd")
 	if diff.Count(relstore.Tuple{relstore.String("ada")}.Key()) != -1 ||
 		diff.Count(relstore.Tuple{relstore.String("cyd")}.Key()) != 1 || diff.Len() != 2 {
@@ -100,7 +100,7 @@ func TestOrderLimitEntryExit(t *testing.T) {
 	}
 
 	// "ada" returns: "cyd" falls back out.
-	diff = view.Apply(del("ada", 1))
+	diff = applyDiff(view, del("ada", 1))
 	has("ada", "bob")
 	if diff.Count(relstore.Tuple{relstore.String("cyd")}.Key()) != -1 ||
 		diff.Count(relstore.Tuple{relstore.String("ada")}.Key()) != 1 || diff.Len() != 2 {
@@ -108,7 +108,7 @@ func TestOrderLimitEntryExit(t *testing.T) {
 	}
 
 	// A no-op delta far below the boundary emits nothing.
-	diff = view.Apply(del("zzz", 1))
+	diff = applyDiff(view, del("zzz", 1))
 	has("ada", "bob")
 	if diff.Len() != 0 {
 		t.Fatalf("below-boundary delta = %v, want empty", diff.Rows())
@@ -116,7 +116,7 @@ func TestOrderLimitEntryExit(t *testing.T) {
 
 	// Duplicate copies count toward the limit: a second "ada" evicts
 	// "bob" entirely.
-	diff = view.Apply(del("ada", 1))
+	diff = applyDiff(view, del("ada", 1))
 	res := view.Result()
 	if res.Count(relstore.Tuple{relstore.String("ada")}.Key()) != 2 || res.Size() != 2 {
 		t.Fatalf("multiset clip = %v", res.Rows())

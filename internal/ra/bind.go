@@ -39,7 +39,10 @@ type Bound struct {
 	Kind     BoundKind
 	Schema   *RowSchema
 	Children []*Bound
-	Source   Plan
+	// Source is the logical node this one was bound from. At the root of
+	// a tree Bind returned it is the whole plan as bound: the caller's
+	// plan itself, or its column-pruned rewrite.
+	Source Plan
 
 	// KScan
 	Table string
@@ -69,8 +72,23 @@ type Bound struct {
 	fp string
 }
 
-// Bind resolves a logical plan against the database catalog.
+// Bind resolves a logical plan against the database catalog and returns
+// the column-pruned tree (see prune.go): every consumer — Eval, Stream,
+// the ivm compiler, EXPLAIN, Fingerprint — sees the one narrow tree.
 func Bind(db *relstore.DB, p Plan) (*Bound, error) {
+	b, err := bindPlan(db, p)
+	if err != nil {
+		return nil, err
+	}
+	narrow := prunePlan(b, allCols(b.Schema.Arity()))
+	if narrow == b.Source {
+		return b, nil
+	}
+	return bindPlan(db, narrow)
+}
+
+// bindPlan binds p exactly as written, node for node.
+func bindPlan(db *relstore.DB, p Plan) (*Bound, error) {
 	switch n := p.(type) {
 	case *Scan:
 		return bindScan(db, n)
@@ -110,7 +128,7 @@ func bindScan(db *relstore.DB, n *Scan) (*Bound, error) {
 }
 
 func bindSelect(db *relstore.DB, n *Select) (*Bound, error) {
-	child, err := Bind(db, n.Child)
+	child, err := bindPlan(db, n.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +140,7 @@ func bindSelect(db *relstore.DB, n *Select) (*Bound, error) {
 }
 
 func bindProject(db *relstore.DB, n *Project) (*Bound, error) {
-	child, err := Bind(db, n.Child)
+	child, err := bindPlan(db, n.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +161,11 @@ func bindProject(db *relstore.DB, n *Project) (*Bound, error) {
 }
 
 func bindJoin(db *relstore.DB, n *Join) (*Bound, error) {
-	left, err := Bind(db, n.Left)
+	left, err := bindPlan(db, n.Left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Bind(db, n.Right)
+	right, err := bindPlan(db, n.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +209,7 @@ func bindJoin(db *relstore.DB, n *Join) (*Bound, error) {
 }
 
 func bindGroupAgg(db *relstore.DB, n *GroupAgg) (*Bound, error) {
-	child, err := Bind(db, n.Child)
+	child, err := bindPlan(db, n.Child)
 	if err != nil {
 		return nil, err
 	}

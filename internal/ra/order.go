@@ -108,7 +108,7 @@ func CompareTuples(a, b relstore.Tuple, idx []int, desc []bool) int {
 }
 
 func bindOrderLimit(db *relstore.DB, n *OrderLimit) (*Bound, error) {
-	child, err := Bind(db, n.Child)
+	child, err := bindPlan(db, n.Child)
 	if err != nil {
 		return nil, err
 	}

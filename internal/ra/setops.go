@@ -47,11 +47,11 @@ func (d *Distinct) String() string { return fmt.Sprintf("Distinct(%s)", d.Child)
 // bindSetOperands binds both sides of a union/difference and checks that
 // the schemas are positionally compatible.
 func bindSetOperands(db *relstore.DB, left, right Plan, what string) (*Bound, *Bound, error) {
-	bl, err := Bind(db, left)
+	bl, err := bindPlan(db, left)
 	if err != nil {
 		return nil, nil, err
 	}
-	br, err := Bind(db, right)
+	br, err := bindPlan(db, right)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,7 +85,7 @@ func bindDiff(db *relstore.DB, n *Diff) (*Bound, error) {
 }
 
 func bindDistinct(db *relstore.DB, n *Distinct) (*Bound, error) {
-	child, err := Bind(db, n.Child)
+	child, err := bindPlan(db, n.Child)
 	if err != nil {
 		return nil, err
 	}

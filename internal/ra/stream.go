@@ -162,10 +162,11 @@ func streamJoin(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 	it := func(yield func(relstore.Tuple, int64) bool) {
 		table := make(map[string][]BagRow, buildSize)
 		var kbuf []byte
+		var arena tupleArena
 		right(func(t relstore.Tuple, n int64) bool {
 			kbuf = AppendKeyOf(kbuf[:0], t, rk)
 			if !rightOwned {
-				t = t.Clone()
+				t = arena.clone(t)
 			}
 			table[string(kbuf)] = append(table[string(kbuf)], BagRow{Tuple: t, N: n})
 			return true
@@ -189,6 +190,22 @@ func streamJoin(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 		})
 	}
 	return it, false, nil
+}
+
+// tupleArena copies unowned tuples a pipeline run must keep (a join's
+// build side under a projection) into shared chunks, one allocation per
+// chunk instead of one per row. Copies live as long as the run's state
+// that references them.
+type tupleArena struct{ free []relstore.Value }
+
+func (a *tupleArena) clone(t relstore.Tuple) relstore.Tuple {
+	if len(a.free) < len(t) {
+		a.free = make([]relstore.Value, max(1024, len(t)))
+	}
+	c := a.free[:len(t):len(t)]
+	a.free = a.free[len(t):]
+	copy(c, t)
+	return c
 }
 
 // streamGroupAgg is a pipeline breaker: it folds the child stream into

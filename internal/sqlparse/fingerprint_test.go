@@ -24,6 +24,13 @@ import (
 // change must bump the version prefixes and regenerate the golden file
 // (rerun this test with UPDATE_FINGERPRINTS=1).
 //
+// The bound fingerprint hashes the tree ra.Bind returns, which is the
+// column-pruned one: query3 and query4 (joins) were re-keyed, under the
+// same encoding, when Bind began inserting projections under join
+// inputs; query1 and query2 have no join and kept their values. Bound
+// fingerprints key in-memory view registries only, so a re-key of a
+// plan's tree costs nothing persisted.
+//
 // query4 and query4ranked deliberately share both fingerprints: ORDER BY
 // P DESC LIMIT 10 is result-level presentation (the ra.ResultSpec), not
 // plan structure, so the ranked query shares the unranked query's
