@@ -180,9 +180,10 @@
 // fixed evidence. UPDATE/DELETE predicates are resolved once against one
 // world and the resulting row-level ops are replayed on every chain, so
 // the chains' worlds never diverge. Resolution evaluates the predicate
-// inside an unordered scan and sorts only the matching RowIDs; the op
-// list is in ascending RowID order. Applied ops go through the same
-// row-keyed change log as the sampler's flips (see "The walk step"
+// inside a storage scan, which runs in ascending RowID order, as does the
+// op list; a top-level column = constant conjunct is tested on the
+// column vector before a row is materialized. Applied ops go through the
+// same row-keyed change log as the sampler's flips (see "The walk step"
 // below), so a row updated and updated back, or inserted and deleted,
 // within one batch nets to nothing.
 //
@@ -321,7 +322,8 @@
 //   - Ownership: Stream reports whether yielded tuples are owned
 //     (stable — safe to retain) or scratch buffers invalid after the
 //     yield returns. Retaining consumers must clone unowned tuples;
-//     they need to do so only on first insertion.
+//     they need to do so only on first insertion. Base scans are
+//     scratch: the store keeps columns and fills one tuple per row.
 //   - A yield may be called several times for one logical tuple
 //     (streams are bags, split emissions are legal); consumers fold
 //     counts. Returning false from yield stops the run early, and the
@@ -334,9 +336,9 @@
 //
 // # The walk step: proposals, scoring, the Δ log
 //
-// One Metropolis-Hastings step allocates nothing except the
-// copy-on-write row of a real flip (pinned by TestWalkAllocBudget and
-// internal/mcmc/testdata/alloc_budget.txt). Four contracts make that so:
+// One Metropolis-Hastings step allocates nothing, a real flip included
+// (pinned by TestWalkAllocBudget and
+// internal/mcmc/testdata/alloc_budget.txt). Five contracts make that so:
 //
 //   - mcmc.Proposer is two-phase. Propose(rng) hypothesizes a
 //     modification, returns its log score delta and log proposal ratio
@@ -354,18 +356,22 @@
 //     Scores sum the same factors in the same order as before. Scoring
 //     recompiles when Weights.Version has moved; compile explicitly
 //     before sharing a model between goroutines (exp.BuildNER does).
+//   - The store is columnar and its worlds share vectors copy-on-write
+//     (internal/relstore): a flip is Relation.SetCol, a store into the
+//     one column vector the chain owns, reached through a world.Field
+//     handle resolved once at bind time. No row is copied.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
-//     entry per row touched since the last Drain — the tuple the row
-//     had first, the tuple it has now — behind a map on the RowID;
-//     sampler flips go through a world.Field handle resolved once at
-//     bind time. Drain emits, per touched row whose latest tuple is not
-//     key-identical to its first, (old, −1) and (new, +1). A→B→A and
-//     insert-then-delete drain empty.
+//     entry per row touched since the last Drain — a copy, in a reused
+//     arena, of the tuple the row had first — behind a map on the
+//     RowID. Drain reads each touched row back from the store and
+//     emits, per row whose current tuple is not key-identical to its
+//     first, (old, −1) and (new, +1). A→B→A and insert-then-delete
+//     drain empty.
 //   - An ivm.BaseDelta returned by Drain is valid until the next Drain
-//     on that log. Its tuples are stable (the store replaces rows, never
-//     mutates them) and may be retained; the map and the row slices are
-//     reused. It is a plain list of signed rows, not a set: operators
-//     fold signed counts.
+//     on that log and no longer: containers and tuples alike sit in
+//     buffers the log zeroes and refills. Consumers clone the rows they
+//     keep (ivm's scan leaf reports them unowned). It is a plain list
+//     of signed rows, not a set: operators fold signed counts.
 //
 // The walk itself is unchanged by any of this: testdata/trajectory.txt
 // in internal/mcmc, internal/ie, internal/coref and internal/exp pin a
@@ -380,7 +386,7 @@
 //	internal/learn     SampleRank parameter estimation
 //	internal/ie        skip-chain NER model, corpus generator, proposer
 //	internal/coref     entity-resolution model (second workload)
-//	internal/relstore  the single-world relational store
+//	internal/relstore  the single-world store: column vectors, copy-on-write clones
 //	internal/ra        relational algebra: plans, binding, evaluation
 //	internal/sqlparse  SQL front end lowering to ra plans
 //	internal/ivm       incremental view maintenance over Δ⁻/Δ⁺ deltas

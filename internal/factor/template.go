@@ -57,7 +57,7 @@ func Unroll(rel *relstore.Relation, uncertainCol int, dom *Domain, templates ...
 	}
 	ug := &UnrolledGraph{Graph: NewGraph(), VarOf: make(map[relstore.RowID]*Var, rel.Len())}
 	var rows []RowBinding
-	rel.ScanSorted(func(id relstore.RowID, t relstore.Tuple) bool {
+	rel.Scan(func(id relstore.RowID, t relstore.Tuple) bool {
 		v := ug.Graph.AddVar(fmt.Sprintf("%s[%d].%s", rel.Schema().Name, id, rel.Schema().Cols[uncertainCol].Name), dom)
 		// Initialize the variable from the field's current value when it
 		// is in the domain.
@@ -65,7 +65,7 @@ func Unroll(rel *relstore.Relation, uncertainCol int, dom *Domain, templates ...
 			v.Val = i
 		}
 		ug.VarOf[id] = v
-		rows = append(rows, RowBinding{Row: id, Tuple: t, Var: v})
+		rows = append(rows, RowBinding{Row: id, Tuple: t.Clone(), Var: v})
 		return true
 	})
 	for _, tpl := range templates {

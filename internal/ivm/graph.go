@@ -42,8 +42,8 @@ func NewGraph() *Graph {
 // ownership, and retaining consumers clone unowned tuples on first
 // insert exactly as they would under a private tree. A shared node
 // records the round's emissions while forwarding them to its first
-// consumer (cloning unowned tuples once, into the reusable memo) and
-// replays the recording to the others. The reference count only changes
+// consumer (copying unowned tuples once, into an arena it reuses round
+// after round) and replays the recording to the others. The reference count only changes
 // in Mount and Unmount, which run between rounds, so one round never
 // mixes the two regimes.
 type graphNode struct {
@@ -54,6 +54,7 @@ type graphNode struct {
 	refs  int
 	round uint64
 	memo  []ra.BagRow
+	arena []relstore.Value // this round's copies of unowned memo tuples
 }
 
 func (n *graphNode) owned() bool { return n.inner.owned() }
@@ -74,11 +75,14 @@ func (n *graphNode) apply(d BaseDelta, emit emitFn) {
 		}
 		return
 	}
-	n.memo = n.memo[:0]
+	n.memo, n.arena = n.memo[:0], n.arena[:0]
 	clone := !n.inner.owned()
 	n.inner.apply(d, func(t relstore.Tuple, c int64) {
 		if clone {
-			t = t.Clone()
+			// Growing the arena leaves earlier copies where they are.
+			mark := len(n.arena)
+			n.arena = append(n.arena, t...)
+			t = n.arena[mark:len(n.arena):len(n.arena)]
 		}
 		n.memo = append(n.memo, ra.BagRow{Tuple: t, N: c})
 		emit(t, c)

@@ -420,9 +420,12 @@ func canaryCompile(b *ra.Bound) (op, error) {
 
 // TestNoConsumerKeepsAnUnownedTuple runs every retaining consumer — join
 // sides, difference and distinct state, the top-k buffer, MIN/MAX value
-// sets, view results, a shared node's memo — over canary producers, in a
-// private tree and in a graph whose nodes are shared and unshared, and
-// holds each view to the fresh evaluation.
+// sets, view results, a shared node's memo — over canary producers, the
+// scan leaves included, in a private tree and in a graph whose nodes are
+// shared and unshared, scribbles over each base delta once its round is
+// over (as the change log that drained it would), and holds each view to
+// the fresh evaluation. internal/ra's TestNoLayerKeepsAScratchTuple does
+// the same with the store's own scratch tuples and a real change log.
 func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 	str := ra.C("T2", "STRING")
 	plans := append(joinSharers(),
@@ -489,6 +492,12 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 		for _, s := range subjects {
 			s.private.Apply(d)
 			s.shared.Apply(d)
+		}
+		// The round is over: a change log would now take its arena back.
+		for _, r := range d["TOKEN"] {
+			for i := range r.Tuple {
+				r.Tuple[i] = relstore.String("canary")
+			}
 		}
 		check()
 	}

@@ -41,8 +41,9 @@ import (
 // either sign, and every operator folds signed counts.
 //
 // A delta handed out by world.ChangeLog.Drain is valid until the next
-// Drain on that log: the tuples are stable for good (relations replace
-// rows, never mutate them), but the containers are reused.
+// Drain on that log and no longer: containers and tuples alike sit in
+// buffers the log reuses. An operator that keeps a delta row past the
+// round clones it (scanOp reports its emissions unowned).
 type BaseDelta map[string]Rows
 
 // Rows is one relation's share of a BaseDelta.
@@ -55,7 +56,8 @@ func (r Rows) Len() int { return len(r) }
 func NewBaseDelta() BaseDelta { return make(BaseDelta) }
 
 // Add records a signed change of n copies of row in the named relation.
-// The tuple is not copied; callers must not mutate it afterwards.
+// The tuple is not copied; callers must not mutate it while the delta is
+// in use.
 func (d BaseDelta) Add(rel string, row relstore.Tuple, n int64) {
 	if n != 0 {
 		d[rel] = append(d[rel], ra.BagRow{Tuple: row, N: n})
@@ -215,13 +217,15 @@ func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 // ---- scan ----
 
 // scanOp forwards base deltas for its table. It keeps no state: consumers
-// that need current contents (joins) maintain their own. Relation rows and
-// delta rows are both stable, so scans own their emissions.
+// that need current contents (joins) maintain their own. Neither kind of
+// row outlives its emit: the store scans through one scratch tuple, and
+// a delta's tuples belong to the change log that drained it, until its
+// next Drain. So scans do not own their emissions.
 type scanOp struct {
 	b *ra.Bound
 }
 
-func (o *scanOp) owned() bool { return true }
+func (o *scanOp) owned() bool { return false }
 
 func (o *scanOp) init(emit emitFn) error {
 	o.b.Rel.Scan(func(_ relstore.RowID, t relstore.Tuple) bool {

@@ -41,8 +41,8 @@ func buildTokenDB(n int, seed int64) (*relstore.DB, *relstore.Relation, []relsto
 func flipLabel(rng *rand.Rand, tok *relstore.Relation, ids []relstore.RowID, d BaseDelta) {
 	id := ids[rng.Intn(len(ids))]
 	newLabel := labels[rng.Intn(len(labels))]
-	old, err := tok.UpdateCol(id, 3, relstore.String(newLabel))
-	if err != nil {
+	old, _ := tok.Get(id)
+	if err := tok.SetCol(id, 3, relstore.String(newLabel)); err != nil {
 		panic(err)
 	}
 	cur, _ := tok.Get(id)
@@ -50,7 +50,7 @@ func flipLabel(rng *rand.Rand, tok *relstore.Relation, ids []relstore.RowID, d B
 		return // no-op flip: no delta
 	}
 	d.Add("TOKEN", old, -1)
-	d.Add("TOKEN", cur.Clone(), 1)
+	d.Add("TOKEN", cur, 1)
 }
 
 // checkAgainstFullEval drives a view with random flip batches and verifies
@@ -295,14 +295,14 @@ func TestCancellingDeltaProducesNoChange(t *testing.T) {
 	id := ids[0]
 	old, _ := tok.Get(id)
 	oldLabel := old[3]
-	tok.UpdateCol(id, 3, relstore.String("B-PER"))
+	tok.SetCol(id, 3, relstore.String("B-PER"))
 	mid, _ := tok.Get(id)
-	d.Add("TOKEN", old.Clone(), -1)
-	d.Add("TOKEN", mid.Clone(), 1)
-	tok.UpdateCol(id, 3, oldLabel)
+	d.Add("TOKEN", old, -1)
+	d.Add("TOKEN", mid, 1)
+	tok.SetCol(id, 3, oldLabel)
 	cur, _ := tok.Get(id)
-	d.Add("TOKEN", mid.Clone(), -1)
-	d.Add("TOKEN", cur.Clone(), 1)
+	d.Add("TOKEN", mid, -1)
+	d.Add("TOKEN", cur, 1)
 	dout := applyDiff(view, d)
 	if dout.Len() != 0 {
 		t.Errorf("cancelling delta produced output changes: %v", dump(dout))
@@ -313,8 +313,8 @@ func TestCancellingDeltaProducesNoChange(t *testing.T) {
 // records the pure deletion (no matching insertion) in d.
 func deleteRow(rng *rand.Rand, tok *relstore.Relation, ids []relstore.RowID, d BaseDelta) []relstore.RowID {
 	i := rng.Intn(len(ids))
-	old, err := tok.Delete(ids[i])
-	if err != nil {
+	old, _ := tok.Get(ids[i])
+	if err := tok.Delete(ids[i]); err != nil {
 		panic(err)
 	}
 	d.Add("TOKEN", old, -1)

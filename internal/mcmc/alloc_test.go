@@ -37,8 +37,8 @@ func allocBudget(t *testing.T) map[string]float64 {
 // TestWalkAllocBudget is the allocation gate of the Metropolis-Hastings
 // loop (testdata/alloc_budget.txt): proposing allocates nothing, so a
 // rejected or no-op proposal is free; committing a real flip and draining
-// its Δ costs the copy-on-write row and nothing else; and a whole
-// materialized sample stays under a pinned ceiling. Allocation counts are
+// its Δ allocates nothing either, once the log's buffers are at size; and
+// a whole materialized sample stays under a pinned ceiling. Allocation counts are
 // deterministic, so this is a gate, not a trend.
 func TestWalkAllocBudget(t *testing.T) {
 	if testing.Short() {

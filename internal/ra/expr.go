@@ -2,6 +2,7 @@ package ra
 
 import (
 	"fmt"
+	"slices"
 
 	"factordb/internal/relstore"
 )
@@ -302,4 +303,55 @@ func BindPredicate(sch *RowSchema, e Expr) (BExpr, error) {
 		return nil, fmt.Errorf("ra: predicate %s is %v, want BOOL", e, t)
 	}
 	return b, nil
+}
+
+// ScanFilter turns a bound scan predicate (nil: none) into the arguments
+// of relstore.ScanWhere: a top-level `column = constant` conjunct, which
+// the store tests on the column vector before it materializes the row
+// (eqCol is -1 when the predicate has none), and keep, which evaluates
+// whatever else the predicate says (nil when nothing is left). Together
+// they accept exactly the rows pred does.
+func ScanFilter(pred BExpr) (eqCol int, eqVal relstore.Value, keep func(relstore.Tuple) bool) {
+	if pred == nil {
+		return -1, relstore.Value{}, nil
+	}
+	eqCol, eqVal, rest := splitPoint(pred)
+	if rest != nil {
+		keep = func(t relstore.Tuple) bool { return rest.Eval(t).AsBool() }
+	}
+	return eqCol, eqVal, keep
+}
+
+// splitPoint takes the first `column = constant` conjunct, in either
+// operand order, off the top level of pred. col is -1 and rest is pred
+// when there is none; rest is nil when the conjunct was all of pred.
+func splitPoint(pred BExpr) (col int, val relstore.Value, rest BExpr) {
+	terms := []BExpr{pred}
+	if and, ok := pred.(boundAnd); ok {
+		terms = and.terms
+	}
+	for i, t := range terms {
+		cmp, ok := t.(boundCmp)
+		if !ok || cmp.op != OpEq {
+			continue
+		}
+		l, r := cmp.l, cmp.r
+		if _, isCol := l.(boundCol); !isCol {
+			l, r = r, l
+		}
+		c, cok := l.(boundCol)
+		k, kok := r.(boundConst)
+		if !cok || !kok {
+			continue
+		}
+		switch others := slices.Delete(slices.Clone(terms), i, i+1); len(others) {
+		case 0:
+		case 1:
+			rest = others[0]
+		default:
+			rest = boundAnd{others}
+		}
+		return c.idx, k.v, rest
+	}
+	return -1, relstore.Value{}, pred
 }

@@ -88,8 +88,8 @@ func (w *pruneWorld) insert(d ivm.BaseDelta) {
 
 func (w *pruneWorld) remove(d ivm.BaseDelta) {
 	i := w.rng.Intn(len(w.ids))
-	old, err := w.tok.Delete(w.ids[i])
-	if err != nil {
+	old, _ := w.tok.Get(w.ids[i])
+	if err := w.tok.Delete(w.ids[i]); err != nil {
 		panic(err)
 	}
 	w.ids = append(w.ids[:i], w.ids[i+1:]...)
@@ -98,8 +98,8 @@ func (w *pruneWorld) remove(d ivm.BaseDelta) {
 
 func (w *pruneWorld) relabel(d ivm.BaseDelta) {
 	id := w.ids[w.rng.Intn(len(w.ids))]
-	old, err := w.tok.UpdateCol(id, 3, relstore.String(pruneLabels[w.rng.Intn(len(pruneLabels))]))
-	if err != nil {
+	old, _ := w.tok.Get(id)
+	if err := w.tok.SetCol(id, 3, relstore.String(pruneLabels[w.rng.Intn(len(pruneLabels))])); err != nil {
 		panic(err)
 	}
 	cur, _ := w.tok.Get(id)

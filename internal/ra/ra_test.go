@@ -275,7 +275,7 @@ func TestQuery3Lowering(t *testing.T) {
 		}
 		return true
 	})
-	if _, err := tok.UpdateCol(target, 3, relstore.String("O")); err != nil {
+	if err := tok.SetCol(target, 3, relstore.String("O")); err != nil {
 		t.Fatal(err)
 	}
 	bag = mustEval(t, db, p)
@@ -352,5 +352,57 @@ func TestBagAlgebra(t *testing.T) {
 	}
 	if b.Equal(c) {
 		t.Error("bags with different counts must differ")
+	}
+}
+
+// TestScanFilter: a top-level `column = constant` conjunct comes off a
+// bound predicate in either operand order, the rest keeps its meaning,
+// and anything else — other operators, column = column, a disjunction —
+// is left where it is.
+func TestScanFilter(t *testing.T) {
+	sch := &RowSchema{Cols: []OutCol{
+		{Ref: C("T", "ID"), Type: relstore.TInt},
+		{Ref: C("T", "S"), Type: relstore.TString},
+		{Ref: C("T", "N"), Type: relstore.TInt},
+	}}
+	id, s, n := Col(C("T", "ID")), Col(C("T", "S")), Col(C("T", "N"))
+	five, x := Const(relstore.Int(5)), Const(relstore.String("x"))
+	rows := []relstore.Tuple{
+		{relstore.Int(5), relstore.String("x"), relstore.Int(5)},
+		{relstore.Int(5), relstore.String("y"), relstore.Int(7)},
+		{relstore.Int(6), relstore.String("x"), relstore.Int(6)},
+	}
+	cases := []struct {
+		pred    Expr
+		col     int
+		hasRest bool
+	}{
+		{Eq(id, five), 0, false},
+		{Eq(five, id), 0, false},
+		{And(Cmp(OpLt, n, Const(relstore.Int(7))), Eq(x, s), Eq(id, five)), 1, true},
+		{And(Eq(s, x), Cmp(OpGe, n, five)), 1, true},
+		{Cmp(OpNe, id, five), -1, true},
+		{Eq(id, n), -1, true},
+		{Or(Eq(id, five), Eq(s, x)), -1, true},
+		{And(Eq(id, n), Or(Eq(id, five), Eq(s, x))), -1, true},
+	}
+	if col, _, keep := ScanFilter(nil); col != -1 || keep != nil {
+		t.Errorf("ScanFilter(nil) = column %d, rest present %v", col, keep != nil)
+	}
+	for _, c := range cases {
+		pred, err := BindPredicate(sch, c.pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, val, keep := ScanFilter(pred)
+		if col != c.col || (keep != nil) != c.hasRest {
+			t.Errorf("%s: ScanFilter = column %d, rest present %v; want column %d, rest present %v", c.pred, col, keep != nil, c.col, c.hasRest)
+		}
+		for _, row := range rows {
+			got := (col < 0 || row[col].Equal(val)) && (keep == nil || keep(row))
+			if want := pred.Eval(row).AsBool(); got != want {
+				t.Errorf("%s on %v: split predicate says %v, whole predicate %v", c.pred, row, got, want)
+			}
+		}
 	}
 }

@@ -21,8 +21,9 @@ import (
 //     surviving a filter), and consumers that need net multiplicities
 //     must fold. Multiplicities on the evaluation path are positive.
 //   - A yielded tuple is only valid until yield returns unless the
-//     pipeline was compiled with owned=true: operators that build rows
-//     (projections, join concatenation) reuse one scratch buffer across
+//     pipeline was compiled with owned=true: base scans (the store
+//     materializes each row into one scratch tuple) and operators that
+//     build rows (projections, join concatenation) reuse a buffer across
 //     calls. Consumers that retain tuples past the call must Clone them
 //     when owned is false.
 //   - yield returning false stops the pipeline; the iterator returns
@@ -60,7 +61,7 @@ func compileStream(b *Bound) (Iterator, bool, error) {
 func compileNode(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 	switch b.Kind {
 	case KScan:
-		return streamScan(b), true, nil
+		return streamScan(b), false, nil
 	case KSelect:
 		return streamSelect(b, compile)
 	case KProject:
@@ -82,23 +83,17 @@ func compileNode(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 }
 
 // streamScan yields the relation's rows, applying a fused scan filter (a
-// selection pushed all the way into the storage layer) when present.
-// Relation rows are stable — updates replace tuples, never mutate them —
-// so scans are owned.
+// selection pushed all the way into the storage layer) when present: a
+// `column = constant` conjunct is tested on the column vector, the rest
+// on the materialized row. The store refills one scratch tuple per row,
+// so scans are not owned.
 func streamScan(b *Bound) Iterator {
-	rel, pred := b.Rel, b.Pred
-	if pred == nil {
-		return func(yield func(relstore.Tuple, int64) bool) {
-			rel.Scan(func(_ relstore.RowID, t relstore.Tuple) bool {
-				return yield(t, 1)
-			})
-		}
-	}
+	rel := b.Rel
+	col, val, keep := ScanFilter(b.Pred)
 	return func(yield func(relstore.Tuple, int64) bool) {
-		rel.ScanWhere(
-			func(t relstore.Tuple) bool { return pred.Eval(t).AsBool() },
-			func(_ relstore.RowID, t relstore.Tuple) bool { return yield(t, 1) },
-		)
+		rel.ScanWhere(col, val, keep, func(_ relstore.RowID, t relstore.Tuple) bool {
+			return yield(t, 1)
+		})
 	}
 }
 

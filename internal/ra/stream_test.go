@@ -21,7 +21,7 @@ func matEval(b *Bound) (*Bag, error) {
 	case KScan:
 		out := NewBag(b.Schema)
 		b.Rel.Scan(func(_ relstore.RowID, t relstore.Tuple) bool {
-			out.Add(t, 1)
+			out.Add(t.Clone(), 1)
 			return true
 		})
 		if b.Pred != nil { // fused scan filter (pushed trees only)

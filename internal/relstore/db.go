@@ -66,7 +66,9 @@ func (db *DB) Names() []string {
 	return out
 }
 
-// Clone deep-copies the whole database: an identical possible world.
+// Clone returns an identical, independent possible world. The two share
+// every column vector until one of them writes to it (see Relation), so
+// the cost does not depend on the number of rows.
 func (db *DB) Clone() *DB {
 	c := NewDB()
 	for n, r := range db.rels {

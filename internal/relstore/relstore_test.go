@@ -1,7 +1,10 @@
 package relstore
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,32 +151,45 @@ func TestRelationCRUD(t *testing.T) {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 
-	old, err := r.UpdateCol(id, 3, String("B-ORG"))
-	if err != nil {
-		t.Fatalf("UpdateCol: %v", err)
+	if err := r.SetCol(id, 3, String("B-ORG")); err != nil {
+		t.Fatalf("SetCol: %v", err)
 	}
-	if old[3].AsString() != "O" {
-		t.Errorf("old label = %q, want O", old[3].AsString())
+	if got[3].AsString() != "O" {
+		t.Errorf("a tuple from Get changed under a later write: label = %q", got[3].AsString())
 	}
-	got, _ = r.Get(id)
-	if got[3].AsString() != "B-ORG" {
-		t.Errorf("new label = %q, want B-ORG", got[3].AsString())
+	if v, ok := r.GetCol(id, 3); !ok || v.AsString() != "B-ORG" {
+		t.Errorf("GetCol = %v, %v, want B-ORG", v, ok)
+	}
+	if err := errors.Join(r.SetCol(id, 0, Int(2)), r.SetCol(id, 2, String("Intel"))); err != nil {
+		t.Fatalf("SetCol: %v", err)
+	}
+	if got, _ = r.Get(id); !got.Identical(Tuple{Int(2), Int(1), String("Intel"), String("B-ORG")}) {
+		t.Errorf("after SetCol of columns 0 and 2: %v", got)
 	}
 
-	if _, err := r.Delete(id); err != nil {
+	if err := r.Delete(id); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if r.Len() != 0 {
 		t.Errorf("Len after delete = %d", r.Len())
 	}
-	if _, err := r.Delete(id); err == nil {
-		t.Error("double delete: want error")
+	if _, ok := r.Get(id); ok {
+		t.Error("Get of a deleted row succeeded")
 	}
-	if _, err := r.Update(id, got); err == nil {
-		t.Error("update of deleted row: want error")
+	if _, ok := r.GetCol(id, 0); ok {
+		t.Error("GetCol of a deleted row succeeded")
 	}
-	if _, err := r.UpdateCol(id, 3, String("O")); err == nil {
-		t.Error("UpdateCol of deleted row: want error")
+	for name, err := range map[string]error{
+		"Delete": r.Delete(id), "SetCol": r.SetCol(id, 3, String("O")),
+		"SetCol of a row never inserted": r.SetCol(7, 3, String("O")), "Delete of a negative id": r.Delete(-1),
+	} {
+		if !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s on a missing row = %v, want ErrNotFound", name, err)
+		}
+	}
+	// The id of a deleted row is not handed out again.
+	if nid, _ := r.Insert(got); nid == id {
+		t.Error("Insert reused the id of a deleted row")
 	}
 }
 
@@ -188,101 +204,116 @@ func TestInsertCopiesTuple(t *testing.T) {
 	}
 }
 
-func TestIndexMaintenance(t *testing.T) {
-	r := NewRelation(tokenSchema(t))
-	if err := r.CreateIndex("LABEL"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	var ids []RowID
-	for i := 0; i < 10; i++ {
-		lbl := "O"
-		if i%3 == 0 {
-			lbl = "B-PER"
+// TestFloatColumnKeepsIntKind: a FLOAT column takes integers, and they
+// come back as integers — Int(1) and Float(1) key differently, so the
+// store may not fold one into the other.
+func TestFloatColumnKeepsIntKind(t *testing.T) {
+	r := NewRelation(MustSchema("M", Column{"X", TFloat}))
+	vals := []Value{Int(1), Float(1), Float(math.Copysign(0, -1)), Int(math.MaxInt64), Float(math.Inf(1)), Float(2.5)}
+	for _, v := range vals {
+		if _, err := r.Insert(Tuple{v}); err != nil {
+			t.Fatal(err)
 		}
-		id, _ := r.Insert(Tuple{Int(int64(i)), Int(1), String("w"), String(lbl)})
-		ids = append(ids, id)
 	}
-	got, err := r.Lookup("LABEL", String("B-PER"))
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
+	for i, v := range vals {
+		if got, _ := r.GetCol(RowID(i), 0); !(Tuple{got}).Identical(Tuple{v}) {
+			t.Errorf("row %d: stored %#v, read %#v", i, v, got)
+		}
 	}
-	if len(got) != 4 {
-		t.Fatalf("Lookup B-PER = %d rows, want 4", len(got))
+	r.SetCol(0, 0, Float(1))
+	r.SetCol(1, 0, Int(1))
+	if a, _ := r.GetCol(0, 0); a.Kind() != TFloat {
+		t.Errorf("Int(1) overwritten with Float(1) reads back as %v", a.Kind())
 	}
-	// Flip one away and one toward B-PER; index must track.
-	if _, err := r.UpdateCol(ids[0], 3, String("O")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.UpdateCol(ids[1], 3, String("B-PER")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = r.Lookup("LABEL", String("B-PER"))
-	if len(got) != 4 {
-		t.Fatalf("after updates Lookup B-PER = %d rows, want 4", len(got))
-	}
-	if _, err := r.Delete(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = r.Lookup("LABEL", String("B-PER"))
-	if len(got) != 3 {
-		t.Fatalf("after delete Lookup B-PER = %d rows, want 3", len(got))
+	if b, _ := r.GetCol(1, 0); b.Kind() != TInt {
+		t.Errorf("Float(1) overwritten with Int(1) reads back as %v", b.Kind())
 	}
 }
 
-func TestIndexCreatedAfterInsertsMatchesScan(t *testing.T) {
-	r := NewRelation(tokenSchema(t))
-	rng := rand.New(rand.NewSource(7))
-	labels := []string{"O", "B-PER", "I-PER", "B-ORG"}
+// TestScanWhereMatchesEqual: the equality ScanWhere tests on the column
+// vector accepts exactly the rows Value.Equal does, for every column type
+// and for constants of the column's own and of a comparable kind.
+func TestScanWhereMatchesEqual(t *testing.T) {
+	r := NewRelation(MustSchema("MIX",
+		Column{"I", TInt}, Column{"F", TFloat}, Column{"S", TString}, Column{"B", TBool}))
+	rng := rand.New(rand.NewSource(5))
+	num := func() Value {
+		if rng.Intn(2) == 0 {
+			return Int(int64(rng.Intn(3)))
+		}
+		return Float(float64(rng.Intn(6)) / 2)
+	}
 	for i := 0; i < 200; i++ {
-		r.Insert(Tuple{Int(int64(i)), Int(int64(i / 10)), String("w"), String(labels[rng.Intn(len(labels))])})
+		if _, err := r.Insert(Tuple{Int(int64(rng.Intn(3))), num(), String([]string{"a", "b", ""}[rng.Intn(3)]), Bool(rng.Intn(2) == 0)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.CreateIndex("LABEL"); err != nil {
-		t.Fatal(err)
+	for id := RowID(0); id < 200; id += 9 {
+		r.Delete(id)
 	}
-	for _, lbl := range labels {
-		viaIndex, _ := r.Lookup("LABEL", String(lbl))
-		want := 0
-		r.Scan(func(_ RowID, t Tuple) bool {
-			if t[3].AsString() == lbl {
-				want++
+	consts := []Value{Int(0), Int(2), Float(1), Float(0.5), String("a"), String(""), Bool(true), Bool(false)}
+	odd := func(t Tuple) bool { return t[0].AsInt()%2 == 1 }
+	for col := range r.Schema().Cols {
+		for _, k := range consts {
+			for _, keep := range []func(Tuple) bool{nil, odd} {
+				var want, got []RowID
+				r.Scan(func(id RowID, t Tuple) bool {
+					if t[col].Equal(k) && (keep == nil || keep(t)) {
+						want = append(want, id)
+					}
+					return true
+				})
+				r.ScanWhere(col, k, keep, func(id RowID, t Tuple) bool {
+					if !t[col].Equal(k) {
+						panic("ScanWhere handed out a row that fails its equality")
+					}
+					got = append(got, id)
+					return true
+				})
+				if !slices.Equal(got, want) {
+					t.Errorf("column %d = %v (keep %v): ScanWhere %v, Scan+Equal %v", col, k, keep != nil, got, want)
+				}
 			}
-			return true
-		})
-		if len(viaIndex) != want {
-			t.Errorf("label %s: index %d rows, scan %d", lbl, len(viaIndex), want)
 		}
 	}
 }
 
-func TestLookupWithoutIndex(t *testing.T) {
-	r := NewRelation(tokenSchema(t))
-	r.Insert(Tuple{Int(1), Int(1), String("IBM"), String("B-ORG")})
-	r.Insert(Tuple{Int(2), Int(1), String("saw"), String("O")})
-	got, err := r.Lookup("STRING", String("IBM"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("unindexed Lookup = %d rows, want 1", len(got))
-	}
-	if _, err := r.Lookup("NOPE", Int(1)); err == nil {
-		t.Error("Lookup on missing column: want error")
-	}
-}
-
-func TestScanSortedDeterministic(t *testing.T) {
+// TestScanOrderAndScratch: scans run in ascending RowID order over the
+// live rows, and the tuple they hand out is scratch — refilled per row,
+// zeroed once the scan is over.
+func TestScanOrderAndScratch(t *testing.T) {
 	r := NewRelation(tokenSchema(t))
 	for i := 0; i < 50; i++ {
 		r.Insert(Tuple{Int(int64(i)), Int(0), String("w"), String("O")})
 	}
-	var prev RowID = -1
-	r.ScanSorted(func(id RowID, _ Tuple) bool {
-		if id <= prev {
-			t.Fatalf("ScanSorted out of order: %d after %d", id, prev)
+	r.Delete(0)
+	r.Delete(17)
+	r.Delete(49)
+	for name, scan := range map[string]func(func(RowID, Tuple) bool){"Scan": r.Scan, "ScanSorted": r.ScanSorted} {
+		var prev RowID = -1
+		var kept []Tuple
+		n := 0
+		scan(func(id RowID, tu Tuple) bool {
+			if id <= prev {
+				t.Fatalf("%s out of order: %d after %d", name, id, prev)
+			}
+			if tu[0].AsInt() != int64(id) {
+				t.Fatalf("%s: row %d carries TOK_ID %d", name, id, tu[0].AsInt())
+			}
+			prev = id
+			kept = append(kept, tu)
+			n++
+			return true
+		})
+		if n != 47 || n != r.Len() {
+			t.Errorf("%s visited %d rows, Len %d, want 47", name, n, r.Len())
 		}
-		prev = id
-		return true
-	})
+		for _, tu := range kept {
+			if !tu.Identical(Tuple{Int(0), Int(0), Int(0), Int(0)}) {
+				t.Fatalf("%s: a tuple kept past the scan still reads %v", name, tu)
+			}
+		}
+	}
 }
 
 func TestScanEarlyStop(t *testing.T) {
@@ -294,36 +325,6 @@ func TestScanEarlyStop(t *testing.T) {
 	r.Scan(func(RowID, Tuple) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Errorf("Scan visited %d rows after early stop, want 3", n)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	db := NewDB()
-	r := db.MustCreate(tokenSchema(t))
-	r.CreateIndex("LABEL")
-	id, _ := r.Insert(Tuple{Int(1), Int(1), String("IBM"), String("O")})
-
-	c := db.Clone()
-	cr, err := c.Relation("TOKEN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cr.UpdateCol(id, 3, String("B-ORG")); err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := r.Get(id)
-	if orig[3].AsString() != "O" {
-		t.Error("mutating clone changed original")
-	}
-	// Clone preserved indexes.
-	ids, _ := cr.Lookup("LABEL", String("B-ORG"))
-	if len(ids) != 1 {
-		t.Errorf("clone index lookup = %d rows, want 1", len(ids))
-	}
-	// Clone continues RowID sequence without collisions.
-	nid, _ := cr.Insert(Tuple{Int(2), Int(1), String("x"), String("O")})
-	if nid == id {
-		t.Error("clone reused a RowID")
 	}
 }
 
@@ -352,13 +353,13 @@ func TestDBCatalog(t *testing.T) {
 	}
 }
 
-func TestUpdateColValidation(t *testing.T) {
+func TestSetColValidation(t *testing.T) {
 	r := NewRelation(tokenSchema(t))
 	id, _ := r.Insert(Tuple{Int(1), Int(1), String("IBM"), String("O")})
-	if _, err := r.UpdateCol(id, 3, Int(5)); err == nil {
-		t.Error("type-violating UpdateCol: want error")
+	if err := r.SetCol(id, 3, Int(5)); err == nil {
+		t.Error("type-violating SetCol: want error")
 	}
-	if _, err := r.UpdateCol(id, 99, String("x")); err == nil {
+	if err := r.SetCol(id, 99, String("x")); err == nil {
 		t.Error("out-of-range column: want error")
 	}
 	got, _ := r.Get(id)

@@ -1,9 +1,6 @@
 package relstore
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Column describes one attribute of a relation schema.
 type Column struct {
@@ -130,8 +127,7 @@ func (t Tuple) Identical(o Tuple) bool {
 		return true
 	}
 	for i := range t {
-		a, b := &t[i], &o[i]
-		if a.kind != b.kind || a.i != b.i || a.s != b.s || math.Float64bits(a.f) != math.Float64bits(b.f) {
+		if !t[i].identical(o[i]) {
 			return false
 		}
 	}

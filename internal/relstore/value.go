@@ -1,12 +1,30 @@
 // Package relstore implements the in-memory relational storage engine that
-// holds the single possible world of the probabilistic database. It provides
-// typed schemas, bag relations with stable row identifiers, primary keys and
-// secondary hash indexes, and whole-database snapshots (used to run parallel
-// MCMC chains over identical initial worlds).
+// holds the single possible world of the probabilistic database: typed
+// schemas, bag relations with stable row identifiers, and whole-database
+// snapshots.
 //
 // The engine plays the role that Apache Derby played in the paper: a plain
 // deterministic DBMS that always stores exactly one world, treated as a black
 // box by the sampler.
+//
+// A relation is stored by column: one typed vector per attribute ([]int64
+// for INT, BOOL and the bits of a FLOAT, []string for STRING) indexed by
+// row slot, and a bitmap of the slots that hold live rows. RowIDs count up
+// and are never reused, so a row sits in the slot of its id, a delete
+// leaves a tombstone, and every scan runs in ascending RowID order. There
+// are no row objects: Get builds a tuple, a scan refills one scratch tuple
+// per row (the callback clones what it keeps), and SetCol — the MCMC
+// sampler's flip — is a store into one vector.
+//
+// Worlds are shared copy-on-write at column granularity. Clone hands the
+// new world the same vectors and marks them shared; a shared vector is
+// never written again, and whichever world writes to it first copies it
+// and carries on with its own. Inference hypothesises modifications to one
+// stored world rather than generating worlds: the prototype, every chain,
+// the durable store's shadow and its checkpoints hold one copy of the
+// evidence columns between them, and a chain privately owns just the
+// hidden column it flips. Reads of a world, Clone included, may run
+// concurrently; writing one needs it exclusively.
 package relstore
 
 import (
@@ -108,6 +126,12 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
+// identical reports whether v and o encode to the same key: same kind,
+// same payload bits (see Tuple.Identical).
+func (v Value) identical(o Value) bool {
+	return v.kind == o.kind && v.i == o.i && v.s == o.s && math.Float64bits(v.f) == math.Float64bits(o.f)
+}
+
 // Less imposes a total order within a type (numeric across TInt/TFloat).
 // Values of different non-numeric kinds order by kind.
 func (v Value) Less(o Value) bool {
@@ -177,5 +201,5 @@ func (v Value) appendKey(dst []byte) []byte {
 func (v Value) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
 
 // Key returns an injective string encoding of the value, suitable for use
-// as a map key (for example in hash indexes and multiset counters).
+// as a map key (for example in multiset counters).
 func (v Value) Key() string { return string(v.appendKey(nil)) }

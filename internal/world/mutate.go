@@ -2,7 +2,6 @@ package world
 
 import (
 	"fmt"
-	"slices"
 
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
@@ -162,7 +161,8 @@ func resolveDelete(rel *relstore.Relation, m *ra.Delete) ([]Op, error) {
 }
 
 // matchRows returns the rows satisfying where (nil = all rows) in
-// ascending RowID order, so resolved op lists are deterministic.
+// ascending RowID order — scan order — so resolved op lists are
+// deterministic.
 func matchRows(rel *relstore.Relation, alias string, where ra.Expr) ([]relstore.RowID, error) {
 	sch := rel.Schema()
 	if alias == "" {
@@ -180,20 +180,14 @@ func matchRows(rel *relstore.Relation, alias string, where ra.Expr) ([]relstore.
 			return nil, err
 		}
 	}
-	// The predicate runs inside an unordered scan; only the matches are
-	// sorted, so a selective statement does not pay for ordering the
-	// whole relation.
+	// A `column = constant` conjunct — the usual shape of a write — is
+	// tested on the column vector; only the rest needs the row.
+	col, val, keep := ra.ScanFilter(pred)
 	var ids []relstore.RowID
-	collect := func(id relstore.RowID, _ relstore.Tuple) bool {
+	rel.ScanWhere(col, val, keep, func(id relstore.RowID, _ relstore.Tuple) bool {
 		ids = append(ids, id)
 		return true
-	}
-	if pred == nil {
-		rel.Scan(collect)
-	} else {
-		rel.ScanWhere(func(t relstore.Tuple) bool { return pred.Eval(t).AsBool() }, collect)
-	}
-	slices.Sort(ids)
+	})
 	return ids, nil
 }
 
@@ -240,45 +234,50 @@ func (l *ChangeLog) Insert(rel string, t relstore.Tuple) (relstore.RowID, error)
 	if err != nil {
 		return 0, err
 	}
-	now, _ := rl.rel.Get(id)
-	rl.record(id, nil, now)
+	rl.add(id, -1)
 	l.updates++
 	return id, nil
 }
 
 // UpdateFields assigns several columns of one row at once, recording the
 // old tuple in Δ⁻ and the new one in Δ⁺ (a no-op when nothing changes).
-// ref.Col is ignored; cols carries the column positions.
+// ref.Col is ignored; cols carries the column positions. Nothing is
+// written unless every assignment is valid.
 func (l *ChangeLog) UpdateFields(ref FieldRef, cols []int, vals []relstore.Value) error {
 	rl, err := l.relation(ref.Rel)
 	if err != nil {
 		return err
 	}
 	r := rl.rel
-	cur, ok := r.Get(ref.Row)
-	if !ok {
+	if !r.Has(ref.Row) {
 		return fmt.Errorf("world: relation %q row %d: %w", ref.Rel, ref.Row, relstore.ErrNotFound)
 	}
-	next := cur.Clone()
-	changed := false
+	// Positions in cols of the assignments that change their field.
+	var buf [8]int
+	changed := buf[:0]
 	for i, ci := range cols {
-		if ci < 0 || ci >= len(next) {
+		if ci < 0 || ci >= rl.arity {
 			return fmt.Errorf("world: column %d out of range in %q", ci, ref.Rel)
 		}
-		if !next[ci].Equal(vals[i]) {
-			next[ci] = vals[i]
-			changed = true
+		if cur, _ := r.GetCol(ref.Row, ci); cur.Equal(vals[i]) {
+			continue
 		}
+		if err := r.Schema().ValidateCol(ci, vals[i]); err != nil {
+			return err
+		}
+		changed = append(changed, i)
 	}
-	if !changed {
+	if len(changed) == 0 {
 		return nil
 	}
-	old, err := r.Update(ref.Row, next)
-	if err != nil {
+	if err := rl.touch(ref.Row); err != nil {
 		return err
 	}
-	now, _ := r.Get(ref.Row)
-	rl.record(ref.Row, old, now)
+	for _, i := range changed {
+		if err := r.SetCol(ref.Row, cols[i], vals[i]); err != nil {
+			return err
+		}
+	}
 	l.updates++
 	return nil
 }
@@ -289,11 +288,12 @@ func (l *ChangeLog) DeleteRow(rel string, id relstore.RowID) error {
 	if err != nil {
 		return err
 	}
-	old, err := rl.rel.Delete(id)
-	if err != nil {
+	if err := rl.touch(id); err != nil {
 		return err
 	}
-	rl.record(id, old, nil)
+	if err := rl.rel.Delete(id); err != nil {
+		return err
+	}
 	l.updates++
 	return nil
 }

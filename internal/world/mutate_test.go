@@ -101,9 +101,14 @@ func TestResolveInsertDeleteAndDeterminism(t *testing.T) {
 		if rel.Len() != 2 {
 			t.Fatalf("relation has %d rows, want 2 (Boston + Springfield)", rel.Len())
 		}
-		ids, err := rel.Lookup("NAME", relstore.String("Springfield"))
-		if err != nil || len(ids) != 1 {
-			t.Fatalf("Lookup Springfield = (%v, %v)", ids, err)
+		var ids []relstore.RowID
+		rel.ScanWhere(rel.Schema().ColIndex("NAME"), relstore.String("Springfield"), nil,
+			func(id relstore.RowID, _ relstore.Tuple) bool {
+				ids = append(ids, id)
+				return true
+			})
+		if len(ids) != 1 {
+			t.Fatalf("rows named Springfield = %v", ids)
 		}
 		return ids[0]
 	}
@@ -160,6 +165,12 @@ func TestUpdateFieldsNoopAndMissingRow(t *testing.T) {
 	if !errors.Is(err, relstore.ErrNotFound) {
 		t.Errorf("update of deleted row = %v, want ErrNotFound", err)
 	}
+	// Also with no assignment at all: the row is looked up first.
+	for _, row := range []relstore.RowID{0, 99, -1} {
+		if err := log.UpdateFields(FieldRef{Rel: "CITY", Row: row}, nil, nil); !errors.Is(err, relstore.ErrNotFound) {
+			t.Errorf("empty update of missing row %d = %v, want ErrNotFound", row, err)
+		}
+	}
 	if err := log.DeleteRow("CITY", 0); !errors.Is(err, relstore.ErrNotFound) {
 		t.Errorf("double delete = %v, want ErrNotFound", err)
 	}
@@ -172,7 +183,7 @@ func TestUpdateFieldsNoopAndMissingRow(t *testing.T) {
 }
 
 // TestResolveOrderIsAscendingRowID pins the order of resolved ops: the
-// predicate is evaluated in an unordered scan, but the op list — which
+// predicate is evaluated inside the scan, and the op list — which
 // every chain replays and the WAL records — is in ascending RowID order,
 // with and without a predicate.
 func TestResolveOrderIsAscendingRowID(t *testing.T) {
@@ -187,7 +198,7 @@ func TestResolveOrderIsAscendingRowID(t *testing.T) {
 		}
 	}
 	for id := relstore.RowID(0); id < 500; id += 7 { // leave gaps
-		if _, err := rel.Delete(id); err != nil {
+		if err := rel.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 
 	"factordb/internal/ivm"
 	"factordb/internal/ra"
@@ -24,12 +25,14 @@ type FieldRef struct {
 // ChangeLog applies field updates and row-level DML to the store and
 // accumulates the net signed tuple delta since the last Drain.
 //
-// The pending delta is kept by row identity, not by tuple value: per
+// The store keeps no row objects to point at — a flip is a store into one
+// column vector — so the pending delta is kept by row identity: per
 // relation, one entry for every row touched since the last Drain, holding
-// the tuple the row had before its first change and the tuple it has now.
-// A row flipped A→B→A, or inserted and deleted again, within one batch
+// a copy of the tuple the row had before its first change. What the row
+// holds now is read back from the relation when the delta is netted. A
+// row flipped A→B→A, or inserted and deleted again, within one batch
 // therefore nets to nothing, and recording a change costs a map probe on
-// the RowID instead of encoding two tuples.
+// the RowID and, the first time only, one row copied into a reused arena.
 type ChangeLog struct {
 	db    *relstore.DB
 	rels  map[string]*relLog
@@ -42,45 +45,76 @@ type ChangeLog struct {
 // relLog is the pending delta of one relation. The relation handle is
 // resolved once, at first use; relations are never dropped from a world.
 type relLog struct {
-	rel  *relstore.Relation
-	idx  map[relstore.RowID]int32 // row -> position in rows
-	rows []rowChange
+	rel   *relstore.Relation
+	arity int
+	idx   map[relstore.RowID]int32 // row -> position in rows
+	rows  []rowChange
+	// vals is the arena of this batch: the first-old tuples, arity values
+	// each, in the order their rows were first touched; Drain appends the
+	// rows' current tuples behind them and hands the whole arena out with
+	// the delta. drained is the arena the previous Drain handed out,
+	// zeroed and taken back into use at the next one.
+	vals, drained []relstore.Value
 }
 
-// rowChange is one touched row: old is its tuple before the first change
-// of the batch (nil for a row inserted in the batch), now its latest
-// tuple (nil once deleted). Both are rows of the relation, which replaces
-// rows on update and never mutates them, so they stay stable without
-// defensive copies.
+// rowChange is one touched row. old is the offset in relLog.vals of the
+// tuple it had before the first change of the batch, or -1 for a row
+// inserted in the batch.
 type rowChange struct {
-	old, now relstore.Tuple
+	id  relstore.RowID
+	old int32
 }
 
-// record notes that row id went from old to now.
-func (rl *relLog) record(id relstore.RowID, old, now relstore.Tuple) {
-	if i, ok := rl.idx[id]; ok {
-		rl.rows[i].now = now
-		return
+// touch notes that existing row id is about to change, keeping its
+// current tuple if this is the batch's first change to it.
+func (rl *relLog) touch(id relstore.RowID) error {
+	if _, ok := rl.idx[id]; ok {
+		return nil
 	}
+	off := len(rl.vals)
+	vals, ok := rl.rel.AppendRow(rl.vals, id)
+	if !ok {
+		return fmt.Errorf("world: relation %q row %d: %w", rl.rel.Schema().Name, id, relstore.ErrNotFound)
+	}
+	rl.vals = vals
+	rl.add(id, int32(off))
+	return nil
+}
+
+func (rl *relLog) add(id relstore.RowID, old int32) {
 	rl.idx[id] = int32(len(rl.rows))
-	rl.rows = append(rl.rows, rowChange{old: old, now: now})
+	rl.rows = append(rl.rows, rowChange{id: id, old: old})
 }
 
-// net calls fn for every signed row of the pending delta, skipping rows
-// whose latest tuple is the one they started the batch with.
-func (rl *relLog) net(fn func(t relstore.Tuple, n int64)) {
-	for i := range rl.rows {
-		c := &rl.rows[i]
-		if c.old != nil && c.now != nil && c.old.Identical(c.now) {
-			continue
+// net calls fn for every signed row of the pending delta: −1 with the
+// tuple a touched row started the batch with, +1 with the tuple it holds
+// now, skipping rows that are back to the tuple they started with. The
+// current tuples are appended to buf, which is returned; a tuple passed
+// to fn is valid for as long as rl.vals and buf are.
+func (rl *relLog) net(buf []relstore.Value, fn func(t relstore.Tuple, n int64)) []relstore.Value {
+	for _, c := range rl.rows {
+		var old, now relstore.Tuple
+		if c.old >= 0 {
+			end := int(c.old) + rl.arity
+			old = rl.vals[c.old:end:end]
 		}
-		if c.old != nil {
-			fn(c.old, -1)
+		mark := len(buf)
+		grown, live := rl.rel.AppendRow(buf, c.id)
+		if live {
+			buf, now = grown, grown[mark:len(grown):len(grown)]
+			if c.old >= 0 && old.Identical(now) {
+				buf = buf[:mark]
+				continue
+			}
 		}
-		if c.now != nil {
-			fn(c.now, 1)
+		if c.old >= 0 {
+			fn(old, -1)
+		}
+		if live {
+			fn(now, 1)
 		}
 	}
+	return buf
 }
 
 // NewChangeLog wraps a database.
@@ -100,7 +134,7 @@ func (l *ChangeLog) relation(name string) (*relLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	rl := &relLog{rel: rel, idx: make(map[relstore.RowID]int32)}
+	rl := &relLog{rel: rel, arity: rel.Schema().Arity(), idx: make(map[relstore.RowID]int32)}
 	l.rels[name] = rl
 	return rl, nil
 }
@@ -127,22 +161,25 @@ func (l *ChangeLog) Field(rel string, col int) (Field, error) {
 	return Field{l: l, rl: rl, col: col}, nil
 }
 
-// Set writes v into the field of the given row, recording the old tuple
-// in Δ⁻ and the new tuple in Δ⁺. Writing the current value is a no-op; a
+// Set writes v into the field of the given row: a store into the
+// column's vector, with the row's previous tuple kept for Δ⁻ if this is
+// its first change of the batch. Writing the current value is a no-op; a
 // row that no longer exists reports relstore.ErrNotFound.
 func (f Field) Set(row relstore.RowID, v relstore.Value) error {
-	cur, ok := f.rl.rel.Get(row)
+	rel := f.rl.rel
+	cur, ok := rel.GetCol(row, f.col)
 	if !ok {
-		return fmt.Errorf("world: relation %q row %d: %w", f.rl.rel.Schema().Name, row, relstore.ErrNotFound)
+		return fmt.Errorf("world: relation %q row %d: %w", rel.Schema().Name, row, relstore.ErrNotFound)
 	}
-	if cur[f.col].Equal(v) {
+	if cur.Equal(v) {
 		return nil
 	}
-	if _, err := f.rl.rel.UpdateCol(row, f.col, v); err != nil {
+	if err := f.rl.touch(row); err != nil {
 		return err
 	}
-	now, _ := f.rl.rel.Get(row)
-	f.rl.record(row, cur, now)
+	if err := rel.SetCol(row, f.col, v); err != nil {
+		return err
+	}
 	f.l.updates++
 	return nil
 }
@@ -162,21 +199,21 @@ func (l *ChangeLog) GetField(ref FieldRef) (relstore.Value, error) {
 	if err != nil {
 		return relstore.Value{}, err
 	}
-	t, ok := rel.Get(ref.Row)
+	if ref.Col < 0 || ref.Col >= rel.Schema().Arity() {
+		return relstore.Value{}, fmt.Errorf("world: column %d out of range in %q", ref.Col, ref.Rel)
+	}
+	v, ok := rel.GetCol(ref.Row, ref.Col)
 	if !ok {
 		return relstore.Value{}, fmt.Errorf("world: relation %q row %d: %w", ref.Rel, ref.Row, relstore.ErrNotFound)
 	}
-	if ref.Col < 0 || ref.Col >= len(t) {
-		return relstore.Value{}, fmt.Errorf("world: column %d out of range in %q", ref.Col, ref.Rel)
-	}
-	return t[ref.Col], nil
+	return v, nil
 }
 
 // Pending reports whether any net changes have accumulated.
 func (l *ChangeLog) Pending() bool {
 	pending := false
 	for _, rl := range l.rels {
-		rl.net(func(relstore.Tuple, int64) { pending = true })
+		rl.net(nil, func(relstore.Tuple, int64) { pending = true })
 	}
 	return pending
 }
@@ -188,25 +225,34 @@ func (l *ChangeLog) Updates() int64 { return l.updates }
 // closing the current epoch. This is the "cleaning and refreshing of the
 // tables between deterministic query executions" step of Section 4.2.
 //
-// The returned delta is valid until the next Drain: its tuples are stable,
-// but the map and the row slices are the log's own and are refilled then.
-// Fold it into the views (or drop it) before draining again.
+// The returned delta is valid until the next Drain and no longer: the
+// map, the row slices and the tuples themselves live in buffers of the
+// log, which the next Drain zeroes and refills. Fold it into the views
+// (or drop it) before draining again; keep a tuple only as a Clone.
 func (l *ChangeLog) Drain() ivm.BaseDelta {
 	for name, rl := range l.rels {
 		out := l.delta[name][:0]
 		if cap(out) > 2*keepRows {
 			out = nil
 		}
-		rl.net(func(t relstore.Tuple, n int64) {
+		rl.vals = slices.Grow(rl.vals, len(rl.rows)*rl.arity)
+		rl.vals = rl.net(rl.vals, func(t relstore.Tuple, n int64) {
 			out = append(out, ra.BagRow{Tuple: t, N: n})
 		})
 		l.delta[name] = out
+		// The arena just filled goes out with the delta; the one that went
+		// out last time is zeroed, so nothing reads stale rows from it,
+		// and takes the next batch.
+		clear(rl.drained)
+		rl.vals, rl.drained = rl.drained[:0], rl.vals
+		if cap(rl.vals) > 2*keepRows*rl.arity {
+			rl.vals = nil
+		}
 		if cap(rl.rows) > keepRows {
 			rl.rows, rl.idx = nil, make(map[relstore.RowID]int32)
 			continue
 		}
 		clear(rl.idx)
-		clear(rl.rows) // let go of the tuples
 		rl.rows = rl.rows[:0]
 	}
 	l.epoch++
@@ -236,11 +282,11 @@ func (l *ChangeLog) DeltaTables(rel string) (deleted, added []relstore.Tuple) {
 	if !ok {
 		return nil, nil
 	}
-	rl.net(func(t relstore.Tuple, n int64) {
+	rl.net(nil, func(t relstore.Tuple, n int64) {
 		if n < 0 {
-			deleted = append(deleted, t)
+			deleted = append(deleted, t.Clone())
 		} else {
-			added = append(added, t)
+			added = append(added, t.Clone())
 		}
 	})
 	return deleted, added

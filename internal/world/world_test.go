@@ -118,3 +118,32 @@ func TestErrors(t *testing.T) {
 		t.Error("GetField bad column: want error")
 	}
 }
+
+// TestDrainedDeltaExpiresAtNextDrain pins the other end of the lifetime
+// rule: the tuples of a drained delta sit in an arena of the log, and the
+// next Drain zeroes it before reuse — a tuple kept past that point reads
+// as zeros, never as a plausible stale row.
+func TestDrainedDeltaExpiresAtNextDrain(t *testing.T) {
+	log, id := setup(t)
+	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
+	log.SetField(ref, relstore.String("B-ORG"))
+	kept := log.Drain()["TOKEN"][1].Tuple
+	if kept[2].AsString() != "B-ORG" {
+		t.Fatalf("drained +row = %v", kept)
+	}
+	copied := kept.Clone()
+	log.Drain()
+	zero := relstore.Tuple{relstore.Int(0), relstore.Int(0), relstore.Int(0)}
+	if !kept.Identical(zero) {
+		t.Errorf("a tuple kept across the next Drain reads %v, want zeros", kept)
+	}
+	if copied[2].AsString() != "B-ORG" {
+		t.Errorf("a clone taken in time reads %v", copied)
+	}
+	// A change that nets to nothing leaves nothing behind in the arena.
+	log.SetField(ref, relstore.String("O"))
+	log.SetField(ref, relstore.String("B-ORG"))
+	if d := log.Drain(); !d.Empty() {
+		t.Errorf("round trip drained %v", d["TOKEN"])
+	}
+}
