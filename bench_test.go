@@ -1,12 +1,12 @@
 package factordb
 
-// One benchmark per paper table/figure (see DESIGN.md's experiment
-// index). Each Fig4* / Fig6* benchmark measures the steady-state cost of
+// One benchmark per paper table/figure (cmd/experiments regenerates the
+// figures themselves; README "Internals" lists them). Each Fig4* / Fig6* benchmark measures the steady-state cost of
 // collecting one query sample (k MH walk-steps + query evaluation) for
 // the relevant query, evaluator and database size: the quantity whose
 // growth with N separates the naive from the materialized evaluator in
 // Figures 4(a) and 4(b). Ablation benchmarks cover the design choices
-// called out in DESIGN.md. Full figure regeneration (loss curves, time-
+// the README's "Execution" section describes. Full figure regeneration (loss curves, time-
 // to-half-error sweeps) lives in cmd/experiments.
 
 import (
@@ -123,7 +123,7 @@ func BenchmarkFig8Query4Mater30k(b *testing.B) {
 	benchSamples(b, 30_000, core.Materialized, exp.Query4)
 }
 
-// ---- Ablations (DESIGN.md) ----
+// ---- Ablations (cmd/experiments runs the k and targeted-proposal series) ----
 
 // BenchmarkMHStep measures the raw Metropolis-Hastings walk-step cost,
 // which the paper argues is constant in the database size (Section 5.3).

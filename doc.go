@@ -197,7 +197,9 @@
 // fingerprint, result spec, samples, confidence). A cached answer
 // therefore can never survive a write — whatever spelling of the query
 // produced it — while spelling variants keep sharing entries within an
-// epoch.
+// epoch. The answer itself is frozen when its evaluation publishes it:
+// the cache and every reader share it read-only, and a hit gets its own
+// header (SQL text, cached flag, trace) without copying a tuple.
 //
 // Below the result cache sits the raw-SQL plan cache: Compile results
 // keyed on the exact statement bytes. The keying rule is deliberate —

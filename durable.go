@@ -1,11 +1,11 @@
 package factordb
 
 import (
-	"errors"
 	"fmt"
 
 	"factordb/internal/metrics"
 	"factordb/internal/relstore"
+	"factordb/internal/serve"
 	"factordb/internal/store"
 )
 
@@ -14,46 +14,25 @@ import (
 // workload with no durable prototype world opened with WithDataDir, and
 // a WAL append that fails mid-Exec (the write is vetoed). Match it with
 // errors.Is; the wrapped message carries the store-level detail.
-var ErrRecovery = errors.New("factordb: durable storage")
+var ErrRecovery = serve.ErrWAL
 
 // FsyncPolicy selects when WAL appends reach stable storage. See the
 // WithFsync option.
-type FsyncPolicy uint8
+type FsyncPolicy = store.FsyncPolicy
 
 const (
 	// FsyncInterval (the default) syncs on a background ticker — a crash
 	// loses at most ~100ms of committed writes; writes never wait on disk.
-	FsyncInterval FsyncPolicy = iota
+	FsyncInterval = store.FsyncInterval
 	// FsyncAlways syncs every append before the write commits.
-	FsyncAlways
+	FsyncAlways = store.FsyncAlways
 	// FsyncNever leaves flushing to the OS page cache.
-	FsyncNever
+	FsyncNever = store.FsyncNever
 )
 
-func (p FsyncPolicy) String() string { return p.storePolicy().String() }
-
-func (p FsyncPolicy) storePolicy() store.FsyncPolicy {
-	switch p {
-	case FsyncAlways:
-		return store.FsyncAlways
-	case FsyncNever:
-		return store.FsyncNever
-	}
-	return store.FsyncInterval
-}
-
-// ParseFsyncPolicy converts the flag spelling of a policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "interval":
-		return FsyncInterval, nil
-	case "always":
-		return FsyncAlways, nil
-	case "never":
-		return FsyncNever, nil
-	}
-	return 0, fmt.Errorf("factordb: unknown fsync policy %q (want always, interval or never)", s)
-}
+// ParseFsyncPolicy converts the flag spelling of a policy: "interval",
+// "always" or "never".
+func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return store.ParseFsyncPolicy(s) }
 
 // WithDataDir enables durability: the prototype world is checkpointed to
 // dir and every committed write is appended to a write-ahead log there,
@@ -61,11 +40,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // epoch — a crash or restart interrupted. The directory is created if
 // missing. Only workloads with a durable prototype world support this
 // (NER does; coref materializes worlds per chain and does not).
-func WithDataDir(dir string) Option { return func(o *options) { o.dataDir = dir } }
+func WithDataDir(dir string) Option { return func(o *options) { o.store.Dir = dir } }
 
 // WithFsync sets the WAL sync policy (default FsyncInterval). Ignored
 // without WithDataDir.
-func WithFsync(p FsyncPolicy) Option { return func(o *options) { o.fsync = p } }
+func WithFsync(p FsyncPolicy) Option { return func(o *options) { o.store.Fsync = p } }
 
 // WithCheckpointEvery tunes background checkpointing: a snapshot is
 // written (and the covered log prefix dropped) once ops mutations or
@@ -73,7 +52,7 @@ func WithFsync(p FsyncPolicy) Option { return func(o *options) { o.fsync = p } }
 // defaults (4096 ops, 4 MiB); negative disables that trigger. Ignored
 // without WithDataDir.
 func WithCheckpointEvery(ops, bytes int64) Option {
-	return func(o *options) { o.checkpointOps, o.checkpointBytes = ops, bytes }
+	return func(o *options) { o.store.CheckpointOps, o.store.CheckpointBytes = ops, bytes }
 }
 
 // durableSystem is the system capability durability requires: access to
@@ -89,21 +68,15 @@ type durableSystem interface {
 // not requested. On return the system's prototype world reflects every
 // record the log could prove, and the caller must resume the epoch
 // sequence at rec.Epoch.
-func openDurability(o options, sys system, name string) (store.Storage, error) {
-	if o.dataDir == "" {
+func openDurability(o store.Options, sys system, name string) (store.Storage, error) {
+	if o.Dir == "" {
 		return nil, nil
 	}
 	ds, ok := sys.(durableSystem)
 	if !ok {
 		return nil, fmt.Errorf("%w: the %s workload has no durable prototype world", ErrRecovery, name)
 	}
-	st, err := store.Open(store.Options{
-		Dir:             o.dataDir,
-		Fsync:           o.fsync.storePolicy(),
-		CheckpointOps:   o.checkpointOps,
-		CheckpointBytes: o.checkpointBytes,
-		Logger:          o.logger,
-	})
+	st, err := store.Open(o)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
 	}
@@ -113,14 +86,14 @@ func openDurability(o options, sys system, name string) (store.Storage, error) {
 		// base snapshot every later recovery starts from.
 		if err := st.Seed(ds.WorldDB(), 0); err != nil {
 			st.Close()
-			return nil, fmt.Errorf("%w: seeding %s: %v", ErrRecovery, o.dataDir, err)
+			return nil, fmt.Errorf("%w: seeding %s: %v", ErrRecovery, o.Dir, err)
 		}
 		return st, nil
 	}
 	w := st.WorldClone()
 	if w == nil {
 		st.Close()
-		return nil, fmt.Errorf("%w: %s recovered no world", ErrRecovery, o.dataDir)
+		return nil, fmt.Errorf("%w: %s recovered no world", ErrRecovery, o.Dir)
 	}
 	ds.RestoreWorld(w)
 	return st, nil

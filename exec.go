@@ -2,10 +2,6 @@ package factordb
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strings"
-	"time"
 
 	"factordb/internal/serve"
 )
@@ -15,36 +11,15 @@ import (
 // need a durable prototype world to mutate; a workload that materializes
 // worlds per query — coref — only supports writes in served mode, where
 // the chain worlds live for the engine's lifetime.
-var ErrReadOnly = errors.New("factordb: workload is read-only under this mode")
+var ErrReadOnly = serve.ErrReadOnly
 
-// ExecResult reports one committed DML mutation.
-type ExecResult struct {
-	// RowsAffected counts the rows the mutation touched (rows inserted,
-	// matched by UPDATE, or deleted).
-	RowsAffected int64
-	// Epoch is the data epoch after the commit: the number of writes the
-	// database has absorbed. Every committed write bumps it, and the
-	// served-mode result cache keys on it, so no answer cached before
-	// this write can be served after it.
-	Epoch int64
-	// Chains is the number of possible-world copies the mutation was
-	// applied to (the pool size in served mode, 1 otherwise).
-	Chains int
-	// Elapsed is the wall time to commit, including the post-write
-	// burn-in on every chain in served mode.
-	Elapsed time.Duration
-	// Trace is the write's span breakdown — compile, resolve, WAL
-	// append/fsync, chain fan-out phases — present only when the caller
-	// opted in with ExecTrace (or, in served mode, the engine's trace
-	// sampler picked the write).
-	Trace *QueryTrace
-}
+// ExecResult reports one committed DML mutation: rows affected, the data
+// epoch after the commit, the world copies it landed on, the commit time
+// and, when opted in, the write's trace.
+type ExecResult = serve.ExecResult
 
 // execOptions tunes one Exec; see the ExecOption constructors.
-type execOptions struct {
-	trace   bool
-	traceID string
-}
+type execOptions = serve.ExecOptions
 
 // ExecOption configures one DB.Exec call.
 type ExecOption func(*execOptions)
@@ -53,13 +28,13 @@ type ExecOption func(*execOptions)
 // resolve, WAL append and fsync, per-phase chain fan-out — returned in
 // ExecResult.Trace and kept in the recent-traces ring behind
 // GET /debug/traces.
-func ExecTrace() ExecOption { return func(o *execOptions) { o.trace = true } }
+func ExecTrace() ExecOption { return func(o *execOptions) { o.Trace = true } }
 
 // ExecTraceID propagates a caller-assigned correlation ID (the trace-id
 // field of a W3C traceparent) into the write's trace and its write-audit
 // record. The HTTP transport sets it from the request's traceparent
 // header.
-func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.traceID = id } }
+func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.TraceID = id } }
 
 // Exec applies one DML statement — INSERT, UPDATE or DELETE — to the
 // probabilistic database and returns once every possible-world copy has
@@ -91,8 +66,7 @@ func (db *DB) Exec(ctx context.Context, sql string, opts ...ExecOption) (*ExecRe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := db.eng.Exec(ctx, sql, execOpts(opts).engine())
-	return newExecResult(res, err)
+	return db.eng.Exec(ctx, sql, execOpts(opts))
 }
 
 func execOpts(opts []ExecOption) (eo execOptions) {
@@ -100,44 +74,6 @@ func execOpts(opts []ExecOption) (eo execOptions) {
 		f(&eo)
 	}
 	return eo
-}
-
-func (eo execOptions) engine() serve.ExecOptions {
-	return serve.ExecOptions{Trace: eo.trace, TraceID: eo.traceID}
-}
-
-func newExecResult(res *serve.ExecResult, err error) (*ExecResult, error) {
-	if err != nil {
-		return nil, mapServeErr(err)
-	}
-	return &ExecResult{
-		RowsAffected: res.RowsAffected,
-		Epoch:        res.Epoch,
-		Chains:       res.Chains,
-		Elapsed:      res.Elapsed,
-		Trace:        res.Trace,
-	}, nil
-}
-
-// mapServeErr rebrands the serving engine's sentinel errors onto the
-// facade's error taxonomy, keeping the underlying compile/bind detail
-// intact. Shared by the read (Query) and write (Exec) paths so the two
-// can never drift apart.
-func mapServeErr(err error) error {
-	switch {
-	case errors.Is(err, serve.ErrClosed):
-		return ErrClosed
-	case errors.Is(err, serve.ErrBadQuery):
-		detail := strings.TrimPrefix(err.Error(), serve.ErrBadQuery.Error()+": ")
-		return fmt.Errorf("%w: %s", ErrBadQuery, detail)
-	case errors.Is(err, serve.ErrOverloaded):
-		return ErrOverloaded
-	case errors.Is(err, serve.ErrReadOnly):
-		return fmt.Errorf("%w: no durable local world (open it with WithMode(ModeServed))", ErrReadOnly)
-	case errors.Is(err, serve.ErrWAL):
-		return fmt.Errorf("%w: %v", ErrRecovery, err)
-	}
-	return err
 }
 
 // WriteEpoch returns the data epoch: the number of writes committed since

@@ -1,6 +1,7 @@
 package factordb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -9,20 +10,21 @@ import (
 	"factordb/internal/core"
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
+	"factordb/internal/serve"
 	"factordb/internal/sqlparse"
 )
 
 // explain answers an EXPLAIN <stmt> without sampling: it compiles the
 // target through the shared plan cache (so an EXPLAIN warms the cache
-// for the real query) and returns the diagnostic as ordinary Rows with
-// a single PLAN column, one line per row — so EXPLAIN flows unchanged
-// through the facade, the database/sql driver, and HTTP.
+// for the real query) and returns the diagnostic as an ordinary answer
+// with a single PLAN column, one line per tuple — so EXPLAIN flows
+// unchanged through Rows, the database/sql driver, and HTTP.
 //
 // For a SELECT the output is the canonical plan tree, both fingerprints
 // (the canonical plan's and the schema-bound plan's), the result spec,
 // the view-sharing decision, and whether the plan came from the cache.
 // For DML it is the resolved mutation and the cache line.
-func (db *DB) explain(ctx context.Context, sql string) (*Rows, error) {
+func (db *DB) explain(ctx context.Context, sql string) (*serve.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -65,15 +67,11 @@ func (db *DB) explain(ctx context.Context, sql string) (*Rows, error) {
 			P:     1, Lo: 1, Hi: 1,
 		}
 	}
-	return &Rows{
-		cols:       []string{"PLAN"},
-		cis:        cis,
-		i:          -1,
-		chains:     db.Chains(),
-		epoch:      db.WriteEpoch(),
-		confidence: db.opts.confidence,
-		elapsed:    time.Since(start),
-	}, nil
+	res := serve.NewResult([]string{"PLAN"}, cis)
+	res.Chains, res.Epoch = db.Chains(), db.WriteEpoch()
+	res.Confidence = cmp.Or(db.opts.confidence, serve.DefaultConfidence)
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 func (db *DB) explainQuery(target string) ([]string, error) {
@@ -128,7 +126,7 @@ func (db *DB) explainAnalyze(ctx context.Context, target string) ([]string, erro
 	}
 	st, err := db.eng.Analyze(ctx, comp.Plan)
 	if err != nil {
-		return nil, mapServeErr(err)
+		return nil, err
 	}
 	lines := st.Render()
 	lines = append(lines,

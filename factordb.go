@@ -1,7 +1,6 @@
 package factordb
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -27,149 +26,121 @@ const (
 	PairQuery    = exp.PairQuery    // coref: same-entity probability per mention pair
 )
 
-// Sentinel errors of the public API. All are matched with errors.Is;
-// ErrBadQuery wraps the underlying parse, plan, or bind message verbatim
-// (including line/column positions from the SQL front end).
+// Sentinel errors of the public API: the engine's own, re-exported. All
+// are matched with errors.Is; ErrBadQuery wraps the underlying parse,
+// plan, or bind message verbatim (including line/column positions from
+// the SQL front end).
 var (
 	// ErrClosed is returned by Query after Close, and by queries
 	// truncated because the database closed underneath them.
-	ErrClosed = errors.New("factordb: database is closed")
+	ErrClosed = serve.ErrClosed
 	// ErrBadQuery marks SQL compile and bind failures: client errors,
 	// not engine faults.
-	ErrBadQuery = errors.New("factordb: bad query")
+	ErrBadQuery = serve.ErrBadQuery
 	// ErrOverloaded is returned in served mode when admission control
 	// sheds the query.
-	ErrOverloaded = errors.New("factordb: overloaded")
+	ErrOverloaded = serve.ErrOverloaded
 )
 
-// Mode selects the evaluation strategy behind a DB.
-type Mode uint8
+// Mode selects the evaluation strategy behind a DB: the engine's
+// sampling strategy. Its String is the flag/DSN spelling.
+type Mode = serve.Mode
 
 const (
 	// ModeNaive re-runs the full query per sampled world (Algorithm 3).
-	ModeNaive Mode = iota
+	ModeNaive = serve.PrivateNaive
 	// ModeMaterialized keeps the answer as an incrementally maintained
 	// view over the sampler's Δ⁻/Δ⁺ deltas (Algorithm 1) — the paper's
 	// central efficiency result, and the default.
-	ModeMaterialized
+	ModeMaterialized = serve.PrivateMaterialized
 	// ModeServed runs the concurrent serving engine: a pool of parallel
 	// MCMC chains whose walk-steps are shared by all in-flight queries.
-	ModeServed
+	ModeServed = serve.Pooled
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeNaive:
-		return "naive"
-	case ModeMaterialized:
-		return "materialized"
-	case ModeServed:
-		return "served"
-	}
-	return fmt.Sprintf("Mode(%d)", uint8(m))
-}
 
 // ParseMode converts the flag/DSN spelling of a mode.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "naive":
-		return ModeNaive, nil
-	case "materialized":
-		return ModeMaterialized, nil
-	case "served":
-		return ModeServed, nil
+	for _, m := range []Mode{ModeNaive, ModeMaterialized, ModeServed} {
+		if m.String() == s {
+			return m, nil
+		}
 	}
 	return 0, fmt.Errorf("factordb: unknown mode %q (want naive, materialized or served)", s)
 }
 
-// options collects Open-time settings; zero values take the documented
-// defaults.
+// options collects Open-time settings: the engine's and the store's
+// configurations, written by the With* options in place. Zero values
+// take the documented defaults.
 type options struct {
-	mode          Mode
-	chains        int
-	steps         int
-	samples       int
-	seed          int64
-	burnIn        int
+	serve serve.Config
+	store store.Options // durability (see durable.go); empty Dir disables it
+	// confidence is the DB's default per-query interval mass; zero
+	// leaves the engine's default.
 	confidence    float64
-	cacheSize     int
-	cacheTTL      time.Duration
-	maxConcurrent int
-	maxQueued     int
-	traceEvery    int
 	planCacheSize int
-
-	// Structured logging and the slow-query log; nil logger disables
-	// records, zero slowQuery disables the threshold.
-	logger    *slog.Logger
-	slowQuery time.Duration
-
-	// Durability (see durable.go); empty dataDir disables it.
-	dataDir         string
-	fsync           FsyncPolicy
-	checkpointOps   int64
-	checkpointBytes int64
 }
 
 func defaultOptions() options {
-	return options{
-		mode:       ModeMaterialized,
-		steps:      1000,
-		samples:    128,
-		seed:       1,
-		confidence: 0.95,
-	}
+	return options{serve: serve.Config{
+		Mode:           ModeMaterialized,
+		StepsPerSample: 1000,
+		DefaultSamples: 128,
+		Seed:           1,
+	}}
 }
 
 // Option configures Open.
 type Option func(*options)
 
 // WithMode selects the evaluation strategy (default ModeMaterialized).
-func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
+func WithMode(m Mode) Option { return func(o *options) { o.serve.Mode = m } }
 
 // WithChains sets the parallel MCMC chain count in ModeServed
 // (default GOMAXPROCS, capped at 8). Ignored by the local modes, which
 // evaluate each query on one private chain.
-func WithChains(n int) Option { return func(o *options) { o.chains = n } }
+func WithChains(n int) Option { return func(o *options) { o.serve.Chains = n } }
 
 // WithSteps sets k, the Metropolis-Hastings walk-steps between
 // consecutive query samples — the thinning interval of Algorithms 1
 // and 3 (default 1000).
-func WithSteps(k int) Option { return func(o *options) { o.steps = k } }
+func WithSteps(k int) Option { return func(o *options) { o.serve.StepsPerSample = k } }
 
 // WithSamples sets the default per-query sample budget (default 128);
 // individual queries override it with the Samples query option.
-func WithSamples(n int) Option { return func(o *options) { o.samples = n } }
+func WithSamples(n int) Option { return func(o *options) { o.serve.DefaultSamples = n } }
 
 // WithSeed seeds the samplers: chain i of the served pool derives its
 // seed from it, and the local modes use it directly (default 1).
-func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
+func WithSeed(seed int64) Option { return func(o *options) { o.serve.Seed = seed } }
 
 // WithBurnIn discards n walk-steps per chain before sampling (default 0).
-func WithBurnIn(n int) Option { return func(o *options) { o.burnIn = n } }
+func WithBurnIn(n int) Option { return func(o *options) { o.serve.BurnIn = n } }
 
 // WithConfidence sets the default two-sided confidence-interval mass in
-// (0,1) for Rows.CI (default 0.95).
+// (0,1) for Rows.CI (default 0.95); queries fail with ErrBadQuery when
+// it is outside that range.
 func WithConfidence(c float64) Option { return func(o *options) { o.confidence = c } }
 
 // WithCache sizes the served-mode result cache (entries; negative
 // disables) and bounds entry staleness. Ignored by the local modes.
 func WithCache(entries int, ttl time.Duration) Option {
-	return func(o *options) { o.cacheSize, o.cacheTTL = entries, ttl }
+	return func(o *options) { o.serve.CacheSize, o.serve.CacheTTL = entries, ttl }
 }
 
 // WithQueryLimits bounds served-mode admission: maxConcurrent queries
 // evaluate at once, maxQueued wait for a slot, and anything beyond fails
 // fast with ErrOverloaded. Ignored by the local modes.
 func WithQueryLimits(maxConcurrent, maxQueued int) Option {
-	return func(o *options) { o.maxConcurrent, o.maxQueued = maxConcurrent, maxQueued }
+	return func(o *options) {
+		o.serve.MaxConcurrentQueries, o.serve.MaxQueuedQueries = maxConcurrent, maxQueued
+	}
 }
 
 // WithTraceSampling makes the served engine trace every n-th query even
 // without the client asking, so the recent-traces ring has material
 // under steady load (default 0: client opt-in only). Ignored by the
 // local modes.
-func WithTraceSampling(every int) Option { return func(o *options) { o.traceEvery = every } }
+func WithTraceSampling(every int) Option { return func(o *options) { o.serve.TraceEvery = every } }
 
 // WithPlanCache sizes the raw-SQL→compiled-plan cache shared by every
 // entry point of this DB — Query, Exec, Prepare, EXPLAIN, and in served
@@ -183,7 +154,9 @@ func WithPlanCache(entries int) Option { return func(o *options) { o.planCacheSi
 // failures. All records go through log/slog, so the handler decides the
 // format (JSON for machines, text for people) and the level floor. Nil
 // (the default) disables structured logging.
-func WithLogger(l *slog.Logger) Option { return func(o *options) { o.logger = l } }
+func WithLogger(l *slog.Logger) Option {
+	return func(o *options) { o.serve.Logger, o.store.Logger = l, l }
+}
 
 // WithSlowQueryLog arms the slow-query log: any query or write whose wall
 // time reaches threshold emits a "slow_query" record — fingerprint, trace
@@ -192,7 +165,7 @@ func WithLogger(l *slog.Logger) Option { return func(o *options) { o.logger = l 
 // GET /debug/traces can be cross-referenced by trace ID. Zero (the
 // default) disables it.
 func WithSlowQueryLog(threshold time.Duration) Option {
-	return func(o *options) { o.slowQuery = threshold }
+	return func(o *options) { o.serve.SlowQuery = threshold }
 }
 
 // DB is a probabilistic database: one workload model opened under one
@@ -233,14 +206,12 @@ func Open(model Model, opts ...Option) (*DB, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	if o.steps <= 0 {
-		return nil, fmt.Errorf("factordb: steps per sample must be positive, got %d", o.steps)
+	cfg := o.serve
+	if cfg.StepsPerSample <= 0 {
+		return nil, fmt.Errorf("factordb: steps per sample must be positive, got %d", cfg.StepsPerSample)
 	}
-	if o.samples <= 0 {
-		return nil, fmt.Errorf("factordb: sample budget must be positive, got %d", o.samples)
-	}
-	if o.confidence <= 0 || o.confidence >= 1 {
-		return nil, fmt.Errorf("factordb: confidence %v outside (0,1)", o.confidence)
+	if cfg.DefaultSamples <= 0 {
+		return nil, fmt.Errorf("factordb: sample budget must be positive, got %d", cfg.DefaultSamples)
 	}
 	sys, err := model.build()
 	if err != nil {
@@ -248,52 +219,34 @@ func Open(model Model, opts ...Option) (*DB, error) {
 	}
 	db := &DB{opts: o, sys: sys, name: model.modelName(), start: time.Now()}
 	db.plans = sqlparse.NewPlanCache(o.planCacheSize)
+	cfg.Plans = db.plans
 
 	// Recovery happens before any chain is cloned: openDurability swaps
 	// the recovered world into the system, so every world cloned below
 	// carries post-replay evidence.
-	st, err := openDurability(o, sys, db.name)
+	st, err := openDurability(o.store, sys, db.name)
 	if err != nil {
 		return nil, err
 	}
 	db.store = st
-	cfg := serve.Config{
-		StepsPerSample: o.steps,
-		BurnIn:         o.burnIn,
-		Seed:           o.seed,
-		DefaultSamples: o.samples,
-		Plans:          db.plans,
-		Logger:         o.logger,
-		SlowQuery:      o.slowQuery,
-	}
 	if st != nil {
 		cfg.WAL = st
 		cfg.InitialDataEpoch = st.Recovery().Epoch
 	}
-	// The one place the modes differ: which sampling strategy the engine
-	// runs, and which options reach it. The local modes evaluate every
-	// query on a private chain in its caller's goroutine, so the pool,
-	// cache, admission and trace-sampling options are simply not passed
-	// on: no result cache, no admission limit, client-opted traces only.
-	switch o.mode {
-	case ModeServed:
-		cfg.Chains = o.chains
-		cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries = o.maxConcurrent, o.maxQueued
-		cfg.CacheSize, cfg.CacheTTL = o.cacheSize, o.cacheTTL
-		cfg.TraceEvery = o.traceEvery
+	// The one place the modes differ: which options reach the engine.
+	// The local modes evaluate every query on a private chain in its
+	// caller's goroutine, so the pool, cache, admission and
+	// trace-sampling options are not passed on: no result cache, no
+	// admission limit, client-opted traces only.
+	if cfg.Mode == ModeServed {
 		// A recovered world needs re-equilibration: the chains start from
 		// evidence the sampler never walked, so give them one sampling
 		// interval of burn-in unless the caller chose a budget explicitly.
-		if cfg.InitialDataEpoch > 0 && o.burnIn == 0 {
-			cfg.BurnIn = o.steps
+		if cfg.InitialDataEpoch > 0 && cfg.BurnIn == 0 {
+			cfg.BurnIn = cfg.StepsPerSample
 		}
-	default:
-		cfg.Mode = serve.PrivateNaive
-		if o.mode == ModeMaterialized {
-			cfg.Mode = serve.PrivateMaterialized
-		}
-		cfg.CacheSize = -1
-		cfg.MaxConcurrentQueries = math.MaxInt32
+	} else {
+		cfg.CacheSize, cfg.MaxConcurrentQueries, cfg.TraceEvery = -1, math.MaxInt32, 0
 	}
 	db.eng, err = serve.New(sys, cfg)
 	if err != nil {
@@ -310,11 +263,11 @@ func Open(model Model, opts ...Option) (*DB, error) {
 }
 
 // Mode returns the evaluation strategy the DB was opened with.
-func (db *DB) Mode() Mode { return db.opts.mode }
+func (db *DB) Mode() Mode { return db.opts.serve.Mode }
 
 // Describe returns a one-line summary of the opened database.
 func (db *DB) Describe() string {
-	return fmt.Sprintf("%s [%s]", db.sys.Describe(), db.opts.mode)
+	return fmt.Sprintf("%s [%s]", db.sys.Describe(), db.Mode())
 }
 
 // Chains reports the parallel chain count: the pool size in served mode,

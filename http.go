@@ -311,28 +311,28 @@ func (db *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	defer rows.Close()
+	res := rows.res
 	resp := queryResponse{
 		SQL:        req.SQL,
-		Columns:    rows.Columns(),
-		Tuples:     make([]tupleJSON, 0, rows.Len()),
-		Samples:    rows.Samples(),
-		Chains:     rows.Chains(),
-		Epoch:      rows.epoch,
-		Confidence: rows.Confidence(),
-		Partial:    rows.Partial(),
-		EarlyStop:  rows.EarlyStopped(),
-		Cached:     rows.Cached(),
-		ElapsedMS:  float64(rows.Elapsed().Microseconds()) / 1000,
-		Trace:      rows.Trace(),
+		Columns:    res.Columns(),
+		Tuples:     make([]tupleJSON, res.Len()),
+		Samples:    res.Samples,
+		Chains:     res.Chains,
+		Epoch:      res.Epoch,
+		Confidence: res.Confidence,
+		Partial:    res.Partial,
+		EarlyStop:  res.EarlyStop,
+		Cached:     res.Cached,
+		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
+		Trace:      res.Trace,
 	}
-	for rows.Next() {
-		tp := rows.cis[rows.i]
-		vals := make([]string, len(tp.Tuple))
-		for i, v := range tp.Tuple {
-			vals[i] = v.String()
+	for i := range resp.Tuples {
+		vals := make([]string, res.Width(i))
+		for j := range vals {
+			vals[j] = res.Value(i, j).String()
 		}
-		resp.Tuples = append(resp.Tuples, tupleJSON{Values: vals, P: tp.P, Lo: tp.Lo, Hi: tp.Hi})
+		lo, hi := res.CI(i)
+		resp.Tuples[i] = tupleJSON{Values: vals, P: res.Prob(i), Lo: lo, Hi: hi}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -363,7 +363,7 @@ func (db *DB) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, code, healthResponse{
 		Status:         status,
-		Mode:           db.opts.mode.String(),
+		Mode:           db.Mode().String(),
 		Chains:         db.Chains(),
 		Epoch:          db.eng.Epoch(),
 		WriteEpoch:     db.WriteEpoch(),

@@ -426,7 +426,11 @@ func (errBoomType) Error() string { return "boom" }
 func TestGroundTruthAndAnswer(t *testing.T) {
 	tw := newTinyWorld(3)
 	// Deterministic single-world answer: initially nothing is B-PER.
-	bag, err := Answer(tw.log.DB(), perQuery())
+	bound, err := ra.Bind(tw.log.DB(), perQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag, err := ra.Eval(bound)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"factordb/internal/mcmc"
 	"factordb/internal/metrics"
 	"factordb/internal/ra"
-	"factordb/internal/relstore"
 	"factordb/internal/world"
 )
 
@@ -183,15 +182,4 @@ func GroundTruth(log *world.ChangeLog, proposer mcmc.Proposer, plan ra.Plan, sam
 		return nil, err
 	}
 	return ev.Marginals(), nil
-}
-
-// Answer runs the deterministic query over the current single world,
-// bypassing sampling: the "initial single-sample deterministic
-// approximation" the paper measures loss against.
-func Answer(db *relstore.DB, plan ra.Plan) (*ra.Bag, error) {
-	bound, err := ra.Bind(db, plan)
-	if err != nil {
-		return nil, err
-	}
-	return ra.Eval(bound)
 }

@@ -284,7 +284,8 @@ func (m *Model) DocScore(ld *LabeledDoc) float64 {
 }
 
 // FactorsTouched returns how many factor evaluations one ScoreDelta at
-// position i costs (for the ablation benchmarks of DESIGN.md).
+// position i costs: the per-step scoring work behind the README's "The
+// walk step" (pinned by TestFactorsTouchedCounts).
 func (m *Model) FactorsTouched(ld *LabeledDoc, i int) int {
 	n := 3 // emission + caps + bias
 	if i > 0 {

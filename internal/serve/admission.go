@@ -10,7 +10,7 @@ import (
 // queue are full. Callers (the HTTP layer) translate it to 503 so load
 // sheds at the edge instead of building an unbounded backlog of views on
 // every chain.
-var ErrOverloaded = errors.New("serve: too many concurrent queries")
+var ErrOverloaded = errors.New("factordb: overloaded")
 
 // admission is a counting semaphore with a bounded wait queue.
 type admission struct {

@@ -153,8 +153,8 @@ func BenchmarkWriteReequilibrate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Tuples) != 1 || res.Tuples[0].Values[0] != want || res.Tuples[0].P != 1 {
-					b.Fatalf("iteration %d: post-write answer %+v, want %q at marginal 1", i, res.Tuples, want)
+				if res.Len() != 1 || res.Value(0, 0).String() != want || res.Prob(0) != 1 {
+					b.Fatalf("iteration %d: post-write answer %+v, want %q at marginal 1", i, tuples(res), want)
 				}
 			}
 		})

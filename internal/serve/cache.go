@@ -50,10 +50,8 @@ func (c *resultCache) evicted() {
 	}
 }
 
-// get returns a defensive copy of the cached result: callers routinely
-// sort or otherwise mutate answer slices (the ranked-query path reorders
-// them), and a shallow alias here would corrupt the entry for every
-// later hit.
+// get returns the cached result itself: a frozen answer every hit shares
+// read-only (see Result).
 func (c *resultCache) get(key string, now time.Time) (*Result, bool) {
 	if c.cap < 1 {
 		return nil, false
@@ -72,16 +70,14 @@ func (c *resultCache) get(key string, now time.Time) (*Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return ent.res.clone(), true
+	return ent.res, true
 }
 
-// put stores a private copy of res, for the same aliasing reason get
-// copies on the way out: the caller keeps its result and may mutate it.
+// put stores res, which must be frozen: no caller may hold it to write.
 func (c *resultCache) put(key string, res *Result, now time.Time) {
 	if c.cap < 1 {
 		return
 	}
-	res = res.clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

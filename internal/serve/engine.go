@@ -69,6 +69,20 @@ const (
 	PrivateMaterialized
 )
 
+// String returns the flag/DSN spelling of the mode; the pooled strategy
+// is what the public API calls served.
+func (m Mode) String() string {
+	switch m {
+	case Pooled:
+		return "served"
+	case PrivateNaive:
+		return "naive"
+	case PrivateMaterialized:
+		return "materialized"
+	}
+	return fmt.Sprintf("Mode(%d)", uint8(m))
+}
+
 // WALSink receives every committed op batch before it is fanned out to
 // the chains — the write-ahead contract. Append must not return until
 // the record is durable to the sink's configured policy; an error vetoes
@@ -81,24 +95,19 @@ type WALSink interface {
 // defaults.
 type Config struct {
 	// Mode selects the sampling strategy (default Pooled). The private
-	// modes have no pool: Chains is 1 and WriteBurnIn is unused.
+	// modes have no pool: Chains is 1.
 	Mode Mode
 	// Chains is the number of parallel MCMC chains (default: GOMAXPROCS,
 	// capped at 8).
 	Chains int
 	// StepsPerSample is k, the MH walk-steps between consecutive samples
-	// of every registered view (default 1000).
+	// of every registered view (default 1000). It is also the burn-in a
+	// chain walks after absorbing a write, before its snapshots are
+	// trusted again.
 	StepsPerSample int
 	// BurnIn is the number of walk-steps each chain discards before
 	// serving (default 0; the world keeps mixing across queries anyway).
 	BurnIn int
-	// WriteBurnIn is the number of walk-steps each chain takes after
-	// applying a DML mutation before its snapshots are trusted again, so
-	// the chain re-equilibrates around the mutated world (default:
-	// StepsPerSample; negative disables). This is the paper's update
-	// story made operational: mutate the single world, keep sampling —
-	// no lineage recomputation.
-	WriteBurnIn int
 	// Seed derives each chain's sampler seed via ChainSeed.
 	Seed int64
 
@@ -119,9 +128,6 @@ type Config struct {
 	CacheSize int
 	CacheTTL  time.Duration
 
-	// TraceRing is the capacity of the recent-traces ring buffer behind
-	// GET /debug/traces (default 64).
-	TraceRing int
 	// TraceEvery, when positive, traces every n-th query even without
 	// the client asking, so the debug ring has material under steady
 	// load. Zero (the default) disables engine-initiated tracing; client
@@ -168,12 +174,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.StepsPerSample <= 0 {
 		cfg.StepsPerSample = 1000
 	}
-	if cfg.WriteBurnIn == 0 {
-		cfg.WriteBurnIn = cfg.StepsPerSample
-	}
-	if cfg.WriteBurnIn < 0 {
-		cfg.WriteBurnIn = 0
-	}
 	if cfg.DefaultSamples <= 0 {
 		cfg.DefaultSamples = 128
 	}
@@ -189,9 +189,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.CacheTTL <= 0 {
 		cfg.CacheTTL = time.Minute
 	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = 64
-	}
 	if cfg.Plans == nil {
 		cfg.Plans = sqlparse.NewPlanCache(0)
 	}
@@ -205,16 +202,25 @@ func ChainSeed(base int64, chain int) int64 {
 	return base + int64(chain)*104729 // spread seeds; 104729 is prime
 }
 
-// ErrClosed is returned by Query after Close.
-var ErrClosed = errors.New("serve: engine is closed")
+// The engine's sentinel errors carry the public API's text: the factordb
+// facade re-exports them as they are (ErrWAL as ErrRecovery), so
+// errors.Is holds on both sides of it.
+var (
+	// ErrClosed is returned by Query and Exec after Close, and by queries
+	// truncated because the engine closed underneath them.
+	ErrClosed = errors.New("factordb: database is closed")
+	// ErrReadOnly is returned by Exec under a private-chain Mode when the
+	// source has no prototype world to mutate (it is not a
+	// WritableSource).
+	ErrReadOnly = errors.New("factordb: workload is read-only under this mode")
+	// ErrWAL marks durable-storage failures; here, a WAL append that
+	// vetoed a write with every world untouched.
+	ErrWAL = errors.New("factordb: durable storage")
+)
 
-// ErrReadOnly is returned by Exec under a private-chain Mode when the
-// source has no prototype world to mutate (it is not a WritableSource).
-var ErrReadOnly = errors.New("serve: source has no writable prototype world")
-
-// ErrWAL wraps a WAL append failure: the write is vetoed with every
-// world untouched.
-var ErrWAL = errors.New("serve: wal append")
+// traceRingSize is the capacity of the recent-traces ring behind
+// GET /debug/traces.
+const traceRingSize = 64
 
 // engineMetrics bundles the counters shared by the chains and sessions.
 type engineMetrics struct {
@@ -287,7 +293,7 @@ func New(src Source, cfg Config) (*Engine, error) {
 		admit:  newAdmission(cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries),
 		cache:  newResultCache(cfg.CacheSize, cfg.CacheTTL, m.evictions),
 		m:      m,
-		traces: newTraceRing(cfg.TraceRing),
+		traces: &traceRing{buf: make([]*QueryTrace, traceRingSize)},
 		tracer: &traceSampler{every: int64(cfg.TraceEvery)},
 		start:  time.Now(),
 	}
@@ -457,7 +463,7 @@ func (e *Engine) Metrics() *metrics.Registry { return e.m.reg }
 
 // Traces returns the most recent query traces, newest first — the
 // engine-initiated samples (Config.TraceEvery) plus every client
-// opt-in trace, bounded by Config.TraceRing.
+// opt-in trace, bounded by a fixed ring of 64.
 func (e *Engine) Traces() []*QueryTrace { return e.traces.snapshot() }
 
 // MintTraceID assigns the next trace serial and the W3C-shaped trace ID

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"factordb/internal/core"
@@ -16,49 +17,71 @@ import (
 // cache aliasing bug: a cache hit used to be a shallow copy sharing the
 // Tuples and cis slices with the cached entry, so any caller mutating
 // its result (the ranked-query path sorts in place) corrupted the entry
-// for every later hit.
+// for every later hit. It now passes by construction rather than by
+// copying: the frozen answer is reachable only through accessors that
+// return values or fresh copies, and every Result — miss or hit — is
+// its own header over it. The test makes every write the API allows,
+// on a fresh evaluation and on a hit, and checks the next hit.
 func TestCacheHitMutationIsolation(t *testing.T) {
 	eng := testEngine(t, Config{Chains: 1, Seed: 3})
 	ctx := context.Background()
-
-	first, err := eng.Query(ctx, exp.Query1, QueryOptions{Samples: 10})
-	if err != nil {
-		t.Fatal(err)
+	query := func() *Result {
+		t.Helper()
+		res, err := eng.Query(ctx, exp.Query1, QueryOptions{Samples: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+
+	first := query()
 	if first.Cached {
 		t.Fatal("first query reported cached")
 	}
-	if len(first.Tuples) < 2 {
-		t.Fatalf("degenerate corpus: %d answer tuples", len(first.Tuples))
+	if first.Len() < 2 {
+		t.Fatalf("degenerate corpus: %d answer tuples", first.Len())
 	}
-	wantVal := first.Tuples[0].Values[0]
-	wantP := first.Tuples[0].P
-	wantLen := len(first.Tuples)
+	want, wantCols := tuples(first), first.Columns()
+	wantVal := first.Value(0, 0).String()
+	wantP := first.Prob(0)
+	wantLen := first.Len()
 
-	// Mutate the caller's copy every way a client plausibly would:
-	// reorder, clobber values, truncate.
-	first.Tuples[0], first.Tuples[1] = first.Tuples[1], first.Tuples[0]
-	first.Tuples[0].Values[0] = "CORRUPTED"
-	first.Tuples[0].P = -42
-	first.cis[0] = core.TupleCI{}
-	first.Tuples = first.Tuples[:1]
-
-	second, err := eng.Query(ctx, exp.Query1, QueryOptions{Samples: 10})
-	if err != nil {
-		t.Fatal(err)
+	// Every write the API allows: the returned column slice, each header
+	// field, and the whole header at once.
+	mutate := func(r *Result) {
+		cols := r.Columns()
+		cols[0] = "CORRUPTED"
+		_ = append(cols[:0], "X", "Y")
+		r.SQL, r.Samples, r.Chains, r.Epoch = "CORRUPTED", -1, -1, -1
+		r.Confidence, r.Partial, r.Cached, r.EarlyStop = 2, true, true, true
+		r.Elapsed, r.Trace = -1, &QueryTrace{SQL: "CORRUPTED"}
+		*r = Result{}
 	}
+	samples := first.Samples
+	mutate(first)
+
+	second := query()
 	if !second.Cached {
 		t.Fatal("second query missed the cache")
 	}
-	if len(second.Tuples) != wantLen {
-		t.Fatalf("cached answer shrank: %d tuples, want %d", len(second.Tuples), wantLen)
+	if second.Len() != wantLen {
+		t.Fatalf("cached answer shrank: %d tuples, want %d", second.Len(), wantLen)
 	}
-	if second.Tuples[0].Values[0] != wantVal || second.Tuples[0].P != wantP {
+	if second.Value(0, 0).String() != wantVal || second.Prob(0) != wantP {
 		t.Errorf("cache corrupted by the caller's mutation: got (%q, %v), want (%q, %v)",
-			second.Tuples[0].Values[0], second.Tuples[0].P, wantVal, wantP)
+			second.Value(0, 0).String(), second.Prob(0), wantVal, wantP)
 	}
-	if len(second.TupleCIs()) != wantLen || second.TupleCIs()[0].Tuple == nil {
+	if second.Width(0) == 0 {
 		t.Error("cached typed tuples corrupted")
+	}
+	mutate(second)
+
+	third := query()
+	if !third.Cached || third.SQL != exp.Query1 || third.Samples != samples || third.Partial || third.Trace != nil {
+		t.Errorf("hit header corrupted: %+v", third)
+	}
+	if !reflect.DeepEqual(tuples(third), want) || !reflect.DeepEqual(third.Columns(), wantCols) {
+		t.Errorf("hit answer corrupted: %v %+v, want %v %+v", third.Columns(), tuples(third), wantCols, want)
 	}
 }
 
@@ -73,19 +96,19 @@ func TestServedRankedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tuples) > k {
-		t.Fatalf("LIMIT %d returned %d tuples", k, len(res.Tuples))
+	if res.Len() > k {
+		t.Fatalf("LIMIT %d returned %d tuples", k, res.Len())
 	}
-	for i := 1; i < len(res.Tuples); i++ {
-		if res.Tuples[i].P > res.Tuples[i-1].P {
-			t.Errorf("rank order violated at %d: %v after %v", i, res.Tuples[i].P, res.Tuples[i-1].P)
+	for i := 1; i < res.Len(); i++ {
+		if res.Prob(i) > res.Prob(i-1) {
+			t.Errorf("rank order violated at %d: %v after %v", i, res.Prob(i), res.Prob(i-1))
 		}
 	}
 	// Query 1 always carries a block of near-certain tuples; a top-k
 	// that starts anywhere below them means the ranking was inverted or
 	// truncated from the wrong end.
-	if len(res.Tuples) > 0 && res.Tuples[0].P < 0.5 {
-		t.Errorf("top-ranked tuple has p=%v; ranking picked the wrong end", res.Tuples[0].P)
+	if res.Len() > 0 && res.Prob(0) < 0.5 {
+		t.Errorf("top-ranked tuple has p=%v; ranking picked the wrong end", res.Prob(0))
 	}
 	if res.Partial {
 		t.Error("complete ranked query flagged partial")
@@ -98,8 +121,8 @@ func TestServedRankedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Tuples) < len(res.Tuples) {
-		t.Errorf("full answer (%d) smaller than its top-%d", len(full.Tuples), k)
+	if full.Len() < res.Len() {
+		t.Errorf("full answer (%d) smaller than its top-%d", full.Len(), k)
 	}
 }
 
@@ -188,14 +211,14 @@ func TestRankedEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, gap := 0, 0.0
-	for i := 1; i < len(probe.Tuples); i++ {
-		if g := probe.Tuples[i-1].P - probe.Tuples[i].P; g > gap {
+	for i := 1; i < probe.Len(); i++ {
+		if g := probe.Prob(i-1) - probe.Prob(i); g > gap {
 			k, gap = i, g
 		}
 	}
 	if k == 0 || gap < 0.25 {
 		t.Skipf("no clean marginal gap at this seed (best gap %.3f at k=%d of %d); early stop untestable here",
-			gap, k, len(probe.Tuples))
+			gap, k, probe.Len())
 	}
 
 	const budget = 4000
@@ -215,8 +238,8 @@ func TestRankedEarlyStop(t *testing.T) {
 	if res.Partial {
 		t.Error("early-stopped query flagged partial")
 	}
-	if len(res.Tuples) != k {
-		t.Errorf("top-%d returned %d tuples", k, len(res.Tuples))
+	if res.Len() != k {
+		t.Errorf("top-%d returned %d tuples", k, res.Len())
 	}
 	t.Logf("early stop after %d/%d samples for k=%d", res.Samples, budget, k)
 }

@@ -45,8 +45,8 @@ func TestCacheKeysOnFingerprint(t *testing.T) {
 		if res.SQL != sql {
 			t.Errorf("cache hit reports SQL %q, want the variant as issued %q", res.SQL, sql)
 		}
-		if len(res.Tuples) != len(first.Tuples) {
-			t.Errorf("variant %q answered %d tuples, original %d", sql, len(res.Tuples), len(first.Tuples))
+		if res.Len() != first.Len() {
+			t.Errorf("variant %q answered %d tuples, original %d", sql, res.Len(), first.Len())
 		}
 	}
 
@@ -74,8 +74,8 @@ func TestCacheKeysOnFingerprint(t *testing.T) {
 	if ranked.Cached {
 		t.Error("ranked query was served from the unranked cache entry")
 	}
-	if len(ranked.Tuples) > 2 {
-		t.Errorf("ranked answer has %d tuples, want <= 2", len(ranked.Tuples))
+	if ranked.Len() > 2 {
+		t.Errorf("ranked answer has %d tuples, want <= 2", ranked.Len())
 	}
 }
 

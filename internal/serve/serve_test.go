@@ -32,6 +32,26 @@ func testSystem(t testing.TB) *exp.NERSystem {
 
 const testThin = 300
 
+// answerTuple is one answer tuple rendered for assertions.
+type answerTuple struct {
+	Values    []string
+	P, Lo, Hi float64
+}
+
+// tuples renders res's answer through its read-only accessors.
+func tuples(res *Result) []answerTuple {
+	out := make([]answerTuple, res.Len())
+	for i := range out {
+		vals := make([]string, res.Width(i))
+		for j := range vals {
+			vals[j] = res.Value(i, j).String()
+		}
+		lo, hi := res.CI(i)
+		out[i] = answerTuple{Values: vals, P: res.Prob(i), Lo: lo, Hi: hi}
+	}
+	return out
+}
+
 func testEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	if cfg.StepsPerSample == 0 {
@@ -70,11 +90,12 @@ func TestEngineMatchesSingleQueryEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ch.Evaluator.Results()
-	if len(res.Tuples) != len(want) {
-		t.Fatalf("engine answered %d tuples, evaluator %d", len(res.Tuples), len(want))
+	if res.Len() != len(want) {
+		t.Fatalf("engine answered %d tuples, evaluator %d", res.Len(), len(want))
 	}
+	got := tuples(res)
 	for i, tp := range want {
-		got := res.Tuples[i]
+		got := got[i]
 		if got.P != tp.P || got.Values[0] != tp.Tuple[0].AsString() {
 			t.Errorf("tuple %d: engine (%v, %v) vs evaluator (%v, %v)",
 				i, got.Values[0], got.P, tp.Tuple[0].AsString(), tp.P)
@@ -122,7 +143,7 @@ func TestEngineServesConcurrentQueries(t *testing.T) {
 		if o.res.Partial {
 			t.Errorf("query %d: unexpectedly partial", i)
 		}
-		for _, tp := range o.res.Tuples {
+		for _, tp := range tuples(o.res) {
 			if tp.P < 0 || tp.P > 1 || tp.Lo > tp.P || tp.Hi < tp.P {
 				t.Errorf("query %d: malformed tuple %+v", i, tp)
 			}
@@ -131,14 +152,14 @@ func TestEngineServesConcurrentQueries(t *testing.T) {
 	// Query 2 (global count) answers a distribution over counts: exactly
 	// one count per sample, so the marginals sum to 1.
 	var mass float64
-	for _, tp := range out[1].res.Tuples {
+	for _, tp := range tuples(out[1].res) {
 		mass += tp.P
 	}
 	if mass < 0.999 || mass > 1.001 {
 		t.Errorf("Query 2 histogram mass = %v, want 1", mass)
 	}
 	// Query 1 must produce a non-degenerate answer on the trained world.
-	if len(out[0].res.Tuples) == 0 {
+	if out[0].res.Len() == 0 {
 		t.Error("Query 1 returned no tuples")
 	}
 
@@ -172,7 +193,7 @@ func TestQueryCache(t *testing.T) {
 	if !r2.Cached {
 		t.Error("second evaluation missed the cache")
 	}
-	if r2.Samples != r1.Samples || len(r2.Tuples) != len(r1.Tuples) {
+	if r2.Samples != r1.Samples || r2.Len() != r1.Len() {
 		t.Error("cached result differs from original")
 	}
 	// A different sample budget is a different cache key.
@@ -320,9 +341,9 @@ func TestResultCache(t *testing.T) {
 	c := newResultCache(2, time.Minute, nil)
 	r := &Result{SQL: "a"}
 	c.put("a", r, now)
-	// get returns a defensive copy, never the stored pointer.
-	if got, ok := c.get("a", now); !ok || got == r || got.SQL != "a" {
-		t.Fatalf("immediate get = %+v, %v; want an independent copy", r, ok)
+	// get shares the stored (frozen) result: a hit copies nothing.
+	if got, ok := c.get("a", now); !ok || got != r {
+		t.Fatalf("immediate get = %+v, %v; want the stored result", got, ok)
 	}
 	// TTL expiry.
 	if _, ok := c.get("a", now.Add(2*time.Minute)); ok {

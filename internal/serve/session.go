@@ -11,13 +11,18 @@ import (
 
 	"factordb/internal/core"
 	"factordb/internal/ra"
+	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
 
 // ErrBadQuery wraps SQL compile and bind failures so transports can map
 // them to client errors (HTTP 400) rather than server faults.
-var ErrBadQuery = errors.New("serve: bad query")
+var ErrBadQuery = errors.New("factordb: bad query")
+
+// DefaultConfidence is the two-sided interval mass of a query that does
+// not choose one.
+const DefaultConfidence = 0.95
 
 // QueryOptions tunes one query evaluation.
 type QueryOptions struct {
@@ -25,7 +30,8 @@ type QueryOptions struct {
 	// default). More samples tighten the confidence intervals at the cost
 	// of latency: the walk advances k steps per sample per chain.
 	Samples int
-	// Confidence is the two-sided interval mass in (0,1); 0 means 0.95.
+	// Confidence is the two-sided interval mass in (0,1); 0 means
+	// DefaultConfidence.
 	Confidence float64
 	// NoCache bypasses the result cache for this query.
 	NoCache bool
@@ -39,64 +45,64 @@ type QueryOptions struct {
 	TraceID string
 }
 
-// TupleResult is one answer tuple with its marginal and interval.
-type TupleResult struct {
-	Values []string `json:"values"`
-	P      float64  `json:"p"`
-	Lo     float64  `json:"ci_lo"`
-	Hi     float64  `json:"ci_hi"`
-}
-
-// Result is a completed (or deadline-truncated) query answer.
+// Result is a completed (or deadline-truncated) query answer: every
+// answer tuple with its marginal probability and confidence interval
+// (Equations 4–5 of the paper), ranked. The answer — columns and tuples —
+// is frozen when the evaluation publishes it and is shared read-only by
+// the result cache and every reader: the accessors below hand out values,
+// never a slice that aliases it. The exported fields are the caller's
+// own header; each cache hit gets a fresh one.
 type Result struct {
-	SQL        string        `json:"sql"`
-	Columns    []string      `json:"columns,omitempty"`
-	Tuples     []TupleResult `json:"tuples"`
-	Samples    int64         `json:"samples"`
-	Chains     int           `json:"chains"`
-	Epoch      int64         `json:"epoch"` // latest chain epoch merged in
-	Confidence float64       `json:"confidence"`
-	Partial    bool          `json:"partial"` // deadline hit before the budget
-	Cached     bool          `json:"cached"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
+	SQL        string
+	Samples    int64
+	Chains     int
+	Epoch      int64 // latest chain epoch merged in
+	Confidence float64
+	Partial    bool // deadline hit before the budget
+	Cached     bool
+	// Elapsed is the evaluation's wall time; a cache hit reports the
+	// original evaluation's.
+	Elapsed time.Duration
 
 	// EarlyStop reports that a ranked query (ORDER BY P DESC LIMIT k)
 	// finished before its sample budget because the confidence intervals
 	// already separated the top k from the rest — refining the remaining
 	// tuples could no longer change the answer.
-	EarlyStop bool `json:"early_stop,omitempty"`
+	EarlyStop bool
 
-	// Trace is the span breakdown of this evaluation, present only when
-	// the query opted in (QueryOptions.Trace) or the engine's trace
-	// sampler picked it. Immutable; cache hits carry the original
-	// evaluation's trace.
-	Trace *QueryTrace `json:"trace,omitempty"`
+	// Trace is the span breakdown of this request, present only when it
+	// opted in (QueryOptions.Trace) or the engine's trace sampler picked
+	// it. Immutable. A cache hit carries its own trace of the lookup
+	// (nil when untraced), never the original evaluation's.
+	Trace *QueryTrace
 
-	// cis carries the typed answer tuples (relstore values rather than
-	// rendered strings) for in-process consumers — the factordb facade
-	// and its database/sql driver — which must not lose column types to
-	// JSON formatting.
-	cis []core.TupleCI
+	cols   []string       // the plan cache's compiled column names
+	tuples []core.TupleCI // values shared with the chains' estimators
 }
 
-// clone returns a defensive copy of the result: the Tuples and cis
-// slices (and the Values slice of every tuple) are fresh, so callers may
-// sort or mutate them freely. The relstore values inside cis are shared;
-// they are immutable by convention throughout the engine.
-func (r *Result) clone() *Result {
-	cp := *r
-	cp.Tuples = make([]TupleResult, len(r.Tuples))
-	for i, t := range r.Tuples {
-		t.Values = append([]string(nil), t.Values...)
-		cp.Tuples[i] = t
-	}
-	cp.cis = append([]core.TupleCI(nil), r.cis...)
-	return &cp
+// NewResult freezes an answer assembled outside an evaluation (the
+// facade's EXPLAIN lines). It takes ownership of cols and tuples.
+func NewResult(cols []string, tuples []core.TupleCI) *Result {
+	return &Result{cols: cols, tuples: tuples}
 }
 
-// TupleCIs returns the typed answer tuples with confidence intervals, in
-// the same order as Tuples.
-func (r *Result) TupleCIs() []core.TupleCI { return r.cis }
+// Columns returns a copy of the output column names.
+func (r *Result) Columns() []string { return append([]string(nil), r.cols...) }
+
+// Len returns the number of answer tuples.
+func (r *Result) Len() int { return len(r.tuples) }
+
+// Width returns the number of column values of tuple i.
+func (r *Result) Width(i int) int { return len(r.tuples[i].Tuple) }
+
+// Value returns column j of tuple i. Values are immutable.
+func (r *Result) Value(i, j int) relstore.Value { return r.tuples[i].Tuple[j] }
+
+// Prob returns tuple i's estimated marginal probability.
+func (r *Result) Prob(i int) float64 { return r.tuples[i].P }
+
+// CI returns the confidence interval of tuple i's marginal.
+func (r *Result) CI(i int) (lo, hi float64) { return r.tuples[i].Lo, r.tuples[i].Hi }
 
 // registration tracks one chain's share of a query. A completed chain
 // stores its final estimator snapshot in final before closing done; the
@@ -136,9 +142,10 @@ func (r *registration) snapshot() (world.Snapshot[*core.Estimator], bool) {
 // tuples outside the top k can no longer enter it and further refinement
 // is wasted walk.
 //
-// The returned Result is owned by the caller: cache hits and fresh
-// evaluations alike carry defensive copies of the tuple slices, so
-// callers may sort or mutate them without corrupting the cache.
+// The returned Result's exported fields belong to the caller. Its answer
+// is shared read-only with the result cache and every later hit, so a
+// hit copies no tuples, and nothing a caller can do to its Result
+// reaches another caller's.
 func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
 	if e.Closed() {
 		return nil, ErrClosed
@@ -213,7 +220,7 @@ func (e *Engine) fillOpts(opts QueryOptions) (QueryOptions, error) {
 		opts.Samples = e.cfg.DefaultSamples
 	}
 	if opts.Confidence == 0 {
-		opts.Confidence = 0.95
+		opts.Confidence = DefaultConfidence
 	}
 	if opts.Confidence <= 0 || opts.Confidence >= 1 {
 		e.m.failed.Inc()
@@ -241,13 +248,16 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	}
 	if !opts.NoCache {
 		tr.span("cache_probe")
-		if res, ok := e.cache.get(cacheKey(e.dataEpoch.Load()), time.Now()); ok {
+		if frozen, ok := e.cache.get(cacheKey(e.dataEpoch.Load()), time.Now()); ok {
 			e.m.hits.Inc()
+			// A fresh header over the shared answer: the per-request
+			// fields never touch the cached entry.
+			res := *frozen
 			res.Cached = true
 			res.SQL = sql // a fingerprint hit may come from a textual variant
 			tr.attr("result", "hit")
 			res.Trace = e.finishTrace(tr, "cached")
-			return res, nil
+			return &res, nil
 		}
 		tr.attr("result", "miss")
 	}
@@ -325,19 +335,8 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	}
 
 	tr.span("rank")
-	cis := core.SortTupleCIs(merged.ResultsCI(z), spec)
-	tuples := make([]TupleResult, len(cis))
-	for i, ci := range cis {
-		vals := make([]string, len(ci.Tuple))
-		for j, v := range ci.Tuple {
-			vals[j] = v.String()
-		}
-		tuples[i] = TupleResult{Values: vals, P: ci.P, Lo: ci.Lo, Hi: ci.Hi}
-	}
 	res := &Result{
 		SQL:        sql,
-		Columns:    comp.Cols,
-		Tuples:     tuples,
 		Samples:    merged.Samples(),
 		Chains:     e.cfg.Chains,
 		Epoch:      col.epoch,
@@ -345,7 +344,8 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		Partial:    partial,
 		EarlyStop:  earlyStop,
 		Elapsed:    time.Since(start),
-		cis:        cis,
+		cols:       comp.Cols,
+		tuples:     core.SortTupleCIs(merged.ResultsCI(z), spec),
 	}
 	e.m.queries.Inc()
 	e.m.latency.Observe(res.Elapsed.Seconds())
@@ -363,7 +363,9 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	// born unreachable or risk pinning a pre-write answer under the
 	// post-write key.
 	if !opts.NoCache && !partial && e.dataEpoch.Load() == epoch0 {
-		e.cache.put(cacheKey(epoch0), res, time.Now())
+		frozen := *res // the entry's own header, free of this request's fields
+		frozen.SQL, frozen.Trace = "", nil
+		e.cache.put(cacheKey(epoch0), &frozen, time.Now())
 	}
 	return res, nil
 }

@@ -89,7 +89,7 @@ func (p private) collectOnce(ctx context.Context, plan ra.Plan, _ ra.ResultSpec,
 func (p private) resolve(_ context.Context, mut ra.Mutation) ([]world.Op, error) {
 	w, ok := p.src.(WritableSource)
 	if !ok {
-		return nil, ErrReadOnly
+		return nil, fmt.Errorf("%w: no durable local world (open it with WithMode(ModeServed))", ErrReadOnly)
 	}
 	return w.ResolveExec(mut)
 }

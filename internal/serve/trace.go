@@ -168,13 +168,6 @@ type traceRing struct {
 	n    int
 }
 
-func newTraceRing(size int) *traceRing {
-	if size < 1 {
-		size = 1
-	}
-	return &traceRing{buf: make([]*QueryTrace, size)}
-}
-
 func (r *traceRing) add(t *QueryTrace) {
 	if t == nil {
 		return

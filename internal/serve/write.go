@@ -12,16 +12,27 @@ import (
 
 // ExecResult reports one committed DML mutation.
 type ExecResult struct {
-	SQL          string        `json:"sql"`
-	RowsAffected int64         `json:"rows_affected"`
-	Epoch        int64         `json:"epoch"`  // data epoch after the commit
-	Chains       int           `json:"chains"` // worlds the mutation was applied to
-	Elapsed      time.Duration `json:"elapsed_ns"`
-
-	// Trace is the span breakdown of this write, present only when the
-	// caller opted in (ExecOptions.Trace) or the engine's trace sampler
-	// picked it. Spans follow the write-span contract in doc.go.
-	Trace *QueryTrace `json:"trace,omitempty"`
+	// SQL is the statement as the caller issued it.
+	SQL string
+	// RowsAffected counts the rows the mutation touched (rows inserted,
+	// matched by UPDATE, or deleted).
+	RowsAffected int64
+	// Epoch is the data epoch after the commit: the number of writes the
+	// database has absorbed. Every committed write bumps it, and the
+	// result cache keys on it, so no answer cached before this write can
+	// be served after it.
+	Epoch int64
+	// Chains is the number of possible-world copies the mutation was
+	// applied to (the pool size in served mode, 1 otherwise).
+	Chains int
+	// Elapsed is the wall time to commit, including the post-write
+	// burn-in on every chain in served mode.
+	Elapsed time.Duration
+	// Trace is the write's span breakdown — compile, resolve, WAL
+	// append/fsync, chain fan-out phases — present only when the caller
+	// opted in (ExecOptions.Trace) or the engine's trace sampler picked
+	// the write. Spans follow the write-span contract in doc.go.
+	Trace *QueryTrace
 }
 
 // ExecOptions tunes one mutation execution.
@@ -56,7 +67,7 @@ type FsyncReporter interface {
 // (predicates evaluated, row identities fixed), then the identical op
 // list is fanned out to every chain — chain worlds share row identities
 // by construction, so they never diverge on evidence. Each chain applies
-// the ops at an epoch boundary, walks WriteBurnIn steps to
+// the ops at an epoch boundary, walks StepsPerSample steps to
 // re-equilibrate, folds the combined delta into its live views once, and
 // resets their estimators: queries in flight across the write complete
 // with post-write samples only, and queries issued after Exec returns
@@ -185,7 +196,7 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	if e.cfg.WAL != nil {
 		tr.span("wal_append")
 		if err := e.cfg.WAL.Append(epoch, ops); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWAL, err)
+			return nil, fmt.Errorf("%w: wal append: %v", ErrWAL, err)
 		}
 		var fsyncNS int64
 		if fr, ok := e.cfg.WAL.(FsyncReporter); ok {
@@ -232,7 +243,7 @@ func (p pool) apply(ops []world.Op, tr *qtrace) error {
 	}
 	errs := make(chan error, len(p.chains))
 	for _, c := range p.chains {
-		go func(c *chain) { errs <- c.applyOps(p.cfg.WriteBurnIn, ops, phases) }(c)
+		go func(c *chain) { errs <- c.applyOps(p.cfg.StepsPerSample, ops, phases) }(c)
 	}
 	var failed error
 	counts := [numWritePhases]int{}

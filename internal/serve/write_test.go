@@ -35,13 +35,13 @@ func corefEngine(t testing.TB, cfg Config) *Engine {
 
 // mentionString fetches the current STRING evidence of one mention
 // through the query path; want -1 tuples skips the arity check.
-func queryTuples(t *testing.T, eng *Engine, sql string) []TupleResult {
+func queryTuples(t *testing.T, eng *Engine, sql string) []answerTuple {
 	t.Helper()
 	res, err := eng.Query(context.Background(), sql, QueryOptions{Samples: 4, NoCache: true})
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
-	return res.Tuples
+	return tuples(res)
 }
 
 // TestExecMutatesEveryChainWorld drives the three DML verbs end-to-end
@@ -141,16 +141,16 @@ func TestWriteInvalidatesResultCache(t *testing.T) {
 	if r3.Cached {
 		t.Fatal("stale pre-write cache entry served after the write")
 	}
-	if len(r3.Tuples) != 1 || r3.Tuples[0].Values[0] != "POSTWRITE" {
-		t.Fatalf("post-write answer = %+v", r3.Tuples)
+	if r3.Len() != 1 || r3.Value(0, 0).String() != "POSTWRITE" {
+		t.Fatalf("post-write answer = %+v", tuples(r3))
 	}
 	// Fingerprint sharing still works within the new epoch.
 	r4 := q(sqlC)
 	if !r4.Cached {
 		t.Error("post-write spelling variant missed the fresh shared entry")
 	}
-	if len(r4.Tuples) != 1 || r4.Tuples[0].Values[0] != "POSTWRITE" {
-		t.Fatalf("post-write cached answer = %+v", r4.Tuples)
+	if r4.Len() != 1 || r4.Value(0, 0).String() != "POSTWRITE" {
+		t.Fatalf("post-write cached answer = %+v", tuples(r4))
 	}
 }
 
@@ -190,8 +190,8 @@ func TestInFlightQueryCompletesAcrossWrite(t *testing.T) {
 	// tuples, or one below certainty, is a blend of the two worlds: the
 	// exact outcome the collect-retry loop forbids.
 	if !o.res.Partial {
-		if len(o.res.Tuples) != 1 || o.res.Tuples[0].P != 1 {
-			t.Errorf("blended in-flight answer across the write: %+v", o.res.Tuples)
+		if o.res.Len() != 1 || o.res.Prob(0) != 1 {
+			t.Errorf("blended in-flight answer across the write: %+v", tuples(o.res))
 		}
 	}
 	// A fresh query sees the write with certainty.

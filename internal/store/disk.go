@@ -194,7 +194,7 @@ func (s *DiskStore) background() {
 	var tick *time.Ticker
 	var tickC <-chan time.Time
 	if s.opts.Fsync == FsyncInterval {
-		tick = time.NewTicker(s.opts.SyncEvery)
+		tick = time.NewTicker(syncInterval)
 		tickC = tick.C
 		defer tick.Stop()
 	}

@@ -21,6 +21,7 @@
 package store
 
 import (
+	"fmt"
 	"log/slog"
 	"time"
 
@@ -32,9 +33,9 @@ import (
 type FsyncPolicy uint8
 
 const (
-	// FsyncInterval (the default) syncs the log on a background ticker:
-	// a crash loses at most one interval of committed writes, and the
-	// append path never waits on the disk.
+	// FsyncInterval (the default) syncs the log on a background ticker
+	// every 100ms: a crash loses at most that interval of committed
+	// writes, and the append path never waits on the disk.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every append: no committed write is ever
 	// lost, at the cost of one fsync per Exec.
@@ -57,14 +58,26 @@ func (p FsyncPolicy) String() string {
 	return "unknown"
 }
 
+// ParseFsyncPolicy converts the flag spelling of a policy — the inverse
+// of String.
+func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
+	for _, p := range []FsyncPolicy{FsyncInterval, FsyncAlways, FsyncNever} {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("factordb: unknown fsync policy %q (want always, interval or never)", s)
+}
+
+// syncInterval is the FsyncInterval ticker period.
+const syncInterval = 100 * time.Millisecond
+
 // Options parameterizes Open. Zero values take the documented defaults.
 type Options struct {
 	// Dir is the data directory; it is created if missing.
 	Dir string
 	// Fsync is the WAL sync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncInterval ticker period (default 100ms).
-	SyncEvery time.Duration
 	// CheckpointOps triggers a background checkpoint once this many ops
 	// have been appended since the last one (default 4096; negative
 	// disables op-triggered checkpoints).
@@ -79,9 +92,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.CheckpointOps == 0 {
 		o.CheckpointOps = 4096
 	}

@@ -74,8 +74,7 @@ func (s *Stmt) Close() error { return nil }
 // canonicalized, so the plan fingerprint — and with it result-cache and
 // shared-view identity — matches the inlined spelling exactly.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
-	qo, _ := s.db.queryOpts(nil)
-	return s.query(ctx, args, qo)
+	return s.query(ctx, args, s.db.queryOpts(nil))
 }
 
 // query is the option-carrying execution core behind Stmt.Query and the
@@ -107,7 +106,7 @@ func (s *Stmt) query(ctx context.Context, args []any, qo queryOptions) (*Rows, e
 		}
 		comp = &sqlparse.Compiled{Plan: plan, Spec: spec}
 	}
-	res, err := db.eng.QueryPlan(ctx, s.sql, comp.Plan, comp.Spec, qo.engine())
+	res, err := db.eng.QueryPlan(ctx, s.sql, comp.Plan, comp.Spec, qo.QueryOptions)
 	return newRows(ctx, res, err, qo)
 }
 
@@ -142,8 +141,7 @@ func (s *Stmt) exec(ctx context.Context, args []any, eo execOptions) (*ExecResul
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
 	}
-	res, err := db.eng.ExecMutation(ctx, s.sql, mut, eo.engine())
-	return newExecResult(res, err)
+	return db.eng.ExecMutation(ctx, s.sql, mut, eo)
 }
 
 // queryArgs runs one SELECT with placeholder arguments through a
@@ -153,15 +151,11 @@ func (db *DB) queryArgs(ctx context.Context, sql string, args []any, opts ...Que
 	if len(args) == 0 {
 		return db.Query(ctx, sql, opts...)
 	}
-	qo, err := db.queryOpts(opts)
-	if err != nil {
-		return nil, err
-	}
 	stmt, err := db.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return stmt.query(ctx, args, qo)
+	return stmt.query(ctx, args, db.queryOpts(opts))
 }
 
 // execArgs runs one DML statement with placeholder arguments through a

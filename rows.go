@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"factordb/internal/core"
 	"factordb/internal/relstore"
+	"factordb/internal/serve"
 )
 
 // Rows is the streaming result of DB.Query: answer tuples sorted by
@@ -26,20 +26,8 @@ import (
 //
 // Rows is not safe for concurrent use.
 type Rows struct {
-	cols []string
-	cis  []core.TupleCI
-	i    int // current row; -1 before the first Next
-
-	samples    int64
-	chains     int
-	epoch      int64
-	confidence float64
-	partial    bool
-	earlyStop  bool
-	cached     bool
-	elapsed    time.Duration
-	trace      *QueryTrace
-
+	res    *serve.Result // the engine's frozen answer, read in place
+	i      int           // current row; -1 before the first Next
 	closed bool
 	err    error
 }
@@ -47,31 +35,32 @@ type Rows struct {
 // Columns returns the output column names, excluding the probability and
 // interval (which are per-row metadata read through Prob and CI — the
 // database/sql driver is what surfaces them as trailing columns).
-func (r *Rows) Columns() []string { return r.cols }
+func (r *Rows) Columns() []string { return r.res.Columns() }
 
 // Len returns the number of answer tuples.
-func (r *Rows) Len() int { return len(r.cis) }
+func (r *Rows) Len() int { return r.res.Len() }
 
 // Next advances to the next answer tuple, returning false when the
 // result set is exhausted or the rows are closed.
 func (r *Rows) Next() bool {
-	if r.closed || r.i+1 >= len(r.cis) {
+	if r.closed || r.i+1 >= r.res.Len() {
 		return false
 	}
 	r.i++
 	return true
 }
 
-func (r *Rows) current() (core.TupleCI, error) {
+// current checks that a row is positioned for reading.
+func (r *Rows) current() error {
 	switch {
 	case r.closed:
-		return core.TupleCI{}, fmt.Errorf("factordb: rows are closed")
+		return fmt.Errorf("factordb: rows are closed")
 	case r.i < 0:
-		return core.TupleCI{}, fmt.Errorf("factordb: Scan called before Next")
-	case r.i >= len(r.cis):
-		return core.TupleCI{}, fmt.Errorf("factordb: Scan called after the last row")
+		return fmt.Errorf("factordb: Scan called before Next")
+	case r.i >= r.res.Len():
+		return fmt.Errorf("factordb: Scan called after the last row")
 	}
-	return r.cis[r.i], nil
+	return nil
 }
 
 // Scan copies the current tuple's column values into dest, which must
@@ -79,15 +68,14 @@ func (r *Rows) current() (core.TupleCI, error) {
 // or *any. Numeric columns scan into *float64 with the usual widening;
 // any column scans into *string via its text rendering.
 func (r *Rows) Scan(dest ...any) error {
-	row, err := r.current()
-	if err != nil {
+	if err := r.current(); err != nil {
 		return r.fail(err)
 	}
-	if len(dest) != len(row.Tuple) {
-		return r.fail(fmt.Errorf("factordb: Scan got %d destinations for %d columns", len(dest), len(row.Tuple)))
+	if w := r.res.Width(r.i); len(dest) != w {
+		return r.fail(fmt.Errorf("factordb: Scan got %d destinations for %d columns", len(dest), w))
 	}
-	for i, v := range row.Tuple {
-		if err := scanValue(dest[i], v, i); err != nil {
+	for j := range dest {
+		if err := scanValue(dest[j], r.res.Value(r.i, j), j); err != nil {
 			return r.fail(err)
 		}
 	}
@@ -153,13 +141,12 @@ func goValue(v relstore.Value) any {
 // (int64, float64, bool, string) — the allocation-light path the
 // database/sql driver iterates with.
 func (r *Rows) Row() ([]any, error) {
-	row, err := r.current()
-	if err != nil {
+	if err := r.current(); err != nil {
 		return nil, err
 	}
-	out := make([]any, len(row.Tuple))
-	for i, v := range row.Tuple {
-		out[i] = goValue(v)
+	out := make([]any, r.res.Width(r.i))
+	for j := range out {
+		out[j] = goValue(r.res.Value(r.i, j))
 	}
 	return out, nil
 }
@@ -167,19 +154,19 @@ func (r *Rows) Row() ([]any, error) {
 // Prob returns the current tuple's estimated marginal probability of
 // membership in the query answer (Equation 5 of the paper).
 func (r *Rows) Prob() float64 {
-	if row, err := r.current(); err == nil {
-		return row.P
+	if r.current() != nil {
+		return 0
 	}
-	return 0
+	return r.res.Prob(r.i)
 }
 
 // CI returns the Wilson confidence interval for the current tuple's
 // marginal at the query's confidence level.
 func (r *Rows) CI() (lo, hi float64) {
-	if row, err := r.current(); err == nil {
-		return row.Lo, row.Hi
+	if r.current() != nil {
+		return 0, 0
 	}
-	return 0, 0
+	return r.res.CI(r.i)
 }
 
 // Err returns the first error recorded during iteration. The answer set
@@ -197,35 +184,35 @@ func (r *Rows) Close() error {
 
 // Samples returns how many possible-world samples the estimate is built
 // from (summed across chains in served mode).
-func (r *Rows) Samples() int64 { return r.samples }
+func (r *Rows) Samples() int64 { return r.res.Samples }
 
 // Chains returns how many parallel chains contributed samples.
-func (r *Rows) Chains() int { return r.chains }
+func (r *Rows) Chains() int { return r.res.Chains }
 
 // Confidence returns the two-sided interval mass CI was computed at.
-func (r *Rows) Confidence() float64 { return r.confidence }
+func (r *Rows) Confidence() float64 { return r.res.Confidence }
 
 // Partial reports whether the budget was cut short (context expiry or
 // close) and the estimate is built from fewer samples than requested.
 // Only queries opted into AllowPartial can observe true.
-func (r *Rows) Partial() bool { return r.partial }
+func (r *Rows) Partial() bool { return r.res.Partial }
 
 // EarlyStopped reports that a served ranked query (ORDER BY P DESC
 // LIMIT k) finished before its sample budget because the confidence
 // intervals already separated the top k from the rest — the answer's
 // membership could no longer change, so the engine returned the
 // remaining budget to the pool.
-func (r *Rows) EarlyStopped() bool { return r.earlyStop }
+func (r *Rows) EarlyStopped() bool { return r.res.EarlyStop }
 
 // Cached reports whether the answer was served from the result cache.
-func (r *Rows) Cached() bool { return r.cached }
+func (r *Rows) Cached() bool { return r.res.Cached }
 
 // Elapsed returns the evaluation wall time. Cache hits report the
 // original evaluation's time, not the lookup's — check Cached to tell
 // them apart.
-func (r *Rows) Elapsed() time.Duration { return r.elapsed }
+func (r *Rows) Elapsed() time.Duration { return r.res.Elapsed }
 
 // Trace returns the span breakdown of this evaluation, or nil unless the
 // query opted in with the Trace option (in served mode the engine's
 // trace sampler may also attach one). The trace is immutable.
-func (r *Rows) Trace() *QueryTrace { return r.trace }
+func (r *Rows) Trace() *QueryTrace { return r.res.Trace }

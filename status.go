@@ -63,7 +63,7 @@ type Status struct {
 func (db *DB) Status() Status {
 	es := db.eng.Status()
 	return Status{
-		Mode:         db.opts.mode.String(),
+		Mode:         db.Mode().String(),
 		Chains:       es.Chains,
 		Epoch:        es.Epoch,
 		WriteEpoch:   es.DataEpoch,
