@@ -95,7 +95,7 @@
 //	query     admission_wait      all         the admission queue queries and writes share
 //	query     register            pool        view mount or registry hit per chain (attr view_reuse)
 //	query     sample_wait         pool        the chains walking until the budget is met
-//	query     snapshot_merge      pool        merging the per-chain estimators (attr samples)
+//	query     snapshot_merge      pool        merging the per-chain snapshots (attr samples)
 //	query     clone_world         private     cloning the prototype world
 //	query     sample              private     burn-in plus the whole sample budget (attr samples)
 //	query     rank                all         ORDER BY / LIMIT over the merged estimate
@@ -107,7 +107,7 @@
 //	exec      fanout              pool        ops delivered until every chain has applied them
 //	exec      burn_in             pool        the slowest chain's re-equilibration walk
 //	exec      delta_fold          pool        folding the write's delta into every live view
-//	exec      republish           pool        reset estimators republished to readers
+//	exec      republish           pool        the shared empty snapshot republished to readers
 //	exec      apply               private     mutating the prototype world
 //	exec      cache_invalidate    all         the data-epoch bump
 //	recovery  snapshot_load       all         attr snapshot_epoch
@@ -156,7 +156,9 @@
 // steps/sec, and — per live shared view — the cross-chain split-R̂ and
 // effective sample size of the view's answer-cardinality stream, on
 // GET /metrics (factordb_chain_*, factordb_view_rhat, factordb_view_ess)
-// and GET /statusz.
+// and GET /statusz. /metrics also carries the Go runtime's own series,
+// read on scrape: go_goroutines, go_gc_heap_live_bytes,
+// go_gc_cycles_total and go_gc_pause_seconds_total.
 //
 // # Write path: DML and the data epoch
 //

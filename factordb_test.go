@@ -525,11 +525,23 @@ func TestHandlerRequestHardening(t *testing.T) {
 		{"oversized body", `{"sql": "SELECT MENTION_ID FROM MENTION", "pad": "` +
 			strings.Repeat("x", MaxQueryBodyBytes) + `"}`},
 		{"missing sql", `{}`},
+		// A negative budget is not "use the default": zero is.
+		{"negative samples", `{"sql": "SELECT MENTION_ID FROM MENTION", "samples": -5}`},
+		{"negative timeout", `{"sql": "SELECT MENTION_ID FROM MENTION", "timeout_ms": -1}`},
 	}
 	for _, c := range cases {
 		if got := post(c.body); got != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, got)
 		}
+	}
+	resp, err := http.Post(srv.URL+"/exec", "application/json",
+		strings.NewReader(`{"sql": "DELETE FROM MENTION WHERE MENTION_ID = 0", "timeout_ms": -1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("exec with negative timeout: status %d, want 400", resp.StatusCode)
 	}
 
 	// A well-formed request still works after all the rejects.
@@ -619,6 +631,10 @@ func TestHandlerEndpoints(t *testing.T) {
 		"factordb_acceptance_rate",
 		"factordb_query_seconds_count",
 		"factordb_chains 2",
+		"go_goroutines ",
+		"go_gc_heap_live_bytes ",
+		"go_gc_cycles_total ",
+		"go_gc_pause_seconds_total ",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("/metrics missing %q", want)

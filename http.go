@@ -233,16 +233,19 @@ func (db *DB) traceContext(w http.ResponseWriter, r *http.Request) string {
 	return tid
 }
 
-// requestTimeout clamps the client's timeout request onto [default, max].
-func requestTimeout(ms int) time.Duration {
-	timeout := DefaultQueryTimeout
-	if ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
-		if timeout > MaxQueryTimeout {
-			timeout = MaxQueryTimeout
-		}
+// requestTimeout resolves the client's timeout_ms: zero means
+// DefaultQueryTimeout, anything above MaxQueryTimeout is clamped to it,
+// and a negative value is a client error — like decodeBody, it writes the
+// 400 itself and reports whether to proceed.
+func requestTimeout(w http.ResponseWriter, ms int) (time.Duration, bool) {
+	if ms < 0 {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("timeout_ms %d is negative", ms)})
+		return 0, false
 	}
-	return timeout
+	if ms == 0 {
+		return DefaultQueryTimeout, true
+	}
+	return min(time.Duration(ms)*time.Millisecond, MaxQueryTimeout), true
 }
 
 func (db *DB) handleExec(w http.ResponseWriter, r *http.Request) {
@@ -254,7 +257,11 @@ func (db *DB) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing \"sql\" field"})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout(req.TimeoutMS))
+	timeout, ok := requestTimeout(w, req.TimeoutMS)
+	if !ok {
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	opts := []ExecOption{ExecTraceID(db.traceContext(w, r))}
 	if req.Trace {
@@ -288,13 +295,19 @@ func (db *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing \"sql\" field"})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout(req.TimeoutMS))
+	timeout, ok := requestTimeout(w, req.TimeoutMS)
+	if !ok {
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	// HTTP clients get anytime semantics: a timeout that lands after the
-	// first sample returns the truncated estimate flagged partial.
+	// first sample returns the truncated estimate flagged partial. A
+	// negative sample budget reaches the engine, which rejects it as
+	// ErrBadQuery (400).
 	opts := []QueryOption{AllowPartial(), TraceID(db.traceContext(w, r))}
-	if req.Samples > 0 {
+	if req.Samples != 0 {
 		opts = append(opts, Samples(req.Samples))
 	}
 	if req.Confidence != 0 {

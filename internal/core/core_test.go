@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"factordb/internal/factor"
@@ -283,35 +286,95 @@ func TestEstimator(t *testing.T) {
 	// Merge doubles counts.
 	o := NewEstimator()
 	o.AddSample(mk("b"))
-	e.Merge(o)
+	e.Merge(o.Snapshot())
 	if got := e.Marginals()[bKey]; math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("merged marginal = %v", got)
 	}
 }
 
-func TestEstimatorCloneIsIndependent(t *testing.T) {
+// stringBag builds a one-column answer bag holding each value once.
+func stringBag(vals ...string) *ra.Bag {
 	sch := &ra.RowSchema{Cols: []ra.OutCol{{Ref: ra.C("", "s"), Type: relstore.TString}}}
-	mk := func(vals ...string) *ra.Bag {
-		b := ra.NewBag(sch)
-		for _, v := range vals {
-			b.Add(relstore.Tuple{relstore.String(v)}, 1)
-		}
-		return b
+	b := ra.NewBag(sch)
+	for _, v := range vals {
+		b.Add(relstore.Tuple{relstore.String(v)}, 1)
 	}
+	return b
+}
+
+// TestSnapshotIsImmutable pins the publication contract: once taken, a
+// snapshot's samples, results and intervals do not move, whatever the
+// estimator goes on to count — including tuples it appends to the
+// dictionary the snapshot shares.
+func TestSnapshotIsImmutable(t *testing.T) {
 	e := NewEstimator()
-	e.AddSample(mk("a", "b"))
-	c := e.Clone()
-	e.AddSample(mk("a"))
-	if c.Samples() != 1 || e.Samples() != 2 {
-		t.Fatalf("clone shares state: %d vs %d samples", c.Samples(), e.Samples())
+	e.AddSample(stringBag("a", "b"))
+	s := e.Snapshot()
+	wantRes, wantCI := s.Results(), s.ResultsCI(1.96)
+
+	e.AddSample(stringBag("a"))
+	e.AddSample(stringBag("c", "d", "e", "f", "g"))
+	e.AddSampleStream(func(yield func(relstore.Tuple, int64) bool) {
+		yield(relstore.Tuple{relstore.String("b")}, 1)
+		yield(relstore.Tuple{relstore.String("h")}, 1)
+	}, true)
+
+	if s.Samples() != 1 || e.Samples() != 4 {
+		t.Fatalf("snapshot shares state: %d vs %d samples", s.Samples(), e.Samples())
 	}
-	aKey := relstore.Tuple{relstore.String("a")}.Key()
-	if c.Marginals()[aKey] != 1.0 || e.Marginals()[aKey] != 1.0 {
-		t.Errorf("marginals: clone %v orig %v", c.Marginals(), e.Marginals())
+	if got := s.Results(); !reflect.DeepEqual(got, wantRes) {
+		t.Errorf("Results moved: %v, want %v", got, wantRes)
+	}
+	if got := s.ResultsCI(1.96); !reflect.DeepEqual(got, wantCI) {
+		t.Errorf("ResultsCI moved: %v, want %v", got, wantCI)
 	}
 	bKey := relstore.Tuple{relstore.String("b")}.Key()
-	if c.Marginals()[bKey] != 1.0 || e.Marginals()[bKey] != 0.5 {
-		t.Errorf("clone marginal drifted: %v vs %v", c.Marginals()[bKey], e.Marginals()[bKey])
+	if s.Marginals()[bKey] != 1.0 || e.Marginals()[bKey] != 0.5 {
+		t.Errorf("b: snapshot %v, estimator %v", s.Marginals()[bKey], e.Marginals()[bKey])
+	}
+	if len(e.Results()) != 8 {
+		t.Errorf("estimator answers %d tuples, want 8", len(e.Results()))
+	}
+}
+
+// TestSnapshotMergeRacesOwner reads and merges published snapshots on one
+// goroutine while the owner keeps sampling new tuples on another — the
+// serving chain's publish pattern. Run with -race: the owner's appends to
+// the shared dictionary must never touch what a snapshot can see.
+func TestSnapshotMergeRacesOwner(t *testing.T) {
+	var cell atomic.Pointer[Snapshot]
+	owner := NewEstimator()
+	cell.Store(owner.Snapshot())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			owner.AddSample(stringBag("shared", fmt.Sprintf("new-%d", i)))
+			cell.Store(owner.Snapshot())
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		s := cell.Load()
+		if s.Samples() == 0 {
+			continue
+		}
+		merged := NewEstimator()
+		merged.Merge(s)
+		merged.Merge(s)
+		cis := merged.ResultsCI(1.96)
+		// Every sample adds one fresh tuple beside the shared one.
+		if int64(len(cis)) != s.Samples()+1 {
+			t.Fatalf("%d samples merged into %d tuples, want %d", s.Samples(), len(cis), s.Samples()+1)
+		}
+		if merged.Samples() != 2*s.Samples() || cis[0].P != 1 {
+			t.Fatalf("merged %d samples, shared tuple at p=%v; want %d at p=1",
+				merged.Samples(), cis[0].P, 2*s.Samples())
+		}
 	}
 }
 

@@ -13,8 +13,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
@@ -27,29 +29,53 @@ type TupleProb struct {
 	P     float64
 }
 
-// tupleStat is the accumulated evidence for one distinct answer tuple: how
-// many samples contained it, and the index of the last sample that counted
-// it (the dedup stamp that lets a streamed answer mention the same tuple
-// several times without inflating its count).
-type tupleStat struct {
+// entry is one distinct answer tuple in an estimator's dictionary. Entries
+// are only ever appended, never changed, so a snapshot can share any
+// prefix of the dictionary while the estimator keeps growing it.
+type entry struct {
+	key   string
 	tuple relstore.Tuple
-	c     int64
-	seen  int64
+}
+
+// tally is the estimate itself, read the same way from an Estimator and
+// a Snapshot: counts[slot] is how many of the z samples contained
+// entries[slot].
+type tally struct {
+	entries []entry
+	counts  []int64
+	z       int64
 }
 
 // Estimator accumulates tuple presence counts across sampled worlds,
 // implementing the finite-sample estimate of Equation 5: a tuple's
 // marginal is the fraction of samples whose (multiset) answer contained
-// it with positive count.
+// it with positive count. Storage is dense — index maps a tuple key to
+// its slot in the append-only dictionary — so Snapshot copies only the
+// counts.
 type Estimator struct {
-	stats map[string]*tupleStat
-	z     int64
-	kbuf  []byte
+	tally
+	index map[string]int32
+	// seen is AddSampleStream's per-slot dedup stamp: the index of the last
+	// sample that counted the slot, so a tuple a stream yields several
+	// times is counted once. A bag's keys are already distinct, so
+	// AddSample neither needs nor grows it.
+	seen []int64
+	kbuf []byte
 }
 
 // NewEstimator returns an empty estimator.
 func NewEstimator() *Estimator {
-	return &Estimator{stats: make(map[string]*tupleStat)}
+	return &Estimator{index: make(map[string]int32)}
+}
+
+// add appends a new dictionary entry with a zero count and returns its
+// slot.
+func (e *Estimator) add(key string, t relstore.Tuple) int32 {
+	s := int32(len(e.entries))
+	e.index[key] = s
+	e.entries = append(e.entries, entry{key: key, tuple: t})
+	e.counts = append(e.counts, 0)
+	return s
 }
 
 // AddSample counts every tuple present (count > 0) in the sampled answer
@@ -62,13 +88,11 @@ func (e *Estimator) AddSample(answer *ra.Bag) int64 {
 	var card int64
 	answer.Each(func(k string, r *ra.BagRow) bool {
 		if r.N > 0 {
-			st, ok := e.stats[k]
+			s, ok := e.index[k]
 			if !ok {
-				st = &tupleStat{tuple: r.Tuple}
-				e.stats[k] = st
+				s = e.add(k, r.Tuple)
 			}
-			st.seen = e.z
-			st.c++
+			e.counts[s]++
 			card++
 		}
 		return true
@@ -90,17 +114,19 @@ func (e *Estimator) AddSampleStream(it ra.Iterator, owned bool) int64 {
 			return true
 		}
 		e.kbuf = t.AppendKey(e.kbuf[:0])
-		st, ok := e.stats[string(e.kbuf)]
+		s, ok := e.index[string(e.kbuf)]
 		if !ok {
 			if !owned {
 				t = t.Clone()
 			}
-			st = &tupleStat{tuple: t}
-			e.stats[string(e.kbuf)] = st
+			s = e.add(string(e.kbuf), t)
 		}
-		if st.seen != e.z {
-			st.seen = e.z
-			st.c++
+		for len(e.seen) <= int(s) {
+			e.seen = append(e.seen, 0)
+		}
+		if e.seen[s] != e.z {
+			e.seen[s] = e.z
+			e.counts[s]++
 			card++
 		}
 		return true
@@ -108,73 +134,79 @@ func (e *Estimator) AddSampleStream(it ra.Iterator, owned bool) int64 {
 	return card
 }
 
-// Samples returns the number of samples accumulated (the normalizer z).
-func (e *Estimator) Samples() int64 { return e.z }
-
-// Marginals returns the estimated probability for every tuple ever seen,
-// keyed by tuple key.
-func (e *Estimator) Marginals() map[string]float64 {
-	out := make(map[string]float64, len(e.stats))
-	if e.z == 0 {
-		return out
+// Merge adds the counts of a snapshot (used to average parallel chains,
+// Section 5.4). Both must target the same query. Merging never resets
+// dedup stamps: the normalizer only grows, so the next sample index
+// exceeds every stale stamp.
+func (e *Estimator) Merge(s *Snapshot) {
+	e.z += s.z
+	for i, en := range s.entries {
+		slot, ok := e.index[en.key]
+		if !ok {
+			slot = e.add(en.key, en.tuple)
+		}
+		e.counts[slot] += s.counts[i]
 	}
-	for k, st := range e.stats {
-		out[k] = float64(st.c) / float64(e.z)
+}
+
+// Snapshot returns the estimator's current state as an immutable value:
+// the dictionary prefix shared, the counts copied — two allocations
+// whatever the answer size. The estimator keeps appending to the shared
+// dictionary past the snapshot's end, which no reader of the snapshot
+// can see.
+func (e *Estimator) Snapshot() *Snapshot {
+	n := len(e.entries)
+	return &Snapshot{tally{entries: e.entries[:n:n], counts: slices.Clone(e.counts), z: e.z}}
+}
+
+// Snapshot is an estimator's state frozen at one moment: what a serving
+// chain publishes once per epoch for readers to merge while its walk
+// keeps accumulating. It has read accessors only. The zero value is the
+// empty estimate.
+type Snapshot struct{ tally }
+
+// Samples returns the number of samples accumulated (the normalizer z).
+func (t *tally) Samples() int64 { return t.z }
+
+// p is slot's estimated marginal; a slot exists only once a sample
+// counted it, so z > 0.
+func (t *tally) p(slot int32) float64 { return float64(t.counts[slot]) / float64(t.z) }
+
+// Marginals returns the estimated probability for every tuple seen,
+// keyed by tuple key.
+func (t *tally) Marginals() map[string]float64 {
+	out := make(map[string]float64, len(t.entries))
+	for i, en := range t.entries {
+		out[en.key] = t.p(int32(i))
 	}
 	return out
+}
+
+// ranked returns the slots in answer order: descending count, then
+// ascending tuple key.
+func (t *tally) ranked() []int32 {
+	order := make([]int32, len(t.entries))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(t.counts[b], t.counts[a]); c != 0 {
+			return c
+		}
+		return strings.Compare(t.entries[a].key, t.entries[b].key)
+	})
+	return order
 }
 
 // Results returns the answer tuples with probabilities, sorted by
 // descending probability then tuple key for determinism.
-func (e *Estimator) Results() []TupleProb {
-	type kv struct {
-		k  string
-		st *tupleStat
-	}
-	items := make([]kv, 0, len(e.stats))
-	for k, st := range e.stats {
-		items = append(items, kv{k, st})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].st.c != items[j].st.c {
-			return items[i].st.c > items[j].st.c
-		}
-		return items[i].k < items[j].k
-	})
-	out := make([]TupleProb, len(items))
-	for i, it := range items {
-		p := 0.0
-		if e.z > 0 {
-			p = float64(it.st.c) / float64(e.z)
-		}
-		out[i] = TupleProb{Tuple: it.st.tuple, P: p}
+func (t *tally) Results() []TupleProb {
+	order := t.ranked()
+	out := make([]TupleProb, len(order))
+	for i, slot := range order {
+		out[i] = TupleProb{Tuple: t.entries[slot].tuple, P: t.p(slot)}
 	}
 	return out
-}
-
-// Merge adds the counts of another estimator (used to average parallel
-// chains, Section 5.4). Both estimators must target the same query.
-// Merging never resets dedup stamps: the normalizer only grows, so the
-// next sample index exceeds every stale stamp.
-func (e *Estimator) Merge(o *Estimator) {
-	e.z += o.z
-	for k, ost := range o.stats {
-		if st, ok := e.stats[k]; ok {
-			st.c += ost.c
-		} else {
-			e.stats[k] = &tupleStat{tuple: ost.tuple, c: ost.c}
-		}
-	}
-}
-
-// Clone returns an independent copy of the estimator. Tuples are shared
-// (they are never mutated); counts are copied. Serving chains publish
-// clones as epoch snapshots so readers merge consistent states while the
-// walk keeps accumulating.
-func (e *Estimator) Clone() *Estimator {
-	c := NewEstimator()
-	c.Merge(e)
-	return c
 }
 
 // TupleCI is one answer tuple with its marginal estimate and a confidence
@@ -186,25 +218,27 @@ type TupleCI struct {
 	Hi    float64
 }
 
-// ResultsCI returns the answer tuples with Wilson score intervals at the
-// given normal quantile z (1.96 for 95% confidence). The Wilson interval
-// stays inside [0,1] and remains informative for marginals near 0 or 1 at
-// the small sample counts typical of a bounded-latency query, where the
-// Wald interval collapses to a point. Note the interval treats samples as
-// independent; consecutive MCMC samples are positively correlated, so at
-// small thinning intervals coverage is optimistic — parallel chains
-// (whose samples are independent across chains) tighten this.
-func (e *Estimator) ResultsCI(z float64) []TupleCI {
-	res := e.Results()
-	out := make([]TupleCI, len(res))
-	n := float64(e.z)
-	for i, tp := range res {
-		lo, hi := tp.P, tp.P
+// ResultsCI returns the answer tuples, in Results order, with Wilson score
+// intervals at the given normal quantile z (1.96 for 95% confidence). The
+// Wilson interval stays inside [0,1] and remains informative for
+// marginals near 0 or 1 at the small sample counts typical of a
+// bounded-latency query, where the Wald interval collapses to a point.
+// Note the interval treats samples as independent; consecutive MCMC
+// samples are positively correlated, so at small thinning intervals
+// coverage is optimistic — parallel chains (whose samples are independent
+// across chains) tighten this.
+func (t *tally) ResultsCI(z float64) []TupleCI {
+	order := t.ranked()
+	out := make([]TupleCI, len(order))
+	n := float64(t.z)
+	for i, slot := range order {
+		p := t.p(slot)
+		lo, hi := p, p
 		if n > 0 && z > 0 {
 			z2 := z * z
 			denom := 1 + z2/n
-			center := (tp.P + z2/(2*n)) / denom
-			half := z / denom * math.Sqrt(tp.P*(1-tp.P)/n+z2/(4*n*n))
+			center := (p + z2/(2*n)) / denom
+			half := z / denom * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
 			lo, hi = center-half, center+half
 			if lo < 0 {
 				lo = 0
@@ -214,14 +248,14 @@ func (e *Estimator) ResultsCI(z float64) []TupleCI {
 			}
 			// Guard against rounding at the extremes: the interval always
 			// contains the point estimate (analytically true for Wilson).
-			if lo > tp.P {
-				lo = tp.P
+			if lo > p {
+				lo = p
 			}
-			if hi < tp.P {
-				hi = tp.P
+			if hi < p {
+				hi = p
 			}
 		}
-		out[i] = TupleCI{Tuple: tp.Tuple, P: tp.P, Lo: lo, Hi: hi}
+		out[i] = TupleCI{Tuple: t.entries[slot].tuple, P: p, Lo: lo, Hi: hi}
 	}
 	return out
 }

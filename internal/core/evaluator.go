@@ -87,9 +87,6 @@ func NewEvaluator(mode Mode, log *world.ChangeLog, proposer mcmc.Proposer, plan 
 	return ev, nil
 }
 
-// Mode returns the evaluation strategy.
-func (ev *Evaluator) Mode() Mode { return ev.mode }
-
 // Sampler exposes the underlying MH sampler for statistics.
 func (ev *Evaluator) Sampler() *mcmc.Sampler { return ev.sampler }
 

@@ -12,9 +12,9 @@ import (
 type ChainFactory func(chain int) (*Evaluator, error)
 
 // RunParallel runs n independent MCMC chains for the given number of
-// samples each and returns the merged estimator. Samples drawn across
-// chains are far more independent than consecutive samples within one
-// chain, which is why the paper observes super-linear error reduction
+// samples each and returns the merge of their snapshots. Samples drawn
+// across chains are far more independent than consecutive samples within
+// one chain, which is why the paper observes super-linear error reduction
 // (Figure 5).
 func RunParallel(n, samplesPerChain int, factory ChainFactory) (*Estimator, error) {
 	if n <= 0 {
@@ -45,7 +45,7 @@ func RunParallel(n, samplesPerChain int, factory ChainFactory) (*Estimator, erro
 	}
 	merged := NewEstimator()
 	for _, ev := range evs {
-		merged.Merge(ev.Estimator())
+		merged.Merge(ev.Estimator().Snapshot())
 	}
 	return merged, nil
 }

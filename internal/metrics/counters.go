@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,23 +32,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 func (c *Counter) write(w io.Writer) {
 	writeHeader(w, c.name, c.help, "counter")
 	fmt.Fprintf(w, "%s %d\n", c.name, c.Value())
-}
-
-// Gauge is an instantaneous float value, safe for concurrent Set/Value.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the last stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) write(w io.Writer) {
-	writeHeader(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %v\n", g.name, g.Value())
 }
 
 // GaugeFunc is a gauge whose value is computed at scrape time, for
@@ -102,13 +84,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
 	r.register(name, c)
 	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(name, g)
-	return g
 }
 
 // NewGaugeFunc registers a gauge computed by fn at scrape time.

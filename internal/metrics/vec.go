@@ -104,34 +104,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	return c
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	v *vec[*Gauge]
-}
-
-// With returns (creating on first use) the child gauge for the label
-// values.
-func (g *GaugeVec) With(values ...string) *Gauge { return g.v.with(values) }
-
-func (g *GaugeVec) write(w io.Writer) {
-	writeHeader(w, g.v.name, g.v.help, "gauge")
-	keys, snap := g.v.sorted()
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s%s %v\n", g.v.name, k, snap[k].Value())
-	}
-}
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	g := &GaugeVec{v: &vec[*Gauge]{
-		name: name, help: help, labels: labels,
-		children: make(map[string]*Gauge),
-		mk:       func() *Gauge { return &Gauge{name: name} },
-	}}
-	r.register(name, g)
-	return g
-}
-
 // HistogramVec is a family of histograms keyed by label values — e.g.
 // write latency by outcome. Children share one bucket layout; each child
 // renders its _bucket series with the family labels plus le.

@@ -11,6 +11,10 @@ import (
 	"factordb/internal/exp"
 )
 
+// raceEnabled reports a race-detector build (see race_test.go), where
+// allocation counts are not reproducible.
+var raceEnabled bool
+
 // allocBudget reads the named ceilings from testdata/alloc_budget.txt.
 func allocBudget(t *testing.T) map[string]float64 {
 	t.Helper()
@@ -43,6 +47,9 @@ func allocBudget(t *testing.T) map[string]float64 {
 func TestCacheHitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
 	}
 	budget := allocBudget(t)
 	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})

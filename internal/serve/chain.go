@@ -18,8 +18,8 @@ type viewID int64
 // registerReq asks a chain to bind a plan against its world and subscribe
 // the query to the matching shared view (creating it on first use). The
 // reply carries the view's snapshot cell, or the bind error. final
-// receives the completed subscriber's estimator snapshot just before
-// done closes (see subscriber).
+// receives the completed subscriber's snapshot just before done closes
+// (see subscriber).
 type registerReq struct {
 	id     viewID
 	plan   ra.Plan
@@ -30,7 +30,7 @@ type registerReq struct {
 }
 
 type registerReply struct {
-	cell *world.Cell[*core.Estimator]
+	cell *world.Cell[*core.Snapshot]
 	hit  bool // an existing shared view was reused
 	err  error
 }
@@ -193,9 +193,9 @@ func (c *chain) run(burnIn int) {
 
 // epoch advances the walk by k steps, folds the resulting Δ⁻/Δ⁺ delta
 // into every physical view exactly once — regardless of how many queries
-// subscribe to each — and publishes one fresh estimator snapshot per
-// view, shared by all its subscribers. Subscribers whose sample budgets
-// are met complete here; a view's last completion evicts it.
+// subscribe to each — and publishes one immutable snapshot per view,
+// read by all its subscribers. Subscribers whose sample budgets are met
+// complete here; a view's last completion evicts it.
 func (c *chain) epoch() {
 	c.walk(c.steps)
 	d := c.log.Drain()
@@ -213,14 +213,15 @@ func (c *chain) epoch() {
 		// Every subscriber receives this sample; the walk and the view
 		// maintenance were paid once.
 		c.m.samples.Add(int64(len(pv.subs)))
-		pv.cell.Publish(epoch, pv.est.Clone())
+		snap := pv.est.Snapshot()
+		pv.cell.Publish(epoch, snap)
 		for id, sub := range pv.subs {
-			if pv.est.Samples()-sub.start >= sub.target {
-				// Hand the completed subscriber its own snapshot before
+			if snap.Samples()-sub.start >= sub.target {
+				// Hand the completed subscriber this snapshot before
 				// waking it: the shared cell may be reset by a later
 				// write before the session gets around to merging.
 				if sub.final != nil {
-					sub.final.Store(&finalSnap{est: pv.est.Clone(), epoch: epoch, gen: c.writeGen.Load()})
+					sub.final.Store(&finalSnap{snap: snap, epoch: epoch, gen: c.writeGen.Load()})
 				}
 				close(sub.done)
 				c.reg.dropSub(id)
@@ -265,6 +266,10 @@ func (c *chain) handle(msg any) {
 		panic(fmt.Sprintf("serve: unknown chain control message %T", msg))
 	}
 }
+
+// emptySnapshot is the estimate of no samples a write republishes for
+// every live view; immutable, so every view and chain shares it.
+var emptySnapshot = &core.Snapshot{}
 
 // applyWrite is the per-chain half of a write: replay the resolved ops
 // through the change log (feeding Δ⁻/Δ⁺ exactly like sampler moves),
@@ -311,9 +316,9 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int, phases chan<- chainPhase)
 	}
 	mark(phaseDeltaFolded)
 	for _, pv := range c.reg.byFP {
-		// Publish the empty estimator: the cell must not keep serving the
+		// Publish the empty estimate: the cell must not keep serving the
 		// pre-write snapshot to readers that merge before the next batch.
-		pv.cell.Publish(epoch, pv.est.Clone())
+		pv.cell.Publish(epoch, emptySnapshot)
 	}
 	mark(phaseRepublished)
 	return nil
@@ -325,7 +330,7 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int, phases chan<- chainPhase)
 // deltas and a freshly mounted view is consistent with the world from its
 // first sample on; an existing view is reused as-is (its estimator state
 // is a valid prefix of the same chain's walk).
-func (c *chain) register(req registerReq) (*world.Cell[*core.Estimator], bool, error) {
+func (c *chain) register(req registerReq) (*world.Cell[*core.Snapshot], bool, error) {
 	bound, err := ra.Bind(c.log.DB(), req.plan)
 	if err != nil {
 		return nil, false, err

@@ -355,8 +355,10 @@ func newEngineMetrics() *engineMetrics {
 	}
 }
 
-// registerDerivedMetrics adds scrape-time gauges over engine state.
+// registerDerivedMetrics adds scrape-time gauges over engine state and
+// the Go runtime.
 func (e *Engine) registerDerivedMetrics() {
+	metrics.RegisterGoRuntime(e.m.reg)
 	e.m.reg.NewGaugeFunc("factordb_chains", "parallel MCMC chains in the pool",
 		func() float64 { return float64(e.cfg.Chains) })
 	e.m.reg.NewGaugeFunc("factordb_acceptance_rate", "fraction of MH proposals accepted",
@@ -533,9 +535,6 @@ func (e *Engine) Epoch() int64 {
 	}
 	return max
 }
-
-// Uptime reports time since the engine started.
-func (e *Engine) Uptime() time.Duration { return time.Since(e.start) }
 
 // Close stops all chains and waits for them to park. Close is idempotent
 // and safe to call concurrently with in-flight Query: sessions waiting on

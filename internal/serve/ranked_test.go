@@ -139,8 +139,8 @@ func TestTopKSeparated(t *testing.T) {
 		return b
 	}
 	mkregs := func(est *core.Estimator) []*registration {
-		cell := &world.Cell[*core.Estimator]{}
-		cell.Publish(1, est)
+		cell := &world.Cell[*core.Snapshot]{}
+		cell.Publish(1, est.Snapshot())
 		return []*registration{{cell: cell}}
 	}
 	const z = 1.96

@@ -11,13 +11,13 @@ import (
 )
 
 // finalSnap is the answer a chain hands a completed subscriber: the
-// view's estimator at the moment the sample target was met, the chain
-// epoch it corresponds to, and the chain's write generation — how many
-// DML mutations this chain had absorbed when the estimate completed.
-// Sessions compare generations across chains to detect (and re-collect)
-// answers that would otherwise blend pre- and post-write worlds.
+// snapshot the view published in the epoch the sample target was met,
+// that epoch, and the chain's write generation — how many DML mutations
+// this chain had absorbed when the estimate completed. Sessions compare
+// generations across chains to detect (and re-collect) answers that would
+// otherwise blend pre- and post-write worlds.
 type finalSnap struct {
-	est   *core.Estimator
+	snap  *core.Snapshot
 	epoch int64
 	gen   int64
 }
@@ -42,12 +42,12 @@ type subscriber struct {
 // their budgets against it via start offsets, and all of them read the
 // same published snapshot cell. Query options that do not change the
 // answer distribution — sample budget, confidence level — never reach
-// this type: they are applied at estimator-merge time in the session.
+// this type: they are applied at snapshot-merge time in the session.
 type physicalView struct {
 	fp   string
 	view *ivm.View
 	est  *core.Estimator
-	cell *world.Cell[*core.Estimator]
+	cell *world.Cell[*core.Snapshot]
 	subs map[viewID]*subscriber
 	stat *viewStat
 }
@@ -118,7 +118,7 @@ func (r *viewRegistry) acquire(id viewID, bound *ra.Bound, target int64, done ch
 			fp:   fp,
 			view: view,
 			est:  core.NewEstimator(),
-			cell: &world.Cell[*core.Estimator]{},
+			cell: &world.Cell[*core.Snapshot]{},
 			subs: make(map[viewID]*subscriber),
 			stat: &viewStat{fp: fp, series: newSampleSeries()},
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"factordb/internal/core"
 	"factordb/internal/exp"
+	"factordb/internal/sqlparse"
 )
 
 // testSystem builds one small trained NER system shared by every test in
@@ -217,6 +219,18 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := eng.Query(ctx, exp.Query1, QueryOptions{Confidence: 2}); err == nil {
 		t.Error("confidence outside (0,1) accepted")
+	}
+	// A negative budget is rejected on both entry points, not replaced by
+	// the default (zero is the default).
+	if _, err := eng.Query(ctx, exp.Query1, QueryOptions{Samples: -5}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("negative sample budget: err = %v, want ErrBadQuery", err)
+	}
+	plan, spec, err := sqlparse.Compile(exp.Query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.QueryPlan(ctx, exp.Query1, plan, spec, QueryOptions{Samples: -1}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("negative sample budget via QueryPlan: err = %v, want ErrBadQuery", err)
 	}
 	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()

@@ -27,8 +27,9 @@ const DefaultConfidence = 0.95
 // QueryOptions tunes one query evaluation.
 type QueryOptions struct {
 	// Samples is the total sample budget across all chains (0 = engine
-	// default). More samples tighten the confidence intervals at the cost
-	// of latency: the walk advances k steps per sample per chain.
+	// default; negative is ErrBadQuery). More samples tighten the
+	// confidence intervals at the cost of latency: the walk advances k
+	// steps per sample per chain.
 	Samples int
 	// Confidence is the two-sided interval mass in (0,1); 0 means
 	// DefaultConfidence.
@@ -105,13 +106,12 @@ func (r *Result) Prob(i int) float64 { return r.tuples[i].P }
 func (r *Result) CI(i int) (lo, hi float64) { return r.tuples[i].Lo, r.tuples[i].Hi }
 
 // registration tracks one chain's share of a query. A completed chain
-// stores its final estimator snapshot in final before closing done; the
-// cell is the fallback for chains interrupted by cancellation or
-// shutdown.
+// stores its final snapshot in final before closing done; the cell is the
+// fallback for chains interrupted by cancellation or shutdown.
 type registration struct {
 	c     *chain
 	id    viewID
-	cell  *world.Cell[*core.Estimator]
+	cell  *world.Cell[*core.Snapshot]
 	done  chan struct{}
 	final atomic.Pointer[finalSnap]
 }
@@ -119,9 +119,9 @@ type registration struct {
 // snapshot returns the chain's contribution to the merged answer: the
 // completion snapshot when the chain finished this query's budget, else
 // whatever the shared view last published.
-func (r *registration) snapshot() (world.Snapshot[*core.Estimator], bool) {
+func (r *registration) snapshot() (world.Snapshot[*core.Snapshot], bool) {
 	if f := r.final.Load(); f != nil {
-		return world.Snapshot[*core.Estimator]{Epoch: f.epoch, State: f.est}, true
+		return world.Snapshot[*core.Snapshot]{Epoch: f.epoch, State: f.snap}, true
 	}
 	return r.cell.Load()
 }
@@ -214,9 +214,13 @@ func (e *Engine) QueryPlan(ctx context.Context, sql string, plan ra.Plan, spec r
 	return e.queryCompiled(ctx, sql, comp, opts, tr)
 }
 
-// fillOpts applies engine defaults and validates the per-query options.
+// fillOpts defaults zero options and rejects out-of-range ones.
 func (e *Engine) fillOpts(opts QueryOptions) (QueryOptions, error) {
-	if opts.Samples <= 0 {
+	if opts.Samples < 0 {
+		e.m.failed.Inc()
+		return opts, fmt.Errorf("%w: sample budget %d is negative", ErrBadQuery, opts.Samples)
+	}
+	if opts.Samples == 0 {
 		opts.Samples = e.cfg.DefaultSamples
 	}
 	if opts.Confidence == 0 {
@@ -567,7 +571,7 @@ func topKSeparated(regs []*registration, k int64, z float64) bool {
 // registerView sends a registration to the chain goroutine and waits for
 // the bind result — the shared view's snapshot cell — honoring ctx and
 // engine shutdown.
-func (c *chain) registerView(ctx context.Context, req registerReq) (*world.Cell[*core.Estimator], bool, error) {
+func (c *chain) registerView(ctx context.Context, req registerReq) (*world.Cell[*core.Snapshot], bool, error) {
 	req.reply = make(chan registerReply, 1)
 	select {
 	case c.ctl <- req:

@@ -18,7 +18,8 @@ type queryOptions struct {
 // QueryOption configures one DB.Query call.
 type QueryOption func(*queryOptions)
 
-// Samples overrides the sample budget for this query. More samples
+// Samples overrides the sample budget for this query; 0 keeps the DB
+// default and a negative budget fails with ErrBadQuery. More samples
 // tighten the confidence intervals at the cost of latency.
 func Samples(n int) QueryOption { return func(o *queryOptions) { o.Samples = n } }
 
