@@ -90,7 +90,7 @@
 // pins against the code:
 //
 //	kind      span                emitted by  what is being timed
-//	query     compile             all         SQL to plan (attr plan_cache: hit, miss, prebound)
+//	query     compile             all         SQL to plan (attr plan_cache: hit, miss)
 //	query     cache_probe         all         result-cache lookup (attr result); not under NoCache
 //	query     admission_wait      all         the admission queue queries and writes share
 //	query     register            pool        view mount or registry hit per chain (attr view_reuse)
@@ -203,18 +203,18 @@
 // the cache and every reader share it read-only, and a hit gets its own
 // header (SQL text, cached flag, trace) without copying a tuple.
 //
-// Below the result cache sits the raw-SQL plan cache: Compile results
-// keyed on the exact statement bytes. The keying rule is deliberate —
-// no normalization of any kind, so two spellings that differ by one
-// whitespace byte occupy two entries, and a repeated spelling skips
-// lexing, parsing and planning outright. Plans are immutable and hold
-// no data references, so the plan cache needs no epoch invalidation:
-// entries are evicted FIFO (WithPlanCache sizes the cache), and
-// statements that fail to compile are never cached. Prepare keeps a
-// parsed AST instead: Stmt.Query/Exec bind ? arguments as literals
-// into a fresh copy and re-plan, which re-runs canonicalization, so a
-// bound statement fingerprints — and caches — identically to the same
-// statement with its literals spelled inline.
+// Below the result cache sits the raw-SQL plan cache, the one place a
+// compiled statement lives, keyed on the exact statement bytes — no
+// normalization, so spellings differing by one whitespace byte occupy
+// two entries, and a repeated spelling skips lexing, parsing and
+// planning. An entry is a plan, a mutation, an EXPLAIN, or for a
+// statement with ? placeholders its parsed tree: each execution — via
+// Prepare, database/sql or HTTP args — binds the arguments as literals
+// into a copy and re-plans, so it fingerprints and caches identically to
+// the statement with its literals inline. Entries hold no data, so they
+// need no epoch invalidation; they are evicted FIFO (WithPlanCache) and
+// an evicted statement compiles again on its next execution. Statements
+// that fail to compile are never cached.
 //
 // # EXPLAIN
 //

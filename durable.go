@@ -3,7 +3,6 @@ package factordb
 import (
 	"fmt"
 
-	"factordb/internal/metrics"
 	"factordb/internal/relstore"
 	"factordb/internal/serve"
 	"factordb/internal/store"
@@ -68,7 +67,7 @@ type durableSystem interface {
 // not requested. On return the system's prototype world reflects every
 // record the log could prove, and the caller must resume the epoch
 // sequence at rec.Epoch.
-func openDurability(o store.Options, sys system, name string) (store.Storage, error) {
+func openDurability(o store.Options, sys system, name string) (*store.DiskStore, error) {
 	if o.Dir == "" {
 		return nil, nil
 	}
@@ -138,14 +137,6 @@ func (db *DB) recoveryTrace(rec store.Recovery) *QueryTrace {
 	}
 	qt.WallNS = off
 	return qt
-}
-
-// registerStoreMetrics attaches the store's wal/checkpoint metrics to
-// the DB's registry.
-func registerStoreMetrics(st store.Storage, reg *metrics.Registry) {
-	if d, ok := st.(*store.DiskStore); ok && reg != nil {
-		d.RegisterMetrics(reg)
-	}
 }
 
 // DurabilityStatus reports the durable store behind a DB — the

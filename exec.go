@@ -60,20 +60,23 @@ func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.TraceID
 // evidence: a hidden (sampled) column assignment is overwritten as the
 // sampler revisits it.
 func (db *DB) Exec(ctx context.Context, sql string, opts ...ExecOption) (*ExecResult, error) {
+	return db.exec(ctx, sql, nil, opts)
+}
+
+// exec is Exec with the values of the statement's ? placeholders — the
+// one write path of DB.Exec, Stmt.Exec, database/sql and HTTP.
+func (db *DB) exec(ctx context.Context, sql string, args []any, opts []ExecOption) (*ExecResult, error) {
 	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return db.eng.Exec(ctx, sql, execOpts(opts))
-}
-
-func execOpts(opts []ExecOption) (eo execOptions) {
+	eo := execOptions{Args: args}
 	for _, f := range opts {
 		f(&eo)
 	}
-	return eo
+	return db.eng.Exec(ctx, sql, eo)
 }
 
 // WriteEpoch returns the data epoch: the number of writes committed since

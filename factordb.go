@@ -10,7 +10,6 @@ import (
 	"factordb/internal/exp"
 	"factordb/internal/metrics"
 	"factordb/internal/serve"
-	"factordb/internal/sqlparse"
 	"factordb/internal/store"
 )
 
@@ -76,8 +75,7 @@ type options struct {
 	store store.Options // durability (see durable.go); empty Dir disables it
 	// confidence is the DB's default per-query interval mass; zero
 	// leaves the engine's default.
-	confidence    float64
-	planCacheSize int
+	confidence float64
 }
 
 func defaultOptions() options {
@@ -142,12 +140,13 @@ func WithQueryLimits(maxConcurrent, maxQueued int) Option {
 // local modes.
 func WithTraceSampling(every int) Option { return func(o *options) { o.serve.TraceEvery = every } }
 
-// WithPlanCache sizes the raw-SQL→compiled-plan cache shared by every
-// entry point of this DB — Query, Exec, Prepare, EXPLAIN, and in served
-// mode the engine itself (default 256 entries). The cache keys on the
-// exact SQL byte string and holds plans only — never data — so it needs
-// no invalidation on writes.
-func WithPlanCache(entries int) Option { return func(o *options) { o.planCacheSize = entries } }
+// WithPlanCache sizes the raw-SQL→compiled-plan cache every statement of
+// this DB compiles through — Query, Exec, Prepare and EXPLAIN's target,
+// over every transport (default 256 entries). The cache keys on the
+// exact SQL byte string and holds plans (or, for a statement with ?
+// placeholders, its parsed tree) only — never data — so it needs no
+// invalidation on writes.
+func WithPlanCache(entries int) Option { return func(o *options) { o.serve.PlanCacheSize = entries } }
 
 // WithLogger installs a structured logger for the database's operational
 // records: the slow-query log, write-audit records, and background store
@@ -179,19 +178,13 @@ type DB struct {
 	name string
 
 	// eng is the request pipeline — compile, caches, admission, tracing,
-	// logging, metrics, the write path — under every mode; the mode only
-	// selects the sampling strategy Open configures it with.
+	// logging, metrics, the write path, EXPLAIN — under every mode; the
+	// mode only selects the sampling strategy Open configures it with.
 	eng *serve.Engine
-
-	// plans memoizes compiled statements by their exact SQL byte string.
-	// One instance serves every entry point: the facade's Prepare/EXPLAIN
-	// paths and the engine's own compile sites, so a statement warmed
-	// anywhere hits everywhere.
-	plans *sqlparse.PlanCache
 
 	// store is the durable snapshot+WAL backend (nil without WithDataDir);
 	// startupTrace is the recovery trace assembled from it at Open.
-	store        store.Storage
+	store        *store.DiskStore
 	startupTrace *QueryTrace
 
 	start     time.Time
@@ -218,8 +211,6 @@ func Open(model Model, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{opts: o, sys: sys, name: model.modelName(), start: time.Now()}
-	db.plans = sqlparse.NewPlanCache(o.planCacheSize)
-	cfg.Plans = db.plans
 
 	// Recovery happens before any chain is cloned: openDurability swaps
 	// the recovered world into the system, so every world cloned below
@@ -257,7 +248,7 @@ func Open(model Model, opts ...Option) (*DB, error) {
 	}
 	if st != nil {
 		db.startupTrace = db.recoveryTrace(st.Recovery())
-		registerStoreMetrics(st, db.eng.Metrics())
+		st.RegisterMetrics(db.eng.Metrics())
 	}
 	return db, nil
 }

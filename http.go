@@ -267,7 +267,7 @@ func (db *DB) handleExec(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		opts = append(opts, ExecTrace())
 	}
-	res, err := db.execArgs(ctx, req.SQL, bindableArgs(req.Args), opts...)
+	res, err := db.exec(ctx, req.SQL, bindableArgs(req.Args), opts)
 	if err != nil {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
@@ -319,7 +319,7 @@ func (db *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		opts = append(opts, Trace())
 	}
-	rows, err := db.queryArgs(ctx, req.SQL, bindableArgs(req.Args), opts...)
+	rows, err := db.query(ctx, req.SQL, bindableArgs(req.Args), opts)
 	if err != nil {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return

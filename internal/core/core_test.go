@@ -500,10 +500,16 @@ func TestGroundTruthAndAnswer(t *testing.T) {
 	if bag.Len() != 0 {
 		t.Errorf("initial answer has %d tuples, want 0", bag.Len())
 	}
-	truth, err := GroundTruth(tw.log, tw, perQuery(), 5000, 5, 11)
+	// Ground truth the paper's way (Section 5.2): a long materialized run
+	// over the same world, one sample every thin steps.
+	ev, err := NewEvaluator(Materialized, tw.log, tw, perQuery(), 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ev.Run(5000, nil); err != nil {
+		t.Fatal(err)
+	}
+	truth := ev.Marginals()
 	exact := exactTupleMarginals(tw)
 	if got := metrics.MaxAbsDiff(truth, exact); got > 0.05 {
 		t.Errorf("ground-truth estimate off by %v", got)

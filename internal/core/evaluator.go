@@ -164,19 +164,3 @@ func (ev *Evaluator) Results() []TupleProb { return ev.est.Results() }
 
 // Marginals returns the current marginal estimates keyed by tuple key.
 func (ev *Evaluator) Marginals() map[string]float64 { return ev.est.Marginals() }
-
-// GroundTruth estimates reference marginals the way the paper does
-// (Section 5.2): a long MCMC run over the same world, collecting a sample
-// every thin steps. It uses the provided evaluator configuration but its
-// own estimator, leaving ev untouched. The world is left wherever the
-// walk ends; callers typically reset it afterwards.
-func GroundTruth(log *world.ChangeLog, proposer mcmc.Proposer, plan ra.Plan, samples, thin int, seed int64) (map[string]float64, error) {
-	ev, err := NewEvaluator(Materialized, log, proposer, plan, thin, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := ev.Run(samples, nil); err != nil {
-		return nil, err
-	}
-	return ev.Marginals(), nil
-}

@@ -257,19 +257,6 @@ type Fig4aParams struct {
 	TruthThin    int
 }
 
-// DefaultFig4aParams returns laptop-scale defaults; cmd/experiments can
-// raise them toward the paper's 10M-tuple sweep.
-func DefaultFig4aParams() Fig4aParams {
-	return Fig4aParams{
-		Sizes:        []int{10_000, 30_000, 100_000, 300_000},
-		Seed:         1,
-		Thin:         2000,
-		MaxSamples:   400,
-		TruthSamples: 600,
-		TruthThin:    2000,
-	}
-}
-
 // Fig4a runs the scalability sweep.
 func Fig4a(p Fig4aParams) ([]Fig4aRow, error) {
 	var out []Fig4aRow

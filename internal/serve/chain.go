@@ -123,19 +123,16 @@ type chain struct {
 	// and /statusz reads it atomically.
 	writeGen atomic.Int64
 
-	// stepsN/acceptedN mirror the sampler's counters for readers outside
-	// the chain goroutine (per-chain health gauges; the sampler itself is
-	// goroutine-private). stepRate turns stepsN into steps/sec between
-	// scrapes.
-	stepsN    atomic.Int64
-	acceptedN atomic.Int64
-	stepRate  *rateTracker
-
 	// stepsC/acceptedC are this chain's children of the labeled
 	// factordb_chain_* counter families — resolved once so the walk hot
-	// loop pays one atomic add, same as the global counters.
+	// loop pays one atomic add, same as the global counters — and the
+	// readers' view of the sampler's counters outside the chain goroutine
+	// (per-chain health gauges, Status; the sampler itself is
+	// goroutine-private). stepRate turns stepsC into steps/sec between
+	// scrapes.
 	stepsC    *metrics.Counter
 	acceptedC *metrics.Counter
+	stepRate  *rateTracker
 
 	m *engineMetrics
 }
@@ -240,8 +237,6 @@ func (c *chain) walk(n int) {
 	c.m.accepted.Add(da)
 	c.stepsC.Add(ds)
 	c.acceptedC.Add(da)
-	c.stepsN.Add(ds)
-	c.acceptedN.Add(da)
 }
 
 func (c *chain) handle(msg any) {

@@ -134,12 +134,12 @@ type Config struct {
 	// opt-in (QueryOptions.Trace) always works.
 	TraceEvery int
 
-	// Plans is the raw-SQL→compiled-plan cache shared by Query and Exec
-	// (and, when the engine sits behind the factordb facade, by the
-	// facade's own compile sites). Keys are exact SQL byte strings;
-	// entries are plan-only and never need data invalidation. Nil gets a
-	// fresh cache of sqlparse.DefaultPlanCacheSize entries.
-	Plans *sqlparse.PlanCache
+	// PlanCacheSize is the capacity, in statements, of the raw-SQL plan
+	// cache every statement compiles through: Prepare, Query, Exec and
+	// EXPLAIN's target (default sqlparse.DefaultPlanCacheSize). Keys are
+	// exact SQL byte strings; entries are plan-only and never need data
+	// invalidation.
+	PlanCacheSize int
 
 	// Logger receives the engine's structured log records: write-audit
 	// entries and slow-query reports. Nil disables engine logging.
@@ -188,9 +188,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CacheTTL <= 0 {
 		cfg.CacheTTL = time.Minute
-	}
-	if cfg.Plans == nil {
-		cfg.Plans = sqlparse.NewPlanCache(0)
 	}
 	return cfg
 }
@@ -256,6 +253,7 @@ type Engine struct {
 	// pool it walks, empty under a private-chain mode.
 	strat  strategy
 	chains []*chain
+	plans  *sqlparse.PlanCache
 	admit  *admission
 	cache  *resultCache
 	m      *engineMetrics
@@ -271,7 +269,7 @@ type Engine struct {
 
 	// writeMu serializes Exec calls: one logical mutation lands on every
 	// chain before the next begins, so the clones see identical op
-	// streams in identical order. Its read side guards CloneWorld.
+	// streams in identical order. Its read side guards cloneWorld.
 	writeMu sync.RWMutex
 	// dataEpoch counts committed writes. It is folded into every
 	// result-cache key, so each write makes all earlier entries
@@ -290,6 +288,7 @@ func New(src Source, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		src:    src,
+		plans:  sqlparse.NewPlanCache(cfg.PlanCacheSize),
 		admit:  newAdmission(cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries),
 		cache:  newResultCache(cfg.CacheSize, cfg.CacheTTL, m.evictions),
 		m:      m,
@@ -362,13 +361,7 @@ func (e *Engine) registerDerivedMetrics() {
 	e.m.reg.NewGaugeFunc("factordb_chains", "parallel MCMC chains in the pool",
 		func() float64 { return float64(e.cfg.Chains) })
 	e.m.reg.NewGaugeFunc("factordb_acceptance_rate", "fraction of MH proposals accepted",
-		func() float64 {
-			steps := e.m.steps.Value()
-			if steps == 0 {
-				return 0
-			}
-			return float64(e.m.accepted.Value()) / float64(steps)
-		})
+		e.AcceptanceRate)
 	e.m.reg.NewGaugeFunc("factordb_samples_per_second", "view samples per second since engine start",
 		func() float64 {
 			elapsed := time.Since(e.start).Seconds()
@@ -392,13 +385,9 @@ func (e *Engine) registerDerivedMetrics() {
 		func() []metrics.LabeledValue {
 			out := make([]metrics.LabeledValue, 0, len(e.chains))
 			for _, c := range e.chains {
-				steps := c.stepsN.Load()
-				var rate float64
-				if steps > 0 {
-					rate = float64(c.acceptedN.Load()) / float64(steps)
-				}
 				out = append(out, metrics.LabeledValue{
-					Labels: []string{fmt.Sprintf("%d", c.id)}, Value: rate,
+					Labels: []string{fmt.Sprintf("%d", c.id)},
+					Value:  acceptanceRate(c.stepsC.Value(), c.acceptedC.Value()),
 				})
 			}
 			return out
@@ -411,7 +400,7 @@ func (e *Engine) registerDerivedMetrics() {
 			for _, c := range e.chains {
 				out = append(out, metrics.LabeledValue{
 					Labels: []string{fmt.Sprintf("%d", c.id)},
-					Value:  c.stepRate.rate(c.stepsN.Load(), now),
+					Value:  c.stepRate.rate(c.stepsC.Value(), now),
 				})
 			}
 			return out
@@ -476,53 +465,53 @@ func (e *Engine) MintTraceID() (int64, string) {
 	return id, fmt.Sprintf("%016x%016x", e.traceSeed, uint64(id))
 }
 
-// CloneWorld returns a fresh copy of the source's prototype world, taken
+// cloneWorld returns a fresh copy of the source's prototype world, taken
 // under the write read-lock: wholly before or wholly after any write a
 // private-chain mode applies to the prototype.
-func (e *Engine) CloneWorld() (*world.ChangeLog, mcmc.Proposer, error) {
+func (e *Engine) cloneWorld() (*world.ChangeLog, mcmc.Proposer, error) {
 	e.writeMu.RLock()
 	defer e.writeMu.RUnlock()
 	return e.src.NewChainWorld(0)
 }
 
-// NoteBadQuery feeds the failed-query counter for queries rejected
-// before reaching the engine — the facade compiles SQL up front, so its
-// compile failures are recorded here rather than lost.
-func (e *Engine) NoteBadQuery() { e.m.failed.Inc() }
+// Prepare compiles sql through the plan cache — a query, a write or an
+// EXPLAIN, ? placeholders allowed — and returns its placeholder count.
+// Executing it is Query or Exec with the arguments in the options: the
+// statement is then found in the cache, and one with placeholders is
+// bound and planned without being parsed again.
+func (e *Engine) Prepare(sql string) (int, error) {
+	if e.Closed() {
+		return 0, ErrClosed
+	}
+	c, _, err := e.plans.Lookup(sql, sqlparse.UsePrepare)
+	if err != nil {
+		e.m.failed.Inc()
+		return 0, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	return c.Params, nil
+}
 
 // Chains returns the pool size (1 under a private-chain mode: each query
 // walks its own).
 func (e *Engine) Chains() int { return e.cfg.Chains }
 
 // AcceptanceRate reports the pool-wide fraction of MH proposals accepted
-// since the engine started (the /healthz chain-health summary).
+// since the engine started (the /healthz chain-health summary and the
+// factordb_acceptance_rate gauge).
 func (e *Engine) AcceptanceRate() float64 {
-	steps := e.m.steps.Value()
+	return acceptanceRate(e.m.steps.Value(), e.m.accepted.Value())
+}
+
+// acceptanceRate is accepted over steps, 0 before the first step.
+func acceptanceRate(steps, accepted int64) float64 {
 	if steps == 0 {
 		return 0
 	}
-	return float64(e.m.accepted.Value()) / float64(steps)
+	return float64(accepted) / float64(steps)
 }
 
 // SharedViews reports the live physical-view count across the pool.
 func (e *Engine) SharedViews() int64 { return e.sharedViews() }
-
-// LiveViewChains reports on how many chains of the pool a materialized
-// view with the given bound-plan fingerprint is currently live, plus the
-// pool size — the EXPLAIN view-sharing decision: a query arriving now
-// with that fingerprint would subscribe to those existing views instead
-// of mounting fresh ones.
-func (e *Engine) LiveViewChains(fp string) (live, total int) {
-	for _, c := range e.chains {
-		for _, f := range c.reg.liveFingerprints() {
-			if f == fp {
-				live++
-				break
-			}
-		}
-	}
-	return live, e.cfg.Chains
-}
 
 // Epoch returns the highest epoch any chain has completed — a liveness
 // signal for health checks. Individual chains may lag while parked idle.

@@ -13,11 +13,14 @@ import (
 // TestDaemonKillRecovery from a real factordbd's stderr.
 
 // startTrace decides tracing for one query or write (kind "query" or
-// "exec"). Client opt-in and sampler hits produce published traces
-// (attached to the result and ringed); an enabled slow-query log
-// additionally records a private trace for every operation, so the span
-// breakdown exists if this one crosses the threshold.
-func (e *Engine) startTrace(kind, sql string, want bool, traceID string) *qtrace {
+// "exec") that began at begin, and opens its compile span there: the
+// statement is looked up in the plan cache before the trace exists, so
+// that an EXPLAIN, which is never traced, leaves no trace state behind.
+// Client opt-in and sampler hits produce published traces (attached to
+// the result and ringed); an enabled slow-query log additionally records
+// a private trace for every operation, so the span breakdown exists if
+// this one crosses the threshold.
+func (e *Engine) startTrace(kind, sql string, want bool, traceID string, begin time.Time) *qtrace {
 	publish := want || e.tracer.hit()
 	if !publish && e.cfg.SlowQuery <= 0 {
 		return nil
@@ -26,8 +29,9 @@ func (e *Engine) startTrace(kind, sql string, want bool, traceID string) *qtrace
 	if traceID == "" {
 		traceID = minted
 	}
-	tr := newTrace(id, sql, time.Now())
+	tr := newTrace(id, sql, begin)
 	tr.publish, tr.qt.Kind, tr.qt.TraceID = publish, kind, traceID
+	tr.spanAt("compile", begin)
 	return tr
 }
 

@@ -270,7 +270,7 @@ func TestEngineStatusAndHealthGauges(t *testing.T) {
 
 	// Wait for the chain to produce a few epochs so the gauges have data.
 	deadline := time.Now().Add(10 * time.Second)
-	for eng.chains[0].stepsN.Load() == 0 {
+	for eng.chains[0].stepsC.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("chain never walked")
 		}

@@ -10,7 +10,6 @@ import (
 
 	"factordb/internal/core"
 	"factordb/internal/exp"
-	"factordb/internal/sqlparse"
 )
 
 // testSystem builds one small trained NER system shared by every test in
@@ -225,12 +224,9 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := eng.Query(ctx, exp.Query1, QueryOptions{Samples: -5}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("negative sample budget: err = %v, want ErrBadQuery", err)
 	}
-	plan, spec, err := sqlparse.Compile(exp.Query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.QueryPlan(ctx, exp.Query1, plan, spec, QueryOptions{Samples: -1}); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("negative sample budget via QueryPlan: err = %v, want ErrBadQuery", err)
+	if _, err := eng.Query(ctx, "SELECT STRING FROM TOKEN WHERE LABEL=?",
+		QueryOptions{Samples: -1, Args: []any{"B-PER"}}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("negative sample budget with placeholder args: err = %v, want ErrBadQuery", err)
 	}
 	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()

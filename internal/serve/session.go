@@ -44,6 +44,11 @@ type QueryOptions struct {
 	// field of a W3C traceparent) into the recorded trace. Empty means
 	// the engine assigns one when a trace is recorded.
 	TraceID string
+	// Args are the values of the statement's ? placeholders, bound
+	// positionally as literals (strings, integers, floats). The count
+	// must match; a statement with placeholders and no Args fails on its
+	// first unbound placeholder.
+	Args []any
 }
 
 // Result is a completed (or deadline-truncated) query answer: every
@@ -79,12 +84,6 @@ type Result struct {
 
 	cols   []string       // the plan cache's compiled column names
 	tuples []core.TupleCI // values shared with the chains' estimators
-}
-
-// NewResult freezes an answer assembled outside an evaluation (the
-// facade's EXPLAIN lines). It takes ownership of cols and tuples.
-func NewResult(cols []string, tuples []core.TupleCI) *Result {
-	return &Result{cols: cols, tuples: tuples}
 }
 
 // Columns returns a copy of the output column names.
@@ -130,7 +129,9 @@ func (r *registration) snapshot() (world.Snapshot[*core.Snapshot], bool) {
 // in the pool, and blocks until the sample budget is met or ctx expires.
 // Because the views of all in-flight queries share each chain's walk, the
 // marginal cost of a concurrent query is its view maintenance only — the
-// k walk-steps per sample are already paid for.
+// k walk-steps per sample are already paid for. A statement with ?
+// placeholders is bound with opts.Args first; an EXPLAIN is answered
+// without sampling (see explain).
 //
 // If ctx expires after at least one sample was collected, the partial
 // estimate is returned with Partial set: MCMC estimates are anytime, and
@@ -153,9 +154,26 @@ func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts, err := e.fillOpts(opts)
-	if err != nil {
-		return nil, err
+
+	// Compile through the plan cache, keyed on the exact SQL byte string:
+	// a repeated spelling skips lexing, parsing and canonicalization and
+	// jumps straight to the fingerprint, and a repeated statement with
+	// placeholders skips the parse and binds its kept tree. The result
+	// cache below still keys on the canonical plan's fingerprint rather
+	// than the SQL text, so whitespace, keyword case, alias spelling,
+	// predicate-order and placeholder variants of one query remain one
+	// result entry either way.
+	begin := time.Now()
+	comp, cached, err := e.plans.Lookup(sql, sqlparse.UseQuery)
+	if err == nil && comp.Explain != nil {
+		return e.explain(ctx, sql, comp.Explain, opts)
+	}
+	opts, oerr := e.fillOpts(opts)
+	if oerr != nil {
+		return nil, oerr
+	}
+	if err == nil {
+		comp, err = comp.Bind(opts.Args)
 	}
 
 	// Tracing is opt-in (per query, or the engine's sampler): the
@@ -163,55 +181,24 @@ func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Res
 	// nil check, so untraced queries pay one branch per would-be span.
 	// An enabled slow-query log records a private trace for every query
 	// so the breakdown exists if this one crosses the threshold.
-	tr := e.startTrace("query", sql, opts.Trace, opts.TraceID)
-
-	// Compile through the plan cache, keyed on the exact SQL byte string:
-	// a repeated spelling skips lexing, parsing and canonicalization and
-	// jumps straight to the fingerprint. The result cache below still
-	// keys on the canonical plan's fingerprint rather than the SQL text,
-	// so whitespace, keyword case, alias spelling, and predicate-order
-	// variants of one query remain one result entry either way.
-	tr.span("compile")
-	comp, cached, err := e.cfg.Plans.CompileQuery(sql)
+	tr := e.startTrace("query", sql, opts.Trace, opts.TraceID, begin)
 	if err != nil {
 		e.m.failed.Inc()
 		e.finishTrace(tr, "error")
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	if cached {
+	e.notePlanCache(tr, cached)
+	return e.queryCompiled(ctx, sql, comp, opts, tr)
+}
+
+// notePlanCache counts and traces a compile's plan-cache outcome.
+func (e *Engine) notePlanCache(tr *qtrace, hit bool) {
+	if hit {
 		e.m.planHits.Inc()
 		tr.attr("plan_cache", "hit")
 	} else {
 		tr.attr("plan_cache", "miss")
 	}
-	return e.queryCompiled(ctx, sql, comp, opts, tr)
-}
-
-// QueryPlan evaluates an already compiled plan — the prepared-statement
-// path, where the facade binds placeholder arguments into a retained AST
-// and re-plans without ever touching SQL text again. Semantics match
-// Query exactly: same admission, caching, tracing and merge behavior.
-func (e *Engine) QueryPlan(ctx context.Context, sql string, plan ra.Plan, spec ra.ResultSpec, opts QueryOptions) (*Result, error) {
-	if e.Closed() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts, err := e.fillOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	tr := e.startTrace("query", sql, opts.Trace, opts.TraceID)
-	tr.span("compile")
-	tr.attr("plan_cache", "prebound")
-	comp := &sqlparse.Compiled{
-		Plan:        plan,
-		Spec:        spec,
-		Cols:        ra.OutputColumns(plan),
-		Fingerprint: ra.CanonicalFingerprint(plan),
-	}
-	return e.queryCompiled(ctx, sql, comp, opts, tr)
 }
 
 // fillOpts defaults zero options and rejects out-of-range ones.
@@ -233,9 +220,9 @@ func (e *Engine) fillOpts(opts QueryOptions) (QueryOptions, error) {
 	return opts, nil
 }
 
-// queryCompiled is the shared evaluation core behind Query and
-// QueryPlan: result-cache probe, admission, write-consistent collection
-// over the chain pool, merge, rank, and cache fill.
+// queryCompiled is Query's evaluation core: result-cache probe,
+// admission, write-consistent collection over the chain pool, merge,
+// rank, and cache fill.
 func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
 	plan, spec, fp := comp.Plan, comp.Spec, comp.Fingerprint
 	tr.setPlan(fp)

@@ -78,17 +78,13 @@ func (e *Engine) Status() EngineStatus {
 		Cache:     CacheStatus{Entries: e.cache.len(), Capacity: e.cache.cap},
 	}
 	for _, c := range e.chains {
-		steps, acc := c.stepsN.Load(), c.acceptedN.Load()
-		var rate float64
-		if steps > 0 {
-			rate = float64(acc) / float64(steps)
-		}
+		steps, acc := c.stepsC.Value(), c.acceptedC.Value()
 		st.Pool = append(st.Pool, ChainStatus{
 			ID:             c.id,
 			Epoch:          c.curEpoch.Load(),
 			Steps:          steps,
 			Accepted:       acc,
-			AcceptanceRate: rate,
+			AcceptanceRate: acceptanceRate(steps, acc),
 			WriteGen:       c.writeGen.Load(),
 			Views:          c.reg.sharedViews(),
 		})

@@ -34,7 +34,7 @@ type strategy interface {
 // pool is the served strategy: the engine's long-lived chains, whose
 // walk every in-flight query shares. Its methods sit next to the code
 // they drive — collectOnce in session.go, resolve/apply in write.go,
-// analyze in analyze.go.
+// analyze in explain.go.
 type pool struct{ *Engine }
 
 // private is the paper's single-chain strategy: every query clones the
@@ -52,7 +52,7 @@ type private struct {
 func (p private) collectOnce(ctx context.Context, plan ra.Plan, _ ra.ResultSpec,
 	opts QueryOptions, _ float64, tr *qtrace) (collection, error) {
 	tr.span("clone_world")
-	log, proposer, err := p.CloneWorld()
+	log, proposer, err := p.cloneWorld()
 	if err != nil {
 		return collection{}, err
 	}
@@ -95,7 +95,7 @@ func (p private) resolve(_ context.Context, mut ra.Mutation) ([]world.Op, error)
 }
 
 // apply mutates the prototype world. The caller holds the write lock, so
-// no CloneWorld observes a half-applied batch.
+// no cloneWorld observes a half-applied batch.
 func (p private) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("apply")
 	_, err := p.src.(WritableSource).ApplyExecOps(ops)
@@ -103,7 +103,7 @@ func (p private) apply(ops []world.Op, tr *qtrace) error {
 }
 
 func (p private) analyze(_ context.Context, plan ra.Plan) (*ra.StreamStats, error) {
-	log, _, err := p.CloneWorld()
+	log, _, err := p.cloneWorld()
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,12 @@ func (t *qtrace) span(name string) {
 	if t == nil {
 		return
 	}
-	now := time.Now()
+	t.spanAt(name, time.Now())
+}
+
+// spanAt is span at a given instant, no earlier than the open span's
+// start.
+func (t *qtrace) spanAt(name string, now time.Time) {
 	t.closeSpan(now)
 	t.qt.Spans = append(t.qt.Spans, TraceSpan{Name: name, StartNS: now.Sub(t.begin).Nanoseconds()})
 	t.open = true

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"factordb/internal/ra"
+	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
 
@@ -45,6 +46,9 @@ type ExecOptions struct {
 	// field of a W3C traceparent) into the trace and the write-audit log.
 	// Empty means the engine assigns one when a trace is recorded.
 	TraceID string
+	// Args are the values of the statement's ? placeholders, as in
+	// QueryOptions.Args.
+	Args []any
 }
 
 // FsyncReporter is optionally implemented by WAL sinks that can say how
@@ -81,40 +85,25 @@ type FsyncReporter interface {
 // with each other. ctx is honored up to the point of no return: once the
 // fan-out starts, Exec completes (or the engine closes) regardless of
 // cancellation, because a half-applied write would fork the chains'
-// worlds. opts carries the per-write tracing choices.
+// worlds. opts carries the per-write tracing choices and the values of
+// the statement's ? placeholders.
 func (e *Engine) Exec(ctx context.Context, sql string, opts ExecOptions) (*ExecResult, error) {
 	if e.Closed() {
 		return nil, ErrClosed
 	}
 	begin := time.Now()
-	tr := e.startTrace("exec", sql, opts.Trace, opts.TraceID)
-	tr.span("compile")
-	mut, cached, err := e.cfg.Plans.CompileMutation(sql)
+	comp, cached, err := e.plans.Lookup(sql, sqlparse.UseExec)
+	if err == nil {
+		comp, err = comp.Bind(opts.Args)
+	}
+	tr := e.startTrace("exec", sql, opts.Trace, opts.TraceID, begin)
 	if err != nil {
 		e.m.failed.Inc()
 		e.finishExec(ctx, sql, nil, "error", tr, begin)
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	if cached {
-		e.m.planHits.Inc()
-		tr.attr("plan_cache", "hit")
-	} else {
-		tr.attr("plan_cache", "miss")
-	}
-	return e.execMutation(ctx, sql, mut, tr, begin)
-}
-
-// ExecMutation applies an already compiled mutation — the prepared-
-// statement path. Semantics match Exec exactly.
-func (e *Engine) ExecMutation(ctx context.Context, sql string, mut ra.Mutation, opts ExecOptions) (*ExecResult, error) {
-	if e.Closed() {
-		return nil, ErrClosed
-	}
-	begin := time.Now()
-	tr := e.startTrace("exec", sql, opts.Trace, opts.TraceID)
-	tr.span("compile")
-	tr.attr("plan_cache", "prebound")
-	return e.execMutation(ctx, sql, mut, tr, begin)
+	e.notePlanCache(tr, cached)
+	return e.execMutation(ctx, sql, comp.Mutation, tr, begin)
 }
 
 // finishExec settles one exec attempt's observability: the trace (closed,
@@ -129,11 +118,10 @@ func (e *Engine) finishExec(ctx context.Context, sql string, res *ExecResult, ou
 	e.auditWrite(ctx, sql, res, outcome, tr)
 }
 
-// execMutation is the shared write core behind Exec and ExecMutation:
-// admission, single-point resolution, WAL append, the strategy's apply,
-// epoch bump. A traced write spans each stage contiguously —
-// compile / admission_wait / resolve / wal_append / fsync / the apply
-// spans / cache_invalidate.
+// execMutation is Exec's write core: admission, single-point
+// resolution, WAL append, the strategy's apply, epoch bump. A traced
+// write spans each stage contiguously — compile / admission_wait /
+// resolve / wal_append / fsync / the apply spans / cache_invalidate.
 func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, tr *qtrace, begin time.Time) (res *ExecResult, err error) {
 	outcome := "error"
 	defer func() { e.finishExec(ctx, sql, res, outcome, tr, begin) }()

@@ -87,6 +87,10 @@ func BenchmarkCompile(b *testing.B) {
 	})
 }
 
+// raceEnabled reports a race-detector build (see race_test.go), where
+// allocation counts through fmt are not reproducible.
+var raceEnabled bool
+
 // frontEndBudget reads the pinned budgets from testdata: one
 // "key value" pair per line, # comments.
 func frontEndBudget(t *testing.T) map[string]int64 {
@@ -127,12 +131,15 @@ func frontEndBudget(t *testing.T) map[string]int64 {
 //   - hit_allocs: a plan-cache hit must allocate nothing;
 //   - cold_allocs_min: a cold compile of the same statement must
 //     allocate at least this much — the work the cache exists to skip
-//     is still being measured, so a zero-allocation "hit" means a hit.
+//     is still being measured, so a zero-allocation "hit" means a hit;
+//   - bind_hit_allocs: executing the statement's placeholder spelling
+//     from the cache costs binding and planning a copy of the kept
+//     tree, never a parse (exact counts, so not checked in race builds).
 //
 // The gate proves itself: with the cache bypassed (a nil *PlanCache
-// compiles every call) the hit check must fail. Timings are printed,
-// never gated — no absolute or relative timing is stable on a shared
-// box. If an optimization legitimately moves a count, re-pin
+// compiles every call) the hit and bind checks must fail. Timings are
+// printed, never gated — no absolute or relative timing is stable on a
+// shared box. If an optimization legitimately moves a count, re-pin
 // testdata/alloc_budget.txt.
 func TestFrontEndBudget(t *testing.T) {
 	if testing.Short() {
@@ -176,6 +183,32 @@ func TestFrontEndBudget(t *testing.T) {
 		t.Errorf("a cold compile allocates %v objects, below the pinned floor %v: the gate no longer measures the work the cache skips", cold, floor)
 	}
 
+	// The same statement with its literals as placeholders: a cached
+	// entry keeps the tree, so an execution binds and plans a copy and
+	// never parses again. A bypassed cache must fail this gate too.
+	bindSQL := strings.NewReplacer(`'Boston'`, `?`, `'B-ORG'`, `?`, `'B-PER'`, `?`).Replace(sql)
+	args := []any{"Boston", "B-ORG", "B-PER"}
+	bind := func(pc *PlanCache) func() {
+		return func() {
+			c, _, err := pc.Lookup(bindSQL, UseQuery)
+			if err == nil {
+				_, err = c.Bind(args)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bind(pc)() // warm the entry
+	bindMax := float64(budgets["bind_hit_allocs"])
+	bindHit := testing.AllocsPerRun(100, bind(pc))
+	if bindHit > bindMax && !raceEnabled {
+		t.Errorf("binding a cached placeholder statement allocates %v objects, budget is %v", bindHit, bindMax)
+	}
+	if bypassed := testing.AllocsPerRun(20, bind(nil)); bypassed <= bindMax && !raceEnabled {
+		t.Errorf("with the cache bypassed a bound execution allocates %v objects and still passes the bind gate", bypassed)
+	}
+
 	coldNS := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			compile(nil)()
@@ -186,6 +219,6 @@ func TestFrontEndBudget(t *testing.T) {
 			compile(pc)()
 		}
 	}).NsPerOp()
-	t.Logf("tokenize: %v allocs/op; compile: cold %v allocs; cold %dns, hit %dns (%.0fx, not gated)",
-		allocs, cold, coldNS, hitNS, float64(coldNS)/float64(hitNS))
+	t.Logf("tokenize: %v allocs/op; compile: cold %v allocs, bound hit %v allocs; cold %dns, hit %dns (%.0fx, not gated)",
+		allocs, cold, bindHit, coldNS, hitNS, float64(coldNS)/float64(hitNS))
 }

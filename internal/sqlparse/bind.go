@@ -1,44 +1,17 @@
 package sqlparse
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// IsExplain reports whether sql's first token is the EXPLAIN keyword.
-// It never errors: malformed input simply isn't an EXPLAIN, and the
-// real parse will produce the positioned error.
-func IsExplain(sql string) bool {
-	kw, _ := leadingKeyword(sql)
-	return kw == "EXPLAIN"
-}
-
-// ExplainTarget strips the leading EXPLAIN keyword — and, for EXPLAIN
-// ANALYZE, the ANALYZE modifier — and returns the inner statement text,
-// so the caller can compile (and cache) the target exactly as if it had
-// been issued directly. The caller must have checked IsExplain first.
-func ExplainTarget(sql string) string {
-	_, end := leadingKeyword(sql)
-	rest := strings.TrimSpace(sql[end:])
-	if kw, aend := leadingKeyword(rest); kw == "ANALYZE" {
-		return strings.TrimSpace(rest[aend:])
-	}
-	return rest
-}
-
-// NumParams reports how many ? placeholders the statement contains.
-func NumParams(stmt *Statement) int { return stmt.Params }
-
-// BindArgs returns a copy of a prepared statement's AST with every ?
+// BindArgs returns a copy of a parsed statement's AST with every ?
 // placeholder replaced by the corresponding argument as a literal. The
 // input statement is never mutated — operand-bearing slices are deep
-// copied — so one prepared AST can be bound concurrently. The bound
-// copy must then be re-planned (Compile's lowering + canonicalization
-// folds and reorders literals), which is still far cheaper than
-// re-lexing and re-parsing the SQL text.
+// copied — so the plan cache's kept AST can be bound concurrently. The
+// bound copy must then be re-planned (Compile's lowering +
+// canonicalization folds and reorders literals), which is still far
+// cheaper than re-lexing and re-parsing the SQL text.
 func BindArgs(stmt *Statement, args []any) (*Statement, error) {
 	if len(args) != stmt.Params {
-		return nil, fmt.Errorf("sqlparse: statement has %d placeholders, got %d arguments", stmt.Params, len(args))
+		return nil, arityErr(stmt.Params, len(args))
 	}
 	if stmt.Params == 0 {
 		return stmt, nil
@@ -98,6 +71,11 @@ func BindArgs(stmt *Statement, args []any) (*Statement, error) {
 		out.Explain = inner
 	}
 	return &out, nil
+}
+
+// arityErr reports a placeholder/argument count mismatch.
+func arityErr(params, args int) error {
+	return fmt.Errorf("sqlparse: statement has %d placeholders, got %d arguments", params, args)
 }
 
 func bindConds(conds []Cond, args []any) ([]Cond, error) {

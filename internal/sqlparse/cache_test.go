@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"factordb/internal/ra"
 )
 
 func TestPlanCacheHitMiss(t *testing.T) {
@@ -119,6 +121,11 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200 && err == nil; i++ {
 				sql := fmt.Sprintf("SELECT STRING FROM TOKEN WHERE TOK_ID=%d", i%12)
 				_, _, err = pc.CompileQuery(sql)
+				// Every goroutine binds the one kept placeholder tree.
+				var c *Compiled
+				if c, _, err = pc.Lookup("SELECT STRING FROM TOKEN WHERE TOK_ID=?", UseQuery); err == nil {
+					_, err = c.Bind([]any{i})
+				}
 			}
 			done <- err
 		}(g)
@@ -130,5 +137,79 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 	if pc.Len() > 8 {
 		t.Fatalf("cache grew past capacity: %d", pc.Len())
+	}
+}
+
+// TestPlanCacheKeepsPlaceholderStatements pins the fourth kind of entry:
+// a statement with placeholders is parsed once and kept, each Bind plans
+// a bound copy that fingerprints like the inlined spelling, and the kept
+// tree survives binding unchanged.
+func TestPlanCacheKeepsPlaceholderStatements(t *testing.T) {
+	pc := NewPlanCache(4)
+	const param = `SELECT STRING FROM TOKEN WHERE LABEL=? AND DOC_ID=?`
+	c, hit, err := pc.Lookup(param, UsePrepare)
+	if err != nil || hit || c.Params != 2 {
+		t.Fatalf("first Lookup = %+v, hit=%v, err=%v; want a 2-placeholder miss", c, hit, err)
+	}
+	again, hit, err := pc.Lookup(param, UseQuery)
+	if err != nil || !hit || again != c {
+		t.Fatalf("second Lookup: hit=%v err=%v same=%v", hit, err, again == c)
+	}
+	for _, args := range [][]any{{"B-PER", int64(1)}, {"B-ORG", 7}} {
+		bound, err := c.Bind(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inlined := fmt.Sprintf(`SELECT STRING FROM TOKEN WHERE LABEL='%s' AND DOC_ID=%d`, args[0], args[1])
+		if want := fingerprintOf(t, inlined); bound.Fingerprint != want {
+			t.Errorf("Bind(%v) fingerprint %s, inlined %s", args, bound.Fingerprint, want)
+		}
+	}
+	if _, err := c.Bind([]any{"B-PER"}); err == nil || !strings.Contains(err.Error(), "2 placeholders, got 1") {
+		t.Errorf("Bind with too few args = %v", err)
+	}
+	if _, err := c.Bind(nil); err == nil || !strings.Contains(err.Error(), "unbound") {
+		t.Errorf("Bind with no args = %v, want the unbound-placeholder error", err)
+	}
+	planned, _, err := pc.Lookup(query1, UseQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, err := planned.Bind(nil); err != nil || same != planned {
+		t.Errorf("Bind(nil) of a planned entry = %p, %v; want the entry itself", same, err)
+	}
+	if _, err := planned.Bind([]any{1}); err == nil || !strings.Contains(err.Error(), "0 placeholders, got 1") {
+		t.Errorf("Bind of an argument to a statement without placeholders = %v", err)
+	}
+	// A DML statement with placeholders is kept too, and Exec may use it.
+	const dml = `UPDATE TOKEN SET STRING=? WHERE TOK_ID=?`
+	d, _, err := pc.Lookup(dml, UseExec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := d.Bind([]any{"x", 3}); err != nil || m.Mutation == nil {
+		t.Fatalf("Bind of a DML entry = %+v, %v", m, err)
+	}
+	if _, _, err := pc.Lookup(dml, UseQuery); err == nil || !strings.Contains(err.Error(), "use Exec") {
+		t.Errorf("a kept DML statement looked up for a query: %v", err)
+	}
+}
+
+// TestCachedInsertOwnsItsColumns guards the pooled parser's arena: a
+// cached INSERT's column list must not be overwritten when the parser
+// that lowered it parses the next INSERT.
+func TestCachedInsertOwnsItsColumns(t *testing.T) {
+	pc := NewPlanCache(4)
+	mut, _, err := pc.CompileMutation(`INSERT INTO TOKEN (TOK_ID, DOC_ID) VALUES (1, 2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := CompileExec(`INSERT INTO TOKEN (LABEL, STRING) VALUES ('O', 'x')`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cols := mut.(*ra.Insert).Columns; len(cols) != 2 || cols[0] != "TOK_ID" || cols[1] != "DOC_ID" {
+		t.Errorf("cached INSERT columns now %v, want [TOK_ID DOC_ID]", cols)
 	}
 }

@@ -126,14 +126,24 @@ func TestExplainParses(t *testing.T) {
 	if got := stmt.Kind(); got != "EXPLAIN" {
 		t.Errorf("Kind() = %q, want EXPLAIN", got)
 	}
-	if !IsExplain("  explain select 1") {
-		t.Error("IsExplain is not case/space insensitive")
+	// The plan cache records the wrapped statement's text as the parser
+	// located it, whatever the keyword case and spacing around it.
+	pc := NewPlanCache(4)
+	for sql, want := range map[string]Explain{
+		"  explain select STRING from TOKEN ":                  {Query: true, Target: "select STRING from TOKEN"},
+		"EXPLAIN ANALYZE\n\tSELECT STRING FROM TOKEN":          {Analyze: true, Query: true, Target: "SELECT STRING FROM TOKEN"},
+		"Explain UPDATE TOKEN SET STRING = 'x' WHERE TOK_ID=1": {Target: "UPDATE TOKEN SET STRING = 'x' WHERE TOK_ID=1"},
+	} {
+		c, _, err := pc.Lookup(sql, UseQuery)
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", sql, err)
+		}
+		if c.Explain == nil || *c.Explain != want {
+			t.Errorf("Lookup(%q).Explain = %+v, want %+v", sql, c.Explain, want)
+		}
 	}
-	if IsExplain("SELECT STRING FROM TOKEN") {
-		t.Error("IsExplain claims a plain SELECT")
-	}
-	if got := ExplainTarget("EXPLAIN SELECT STRING FROM TOKEN"); got != "SELECT STRING FROM TOKEN" {
-		t.Errorf("ExplainTarget = %q", got)
+	if c, _, err := pc.Lookup("SELECT STRING FROM TOKEN", UseQuery); err != nil || c.Explain != nil {
+		t.Errorf("a plain SELECT looked up as %+v, %v", c, err)
 	}
 }
 

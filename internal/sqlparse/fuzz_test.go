@@ -89,22 +89,23 @@ func FuzzParseStatement(f *testing.F) {
 			}
 			return
 		}
-		if n := NumParams(stmt); n > 0 {
-			args := make([]any, n)
-			for i := range args {
-				args[i] = int64(i)
-			}
-			if _, err := BindArgs(stmt, args); err != nil {
-				t.Fatalf("ParseStatement(%q) ok but BindArgs failed: %v", src, err)
-			}
+		args := make([]any, stmt.Params)
+		for i := range args {
+			args[i] = int64(i)
+		}
+		if _, err := BindArgs(stmt, args); err != nil {
+			t.Fatalf("ParseStatement(%q) ok but BindArgs failed: %v", src, err)
 		}
 		// A statement that parses must either plan or fail cleanly
 		// through the public entry points; both paths are exercised so
-		// the planner sees fuzzed ASTs too.
+		// the planner sees fuzzed ASTs too, bound ones included.
 		if stmt.Select != nil || stmt.Explain != nil {
 			_, _, _ = Compile(src)
 		} else {
 			_, _ = CompileExec(src)
+		}
+		if c, _, err := (*PlanCache)(nil).Lookup(src, UsePrepare); err == nil && c.Explain == nil {
+			_, _ = c.Bind(args)
 		}
 	})
 }

@@ -475,25 +475,3 @@ func lexEscapedString(src string, i, j int) (token, int, error) {
 	}
 	return token{}, 0, posErrf(src, i, "unterminated string literal")
 }
-
-// leadingKeyword returns the canonical keyword spelling of src's first
-// word ("" if it is not a reserved word or src does not start with one)
-// and the offset just past it.
-func leadingKeyword(src string) (kw string, end int) {
-	i := 0
-	for i < len(src) && isSpaceB[src[i]] {
-		i++
-	}
-	j := i
-	for j < len(src) && classB[src[j]]&cIdent != 0 {
-		j++
-	}
-	word := src[i:j]
-	if word == "" {
-		return "", j
-	}
-	if isKeywordUpper(word) {
-		return word, j
-	}
-	return keywordOf(word), j
-}

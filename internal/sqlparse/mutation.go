@@ -12,39 +12,50 @@ import (
 // at the read API, mirroring Compile's rejection of DML.
 func CompileExec(sql string) (ra.Mutation, error) {
 	p := parserPool.Get().(*parser)
+	defer parserPool.Put(p)
 	p.reset(sql)
 	stmt, err := p.parseInput()
 	if err != nil {
-		parserPool.Put(p)
 		return nil, err
 	}
-	mut, err := lowerStatement(sql, stmt)
-	parserPool.Put(p)
-	return mut, err
+	if err := misuse(sql, stmt, UseExec); err != nil {
+		return nil, err
+	}
+	return lower(stmt)
 }
 
-// LowerMutation lowers an already parsed DML statement (the prepared-
-// statement path, where the AST outlives the parse).
-func LowerMutation(sql string, stmt *Statement) (ra.Mutation, error) {
-	return lowerStatement(sql, stmt)
+// explainOnlyQuery is the error text of an EXPLAIN issued anywhere but
+// the query API.
+const explainOnlyQuery = "EXPLAIN is a diagnostic statement (issue it through the factordb query API)"
+
+// misuse reports a statement issued through an entry point that does not
+// take its kind — the read/write API split — or nil.
+func misuse(sql string, stmt *Statement, use Use) error {
+	switch {
+	case use == UseQuery && stmt.Select == nil && stmt.Explain == nil:
+		return posErrf(sql, 0, "%s is a DML statement, not a query (use Exec)", stmt.Kind())
+	case use == UseExec && stmt.Explain != nil:
+		return posErrf(sql, 0, explainOnlyQuery)
+	case use == UseExec && stmt.Select != nil:
+		return posErrf(sql, 0, "SELECT is a query, not a DML statement (use Query)")
+	}
+	return nil
 }
 
-func lowerStatement(sql string, stmt *Statement) (ra.Mutation, error) {
+// lower lowers a parsed INSERT, UPDATE or DELETE. The mutation shares
+// nothing with the tree, whose slices may sit in a pooled parser's arena.
+func lower(stmt *Statement) (ra.Mutation, error) {
 	switch {
 	case stmt.Insert != nil:
 		return lowerInsert(stmt.Insert)
 	case stmt.Update != nil:
 		return lowerUpdate(stmt.Update)
-	case stmt.Delete != nil:
-		return lowerDelete(stmt.Delete)
-	case stmt.Explain != nil:
-		return nil, posErrf(sql, 0, "EXPLAIN is a diagnostic statement (issue it through the factordb query API)")
 	}
-	return nil, posErrf(sql, 0, "SELECT is a query, not a DML statement (use Query)")
+	return lowerDelete(stmt.Delete)
 }
 
 func lowerInsert(st *InsertStmt) (ra.Mutation, error) {
-	m := &ra.Insert{TableName: st.Table, Columns: st.Columns}
+	m := &ra.Insert{TableName: st.Table, Columns: append([]string(nil), st.Columns...)}
 	for _, row := range st.Rows {
 		vals := make([]relstore.Value, len(row))
 		for i, op := range row {

@@ -35,7 +35,7 @@ type TableRef struct {
 }
 
 // Operand is the right-hand side of a comparison: a column, a literal,
-// or a ? placeholder awaiting a prepared-statement argument.
+// or a ? placeholder awaiting an argument.
 type Operand struct {
 	IsCol bool
 	Col   ColName
@@ -167,6 +167,8 @@ type Statement struct {
 	Analyze bool
 
 	Params int
+
+	target int // byte offset of the wrapped statement (EXPLAIN only)
 }
 
 // Kind returns the statement's leading keyword, for diagnostics.
@@ -315,19 +317,20 @@ func Parse(input string) (*Query, error) {
 
 func selectOf(input string, stmt *Statement) (*Query, error) {
 	if stmt.Explain != nil {
-		return nil, posErrf(input, 0, "EXPLAIN is a diagnostic statement (issue it through the factordb query API)")
+		return nil, posErrf(input, 0, explainOnlyQuery)
 	}
-	if stmt.Select == nil {
-		return nil, posErrf(input, 0, "%s is a DML statement, not a query (use Exec)", stmt.Kind())
+	if err := misuse(input, stmt, UseQuery); err != nil {
+		return nil, err
 	}
 	return stmt.Select, nil
 }
 
 // ParseStatement parses one statement of the supported dialect: a SELECT
 // query, an INSERT/UPDATE/DELETE mutation, or EXPLAIN wrapping either.
-// The returned AST is freshly allocated and safe to retain (prepared
-// statements do); the pooled-arena fast path is reserved for the
-// Compile/CompileExec entry points, whose ASTs never escape.
+// The returned AST is freshly allocated and safe to retain (the plan
+// cache keeps one per statement with placeholders); the pooled-arena
+// fast path is reserved for the compile entry points, whose ASTs never
+// escape.
 func ParseStatement(input string) (*Statement, error) {
 	p := &parser{}
 	p.reset(input)
@@ -354,11 +357,12 @@ func (p *parser) parseInput() (*Statement, error) {
 func (p *parser) parseTop() (*Statement, error) {
 	if p.accept(tkKeyword, "EXPLAIN") {
 		analyze := p.accept(tkKeyword, "ANALYZE")
+		target := int(p.cur().pos)
 		inner, err := p.parseOne()
 		if err != nil {
 			return nil, err
 		}
-		return &Statement{Explain: inner, Analyze: analyze}, nil
+		return &Statement{Explain: inner, Analyze: analyze, target: target}, nil
 	}
 	return p.parseOne()
 }

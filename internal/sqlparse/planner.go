@@ -9,10 +9,11 @@ import (
 )
 
 // parserPool recycles parsers — and with them the arena arrays backing
-// every AST slice — across Compile/CompileExec calls. Only those entry
-// points may use it: they lower the AST to an independent plan before
-// releasing the parser, whereas Parse/ParseStatement hand the AST to the
-// caller (prepared statements retain it), so they allocate fresh.
+// every AST slice — across Compile, CompileExec and plan-cache misses.
+// Only those entry points may use it: they lower the AST to an
+// independent plan before releasing the parser, whereas
+// Parse/ParseStatement hand the AST to the caller (the plan cache keeps
+// one per statement with placeholders), so they allocate fresh.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
 // Compile parses the SQL text and lowers it to a relational-algebra plan
@@ -361,8 +362,8 @@ func operandValue(o Operand) relstore.Value {
 }
 
 // operandConst is operandValue for planner positions that require a
-// bound constant: an unbound ? placeholder is a planning error (prepared
-// statements substitute arguments via BindArgs before planning).
+// bound constant: an unbound ? placeholder is a planning error (a plan
+// cache entry's Bind substitutes arguments before planning).
 func operandConst(o Operand) (relstore.Value, error) {
 	if o.IsParam {
 		return relstore.Value{}, fmt.Errorf("sqlparse: placeholder ?%d is unbound (prepare the statement and pass arguments)", o.Param+1)

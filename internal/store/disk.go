@@ -28,8 +28,9 @@ var ErrNoBase = errors.New("store: wal records without a base snapshot")
 
 const walName = "wal.log"
 
-// DiskStore is the default Storage: one append-only wal1 log plus
-// checkpointed snap1 snapshots in a flat directory. It keeps a private
+// DiskStore is the durable store the engine writes through: one
+// append-only wal1 log plus checkpointed snap1 snapshots in a flat
+// directory. It keeps a private
 // "shadow" copy of the durable world — the snapshot-plus-log state —
 // which every Append advances, so checkpointing never has to reach into
 // the engine: a checkpoint is a clone of the shadow dumped to disk,
@@ -264,7 +265,8 @@ func (s *DiskStore) WorldClone() *relstore.DB {
 }
 
 // Seed installs the initial world and writes the base snapshot, so a
-// later recovery always has a world to replay the log onto.
+// later recovery always has a world to replay the log onto. Seeding a
+// store that already holds a world fails with ErrSeeded.
 func (s *DiskStore) Seed(db *relstore.DB, epoch int64) error {
 	s.mu.Lock()
 	if s.closed {
@@ -288,9 +290,11 @@ func (s *DiskStore) Seed(db *relstore.DB, epoch int64) error {
 	return nil
 }
 
-// Append durably logs one committed op batch and advances the shadow
-// world. The frame is written (and under FsyncAlways, synced) before
-// the shadow moves, so the log is never behind the world it describes.
+// Append durably logs one committed op batch, stamped with the data
+// epoch it produces, and advances the shadow world. Epochs must strictly
+// increase; an error means nothing was committed and the write must
+// fail. The frame is written (and under FsyncAlways, synced) before the
+// shadow moves, so the log is never behind the world it describes.
 func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 	start := time.Now()
 	frame := appendFrame(nil, encodePayload(epoch, ops))
@@ -509,7 +513,7 @@ func (s *DiskStore) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(s.epoch.Load()) })
 }
 
-// Close flushes the log and releases the store.
+// Close flushes the log and releases the store; later Appends fail.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	if s.closed {

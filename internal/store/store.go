@@ -24,9 +24,6 @@ import (
 	"fmt"
 	"log/slog"
 	"time"
-
-	"factordb/internal/relstore"
-	"factordb/internal/world"
 )
 
 // FsyncPolicy selects when WAL appends reach stable storage.
@@ -140,33 +137,4 @@ type Stats struct {
 	Checkpoints     int64
 	LastCheckpointS float64 // seconds since the last checkpoint finished (0 if never)
 	LastError       string  // last background checkpoint/sync failure, if any
-}
-
-// Storage is the pluggable durability contract the engine writes
-// through. The default implementation is the on-disk DiskStore; an
-// embedded LSM backend (the janus-datalog/Badger idiom) or a remote log
-// can slot in behind the same interface.
-type Storage interface {
-	// Recovery reports what Open found on disk.
-	Recovery() Recovery
-	// WorldClone returns an independent copy of the recovered durable
-	// world, or nil when the store has no world yet (fresh store that
-	// was never seeded).
-	WorldClone() *relstore.DB
-	// Seed installs the initial world at the given epoch and writes the
-	// base snapshot. It is an error to seed a store that already holds a
-	// world.
-	Seed(db *relstore.DB, epoch int64) error
-	// Append durably logs one committed op batch stamped with the data
-	// epoch it produces. Append must be called in strictly increasing
-	// epoch order; an error means nothing was committed and the write
-	// must fail.
-	Append(epoch int64, ops []world.Op) error
-	// Checkpoint forces a snapshot of the current durable world and
-	// truncates the replayed log prefix.
-	Checkpoint() error
-	// Stats returns the current durability counters.
-	Stats() Stats
-	// Close flushes and releases the store. Further Appends fail.
-	Close() error
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"factordb/internal/serve"
-	"factordb/internal/sqlparse"
 )
 
 // queryOptions tunes one query evaluation: the engine's per-query
@@ -62,24 +61,25 @@ func TraceID(id string) QueryOption { return func(o *queryOptions) { o.TraceID =
 // opened with: naive and materialized evaluate on a private chain in the
 // calling goroutine; served registers the query on the shared chain pool.
 func (db *DB) Query(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
+	return db.query(ctx, sql, nil, opts)
+}
+
+// query is Query with the values of the statement's ? placeholders — the
+// one path of DB.Query, Stmt.Query, database/sql and HTTP. The SQL and
+// the arguments go straight to the engine, which compiles through the
+// plan cache (EXPLAIN included) and returns the output column names with
+// the result — the facade compiles nothing. The planner emits canonical
+// plans (ra.Canonicalize), and the engine keys both its result cache and
+// its per-chain shared views by plan fingerprint rather than SQL text —
+// so however a query reaches the engine and however it is spelled, with
+// literals or bound placeholders, equal queries share cache entries and
+// materialized views.
+func (db *DB) query(ctx context.Context, sql string, args []any, opts []QueryOption) (*Rows, error) {
 	if db.eng.Closed() {
 		return nil, ErrClosed
 	}
 	qo := db.queryOpts(opts)
-	// EXPLAIN is answered by the facade itself: it compiles (and caches)
-	// the target statement but never samples.
-	if sqlparse.IsExplain(sql) {
-		res, err := db.explain(ctx, sql)
-		return newRows(ctx, res, err, qo)
-	}
-	// The SQL goes straight to the engine, which compiles through the
-	// shared plan cache and returns the output column names with the
-	// result — the facade compiles nothing. The planner emits canonical
-	// plans (ra.Canonicalize), and the engine keys both its result cache
-	// and its per-chain shared views by plan fingerprint rather than SQL
-	// text — so however a query reaches the engine (this facade, the
-	// database/sql driver, or HTTP) and however it is spelled, equal
-	// queries share cache entries and materialized views.
+	qo.Args = args
 	res, err := db.eng.Query(ctx, sql, qo.QueryOptions)
 	return newRows(ctx, res, err, qo)
 }

@@ -48,12 +48,14 @@
 //	stmt, err := db.PrepareContext(ctx, "SELECT STRING FROM TOKEN WHERE LABEL = ?")
 //	rows, err := stmt.QueryContext(ctx, "B-PER")
 //
-// Prepare parses the SQL exactly once; each execution binds the
-// arguments into the retained syntax tree and re-plans, which — because
-// plans are canonicalized before fingerprinting — yields the same plan
-// fingerprint, cache entries, and shared views as the query with its
-// literals inlined. Ad-hoc QueryContext/ExecContext calls with args
-// prepare behind the scenes.
+// A statement is compiled into the database's plan cache once, whichever
+// way it arrives: a statement with placeholders keeps its parsed syntax
+// tree there, and each execution binds the arguments into a copy and
+// re-plans, which — because plans are canonicalized before
+// fingerprinting — yields the same plan fingerprint, cache entries, and
+// shared views as the query with its literals inlined. Ad-hoc
+// QueryContext/ExecContext calls with args look the statement up the
+// same way.
 package sqldriver
 
 import (
@@ -297,8 +299,9 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 		}
 		return newRows(fr), nil
 	}
-	// Placeholder arguments route through the prepared path: parse once,
-	// bind the args as literals, re-plan.
+	// Placeholder arguments route through a prepared statement: a
+	// plan-cache lookup, then the engine binds the args into the cached
+	// tree as literals and re-plans.
 	vals, err := argValues(args)
 	if err != nil {
 		return nil, err
@@ -366,9 +369,9 @@ func (execResult) LastInsertId() (int64, error) {
 
 func (r execResult) RowsAffected() (int64, error) { return r.rows, nil }
 
-// stmt is a real prepared statement: the SQL was parsed exactly once at
-// Prepare time, and each execution binds its ? arguments as literals
-// into the retained syntax tree and re-plans.
+// stmt is a prepared statement: the SQL was compiled into the plan cache
+// at Prepare time, and each execution binds its ? arguments as literals
+// into a copy of the cached syntax tree and re-plans.
 type stmt struct {
 	conn *conn
 	ps   *factordb.Stmt
