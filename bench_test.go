@@ -156,7 +156,7 @@ func BenchmarkScoreDelta(b *testing.B) {
 	}
 	vocab := ie.BuildVocab(corpus)
 	model := ie.NewModel(vocab, true)
-	tg := ie.NewTagger(model, corpus, ie.LO)
+	tg := ie.NewTagger(model, ie.NewCorpusIndex(corpus, vocab), ie.LO)
 	ld := tg.Docs[0]
 	rng := rand.New(rand.NewSource(7))
 	b.Run("local-delta", func(b *testing.B) {

@@ -201,7 +201,10 @@
 // produced it — while spelling variants keep sharing entries within an
 // epoch. The answer itself is frozen when its evaluation publishes it:
 // the cache and every reader share it read-only, and a hit gets its own
-// header (SQL text, cached flag, trace) without copying a tuple.
+// header (SQL text, cached flag, trace) without copying a tuple. So is
+// its HTTP body: the answer's JSON members are encoded once per answer
+// and kept with it, and a response writes only what varies per request
+// — "sql", "cached" and the request's own trace — around those bytes.
 //
 // Below the result cache sits the raw-SQL plan cache, the one place a
 // compiled statement lives, keyed on the exact statement bytes — no
@@ -359,6 +362,9 @@
 //     Scores sum the same factors in the same order as before. Scoring
 //     recompiles when Weights.Version has moved; compile explicitly
 //     before sharing a model between goroutines (exp.BuildNER does).
+//     The per-token inputs of a score other than the labels — vocabulary
+//     ids, capitalization, skip edges — live in an ie.CorpusIndex built
+//     once per corpus and shared read-only by every tagger over it.
 //   - The store is columnar and its worlds share vectors copy-on-write
 //     (internal/relstore): a flip is Relation.SetCol, a store into the
 //     one column vector the chain owns, reached through a world.Field

@@ -26,14 +26,15 @@ func main() {
 		log.Fatal(err)
 	}
 	vocab := ie.BuildVocab(corpus)
+	index := ie.NewCorpusIndex(corpus, vocab)
 
 	accuracy := func(useSkip bool) float64 {
 		m := ie.NewModel(vocab, useSkip)
-		trainer := ie.NewTagger(m, corpus, ie.LO)
+		trainer := ie.NewTagger(m, index, ie.LO)
 		trainer.Train(400000, 1.0, 7)
 		// Decode with a fresh model-driven MH walk from all-O: the walk
 		// only sees the model, never the gold labels.
-		decoder := ie.NewTagger(m, corpus, ie.LO)
+		decoder := ie.NewTagger(m, index, ie.LO)
 		sampler := mcmc.NewSampler(decoder, 13)
 		sampler.Run(20 * corpus.NumTokens)
 		return decoder.Accuracy()

@@ -1,6 +1,7 @@
 package factordb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,8 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"time"
+
+	"factordb/internal/serve"
 )
 
 // queryRequest is the POST /query body. Args are positional values for
@@ -33,9 +37,14 @@ type tupleJSON struct {
 	Hi     float64  `json:"ci_hi"`
 }
 
-// queryResponse is the POST /query answer.
-type queryResponse struct {
-	SQL        string      `json:"sql"`
+// answerJSON is the part of a POST /query answer that is the same for
+// every request of one evaluation: the members between "sql" and
+// "cached", then "elapsed_ms". The whole response is
+//
+//	{"sql":…,"columns":…,"tuples":…,"samples":…,"chains":…,"epoch":…,
+//	 "confidence":…,"partial":…[,"early_stop":true],"cached":…,
+//	 "elapsed_ms":…[,"trace":…]}
+type answerJSON struct {
 	Columns    []string    `json:"columns,omitempty"`
 	Tuples     []tupleJSON `json:"tuples"`
 	Samples    int64       `json:"samples"`
@@ -44,9 +53,7 @@ type queryResponse struct {
 	Confidence float64     `json:"confidence"`
 	Partial    bool        `json:"partial"`
 	EarlyStop  bool        `json:"early_stop,omitempty"`
-	Cached     bool        `json:"cached"`
 	ElapsedMS  float64     `json:"elapsed_ms"`
-	Trace      *QueryTrace `json:"trace,omitempty"`
 }
 
 // execRequest is the POST /exec body. Args bind ? placeholders, as in
@@ -194,29 +201,39 @@ func bindableArgs(args []any) []any {
 
 // parseTraceparent extracts the 32-hex trace-id field of a W3C
 // traceparent header ("00-<trace-id>-<parent-id>-<flags>"). Malformed
-// headers — wrong field count, wrong width, non-hex, all-zero — return
-// "" and the request proceeds untraced rather than failing.
+// headers return "" and the request proceeds untraced rather than
+// failing: a wrong width or separator, a non-hex field, an all-zero
+// trace-id or parent-id, the forbidden version ff, or a version-00 header
+// with fields after the flags (only a later version may append fields).
+// Hex digits are accepted in either case; the ID comes back lower-case.
 func parseTraceparent(h string) string {
-	parts := strings.Split(h, "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return ""
 	}
-	id := strings.ToLower(parts[1])
-	zero := true
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return ""
-		}
-		if c != '0' {
-			zero = false
-		}
-	}
-	if zero {
+	version, id, parent, flags := h[:2], h[3:35], h[36:52], h[53:55]
+	if len(h) > 55 && (version == "00" || h[55] != '-') {
 		return ""
 	}
-	return id
+	if !isHex(version) || strings.EqualFold(version, "ff") || !isHex(flags) ||
+		!isHex(parent) || allZero(parent) || !isHex(id) || allZero(id) {
+		return ""
+	}
+	return strings.ToLower(id)
 }
+
+// isHex reports whether s is all hex digits, in either case.
+func isHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
+			return false
+		}
+	}
+	return true
+}
+
+// allZero reports whether s is all '0' digits.
+func allZero(s string) bool { return strings.Trim(s, "0") == "" }
 
 // traceContext resolves the request's W3C trace ID — the client's
 // traceparent when present and well-formed, a fresh one otherwise — and
@@ -324,9 +341,52 @@ func (db *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusFor(err), errorResponse{Error: err.Error()})
 		return
 	}
-	res := rows.res
-	resp := queryResponse{
-		SQL:        req.SQL,
+	writeAnswer(w, req.SQL, rows.res)
+}
+
+// writeAnswer writes the POST /query response for res. The answer's
+// members are encoded once per evaluation (encodeAnswer, memoized on the
+// shared answer), so a cache hit writes the request's own "sql", "cached"
+// and trace around bytes already made — straight to w, with no body
+// buffer of its own.
+func writeAnswer(w http.ResponseWriter, sql string, res *serve.Result) {
+	shared := res.Encoded(encodeAnswer)
+	if shared == nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "answer is not representable in JSON"})
+		return
+	}
+	// "cached" goes before "elapsed_ms", the last shared member — and the
+	// last comma, since a JSON number holds none.
+	split := bytes.LastIndexByte(shared, ',')
+	cached := `,"cached":false`
+	if res.Cached {
+		cached = `,"cached":true`
+	}
+	var trace []byte
+	if res.Trace != nil {
+		trace, _ = json.Marshal(res.Trace) // plain data: strings, numbers, nested spans
+		trace = append([]byte(`,"trace":`), trace...)
+	}
+	quoted, _ := json.Marshal(sql) // a string always encodes
+	n := len(`{"sql":`) + len(quoted) + len(shared) + len(cached) + len(trace) + len("}\n")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	io.WriteString(w, `{"sql":`)
+	w.Write(quoted)
+	w.Write(shared[:split])
+	io.WriteString(w, cached)
+	w.Write(shared[split:])
+	w.Write(trace)
+	io.WriteString(w, "}\n")
+}
+
+// encodeAnswer renders res's shared members as they follow "sql" in the
+// response object: `,"columns":…,"elapsed_ms":…` — a leading comma and no
+// braces. It returns nil if the answer holds a number JSON cannot carry.
+func encodeAnswer(res *serve.Result) []byte {
+	a := answerJSON{
 		Columns:    res.Columns(),
 		Tuples:     make([]tupleJSON, res.Len()),
 		Samples:    res.Samples,
@@ -335,19 +395,22 @@ func (db *DB) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Confidence: res.Confidence,
 		Partial:    res.Partial,
 		EarlyStop:  res.EarlyStop,
-		Cached:     res.Cached,
 		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
-		Trace:      res.Trace,
 	}
-	for i := range resp.Tuples {
+	for i := range a.Tuples {
 		vals := make([]string, res.Width(i))
 		for j := range vals {
 			vals[j] = res.Value(i, j).String()
 		}
 		lo, hi := res.CI(i)
-		resp.Tuples[i] = tupleJSON{Values: vals, P: res.Prob(i), Lo: lo, Hi: hi}
+		a.Tuples[i] = tupleJSON{Values: vals, P: res.Prob(i), Lo: lo, Hi: hi}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	b, err := json.Marshal(a)
+	if err != nil {
+		return nil
+	}
+	b[0] = ','
+	return b[:len(b)-1]
 }
 
 func statusFor(err error) int {

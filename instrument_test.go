@@ -153,8 +153,16 @@ func TestTraceparentHeader(t *testing.T) {
 		"":                             "",
 		"not-a-traceparent":            "",
 		"00-short-00f067aa0ba902b7-01": "",
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01": "", // all-zero forbidden
-		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01": "", // non-hex
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01":   "",                                 // all-zero forbidden
+		"00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01":   "",                                 // non-hex
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":   "",                                 // version ff forbidden
+		"0g-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01":   "",                                 // non-hex version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0z":   "",                                 // non-hex flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902zz-01":   "",                                 // non-hex parent-id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01":   "",                                 // all-zero parent-id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x": "",                                 // version 00 has four fields
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-011":  "",                                 // flags wider than two
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x": "4bf92f3577b34da6a3ce929d0e0e4736", // a later version may append fields
 	} {
 		if got := parseTraceparent(h); got != want {
 			t.Errorf("parseTraceparent(%q) = %q, want %q", h, got, want)

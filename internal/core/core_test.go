@@ -185,6 +185,7 @@ func TestNERIntegration(t *testing.T) {
 	}
 	vocab := ie.BuildVocab(corpus)
 	model := ie.NewModel(vocab, true)
+	index := ie.NewCorpusIndex(corpus, vocab)
 
 	build := func(seed int64, mode Mode) (*Evaluator, *ie.Tagger) {
 		db := relstore.NewDB()
@@ -193,7 +194,7 @@ func TestNERIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := world.NewChangeLog(db)
-		tg := ie.NewTagger(model, corpus, ie.LO)
+		tg := ie.NewTagger(model, index, ie.LO)
 		if err := tg.BindDB(log, rows); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestNERIntegration(t *testing.T) {
 	}
 
 	// Train on an unbound tagger (memory only), sharing the model.
-	trainTg := ie.NewTagger(model, corpus, ie.LO)
+	trainTg := ie.NewTagger(model, index, ie.LO)
 	trainTg.Train(30000, 1.0, 3)
 
 	evN, _ := build(55, Naive)

@@ -45,6 +45,9 @@ type NERSystem struct {
 	Corpus *ie.Corpus
 	Vocab  *ie.Vocab
 	Model  *ie.Model
+	// Index is the corpus's read-only token index, built once and shared
+	// by the trainer and every chain's tagger.
+	Index *ie.CorpusIndex
 
 	protoDB *relstore.DB
 	rows    [][]relstore.RowID
@@ -90,7 +93,8 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 	}
 	vocab := ie.BuildVocab(corpus)
 	model := ie.NewModel(vocab, cfg.UseSkip)
-	trainer := ie.NewTagger(model, corpus, ie.LO)
+	index := ie.NewCorpusIndex(corpus, vocab)
+	trainer := ie.NewTagger(model, index, ie.LO)
 	trainer.Train(cfg.TrainSteps, 1.0, cfg.Seed+1)
 	temp := cfg.Temperature
 	if temp == 0 {
@@ -108,7 +112,7 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NERSystem{Corpus: corpus, Vocab: vocab, Model: model, protoDB: db, rows: rows}, nil
+	return &NERSystem{Corpus: corpus, Vocab: vocab, Model: model, Index: index, protoDB: db, rows: rows}, nil
 }
 
 // Chain is one independent evaluator over a private copy of the world.
@@ -155,7 +159,7 @@ func (s *NERSystem) NewChain(mode core.Mode, sql string, stepsPerSample int, see
 func (s *NERSystem) newChainWorld() (*world.ChangeLog, *ie.Tagger, error) {
 	db := s.protoDB.Clone()
 	log := world.NewChangeLog(db)
-	tg := ie.NewTagger(s.Model, s.Corpus, ie.LO)
+	tg := ie.NewTagger(s.Model, s.Index, ie.LO)
 	if len(s.Corpus.Docs) > 5 {
 		tg.ActiveDocs = 5
 		tg.StepsPerBatch = 2000

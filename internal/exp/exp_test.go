@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"factordb/internal/core"
+	"factordb/internal/ie"
 )
 
 // Small-scale smoke tests: the figures are regenerated at full scale by
@@ -44,6 +45,31 @@ func TestBuildAndChains(t *testing.T) {
 		if bm[k] != v {
 			t.Fatalf("chains with same seed disagree on %q: %v vs %v", k, v, bm[k])
 		}
+	}
+}
+
+// TestChainsShareCorpusIndex checks that every chain's tagger reads the
+// one corpus index BuildNER made — the same pointer, not a copy — while
+// owning its labels: a flip in one chain is invisible to the other.
+func TestChainsShareCorpusIndex(t *testing.T) {
+	sys, err := BuildNER(Config{NumTokens: 2000, Seed: 5, UseSkip: true, TrainSteps: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, a, err := sys.NewChainTagger(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b, err := sys.NewChainTagger(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Index == nil || a.Index != sys.Index || b.Index != sys.Index {
+		t.Fatalf("chain taggers read indexes %p and %p, want the system's %p", a.Index, b.Index, sys.Index)
+	}
+	a.Docs[0].Labels[0] = ie.LBPer
+	if b.Docs[0].Labels[0] != ie.LO {
+		t.Fatal("a label flip in one chain reached another")
 	}
 }
 

@@ -19,11 +19,11 @@ func tinyChainSetup(t *testing.T, words []string, seed int64) (*Model, *LabeledD
 	}
 	v := NewVocab()
 	m := NewModel(v, false)
-	ld := NewLabeledDoc(doc, v, LO)
+	ld := labeledDoc(doc, v)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range words {
 		for l := Label(0); l < NumLabels; l++ {
-			m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+			m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 		}
 	}
 	for a := Label(0); a < NumLabels; a++ {
@@ -178,7 +178,7 @@ func TestMCMCMatchesForwardBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 	corpus := &Corpus{Docs: []Doc{*ld.Doc}, NumTokens: len(ld.Labels)}
-	tg := NewTagger(m, corpus, LO)
+	tg := newTagger(m, corpus)
 	s := mcmc.NewSampler(tg, 23)
 	counts := make([][NumLabels]float64, len(ld.Labels))
 	s.Run(3000) // burn-in
@@ -206,7 +206,7 @@ func TestMCMCMatchesForwardBackward(t *testing.T) {
 func TestChainRejectsSkipModels(t *testing.T) {
 	v := NewVocab()
 	m := NewModel(v, true)
-	ld := NewLabeledDoc(&Doc{Tokens: []Token{{Str: "x"}}}, v, LO)
+	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}}, v)
 	if _, err := m.ChainMarginals(ld); err == nil {
 		t.Error("ChainMarginals must reject skip models")
 	}
@@ -221,7 +221,7 @@ func TestChainRejectsSkipModels(t *testing.T) {
 func TestChainEmptyDoc(t *testing.T) {
 	v := NewVocab()
 	m := NewModel(v, false)
-	ld := NewLabeledDoc(&Doc{}, v, LO)
+	ld := labeledDoc(&Doc{}, v)
 	if got, err := m.ChainMarginals(ld); err != nil || got != nil {
 		t.Errorf("empty doc marginals = %v, %v", got, err)
 	}

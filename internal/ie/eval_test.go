@@ -48,7 +48,7 @@ func TestSpansAdjacentMentions(t *testing.T) {
 
 func TestSpanF1PerfectAndEmpty(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(500, 3))
-	tg := NewTagger(NewModel(BuildVocab(c), false), c, LO)
+	tg := newTagger(NewModel(BuildVocab(c), false), c)
 	// All-O: no predicted spans, recall 0, F1 0.
 	rep := tg.SpanF1()
 	if rep.Predicted != 0 || rep.Recall != 0 || rep.F1 != 0 {
@@ -78,7 +78,7 @@ func TestSpanF1PartialCredit(t *testing.T) {
 		{Str: "visited", Gold: LO}, {Str: "IBM", Gold: LBOrg},
 	}}
 	c := &Corpus{Docs: []Doc{doc}, NumTokens: 4}
-	tg := NewTagger(NewModel(BuildVocab(c), false), c, LO)
+	tg := newTagger(NewModel(BuildVocab(c), false), c)
 	// Predict the ORG but truncate the PER span: 1 hit of 2 gold, 2 predicted.
 	tg.Docs[0].Labels = []Label{LBPer, LO, LO, LBOrg}
 	rep := tg.SpanF1()

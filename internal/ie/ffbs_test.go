@@ -44,7 +44,7 @@ func TestFFBSMatchesForwardBackward(t *testing.T) {
 func TestFFBSRejectsSkipModel(t *testing.T) {
 	v := NewVocab()
 	m := NewModel(v, true)
-	ld := NewLabeledDoc(&Doc{Tokens: []Token{{Str: "x"}}}, v, LO)
+	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}}, v)
 	if err := m.SampleChain(ld, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("SampleChain must reject skip models")
 	}
@@ -56,11 +56,11 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 	m := NewModel(v, false)
 	rng := rand.New(rand.NewSource(3))
 	// Random weights so samples are non-trivial.
-	tg0 := NewTagger(m, c, LO)
+	tg0 := newTagger(m, c)
 	for _, ld := range tg0.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 			}
 		}
 	}
@@ -70,7 +70,7 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := world.NewChangeLog(db)
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	if err := tg.BindDB(log, rows); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestGibbsMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	corpus := &Corpus{Docs: []Doc{*ld.Doc}, NumTokens: len(ld.Labels)}
-	tg := NewTagger(m, corpus, LO)
+	tg := newTagger(m, corpus)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		tg.GibbsStep(rng)
@@ -136,11 +136,11 @@ func TestGibbsWorksOnSkipChain(t *testing.T) {
 	v := BuildVocab(c)
 	m := NewModel(v, true)
 	rng := rand.New(rand.NewSource(13))
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 			}
 		}
 	}

@@ -157,7 +157,7 @@ func TestSkipPartners(t *testing.T) {
 		{Str: "IBM"}, {Str: "said"}, {Str: "IBM"}, {Str: "the"}, {Str: "IBM"}, {Str: "the"},
 	}}
 	v := NewVocab()
-	ld := NewLabeledDoc(doc, v, LO)
+	ld := labeledDoc(doc, v)
 	// Three IBMs: each has 2 partners. Lowercase "the" gets none.
 	for _, i := range []int{0, 2, 4} {
 		if ld.SkipDegree(i) != 2 {
@@ -179,11 +179,11 @@ func TestScoreDeltaMatchesDocScore(t *testing.T) {
 	m := NewModel(v, true)
 	// Random weights make the check meaningful.
 	rng := rand.New(rand.NewSource(4))
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 			}
 		}
 	}
@@ -223,7 +223,7 @@ func TestFeatureDeltaConsistentWithScoreDelta(t *testing.T) {
 	v := BuildVocab(c)
 	m := NewModel(v, true)
 	rng := rand.New(rand.NewSource(6))
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	ld := tg.Docs[0]
 	// Seed random weights on the features that will fire.
 	for trial := 0; trial < 100; trial++ {
@@ -247,7 +247,7 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(3000, 11))
 	v := BuildVocab(c)
 	m := NewModel(v, true)
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	base := tg.Accuracy() // all-O baseline
 	tg.Train(60000, 1.0, 13)
 	got := tg.Accuracy()
@@ -275,7 +275,7 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 		t.Fatalf("TOKEN has %d rows, want %d", rel.Len(), c.NumTokens)
 	}
 	log := world.NewChangeLog(db)
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	if err := tg.BindDB(log, rows); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 func TestBindDBValidation(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(300, 19))
 	v := BuildVocab(c)
-	tg := NewTagger(NewModel(v, false), c, LO)
+	tg := newTagger(NewModel(v, false), c)
 	db := relstore.NewDB()
 	log := world.NewChangeLog(db)
 	if err := tg.BindDB(log, nil); err == nil {
@@ -325,7 +325,7 @@ func TestConstrainedProposerKeepsBIOValid(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(800, 29))
 	v := BuildVocab(c)
 	m := NewModel(v, true)
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	tg.ConstrainBIO = true
 	s := mcmc.NewSampler(tg, 31)
 	s.Run(5000)
@@ -349,7 +349,7 @@ func TestActiveDocBatching(t *testing.T) {
 		t.Skip("need several docs")
 	}
 	v := BuildVocab(c)
-	tg := NewTagger(NewModel(v, true), c, LO)
+	tg := newTagger(NewModel(v, true), c)
 	tg.ActiveDocs = 2
 	tg.StepsPerBatch = 50
 	s := mcmc.NewSampler(tg, 41)
@@ -362,7 +362,7 @@ func TestActiveDocBatching(t *testing.T) {
 func TestSetAll(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(300, 43))
 	v := BuildVocab(c)
-	tg := NewTagger(NewModel(v, false), c, LO)
+	tg := newTagger(NewModel(v, false), c)
 	tg.Docs[0].Labels[0] = LBPer
 	tg.SetAll(LO)
 	for _, ld := range tg.Docs {
@@ -378,7 +378,7 @@ func TestFactorsTouchedCounts(t *testing.T) {
 	doc := &Doc{ID: 0, Tokens: []Token{{Str: "IBM"}, {Str: "x"}, {Str: "IBM"}}}
 	v := NewVocab()
 	m := NewModel(v, true)
-	ld := NewLabeledDoc(doc, v, LO)
+	ld := labeledDoc(doc, v)
 	// Position 0: emission+caps+bias (3) + right trans (1) + 1 skip = 5 → ×2.
 	if got := m.FactorsTouched(ld, 0); got != 10 {
 		t.Errorf("FactorsTouched(0) = %d, want 10", got)

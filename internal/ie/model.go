@@ -137,63 +137,96 @@ func IsCapitalized(s string) bool {
 	return false
 }
 
-// LabeledDoc is a document with a current label hypothesis: the in-memory
-// working copy of the hidden variables that the paper keeps in main memory
-// while the DBMS holds the tuples (Section 5).
-type LabeledDoc struct {
-	Doc    *Doc
-	Labels []Label
-	strIDs []int
+// docIndex is the half of a document's inference state that no label flip
+// changes: each token's vocabulary id and capitalization, and the skip
+// adjacency. It is a pure function of the document and the vocabulary, so
+// one copy (a CorpusIndex) serves the trainer, the prototype and every
+// chain, read-only.
+type docIndex struct {
+	strIDs []int32
 	caps   []bool
-	// skip[i] lists the positions sharing token i's (capitalized) string.
-	skip [][]int32
+	// The skip partners of position i — the other positions sharing its
+	// capitalized string, ascending — are skip[skipOff[i]:skipOff[i+1]].
+	skipOff []int32
+	skip    []int32
 }
 
-// NewLabeledDoc prepares inference state for doc with all labels
-// initialized to init (the paper initializes LABEL to "O").
-func NewLabeledDoc(doc *Doc, v *Vocab, init Label) *LabeledDoc {
-	n := len(doc.Tokens)
-	ld := &LabeledDoc{
-		Doc:    doc,
-		Labels: make([]Label, n),
-		strIDs: make([]int, n),
-		caps:   make([]bool, n),
-		skip:   make([][]int32, n),
+// partners returns the skip partners of position i.
+func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOff[i+1]] }
+
+// CorpusIndex is the docIndex of every document of a corpus, laid out in
+// four corpus-wide arrays that each document's index slices.
+type CorpusIndex struct {
+	Corpus *Corpus
+	docs   []docIndex
+}
+
+// NewCorpusIndex indexes every document of c against v, interning any
+// string v does not hold yet. Build it once per (corpus, vocabulary) and
+// hand it to every NewTagger over that corpus.
+func NewCorpusIndex(c *Corpus, v *Vocab) *CorpusIndex {
+	n := 0
+	for d := range c.Docs {
+		n += len(c.Docs[d].Tokens)
 	}
-	byStr := make(map[int][]int32)
-	for i, t := range doc.Tokens {
-		ld.Labels[i] = init
-		ld.strIDs[i] = v.Intern(t.Str)
-		ld.caps[i] = IsCapitalized(t.Str)
-		if ld.caps[i] {
-			byStr[ld.strIDs[i]] = append(byStr[ld.strIDs[i]], int32(i))
+	ix := &CorpusIndex{Corpus: c, docs: make([]docIndex, len(c.Docs))}
+	strIDs, caps := make([]int32, n), make([]bool, n)
+	offs := make([]int32, n+len(c.Docs))
+	var skip []int32
+	for d := range c.Docs {
+		toks := c.Docs[d].Tokens
+		k := len(toks)
+		x := &ix.docs[d]
+		x.strIDs, x.caps, x.skipOff = strIDs[:k:k], caps[:k:k], offs[:k+1:k+1]
+		strIDs, caps, offs = strIDs[k:], caps[k:], offs[k+1:]
+		byStr := make(map[int32][]int32)
+		for i, t := range toks {
+			x.strIDs[i] = int32(v.Intern(t.Str))
+			if x.caps[i] = IsCapitalized(t.Str); x.caps[i] {
+				byStr[x.strIDs[i]] = append(byStr[x.strIDs[i]], int32(i))
+			}
 		}
-	}
-	for _, positions := range byStr {
-		if len(positions) < 2 {
-			continue
-		}
-		for _, p := range positions {
-			for _, q := range positions {
-				if p != q {
-					ld.skip[p] = append(ld.skip[p], q)
+		for p := range toks {
+			x.skipOff[p] = int32(len(skip))
+			if !x.caps[p] {
+				continue
+			}
+			if group := byStr[x.strIDs[p]]; len(group) > 1 {
+				for _, q := range group {
+					if q != int32(p) {
+						skip = append(skip, q)
+					}
 				}
 			}
 		}
+		x.skipOff[k] = int32(len(skip))
 	}
-	return ld
+	for d := range ix.docs {
+		ix.docs[d].skip = skip
+	}
+	return ix
+}
+
+// LabeledDoc is a document with a current label hypothesis: the in-memory
+// working copy of the hidden variables that the paper keeps in main memory
+// while the DBMS holds the tuples (Section 5). Labels is the only part a
+// tagger owns; everything else is read from the shared document index.
+type LabeledDoc struct {
+	Doc    *Doc
+	Labels []Label
+	ix     *docIndex
 }
 
 // SkipDegree returns the number of skip partners of position i.
-func (ld *LabeledDoc) SkipDegree(i int) int { return len(ld.skip[i]) }
+func (ld *LabeledDoc) SkipDegree(i int) int { return len(ld.ix.partners(i)) }
 
 // localFeatures accumulates sign×φ for every factor touching position i
 // under label l into fv. It covers emission, capitalization, bias, the two
 // incident transitions and all incident skip edges — the only factors
 // whose value changes when position i changes (Appendix 9.2).
 func (m *Model) localFeatures(fv learn.FeatureVector, ld *LabeledDoc, i int, l Label, sign float64) {
-	fv.Add(EmissionKey(ld.strIDs[i], l), sign)
-	fv.Add(CapsKey(ld.caps[i], l), sign)
+	fv.Add(EmissionKey(int(ld.ix.strIDs[i]), l), sign)
+	fv.Add(CapsKey(ld.ix.caps[i], l), sign)
 	fv.Add(BiasKey(l), sign)
 	if i > 0 {
 		fv.Add(TransKey(ld.Labels[i-1], l), sign)
@@ -202,7 +235,7 @@ func (m *Model) localFeatures(fv learn.FeatureVector, ld *LabeledDoc, i int, l L
 		fv.Add(TransKey(l, ld.Labels[i+1]), sign)
 	}
 	if m.UseSkip {
-		for _, q := range ld.skip[i] {
+		for _, q := range ld.ix.partners(i) {
 			fv.Add(SkipKey(ld.Labels[q] == l), sign)
 		}
 	}
@@ -211,7 +244,7 @@ func (m *Model) localFeatures(fv learn.FeatureVector, ld *LabeledDoc, i int, l L
 // nodeScore sums the factors private to position i under label l:
 // emission, capitalization and bias.
 func (t *scoreTables) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
-	return t.emit(ld.strIDs[i], l) + t.caps[b2i(ld.caps[i])][l] + t.bias[l]
+	return t.emit(int(ld.ix.strIDs[i]), l) + t.caps[b2i(ld.ix.caps[i])][l] + t.bias[l]
 }
 
 // localScore sums θ·φ over the factors touching position i under label l,
@@ -225,7 +258,7 @@ func (m *Model) localScore(t *scoreTables, ld *LabeledDoc, i int, l Label) float
 		s += t.trans[l][ld.Labels[i+1]]
 	}
 	if m.UseSkip {
-		for _, q := range ld.skip[i] {
+		for _, q := range ld.ix.partners(i) {
 			s += t.skip[b2i(ld.Labels[q] == l)]
 		}
 	}
@@ -273,7 +306,7 @@ func (m *Model) DocScore(ld *LabeledDoc) float64 {
 	if m.UseSkip {
 		// Each unordered skip pair counts once.
 		for i := range ld.Labels {
-			for _, q := range ld.skip[i] {
+			for _, q := range ld.ix.partners(i) {
 				if int32(i) < q {
 					s += t.skip[b2i(ld.Labels[q] == ld.Labels[i])]
 				}
@@ -295,7 +328,7 @@ func (m *Model) FactorsTouched(ld *LabeledDoc, i int) int {
 		n++
 	}
 	if m.UseSkip {
-		n += len(ld.skip[i])
+		n += ld.SkipDegree(i)
 	}
 	return 2 * n // evaluated under both the old and the new label
 }

@@ -38,7 +38,7 @@ func (m *Model) regionScore(ld *LabeledDoc, i, n int) float64 {
 	}
 	if m.UseSkip {
 		for j := i; j < end; j++ {
-			for _, q := range ld.skip[j] {
+			for _, q := range ld.ix.partners(j) {
 				// Count inside-span pairs once (smaller index wins);
 				// pairs with one endpoint outside always belong to j.
 				if int(q) >= i && int(q) < end && int(q) < j {

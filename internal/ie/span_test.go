@@ -16,12 +16,12 @@ func TestSpanScoreDeltaMatchesDocScore(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(600, 51))
 	v := BuildVocab(c)
 	m := NewModel(v, true)
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	rng := rand.New(rand.NewSource(7))
 	ld := tg.Docs[0]
 	for i := range ld.Labels {
 		for l := Label(0); l < NumLabels; l++ {
-			m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+			m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 		}
 	}
 	for a := Label(0); a < NumLabels; a++ {
@@ -64,7 +64,7 @@ func TestSpanProposerMatchesExactMarginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	corpus := &Corpus{Docs: []Doc{*ld.Doc}, NumTokens: len(ld.Labels)}
-	tg := NewTagger(m, corpus, LO)
+	tg := newTagger(m, corpus)
 	s := mcmc.NewSampler(NewMixedProposer(tg, 0.5), 13)
 	s.Run(3000)
 	counts := make([][NumLabels]float64, len(ld.Labels))
@@ -95,11 +95,11 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 	v := BuildVocab(c)
 	m := NewModel(v, true)
 	rng := rand.New(rand.NewSource(3))
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 			}
 		}
 	}

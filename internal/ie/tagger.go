@@ -69,6 +69,9 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([][]relstore.RowID, err
 type Tagger struct {
 	Model *Model
 	Docs  []*LabeledDoc
+	// Index is the shared read-only corpus index the documents read
+	// their token ids, capitalization and skip edges from.
+	Index *CorpusIndex
 
 	// ConstrainBIO restricts proposals to labels that keep the BIO
 	// encoding locally valid (the "more intelligent jump function"
@@ -106,11 +109,27 @@ var labelValues = func() (vs [NumLabels]relstore.Value) {
 	return vs
 }()
 
-// NewTagger builds inference state for every document of the corpus.
-func NewTagger(m *Model, c *Corpus, init Label) *Tagger {
-	t := &Tagger{Model: m}
-	for d := range c.Docs {
-		t.Docs = append(t.Docs, NewLabeledDoc(&c.Docs[d], m.Vocab, init))
+// NewTagger builds inference state for every document of the indexed
+// corpus with all labels initialized to init (the paper initializes LABEL
+// to "O"). The index must be built against m's vocabulary; the tagger
+// shares it and owns only its labels — one byte per token.
+func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
+	docs := ix.Corpus.Docs
+	n := 0
+	for d := range docs {
+		n += len(docs[d].Tokens)
+	}
+	labels := make([]Label, n)
+	for i := range labels {
+		labels[i] = init
+	}
+	lds := make([]LabeledDoc, len(docs))
+	t := &Tagger{Model: m, Docs: make([]*LabeledDoc, len(docs)), Index: ix}
+	for d := range docs {
+		k := len(docs[d].Tokens)
+		lds[d] = LabeledDoc{Doc: &docs[d], Labels: labels[:k:k], ix: &ix.docs[d]}
+		labels = labels[k:]
+		t.Docs[d] = &lds[d]
 	}
 	return t
 }

@@ -25,7 +25,7 @@ func TestDocsContaining(t *testing.T) {
 
 func TestTargetDocsValidation(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(500, 3))
-	tg := NewTagger(NewModel(BuildVocab(c), false), c, LO)
+	tg := newTagger(NewModel(BuildVocab(c), false), c)
 	if err := tg.TargetDocs(nil); err == nil {
 		t.Error("empty target: want error")
 	}
@@ -57,11 +57,11 @@ func TestTargetedProposalsOnlyTouchTargets(t *testing.T) {
 		_ = k
 	}
 	// Random emission weights so flips happen.
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 			}
 		}
 	}
@@ -105,12 +105,12 @@ func TestTargetedMarginalsMatchFull(t *testing.T) {
 	v := BuildVocab(c)
 	m := NewModel(v, true)
 	rng := rand.New(rand.NewSource(13))
-	base := NewTagger(m, c, LO)
+	base := newTagger(m, c)
 	nDocs := len(base.Docs)
 	for _, ld := range base.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), 0.5*rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), 0.5*rng.NormFloat64())
 			}
 		}
 	}
@@ -119,7 +119,7 @@ func TestTargetedMarginalsMatchFull(t *testing.T) {
 	// spends only 1/nDocs of its proposals on doc 0, so it gets
 	// proportionally more steps for a fair comparison.
 	estimate := func(targeted bool, seed int64) float64 {
-		tg := NewTagger(m, c, LO)
+		tg := newTagger(m, c)
 		mult := nDocs
 		if targeted {
 			if err := tg.TargetDocs([]int{targetDoc}); err != nil {

@@ -18,12 +18,12 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation, [][]relstore.R
 		t.Fatal(err)
 	}
 	m := NewModel(BuildVocab(c), true)
-	tg := NewTagger(m, c, LO)
+	tg := newTagger(m, c)
 	rng := rand.New(rand.NewSource(93))
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(ld.strIDs[i], l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
 			}
 		}
 	}

@@ -51,21 +51,22 @@ func (c *resultCache) evicted() {
 }
 
 // get returns the cached result itself: a frozen answer every hit shares
-// read-only (see Result).
-func (c *resultCache) get(key string, now time.Time) (*Result, bool) {
+// read-only (see Result). The lookup converts key without copying it, so
+// a caller's stack buffer stays on the stack.
+func (c *resultCache) get(key []byte, now time.Time) (*Result, bool) {
 	if c.cap < 1 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[string(key)]
 	if !ok {
 		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if now.Sub(ent.at) > c.ttl {
 		c.ll.Remove(el)
-		delete(c.items, key)
+		delete(c.items, ent.key)
 		c.evicted()
 		return nil, false
 	}
@@ -74,19 +75,21 @@ func (c *resultCache) get(key string, now time.Time) (*Result, bool) {
 }
 
 // put stores res, which must be frozen: no caller may hold it to write.
-func (c *resultCache) put(key string, res *Result, now time.Time) {
+// It is the one place a key becomes a string.
+func (c *resultCache) put(key []byte, res *Result, now time.Time) {
 	if c.cap < 1 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[string(key)]; ok {
 		el.Value.(*cacheEntry).res = res
 		el.Value.(*cacheEntry).at = now
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, at: now})
+	k := string(key)
+	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, res: res, at: now})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

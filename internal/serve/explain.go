@@ -60,6 +60,7 @@ func (e *Engine) explain(ctx context.Context, sql string, x *sqlparse.Explain, o
 		Elapsed:    time.Since(start),
 		cols:       []string{"PLAN"},
 		tuples:     tuples,
+		wire:       new(encoding),
 	}, nil
 }
 

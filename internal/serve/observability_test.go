@@ -318,9 +318,9 @@ func TestCacheEvictionMetrics(t *testing.T) {
 	ctr := reg.NewCounter("evictions", "test")
 	c := newResultCache(2, time.Minute, ctr)
 	now := time.Now()
-	c.put("a", &Result{SQL: "a"}, now)
-	c.put("b", &Result{SQL: "b"}, now)
-	c.put("c", &Result{SQL: "c"}, now) // evicts a (LRU overflow)
+	c.put([]byte("a"), &Result{SQL: "a"}, now)
+	c.put([]byte("b"), &Result{SQL: "b"}, now)
+	c.put([]byte("c"), &Result{SQL: "c"}, now) // evicts a (LRU overflow)
 	if got := ctr.Value(); got != 1 {
 		t.Fatalf("after overflow: %d evictions, want 1", got)
 	}
@@ -328,7 +328,7 @@ func TestCacheEvictionMetrics(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 	// TTL expiry on get counts too.
-	if _, ok := c.get("b", now.Add(2*time.Minute)); ok {
+	if _, ok := c.get([]byte("b"), now.Add(2*time.Minute)); ok {
 		t.Fatal("expired entry served")
 	}
 	if got := ctr.Value(); got != 2 {

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,24 +352,24 @@ func TestResultCache(t *testing.T) {
 	now := time.Unix(0, 0)
 	c := newResultCache(2, time.Minute, nil)
 	r := &Result{SQL: "a"}
-	c.put("a", r, now)
+	c.put([]byte("a"), r, now)
 	// get shares the stored (frozen) result: a hit copies nothing.
-	if got, ok := c.get("a", now); !ok || got != r {
+	if got, ok := c.get([]byte("a"), now); !ok || got != r {
 		t.Fatalf("immediate get = %+v, %v; want the stored result", got, ok)
 	}
 	// TTL expiry.
-	if _, ok := c.get("a", now.Add(2*time.Minute)); ok {
+	if _, ok := c.get([]byte("a"), now.Add(2*time.Minute)); ok {
 		t.Error("expired entry served")
 	}
 	// LRU eviction at capacity 2: touching "a" makes "b" the victim.
-	c.put("a", r, now)
-	c.put("b", &Result{SQL: "b"}, now)
-	c.get("a", now)
-	c.put("c", &Result{SQL: "c"}, now)
-	if _, ok := c.get("b", now); ok {
+	c.put([]byte("a"), r, now)
+	c.put([]byte("b"), &Result{SQL: "b"}, now)
+	c.get([]byte("a"), now)
+	c.put([]byte("c"), &Result{SQL: "c"}, now)
+	if _, ok := c.get([]byte("b"), now); ok {
 		t.Error("LRU victim survived")
 	}
-	if _, ok := c.get("a", now); !ok {
+	if _, ok := c.get([]byte("a"), now); !ok {
 		t.Error("recently used entry evicted")
 	}
 	if c.len() != 2 {
@@ -375,9 +377,42 @@ func TestResultCache(t *testing.T) {
 	}
 	// Disabled cache.
 	d := newResultCache(-1, time.Minute, nil)
-	d.put("x", r, now)
-	if _, ok := d.get("x", now); ok {
+	d.put([]byte("x"), r, now)
+	if _, ok := d.get([]byte("x"), now); ok {
 		t.Error("disabled cache served an entry")
+	}
+}
+
+// TestEncodedOnceAcrossHeaders checks the answer's wire memo under
+// concurrent hits: header copies of one answer, encoded from several
+// goroutines at once, render once and all read the same bytes.
+func TestEncodedOnceAcrossHeaders(t *testing.T) {
+	frozen := &Result{Samples: 7, wire: new(encoding)}
+	var renders atomic.Int32
+	render := func(r *Result) []byte {
+		renders.Add(1)
+		return []byte(fmt.Sprint(r.Samples))
+	}
+	const readers = 8
+	got := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hit := *frozen // a cache hit's fresh header
+			hit.Cached, hit.SQL = true, fmt.Sprint(i)
+			got[i] = hit.Encoded(render)
+		}()
+	}
+	wg.Wait()
+	if n := renders.Load(); n != 1 {
+		t.Fatalf("%d header copies rendered the answer %d times, want once", readers, n)
+	}
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("reader %d got its own bytes, not the shared encoding", i)
+		}
 	}
 }
 

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,8 +57,9 @@ type QueryOptions struct {
 // (Equations 4–5 of the paper), ranked. The answer — columns and tuples —
 // is frozen when the evaluation publishes it and is shared read-only by
 // the result cache and every reader: the accessors below hand out values,
-// never a slice that aliases it. The exported fields are the caller's
-// own header; each cache hit gets a fresh one.
+// never a slice that aliases it. So is its wire encoding (Encoded). The
+// exported fields are the caller's own header; each cache hit gets a
+// fresh one.
 type Result struct {
 	SQL        string
 	Samples    int64
@@ -84,6 +86,29 @@ type Result struct {
 
 	cols   []string       // the plan cache's compiled column names
 	tuples []core.TupleCI // values shared with the chains' estimators
+	// wire is the answer's transport encoding, rendered on first use and
+	// shared, like the answer, by every header copy (see Encoded).
+	wire *encoding
+}
+
+// encoding is a write-once memo of an answer's wire bytes.
+type encoding struct {
+	once sync.Once
+	b    []byte
+}
+
+// Encoded returns render's bytes for this answer, rendering them once:
+// the evaluation that published the answer and every cache hit of it
+// share the first call's bytes, which no caller may modify. render may
+// read only what every header over the answer holds alike — the answer
+// and its Samples, Chains, Epoch, Confidence, Partial, EarlyStop and
+// Elapsed — never SQL, Cached or Trace, which are per request.
+func (r *Result) Encoded(render func(*Result) []byte) []byte {
+	if r.wire == nil {
+		return render(r)
+	}
+	r.wire.once.Do(func() { r.wire.b = render(r) })
+	return r.wire.b
 }
 
 // Columns returns a copy of the output column names.
@@ -232,14 +257,13 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	// prefix is the write path's invalidation: every committed mutation
 	// bumps it, making all entries keyed under earlier epochs
 	// unreachable — a cached pre-write answer can never be served after
-	// the write, however the query was spelled.
-	cacheKey := func(epoch int64) string {
-		return fmt.Sprintf("w%d|%s|%s|n=%d|c=%v",
-			epoch, fp, specKey(spec), opts.Samples, opts.Confidence)
-	}
+	// the write, however the query was spelled. The key is appended into
+	// a stack buffer, so a probe allocates nothing.
+	var keyBuf [128]byte
 	if !opts.NoCache {
 		tr.span("cache_probe")
-		if frozen, ok := e.cache.get(cacheKey(e.dataEpoch.Load()), time.Now()); ok {
+		key := appendCacheKey(keyBuf[:0], e.dataEpoch.Load(), fp, spec, opts)
+		if frozen, ok := e.cache.get(key, time.Now()); ok {
 			e.m.hits.Inc()
 			// A fresh header over the shared answer: the per-request
 			// fields never touch the cached entry.
@@ -337,6 +361,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		Elapsed:    time.Since(start),
 		cols:       comp.Cols,
 		tuples:     core.SortTupleCIs(merged.ResultsCI(z), spec),
+		wire:       new(encoding),
 	}
 	e.m.queries.Inc()
 	e.m.latency.Observe(res.Elapsed.Seconds())
@@ -356,7 +381,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	if !opts.NoCache && !partial && e.dataEpoch.Load() == epoch0 {
 		frozen := *res // the entry's own header, free of this request's fields
 		frozen.SQL, frozen.Trace = "", nil
-		e.cache.put(cacheKey(epoch0), &frozen, time.Now())
+		e.cache.put(appendCacheKey(keyBuf[:0], epoch0, fp, spec, opts), &frozen, time.Now())
 	}
 	return res, nil
 }
@@ -575,24 +600,33 @@ func (c *chain) registerView(ctx context.Context, req registerReq) (*world.Cell[
 	}
 }
 
-// specKey renders a ResultSpec as a stable cache-key component.
-func specKey(spec ra.ResultSpec) string {
-	var sb strings.Builder
-	sb.WriteString("o=")
+// appendCacheKey appends the result-cache key of an evaluation to dst:
+// the data epoch, the plan fingerprint, the result spec and the options
+// that scale the estimate.
+func appendCacheKey(dst []byte, epoch int64, fp string, spec ra.ResultSpec, opts QueryOptions) []byte {
+	dst = append(dst, 'w')
+	dst = strconv.AppendInt(dst, epoch, 10)
+	dst = append(dst, '|')
+	dst = append(dst, fp...)
+	dst = append(dst, "|o="...)
 	for _, o := range spec.Order {
 		if o.ByProb {
-			sb.WriteString("P")
+			dst = append(dst, 'P')
 		} else {
-			fmt.Fprintf(&sb, "%d", o.Index)
+			dst = strconv.AppendInt(dst, int64(o.Index), 10)
 		}
 		if o.Desc {
-			sb.WriteByte('-')
+			dst = append(dst, '-')
 		} else {
-			sb.WriteByte('+')
+			dst = append(dst, '+')
 		}
 	}
-	fmt.Fprintf(&sb, ";l=%d", spec.Limit)
-	return sb.String()
+	dst = append(dst, ";l="...)
+	dst = strconv.AppendInt(dst, spec.Limit, 10)
+	dst = append(dst, "|n="...)
+	dst = strconv.AppendInt(dst, int64(opts.Samples), 10)
+	dst = append(dst, "|c="...)
+	return strconv.AppendFloat(dst, opts.Confidence, 'g', -1, 64)
 }
 
 // unregister detaches a view, waiting until the chain has dropped it so
