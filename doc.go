@@ -259,7 +259,10 @@
 // log: the tail beyond it is truncated, reported as torn_tail in
 // DurabilityStatus, and never replayed. Background checkpointing
 // (WithCheckpointEvery) rewrites the snapshot and drops the covered WAL
-// prefix. After recovery the restored write epoch is observable at
+// prefix. The write that crosses a threshold fixes the checkpoint: the
+// durable world is cloned at its epoch and the counts restart there,
+// and only the encoding and file writes run in the background, so which
+// writes each checkpoint covers never depends on timing. After recovery the restored write epoch is observable at
 // DB.WriteEpoch and /healthz write_epoch, and a served engine walks a
 // burn-in before answering so marginals re-equilibrate around the
 // recovered evidence. Coref materializes worlds per chain and has no
@@ -368,7 +371,13 @@
 //   - The store is columnar and its worlds share vectors copy-on-write
 //     (internal/relstore): a flip is Relation.SetCol, a store into the
 //     one column vector the chain owns, reached through a world.Field
-//     handle resolved once at bind time. No row is copied.
+//     handle resolved once at bind time. No row is copied. A STRING
+//     column is uint32 codes over an append-only dictionary shared by
+//     every world of its lineage, so LABEL costs a chain 4 B per token
+//     and a flip to a label (all nine interned at load) allocates
+//     nothing. The dictionary grows only on writes, never on reads — a
+//     scan looks its literal up and an absent one selects nothing — and
+//     a checkpoint reload compacts it to the strings live rows hold.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
 //     entry per row touched since the last Drain — a copy, in a reused
 //     arena, of the tuple the row had first — behind a map on the

@@ -31,13 +31,22 @@ func TokenSchema() *relstore.Schema {
 // LabelCol is the column index of the hidden LABEL attribute.
 const LabelCol = 3
 
+// truthCol is the column index of the gold TRUTH attribute.
+const truthCol = 4
+
 // LoadCorpus materializes the corpus into a fresh TOKEN relation in db,
 // with LABEL initialized to init. It returns, per document, the RowIDs of
-// its tokens in order.
+// its tokens in order. The label inventory takes the first LABEL and
+// TRUTH codes, in Label order, so no flip ever has to intern one.
 func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([][]relstore.RowID, error) {
 	rel, err := db.Create(TokenSchema())
 	if err != nil {
 		return nil, err
+	}
+	for _, col := range []int{LabelCol, truthCol} {
+		if err := rel.Intern(col, LabelNames[:]...); err != nil {
+			return nil, err
+		}
 	}
 	rows := make([][]relstore.RowID, len(c.Docs))
 	tokID := int64(0)
@@ -49,8 +58,8 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([][]relstore.RowID, err
 				relstore.Int(tokID),
 				relstore.Int(int64(doc.ID)),
 				relstore.String(t.Str),
-				relstore.String(init.String()),
-				relstore.String(t.Gold.String()),
+				labelValues[init],
+				labelValues[t.Gold],
 			})
 			if err != nil {
 				return nil, fmt.Errorf("ie: loading corpus: %w", err)

@@ -300,8 +300,9 @@ func measure(f func()) (mallocs, bytes float64) {
 
 // TestCloneAllocBudget is the allocation gate of world sharing
 // (testdata/alloc_budget.txt): cloning a 5 000-token world allocates per
-// column, not per row, and the first write to a clone copies the one
-// vector it writes to.
+// column, not per row, the first write to a clone copies the one code
+// vector it writes to, a write of a string the column's dictionary holds
+// allocates nothing, and one it does not costs amortized O(1).
 func TestCloneAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	budget := allocBudget(t)
@@ -309,6 +310,10 @@ func TestCloneAllocBudget(t *testing.T) {
 	db := NewDB()
 	tok := db.MustCreate(MustSchema("TOKEN", Column{"TOK_ID", TInt}, Column{"DOC_ID", TInt},
 		Column{"STRING", TString}, Column{"LABEL", TString}, Column{"TRUTH", TString}))
+	// As a corpus load does: the label inventory first.
+	if err := tok.Intern(3, "O", "B-PER", "B-ORG"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < rows; i++ {
 		tok.Insert(Tuple{Int(int64(i)), Int(int64(i / 40)), String("w" + strconv.Itoa(i%97)), String("O"), String("O")})
 	}
@@ -340,5 +345,20 @@ func TestCloneAllocBudget(t *testing.T) {
 	within("later_flip_allocs", n)
 	if v, _ := tok.GetCol(17, 3); v.AsString() != "O" {
 		t.Error("the flip shows in the source world")
+	}
+
+	const fresh = 1000
+	news := make([]Value, fresh)
+	for i := range news {
+		news[i] = String("new" + strconv.Itoa(i))
+	}
+	n, _ = measure(func() {
+		for i, v := range news {
+			ctok.SetCol(RowID(i), 3, v)
+		}
+	})
+	within("intern_allocs_per_string", n/fresh)
+	if got := len(tok.cols[3].dict.strs()); got != 3+fresh {
+		t.Errorf("LABEL dictionary holds %d strings, want %d", got, 3+fresh)
 	}
 }

@@ -1,0 +1,168 @@
+package relstore
+
+import (
+	"slices"
+	"strconv"
+	"sync"
+	"testing"
+)
+
+// TestStringDictionary holds the shared, append-only string dictionary to
+// what sharing it must not change: what a world reads, what a read costs,
+// and who may read while another world interns.
+func TestStringDictionary(t *testing.T) {
+	newWorld := func() (*DB, *Relation) {
+		db := NewDB()
+		r := db.MustCreate(MustSchema("R", Column{"K", TInt}, Column{"S", TString}))
+		for i := 0; i < 50; i++ {
+			r.Insert(Tuple{Int(int64(i)), String("s" + strconv.Itoa(i%5))})
+		}
+		return db, r
+	}
+	rel := func(db *DB) *Relation { r, _ := db.Relation("R"); return r }
+	// count is the number of rows a point predicate on S selects.
+	count := func(r *Relation, s string) int {
+		n := 0
+		r.ScanWhere(1, String(s), nil, func(RowID, Tuple) bool { n++; return true })
+		return n
+	}
+
+	t.Run("isolation", func(t *testing.T) {
+		db, parent := newWorld()
+		a, b := rel(db.Clone()), rel(db.Clone())
+		if _, err := a.Insert(Tuple{Int(-1), String("inserted")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SetCol(7, 1, String("updated")); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := a.GetCol(7, 1); v.AsString() != "updated" || count(a, "inserted") != 1 {
+			t.Fatalf("the writing clone reads row 7 as %v and %d inserted rows", v, count(a, "inserted"))
+		}
+		for name, w := range map[string]*Relation{"parent": parent, "sibling": b} {
+			if v, _ := w.GetCol(7, 1); v.AsString() != "s2" {
+				t.Errorf("%s reads row 7 as %v, want s2", name, v)
+			}
+			if w.Len() != 50 {
+				t.Errorf("%s holds %d rows, want 50", name, w.Len())
+			}
+			for _, s := range []string{"inserted", "updated"} {
+				if n := count(w, s); n != 0 {
+					t.Errorf("%s selects %d rows of %q", name, n, s)
+				}
+			}
+			w.Scan(func(id RowID, tu Tuple) bool {
+				if want := "s" + strconv.Itoa(int(id)%5); tu[1].AsString() != want {
+					t.Errorf("%s scans row %d as %v, want %s", name, id, tu, want)
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("reads never intern", func(t *testing.T) {
+		_, r := newWorld()
+		d := r.cols[1].dict
+		before := len(d.strs())
+		for i := 0; i < 1000; i++ {
+			if n := count(r, "absent"+strconv.Itoa(i)); n != 0 {
+				t.Fatalf("an absent literal selects %d rows", n)
+			}
+		}
+		// A literal of another kind selects nothing either.
+		r.ScanWhere(1, Int(3), nil, func(RowID, Tuple) bool { t.Error("an INT literal matched a STRING row"); return false })
+		if after, codes := len(d.strs()), len(*d.read.Load())+len(d.recent); after != before || codes != before {
+			t.Errorf("1 000 scans for absent literals grew the dictionary from %d to %d strings (%d codes)", before, after, codes)
+		}
+		if n := count(r, "s3"); n != 10 {
+			t.Errorf("a present literal selects %d rows, want 10", n)
+		}
+	})
+
+	t.Run("intern fixes the first codes", func(t *testing.T) {
+		r := NewDB().MustCreate(MustSchema("R", Column{"K", TInt}, Column{"S", TString}))
+		if err := r.Intern(0, "x"); err == nil {
+			t.Error("Intern into an INT column succeeded")
+		}
+		if err := r.Intern(1, "O", "B-PER", "O"); err != nil {
+			t.Fatal(err)
+		}
+		r.Insert(Tuple{Int(1), String("B-PER")})
+		r.Insert(Tuple{Int(2), String("w")})
+		if got := r.cols[1].dict.strs(); !slices.Equal(got, []string{"O", "B-PER", "w"}) {
+			t.Errorf("dictionary = %q, want the interned strings first, once each", got)
+		}
+		if r.cols[1].codes[0] != 1 {
+			t.Errorf("B-PER stored as code %d, want 1", r.cols[1].codes[0])
+		}
+		if d := r.cols[1].dict; len(*d.read.Load()) != 2 {
+			t.Errorf("the read map holds %d of the interned strings, want both", len(*d.read.Load()))
+		}
+	})
+
+	t.Run("intern while reading", func(t *testing.T) {
+		db, _ := newWorld()
+		writer, reader := rel(db.Clone()), rel(db.Clone())
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				v := String("w" + strconv.Itoa(i))
+				if i%2 == 0 {
+					writer.Insert(Tuple{Int(int64(i)), v})
+				} else {
+					writer.SetCol(RowID(i%50), 1, v)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if n := count(reader, "s"+strconv.Itoa(i%5)); n != 10 {
+					t.Errorf("the reading clone selects %d rows, want 10", n)
+					return
+				}
+				if v, ok := reader.GetCol(RowID(i%50), 1); !ok || v.AsString() != "s"+strconv.Itoa(i%5) {
+					t.Errorf("the reading clone reads row %d as %v", i%50, v)
+					return
+				}
+				if tu, ok := reader.Get(RowID(i % 50)); !ok || tu[1].AsString() != "s"+strconv.Itoa(i%5) {
+					t.Errorf("the reading clone gets row %d as %v", i%50, tu)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		if n := count(writer, "w1998"); n != 1 {
+			t.Errorf("the writing clone selects %d rows of its last insert", n)
+		}
+	})
+
+	t.Run("concurrent writers agree on codes", func(t *testing.T) {
+		db, _ := newWorld()
+		a, b := rel(db.Clone()), rel(db.Clone())
+		var wg sync.WaitGroup
+		for _, w := range []*Relation{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 1000; i++ {
+					w.SetCol(RowID(i%50), 1, String("c"+strconv.Itoa(i)))
+				}
+			}()
+		}
+		wg.Wait()
+		d := a.cols[1].dict
+		if got := len(d.strs()); got != 5+1000 {
+			t.Errorf("two clones writing the same 1 000 new strings grew the dictionary to %d, want %d", got, 5+1000)
+		}
+		for i := 950; i < 1000; i++ {
+			va, _ := a.GetCol(RowID(i%50), 1)
+			vb, _ := b.GetCol(RowID(i%50), 1)
+			if va.AsString() != vb.AsString() || va.AsString() != "c"+strconv.Itoa(i) {
+				t.Fatalf("row %d reads %v in one clone and %v in the other", i%50, va, vb)
+			}
+		}
+	})
+}

@@ -76,13 +76,16 @@ func (db *DB) Dump(w io.Writer) error {
 			RowIDs: make([]RowID, 0, rel.live),
 			Rows:   make([][]wireValue, 0, rel.live),
 		}
+		// Every row is a window on one backing array: one allocation per
+		// relation rather than one per row.
+		vals := make([]wireValue, 0, rel.live*len(rel.cols))
 		rel.Scan(func(id RowID, t Tuple) bool {
 			wr.RowIDs = append(wr.RowIDs, id)
-			row := make([]wireValue, len(t))
-			for i, v := range t {
-				row[i] = wireValue{Kind: v.kind, I: v.i, F: v.f, S: v.s}
+			start := len(vals)
+			for _, v := range t {
+				vals = append(vals, wireValue{Kind: v.kind, I: v.i, F: v.f, S: v.s})
 			}
-			wr.Rows = append(wr.Rows, row)
+			wr.Rows = append(wr.Rows, vals[start:len(vals):len(vals)])
 			return true
 		})
 		wire.Relations = append(wire.Relations, wr)

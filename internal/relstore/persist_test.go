@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"testing"
 )
 
@@ -136,6 +137,54 @@ func TestReadsParentCommitSnapshot(t *testing.T) {
 	}
 	if grew := again.Len() - len(raw); grew > 0 {
 		t.Errorf("snapshot grew by %d bytes over the old encoding of the same world", grew)
+	}
+}
+
+// TestDumpGolden pins the snapshot encoding: testdata/dump.golden is Dump
+// of snapshotDB as written while STRING columns still stored strings, and
+// the dictionary-coded store writes the same bytes.
+func TestDumpGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/dump.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snapshotDB(t).Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Dump wrote %d bytes that differ from the %d of testdata/dump.golden", buf.Len(), len(want))
+	}
+}
+
+// TestReloadCompactsDictionary: strings that no live row holds any more
+// stay in a column's dictionary until the world is read back from a
+// snapshot, which interns only what its rows hold.
+func TestReloadCompactsDictionary(t *testing.T) {
+	db := snapshotDB(t)
+	tok, _ := db.Relation("TOKEN")
+	for i := 0; i < 100; i++ {
+		if err := tok.SetCol(RowID(i%25), 2, String("overwrite"+strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := map[string]bool{}
+	tok.Scan(func(_ RowID, tu Tuple) bool { live[tu[2].AsString()] = true; return true })
+	if n := len(tok.cols[2].dict.strs()); n <= len(live) {
+		t.Fatalf("the written world's STRING dictionary holds %d strings for %d live ones: no garbage to drop", n, len(live))
+	}
+	var buf bytes.Buffer
+	if err := db.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadDB(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDBEqual(t, db, back)
+	btok, _ := back.Relation("TOKEN")
+	if n := len(btok.cols[2].dict.strs()); n > len(live) {
+		t.Errorf("the reloaded STRING dictionary holds %d strings, more than the %d live ones", n, len(live))
 	}
 }
 

@@ -31,7 +31,10 @@ type RowID int64
 // its own copy (see own). A world that only ever changes one column
 // therefore owns that one vector and reads the rest from the common
 // copy. Tuples are materialized on the way out — Get and AppendRow build
-// a row from the vectors, scans refill one scratch tuple per row.
+// a row from the vectors, scans refill one scratch tuple per row. A
+// STRING vector holds 4-byte codes; the dictionary they index is shared
+// by every world descended from the column and is not copied with the
+// vector (see dict).
 //
 // A Relation is safe for any number of concurrent readers, Clone
 // included; a writer needs it exclusively.
@@ -44,15 +47,16 @@ type Relation struct {
 }
 
 // column is one attribute of every slot. TInt and TBool payloads and the
-// bits of a TFloat live in nums, strings in strs. A FLOAT column accepts
-// integers, and they keep their kind (Int(1) and Float(1) key
-// differently): ints marks the slots whose nums entry is an integer
-// payload rather than IEEE 754 bits.
+// bits of a TFloat live in nums; a string's slot in codes holds its code
+// in dict. A FLOAT column accepts integers, and they keep their kind
+// (Int(1) and Float(1) key differently): ints marks the slots whose nums
+// entry is an integer payload rather than IEEE 754 bits.
 type column struct {
 	shared atomic.Bool // visible to another world: copy before writing
 	typ    Type
 	nums   []int64
-	strs   []string
+	codes  []uint32
+	dict   *dict // TString only
 	ints   bitmap
 }
 
@@ -82,6 +86,9 @@ func NewRelation(schema *Schema) *Relation {
 	r := &Relation{schema: schema, cols: make([]*column, len(schema.Cols)), rows: &rowSet{}}
 	for i, c := range schema.Cols {
 		r.cols[i] = &column{typ: c.Type}
+		if c.Type == TString {
+			r.cols[i].dict = newDict()
+		}
 	}
 	return r
 }
@@ -96,7 +103,7 @@ func (r *Relation) Len() int { return r.live }
 func (c *column) value(s int) Value {
 	switch c.typ {
 	case TString:
-		return Value{kind: TString, s: c.strs[s]}
+		return Value{kind: TString, s: c.dict.strs()[c.codes[s]]}
 	case TFloat:
 		if c.ints.get(s) {
 			return Value{kind: TInt, i: c.nums[s]}
@@ -110,7 +117,7 @@ func (c *column) value(s int) Value {
 func (c *column) store(s int, v Value) {
 	switch {
 	case c.typ == TString:
-		c.strs[s] = v.s
+		c.codes[s] = c.dict.intern(v.s)
 	case c.typ != TFloat:
 		c.nums[s] = v.i
 	case v.kind == TInt:
@@ -122,12 +129,13 @@ func (c *column) store(s int, v Value) {
 	}
 }
 
-// equals reports whether slot s compares Equal to v, testing strings and
-// integers on the vector without materializing a Value.
-func (c *column) equals(s int, v Value) bool {
+// matches reports whether slot s compares Equal to v, testing codes and
+// integers on the vector without materializing a Value. In a STRING
+// column, code is v's code.
+func (c *column) matches(s int, code uint32, v Value) bool {
 	switch {
 	case c.typ == TString:
-		return v.kind == TString && c.strs[s] == v.s
+		return c.codes[s] == code
 	case c.typ == v.kind && c.typ != TFloat:
 		return c.nums[s] == v.i
 	}
@@ -142,10 +150,10 @@ func grown[T any](x []T, extra int) []T {
 // copyOf returns an unshared copy of the column with spare capacity for
 // extra more slots.
 func (c *column) copyOf(extra int) *column {
-	n := &column{typ: c.typ}
+	n := &column{typ: c.typ, dict: c.dict}
 	switch c.typ {
 	case TString:
-		n.strs = grown(c.strs, extra)
+		n.codes = grown(c.codes, extra)
 	case TFloat:
 		n.ints = grown(c.ints, extra/64+1)
 		fallthrough
@@ -225,7 +233,7 @@ func (r *Relation) extend(k int) {
 		c := r.own(ci, extra)
 		switch c.typ {
 		case TString:
-			c.strs = append(c.strs, make([]string, k)...)
+			c.codes = append(c.codes, make([]uint32, k)...)
 		case TFloat:
 			c.ints = c.ints.cover(r.n - 1)
 			fallthrough
@@ -286,6 +294,19 @@ func (r *Relation) SetCol(id RowID, col int, v Value) error {
 	return nil
 }
 
+// Intern enters strs, in order, into the dictionary of STRING column col
+// without storing them in any row, so later writes of them find their
+// codes issued. A loader uses it to give a closed inventory of values the
+// first codes in a fixed order. Like a write, it grows the dictionary
+// every world descended from this column shares.
+func (r *Relation) Intern(col int, strs ...string) error {
+	if col < 0 || col >= len(r.cols) || r.cols[col].typ != TString {
+		return fmt.Errorf("relstore: relation %q: column %d is not a STRING column", r.schema.Name, col)
+	}
+	r.cols[col].dict.internAll(strs)
+	return nil
+}
+
 // Delete removes the row. Its slot stays behind as a tombstone.
 func (r *Relation) Delete(id RowID) error {
 	s := r.slot(id)
@@ -309,11 +330,24 @@ func (r *Relation) Scan(fn func(id RowID, t Tuple) bool) {
 // (eqCol < 0: no such condition) and that satisfy keep (nil: all). The
 // equality is tested on the column vector, before the row is
 // materialized, so a point predicate costs one typed comparison per
-// rejected row; keep sees the same scratch tuple fn does.
+// rejected row; keep sees the same scratch tuple fn does. On a STRING
+// column that comparison is of codes: eqVal is looked up in the column's
+// dictionary once, and a string no row was ever given selects nothing
+// without entering the dictionary.
 func (r *Relation) ScanWhere(eqCol int, eqVal Value, keep func(t Tuple) bool, fn func(id RowID, t Tuple) bool) {
 	var eq *column
+	var eqCode uint32
 	if eqCol >= 0 {
 		eq = r.cols[eqCol]
+		if eq.typ == TString {
+			var ok bool
+			if eqVal.kind == TString {
+				eqCode, ok = eq.dict.lookup(eqVal.s)
+			}
+			if !ok {
+				return
+			}
+		}
 	}
 	scratch := make(Tuple, len(r.cols))
 	defer clear(scratch)
@@ -324,13 +358,13 @@ func (r *Relation) ScanWhere(eqCol int, eqVal Value, keep func(t Tuple) bool, fn
 	}
 	alive := r.rows.alive
 	for s := 0; s < r.n; s++ {
-		if !alive.get(s) || (eq != nil && !eq.equals(s, eqVal)) {
+		if !alive.get(s) || (eq != nil && !eq.matches(s, eqCode, eqVal)) {
 			continue
 		}
 		for ci, c := range r.cols {
 			switch c.typ {
 			case TString:
-				scratch[ci].s = c.strs[s]
+				scratch[ci].s = c.dict.strs()[c.codes[s]]
 			case TFloat:
 				scratch[ci] = c.value(s)
 			default:

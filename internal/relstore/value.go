@@ -8,8 +8,9 @@
 // box by the sampler.
 //
 // A relation is stored by column: one typed vector per attribute ([]int64
-// for INT, BOOL and the bits of a FLOAT, []string for STRING) indexed by
-// row slot, and a bitmap of the slots that hold live rows. RowIDs count up
+// for INT, BOOL and the bits of a FLOAT, []uint32 codes into the column's
+// string dictionary for STRING) indexed by row slot, and a bitmap of the
+// slots that hold live rows. RowIDs count up
 // and are never reused, so a row sits in the slot of its id, a delete
 // leaves a tombstone, and every scan runs in ascending RowID order. There
 // are no row objects: Get builds a tuple, a scan refills one scratch tuple
@@ -25,6 +26,13 @@
 // evidence columns between them, and a chain privately owns just the
 // hidden column it flips. Reads of a world, Clone included, may run
 // concurrently; writing one needs it exclusively.
+//
+// A STRING column's dictionary is not copied with its vector: it is one
+// per column lineage, shared by every clone and every copy, and only ever
+// appended to, so a code means one string in all of them. It grows only
+// when a world writes a string it does not hold yet; reads never add to
+// it, and reloading a world from a snapshot leaves out the strings no
+// live row holds any more.
 package relstore
 
 import (

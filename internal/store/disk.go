@@ -39,14 +39,16 @@ type DiskStore struct {
 	opts Options
 	rec  Recovery
 
-	mu        sync.Mutex
-	f         *os.File // wal handle, positioned at end of the valid prefix
-	shadow    *relstore.DB
-	shadowLog *world.ChangeLog
-	closed    bool
-	dirty     bool  // appended frames not yet fsynced
-	sinceOps  int64 // appended ops since the last checkpoint
-	lastErr   string
+	mu         sync.Mutex
+	f          *os.File // wal handle, positioned at end of the valid prefix
+	shadow     *relstore.DB
+	shadowLog  *world.ChangeLog
+	closed     bool
+	dirty      bool  // appended frames not yet fsynced
+	sinceOps   int64 // appended ops since the last checkpoint was cut
+	sinceBytes int64 // appended log bytes since the last checkpoint was cut
+	pending    *cut  // cut by Append, not yet taken by the worker
+	lastErr    string
 
 	// lastFsyncNS is the fsync share of the most recent Append (0 unless
 	// the policy synced inline) — the serve.FsyncReporter contract traced
@@ -144,6 +146,7 @@ func Open(opts Options) (*DiskStore, error) {
 		s.walRecords.Store(int64(len(recs)) - countCovered(recs, snapEpoch))
 		s.walBytes.Store(validEnd)
 		s.sinceOps = s.rec.ReplayedOps
+		s.sinceBytes = validEnd - int64(len(walHeader))
 	}
 	s.rec.Epoch = epoch
 	s.rec.Fresh = !haveSnap && s.walRecords.Load() == 0 && !s.rec.TornTail
@@ -177,6 +180,13 @@ func Open(opts Options) (*DiskStore, error) {
 	return s, nil
 }
 
+// cut is a checkpoint fixed in the write sequence: a clone of the shadow
+// world at epoch, waiting to be written.
+type cut struct {
+	world *relstore.DB
+	epoch int64
+}
+
 // countCovered counts scanned records the snapshot already includes
 // (they sit in the log only until the next checkpoint rewrite).
 func countCovered(recs []walRecord, snapEpoch int64) int64 {
@@ -206,7 +216,14 @@ func (s *DiskStore) background() {
 		case <-tickC:
 			s.syncIfDirty()
 		case <-s.ckCh:
-			if err := s.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
+			s.mu.Lock()
+			c := s.pending
+			s.pending = nil
+			s.mu.Unlock()
+			if c == nil {
+				continue // superseded by an explicit Checkpoint
+			}
+			if err := s.write(c, time.Now()); err != nil && !errors.Is(err, ErrClosed) {
 				s.mu.Lock()
 				s.lastErr = err.Error()
 				s.mu.Unlock()
@@ -340,13 +357,20 @@ func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 	s.walBytes.Add(int64(len(frame)))
 	s.walRecords.Add(1)
 	s.sinceOps += int64(len(ops))
+	s.sinceBytes += int64(len(frame))
 	if s.appendH != nil {
 		s.appendH.Observe(time.Since(start).Seconds())
 	}
 
-	// Nudge the background checkpoint when the tail has grown past the
-	// thresholds (only meaningful once a world is seeded).
+	// Once the log has grown past a threshold (only meaningful once a
+	// world is seeded), the checkpoint is cut here: the shadow is cloned
+	// at this epoch and the counts restart, and the worker only writes
+	// it. Which writes a checkpoint covers and when the next one is due
+	// therefore follow from the writes alone, never from how soon the
+	// worker runs or how long a snapshot takes to write.
 	if s.shadow != nil && s.checkpointDue() {
+		s.pending = &cut{world: s.shadow.Clone(), epoch: epoch}
+		s.sinceOps, s.sinceBytes = 0, 0
 		select {
 		case s.ckCh <- struct{}{}:
 		default:
@@ -357,15 +381,14 @@ func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 
 // checkpointDue is called with mu held.
 func (s *DiskStore) checkpointDue() bool {
-	tail := s.walBytes.Load() - int64(len(walHeader))
 	return (s.opts.CheckpointOps > 0 && s.sinceOps >= s.opts.CheckpointOps) ||
-		(s.opts.CheckpointBytes > 0 && tail >= s.opts.CheckpointBytes)
+		(s.opts.CheckpointBytes > 0 && s.sinceBytes >= s.opts.CheckpointBytes)
 }
 
 // Checkpoint snapshots the shadow world at its current epoch and drops
 // the covered log prefix. The world clone happens under the lock but
 // the snapshot write does not, so appends only stall for the clone and
-// the log rewrite.
+// the log rewrite. It supersedes a cut the worker has not taken yet.
 func (s *DiskStore) Checkpoint() error {
 	start := time.Now()
 	s.mu.Lock()
@@ -377,11 +400,18 @@ func (s *DiskStore) Checkpoint() error {
 		s.mu.Unlock()
 		return fmt.Errorf("store: checkpoint without a seeded world")
 	}
-	snap := s.shadow.Clone()
-	epoch := s.epoch.Load()
+	c := &cut{world: s.shadow.Clone(), epoch: s.epoch.Load()}
+	s.sinceOps, s.sinceBytes = 0, 0
+	s.pending = nil
 	s.mu.Unlock()
+	return s.write(c, start)
+}
 
-	if _, err := writeSnapshot(s.opts.Dir, epoch, snap); err != nil {
+// write dumps a cut to a snapshot file and drops the log prefix it
+// covers.
+func (s *DiskStore) write(c *cut, start time.Time) error {
+	epoch := c.epoch
+	if _, err := writeSnapshot(s.opts.Dir, epoch, c.world); err != nil {
 		return err
 	}
 
@@ -425,13 +455,12 @@ func (s *DiskStore) rewriteTailLocked(epoch int64) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	var kept, keptOps int64
+	var kept int64
 	out := append([]byte(nil), walHeader...)
 	for _, r := range recs {
 		if r.epoch > epoch {
 			out = append(out, r.frame...)
 			kept++
-			keptOps += int64(len(r.ops))
 		}
 	}
 	if _, err := tmp.Write(out); err != nil {
@@ -465,7 +494,6 @@ func (s *DiskStore) rewriteTailLocked(epoch int64) error {
 	s.dirty = false
 	s.walBytes.Store(int64(len(out)))
 	s.walRecords.Store(kept)
-	s.sinceOps = keptOps
 	return nil
 }
 

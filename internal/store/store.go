@@ -79,8 +79,9 @@ type Options struct {
 	// have been appended since the last one (default 4096; negative
 	// disables op-triggered checkpoints).
 	CheckpointOps int64
-	// CheckpointBytes triggers a background checkpoint once the WAL tail
-	// has grown past this many bytes (default 4 MiB; negative disables).
+	// CheckpointBytes triggers a background checkpoint once this many
+	// bytes of log have been appended since the last one (default 4 MiB;
+	// negative disables).
 	CheckpointBytes int64
 	// Logger, when non-nil, receives structured records for failures the
 	// store can only surface asynchronously — background fsync and

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"factordb/internal/relstore"
 	"factordb/internal/world"
@@ -235,6 +236,62 @@ func TestOpCountTriggersCheckpoint(t *testing.T) {
 	}
 	if st.WALRecords >= 40 {
 		t.Fatalf("wal never truncated: %d records", st.WALRecords)
+	}
+}
+
+// TestCheckpointCutByWrites: a background checkpoint covers exactly the
+// write that crossed the threshold, however far the worker lags behind
+// the writes racing it, and writes that land while a snapshot is being
+// written never start a redundant one. So which writes each checkpoint
+// covers, and how many checkpoints a run of writes makes, follow from the
+// writes alone.
+func TestCheckpointCutByWrites(t *testing.T) {
+	const every, writes = 4, 40
+	db := testWorld(t)
+	// Enough rows that writing a snapshot takes longer than the writes
+	// racing it.
+	rel, err := db.Relation("TOKEN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(8); i < 20_000; i++ {
+		if _, err := rel.Insert(relstore.Tuple{relstore.Int(i), relstore.String("w"), relstore.Float(0.5), relstore.Bool(false)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openStore(t, t.TempDir(), Options{Fsync: FsyncNever, CheckpointOps: every, CheckpointBytes: -1})
+	if err := s.Seed(db, 0); err != nil {
+		t.Fatal(err)
+	}
+	log := world.NewChangeLog(db)
+	for e := int64(1); e <= writes; e++ {
+		ops := []world.Op{updateOp(e%8, "auto")}
+		if _, err := log.ApplyOps(ops); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(e, ops); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		since := s.sinceOps
+		s.mu.Unlock()
+		if since != e%every {
+			t.Fatalf("after write %d: %d ops count toward the next checkpoint, want %d", e, since, e%every)
+		}
+		if got := s.Stats().SnapshotEpoch; got%every != 0 {
+			t.Fatalf("after write %d: snapshot at epoch %d, want a multiple of %d", e, got, every)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().WALRecords != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st := s.Stats()
+	if st.SnapshotEpoch != writes || st.WALRecords != 0 || st.LastError != "" {
+		t.Fatalf("after the last cut: %+v, want snapshot epoch %d and an empty log", st, writes)
+	}
+	if st.Checkpoints > writes/every {
+		t.Fatalf("%d checkpoints for %d cuts", st.Checkpoints, writes/every)
 	}
 }
 
