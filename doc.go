@@ -105,9 +105,9 @@
 //	exec      wal_append          all         the durable log append (WithDataDir only)
 //	exec      fsync               all         the append's sync share, carved out once the WAL reports it
 //	exec      fanout              pool        ops delivered until every chain has applied them
-//	exec      burn_in             pool        the slowest chain's re-equilibration walk
-//	exec      delta_fold          pool        folding the write's delta into every live view
-//	exec      republish           pool        the shared empty snapshot republished to readers
+//	exec      burn_in             pool        the re-equilibration walk; opens when the slowest chain has applied the ops
+//	exec      delta_fold          pool        folding the delta into every live view; opens when the slowest chain ends burn_in
+//	exec      republish           pool        the empty snapshot republished to readers; opens when the slowest chain ends delta_fold
 //	exec      apply               private     mutating the prototype world
 //	exec      cache_invalidate    all         the data-epoch bump
 //	recovery  snapshot_load       all         attr snapshot_epoch

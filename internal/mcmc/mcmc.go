@@ -59,10 +59,6 @@ func NewSampler(p Proposer, seed int64) *Sampler {
 	return &Sampler{proposer: p, rng: rand.New(rand.NewSource(seed))}
 }
 
-// RNG exposes the sampler's random source so that callers composing extra
-// randomness (for example proposal batching) stay reproducible.
-func (s *Sampler) RNG() *rand.Rand { return s.rng }
-
 // Step performs one MH step and reports whether the proposal was accepted.
 func (s *Sampler) Step() bool {
 	p := s.proposer.Propose(s.rng)

@@ -36,13 +36,7 @@ func BenchmarkSharedViews(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			holdID := viewID(eng.nextID.Add(1))
-			if _, _, err := eng.chains[0].registerView(ctx, registerReq{
-				id: holdID, plan: plan, target: 1 << 62, done: make(chan struct{}),
-			}); err != nil {
-				b.Fatal(err)
-			}
-			defer eng.chains[0].unregister(holdID)
+			defer holdView(b, eng, plan).detach()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup

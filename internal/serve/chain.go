@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -15,86 +16,6 @@ import (
 // viewID identifies one query's subscription to a view within the engine.
 type viewID int64
 
-// registerReq asks a chain to bind a plan against its world and subscribe
-// the query to the matching shared view (creating it on first use). The
-// reply carries the view's snapshot cell, or the bind error. final
-// receives the completed subscriber's snapshot just before done closes
-// (see subscriber).
-type registerReq struct {
-	id     viewID
-	plan   ra.Plan
-	target int64
-	done   chan struct{}
-	final  *atomic.Pointer[finalSnap]
-	reply  chan registerReply
-}
-
-type registerReply struct {
-	cell *world.Cell[*core.Snapshot]
-	hit  bool // an existing shared view was reused
-	err  error
-}
-
-// unregisterReq detaches a subscriber (query cancelled or timed out). The
-// reply is closed once the subscription is gone so the caller knows no
-// further completion signal will fire.
-type unregisterReq struct {
-	id    viewID
-	reply chan struct{}
-}
-
-// resolveReq asks a chain to resolve a DML statement against its world
-// into concrete row-level ops — without applying them. The write
-// coordinator resolves once (on chain 0) and fans the identical op list
-// out to every chain, so the clones never diverge.
-type resolveReq struct {
-	mut   ra.Mutation
-	reply chan resolveReply
-}
-
-type resolveReply struct {
-	ops []world.Op
-	err error
-}
-
-// chainPhase marks one chain's completion of a write phase; traced
-// writes collect these from every chain to span the fan-out's burn-in,
-// delta-fold and republish stages on the coordinator's timeline.
-type chainPhase uint8
-
-const (
-	phaseOpsApplied chainPhase = iota
-	phaseBurnedIn
-	phaseDeltaFolded
-	phaseRepublished
-	numWritePhases
-)
-
-// applyReq asks a chain to apply a resolved op list, burn in, and reset
-// every live view's estimator so post-write snapshots carry post-write
-// samples only. phases, when non-nil, receives one chainPhase per
-// completed stage; the channel must be buffered for every chain's full
-// phase set so the chain never blocks on a coordinator that stopped
-// listening.
-type applyReq struct {
-	ops    []world.Op
-	burnIn int
-	phases chan<- chainPhase
-	reply  chan error
-}
-
-// analyzeReq asks a chain to run one instrumented evaluation of a plan
-// against its current world — the per-chain half of EXPLAIN ANALYZE.
-type analyzeReq struct {
-	plan  ra.Plan
-	reply chan analyzeReply
-}
-
-type analyzeReply struct {
-	stats *ra.StreamStats
-	err   error
-}
-
 // chain is one member of the engine's pool: a private copy of the world
 // walked by its own Metropolis-Hastings sampler. All views registered on
 // the chain share the walk — one batch of k steps produces one sample for
@@ -102,13 +23,19 @@ type analyzeReply struct {
 // whose plans share a fingerprint share one physical view, so the
 // view-maintenance cost of a batch is paid per distinct plan, not per
 // query.
+//
+// The world, the sampler and the registry belong to the chain goroutine.
+// Every request from outside — subscribe or detach a query, resolve or
+// apply a write, EXPLAIN ANALYZE — is a closure the chain runs at an
+// epoch boundary (see call), when the store holds no pending delta and
+// every view matches the world.
 type chain struct {
 	id      int
 	steps   int // k, walk-steps per epoch
 	log     *world.ChangeLog
 	sampler *mcmc.Sampler
 
-	ctl  chan any // registerReq | unregisterReq
+	ctl  chan func()
 	stop chan struct{}
 	done chan struct{}
 	reg  *viewRegistry
@@ -144,7 +71,7 @@ func newChain(id, steps int, log *world.ChangeLog, p mcmc.Proposer, seed int64, 
 		steps:     steps,
 		log:       log,
 		sampler:   mcmc.NewSampler(p, seed),
-		ctl:       make(chan any),
+		ctl:       make(chan func()),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		reg:       newViewRegistry(),
@@ -155,10 +82,10 @@ func newChain(id, steps int, log *world.ChangeLog, p mcmc.Proposer, seed int64, 
 	}
 }
 
-// run is the chain goroutine: burn in, then alternate between handling
-// control messages at epoch boundaries and walking. With no views
-// registered the chain parks on the control channel instead of burning
-// CPU; the world keeps its state, so mixing accumulates across queries.
+// run is the chain goroutine: burn in, then alternate between running
+// delivered closures at epoch boundaries and walking. With no views
+// registered the chain parks on the mailbox instead of burning CPU; the
+// world keeps its state, so mixing accumulates across queries.
 func (c *chain) run(burnIn int) {
 	defer close(c.done)
 	if burnIn > 0 {
@@ -171,20 +98,42 @@ func (c *chain) run(burnIn int) {
 			select {
 			case <-c.stop:
 				return
-			case msg := <-c.ctl:
-				c.handle(msg)
+			case fn := <-c.ctl:
+				fn()
 			}
 			continue
 		}
 		select {
 		case <-c.stop:
 			return
-		case msg := <-c.ctl:
-			c.handle(msg)
+		case fn := <-c.ctl:
+			fn()
 			continue
 		default:
 		}
 		c.epoch()
+	}
+}
+
+// call hands fn to the chain goroutine, which runs it at its next epoch
+// boundary, and returns fn's error once fn has returned. Delivery gives
+// up on ctx or engine shutdown; once fn is delivered ctx no longer
+// counts — fn is running on the chain's world and cannot be taken back —
+// and only shutdown (ErrClosed) ends the wait early.
+func (c *chain) call(ctx context.Context, fn func() error) error {
+	reply := make(chan error, 1)
+	select {
+	case c.ctl <- func() { reply <- fn() }:
+	case <-c.done:
+		return ErrClosed
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	select {
+	case err := <-reply:
+		return err
+	case <-c.done:
+		return ErrClosed
 	}
 }
 
@@ -217,9 +166,7 @@ func (c *chain) epoch() {
 				// Hand the completed subscriber this snapshot before
 				// waking it: the shared cell may be reset by a later
 				// write before the session gets around to merging.
-				if sub.final != nil {
-					sub.final.Store(&finalSnap{snap: snap, epoch: epoch, gen: c.writeGen.Load()})
-				}
+				sub.final.Store(&finalSnap{snap: snap, epoch: epoch, gen: c.writeGen.Load()})
 				close(sub.done)
 				c.reg.dropSub(id)
 			}
@@ -239,29 +186,6 @@ func (c *chain) walk(n int) {
 	c.acceptedC.Add(da)
 }
 
-func (c *chain) handle(msg any) {
-	switch req := msg.(type) {
-	case registerReq:
-		cell, hit, err := c.register(req)
-		req.reply <- registerReply{cell: cell, hit: hit, err: err}
-	case unregisterReq:
-		c.reg.dropSub(req.id)
-		close(req.reply)
-	case resolveReq:
-		ops, err := world.ResolveMutation(c.log.DB(), req.mut)
-		req.reply <- resolveReply{ops: ops, err: err}
-	case applyReq:
-		req.reply <- c.applyWrite(req.ops, req.burnIn, req.phases)
-	case analyzeReq:
-		// Like every control message this runs at an epoch boundary, so
-		// the world it observes is the one the chain's views match.
-		st, err := analyzePlan(c.log.DB(), req.plan)
-		req.reply <- analyzeReply{stats: st, err: err}
-	default:
-		panic(fmt.Sprintf("serve: unknown chain control message %T", msg))
-	}
-}
-
 // emptySnapshot is the estimate of no samples a write republishes for
 // every live view; immutable, so every view and chain shares it.
 var emptySnapshot = &core.Snapshot{}
@@ -276,25 +200,21 @@ var emptySnapshot = &core.Snapshot{}
 // estimators: a query in flight across a write completes with its full
 // budget of post-write samples.
 //
-// Control messages are handled at epoch boundaries, so the store holds no
-// pending sampler delta when the write lands: the write closes its own
-// epoch and every view is consistent with the mutated world from the
-// published snapshot on.
-func (c *chain) applyWrite(ops []world.Op, burnIn int, phases chan<- chainPhase) error {
-	mark := func(p chainPhase) {
-		if phases != nil {
-			phases <- p
-		}
-	}
+// It runs at an epoch boundary (see call), so the store holds no pending
+// sampler delta when the write lands: the write closes its own epoch and
+// every view is consistent with the mutated world from the published
+// snapshot on. ends records when the ops were applied, the burn-in
+// walked and the delta folded — the phase marks a traced write spans.
+func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err error) {
 	if _, err := c.log.ApplyOps(ops); err != nil {
-		return err
+		return ends, err
 	}
 	c.writeGen.Add(1)
-	mark(phaseOpsApplied)
+	ends[0] = time.Now()
 	if burnIn > 0 {
 		c.walk(burnIn)
 	}
-	mark(phaseBurnedIn)
+	ends[1] = time.Now()
 	d := c.log.Drain()
 	epoch := c.log.Epoch()
 	c.curEpoch.Store(epoch)
@@ -309,33 +229,34 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int, phases chan<- chainPhase)
 		// exists; the convergence diagnostics restart with the estimator.
 		pv.stat.series.reset()
 	}
-	mark(phaseDeltaFolded)
+	ends[2] = time.Now()
 	for _, pv := range c.reg.byFP {
 		// Publish the empty estimate: the cell must not keep serving the
 		// pre-write snapshot to readers that merge before the next batch.
 		pv.cell.Publish(epoch, emptySnapshot)
 	}
-	mark(phaseRepublished)
-	return nil
+	return ends, nil
 }
 
-// register binds the plan against this chain's world and subscribes the
-// query through the view registry. Control messages are only handled at
-// epoch boundaries, right after a Drain, so the store holds no pending
-// deltas and a freshly mounted view is consistent with the world from its
-// first sample on; an existing view is reused as-is (its estimator state
-// is a valid prefix of the same chain's walk).
-func (c *chain) register(req registerReq) (*world.Cell[*core.Snapshot], bool, error) {
-	bound, err := ra.Bind(c.log.DB(), req.plan)
+// register binds the plan against this chain's world and subscribes reg
+// to the matching shared view, creating it on first use; hit reports that
+// an existing view was reused. It runs at an epoch boundary, right after
+// a Drain, so the store holds no pending deltas and a freshly mounted
+// view is consistent with the world from its first sample on; an
+// existing view is reused as-is (its estimator state is a valid prefix of
+// the same chain's walk).
+func (c *chain) register(reg *registration, plan ra.Plan, target int64) (hit bool, err error) {
+	bound, err := ra.Bind(c.log.DB(), plan)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	pv, hit, err := c.reg.acquire(req.id, bound, req.target, req.done, req.final)
+	pv, hit, err := c.reg.acquire(reg.id, bound, target, reg.done, &reg.final)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if hit {
 		c.m.viewHits.Inc()
 	}
-	return pv.cell, hit, nil
+	reg.cell = pv.cell
+	return hit, nil
 }

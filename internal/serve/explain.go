@@ -204,46 +204,18 @@ func (e *Engine) liveViewChains(fp string) (live, total int) {
 // runtime behavior — per-chain variance in the possible worlds averages
 // out exactly the way the engine's marginal estimates do.
 func (p pool) analyze(ctx context.Context, plan ra.Plan) (*ra.StreamStats, error) {
-	replies := make([]analyzeReply, len(p.chains))
-	done := make(chan struct{}, len(p.chains))
-	for i, c := range p.chains {
-		go func(i int, c *chain) {
-			replies[i] = c.analyze(ctx, plan)
-			done <- struct{}{}
-		}(i, c)
+	stats := make([]*ra.StreamStats, len(p.chains))
+	if err := p.each(ctx, func(i int, c *chain) (err error) {
+		stats[i], err = analyzePlan(c.log.DB(), plan)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	for range p.chains {
-		<-done
-	}
-	var total *ra.StreamStats
-	for i := range replies {
-		if err := replies[i].err; err != nil {
-			return nil, err
-		}
-		if total == nil {
-			total = replies[i].stats
-		} else if err := total.Merge(replies[i].stats); err != nil {
+	total := stats[0]
+	for _, st := range stats[1:] {
+		if err := total.Merge(st); err != nil {
 			return nil, err
 		}
 	}
 	return total, nil
-}
-
-// analyze delivers an analyzeReq to the chain goroutine, honoring ctx
-// and engine shutdown.
-func (c *chain) analyze(ctx context.Context, plan ra.Plan) analyzeReply {
-	req := analyzeReq{plan: plan, reply: make(chan analyzeReply, 1)}
-	select {
-	case c.ctl <- req:
-	case <-c.done:
-		return analyzeReply{err: ErrClosed}
-	case <-ctx.Done():
-		return analyzeReply{err: ctx.Err()}
-	}
-	select {
-	case rep := <-req.reply:
-		return rep
-	case <-c.done:
-		return analyzeReply{err: ErrClosed}
-	}
 }

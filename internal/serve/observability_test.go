@@ -260,13 +260,7 @@ func TestEngineStatusAndHealthGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holdID := viewID(eng.nextID.Add(1))
-	if _, _, err := eng.chains[0].registerView(context.Background(), registerReq{
-		id: holdID, plan: plan, target: 1 << 62, done: make(chan struct{}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.chains[0].unregister(holdID)
+	defer holdView(t, eng, plan).detach()
 
 	// Wait for the chain to produce a few epochs so the gauges have data.
 	deadline := time.Now().Add(10 * time.Second)

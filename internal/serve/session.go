@@ -150,6 +150,14 @@ func (r *registration) snapshot() (world.Snapshot[*core.Snapshot], bool) {
 	return r.cell.Load()
 }
 
+// detach drops the subscription, waiting until the chain has dropped it so
+// the caller knows no further snapshots will be published.
+func (r *registration) detach() {
+	// Shutdown is the only possible error, and a stopped chain publishes
+	// nothing either.
+	_ = r.c.call(context.Background(), func() error { r.c.reg.dropSub(r.id); return nil })
+}
+
 // Query compiles sql, registers a materialized view for it on every chain
 // in the pool, and blocks until the sample budget is met or ctx expires.
 // Because the views of all in-flight queries share each chain's walk, the
@@ -419,7 +427,7 @@ func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
 			select {
 			case <-r.done:
 			default:
-				r.c.unregister(r.id)
+				r.detach()
 			}
 		}
 	}()
@@ -431,15 +439,11 @@ func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
 			id:   viewID(p.nextID.Add(1)),
 			done: make(chan struct{}),
 		}
-		cell, hit, err := c.registerView(ctx, registerReq{
-			id:     reg.id,
-			plan:   plan,
-			target: perChain,
-			done:   reg.done,
-			final:  &reg.final,
-		})
-		reg.cell = cell
-		if err != nil {
+		var hit bool
+		if err := c.call(ctx, func() (err error) {
+			hit, err = c.register(reg, plan, perChain)
+			return err
+		}); err != nil {
 			p.m.failed.Inc()
 			if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
 				return collection{}, err
@@ -580,26 +584,6 @@ func topKSeparated(regs []*registration, k int64, z float64) bool {
 	return cis[k-1].Lo > cis[k].Hi
 }
 
-// registerView sends a registration to the chain goroutine and waits for
-// the bind result — the shared view's snapshot cell — honoring ctx and
-// engine shutdown.
-func (c *chain) registerView(ctx context.Context, req registerReq) (*world.Cell[*core.Snapshot], bool, error) {
-	req.reply = make(chan registerReply, 1)
-	select {
-	case c.ctl <- req:
-	case <-c.done:
-		return nil, false, ErrClosed
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-	select {
-	case rep := <-req.reply:
-		return rep.cell, rep.hit, rep.err
-	case <-c.done:
-		return nil, false, ErrClosed
-	}
-}
-
 // appendCacheKey appends the result-cache key of an evaluation to dst:
 // the data epoch, the plan fingerprint, the result spec and the options
 // that scale the estimate.
@@ -627,19 +611,4 @@ func appendCacheKey(dst []byte, epoch int64, fp string, spec ra.ResultSpec, opts
 	dst = strconv.AppendInt(dst, int64(opts.Samples), 10)
 	dst = append(dst, "|c="...)
 	return strconv.AppendFloat(dst, opts.Confidence, 'g', -1, 64)
-}
-
-// unregister detaches a view, waiting until the chain has dropped it so
-// the caller knows no further snapshots will be published.
-func (c *chain) unregister(id viewID) {
-	req := unregisterReq{id: id, reply: make(chan struct{})}
-	select {
-	case c.ctl <- req:
-	case <-c.done:
-		return
-	}
-	select {
-	case <-req.reply:
-	case <-c.done:
-	}
 }

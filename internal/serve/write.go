@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"factordb/internal/ra"
@@ -214,109 +215,65 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 
 // resolve resolves once, on chain 0: chain worlds share row identities by
 // construction, so the op list is valid on every chain.
-func (p pool) resolve(ctx context.Context, mut ra.Mutation) ([]world.Op, error) {
-	return p.chains[0].resolveMutation(ctx, mut)
+func (p pool) resolve(ctx context.Context, mut ra.Mutation) (ops []world.Op, err error) {
+	c := p.chains[0]
+	err = c.call(ctx, func() (err error) {
+		ops, err = world.ResolveMutation(c.log.DB(), mut)
+		return err
+	})
+	return ops, err
 }
 
 // apply fans the ops out to every chain in parallel and waits for all of
-// them; only engine shutdown aborts. A traced write spans fanout /
-// burn_in / delta_fold / republish, collecting per-chain phase marks and
-// advancing the span as the whole pool completes each stage — the phases
-// are clocked by the slowest chain.
+// them. It is deliberately not cancellable — a write that reached some
+// chains must reach all of them — so only engine shutdown aborts. A
+// traced write spans fanout / burn_in / delta_fold / republish: each
+// phase opens when the slowest chain finished the one before.
 func (p pool) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("fanout")
-	var phases chan chainPhase
-	if tr != nil {
-		phases = make(chan chainPhase, len(p.chains)*int(numWritePhases))
+	ends := make([][3]time.Time, len(p.chains))
+	if err := p.each(context.Background(), func(i int, c *chain) (err error) {
+		ends[i], err = c.applyWrite(ops, p.cfg.StepsPerSample)
+		return err
+	}); err != nil || tr == nil {
+		return err
 	}
-	errs := make(chan error, len(p.chains))
-	for _, c := range p.chains {
-		go func(c *chain) { errs <- c.applyOps(p.cfg.StepsPerSample, ops, phases) }(c)
-	}
-	var failed error
-	counts := [numWritePhases]int{}
-	cur := phaseOpsApplied
-	// The span to open once every chain finishes the current phase; the
-	// last phase is closed by the reply collection itself.
-	next := [numWritePhases]string{"burn_in", "delta_fold", "republish", ""}
-	advance := func(ph chainPhase) {
-		counts[ph]++
-		for cur < numWritePhases && counts[cur] == len(p.chains) {
-			if next[cur] != "" {
-				tr.span(next[cur])
+	// Every chain's marks are ordered, so the per-phase maxima are too
+	// and the spans stay contiguous.
+	for ph, name := range [3]string{"burn_in", "delta_fold", "republish"} {
+		var slowest time.Time
+		for _, marks := range ends {
+			if marks[ph].After(slowest) {
+				slowest = marks[ph]
 			}
-			cur++
+		}
+		tr.spanAt(name, slowest)
+	}
+	return nil
+}
+
+// each runs f(i, c) on every chain's goroutine (via call, under ctx) in
+// parallel and waits for all of them, returning the first error in pool
+// order.
+func (p pool) each(ctx context.Context, f func(i int, c *chain) error) error {
+	errs := make([]error, len(p.chains))
+	var wg sync.WaitGroup
+	for i, c := range p.chains {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.call(ctx, func() error { return f(i, c) })
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	for done := 0; done < len(p.chains); {
-		if phases == nil {
-			if err := <-errs; err != nil && failed == nil {
-				failed = err
-			}
-			done++
-			continue
-		}
-		select {
-		case err := <-errs:
-			done++
-			if err != nil && failed == nil {
-				failed = err
-			}
-		case ph := <-phases:
-			advance(ph)
-		}
-	}
-	// A chain buffers all its phase marks before replying, so any marks
-	// the select raced past are already in the channel: drain them so the
-	// phase spans open even when every reply won the select.
-	for phases != nil {
-		select {
-		case ph := <-phases:
-			advance(ph)
-		default:
-			phases = nil
-		}
-	}
-	return failed
+	return nil
 }
 
 // DataEpoch returns the number of committed writes — the data-epoch
 // component of every result-cache key.
 func (e *Engine) DataEpoch() int64 { return e.dataEpoch.Load() }
-
-// resolveMutation asks the chain goroutine to resolve mut against its
-// world, honoring ctx and engine shutdown.
-func (c *chain) resolveMutation(ctx context.Context, mut ra.Mutation) ([]world.Op, error) {
-	req := resolveReq{mut: mut, reply: make(chan resolveReply, 1)}
-	select {
-	case c.ctl <- req:
-	case <-c.done:
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case rep := <-req.reply:
-		return rep.ops, rep.err
-	case <-c.done:
-		return nil, ErrClosed
-	}
-}
-
-// applyOps delivers a resolved op list to the chain goroutine and waits
-// for it to be absorbed. Deliberately not cancellable by context: a
-// write that reached some chains must reach all of them.
-func (c *chain) applyOps(burnIn int, ops []world.Op, phases chan<- chainPhase) error {
-	req := applyReq{ops: ops, burnIn: burnIn, phases: phases, reply: make(chan error, 1)}
-	select {
-	case c.ctl <- req:
-	case <-c.done:
-		return ErrClosed
-	}
-	select {
-	case err := <-req.reply:
-		return err
-	case <-c.done:
-		return ErrClosed
-	}
-}

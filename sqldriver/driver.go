@@ -86,12 +86,17 @@ var (
 )
 
 // Open implements driver.Driver for clients that bypass OpenConnector.
+// The connection builds its own database and closes it on Close.
 func (d *Driver) Open(dsn string) (driver.Conn, error) {
-	c, err := d.OpenConnector(dsn)
+	model, opts, err := parseDSN(dsn)
 	if err != nil {
 		return nil, err
 	}
-	return c.Connect(context.Background())
+	db, err := factordb.Open(model, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &conn{db: db, owned: true}, nil
 }
 
 // OpenConnector parses the DSN eagerly (so malformed DSNs fail at
@@ -265,10 +270,12 @@ func (p *dsnParams) boolVal(key string) bool {
 }
 
 // conn is one pooled connection over the shared database. The underlying
-// factordb.DB is concurrency-safe, so conn holds no state of its own and
-// Close is a no-op (the connector owns the DB lifetime).
+// factordb.DB is concurrency-safe, so conn holds no state of its own, and
+// Close releases the DB only when the conn owns it (Driver.Open); a
+// connector's conns leave it to the connector.
 type conn struct {
-	db *factordb.DB
+	db    *factordb.DB
+	owned bool
 }
 
 var (
@@ -285,7 +292,12 @@ func (c *conn) Prepare(query string) (driver.Stmt, error) {
 	return &stmt{conn: c, ps: ps}, nil
 }
 
-func (c *conn) Close() error { return nil }
+func (c *conn) Close() error {
+	if c.owned {
+		return c.db.Close()
+	}
+	return nil
+}
 
 func (c *conn) Begin() (driver.Tx, error) {
 	return nil, fmt.Errorf("sqldriver: transactions are not supported")

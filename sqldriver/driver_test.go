@@ -211,21 +211,28 @@ func TestDriverErrors(t *testing.T) {
 	rows.Close()
 }
 
+// TestBadDSN pins the error each malformed DSN reports, through
+// sql.Open's first use and through Driver.Open alike.
 func TestBadDSN(t *testing.T) {
-	for _, dsn := range []string{
-		"mystery?tokens=100",    // unknown model
-		"ner?tokens=abc",        // non-integer parameter
-		"ner?mode=quantum",      // unknown mode
-		"ner?tokens=100;seed=2", // malformed query string
+	for _, tc := range []struct{ dsn, want string }{
+		{"mystery?tokens=100", `unknown model "mystery"`},
+		{"ner?tokens=abc", `tokens="abc" is not an integer`},
+		{"ner?temperature=hot", `temperature="hot" is not a number`},
+		{"ner?linear=maybe", `linear="maybe" is not a boolean`},
+		{"ner?mode=quantum", `unknown mode "quantum"`},
+		{"ner?tokens=100;seed=2", "bad DSN"},
 	} {
-		db, err := sql.Open("factordb", dsn)
+		db, err := sql.Open("factordb", tc.dsn)
 		if err == nil {
 			// database/sql may defer connector errors to first use.
 			err = db.Ping()
 			db.Close()
 		}
-		if err == nil {
-			t.Errorf("DSN %q accepted", dsn)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("sql.Open(%q) = %v, want an error containing %q", tc.dsn, err, tc.want)
+		}
+		if _, err := (&Driver{}).Open(tc.dsn); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Driver.Open(%q) = %v, want an error containing %q", tc.dsn, err, tc.want)
 		}
 	}
 }
