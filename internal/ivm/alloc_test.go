@@ -12,7 +12,12 @@ import (
 	"factordb/internal/mcmc"
 	"factordb/internal/ra"
 	"factordb/internal/sqlparse"
+	"factordb/internal/world"
 )
+
+// raceEnabled reports a race-detector build (see race_test.go), where
+// allocation counts are not reproducible.
+var raceEnabled bool
 
 // allocBudget reads the named ceilings from testdata/alloc_budget.txt.
 func allocBudget(t *testing.T) map[string]float64 {
@@ -37,45 +42,70 @@ func allocBudget(t *testing.T) map[string]float64 {
 	return budget
 }
 
-// mallocs counts the heap allocations of one call of f. Unlike
-// testing.AllocsPerRun it runs f exactly once: folding a delta twice is
-// not the same work.
-func mallocs(f func()) float64 {
+// measure counts the heap allocations and kilobytes of one call of f.
+// Unlike testing.AllocsPerRun it runs f exactly once: folding a delta
+// twice is not the same work.
+func measure(f func()) (allocs, kB float64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs - before.Mallocs)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc) / 1024
+}
+
+var paperQueries = []struct{ tag, sql string }{
+	{"q1", exp.Query1}, {"q2", exp.Query2}, {"q3", exp.Query3}, {"q4", exp.Query4},
+}
+
+// walkedWorld builds the budget's world: a 5 000-token skip-chain NER
+// system whose chain has walked 20 000 steps off the all-O start, with
+// its change log drained. It returns the log, the chain's sampler and
+// the paper queries bound against the chain's world, in paperQueries
+// order.
+func walkedWorld(tb testing.TB) (*world.ChangeLog, *mcmc.Sampler, []*ra.Bound) {
+	tb.Helper()
+	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	log, proposer, err := sys.NewChainWorld(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sampler := mcmc.NewSampler(proposer, 3)
+	sampler.Run(20000)
+	log.Drain()
+	bounds := make([]*ra.Bound, len(paperQueries))
+	for i, q := range paperQueries {
+		plan, _, err := sqlparse.Compile(q.sql)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if bounds[i], err = ra.Bind(log.DB(), plan); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return log, sampler, bounds
 }
 
 // TestViewAllocBudget is the allocation gate of view maintenance
 // (testdata/alloc_budget.txt): what mounting each paper query costs on a
-// walked 5 000-token world, and what folding one sample's delta costs,
-// through a private tree (NewView) and through a graph (Mount) alike — a
-// view that shares nothing must not pay for the graph. Counts only, so
-// this is a gate, not a trend.
+// walked 5 000-token world, in allocations and in kilobytes, and what
+// folding one sample's delta costs, through a private tree (NewView) and
+// through a graph (Mount) alike — a view that shares nothing must not pay
+// for the graph. Counts only, so this is a gate, not a trend.
 func TestViewAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget gate skipped in -short mode")
 	}
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	budget := allocBudget(t)
-	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, proposer, err := sys.NewChainWorld(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler := mcmc.NewSampler(proposer, 3)
-	sampler.Run(20000) // move off the all-O start
-	log.Drain()
+	log, sampler, bounds := walkedWorld(t)
 
 	const k, samples = 1000, 40
-	queries := []struct{ tag, sql string }{
-		{"q1", exp.Query1}, {"q2", exp.Query2}, {"q3", exp.Query3}, {"q4", exp.Query4},
-	}
 	type mounted struct {
 		how   string
 		view  *ivm.View
@@ -83,30 +113,26 @@ func TestViewAllocBudget(t *testing.T) {
 		fold  float64
 	}
 	views := make(map[string][]*mounted)
-	for _, q := range queries {
-		plan, _, err := sqlparse.Compile(q.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound, err := ra.Bind(log.DB(), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, q := range paperQueries {
 		private, shared := &mounted{how: "NewView"}, &mounted{how: "Graph.Mount", graph: ivm.NewGraph()}
 		for _, m := range []*mounted{private, shared} {
-			got := mallocs(func() {
+			var err error
+			got, kB := measure(func() {
 				if m.graph != nil {
-					m.view, err = m.graph.Mount(bound)
+					m.view, err = m.graph.Mount(bounds[i])
 				} else {
-					m.view, err = ivm.NewView(bound)
+					m.view, err = ivm.NewView(bounds[i])
 				}
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("mount_%s via %s: %v allocs", q.tag, m.how, got)
+			t.Logf("mount_%s via %s: %v allocs, %.2f kB", q.tag, m.how, got, kB)
 			if max := budget["mount_"+q.tag]; got > max {
 				t.Errorf("mounting %s via %s allocates %v, budget %v", q.tag, m.how, got, max)
+			}
+			if max := budget["mount_kb_"+q.tag]; kB > max {
+				t.Errorf("mounting %s via %s allocates %.1f kB, budget %v kB", q.tag, m.how, kB, max)
 			}
 		}
 		views[q.tag] = []*mounted{private, shared}
@@ -116,16 +142,17 @@ func TestViewAllocBudget(t *testing.T) {
 		d := log.Drain()
 		for _, ms := range views {
 			for _, m := range ms {
-				m.fold += mallocs(func() {
+				got, _ := measure(func() {
 					if m.graph != nil {
 						m.graph.NextRound()
 					}
 					m.view.Apply(d)
 				})
+				m.fold += got
 			}
 		}
 	}
-	for _, q := range queries {
+	for _, q := range paperQueries {
 		for _, m := range views[q.tag] {
 			got := m.fold / samples
 			t.Logf("fold_%s via %s: %v allocs per sample", q.tag, m.how, got)
@@ -133,5 +160,33 @@ func TestViewAllocBudget(t *testing.T) {
 				t.Errorf("folding a sample into %s via %s allocates %v, budget %v", q.tag, m.how, got, max)
 			}
 		}
+	}
+}
+
+// BenchmarkViewMount mounts each paper query on the budget test's walked
+// world through a private tree; run it with -benchmem. live-kB is the
+// heap one mounted view keeps alive.
+func BenchmarkViewMount(b *testing.B) {
+	_, _, bounds := walkedWorld(b)
+	for i, q := range paperQueries {
+		b.Run(q.tag, func(b *testing.B) {
+			var view *ivm.View
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				var err error
+				if view, err = ivm.NewView(bounds[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/1024, "live-kB")
+			runtime.KeepAlive(view)
+		})
 	}
 }

@@ -38,14 +38,13 @@ func NewGraph() *Graph {
 // (direct parents plus views rooted here) and, while more than one
 // consumer holds it, per-round output memoization. A node with a single
 // consumer — every node of a view that shares nothing — is transparent:
-// emissions pass straight through, uncopied, with the inner operator's
+// its output passes straight through, uncopied, with the inner operator's
 // ownership, and retaining consumers clone unowned tuples on first
 // insert exactly as they would under a private tree. A shared node
-// records the round's emissions while forwarding them to its first
-// consumer (copying unowned tuples once, into an arena it reuses round
-// after round) and replays the recording to the others. The reference count only changes
-// in Mount and Unmount, which run between rounds, so one round never
-// mixes the two regimes.
+// records the round's output while forwarding it to its first consumer
+// and replays the recording to the others. The reference count only
+// changes in Mount and Unmount, which run between rounds, so one round
+// never mixes the two regimes.
 type graphNode struct {
 	g     *Graph
 	fp    string
@@ -53,41 +52,57 @@ type graphNode struct {
 	kids  []*graphNode
 	refs  int
 	round uint64
+	rec   *recording // built the first time the node runs shared
+}
+
+// recording is a shared node's output for one round. It is the inner
+// operator's consumer while the round is computed, copying unowned
+// tuples once, into an arena it reuses round after round.
+type recording struct {
 	memo  []ra.BagRow
 	arena []relstore.Value // this round's copies of unowned memo tuples
+	clone bool
+	out   consumer // the first consumer of the round
 }
 
 func (n *graphNode) owned() bool { return n.inner.owned() }
 
-func (n *graphNode) init(emit emitFn) error { return n.inner.init(emit) }
+func (n *graphNode) init(out consumer) error { return n.inner.init(out) }
 
 // apply computes the node's output delta once per round. Consumers treat
 // streamed tuples as read-only throughout this package, so sharing the
 // recorded ones is safe.
-func (n *graphNode) apply(d BaseDelta, emit emitFn) {
+func (n *graphNode) apply(d BaseDelta, out consumer) {
 	if n.refs == 1 {
-		n.inner.apply(d, emit)
+		n.inner.apply(d, out)
 		return
 	}
+	if n.rec == nil {
+		n.rec = &recording{}
+	}
+	r := n.rec
 	if n.round == n.g.round {
-		for i := range n.memo {
-			emit(n.memo[i].Tuple, n.memo[i].N)
+		for i := range r.memo {
+			out.push(r.memo[i].Tuple, r.memo[i].N)
 		}
 		return
 	}
-	n.memo, n.arena = n.memo[:0], n.arena[:0]
-	clone := !n.inner.owned()
-	n.inner.apply(d, func(t relstore.Tuple, c int64) {
-		if clone {
-			// Growing the arena leaves earlier copies where they are.
-			mark := len(n.arena)
-			n.arena = append(n.arena, t...)
-			t = n.arena[mark:len(n.arena):len(n.arena)]
-		}
-		n.memo = append(n.memo, ra.BagRow{Tuple: t, N: c})
-		emit(t, c)
-	})
+	r.memo, r.arena = r.memo[:0], r.arena[:0]
+	r.clone, r.out = !n.inner.owned(), out
+	n.inner.apply(d, r)
 	n.round = n.g.round
+}
+
+// push records one item of the round's output and forwards it.
+func (r *recording) push(t relstore.Tuple, c int64) {
+	if r.clone {
+		// Growing the arena leaves earlier copies where they are.
+		mark := len(r.arena)
+		r.arena = append(r.arena, t...)
+		t = r.arena[mark:len(r.arena):len(r.arena)]
+	}
+	r.memo = append(r.memo, ra.BagRow{Tuple: t, N: c})
+	r.out.push(t, c)
 }
 
 // NextRound starts a new delta round. Every mounted view must see the

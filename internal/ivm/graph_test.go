@@ -328,9 +328,9 @@ type countingOp struct {
 	applies int
 }
 
-func (c *countingOp) apply(d BaseDelta, emit emitFn) {
+func (c *countingOp) apply(d BaseDelta, out consumer) {
 	c.applies++
-	c.op.apply(d, emit)
+	c.op.apply(d, out)
 }
 
 // TestGraphSharedUnownedSubtreeRunsOncePerRound mounts three views over
@@ -395,18 +395,18 @@ type canaryOp struct {
 
 func (c *canaryOp) owned() bool { return false }
 
-func (c *canaryOp) hostile(emit emitFn) emitFn {
-	return func(t relstore.Tuple, n int64) {
+func (c *canaryOp) hostile(out consumer) consumer {
+	return pushFunc(func(t relstore.Tuple, n int64) {
 		c.buf = append(c.buf[:0], t...)
-		emit(c.buf, n)
+		out.push(c.buf, n)
 		for i := range c.buf {
 			c.buf[i] = relstore.String("canary")
 		}
-	}
+	})
 }
 
-func (c *canaryOp) init(emit emitFn) error         { return c.op.init(c.hostile(emit)) }
-func (c *canaryOp) apply(d BaseDelta, emit emitFn) { c.op.apply(d, c.hostile(emit)) }
+func (c *canaryOp) init(out consumer) error         { return c.op.init(c.hostile(out)) }
+func (c *canaryOp) apply(d BaseDelta, out consumer) { c.op.apply(d, c.hostile(out)) }
 
 // canaryCompile builds a private operator tree with a canary above every
 // operator.

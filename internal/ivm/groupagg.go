@@ -34,7 +34,9 @@ type groupState struct {
 // groupAggOp maintains per-group aggregate state and emits −old/+new
 // output rows for groups touched by a delta. Emitted rows are freshly
 // built (or previously emitted) tuples, never scratch, so the operator
-// owns its output.
+// owns its output. It consumes its child's delta stream itself, queueing
+// the groups each item touches; during init, which emits every group
+// anyway, it consumes as groupAggFill, which only folds.
 type groupAggOp struct {
 	b       *ra.Bound
 	child   op
@@ -44,42 +46,45 @@ type groupAggOp struct {
 	kbuf    []byte
 }
 
+type groupAggFill groupAggOp
+
 func newGroupAggOp(b *ra.Bound, child op) *groupAggOp {
 	return &groupAggOp{b: b, child: child, global: len(b.GroupIdx) == 0}
 }
 
 func (o *groupAggOp) owned() bool { return true }
 
-func (o *groupAggOp) init(emit emitFn) error {
+func (o *groupAggOp) init(out consumer) error {
 	o.groups = make(map[string]*groupState)
 	o.touched = o.touched[:0]
-	err := o.child.init(func(t relstore.Tuple, n int64) {
-		o.fold(o.group(t), t, n)
-	})
-	if err != nil {
+	if err := o.child.init((*groupAggFill)(o)); err != nil {
 		return err
 	}
 	if o.global {
 		o.group(nil) // ensure the global group exists even over empty input
 	}
-	for _, g := range o.groups {
-		if row := o.computeRow(g); row != nil {
-			g.lastRow = row
-			emit(row, 1)
+	// The same rule as apply: a group whose input nets to zero (possible
+	// below an EXCEPT) has no row and no state.
+	for k, g := range o.groups {
+		switch {
+		case g.total > 0 || o.global:
+			if g.lastRow = o.computeRow(g); g.lastRow != nil {
+				out.push(g.lastRow, 1)
+			}
+		case g.total == 0:
+			delete(o.groups, k)
 		}
 	}
 	return nil
 }
 
-func (o *groupAggOp) apply(d BaseDelta, emit emitFn) {
-	o.child.apply(d, func(t relstore.Tuple, n int64) {
-		g := o.group(t)
-		if !g.touched {
-			g.touched = true
-			o.touched = append(o.touched, g)
-		}
-		o.fold(g, t, n)
-	})
+func (f *groupAggFill) push(t relstore.Tuple, n int64) {
+	o := (*groupAggOp)(f)
+	o.fold(o.group(t), t, n)
+}
+
+func (o *groupAggOp) apply(d BaseDelta, out consumer) {
+	o.child.apply(d, o)
 	for i, g := range o.touched {
 		o.touched[i] = nil // drain the reused queue as it is processed
 		g.touched = false
@@ -89,10 +94,10 @@ func (o *groupAggOp) apply(d BaseDelta, emit emitFn) {
 			newRow = o.computeRow(g)
 		}
 		if oldRow != nil {
-			emit(oldRow, -1)
+			out.push(oldRow, -1)
 		}
 		if newRow != nil {
-			emit(newRow, 1)
+			out.push(newRow, 1)
 		}
 		g.lastRow = newRow
 		if g.total == 0 && !o.global {
@@ -100,6 +105,15 @@ func (o *groupAggOp) apply(d BaseDelta, emit emitFn) {
 		}
 	}
 	o.touched = o.touched[:0]
+}
+
+func (o *groupAggOp) push(t relstore.Tuple, n int64) {
+	g := o.group(t)
+	if !g.touched {
+		g.touched = true
+		o.touched = append(o.touched, g)
+	}
+	o.fold(g, t, n)
 }
 
 // group returns the state of input's group, creating it on first sight;

@@ -18,13 +18,21 @@
 // never to the base relations.
 //
 // Deltas flow between operators as push streams: an operator hands each
-// changed (tuple, signed count) pair to its parent's emit callback the
+// changed (tuple, signed count) pair to its parent's push method the
 // moment it is produced, so a maintenance round allocates no intermediate
 // bags between operators — the same item may even arrive split across
-// several emissions and consumers fold signed counts. Mirroring the
-// streaming evaluator (package ra), each operator declares via owned
-// whether its emissions are stable or scratch; retaining consumers clone
-// only unowned tuples, and only when first storing them.
+// several pushes and consumers fold signed counts. Every operator is its
+// children's consumer through its own pointer, so wiring a stream builds
+// no closure. An operator that consumes in two ways (a join's or a
+// difference's two inputs, a group-agg's init) does so through pointer
+// conversions to one named type per way.
+//
+// Mirroring the streaming evaluator (package ra), each operator declares
+// via owned whether its pushed tuples are stable or scratch. Retaining
+// consumers never keep an unowned tuple: difference and distinct state,
+// the top-k buffer and the view result clone it on first insert, a
+// shared graph node's recording copies it into an arena, and a join side
+// copies every row into its own slot table (join.go).
 package ivm
 
 import (
@@ -74,31 +82,36 @@ func (d BaseDelta) Empty() bool {
 	return true
 }
 
-// emitFn receives one streamed (tuple, signed count) pair. The same
-// logical tuple may arrive split across several calls; receivers fold.
-// Unless the producing operator reports owned()==true the tuple is only
-// valid for the duration of the call.
-type emitFn func(t relstore.Tuple, n int64)
+// consumer receives one streamed (tuple, signed count) pair per push. The
+// same logical tuple may arrive split across several pushes; consumers
+// fold. Unless the producing operator reports owned()==true the tuple is
+// only valid for the duration of the call.
+type consumer interface {
+	push(t relstore.Tuple, n int64)
+}
 
-// op is one stateful delta operator.
+// op is one stateful delta operator. An operator that forwards its
+// children's pushes remembers out for the duration of the call; calls on
+// one operator never nest.
 type op interface {
 	// init fully evaluates the subtree, setting up internal state, and
-	// streams the current output through emit.
-	init(emit emitFn) error
+	// streams the current output to out.
+	init(out consumer) error
 	// apply pushes a base delta through the subtree, streaming the signed
-	// output delta through emit.
-	apply(d BaseDelta, emit emitFn)
-	// owned reports whether emitted tuples are stable beyond the emit
+	// output delta to out.
+	apply(d BaseDelta, out consumer)
+	// owned reports whether pushed tuples are stable beyond the push
 	// call; operators that reuse an output buffer report false and
 	// retaining consumers clone.
 	owned() bool
 }
 
 // View is a materialized query answer kept consistent with the base
-// relations under a stream of deltas.
+// relations under a stream of deltas. It is its root operator's consumer.
 type View struct {
 	root   op
 	result *ra.Bag
+	clone  bool // the root's tuples are scratch
 	kbuf   []byte
 }
 
@@ -116,32 +129,26 @@ func NewView(b *ra.Bound) (*View, error) {
 // newViewFrom materializes the initial answer from the operator tree's
 // init stream.
 func newViewFrom(root op, schema *ra.RowSchema) (*View, error) {
-	v := &View{root: root, result: ra.NewBag(schema)}
-	clone := !root.owned()
-	err := root.init(func(t relstore.Tuple, n int64) {
-		v.kbuf = t.AppendKey(v.kbuf[:0])
-		v.result.AddKeyedBytes(v.kbuf, t, n, clone)
-	})
-	if err != nil {
+	v := &View{root: root, result: ra.NewBag(schema), clone: !root.owned()}
+	if err := root.init(v); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+func (v *View) push(t relstore.Tuple, n int64) {
+	v.kbuf = t.AppendKey(v.kbuf[:0])
+	v.result.AddKeyedBytes(v.kbuf, t, n, v.clone)
 }
 
 // Result returns the current materialized answer. The caller must treat it
 // as read-only; it remains valid (and current) across Apply calls.
 func (v *View) Result() *ra.Bag { return v.result }
 
-// Apply folds a base delta into the view: the root's emissions stream
+// Apply folds a base delta into the view: the root's output streams
 // straight into the maintained result, and no bag exists per operator or
 // per call. Callers read the answer from Result.
-func (v *View) Apply(d BaseDelta) {
-	clone := !v.root.owned()
-	v.root.apply(d, func(t relstore.Tuple, n int64) {
-		v.kbuf = t.AppendKey(v.kbuf[:0])
-		v.result.AddKeyedBytes(v.kbuf, t, n, clone)
-	})
-}
+func (v *View) Apply(d BaseDelta) { v.root.apply(d, v) }
 
 // childCompiler turns a bound subtree into its delta operator. Private
 // views compile children with plain recursion; a Graph routes children
@@ -168,7 +175,7 @@ func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &projectOp{b: b, child: child}, nil
+		return &projectOp{b: b, child: child, buf: make(relstore.Tuple, len(b.ProjIdx))}, nil
 	case ra.KJoin:
 		left, err := cc(b.Children[0])
 		if err != nil {
@@ -220,24 +227,24 @@ func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 // that need current contents (joins) maintain their own. Neither kind of
 // row outlives its emit: the store scans through one scratch tuple, and
 // a delta's tuples belong to the change log that drained it, until its
-// next Drain. So scans do not own their emissions.
+// next Drain. So scans do not own their output.
 type scanOp struct {
 	b *ra.Bound
 }
 
 func (o *scanOp) owned() bool { return false }
 
-func (o *scanOp) init(emit emitFn) error {
+func (o *scanOp) init(out consumer) error {
 	o.b.Rel.Scan(func(_ relstore.RowID, t relstore.Tuple) bool {
-		emit(t, 1)
+		out.push(t, 1)
 		return true
 	})
 	return nil
 }
 
-func (o *scanOp) apply(d BaseDelta, emit emitFn) {
+func (o *scanOp) apply(d BaseDelta, out consumer) {
 	for _, r := range d[o.b.Table] {
-		emit(r.Tuple, r.N)
+		out.push(r.Tuple, r.N)
 	}
 }
 
@@ -246,54 +253,53 @@ func (o *scanOp) apply(d BaseDelta, emit emitFn) {
 type selectOp struct {
 	b     *ra.Bound
 	child op
+	out   consumer
 }
 
 func (o *selectOp) owned() bool { return o.child.owned() }
 
-func (o *selectOp) init(emit emitFn) error {
-	return o.child.init(o.filter(emit))
+func (o *selectOp) init(out consumer) error {
+	o.out = out
+	return o.child.init(o)
 }
 
-func (o *selectOp) apply(d BaseDelta, emit emitFn) {
-	o.child.apply(d, o.filter(emit))
+func (o *selectOp) apply(d BaseDelta, out consumer) {
+	o.out = out
+	o.child.apply(d, o)
 }
 
-func (o *selectOp) filter(emit emitFn) emitFn {
-	return func(t relstore.Tuple, n int64) {
-		if o.b.Pred.Eval(t).AsBool() {
-			emit(t, n)
-		}
+func (o *selectOp) push(t relstore.Tuple, n int64) {
+	if o.b.Pred.Eval(t).AsBool() {
+		o.out.push(t, n)
 	}
 }
 
 // ---- project ----
 
 // projectOp rewrites rows through one reused scratch buffer, so its
-// emissions are never owned.
+// output is never owned.
 type projectOp struct {
 	b     *ra.Bound
 	child op
+	out   consumer
 	buf   relstore.Tuple
 }
 
 func (o *projectOp) owned() bool { return false }
 
-func (o *projectOp) init(emit emitFn) error {
-	return o.child.init(o.project(emit))
+func (o *projectOp) init(out consumer) error {
+	o.out = out
+	return o.child.init(o)
 }
 
-func (o *projectOp) apply(d BaseDelta, emit emitFn) {
-	o.child.apply(d, o.project(emit))
+func (o *projectOp) apply(d BaseDelta, out consumer) {
+	o.out = out
+	o.child.apply(d, o)
 }
 
-func (o *projectOp) project(emit emitFn) emitFn {
-	if o.buf == nil {
-		o.buf = make(relstore.Tuple, len(o.b.ProjIdx))
+func (o *projectOp) push(t relstore.Tuple, n int64) {
+	for i, j := range o.b.ProjIdx {
+		o.buf[i] = t[j]
 	}
-	return func(t relstore.Tuple, n int64) {
-		for i, j := range o.b.ProjIdx {
-			o.buf[i] = t[j]
-		}
-		emit(o.buf, n)
-	}
+	o.out.push(o.buf, n)
 }

@@ -92,6 +92,11 @@ func checkAgainstFullEval(t *testing.T, plan ra.Plan, seed int64, rows, batches,
 	}
 }
 
+// pushFunc adapts a function to the consumer interface.
+type pushFunc func(t relstore.Tuple, n int64)
+
+func (f pushFunc) push(t relstore.Tuple, n int64) { f(t, n) }
+
 func dump(b *ra.Bag) []string {
 	var out []string
 	for _, r := range b.Rows() {
@@ -175,17 +180,23 @@ func TestPrunedJoinSideKeepsKeyCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	join := view.root.(*projectOp).child.(*selectOp).child.(*joinOp)
-	if len(join.ls.buckets) != rows/perDoc {
-		t.Fatalf("token side holds %d join keys, want one per document (%d)", len(join.ls.buckets), rows/perDoc)
+	side := &join.ls
+	if side.byKey.n != rows/perDoc {
+		t.Fatalf("token side holds %d join keys, want one per document (%d)", side.byKey.n, rows/perDoc)
 	}
-	for _, bucket := range join.ls.buckets {
-		if len(bucket) != 1 {
-			t.Fatalf("a document's token side holds %d rows, want 1", len(bucket))
+	for _, c := range side.byKey.cells {
+		if c.ref == 0 {
+			continue
 		}
-		for _, r := range bucket {
-			if len(r.Tuple) != 1 || r.N != perDoc {
-				t.Fatalf("token side row %v x%d, want (DOC_ID) x%d", r.Tuple, r.N, perDoc)
-			}
+		var chain []int32
+		for i := c.ref - 1; i >= 0; i = side.slot(i).next {
+			chain = append(chain, i)
+		}
+		if len(chain) != 1 {
+			t.Fatalf("a document's token side holds %d rows, want 1", len(chain))
+		}
+		if r, n := side.tuple(chain[0]), side.slot(chain[0]).n; len(r) != 1 || n != perDoc {
+			t.Fatalf("token side row %v x%d, want (DOC_ID) x%d", r, n, perDoc)
 		}
 	}
 	d := NewBaseDelta()
@@ -194,7 +205,7 @@ func TestPrunedJoinSideKeepsKeyCounts(t *testing.T) {
 		flipLabel(rng, tok, ids, d)
 	}
 	emitted := 0
-	join.apply(d, func(relstore.Tuple, int64) { emitted++ })
+	join.apply(d, pushFunc(func(relstore.Tuple, int64) { emitted++ }))
 	if emitted > 4 {
 		t.Errorf("one label flip moved %d rows through the join, want at most 4", emitted)
 	}

@@ -14,16 +14,16 @@ type unionOp struct {
 
 func (o *unionOp) owned() bool { return o.left.owned() && o.right.owned() }
 
-func (o *unionOp) init(emit emitFn) error {
-	if err := o.left.init(emit); err != nil {
+func (o *unionOp) init(out consumer) error {
+	if err := o.left.init(out); err != nil {
 		return err
 	}
-	return o.right.init(emit)
+	return o.right.init(out)
 }
 
-func (o *unionOp) apply(d BaseDelta, emit emitFn) {
-	o.left.apply(d, emit)
-	o.right.apply(d, emit)
+func (o *unionOp) apply(d BaseDelta, out consumer) {
+	o.left.apply(d, out)
+	o.right.apply(d, out)
 }
 
 // diffOp maintains both input bags because monus (max(0, l−r)) is not
@@ -32,13 +32,21 @@ func (o *unionOp) apply(d BaseDelta, emit emitFn) {
 // applied to the maintained state immediately and the resulting output
 // change emitted; summed per key the per-item emissions telescope to the
 // exact batch difference, so no input buffering is needed even when one
-// key's changes arrive split across many emissions.
+// key's changes arrive split across many emissions. The inputs' consumers
+// are the operator itself as diffLeft and diffRight.
 type diffOp struct {
-	b           *ra.Bound
-	left, right op
-	ls, rs      *ra.Bag
-	kbuf        []byte
+	b              *ra.Bound
+	left, right    op
+	ls, rs         *ra.Bag
+	cloneL, cloneR bool
+	out            consumer
+	kbuf           []byte
 }
+
+type (
+	diffLeft  diffOp
+	diffRight diffOp
+)
 
 func (o *diffOp) owned() bool { return o.left.owned() && o.right.owned() }
 
@@ -51,45 +59,41 @@ func monus(l, r int64) int64 {
 
 // change folds one signed input item into the maintained side states and
 // emits the induced output change.
-func (o *diffOp) change(t relstore.Tuple, dl, dr int64, clone bool, emit emitFn) {
+func (o *diffOp) change(t relstore.Tuple, dl, dr int64) {
 	o.kbuf = t.AppendKey(o.kbuf[:0])
 	l, r := o.ls.CountBytes(o.kbuf), o.rs.CountBytes(o.kbuf)
 	oldN := monus(l, r)
 	newN := monus(l+dl, r+dr)
 	if dl != 0 {
-		o.ls.AddKeyedBytes(o.kbuf, t, dl, clone)
+		o.ls.AddKeyedBytes(o.kbuf, t, dl, o.cloneL)
 	}
 	if dr != 0 {
-		o.rs.AddKeyedBytes(o.kbuf, t, dr, clone)
+		o.rs.AddKeyedBytes(o.kbuf, t, dr, o.cloneR)
 	}
 	if diff := newN - oldN; diff != 0 {
-		emit(t, diff)
+		o.out.push(t, diff)
 	}
 }
 
-func (o *diffOp) init(emit emitFn) error {
+func (l *diffLeft) push(t relstore.Tuple, n int64)  { (*diffOp)(l).change(t, n, 0) }
+func (r *diffRight) push(t relstore.Tuple, n int64) { (*diffOp)(r).change(t, 0, n) }
+
+func (o *diffOp) init(out consumer) error {
 	o.ls, o.rs = ra.NewBag(o.b.Schema), ra.NewBag(o.b.Schema)
-	cloneL, cloneR := !o.left.owned(), !o.right.owned()
+	o.cloneL, o.cloneR = !o.left.owned(), !o.right.owned()
+	o.out = out
 	// Initialization is delta application against empty state: left items
 	// raise the output, right items emit corrections where they overlap.
-	if err := o.left.init(func(t relstore.Tuple, n int64) {
-		o.change(t, n, 0, cloneL, emit)
-	}); err != nil {
+	if err := o.left.init((*diffLeft)(o)); err != nil {
 		return err
 	}
-	return o.right.init(func(t relstore.Tuple, n int64) {
-		o.change(t, 0, n, cloneR, emit)
-	})
+	return o.right.init((*diffRight)(o))
 }
 
-func (o *diffOp) apply(d BaseDelta, emit emitFn) {
-	cloneL, cloneR := !o.left.owned(), !o.right.owned()
-	o.left.apply(d, func(t relstore.Tuple, n int64) {
-		o.change(t, n, 0, cloneL, emit)
-	})
-	o.right.apply(d, func(t relstore.Tuple, n int64) {
-		o.change(t, 0, n, cloneR, emit)
-	})
+func (o *diffOp) apply(d BaseDelta, out consumer) {
+	o.out = out
+	o.left.apply(d, (*diffLeft)(o))
+	o.right.apply(d, (*diffRight)(o))
 }
 
 // distinctOp maintains its input bag; the output toggles between 0 and 1
@@ -99,38 +103,37 @@ type distinctOp struct {
 	b     *ra.Bound
 	child op
 	state *ra.Bag
+	clone bool
+	out   consumer
 	kbuf  []byte
 }
 
 func (o *distinctOp) owned() bool { return o.child.owned() }
 
-func (o *distinctOp) toggle(t relstore.Tuple, n int64, clone bool, emit emitFn) {
+func (o *distinctOp) push(t relstore.Tuple, n int64) {
 	if n == 0 {
 		return
 	}
 	o.kbuf = t.AppendKey(o.kbuf[:0])
 	c := o.state.CountBytes(o.kbuf)
 	before, after := c > 0, c+n > 0
-	o.state.AddKeyedBytes(o.kbuf, t, n, clone)
+	o.state.AddKeyedBytes(o.kbuf, t, n, o.clone)
 	switch {
 	case !before && after:
-		emit(t, 1)
+		o.out.push(t, 1)
 	case before && !after:
-		emit(t, -1)
+		o.out.push(t, -1)
 	}
 }
 
-func (o *distinctOp) init(emit emitFn) error {
+func (o *distinctOp) init(out consumer) error {
 	o.state = ra.NewBag(o.b.Schema)
-	clone := !o.child.owned()
-	return o.child.init(func(t relstore.Tuple, n int64) {
-		o.toggle(t, n, clone, emit)
-	})
+	o.clone = !o.child.owned()
+	o.out = out
+	return o.child.init(o)
 }
 
-func (o *distinctOp) apply(d BaseDelta, emit emitFn) {
-	clone := !o.child.owned()
-	o.child.apply(d, func(t relstore.Tuple, n int64) {
-		o.toggle(t, n, clone, emit)
-	})
+func (o *distinctOp) apply(d BaseDelta, out consumer) {
+	o.out = out
+	o.child.apply(d, o)
 }

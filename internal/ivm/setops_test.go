@@ -37,6 +37,22 @@ func TestViewDiffSelfCancelling(t *testing.T) {
 	checkAgainstFullEval(t, ra.NewDiff(perProject("A"), perProject("B")), 35, 32, 30, 3)
 }
 
+// countByString groups an EXCEPT's output by STRING. Both inputs project
+// STRING, so the difference keeps the left alias's column name.
+func countByString(diff ra.Plan) ra.Plan {
+	return ra.NewGroupAgg(diff, []ra.ColRef{ra.C("A", "STRING")}, ra.Agg{Fn: ra.FnCount, As: "N"})
+}
+
+func TestViewGroupAggOverSelfCancellingDiff(t *testing.T) {
+	// Every group's input nets to zero, so the view must stay empty from
+	// its initial evaluation on: no (key, COUNT 0) rows.
+	checkAgainstFullEval(t, countByString(ra.NewDiff(perProject("A"), perProject("B"))), 41, 48, 25, 4)
+}
+
+func TestViewGroupAggOverDiff(t *testing.T) {
+	checkAgainstFullEval(t, countByString(ra.NewDiff(perProject("A"), orgProject("B"))), 43, 48, 25, 4)
+}
+
 func TestViewDistinct(t *testing.T) {
 	checkAgainstFullEval(t, ra.NewDistinct(perProject("A")), 37, 48, 30, 4)
 }

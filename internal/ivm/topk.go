@@ -33,6 +33,7 @@ type orderLimitOp struct {
 	entries map[string]*olEntry
 	sorted  []*olEntry // entries with n > 0, ascending in sort order
 	emitted *ra.Bag    // last emitted top-k output
+	clone   bool       // the child's tuples are scratch
 	kbuf    []byte
 }
 
@@ -51,57 +52,51 @@ func (o *orderLimitOp) less(a, b *olEntry) bool {
 	return a.key < b.key
 }
 
-func (o *orderLimitOp) init(emit emitFn) error {
+func (o *orderLimitOp) init(out consumer) error {
 	o.entries = make(map[string]*olEntry)
 	o.sorted = o.sorted[:0]
-	clone := !o.child.owned()
-	err := o.child.init(func(t relstore.Tuple, n int64) {
-		o.upsert(t, n, clone)
-	})
-	if err != nil {
+	o.clone = !o.child.owned()
+	if err := o.child.init(o); err != nil {
 		return err
 	}
 	o.emitted = o.topK()
 	o.emitted.Each(func(_ string, r *ra.BagRow) bool {
-		emit(r.Tuple, r.N)
+		out.push(r.Tuple, r.N)
 		return true
 	})
 	return nil
 }
 
-func (o *orderLimitOp) apply(d BaseDelta, emit emitFn) {
-	clone := !o.child.owned()
-	o.child.apply(d, func(t relstore.Tuple, n int64) {
-		o.upsert(t, n, clone)
-	})
+func (o *orderLimitOp) apply(d BaseDelta, out consumer) {
+	o.child.apply(d, o)
 	newOut := o.topK()
 	newOut.Each(func(k string, r *ra.BagRow) bool {
 		if d := r.N - o.emitted.Count(k); d != 0 {
-			emit(r.Tuple, d)
+			out.push(r.Tuple, d)
 		}
 		return true
 	})
 	o.emitted.Each(func(k string, r *ra.BagRow) bool {
 		if newOut.Count(k) == 0 {
-			emit(r.Tuple, -r.N)
+			out.push(r.Tuple, -r.N)
 		}
 		return true
 	})
 	o.emitted = newOut
 }
 
-// upsert folds a signed multiplicity change for one distinct row into the
+// push folds a signed multiplicity change for one distinct row into the
 // multiset, keeping the ordered buffer in step. Entries whose net count
 // drops to or below zero leave the buffer (a transiently negative count
 // is retained in the map so a later matching insertion restores it).
-func (o *orderLimitOp) upsert(t relstore.Tuple, dn int64, clone bool) {
+func (o *orderLimitOp) push(t relstore.Tuple, dn int64) {
 	if dn == 0 {
 		return
 	}
 	o.kbuf = t.AppendKey(o.kbuf[:0])
 	e, ok := o.entries[string(o.kbuf)]
 	if !ok {
-		if clone {
+		if o.clone {
 			t = t.Clone()
 		}
 		e = &olEntry{key: string(o.kbuf), tuple: t, n: dn}
