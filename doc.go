@@ -262,11 +262,10 @@
 // prefix. The write that crosses a threshold fixes the checkpoint: the
 // durable world is cloned at its epoch and the counts restart there,
 // and only the encoding and file writes run in the background, so which
-// writes each checkpoint covers never depends on timing. After recovery the restored write epoch is observable at
-// DB.WriteEpoch and /healthz write_epoch, and a served engine walks a
-// burn-in before answering so marginals re-equilibrate around the
-// recovered evidence. Coref materializes worlds per chain and has no
-// durable prototype world; WithDataDir on it fails with ErrRecovery.
+// writes each checkpoint covers never depends on timing. After recovery
+// the restored write epoch is observable at DB.WriteEpoch and /healthz
+// write_epoch, and a served engine walks a burn-in before answering so
+// marginals re-equilibrate around the recovered evidence.
 //
 // # Plan IR: canonical form and fingerprints
 //

@@ -3,14 +3,12 @@ package factordb
 import (
 	"fmt"
 
-	"factordb/internal/relstore"
 	"factordb/internal/serve"
 	"factordb/internal/store"
 )
 
 // ErrRecovery marks durable-storage failures surfaced through the public
-// API: a data directory that cannot be opened or recovered at Open, a
-// workload with no durable prototype world opened with WithDataDir, and
+// API: a data directory that cannot be opened or recovered at Open, and
 // a WAL append that fails mid-Exec (the write is vetoed). Match it with
 // errors.Is; the wrapped message carries the store-level detail.
 var ErrRecovery = serve.ErrWAL
@@ -37,8 +35,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return store.ParseFsyncPo
 // dir and every committed write is appended to a write-ahead log there,
 // so reopening the same directory recovers the evidence — and the write
 // epoch — a crash or restart interrupted. The directory is created if
-// missing. Only workloads with a durable prototype world support this
-// (NER does; coref materializes worlds per chain and does not).
+// missing.
 func WithDataDir(dir string) Option { return func(o *options) { o.store.Dir = dir } }
 
 // WithFsync sets the WAL sync policy (default FsyncInterval). Ignored
@@ -54,26 +51,14 @@ func WithCheckpointEvery(ops, bytes int64) Option {
 	return func(o *options) { o.store.CheckpointOps, o.store.CheckpointBytes = ops, bytes }
 }
 
-// durableSystem is the system capability durability requires: access to
-// the prototype world for seeding and the ability to swap in a recovered
-// copy before any chain is cloned.
-type durableSystem interface {
-	WorldDB() *relstore.DB
-	RestoreWorld(db *relstore.DB)
-}
-
 // openDurability opens (or initializes) the data directory and installs
 // the recovered world into the system. Returns nil when durability is
 // not requested. On return the system's prototype world reflects every
 // record the log could prove, and the caller must resume the epoch
 // sequence at rec.Epoch.
-func openDurability(o store.Options, sys system, name string) (*store.DiskStore, error) {
+func openDurability(o store.Options, sys system) (*store.DiskStore, error) {
 	if o.Dir == "" {
 		return nil, nil
-	}
-	ds, ok := sys.(durableSystem)
-	if !ok {
-		return nil, fmt.Errorf("%w: the %s workload has no durable prototype world", ErrRecovery, name)
 	}
 	st, err := store.Open(o)
 	if err != nil {
@@ -83,7 +68,7 @@ func openDurability(o store.Options, sys system, name string) (*store.DiskStore,
 	if rec.Fresh {
 		// First open of this directory: the freshly built world is the
 		// base snapshot every later recovery starts from.
-		if err := st.Seed(ds.WorldDB(), 0); err != nil {
+		if err := st.Seed(sys.WorldDB(), 0); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("%w: seeding %s: %v", ErrRecovery, o.Dir, err)
 		}
@@ -94,7 +79,7 @@ func openDurability(o store.Options, sys system, name string) (*store.DiskStore,
 		st.Close()
 		return nil, fmt.Errorf("%w: %s recovered no world", ErrRecovery, o.Dir)
 	}
-	ds.RestoreWorld(w)
+	sys.RestoreWorld(w)
 	return st, nil
 }
 

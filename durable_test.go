@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -34,12 +33,8 @@ func durableNER() Model {
 // worldBytes snapshots the DB's prototype world for byte-identity checks.
 func worldBytes(t *testing.T, db *DB) []byte {
 	t.Helper()
-	ds, ok := db.sys.(durableSystem)
-	if !ok {
-		t.Fatal("system is not durable")
-	}
 	var buf bytes.Buffer
-	if err := ds.WorldDB().Dump(&buf); err != nil {
+	if err := db.sys.WorldDB().Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -227,11 +222,52 @@ func TestDurabilityEndpointFields(t *testing.T) {
 	}
 }
 
-// TestCorefDataDirRefused: a workload with no durable prototype world
-// must refuse durability loudly at Open, not lose writes silently.
-func TestCorefDataDirRefused(t *testing.T) {
-	_, err := Open(Coref(CorefConfig{}), WithDataDir(t.TempDir()))
-	if !errors.Is(err, ErrRecovery) {
-		t.Fatalf("coref with data dir: %v, want ErrRecovery", err)
+// TestCorefDurableReopen: the entity-resolution workload keeps the same
+// durable contract as NER — a local write survives close and reopen with
+// its epoch, its evidence and a byte-identical prototype world.
+func TestCorefDurableReopen(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	db, err := Open(Coref(CorefConfig{}), durableOpts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec(ctx, `UPDATE MENTION SET STRING = 'REVISED' WHERE MENTION_ID = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsAffected != 1 {
+		t.Fatalf("exec result %+v, want 1 row affected", res)
+	}
+	want := worldBytes(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(Coref(CorefConfig{}), durableOpts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.WriteEpoch(); got != 1 {
+		t.Fatalf("recovered write epoch %d, want 1", got)
+	}
+	rows, err := re.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2`, Samples(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var s string
+	if !rows.Next() {
+		t.Fatal("recovered evidence query returned no tuples")
+	}
+	if err := rows.Scan(&s); err != nil {
+		t.Fatal(err)
+	}
+	if s != "REVISED" || rows.Prob() != 1 {
+		t.Errorf("recovered evidence (%q, %v), want (REVISED, 1)", s, rows.Prob())
+	}
+	if !bytes.Equal(worldBytes(t, re), want) {
+		t.Fatal("recovered prototype world differs from the world at close")
 	}
 }

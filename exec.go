@@ -6,13 +6,6 @@ import (
 	"factordb/internal/serve"
 )
 
-// ErrReadOnly is returned by Exec when the opened workload cannot absorb
-// writes under the current mode. The local modes (naive, materialized)
-// need a durable prototype world to mutate; a workload that materializes
-// worlds per query — coref — only supports writes in served mode, where
-// the chain worlds live for the engine's lifetime.
-var ErrReadOnly = serve.ErrReadOnly
-
 // ExecResult reports one committed DML mutation: rows affected, the data
 // epoch after the commit, the world copies it landed on, the commit time
 // and, when opted in, the write's trace.

@@ -215,7 +215,7 @@ func Open(model Model, opts ...Option) (*DB, error) {
 	// Recovery happens before any chain is cloned: openDurability swaps
 	// the recovered world into the system, so every world cloned below
 	// carries post-replay evidence.
-	st, err := openDurability(o.store, sys, db.name)
+	st, err := openDurability(o.store, sys)
 	if err != nil {
 		return nil, err
 	}

@@ -417,8 +417,6 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrBadQuery):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrReadOnly):
-		return http.StatusNotImplemented
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):

@@ -383,7 +383,7 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 	// keys of the newest slow_query record of each kind plus the newest
 	// write.audit record, keyed "slow_query/query", "write.audit", ...
 	type keySets map[string]string
-	check := func(t *testing.T, db *DB, buf *syncBuffer, table, key string, canExec bool) keySets {
+	check := func(t *testing.T, db *DB, buf *syncBuffer, table, key string) keySets {
 		t.Helper()
 		ctx := context.Background()
 		rows, err := db.Query(ctx, `SELECT STRING FROM `+table+` WHERE `+key+` = 0`, Samples(2), NoCache())
@@ -391,10 +391,8 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows.Close()
-		if canExec {
-			if _, err := db.Exec(ctx, `UPDATE `+table+` SET STRING = 'SLOW' WHERE `+key+` = 0`); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := db.Exec(ctx, `UPDATE `+table+` SET STRING = 'SLOW' WHERE `+key+` = 0`); err != nil {
+			t.Fatal(err)
 		}
 		keys := keySets{}
 		keysOf := func(r map[string]any) string {
@@ -458,19 +456,17 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 		if !kinds["query"] {
 			t.Errorf("no query-kind slow_query record (kinds %v)", kinds)
 		}
-		if canExec {
-			if !kinds["exec"] {
-				t.Errorf("no exec-kind slow_query record (kinds %v)", kinds)
-			}
-			audits := recordsOf(recs, "write.audit")
-			if len(audits) == 0 {
-				t.Fatal("write left no write.audit record")
-			}
-			a := audits[len(audits)-1]
-			keys["write.audit"] = keysOf(a)
-			if a["outcome"] != "ok" || a["rows_affected"].(float64) != 1 || a["epoch"].(float64) < 1 {
-				t.Errorf("write.audit record = %v, want ok/1 row/epoch >= 1", a)
-			}
+		if !kinds["exec"] {
+			t.Errorf("no exec-kind slow_query record (kinds %v)", kinds)
+		}
+		audits := recordsOf(recs, "write.audit")
+		if len(audits) == 0 {
+			t.Fatal("write left no write.audit record")
+		}
+		a := audits[len(audits)-1]
+		keys["write.audit"] = keysOf(a)
+		if a["outcome"] != "ok" || a["rows_affected"].(float64) != 1 || a["epoch"].(float64) < 1 {
+			t.Errorf("write.audit record = %v, want ok/1 row/epoch >= 1", a)
 		}
 		return keys
 	}
@@ -479,12 +475,12 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 		buf := &syncBuffer{}
 		db := openCorefDB(t, WithMode(ModeServed), WithChains(1),
 			WithLogger(jsonLogger(buf)), WithSlowQueryLog(time.Nanosecond))
-		served = check(t, db, buf, "MENTION", "MENTION_ID", true)
+		served = check(t, db, buf, "MENTION", "MENTION_ID")
 	})
 	t.Run("local", func(t *testing.T) {
 		buf := &syncBuffer{}
 		db := openCorefDB(t, WithLogger(jsonLogger(buf)), WithSlowQueryLog(time.Nanosecond))
-		check(t, db, buf, "MENTION", "MENTION_ID", false) // local coref is read-only
+		check(t, db, buf, "MENTION", "MENTION_ID")
 	})
 	t.Run("localWrite", func(t *testing.T) {
 		buf := &syncBuffer{}
@@ -494,7 +490,7 @@ func TestSlowQueryLogAndAudit(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		got := check(t, db, buf, "TOKEN", "TOK_ID", true)
+		got := check(t, db, buf, "TOKEN", "TOK_ID")
 		for rec, want := range served {
 			if got[rec] != want {
 				t.Errorf("%s keys under ModeMaterialized = [%s], served logs [%s]", rec, got[rec], want)

@@ -10,10 +10,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Mention is one observed mention string; Gold is the identifier of the
-// true underlying entity (used for evaluation and SampleRank training).
+// true underlying entity (used for evaluation: PairwiseF1).
 type Mention struct {
 	ID   int
 	Str  string
@@ -134,13 +135,14 @@ func (s *State) PairwiseF1() (precision, recall, f1 float64) {
 
 // Similarity returns a string affinity in [0,1] combining exact match,
 // token overlap with initial expansion ("J. Smith" ~ "John Smith"), and
-// normalized edit distance.
+// normalized edit distance. It is the walk's inner loop — every proposal
+// scores the moved mention against two clusters — so it allocates nothing
+// unless a name has more than 64 tokens or both exceed 64 bytes.
 func Similarity(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	ta, tb := strings.Fields(a), strings.Fields(b)
-	tokSim := tokenOverlap(ta, tb)
+	tokSim := tokenOverlap(a, b)
 	ed := 1 - normalizedLevenshtein(a, b)
 	if tokSim > ed {
 		return tokSim
@@ -148,31 +150,62 @@ func Similarity(a, b string) float64 {
 	return ed
 }
 
+// nextField splits the first whitespace-separated token off s, returning
+// "" when none is left: strings.Fields one token at a time, without
+// building the slice.
+func nextField(s string) (tok, rest string) {
+	i := strings.IndexFunc(s, notSpace)
+	if i < 0 {
+		return "", ""
+	}
+	s = s[i:]
+	if j := strings.IndexFunc(s, unicode.IsSpace); j >= 0 {
+		return s[:j], s[j:]
+	}
+	return s, ""
+}
+
+func notSpace(r rune) bool { return !unicode.IsSpace(r) }
+
+// countFields is len(strings.Fields(s)).
+func countFields(s string) int {
+	n := 0
+	for tok, rest := nextField(s); tok != ""; tok, rest = nextField(rest) {
+		n++
+	}
+	return n
+}
+
 // tokenOverlap is the fraction of tokens of the shorter name matched in
 // the longer one, where an initial like "J." matches any token starting
 // with 'J'.
-func tokenOverlap(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
+func tokenOverlap(a, b string) float64 {
+	na, nb := countFields(a), countFields(b)
+	if na == 0 || nb == 0 {
 		return 0
 	}
-	if len(a) > len(b) {
-		a, b = b, a
+	if na > nb {
+		a, b, nb = b, a, na
+	}
+	// used is a bitset over b's tokens, one stack word for ≤ 64 tokens.
+	var word [1]uint64
+	used := word[:]
+	if nb > 64 {
+		used = make([]uint64, (nb+63)/64)
 	}
 	matched := 0
-	used := make([]bool, len(b))
-	for _, ta := range a {
-		for j, tb := range b {
-			if used[j] {
-				continue
-			}
-			if tokensMatch(ta, tb) {
-				used[j] = true
+	for ta, restA := nextField(a); ta != ""; ta, restA = nextField(restA) {
+		j := 0
+		for tb, restB := nextField(b); tb != ""; tb, restB = nextField(restB) {
+			if bit := uint64(1) << (j % 64); used[j/64]&bit == 0 && tokensMatch(ta, tb) {
+				used[j/64] |= bit
 				matched++
 				break
 			}
+			j++
 		}
 	}
-	return float64(matched) / float64(len(b))
+	return float64(matched) / float64(nb)
 }
 
 func tokensMatch(a, b string) bool {
@@ -198,9 +231,19 @@ func normalizedLevenshtein(a, b string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
+	// The distance is symmetric, so the DP rows run over the shorter
+	// string, on the stack when it is at most 64 bytes.
+	if len(b) > len(a) {
+		a, b = b, a
+	}
 	la, lb := len(a), len(b)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	var rows [2][65]int
+	var prev, cur []int
+	if lb < len(rows[0]) {
+		prev, cur = rows[0][:lb+1], rows[1][:lb+1]
+	} else {
+		prev, cur = make([]int, lb+1), make([]int, lb+1)
+	}
 	for j := 0; j <= lb; j++ {
 		prev[j] = j
 	}
@@ -222,57 +265,7 @@ func normalizedLevenshtein(a, b string) float64 {
 		}
 		prev, cur = cur, prev
 	}
-	max := la
-	if lb > max {
-		max = lb
-	}
-	return float64(prev[lb]) / float64(max)
-}
-
-// PairScorer is the factor family of the entity-resolution model: the
-// log-space score contributed by one same-cluster mention pair. Model is
-// the hand-weighted form; TrainableModel learns the scores with
-// SampleRank.
-type PairScorer interface {
-	PairScore(a, b *Mention) float64
-}
-
-// ScoreState computes the full log score of a clustering under ps: the
-// sum over same-cluster pairs. Tests and diagnostics only; inference
-// computes deltas.
-func ScoreState(ps PairScorer, s *State) float64 {
-	var total float64
-	for _, c := range s.ClusterIDs() {
-		ms := s.Members(c)
-		for i := 0; i < len(ms); i++ {
-			for j := i + 1; j < len(ms); j++ {
-				total += ps.PairScore(&s.Mentions[ms[i]], &s.Mentions[ms[j]])
-			}
-		}
-	}
-	return total
-}
-
-// MoveDelta returns log π(w') − log π(w) for moving mention m to cluster
-// target (target < 0 meaning a fresh cluster) under ps, touching only
-// factors incident to m.
-func MoveDelta(ps PairScorer, s *State, m, target int) float64 {
-	from := s.cluster[m]
-	if target == from {
-		return 0
-	}
-	var delta float64
-	if target >= 0 {
-		for x := range s.members[target] {
-			delta += ps.PairScore(&s.Mentions[m], &s.Mentions[x])
-		}
-	}
-	for x := range s.members[from] {
-		if x != m {
-			delta -= ps.PairScore(&s.Mentions[m], &s.Mentions[x])
-		}
-	}
-	return delta
+	return float64(prev[lb]) / float64(la)
 }
 
 // Model scores clusterings with pairwise within-cluster factors: each
@@ -298,12 +291,38 @@ func (mo *Model) PairScore(a, b *Mention) float64 {
 
 // Score computes the full log score of a state (sum over same-cluster
 // pairs). Used by tests; inference only ever computes deltas.
-func (mo *Model) Score(s *State) float64 { return ScoreState(mo, s) }
+func (mo *Model) Score(s *State) float64 {
+	var total float64
+	for _, c := range s.ClusterIDs() {
+		ms := s.Members(c)
+		for i := 0; i < len(ms); i++ {
+			for j := i + 1; j < len(ms); j++ {
+				total += mo.PairScore(&s.Mentions[ms[i]], &s.Mentions[ms[j]])
+			}
+		}
+	}
+	return total
+}
 
 // MoveDelta returns log π(w') − log π(w) for moving mention m to cluster
 // target (target < 0 meaning a fresh cluster), touching only factors
 // incident to m: pairs gained in the target cluster minus pairs lost in
 // the source cluster.
 func (mo *Model) MoveDelta(s *State, m, target int) float64 {
-	return MoveDelta(mo, s, m, target)
+	from := s.cluster[m]
+	if target == from {
+		return 0
+	}
+	var delta float64
+	if target >= 0 {
+		for x := range s.members[target] {
+			delta += mo.PairScore(&s.Mentions[m], &s.Mentions[x])
+		}
+	}
+	for x := range s.members[from] {
+		if x != m {
+			delta -= mo.PairScore(&s.Mentions[m], &s.Mentions[x])
+		}
+	}
+	return delta
 }

@@ -1,9 +1,33 @@
 package coref
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// TestFieldScanMatchesStringsFields: Similarity's in-place token scan
+// splits exactly where strings.Fields does, Unicode spaces and invalid
+// UTF-8 included.
+func TestFieldScanMatchesStringsFields(t *testing.T) {
+	same := func(s string) bool {
+		var got []string
+		for tok, rest := nextField(s); tok != ""; tok, rest = nextField(rest) {
+			got = append(got, tok)
+		}
+		want := strings.Fields(s)
+		return slices.Equal(got, want) && countFields(s) == len(want)
+	}
+	for _, s := range []string{"", "  ", "J. Smith", " a  b\t", "\u00a0x\u2003y\u0085", "\xff z\xfe", "é é"} {
+		if !same(s) {
+			t.Errorf("token scan of %q differs from strings.Fields", s)
+		}
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+}
 
 func TestSimilarityPropertiesQuick(t *testing.T) {
 	// Symmetric, bounded to [0,1], and 1 exactly for identical strings.

@@ -60,7 +60,7 @@ func LoadMentions(db *relstore.DB, mentions []Mention) ([]relstore.RowID, error)
 // Hastings correction is computed.
 type MoveProposer struct {
 	State *State
-	Model PairScorer
+	Model *Model
 
 	// Write-through binding: the CLUSTER column of MENTION, resolved once.
 	bound bool
@@ -76,7 +76,7 @@ type MoveProposer struct {
 }
 
 // NewMoveProposer builds a proposer over the state.
-func NewMoveProposer(s *State, m PairScorer) *MoveProposer {
+func NewMoveProposer(s *State, m *Model) *MoveProposer {
 	return &MoveProposer{State: s, Model: m}
 }
 
@@ -147,7 +147,7 @@ func (p *MoveProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 		optsBack = kAfter - 1 // m will be a singleton
 	}
 
-	delta := MoveDelta(p.Model, s, m, target)
+	delta := p.Model.MoveDelta(s, m, target)
 	logQ := 0.0
 	if optsBack > 0 {
 		logQ = math.Log(float64(optsFwd)) - math.Log(float64(optsBack))

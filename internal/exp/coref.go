@@ -24,19 +24,21 @@ type CorefConfig struct {
 }
 
 // CorefSystem is the entity-resolution probabilistic database: a fixed
-// set of generated mentions plus the pairwise-cohesion model, from which
-// independent chain worlds (MENTION relations with singleton clusterings)
-// are stocked on demand. It satisfies the same chain-world contract as
-// NERSystem, so the serving engine and the public facade treat the two
-// workloads identically.
+// set of generated mentions, the pairwise-cohesion model, and a prototype
+// world (MENTION with singleton clusters) cloned into independent chains
+// — the same prototype-world contract as NERSystem, so the serving
+// engine and the public facade treat the two workloads identically.
 type CorefSystem struct {
 	Mentions []coref.Mention
-	Model    coref.PairScorer
+	Model    *coref.Model
 	cfg      CorefConfig
+
+	protoDB *relstore.DB
+	rows    []relstore.RowID
 }
 
-// BuildCoref generates the mention set once; worlds are materialized per
-// chain because the clustering state is mutable.
+// BuildCoref generates the mention set and loads it once into the
+// prototype world, every mention in its own cluster.
 func BuildCoref(cfg CorefConfig) (*CorefSystem, error) {
 	if cfg.NumEntities <= 0 {
 		cfg.NumEntities = 6
@@ -52,26 +54,32 @@ func BuildCoref(cfg CorefConfig) (*CorefSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CorefSystem{Mentions: mentions, Model: coref.DefaultModel(), cfg: cfg}, nil
+	db := relstore.NewDB()
+	rows, err := coref.LoadMentions(db, mentions)
+	if err != nil {
+		return nil, err
+	}
+	return &CorefSystem{Mentions: mentions, Model: coref.DefaultModel(), cfg: cfg, protoDB: db, rows: rows}, nil
 }
 
-// NewChainWorld materializes a fresh MENTION relation with singleton
-// clusters and binds a move proposer to it. Every world is fully
-// independent: proposer state, clustering and store share nothing.
+// NewChainWorld clones the prototype world and binds a fresh singleton
+// clustering and move proposer to it. The clones share nothing mutable.
 func (s *CorefSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error) {
-	db := relstore.NewDB()
-	rows, err := coref.LoadMentions(db, s.Mentions)
-	if err != nil {
-		return nil, nil, err
-	}
-	state := coref.NewSingletonState(s.Mentions)
-	proposer := coref.NewMoveProposer(state, s.Model)
-	log := world.NewChangeLog(db)
-	if err := proposer.BindDB(log, rows); err != nil {
+	log := world.NewChangeLog(s.protoDB.Clone())
+	proposer := coref.NewMoveProposer(coref.NewSingletonState(s.Mentions), s.Model)
+	if err := proposer.BindDB(log, s.rows); err != nil {
 		return nil, nil, err
 	}
 	return log, proposer, nil
 }
+
+// WorldDB exposes the prototype world — the evidence a durable store
+// snapshots and local-mode writes mutate.
+func (s *CorefSystem) WorldDB() *relstore.DB { return s.protoDB }
+
+// RestoreWorld replaces the prototype world with a recovered copy; row
+// identities line up because BuildCoref is deterministic in its config.
+func (s *CorefSystem) RestoreWorld(db *relstore.DB) { s.protoDB = db }
 
 // Describe returns a one-line summary of the workload.
 func (s *CorefSystem) Describe() string {

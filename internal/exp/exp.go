@@ -191,27 +191,8 @@ func (s *NERSystem) NewChainTagger(_ int) (*world.ChangeLog, *ie.Tagger, error) 
 	return s.newChainWorld()
 }
 
-// ResolveExec resolves a DML mutation against the prototype world into
-// concrete row-level ops without applying them — the local-mode write
-// path (the served engine resolves on its live chain clones instead) logs
-// the resolved batch between resolution and application. The caller
-// serializes ResolveExec/ApplyExecOps against NewChainWorld.
-func (s *NERSystem) ResolveExec(mut ra.Mutation) ([]world.Op, error) {
-	return world.ResolveMutation(s.protoDB, mut)
-}
-
-// ApplyExecOps applies a previously resolved op batch to the prototype
-// world, so every chain world cloned afterwards carries it. Deleted TOKEN
-// rows simply stop mirroring the tagger's in-memory variables; inserted
-// rows carry their LABEL as fixed evidence (no in-memory variable samples
-// them). The change log is throwaway: the prototype world has no views
-// to maintain, and chains clone the store, not the delta.
-func (s *NERSystem) ApplyExecOps(ops []world.Op) (int64, error) {
-	return world.NewChangeLog(s.protoDB).ApplyOps(ops)
-}
-
 // WorldDB exposes the prototype world — the evidence a durable store
-// snapshots. Callers must not mutate it; use ApplyExecOps.
+// snapshots and local-mode writes mutate.
 func (s *NERSystem) WorldDB() *relstore.DB { return s.protoDB }
 
 // RestoreWorld replaces the prototype world with a recovered copy.

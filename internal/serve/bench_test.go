@@ -120,13 +120,17 @@ func BenchmarkWriteReequilibrate(b *testing.B) {
 			}
 			cfg := Config{Chains: 2, StepsPerSample: 200, Seed: 17}
 			if wal {
-				// Log-only store (coref has no durable prototype world):
-				// exactly the per-write append + background-sync cost.
+				// A durable coref database: the store is seeded with the
+				// prototype world, so each write pays the append, the
+				// background sync and its share of checkpoints.
 				st, err := store.Open(store.Options{Dir: b.TempDir(), Fsync: store.FsyncInterval})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer st.Close()
+				if err := st.Seed(sys.WorldDB(), 0); err != nil {
+					b.Fatal(err)
+				}
 				cfg.WAL = st
 			}
 			eng, err := New(sys, cfg)

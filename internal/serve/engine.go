@@ -36,24 +36,20 @@ import (
 	"factordb/internal/core"
 	"factordb/internal/mcmc"
 	"factordb/internal/metrics"
-	"factordb/internal/ra"
+	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
 
-// Source provides independent world copies for the chain pool. The chain
-// index lets sources shard or pre-partition if they want; clones must be
-// fully independent (no shared mutable state).
+// Source is a model: a prototype evidence world plus a proposer bound to
+// each clone of it. NewChainWorld clones the prototype for chain (the
+// index lets sources shard or pre-partition if they want); clones must be
+// fully independent (no shared mutable state). WorldDB is the prototype
+// itself, which the private-chain modes resolve writes against and
+// mutate, so every world cloned afterwards carries them.
 type Source interface {
 	NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer, error)
-}
-
-// WritableSource is the optional Source capability behind writes under a
-// private-chain Mode: a prototype world that absorbs resolved ops, so
-// every world cloned afterwards carries them.
-type WritableSource interface {
-	ResolveExec(mut ra.Mutation) ([]world.Op, error)
-	ApplyExecOps(ops []world.Op) (int64, error)
+	WorldDB() *relstore.DB
 }
 
 // Mode selects how the engine obtains a query's samples (see strategy).
@@ -206,10 +202,6 @@ var (
 	// ErrClosed is returned by Query and Exec after Close, and by queries
 	// truncated because the engine closed underneath them.
 	ErrClosed = errors.New("factordb: database is closed")
-	// ErrReadOnly is returned by Exec under a private-chain Mode when the
-	// source has no prototype world to mutate (it is not a
-	// WritableSource).
-	ErrReadOnly = errors.New("factordb: workload is read-only under this mode")
 	// ErrWAL marks durable-storage failures; here, a WAL append that
 	// vetoed a write with every world untouched.
 	ErrWAL = errors.New("factordb: durable storage")

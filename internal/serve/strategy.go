@@ -87,18 +87,16 @@ func (p private) collectOnce(ctx context.Context, plan ra.Plan, _ ra.ResultSpec,
 }
 
 func (p private) resolve(_ context.Context, mut ra.Mutation) ([]world.Op, error) {
-	w, ok := p.src.(WritableSource)
-	if !ok {
-		return nil, fmt.Errorf("%w: no durable local world (open it with WithMode(ModeServed))", ErrReadOnly)
-	}
-	return w.ResolveExec(mut)
+	return world.ResolveMutation(p.src.WorldDB(), mut)
 }
 
 // apply mutates the prototype world. The caller holds the write lock, so
-// no cloneWorld observes a half-applied batch.
+// no cloneWorld observes a half-applied batch. The change log is
+// throwaway: the prototype has no views to maintain, and chains clone the
+// store, not the delta.
 func (p private) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("apply")
-	_, err := p.src.(WritableSource).ApplyExecOps(ops)
+	_, err := world.NewChangeLog(p.src.WorldDB()).ApplyOps(ops)
 	return err
 }
 

@@ -80,7 +80,7 @@ type FsyncReporter interface {
 // is part of every result-cache key, so all cached pre-write answers
 // become unreachable. (Under a private-chain mode there are no chains to
 // fan out to: the ops are resolved against, and applied to, the source's
-// prototype world — ErrReadOnly when it has none.)
+// prototype world.)
 //
 // Writes pass the same admission control as queries and are serialized
 // with each other. ctx is honored up to the point of no return: once the
@@ -152,9 +152,6 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	if err != nil {
 		if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
 			outcome = "canceled"
-			return nil, err
-		}
-		if errors.Is(err, ErrReadOnly) {
 			return nil, err
 		}
 		e.m.failed.Inc()

@@ -6,8 +6,8 @@ import (
 	"factordb/internal/exp"
 	"factordb/internal/ie"
 	"factordb/internal/mcmc"
-	"factordb/internal/ra"
 	"factordb/internal/relstore"
+	"factordb/internal/serve"
 	"factordb/internal/world"
 )
 
@@ -26,12 +26,14 @@ type Model interface {
 	build() (system, error)
 }
 
-// system is the built form of a Model: a one-line description plus the
-// chain-world factory shared by every evaluation strategy (the serving
-// engine consumes it directly as its serve.Source).
+// system is the built form of a Model: the serving engine's source — a
+// prototype evidence world plus a proposer bound to each clone of it —
+// with a one-line description and the hook durability uses to swap in a
+// recovered prototype before any chain is cloned.
 type system interface {
+	serve.Source
 	Describe() string
-	NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer, error)
+	RestoreWorld(db *relstore.DB)
 }
 
 // NERConfig parameterizes the paper's named-entity-recognition workload:
@@ -93,22 +95,24 @@ func (m nerModel) build() (system, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("factordb: no document contains %q at this corpus seed", cfg.TargetSubstring)
 	}
-	return &targetedNER{sys: sys, docs: docs}, nil
+	return &targetedNER{NERSystem: sys, docs: docs}, nil
 }
 
 // targetedNER restricts every chain's proposal distribution to the
-// matched documents before handing the world out.
+// matched documents before handing the world out. Proposal targeting only
+// shapes the walk: the prototype world, its writes and its durability are
+// the embedded system's.
 type targetedNER struct {
-	sys  *exp.NERSystem
+	*exp.NERSystem
 	docs []int
 }
 
 func (t *targetedNER) Describe() string {
-	return fmt.Sprintf("%s, proposals targeted to %d docs", t.sys.Describe(), len(t.docs))
+	return fmt.Sprintf("%s, proposals targeted to %d docs", t.NERSystem.Describe(), len(t.docs))
 }
 
 func (t *targetedNER) NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer, error) {
-	log, tg, err := t.sys.NewChainTagger(chain)
+	log, tg, err := t.NewChainTagger(chain)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -117,16 +121,6 @@ func (t *targetedNER) NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer,
 	}
 	return log, tg, nil
 }
-
-// The write and durability capabilities forward to the underlying
-// prototype world: proposal targeting only shapes the walk, so a
-// targeted NER database is just as writable and durable as a plain one.
-func (t *targetedNER) ResolveExec(mut ra.Mutation) ([]world.Op, error) {
-	return t.sys.ResolveExec(mut)
-}
-func (t *targetedNER) ApplyExecOps(ops []world.Op) (int64, error) { return t.sys.ApplyExecOps(ops) }
-func (t *targetedNER) WorldDB() *relstore.DB                      { return t.sys.WorldDB() }
-func (t *targetedNER) RestoreWorld(db *relstore.DB)               { t.sys.RestoreWorld(db) }
 
 // CorefConfig parameterizes the entity-resolution workload: generated
 // mention strings clustered by MCMC over a pairwise-cohesion model, with

@@ -53,16 +53,37 @@ func TestExecFacadeServed(t *testing.T) {
 }
 
 // TestExecErrors pins the facade's write-path error taxonomy: DML parse
-// and resolve failures are ErrBadQuery; a workload that cannot absorb
-// local writes is ErrReadOnly; a closed database is ErrClosed; queries
-// handed to Exec (and DML handed to Query) point at the right API.
+// and resolve failures are ErrBadQuery; a closed database is ErrClosed;
+// queries handed to Exec (and DML handed to Query) point at the right
+// API. Every mode accepts writes: a local coref write commits to the
+// prototype world, and the next query sees it with certainty.
 func TestExecErrors(t *testing.T) {
 	ctx := context.Background()
 
-	// Coref materializes worlds per query: no durable local world.
-	local := openCorefDB(t)
-	if _, err := local.Exec(ctx, `DELETE FROM MENTION`); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("local coref Exec = %v, want ErrReadOnly", err)
+	for _, mode := range []Mode{ModeNaive, ModeMaterialized} {
+		local := openCorefDB(t, WithMode(mode))
+		res, err := local.Exec(ctx, `UPDATE MENTION SET STRING = 'LOCAL' WHERE MENTION_ID = 3`)
+		if err != nil {
+			t.Fatalf("%s coref Exec: %v", mode, err)
+		}
+		if res.RowsAffected != 1 || res.Epoch != 1 {
+			t.Errorf("%s coref exec result = %+v", mode, res)
+		}
+		rows, err := local.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 3`, Samples(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s string
+		if !rows.Next() {
+			t.Fatalf("%s post-write query returned no tuples", mode)
+		}
+		if err := rows.Scan(&s); err != nil {
+			t.Fatal(err)
+		}
+		if s != "LOCAL" || rows.Prob() != 1 {
+			t.Errorf("%s post-write answer (%q, %v), want (LOCAL, 1)", mode, s, rows.Prob())
+		}
+		rows.Close()
 	}
 
 	served := openServedCorefDB(t)
@@ -168,10 +189,11 @@ func TestHandlerExecHardening(t *testing.T) {
 	}
 }
 
-// TestHandlerExecReadOnly maps ErrReadOnly onto 501: the deployment
-// cannot absorb this write, which is not the client's fault.
+// TestHandlerExecReadOnly: no database is read-only — POST /exec on a
+// local-mode coref database commits to its prototype world and answers
+// 200 like any other write.
 func TestHandlerExecReadOnly(t *testing.T) {
-	db := openCorefDB(t) // local mode: no durable world
+	db := openCorefDB(t)
 	srv := httptest.NewServer(db.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/exec", "application/json",
@@ -180,7 +202,10 @@ func TestHandlerExecReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("read-only /exec status %d, want 501", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("local /exec status %d, want 200", resp.StatusCode)
+	}
+	if db.WriteEpoch() != 1 {
+		t.Errorf("local /exec left write epoch %d, want 1", db.WriteEpoch())
 	}
 }
