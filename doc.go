@@ -357,13 +357,14 @@
 //     Wrapping proposers forward Accept to the proposer that drew the
 //     pending move. learn.Proposer (ProposeRank + Accept) is the same
 //     protocol for SampleRank.
-//   - Scoring is array-indexed. learn.Weights, the sparse map, is the
-//     training representation; ie.Model.Compile lays the weights out as
-//     one dense table per factor template (emission [vocab×labels],
-//     capitalization, bias, transition [labels×labels], skip [2]).
-//     Scores sum the same factors in the same order as before. Scoring
-//     recompiles when Weights.Version has moved; compile explicitly
-//     before sharing a model between goroutines (exp.BuildNER does).
+//   - Scoring is array-indexed, on the weights training wrote.
+//     learn.Weights is one dense θ in ie's feature layout
+//     (capitalization, bias, transition and skip at fixed offsets, then
+//     emission per string id × label): SampleRank updates it in place
+//     through a reused learn.Delta buffer, and every score reads the
+//     same slice, summing the factors in the order FeatureDelta lists them.
+//     There is no second copy to keep in sync; θ is read-only once
+//     exp.BuildNER has scaled it by the temperature and shares the model.
 //     The per-token inputs of a score other than the labels — vocabulary
 //     ids, capitalization, skip edges — live in an ie.CorpusIndex built
 //     once per corpus and shared read-only by every tagger over it.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -319,6 +320,30 @@ func TestBadQueryErrors(t *testing.T) {
 	// Confidence outside (0,1).
 	if _, err := db.Query(ctx, PairQuery, Confidence(2)); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("confidence 2 = %v, want ErrBadQuery", err)
+	}
+}
+
+// TestNERConfigRejectsBadParams pins Open's refusal of NER parameters that
+// would silently invert or poison the model — a negative temperature
+// negates every trained weight, a NaN or infinite one makes every score
+// NaN or 0 — or train and generate nothing. Each fails before any work,
+// naming its field.
+func TestNERConfigRejectsBadParams(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  NERConfig
+		want string
+	}{
+		{NERConfig{Temperature: math.Inf(1)}, "NERConfig.Temperature = +Inf"},
+		{NERConfig{Temperature: -0.5}, "NERConfig.Temperature = -0.5"},
+		{NERConfig{Tokens: -100}, "NERConfig.Tokens = -100"},
+		{NERConfig{TokensPerDoc: -1}, "NERConfig.TokensPerDoc = -1"},
+	} {
+		if db, err := Open(NER(tc.cfg)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err == nil {
+				db.Close()
+			}
+			t.Errorf("Open(NER(%+v)) = %v, want an error containing %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 

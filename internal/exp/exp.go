@@ -100,12 +100,9 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 	if temp == 0 {
 		temp = DefaultTemperature
 	}
-	for k, v := range model.W.W {
-		model.W.Set(k, v/temp)
+	for i := range *model.W {
+		(*model.W)[i] /= temp
 	}
-	// The weights are final: lay them out for array-indexed scoring before
-	// chains on several goroutines share the model.
-	model.Compile()
 
 	db := relstore.NewDB()
 	rows, err := ie.LoadCorpus(db, corpus, ie.LO)

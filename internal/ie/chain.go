@@ -18,7 +18,7 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	if m.UseSkip {
 		return nil, fmt.Errorf("ie: ChainMarginals requires a linear-chain model (UseSkip=false)")
 	}
-	t, n := m.tables(), len(ld.Labels)
+	t, n := m.theta(), len(ld.Labels)
 	if n == 0 {
 		return nil, nil
 	}
@@ -33,7 +33,7 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = alpha[i-1][p] + t.trans[p][l]
+				terms[p] = alpha[i-1][p] + t.trans(p, l)
 			}
 			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
@@ -41,7 +41,7 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	for i := n - 2; i >= 0; i-- {
 		for l := Label(0); l < NumLabels; l++ {
 			for nx := Label(0); nx < NumLabels; nx++ {
-				terms[nx] = t.trans[l][nx] + t.nodeScore(ld, i+1, nx) + beta[i+1][nx]
+				terms[nx] = t.trans(l, nx) + t.nodeScore(ld, i+1, nx) + beta[i+1][nx]
 			}
 			beta[i][l] = logSumExp(terms[:])
 		}
@@ -65,7 +65,7 @@ func (m *Model) ChainLogZ(ld *LabeledDoc) (float64, error) {
 	if m.UseSkip {
 		return 0, fmt.Errorf("ie: ChainLogZ requires a linear-chain model (UseSkip=false)")
 	}
-	t, n := m.tables(), len(ld.Labels)
+	t, n := m.theta(), len(ld.Labels)
 	if n == 0 {
 		return 0, nil
 	}
@@ -77,7 +77,7 @@ func (m *Model) ChainLogZ(ld *LabeledDoc) (float64, error) {
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = prev[p] + t.trans[p][l]
+				terms[p] = prev[p] + t.trans(p, l)
 			}
 			cur[l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
@@ -92,7 +92,7 @@ func (m *Model) ViterbiDecode(ld *LabeledDoc) ([]Label, float64, error) {
 	if m.UseSkip {
 		return nil, 0, fmt.Errorf("ie: ViterbiDecode requires a linear-chain model (UseSkip=false)")
 	}
-	t, n := m.tables(), len(ld.Labels)
+	t, n := m.theta(), len(ld.Labels)
 	if n == 0 {
 		return nil, 0, nil
 	}
@@ -106,7 +106,7 @@ func (m *Model) ViterbiDecode(ld *LabeledDoc) ([]Label, float64, error) {
 			best := math.Inf(-1)
 			var argBest Label
 			for p := Label(0); p < NumLabels; p++ {
-				s := delta[i-1][p] + t.trans[p][l]
+				s := delta[i-1][p] + t.trans(p, l)
 				if s > best {
 					best, argBest = s, p
 				}

@@ -47,7 +47,7 @@ func graphFor(m *Model, ld *LabeledDoc) *factor.Graph {
 		i := i
 		vars[i] = g.AddVar("y", dom)
 		g.MustAddFactor("node", func(vals []int) float64 {
-			return m.tables().nodeScore(ld, i, Label(vals[0]))
+			return m.theta().nodeScore(ld, i, Label(vals[0]))
 		}, vars[i])
 	}
 	for i := 1; i < len(vars); i++ {

@@ -22,7 +22,7 @@ func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	if m.UseSkip {
 		return fmt.Errorf("ie: SampleChain requires a linear-chain model (UseSkip=false)")
 	}
-	t, n := m.tables(), len(ld.Labels)
+	t, n := m.theta(), len(ld.Labels)
 	if n == 0 {
 		return nil
 	}
@@ -35,7 +35,7 @@ func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	for i := 1; i < n; i++ {
 		for l := Label(0); l < NumLabels; l++ {
 			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = alpha[i-1][p] + t.trans[p][l]
+				terms[p] = alpha[i-1][p] + t.trans(p, l)
 			}
 			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
@@ -45,7 +45,7 @@ func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	for i := n - 2; i >= 0; i-- {
 		next := ld.Labels[i+1]
 		for l := Label(0); l < NumLabels; l++ {
-			terms[l] = alpha[i][l] + t.trans[l][next]
+			terms[l] = alpha[i][l] + t.trans(l, next)
 		}
 		ld.Labels[i] = sampleLog(rng, terms[:])
 	}
@@ -108,7 +108,7 @@ func (t *Tagger) GibbsStep(rng *rand.Rand) (doc, pos int) {
 	ld := t.Docs[d]
 	var logw [NumLabels]float64
 	old := ld.Labels[i]
-	tab := t.Model.tables()
+	tab := t.Model.theta()
 	for l := Label(0); l < NumLabels; l++ {
 		logw[l] = t.Model.localScore(tab, ld, i, l)
 	}

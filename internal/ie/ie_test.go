@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"factordb/internal/learn"
 	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
 	"factordb/internal/world"
@@ -226,15 +227,17 @@ func TestFeatureDeltaConsistentWithScoreDelta(t *testing.T) {
 	tg := newTagger(m, c)
 	ld := tg.Docs[0]
 	// Seed random weights on the features that will fire.
+	var fd learn.Delta
 	for trial := 0; trial < 100; trial++ {
 		i := rng.Intn(len(ld.Labels))
 		newL := Label(rng.Intn(NumLabels))
-		fd := m.FeatureDelta(ld, i, newL)
+		fd.Reset()
+		m.FeatureDelta(&fd, ld, i, newL)
 		if got, want := m.W.Dot(fd), m.ScoreDelta(ld, i, newL); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("W·Δφ = %v, ScoreDelta = %v", got, want)
 		}
-		for k := range fd {
-			m.W.Set(k, rng.NormFloat64())
+		for _, f := range fd {
+			m.W.Set(f.I, rng.NormFloat64())
 		}
 		if got, want := m.W.Dot(fd), m.ScoreDelta(ld, i, newL); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("after reweighting: W·Δφ = %v, ScoreDelta = %v", got, want)

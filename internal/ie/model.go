@@ -6,44 +6,40 @@ import (
 	"factordb/internal/learn"
 )
 
-// Feature-template identifiers packed into the high byte of feature keys.
+// The feature index space: capitalization, bias, transition and skip
+// take the first 110 slots of θ, then each (string id, label) has one
+// emission slot, so θ grows with the vocabulary by appending.
 const (
-	tplEmission uint64 = 1 // (string id, label)
-	tplTrans    uint64 = 2 // (label, label)
-	tplBias     uint64 = 3 // (label)
-	tplSkip     uint64 = 4 // (same/different label)
-	tplCaps     uint64 = 5 // (capitalized?, label)
+	offCaps  = 0                              // [capitalized][label]
+	offBias  = offCaps + 2*NumLabels          // [label]
+	offTrans = offBias + NumLabels            // [prev][next]
+	offSkip  = offTrans + NumLabels*NumLabels // [labels agree]
+	offEmit  = offSkip + 2                    // [string id][label]
 )
 
-// EmissionKey packs the emission feature for (string id, label).
-func EmissionKey(strID int, l Label) uint64 {
-	return tplEmission<<56 | uint64(strID)<<8 | uint64(l)
-}
+// EmissionKey is the index of the emission feature for (string id, label).
+func EmissionKey(strID int, l Label) int { return offEmit + strID*NumLabels + int(l) }
 
-// TransKey packs the first-order transition feature for (prev, next).
-func TransKey(prev, next Label) uint64 {
-	return tplTrans<<56 | uint64(prev)<<8 | uint64(next)
-}
+// TransKey is the index of the first-order transition feature for
+// (prev, next).
+func TransKey(prev, next Label) int { return offTrans + int(prev)*NumLabels + int(next) }
 
-// BiasKey packs the per-label bias feature.
-func BiasKey(l Label) uint64 { return tplBias<<56 | uint64(l) }
+// BiasKey is the index of the per-label bias feature.
+func BiasKey(l Label) int { return offBias + int(l) }
 
-// SkipKey packs the skip-edge feature: same=true when the two endpoint
-// labels agree.
-func SkipKey(same bool) uint64 {
-	if same {
-		return tplSkip<<56 | 1
+// SkipKey is the index of the skip-edge feature: same=true when the two
+// endpoint labels agree.
+func SkipKey(same bool) int { return offSkip + b2i(same) }
+
+// CapsKey is the index of the capitalization feature for (capitalized,
+// label).
+func CapsKey(caps bool, l Label) int { return offCaps + b2i(caps)*NumLabels + int(l) }
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return tplSkip << 56
-}
-
-// CapsKey packs the capitalization feature for (capitalized, label).
-func CapsKey(caps bool, l Label) uint64 {
-	k := tplCaps<<56 | uint64(l)
-	if caps {
-		k |= 1 << 16
-	}
-	return k
+	return 0
 }
 
 // Model is the skip-chain conditional random field of Section 5.1: a
@@ -53,78 +49,43 @@ func CapsKey(caps bool, l Label) uint64 {
 // so exact inference is intractable — which is exactly the regime the
 // paper's MCMC evaluator targets.
 //
-// W is the sparse parameter vector SampleRank trains. Scoring never probes
-// it: every score is read from dense per-template tables compiled from W
-// (Compile), so one factor costs one array index.
+// W is the dense parameter vector θ in the layout of the *Key functions:
+// SampleRank trains it in place and every score reads it, so one factor
+// costs one array index. It is read-only once chains on several
+// goroutines share the model.
 type Model struct {
 	W       *learn.Weights
 	Vocab   *Vocab
 	UseSkip bool
-
-	tab *scoreTables
 }
 
-// scoreTables is θ laid out for array indexing, one table per factor
-// template.
-type scoreTables struct {
-	version  uint64    // W.Version() the tables were compiled at
-	emission []float64 // [string id × NumLabels + label]
-	caps     [2][NumLabels]float64
-	bias     [NumLabels]float64
-	trans    [NumLabels][NumLabels]float64 // [prev][next]
-	skip     [2]float64                    // [labels agree]
-}
+// theta is θ as scoring reads it, one method per factor template. The
+// methods spell out the *Key index arithmetic rather than call it, which
+// keeps nodeScore within the compiler's inlining budget.
+type theta []float64
 
 // emit returns the emission weight of (string id, label); strings
-// interned after the tables were compiled have no weight yet.
-func (t *scoreTables) emit(strID int, l Label) float64 {
-	if i := strID*NumLabels + int(l); i < len(t.emission) {
-		return t.emission[i]
+// interned after θ was sized have no weight yet.
+func (t theta) emit(strID int32, l Label) float64 {
+	if i := offEmit + int(strID)*NumLabels + int(l); i < len(t) {
+		return t[i]
 	}
 	return 0
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
+func (t theta) caps(caps bool, l Label) float64 { return t[offCaps+b2i(caps)*NumLabels+int(l)] }
+func (t theta) bias(l Label) float64            { return t[offBias+int(l)] }
+func (t theta) trans(prev, next Label) float64  { return t[offTrans+int(prev)*NumLabels+int(next)] }
+func (t theta) skip(same bool) float64          { return t[offSkip+b2i(same)] }
 
-// Compile lays the current weights out in the dense scoring tables.
-// Scoring does this by itself whenever W has moved (through Set or
-// Update) since the last compile; call it explicitly once the weights
-// are final and before the model is shared between goroutines, so that
-// concurrent chains only ever read the tables.
-func (m *Model) Compile() {
-	w, n := m.W, m.Vocab.Size()
-	t := &scoreTables{version: w.Version(), emission: make([]float64, n*NumLabels)}
-	for l := Label(0); l < NumLabels; l++ {
-		for id := 0; id < n; id++ {
-			t.emission[id*NumLabels+int(l)] = w.Get(EmissionKey(id, l))
-		}
-		t.caps[0][l] = w.Get(CapsKey(false, l))
-		t.caps[1][l] = w.Get(CapsKey(true, l))
-		t.bias[l] = w.Get(BiasKey(l))
-		for next := Label(0); next < NumLabels; next++ {
-			t.trans[l][next] = w.Get(TransKey(l, next))
-		}
-	}
-	t.skip[0], t.skip[1] = w.Get(SkipKey(false)), w.Get(SkipKey(true))
-	m.tab = t
-}
+// theta returns θ for scoring.
+func (m *Model) theta() theta { return theta(*m.W) }
 
-// tables returns the scoring tables, recompiling them if W has moved.
-func (m *Model) tables() *scoreTables {
-	if m.tab == nil || m.tab.version != m.W.Version() {
-		m.Compile()
-	}
-	return m.tab
-}
-
-// NewModel builds an untrained model over the vocabulary.
+// NewModel builds an untrained model over the vocabulary, with θ sized
+// for every string the vocabulary holds so far.
 func NewModel(v *Vocab, useSkip bool) *Model {
-	return &Model{W: learn.NewWeights(), Vocab: v, UseSkip: useSkip}
+	w := make(learn.Weights, offEmit+v.Size()*NumLabels)
+	return &Model{W: &w, Vocab: v, UseSkip: useSkip}
 }
 
 // IsCapitalized reports whether the token string starts with an uppercase
@@ -221,45 +182,45 @@ type LabeledDoc struct {
 func (ld *LabeledDoc) SkipDegree(i int) int { return len(ld.ix.partners(i)) }
 
 // localFeatures accumulates sign×φ for every factor touching position i
-// under label l into fv. It covers emission, capitalization, bias, the two
+// under label l into d. It covers emission, capitalization, bias, the two
 // incident transitions and all incident skip edges — the only factors
 // whose value changes when position i changes (Appendix 9.2).
-func (m *Model) localFeatures(fv learn.FeatureVector, ld *LabeledDoc, i int, l Label, sign float64) {
-	fv.Add(EmissionKey(int(ld.ix.strIDs[i]), l), sign)
-	fv.Add(CapsKey(ld.ix.caps[i], l), sign)
-	fv.Add(BiasKey(l), sign)
+func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, sign float64) {
+	d.Add(EmissionKey(int(ld.ix.strIDs[i]), l), sign)
+	d.Add(CapsKey(ld.ix.caps[i], l), sign)
+	d.Add(BiasKey(l), sign)
 	if i > 0 {
-		fv.Add(TransKey(ld.Labels[i-1], l), sign)
+		d.Add(TransKey(ld.Labels[i-1], l), sign)
 	}
 	if i+1 < len(ld.Labels) {
-		fv.Add(TransKey(l, ld.Labels[i+1]), sign)
+		d.Add(TransKey(l, ld.Labels[i+1]), sign)
 	}
 	if m.UseSkip {
 		for _, q := range ld.ix.partners(i) {
-			fv.Add(SkipKey(ld.Labels[q] == l), sign)
+			d.Add(SkipKey(ld.Labels[q] == l), sign)
 		}
 	}
 }
 
 // nodeScore sums the factors private to position i under label l:
 // emission, capitalization and bias.
-func (t *scoreTables) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
-	return t.emit(int(ld.ix.strIDs[i]), l) + t.caps[b2i(ld.ix.caps[i])][l] + t.bias[l]
+func (t theta) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
+	return t.emit(ld.ix.strIDs[i], l) + t.caps(ld.ix.caps[i], l) + t.bias(l)
 }
 
 // localScore sums θ·φ over the factors touching position i under label l,
 // in the same order as localFeatures lists them.
-func (m *Model) localScore(t *scoreTables, ld *LabeledDoc, i int, l Label) float64 {
+func (m *Model) localScore(t theta, ld *LabeledDoc, i int, l Label) float64 {
 	s := t.nodeScore(ld, i, l)
 	if i > 0 {
-		s += t.trans[ld.Labels[i-1]][l]
+		s += t.trans(ld.Labels[i-1], l)
 	}
 	if i+1 < len(ld.Labels) {
-		s += t.trans[l][ld.Labels[i+1]]
+		s += t.trans(l, ld.Labels[i+1])
 	}
 	if m.UseSkip {
 		for _, q := range ld.ix.partners(i) {
-			s += t.skip[b2i(ld.Labels[q] == l)]
+			s += t.skip(ld.Labels[q] == l)
 		}
 	}
 	return s
@@ -274,33 +235,29 @@ func (m *Model) ScoreDelta(ld *LabeledDoc, i int, newLabel Label) float64 {
 	if newLabel == old {
 		return 0
 	}
-	t := m.tables()
+	t := m.theta()
 	return m.localScore(t, ld, i, newLabel) - m.localScore(t, ld, i, old)
 }
 
-// FeatureDelta returns φ(w') − φ(w) for the same relabeling, used by
-// SampleRank training.
-func (m *Model) FeatureDelta(ld *LabeledDoc, i int, newLabel Label) learn.FeatureVector {
-	fv := make(learn.FeatureVector)
-	old := ld.Labels[i]
-	if newLabel == old {
-		return fv
+// FeatureDelta accumulates φ(w') − φ(w) for the same relabeling into d,
+// used by SampleRank training.
+func (m *Model) FeatureDelta(d *learn.Delta, ld *LabeledDoc, i int, newLabel Label) {
+	if old := ld.Labels[i]; newLabel != old {
+		m.localFeatures(d, ld, i, old, -1)
+		m.localFeatures(d, ld, i, newLabel, +1)
 	}
-	m.localFeatures(fv, ld, i, old, -1)
-	m.localFeatures(fv, ld, i, newLabel, +1)
-	return fv
 }
 
 // DocScore computes the full unnormalized log score of a document under
 // the current hypothesis. Used only by tests and diagnostics; inference
 // never needs it.
 func (m *Model) DocScore(ld *LabeledDoc) float64 {
-	t := m.tables()
+	t := m.theta()
 	var s float64
 	for i, l := range ld.Labels {
 		s += t.nodeScore(ld, i, l)
 		if i > 0 {
-			s += t.trans[ld.Labels[i-1]][l]
+			s += t.trans(ld.Labels[i-1], l)
 		}
 	}
 	if m.UseSkip {
@@ -308,7 +265,7 @@ func (m *Model) DocScore(ld *LabeledDoc) float64 {
 		for i := range ld.Labels {
 			for _, q := range ld.ix.partners(i) {
 				if int32(i) < q {
-					s += t.skip[b2i(ld.Labels[q] == ld.Labels[i])]
+					s += t.skip(ld.Labels[q] == ld.Labels[i])
 				}
 			}
 		}

@@ -21,20 +21,20 @@ const maxSpanLen = 3
 // transitions overlapping the span, and each incident skip edge exactly
 // once.
 func (m *Model) regionScore(ld *LabeledDoc, i, n int) float64 {
-	t := m.tables()
+	t := m.theta()
 	var s float64
 	end := i + n
 	for j := i; j < end; j++ {
 		s += t.nodeScore(ld, j, ld.Labels[j])
 	}
 	if i > 0 {
-		s += t.trans[ld.Labels[i-1]][ld.Labels[i]]
+		s += t.trans(ld.Labels[i-1], ld.Labels[i])
 	}
 	for j := i + 1; j < end; j++ {
-		s += t.trans[ld.Labels[j-1]][ld.Labels[j]]
+		s += t.trans(ld.Labels[j-1], ld.Labels[j])
 	}
 	if end < len(ld.Labels) {
-		s += t.trans[ld.Labels[end-1]][ld.Labels[end]]
+		s += t.trans(ld.Labels[end-1], ld.Labels[end])
 	}
 	if m.UseSkip {
 		for j := i; j < end; j++ {
@@ -44,7 +44,7 @@ func (m *Model) regionScore(ld *LabeledDoc, i, n int) float64 {
 				if int(q) >= i && int(q) < end && int(q) < j {
 					continue
 				}
-				s += t.skip[b2i(ld.Labels[q] == ld.Labels[j])]
+				s += t.skip(ld.Labels[q] == ld.Labels[j])
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 // Package learn implements SampleRank (Wick et al., 2009), the training
-// method the paper uses to estimate factor-graph parameters "in a matter
-// of minutes" (Section 5.2). SampleRank performs perceptron-style updates
-// on pairs of consecutive MCMC states whenever the model's ranking of the
-// pair disagrees with a ground-truth objective, learning weights as a
-// byproduct of the same Metropolis-Hastings walk used for inference.
+// method the paper uses to estimate factor-graph parameters (Section 5.2).
+// SampleRank performs perceptron-style updates on pairs of consecutive
+// MCMC states whenever the model's ranking of the pair disagrees with a
+// ground-truth objective, learning weights as a byproduct of the same
+// Metropolis-Hastings walk used for inference.
 package learn
 
 import (
@@ -11,91 +11,90 @@ import (
 	"math/rand"
 )
 
-// FeatureVector is a sparse map from feature keys to values. Feature keys
-// are opaque 64-bit identifiers chosen by the model (package ie packs
-// template and argument indexes into them).
-type FeatureVector map[uint64]float64
+// Weights is the dense parameter vector θ, indexed by a feature index the
+// model defines. It is the one copy of the weights: SampleRank trains it
+// in place and the model scores by reading it. Indexes past its end are
+// unset (zero) until a Set or Update grows it.
+type Weights []float64
 
-// Add accumulates v onto feature k.
-func (f FeatureVector) Add(k uint64, v float64) {
-	if nv := f[k] + v; nv == 0 {
-		delete(f, k)
-	} else {
-		f[k] = nv
+// Get returns θ_i (zero when unset).
+func (w Weights) Get(i int) float64 {
+	if i < len(w) {
+		return w[i]
+	}
+	return 0
+}
+
+// Set assigns θ_i.
+func (w *Weights) Set(i int, v float64) {
+	w.grow(i)
+	(*w)[i] = v
+}
+
+// grow extends w with zeros so that index i exists.
+func (w *Weights) grow(i int) {
+	if i >= len(*w) {
+		*w = append(*w, make([]float64, i+1-len(*w))...)
 	}
 }
 
-// AddAll accumulates scale×o into f.
-func (f FeatureVector) AddAll(o FeatureVector, scale float64) {
-	for k, v := range o {
-		f.Add(k, scale*v)
-	}
-}
-
-// Weights is a sparse parameter vector θ: the representation SampleRank
-// trains. Models that score on a hot path compile it into their own dense
-// tables and use Version to notice that it moved underneath them.
-type Weights struct {
-	W map[uint64]float64
-
-	version uint64
-}
-
-// NewWeights returns an all-zero weight vector.
-func NewWeights() *Weights { return &Weights{W: make(map[uint64]float64)} }
-
-// Get returns θ_k (zero when unset).
-func (w *Weights) Get(k uint64) float64 { return w.W[k] }
-
-// Set assigns θ_k.
-func (w *Weights) Set(k uint64, v float64) {
-	w.W[k] = v
-	w.version++
-}
-
-// Version counts the Set and Update calls so far. Writes that go straight
-// to W are not counted.
-func (w *Weights) Version() uint64 { return w.version }
-
-// Dot returns θ·f.
-func (w *Weights) Dot(f FeatureVector) float64 {
+// Dot returns θ·d.
+func (w Weights) Dot(d Delta) float64 {
 	var s float64
-	for k, v := range f {
-		s += v * w.W[k]
+	for _, f := range d {
+		s += f.V * w.Get(f.I)
 	}
 	return s
 }
 
-// Update performs θ += scale×f.
-func (w *Weights) Update(f FeatureVector, scale float64) {
-	for k, v := range f {
-		w.W[k] += scale * v
+// Update performs θ += scale×d.
+func (w *Weights) Update(d Delta, scale float64) {
+	for _, f := range d {
+		w.grow(f.I)
+		(*w)[f.I] += scale * f.V
 	}
-	w.version++
 }
 
-// Clone returns an independent copy of the weights.
-func (w *Weights) Clone() *Weights {
-	c := NewWeights()
-	for k, v := range w.W {
-		c.W[k] = v
-	}
-	return c
+// Feature is one nonzero entry of a Delta: feature index I has value V.
+type Feature struct {
+	I int
+	V float64
 }
 
-// Proposal is one hypothesized world modification exposed for training:
-// the sparse feature delta φ(w')−φ(w) and the change in the ground-truth
-// objective (for NER, per-token accuracy against gold labels).
-type Proposal struct {
-	FeatureDelta   FeatureVector
-	ObjectiveDelta float64
+// Delta is a sparse feature vector — for training, φ(w')−φ(w) — held as
+// (index, value) pairs with distinct indexes and no zero values. A model's
+// delta touches a handful of features, so Add finds an index by linear
+// scan, and one buffer is reused step after step without allocating.
+type Delta []Feature
+
+// Add accumulates v onto feature i; an entry whose value reaches zero is
+// dropped.
+func (d *Delta) Add(i int, v float64) {
+	fs := *d
+	for j := range fs {
+		if fs[j].I == i {
+			if fs[j].V += v; fs[j].V == 0 {
+				*d = append(fs[:j], fs[j+1:]...)
+			}
+			return
+		}
+	}
+	if v != 0 {
+		*d = append(fs, Feature{i, v})
+	}
 }
+
+// Reset empties d, keeping its storage.
+func (d *Delta) Reset() { *d = (*d)[:0] }
 
 // Proposer draws training proposals under the same two-phase protocol as
 // mcmc.Proposer: ProposeRank remembers the hypothesized modification as
-// the pending move, Accept commits the most recent one, at most once.
+// the pending move, fills d (which it receives empty) with its feature
+// delta φ(w')−φ(w), and returns the change in the ground-truth objective
+// (for NER, per-token accuracy against gold labels); Accept commits the
+// most recent move, at most once.
 type Proposer interface {
-	ProposeRank(rng *rand.Rand) Proposal
+	ProposeRank(rng *rand.Rand, d *Delta) (objectiveDelta float64)
 	Accept()
 }
 
@@ -119,6 +118,7 @@ type SampleRank struct {
 
 	proposer Proposer
 	rng      *rand.Rand
+	delta    Delta // the one feature-delta buffer every step reuses
 	steps    int
 	updates  int
 }
@@ -132,17 +132,17 @@ func NewSampleRank(w *Weights, p Proposer, rate float64, seed int64) *SampleRank
 // differently from the objective, the weights receive a perceptron update
 // toward the objectively better world. Returns whether an update occurred.
 func (sr *SampleRank) Step() bool {
-	p := sr.proposer.ProposeRank(sr.rng)
+	sr.delta.Reset()
+	o := sr.proposer.ProposeRank(sr.rng, &sr.delta)
 	sr.steps++
-	m := sr.Weights.Dot(p.FeatureDelta) // model preference for w'
-	o := p.ObjectiveDelta
+	m := sr.Weights.Dot(sr.delta) // model preference for w'
 	updated := false
 	switch {
 	case o > 0 && m <= 0:
-		sr.Weights.Update(p.FeatureDelta, sr.Rate)
+		sr.Weights.Update(sr.delta, sr.Rate)
 		updated = true
 	case o < 0 && m >= 0:
-		sr.Weights.Update(p.FeatureDelta, -sr.Rate)
+		sr.Weights.Update(sr.delta, -sr.Rate)
 		updated = true
 	}
 	if updated {

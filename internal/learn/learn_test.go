@@ -2,49 +2,46 @@ package learn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-func TestFeatureVector(t *testing.T) {
-	f := FeatureVector{}
-	f.Add(1, 2)
-	f.Add(1, 3)
-	if f[1] != 5 {
-		t.Errorf("f[1] = %v", f[1])
+func TestDeltaAdd(t *testing.T) {
+	var d Delta
+	d.Add(1, 2)
+	d.Add(4, 0) // a zero value never enters
+	d.Add(1, 3) // an index already present accumulates in place
+	d.Add(2, -1)
+	if want := (Delta{{1, 5}, {2, -1}}); !slices.Equal(d, want) {
+		t.Errorf("d = %v, want %v", d, want)
 	}
-	f.Add(1, -5)
-	if _, ok := f[1]; ok {
-		t.Error("zeroed feature should be removed")
+	d.Add(1, -5) // an entry whose value reaches zero is dropped
+	if want := (Delta{{2, -1}}); !slices.Equal(d, want) {
+		t.Errorf("after zeroing index 1: d = %v, want %v", d, want)
 	}
-	g := FeatureVector{2: 1, 3: -1}
-	f.AddAll(g, 2)
-	if f[2] != 2 || f[3] != -2 {
-		t.Errorf("AddAll result = %v", f)
+	d.Reset()
+	if len(d) != 0 {
+		t.Errorf("Reset left %v", d)
 	}
 }
 
 func TestWeightsDotUpdate(t *testing.T) {
-	w := NewWeights()
+	var w Weights
 	w.Set(1, 2)
 	w.Set(2, -1)
-	f := FeatureVector{1: 3, 2: 1, 99: 10}
-	if got := w.Dot(f); got != 5 {
+	d := Delta{{1, 3}, {2, 1}, {99, 10}} // index 99 is past the end: unset
+	if got := w.Dot(d); got != 5 {
 		t.Errorf("Dot = %v, want 5", got)
 	}
-	w.Update(f, 0.5)
-	if w.Get(1) != 3.5 || w.Get(99) != 5 {
-		t.Errorf("Update result: w1=%v w99=%v", w.Get(1), w.Get(99))
-	}
-	c := w.Clone()
-	c.Set(1, 0)
-	if w.Get(1) != 3.5 {
-		t.Error("Clone must be independent")
+	w.Update(d, 0.5)
+	if w.Get(1) != 3.5 || w.Get(99) != 5 || len(w) != 100 {
+		t.Errorf("Update result: w1=%v w99=%v len=%d", w.Get(1), w.Get(99), len(w))
 	}
 }
 
 // toyInstance is a two-token sequence-labeling problem: token 0 should be
 // labeled 0 and token 1 should be labeled 1. Features are (token, label)
-// indicators packed into uint64 keys.
+// indicators at dense indexes.
 type toyInstance struct {
 	labels [2]int
 	gold   [2]int
@@ -52,7 +49,7 @@ type toyInstance struct {
 	tok, newLbl int // pending move
 }
 
-func key(tok, lbl int) uint64 { return uint64(tok)<<8 | uint64(lbl) }
+func key(tok, lbl int) int { return 2*tok + lbl }
 
 func (ti *toyInstance) accuracy() float64 {
 	n := 0.0
@@ -64,27 +61,26 @@ func (ti *toyInstance) accuracy() float64 {
 	return n
 }
 
-func (ti *toyInstance) ProposeRank(rng *rand.Rand) Proposal {
+func (ti *toyInstance) ProposeRank(rng *rand.Rand, d *Delta) float64 {
 	tok := rng.Intn(2)
 	newLbl := rng.Intn(2)
 	old := ti.labels[tok]
-	fd := FeatureVector{}
-	fd.Add(key(tok, newLbl), 1)
-	fd.Add(key(tok, old), -1)
+	d.Add(key(tok, newLbl), 1)
+	d.Add(key(tok, old), -1)
 	objBefore := ti.accuracy()
 	ti.labels[tok] = newLbl
 	objAfter := ti.accuracy()
 	ti.labels[tok] = old
 	ti.tok, ti.newLbl = tok, newLbl
-	return Proposal{FeatureDelta: fd, ObjectiveDelta: objAfter - objBefore}
+	return objAfter - objBefore
 }
 
 func (ti *toyInstance) Accept() { ti.labels[ti.tok] = ti.newLbl }
 
 func TestSampleRankLearnsToy(t *testing.T) {
 	ti := &toyInstance{gold: [2]int{0, 1}}
-	w := NewWeights()
-	sr := NewSampleRank(w, ti, 1.0, 42)
+	var w Weights
+	sr := NewSampleRank(&w, ti, 1.0, 42)
 	sr.Train(500)
 	// The learned weights must prefer the gold label for each token.
 	if w.Get(key(0, 0)) <= w.Get(key(0, 1)) {
@@ -100,8 +96,8 @@ func TestSampleRankLearnsToy(t *testing.T) {
 
 func TestSampleRankObjectiveWalk(t *testing.T) {
 	ti := &toyInstance{gold: [2]int{0, 1}, labels: [2]int{1, 0}}
-	w := NewWeights()
-	sr := NewSampleRank(w, ti, 1.0, 7)
+	var w Weights
+	sr := NewSampleRank(&w, ti, 1.0, 7)
 	sr.Walk = WalkByObjective
 	sr.Train(300)
 	// With a greedy objective walk the state itself must reach gold.
@@ -114,12 +110,12 @@ func TestSampleRankNoUpdateWhenModelAgrees(t *testing.T) {
 	// Pre-set perfect weights: model already ranks correctly, so no
 	// updates should occur on decisive proposals.
 	ti := &toyInstance{gold: [2]int{0, 1}}
-	w := NewWeights()
+	var w Weights
 	w.Set(key(0, 0), 10)
 	w.Set(key(1, 1), 10)
 	w.Set(key(0, 1), -10)
 	w.Set(key(1, 0), -10)
-	sr := NewSampleRank(w, ti, 1.0, 9)
+	sr := NewSampleRank(&w, ti, 1.0, 9)
 	sr.Train(300)
 	if sr.Updates() != 0 {
 		t.Errorf("Updates = %d with perfect weights, want 0", sr.Updates())

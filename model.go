@@ -2,6 +2,7 @@ package factordb
 
 import (
 	"fmt"
+	"math"
 
 	"factordb/internal/exp"
 	"factordb/internal/ie"
@@ -40,18 +41,23 @@ type system interface {
 // a synthetic news corpus, a skip-chain CRF trained with SampleRank, and
 // a TOKEN(DOC_ID, POS, STRING, LABEL) relation whose LABEL column is the
 // uncertain field. The zero value gives a 20 000-token corpus with skip
-// factors at seed 1.
+// factors at seed 1. Zero in a numeric field means its default; a
+// negative count or a negative or non-finite Temperature fails Open.
 type NERConfig struct {
-	// Tokens is the corpus size in tokens (default 20 000).
+	// Tokens is the corpus size in tokens (0 = 20 000; must not be
+	// negative).
 	Tokens int
 	// Seed drives corpus generation and training (default 1).
 	Seed int64
-	// TrainSteps overrides the SampleRank step heuristic (0 = auto).
+	// TrainSteps overrides the SampleRank step heuristic (0 = auto; must
+	// not be negative).
 	TrainSteps int
-	// TokensPerDoc overrides the generator's document length (0 = auto).
+	// TokensPerDoc overrides the generator's document length (0 = auto;
+	// must not be negative).
 	TokensPerDoc int
 	// Temperature divides the trained weights (0 = package default);
-	// higher keeps marginals soft and chains mixing.
+	// higher keeps marginals soft and chains mixing. It must be finite and
+	// not negative: a negative one would invert the trained model.
 	Temperature float64
 	// LinearChain disables the skip-chain factors.
 	LinearChain bool
@@ -71,7 +77,21 @@ func (nerModel) modelName() string { return "ner" }
 
 func (m nerModel) build() (system, error) {
 	cfg := m.cfg
-	if cfg.Tokens <= 0 {
+	for _, f := range []struct {
+		name string
+		val  any
+		bad  bool
+	}{
+		{"Tokens", cfg.Tokens, cfg.Tokens < 0},
+		{"TrainSteps", cfg.TrainSteps, cfg.TrainSteps < 0},
+		{"TokensPerDoc", cfg.TokensPerDoc, cfg.TokensPerDoc < 0},
+		{"Temperature", cfg.Temperature, cfg.Temperature < 0 || math.IsNaN(cfg.Temperature) || math.IsInf(cfg.Temperature, 0)},
+	} {
+		if f.bad {
+			return nil, fmt.Errorf("factordb: NERConfig.%s = %v: want 0 (the default) or a positive finite value", f.name, f.val)
+		}
+	}
+	if cfg.Tokens == 0 {
 		cfg.Tokens = 20000
 	}
 	if cfg.Seed == 0 {

@@ -220,6 +220,9 @@ func TestBadDSN(t *testing.T) {
 		{"ner?tokens=abc", `tokens="abc" is not an integer`},
 		{"ner?temperature=hot", `temperature="hot" is not a number`},
 		{"ner?linear=maybe", `linear="maybe" is not a boolean`},
+		{"ner?temperature=-3", "NERConfig.Temperature = -3"},
+		{"ner?temperature=NaN", "NERConfig.Temperature = NaN"},
+		{"ner?train_steps=-1", "NERConfig.TrainSteps = -1"},
 		{"ner?mode=quantum", `unknown mode "quantum"`},
 		{"ner?tokens=100;seed=2", "bad DSN"},
 	} {
