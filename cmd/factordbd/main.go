@@ -37,7 +37,8 @@
 //
 // /exec applies a DML mutation (INSERT, UPDATE or DELETE) to every
 // chain's world and invalidates all cached pre-write answers; the
-// chains keep sampling and marginals re-equilibrate without a restart.
+// chains keep sampling without a restart. A write moves the answers that
+// select on the written evidence; the factor graph does not see it yet.
 package main
 
 import (

@@ -165,9 +165,12 @@
 // The database is writable through DB.Exec, database/sql's ExecContext,
 // and POST /exec — the paper's update model made operational. Because
 // the store holds a single possible world, a write is a plain mutation
-// of that world: the samplers keep walking and the marginals
-// re-equilibrate, with none of the lineage recomputation tuple-level
-// probabilistic databases pay on update. The DML grammar (literals only
+// of that world: the samplers keep walking, with none of the lineage
+// recomputation tuple-level probabilistic databases pay on update. A
+// write changes the evidence columns it touches and every answer that
+// selects on them; it does not yet change the factor graph, which is
+// built from the corpus at set-up, so hidden-variable marginals do not
+// respond to it (ROADMAP item 1). The DML grammar (literals only
 // on the write path; WHERE is a conjunction of simple comparisons):
 //
 //	INSERT INTO t [(col, ...)] VALUES (lit, ...) [, (lit, ...)]...
@@ -411,6 +414,8 @@
 //	internal/world     change log, epochs, snapshot publication
 //	internal/store     durable storage: snapshots + WAL, crash recovery
 //	internal/core      query evaluators (naive and materialized) + estimator
+//	                   whose dictionary is the view's answer slot table, so
+//	                   a sample folds only the tuples that crossed zero
 //	internal/metrics   loss traces and serving counters
 //	internal/exp       experiment harness regenerating the paper's figures
 //	internal/serve     the request pipeline and its sampling strategies

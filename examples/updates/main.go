@@ -1,17 +1,20 @@
 // Updates example: the paper's data-update story, live. Because the
 // probabilistic database is one possible world plus a factor graph, an
-// evidence correction is a plain SQL UPDATE: mutate the world, keep
-// sampling, and the marginals re-equilibrate — no engine restart, no
-// client-side recomputation, no lineage bookkeeping as in tuple-level
-// probabilistic databases.
+// evidence correction is a plain SQL UPDATE: mutate the world and keep
+// sampling — no engine restart, no client-side recomputation, no lineage
+// bookkeeping as in tuple-level probabilistic databases. The write
+// changes the evidence and every answer that selects on it; it does not
+// yet change the factor graph, so the labels' marginals come from a
+// model that has not seen the correction (ROADMAP item 1).
 //
 // The demo corrects a transcription error: a token in a document that
 // never mentioned Boston is fixed to read "Boston". Query 4 — persons
 // co-occurring with Boston labeled B-ORG — immediately starts seeing the
-// corrected document: its person mentions enter the answer with honest
-// marginals (the probability that the corrected token is labeled B-ORG
-// and the person token B-PER under the model). Reverting the correction
-// shifts the answer straight back.
+// corrected document: its person mentions enter the answer, because
+// Query 4 selects on the corrected STRING (each at the probability that
+// the corrected token is labeled B-ORG and the person token B-PER under
+// the model as trained, which has not seen the correction). Reverting
+// the correction shifts the answer straight back.
 package main
 
 import (
@@ -79,7 +82,7 @@ func main() {
 	fmt.Printf("\nQuery 4 before the correction: %d answer tuples\n", len(baseline))
 
 	// The evidence correction. Exec returns once every chain's world has
-	// absorbed the write and re-equilibrated past its burn-in.
+	// absorbed the write and walked its burn-in.
 	res, err := db.Exec(ctx, fmt.Sprintf(`UPDATE TOKEN SET STRING = 'Boston' WHERE TOK_ID = %d`, tokID))
 	if err != nil {
 		log.Fatal(err)

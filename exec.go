@@ -33,8 +33,10 @@ func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.TraceID
 // probabilistic database and returns once every possible-world copy has
 // absorbed it. This is the paper's update model: the database is a single
 // possible world plus a factor graph, so a write mutates the world in
-// place and sampling simply continues — the marginals re-equilibrate with
-// no lineage recomputation and no reopening.
+// place and sampling simply continues, with no lineage recomputation and
+// no reopening. The write changes the evidence it touches and every
+// answer that selects on it; the factor graph does not see it yet, so
+// hidden-variable marginals do not respond to it.
 //
 //	UPDATE TOKEN SET STRING = 'Boston' WHERE TOK_ID = 4711
 //	DELETE FROM TOKEN WHERE DOC_ID = 17

@@ -39,8 +39,10 @@ var published *Snapshot
 // per-epoch publish (testdata/alloc_budget.txt): snapshotting an
 // estimator copies its counts and shares its dictionary, so the cost is
 // the same pinned count at 16 tuples and at 1 024 — and counting a sample
-// whose tuples are all known allocates nothing. Counts only, so this is a
-// gate, not a trend.
+// whose tuples are all known allocates nothing, nor does a tuple leaving
+// the answer and re-entering it, nor a fold that moves known tuples in
+// and out before the next sample. Counts only, so this is a gate, not a
+// trend.
 func TestSnapshotAllocBudget(t *testing.T) {
 	budget := allocBudget(t)
 	var snapAllocs []float64
@@ -49,9 +51,9 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		for i := range vals {
 			vals[i] = fmt.Sprintf("t%d", i)
 		}
-		bag := stringBag(vals...)
+		ans := stringAnswer(vals...)
 		e := NewEstimator()
-		e.AddSample(bag)
+		e.AddSample(ans)
 
 		got := testing.AllocsPerRun(50, func() { published = e.Snapshot() })
 		t.Logf("snapshot_%d: %v allocs", n, got)
@@ -60,10 +62,44 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		}
 		snapAllocs = append(snapAllocs, got)
 
-		add := testing.AllocsPerRun(50, func() { e.AddSample(bag) })
+		add := testing.AllocsPerRun(50, func() { e.AddSample(ans) })
 		t.Logf("add_known (%d tuples): %v allocs", n, add)
 		if max, ok := budget["add_known"]; !ok || add > max {
 			t.Errorf("AddSample of %d known tuples allocates %v, budget %v", n, add, max)
+		}
+
+		first := ans.Tuple(0)
+		reenter := testing.AllocsPerRun(50, func() {
+			ans.Add(first, -1)
+			e.AddSample(ans)
+			ans.Add(first, 1)
+			e.AddSample(ans)
+		})
+		t.Logf("reenter (%d tuples): %v allocs", n, reenter)
+		if max, ok := budget["reenter"]; !ok || reenter > max {
+			t.Errorf("a tuple leaving and re-entering an answer of %d allocates %v, budget %v", n, reenter, max)
+		}
+
+		// Swap the two halves of the answer in and out, a sample apart.
+		for s := n / 2; s < n; s++ {
+			ans.Add(ans.Tuple(int32(s)), -1)
+		}
+		e.AddSample(ans)
+		in := true
+		fold := testing.AllocsPerRun(50, func() {
+			for s := range int32(n) {
+				sign := int64(1)
+				if (int(s) < n/2) == in {
+					sign = -1
+				}
+				ans.Add(ans.Tuple(s), sign)
+			}
+			in = !in
+			e.AddSample(ans)
+		})
+		t.Logf("fold_delta (%d tuples): %v allocs", n, fold)
+		if max, ok := budget["fold_delta"]; !ok || fold > max {
+			t.Errorf("AddSample after a fold over %d known tuples allocates %v, budget %v", n, fold, max)
 		}
 	}
 	if snapAllocs[0] != snapAllocs[1] {

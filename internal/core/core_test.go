@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"factordb/internal/factor"
 	"factordb/internal/ie"
+	"factordb/internal/ivm"
 	"factordb/internal/mcmc"
 	"factordb/internal/metrics"
 	"factordb/internal/ra"
@@ -260,17 +262,10 @@ func TestRunTracedLossDecreases(t *testing.T) {
 }
 
 func TestEstimator(t *testing.T) {
-	sch := &ra.RowSchema{Cols: []ra.OutCol{{Ref: ra.C("", "s"), Type: relstore.TString}}}
-	mk := func(vals ...string) *ra.Bag {
-		b := ra.NewBag(sch)
-		for _, v := range vals {
-			b.Add(relstore.Tuple{relstore.String(v)}, 1)
-		}
-		return b
-	}
+	a := new(ivm.Answer)
 	e := NewEstimator()
-	e.AddSample(mk("a", "b"))
-	e.AddSample(mk("a"))
+	e.AddSample(hold(a, "a", "b"))
+	e.AddSample(hold(a, "a"))
 	if e.Samples() != 2 {
 		t.Fatalf("Samples = %d", e.Samples())
 	}
@@ -286,21 +281,33 @@ func TestEstimator(t *testing.T) {
 	}
 	// Merge doubles counts.
 	o := NewEstimator()
-	o.AddSample(mk("b"))
-	e.Merge(o.Snapshot())
-	if got := e.Marginals()[bKey]; math.Abs(got-2.0/3) > 1e-12 {
+	o.AddSample(stringAnswer("b"))
+	merged := NewEstimator()
+	merged.Merge(e.Snapshot())
+	merged.Merge(o.Snapshot())
+	if got := merged.Marginals()[bKey]; math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("merged marginal = %v", got)
 	}
 }
 
-// stringBag builds a one-column answer bag holding each value once.
-func stringBag(vals ...string) *ra.Bag {
-	sch := &ra.RowSchema{Cols: []ra.OutCol{{Ref: ra.C("", "s"), Type: relstore.TString}}}
-	b := ra.NewBag(sch)
-	for _, v := range vals {
-		b.Add(relstore.Tuple{relstore.String(v)}, 1)
+// stringAnswer builds a one-column answer table holding each value once.
+func stringAnswer(vals ...string) *ivm.Answer {
+	return hold(new(ivm.Answer), vals...)
+}
+
+// hold makes a hold exactly vals, once each — the next sampled answer of
+// one view — and returns it.
+func hold(a *ivm.Answer, vals ...string) *ivm.Answer {
+	for s := range int32(a.Slots()) {
+		if n := a.Count(s); n != 0 && !slices.Contains(vals, a.Tuple(s)[0].AsString()) {
+			a.Add(a.Tuple(s), -n)
+		}
 	}
-	return b
+	for _, v := range vals {
+		t := relstore.Tuple{relstore.String(v)}
+		a.Add(t, 1-a.Count(a.Slot(t)))
+	}
+	return a
 }
 
 // TestSnapshotIsImmutable pins the publication contract: once taken, a
@@ -308,17 +315,15 @@ func stringBag(vals ...string) *ra.Bag {
 // estimator goes on to count — including tuples it appends to the
 // dictionary the snapshot shares.
 func TestSnapshotIsImmutable(t *testing.T) {
+	a := new(ivm.Answer)
 	e := NewEstimator()
-	e.AddSample(stringBag("a", "b"))
+	e.AddSample(hold(a, "a", "b"))
 	s := e.Snapshot()
 	wantRes, wantCI := s.Results(), s.ResultsCI(1.96)
 
-	e.AddSample(stringBag("a"))
-	e.AddSample(stringBag("c", "d", "e", "f", "g"))
-	e.AddSampleStream(func(yield func(relstore.Tuple, int64) bool) {
-		yield(relstore.Tuple{relstore.String("b")}, 1)
-		yield(relstore.Tuple{relstore.String("h")}, 1)
-	}, true)
+	e.AddSample(hold(a, "a"))
+	e.AddSample(hold(a, "c", "d", "e", "f", "g"))
+	e.AddSample(hold(a, "b", "h"))
 
 	if s.Samples() != 1 || e.Samples() != 4 {
 		t.Fatalf("snapshot shares state: %d vs %d samples", s.Samples(), e.Samples())
@@ -349,8 +354,9 @@ func TestSnapshotMergeRacesOwner(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		a := new(ivm.Answer)
 		for i := 0; i < 500; i++ {
-			owner.AddSample(stringBag("shared", fmt.Sprintf("new-%d", i)))
+			owner.AddSample(hold(a, "shared", fmt.Sprintf("new-%d", i)))
 			cell.Store(owner.Snapshot())
 		}
 	}()
@@ -380,15 +386,14 @@ func TestSnapshotMergeRacesOwner(t *testing.T) {
 }
 
 func TestResultsCI(t *testing.T) {
-	sch := &ra.RowSchema{Cols: []ra.OutCol{{Ref: ra.C("", "s"), Type: relstore.TString}}}
+	a := new(ivm.Answer)
 	e := NewEstimator()
 	for i := 0; i < 100; i++ {
-		b := ra.NewBag(sch)
-		b.Add(relstore.Tuple{relstore.String("always")}, 1)
 		if i < 50 {
-			b.Add(relstore.Tuple{relstore.String("half")}, 1)
+			e.AddSample(hold(a, "always", "half"))
+		} else {
+			e.AddSample(hold(a, "always"))
 		}
-		e.AddSample(b)
 	}
 	for _, ci := range e.ResultsCI(1.96) {
 		if ci.Lo < 0 || ci.Hi > 1 || ci.Lo > ci.Hi {
@@ -423,11 +428,10 @@ func TestResultsCI(t *testing.T) {
 }
 
 func TestEstimatorIgnoresNonPositiveCounts(t *testing.T) {
-	sch := &ra.RowSchema{Cols: []ra.OutCol{{Ref: ra.C("", "s"), Type: relstore.TString}}}
-	b := ra.NewBag(sch)
-	b.Add(relstore.Tuple{relstore.String("ghost")}, -1)
+	a := new(ivm.Answer)
+	a.Add(relstore.Tuple{relstore.String("ghost")}, -1)
 	e := NewEstimator()
-	e.AddSample(b)
+	e.AddSample(a)
 	if len(e.Marginals()) != 0 {
 		t.Error("negative-count tuple must not be counted as present")
 	}

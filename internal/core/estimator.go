@@ -16,8 +16,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"strings"
 
+	"factordb/internal/ivm"
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
 )
@@ -29,100 +29,132 @@ type TupleProb struct {
 	P     float64
 }
 
-// entry is one distinct answer tuple in an estimator's dictionary. Entries
-// are only ever appended, never changed, so a snapshot can share any
-// prefix of the dictionary while the estimator keeps growing it.
-type entry struct {
-	key   string
-	tuple relstore.Tuple
-}
-
 // tally is the estimate itself, read the same way from an Estimator and
-// a Snapshot: counts[slot] is how many of the z samples contained
-// entries[slot].
+// a Snapshot: counts[slot] is how many of the z samples contained the
+// dictionary's tuple in that slot. The dictionary may hold slots no
+// sample counted (count 0, or past the end of counts); they are not part
+// of the estimate.
 type tally struct {
-	entries []entry
-	counts  []int64
-	z       int64
+	dict   ivm.Dict
+	counts []int64
+	z      int64
 }
 
 // Estimator accumulates tuple presence counts across sampled worlds,
 // implementing the finite-sample estimate of Equation 5: a tuple's
 // marginal is the fraction of samples whose (multiset) answer contained
-// it with positive count. Storage is dense — index maps a tuple key to
-// its slot in the append-only dictionary — so Snapshot copies only the
-// counts.
+// it with positive count. Storage is dense, by slot of an append-only
+// tuple dictionary, so Snapshot copies only the counts.
+//
+// The dictionary is the view's answer table when the estimator counts a
+// materialized view (AddSample). The view's slots are then the
+// estimator's slots, and a sample costs the tuples that entered or left
+// the answer since the last one, not the answer: a present slot's count
+// is kept lazily as the sample at which its presence began. An estimator
+// fed by a stream (AddSampleStream) or by merging snapshots (Merge) keeps
+// a dictionary of its own instead. One estimator uses one of the two.
 type Estimator struct {
-	tally
-	index map[string]int32
+	view   *ivm.Answer // the view answer AddSample reads, once bound
+	own    *ivm.Answer // the private dictionary of AddSampleStream and Merge
+	counts []int64     // per slot, the samples counted outside a current presence run
+	// since is AddSample's per-slot presence run: the sample index just
+	// before the first sample that found the slot present, or -1 while it
+	// is absent. A present slot's count is counts + z − since.
+	since []int64
+	mark  uint64 // the view answer's crossing-log cursor (ivm.Answer.Crossed)
 	// seen is AddSampleStream's per-slot dedup stamp: the index of the last
 	// sample that counted the slot, so a tuple a stream yields several
-	// times is counted once. A bag's keys are already distinct, so
-	// AddSample neither needs nor grows it.
+	// times is counted once.
 	seen []int64
-	kbuf []byte
+	z    int64
 }
 
 // NewEstimator returns an empty estimator.
-func NewEstimator() *Estimator {
-	return &Estimator{index: make(map[string]int32)}
-}
-
-// add appends a new dictionary entry with a zero count and returns its
-// slot.
-func (e *Estimator) add(key string, t relstore.Tuple) int32 {
-	s := int32(len(e.entries))
-	e.index[key] = s
-	e.entries = append(e.entries, entry{key: key, tuple: t})
-	e.counts = append(e.counts, 0)
-	return s
-}
+func NewEstimator() *Estimator { return &Estimator{} }
 
 // AddSample counts every tuple present (count > 0) in the sampled answer
 // and returns the answer's cardinality (its number of present distinct
 // tuples), saving callers that track answer sizes a second pass. The
 // paper's multiset bookkeeping — "the condition is changed to
 // count(mi) > 0" — is exactly the positive-count test here.
-func (e *Estimator) AddSample(answer *ra.Bag) int64 {
-	e.z++
-	var card int64
-	answer.Each(func(k string, r *ra.BagRow) bool {
-		if r.N > 0 {
-			s, ok := e.index[k]
-			if !ok {
-				s = e.add(k, r.Tuple)
-			}
-			e.counts[s]++
-			card++
+//
+// The first call binds the estimator to the answer, whose slots become
+// its dictionary; every later call must pass the same answer, which may
+// have been folded any number of times in between. Only the slots whose
+// count crossed zero since the last call are visited.
+func (e *Estimator) AddSample(a *ivm.Answer) int64 {
+	if e.view != a {
+		if e.view != nil || e.own != nil {
+			panic("core: AddSample on an estimator bound to another dictionary")
 		}
-		return true
-	})
-	return card
+		e.view = a
+	}
+	e.z++
+	if k := a.Slots() - len(e.counts); k > 0 {
+		e.counts = append(e.counts, make([]int64, k)...)
+		for range k {
+			e.since = append(e.since, -1)
+		}
+	}
+	crossed, all := a.Crossed(&e.mark)
+	if all {
+		for s := range int32(a.Slots()) {
+			e.note(a, s)
+		}
+	} else {
+		for _, s := range crossed {
+			e.note(a, s)
+		}
+	}
+	return int64(a.Len())
+}
+
+// note brings slot s's presence run in line with the answer at sample z:
+// a run starts when the slot is found present, and ends, adding its
+// length to the count, when the slot is found absent.
+func (e *Estimator) note(a *ivm.Answer, s int32) {
+	in, since := a.Count(s) > 0, e.since[s]
+	switch {
+	case in && since < 0:
+		e.since[s] = e.z - 1
+	case !in && since >= 0:
+		e.counts[s] += e.z - 1 - since
+		e.since[s] = -1
+	}
+}
+
+// intern returns t's slot in the estimator's own dictionary, growing the
+// counts to cover it.
+func (e *Estimator) intern(t relstore.Tuple) int32 {
+	if e.view != nil {
+		panic("core: an estimator bound to a view answer counts only through AddSample")
+	}
+	if e.own == nil {
+		e.own = new(ivm.Answer)
+	}
+	s := e.own.Slot(t)
+	if k := int(s) + 1 - len(e.counts); k > 0 {
+		e.counts = append(e.counts, make([]int64, k)...)
+	}
+	return s
 }
 
 // AddSampleStream counts one sampled answer directly from a streaming
-// iterator (package ra), with no materialized bag in between: the naive
-// evaluator's per-sample path. A tuple emitted split across several yields
-// is counted once, via the per-sample seen stamp. When the stream is
-// unowned (tuples reused as scratch), the tuple is cloned the first time
-// it enters the estimator. Returns the answer's cardinality.
-func (e *Estimator) AddSampleStream(it ra.Iterator, owned bool) int64 {
+// iterator (package ra), with no materialized answer in between: the
+// naive evaluator's per-sample path. A tuple emitted split across several
+// yields is counted once, via the per-sample seen stamp. A tuple is
+// copied into the dictionary the first time it enters the estimator, so
+// the stream's tuples may be scratch. Returns the answer's cardinality.
+func (e *Estimator) AddSampleStream(it ra.Iterator) int64 {
 	e.z++
 	var card int64
 	it(func(t relstore.Tuple, n int64) bool {
 		if n <= 0 {
 			return true
 		}
-		e.kbuf = t.AppendKey(e.kbuf[:0])
-		s, ok := e.index[string(e.kbuf)]
-		if !ok {
-			if !owned {
-				t = t.Clone()
-			}
-			s = e.add(string(e.kbuf), t)
-		}
-		for len(e.seen) <= int(s) {
-			e.seen = append(e.seen, 0)
+		s := e.intern(t)
+		if k := int(s) + 1 - len(e.seen); k > 0 {
+			e.seen = append(e.seen, make([]int64, k)...)
 		}
 		if e.seen[s] != e.z {
 			e.seen[s] = e.z
@@ -135,76 +167,141 @@ func (e *Estimator) AddSampleStream(it ra.Iterator, owned bool) int64 {
 }
 
 // Merge adds the counts of a snapshot (used to average parallel chains,
-// Section 5.4). Both must target the same query. Merging never resets
-// dedup stamps: the normalizer only grows, so the next sample index
-// exceeds every stale stamp.
+// Section 5.4). Both must target the same query. The snapshot's counted
+// tuples are copied into the estimator's own dictionary. Merging never
+// resets dedup stamps: the normalizer only grows, so the next sample
+// index exceeds every stale stamp.
 func (e *Estimator) Merge(s *Snapshot) {
 	e.z += s.z
-	for i, en := range s.entries {
-		slot, ok := e.index[en.key]
-		if !ok {
-			slot = e.add(en.key, en.tuple)
+	for i, c := range s.counts {
+		if c > 0 {
+			e.counts[e.intern(s.dict.Tuple(int32(i)))] += c
 		}
-		e.counts[slot] += s.counts[i]
 	}
 }
 
-// Snapshot returns the estimator's current state as an immutable value:
-// the dictionary prefix shared, the counts copied — two allocations
-// whatever the answer size. The estimator keeps appending to the shared
-// dictionary past the snapshot's end, which no reader of the snapshot
-// can see.
-func (e *Estimator) Snapshot() *Snapshot {
-	n := len(e.entries)
-	return &Snapshot{tally{entries: e.entries[:n:n], counts: slices.Clone(e.counts), z: e.z}}
+// dict returns the estimator's dictionary.
+func (e *Estimator) dict() ivm.Dict {
+	switch {
+	case e.view != nil:
+		return e.view.Dict()
+	case e.own != nil:
+		return e.own.Dict()
+	}
+	return ivm.Dict{}
 }
 
-// Snapshot is an estimator's state frozen at one moment: what a serving
-// chain publishes once per epoch for readers to merge while its walk
-// keeps accumulating. It has read accessors only. The zero value is the
-// empty estimate.
-type Snapshot struct{ tally }
-
-// Samples returns the number of samples accumulated (the normalizer z).
-func (t *tally) Samples() int64 { return t.z }
-
-// p is slot's estimated marginal; a slot exists only once a sample
-// counted it, so z > 0.
-func (t *tally) p(slot int32) float64 { return float64(t.counts[slot]) / float64(t.z) }
-
-// Marginals returns the estimated probability for every tuple seen,
-// keyed by tuple key.
-func (t *tally) Marginals() map[string]float64 {
-	out := make(map[string]float64, len(t.entries))
-	for i, en := range t.entries {
-		out[en.key] = t.p(int32(i))
+// settled returns the counts with every open presence run added in. They
+// are copied when clone is set or a run is open, else shared.
+func (e *Estimator) settled(clone bool) []int64 {
+	if !clone && !slices.ContainsFunc(e.since, func(since int64) bool { return since >= 0 }) {
+		return e.counts
+	}
+	out := slices.Clone(e.counts)
+	for s, since := range e.since {
+		if since >= 0 {
+			out[s] += e.z - since
+		}
 	}
 	return out
 }
 
-// ranked returns the slots in answer order: descending count, then
-// ascending tuple key.
-func (t *tally) ranked() []int32 {
-	order := make([]int32, len(t.entries))
-	for i := range order {
-		order[i] = int32(i)
+// estimate returns the estimator's current state.
+func (e *Estimator) estimate() tally {
+	return tally{dict: e.dict(), counts: e.settled(false), z: e.z}
+}
+
+// Snapshot returns the estimator's current state as an immutable value:
+// the dictionary prefix shared, the counts copied with every open
+// presence run added in — two allocations whatever the answer size. The
+// dictionary keeps growing past the snapshot's end, which no reader of
+// the snapshot can see.
+func (e *Estimator) Snapshot() *Snapshot {
+	return &Snapshot{tally: tally{dict: e.dict(), counts: e.settled(true), z: e.z}}
+}
+
+// Snapshot is an estimator's state frozen at one moment: what a serving
+// chain publishes once per epoch for readers to merge while its walk
+// keeps accumulating. It has read accessors only, apart from Epoch, which
+// the publisher stamps before publishing. The zero value is the empty
+// estimate.
+type Snapshot struct {
+	tally
+	// Epoch is the data epoch the snapshot was published at; Estimator.
+	// Snapshot leaves it zero.
+	Epoch int64
+}
+
+// Samples returns the number of samples accumulated (the normalizer z).
+func (e *Estimator) Samples() int64 { return e.z }
+
+// Marginals returns the estimated probability for every tuple seen,
+// keyed by tuple key.
+func (e *Estimator) Marginals() map[string]float64 { t := e.estimate(); return t.Marginals() }
+
+// Results returns the answer tuples with probabilities, sorted by
+// descending probability then tuple key for determinism.
+func (e *Estimator) Results() []TupleProb { t := e.estimate(); return t.Results() }
+
+// ResultsCI returns the answer tuples, in Results order, with Wilson
+// score intervals at the given normal quantile z (see Snapshot.ResultsCI).
+func (e *Estimator) ResultsCI(z float64) []TupleCI { t := e.estimate(); return t.ResultsCI(z) }
+
+// Samples returns the number of samples accumulated (the normalizer z).
+func (t *tally) Samples() int64 { return t.z }
+
+// Marginals returns the estimated probability for every tuple seen,
+// keyed by tuple key.
+func (t *tally) Marginals() map[string]float64 {
+	out := make(map[string]float64)
+	for s, c := range t.counts {
+		if c > 0 {
+			out[t.dict.Tuple(int32(s)).Key()] = float64(c) / float64(t.z)
+		}
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(t.counts[b], t.counts[a]); c != 0 {
+	return out
+}
+
+// counted is one counted tuple of an estimate.
+type counted struct {
+	tuple relstore.Tuple
+	n     int64
+}
+
+// p is the tuple's estimated marginal out of z samples.
+func (c counted) p(z int64) float64 { return float64(c.n) / float64(z) }
+
+// ranked returns the counted tuples in answer order: descending count,
+// then ascending tuple key.
+func (t *tally) ranked() []counted {
+	n := 0
+	for _, c := range t.counts {
+		if c > 0 {
+			n++
+		}
+	}
+	rows := make([]counted, 0, n)
+	for s, c := range t.counts {
+		if c > 0 {
+			rows = append(rows, counted{t.dict.Tuple(int32(s)), c})
+		}
+	}
+	slices.SortFunc(rows, func(a, b counted) int {
+		if c := cmp.Compare(b.n, a.n); c != 0 {
 			return c
 		}
-		return strings.Compare(t.entries[a].key, t.entries[b].key)
+		return a.tuple.CompareKey(b.tuple)
 	})
-	return order
+	return rows
 }
 
 // Results returns the answer tuples with probabilities, sorted by
 // descending probability then tuple key for determinism.
 func (t *tally) Results() []TupleProb {
-	order := t.ranked()
-	out := make([]TupleProb, len(order))
-	for i, slot := range order {
-		out[i] = TupleProb{Tuple: t.entries[slot].tuple, P: t.p(slot)}
+	rows := t.ranked()
+	out := make([]TupleProb, len(rows))
+	for i, r := range rows {
+		out[i] = TupleProb{Tuple: r.tuple, P: r.p(t.z)}
 	}
 	return out
 }
@@ -228,11 +325,11 @@ type TupleCI struct {
 // coverage is optimistic — parallel chains (whose samples are independent
 // across chains) tighten this.
 func (t *tally) ResultsCI(z float64) []TupleCI {
-	order := t.ranked()
-	out := make([]TupleCI, len(order))
+	rows := t.ranked()
+	out := make([]TupleCI, len(rows))
 	n := float64(t.z)
-	for i, slot := range order {
-		p := t.p(slot)
+	for i, r := range rows {
+		p := r.p(t.z)
 		lo, hi := p, p
 		if n > 0 && z > 0 {
 			z2 := z * z
@@ -255,7 +352,7 @@ func (t *tally) ResultsCI(z float64) []TupleCI {
 				hi = p
 			}
 		}
-		out[i] = TupleCI{Tuple: t.entries[slot].tuple, P: p, Lo: lo, Hi: hi}
+		out[i] = TupleCI{Tuple: r.tuple, P: p, Lo: lo, Hi: hi}
 	}
 	return out
 }

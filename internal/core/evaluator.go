@@ -40,9 +40,8 @@ type Evaluator struct {
 
 	// Naive only: the streaming pipeline compiled once at construction and
 	// re-run over the current world for every sample, feeding the estimator
-	// without materializing an answer bag.
-	stream      ra.Iterator
-	streamOwned bool
+	// without materializing an answer.
+	stream ra.Iterator
 
 	// StepsPerSample is k of Algorithms 1 and 3: the thinning interval in
 	// MH walk-steps between consecutive query samples.
@@ -78,11 +77,9 @@ func NewEvaluator(mode Mode, log *world.ChangeLog, proposer mcmc.Proposer, plan 
 		}
 		ev.view = view
 	} else {
-		it, owned, err := ra.Stream(bound)
-		if err != nil {
+		if ev.stream, _, err = ra.Stream(bound); err != nil {
 			return nil, err
 		}
-		ev.stream, ev.streamOwned = it, owned
 	}
 	return ev, nil
 }
@@ -122,7 +119,7 @@ func (ev *Evaluator) CollectSample() error {
 	// answer tuples straight into the estimator. The delta log is
 	// discarded — the naive evaluator does not use it.
 	ev.log.Drain()
-	ev.est.AddSampleStream(ev.stream, ev.streamOwned)
+	ev.est.AddSampleStream(ev.stream)
 	return nil
 }
 

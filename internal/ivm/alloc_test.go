@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"factordb/internal/core"
 	"factordb/internal/exp"
 	"factordb/internal/ivm"
 	"factordb/internal/mcmc"
@@ -187,6 +188,34 @@ func BenchmarkViewMount(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/1024, "live-kB")
 			runtime.KeepAlive(view)
+		})
+	}
+}
+
+// BenchmarkAddSample times core.Estimator.AddSample on each paper query's
+// view over the budget test's walked world, one sample per iteration:
+// the k = 1000 walk-steps and the view's fold run with the timer
+// stopped, so ns/op and allocs/op are the estimator's alone. Run it with
+// -benchmem and a fixed -benchtime Nx: each iteration walks.
+func BenchmarkAddSample(b *testing.B) {
+	log, sampler, bounds := walkedWorld(b)
+	for i, q := range paperQueries {
+		b.Run(q.tag, func(b *testing.B) {
+			view, err := ivm.NewView(bounds[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			est := core.NewEstimator()
+			est.AddSample(view.Result())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				sampler.Run(1000)
+				view.Apply(log.Drain())
+				b.StartTimer()
+				est.AddSample(view.Result())
+			}
 		})
 	}
 }

@@ -130,7 +130,7 @@ func (g *Graph) Mount(b *ra.Bound) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := newViewFrom(root, b.Schema)
+	v, err := newViewFrom(root)
 	if err != nil {
 		g.release(root)
 		return nil, err

@@ -78,7 +78,7 @@ func TestGraphSharesSubtreesAndStaysExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !v.Result().Equal(full) {
+			if !resultBag(v).Equal(full) {
 				t.Fatalf("batch %d view %d diverged from full evaluation", batch, i)
 			}
 		}
@@ -128,7 +128,7 @@ func TestGraphExactViewSharing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		step()
 	}
-	if !v1.Result().Equal(v2.Result()) {
+	if !resultBag(v1).Equal(resultBag(v2)) {
 		t.Fatal("twin views over one shared root diverged")
 	}
 
@@ -144,7 +144,7 @@ func TestGraphExactViewSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v1.Result().Equal(full) {
+	if !resultBag(v1).Equal(full) {
 		t.Fatal("surviving twin diverged after its sibling unmounted")
 	}
 
@@ -213,7 +213,7 @@ func TestGraphMidStreamMount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pair.v.Result().Equal(full) {
+			if !resultBag(pair.v).Equal(full) {
 				t.Fatalf("view %d diverged after mid-stream mount", j)
 			}
 		}
@@ -255,23 +255,24 @@ func mustBind(t *testing.T, db *relstore.DB, p ra.Plan) *ra.Bound {
 }
 
 // checkExact fails unless v holds exactly the fresh evaluation of b, each
-// stored tuple still spelling the key it was stored under — a tuple kept
-// from a scratch buffer without cloning does not.
+// stored tuple still finding its own slot — a tuple kept from a scratch
+// buffer without copying does not.
 func checkExact(t *testing.T, what string, v *View, b *ra.Bound) {
 	t.Helper()
 	full, err := ra.Eval(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Result().Equal(full) {
-		t.Fatalf("%s: view diverged from full evaluation\nview: %v\nfull: %v", what, dump(v.Result()), dump(full))
+	if !resultBag(v).Equal(full) {
+		t.Fatalf("%s: view diverged from full evaluation\nview: %v\nfull: %v", what, dump(resultBag(v)), dump(full))
 	}
-	v.Result().Each(func(key string, r *ra.BagRow) bool {
-		if r.Tuple.Key() != key {
-			t.Fatalf("%s: result row stored under %q now reads %v", what, key, r.Tuple)
+	a := v.Result()
+	for s := int32(0); int(s) < a.Slots(); s++ {
+		r := a.Tuple(s)
+		if got := a.find(hashKey(r.AppendKey(nil)), r); got != s {
+			t.Fatalf("%s: answer slot %d now reads %v, found at slot %d", what, s, r, got)
 		}
-		return true
-	})
+	}
 }
 
 // TestGraphNodeGainsAndLosesAConsumer takes the join node of a mounted
@@ -450,7 +451,7 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		private, err := newViewFrom(root, b.Schema)
+		private, err := newViewFrom(root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +466,7 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 				n.inner = &canaryOp{op: n.inner}
 			}
 		}
-		shared, err := newViewFrom(node, b.Schema)
+		shared, err := newViewFrom(node)
 		if err != nil {
 			t.Fatal(err)
 		}

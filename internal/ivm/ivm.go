@@ -29,10 +29,11 @@
 //
 // Mirroring the streaming evaluator (package ra), each operator declares
 // via owned whether its pushed tuples are stable or scratch. Retaining
-// consumers never keep an unowned tuple: difference and distinct state,
-// the top-k buffer and the view result clone it on first insert, a
-// shared graph node's recording copies it into an arena, and a join side
-// copies every row into its own slot table (join.go).
+// consumers never keep an unowned tuple: difference and distinct state
+// and the top-k buffer clone it on first insert, a shared graph node's
+// recording copies it into an arena, and a join side and the view's
+// answer table copy every new row into chunks of their own (join.go,
+// answer.go).
 package ivm
 
 import (
@@ -107,12 +108,11 @@ type op interface {
 }
 
 // View is a materialized query answer kept consistent with the base
-// relations under a stream of deltas. It is its root operator's consumer.
+// relations under a stream of deltas. It is its root operator's consumer:
+// the root's output folds straight into the answer table.
 type View struct {
 	root   op
-	result *ra.Bag
-	clone  bool // the root's tuples are scratch
-	kbuf   []byte
+	result Answer
 }
 
 // NewView compiles a bound plan into a delta-operator tree and initializes
@@ -123,30 +123,28 @@ func NewView(b *ra.Bound) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newViewFrom(root, b.Schema)
+	return newViewFrom(root)
 }
 
 // newViewFrom materializes the initial answer from the operator tree's
 // init stream.
-func newViewFrom(root op, schema *ra.RowSchema) (*View, error) {
-	v := &View{root: root, result: ra.NewBag(schema), clone: !root.owned()}
+func newViewFrom(root op) (*View, error) {
+	v := &View{root: root}
 	if err := root.init(v); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-func (v *View) push(t relstore.Tuple, n int64) {
-	v.kbuf = t.AppendKey(v.kbuf[:0])
-	v.result.AddKeyedBytes(v.kbuf, t, n, v.clone)
-}
+func (v *View) push(t relstore.Tuple, n int64) { v.result.Add(t, n) }
 
 // Result returns the current materialized answer. The caller must treat it
-// as read-only; it remains valid (and current) across Apply calls.
-func (v *View) Result() *ra.Bag { return v.result }
+// as read-only, apart from taking its crossing log (Answer.Crossed); it
+// remains valid (and current) across Apply calls.
+func (v *View) Result() *Answer { return &v.result }
 
 // Apply folds a base delta into the view: the root's output streams
-// straight into the maintained result, and no bag exists per operator or
+// straight into the maintained answer, and no bag exists per operator or
 // per call. Callers read the answer from Result.
 func (v *View) Apply(d BaseDelta) { v.root.apply(d, v) }
 

@@ -71,7 +71,7 @@ func checkAgainstFullEval(t *testing.T, plan ra.Plan, seed int64, rows, batches,
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if !view.Result().Equal(full) {
+	if !resultBag(view).Equal(full) {
 		t.Fatalf("initial view differs from full evaluation")
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
@@ -85,11 +85,25 @@ func checkAgainstFullEval(t *testing.T, plan ra.Plan, seed int64, rows, batches,
 		if err != nil {
 			t.Fatalf("Eval: %v", err)
 		}
-		if !view.Result().Equal(full) {
+		if !resultBag(view).Equal(full) {
 			t.Fatalf("batch %d: view diverged from full evaluation\nview: %v\nfull: %v",
-				b, dump(view.Result()), dump(full))
+				b, dump(resultBag(view)), dump(full))
+		}
+		if got := view.Result().Len(); got != full.Len() {
+			t.Fatalf("batch %d: answer counts %d present tuples, full evaluation holds %d", b, got, full.Len())
 		}
 	}
+}
+
+// resultBag copies a view's present answer rows into a bag, for
+// comparison with a full evaluation.
+func resultBag(v *View) *ra.Bag {
+	a := v.Result()
+	b := ra.NewBag(nil)
+	for s := int32(0); int(s) < a.Slots(); s++ {
+		b.Add(a.Tuple(s), a.Count(s))
+	}
+	return b
 }
 
 // pushFunc adapts a function to the consumer interface.
@@ -271,9 +285,9 @@ func TestViewGlobalMinOverEmptyable(t *testing.T) {
 // applyDiff applies d and returns the signed change it made to the
 // view's answer.
 func applyDiff(v *View, d BaseDelta) *ra.Bag {
-	before := v.Result().Clone()
+	before := resultBag(v).Clone()
 	v.Apply(d)
-	diff := v.Result().Clone()
+	diff := resultBag(v).Clone()
 	diff.AddBag(before, -1)
 	return diff
 }
@@ -373,13 +387,13 @@ func TestViewJoinUnderDeletions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !view.Result().Equal(full) {
+		if !resultBag(view).Equal(full) {
 			t.Fatalf("after %d deletions view diverged\nview: %v\nfull: %v",
-				64-len(ids), dump(view.Result()), dump(full))
+				64-len(ids), dump(resultBag(view)), dump(full))
 		}
 	}
 	if view.Result().Len() != 0 {
-		t.Errorf("empty relation left a non-empty join view: %v", dump(view.Result()))
+		t.Errorf("empty relation left a non-empty join view: %v", dump(resultBag(view)))
 	}
 }
 
@@ -409,9 +423,9 @@ func TestViewJoinMixedDeletesAndFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !view.Result().Equal(full) {
+		if !resultBag(view).Equal(full) {
 			t.Fatalf("batch %d: view diverged\nview: %v\nfull: %v",
-				b, dump(view.Result()), dump(full))
+				b, dump(resultBag(view)), dump(full))
 		}
 	}
 }
@@ -447,13 +461,13 @@ func TestViewGroupAggUnderDeletions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !view.Result().Equal(full) {
+		if !resultBag(view).Equal(full) {
 			t.Fatalf("with %d rows left view diverged\nview: %v\nfull: %v",
-				len(ids), dump(view.Result()), dump(full))
+				len(ids), dump(resultBag(view)), dump(full))
 		}
 	}
 	if view.Result().Len() != 0 {
-		t.Errorf("empty relation left non-empty aggregate view: %v", dump(view.Result()))
+		t.Errorf("empty relation left non-empty aggregate view: %v", dump(resultBag(view)))
 	}
 }
 

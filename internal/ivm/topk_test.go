@@ -69,7 +69,7 @@ func TestOrderLimitEntryExit(t *testing.T) {
 	}
 	has := func(want ...string) {
 		t.Helper()
-		res := view.Result()
+		res := resultBag(view)
 		if int(res.Size()) != len(want) {
 			t.Fatalf("size = %d, want %d (%v)", res.Size(), len(want), want)
 		}
@@ -117,7 +117,7 @@ func TestOrderLimitEntryExit(t *testing.T) {
 	// Duplicate copies count toward the limit: a second "ada" evicts
 	// "bob" entirely.
 	diff = applyDiff(view, del("ada", 1))
-	res := view.Result()
+	res := resultBag(view)
 	if res.Count(relstore.Tuple{relstore.String("ada")}.Key()) != 2 || res.Size() != 2 {
 		t.Fatalf("multiset clip = %v", res.Rows())
 	}

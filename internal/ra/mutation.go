@@ -16,7 +16,7 @@ import (
 // Mutations target the evidence columns of the single possible world: the
 // paper's update model is "mutate the world, keep sampling", so a write
 // never recomputes lineage — it feeds the same Δ⁻/Δ⁺ delta tables the
-// sampler feeds, and the marginals re-equilibrate.
+// sampler feeds. The factor graph does not see a write yet.
 type Mutation interface {
 	// Table names the mutated relation.
 	Table() string

@@ -24,6 +24,13 @@ func sound(b *ra.Bag) (bad string) {
 	return bad
 }
 
+// bagStream streams a bag's rows.
+func bagStream(b *ra.Bag) ra.Iterator {
+	return func(yield func(relstore.Tuple, int64) bool) {
+		b.Each(func(_ string, r *ra.BagRow) bool { return yield(r.Tuple, r.N) })
+	}
+}
+
 // TestNoLayerKeepsAScratchTuple is the ownership canary of the base
 // layers. The store scans through one scratch tuple that it zeroes when
 // the scan ends, and a change log hands out deltas whose tuples sit in an
@@ -82,7 +89,6 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 			bound                       *ra.Bound
 			private, mounted            *ivm.View
 			stream                      ra.Iterator
-			owned                       bool
 			viaView, viaStream, truthly *core.Estimator
 		}
 		plans, _ := prunePlans(t)
@@ -100,7 +106,7 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 			if s.mounted, err = g.Mount(s.bound); err != nil {
 				t.Fatalf("%s: Mount: %v", name, err)
 			}
-			if s.stream, s.owned, err = ra.Stream(s.bound); err != nil {
+			if s.stream, _, err = ra.Stream(s.bound); err != nil {
 				t.Fatalf("%s: Stream: %v", name, err)
 			}
 			subjects = append(subjects, s)
@@ -122,7 +128,7 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 				}
 				for what, bag := range map[string]*ra.Bag{
 					"Eval": eval, "Stream": streamBag(t, s.bound),
-					"NewView": s.private.Result(), "Graph.Mount": s.mounted.Result(),
+					"NewView": answerBag(t, s.private.Result()), "Graph.Mount": answerBag(t, s.mounted.Result()),
 				} {
 					if bad := sound(bag); bad != "" || !bag.Equal(want) {
 						t.Fatalf("seed %d round %d %s: %s differs from the answer over a fresh world (row gone bad: %q)\n got: %s\nwant: %s",
@@ -130,8 +136,8 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 					}
 				}
 				s.viaView.AddSample(s.mounted.Result())
-				s.viaStream.AddSampleStream(s.stream, s.owned)
-				s.truthly.AddSample(want)
+				s.viaStream.AddSampleStream(s.stream)
+				s.truthly.AddSampleStream(bagStream(want))
 			}
 		}
 		check(0)

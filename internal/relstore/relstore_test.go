@@ -1,10 +1,12 @@
 package relstore
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +104,47 @@ func TestTupleKeyInjectiveQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompareKeyMatchesKeyOrder checks CompareKey against the order it
+// stands in for, bytes.Compare over the two keys: mixed kinds, negative
+// integers (whose keys sort after the positive ones), ±0 and NaN floats,
+// and strings past the one-byte length prefix (128 and 256 share their
+// first length byte).
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	strs := []string{"", "a", "ab", "b", strings.Repeat("x", 127), strings.Repeat("x", 128), strings.Repeat("a", 129), strings.Repeat("b", 256), strings.Repeat("z", 300)}
+	floats := []float64{0, math.Copysign(0, -1), -1.5, 2.25, math.Inf(1), math.NaN()}
+	value := func() Value {
+		switch rng.Intn(4) {
+		case 0:
+			return Int(rng.Int63n(7) - 3)
+		case 1:
+			return Float(floats[rng.Intn(len(floats))])
+		case 2:
+			return String(strs[rng.Intn(len(strs))])
+		}
+		return Bool(rng.Intn(2) == 0)
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := make(Tuple, rng.Intn(3)), make(Tuple, rng.Intn(3))
+		for j := range a {
+			a[j] = value()
+		}
+		for j := range b {
+			b[j] = value()
+			if j < len(a) && rng.Intn(2) == 0 {
+				b[j] = a[j]
+			}
+		}
+		if got, want := a.CompareKey(b), bytes.Compare([]byte(a.Key()), []byte(b.Key())); got != want {
+			t.Fatalf("CompareKey(%v, %v) = %d, key order %d", a, b, got, want)
+		}
+	}
+	x, y := Tuple{String(strs[5]), Int(-1)}, Tuple{String(strs[6]), Int(1)}
+	if n := testing.AllocsPerRun(10, func() { x.CompareKey(y) }); n != 0 {
+		t.Errorf("CompareKey allocates %v times", n)
 	}
 }
 

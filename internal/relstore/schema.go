@@ -1,6 +1,9 @@
 package relstore
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Column describes one attribute of a relation schema.
 type Column struct {
@@ -100,6 +103,20 @@ func (t Tuple) AppendKey(dst []byte) []byte {
 // Key returns an injective string encoding of the whole tuple, usable as a
 // map key for multiset semantics.
 func (t Tuple) Key() string { return string(t.AppendKey(nil)) }
+
+// CompareKey orders t and o exactly as bytes.Compare orders their keys
+// (AppendKey), without building either. The value encodings are
+// self-delimiting, so the first pair of values whose encodings differ
+// decides, and within a pair the kind tag, then the payload bits, then
+// a string's length encoding and bytes.
+func (t Tuple) CompareKey(o Tuple) int {
+	for i := range min(len(t), len(o)) {
+		if c := t[i].compareKey(&o[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(t), len(o))
+}
 
 // Equal reports element-wise equality with o.
 func (t Tuple) Equal(o Tuple) bool {

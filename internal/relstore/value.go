@@ -36,10 +36,12 @@
 package relstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Type enumerates the column types supported by the engine.
@@ -201,6 +203,45 @@ func (v Value) appendKey(dst []byte) []byte {
 		dst = append(dst, v.s...)
 	}
 	return dst
+}
+
+// compareKey orders v and o as bytes.Compare orders their key encodings
+// (see Tuple.CompareKey).
+func (v *Value) compareKey(o *Value) int {
+	if v.kind != o.kind {
+		return cmp.Compare(v.kind, o.kind)
+	}
+	switch v.kind {
+	case TInt, TBool:
+		return cmp.Compare(uint64(v.i), uint64(o.i))
+	case TFloat:
+		return cmp.Compare(math.Float64bits(v.f), math.Float64bits(o.f))
+	case TString:
+		if len(v.s) != len(o.s) {
+			return compareUvarint(uint64(len(v.s)), uint64(len(o.s)))
+		}
+		return strings.Compare(v.s, o.s)
+	}
+	return 0
+}
+
+// compareUvarint orders two different numbers as bytes.Compare orders
+// their uvarint encodings: seven bits at a time from the least
+// significant, each byte's top bit set when more follow.
+func compareUvarint(a, b uint64) int {
+	for {
+		ba, bb := byte(a&0x7f), byte(b&0x7f)
+		if a >= 0x80 {
+			ba |= 0x80
+		}
+		if b >= 0x80 {
+			bb |= 0x80
+		}
+		if ba != bb {
+			return cmp.Compare(ba, bb)
+		}
+		a, b = a>>7, b>>7
+	}
 }
 
 // AppendKey appends the value's injective key encoding to dst and returns

@@ -151,22 +151,25 @@ func (c *chain) epoch() {
 	for _, pv := range c.reg.byFP {
 		pv.view.Apply(d)
 		// One health observation per batch: the sampled answer's
-		// cardinality, which AddSample reports as it counts — a
-		// per-sample scalar the cross-chain R̂/ESS diagnostics can be
-		// computed over without a second pass over the answer.
+		// cardinality, the answer table's running count of present
+		// tuples — a per-sample scalar the cross-chain R̂/ESS
+		// diagnostics can be computed over without a pass over the
+		// answer. AddSample itself visits only the tuples that entered
+		// or left the answer in this batch.
 		card := pv.est.AddSample(pv.view.Result())
 		c.reg.noteSample(pv, float64(card))
 		// Every subscriber receives this sample; the walk and the view
 		// maintenance were paid once.
 		c.m.samples.Add(int64(len(pv.subs)))
 		snap := pv.est.Snapshot()
-		pv.cell.Publish(epoch, snap)
+		snap.Epoch = epoch
+		pv.cell.Publish(snap)
 		for id, sub := range pv.subs {
 			if snap.Samples()-sub.start >= sub.target {
 				// Hand the completed subscriber this snapshot before
 				// waking it: the shared cell may be reset by a later
 				// write before the session gets around to merging.
-				sub.final.Store(&finalSnap{snap: snap, epoch: epoch, gen: c.writeGen.Load()})
+				sub.final.Store(&finalSnap{snap: snap, gen: c.writeGen.Load()})
 				close(sub.done)
 				c.reg.dropSub(id)
 			}
@@ -185,10 +188,6 @@ func (c *chain) walk(n int) {
 	c.stepsC.Add(ds)
 	c.acceptedC.Add(da)
 }
-
-// emptySnapshot is the estimate of no samples a write republishes for
-// every live view; immutable, so every view and chain shares it.
-var emptySnapshot = &core.Snapshot{}
 
 // applyWrite is the per-chain half of a write: replay the resolved ops
 // through the change log (feeding Δ⁻/Δ⁺ exactly like sampler moves),
@@ -221,6 +220,9 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err e
 	c.reg.graph.NextRound()
 	for _, pv := range c.reg.byFP {
 		pv.view.Apply(d)
+		// The fresh estimator's first sample compares every slot of
+		// the view's answer, so tuples present only before the write
+		// count nowhere.
 		pv.est = core.NewEstimator()
 		for _, sub := range pv.subs {
 			sub.start = 0
@@ -233,7 +235,7 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err e
 	for _, pv := range c.reg.byFP {
 		// Publish the empty estimate: the cell must not keep serving the
 		// pre-write snapshot to readers that merge before the next batch.
-		pv.cell.Publish(epoch, emptySnapshot)
+		pv.cell.Publish(&core.Snapshot{Epoch: epoch})
 	}
 	return ends, nil
 }

@@ -130,17 +130,18 @@ func TestServedRankedQuery(t *testing.T) {
 // probability gap across the k-boundary separates; ties and thin samples
 // do not.
 func TestTopKSeparated(t *testing.T) {
-	schema := &ra.RowSchema{Cols: []ra.OutCol{{Ref: ra.C("T", "S"), Type: relstore.TString}}}
-	sample := func(names ...string) *ra.Bag {
-		b := ra.NewBag(schema)
-		for _, n := range names {
-			b.Add(relstore.Tuple{relstore.String(n)}, 1)
+	sample := func(names ...string) ra.Iterator {
+		return func(yield func(relstore.Tuple, int64) bool) {
+			for _, n := range names {
+				yield(relstore.Tuple{relstore.String(n)}, 1)
+			}
 		}
-		return b
 	}
 	mkregs := func(est *core.Estimator) []*registration {
-		cell := &world.Cell[*core.Snapshot]{}
-		cell.Publish(1, est.Snapshot())
+		cell := &world.Cell[core.Snapshot]{}
+		snap := est.Snapshot()
+		snap.Epoch = 1
+		cell.Publish(snap)
 		return []*registration{{cell: cell}}
 	}
 	const z = 1.96
@@ -149,9 +150,9 @@ func TestTopKSeparated(t *testing.T) {
 	est := core.NewEstimator()
 	for i := 0; i < 40; i++ {
 		if i == 0 {
-			est.AddSample(sample("A", "B"))
+			est.AddSampleStream(sample("A", "B"))
 		} else {
-			est.AddSample(sample("A"))
+			est.AddSampleStream(sample("A"))
 		}
 	}
 	if !topKSeparated(mkregs(est), 1, z) {
@@ -161,7 +162,7 @@ func TestTopKSeparated(t *testing.T) {
 	// Both tuples always present: a dead tie can never separate.
 	tie := core.NewEstimator()
 	for i := 0; i < 40; i++ {
-		tie.AddSample(sample("A", "B"))
+		tie.AddSampleStream(sample("A", "B"))
 	}
 	if topKSeparated(mkregs(tie), 1, z) {
 		t.Error("dead tie separated")
@@ -176,9 +177,9 @@ func TestTopKSeparated(t *testing.T) {
 	thin := core.NewEstimator()
 	for i := 0; i < int(minTopKStopSamples)-1; i++ {
 		if i == 0 {
-			thin.AddSample(sample("A", "B"))
+			thin.AddSampleStream(sample("A", "B"))
 		} else {
-			thin.AddSample(sample("A"))
+			thin.AddSampleStream(sample("A"))
 		}
 	}
 	if topKSeparated(mkregs(thin), 1, z) {

@@ -11,15 +11,14 @@ import (
 )
 
 // finalSnap is the answer a chain hands a completed subscriber: the
-// snapshot the view published in the epoch the sample target was met,
-// that epoch, and the chain's write generation — how many DML mutations
-// this chain had absorbed when the estimate completed. Sessions compare
-// generations across chains to detect (and re-collect) answers that would
-// otherwise blend pre- and post-write worlds.
+// snapshot the view published in the epoch the sample target was met
+// (stamped with that epoch), and the chain's write generation — how many
+// DML mutations this chain had absorbed when the estimate completed.
+// Sessions compare generations across chains to detect (and re-collect)
+// answers that would otherwise blend pre- and post-write worlds.
 type finalSnap struct {
-	snap  *core.Snapshot
-	epoch int64
-	gen   int64
+	snap *core.Snapshot
+	gen  int64
 }
 
 // subscriber is one query's stake in a physical view on one chain: how
@@ -47,7 +46,7 @@ type physicalView struct {
 	fp   string
 	view *ivm.View
 	est  *core.Estimator
-	cell *world.Cell[*core.Snapshot]
+	cell *world.Cell[core.Snapshot]
 	subs map[viewID]*subscriber
 	stat *viewStat
 }
@@ -118,7 +117,7 @@ func (r *viewRegistry) acquire(id viewID, bound *ra.Bound, target int64, done ch
 			fp:   fp,
 			view: view,
 			est:  core.NewEstimator(),
-			cell: &world.Cell[*core.Snapshot]{},
+			cell: &world.Cell[core.Snapshot]{},
 			subs: make(map[viewID]*subscriber),
 			stat: &viewStat{fp: fp, series: newSampleSeries()},
 		}

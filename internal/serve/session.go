@@ -135,17 +135,17 @@ func (r *Result) CI(i int) (lo, hi float64) { return r.tuples[i].Lo, r.tuples[i]
 type registration struct {
 	c     *chain
 	id    viewID
-	cell  *world.Cell[*core.Snapshot]
+	cell  *world.Cell[core.Snapshot]
 	done  chan struct{}
 	final atomic.Pointer[finalSnap]
 }
 
 // snapshot returns the chain's contribution to the merged answer: the
 // completion snapshot when the chain finished this query's budget, else
-// whatever the shared view last published.
-func (r *registration) snapshot() (world.Snapshot[*core.Snapshot], bool) {
+// whatever the shared view last published, or nil.
+func (r *registration) snapshot() *core.Snapshot {
 	if f := r.final.Load(); f != nil {
-		return world.Snapshot[*core.Snapshot]{Epoch: f.epoch, State: f.snap}, true
+		return f.snap
 	}
 	return r.cell.Load()
 }
@@ -523,8 +523,8 @@ wait:
 			}
 			gen = f.gen
 		}
-		if snap, ok := r.snapshot(); ok {
-			col.merged.Merge(snap.State)
+		if snap := r.snapshot(); snap != nil {
+			col.merged.Merge(snap)
 			if snap.Epoch > col.epoch {
 				col.epoch = snap.Epoch
 			}
@@ -552,7 +552,7 @@ const minTopKStopSamples = 16
 func epochSum(regs []*registration) int64 {
 	var sum int64
 	for _, r := range regs {
-		if snap, ok := r.snapshot(); ok {
+		if snap := r.snapshot(); snap != nil {
 			sum += snap.Epoch
 		}
 	}
@@ -568,8 +568,8 @@ func epochSum(regs []*registration) int64 {
 func topKSeparated(regs []*registration, k int64, z float64) bool {
 	merged := core.NewEstimator()
 	for _, r := range regs {
-		if snap, ok := r.snapshot(); ok {
-			merged.Merge(snap.State)
+		if snap := r.snapshot(); snap != nil {
+			merged.Merge(snap)
 		}
 	}
 	if merged.Samples() < minTopKStopSamples {

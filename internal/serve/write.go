@@ -65,8 +65,10 @@ type FsyncReporter interface {
 // to every chain's world, and blocks until all chains have absorbed it.
 // This is the paper's data-update model made operational: the database is
 // one possible world plus a factor graph, so a write mutates the world
-// in place and the chains keep sampling — marginals re-equilibrate with
-// no lineage recomputation and no engine restart.
+// in place and the chains keep sampling, with no lineage recomputation
+// and no engine restart. The factor graph does not see the write yet, so
+// it moves answers that select on the written evidence, not the hidden
+// variables' marginals.
 //
 // The mutation is resolved once, on chain 0, into concrete row-level ops
 // (predicates evaluated, row identities fixed), then the identical op

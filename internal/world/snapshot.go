@@ -2,36 +2,21 @@ package world
 
 import "sync/atomic"
 
-// Snapshot pairs an epoch number with a state value published at that
-// epoch's boundary. The state must be treated as immutable by both sides
-// once published.
-type Snapshot[T any] struct {
-	Epoch int64
-	State T
-}
-
-// Cell is a single-writer, many-reader publication point for epoch-stamped
-// snapshots. The walking goroutine that owns a world publishes a fresh
-// immutable snapshot after each Drain; concurrent readers always observe a
-// complete state from one epoch boundary — never a torn intermediate —
-// while the chain keeps walking. Publication is a single atomic pointer
-// store, so the walk never blocks on readers.
+// Cell is a single-writer, many-reader publication point for immutable
+// states. The walking goroutine that owns a world publishes a fresh state
+// after each Drain, the state carrying the epoch it belongs to; concurrent
+// readers always observe a complete state from one epoch boundary — never
+// a torn intermediate — while the chain keeps walking. Publication is a
+// single atomic store of the caller's own pointer, so the walk never
+// blocks on readers and publishing allocates nothing.
 type Cell[T any] struct {
-	p atomic.Pointer[Snapshot[T]]
+	p atomic.Pointer[T]
 }
 
-// Publish installs a new snapshot. Only one goroutine may publish; the
-// state must not be mutated afterwards.
-func (c *Cell[T]) Publish(epoch int64, state T) {
-	c.p.Store(&Snapshot[T]{Epoch: epoch, State: state})
-}
+// Publish installs a new state. Only one goroutine may publish; the state
+// must not be mutated afterwards.
+func (c *Cell[T]) Publish(state *T) { c.p.Store(state) }
 
-// Load returns the most recently published snapshot, or ok=false if
-// nothing has been published yet.
-func (c *Cell[T]) Load() (s Snapshot[T], ok bool) {
-	sp := c.p.Load()
-	if sp == nil {
-		return s, false
-	}
-	return *sp, true
-}
+// Load returns the most recently published state, or nil if nothing has
+// been published yet.
+func (c *Cell[T]) Load() *T { return c.p.Load() }

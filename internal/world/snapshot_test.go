@@ -30,18 +30,21 @@ func TestEpochAdvancesPerDrain(t *testing.T) {
 	}
 }
 
+// stamped is a published test state carrying its epoch.
+type stamped struct{ Epoch, State int64 }
+
 func TestCellEmptyThenPublish(t *testing.T) {
-	var c Cell[int]
-	if _, ok := c.Load(); ok {
+	var c Cell[stamped]
+	if s := c.Load(); s != nil {
 		t.Fatal("empty cell reported a snapshot")
 	}
-	c.Publish(3, 42)
-	s, ok := c.Load()
-	if !ok || s.Epoch != 3 || s.State != 42 {
-		t.Fatalf("Load = %+v, %v", s, ok)
+	c.Publish(&stamped{Epoch: 3, State: 42})
+	s := c.Load()
+	if s == nil || s.Epoch != 3 || s.State != 42 {
+		t.Fatalf("Load = %+v", s)
 	}
-	c.Publish(4, 43)
-	s, _ = c.Load()
+	c.Publish(&stamped{Epoch: 4, State: 43})
+	s = c.Load()
 	if s.Epoch != 4 || s.State != 43 {
 		t.Fatalf("latest snapshot not returned: %+v", s)
 	}
@@ -51,7 +54,7 @@ func TestCellEmptyThenPublish(t *testing.T) {
 // checks every observed snapshot is internally consistent (state always
 // equals its epoch here) and epochs never go backwards per reader.
 func TestCellConcurrentReaders(t *testing.T) {
-	var c Cell[int64]
+	var c Cell[stamped]
 	const epochs = 5000
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -60,8 +63,8 @@ func TestCellConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			last := int64(-1)
 			for i := 0; i < epochs; i++ {
-				s, ok := c.Load()
-				if !ok {
+				s := c.Load()
+				if s == nil {
 					continue
 				}
 				if s.State != s.Epoch {
@@ -77,7 +80,7 @@ func TestCellConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for e := int64(0); e < epochs; e++ {
-		c.Publish(e, e)
+		c.Publish(&stamped{Epoch: e, State: e})
 	}
 	wg.Wait()
 }
