@@ -12,6 +12,7 @@ import (
 	"factordb/internal/ivm"
 	"factordb/internal/mcmc"
 	"factordb/internal/ra"
+	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
@@ -78,11 +79,7 @@ func walkedWorld(tb testing.TB) (*world.ChangeLog, *mcmc.Sampler, []*ra.Bound) {
 	log.Drain()
 	bounds := make([]*ra.Bound, len(paperQueries))
 	for i, q := range paperQueries {
-		plan, _, err := sqlparse.Compile(q.sql)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if bounds[i], err = ra.Bind(log.DB(), plan); err != nil {
+		if bounds[i], err = ra.Bind(log.DB(), mustCompile(tb, q.sql)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -162,6 +159,111 @@ func TestViewAllocBudget(t *testing.T) {
 			}
 		}
 	}
+
+	// regroup: one document's persons leave and come back. The group's
+	// slot is freed and taken again, and its row re-enters the answer
+	// slot it held, so coming back allocates nothing.
+	perDoc, err := ra.Bind(log.DB(), mustCompile(t, `SELECT DOC_ID, COUNT(*) AS N FROM TOKEN WHERE LABEL='B-PER' GROUP BY DOC_ID`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leave, back := personsOfOneDoc(t, log.DB())
+	for _, how := range []string{"NewView", "Graph.Mount"} {
+		var view *ivm.View
+		var g *ivm.Graph
+		if how == "NewView" {
+			view, err = ivm.NewView(perDoc)
+		} else {
+			g = ivm.NewGraph()
+			view, err = g.Mount(perDoc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := view.Result().Len()
+		worst := 0.0
+		for round := 0; round < 4; round++ {
+			for _, d := range []ivm.BaseDelta{leave, back} {
+				got, _ := measure(func() {
+					if g != nil {
+						g.NextRound()
+					}
+					view.Apply(d)
+				})
+				if round > 0 {
+					worst = max(worst, got)
+				}
+			}
+			if got := view.Result().Len(); got != n {
+				t.Fatalf("after round %d the view holds %d groups, want %d", round, got, n)
+			}
+		}
+		t.Logf("regroup via %s: %v allocs", how, worst)
+		if max := budget["regroup"]; worst > max {
+			t.Errorf("a group leaving and coming back via %s allocates %v, budget %v", how, worst, max)
+		}
+	}
+}
+
+func mustCompile(tb testing.TB, sql string) ra.Plan {
+	tb.Helper()
+	plan, _, err := sqlparse.Compile(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// personsOfOneDoc returns a delta that removes every B-PER token of one
+// document holding some, and one that puts them back.
+func personsOfOneDoc(tb testing.TB, db *relstore.DB) (leave, back ivm.BaseDelta) {
+	tb.Helper()
+	tok, err := db.Relation("TOKEN")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	docCol, labelCol := tok.Schema().ColIndex("DOC_ID"), tok.Schema().ColIndex("LABEL")
+	leave, back = ivm.NewBaseDelta(), ivm.NewBaseDelta()
+	doc := int64(-1)
+	tok.Scan(func(_ relstore.RowID, t relstore.Tuple) bool {
+		if t[labelCol].AsString() != "B-PER" || doc >= 0 && t[docCol].AsInt() != doc {
+			return true
+		}
+		doc = t[docCol].AsInt()
+		t = t.Clone()
+		leave.Add("TOKEN", t, -1)
+		back.Add("TOKEN", t, 1)
+		return true
+	})
+	if doc < 0 {
+		tb.Fatal("the walked world has no B-PER token")
+	}
+	return leave, back
+}
+
+// TestViewMountIsDeterministic mounts Query 3 twice on one walked world:
+// its group-aggs emit their groups in slot order, which their input
+// order fixes, so both answers list the same tuples in the same slots.
+func TestViewMountIsDeterministic(t *testing.T) {
+	_, _, bounds := walkedWorld(t)
+	q3 := bounds[2]
+	var answers [2]*ivm.Answer
+	for i := range answers {
+		v, err := ivm.NewView(q3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = v.Result()
+	}
+	a, b := answers[0], answers[1]
+	if a.Slots() != b.Slots() || a.Slots() < 2 {
+		t.Fatalf("the mounts hold %d and %d slots, want the same, and several", a.Slots(), b.Slots())
+	}
+	for s := int32(0); int(s) < a.Slots(); s++ {
+		if !a.Tuple(s).Identical(b.Tuple(s)) || a.Count(s) != b.Count(s) {
+			t.Fatalf("slot %d holds %v×%d in one mount and %v×%d in the other", s, a.Tuple(s), a.Count(s), b.Tuple(s), b.Count(s))
+		}
+	}
 }
 
 // BenchmarkViewMount mounts each paper query on the budget test's walked
@@ -215,6 +317,32 @@ func BenchmarkAddSample(b *testing.B) {
 				view.Apply(log.Drain())
 				b.StartTimer()
 				est.AddSample(view.Result())
+			}
+		})
+	}
+}
+
+// BenchmarkViewApply times View.Apply on each paper query's view over the
+// budget test's walked world, one sample's delta per iteration: the
+// k = 1000 walk-steps and their Drain run with the timer stopped, so
+// ns/op and allocs/op are the view's fold alone. Run it with -benchmem
+// and a fixed -benchtime Nx: each iteration walks.
+func BenchmarkViewApply(b *testing.B) {
+	log, sampler, bounds := walkedWorld(b)
+	for i, q := range paperQueries {
+		b.Run(q.tag, func(b *testing.B) {
+			view, err := ivm.NewView(bounds[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				sampler.Run(1000)
+				d := log.Drain()
+				b.StartTimer()
+				view.Apply(d)
 			}
 		})
 	}

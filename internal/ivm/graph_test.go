@@ -419,6 +419,45 @@ func canaryCompile(b *ra.Bound) (op, error) {
 	return &canaryOp{op: o}, nil
 }
 
+// perDoc is a group-agg whose groups come and go: each document's B-PER
+// count, first name and mean position. A document's group empties, and
+// its slot is freed, when its last B-PER token flips away.
+func perDoc() ra.Plan {
+	return ra.NewGroupAgg(perSelect(), []ra.ColRef{ra.C("T", "DOC_ID")},
+		ra.Agg{Fn: ra.FnCount, As: "N"},
+		ra.Agg{Fn: ra.FnMin, Arg: ra.C("T", "STRING"), As: "FIRST"},
+		ra.Agg{Fn: ra.FnAvg, Arg: ra.C("T", "TOK_ID"), As: "MEAN"})
+}
+
+// doc2Persons is a global group-agg over document 2's B-PER tokens: its
+// MIN and AVG are undefined, and its row absent, while there are none.
+func doc2Persons() ra.Plan {
+	return ra.NewGroupAgg(
+		ra.NewSelect(ra.NewScan("TOKEN", "T"), ra.And(
+			ra.Eq(ra.Col(ra.C("T", "LABEL")), ra.Const(relstore.String("B-PER"))),
+			ra.Eq(ra.Col(ra.C("T", "DOC_ID")), ra.Const(relstore.Int(2))))),
+		nil,
+		ra.Agg{Fn: ra.FnMin, Arg: ra.C("T", "STRING"), As: "FIRST"},
+		ra.Agg{Fn: ra.FnAvg, Arg: ra.C("T", "TOK_ID"), As: "MEAN"})
+}
+
+// relabelDoc sets the label of every live token of document doc, recording
+// the changes in d.
+func relabelDoc(tok *relstore.Relation, ids []relstore.RowID, doc int64, label string, d BaseDelta) {
+	for _, id := range ids {
+		old, _ := tok.Get(id)
+		if old[1].AsInt() != doc || old[3].AsString() == label {
+			continue
+		}
+		if err := tok.SetCol(id, 3, relstore.String(label)); err != nil {
+			panic(err)
+		}
+		cur, _ := tok.Get(id)
+		d.Add("TOKEN", old, -1)
+		d.Add("TOKEN", cur, 1)
+	}
+}
+
 // TestNoConsumerKeepsAnUnownedTuple runs every retaining consumer — join
 // sides, difference and distinct state, the top-k buffer, MIN/MAX value
 // sets, view results, a shared node's memo — over canary producers, the
@@ -427,8 +466,21 @@ func canaryCompile(b *ra.Bound) (op, error) {
 // over (as the change log that drained it would), and holds each view to
 // the fresh evaluation. internal/ra's TestNoLayerKeepsAScratchTuple does
 // the same with the store's own scratch tuples and a real change log.
+//
+// Every plan also runs without canaries, so each consumer meets its real
+// producer: a group-agg, which pushes rows straight from the slots it
+// rewrites, feeds a join side (Query 3's shape), DISTINCT, EXCEPT,
+// ORDER BY … LIMIT, and — perDoc being mounted three times on one graph
+// — a shared node's recording. Every other round empties document 2 of
+// B-PER tokens and the next-but-one refills it, so a group leaves its
+// slot and comes back, and doc2Persons's MIN/AVG row goes undefined and
+// back.
 func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 	str := ra.C("T2", "STRING")
+	docID := ra.C("T", "DOC_ID")
+	orgDocs := ra.NewGroupAgg(
+		ra.NewSelect(ra.NewScan("TOKEN", "T"), ra.Eq(ra.Col(ra.C("T", "LABEL")), ra.Const(relstore.String("B-ORG")))),
+		[]ra.ColRef{docID}, ra.Agg{Fn: ra.FnCount, As: "N"})
 	plans := append(joinSharers(),
 		orgPersonJoin(),
 		ra.NewDiff(ra.NewProject(ra.NewScan("TOKEN", "T"), ra.C("T", "STRING")), ra.NewProject(orgPersonJoin(), str)),
@@ -437,12 +489,19 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 			[]ra.SortKey{{Col: str}, {Col: ra.C("T1", "TOK_ID"), Desc: true}}, 5),
 		ra.NewGroupAgg(orgPersonJoin(), []ra.ColRef{ra.C("T1", "DOC_ID")},
 			ra.Agg{Fn: ra.FnMin, Arg: str, As: "FIRST"}, ra.Agg{Fn: ra.FnMax, Arg: ra.C("T2", "TOK_ID"), As: "LAST"}),
+		perDoc(),
+		query3Plan(),
+		ra.NewDistinct(ra.NewProject(perDoc(), ra.C("", "N"))),
+		ra.NewDiff(ra.NewProject(perDoc(), docID), ra.NewProject(orgDocs, docID)),
+		ra.NewOrderLimit(perDoc(), []ra.SortKey{{Col: ra.C("", "N"), Desc: true}, {Col: docID}}, 3),
+		doc2Persons(),
 	)
+	global := len(plans) - 1
 	db, tok, ids := buildTokenDB(160, 35)
-	g := NewGraph()
+	g, plain := NewGraph(), NewGraph()
 	type subject struct {
-		b               *ra.Bound
-		private, shared *View
+		b     *ra.Bound
+		views []*View // private and graph-mounted, with canaries, then without
 	}
 	var subjects []subject
 	for _, p := range plans {
@@ -470,13 +529,26 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subjects = append(subjects, subject{b, private, shared})
+		bare, err := NewView(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mounted, err := plain.Mount(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{b, []*View{private, shared, bare, mounted}})
 	}
+	if n := plain.nodes[subjects[global-5].b.Fingerprint()]; n == nil || n.refs < 2 || n.owned() {
+		t.Fatalf("perDoc is not an unowned node shared by several views: %+v", n)
+	}
+	hows := []string{"private tree", "graph", "private tree without canaries", "graph without canaries"}
 	check := func() {
 		t.Helper()
 		for i, s := range subjects {
-			checkExact(t, fmt.Sprintf("plan %d, private tree", i), s.private, s.b)
-			checkExact(t, fmt.Sprintf("plan %d, graph", i), s.shared, s.b)
+			for j, v := range s.views {
+				checkExact(t, fmt.Sprintf("plan %d, %s", i, hows[j]), v, s.b)
+			}
 		}
 	}
 	check()
@@ -489,10 +561,18 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 		if len(ids) > 40 {
 			ids = deleteRow(rng, tok, ids, d)
 		}
+		switch round % 4 {
+		case 1:
+			relabelDoc(tok, ids, 2, "O", d)
+		case 3:
+			relabelDoc(tok, ids, 2, "B-PER", d)
+		}
 		g.NextRound()
+		plain.NextRound()
 		for _, s := range subjects {
-			s.private.Apply(d)
-			s.shared.Apply(d)
+			for _, v := range s.views {
+				v.Apply(d)
+			}
 		}
 		// The round is over: a change log would now take its arena back.
 		for _, r := range d["TOKEN"] {
@@ -501,5 +581,8 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 			}
 		}
 		check()
+		if want := map[int]int{1: 0, 3: 1}[round%4]; round%2 == 1 && subjects[global].views[3].Result().Len() != want {
+			t.Fatalf("round %d: document 2's global row is present %d times, want %d", round, subjects[global].views[3].Result().Len(), want)
+		}
 	}
 }

@@ -28,12 +28,14 @@
 // conversions to one named type per way.
 //
 // Mirroring the streaming evaluator (package ra), each operator declares
-// via owned whether its pushed tuples are stable or scratch. Retaining
-// consumers never keep an unowned tuple: difference and distinct state
-// and the top-k buffer clone it on first insert, a shared graph node's
-// recording copies it into an arena, and a join side and the view's
-// answer table copy every new row into chunks of their own (join.go,
-// answer.go).
+// via owned whether its pushed tuples are stable or scratch. Unlike
+// ra.Stream's, the group-agg here pushes scratch: its rows live in the
+// slots of its group table, which it rewrites between a group's −old
+// and +new push (groupagg.go). Retaining consumers never keep an
+// unowned tuple: difference and distinct state and the top-k buffer
+// clone it on first insert, a shared graph node's recording copies it
+// into an arena, and a join side and the view's answer table copy every
+// new row into chunks of their own (join.go, answer.go).
 package ivm
 
 import (

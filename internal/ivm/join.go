@@ -29,7 +29,7 @@ import (
 type sideState struct {
 	keyIdx       []int
 	arity        int
-	chunks       []chunk
+	chunks       chunks[slot, relstore.Value]
 	used         int32 // slots handed out: every slot below is live or free
 	free         int32 // first free slot, -1 if none; free slots chain through next
 	live         int   // slots holding a row
@@ -44,10 +44,33 @@ type slot struct {
 }
 
 // chunk holds the slots of one contiguous slot range and their values,
-// arity per slot.
-type chunk struct {
-	slots []slot
-	vals  []relstore.Value
+// a fixed width per slot.
+type chunk[S, V any] struct {
+	slots []S
+	vals  []V
+}
+
+// chunks is the storage of a slot table (a join side, a group-agg's
+// groups): slot i is in chunk chunkOf(i), and neither a slot nor its
+// values ever move.
+type chunks[S, V any] []chunk[S, V]
+
+// at returns slot i and its width values.
+func (cs chunks[S, V]) at(i int32, width int) (*S, []V) {
+	c, off := chunkOf(i)
+	ch := &cs[c]
+	lo := off * width
+	return &ch.slots[off], ch.vals[lo : lo+width : lo+width]
+}
+
+// grow adds the chunk that slot i starts, if it starts one; slots are
+// handed out in order, so every earlier slot's chunk exists. Zero-size
+// slots cost no allocation.
+func (cs *chunks[S, V]) grow(i int32, width int) {
+	if c, _ := chunkOf(i); c == len(*cs) {
+		size := chunkBase << (c / chunkLevel)
+		*cs = append(*cs, chunk[S, V]{slots: make([]S, size), vals: make([]V, size*width)})
+	}
 }
 
 // Chunk sizes grow geometrically, chunkLevel chunks to each doubling, so
@@ -55,17 +78,20 @@ type chunk struct {
 // it has handed out: a doubling chunk would reserve up to twice as many,
 // and most join sides hold a few hundred rows of 40-byte values.
 const (
-	chunkBase  = 2 // slots per chunk of the first level; a power of two
-	chunkLevel = 4 // chunks per level; a power of two
+	chunkBaseLog = 1 // log2 of the slots per chunk of the first level
+	chunkBase    = 1 << chunkBaseLog
+	chunkLevel   = 4 // chunks per level; a power of two
 )
 
 // chunkOf locates slot i: level k starts at slot
 // chunkBase·chunkLevel·(2^k − 1) and holds chunks of chunkBase·2^k slots.
+// Chunk sizes are powers of two, so it shifts and masks where a division
+// by the size would cost more than the rest of a lookup.
 func chunkOf(i int32) (c, off int) {
-	k := bits.Len(uint(int(i)/(chunkBase*chunkLevel)+1)) - 1
+	k := bits.Len(uint(i)/(chunkBase*chunkLevel)+1) - 1
 	r := int(i) - chunkBase*chunkLevel*(1<<k-1)
-	size := chunkBase << k
-	return chunkLevel*k + r/size, r % size
+	shift := chunkBaseLog + k
+	return chunkLevel*k + r>>shift, r & (1<<shift - 1)
 }
 
 func newSideState(keyIdx []int, arity int) sideState {
@@ -78,12 +104,7 @@ var hashSeed = maphash.MakeSeed()
 func hashKey(b []byte) uint32 { return uint32(maphash.Bytes(hashSeed, b)) }
 
 // at returns slot i and the row it holds.
-func (s *sideState) at(i int32) (*slot, relstore.Tuple) {
-	c, off := chunkOf(i)
-	ch := &s.chunks[c]
-	lo := off * s.arity
-	return &ch.slots[off], ch.vals[lo : lo+s.arity : lo+s.arity]
-}
+func (s *sideState) at(i int32) (*slot, relstore.Tuple) { return s.chunks.at(i, s.arity) }
 
 func (s *sideState) slot(i int32) *slot {
 	sl, _ := s.at(i)
@@ -188,10 +209,7 @@ func (s *sideState) alloc() int32 {
 	}
 	i := s.used
 	s.used++
-	if c, _ := chunkOf(i); c == len(s.chunks) {
-		size := chunkBase << (c / chunkLevel)
-		s.chunks = append(s.chunks, chunk{slots: make([]slot, size), vals: make([]relstore.Value, size*s.arity)})
-	}
+	s.chunks.grow(i, s.arity)
 	return i
 }
 
@@ -276,6 +294,15 @@ func (x *index) place(c cell) {
 		p = (p + 1) & x.mask()
 	}
 	x.cells[p] = c
+}
+
+// removeSlot removes slot i, filed under hash h.
+func (x *index) removeSlot(h uint32, i int32) {
+	p := h & x.mask()
+	for x.cells[p].ref != i+1 {
+		p = (p + 1) & x.mask()
+	}
+	x.remove(p)
 }
 
 // remove empties cell p, moving back each later cell of the probe run

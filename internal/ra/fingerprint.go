@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"strconv"
 
 	"factordb/internal/relstore"
@@ -31,46 +30,94 @@ import (
 // structurally mutated after the first Fingerprint call.
 func (b *Bound) Fingerprint() string {
 	if b.fp == "" {
-		h := sha256.New()
-		b.writeFP(h)
-		b.fp = "bfp1:" + hex.EncodeToString(h.Sum(nil)[:16])
+		var buf [256]byte
+		b.memoFP(buf[:0])
 	}
 	return b.fp
 }
 
-// writeFP streams the node's canonical encoding: a kind tag, the local
-// payload, then the children's (memoized) fingerprints. Each component
-// is delimited so the encoding is injective over bound-tree structure.
-func (b *Bound) writeFP(w io.Writer) {
-	fmt.Fprintf(w, "n%d(", b.Kind)
+// memoFP memoizes the fingerprint of every node of b's subtree that has
+// none yet, children first, encoding each node in turn into buf; it
+// returns buf, perhaps grown, for reuse. The memoized string is the only
+// allocation per node while an encoding fits the buffer.
+func (b *Bound) memoFP(buf []byte) []byte {
+	for _, c := range b.Children {
+		if c.fp == "" {
+			buf = c.memoFP(buf)
+		}
+	}
+	buf = b.appendFP(buf[:0])
+	sum := sha256.Sum256(buf)
+	var fp [len("bfp1:") + 32]byte
+	copy(fp[:], "bfp1:")
+	hex.Encode(fp[len("bfp1:"):], sum[:16])
+	b.fp = string(fp[:])
+	return buf
+}
+
+// appendFP appends the node's canonical encoding: a kind tag, the local
+// payload, then the children's fingerprints, which must be memoized.
+// Each component is delimited so the encoding is injective over
+// bound-tree structure. Slices are written as fmt's %v writes them
+// ("[0 1]", "[true false]"), the layout the bfp1 encoding was frozen
+// with.
+func (b *Bound) appendFP(dst []byte) []byte {
+	dst = append(dst, 'n')
+	dst = strconv.AppendUint(dst, uint64(b.Kind), 10)
+	dst = append(dst, '(')
 	switch b.Kind {
 	case KScan:
-		io.WriteString(w, b.Table)
+		dst = append(dst, b.Table...)
 	case KSelect:
-		writeBExprFP(w, b.Pred)
+		dst = appendBExprFP(dst, b.Pred)
 	case KProject:
-		fmt.Fprintf(w, "%v", b.ProjIdx)
+		dst = appendIntsFP(dst, b.ProjIdx)
 	case KJoin:
-		fmt.Fprintf(w, "%v|%v|", b.LeftKey, b.RightKey)
+		dst = append(appendIntsFP(dst, b.LeftKey), '|')
+		dst = append(appendIntsFP(dst, b.RightKey), '|')
 		if b.Filter != nil {
-			writeBExprFP(w, b.Filter)
+			dst = appendBExprFP(dst, b.Filter)
 		}
 	case KGroupAgg:
-		fmt.Fprintf(w, "%v|", b.GroupIdx)
+		dst = append(appendIntsFP(dst, b.GroupIdx), '|')
 		for _, a := range b.Aggs {
-			fmt.Fprintf(w, "a%d,%d,%d(", a.Fn, a.ArgIdx, a.Out)
+			dst = append(dst, 'a')
+			dst = append(strconv.AppendUint(dst, uint64(a.Fn), 10), ',')
+			dst = append(strconv.AppendInt(dst, int64(a.ArgIdx), 10), ',')
+			dst = append(strconv.AppendUint(dst, uint64(a.Out), 10), '(')
 			if a.Pred != nil {
-				writeBExprFP(w, a.Pred)
+				dst = appendBExprFP(dst, a.Pred)
 			}
-			io.WriteString(w, ")")
+			dst = append(dst, ')')
 		}
 	case KOrderLimit:
-		fmt.Fprintf(w, "%v|%v|%d", b.SortIdx, b.SortDesc, b.Limit)
+		dst = append(appendIntsFP(dst, b.SortIdx), '|', '[')
+		for i, d := range b.SortDesc {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendBool(dst, d)
+		}
+		dst = append(dst, ']', '|')
+		dst = strconv.AppendInt(dst, b.Limit, 10)
 	}
-	io.WriteString(w, ")")
+	dst = append(dst, ')')
 	for _, c := range b.Children {
-		io.WriteString(w, c.Fingerprint())
+		dst = append(dst, c.fp...)
 	}
+	return dst
+}
+
+// appendIntsFP appends xs as fmt's %v writes it: "[0 1]".
+func appendIntsFP(dst []byte, xs []int) []byte {
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
 }
 
 // appendValueFP encodes a literal with the frozen bfp1 value layout: the
@@ -107,39 +154,36 @@ func appendValueFP(dst []byte, v relstore.Value) []byte {
 	return dst
 }
 
-// writeBExprFP encodes a bound expression injectively: column positions,
-// literal values via their injective key encoding, and operator structure.
-func writeBExprFP(w io.Writer, e BExpr) {
+// appendBExprFP encodes a bound expression injectively: column
+// positions, literal values via their injective key encoding, and
+// operator structure.
+func appendBExprFP(dst []byte, e BExpr) []byte {
 	switch x := e.(type) {
 	case boundCol:
-		fmt.Fprintf(w, "c%d", x.idx)
+		dst = append(dst, 'c')
+		dst = strconv.AppendInt(dst, int64(x.idx), 10)
 	case boundConst:
-		io.WriteString(w, "k")
-		w.Write(appendValueFP(nil, x.v))
+		dst = appendValueFP(append(dst, 'k'), x.v)
 	case boundCmp:
-		fmt.Fprintf(w, "(%d ", x.op)
-		writeBExprFP(w, x.l)
-		io.WriteString(w, " ")
-		writeBExprFP(w, x.r)
-		io.WriteString(w, ")")
+		dst = append(dst, '(')
+		dst = append(strconv.AppendUint(dst, uint64(x.op), 10), ' ')
+		dst = append(appendBExprFP(dst, x.l), ' ')
+		dst = append(appendBExprFP(dst, x.r), ')')
 	case boundAnd:
-		io.WriteString(w, "&(")
+		dst = append(dst, '&', '(')
 		for _, t := range x.terms {
-			writeBExprFP(w, t)
-			io.WriteString(w, " ")
+			dst = append(appendBExprFP(dst, t), ' ')
 		}
-		io.WriteString(w, ")")
+		dst = append(dst, ')')
 	case boundOr:
-		io.WriteString(w, "|(")
+		dst = append(dst, '|', '(')
 		for _, t := range x.terms {
-			writeBExprFP(w, t)
-			io.WriteString(w, " ")
+			dst = append(appendBExprFP(dst, t), ' ')
 		}
-		io.WriteString(w, ")")
+		dst = append(dst, ')')
 	case boundNot:
-		io.WriteString(w, "!(")
-		writeBExprFP(w, x.inner)
-		io.WriteString(w, ")")
+		dst = append(dst, '!', '(')
+		dst = append(appendBExprFP(dst, x.inner), ')')
 	default:
 		// Every BExpr implementation lives in this package and must add a
 		// case above: a reflected fallback could embed pointer addresses
@@ -147,4 +191,5 @@ func writeBExprFP(w io.Writer, e BExpr) {
 		// hits) instead of failing loudly here.
 		panic(fmt.Sprintf("ra: BExpr %T has no fingerprint encoding", e))
 	}
+	return dst
 }

@@ -129,7 +129,7 @@ func markCols(e BExpr, need []bool) {
 	case boundNot:
 		markCols(x.inner, need)
 	default:
-		// As in writeBExprFP: a BExpr this pass cannot see into would be
+		// As in appendBExprFP: a BExpr this pass cannot see into would be
 		// pruned from under its reader, so fail loudly.
 		panic(fmt.Sprintf("ra: BExpr %T has no column walk", e))
 	}

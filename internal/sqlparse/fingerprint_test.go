@@ -171,3 +171,43 @@ func TestFingerprintSQLEquivalence(t *testing.T) {
 		seen[fp] = sql
 	}
 }
+
+// TestBoundFingerprintAllocs holds fingerprinting a freshly bound Query 3
+// to at most one allocation per node: the memoized string. Each node is
+// encoded into one reused stack buffer and hashed without a hasher
+// object.
+func TestBoundFingerprintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	db := testDB(t)
+	plan, _, err := Compile(query3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	trees := make([]*ra.Bound, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range trees {
+		if trees[i], err = ra.Bind(db, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := 0
+	var count func(*ra.Bound)
+	count = func(b *ra.Bound) {
+		nodes++
+		for _, c := range b.Children {
+			count(c)
+		}
+	}
+	count(trees[0])
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		trees[next].Fingerprint()
+		next++
+	})
+	t.Logf("Query 3: %d nodes, %v allocations per fingerprint", nodes, got)
+	if got > float64(nodes) {
+		t.Errorf("fingerprinting Query 3's %d-node bound tree allocates %v times, want at most one per node", nodes, got)
+	}
+}
