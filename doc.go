@@ -297,10 +297,10 @@
 //     queries with equal plans share one incrementally maintained view
 //     per chain (refcounted, maintained once per walk batch regardless
 //     of subscriber count), and plans that merely overlap share the
-//     delta operators of their common subtrees. Per-query options that
-//     do not change the answer distribution — sample budget, confidence
-//     level — are deliberately excluded from view identity and applied
-//     at estimator-merge time.
+//     delta operators of their common stateful subtrees. Per-query
+//     options that do not change the answer distribution — sample
+//     budget, confidence level — are deliberately excluded from view
+//     identity and applied at estimator-merge time.
 //
 // Stability: within one version prefix the encodings never change across
 // releases; incompatible changes bump the prefix ("qfp2:", "bfp2:"), so

@@ -294,6 +294,28 @@ func BenchmarkViewMount(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamEval runs each paper query once per iteration through
+// ra.Stream, compiled once, over the world BenchmarkViewMount mounts on:
+// one naive evaluation. A mount's ns/op over this one's says what a view
+// costs beyond the full query it must run once. Run it with -benchmem.
+func BenchmarkStreamEval(b *testing.B) {
+	_, _, bounds := walkedWorld(b)
+	for i, q := range paperQueries {
+		b.Run(q.tag, func(b *testing.B) {
+			it, _, err := ra.Stream(bounds[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				it(func(relstore.Tuple, int64) bool { rows++; return true })
+			}
+		})
+	}
+}
+
 // BenchmarkAddSample times core.Estimator.AddSample on each paper query's
 // view over the budget test's walked world, one sample per iteration:
 // the k = 1000 walk-steps and the view's fold run with the timer

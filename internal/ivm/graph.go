@@ -9,12 +9,14 @@ import (
 
 // Graph owns a set of shared delta operators keyed by bound-subtree
 // fingerprint (ra.Bound.Fingerprint) — the composable alternative to
-// NewView's private operator trees. Views whose plans share a prefix —
-// the same scan, the same pushed-down selection, the same join — share
-// one stateful operator and its maintenance work, so a delta round costs
-// each distinct physical subtree exactly once, however many views sit on
-// top of it. The graph is single-goroutine by design, like the views it
-// builds: one chain owns one graph.
+// NewView's private operator trees. Views whose plans share a stateful
+// prefix — the same join, group-agg or set operator — share one operator
+// and its maintenance work, so a delta round costs each distinct subtree
+// exactly once, however many views sit on top of it. A stage is keyed by
+// its top node, so it is shared only whole: sharing part of one would
+// save a predicate per delta row and cost a memo copy of each. The graph
+// is single-goroutine by design, like the views it builds: one chain owns
+// one graph.
 //
 // Protocol: call NextRound exactly once per base delta, then Apply the
 // same delta through every mounted view. The round counter is what lets

@@ -9,9 +9,10 @@ import (
 	"factordb/internal/relstore"
 )
 
-// graphPlans builds a family of plans sharing a selection prefix over
-// TOKEN: a projection, a distinct projection, and a grouped count all on
-// top of the same Select(Scan) subtree, plus one unrelated plan.
+// graphPlans builds a family of plans reading one selection of TOKEN: a
+// projection, a distinct projection, and a grouped count, each over a
+// stage of its own (stateless nodes are not shared), plus one unrelated
+// plan.
 func graphPlans() (shared []ra.Plan, unrelated ra.Plan) {
 	persons := func() ra.Plan {
 		return ra.NewSelect(ra.NewScan("TOKEN", "T"),
@@ -30,6 +31,17 @@ func graphPlans() (shared []ra.Plan, unrelated ra.Plan) {
 	return shared, unrelated
 }
 
+// perDocReaders are three plans reading one stateful prefix, perDoc's
+// group-agg: a projection, a selection and an ORDER BY … LIMIT.
+func perDocReaders() []ra.Plan {
+	n := ra.C("", "N")
+	return []ra.Plan{
+		ra.NewProject(perDoc(), n),
+		ra.NewSelect(perDoc(), ra.Cmp(ra.OpGe, ra.Col(n), ra.Const(relstore.Int(2)))),
+		ra.NewOrderLimit(perDoc(), []ra.SortKey{{Col: n, Desc: true}, {Col: ra.C("T", "DOC_ID")}}, 3),
+	}
+}
+
 // TestGraphSharesSubtreesAndStaysExact is the core oracle property of the
 // shared graph: several views mounted over a common prefix must track a
 // from-scratch evaluation through random delta batches, while physically
@@ -41,26 +53,32 @@ func TestGraphSharesSubtreesAndStaysExact(t *testing.T) {
 
 	var views []*View
 	var bounds []*ra.Bound
-	for _, p := range plans {
-		b, err := ra.Bind(db, ra.Canonicalize(p))
-		if err != nil {
-			t.Fatal(err)
+	mount := func(plans []ra.Plan) {
+		for _, p := range plans {
+			b, err := ra.Bind(db, ra.Canonicalize(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := g.Mount(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, v)
+			bounds = append(bounds, b)
 		}
-		v, err := g.Mount(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views = append(views, v)
-		bounds = append(bounds, b)
 	}
+	mount(plans)
+	before := g.Nodes()
+	mount(perDocReaders())
 
-	// Private node counts: 3 + 4 + 3 = 10 operators; the shared graph
-	// needs only 2 (scan, select) + 1 + 2 + 2 = 7.
-	if g.Nodes() >= 10 {
-		t.Errorf("graph holds %d nodes — no sharing happened", g.Nodes())
+	// Private trees: 3 operators per reader (its own operator, the
+	// group-agg, the selection's stage), 9 in all; the shared graph
+	// needs the group-agg and its stage once, plus one per reader: 5.
+	if got := g.Nodes() - before; got >= 9 {
+		t.Errorf("the readers added %d nodes — no sharing happened", got)
 	}
 	// A hit lands on the highest shared node only (recursion stops there):
-	// one per later view reusing the Select(Scan) prefix.
+	// one per later reader reusing the group-agg.
 	if g.SubtreeHits() < 2 {
 		t.Errorf("subtree hits = %d, want >= 2 (prefix reused by two later views)", g.SubtreeHits())
 	}
@@ -335,9 +353,9 @@ func (c *countingOp) apply(d BaseDelta, out consumer) {
 }
 
 // TestGraphSharedUnownedSubtreeRunsOncePerRound mounts three views over
-// one pruned join: however many consumers a node has — the projections
-// and the join are unowned and shared, the TOKEN scan feeds both join
-// inputs — its operator sees each round's delta exactly once.
+// one pruned join: however many consumers a node has — the join and the
+// projection above it are unowned and shared — its operator sees each
+// round's delta exactly once.
 func TestGraphSharedUnownedSubtreeRunsOncePerRound(t *testing.T) {
 	db, tok, ids := buildTokenDB(160, 33)
 	g := NewGraph()
@@ -363,8 +381,8 @@ func TestGraphSharedUnownedSubtreeRunsOncePerRound(t *testing.T) {
 		c := &countingOp{op: n.inner}
 		n.inner, counters[fp] = c, c
 	}
-	if shared < 3 || sharedUnowned < 2 {
-		t.Fatalf("graph shares %d nodes, %d of them unowned; want the scan, the join and a projection shared", shared, sharedUnowned)
+	if shared < 2 || sharedUnowned < 2 {
+		t.Fatalf("graph shares %d nodes, %d of them unowned; want the join and a projection shared", shared, sharedUnowned)
 	}
 	rng := rand.New(rand.NewSource(34))
 	for round := 1; round <= 12; round++ {

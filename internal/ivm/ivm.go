@@ -40,6 +40,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
@@ -54,7 +55,7 @@ import (
 // A delta handed out by world.ChangeLog.Drain is valid until the next
 // Drain on that log and no longer: containers and tuples alike sit in
 // buffers the log reuses. An operator that keeps a delta row past the
-// round clones it (scanOp reports its emissions unowned).
+// round clones it (a leaf stage reports its emissions unowned).
 type BaseDelta map[string]Rows
 
 // Rows is one relation's share of a BaseDelta.
@@ -159,147 +160,131 @@ type childCompiler func(*ra.Bound) (op, error)
 func compile(b *ra.Bound) (op, error) { return compileNode(b, compile) }
 
 // compileNode builds the operator for one node, obtaining child operators
-// through cc.
+// through cc. A stage compiles the node below its chain itself; every
+// other operator reads one or two children.
 func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 	switch b.Kind {
-	case ra.KScan:
-		return &scanOp{b: b}, nil
-	case ra.KSelect:
-		child, err := cc(b.Children[0])
+	case ra.KScan, ra.KSelect, ra.KProject:
+		return newStage(b, cc)
+	}
+	var kids [2]op
+	for i, c := range b.Children {
+		k, err := cc(c)
 		if err != nil {
 			return nil, err
 		}
-		return &selectOp{b: b, child: child}, nil
-	case ra.KProject:
-		child, err := cc(b.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &projectOp{b: b, child: child, buf: make(relstore.Tuple, len(b.ProjIdx))}, nil
+		kids[i] = k
+	}
+	switch b.Kind {
 	case ra.KJoin:
-		left, err := cc(b.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		right, err := cc(b.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		return &joinOp{b: b, left: left, right: right}, nil
+		return &joinOp{b: b, left: kids[0], right: kids[1]}, nil
 	case ra.KGroupAgg:
-		child, err := cc(b.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return newGroupAggOp(b, child), nil
-	case ra.KUnion, ra.KDiff:
-		left, err := cc(b.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		right, err := cc(b.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		if b.Kind == ra.KUnion {
-			return &unionOp{b: b, left: left, right: right}, nil
-		}
-		return &diffOp{b: b, left: left, right: right}, nil
+		return newGroupAggOp(b, kids[0]), nil
+	case ra.KUnion:
+		return &unionOp{b: b, left: kids[0], right: kids[1]}, nil
+	case ra.KDiff:
+		return &diffOp{b: b, left: kids[0], right: kids[1]}, nil
 	case ra.KDistinct:
-		child, err := cc(b.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{b: b, child: child}, nil
+		return &distinctOp{b: b, child: kids[0]}, nil
 	case ra.KOrderLimit:
-		child, err := cc(b.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return newOrderLimitOp(b, child), nil
+		return newOrderLimitOp(b, kids[0]), nil
 	}
 	return nil, fmt.Errorf("ivm: cannot compile bound kind %d", b.Kind)
 }
 
-// ---- scan ----
-
-// scanOp forwards base deltas for its table. It keeps no state: consumers
-// that need current contents (joins) maintain their own. Neither kind of
-// row outlives its emit: the store scans through one scratch tuple, and
-// a delta's tuples belong to the change log that drained it, until its
-// next Drain. So scans do not own their output.
-type scanOp struct {
-	b *ra.Bound
+// stage is a view's stateless bottom: a maximal chain of selections and
+// projections over a base table (a leaf) or over the one stateful
+// operator below it. A leaf's mount hands the selection directly above
+// its scan to the store (ra.ScanFilter, relstore.ScanWhere), so it builds
+// only the rows that selection keeps; apply runs every step over the
+// table's delta rows or the child's pushes, so it sees a row the mount
+// could not (a string no row held yet) when a delta brings it.
+type stage struct {
+	scan     *ra.Bound // a leaf's; nil over a child
+	child    op
+	steps    []step // bottom-up
+	projects bool   // some step is a projection, so the output is scratch
+	out      consumer
 }
 
-func (o *scanOp) owned() bool { return false }
+// step is one node of a stage: a selection when pred is set, else a
+// projection through idx into buf.
+type step struct {
+	pred ra.BExpr
+	idx  []int
+	buf  relstore.Tuple
+}
 
-func (o *scanOp) init(out consumer) error {
-	o.b.Rel.Scan(func(_ relstore.RowID, t relstore.Tuple) bool {
-		out.push(t, 1)
+func newStage(b *ra.Bound, cc childCompiler) (*stage, error) {
+	s := &stage{}
+	for ; b.Kind == ra.KSelect || b.Kind == ra.KProject; b = b.Children[0] {
+		if b.Kind == ra.KSelect {
+			s.steps = append(s.steps, step{pred: b.Pred})
+		} else {
+			s.steps = append(s.steps, step{idx: b.ProjIdx, buf: make(relstore.Tuple, len(b.ProjIdx))})
+			s.projects = true
+		}
+	}
+	slices.Reverse(s.steps)
+	if b.Kind == ra.KScan {
+		s.scan = b
+		return s, nil
+	}
+	child, err := cc(b)
+	if err != nil {
+		return nil, err
+	}
+	s.child = child
+	return s, nil
+}
+
+// owned: a leaf pushes the store's scratch tuple or a delta's rows.
+func (s *stage) owned() bool { return !s.projects && s.child != nil && s.child.owned() }
+
+func (s *stage) init(out consumer) error {
+	s.out = out
+	if s.child != nil {
+		return s.child.init(s)
+	}
+	steps, pred := s.steps, ra.BExpr(nil)
+	if len(steps) > 0 && steps[0].pred != nil {
+		pred, steps = steps[0].pred, steps[1:]
+	}
+	col, val, keep := ra.ScanFilter(pred)
+	s.scan.Rel.ScanWhere(col, val, keep, func(_ relstore.RowID, t relstore.Tuple) bool {
+		s.run(steps, t, 1)
 		return true
 	})
 	return nil
 }
 
-func (o *scanOp) apply(d BaseDelta, out consumer) {
-	for _, r := range d[o.b.Table] {
-		out.push(r.Tuple, r.N)
+func (s *stage) apply(d BaseDelta, out consumer) {
+	s.out = out
+	if s.child != nil {
+		s.child.apply(d, s)
+		return
+	}
+	for _, r := range d[s.scan.Table] {
+		s.run(s.steps, r.Tuple, r.N)
 	}
 }
 
-// ---- select ----
+func (s *stage) push(t relstore.Tuple, n int64) { s.run(s.steps, t, n) }
 
-type selectOp struct {
-	b     *ra.Bound
-	child op
-	out   consumer
-}
-
-func (o *selectOp) owned() bool { return o.child.owned() }
-
-func (o *selectOp) init(out consumer) error {
-	o.out = out
-	return o.child.init(o)
-}
-
-func (o *selectOp) apply(d BaseDelta, out consumer) {
-	o.out = out
-	o.child.apply(d, o)
-}
-
-func (o *selectOp) push(t relstore.Tuple, n int64) {
-	if o.b.Pred.Eval(t).AsBool() {
-		o.out.push(t, n)
+// run passes one row through steps and pushes it on if it survives.
+func (s *stage) run(steps []step, t relstore.Tuple, n int64) {
+	for i := range steps {
+		st := &steps[i]
+		if st.pred != nil {
+			if !st.pred.Eval(t).AsBool() {
+				return
+			}
+			continue
+		}
+		for j, c := range st.idx {
+			st.buf[j] = t[c]
+		}
+		t = st.buf
 	}
-}
-
-// ---- project ----
-
-// projectOp rewrites rows through one reused scratch buffer, so its
-// output is never owned.
-type projectOp struct {
-	b     *ra.Bound
-	child op
-	out   consumer
-	buf   relstore.Tuple
-}
-
-func (o *projectOp) owned() bool { return false }
-
-func (o *projectOp) init(out consumer) error {
-	o.out = out
-	return o.child.init(o)
-}
-
-func (o *projectOp) apply(d BaseDelta, out consumer) {
-	o.out = out
-	o.child.apply(d, o)
-}
-
-func (o *projectOp) push(t relstore.Tuple, n int64) {
-	for i, j := range o.b.ProjIdx {
-		o.buf[i] = t[j]
-	}
-	o.out.push(o.buf, n)
+	s.out.push(t, n)
 }

@@ -124,8 +124,28 @@ func perSelect() ra.Plan {
 		ra.Eq(ra.Col(ra.C("T", "LABEL")), ra.Const(relstore.String("B-PER"))))
 }
 
+// TestViewSelect also selects a label that no row holds when the view
+// mounts (seed 2's six rows lack I-ORG), so the store's point scan finds
+// the string in no dictionary and returns at once; the rows that flips
+// give it later reach the view through apply's predicate. That equality
+// is the second conjunct and written constant-first, so the scan's split
+// must find it there.
 func TestViewSelect(t *testing.T) {
 	checkAgainstFullEval(t, perSelect(), 1, 64, 20, 5)
+
+	const seed, rows = 2, 6
+	_, tok, _ := buildTokenDB(rows, seed)
+	tok.Scan(func(_ relstore.RowID, r relstore.Tuple) bool {
+		if r[3].AsString() == "I-ORG" {
+			t.Fatalf("row %v already holds the label", r)
+		}
+		return true
+	})
+	p := ra.NewProject(ra.NewSelect(ra.NewScan("TOKEN", "T"), ra.And(
+		ra.Cmp(ra.OpNe, ra.Col(ra.C("T", "STRING")), ra.Const(relstore.String("the"))),
+		ra.Eq(ra.Const(relstore.String("I-ORG")), ra.Col(ra.C("T", "LABEL"))))),
+		ra.C("T", "STRING"))
+	checkAgainstFullEval(t, p, seed, rows, 30, 2)
 }
 
 func TestViewSelectProject(t *testing.T) {
@@ -193,7 +213,7 @@ func TestPrunedJoinSideKeepsKeyCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join := view.root.(*projectOp).child.(*selectOp).child.(*joinOp)
+	join := view.root.(*stage).child.(*joinOp)
 	side := &join.ls
 	if side.byKey.n != rows/perDoc {
 		t.Fatalf("token side holds %d join keys, want one per document (%d)", side.byKey.n, rows/perDoc)

@@ -24,15 +24,3 @@ func TestTrajectoryGraphProposer(t *testing.T) {
 	s.Run(5000)
 	checkGraphWalk(t, "graph", g, s)
 }
-
-// TestTrajectoryAnnealer pins the annealed walk, including the schedule.
-func TestTrajectoryAnnealer(t *testing.T) {
-	g := loopyGraph(24, 79)
-	ann := NewAnnealer(&GraphProposer{G: g}, 0.2, 1.001, 40)
-	s := NewSampler(ann, 83)
-	s.Run(5000)
-	checkGraphWalk(t, "annealer", g, s)
-	if ann.Beta <= 0.2 {
-		t.Errorf("schedule did not advance: beta = %v", ann.Beta)
-	}
-}

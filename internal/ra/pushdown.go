@@ -11,15 +11,16 @@ import "fmt"
 //
 // The transform is streaming-only and behavior-preserving: the input tree
 // is never mutated (rewritten paths are cloned, untouched subtrees are
-// shared), so the same Bound tree can still feed the ivm compiler, whose
-// delta operators need selections as nodes of their own, and keeps the
-// fingerprints views are registered under. The input is the tree Bind
-// returned, projections under join inputs included (prune.go): a
-// conjunct sinks through such a projection whenever its columns are
-// among the read ones, which they are if it bound above. Conjuncts are
-// re-bound against the schema of their new position; any conjunct that
-// cannot be re-bound stays as a Select at its original position, so the
-// transform can relocate predicates but never drop one.
+// shared), so the same Bound tree still feeds the ivm compiler, whose
+// leaves split the selection directly above each scan themselves
+// (ScanFilter), and keeps the fingerprints views are registered under.
+// The input is the tree Bind returned, projections under join inputs
+// included (prune.go): a conjunct sinks through such a projection
+// whenever its columns are among the read ones, which they are if it
+// bound above. Conjuncts are re-bound against the schema of their new
+// position; any conjunct that cannot be re-bound stays as a Select at its
+// original position, so the transform can relocate predicates but never
+// drop one.
 func Pushdown(b *Bound) *Bound {
 	return pushPreds(b, nil)
 }
