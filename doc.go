@@ -296,11 +296,11 @@
 //     view registries key physical materialized views on it: concurrent
 //     queries with equal plans share one incrementally maintained view
 //     per chain (refcounted, maintained once per walk batch regardless
-//     of subscriber count), and plans that merely overlap share the
-//     delta operators of their common stateful subtrees. Per-query
-//     options that do not change the answer distribution — sample
-//     budget, confidence level — are deliberately excluded from view
-//     identity and applied at estimator-merge time.
+//     of subscriber count); plans that differ keep private operator
+//     trees, as in the paper's one view per query. Per-query options
+//     that do not change the answer distribution — sample budget,
+//     confidence level — are deliberately excluded from view identity
+//     and applied at estimator-merge time.
 //
 // Stability: within one version prefix the encodings never change across
 // releases; incompatible changes bump the prefix ("qfp2:", "bfp2:"), so

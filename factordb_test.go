@@ -521,9 +521,9 @@ func TestHandlerRequestHardening(t *testing.T) {
 	srv := httptest.NewServer(db.Handler())
 	defer srv.Close()
 
-	post := func(body string) int {
+	post := func(path, body string) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,23 +555,28 @@ func TestHandlerRequestHardening(t *testing.T) {
 		{"negative timeout", `{"sql": "SELECT MENTION_ID FROM MENTION", "timeout_ms": -1}`},
 	}
 	for _, c := range cases {
-		if got := post(c.body); got != http.StatusBadRequest {
+		if got := post("/query", c.body); got != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, got)
 		}
 	}
-	resp, err := http.Post(srv.URL+"/exec", "application/json",
-		strings.NewReader(`{"sql": "DELETE FROM MENTION WHERE MENTION_ID = 0", "timeout_ms": -1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("exec with negative timeout: status %d, want 400", resp.StatusCode)
+	if got := post("/exec", `{"sql": "DELETE FROM MENTION WHERE MENTION_ID = 0", "timeout_ms": -1}`); got != http.StatusBadRequest {
+		t.Errorf("exec with negative timeout: status %d, want 400", got)
 	}
 
 	// A well-formed request still works after all the rejects.
-	if got := post(`{"sql": "SELECT MENTION_ID FROM MENTION WHERE CLUSTER=0", "samples": 2}`); got != http.StatusOK {
+	if got := post("/query", `{"sql": "SELECT MENTION_ID FROM MENTION WHERE CLUSTER=0", "samples": 2}`); got != http.StatusOK {
 		t.Errorf("well-formed request: status %d, want 200", got)
+	}
+	// A timeout past what a time.Duration holds in milliseconds clamps
+	// to MaxQueryTimeout like any other, instead of wrapping to a
+	// deadline already passed.
+	for _, ms := range []string{"10000000000000", "4611686018427387904"} {
+		if got := post("/query", `{"sql": "SELECT MENTION_ID FROM MENTION WHERE CLUSTER=0", "samples": 2, "timeout_ms": `+ms+`}`); got != http.StatusOK {
+			t.Errorf("query with timeout_ms %s: status %d, want 200", ms, got)
+		}
+		if got := post("/exec", `{"sql": "UPDATE MENTION SET STRING = 'CLAMPED' WHERE MENTION_ID = 0", "timeout_ms": `+ms+`}`); got != http.StatusOK {
+			t.Errorf("exec with timeout_ms %s: status %d, want 200", ms, got)
+		}
 	}
 }
 

@@ -251,8 +251,9 @@ func (db *DB) traceContext(w http.ResponseWriter, r *http.Request) string {
 }
 
 // requestTimeout resolves the client's timeout_ms: zero means
-// DefaultQueryTimeout, anything above MaxQueryTimeout is clamped to it,
-// and a negative value is a client error — like decodeBody, it writes the
+// DefaultQueryTimeout, anything above MaxQueryTimeout is clamped to it
+// (in milliseconds, so a huge value cannot overflow time.Duration), and
+// a negative value is a client error — like decodeBody, it writes the
 // 400 itself and reports whether to proceed.
 func requestTimeout(w http.ResponseWriter, ms int) (time.Duration, bool) {
 	if ms < 0 {
@@ -262,7 +263,7 @@ func requestTimeout(w http.ResponseWriter, ms int) (time.Duration, bool) {
 	if ms == 0 {
 		return DefaultQueryTimeout, true
 	}
-	return min(time.Duration(ms)*time.Millisecond, MaxQueryTimeout), true
+	return time.Duration(min(ms, int(MaxQueryTimeout/time.Millisecond))) * time.Millisecond, true
 }
 
 func (db *DB) handleExec(w http.ResponseWriter, r *http.Request) {

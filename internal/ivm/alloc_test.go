@@ -87,11 +87,10 @@ func walkedWorld(tb testing.TB) (*world.ChangeLog, *mcmc.Sampler, []*ra.Bound) {
 }
 
 // TestViewAllocBudget is the allocation gate of view maintenance
-// (testdata/alloc_budget.txt): what mounting each paper query costs on a
-// walked 5 000-token world, in allocations and in kilobytes, and what
-// folding one sample's delta costs, through a private tree (NewView) and
-// through a graph (Mount) alike — a view that shares nothing must not pay
-// for the graph. Counts only, so this is a gate, not a trend.
+// (testdata/alloc_budget.txt): what mounting each paper query with
+// NewView costs on a walked 5 000-token world, in allocations and in
+// kilobytes, and what folding one sample's delta costs. Counts only, so
+// this is a gate, not a trend.
 func TestViewAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget gate skipped in -short mode")
@@ -104,59 +103,35 @@ func TestViewAllocBudget(t *testing.T) {
 	log, sampler, bounds := walkedWorld(t)
 
 	const k, samples = 1000, 40
-	type mounted struct {
-		how   string
-		view  *ivm.View
-		graph *ivm.Graph
-		fold  float64
-	}
-	views := make(map[string][]*mounted)
+	views := make([]*ivm.View, len(paperQueries))
 	for i, q := range paperQueries {
-		private, shared := &mounted{how: "NewView"}, &mounted{how: "Graph.Mount", graph: ivm.NewGraph()}
-		for _, m := range []*mounted{private, shared} {
-			var err error
-			got, kB := measure(func() {
-				if m.graph != nil {
-					m.view, err = m.graph.Mount(bounds[i])
-				} else {
-					m.view, err = ivm.NewView(bounds[i])
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("mount_%s via %s: %v allocs, %.2f kB", q.tag, m.how, got, kB)
-			if max := budget["mount_"+q.tag]; got > max {
-				t.Errorf("mounting %s via %s allocates %v, budget %v", q.tag, m.how, got, max)
-			}
-			if max := budget["mount_kb_"+q.tag]; kB > max {
-				t.Errorf("mounting %s via %s allocates %.1f kB, budget %v kB", q.tag, m.how, kB, max)
-			}
+		var err error
+		got, kB := measure(func() { views[i], err = ivm.NewView(bounds[i]) })
+		if err != nil {
+			t.Fatal(err)
 		}
-		views[q.tag] = []*mounted{private, shared}
+		t.Logf("mount_%s: %v allocs, %.2f kB", q.tag, got, kB)
+		if max := budget["mount_"+q.tag]; got > max {
+			t.Errorf("mounting %s allocates %v, budget %v", q.tag, got, max)
+		}
+		if max := budget["mount_kb_"+q.tag]; kB > max {
+			t.Errorf("mounting %s allocates %.1f kB, budget %v kB", q.tag, kB, max)
+		}
 	}
+	folds := make([]float64, len(views))
 	for i := 0; i < samples; i++ {
 		sampler.Run(k)
 		d := log.Drain()
-		for _, ms := range views {
-			for _, m := range ms {
-				got, _ := measure(func() {
-					if m.graph != nil {
-						m.graph.NextRound()
-					}
-					m.view.Apply(d)
-				})
-				m.fold += got
-			}
+		for j, v := range views {
+			got, _ := measure(func() { v.Apply(d) })
+			folds[j] += got
 		}
 	}
-	for _, q := range paperQueries {
-		for _, m := range views[q.tag] {
-			got := m.fold / samples
-			t.Logf("fold_%s via %s: %v allocs per sample", q.tag, m.how, got)
-			if max := budget["fold_"+q.tag]; got > max {
-				t.Errorf("folding a sample into %s via %s allocates %v, budget %v", q.tag, m.how, got, max)
-			}
+	for i, q := range paperQueries {
+		got := folds[i] / samples
+		t.Logf("fold_%s: %v allocs per sample", q.tag, got)
+		if max := budget["fold_"+q.tag]; got > max {
+			t.Errorf("folding a sample into %s allocates %v, budget %v", q.tag, got, max)
 		}
 	}
 
@@ -168,40 +143,26 @@ func TestViewAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	leave, back := personsOfOneDoc(t, log.DB())
-	for _, how := range []string{"NewView", "Graph.Mount"} {
-		var view *ivm.View
-		var g *ivm.Graph
-		if how == "NewView" {
-			view, err = ivm.NewView(perDoc)
-		} else {
-			g = ivm.NewGraph()
-			view, err = g.Mount(perDoc)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := view.Result().Len()
-		worst := 0.0
-		for round := 0; round < 4; round++ {
-			for _, d := range []ivm.BaseDelta{leave, back} {
-				got, _ := measure(func() {
-					if g != nil {
-						g.NextRound()
-					}
-					view.Apply(d)
-				})
-				if round > 0 {
-					worst = max(worst, got)
-				}
-			}
-			if got := view.Result().Len(); got != n {
-				t.Fatalf("after round %d the view holds %d groups, want %d", round, got, n)
+	view, err := ivm.NewView(perDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := view.Result().Len()
+	worst := 0.0
+	for round := 0; round < 4; round++ {
+		for _, d := range []ivm.BaseDelta{leave, back} {
+			got, _ := measure(func() { view.Apply(d) })
+			if round > 0 {
+				worst = max(worst, got)
 			}
 		}
-		t.Logf("regroup via %s: %v allocs", how, worst)
-		if max := budget["regroup"]; worst > max {
-			t.Errorf("a group leaving and coming back via %s allocates %v, budget %v", how, worst, max)
+		if got := view.Result().Len(); got != n {
+			t.Fatalf("after round %d the view holds %d groups, want %d", round, got, n)
 		}
+	}
+	t.Logf("regroup: %v allocs", worst)
+	if max := budget["regroup"]; worst > max {
+		t.Errorf("a group leaving and coming back allocates %v, budget %v", worst, max)
 	}
 }
 

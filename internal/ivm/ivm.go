@@ -33,9 +33,8 @@
 // slots of its group table, which it rewrites between a group's −old
 // and +new push (groupagg.go). Retaining consumers never keep an
 // unowned tuple: difference and distinct state and the top-k buffer
-// clone it on first insert, a shared graph node's recording copies it
-// into an arena, and a join side and the view's answer table copy every
-// new row into chunks of their own (join.go, answer.go).
+// clone it on first insert, and a join side and the view's answer table
+// copy every new row into chunks of their own (join.go, answer.go).
 package ivm
 
 import (
@@ -151,10 +150,10 @@ func (v *View) Result() *Answer { return &v.result }
 // per call. Callers read the answer from Result.
 func (v *View) Apply(d BaseDelta) { v.root.apply(d, v) }
 
-// childCompiler turns a bound subtree into its delta operator. Private
-// views compile children with plain recursion; a Graph routes children
-// through its fingerprint-keyed node table so equal subtrees share one
-// stateful operator (see graph.go).
+// childCompiler turns a bound subtree into its delta operator. Views
+// compile children with plain recursion (compile); the parameter is the
+// seam through which the ownership tests wrap every operator of a tree
+// in a canary (canaryCompile in ownership_test.go).
 type childCompiler func(*ra.Bound) (op, error)
 
 func compile(b *ra.Bound) (op, error) { return compileNode(b, compile) }

@@ -10,10 +10,10 @@ import (
 )
 
 // Fingerprint returns a stable structural content hash of the bound
-// subtree rooted at b. Every node of a bound tree exposes its own
-// fingerprint, so consumers (the ivm operator graph, the serving
-// engine's per-chain view registries) can detect shared prefixes at any
-// depth, not just whole-plan equality.
+// subtree rooted at b. The serving engine's per-chain view registries
+// key physical views on the root's fingerprint, so queries with equal
+// bound plans share one view. Every node memoizes its own, which a
+// parent's encoding hashes in place of the child's whole subtree.
 //
 // The hash covers exactly what determines the subtree's output tuples:
 // node kinds, table names, resolved column positions, bound predicate

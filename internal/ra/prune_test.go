@@ -172,8 +172,7 @@ func prunePlans(t *testing.T) (plans map[string]ra.Plan, joins map[string]bool) 
 				ra.Eq(ra.Col(ra.C("", "SOURCE")), lit("wire")),
 				ra.Cmp(ra.OpNe, ra.Col(ra.C("", "LABEL")), lit("O")))),
 			ra.C("", "STRING"), ra.C("", "YEAR")),
-		// Both inputs are the same subtree reading the same one column, so
-		// a graph shares the inserted projection itself.
+		// Both inputs are the same subtree reading the same one column.
 		"self-join-count": ra.NewGroupAgg(
 			ra.NewJoin(labelled("A", "B-PER"), labelled("B", "B-PER"), onDoc("A", "B"), nil),
 			[]ra.ColRef{ra.C("A", "DOC_ID")}, ra.Agg{Fn: ra.FnCount, As: "PAIRS"}),
@@ -277,20 +276,18 @@ func dumpBag(b *ra.Bag) string {
 
 // TestPrunedBindMatchesUnpruned holds the tree Bind returns against the
 // same plan bound as written: same output schema, same answer from Eval
-// and Stream, and a private view and a graph-mounted view that both
-// track a from-scratch evaluation of the unpruned tree through random
-// inserts, deletes and updates.
+// and Stream, and a view that tracks a from-scratch evaluation of the
+// unpruned tree through random inserts, deletes and updates.
 func TestPrunedBindMatchesUnpruned(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		w := newPruneWorld(seed, 40)
 		plans, joins := prunePlans(t)
 		type subject struct {
-			name          string
-			pruned, ref   *ra.Bound
-			private, mntd *ivm.View
+			name        string
+			pruned, ref *ra.Bound
+			view        *ivm.View
 		}
 		var subjects []*subject
-		g := ivm.NewGraph()
 		for name, p := range plans {
 			ref, err := ra.BindUnpruned(w.db, p)
 			if err != nil {
@@ -308,11 +305,8 @@ func TestPrunedBindMatchesUnpruned(t *testing.T) {
 				t.Errorf("%s: output schema changed: %v, want %v", name, pruned.Schema.ColNames(), ref.Schema.ColNames())
 			}
 			s := &subject{name: name, pruned: pruned, ref: ref}
-			if s.private, err = ivm.NewView(pruned); err != nil {
+			if s.view, err = ivm.NewView(pruned); err != nil {
 				t.Fatalf("%s: NewView: %v", name, err)
-			}
-			if s.mntd, err = g.Mount(pruned); err != nil {
-				t.Fatalf("%s: Mount: %v", name, err)
 			}
 			subjects = append(subjects, s)
 		}
@@ -328,7 +322,7 @@ func TestPrunedBindMatchesUnpruned(t *testing.T) {
 				}
 				for what, bag := range map[string]*ra.Bag{
 					"Eval": got, "Stream": streamBag(t, s.pruned),
-					"NewView": answerBag(t, s.private.Result()), "Graph.Mount": answerBag(t, s.mntd.Result()),
+					"NewView": answerBag(t, s.view.Result()),
 				} {
 					if !bag.Equal(want) {
 						t.Fatalf("seed %d round %d %s: %s over the pruned tree differs from the unpruned answer\n got: %s\nwant: %s",
@@ -340,10 +334,8 @@ func TestPrunedBindMatchesUnpruned(t *testing.T) {
 		check(0)
 		for round := 1; round <= 25; round++ {
 			d := w.randomDelta()
-			g.NextRound()
 			for _, s := range subjects {
-				s.private.Apply(d)
-				s.mntd.Apply(d)
+				s.view.Apply(d)
 			}
 			check(round)
 		}

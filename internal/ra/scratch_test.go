@@ -36,13 +36,13 @@ func bagStream(b *ra.Bag) ra.Iterator {
 // the scan ends, and a change log hands out deltas whose tuples sit in an
 // arena it zeroes at the next Drain; so whoever keeps such a tuple
 // without cloning it — a join's build side, distinct or difference state,
-// a top-k buffer, a MIN/MAX value set, a view's result, a shared graph
-// node's memo, an estimator — ends up holding zeros, and its answers
-// drift from the truth. The paper's queries and the hand-built plans of
-// prune_test.go run through ra.Eval, ra.Stream, a private view, a
-// graph-mounted view and two estimators over 25 rounds of label flips and
-// DML applied through a world.ChangeLog, and every answer is held to
-// ra.Eval over a world built afresh from a plain copy of the rows.
+// a top-k buffer, a MIN/MAX value set, a view's result, an estimator —
+// ends up holding zeros, and its answers drift from the truth. The
+// paper's queries and the hand-built plans of prune_test.go run through
+// ra.Eval, ra.Stream, a view and two estimators over 25 rounds of label
+// flips and DML applied through a world.ChangeLog, and every answer is
+// held to ra.Eval over a world built afresh from a plain copy of the
+// rows.
 func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		w := newPruneWorld(seed, 40)
@@ -87,12 +87,11 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 			name                        string
 			plan                        ra.Plan
 			bound                       *ra.Bound
-			private, mounted            *ivm.View
+			view                        *ivm.View
 			stream                      ra.Iterator
 			viaView, viaStream, truthly *core.Estimator
 		}
 		plans, _ := prunePlans(t)
-		g := ivm.NewGraph()
 		var subjects []*subject
 		for name, p := range plans {
 			s := &subject{name: name, plan: p,
@@ -100,11 +99,8 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 			if s.bound, err = ra.Bind(w.db, p); err != nil {
 				t.Fatalf("%s: Bind: %v", name, err)
 			}
-			if s.private, err = ivm.NewView(s.bound); err != nil {
+			if s.view, err = ivm.NewView(s.bound); err != nil {
 				t.Fatalf("%s: NewView: %v", name, err)
-			}
-			if s.mounted, err = g.Mount(s.bound); err != nil {
-				t.Fatalf("%s: Mount: %v", name, err)
 			}
 			if s.stream, _, err = ra.Stream(s.bound); err != nil {
 				t.Fatalf("%s: Stream: %v", name, err)
@@ -128,14 +124,14 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 				}
 				for what, bag := range map[string]*ra.Bag{
 					"Eval": eval, "Stream": streamBag(t, s.bound),
-					"NewView": answerBag(t, s.private.Result()), "Graph.Mount": answerBag(t, s.mounted.Result()),
+					"NewView": answerBag(t, s.view.Result()),
 				} {
 					if bad := sound(bag); bad != "" || !bag.Equal(want) {
 						t.Fatalf("seed %d round %d %s: %s differs from the answer over a fresh world (row gone bad: %q)\n got: %s\nwant: %s",
 							seed, round, s.name, what, bad, dumpBag(bag), dumpBag(want))
 					}
 				}
-				s.viaView.AddSample(s.mounted.Result())
+				s.viaView.AddSample(s.view.Result())
 				s.viaStream.AddSampleStream(s.stream)
 				s.truthly.AddSampleStream(bagStream(want))
 			}
@@ -168,10 +164,8 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 				}
 			}
 			d := log.Drain()
-			g.NextRound()
 			for _, s := range subjects {
-				s.private.Apply(d)
-				s.mounted.Apply(d)
+				s.view.Apply(d)
 			}
 			check(round)
 		}

@@ -147,7 +147,6 @@ func (c *chain) epoch() {
 	d := c.log.Drain()
 	epoch := c.log.Epoch()
 	c.curEpoch.Store(epoch)
-	c.reg.graph.NextRound()
 	for _, pv := range c.reg.byFP {
 		pv.view.Apply(d)
 		// One health observation per batch: the sampled answer's
@@ -217,7 +216,6 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err e
 	d := c.log.Drain()
 	epoch := c.log.Epoch()
 	c.curEpoch.Store(epoch)
-	c.reg.graph.NextRound()
 	for _, pv := range c.reg.byFP {
 		pv.view.Apply(d)
 		// The fresh estimator's first sample compares every slot of

@@ -15,13 +15,12 @@
 // registry keys physical views by the bound plan's structural fingerprint,
 // so queries with equal plans — whatever their SQL spelling or per-query
 // options — subscribe to one refcounted view that is maintained exactly
-// once per batch, and overlapping plans share the delta operators of
-// their common subtrees through the chain's ivm.Graph. Chains publish
-// epoch-stamped estimator snapshots (world.Cell) after each batch, which
-// is how query sessions read consistent marginals without ever blocking
-// the walk. Merging the per-chain estimators is the paper's Section 5.4
-// parallelization: samples from different chains are far more independent
-// than consecutive samples within one.
+// once per batch; plans that differ each keep a private operator tree.
+// Chains publish epoch-stamped estimator snapshots (world.Cell) after
+// each batch, which is how query sessions read consistent marginals
+// without ever blocking the walk. Merging the per-chain estimators is
+// the paper's Section 5.4 parallelization: samples from different chains
+// are far more independent than consecutive samples within one.
 package serve
 
 import (

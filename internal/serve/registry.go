@@ -73,15 +73,13 @@ type ViewStat struct {
 // viewRegistry is the per-chain shared-view table: it keys physical
 // views by the structural fingerprint of their bound plan, so any number
 // of concurrent queries with equal plans — whatever their SQL spelling
-// or per-query options — cost one view maintenance per walk batch. Plans
-// that are not equal but overlap still share state below the registry:
-// views are mounted on the chain's ivm.Graph, which reuses delta
-// operators per common subtree.
+// or per-query options — cost one view maintenance per walk batch. Each
+// physical view is a private operator tree (ivm.NewView): plans that are
+// not equal share nothing, as in the paper's one view per query.
 //
 // The registry is owned by the chain goroutine; only sharedViews is safe
 // to read from outside (it backs the factordb_shared_views gauge).
 type viewRegistry struct {
-	graph *ivm.Graph
 	byFP  map[string]*physicalView
 	bySub map[viewID]*physicalView
 	size  atomic.Int64
@@ -94,7 +92,6 @@ type viewRegistry struct {
 
 func newViewRegistry() *viewRegistry {
 	return &viewRegistry{
-		graph: ivm.NewGraph(),
 		byFP:  make(map[string]*physicalView),
 		bySub: make(map[viewID]*physicalView),
 		stats: make(map[string]*viewStat),
@@ -109,7 +106,7 @@ func (r *viewRegistry) acquire(id viewID, bound *ra.Bound, target int64, done ch
 	fp := bound.Fingerprint()
 	pv = r.byFP[fp]
 	if pv == nil {
-		view, err := r.graph.Mount(bound)
+		view, err := ivm.NewView(bound)
 		if err != nil {
 			return nil, false, err
 		}
@@ -138,9 +135,9 @@ func (r *viewRegistry) acquire(id viewID, bound *ra.Bound, target int64, done ch
 }
 
 // dropSub detaches one subscriber (budget met, cancellation, or timeout).
-// A view whose last subscriber leaves is evicted and unmounted, releasing
-// any operator state not shared with other live views. Unknown ids are
-// no-ops, so completion and cancellation may race benignly.
+// A view whose last subscriber leaves is evicted with its operator
+// state. Unknown ids are no-ops, so completion and cancellation may race
+// benignly.
 func (r *viewRegistry) dropSub(id viewID) {
 	pv := r.bySub[id]
 	if pv == nil {
@@ -156,7 +153,6 @@ func (r *viewRegistry) dropSub(id viewID) {
 	r.statsMu.Unlock()
 	if len(pv.subs) == 0 {
 		delete(r.byFP, pv.fp)
-		r.graph.Unmount(pv.view)
 		r.size.Store(int64(len(r.byFP)))
 	}
 }
