@@ -243,13 +243,21 @@
 // config and is rebuilt on open. Two on-disk artifacts live in dir:
 //
 //   - snap-<epoch>.snap: a checkpoint of the world as of a data epoch.
-//     Format "snap1:": magic, big-endian epoch, gob world dump, CRC-32
-//     trailer; written to a temp file and atomically renamed.
+//     Format "snap2:": magic, little-endian epoch, columnar world dump
+//     (per relation a liveness bitmap, then per column the live rows'
+//     payloads: int64 vectors, dictionary strings and uint32 codes),
+//     CRC-32 trailer; streamed to a temp file and atomically renamed.
+//     Files of the previous format, "snap1:" with a gob world dump,
+//     still load.
 //   - wal.log: an append-only log of committed op batches. Format
 //     "wal1:": magic, then length-prefixed records (u32 length, u32
 //     CRC-32 (IEEE), payload of epoch + resolved row-level ops). Both
 //     prefixes are versioned; incompatible changes bump them, so an old
-//     binary refuses a new directory rather than misreading it.
+//     binary refuses a new directory rather than misreading it. Because
+//     a checkpoint keeps the next older snapshot and the log records
+//     past it, a binary that reads only snap1 recovers a directory's
+//     kept snap1 snapshot plus its whole log tail, the same world, and
+//     refuses the directory once no snap1 snapshot is left.
 //
 // The commit rule: Exec appends the batch to the WAL (honoring the
 // fsync policy — FsyncAlways syncs per append, FsyncInterval (default)
@@ -261,8 +269,10 @@
 // invalid record (torn frame, short payload, CRC mismatch) ends the
 // log: the tail beyond it is truncated, reported as torn_tail in
 // DurabilityStatus, and never replayed. Background checkpointing
-// (WithCheckpointEvery) rewrites the snapshot and drops the covered WAL
-// prefix. The write that crosses a threshold fixes the checkpoint: the
+// (WithCheckpointEvery) writes a snapshot, deletes all older ones but
+// the newest, and drops the WAL prefix that kept snapshot covers, so a
+// rotted newest snapshot falls back to the older one plus an unbroken
+// log tail. The write that crosses a threshold fixes the checkpoint: the
 // durable world is cloned at its epoch and the counts restart there,
 // and only the encoding and file writes run in the background, so which
 // writes each checkpoint covers never depends on timing. After recovery

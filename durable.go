@@ -130,13 +130,16 @@ func (db *DB) recoveryTrace(rec store.Recovery) *QueryTrace {
 type DurabilityStatus struct {
 	Dir   string `json:"dir"`
 	Fsync string `json:"fsync"`
-	// WALBytes / WALRecords measure the log tail that a restart would
-	// replay on top of the last checkpoint.
+	// WALBytes is the log's size, which also holds the records the
+	// fallback snapshot behind the last checkpoint needs; WALRecords
+	// counts the tail a restart would replay on top of that checkpoint.
 	WALBytes   int64 `json:"wal_bytes"`
 	WALRecords int64 `json:"wal_records"`
-	// LastCheckpointEpoch is the write epoch the newest snapshot covers;
-	// Checkpoints counts snapshots written since open.
+	// LastCheckpointEpoch is the write epoch the newest snapshot covers
+	// and SnapshotBytes the size of its file; Checkpoints counts
+	// snapshots written since open.
 	LastCheckpointEpoch int64 `json:"last_checkpoint_epoch"`
+	SnapshotBytes       int64 `json:"snapshot_bytes"`
 	Checkpoints         int64 `json:"checkpoints"`
 	// RecoveredEpoch and ReplayedRecords describe what Open found:
 	// the write epoch restored from disk and the log records replayed to
@@ -163,6 +166,7 @@ func (db *DB) Durability() *DurabilityStatus {
 		WALBytes:            st.WALBytes,
 		WALRecords:          st.WALRecords,
 		LastCheckpointEpoch: st.SnapshotEpoch,
+		SnapshotBytes:       st.SnapshotBytes,
 		Checkpoints:         st.Checkpoints,
 		RecoveredEpoch:      rec.Epoch,
 		ReplayedRecords:     rec.ReplayedRecords,

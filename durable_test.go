@@ -195,7 +195,7 @@ func TestDurabilityEndpointFields(t *testing.T) {
 		}
 		for _, key := range []string{
 			"dir", "fsync", "wal_bytes", "wal_records",
-			"last_checkpoint_epoch", "checkpoints",
+			"last_checkpoint_epoch", "snapshot_bytes", "checkpoints",
 			"recovered_epoch", "replayed_records",
 		} {
 			if _, ok := dur[key]; !ok {

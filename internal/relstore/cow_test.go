@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -289,6 +290,37 @@ func allocBudget(t *testing.T) map[string]float64 {
 	return budget
 }
 
+// tokenWorld builds the world of the alloc budgets: a TOKEN relation of
+// the given number of rows, five columns (2 INT, 3 STRING), whose LABEL
+// dictionary holds the labels the flips write.
+func tokenWorld(t *testing.T, rows int) *DB {
+	t.Helper()
+	db := NewDB()
+	tok := db.MustCreate(MustSchema("TOKEN", Column{"TOK_ID", TInt}, Column{"DOC_ID", TInt},
+		Column{"STRING", TString}, Column{"LABEL", TString}, Column{"TRUTH", TString}))
+	// As a corpus load does: the label inventory first.
+	if err := tok.Intern(3, "O", "B-PER", "B-ORG"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		tok.Insert(Tuple{Int(int64(i)), Int(int64(i / 40)), String("w" + strconv.Itoa(i%97)), String("O"), String("O")})
+	}
+	return db
+}
+
+// budgetCheck returns a check of a measurement against its ceiling in
+// testdata/alloc_budget.txt.
+func budgetCheck(t *testing.T) func(name string, got float64) {
+	budget := allocBudget(t)
+	return func(name string, got float64) {
+		t.Helper()
+		t.Logf("%s: %v", name, got)
+		if max, ok := budget[name]; !ok || got > max {
+			t.Errorf("%s = %v, budget %v", name, got, max)
+		}
+	}
+}
+
 // measure reports the heap allocations and bytes of one call of f.
 func measure(f func()) (mallocs, bytes float64) {
 	var before, after runtime.MemStats
@@ -305,25 +337,9 @@ func measure(f func()) (mallocs, bytes float64) {
 // allocates nothing, and one it does not costs amortized O(1).
 func TestCloneAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	budget := allocBudget(t)
-	const rows = 5000
-	db := NewDB()
-	tok := db.MustCreate(MustSchema("TOKEN", Column{"TOK_ID", TInt}, Column{"DOC_ID", TInt},
-		Column{"STRING", TString}, Column{"LABEL", TString}, Column{"TRUTH", TString}))
-	// As a corpus load does: the label inventory first.
-	if err := tok.Intern(3, "O", "B-PER", "B-ORG"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		tok.Insert(Tuple{Int(int64(i)), Int(int64(i / 40)), String("w" + strconv.Itoa(i%97)), String("O"), String("O")})
-	}
-	within := func(name string, got float64) {
-		t.Helper()
-		t.Logf("%s: %v", name, got)
-		if max, ok := budget[name]; !ok || got > max {
-			t.Errorf("%s = %v, budget %v", name, got, max)
-		}
-	}
+	within := budgetCheck(t)
+	db := tokenWorld(t, 5000)
+	tok, _ := db.Relation("TOKEN")
 	var c *DB
 	n, b := measure(func() { c = db.Clone() })
 	within("clone_allocs", n)
@@ -360,5 +376,28 @@ func TestCloneAllocBudget(t *testing.T) {
 	within("intern_allocs_per_string", n/fresh)
 	if got := len(tok.cols[3].dict.strs()); got != 3+fresh {
 		t.Errorf("LABEL dictionary holds %d strings, want %d", got, 3+fresh)
+	}
+}
+
+// TestDumpAllocBudget is the allocation gate of checkpoints
+// (testdata/alloc_budget.txt): Dump streams the vectors of a 5 000-token
+// world through one buffer, so it allocates per column, and 50 000 tokens
+// cost it the same number of allocations.
+func TestDumpAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	within := budgetCheck(t)
+	dumpAllocs := func(db *DB) (n, b float64) {
+		var err error
+		n, b = measure(func() { err = db.Dump(io.Discard) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, b
+	}
+	n, b := dumpAllocs(tokenWorld(t, 5000))
+	within("dump_allocs", n)
+	within("dump_bytes", b)
+	if big, _ := dumpAllocs(tokenWorld(t, 50000)); big != n {
+		t.Errorf("Dump allocates %v times at 50 000 rows, %v at 5 000", big, n)
 	}
 }

@@ -41,6 +41,22 @@ func newDict() *dict {
 	return d
 }
 
+// dictOf returns a dictionary that codes strs[i] as i, or false when a
+// string repeats. It takes strs over.
+func dictOf(strs []string) (*dict, bool) {
+	read := make(map[string]uint32, len(strs))
+	for i, s := range strs {
+		if _, dup := read[s]; dup {
+			return nil, false
+		}
+		read[s] = uint32(i)
+	}
+	d := &dict{recent: make(map[string]uint32)}
+	d.read.Store(&read)
+	d.table.Store(&strs)
+	return d, true
+}
+
 // strs returns the published table, indexed by code.
 func (d *dict) strs() []string { return *d.table.Load() }
 

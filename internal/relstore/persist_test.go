@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
@@ -140,11 +141,11 @@ func TestReadsParentCommitSnapshot(t *testing.T) {
 	}
 }
 
-// TestDumpGolden pins the snapshot encoding: testdata/dump.golden is Dump
-// of snapshotDB as written while STRING columns still stored strings, and
-// the dictionary-coded store writes the same bytes.
+// TestDumpGolden pins the columnar encoding: testdata/dump2.golden is
+// Dump of snapshotDB. testdata/dump.golden, the gob encoding Dump wrote of
+// the same world before, still decodes to it.
 func TestDumpGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/dump.golden")
+	want, err := os.ReadFile("testdata/dump2.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,17 @@ func TestDumpGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("Dump wrote %d bytes that differ from the %d of testdata/dump.golden", buf.Len(), len(want))
+		t.Errorf("Dump wrote %d bytes that differ from the %d of testdata/dump2.golden", buf.Len(), len(want))
 	}
+	old, err := os.ReadFile("testdata/dump.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadDB(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDBEqual(t, snapshotDB(t), back)
 }
 
 // TestReloadCompactsDictionary: strings that no live row holds any more
@@ -346,6 +356,154 @@ func TestReadDBBoundsTombstones(t *testing.T) {
 	assertDBEqual(t, sparse, back)
 }
 
+// columnarSeeds are worlds whose columnar encodings seed FuzzReadDB: the
+// tombstoned relation of TestReadDBBoundsTombstones, a FLOAT column
+// holding an int and a negative zero, a BOOL column and an empty
+// relation.
+func columnarSeeds(t testing.TB) []*DB {
+	t.Helper()
+	one := func(k int64) [][]wireValue { return [][]wireValue{{{Kind: TInt, I: k}}} }
+	const last = snapshotSlack + 3*snapshotSpread - 2
+	tomb, err := ReadDB(bytes.NewReader(encodeWire(t, wireRelation{
+		Name: "R", Cols: []Column{{"K", TInt}}, NextID: last + 1,
+		RowIDs: []RowID{3, 5000, last},
+		Rows:   append(append(one(30), one(31)...), one(32)...),
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := NewDB()
+	fr := floats.MustCreate(MustSchema("F", Column{"X", TFloat}))
+	for _, v := range []Value{Int(1), Float(math.Copysign(0, -1)), Float(2.5), Int(-3)} {
+		fr.Insert(Tuple{v})
+	}
+	fr.Delete(2)
+	bools := NewDB()
+	br := bools.MustCreate(MustSchema("B", Column{"OK", TBool}, Column{"N", TInt}))
+	for i := 0; i < 70; i++ {
+		br.Insert(Tuple{Bool(i%3 == 0), Int(int64(i))})
+	}
+	empty := NewDB()
+	empty.MustCreate(MustSchema("E", Column{"S", TString}, Column{"X", TFloat}))
+	return []*DB{tomb, floats, bools, empty}
+}
+
+// columnar assembles a one-relation columnar snapshot by hand: the
+// relation header, then parts as they are (see sec).
+func columnar(name string, cols []Column, next, live uint64, parts ...[]byte) []byte {
+	b := binary.AppendUvarint([]byte(columnarMagic), 1)
+	b = appendStr(b, name)
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = append(appendStr(b, c.Name), byte(c.Type))
+	}
+	b = binary.AppendUvarint(b, next)
+	b = binary.AppendUvarint(b, live)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// sec frames b as a section.
+func sec(b []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+
+func le64(xs ...uint64) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+func le32(xs ...uint32) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	return b
+}
+
+func dictSection(strs ...string) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(strs)))
+	for _, s := range strs {
+		b = appendStr(b, s)
+	}
+	return b
+}
+
+// TestReadDBBoundsDeclaredLengths: a columnar snapshot that declares more
+// rows, columns, strings or bytes than the input holds is refused before
+// anything is sized by the declaration.
+func TestReadDBBoundsDeclaredLengths(t *testing.T) {
+	const big = 1 << 20 // rows whose liveness bitmap the input does hold
+	full := bytes.Repeat([]byte{0xff}, big/8)
+	declare := func(n uint64, b []byte) []byte { return append(binary.AppendUvarint(nil, n), b...) }
+	intCol := []Column{{"K", TInt}}
+	strCol := []Column{{"V", TString}}
+	cases := map[string][]byte{
+		"more relations than bytes": binary.AppendUvarint([]byte(columnarMagic), 1<<40),
+		"more columns than bytes":   binary.AppendUvarint(appendStr(binary.AppendUvarint([]byte(columnarMagic), 1), "R"), 1<<40),
+		"bitmap past the input":     columnar("R", intCol, 1<<40, 1<<36, declare(1<<37, le64(1))),
+		"payload past the input":    columnar("R", intCol, big, big, sec(full), declare(8*big, le64(1, 2))),
+		"dictionary past the input": columnar("R", strCol, big, big, sec(full), declare(1<<50, dictSection("a"))),
+		"more strings than bytes":   columnar("R", strCol, big, big, sec(full), sec(binary.AppendUvarint(nil, 1<<40))),
+		"codes past the input":      columnar("R", strCol, big, big, sec(full), sec(dictSection("a")), declare(4*big, le32(0))),
+		"section longer than want":  columnar("R", intCol, 1, 1, sec(le64(1)), sec(le64(5, 6))),
+	}
+	for name, raw := range cases {
+		var db *DB
+		var err error
+		_, allocated := measure(func() { db, err = DecodeDB(raw) })
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: DecodeDB = %v, %v, want ErrBadSnapshot", name, db, err)
+		}
+		if limit := 2*len(raw) + 64<<10; allocated > float64(limit) {
+			t.Errorf("%s: decoding %d bytes allocated %v, bound %d", name, len(raw), allocated, limit)
+		}
+	}
+}
+
+// TestReadDBRejectsMalformedColumns: a columnar snapshot whose sections
+// frame correctly but hold no world is refused.
+func TestReadDBRejectsMalformedColumns(t *testing.T) {
+	intCol := []Column{{"K", TInt}}
+	strCol := []Column{{"V", TString}}
+	cases := map[string][]byte{
+		"column of no type":      columnar("R", []Column{{"K", 7}}, 0, 0, sec(nil)),
+		"duplicate column":       columnar("R", []Column{{"K", TInt}, {"K", TInt}}, 0, 0, sec(nil), sec(nil), sec(nil)),
+		"more live than ids":     columnar("R", intCol, 1, 2, sec(le64(1)), sec(le64(1, 2))),
+		"counter far past rows":  columnar("R", intCol, 1<<40, 0, sec(nil)),
+		"popcount over live":     columnar("R", intCol, 2, 1, sec(le64(0b11)), sec(le64(1))),
+		"bit past the counter":   columnar("R", intCol, 2, 1, sec(le64(0b100)), sec(le64(1))),
+		"bool out of range":      columnar("R", []Column{{"B", TBool}}, 1, 1, sec(le64(1)), sec(le64(2))),
+		"int bit past the rows":  columnar("R", []Column{{"X", TFloat}}, 1, 1, sec(le64(1)), sec(le64(0)), sec(le64(0b10))),
+		"int bit on a tombstone": columnar("R", []Column{{"X", TFloat}}, 2, 1, sec(le64(0b10)), sec(le64(0)), sec(le64(0b11))),
+		"code past the dict":     columnar("R", strCol, 1, 1, sec(le64(1)), sec(dictSection("a")), sec(le32(1))),
+		"string twice":           columnar("R", strCol, 1, 1, sec(le64(1)), sec(dictSection("a", "a")), sec(le32(1))),
+		"bytes after the dict":   columnar("R", strCol, 1, 1, sec(le64(1)), sec(append(dictSection("a"), 0)), sec(le32(0))),
+		"bytes after the world":  append(columnar("R", intCol, 1, 1, sec(le64(1)), sec(le64(1))), 0),
+	}
+	for name, raw := range cases {
+		if db, err := DecodeDB(raw); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: DecodeDB = %v, %v, want ErrBadSnapshot", name, db, err)
+		}
+	}
+	// The same framing with the payloads in range is a world.
+	db, err := DecodeDB(columnar("R", strCol, 3, 2, sec(le64(0b101)), sec(dictSection("a", "b")), sec(le32(1, 0))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := db.Relation("R")
+	if v, _ := r.GetCol(2, 0); r.Len() != 2 || r.Has(1) || v.AsString() != "a" {
+		t.Errorf("decoded %d rows, row 1 present %v, row 2 = %v", r.Len(), r.Has(1), v)
+	}
+}
+
 // FuzzReadDB: whatever the bytes, ReadDB returns a world or an error —
 // no panic, no allocation a header sizes beyond the density bound — and a
 // world it returns is
@@ -363,6 +521,16 @@ func FuzzReadDB(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(encodeWire(f, wireRelation{Name: "R", Cols: []Column{{"X", TFloat}}, NextID: 100,
 		RowIDs: []RowID{7, 99}, Rows: [][]wireValue{{{Kind: TInt, I: 1}}, {{Kind: TFloat, F: math.Copysign(0, -1)}}}}))
+	for _, db := range columnarSeeds(f) {
+		buf.Reset()
+		if err := db.Dump(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
+	}
+	// A dictionary carrying a string no row uses, which Dump never writes.
+	f.Add(columnar("R", []Column{{"V", TString}}, 2, 2,
+		sec(le64(0b11)), sec(dictSection("dead", "a", "b")), sec(le32(1, 2))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadDB(bytes.NewReader(data))
 		if err != nil {

@@ -29,12 +29,13 @@ var ErrNoBase = errors.New("store: wal records without a base snapshot")
 const walName = "wal.log"
 
 // DiskStore is the durable store the engine writes through: one
-// append-only wal1 log plus checkpointed snap1 snapshots in a flat
-// directory. It keeps a private
-// "shadow" copy of the durable world — the snapshot-plus-log state —
-// which every Append advances, so checkpointing never has to reach into
-// the engine: a checkpoint is a clone of the shadow dumped to disk,
-// followed by a rewrite of the log that drops the now-covered prefix.
+// append-only wal1 log plus checkpointed snap2 snapshots (snap1 ones
+// still load) in a flat directory. It keeps a private "shadow" copy of
+// the durable world — the snapshot-plus-log state — which every Append
+// advances, so checkpointing never has to reach into the engine: a
+// checkpoint is a clone of the shadow dumped to disk, followed by a
+// rewrite of the log that drops the prefix the kept older snapshot
+// covers.
 type DiskStore struct {
 	opts Options
 	rec  Recovery
@@ -61,6 +62,7 @@ type DiskStore struct {
 	walBytes    atomic.Int64
 	walRecords  atomic.Int64
 	snapEpoch   atomic.Int64
+	snapBytes   atomic.Int64
 	checkpoints atomic.Int64
 	lastCkUnix  atomic.Int64
 
@@ -93,7 +95,7 @@ func Open(opts Options) (*DiskStore, error) {
 	}
 
 	phase := time.Now()
-	shadow, snapEpoch, haveSnap, err := latestSnapshot(opts.Dir)
+	shadow, snapEpoch, snapBytes, haveSnap, err := latestSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -102,6 +104,7 @@ func Open(opts Options) (*DiskStore, error) {
 		s.shadow = shadow
 		s.shadowLog = world.NewChangeLog(shadow)
 		s.snapEpoch.Store(snapEpoch)
+		s.snapBytes.Store(snapBytes)
 		s.rec.SnapshotEpoch = snapEpoch
 	}
 
@@ -120,7 +123,7 @@ func Open(opts Options) (*DiskStore, error) {
 		s.rec.TornTail = torn
 		for _, r := range recs {
 			if r.epoch <= snapEpoch {
-				continue // already inside the snapshot: replay is idempotent
+				continue // inside the snapshot; kept for the older fallback
 			}
 			if s.shadow == nil {
 				return nil, fmt.Errorf("%w: record at epoch %d in %s", ErrNoBase, r.epoch, walPath)
@@ -130,6 +133,7 @@ func Open(opts Options) (*DiskStore, error) {
 			}
 			s.rec.ReplayedRecords++
 			s.rec.ReplayedOps += int64(len(r.ops))
+			s.sinceBytes += int64(len(r.frame))
 			epoch = r.epoch
 		}
 		if s.shadowLog != nil {
@@ -143,10 +147,9 @@ func Open(opts Options) (*DiskStore, error) {
 			}
 			s.rec.TruncateNS = time.Since(phase).Nanoseconds()
 		}
-		s.walRecords.Store(int64(len(recs)) - countCovered(recs, snapEpoch))
+		s.walRecords.Store(s.rec.ReplayedRecords)
 		s.walBytes.Store(validEnd)
 		s.sinceOps = s.rec.ReplayedOps
-		s.sinceBytes = validEnd - int64(len(walHeader))
 	}
 	s.rec.Epoch = epoch
 	s.rec.Fresh = !haveSnap && s.walRecords.Load() == 0 && !s.rec.TornTail
@@ -185,18 +188,6 @@ func Open(opts Options) (*DiskStore, error) {
 type cut struct {
 	world *relstore.DB
 	epoch int64
-}
-
-// countCovered counts scanned records the snapshot already includes
-// (they sit in the log only until the next checkpoint rewrite).
-func countCovered(recs []walRecord, snapEpoch int64) int64 {
-	var n int64
-	for _, r := range recs {
-		if r.epoch <= snapEpoch {
-			n++
-		}
-	}
-	return n
 }
 
 // background runs the interval fsync ticker and the checkpoint worker.
@@ -300,10 +291,12 @@ func (s *DiskStore) Seed(db *relstore.DB, epoch int64) error {
 	shadow := s.shadow
 	s.mu.Unlock()
 	// Dump from the private clone: the caller keeps mutating its world.
-	if _, err := writeSnapshot(s.opts.Dir, epoch, shadow); err != nil {
+	size, err := writeSnapshot(s.opts.Dir, epoch, shadow)
+	if err != nil {
 		return err
 	}
 	s.snapEpoch.Store(epoch)
+	s.snapBytes.Store(size)
 	return nil
 }
 
@@ -411,24 +404,29 @@ func (s *DiskStore) Checkpoint() error {
 // covers.
 func (s *DiskStore) write(c *cut, start time.Time) error {
 	epoch := c.epoch
-	if _, err := writeSnapshot(s.opts.Dir, epoch, c.world); err != nil {
+	size, err := writeSnapshot(s.opts.Dir, epoch, c.world)
+	if err != nil {
 		return err
 	}
 
-	// Rewrite the log keeping only records past the snapshot. Appends
-	// racing this section are excluded by mu, so the kept tail is exact.
+	// Drop the snapshots the new one supersedes, keeping the newest older
+	// one as a fallback, then rewrite the log keeping the records past
+	// that fallback: recovery from either snapshot replays an unbroken
+	// tail. Appends racing this section are excluded by mu, so the kept
+	// tail is exact.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.rewriteTailLocked(epoch); err != nil {
+	from := pruneSnapshots(s.opts.Dir, epoch)
+	if err := s.rewriteTailLocked(from, epoch); err != nil {
 		return err
 	}
 	s.snapEpoch.Store(epoch)
+	s.snapBytes.Store(size)
 	s.checkpoints.Add(1)
 	s.lastCkUnix.Store(time.Now().Unix())
-	removeSnapshotsBefore(s.opts.Dir, epoch)
 	if s.ckH != nil {
 		s.ckH.Observe(time.Since(start).Seconds())
 	}
@@ -436,8 +434,10 @@ func (s *DiskStore) write(c *cut, start time.Time) error {
 }
 
 // rewriteTailLocked rebuilds wal.log with only the records newer than
-// epoch, atomically replacing the old file. Called with mu held.
-func (s *DiskStore) rewriteTailLocked(epoch int64) error {
+// from, atomically replacing the old file; the records newer than epoch,
+// the snapshot just written, are the tail a restart replays. Called with
+// mu held.
+func (s *DiskStore) rewriteTailLocked(from, epoch int64) error {
 	walPath := filepath.Join(s.opts.Dir, walName)
 	if err := s.f.Sync(); err != nil { // everything appended so far must be readable
 		return err
@@ -455,12 +455,14 @@ func (s *DiskStore) rewriteTailLocked(epoch int64) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	var kept int64
+	var tail int64
 	out := append([]byte(nil), walHeader...)
 	for _, r := range recs {
-		if r.epoch > epoch {
+		if r.epoch > from {
 			out = append(out, r.frame...)
-			kept++
+		}
+		if r.epoch > epoch {
+			tail++
 		}
 	}
 	if _, err := tmp.Write(out); err != nil {
@@ -493,7 +495,7 @@ func (s *DiskStore) rewriteTailLocked(epoch int64) error {
 	s.f = f
 	s.dirty = false
 	s.walBytes.Store(int64(len(out)))
-	s.walRecords.Store(kept)
+	s.walRecords.Store(tail)
 	return nil
 }
 
@@ -506,6 +508,7 @@ func (s *DiskStore) Stats() Stats {
 		WALBytes:      s.walBytes.Load(),
 		WALRecords:    s.walRecords.Load(),
 		SnapshotEpoch: s.snapEpoch.Load(),
+		SnapshotBytes: s.snapBytes.Load(),
 		Checkpoints:   s.checkpoints.Load(),
 	}
 	if ck := s.lastCkUnix.Load(); ck > 0 {
@@ -535,6 +538,8 @@ func (s *DiskStore) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(s.walRecords.Load()) })
 	reg.NewGaugeFunc("factordb_checkpoints_total", "checkpoints completed since open",
 		func() float64 { return float64(s.checkpoints.Load()) })
+	reg.NewGaugeFunc("factordb_snapshot_bytes", "size of the newest snapshot file",
+		func() float64 { return float64(s.snapBytes.Load()) })
 	reg.NewGaugeFunc("factordb_last_checkpoint_epoch", "data epoch the newest snapshot covers",
 		func() float64 { return float64(s.snapEpoch.Load()) })
 	reg.NewGaugeFunc("factordb_durable_epoch", "data epoch of the durable world (snapshot + wal)",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -14,20 +15,24 @@ import (
 	"factordb/internal/relstore"
 )
 
-// Snapshot files, version snap1. One file per checkpoint, named
+// Snapshot files, version snap2. One file per checkpoint, named
 // snap-<epoch %016d>.snap so lexical order is epoch order, laid out as
 //
-//	"snap1:"  header
+//	"snap2:"  header
 //	uint64    data epoch the world includes (little endian)
-//	gob       the relstore world dump
-//	uint32    CRC-32 (IEEE) of everything above
+//	world     relstore's columnar world dump
+//	uint32    CRC-32 (IEEE) of everything above (little endian)
 //
-// and written to a temp file, fsynced, then renamed into place — a
-// crash mid-checkpoint leaves the previous snapshot untouched. The CRC
-// trailer makes a half-written or bit-rotted snapshot detectable, in
-// which case recovery falls back to the next older file.
+// streamed to a temp file, fsynced, then renamed into place — a crash
+// mid-checkpoint leaves the previous snapshot untouched. The CRC trailer
+// makes a half-written or bit-rotted snapshot detectable, in which case
+// recovery falls back to the next older file. Files of the previous
+// version, "snap1:", hold relstore's gob world dump and still load.
 
-var snapHeader = []byte("snap1:")
+var (
+	snapHeader  = []byte("snap2:")
+	snap1Header = []byte("snap1:")
+)
 
 const snapSuffix = ".snap"
 
@@ -48,88 +53,102 @@ func snapshotEpoch(name string) (int64, bool) {
 	return e, true
 }
 
-// writeSnapshot atomically persists the world at the given epoch and
-// returns the file's basename.
-func writeSnapshot(dir string, epoch int64, db *relstore.DB) (string, error) {
-	var buf bytes.Buffer
-	buf.Write(snapHeader)
-	var eb [8]byte
-	binary.LittleEndian.PutUint64(eb[:], uint64(epoch))
-	buf.Write(eb[:])
-	if err := db.Dump(&buf); err != nil {
-		return "", fmt.Errorf("store: dumping world: %w", err)
-	}
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(cb[:])
+// checksummed passes writes on to a file, keeping a running CRC-32 and
+// byte count of them.
+type checksummed struct {
+	f   *os.File
+	crc hash.Hash32
+	n   int64
+}
 
+func (c *checksummed) Write(p []byte) (int, error) {
+	n, err := c.f.Write(p)
+	c.crc.Write(p[:n])
+	c.n += int64(n)
+	return n, err
+}
+
+// writeSnapshot atomically persists the world at the given epoch and
+// returns the file's size.
+func writeSnapshot(dir string, epoch int64, db *relstore.DB) (int64, error) {
 	name := snapshotName(epoch)
 	tmp, err := os.CreateTemp(dir, name+".tmp")
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	out := &checksummed{f: tmp, crc: crc32.NewIEEE()}
+	head := binary.LittleEndian.AppendUint64(append([]byte(nil), snapHeader...), uint64(epoch))
+	if _, err := out.Write(head); err != nil {
 		tmp.Close()
-		return "", err
+		return 0, err
+	}
+	if err := db.Dump(out); err != nil {
+		tmp.Close()
+		return 0, fmt.Errorf("store: dumping world: %w", err)
+	}
+	if _, err := tmp.Write(binary.LittleEndian.AppendUint32(nil, out.crc.Sum32())); err != nil {
+		tmp.Close()
+		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return "", err
+		return 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return "", err
+		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return "", err
+		return 0, err
 	}
-	return name, syncDir(dir)
+	return out.n + 4, syncDir(dir)
 }
 
-// readSnapshot loads and verifies one snapshot file.
-func readSnapshot(path string) (*relstore.DB, int64, error) {
+// readSnapshot loads and verifies one snapshot file, of either version,
+// and reports its size.
+func readSnapshot(path string) (*relstore.DB, int64, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if len(data) < len(snapHeader)+8+4 {
-		return nil, 0, fmt.Errorf("store: snapshot %s shorter than its framing", filepath.Base(path))
+		return nil, 0, 0, fmt.Errorf("store: snapshot %s shorter than its framing", filepath.Base(path))
 	}
-	if !bytes.Equal(data[:len(snapHeader)], snapHeader) {
-		return nil, 0, fmt.Errorf("store: snapshot %s header is not %q", filepath.Base(path), snapHeader)
+	if !bytes.HasPrefix(data, snapHeader) && !bytes.HasPrefix(data, snap1Header) {
+		return nil, 0, 0, fmt.Errorf("store: snapshot %s header is neither %q nor %q", filepath.Base(path), snapHeader, snap1Header)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, 0, fmt.Errorf("store: snapshot %s failed its CRC", filepath.Base(path))
+		return nil, 0, 0, fmt.Errorf("store: snapshot %s failed its CRC", filepath.Base(path))
 	}
 	epoch := int64(binary.LittleEndian.Uint64(body[len(snapHeader):]))
-	db, err := relstore.ReadDB(bytes.NewReader(body[len(snapHeader)+8:]))
+	db, err := relstore.DecodeDB(body[len(snapHeader)+8:])
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
+		return nil, 0, 0, fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
 	}
-	return db, epoch, nil
+	return db, epoch, int64(len(data)), nil
 }
 
 // latestSnapshot loads the newest readable snapshot in dir, trying
 // older files when the newest fails verification. ok=false means no
 // usable snapshot exists (fresh directory, or every candidate corrupt —
 // the error reports the newest failure in that case).
-func latestSnapshot(dir string) (db *relstore.DB, epoch int64, ok bool, err error) {
+func latestSnapshot(dir string) (db *relstore.DB, epoch, size int64, ok bool, err error) {
 	names, err := snapshotNames(dir)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, 0, false, err
 	}
 	var firstErr error
 	for i := len(names) - 1; i >= 0; i-- {
-		db, epoch, rerr := readSnapshot(filepath.Join(dir, names[i]))
+		db, epoch, size, rerr := readSnapshot(filepath.Join(dir, names[i]))
 		if rerr == nil {
-			return db, epoch, true, nil
+			return db, epoch, size, true, nil
 		}
 		if firstErr == nil {
 			firstErr = rerr
 		}
 	}
-	return nil, 0, false, firstErr
+	return nil, 0, 0, false, firstErr
 }
 
 // snapshotNames lists snapshot basenames in ascending epoch order.
@@ -148,24 +167,30 @@ func snapshotNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// removeSnapshotsBefore deletes snapshots older than epoch, keeping the
-// newest older one as a fallback against a latest-snapshot corruption.
-func removeSnapshotsBefore(dir string, epoch int64) {
+// pruneSnapshots deletes the snapshots older than epoch except the
+// newest of them, kept as a fallback against a corrupt newest snapshot
+// (and as the world a binary that cannot read the newest format
+// recovers). It returns the epoch the log must stay replayable from:
+// the fallback's, epoch itself when there is none, or -1 (keep the
+// whole log) when dir cannot be listed.
+func pruneSnapshots(dir string, epoch int64) int64 {
 	names, err := snapshotNames(dir)
 	if err != nil {
-		return
+		return -1
 	}
-	// names is ascending; drop everything below the newest-but-one
-	// pre-epoch snapshot.
+	// names is ascending; the last pre-epoch one is the fallback.
+	from := epoch
 	older := names[:0]
 	for _, n := range names {
 		if e, _ := snapshotEpoch(n); e < epoch {
 			older = append(older, n)
+			from = e
 		}
 	}
 	for i := 0; i+1 < len(older); i++ {
 		os.Remove(filepath.Join(dir, older[i]))
 	}
+	return from
 }
 
 // syncDir fsyncs a directory so a rename in it is durable. Best-effort

@@ -5,8 +5,8 @@
 // rebuilding from the corpus and losing all writes.
 //
 // The design follows the classical snapshot + write-ahead-log split. A
-// snapshot is a whole-world dump (relstore's gob encoding) stamped with
-// the data epoch it covers. The WAL appends one record per committed
+// snapshot is a whole-world dump (relstore's columnar encoding) stamped
+// with the data epoch it covers. The WAL appends one record per committed
 // write: the resolved row-level op batch of PR 5's mutation IR, which is
 // already world-independent (row identities fixed, predicates
 // pre-evaluated) and therefore replayable verbatim. Recovery loads the
@@ -135,6 +135,7 @@ type Stats struct {
 	WALBytes        int64
 	WALRecords      int64
 	SnapshotEpoch   int64
+	SnapshotBytes   int64 // size of the newest snapshot file written or loaded
 	Checkpoints     int64
 	LastCheckpointS float64 // seconds since the last checkpoint finished (0 if never)
 	LastError       string  // last background checkpoint/sync failure, if any

@@ -150,7 +150,9 @@ func TestReopenRestoresWorldAndEpoch(t *testing.T) {
 
 // TestCheckpointReplaysOnlyTail: after a checkpoint, reopening must
 // replay only records past the snapshot epoch, and the wal must have
-// dropped the covered prefix.
+// dropped the prefix the kept fallback snapshot covers: the first
+// checkpoint keeps the seed snapshot and so every record, the second
+// keeps the first and drops the records it covers.
 func TestCheckpointReplaysOnlyTail(t *testing.T) {
 	dir := t.TempDir()
 	db := testWorld(t)
@@ -176,13 +178,27 @@ func TestCheckpointReplaysOnlyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.SnapshotEpoch != 6 || st.WALRecords != 0 {
-		t.Fatalf("after checkpoint: %+v, want snapshot epoch 6 and empty wal", st)
+	if st.SnapshotEpoch != 6 || st.WALRecords != 0 || st.WALBytes != preBytes {
+		t.Fatalf("after checkpoint: %+v, want snapshot epoch 6, no tail and the seed's %d wal bytes kept", st, preBytes)
+	}
+	for e := int64(7); e <= 9; e++ {
+		apply(e)
+	}
+	preBytes = s.Stats().WALBytes
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st = s.Stats()
+	if st.SnapshotEpoch != 9 || st.WALRecords != 0 {
+		t.Fatalf("after checkpoint: %+v, want snapshot epoch 9 and no tail", st)
 	}
 	if st.WALBytes >= preBytes {
 		t.Fatalf("checkpoint did not shrink the wal: %d -> %d bytes", preBytes, st.WALBytes)
 	}
-	for e := int64(7); e <= 9; e++ {
+	if names, _ := snapshotNames(dir); len(names) != 2 || names[0] != snapshotName(6) {
+		t.Fatalf("snapshots %v, want the checkpoints at 6 and 9", names)
+	}
+	for e := int64(10); e <= 12; e++ {
 		apply(e)
 	}
 	want := dump(t, db)
@@ -190,11 +206,14 @@ func TestCheckpointReplaysOnlyTail(t *testing.T) {
 
 	r := openStore(t, dir, Options{})
 	rec := r.Recovery()
-	if rec.SnapshotEpoch != 6 || rec.Epoch != 9 || rec.ReplayedRecords != 3 {
-		t.Fatalf("recovery %+v, want snapshot 6, epoch 9, 3 tail records", rec)
+	if rec.SnapshotEpoch != 9 || rec.Epoch != 12 || rec.ReplayedRecords != 3 {
+		t.Fatalf("recovery %+v, want snapshot 9, epoch 12, 3 tail records", rec)
 	}
 	if !bytes.Equal(dump(t, r.WorldClone()), want) {
 		t.Fatal("recovered world differs after checkpoint + tail replay")
+	}
+	if st := r.Stats(); st.WALRecords != 3 {
+		t.Fatalf("reopened store reports %d wal records, want the 3-record tail", st.WALRecords)
 	}
 }
 
@@ -460,7 +479,9 @@ func TestWALWithoutSnapshotRefused(t *testing.T) {
 }
 
 // TestCorruptLatestSnapshotFallsBack: a bit-rotted newest snapshot must
-// not lose the store while an older one plus the log can still recover.
+// not lose the store. The checkpoint kept the older snapshot and the log
+// records past it, so recovery from the older one replays an unbroken
+// tail and reaches the same world and epoch.
 func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	db := testWorld(t)
@@ -484,13 +505,6 @@ func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	want := dump(t, db)
 	s.Close()
 
-	// Rot the newest snapshot; the seed snapshot (epoch 0) plus the
-	// checkpoint-surviving wal records must... the wal was truncated at
-	// the checkpoint, so this only works because the older snapshot is
-	// retained AND the wal still holds nothing — recovery lands on the
-	// older snapshot and must refuse (stale world) or recover what the
-	// log can prove. The contract we pin: Open fails loudly rather than
-	// serving the stale epoch-0 world as if it were epoch 2.
 	names, err := snapshotNames(dir)
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no snapshots: %v", err)
@@ -506,13 +520,13 @@ func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	}
 	defer r.Close()
 	rec := r.Recovery()
-	if rec.Epoch == 2 && bytes.Equal(dump(t, r.WorldClone()), want) {
-		t.Fatal("unexpectedly recovered the full state from a rotted snapshot — update this test's contract")
+	// The fallback loaded the older snapshot, never the rotted one, and
+	// replayed the log from there.
+	if rec.SnapshotEpoch != 0 || rec.Epoch != 2 || rec.ReplayedRecords != 2 {
+		t.Fatalf("fallback recovery %+v, want snapshot 0 replayed to epoch 2", rec)
 	}
-	// The fallback recovered the older snapshot; its epoch must be the
-	// older snapshot's, never the rotted one's.
-	if rec.SnapshotEpoch != 0 {
-		t.Fatalf("fallback snapshot epoch %d, want 0", rec.SnapshotEpoch)
+	if !bytes.Equal(dump(t, r.WorldClone()), want) {
+		t.Fatal("the fallback recovered another world")
 	}
 }
 
