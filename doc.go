@@ -380,7 +380,13 @@
 //     exp.BuildNER has scaled it by the temperature and shares the model.
 //     The per-token inputs of a score other than the labels — vocabulary
 //     ids, capitalization, skip edges — live in an ie.CorpusIndex built
-//     once per corpus and shared read-only by every tagger over it.
+//     once per corpus and shared read-only by every tagger over it,
+//     beside each token's gold label (1 B per token). After set-up the
+//     store, the index and θ are all that stays in memory; the generated
+//     corpus does not. A token's TOKEN row is its document's first RowID
+//     plus its position: ie.LoadCorpus gives each document consecutive
+//     RowIDs, and Tagger.BindDB refuses a map that does not fit the
+//     relation.
 //   - The store is columnar and its worlds share vectors copy-on-write
 //     (internal/relstore): a flip is Relation.SetCol, a store into the
 //     one column vector the chain owns, reached through a world.Field

@@ -42,15 +42,14 @@ const (
 // shared model plus a pristine initial world (every LABEL = O) that can
 // be cloned into independent chains.
 type NERSystem struct {
-	Corpus *ie.Corpus
-	Vocab  *ie.Vocab
-	Model  *ie.Model
+	Vocab *ie.Vocab
+	Model *ie.Model
 	// Index is the corpus's read-only token index, built once and shared
 	// by the trainer and every chain's tagger.
 	Index *ie.CorpusIndex
 
 	protoDB *relstore.DB
-	rows    [][]relstore.RowID
+	base    []relstore.RowID // each document's first TOKEN row
 }
 
 // Config parameterizes system construction.
@@ -77,12 +76,6 @@ const DefaultTemperature = 3.0
 // in-memory tagger (Section 5.2), and loads the corpus into a prototype
 // database world.
 func BuildNER(cfg Config) (*NERSystem, error) {
-	if cfg.TrainSteps == 0 {
-		cfg.TrainSteps = 20 * cfg.NumTokens
-		if cfg.TrainSteps > 2_000_000 {
-			cfg.TrainSteps = 2_000_000
-		}
-	}
 	gen := ie.DefaultGenConfig(cfg.NumTokens, cfg.Seed)
 	if cfg.TokensPerDoc > 0 {
 		gen.TokensPerDoc = cfg.TokensPerDoc
@@ -90,6 +83,14 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 	corpus, err := ie.Generate(gen)
 	if err != nil {
 		return nil, err
+	}
+	return buildNER(cfg, corpus)
+}
+
+// buildNER is BuildNER past generation; nothing it returns refers to corpus.
+func buildNER(cfg Config, corpus *ie.Corpus) (*NERSystem, error) {
+	if cfg.TrainSteps == 0 {
+		cfg.TrainSteps = min(20*cfg.NumTokens, 2_000_000)
 	}
 	vocab := ie.BuildVocab(corpus)
 	model := ie.NewModel(vocab, cfg.UseSkip)
@@ -105,11 +106,11 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 	}
 
 	db := relstore.NewDB()
-	rows, err := ie.LoadCorpus(db, corpus, ie.LO)
+	base, err := ie.LoadCorpus(db, corpus, ie.LO)
 	if err != nil {
 		return nil, err
 	}
-	return &NERSystem{Corpus: corpus, Vocab: vocab, Model: model, Index: index, protoDB: db, rows: rows}, nil
+	return &NERSystem{Vocab: vocab, Model: model, Index: index, protoDB: db, base: base}, nil
 }
 
 // Chain is one independent evaluator over a private copy of the world.
@@ -151,17 +152,16 @@ func (s *NERSystem) NewChain(mode core.Mode, sql string, stepsPerSample int, see
 }
 
 // newChainWorld clones the prototype world and binds a fresh tagger to
-// it, applying the paper's batching parameters (five active documents,
-// re-drawn every 2000 proposals) when the corpus is large enough.
+// it, with the paper's batching parameters as NewChain describes.
 func (s *NERSystem) newChainWorld() (*world.ChangeLog, *ie.Tagger, error) {
 	db := s.protoDB.Clone()
 	log := world.NewChangeLog(db)
 	tg := ie.NewTagger(s.Model, s.Index, ie.LO)
-	if len(s.Corpus.Docs) > 5 {
+	if s.Index.NumDocs() > 5 {
 		tg.ActiveDocs = 5
 		tg.StepsPerBatch = 2000
 	}
-	if err := tg.BindDB(log, s.rows); err != nil {
+	if err := tg.BindDB(log, s.base); err != nil {
 		return nil, nil, err
 	}
 	return log, tg, nil
@@ -195,8 +195,8 @@ func (s *NERSystem) WorldDB() *relstore.DB { return s.protoDB }
 // RestoreWorld replaces the prototype world with a recovered copy.
 // Row identities line up because system construction is deterministic
 // in its config (same corpus, same load order, same RowIDs), so the
-// tagger bindings built from s.rows remain valid — exactly the property
-// local-mode writes already rely on when cloning a mutated prototype.
+// per-document first RowIDs in s.base still address the tokens — exactly
+// the property local-mode writes rely on when cloning a mutated prototype.
 func (s *NERSystem) RestoreWorld(db *relstore.DB) {
 	s.protoDB = db
 }
@@ -521,7 +521,7 @@ func AblationTargeted(n, samples, thin int, seed int64) ([]TargetedRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	target := ie.DocsContaining(sys.Corpus, "Boston")
+	target := sys.Index.DocsContaining("Boston")
 	if len(target) == 0 {
 		return nil, fmt.Errorf("exp: corpus has no Boston documents at this seed")
 	}
@@ -558,7 +558,7 @@ func AblationTargeted(n, samples, thin int, seed int64) ([]TargetedRow, error) {
 		out = append(out, TargetedRow{
 			Targeted:   targeted,
 			TargetDocs: len(target),
-			TotalDocs:  len(sys.Corpus.Docs),
+			TotalDocs:  sys.Index.NumDocs(),
 			AUC:        tr.AUC(),
 			StepAUC:    tr.AUCSteps(),
 			Final:      tr.Final(),
@@ -578,5 +578,5 @@ func FormatDuration(d time.Duration, known bool) string {
 // Describe returns a one-line summary of a system.
 func (s *NERSystem) Describe() string {
 	return fmt.Sprintf("NER system: %d tokens, %d docs, %d vocab, skip=%v",
-		s.Corpus.NumTokens, len(s.Corpus.Docs), s.Vocab.Size(), s.Model.UseSkip)
+		s.Index.NumTokens(), s.Index.NumDocs(), s.Vocab.Size(), s.Model.UseSkip)
 }

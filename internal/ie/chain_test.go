@@ -177,8 +177,7 @@ func TestMCMCMatchesForwardBackward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := &Corpus{Docs: []Doc{*ld.Doc}, NumTokens: len(ld.Labels)}
-	tg := newTagger(m, corpus)
+	tg := retag(m, ld)
 	s := mcmc.NewSampler(tg, 23)
 	counts := make([][NumLabels]float64, len(ld.Labels))
 	s.Run(3000) // burn-in

@@ -61,11 +61,7 @@ func (r F1Report) String() string {
 func (t *Tagger) SpanF1() F1Report {
 	var rep F1Report
 	for _, ld := range t.Docs {
-		gold := make([]Label, len(ld.Labels))
-		for i := range gold {
-			gold[i] = ld.Doc.Tokens[i].Gold
-		}
-		gs := Spans(gold)
+		gs := Spans(ld.ix.gold)
 		ps := Spans(ld.Labels)
 		rep.Gold += len(gs)
 		rep.Predicted += len(ps)

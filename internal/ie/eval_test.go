@@ -60,7 +60,7 @@ func TestSpanF1PerfectAndEmpty(t *testing.T) {
 	// Copy gold into the hypothesis: perfect score.
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
-			ld.Labels[i] = ld.Doc.Tokens[i].Gold
+			ld.Labels[i] = ld.ix.gold[i]
 		}
 	}
 	rep = tg.SpanF1()

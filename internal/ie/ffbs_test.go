@@ -65,13 +65,13 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 		}
 	}
 	db := relstore.NewDB()
-	rows, err := LoadCorpus(db, c, LO)
+	base, err := LoadCorpus(db, c, LO)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := world.NewChangeLog(db)
 	tg := newTagger(m, c)
-	if err := tg.BindDB(log, rows); err != nil {
+	if err := tg.BindDB(log, base); err != nil {
 		t.Fatal(err)
 	}
 	if err := tg.SampleCorpus(rng); err != nil {
@@ -81,7 +81,7 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 	rel, _ := db.Relation(TokenRelation)
 	for d, ld := range tg.Docs {
 		for i, l := range ld.Labels {
-			tu, _ := rel.Get(rows[d][i])
+			tu, _ := rel.Get(base[d] + relstore.RowID(i))
 			if tu[LabelCol].AsString() != l.String() {
 				t.Fatalf("doc %d tok %d: store %q, memory %q", d, i, tu[LabelCol].AsString(), l)
 			}
@@ -100,8 +100,7 @@ func TestGibbsMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := &Corpus{Docs: []Doc{*ld.Doc}, NumTokens: len(ld.Labels)}
-	tg := newTagger(m, corpus)
+	tg := retag(m, ld)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		tg.GibbsStep(rng)

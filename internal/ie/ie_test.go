@@ -3,6 +3,7 @@ package ie
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"factordb/internal/learn"
@@ -269,7 +270,7 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 	v := BuildVocab(c)
 	m := NewModel(v, true)
 	db := relstore.NewDB()
-	rows, err := LoadCorpus(db, c, LO)
+	base, err := LoadCorpus(db, c, LO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +278,16 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 	if rel.Len() != c.NumTokens {
 		t.Fatalf("TOKEN has %d rows, want %d", rel.Len(), c.NumTokens)
 	}
+	for d, doc := range c.Docs {
+		for i, tok := range doc.Tokens {
+			if tu, ok := rel.Get(base[d] + relstore.RowID(i)); !ok || tu[2].AsString() != tok.Str || tu[truthCol].AsString() != tok.Gold.String() {
+				t.Fatalf("doc %d tok %d: row %d holds %v, want %q/%v", d, i, base[d]+relstore.RowID(i), tu, tok.Str, tok.Gold)
+			}
+		}
+	}
 	log := world.NewChangeLog(db)
 	tg := newTagger(m, c)
-	if err := tg.BindDB(log, rows); err != nil {
+	if err := tg.BindDB(log, base); err != nil {
 		t.Fatal(err)
 	}
 	// Run a few MH steps with random weights; accepted flips must appear
@@ -309,18 +317,57 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 	}
 }
 
+// TestBindDBValidation: BindDB refuses a first-RowID map that cannot
+// address the loaded relation. Each bad map below has the right length,
+// so before the map was validated it bound, and the flips that missed
+// their rows were dropped as deleted-row writes: the chain walked and
+// mirrored nothing.
 func TestBindDBValidation(t *testing.T) {
-	c, _ := Generate(DefaultGenConfig(300, 19))
-	v := BuildVocab(c)
-	tg := newTagger(NewModel(v, false), c)
-	db := relstore.NewDB()
-	log := world.NewChangeLog(db)
-	if err := tg.BindDB(log, nil); err == nil {
-		t.Error("nil rows: want error")
+	c, _ := Generate(DefaultGenConfig(1000, 19))
+	if len(c.Docs) < 3 {
+		t.Fatalf("need several docs, got %d", len(c.Docs))
 	}
-	bad := make([][]relstore.RowID, len(tg.Docs))
-	if err := tg.BindDB(log, bad); err == nil {
-		t.Error("short row lists: want error")
+	tg := newTagger(NewModel(BuildVocab(c), false), c)
+	db := relstore.NewDB()
+	base, err := LoadCorpus(db, c, LO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := world.NewChangeLog(db)
+	edit := func(f func(b []relstore.RowID)) []relstore.RowID {
+		b := slices.Clone(base)
+		f(b)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		base []relstore.RowID
+	}{
+		{"nil", nil},
+		{"one doc short", base[:len(base)-1]},
+		{"every doc at row 0", make([]relstore.RowID, len(base))},
+		{"shifted past the last issued id", edit(func(b []relstore.RowID) {
+			for d := range b {
+				b[d]++
+			}
+		})},
+		{"shifted below row 0", edit(func(b []relstore.RowID) {
+			for d := range b {
+				b[d]--
+			}
+		})},
+		{"docs out of order", edit(func(b []relstore.RowID) { b[0], b[1] = b[1], b[0] })},
+		{"doc overlapping the one before", edit(func(b []relstore.RowID) { b[2]-- })},
+	} {
+		if err := tg.BindDB(log, tc.base); err == nil {
+			t.Errorf("%s: BindDB accepted the map", tc.name)
+		}
+	}
+	if err := tg.BindDB(world.NewChangeLog(relstore.NewDB()), base); err == nil {
+		t.Error("a world without TOKEN: BindDB accepted the map")
+	}
+	if err := tg.BindDB(log, base); err != nil {
+		t.Fatalf("LoadCorpus's own map: %v", err)
 	}
 }
 

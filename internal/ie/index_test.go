@@ -15,6 +15,11 @@ func newTagger(m *Model, c *Corpus) *Tagger {
 	return NewTagger(m, NewCorpusIndex(c, m.Vocab), LO)
 }
 
+// retag builds a fresh all-O tagger over the one document ld indexes.
+func retag(m *Model, ld *LabeledDoc) *Tagger {
+	return NewTagger(m, &CorpusIndex{vocab: m.Vocab, docs: []docIndex{*ld.ix}, tokens: len(ld.Labels)}, LO)
+}
+
 // labeledDoc builds the inference state of one standalone document.
 func labeledDoc(doc *Doc, v *Vocab) *LabeledDoc {
 	return newTagger(NewModel(v, false), &Corpus{Docs: []Doc{*doc}}).Docs[0]

@@ -1,6 +1,7 @@
 package ie
 
 import (
+	"slices"
 	"unicode"
 
 	"factordb/internal/learn"
@@ -99,13 +100,14 @@ func IsCapitalized(s string) bool {
 }
 
 // docIndex is the half of a document's inference state that no label flip
-// changes: each token's vocabulary id and capitalization, and the skip
-// adjacency. It is a pure function of the document and the vocabulary, so
-// one copy (a CorpusIndex) serves the trainer, the prototype and every
-// chain, read-only.
+// changes: each token's vocabulary id, capitalization and gold label, and
+// the skip adjacency. It is a pure function of the document and the
+// vocabulary, so one copy (a CorpusIndex) serves the trainer, the
+// prototype and every chain, read-only.
 type docIndex struct {
 	strIDs []int32
 	caps   []bool
+	gold   []Label
 	// The skip partners of position i — the other positions sharing its
 	// capitalized string, ascending — are skip[skipOff[i]:skipOff[i+1]].
 	skipOff []int32
@@ -116,10 +118,34 @@ type docIndex struct {
 func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOff[i+1]] }
 
 // CorpusIndex is the docIndex of every document of a corpus, laid out in
-// four corpus-wide arrays that each document's index slices.
+// five corpus-wide arrays that each document's index slices. It keeps no
+// reference to the corpus: the store holds the tokens' strings.
 type CorpusIndex struct {
-	Corpus *Corpus
+	vocab  *Vocab
 	docs   []docIndex
+	tokens int
+}
+
+// NumDocs returns the number of documents indexed.
+func (ix *CorpusIndex) NumDocs() int { return len(ix.docs) }
+
+// NumTokens returns the number of tokens indexed.
+func (ix *CorpusIndex) NumTokens() int { return ix.tokens }
+
+// DocsContaining returns the indexes of documents containing the exact
+// token string s. For a selective query such as Query 4 (which requires a
+// "Boston" token in the document), these are the only documents whose
+// labels can affect the answer. A string the vocabulary lacks is in no
+// document; it is looked up, not interned, so θ's emission space stays.
+func (ix *CorpusIndex) DocsContaining(s string) []int {
+	id := int32(ix.vocab.ID(s)) // -1, no token's id, when s is unknown
+	var out []int
+	for d := range ix.docs {
+		if slices.Contains(ix.docs[d].strIDs, id) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // NewCorpusIndex indexes every document of c against v, interning any
@@ -130,19 +156,19 @@ func NewCorpusIndex(c *Corpus, v *Vocab) *CorpusIndex {
 	for d := range c.Docs {
 		n += len(c.Docs[d].Tokens)
 	}
-	ix := &CorpusIndex{Corpus: c, docs: make([]docIndex, len(c.Docs))}
-	strIDs, caps := make([]int32, n), make([]bool, n)
+	ix := &CorpusIndex{vocab: v, docs: make([]docIndex, len(c.Docs)), tokens: n}
+	strIDs, caps, gold := make([]int32, n), make([]bool, n), make([]Label, n)
 	offs := make([]int32, n+len(c.Docs))
 	var skip []int32
 	for d := range c.Docs {
 		toks := c.Docs[d].Tokens
 		k := len(toks)
 		x := &ix.docs[d]
-		x.strIDs, x.caps, x.skipOff = strIDs[:k:k], caps[:k:k], offs[:k+1:k+1]
-		strIDs, caps, offs = strIDs[k:], caps[k:], offs[k+1:]
+		x.strIDs, x.caps, x.gold, x.skipOff = strIDs[:k:k], caps[:k:k], gold[:k:k], offs[:k+1:k+1]
+		strIDs, caps, gold, offs = strIDs[k:], caps[k:], gold[k:], offs[k+1:]
 		byStr := make(map[int32][]int32)
 		for i, t := range toks {
-			x.strIDs[i] = int32(v.Intern(t.Str))
+			x.strIDs[i], x.gold[i] = int32(v.Intern(t.Str)), t.Gold
 			if x.caps[i] = IsCapitalized(t.Str); x.caps[i] {
 				byStr[x.strIDs[i]] = append(byStr[x.strIDs[i]], int32(i))
 			}
@@ -173,7 +199,6 @@ func NewCorpusIndex(c *Corpus, v *Vocab) *CorpusIndex {
 // while the DBMS holds the tuples (Section 5). Labels is the only part a
 // tagger owns; everything else is read from the shared document index.
 type LabeledDoc struct {
-	Doc    *Doc
 	Labels []Label
 	ix     *docIndex
 }

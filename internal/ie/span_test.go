@@ -63,8 +63,7 @@ func TestSpanProposerMatchesExactMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := &Corpus{Docs: []Doc{*ld.Doc}, NumTokens: len(ld.Labels)}
-	tg := newTagger(m, corpus)
+	tg := retag(m, ld)
 	s := mcmc.NewSampler(NewMixedProposer(tg, 0.5), 13)
 	s.Run(3000)
 	counts := make([][NumLabels]float64, len(ld.Labels))
@@ -103,8 +102,8 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 			}
 		}
 	}
-	db, rows, log := loadBound(t, c)
-	if err := tg.BindDB(log, rows); err != nil {
+	db, base, log := loadBound(t, c)
+	if err := tg.BindDB(log, base); err != nil {
 		t.Fatal(err)
 	}
 	s := mcmc.NewSampler(NewMixedProposer(tg, 1.0), 5)
@@ -112,7 +111,7 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 	rel, _ := db.Relation(TokenRelation)
 	for d, ld := range tg.Docs {
 		for i, l := range ld.Labels {
-			tu, _ := rel.Get(rows[d][i])
+			tu, _ := rel.Get(base[d] + relstore.RowID(i))
 			if tu[LabelCol].AsString() != l.String() {
 				t.Fatalf("doc %d tok %d: store %q, memory %q", d, i, tu[LabelCol].AsString(), l)
 			}
@@ -121,13 +120,13 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 }
 
 // loadBound is a small helper shared by write-through tests.
-func loadBound(t *testing.T, c *Corpus) (db *relstore.DB, rows [][]relstore.RowID, log *world.ChangeLog) {
+func loadBound(t *testing.T, c *Corpus) (db *relstore.DB, base []relstore.RowID, log *world.ChangeLog) {
 	t.Helper()
 	db = relstore.NewDB()
 	var err error
-	rows, err = LoadCorpus(db, c, LO)
+	base, err = LoadCorpus(db, c, LO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, rows, world.NewChangeLog(db)
+	return db, base, world.NewChangeLog(db)
 }

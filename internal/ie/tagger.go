@@ -35,10 +35,11 @@ const LabelCol = 3
 const truthCol = 4
 
 // LoadCorpus materializes the corpus into a fresh TOKEN relation in db,
-// with LABEL initialized to init. It returns, per document, the RowIDs of
-// its tokens in order. The label inventory takes the first LABEL and
-// TRUTH codes, in Label order, so no flip ever has to intern one.
-func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([][]relstore.RowID, error) {
+// with LABEL initialized to init. A document's tokens take consecutive
+// RowIDs, so it returns each document's first: token i of document d is
+// row base[d]+i. The label inventory takes the first LABEL and TRUTH
+// codes, in Label order, so no flip ever has to intern one.
+func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([]relstore.RowID, error) {
 	rel, err := db.Create(TokenSchema())
 	if err != nil {
 		return nil, err
@@ -48,27 +49,25 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([][]relstore.RowID, err
 			return nil, err
 		}
 	}
-	rows := make([][]relstore.RowID, len(c.Docs))
+	base := make([]relstore.RowID, len(c.Docs))
 	tokID := int64(0)
 	for d := range c.Docs {
 		doc := &c.Docs[d]
-		rows[d] = make([]relstore.RowID, len(doc.Tokens))
-		for i, t := range doc.Tokens {
-			id, err := rel.Insert(relstore.Tuple{
+		base[d] = rel.NextID()
+		for _, t := range doc.Tokens {
+			if _, err := rel.Insert(relstore.Tuple{
 				relstore.Int(tokID),
 				relstore.Int(int64(doc.ID)),
 				relstore.String(t.Str),
 				labelValues[init],
 				labelValues[t.Gold],
-			})
-			if err != nil {
+			}); err != nil {
 				return nil, fmt.Errorf("ie: loading corpus: %w", err)
 			}
-			rows[d][i] = id
 			tokID++
 		}
 	}
-	return rows, nil
+	return base, nil
 }
 
 // Tagger holds the in-memory inference state for a corpus and implements
@@ -98,7 +97,7 @@ type Tagger struct {
 	// Write-through binding: the LABEL column of TOKEN, resolved once.
 	bound bool
 	field world.Field
-	rows  [][]relstore.RowID
+	base  []relstore.RowID
 
 	active       []int
 	sinceRefresh int
@@ -123,20 +122,15 @@ var labelValues = func() (vs [NumLabels]relstore.Value) {
 // to "O"). The index must be built against m's vocabulary; the tagger
 // shares it and owns only its labels — one byte per token.
 func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
-	docs := ix.Corpus.Docs
-	n := 0
-	for d := range docs {
-		n += len(docs[d].Tokens)
-	}
-	labels := make([]Label, n)
+	labels := make([]Label, ix.tokens)
 	for i := range labels {
 		labels[i] = init
 	}
-	lds := make([]LabeledDoc, len(docs))
-	t := &Tagger{Model: m, Docs: make([]*LabeledDoc, len(docs)), Index: ix}
-	for d := range docs {
-		k := len(docs[d].Tokens)
-		lds[d] = LabeledDoc{Doc: &docs[d], Labels: labels[:k:k], ix: &ix.docs[d]}
+	lds := make([]LabeledDoc, len(ix.docs))
+	t := &Tagger{Model: m, Docs: make([]*LabeledDoc, len(ix.docs)), Index: ix}
+	for d := range ix.docs {
+		k := len(ix.docs[d].strIDs)
+		lds[d] = LabeledDoc{Labels: labels[:k:k], ix: &ix.docs[d]}
 		labels = labels[k:]
 		t.Docs[d] = &lds[d]
 	}
@@ -144,22 +138,29 @@ func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
 }
 
 // BindDB connects the tagger to a database change log so accepted label
-// flips propagate to the TOKEN relation. rows must come from LoadCorpus
-// on the same corpus.
-func (t *Tagger) BindDB(log *world.ChangeLog, rows [][]relstore.RowID) error {
-	if len(rows) != len(t.Docs) {
-		return fmt.Errorf("ie: row map covers %d docs, tagger has %d", len(rows), len(t.Docs))
-	}
-	for d, ld := range t.Docs {
-		if len(rows[d]) != len(ld.Labels) {
-			return fmt.Errorf("ie: doc %d row map has %d tokens, want %d", d, len(rows[d]), len(ld.Labels))
-		}
+// flips propagate to the TOKEN relation. base must come from LoadCorpus
+// on the indexed corpus; a map whose documents overlap, or run past the
+// ids the relation issued, would make flips miss their rows silently.
+func (t *Tagger) BindDB(log *world.ChangeLog, base []relstore.RowID) error {
+	if len(base) != len(t.Docs) {
+		return fmt.Errorf("ie: row map covers %d docs, tagger has %d", len(base), len(t.Docs))
 	}
 	field, err := log.Field(TokenRelation, LabelCol)
 	if err != nil {
 		return err
 	}
-	t.bound, t.field, t.rows = true, field, rows
+	rel, _ := log.DB().Relation(TokenRelation) // Field found it
+	var end relstore.RowID
+	for d, ld := range t.Docs {
+		if base[d] < end {
+			return fmt.Errorf("ie: doc %d starts at row %d, inside the docs before it (they end at row %d)", d, base[d], end)
+		}
+		end = base[d] + relstore.RowID(len(ld.Labels))
+	}
+	if end > rel.NextID() {
+		return fmt.Errorf("ie: row map reaches row %d, but %s has issued only %d ids", end-1, TokenRelation, rel.NextID())
+	}
+	t.bound, t.field, t.base = true, field, base
 	return nil
 }
 
@@ -226,7 +227,7 @@ func (t *Tagger) candidate(rng *rand.Rand, ld *LabeledDoc, i int) Label {
 func (t *Tagger) apply(d, i int, newLabel Label) {
 	t.Docs[d].Labels[i] = newLabel
 	if t.bound {
-		if err := t.field.Set(t.rows[d][i], labelValues[newLabel]); err != nil {
+		if err := t.field.Set(t.base[d]+relstore.RowID(i), labelValues[newLabel]); err != nil {
 			// A row deleted by DML (the write path mutates evidence while
 			// chains keep walking) simply stops mirroring: the in-memory
 			// variable keeps being sampled, the store no longer holds the
@@ -271,7 +272,7 @@ func (t *Tagger) ProposeRank(rng *rand.Rand, d *learn.Delta) float64 {
 	ld := t.draw(rng)
 	i, newLabel := t.i, t.newLabel
 	t.Model.FeatureDelta(d, ld, i, newLabel)
-	gold, old := ld.Doc.Tokens[i].Gold, ld.Labels[i]
+	gold, old := ld.ix.gold[i], ld.Labels[i]
 	switch {
 	case newLabel == old:
 		return 0
@@ -289,7 +290,7 @@ func (t *Tagger) Accuracy() float64 {
 	var ok, n float64
 	for _, ld := range t.Docs {
 		for i, l := range ld.Labels {
-			if l == ld.Doc.Tokens[i].Gold {
+			if l == ld.ix.gold[i] {
 				ok++
 			}
 			n++

@@ -12,23 +12,6 @@ import "fmt"
 // documents a query can read from leaves the query's answer marginals
 // unchanged while concentrating every MH step on relevant variables.
 
-// DocsContaining returns the indexes of documents containing the exact
-// token string s. For a selective query such as Query 4 (which requires a
-// "Boston" token in the document), these are the only documents whose
-// labels can affect the answer.
-func DocsContaining(c *Corpus, s string) []int {
-	var out []int
-	for d := range c.Docs {
-		for _, tok := range c.Docs[d].Tokens {
-			if tok.Str == s {
-				out = append(out, d)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // TargetDocs restricts the tagger's proposal distribution to the given
 // document indexes, overriding the uniform active-set batching. It is the
 // caller's responsibility that the query's answer depends only on hidden
@@ -52,9 +35,4 @@ func (t *Tagger) TargetDocs(docs []int) error {
 	t.StepsPerBatch = 0
 	t.active = append([]int{}, docs...)
 	return nil
-}
-
-// Targeted reports whether the tagger is running a targeted proposal.
-func (t *Tagger) Targeted() bool {
-	return t.StepsPerBatch == 0 && t.active != nil
 }

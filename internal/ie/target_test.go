@@ -3,6 +3,7 @@ package ie
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"factordb/internal/mcmc"
@@ -14,12 +15,53 @@ func TestDocsContaining(t *testing.T) {
 		{ID: 1, Tokens: []Token{{Str: "IBM"}}},
 		{ID: 2, Tokens: []Token{{Str: "in"}, {Str: "Boston"}, {Str: "Boston"}}},
 	}}
-	got := DocsContaining(c, "Boston")
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	ix := NewCorpusIndex(c, BuildVocab(c))
+	if got := ix.DocsContaining("Boston"); !slices.Equal(got, []int{0, 2}) {
 		t.Errorf("DocsContaining = %v", got)
 	}
-	if DocsContaining(c, "nope") != nil {
+	if ix.DocsContaining("nope") != nil {
 		t.Error("missing string should return nil")
+	}
+
+	// On a generated corpus the index lookup finds exactly the documents
+	// a scan of the tokens finds, and a string outside the vocabulary is
+	// in no document and is not interned by the lookup.
+	c, err := Generate(DefaultGenConfig(5000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := BuildVocab(c)
+	ix = NewCorpusIndex(c, v)
+	scan := func(s string) []int {
+		var out []int
+		for d := range c.Docs {
+			if slices.ContainsFunc(c.Docs[d].Tokens, func(tok Token) bool { return tok.Str == s }) {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	strs := []string{"Boston"}
+	for id := 0; id < v.Size() && len(strs) < 12; id += 7 {
+		if s := v.Str(id); IsCapitalized(s) {
+			strs = append(strs, s)
+		}
+	}
+	for _, s := range strs {
+		want := scan(s)
+		if len(want) == 0 {
+			t.Fatalf("%q: no document holds it; the check proves nothing", s)
+		}
+		if got := ix.DocsContaining(s); !slices.Equal(got, want) {
+			t.Errorf("%q: DocsContaining = %v, scan = %v", s, got, want)
+		}
+	}
+	size := v.Size()
+	if got := ix.DocsContaining("Nowhereville"); got != nil {
+		t.Errorf("out-of-vocabulary string: DocsContaining = %v, want nil", got)
+	}
+	if v.Size() != size {
+		t.Errorf("the lookup interned its string: vocabulary %d -> %d", size, v.Size())
 	}
 }
 
@@ -38,8 +80,8 @@ func TestTargetDocsValidation(t *testing.T) {
 	if err := tg.TargetDocs([]int{0}); err != nil {
 		t.Errorf("valid target rejected: %v", err)
 	}
-	if !tg.Targeted() {
-		t.Error("Targeted() should report true")
+	if tg.StepsPerBatch != 0 || !slices.Equal(tg.active, []int{0}) {
+		t.Errorf("after TargetDocs: StepsPerBatch %d, working set %v; want 0 and [0]", tg.StepsPerBatch, tg.active)
 	}
 }
 

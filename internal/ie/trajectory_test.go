@@ -11,7 +11,7 @@ import (
 
 // trajectoryTagger builds a skip-chain tagger with random weights on
 // every template, bound to a freshly loaded TOKEN relation.
-func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation, [][]relstore.RowID) {
+func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation, []relstore.RowID) {
 	t.Helper()
 	c, err := Generate(GenConfig{NumTokens: 1200, TokensPerDoc: 100, EntityRate: 0.2, RepeatRate: 0.4, Seed: 91})
 	if err != nil {
@@ -37,15 +37,15 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation, [][]relstore.R
 	}
 	m.W.Set(SkipKey(true), 0.9)
 	m.W.Set(SkipKey(false), -0.4)
-	db, rows, log := loadBound(t, c)
-	if err := tg.BindDB(log, rows); err != nil {
+	db, base, log := loadBound(t, c)
+	if err := tg.BindDB(log, base); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := db.Relation(TokenRelation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tg, rel, rows
+	return tg, rel, base
 }
 
 // TestTrajectory pins the walk of every NER proposal kernel: the hidden
@@ -78,14 +78,14 @@ func TestTrajectory(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tg, rel, rows := trajectoryTagger(t)
+			tg, rel, base := trajectoryTagger(t)
 			s := mcmc.NewSampler(tc.proposer(tg), 97)
 			s.Run(8000)
 			h := mcmctest.NewHash()
 			for d, ld := range tg.Docs {
 				for i, l := range ld.Labels {
 					h.Int(int(l))
-					tu, ok := rel.Get(rows[d][i])
+					tu, ok := rel.Get(base[d] + relstore.RowID(i))
 					if !ok {
 						t.Fatalf("doc %d tok %d: row missing", d, i)
 					}

@@ -99,6 +99,10 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Len returns the number of rows.
 func (r *Relation) Len() int { return r.live }
 
+// NextID returns the id the next Insert assigns; every id below it has
+// been issued, whether its row is live or deleted.
+func (r *Relation) NextID() RowID { return RowID(r.n) }
+
 // value materializes slot s.
 func (c *column) value(s int) Value {
 	switch c.typ {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"factordb/internal/exp"
-	"factordb/internal/ie"
 	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
 	"factordb/internal/serve"
@@ -111,7 +110,7 @@ func (m nerModel) build() (system, error) {
 	if cfg.TargetSubstring == "" {
 		return sys, nil
 	}
-	docs := ie.DocsContaining(sys.Corpus, cfg.TargetSubstring)
+	docs := sys.Index.DocsContaining(cfg.TargetSubstring)
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("factordb: no document contains %q at this corpus seed", cfg.TargetSubstring)
 	}
