@@ -123,7 +123,7 @@ func BenchmarkFig8Query4Mater30k(b *testing.B) {
 	benchSamples(b, 30_000, core.Materialized, exp.Query4)
 }
 
-// ---- Ablations (cmd/experiments runs the k and targeted-proposal series) ----
+// ---- Ablations (cmd/experiments runs the k series) ----
 
 // BenchmarkMHStep measures the raw Metropolis-Hastings walk-step cost,
 // which the paper argues is constant in the database size (Section 5.3).

@@ -45,7 +45,7 @@ var scales = map[string]scaleCfg{
 
 func main() {
 	var (
-		which = flag.String("exp", "all", "fig4a|fig4b|fig5|fig6|fig7|fig8|ablation-k|ablation-targeted|all")
+		which = flag.String("exp", "all", "fig4a|fig4b|fig5|fig6|fig7|fig8|ablation-k|all")
 		scale = flag.String("scale", "small", "small|medium|full")
 		seed  = flag.Int64("seed", 1, "random seed")
 	)
@@ -72,7 +72,6 @@ func main() {
 	run("fig7", runFig7)
 	run("fig8", runFig8)
 	run("ablation-k", runAblationK)
-	run("ablation-targeted", runAblationTargeted)
 }
 
 func runFig4a(cfg scaleCfg, seed int64) error {
@@ -200,24 +199,6 @@ func runAblationK(cfg scaleCfg, seed int64) error {
 	fmt.Printf("%-10s %-14s %s\n", "k", "loss AUC", "final loss")
 	for _, r := range rows {
 		fmt.Printf("%-10d %-14.4f %.5f\n", r.K, r.AUC, r.Final)
-	}
-	return nil
-}
-
-func runAblationTargeted(cfg scaleCfg, seed int64) error {
-	rows, err := exp.AblationTargeted(cfg.figN, cfg.samples, cfg.thin, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-12s %-14s %s\n", "proposer", "docs", "loss AUC", "final loss")
-	for _, r := range rows {
-		name := "uniform"
-		docs := fmt.Sprintf("%d/%d", r.TotalDocs, r.TotalDocs)
-		if r.Targeted {
-			name = "targeted"
-			docs = fmt.Sprintf("%d/%d", r.TargetDocs, r.TotalDocs)
-		}
-		fmt.Printf("%-10s %-12s %-14.4f %.5f\n", name, docs, r.AUC, r.Final)
 	}
 	return nil
 }

@@ -1,12 +1,7 @@
 // Top-k example: MystiQ-style ranked answers (Section 2's related work)
 // as first-class SQL — ORDER BY the P pseudo-column (the tuple's
 // estimated marginal) with a LIMIT, ranked and truncated by the engine
-// itself rather than in application code. This example also demonstrates
-// the query-targeted proposal distribution suggested as future work in
-// the paper: Query 4 only reads documents containing "Boston", so the
-// model is opened with a target substring and the sampler is restricted
-// to them, converging on the relevant marginals with a fraction of the
-// proposals.
+// itself rather than in application code.
 package main
 
 import (
@@ -19,7 +14,7 @@ import (
 
 func main() {
 	db, err := factordb.Open(
-		factordb.NER(factordb.NERConfig{Tokens: 30000, Seed: 7, TargetSubstring: "Boston"}),
+		factordb.NER(factordb.NERConfig{Tokens: 30000, Seed: 7}),
 		factordb.WithSteps(2000),
 		factordb.WithSeed(11),
 	)

@@ -347,29 +347,6 @@ func TestNERConfigRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestNERTargetSubstring: the targeted NER model finds its documents
-// through the corpus index. A token string some documents hold opens a
-// database whose proposals are confined to them; one no document holds —
-// here one the vocabulary has never seen — is refused at Open.
-func TestNERTargetSubstring(t *testing.T) {
-	cfg := NERConfig{Tokens: 2000, Seed: 5, TrainSteps: 2000, TargetSubstring: "Boston"}
-	db, err := Open(NER(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if d := db.Describe(); !strings.Contains(d, "proposals targeted to") {
-		t.Errorf("Describe() = %q, want the targeted model's summary", d)
-	}
-	cfg.TargetSubstring = "Nowhereville"
-	if db, err := Open(NER(cfg)); err == nil || !strings.Contains(err.Error(), `no document contains "Nowhereville"`) {
-		if err == nil {
-			db.Close()
-		}
-		t.Errorf("Open with an absent target = %v, want the no-document error", err)
-	}
-}
-
 func TestContextCancellation(t *testing.T) {
 	db := openCorefDB(t)
 

@@ -180,14 +180,6 @@ func (s *NERSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error
 	return log, tg, nil
 }
 
-// NewChainTagger is NewChainWorld with the proposer returned as the
-// concrete *ie.Tagger, for callers that need tagger-level controls —
-// notably TargetDocs, the query-targeted proposal restriction the public
-// facade exposes as an option.
-func (s *NERSystem) NewChainTagger(_ int) (*world.ChangeLog, *ie.Tagger, error) {
-	return s.newChainWorld()
-}
-
 // WorldDB exposes the prototype world — the evidence a durable store
 // snapshots and local-mode writes mutate.
 func (s *NERSystem) WorldDB() *relstore.DB { return s.protoDB }
@@ -495,74 +487,6 @@ func AblationK(n int, ks []int, totalSteps int, seed int64) ([]AblationKRow, err
 			return nil, err
 		}
 		out = append(out, AblationKRow{K: k, AUC: tr.AUC(), Final: tr.Final()})
-	}
-	return out, nil
-}
-
-// ---- Ablation: query-targeted proposal distribution ----
-
-// TargetedRow compares convergence of the default proposer with one
-// restricted to the documents Query 4 can read from (those containing a
-// "Boston" token) — the query-specific jump functions the paper proposes
-// as future work (Sections 4.1 and 6).
-type TargetedRow struct {
-	Targeted   bool
-	TargetDocs int
-	TotalDocs  int
-	AUC        float64 // area under loss-vs-wall-time (timing dependent)
-	StepAUC    float64 // area under loss-vs-walk-steps (deterministic)
-	Final      float64
-}
-
-// AblationTargeted runs Query 4 with and without document targeting at a
-// fixed sample budget.
-func AblationTargeted(n, samples, thin int, seed int64) ([]TargetedRow, error) {
-	sys, err := BuildNER(Config{NumTokens: n, Seed: seed, UseSkip: true})
-	if err != nil {
-		return nil, err
-	}
-	target := sys.Index.DocsContaining("Boston")
-	if len(target) == 0 {
-		return nil, fmt.Errorf("exp: corpus has no Boston documents at this seed")
-	}
-	// Ground truth from a long targeted run (targeting is exact for
-	// Query 4: documents are independent components and the answer only
-	// reads Boston documents).
-	truthChain, err := sys.NewChain(core.Materialized, Query4, thin, seed+100)
-	if err != nil {
-		return nil, err
-	}
-	if err := truthChain.Tagger.TargetDocs(target); err != nil {
-		return nil, err
-	}
-	if err := truthChain.Evaluator.Run(3000, nil); err != nil {
-		return nil, err
-	}
-	truth := truthChain.Evaluator.Marginals()
-
-	var out []TargetedRow
-	for _, targeted := range []bool{false, true} {
-		ch, err := sys.NewChain(core.Materialized, Query4, thin, seed+200)
-		if err != nil {
-			return nil, err
-		}
-		if targeted {
-			if err := ch.Tagger.TargetDocs(target); err != nil {
-				return nil, err
-			}
-		}
-		tr, err := ch.Evaluator.RunTraced(samples, truth)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TargetedRow{
-			Targeted:   targeted,
-			TargetDocs: len(target),
-			TotalDocs:  sys.Index.NumDocs(),
-			AUC:        tr.AUC(),
-			StepAUC:    tr.AUCSteps(),
-			Final:      tr.Final(),
-		})
 	}
 	return out, nil
 }

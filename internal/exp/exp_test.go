@@ -56,14 +56,18 @@ func TestChainsShareCorpusIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, a, err := sys.NewChainTagger(0)
-	if err != nil {
-		t.Fatal(err)
+	tagger := func(chain int) *ie.Tagger {
+		_, p, err := sys.NewChainWorld(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, ok := p.(*ie.Tagger)
+		if !ok {
+			t.Fatalf("chain %d proposes with a %T, want an *ie.Tagger", chain, p)
+		}
+		return tg
 	}
-	_, b, err := sys.NewChainTagger(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := tagger(0), tagger(1)
 	if sys.Index == nil || a.Index != sys.Index || b.Index != sys.Index {
 		t.Fatalf("chain taggers read indexes %p and %p, want the system's %p", a.Index, b.Index, sys.Index)
 	}
@@ -159,27 +163,6 @@ func TestFig8Smoke(t *testing.T) {
 		if tp.P < 0 || tp.P > 1 {
 			t.Errorf("probability out of range: %v", tp.P)
 		}
-	}
-}
-
-func TestAblationTargetedSmoke(t *testing.T) {
-	rows, err := AblationTargeted(6000, 60, 300, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Targeted || !rows[1].Targeted {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[1].TargetDocs <= 0 || rows[1].TargetDocs > rows[1].TotalDocs {
-		t.Errorf("target docs %d of %d", rows[1].TargetDocs, rows[1].TotalDocs)
-	}
-	// Targeting a selective query should not converge much slower. Compare
-	// the step-based AUC — wall-time AUC is scheduler noise — and allow a
-	// wide margin: at this corpus size per-seed MCMC variance swamps the
-	// targeting effect (seeds differ on which proposer wins), so this is a
-	// deterministic sanity bound, not a performance assertion.
-	if rows[1].StepAUC > rows[0].StepAUC*2 {
-		t.Errorf("targeted step-AUC %.3f much worse than uniform %.3f", rows[1].StepAUC, rows[0].StepAUC)
 	}
 }
 

@@ -1,7 +1,6 @@
 package ie
 
 import (
-	"slices"
 	"unicode"
 
 	"factordb/internal/learn"
@@ -131,22 +130,6 @@ func (ix *CorpusIndex) NumDocs() int { return len(ix.docs) }
 
 // NumTokens returns the number of tokens indexed.
 func (ix *CorpusIndex) NumTokens() int { return ix.tokens }
-
-// DocsContaining returns the indexes of documents containing the exact
-// token string s. For a selective query such as Query 4 (which requires a
-// "Boston" token in the document), these are the only documents whose
-// labels can affect the answer. A string the vocabulary lacks is in no
-// document; it is looked up, not interned, so θ's emission space stays.
-func (ix *CorpusIndex) DocsContaining(s string) []int {
-	id := int32(ix.vocab.ID(s)) // -1, no token's id, when s is unknown
-	var out []int
-	for d := range ix.docs {
-		if slices.Contains(ix.docs[d].strIDs, id) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
 
 // NewCorpusIndex indexes every document of c against v, interning any
 // string v does not hold yet. Build it once per (corpus, vocabulary) and

@@ -67,12 +67,6 @@ func TestTrajectory(t *testing.T) {
 			tg.ActiveDocs, tg.StepsPerBatch = 3, 400
 			return tg
 		}},
-		{"tagger-targeted", func(tg *Tagger) mcmc.Proposer {
-			if err := tg.TargetDocs([]int{1, 4, 7}); err != nil {
-				t.Fatal(err)
-			}
-			return tg
-		}},
 		{"span", func(tg *Tagger) mcmc.Proposer { return &SpanProposer{Tagger: tg} }},
 		{"mixed", func(tg *Tagger) mcmc.Proposer { return NewMixedProposer(tg, 0.3) }},
 	}

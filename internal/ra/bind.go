@@ -67,9 +67,6 @@ type Bound struct {
 	SortIdx  []int
 	SortDesc []bool
 	Limit    int64
-
-	// fp memoizes Fingerprint; see fingerprint.go.
-	fp string
 }
 
 // Bind resolves a logical plan against the database catalog and returns

@@ -12,8 +12,9 @@ import (
 // Fingerprint returns a stable structural content hash of the bound
 // subtree rooted at b. The serving engine's per-chain view registries
 // key physical views on the root's fingerprint, so queries with equal
-// bound plans share one view. Every node memoizes its own, which a
-// parent's encoding hashes in place of the child's whole subtree.
+// bound plans share one view. A parent's encoding hashes each child's
+// fingerprint in place of the child's whole subtree; nothing is stored
+// on the tree.
 //
 // The hash covers exactly what determines the subtree's output tuples:
 // node kinds, table names, resolved column positions, bound predicate
@@ -26,37 +27,31 @@ import (
 // one version, the fingerprint of a given plan structure never changes
 // across releases; any incompatible change to the encoding bumps the
 // prefix, so persisted fingerprints can never silently collide across
-// versions. Fingerprints are memoized per node; Bound trees must not be
-// structurally mutated after the first Fingerprint call.
+// versions.
 func (b *Bound) Fingerprint() string {
-	if b.fp == "" {
-		var buf [256]byte
-		b.memoFP(buf[:0])
-	}
-	return b.fp
+	var fp fingerprint
+	b.writeFP(make([]byte, 0, 512), &fp)
+	return string(fp[:])
 }
 
-// memoFP memoizes the fingerprint of every node of b's subtree that has
-// none yet, children first, encoding each node in turn into buf; it
-// returns buf, perhaps grown, for reuse. The memoized string is the only
-// allocation per node while an encoding fits the buffer.
-func (b *Bound) memoFP(buf []byte) []byte {
-	for _, c := range b.Children {
-		if c.fp == "" {
-			buf = c.memoFP(buf)
-		}
-	}
-	buf = b.appendFP(buf[:0])
-	sum := sha256.Sum256(buf)
-	var fp [len("bfp1:") + 32]byte
+// fingerprint is the "bfp1:" prefix and 16 hex-encoded bytes of SHA-256.
+type fingerprint [len("bfp1:") + 32]byte
+
+// writeFP writes b's fingerprint into fp. It encodes b after the bytes
+// already in scratch (a parent's partial encoding, which it keeps) and
+// returns scratch, perhaps grown, cut back to its original length, so
+// the whole tree encodes in one buffer.
+func (b *Bound) writeFP(scratch []byte, fp *fingerprint) []byte {
+	n := len(scratch)
+	scratch = b.appendFP(scratch)
+	sum := sha256.Sum256(scratch[n:])
 	copy(fp[:], "bfp1:")
 	hex.Encode(fp[len("bfp1:"):], sum[:16])
-	b.fp = string(fp[:])
-	return buf
+	return scratch[:n]
 }
 
 // appendFP appends the node's canonical encoding: a kind tag, the local
-// payload, then the children's fingerprints, which must be memoized.
+// payload, then the children's fingerprints.
 // Each component is delimited so the encoding is injective over
 // bound-tree structure. Slices are written as fmt's %v writes them
 // ("[0 1]", "[true false]"), the layout the bfp1 encoding was frozen
@@ -103,7 +98,9 @@ func (b *Bound) appendFP(dst []byte) []byte {
 	}
 	dst = append(dst, ')')
 	for _, c := range b.Children {
-		dst = append(dst, c.fp...)
+		var cfp fingerprint
+		dst = c.writeFP(dst, &cfp)
+		dst = append(dst, cfp[:]...)
 	}
 	return dst
 }

@@ -165,11 +165,8 @@ func wrapSelect(b *Bound, preds []Expr) *Bound {
 }
 
 // cloneNode shallow-copies a bound node so the rewrite never mutates the
-// caller's tree. The fingerprint memo is dropped: a rewritten node no
-// longer hashes like its original, and pushed trees are never
-// fingerprinted anyway.
+// caller's tree.
 func cloneNode(b *Bound) *Bound {
 	nb := *b
-	nb.fp = ""
 	return &nb
 }

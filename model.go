@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"factordb/internal/exp"
-	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
 	"factordb/internal/serve"
-	"factordb/internal/world"
 )
 
 // Model describes a probabilistic-database workload: a factor-graph model
@@ -60,11 +58,6 @@ type NERConfig struct {
 	Temperature float64
 	// LinearChain disables the skip-chain factors.
 	LinearChain bool
-	// TargetSubstring, when non-empty, restricts MCMC proposals to
-	// documents containing the substring — the query-targeted proposal
-	// distribution the paper suggests as future work. Build fails if no
-	// document matches.
-	TargetSubstring string
 }
 
 // NER returns the named-entity-recognition workload model.
@@ -107,38 +100,7 @@ func (m nerModel) build() (system, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TargetSubstring == "" {
-		return sys, nil
-	}
-	docs := sys.Index.DocsContaining(cfg.TargetSubstring)
-	if len(docs) == 0 {
-		return nil, fmt.Errorf("factordb: no document contains %q at this corpus seed", cfg.TargetSubstring)
-	}
-	return &targetedNER{NERSystem: sys, docs: docs}, nil
-}
-
-// targetedNER restricts every chain's proposal distribution to the
-// matched documents before handing the world out. Proposal targeting only
-// shapes the walk: the prototype world, its writes and its durability are
-// the embedded system's.
-type targetedNER struct {
-	*exp.NERSystem
-	docs []int
-}
-
-func (t *targetedNER) Describe() string {
-	return fmt.Sprintf("%s, proposals targeted to %d docs", t.NERSystem.Describe(), len(t.docs))
-}
-
-func (t *targetedNER) NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer, error) {
-	log, tg, err := t.NewChainTagger(chain)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := tg.TargetDocs(t.docs); err != nil {
-		return nil, nil, err
-	}
-	return log, tg, nil
+	return sys, nil
 }
 
 // CorefConfig parameterizes the entity-resolution workload: generated

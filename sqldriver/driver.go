@@ -12,9 +12,10 @@
 //
 // The DSN is "<model>?<params>": model "ner" or "coref", with model
 // parameters (ner: tokens, seed, train_steps, tokens_per_doc,
-// temperature, linear, target; coref: entities, mentions, seed) and
-// engine parameters (mode=naive|materialized|served, samples, steps,
-// chains, burn, confidence, seed) mixed in one query string.
+// temperature, linear; coref: entities, mentions, seed) and engine
+// parameters (mode=naive|materialized|served, samples, steps, chains,
+// burn, confidence, seed) mixed in one query string. Any other parameter
+// fails sql.Open with an error naming it.
 //
 // Every result row carries the query's output columns followed by three
 // trailing columns: P (the tuple's marginal probability), CI_LO and
@@ -64,7 +65,9 @@ import (
 	"database/sql/driver"
 	"fmt"
 	"io"
+	"maps"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,8 +147,18 @@ func (c *connector) Close() error {
 	return err
 }
 
+// dsnKeys is every DSN parameter, listed under the model that reads it;
+// the engine's parameters, read for every model, are listed under "".
+var dsnKeys = map[string][]string{
+	"ner":   {"tokens", "seed", "train_steps", "tokens_per_doc", "temperature", "linear"},
+	"coref": {"entities", "mentions", "seed"},
+	"":      {"mode", "samples", "steps", "chains", "burn", "confidence", "seed"},
+}
+
 // parseDSN splits "<model>?<params>" and maps the parameters onto a
-// workload config and Open options.
+// workload config and Open options. A parameter the model and the engine
+// do not read is an error, so a misspelt key cannot silently fall back
+// to its default.
 func parseDSN(dsn string) (factordb.Model, []factordb.Option, error) {
 	name := dsn
 	rawQuery := ""
@@ -162,13 +175,12 @@ func parseDSN(dsn string) (factordb.Model, []factordb.Option, error) {
 	switch name {
 	case "ner":
 		model = factordb.NER(factordb.NERConfig{
-			Tokens:          p.intVal("tokens"),
-			Seed:            p.int64Val("seed"),
-			TrainSteps:      p.intVal("train_steps"),
-			TokensPerDoc:    p.intVal("tokens_per_doc"),
-			Temperature:     p.floatVal("temperature"),
-			LinearChain:     p.boolVal("linear"),
-			TargetSubstring: p.strVal("target"),
+			Tokens:       p.intVal("tokens"),
+			Seed:         p.int64Val("seed"),
+			TrainSteps:   p.intVal("train_steps"),
+			TokensPerDoc: p.intVal("tokens_per_doc"),
+			Temperature:  p.floatVal("temperature"),
+			LinearChain:  p.boolVal("linear"),
 		})
 	case "coref":
 		model = factordb.Coref(factordb.CorefConfig{
@@ -178,6 +190,11 @@ func parseDSN(dsn string) (factordb.Model, []factordb.Option, error) {
 		})
 	default:
 		return nil, nil, fmt.Errorf("sqldriver: unknown model %q in DSN (want ner or coref)", name)
+	}
+	for _, key := range slices.Sorted(maps.Keys(params)) {
+		if !slices.Contains(dsnKeys[name], key) && !slices.Contains(dsnKeys[""], key) {
+			return nil, nil, fmt.Errorf("sqldriver: unknown DSN parameter %q for model %s", key, name)
+		}
 	}
 
 	var opts []factordb.Option

@@ -225,6 +225,9 @@ func TestBadDSN(t *testing.T) {
 		{"ner?train_steps=-1", "NERConfig.TrainSteps = -1"},
 		{"ner?mode=quantum", `unknown mode "quantum"`},
 		{"ner?tokens=100;seed=2", "bad DSN"},
+		{"ner?target=Boston", `unknown DSN parameter "target"`},
+		{"ner?sampels=64", `unknown DSN parameter "sampels"`},
+		{"coref?tokens=800", `unknown DSN parameter "tokens"`},
 	} {
 		db, err := sql.Open("factordb", tc.dsn)
 		if err == nil {

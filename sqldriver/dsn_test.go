@@ -3,8 +3,10 @@ package sqldriver
 import (
 	"context"
 	"database/sql"
+	"net/url"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,21 +43,23 @@ func describedDocs(t *testing.T, desc string) int {
 	return n
 }
 
-// TestDSNParameters sets every documented DSN parameter at least once and
-// asserts each effect that is visible from outside the engine.
+// TestDSNParameters sets every DSN parameter at least once and asserts
+// each effect that is visible from outside the engine. A parameter added
+// to dsnKeys without a case here fails it.
 func TestDSNParameters(t *testing.T) {
 	const corpus = "tokens=800&train_steps=2000&seed=3"
+	covered := map[string]bool{} // "<model>/<key>" per case, and "/<key>"
 	for _, tc := range []struct {
 		name, dsn, sql string
 		check          func(t *testing.T, db *factordb.DB, rows *factordb.Rows)
 	}{{
 		name: "ner served",
-		dsn: "ner?" + corpus + "&tokens_per_doc=50&temperature=2&linear=true&target=Boston" +
+		dsn: "ner?" + corpus + "&tokens_per_doc=50&temperature=2&linear=true" +
 			"&mode=served&chains=2&burn=40&steps=20&samples=8&confidence=0.8",
 		sql: factordb.Query1,
 		check: func(t *testing.T, db *factordb.DB, rows *factordb.Rows) {
 			desc := db.Describe()
-			for _, want := range []string{"skip=false", "proposals targeted to", "[served]"} {
+			for _, want := range []string{"skip=false", "[served]"} {
 				if !strings.Contains(desc, want) {
 					t.Errorf("Describe %q lacks %q", desc, want)
 				}
@@ -82,9 +86,8 @@ func TestDSNParameters(t *testing.T) {
 		sql:  factordb.Query1,
 		check: func(t *testing.T, db *factordb.DB, rows *factordb.Rows) {
 			desc := db.Describe()
-			if !strings.Contains(desc, "skip=true") || !strings.Contains(desc, "[materialized]") ||
-				strings.Contains(desc, "targeted") {
-				t.Errorf("Describe %q, want an untargeted skip-chain materialized database", desc)
+			if !strings.Contains(desc, "skip=true") || !strings.Contains(desc, "[materialized]") {
+				t.Errorf("Describe %q, want a skip-chain materialized database", desc)
 			}
 			if n := describedDocs(t, desc); n >= 10 {
 				t.Errorf("default document length over 800 tokens gave %d docs, want < 10", n)
@@ -107,6 +110,14 @@ func TestDSNParameters(t *testing.T) {
 			}
 		},
 	}} {
+		model, query, _ := strings.Cut(tc.dsn, "?")
+		params, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := range params {
+			covered[model+"/"+key], covered["/"+key] = true, true
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			sdb, err := sql.Open("factordb", tc.dsn)
 			if err != nil {
@@ -122,6 +133,40 @@ func TestDSNParameters(t *testing.T) {
 			tc.check(t, db, rows)
 		})
 	}
+	for model, keys := range dsnKeys {
+		for _, key := range keys {
+			if !covered[model+"/"+key] {
+				t.Errorf("no case sets DSN parameter %q (model %q)", key, model)
+			}
+		}
+	}
+}
+
+// FuzzParseDSN: parseDSN never panics, and a DSN it accepts sets only
+// parameters the model or the engine reads.
+func FuzzParseDSN(f *testing.F) {
+	for _, dsn := range []string{
+		"ner", "ner?tokens=800&seed=3&mode=served&chains=2&confidence=0.8",
+		"coref?entities=3&mentions=2&seed=4&mode=naive", "ner?sampels=64",
+		"ner?target=Boston", "coref?tokens=5", "ner?tokens=100;seed=2", "mystery?tokens=1", "",
+	} {
+		f.Add(dsn)
+	}
+	f.Fuzz(func(t *testing.T, dsn string) {
+		if _, _, err := parseDSN(dsn); err != nil {
+			return
+		}
+		model, query, _ := strings.Cut(dsn, "?")
+		params, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatalf("parseDSN accepted %q, whose parameters do not parse: %v", dsn, err)
+		}
+		for key := range params {
+			if !slices.Contains(dsnKeys[model], key) && !slices.Contains(dsnKeys[""], key) {
+				t.Errorf("parseDSN accepted %q, which sets the unknown parameter %q", dsn, key)
+			}
+		}
+	})
 }
 
 // TestDriverOpenCloses is the regression test for a leak: a conn from
