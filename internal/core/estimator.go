@@ -221,10 +221,10 @@ func (e *Estimator) Snapshot() *Snapshot {
 }
 
 // Snapshot is an estimator's state frozen at one moment: what a serving
-// chain publishes once per epoch for readers to merge while its walk
-// keeps accumulating. It has read accessors only, apart from Epoch, which
-// the publisher stamps before publishing. The zero value is the empty
-// estimate.
+// chain publishes, when a reader will read it, for readers to merge
+// while its walk keeps accumulating. It has read accessors only, apart
+// from Epoch, which the publisher stamps before publishing. The zero
+// value is the empty estimate.
 type Snapshot struct {
 	tally
 	// Epoch is the data epoch the snapshot was published at; Estimator.

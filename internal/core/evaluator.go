@@ -145,7 +145,6 @@ func (ev *Evaluator) RunTraced(n int, truth map[string]float64) (*metrics.Trace,
 	err := ev.Run(n, func(int) {
 		tr.Add(metrics.Point{
 			Elapsed: time.Since(start),
-			Steps:   ev.sampler.Steps(),
 			Samples: ev.est.Samples(),
 			Loss:    metrics.SquaredError(ev.est.Marginals(), truth),
 		})

@@ -265,14 +265,6 @@ func (v *Vocab) Intern(s string) int {
 	return id
 }
 
-// ID returns the id of s, or -1 when unknown.
-func (v *Vocab) ID(s string) int {
-	if id, ok := v.ids[s]; ok {
-		return id
-	}
-	return -1
-}
-
 // Str returns the string with the given id.
 func (v *Vocab) Str(id int) string { return v.strs[id] }
 

@@ -143,8 +143,11 @@ func TestVocab(t *testing.T) {
 	if v.Intern("IBM") != a {
 		t.Error("re-intern changed id")
 	}
-	if v.ID("IBM") != a || v.ID("nope") != -1 {
-		t.Error("ID lookup broken")
+	if id, ok := v.ids["IBM"]; !ok || id != a {
+		t.Error("id lookup broken")
+	}
+	if _, ok := v.ids["nope"]; ok {
+		t.Error("unknown string has an id")
 	}
 	if v.Str(a) != "IBM" {
 		t.Error("Str lookup broken")
@@ -259,8 +262,7 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 		t.Errorf("accuracy after training = %.3f, baseline %.3f", got, base)
 	}
 	// The learned emission weight for an unambiguous filler must prefer O.
-	theID := v.ID("the")
-	if theID >= 0 && m.W.Get(EmissionKey(theID, LO)) <= m.W.Get(EmissionKey(theID, LBPer)) {
+	if theID, ok := v.ids["the"]; ok && m.W.Get(EmissionKey(theID, LO)) <= m.W.Get(EmissionKey(theID, LBPer)) {
 		t.Error("training did not learn that 'the' is O")
 	}
 }

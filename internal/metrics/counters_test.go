@@ -65,17 +65,3 @@ func TestCounterConcurrent(t *testing.T) {
 		t.Fatalf("counter = %d, want 8000", c.Value())
 	}
 }
-
-func TestAUCSteps(t *testing.T) {
-	tr := &Trace{}
-	tr.Add(Point{Steps: 0, Loss: 1.0})
-	tr.Add(Point{Steps: 100, Loss: 0.5})
-	tr.Add(Point{Steps: 200, Loss: 0.5})
-	want := 100*0.75 + 100*0.5
-	if got := tr.AUCSteps(); got != want {
-		t.Fatalf("AUCSteps = %v, want %v", got, want)
-	}
-	if (&Trace{}).AUCSteps() != 0 {
-		t.Error("empty trace AUCSteps should be 0")
-	}
-}

@@ -28,7 +28,6 @@ func SquaredError(est, truth map[string]float64) float64 {
 // Point is one observation of a loss trace.
 type Point struct {
 	Elapsed time.Duration // wall time since the trace began
-	Steps   int64         // MCMC steps consumed
 	Samples int64         // query samples collected
 	Loss    float64
 }
@@ -103,20 +102,6 @@ func (tr *Trace) AUC() float64 {
 		a, b := tr.Points[i-1], tr.Points[i]
 		dt := b.Elapsed.Seconds() - a.Elapsed.Seconds()
 		area += dt * (a.Loss + b.Loss) / 2
-	}
-	return area
-}
-
-// AUCSteps returns the area under the loss curve over MCMC walk-steps
-// (trapezoidal) instead of wall time. Unlike AUC it is fully determined
-// by the seeded chain — no scheduler or machine-load noise — which makes
-// it the right summary for regression tests comparing two configurations.
-func (tr *Trace) AUCSteps() float64 {
-	var area float64
-	for i := 1; i < len(tr.Points); i++ {
-		a, b := tr.Points[i-1], tr.Points[i]
-		ds := float64(b.Steps - a.Steps)
-		area += ds * (a.Loss + b.Loss) / 2
 	}
 	return area
 }

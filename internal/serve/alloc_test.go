@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"factordb/internal/exp"
+	"factordb/internal/sqlparse"
 )
 
 // raceEnabled reports a race-detector build (see race_test.go), where
@@ -79,5 +80,56 @@ func TestCacheHitAllocBudget(t *testing.T) {
 		if max, ok := budget["hit_"+q.tag]; !ok || got > max {
 			t.Errorf("a cache hit of %s allocates %v, budget %v", q.tag, got, max)
 		}
+	}
+}
+
+// TestEpochAllocBudget is the allocation gate of a chain's epoch
+// (testdata/alloc_budget.txt): with Query 1 and Query 4 subscribed under
+// budgets they never reach and no ranked reader asking, nobody will read
+// a snapshot, so an epoch — k walk-steps, the Δ drain, both views' folds,
+// both estimators' samples and the health observations — copies no
+// estimate. The epochs run on the chain goroutine inside one mailbox
+// call, so no other epoch interleaves. Counts only, so this is a gate,
+// not a trend.
+func TestEpochAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	budget := allocBudget(t)
+	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(sys, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, sql := range []string{exp.Query1, exp.Query4} {
+		plan, _, err := sqlparse.Compile(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer holdView(t, eng, plan).detach()
+	}
+	c := eng.chains[0]
+	var got float64
+	if err := c.call(context.Background(), func() error {
+		// Warm up until the answers' slots and the health rings have
+		// seen the tuples the walk visits.
+		for i := 0; i < 200; i++ {
+			c.epoch()
+		}
+		got = testing.AllocsPerRun(500, c.epoch)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("epoch: %v allocs", got)
+	if max, ok := budget["epoch"]; !ok || got > max {
+		t.Errorf("an epoch no reader asked for allocates %v, budget %v", got, max)
 	}
 }

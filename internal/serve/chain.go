@@ -105,6 +105,11 @@ func (c *chain) run(burnIn int) {
 		}
 		select {
 		case <-c.stop:
+			// A session that shutdown cuts short merges what the cells
+			// hold, so hand it every sample walked.
+			for _, pv := range c.reg.byFP {
+				c.publish(pv)
+			}
 			return
 		case fn := <-c.ctl:
 			fn()
@@ -137,16 +142,18 @@ func (c *chain) call(ctx context.Context, fn func() error) error {
 	}
 }
 
-// epoch advances the walk by k steps, folds the resulting Δ⁻/Δ⁺ delta
-// into every physical view exactly once — regardless of how many queries
-// subscribe to each — and publishes one immutable snapshot per view,
-// read by all its subscribers. Subscribers whose sample budgets are met
-// complete here; a view's last completion evicts it.
+// epoch advances the walk by k steps and folds the resulting Δ⁻/Δ⁺
+// delta into every physical view exactly once — regardless of how many
+// queries subscribe to each. Subscribers whose sample budgets are met
+// complete here; a view's last completion evicts it. A view's estimate
+// is copied only when someone will read the copy: one snapshot when a
+// subscriber completes (shared by every subscriber completing in the
+// same epoch), or when a ranked reader has raised the view's request
+// flag. An epoch nobody reads from copies nothing.
 func (c *chain) epoch() {
 	c.walk(c.steps)
 	d := c.log.Drain()
-	epoch := c.log.Epoch()
-	c.curEpoch.Store(epoch)
+	c.curEpoch.Store(c.log.Epoch())
 	for _, pv := range c.reg.byFP {
 		pv.view.Apply(d)
 		// One health observation per batch: the sampled answer's
@@ -160,11 +167,15 @@ func (c *chain) epoch() {
 		// Every subscriber receives this sample; the walk and the view
 		// maintenance were paid once.
 		c.m.samples.Add(int64(len(pv.subs)))
-		snap := pv.est.Snapshot()
-		snap.Epoch = epoch
-		pv.cell.Publish(snap)
+		var snap *core.Snapshot
+		if pv.wanted.Swap(false) {
+			snap = c.publish(pv)
+		}
 		for id, sub := range pv.subs {
-			if snap.Samples()-sub.start >= sub.target {
+			if pv.est.Samples()-sub.start >= sub.target {
+				if snap == nil {
+					snap = c.publish(pv)
+				}
 				// Hand the completed subscriber this snapshot before
 				// waking it: the shared cell may be reset by a later
 				// write before the session gets around to merging.
@@ -173,6 +184,27 @@ func (c *chain) epoch() {
 				c.reg.dropSub(id)
 			}
 		}
+	}
+}
+
+// publish copies pv's current estimate into a snapshot stamped with the
+// chain's epoch, publishes it to the view's cell and returns it.
+func (c *chain) publish(pv *physicalView) *core.Snapshot {
+	snap := pv.est.Snapshot()
+	snap.Epoch = c.log.Epoch()
+	pv.cell.Publish(snap)
+	c.m.snapshots.Inc()
+	return snap
+}
+
+// detach publishes the estimate of the view subscriber id reads, so the
+// session abandoning it (deadline, cancellation, ranked early stop)
+// merges every sample walked so far, and then drops the subscriber. An
+// id that already completed, or was never registered, is a no-op.
+func (c *chain) detach(id viewID) {
+	if pv := c.reg.bySub[id]; pv != nil {
+		c.publish(pv)
+		c.reg.dropSub(id)
 	}
 }
 
@@ -257,6 +289,6 @@ func (c *chain) register(reg *registration, plan ra.Plan, target int64) (hit boo
 	if hit {
 		c.m.viewHits.Inc()
 	}
-	reg.cell = pv.cell
+	reg.cell, reg.wanted = pv.cell, &pv.wanted
 	return hit, nil
 }

@@ -16,11 +16,15 @@
 // so queries with equal plans — whatever their SQL spelling or per-query
 // options — subscribe to one refcounted view that is maintained exactly
 // once per batch; plans that differ each keep a private operator tree.
-// Chains publish epoch-stamped estimator snapshots (world.Cell) after
-// each batch, which is how query sessions read consistent marginals
-// without ever blocking the walk. Merging the per-chain estimators is
-// the paper's Section 5.4 parallelization: samples from different chains
-// are far more independent than consecutive samples within one.
+// Chains publish epoch-stamped estimator snapshots (world.Cell), which
+// is how query sessions read consistent marginals without ever blocking
+// the walk. A chain copies a view's estimate only when a reader will read
+// the copy: when a subscriber's budget completes, when a session detaches
+// a query cut short, when the chain stops, and after a ranked reader
+// asks; a batch nobody reads from copies nothing. Merging the per-chain
+// estimators is the paper's Section 5.4 parallelization: samples from
+// different chains are far more independent than consecutive samples
+// within one.
 package serve
 
 import (
@@ -223,6 +227,7 @@ type engineMetrics struct {
 	planHits  *metrics.Counter
 	viewHits  *metrics.Counter
 	topkStops *metrics.Counter
+	snapshots *metrics.Counter
 	writes    *metrics.Counter
 	evictions *metrics.Counter
 	latency   *metrics.Histogram
@@ -332,6 +337,8 @@ func newEngineMetrics() *engineMetrics {
 			"view registrations that reused an existing shared view (per chain)"),
 		topkStops: reg.NewCounter("factordb_topk_early_stops_total",
 			"ranked queries finished early because the top-k separated"),
+		snapshots: reg.NewCounter("factordb_snapshots_total",
+			"estimator snapshots the chains took for readers (completions, detaches, ranked requests)"),
 		writes: reg.NewCounter("factordb_writes_total", "DML mutations applied across all chains"),
 		evictions: reg.NewCounter("factordb_cache_evictions_total",
 			"result-cache entries evicted (LRU overflow or TTL expiry)"),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -330,5 +331,49 @@ func TestCacheEvictionMetrics(t *testing.T) {
 	}
 	if n := c.len(); n != 1 {
 		t.Fatalf("cache holds %d entries after expiry, want 1", n)
+	}
+}
+
+// TestSnapshotsOnDemand pins when a chain copies a view's estimate
+// (factordb_snapshots_total): an unranked query that completes costs one
+// snapshot per chain, taken in the epoch its budget is met, however many
+// epochs it waited; a query its deadline cuts short costs one per
+// unfinished chain, taken when the session detaches it, and still
+// returns the samples walked.
+func TestSnapshotsOnDemand(t *testing.T) {
+	eng := testEngine(t, Config{Chains: 2, Seed: 73})
+	ctx := context.Background()
+	before := eng.m.snapshots.Value()
+	for i := 0; i < 6; i++ {
+		res, err := eng.Query(ctx, exp.Query1, QueryOptions{Samples: 16, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partial || res.Samples < 16 {
+			t.Fatalf("query %d: %d samples, partial=%v", i, res.Samples, res.Partial)
+		}
+	}
+	if got := eng.m.snapshots.Value() - before; got != 12 {
+		t.Errorf("6 completed queries on 2 chains took %d snapshots, want 12", got)
+	}
+
+	before = eng.m.snapshots.Value()
+	short, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	defer cancel()
+	res, err := eng.Query(short, exp.Query1, QueryOptions{Samples: 1 << 30, NoCache: true})
+	switch {
+	case err != nil && !errors.Is(err, context.DeadlineExceeded):
+		t.Fatalf("deadline-truncated query = %v", err)
+	case err == nil && (!res.Partial || res.Samples <= 0):
+		t.Errorf("deadline-truncated query: partial=%v, %d samples", res.Partial, res.Samples)
+	}
+	if got := eng.m.snapshots.Value() - before; got != 2 {
+		t.Errorf("a query cut short on 2 chains took %d snapshots, want 2", got)
+	}
+
+	var sb strings.Builder
+	eng.Metrics().WriteText(&sb)
+	if !strings.Contains(sb.String(), "factordb_snapshots_total") {
+		t.Error("metrics page is missing factordb_snapshots_total")
 	}
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // finalSnap is the answer a chain hands a completed subscriber: the
-// snapshot the view published in the epoch the sample target was met
-// (stamped with that epoch), and the chain's write generation — how many
-// DML mutations this chain had absorbed when the estimate completed.
-// Sessions compare generations across chains to detect (and re-collect)
-// answers that would otherwise blend pre- and post-write worlds.
+// snapshot the chain took of the view in the epoch the sample target was
+// met (stamped with that epoch; subscribers completing in one epoch share
+// it), and the chain's write generation — how many DML mutations this
+// chain had absorbed when the estimate completed. Sessions compare
+// generations across chains to detect (and re-collect) answers that
+// would otherwise blend pre- and post-write worlds.
 type finalSnap struct {
 	snap *core.Snapshot
 	gen  int64
@@ -24,10 +25,10 @@ type finalSnap struct {
 // subscriber is one query's stake in a physical view on one chain: how
 // many fresh samples it still wants (target, counted from the view's
 // sample count at attach time) and the channel the chain closes when the
-// target is met. Just before closing done, the chain stores the view's
-// final snapshot: the session must read its completed answer from
-// there, because a write landing after completion resets the view's
-// estimator and republishes the shared cell empty.
+// target is met. Just before closing done, the chain snapshots the view
+// and stores the copy in final: the session must read its completed
+// answer from there, because a write landing after completion resets the
+// view's estimator and republishes the shared cell empty.
 type subscriber struct {
 	target int64
 	start  int64 // physical view's sample count when this subscriber attached
@@ -38,10 +39,13 @@ type subscriber struct {
 // physicalView is one materialized view maintained exactly once per
 // epoch, however many queries subscribe to it. Its estimator accumulates
 // one sample per epoch since the view was created; subscribers meter
-// their budgets against it via start offsets, and all of them read the
-// same published snapshot cell. Query options that do not change the
-// answer distribution — sample budget, confidence level — never reach
-// this type: they are applied at snapshot-merge time in the session.
+// their budgets against it via start offsets. The chain copies the
+// estimate into the view's snapshot cell only when a reader will read
+// it: when a subscriber completes or detaches, when the chain stops, and
+// in the first epoch after a ranked reader raises wanted. Query options
+// that do not change the answer distribution — sample budget, confidence
+// level — never reach this type: they are applied at snapshot-merge time
+// in the session.
 type physicalView struct {
 	fp   string
 	view *ivm.View
@@ -49,6 +53,11 @@ type physicalView struct {
 	cell *world.Cell[core.Snapshot]
 	subs map[viewID]*subscriber
 	stat *viewStat
+
+	// wanted is a reader's request for a snapshot at the next epoch:
+	// readers set it from any goroutine, and the chain's next epoch
+	// clears it and publishes.
+	wanted atomic.Bool
 }
 
 // viewStat is the externally readable shadow of a physical view: the

@@ -12,6 +12,7 @@ import (
 
 	"factordb/internal/core"
 	"factordb/internal/exp"
+	"factordb/internal/sqlparse"
 )
 
 // testSystem builds one small trained NER system shared by every test in
@@ -305,6 +306,30 @@ func TestCloseDuringInflightQuery(t *testing.T) {
 	// And again fully closed: the fast-fail path.
 	if _, err := eng.Query(context.Background(), exp.Query1, QueryOptions{}); err != ErrClosed {
 		t.Errorf("Query after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestStoppingChainPublishes pins what a query cut short by Close
+// merges: a stopping chain publishes the estimates of the views still
+// live on it, so a subscriber that never completed reads every sample
+// walked from its cell instead of nothing.
+func TestStoppingChainPublishes(t *testing.T) {
+	eng := testEngine(t, Config{Chains: 1, Seed: 31})
+	plan, _, err := sqlparse.Compile(exp.Query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := holdView(t, eng, plan)
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.m.samples.Value() < 4 {
+		if time.Now().After(deadline) {
+			t.Fatal("the chain never sampled the held view")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	eng.Close()
+	if snap := reg.snapshot(); snap == nil || snap.Samples() < 4 {
+		t.Fatalf("after Close the held view's cell holds %v, want its walked samples", snap)
 	}
 }
 

@@ -131,18 +131,23 @@ func (r *Result) CI(i int) (lo, hi float64) { return r.tuples[i].Lo, r.tuples[i]
 
 // registration tracks one chain's share of a query. A completed chain
 // stores its final snapshot in final before closing done; the cell is the
-// fallback for chains interrupted by cancellation or shutdown.
+// fallback for chains interrupted by a deadline, cancellation, early stop
+// or shutdown, which publish into it when the session detaches or the
+// chain stops. wanted is the view's snapshot request flag, which a ranked
+// reader raises to watch the estimate while it waits.
 type registration struct {
-	c     *chain
-	id    viewID
-	cell  *world.Cell[core.Snapshot]
-	done  chan struct{}
-	final atomic.Pointer[finalSnap]
+	c      *chain
+	id     viewID
+	cell   *world.Cell[core.Snapshot]
+	wanted *atomic.Bool
+	done   chan struct{}
+	final  atomic.Pointer[finalSnap]
 }
 
 // snapshot returns the chain's contribution to the merged answer: the
 // completion snapshot when the chain finished this query's budget, else
-// whatever the shared view last published, or nil.
+// whatever the shared view last published — after detach, the estimate
+// as of the detach — or nil.
 func (r *registration) snapshot() *core.Snapshot {
 	if f := r.final.Load(); f != nil {
 		return f.snap
@@ -150,12 +155,25 @@ func (r *registration) snapshot() *core.Snapshot {
 	return r.cell.Load()
 }
 
-// detach drops the subscription, waiting until the chain has dropped it so
-// the caller knows no further snapshots will be published.
+// detach drops the subscription, waiting until the chain has published
+// the view's current estimate to the cell and dropped it, so the caller
+// merges every sample walked and knows no further snapshots are owed.
 func (r *registration) detach() {
-	// Shutdown is the only possible error, and a stopped chain publishes
-	// nothing either.
-	_ = r.c.call(context.Background(), func() error { r.c.reg.dropSub(r.id); return nil })
+	// Shutdown is the only possible error, and a stopping chain
+	// publishes its live views itself.
+	_ = r.c.call(context.Background(), func() error { r.c.detach(r.id); return nil })
+}
+
+// detachUnfinished detaches every registration whose chain has not
+// completed it; completed views were already removed by the chain.
+func detachUnfinished(regs []*registration) {
+	for _, r := range regs {
+		select {
+		case <-r.done:
+		default:
+			r.detach()
+		}
+	}
 }
 
 // Query compiles sql, registers a materialized view for it on every chain
@@ -413,22 +431,16 @@ type collection struct {
 }
 
 // collectOnce registers the plan on every chain, waits for the sample
-// budget (or cancellation, shutdown, or ranked early stop), and merges
-// the per-chain snapshots. Each call is self-contained: its views are
-// detached before it returns.
+// budget (or cancellation, shutdown, or ranked early stop), detaches the
+// chains that did not complete, and merges the per-chain snapshots. Each
+// call is self-contained: its views are detached before it returns.
 func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
-	opts QueryOptions, z float64, tr *qtrace) (collection, error) {
+	opts QueryOptions, z float64, tr *qtrace) (col collection, err error) {
 	perChain := int64((opts.Samples + len(p.chains) - 1) / len(p.chains))
 	regs := make([]*registration, 0, len(p.chains))
 	defer func() {
-		// Detach any view that has not completed on its own; completed
-		// views were already removed by the chain.
-		for _, r := range regs {
-			select {
-			case <-r.done:
-			default:
-				r.detach()
-			}
+		if err != nil {
+			detachUnfinished(regs)
 		}
 	}()
 	tr.span("register")
@@ -469,7 +481,6 @@ func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
 	}
 
 	tr.span("sample_wait")
-	col := collection{}
 	lastEpochs := int64(-1)
 wait:
 	for _, r := range regs {
@@ -498,9 +509,14 @@ wait:
 				col.partial = true
 				break wait
 			case <-tick:
-				// Merging and re-ranking every snapshot is linear in the
-				// answer set; only pay for it when some chain has
-				// published a new epoch since the last check.
+				// Ask each chain for a snapshot at its next epoch, for
+				// the next tick to test. Merging and re-ranking every
+				// snapshot is linear in the answer set; only pay for it
+				// when some chain has published a new epoch since the
+				// last check.
+				for _, r := range regs {
+					r.wanted.Store(true)
+				}
 				if ep := epochSum(regs); ep != lastEpochs {
 					lastEpochs = ep
 					if topKSeparated(regs, spec.Limit, z) {
@@ -512,6 +528,10 @@ wait:
 			}
 		}
 	}
+
+	// Detaching publishes each unfinished chain's estimate, so a partial
+	// or early-stopped answer carries every sample walked.
+	detachUnfinished(regs)
 
 	tr.span("snapshot_merge")
 	col.merged = core.NewEstimator()

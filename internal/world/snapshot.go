@@ -4,7 +4,8 @@ import "sync/atomic"
 
 // Cell is a single-writer, many-reader publication point for immutable
 // states. The walking goroutine that owns a world publishes a fresh state
-// after each Drain, the state carrying the epoch it belongs to; concurrent
+// at an epoch boundary, after a Drain, the state carrying the epoch it
+// belongs to; concurrent
 // readers always observe a complete state from one epoch boundary — never
 // a torn intermediate — while the chain keeps walking. Publication is a
 // single atomic store of the caller's own pointer, so the walk never
