@@ -412,17 +412,19 @@
 //
 // The walk itself is unchanged by any of this: testdata/trajectory.txt
 // in internal/mcmc, internal/ie, internal/coref and internal/exp pin a
-// fixed-seed run of every proposer, recorded on the closure-based API.
+// fixed-seed run of every proposer, recorded on the closure-based API
+// (internal/mcmc's external tests pin internal/factor's proposer).
 //
 // # Internals
 //
 // The internal packages layer from model to server:
 //
-//	internal/factor    factor-graph templates and log-linear scoring
 //	internal/mcmc      Metropolis-Hastings walk over possible worlds
 //	internal/learn     SampleRank parameter estimation
 //	internal/ie        skip-chain NER model, corpus generator, proposer
 //	internal/coref     entity-resolution model (second workload)
+//	internal/factor    enumerable factor-graph model: the exact oracle
+//	                   that query answers are checked against through SQL
 //	internal/relstore  the single-world store: column vectors, copy-on-write clones
 //	internal/ra        relational algebra: plans, binding, evaluation
 //	internal/sqlparse  SQL front end lowering to ra plans

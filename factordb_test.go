@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -464,6 +465,53 @@ func TestCorefWorkload(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Error("no coreferent pairs sampled")
+	}
+}
+
+// TestRowsEarlyStopped: a served ranked query whose LIMIT sits at a clean
+// gap in the coref pair marginals stops before its sample budget, and
+// Rows says so (the facade side of serve's TestRankedEarlyStop, on its
+// configuration).
+func TestRowsEarlyStopped(t *testing.T) {
+	db, err := Open(Coref(CorefConfig{Entities: 4, MentionsPerEntity: 3, Seed: 17}),
+		WithMode(ModeServed), WithChains(1), WithSeed(19), WithSteps(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+
+	probe, err := db.Query(ctx, PairQuery, Samples(64), NoCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probs []float64
+	for probe.Next() {
+		probs = append(probs, probe.Prob())
+	}
+	probe.Close()
+	k, gap := 0, 0.0
+	for i := 1; i < len(probs); i++ {
+		if g := probs[i-1] - probs[i]; g > gap {
+			k, gap = i, g
+		}
+	}
+	if k == 0 || gap < 0.25 {
+		t.Skipf("no clean marginal gap at this seed (best gap %.3f at k=%d of %d); early stop untestable here",
+			gap, k, len(probs))
+	}
+
+	const budget = 4000
+	rows, err := db.Query(ctx, fmt.Sprintf("%s ORDER BY P DESC LIMIT %d", PairQuery, k), Samples(budget), NoCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.EarlyStopped() {
+		t.Fatalf("ranked query ran its full %d-sample budget across a clean gap (collected %d)", budget, rows.Samples())
+	}
+	if rows.Samples() >= budget {
+		t.Errorf("early stop claimed but the full budget was spent (%d samples)", rows.Samples())
 	}
 }
 

@@ -21,27 +21,24 @@ import (
 
 // ---- tiny explicit-graph world for exactness tests ----
 
-// tinyWorld is a 4-token world whose label variables live in an explicit
-// factor graph, so exact query marginals are computable by enumeration.
-type tinyWorld struct {
-	g    *factor.Graph
-	vars []*factor.Var
-	log  *world.ChangeLog
-	rows []relstore.RowID
-
-	i, newVal int // pending move
-}
-
 var tinyStrings = []string{"IBM", "IBM", "Smith", "said"}
 
-func newTinyWorld(seed int64) *tinyWorld {
+// tinyWorld is one chain over a 4-token world whose label variables live
+// in an explicit factor graph, so exact query marginals are computable by
+// enumeration.
+type tinyWorld struct {
+	m   *factor.Model
+	log *world.ChangeLog
+	p   mcmc.Proposer
+}
+
+func newTinyWorld(t *testing.T, seed int64) tinyWorld {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	dom := factor.NewDomain("label", "O", "B-PER")
 	g := factor.NewGraph()
-	tw := &tinyWorld{g: g}
 	for range tinyStrings {
 		v := g.AddVar("y", dom)
-		tw.vars = append(tw.vars, v)
 		w := rng.NormFloat64()
 		g.MustAddFactor("bias", func(vals []int) float64 {
 			if vals[0] == 1 {
@@ -58,7 +55,7 @@ func newTinyWorld(seed int64) *tinyWorld {
 			return w
 		}
 		return -w
-	}, tw.vars[0], tw.vars[1])
+	}, g.Vars[0], g.Vars[1])
 
 	db := relstore.NewDB()
 	rel := db.MustCreate(relstore.MustSchema("TOKEN",
@@ -67,32 +64,29 @@ func newTinyWorld(seed int64) *tinyWorld {
 		relstore.Column{Name: "LABEL", Type: relstore.TString},
 	))
 	for i, s := range tinyStrings {
-		id, err := rel.Insert(relstore.Tuple{relstore.Int(int64(i)), relstore.String(s), relstore.String("O")})
-		if err != nil {
-			panic(err)
+		if _, err := rel.Insert(relstore.Tuple{relstore.Int(int64(i)), relstore.String(s), relstore.String("O")}); err != nil {
+			t.Fatal(err)
 		}
-		tw.rows = append(tw.rows, id)
 	}
-	tw.log = world.NewChangeLog(db)
-	return tw
+	m, err := factor.NewModel(g, db, "TOKEN", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, p, err := m.NewChainWorld(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tinyWorld{m, log, p}
 }
 
-// Propose implements mcmc.Proposer with database write-through.
-func (tw *tinyWorld) Propose(rng *rand.Rand) mcmc.Proposal {
-	tw.i = rng.Intn(len(tw.vars))
-	v := tw.vars[tw.i]
-	tw.newVal = rng.Intn(v.Dom.Size())
-	return mcmc.Proposal{LogScoreDelta: tw.g.ScoreDelta(v, tw.newVal)}
-}
-
-// Accept commits the pending move (variable i takes newVal).
-func (tw *tinyWorld) Accept() {
-	v := tw.vars[tw.i]
-	v.Val = tw.newVal
-	ref := world.FieldRef{Rel: "TOKEN", Row: tw.rows[tw.i], Col: 2}
-	if err := tw.log.SetField(ref, relstore.String(v.Dom.Values[tw.newVal])); err != nil {
-		panic(err)
+// exact computes Pr[t ∈ Q(W)] of perQuery by enumeration.
+func (tw tinyWorld) exact(t *testing.T) map[string]float64 {
+	t.Helper()
+	out, err := tw.m.ExactAnswer(perQuery())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 func perQuery() ra.Plan {
@@ -103,48 +97,20 @@ func perQuery() ra.Plan {
 	)
 }
 
-// exactTupleMarginals computes Pr[t ∈ Q(W)] by enumeration for the
-// tiny world's Query 1.
-func exactTupleMarginals(tw *tinyWorld) map[string]float64 {
-	out := make(map[string]float64)
-	distinct := map[string][]int{}
-	for i, s := range tinyStrings {
-		distinct[s] = append(distinct[s], i)
-	}
-	for s, positions := range distinct {
-		key := relstore.Tuple{relstore.String(s)}.Key()
-		p, err := tw.g.ExactProb(func(assign []int) bool {
-			for _, i := range positions {
-				if assign[i] == 1 {
-					return true
-				}
-			}
-			return false
-		})
-		if err != nil {
-			panic(err)
-		}
-		if p > 0 {
-			out[key] = p
-		}
-	}
-	return out
-}
-
 // TestEvaluatorMatchesExactMarginals is the end-to-end correctness test:
 // both evaluators' estimates of Pr[t ∈ Q(W)] must converge to the
 // enumerated truth.
 func TestEvaluatorMatchesExactMarginals(t *testing.T) {
 	for _, mode := range []Mode{Naive, Materialized} {
-		tw := newTinyWorld(5)
-		ev, err := NewEvaluator(mode, tw.log, tw, perQuery(), 3, 99)
+		tw := newTinyWorld(t, 5)
+		ev, err := NewEvaluator(mode, tw.log, tw.p, perQuery(), 3, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := ev.Run(60000, nil); err != nil {
 			t.Fatal(err)
 		}
-		exact := exactTupleMarginals(tw)
+		exact := tw.exact(t)
 		if got := metrics.MaxAbsDiff(ev.Marginals(), exact); got > 0.02 {
 			t.Errorf("%v: max |est-exact| = %.4f, want <= 0.02", mode, got)
 		}
@@ -157,8 +123,8 @@ func TestEvaluatorMatchesExactMarginals(t *testing.T) {
 // only in how the answer is computed, not in what it is).
 func TestNaiveAndMaterializedAgreeExactly(t *testing.T) {
 	run := func(mode Mode) map[string]float64 {
-		tw := newTinyWorld(7)
-		ev, err := NewEvaluator(mode, tw.log, tw, perQuery(), 5, 123)
+		tw := newTinyWorld(t, 7)
+		ev, err := NewEvaluator(mode, tw.log, tw.p, perQuery(), 5, 123)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,9 +206,9 @@ func perNERQuery() ra.Plan {
 }
 
 func TestRunTracedLossDecreases(t *testing.T) {
-	tw := newTinyWorld(9)
-	truth := exactTupleMarginals(tw)
-	ev, err := NewEvaluator(Materialized, tw.log, tw, perQuery(), 3, 77)
+	tw := newTinyWorld(t, 9)
+	truth := tw.exact(t)
+	ev, err := NewEvaluator(Materialized, tw.log, tw.p, perQuery(), 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,22 +411,22 @@ func TestEmptyEstimator(t *testing.T) {
 }
 
 func TestNewEvaluatorErrors(t *testing.T) {
-	tw := newTinyWorld(1)
-	if _, err := NewEvaluator(Naive, tw.log, tw, perQuery(), 0, 1); err == nil {
+	tw := newTinyWorld(t, 1)
+	if _, err := NewEvaluator(Naive, tw.log, tw.p, perQuery(), 0, 1); err == nil {
 		t.Error("k=0: want error")
 	}
 	bad := ra.NewScan("MISSING", "")
-	if _, err := NewEvaluator(Naive, tw.log, tw, bad, 10, 1); err == nil {
+	if _, err := NewEvaluator(Naive, tw.log, tw.p, bad, 10, 1); err == nil {
 		t.Error("bad plan: want error")
 	}
 }
 
 func TestRunParallelReducesError(t *testing.T) {
-	truth := exactTupleMarginals(newTinyWorld(13))
+	truth := newTinyWorld(t, 13).exact(t)
 	loss := func(chains int) float64 {
 		est, err := RunParallel(chains, 400, func(c int) (*Evaluator, error) {
-			tw := newTinyWorld(13) // identical initial worlds
-			return NewEvaluator(Materialized, tw.log, tw, perQuery(), 3, int64(1000+c*7919))
+			tw := newTinyWorld(t, 13) // identical initial worlds
+			return NewEvaluator(Materialized, tw.log, tw.p, perQuery(), 3, int64(1000+c*7919))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -492,7 +458,7 @@ type errBoomType struct{}
 func (errBoomType) Error() string { return "boom" }
 
 func TestGroundTruthAndAnswer(t *testing.T) {
-	tw := newTinyWorld(3)
+	tw := newTinyWorld(t, 3)
 	// Deterministic single-world answer: initially nothing is B-PER.
 	bound, err := ra.Bind(tw.log.DB(), perQuery())
 	if err != nil {
@@ -507,7 +473,7 @@ func TestGroundTruthAndAnswer(t *testing.T) {
 	}
 	// Ground truth the paper's way (Section 5.2): a long materialized run
 	// over the same world, one sample every thin steps.
-	ev, err := NewEvaluator(Materialized, tw.log, tw, perQuery(), 5, 11)
+	ev, err := NewEvaluator(Materialized, tw.log, tw.p, perQuery(), 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +481,7 @@ func TestGroundTruthAndAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := ev.Marginals()
-	exact := exactTupleMarginals(tw)
+	exact := tw.exact(t)
 	if got := metrics.MaxAbsDiff(truth, exact); got > 0.05 {
 		t.Errorf("ground-truth estimate off by %v", got)
 	}

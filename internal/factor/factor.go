@@ -1,13 +1,13 @@
-// Package factor implements discrete factor graphs: bipartite graphs of
-// random variables and log-space factors expressing an unnormalized
-// probability distribution over assignments (Section 3.1 of the paper).
+// Package factor is the enumerable model: an explicit discrete factor
+// graph (Section 3.1 of the paper) small enough to enumerate, served as a
+// probabilistic database so that the paper's queries can be checked,
+// through SQL, against their exact answer marginals.
 //
-// Two usage styles are supported. Explicit graphs (Graph) materialize all
-// variables and factors and provide brute-force exact marginals, serving
-// as the correctness oracle for the MCMC sampler. Template-based models
-// (package ie, package coref) never instantiate the full graph; they score
-// only the factors touching a proposed change, which is what makes MCMC
-// over large databases tractable (Appendix 9.2).
+// A Graph is built once and then shared read-only by every chain; a
+// chain's assignment lives in its Proposer. Model binds variable i to row
+// i of a caller-built prototype world and satisfies serve.Source, and
+// ExactAnswer computes Pr[t ∈ Q(W)] for a plan by brute force over every
+// assignment — the oracle the sampled estimates converge to.
 package factor
 
 import (
@@ -39,18 +39,15 @@ func (d *Domain) Index(value string) int {
 	return -1
 }
 
-// Var is a hidden discrete random variable with a current value, indexed
-// into its domain. Observed quantities are not modelled as Vars; they are
-// baked into factor closures as constants.
+// Var is a hidden discrete random variable. Its value is not stored here:
+// an assignment ([]int, indexed by ID) gives every variable's value as an
+// index into its domain. Observed quantities are not modelled as Vars;
+// they are baked into factor closures as constants.
 type Var struct {
 	ID   int
 	Name string
 	Dom  *Domain
-	Val  int
 }
-
-// Value returns the name of the variable's current value.
-func (v *Var) Value() string { return v.Dom.Values[v.Val] }
 
 // Factor scores the joint setting of its argument variables in log space.
 // Score must be a pure function of the argument values.
@@ -70,7 +67,7 @@ type Graph struct {
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
 
-// AddVar creates a hidden variable with an initial value of 0.
+// AddVar creates a hidden variable.
 func (g *Graph) AddVar(name string, dom *Domain) *Var {
 	v := &Var{ID: len(g.Vars), Name: name, Dom: dom}
 	g.Vars = append(g.Vars, v)
@@ -78,14 +75,21 @@ func (g *Graph) AddVar(name string, dom *Domain) *Var {
 	return v
 }
 
-// AddFactor attaches a factor over the given variables.
+// AddFactor attaches a factor over the given distinct variables.
 func (g *Graph) AddFactor(name string, score func(vals []int) float64, vars ...*Var) (*Factor, error) {
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("factor: factor %q has no variables", name)
 	}
-	for _, v := range vars {
+	for i, v := range vars {
 		if v.ID >= len(g.Vars) || g.Vars[v.ID] != v {
 			return nil, fmt.Errorf("factor: factor %q references a variable not in this graph", name)
+		}
+		// A repeated variable would put the factor in its adjacency
+		// twice, and ScoreDelta would count it twice.
+		for _, u := range vars[:i] {
+			if u == v {
+				return nil, fmt.Errorf("factor: factor %q lists variable %q twice", name, v.Name)
+			}
 		}
 	}
 	f := &Factor{Name: name, Vars: vars, Score: score}
@@ -106,83 +110,53 @@ func (g *Graph) MustAddFactor(name string, score func(vals []int) float64, vars 
 	return f
 }
 
-// Neighbors returns the factors touching v.
-func (g *Graph) Neighbors(v *Var) []*Factor {
-	out := make([]*Factor, len(g.adj[v.ID]))
-	for i, fi := range g.adj[v.ID] {
-		out[i] = g.Factors[fi]
-	}
-	return out
-}
-
-func (g *Graph) scoreFactor(f *Factor) float64 {
+// scoreFactor scores f under assignment a with variable v taking val
+// instead (v = -1 scores a as it is).
+func scoreFactor(f *Factor, a []int, v, val int) float64 {
 	vals := make([]int, len(f.Vars))
-	for i, v := range f.Vars {
-		vals[i] = v.Val
+	for i, u := range f.Vars {
+		vals[i] = a[u.ID]
+		if u.ID == v {
+			vals[i] = val
+		}
 	}
 	return f.Score(vals)
 }
 
-// LogScore returns the unnormalized log probability of the current
-// assignment: the sum of all factor scores.
-func (g *Graph) LogScore() float64 {
+// LogScore returns the unnormalized log probability of assignment a: the
+// sum of all factor scores.
+func (g *Graph) LogScore(a []int) float64 {
 	var s float64
 	for _, f := range g.Factors {
-		s += g.scoreFactor(f)
+		s += scoreFactor(f, a, -1, 0)
 	}
 	return s
 }
 
-// ScoreDelta returns log π(w') − log π(w) for the single-variable change
-// v := newVal, computing only the factors adjacent to v. This is the
+// ScoreDelta returns log π(a') − log π(a), where a' is a with variable v
+// set to newVal, computing only the factors adjacent to v. This is the
 // factor-cancellation identity of Appendix 9.2: all other factors cancel
-// in the Metropolis-Hastings ratio.
-func (g *Graph) ScoreDelta(v *Var, newVal int) float64 {
-	if newVal == v.Val {
+// in the Metropolis-Hastings ratio. It does not modify a.
+func (g *Graph) ScoreDelta(a []int, v, newVal int) float64 {
+	if newVal == a[v] {
 		return 0
 	}
-	old := v.Val
 	var before, after float64
-	for _, fi := range g.adj[v.ID] {
-		before += g.scoreFactor(g.Factors[fi])
+	for _, fi := range g.adj[v] {
+		before += scoreFactor(g.Factors[fi], a, -1, 0)
 	}
-	v.Val = newVal
-	for _, fi := range g.adj[v.ID] {
-		after += g.scoreFactor(g.Factors[fi])
+	for _, fi := range g.adj[v] {
+		after += scoreFactor(g.Factors[fi], a, v, newVal)
 	}
-	v.Val = old
 	return after - before
-}
-
-// Assignment snapshots the current values of all variables.
-func (g *Graph) Assignment() []int {
-	out := make([]int, len(g.Vars))
-	for i, v := range g.Vars {
-		out[i] = v.Val
-	}
-	return out
-}
-
-// SetAssignment restores a snapshot taken with Assignment.
-func (g *Graph) SetAssignment(a []int) error {
-	if len(a) != len(g.Vars) {
-		return fmt.Errorf("factor: assignment length %d, want %d", len(a), len(g.Vars))
-	}
-	for i, v := range g.Vars {
-		if a[i] < 0 || a[i] >= v.Dom.Size() {
-			return fmt.Errorf("factor: value %d out of domain for variable %q", a[i], v.Name)
-		}
-		v.Val = a[i]
-	}
-	return nil
 }
 
 // stateSpaceLimit bounds brute-force enumeration.
 const stateSpaceLimit = 1 << 22
 
 // enumerate calls fn with every joint assignment and its unnormalized log
-// score, restoring the original assignment afterwards.
-func (g *Graph) enumerate(fn func(assign []int, logScore float64)) error {
+// score. The slice is reused between calls.
+func (g *Graph) enumerate(fn func(a []int, logScore float64)) error {
 	space := 1
 	for _, v := range g.Vars {
 		if v.Dom.Size() == 0 {
@@ -193,21 +167,15 @@ func (g *Graph) enumerate(fn func(assign []int, logScore float64)) error {
 			return fmt.Errorf("factor: state space exceeds enumeration limit %d", stateSpaceLimit)
 		}
 	}
-	saved := g.Assignment()
-	defer g.SetAssignment(saved)
-
-	assign := make([]int, len(g.Vars))
+	a := make([]int, len(g.Vars))
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(g.Vars) {
-			for j, v := range g.Vars {
-				v.Val = assign[j]
-			}
-			fn(assign, g.LogScore())
+			fn(a, g.LogScore(a))
 			return
 		}
 		for val := 0; val < g.Vars[i].Dom.Size(); val++ {
-			assign[i] = val
+			a[i] = val
 			rec(i + 1)
 		}
 	}
@@ -215,24 +183,29 @@ func (g *Graph) enumerate(fn func(assign []int, logScore float64)) error {
 	return nil
 }
 
+// worlds calls fn with every assignment of positive probability and that
+// probability π(a)/Z. The slice is reused between calls.
+func (g *Graph) worlds(fn func(a []int, p float64)) error {
+	logZ := math.Inf(-1)
+	if err := g.enumerate(func(_ []int, ls float64) { logZ = logAdd(logZ, ls) }); err != nil {
+		return err
+	}
+	return g.enumerate(func(a []int, ls float64) {
+		if p := math.Exp(ls - logZ); p > 0 {
+			fn(a, p)
+		}
+	})
+}
+
 // ExactMarginals computes P(V_i = v) for every variable and value by
-// brute-force enumeration. Only feasible for small graphs; used as the
-// testing oracle for the MCMC sampler.
+// brute-force enumeration. Only feasible for small graphs.
 func (g *Graph) ExactMarginals() ([][]float64, error) {
 	out := make([][]float64, len(g.Vars))
 	for i, v := range g.Vars {
 		out[i] = make([]float64, v.Dom.Size())
 	}
-	logZ := math.Inf(-1)
-	err := g.enumerate(func(_ []int, ls float64) {
-		logZ = logAdd(logZ, ls)
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = g.enumerate(func(assign []int, ls float64) {
-		p := math.Exp(ls - logZ)
-		for i, val := range assign {
+	err := g.worlds(func(a []int, p float64) {
+		for i, val := range a {
 			out[i][val] += p
 		}
 	})
@@ -242,25 +215,16 @@ func (g *Graph) ExactMarginals() ([][]float64, error) {
 	return out, nil
 }
 
-// ExactProb computes the probability of an arbitrary event over joint
-// assignments by enumeration: the exact analogue of a query marginal
-// Pr[t ∈ Q(W)] from Equation 4 of the paper.
-func (g *Graph) ExactProb(event func(assign []int) bool) (float64, error) {
-	logZ := math.Inf(-1)
-	logE := math.Inf(-1)
-	err := g.enumerate(func(assign []int, ls float64) {
-		logZ = logAdd(logZ, ls)
-		if event(assign) {
-			logE = logAdd(logE, ls)
+// ExactProb computes the probability of an event over assignments by
+// enumeration.
+func (g *Graph) ExactProb(event func(a []int) bool) (float64, error) {
+	var sum float64
+	err := g.worlds(func(a []int, p float64) {
+		if event(a) {
+			sum += p
 		}
 	})
-	if err != nil {
-		return 0, err
-	}
-	if math.IsInf(logE, -1) {
-		return 0, nil
-	}
-	return math.Exp(logE - logZ), nil
+	return sum, err
 }
 
 // logAdd returns log(exp(a)+exp(b)) stably.
@@ -275,17 +239,4 @@ func logAdd(a, b float64) float64 {
 		a, b = b, a
 	}
 	return a + math.Log1p(math.Exp(b-a))
-}
-
-// LogLinear builds a log-linear factor score exp(φ·θ) in log space: the
-// returned function computes the dot product of the feature vector
-// produced by phi with the weights theta (Section 3.1's parametrization).
-func LogLinear(phi func(vals []int) []float64, theta []float64) func(vals []int) float64 {
-	return func(vals []int) float64 {
-		var s float64
-		for i, f := range phi(vals) {
-			s += f * theta[i]
-		}
-		return s
-	}
 }

@@ -3,6 +3,7 @@ package factor
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -44,17 +45,27 @@ func TestDomain(t *testing.T) {
 	}
 }
 
+// randomAssignment draws a uniform assignment of g's variables.
+func randomAssignment(g *Graph, rng *rand.Rand) []int {
+	a := make([]int, len(g.Vars))
+	for i, v := range g.Vars {
+		a[i] = rng.Intn(v.Dom.Size())
+	}
+	return a
+}
+
 func TestLogScoreIsSumOfFactors(t *testing.T) {
 	g := chainGraph(4, 1)
+	a := randomAssignment(g, rand.New(rand.NewSource(1)))
 	var manual float64
 	for _, f := range g.Factors {
 		vals := make([]int, len(f.Vars))
 		for i, v := range f.Vars {
-			vals[i] = v.Val
+			vals[i] = a[v.ID]
 		}
 		manual += f.Score(vals)
 	}
-	if got := g.LogScore(); math.Abs(got-manual) > 1e-12 {
+	if got := g.LogScore(a); math.Abs(got-manual) > 1e-12 {
 		t.Errorf("LogScore = %v, want %v", got, manual)
 	}
 }
@@ -64,15 +75,14 @@ func TestLogScoreIsSumOfFactors(t *testing.T) {
 func TestScoreDeltaMatchesFullRescore(t *testing.T) {
 	g := chainGraph(6, 2)
 	rng := rand.New(rand.NewSource(3))
+	a := randomAssignment(g, rng)
 	for trial := 0; trial < 200; trial++ {
-		v := g.Vars[rng.Intn(len(g.Vars))]
-		newVal := rng.Intn(v.Dom.Size())
-		before := g.LogScore()
-		delta := g.ScoreDelta(v, newVal)
-		old := v.Val
-		v.Val = newVal
-		after := g.LogScore()
-		v.Val = old
+		v := rng.Intn(len(g.Vars))
+		newVal := rng.Intn(g.Vars[v].Dom.Size())
+		before := g.LogScore(a)
+		delta := g.ScoreDelta(a, v, newVal)
+		a[v] = newVal
+		after := g.LogScore(a)
 		if math.Abs(delta-(after-before)) > 1e-9 {
 			t.Fatalf("trial %d: ScoreDelta = %v, full rescore = %v", trial, delta, after-before)
 		}
@@ -81,20 +91,18 @@ func TestScoreDeltaMatchesFullRescore(t *testing.T) {
 
 func TestScoreDeltaNoChangeIsZero(t *testing.T) {
 	g := chainGraph(3, 4)
-	if d := g.ScoreDelta(g.Vars[0], g.Vars[0].Val); d != 0 {
+	a := []int{1, 0, 1}
+	if d := g.ScoreDelta(a, 0, a[0]); d != 0 {
 		t.Errorf("self-assignment delta = %v, want 0", d)
 	}
 }
 
 func TestScoreDeltaDoesNotMutate(t *testing.T) {
 	g := chainGraph(3, 5)
-	before := g.Assignment()
-	g.ScoreDelta(g.Vars[1], 1-g.Vars[1].Val)
-	after := g.Assignment()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("ScoreDelta mutated the assignment")
-		}
+	a := []int{0, 1, 0}
+	g.ScoreDelta(a, 1, 1-a[1])
+	if a[0] != 0 || a[1] != 1 || a[2] != 0 {
+		t.Fatalf("ScoreDelta mutated the assignment: %v", a)
 	}
 }
 
@@ -229,35 +237,30 @@ func TestAddFactorValidation(t *testing.T) {
 	}
 }
 
-func TestSetAssignmentValidation(t *testing.T) {
-	g := chainGraph(3, 8)
-	if err := g.SetAssignment([]int{0}); err == nil {
-		t.Error("short assignment: want error")
+// TestAddFactorRejectsRepeatedVariable: a factor listing one variable
+// twice would sit in that variable's adjacency twice, so ScoreDelta would
+// count it twice while LogScore counts it once, and the walk would target
+// the wrong distribution. No graph holding such a factor can be built.
+func TestAddFactorRejectsRepeatedVariable(t *testing.T) {
+	g := NewGraph()
+	v := g.AddVar("v", NewDomain("bit", "0", "1"))
+	both := func(vals []int) float64 {
+		if vals[0] == 1 && vals[1] == 1 {
+			return 1.5
+		}
+		return 0
 	}
-	if err := g.SetAssignment([]int{0, 5, 0}); err == nil {
-		t.Error("out-of-domain assignment: want error")
+	_, err := g.AddFactor("self", both, v, v)
+	if err == nil || !strings.Contains(err.Error(), `"self"`) {
+		t.Fatalf("AddFactor over (v, v): err = %v, want an error naming the factor", err)
 	}
-	if err := g.SetAssignment([]int{1, 0, 1}); err != nil {
-		t.Errorf("valid assignment rejected: %v", err)
+	if len(g.Factors) != 0 {
+		t.Fatalf("rejected factor was kept: %d factors", len(g.Factors))
 	}
-}
-
-func TestLogLinear(t *testing.T) {
-	phi := func(vals []int) []float64 { return []float64{float64(vals[0]), 1} }
-	theta := []float64{2, -1}
-	score := LogLinear(phi, theta)
-	if got := score([]int{3}); got != 5 {
-		t.Errorf("LogLinear = %v, want 5", got)
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	g := chainGraph(3, 9)
-	// Middle variable touches: its bias + two transitions.
-	if got := len(g.Neighbors(g.Vars[1])); got != 3 {
-		t.Errorf("middle var neighbors = %d, want 3", got)
-	}
-	if got := len(g.Neighbors(g.Vars[0])); got != 2 {
-		t.Errorf("end var neighbors = %d, want 2", got)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustAddFactor over (v, v) did not panic")
+		}
+	}()
+	g.MustAddFactor("self", both, v, v)
 }
