@@ -145,10 +145,10 @@
 // TestDaemonKillRecovery validates a real daemon's JSON log against this
 // contract and resolves its trace IDs on the debug listener.
 //
-// EXPLAIN ANALYZE SELECT executes the pushed-down streaming plan once
-// per chain with per-operator instrumentation and returns the annotated
-// tree (actual vs estimated rows, per-operator self time, pushdown
-// residue) as PLAN rows, like EXPLAIN. DML cannot be analyzed — a write
+// EXPLAIN ANALYZE SELECT executes the streaming plan once per chain with
+// per-operator instrumentation and returns the annotated tree (actual vs
+// estimated rows, per-operator self time, filters fused into scans and
+// joins) as PLAN rows, like EXPLAIN. DML cannot be analyzed — a write
 // cannot be executed speculatively. The uninstrumented path never
 // reaches a recorder (TestStreamNeverReachesAnalyzeRecorder counts it).
 //
@@ -312,11 +312,11 @@
 //     confidence level — are deliberately excluded from view identity
 //     and applied at estimator-merge time.
 //
-// Stability: within one version prefix the encodings never change across
-// releases; incompatible changes bump the prefix ("qfp2:", "bfp2:"), so
-// stale keys miss rather than collide. The golden test
-// internal/sqlparse/testdata/fingerprints.golden pins the fingerprints
-// of the paper's queries to enforce this.
+// Stability: the prefix versions the encoding; an incompatible encoding
+// change bumps it ("qfp2:", "bfp2:"), so stale keys miss rather than
+// collide. A planner change that emits a different plan moves that query
+// to a new key. Nothing persists a key. The golden test
+// internal/sqlparse/testdata/fingerprints.golden pins the paper's queries.
 //
 // # Execution: the streaming iterator contract
 //
@@ -331,8 +331,8 @@
 // one narrow tree; a maintained view therefore keeps a pruned join side
 // as (read columns, multiplicity) rows, not as base tuples.
 //
-// Bound plans execute through ra.Stream, which compiles the tree (after
-// non-mutating predicate pushdown) into a single re-runnable iterator:
+// Bound plans execute through ra.Stream, which compiles that same tree
+// (the planner placed every predicate) into a single re-runnable iterator:
 // a closure that pushes (tuple, count) pairs to a yield callback. The
 // contract every operator and consumer observes:
 //

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -105,6 +107,64 @@ func TestExplainAnalyzeFacade(t *testing.T) {
 	})
 }
 
+// TestReadmeExplainAnalyzeSample runs the statement behind README's
+// EXPLAIN ANALYZE sample on the database it names — the default coref
+// model, served on two chains — and holds the sample's operator lines
+// to the output, timings masked.
+func TestReadmeExplainAnalyzeSample(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heading = "### `EXPLAIN ANALYZE`"
+	_, section, ok := strings.Cut(string(readme), heading)
+	if !ok {
+		t.Fatalf("README has no %q section", heading)
+	}
+	_, block, ok := strings.Cut(section, "```\n")
+	if !ok {
+		t.Fatal("README's EXPLAIN ANALYZE section has no sample block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	const stmt = "EXPLAIN ANALYZE SELECT STRING FROM MENTION M WHERE MENTION_ID = 1"
+	if !strings.Contains(section[:strings.Index(section, block)], stmt) {
+		t.Fatalf("README's sample is not introduced by %q", stmt)
+	}
+	db, err := Open(Coref(CorefConfig{}), WithMode(ModeServed), WithChains(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rows, err := db.Query(context.Background(), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var got []string
+	for rows.Next() {
+		var line string
+		if err := rows.Scan(&line); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, line)
+	}
+	timing := regexp.MustCompile(`time=\S+ \S+%`)
+	operators := func(lines []string) string {
+		var ops []string
+		for _, l := range lines {
+			if strings.HasPrefix(l, "analyze: ") {
+				break
+			}
+			ops = append(ops, timing.ReplaceAllString(l, "time=…"))
+		}
+		return strings.Join(ops, "\n")
+	}
+	if want, have := operators(strings.Split(block, "\n")), operators(got); want != have {
+		t.Errorf("README's EXPLAIN ANALYZE operator lines are stale:\nREADME:\n%s\nrun:\n%s\nfull output:\n%s",
+			want, have, strings.Join(got, "\n"))
+	}
+}
+
 // TestExplainShowsBoundPlan pins what plain EXPLAIN renders: the tree as
 // bound. Query 3's token side reads only DOC_ID, so the plan shows the
 // projection column pruning put under that join input and says so;
@@ -130,7 +190,7 @@ func TestExplainShowsBoundPlan(t *testing.T) {
 	}
 	q3 := explain(Query3)
 	for _, want := range []string{
-		"    Join[_c0.DOC_ID=_c1.DOC_ID]\n      Project[_c0.DOC_ID]\n        Scan(TOKEN AS _c0)\n      GroupAgg[",
+		"  Join[_c0.DOC_ID=_c1.DOC_ID]\n    Project[_c0.DOC_ID]\n      Scan(TOKEN AS _c0)\n    Project[_c1.DOC_ID]\n      Select[(_sqa0 = _sqb0)]\n        GroupAgg[",
 		"\ncolumn pruning: ", "\nplan fingerprint: qfp1:", "\nbound fingerprint: bfp1:", "\nview sharing: fresh",
 	} {
 		if !strings.Contains(q3, want) {

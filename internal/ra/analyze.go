@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -9,10 +10,10 @@ import (
 )
 
 // This file is the EXPLAIN ANALYZE substrate: AnalyzeStream compiles the
-// same pushed-down pipeline Stream does, but threads a wrapping compiler
-// through compileNode so every parent/child edge carries a row/time
-// recorder. The plain Stream path never sees any of this — the recorder
-// only exists on pipelines compiled here, so the uninstrumented hot path
+// same pipeline Stream does, but threads a wrapping compiler through
+// compileNode so every parent/child edge carries a row/time recorder.
+// The plain Stream path never sees any of this — the recorder only
+// exists on pipelines compiled here, so the uninstrumented hot path
 // keeps its allocation profile untouched.
 
 // OpStats are the observed per-operator counters of one instrumented
@@ -20,11 +21,11 @@ import (
 type OpStats struct {
 	// Name is the operator header, e.g. "Join[t.TOK_ID=m.TOK_ID]".
 	Name string `json:"name"`
-	// Residue describes pushdown residue fused into this node: a scan
-	// filter pushed into the storage layer or a join's non-equi filter.
+	// Residue describes a filter fused into this node: a selection run
+	// inside the scan below it, or a join's non-equi filter.
 	Residue string `json:"residue,omitempty"`
-	// Depth is the node's depth in the pushed-down plan tree (root = 0),
-	// Parent its parent's index in pre-order (-1 for the root).
+	// Depth is the node's depth in the operator tree (root = 0), Parent
+	// its parent's index in pre-order (-1 for the root).
 	Depth  int `json:"depth"`
 	Parent int `json:"parent"`
 	// EstRows is the optimizer's pre-execution cardinality estimate for
@@ -41,10 +42,10 @@ type OpStats struct {
 }
 
 // StreamStats is the analyze recorder for one compiled pipeline. Nodes
-// are in pre-order over the pushed-down tree (the tree the pipeline
-// actually executes, not the tree handed to AnalyzeStream). It is not
-// safe for concurrent runs of the iterator; analyze pipelines are run
-// from a single goroutine.
+// are its operators in pre-order: the bound tree's nodes, except that a
+// selection fused into the scan below it is one node. It is not safe for
+// concurrent runs of the iterator; analyze pipelines are run from a
+// single goroutine.
 type StreamStats struct {
 	Nodes []OpStats `json:"nodes"`
 	// Runs counts iterator invocations; in sampling evaluators one run
@@ -56,30 +57,30 @@ type StreamStats struct {
 	last time.Time // shared edge-stamping clock, valid during a run
 }
 
-// AnalyzeStream compiles b the way Stream does — same Pushdown, same
+// AnalyzeStream compiles b the way Stream does — same tree, same
 // operator constructors, same ownership rules — but with per-operator
 // instrumentation interposed at every edge. The returned stats object
 // accumulates over however many times the iterator is invoked.
 func AnalyzeStream(b *Bound) (Iterator, bool, *StreamStats, error) {
-	pushed := Pushdown(b)
 	st := &StreamStats{}
 	index := make(map[*Bound]int)
 	var walk func(n *Bound, depth, parent int)
 	walk = func(n *Bound, depth, parent int) {
 		index[n] = len(st.Nodes)
 		st.Nodes = append(st.Nodes, OpStats{
-			Name:    boundName(n),
+			Name:    boundName(cmp.Or(fusedScan(n), n)),
 			Residue: boundResidue(n),
 			Depth:   depth,
 			Parent:  parent,
 			EstRows: int64(estimateRows(n)),
 		})
-		self := index[n]
-		for _, c := range n.Children {
-			walk(c, depth+1, self)
+		if fusedScan(n) == nil {
+			for _, c := range n.Children {
+				walk(c, depth+1, index[n])
+			}
 		}
 	}
-	walk(pushed, 0, -1)
+	walk(b, 0, -1)
 
 	var compile streamCompiler
 	compile = func(n *Bound) (Iterator, bool, error) {
@@ -112,7 +113,7 @@ func AnalyzeStream(b *Bound) (Iterator, bool, *StreamStats, error) {
 		}
 		return wrapped, owned, nil
 	}
-	it, owned, err := compile(pushed)
+	it, owned, err := compile(b)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -152,9 +153,9 @@ func (st *StreamStats) Merge(other *StreamStats) error {
 	return nil
 }
 
-// Render pretty-prints the annotated plan: the pushed-down operator tree
-// with actual vs estimated rows, per-operator self time, and each
-// operator's share of total pipeline time, followed by a totals line.
+// Render pretty-prints the annotated plan: the operator tree with actual
+// vs estimated rows, per-operator self time, and each operator's share
+// of total pipeline time, followed by a totals line.
 // Estimates are per run, so actuals are normalized by run count for the
 // comparison.
 func (st *StreamStats) Render() []string {
@@ -187,7 +188,7 @@ func (st *StreamStats) Render() []string {
 }
 
 // boundName renders a bound node's operator header, mirroring Render's
-// plan headers but over the post-pushdown tree EXPLAIN ANALYZE executes.
+// plan headers but over the operators EXPLAIN ANALYZE executes.
 func boundName(b *Bound) string {
 	switch b.Kind {
 	case KScan:
@@ -233,20 +234,14 @@ func boundName(b *Bound) string {
 	return fmt.Sprintf("Bound[%d]", b.Kind)
 }
 
-// boundResidue reports predicate residue that pushdown fused into the
-// node — the part of the plan EXPLAIN's logical tree can't show. Bound
-// expressions don't carry their source spelling, so the annotation names
-// the fusion rather than the predicate text.
+// boundResidue names the filter fused into the node's operator; bound
+// expressions don't carry their source spelling.
 func boundResidue(b *Bound) string {
-	switch b.Kind {
-	case KScan:
-		if b.Pred != nil {
-			return "filter fused into scan"
-		}
-	case KJoin:
-		if b.Filter != nil {
-			return "non-equi filter on join"
-		}
+	switch {
+	case fusedScan(b) != nil:
+		return "filter fused into scan"
+	case b.Kind == KJoin && b.Filter != nil:
+		return "non-equi filter on join"
 	}
 	return ""
 }

@@ -72,7 +72,7 @@ func TestStreamNeverReachesAnalyzeRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _, err := compileStream(Pushdown(bound))
+	raw, _, err := compileStream(bound)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@ import (
 
 // expectedAnalyzeRows computes, in the same pre-order AnalyzeStream
 // indexes its nodes, the per-operator output multiplicity the streaming
-// executor must report: matEval of each pushed-down subtree, except that
+// executor must report: matEval of each operator's subtree, except that
 // subtrees the executor provably never runs (the probe side of a join
 // whose build input is empty) report zero — exactly the "never executed"
-// convention of EXPLAIN ANALYZE.
+// convention of EXPLAIN ANALYZE. A selection directly on a scan is one
+// operator, as the executor fuses it.
 func expectedAnalyzeRows(t *testing.T, b *Bound, live bool, out *[]int64) {
 	t.Helper()
 	var total int64
@@ -26,8 +27,10 @@ func expectedAnalyzeRows(t *testing.T, b *Bound, live bool, out *[]int64) {
 		total = bag.Size()
 	}
 	*out = append(*out, total)
-	switch b.Kind {
-	case KJoin:
+	switch {
+	case b.Kind == KSelect && b.Children[0].Kind == KScan:
+		// Fused: the scan is not a node of its own.
+	case b.Kind == KJoin:
 		rightBag, err := matEval(b.Children[1])
 		if err != nil {
 			t.Fatalf("matEval: %v", err)
@@ -45,7 +48,7 @@ func expectedAnalyzeRows(t *testing.T, b *Bound, live bool, out *[]int64) {
 // TestAnalyzeRowsMatchOracle sweeps the full operator-combination plan
 // set over randomized worlds and asserts that every operator's actual
 // row count reported by AnalyzeStream equals the materialized reference
-// evaluation of that operator's pushed-down subtree.
+// evaluation of that operator's subtree.
 func TestAnalyzeRowsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for world := 0; world < 6; world++ {
@@ -80,7 +83,7 @@ func TestAnalyzeRowsMatchOracle(t *testing.T) {
 			})
 			// The instrumented pipeline must produce exactly the plain
 			// pipeline's (= the oracle's) result.
-			want, err := matEval(Pushdown(bound))
+			want, err := matEval(bound)
 			if err != nil {
 				t.Fatalf("world %d %s: matEval: %v", world, name, err)
 			}
@@ -89,7 +92,7 @@ func TestAnalyzeRowsMatchOracle(t *testing.T) {
 					world, name, dumpBag(got), dumpBag(want))
 			}
 			var expect []int64
-			expectedAnalyzeRows(t, Pushdown(bound), true, &expect)
+			expectedAnalyzeRows(t, bound, true, &expect)
 			if len(expect) != len(st.Nodes) {
 				t.Fatalf("world %d %s: %d instrumented nodes, oracle walked %d",
 					world, name, len(st.Nodes), len(expect))
@@ -122,7 +125,7 @@ func TestAnalyzeRowsMatchOracle(t *testing.T) {
 // actual/estimated rows and a totals line) and cross-chain merging.
 func TestAnalyzeRenderAndMerge(t *testing.T) {
 	db := sweepWorld(rand.New(rand.NewSource(5)), 24)
-	plan := sweepPlans()["select-over-join"]
+	plan := sweepPlans()["nested-join-select"]
 	bound, err := Bind(db, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +165,7 @@ func TestAnalyzeRenderAndMerge(t *testing.T) {
 	if !strings.HasPrefix(lines[len(lines)-1], "analyze: runs=2") {
 		t.Errorf("totals line = %q", lines[len(lines)-1])
 	}
-	// The pushed scan filter must be called out as pushdown residue.
+	// A selection on a scan runs inside it, and says so.
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "pushdown: filter fused into scan") {
 		t.Errorf("render lacks pushdown residue annotation:\n%s", joined)

@@ -49,18 +49,17 @@ func benchWorld(rows int) *relstore.DB {
 	return db
 }
 
-// benchPlan: a selective filter over a join, aggregated — the shape whose
-// intermediates the streaming executor never materializes.
+// benchPlan: a selective filter on each side of a join, aggregated — the
+// shape whose intermediates the streaming executor never materializes.
+// It is written the way the SQL planner places predicates: each
+// single-table conjunct selects on its scan, below the join.
 func benchPlan() Plan {
 	tLabel, tDoc := C("TOKEN", "LABEL"), C("TOKEN", "DOC_ID")
 	dDoc, dYear := C("DOC", "DOC_ID"), C("DOC", "YEAR")
-	j := NewJoin(NewScan("TOKEN", ""), NewScan("DOC", ""),
-		[]EquiCond{{Left: tDoc, Right: dDoc}}, nil)
-	sel := NewSelect(j, And(
-		Cmp(OpGe, Col(dYear), Const(relstore.Int(2000))),
-		Cmp(OpNe, Col(tLabel), Const(relstore.String("O"))),
-	))
-	return NewGroupAgg(sel, []ColRef{tLabel},
+	tokens := NewSelect(NewScan("TOKEN", ""), Cmp(OpNe, Col(tLabel), Const(relstore.String("O"))))
+	docs := NewSelect(NewScan("DOC", ""), Cmp(OpGe, Col(dYear), Const(relstore.Int(2000))))
+	j := NewJoin(tokens, docs, []EquiCond{{Left: tDoc, Right: dDoc}}, nil)
+	return NewGroupAgg(j, []ColRef{tLabel},
 		Agg{Fn: FnCount, As: "N"},
 		Agg{Fn: FnMin, Arg: dYear, As: "Y0"},
 	)

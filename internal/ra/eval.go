@@ -9,8 +9,8 @@ import (
 // sampled world" path of the paper's basic evaluator (Algorithm 3).
 //
 // Evaluation is a thin shell over the streaming executor: the plan is
-// compiled with Stream (predicates pushed into scans, operators fused
-// into one lazy pipeline) and only the final result is materialized.
+// compiled with Stream (operators fused into one lazy pipeline) and
+// only the final result is materialized.
 // Callers that consume rows one at a time — the sampling loop feeding an
 // estimator — should use Stream directly and skip this materialization.
 func Eval(b *Bound) (*Bag, error) {

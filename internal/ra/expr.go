@@ -176,6 +176,14 @@ func And(terms ...Expr) Expr {
 	return andExpr{terms}
 }
 
+// Conjuncts returns the terms of a conjunction (flat when canonical).
+func Conjuncts(e Expr) []Expr {
+	if a, ok := e.(andExpr); ok {
+		return a.terms
+	}
+	return []Expr{e}
+}
+
 func (e andExpr) String() string {
 	s := ""
 	for i, t := range e.terms {

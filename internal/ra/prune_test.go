@@ -363,12 +363,13 @@ func TestPruneRendering(t *testing.T) {
 	for _, tc := range []struct{ sql, want string }{
 		{exp.Query3, `
 Project[_c0.DOC_ID]
-  Select[(_sqa0 = _sqb0)]
-    Join[_c0.DOC_ID=_c1.DOC_ID]
-      Project[_c0.DOC_ID]
-        Scan(TOKEN AS _c0)
-      GroupAgg[_c1.DOC_ID; COUNT_IF((_c1.LABEL = "B-PER")) AS _sqa0, COUNT_IF((_c1.LABEL = "B-ORG")) AS _sqb0]
-        Scan(TOKEN AS _c1)`},
+  Join[_c0.DOC_ID=_c1.DOC_ID]
+    Project[_c0.DOC_ID]
+      Scan(TOKEN AS _c0)
+    Project[_c1.DOC_ID]
+      Select[(_sqa0 = _sqb0)]
+        GroupAgg[_c1.DOC_ID; COUNT_IF((_c1.LABEL = "B-PER")) AS _sqa0, COUNT_IF((_c1.LABEL = "B-ORG")) AS _sqb0]
+          Scan(TOKEN AS _c1)`},
 		{exp.Query4, `
 Project[_c1.STRING]
   Join[_c0.DOC_ID=_c1.DOC_ID]

@@ -31,9 +31,9 @@ import (
 //     implicit — there is no separate Close).
 type Iterator func(yield func(t relstore.Tuple, n int64) bool)
 
-// Stream compiles a bound plan into a single-pass streaming pipeline:
-// predicates are pushed below joins and fused into relation scans (see
-// Pushdown), joins build one pre-sized hash table on the right input and
+// Stream compiles a bound plan, the tree the ivm compiler mounts, into a
+// single-pass streaming pipeline: a selection directly on a scan runs
+// inside it, joins build one pre-sized hash table on the right input and
 // probe with the left, and per-tuple key and row construction goes
 // through reused scratch buffers. The returned owned flag reports whether
 // yielded tuples are stable beyond the yield call (see Iterator).
@@ -41,7 +41,7 @@ type Iterator func(yield func(t relstore.Tuple, n int64) bool)
 // All errors are compile-time (unknown node kinds); running the iterator
 // cannot fail. The input tree is not mutated.
 func Stream(b *Bound) (it Iterator, owned bool, err error) {
-	return compileStream(Pushdown(b))
+	return compileStream(b)
 }
 
 // streamCompiler compiles one bound subtree into an iterator. The plain
@@ -61,8 +61,11 @@ func compileStream(b *Bound) (Iterator, bool, error) {
 func compileNode(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 	switch b.Kind {
 	case KScan:
-		return streamScan(b), false, nil
+		return streamScan(b.Rel, nil), false, nil
 	case KSelect:
+		if scan := fusedScan(b); scan != nil {
+			return streamScan(scan.Rel, b.Pred), false, nil
+		}
 		return streamSelect(b, compile)
 	case KProject:
 		return streamProject(b, compile)
@@ -82,14 +85,20 @@ func compileNode(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 	return nil, false, fmt.Errorf("ra: stream of unknown bound kind %d", b.Kind)
 }
 
-// streamScan yields the relation's rows, applying a fused scan filter (a
-// selection pushed all the way into the storage layer) when present: a
-// `column = constant` conjunct is tested on the column vector, the rest
-// on the materialized row. The store refills one scratch tuple per row,
-// so scans are not owned.
-func streamScan(b *Bound) Iterator {
-	rel := b.Rel
-	col, val, keep := ScanFilter(b.Pred)
+// fusedScan returns the scan a selection b sits directly on, which runs it.
+func fusedScan(b *Bound) *Bound {
+	if b.Kind == KSelect && b.Children[0].Kind == KScan {
+		return b.Children[0]
+	}
+	return nil
+}
+
+// streamScan yields the relation's rows that pred (nil: every row)
+// accepts: a `column = constant` conjunct is tested on the column
+// vector, the rest on the materialized row. The store refills one
+// scratch tuple per row, so scans are not owned.
+func streamScan(rel *relstore.Relation, pred BExpr) Iterator {
+	col, val, keep := ScanFilter(pred)
 	return func(yield func(relstore.Tuple, int64) bool) {
 		rel.ScanWhere(col, val, keep, func(_ relstore.RowID, t relstore.Tuple) bool {
 			return yield(t, 1)

@@ -263,10 +263,9 @@ func sweepWorld(rng *rand.Rand, rows int) *relstore.DB {
 	return db
 }
 
-// sweepPlans covers every operator and the pushdown interactions between
-// them: selections over scans, projections, joins (pushable and residual
-// conjuncts), aggregation/union/diff/order-limit barriers, and empty
-// inputs.
+// sweepPlans covers every operator and the placements of selections
+// among them: on scans, over projections, joins (one-sided and residual
+// conjuncts), aggregation/union/diff/order-limit, and empty inputs.
 func sweepPlans() map[string]Plan {
 	rA, rB, rC := C("R", "A"), C("R", "B"), C("R", "C")
 	sA, sD := C("S", "A"), C("S", "D")
@@ -335,8 +334,8 @@ func sweepPlans() map[string]Plan {
 // TestStreamingMatchesMaterialized sweeps every operator combination over
 // randomized duplicate-heavy small worlds (plus an all-empty world) and
 // checks the streaming executor against the materialized reference,
-// before and after pushdown, twice per compiled pipeline (iterators must
-// be re-runnable).
+// through Eval and twice per compiled pipeline (iterators must be
+// re-runnable).
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for world := 0; world < 12; world++ {
@@ -350,7 +349,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("world %d %s: bind: %v", world, name, err)
 			}
-			fpBefore := bound.Fingerprint()
 			want, err := matEval(bound)
 			if err != nil {
 				t.Fatalf("world %d %s: matEval: %v", world, name, err)
@@ -381,11 +379,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 				if !again.Equal(want) {
 					t.Errorf("world %d %s: stream re-run %d differs", world, name, run)
 				}
-			}
-			// Pushdown must never mutate the tree it was given.
-			if fpAfter := bound.Fingerprint(); fpAfter != fpBefore {
-				t.Errorf("world %d %s: pushdown mutated the bound tree (%s -> %s)",
-					world, name, fpBefore, fpAfter)
 			}
 		}
 	}
@@ -427,64 +420,5 @@ func TestStreamingEarlyStop(t *testing.T) {
 	})
 	if want := int64(2 * 12); total != want {
 		t.Fatalf("re-run after early stop yielded %d rows, want %d", total, want)
-	}
-}
-
-// TestPushdownShape pins the structural effect of the rewrite: selects
-// dissolve into scans, join filters split sideways, and barriers keep
-// residual selects above them.
-func TestPushdownShape(t *testing.T) {
-	db := sweepWorld(rand.New(rand.NewSource(1)), 8)
-	rA, rB, sD := C("R", "A"), C("R", "B"), C("S", "D")
-
-	// Select over scan fuses into the scan.
-	b1, err := Bind(db, NewSelect(NewScan("R", ""), Eq(Col(rB), Const(relstore.String("x")))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := Pushdown(b1)
-	if p1.Kind != KScan || p1.Pred == nil {
-		t.Errorf("select-over-scan: want fused KScan with Pred, got kind %d (pred set: %v)", p1.Kind, p1.Pred != nil)
-	}
-	if b1.Kind != KSelect || b1.Children[0].Pred != nil {
-		t.Errorf("select-over-scan: original tree was mutated")
-	}
-
-	// Single-side conjuncts of a select above a join sink into the scans;
-	// genuinely two-sided residue stays as the join filter.
-	join := NewJoin(NewScan("R", ""), NewScan("S", ""),
-		[]EquiCond{{Left: rA, Right: C("S", "A")}}, nil)
-	two := Or(Eq(Col(rB), Const(relstore.String("x"))), Eq(Col(sD), Const(relstore.String("y"))))
-	b2, err := Bind(db, NewSelect(join, And(
-		Cmp(OpLt, Col(rA), Const(relstore.Int(2))),
-		Eq(Col(sD), Const(relstore.String("y"))),
-		two,
-	)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := Pushdown(b2)
-	if p2.Kind != KJoin {
-		t.Fatalf("select-over-join: want root KJoin after pushdown, got kind %d", p2.Kind)
-	}
-	if p2.Children[0].Kind != KScan || p2.Children[0].Pred == nil {
-		t.Errorf("left conjunct did not fuse into the left scan")
-	}
-	if p2.Children[1].Kind != KScan || p2.Children[1].Pred == nil {
-		t.Errorf("right conjunct did not fuse into the right scan")
-	}
-	if p2.Filter == nil {
-		t.Errorf("two-sided conjunct should remain as the join residual filter")
-	}
-
-	// Aggregation is a barrier: the select stays above it.
-	b3, err := Bind(db, NewSelect(
-		NewGroupAgg(NewScan("R", ""), []ColRef{rB}, Agg{Fn: FnCount, As: "N"}),
-		Cmp(OpGt, Col(C("", "N")), Const(relstore.Int(0)))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 := Pushdown(b3); p3.Kind != KSelect || p3.Children[0].Kind != KGroupAgg {
-		t.Errorf("select over group-agg should stay above the barrier")
 	}
 }

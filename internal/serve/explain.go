@@ -112,10 +112,10 @@ func (e *Engine) explainQuery(target string, args []any) ([]string, error) {
 }
 
 // explainAnalyze is EXPLAIN ANALYZE SELECT: compile the target, execute
-// the pushed-down pipeline once per world copy the strategy samples from
+// its streaming pipeline once per world copy the strategy samples from
 // with per-operator instrumentation, and render the annotated plan —
 // actual vs estimated rows, per-operator self time and its share of
-// total, and any pushdown residue.
+// total, and any filter fused into a scan or a join.
 func (e *Engine) explainAnalyze(ctx context.Context, target string, args []any) ([]string, error) {
 	comp, hit, err := e.compileTarget(target, sqlparse.UseQuery, args)
 	if err != nil {

@@ -27,9 +27,11 @@ import (
 // The bound fingerprint hashes the tree ra.Bind returns, which is the
 // column-pruned one: query3 and query4 (joins) were re-keyed, under the
 // same encoding, when Bind began inserting projections under join
-// inputs; query1 and query2 have no join and kept their values. Bound
-// fingerprints key in-memory view registries only, so a re-key of a
-// plan's tree costs nothing persisted.
+// inputs; query1 and query2 have no join and kept their values. query3
+// was re-keyed again, at both levels, when the planner put its subquery
+// filter on the group side of the join. Bound fingerprints key
+// in-memory view registries only, so a re-key of a plan's tree costs
+// nothing persisted.
 //
 // query4 and query4ranked deliberately share both fingerprints: ORDER BY
 // P DESC LIMIT 10 is result-level presentation (the ra.ResultSpec), not

@@ -3,6 +3,8 @@ package sqlparse
 import (
 	"strings"
 	"testing"
+
+	"factordb/internal/ra"
 )
 
 // fuzzSeeds is the shared seed corpus for both fuzz targets: every
@@ -76,11 +78,13 @@ func FuzzLex(f *testing.F) {
 // FuzzParseStatement asserts the parser (and the full compile path
 // behind it) never panics and keeps its contracts on arbitrary input:
 // errors are positioned, successful parses survive placeholder
-// binding, and SELECTs plan without fault.
+// binding, SELECTs plan without fault, and a plan that binds against the
+// test catalog places every predicate (see misplaced).
 func FuzzParseStatement(f *testing.F) {
-	for _, s := range fuzzSeeds() {
+	for _, s := range append(fuzzSeeds(), placementCorpus...) {
 		f.Add(s)
 	}
+	db := testDB(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := ParseStatement(src)
 		if err != nil {
@@ -100,7 +104,14 @@ func FuzzParseStatement(f *testing.F) {
 		// through the public entry points; both paths are exercised so
 		// the planner sees fuzzed ASTs too, bound ones included.
 		if stmt.Select != nil || stmt.Explain != nil {
-			_, _, _ = Compile(src)
+			plan, _, err := Compile(src)
+			if err == nil && !unqualifiedInJoin(stmt.Select) {
+				if b, err := ra.Bind(db, plan); err == nil {
+					if bad := misplaced(b); len(bad) > 0 {
+						t.Fatalf("Compile(%q) misplaces a predicate: %s", src, strings.Join(bad, "; "))
+					}
+				}
+			}
 		} else {
 			_, _ = CompileExec(src)
 		}

@@ -42,7 +42,10 @@ func Compile(sql string) (ra.Plan, ra.ResultSpec, error) {
 // are rewritten into one shared group-aggregate join (making Query 3
 // incrementally maintainable), and HAVING becomes a selection over the
 // group-aggregate output (with hidden aggregates for conditions not in
-// the select list).
+// the select list). Nothing downstream moves a predicate: a subquery's
+// count filter sits on its group-aggregate, a conjunct over two aliases
+// right above the join that brings both in (at the top if a column is
+// unqualified, as only the catalog knows its table).
 //
 // ORDER BY / LIMIT split between the plan and the returned ResultSpec:
 // an ORDER BY over real output columns with a LIMIT lowers to a
@@ -59,11 +62,13 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 		return nil, spec, fmt.Errorf("sqlparse: query has no FROM clause")
 	}
 	aliases := make(map[string]bool)
-	for _, tr := range q.From {
+	fromPos := make(map[string]int)
+	for i, tr := range q.From {
 		if aliases[tr.Alias] {
 			return nil, spec, fmt.Errorf("sqlparse: duplicate table alias %q", tr.Alias)
 		}
 		aliases[tr.Alias] = true
+		fromPos[tr.Alias] = i
 	}
 
 	singleTable := ""
@@ -74,9 +79,10 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 	// Partition WHERE conjuncts. Subquery-shaped predicates (COUNT(*)
 	// equalities, EXISTS, IN-subqueries) lower to auxiliary group-
 	// aggregate plans joined in on their correlation column; everything
-	// else classifies as a pushed filter, a join key, or a top filter.
+	// else classifies as a scan filter, a join key, or a cross filter.
 	perAlias := make(map[string][]ra.Expr)
 	var joinConds []ra.EquiCond
+	crossAt := make(map[int][]ra.Expr)
 	var topFilters []ra.Expr
 	subEqIndex := 0
 	var groupPlans []groupPlan
@@ -118,7 +124,13 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 		case owner != "":
 			perAlias[owner] = append(perAlias[owner], expr)
 		default:
-			topFilters = append(topFilters, expr)
+			l, lok := fromPos[c.Left.Qual]
+			r, rok := fromPos[c.Right.Col.Qual]
+			if lok && rok {
+				crossAt[max(l, r)] = append(crossAt[max(l, r)], expr)
+			} else {
+				topFilters = append(topFilters, expr)
+			}
 		}
 	}
 
@@ -138,12 +150,11 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 	for _, gp := range groupPlans {
 		pending = append(pending, tagged{plan: gp.plan, aliases: map[string]bool{gp.alias: true}})
 		joinConds = append(joinConds, gp.joinCond)
-		topFilters = append(topFilters, gp.filter)
 	}
 
 	// Left-deep join in FROM order, picking up applicable equi-conditions.
 	cur := pending[0]
-	for _, nxt := range pending[1:] {
+	for i, nxt := range pending[1:] {
 		var on []ra.EquiCond
 		var rest []ra.EquiCond
 		for _, jc := range joinConds {
@@ -162,9 +173,12 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 		for a := range nxt.aliases {
 			cur.aliases[a] = true
 		}
+		if f := crossAt[i+1]; len(f) > 0 {
+			cur.plan = ra.NewSelect(cur.plan, ra.And(f...))
+		}
 	}
-	// Any join condition not consumed (e.g. three-way cycles) becomes a
-	// residual filter.
+	// Any join condition not consumed (an unqualified IN-subquery column)
+	// becomes a residual filter.
 	for _, jc := range joinConds {
 		topFilters = append(topFilters, ra.Eq(ra.Col(jc.Left), ra.Col(jc.Right)))
 	}
@@ -394,13 +408,12 @@ func inListExpr(ref ra.ColRef, in *InPred) (ra.Expr, error) {
 }
 
 // groupPlan is one auxiliary group-aggregate produced by a subquery-
-// shaped predicate, joined into the outer query on its correlation
-// column and gated by a filter over its aggregate output.
+// shaped predicate, under its filter over the counts, inner-joined into
+// the outer query on its correlation column.
 type groupPlan struct {
 	plan     ra.Plan
 	alias    string
 	joinCond ra.EquiCond
-	filter   ra.Expr
 }
 
 // extractCorr splits a subquery's conjuncts into the single correlation
@@ -478,10 +491,9 @@ func lowerSubEq(se *SubEq, outer map[string]bool, idx int) (*groupPlan, error) {
 		ra.Agg{Fn: ra.FnCountIf, Pred: ra.And(predsB...), As: cntB},
 	)
 	return &groupPlan{
-		plan:     agg,
+		plan:     ra.NewSelect(agg, ra.Eq(ra.Col(ra.C("", cntA)), ra.Col(ra.C("", cntB)))),
 		alias:    galias,
 		joinCond: ra.EquiCond{Left: ra.C(outA.Qual, outA.Name), Right: ra.C(galias, inA)},
-		filter:   ra.Eq(ra.Col(ra.C("", cntA)), ra.Col(ra.C("", cntB))),
 	}, nil
 }
 
@@ -505,10 +517,9 @@ func lowerExists(sq *SubQuery, outer map[string]bool, idx int) (*groupPlan, erro
 		ra.Agg{Fn: ra.FnCountIf, Pred: ra.And(preds...), As: cnt},
 	)
 	return &groupPlan{
-		plan:     agg,
+		plan:     ra.NewSelect(agg, ra.Cmp(ra.OpGe, ra.Col(ra.C("", cnt)), ra.Const(relstore.Int(1)))),
 		alias:    galias,
 		joinCond: ra.EquiCond{Left: ra.C(outerCol.Qual, outerCol.Name), Right: ra.C(galias, innerCol)},
-		filter:   ra.Cmp(ra.OpGe, ra.Col(ra.C("", cnt)), ra.Const(relstore.Int(1))),
 	}, nil
 }
 
@@ -538,10 +549,9 @@ func lowerInSub(left ColName, isub *InSub, outer map[string]bool, idx int) (*gro
 		ra.Agg{Fn: ra.FnCountIf, Pred: ra.And(preds...), As: cnt},
 	)
 	return &groupPlan{
-		plan:     agg,
+		plan:     ra.NewSelect(agg, ra.Cmp(ra.OpGe, ra.Col(ra.C("", cnt)), ra.Const(relstore.Int(1)))),
 		alias:    galias,
 		joinCond: ra.EquiCond{Left: ra.C(left.Qual, left.Name), Right: ra.C(galias, isub.Col.Name)},
-		filter:   ra.Cmp(ra.OpGe, ra.Col(ra.C("", cnt)), ra.Const(relstore.Int(1))),
 	}, nil
 }
 

@@ -18,9 +18,14 @@ const (
 	query4 = `SELECT T2.STRING FROM TOKEN T1, TOKEN T2
 		WHERE T1.STRING='Boston' AND T1.LABEL='B-ORG'
 		AND T1.DOC_ID=T2.DOC_ID AND T2.LABEL='B-PER'`
+	// pairQuery is the coreference workload's same-entity query.
+	pairQuery = `SELECT M1.MENTION_ID, M2.MENTION_ID FROM MENTION M1, MENTION M2
+		WHERE M1.CLUSTER = M2.CLUSTER AND M1.MENTION_ID < M2.MENTION_ID`
 )
 
-func testDB(t *testing.T) *relstore.DB {
+// testDB is the package's test catalog: a small TOKEN relation and an
+// empty MENTION relation.
+func testDB(t testing.TB) *relstore.DB {
 	t.Helper()
 	db := relstore.NewDB()
 	tok := db.MustCreate(relstore.MustSchema("TOKEN",
@@ -45,6 +50,11 @@ func testDB(t *testing.T) *relstore.DB {
 	for _, r := range rows {
 		tok.Insert(relstore.Tuple{relstore.Int(r.id), relstore.Int(r.doc), relstore.String(r.s), relstore.String(r.l)})
 	}
+	db.MustCreate(relstore.MustSchema("MENTION",
+		relstore.Column{Name: "MENTION_ID", Type: relstore.TInt},
+		relstore.Column{Name: "STRING", Type: relstore.TString},
+		relstore.Column{Name: "CLUSTER", Type: relstore.TInt},
+	))
 	return db
 }
 
