@@ -56,6 +56,9 @@ import (
 	"factordb"
 )
 
+// readHeaderTimeout bounds either listener's wait for a request's headers.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
@@ -151,7 +154,7 @@ func main() {
 			"torn_tail", d.TornTail)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: db.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: db.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr)
@@ -162,7 +165,7 @@ func main() {
 	// served when explicitly asked for, on their own listener — they can
 	// leak query text and timing, so they never ride on the public mux.
 	if *dbgAddr != "" {
-		dbgSrv := &http.Server{Addr: *dbgAddr, Handler: db.DebugHandler()}
+		dbgSrv := &http.Server{Addr: *dbgAddr, Handler: db.DebugHandler(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			logger.Info("debug endpoints up", "addr", *dbgAddr)
 			if err := dbgSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

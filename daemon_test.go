@@ -3,7 +3,9 @@ package factordb
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -276,6 +278,44 @@ func TestDaemonKillRecovery(t *testing.T) {
 	if meanDelta > 0.25 {
 		t.Errorf("post-restart marginals drifted: mean |Δp| %.4f > 0.25", meanDelta)
 	}
+}
+
+// daemonHeaderTimeout mirrors cmd/factordbd's readHeaderTimeout.
+const daemonHeaderTimeout = 5 * time.Second
+
+// TestDaemonDropsStalledHeaders holds factordbd to its header deadline:
+// a client that sends half a request line and stalls is disconnected
+// within the deadline plus slack, and the daemon goes on serving.
+func TestDaemonDropsStalledHeaders(t *testing.T) {
+	d := startDaemon(t, "-tokens", "400", "-steps", "100", "-chains", "1")
+	conn, err := net.Dial("tcp", strings.TrimPrefix(d.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 5 * time.Second
+	conn.SetReadDeadline(start.Add(daemonHeaderTimeout + slack))
+	// The server may answer the torn request line with a 400 before it
+	// closes; the read ends at the close.
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("a stalled client still held its connection after %v", elapsed)
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 400 ") {
+		t.Errorf("a half-sent request got %q back, want nothing or a 400", reply)
+	}
+	t.Logf("stalled client disconnected after %v (reply %q, %v)", elapsed.Round(time.Millisecond), reply, err)
+	if elapsed < daemonHeaderTimeout-time.Second {
+		t.Errorf("stalled client disconnected after %v, before the %v header deadline", elapsed, daemonHeaderTimeout)
+	}
+	var h healthResponse
+	getJSON(t, d.base+"/healthz", &h)
 }
 
 // slowRecord is the slow_query log record, as factordbd's JSON handler

@@ -217,7 +217,9 @@
 // statement with ? placeholders its parsed tree: each execution — via
 // Prepare, database/sql or HTTP args — binds the arguments as literals
 // into a copy and re-plans, so it fingerprints and caches identically to
-// the statement with its literals inline. Entries hold no data, so they
+// the statement with its literals inline; the plan of each argument list
+// is kept beside the statements, so arguments bound before re-plan
+// nothing. Entries hold no data, so they
 // need no epoch invalidation; they are evicted FIFO (WithPlanCache) and
 // an evicted statement compiles again on its next execution. Statements
 // that fail to compile are never cached.
@@ -231,7 +233,7 @@
 // /query and the CLI: a single PLAN column of strings, one plan line
 // per row — the rendered operator tree as bound (with the projections
 // column pruning put under join inputs, and a "column pruning:" line
-// when it put any), the plan fingerprint, the result spec, and whether
+// when it put any), the bound fingerprint, the result spec, and whether
 // the plan cache already held the entry.
 //
 // # Durability: snapshots, the WAL, and recovery
@@ -293,29 +295,29 @@
 // keyword case, alias names, predicate order, flipped comparisons) are
 // therefore one plan.
 //
-// Two fingerprints key the layers above:
-//
-//   - ra.PlanFingerprint (prefix "qfp1:") hashes the canonical logical
-//     plan. The served-mode result cache keys on (plan fingerprint,
-//     result spec, samples, confidence) instead of the SQL text, so
-//     textual variants share one cache entry.
-//   - ra.Bound.Fingerprint (prefix "bfp1:") hashes the catalog-bound
-//     structure of every plan subtree — column positions rather than
-//     names, no aliases, no output names — of the tree ra.Bind returns,
-//     which is the column-pruned one. The serving engine's per-chain
-//     view registries key physical materialized views on it: concurrent
-//     queries with equal plans share one incrementally maintained view
-//     per chain (refcounted, maintained once per walk batch regardless
-//     of subscriber count); plans that differ keep private operator
-//     trees, as in the paper's one view per query. Per-query options
-//     that do not change the answer distribution — sample budget,
-//     confidence level — are deliberately excluded from view identity
-//     and applied at estimator-merge time.
+// The engine's plan cache binds each SELECT once (ra.Prepare) into a
+// column-pruned tree that refers to no world, and keeps its one
+// fingerprint, ra.Bound.Fingerprint (prefix "bfp1:"): a hash of the bound
+// structure of every subtree — column positions rather than names, no
+// aliases, no output names. The served-mode result cache keys on it plus
+// the output column names, result spec, samples and confidence, so
+// textual variants share one entry. The per-chain view registries key
+// physical materialized views on it: concurrent queries with equal plans
+// share one incrementally maintained view per chain (refcounted,
+// maintained once per walk batch regardless of subscriber count); plans
+// that differ keep private operator trees, as in the paper's one view
+// per query. Per-query options that do not change the answer
+// distribution — sample budget, confidence level — are deliberately
+// excluded from view identity and applied at estimator-merge time. A
+// chain looks the fingerprint up first: a live view is reused with no
+// bind, copy or hash, and only a new one mounts a copy of the statement
+// on the chain's world (Bound.On). Traces, the slow-query log, /statusz
+// and EXPLAIN show the same fingerprint.
 //
 // Stability: the prefix versions the encoding; an incompatible encoding
-// change bumps it ("qfp2:", "bfp2:"), so stale keys miss rather than
-// collide. A planner change that emits a different plan moves that query
-// to a new key. Nothing persists a key. The golden test
+// change bumps it ("bfp2:"), so stale keys miss rather than collide. A
+// planner change that emits a different plan moves that query to a new
+// key. Nothing persists a key. The golden test
 // internal/sqlparse/testdata/fingerprints.golden pins the paper's queries.
 //
 // # Execution: the streaming iterator contract

@@ -83,7 +83,7 @@ func TestExplainAnalyzeFacade(t *testing.T) {
 		joined := strings.Join(lines, "\n")
 		for _, want := range []string{
 			"est rows=", "time=", "analyze: runs=",
-			"plan fingerprint: qfp1:", wantChains, "plan cache: miss",
+			"bound fingerprint: bfp1:", wantChains, "plan cache: miss",
 		} {
 			if !strings.Contains(joined, want) {
 				t.Errorf("EXPLAIN ANALYZE output lacks %q:\n%s", want, joined)
@@ -191,7 +191,7 @@ func TestExplainShowsBoundPlan(t *testing.T) {
 	q3 := explain(Query3)
 	for _, want := range []string{
 		"  Join[_c0.DOC_ID=_c1.DOC_ID]\n    Project[_c0.DOC_ID]\n      Scan(TOKEN AS _c0)\n    Project[_c1.DOC_ID]\n      Select[(_sqa0 = _sqb0)]\n        GroupAgg[",
-		"\ncolumn pruning: ", "\nplan fingerprint: qfp1:", "\nbound fingerprint: bfp1:", "\nview sharing: fresh",
+		"\ncolumn pruning: ", "\nbound fingerprint: bfp1:", "\nview sharing: fresh",
 	} {
 		if !strings.Contains(q3, want) {
 			t.Errorf("EXPLAIN of Query 3 lacks %q:\n%s", want, q3)

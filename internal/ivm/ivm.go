@@ -226,6 +226,9 @@ func newStage(b *ra.Bound, cc childCompiler) (*stage, error) {
 	}
 	slices.Reverse(s.steps)
 	if b.Kind == ra.KScan {
+		if b.Rel == nil {
+			return nil, ra.ErrUnmounted
+		}
 		s.scan = b
 		return s, nil
 	}

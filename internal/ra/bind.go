@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"errors"
 	"fmt"
 
 	"factordb/internal/relstore"
@@ -44,7 +45,7 @@ type Bound struct {
 	// plan itself, or its column-pruned rewrite.
 	Source Plan
 
-	// KScan
+	// KScan; Rel is nil until On mounts the tree on a world
 	Table string
 	Alias string
 	Rel   *relstore.Relation
@@ -69,10 +70,25 @@ type Bound struct {
 	Limit    int64
 }
 
-// Bind resolves a logical plan against the database catalog and returns
-// the column-pruned tree (see prune.go): every consumer — Eval, Stream,
-// the ivm compiler, EXPLAIN, Fingerprint — sees the one narrow tree.
+// Bind resolves a logical plan against db's catalog and returns the
+// column-pruned tree (see prune.go) mounted on db: every consumer — Eval,
+// Stream, the ivm compiler, EXPLAIN, Fingerprint — sees the one tree.
 func Bind(db *relstore.DB, p Plan) (*Bound, error) {
+	b, err := Prepare(db, p)
+	if err != nil {
+		return nil, err
+	}
+	return b.On(db)
+}
+
+// ErrUnmounted is what Stream, AnalyzeStream and ivm.NewView return for
+// a tree Prepare made that was never mounted on a world with On.
+var ErrUnmounted = errors.New("ra: statement is not mounted on a world (see Bound.On)")
+
+// Prepare is Bind without the mount: only db's schemas are read, and the
+// tree's scans name their tables but read no relation. It refers to no
+// world, so a statement is bound once and each world runs an On copy.
+func Prepare(db *relstore.DB, p Plan) (*Bound, error) {
 	b, err := bindPlan(db, p)
 	if err != nil {
 		return nil, err
@@ -82,6 +98,25 @@ func Bind(db *relstore.DB, p Plan) (*Bound, error) {
 		return b, nil
 	}
 	return bindPlan(db, narrow)
+}
+
+// On returns a copy of b, node for node, whose scans read db's relations
+// of the same names. The copy shares everything else with b, which no
+// executor writes, so b stays valid for the next world.
+func (b *Bound) On(db *relstore.DB) (*Bound, error) {
+	out := *b
+	var err error
+	if b.Kind == KScan {
+		out.Rel, err = db.Relation(b.Table)
+		return &out, err
+	}
+	out.Children = make([]*Bound, len(b.Children))
+	for i, c := range b.Children {
+		if out.Children[i], err = c.On(db); err != nil {
+			return nil, err
+		}
+	}
+	return &out, nil
 }
 
 // bindPlan binds p exactly as written, node for node.
@@ -121,7 +156,7 @@ func bindScan(db *relstore.DB, n *Scan) (*Bound, error) {
 	for i, c := range rs.Cols {
 		sch.Cols[i] = OutCol{Ref: ColRef{Rel: n.Alias, Col: c.Name}, Type: c.Type}
 	}
-	return &Bound{Kind: KScan, Schema: sch, Source: n, Table: n.Table, Alias: n.Alias, Rel: rel}, nil
+	return &Bound{Kind: KScan, Schema: sch, Source: n, Table: n.Table, Alias: n.Alias}, nil
 }
 
 func bindSelect(db *relstore.DB, n *Select) (*Bound, error) {

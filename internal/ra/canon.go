@@ -1,23 +1,22 @@
 package ra
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 
 	"factordb/internal/relstore"
 )
 
-// Canonicalize rewrites a logical plan into the canonical form shared by
-// every plan-consuming layer: the SQL planner emits canonical plans, the
-// serving engine keys its result cache on their fingerprints, and the
-// per-chain view registries share materialized views between queries whose
-// canonical plans coincide. The pass is purely structural — it never
-// consults a catalog — and preserves semantics exactly:
+// Canonicalize rewrites a logical plan into the canonical form the SQL
+// planner emits, so that textual variants of one query bind to one tree
+// and share one bound fingerprint (Bound.Fingerprint), which keys the
+// serving engine's result cache and its per-chain view registries. The
+// pass is purely structural — it never consults a catalog — and
+// preserves semantics exactly:
 //
 //   - table aliases are renamed to position-derived names (_c0, _c1, …)
-//     in pre-order, so alias spelling cannot distinguish two plans;
+//     in pre-order, so alias spelling cannot reorder the sorts below,
+//     which compare renderings (the bound fingerprint drops aliases);
 //   - AND/OR conjunctions are flattened, deduplicated, and sorted by
 //     their canonical rendering, so predicate order cannot either;
 //   - comparisons are oriented (constants move to the right-hand side,
@@ -33,31 +32,6 @@ import (
 func Canonicalize(p Plan) Plan {
 	ren := canonAliasMap(p)
 	return canonNode(p, ren)
-}
-
-// PlanFingerprint returns a stable content hash of the plan's canonical
-// form, usable as a cache key before the plan is bound to a catalog. Two
-// plans differing only in alias spelling, predicate order, redundant
-// parenthesization, or foldable constants fingerprint identically. The
-// "qfp1:" prefix versions the encoding: it only changes when the
-// canonical form itself changes incompatibly.
-//
-// The logical fingerprint is coarser than (*Bound).Fingerprint, which
-// resolves columns to positions and therefore also unifies qualified and
-// unqualified spellings of the same reference.
-func PlanFingerprint(p Plan) string {
-	return CanonicalFingerprint(Canonicalize(p))
-}
-
-// CanonicalFingerprint hashes a plan that is already in canonical form —
-// the sqlparse planner's output — without re-running Canonicalize; hot
-// paths that compile per request (the serving engine's cache probe) use
-// it to avoid canonicalizing twice. Passing a non-canonical plan yields
-// a valid but needlessly distinct key (equal queries may miss shared
-// entries); when in doubt use PlanFingerprint.
-func CanonicalFingerprint(canonical Plan) string {
-	sum := sha256.Sum256([]byte("raplan1\x00" + canonical.String()))
-	return "qfp1:" + hex.EncodeToString(sum[:16])
 }
 
 // canonAliasMap assigns each distinct scan alias a position-derived name

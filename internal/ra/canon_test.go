@@ -21,6 +21,10 @@ func canonDB(t *testing.T) *relstore.DB {
 	return db
 }
 
+// canonKey renders p's canonical form: two plans canonicalize alike
+// exactly when their keys are equal.
+func canonKey(p Plan) string { return Canonicalize(p).String() }
+
 func boundFP(t *testing.T, db *relstore.DB, p Plan) string {
 	t.Helper()
 	b, err := Bind(db, Canonicalize(p))
@@ -39,7 +43,7 @@ func TestCanonicalizePredicateOrder(t *testing.T) {
 	a := Cmp(OpEq, Col(C("T", "LABEL")), Const(relstore.String("B-PER")))
 	b := Cmp(OpGt, Col(C("T", "TOK_ID")), Const(relstore.Int(3)))
 	p1, p2 := mk(a, b), mk(b, a)
-	if PlanFingerprint(p1) != PlanFingerprint(p2) {
+	if canonKey(p1) != canonKey(p2) {
 		t.Errorf("conjunct order changed the fingerprint:\n%s\n%s",
 			Canonicalize(p1), Canonicalize(p2))
 	}
@@ -49,12 +53,12 @@ func TestCanonicalizePredicateOrder(t *testing.T) {
 	}
 	// Nested AND flattens into the same canonical conjunction.
 	p3 := mk(And(b, a))
-	if PlanFingerprint(p1) != PlanFingerprint(p3) {
+	if canonKey(p1) != canonKey(p3) {
 		t.Error("nested AND (redundant grouping) changed the fingerprint")
 	}
 	// Duplicate conjuncts are idempotent.
 	p4 := mk(a, b, a)
-	if PlanFingerprint(p1) != PlanFingerprint(p4) {
+	if canonKey(p1) != canonKey(p4) {
 		t.Error("duplicate conjunct changed the fingerprint")
 	}
 }
@@ -70,7 +74,7 @@ func TestCanonicalizeAliasRenaming(t *testing.T) {
 			C(a2, "STRING"))
 	}
 	p1, p2 := mk("T1", "T2"), mk("LEFT_SIDE", "RIGHT_SIDE")
-	if PlanFingerprint(p1) != PlanFingerprint(p2) {
+	if canonKey(p1) != canonKey(p2) {
 		t.Errorf("alias renaming changed the fingerprint:\n%s\n%s",
 			Canonicalize(p1), Canonicalize(p2))
 	}
@@ -80,7 +84,7 @@ func TestCanonicalizeAliasRenaming(t *testing.T) {
 	}
 	// Swapping which table plays which role is NOT a rename: distinct.
 	p3 := mk("T2", "T1")
-	if got := PlanFingerprint(p3); got != PlanFingerprint(p1) {
+	if got := canonKey(p3); got != canonKey(p1) {
 		// Same structure, different spelling of corresponding aliases —
 		// positional renaming must still unify it.
 		t.Errorf("positionally-corresponding aliases did not unify: %s", got)
@@ -93,16 +97,16 @@ func TestCanonicalizeComparisonOrientation(t *testing.T) {
 	mk := func(pred Expr) Plan {
 		return NewProject(NewSelect(NewScan("TOKEN", "T"), pred), C("T", "STRING"))
 	}
-	if PlanFingerprint(mk(Cmp(OpEq, col, lit))) != PlanFingerprint(mk(Cmp(OpEq, lit, col))) {
+	if canonKey(mk(Cmp(OpEq, col, lit))) != canonKey(mk(Cmp(OpEq, lit, col))) {
 		t.Error("LABEL='x' and 'x'=LABEL fingerprint differently")
 	}
 	n := Const(relstore.Int(3))
 	id := Col(C("T", "TOK_ID"))
-	if PlanFingerprint(mk(Cmp(OpGt, id, n))) != PlanFingerprint(mk(Cmp(OpLt, n, id))) {
+	if canonKey(mk(Cmp(OpGt, id, n))) != canonKey(mk(Cmp(OpLt, n, id))) {
 		t.Error("TOK_ID>3 and 3<TOK_ID fingerprint differently")
 	}
 	// Orientation must not conflate genuinely different comparisons.
-	if PlanFingerprint(mk(Cmp(OpGt, id, n))) == PlanFingerprint(mk(Cmp(OpLt, id, n))) {
+	if canonKey(mk(Cmp(OpGt, id, n))) == canonKey(mk(Cmp(OpLt, id, n))) {
 		t.Error("TOK_ID>3 and TOK_ID<3 fingerprint identically")
 	}
 }
@@ -113,7 +117,7 @@ func TestCanonicalizeConstantFolding(t *testing.T) {
 	// WHERE p AND 1=1 canonicalizes to WHERE p.
 	folded := NewSelect(NewScan("TOKEN", "T"),
 		And(pred, Eq(Const(relstore.Int(1)), Const(relstore.Int(1)))))
-	if PlanFingerprint(base) != PlanFingerprint(folded) {
+	if canonKey(base) != canonKey(folded) {
 		t.Errorf("tautology was not folded away: %s", Canonicalize(folded))
 	}
 	// A Select whose whole predicate folds to TRUE drops the node.
@@ -122,15 +126,15 @@ func TestCanonicalizeConstantFolding(t *testing.T) {
 		t.Errorf("TRUE-predicate Select survived canonicalization: %s", c)
 	}
 	// NOT folding and double negation.
-	if PlanFingerprint(NewSelect(NewScan("TOKEN", "T"), Not(Not(pred)))) !=
-		PlanFingerprint(base) {
+	if canonKey(NewSelect(NewScan("TOKEN", "T"), Not(Not(pred)))) !=
+		canonKey(base) {
 		t.Error("double negation changed the fingerprint")
 	}
 	// A contradictory conjunct folds to constant FALSE but must keep the
 	// Select (an always-empty selection is not the unfiltered scan).
 	contra := NewSelect(NewScan("TOKEN", "T"),
 		And(pred, Eq(Const(relstore.Int(1)), Const(relstore.Int(2)))))
-	if PlanFingerprint(contra) == PlanFingerprint(NewScan("TOKEN", "T")) {
+	if canonKey(contra) == canonKey(NewScan("TOKEN", "T")) {
 		t.Error("FALSE selection collapsed into its child")
 	}
 }
@@ -170,7 +174,7 @@ func TestFingerprintDistinguishesDifferentPlans(t *testing.T) {
 			NewSelect(NewScan("TOKEN", "T"), Eq(Col(C("T", "LABEL")), Const(relstore.String(label)))),
 			C("T", "STRING"))
 	}
-	if PlanFingerprint(sel("B-PER")) == PlanFingerprint(sel("B-ORG")) {
+	if canonKey(sel("B-PER")) == canonKey(sel("B-ORG")) {
 		t.Error("different literals fingerprint identically")
 	}
 	if boundFP(t, db, sel("B-PER")) == boundFP(t, db, sel("B-ORG")) {
@@ -238,7 +242,7 @@ func TestFingerprintNestedComparisonInjective(t *testing.T) {
 	c := Const(relstore.Bool(true))
 	left := NewSelect(NewScan("TOKEN", "T"), Cmp(OpEq, Cmp(OpEq, a, b), c))
 	right := NewSelect(NewScan("TOKEN", "T"), Cmp(OpEq, a, Cmp(OpEq, b, c)))
-	if PlanFingerprint(left) == PlanFingerprint(right) {
+	if canonKey(left) == canonKey(right) {
 		t.Errorf("re-associated nested comparisons share a fingerprint:\n%s\n%s",
 			Canonicalize(left), Canonicalize(right))
 	}

@@ -108,7 +108,7 @@ func Eq(l, r Expr) Expr { return cmpExpr{OpEq, l, r} }
 
 // String parenthesizes the comparison so renderings are injective over
 // expression structure: a = (b = c) and (a = b) = c must not both read
-// "a = b = c" — the canonical-plan fingerprint hashes this rendering.
+// "a = b = c" — canonicalization sorts and dedups by this rendering.
 func (e cmpExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.l, e.op, e.r)
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // Fingerprint returns a stable structural content hash of the bound
-// subtree rooted at b. The serving engine's per-chain view registries
-// key physical views on the root's fingerprint, so queries with equal
-// bound plans share one view. A parent's encoding hashes each child's
-// fingerprint in place of the child's whole subtree; nothing is stored
-// on the tree.
+// subtree rooted at b. The root's is a statement's one identity: the
+// serving engine's result cache and view registries key on it, so
+// queries with equal bound plans share one view. A parent's encoding
+// hashes each child's fingerprint in place of the child's whole subtree;
+// nothing is stored on the tree.
 //
 // The hash covers exactly what determines the subtree's output tuples:
 // node kinds, table names, resolved column positions, bound predicate

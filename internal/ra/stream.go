@@ -61,9 +61,12 @@ func compileStream(b *Bound) (Iterator, bool, error) {
 func compileNode(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 	switch b.Kind {
 	case KScan:
+		if b.Rel == nil {
+			return nil, false, ErrUnmounted
+		}
 		return streamScan(b.Rel, nil), false, nil
 	case KSelect:
-		if scan := fusedScan(b); scan != nil {
+		if scan := fusedScan(b); scan != nil && scan.Rel != nil {
 			return streamScan(scan.Rel, b.Pred), false, nil
 		}
 		return streamSelect(b, compile)
@@ -497,7 +500,9 @@ func estimateRows(b *Bound) int {
 	const defaultSize = 64
 	switch b.Kind {
 	case KScan:
-		return b.Rel.Len()
+		if b.Rel != nil { // unmounted, compiling it fails
+			return b.Rel.Len()
+		}
 	case KSelect, KProject, KDistinct:
 		return estimateRows(b.Children[0])
 	case KOrderLimit:

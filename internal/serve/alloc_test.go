@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"factordb/internal/exp"
-	"factordb/internal/sqlparse"
 )
 
 // raceEnabled reports a race-detector build (see race_test.go), where
@@ -81,6 +80,30 @@ func TestCacheHitAllocBudget(t *testing.T) {
 			t.Errorf("a cache hit of %s allocates %v, budget %v", q.tag, got, max)
 		}
 	}
+
+	// Query 4 with its literals as placeholders, executed alternately
+	// with two argument lists whose answers are both cached: each
+	// execution finds its own arguments' plan, so it allocates as a hit
+	// of the inline spelling does.
+	param := strings.NewReplacer(`'Boston'`, `?`, `'B-ORG'`, `?`, `'B-PER'`, `?`).Replace(exp.Query4)
+	argSets := [2][]any{{"Boston", "B-ORG", "B-PER"}, {"Paris", "B-ORG", "B-PER"}}
+	for _, args := range argSets {
+		if _, err := eng.Query(ctx, param, QueryOptions{Samples: 16, Args: args}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var calls int
+	got := testing.AllocsPerRun(50, func() {
+		calls++
+		res, err := eng.Query(ctx, param, QueryOptions{Samples: 16, Args: argSets[calls%2]})
+		if err != nil || !res.Cached {
+			t.Fatalf("placeholder hit: cached=%v err=%v", res != nil && res.Cached, err)
+		}
+	})
+	t.Logf("hit_q4 with alternating arguments: %v allocs", got)
+	if max := budget["hit_q4"]; got > max {
+		t.Errorf("a cache hit of Query 4 with alternating arguments allocates %v, budget %v", got, max)
+	}
 }
 
 // TestEpochAllocBudget is the allocation gate of a chain's epoch
@@ -109,11 +132,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	}
 	defer eng.Close()
 	for _, sql := range []string{exp.Query1, exp.Query4} {
-		plan, _, err := sqlparse.Compile(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer holdView(t, eng, plan).detach()
+		defer holdView(t, eng, sql).detach()
 	}
 	c := eng.chains[0]
 	var got float64
@@ -131,5 +150,58 @@ func TestEpochAllocBudget(t *testing.T) {
 	t.Logf("epoch: %v allocs", got)
 	if max, ok := budget["epoch"]; !ok || got > max {
 		t.Errorf("an epoch no reader asked for allocates %v, budget %v", got, max)
+	}
+}
+
+// TestRegisterAllocBudget is the allocation gate of a registry hit
+// (testdata/alloc_budget.txt): with Query 1 or Query 4 already live on a
+// chain, a second subscriber attaching to it looks the statement's
+// fingerprint up and subscribes — it binds nothing, copies no tree and
+// hashes nothing, because the plan cache bound the statement once. The
+// registrations run on the chain goroutine inside one mailbox call, each
+// detached again before the next. Counts only, so this is a gate, not a
+// trend.
+func TestRegisterAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	budget := allocBudget(t)
+	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(sys, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	c := eng.chains[0]
+	for _, q := range []struct{ tag, sql string }{{"q1", exp.Query1}, {"q4", exp.Query4}} {
+		defer holdView(t, eng, q.sql).detach()
+		comp, _, err := eng.plans.CompileQuery(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := &registration{c: c, done: make(chan struct{})}
+		var got float64
+		if err := c.call(context.Background(), func() error {
+			got = testing.AllocsPerRun(200, func() {
+				reg.id = viewID(eng.nextID.Add(1))
+				if hit, err := c.register(reg, comp.Stmt, comp.Fingerprint, 1<<62); err != nil || !hit {
+					t.Fatalf("register: hit=%v err=%v", hit, err)
+				}
+				c.reg.dropSub(reg.id)
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("register_hit_%s: %v allocs", q.tag, got)
+		if max, ok := budget["register_hit_"+q.tag]; !ok || got > max {
+			t.Errorf("a second subscriber to live %s allocates %v, budget %v", q.tag, got, max)
+		}
 	}
 }

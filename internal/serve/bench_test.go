@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"factordb/internal/exp"
-	"factordb/internal/sqlparse"
 	"factordb/internal/store"
 )
 
@@ -32,11 +31,7 @@ func BenchmarkSharedViews(b *testing.B) {
 			}
 			defer eng.Close()
 			ctx := context.Background()
-			plan, _, err := sqlparse.Compile(exp.Query4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer holdView(b, eng, plan).detach()
+			defer holdView(b, eng, exp.Query4).detach()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup

@@ -270,25 +270,16 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err e
 	return ends, nil
 }
 
-// register binds the plan against this chain's world and subscribes reg
-// to the matching shared view, creating it on first use; hit reports that
-// an existing view was reused. It runs at an epoch boundary, right after
-// a Drain, so the store holds no pending deltas and a freshly mounted
-// view is consistent with the world from its first sample on; an
-// existing view is reused as-is (its estimator state is a valid prefix of
-// the same chain's walk).
-func (c *chain) register(reg *registration, plan ra.Plan, target int64) (hit bool, err error) {
-	bound, err := ra.Bind(c.log.DB(), plan)
-	if err != nil {
-		return false, err
-	}
-	pv, hit, err := c.reg.acquire(reg.id, bound, target, reg.done, &reg.final)
-	if err != nil {
-		return false, err
-	}
+// register subscribes reg to the shared view of stmt (fingerprint fp);
+// hit reports that a live view was reused, at no bind, copy or hash.
+// It runs at an epoch boundary, right after a Drain, so the store holds
+// no pending deltas and a freshly mounted view is consistent with the
+// world from its first sample on; an existing view is reused as-is (its
+// estimator state is a valid prefix of the same chain's walk).
+func (c *chain) register(reg *registration, stmt *ra.Bound, fp string, target int64) (hit bool, err error) {
+	hit, err = c.reg.acquire(reg, stmt, fp, c.log.DB(), target)
 	if hit {
 		c.m.viewHits.Inc()
 	}
-	reg.cell, reg.wanted = pv.cell, &pv.wanted
-	return hit, nil
+	return hit, err
 }

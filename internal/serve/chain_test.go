@@ -8,19 +8,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"factordb/internal/ra"
 )
 
-// holdView subscribes a never-completing query to plan on chain 0 — a
+// holdView subscribes a never-completing query of sql to chain 0 — a
 // standing dashboard that pins the shared view — and returns the
 // registration for the caller to detach.
-func holdView(tb testing.TB, eng *Engine, plan ra.Plan) *registration {
+func holdView(tb testing.TB, eng *Engine, sql string) *registration {
 	tb.Helper()
+	comp, _, err := eng.plans.CompileQuery(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	c := eng.chains[0]
 	reg := &registration{c: c, id: viewID(eng.nextID.Add(1)), done: make(chan struct{})}
 	if err := c.call(context.Background(), func() error {
-		_, err := c.register(reg, plan, 1<<62)
+		_, err := c.register(reg, comp.Stmt, comp.Fingerprint, 1<<62)
 		return err
 	}); err != nil {
 		tb.Fatal(err)

@@ -12,10 +12,11 @@
 // every chain; and one batch of k walk-steps then yields one sample for
 // all of them at once, so the walk cost is amortized across the whole
 // concurrent workload. Views themselves are shared too: each chain's
-// registry keys physical views by the bound plan's structural fingerprint,
-// so queries with equal plans — whatever their SQL spelling or per-query
-// options — subscribe to one refcounted view that is maintained exactly
-// once per batch; plans that differ each keep a private operator tree.
+// registry keys physical views by the fingerprint the plan cache bound
+// each statement to, so queries with equal plans — whatever their SQL
+// spelling or per-query options — subscribe to one refcounted view that
+// is maintained exactly once per batch; plans that differ each keep a
+// private operator tree.
 // Chains publish epoch-stamped estimator snapshots (world.Cell), which
 // is how query sessions read consistent marginals without ever blocking
 // the walk. A chain copies a view's estimate only when a reader will read
@@ -31,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -136,8 +138,8 @@ type Config struct {
 	// PlanCacheSize is the capacity, in statements, of the raw-SQL plan
 	// cache every statement compiles through: Prepare, Query, Exec and
 	// EXPLAIN's target (default sqlparse.DefaultPlanCacheSize). Keys are
-	// exact SQL byte strings; entries are plan-only and never need data
-	// invalidation.
+	// exact SQL byte strings; entries hold bound plans but no world, and
+	// never need data invalidation.
 	PlanCacheSize int
 
 	// Logger receives the engine's structured log records: write-audit
@@ -145,7 +147,7 @@ type Config struct {
 	Logger *slog.Logger
 	// SlowQuery, when positive, is the latency threshold of the slow-query
 	// log: any query at or over it emits a structured record through
-	// Logger carrying its span breakdown, plan fingerprint and trace ID
+	// Logger carrying its span breakdown, bound fingerprint and trace ID
 	// (the engine records a private trace for every query while the
 	// threshold is set, so the breakdown is on hand when one turns out
 	// slow). Zero disables the slow-query log.
@@ -265,7 +267,7 @@ type Engine struct {
 
 	// writeMu serializes Exec calls: one logical mutation lands on every
 	// chain before the next begins, so the clones see identical op
-	// streams in identical order. Its read side guards cloneWorld.
+	// streams in identical order. Its read side guards prototype readers.
 	writeMu sync.RWMutex
 	// dataEpoch counts committed writes. It is folded into every
 	// result-cache key, so each write makes all earlier entries
@@ -284,7 +286,7 @@ func New(src Source, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		src:    src,
-		plans:  sqlparse.NewPlanCache(cfg.PlanCacheSize),
+		plans:  sqlparse.NewSchemaPlanCache(src.WorldDB(), cfg.PlanCacheSize),
 		admit:  newAdmission(cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries),
 		cache:  newResultCache(cfg.CacheSize, cfg.CacheTTL, m.evictions),
 		m:      m,
@@ -407,31 +409,27 @@ func (e *Engine) registerDerivedMetrics() {
 		"cross-chain split-R-hat of each live view's sampled answer cardinality "+
 			"(near 1 = converged; NaN = insufficient data)", []string{"view"},
 		func() []metrics.LabeledValue {
-			return e.viewDiagnostics(splitRHat)
+			return e.viewGauge(func(v ViewHealth) *float64 { return v.RHat })
 		})
 	e.m.reg.NewMultiGaugeFunc("factordb_view_ess",
 		"cross-chain effective sample size of each live view's sampled answer cardinality",
 		[]string{"view"},
 		func() []metrics.LabeledValue {
-			return e.viewDiagnostics(effectiveSampleSize)
+			return e.viewGauge(func(v ViewHealth) *float64 { return v.ESS })
 		})
 }
 
-// viewDiagnostics groups each live view's observation series across the
-// chain pool and reduces them with diag (split-R̂ or ESS). A view only
-// live on a subset of chains is diagnosed over that subset.
-func (e *Engine) viewDiagnostics(diag func([][]float64) float64) []metrics.LabeledValue {
-	grouped := make(map[string][][]float64)
-	for _, c := range e.chains {
-		for _, fp := range c.reg.liveFingerprints() {
-			if s := c.reg.viewSeries(fp); s != nil {
-				grouped[fp] = append(grouped[fp], s.snapshot())
-			}
+// viewGauge reads one convergence diagnostic of each live view off
+// viewHealth, which diagnoses a view over the chains it is live on; NaN
+// stands for a diagnostic not yet defined.
+func (e *Engine) viewGauge(diag func(ViewHealth) *float64) []metrics.LabeledValue {
+	views := e.viewHealth()
+	out := make([]metrics.LabeledValue, len(views))
+	for i, v := range views {
+		out[i] = metrics.LabeledValue{Labels: []string{v.Fingerprint}, Value: math.NaN()}
+		if d := diag(v); d != nil {
+			out[i].Value = *d
 		}
-	}
-	out := make([]metrics.LabeledValue, 0, len(grouped))
-	for fp, series := range grouped {
-		out = append(out, metrics.LabeledValue{Labels: []string{fp}, Value: diag(series)})
 	}
 	return out
 }
@@ -461,15 +459,6 @@ func (e *Engine) Traces() []*QueryTrace { return e.traces.snapshot() }
 func (e *Engine) MintTraceID() (int64, string) {
 	id := e.nextID.Add(1)
 	return id, fmt.Sprintf("%016x%016x", e.traceSeed, uint64(id))
-}
-
-// cloneWorld returns a fresh copy of the source's prototype world, taken
-// under the write read-lock: wholly before or wholly after any write a
-// private-chain mode applies to the prototype.
-func (e *Engine) cloneWorld() (*world.ChangeLog, mcmc.Proposer, error) {
-	e.writeMu.RLock()
-	defer e.writeMu.RUnlock()
-	return e.src.NewChainWorld(0)
 }
 
 // Prepare compiles sql through the plan cache — a query, a write or an

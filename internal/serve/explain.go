@@ -22,10 +22,10 @@ import (
 // Rows, the database/sql driver, and HTTP. It is never traced, cached or
 // admitted, and ignores the sample budget.
 //
-// For a SELECT the output is the plan tree as bound, both fingerprints
-// (the canonical plan's and the schema-bound plan's), the result spec,
-// the view-sharing decision, and whether the target came from the plan
-// cache. For DML it is the lowered mutation and the cache line.
+// For a SELECT the output is the plan tree as bound, the bound
+// statement's fingerprint, the result spec, the view-sharing decision,
+// and whether the target came from the plan cache. For DML it is the
+// lowered mutation and the cache line.
 func (e *Engine) explain(ctx context.Context, sql string, x *sqlparse.Explain, opts QueryOptions) (*Result, error) {
 	start := time.Now()
 	var lines []string
@@ -79,36 +79,24 @@ func (e *Engine) explainQuery(target string, args []any) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree := ra.Render(comp.Plan)
-	lines := []string{"plan fingerprint: " + comp.Fingerprint}
-
-	// The bound fingerprint keys the shared-view registries. It needs a
-	// schema to bind against; a fresh clone of the prototype world gives
-	// exactly the schema every chain binds with.
-	if wl, _, werr := e.cloneWorld(); werr != nil {
-		lines = append(lines, "bound fingerprint: n/a ("+werr.Error()+")")
-	} else if bound, berr := ra.Bind(wl.DB(), comp.Plan); berr != nil {
-		lines = append(lines, "bound fingerprint: n/a ("+berr.Error()+")")
-	} else {
-		if bound.Source != comp.Plan {
-			// Bind projected join inputs onto the columns the query reads;
-			// show the narrow tree, which is the one every evaluator runs.
-			tree = append(ra.Render(bound.Source),
-				"column pruning: join inputs projected onto the columns read above them")
-		}
-		bfp := bound.Fingerprint()
-		lines = append(lines, "bound fingerprint: "+bfp)
-		if live, total := e.liveViewChains(bfp); live > 0 {
-			lines = append(lines, fmt.Sprintf(
-				"view sharing: reuse — a view with this fingerprint is live on %d/%d chains", live, total))
-		} else {
-			lines = append(lines, fmt.Sprintf(
-				"view sharing: fresh — no live view with this fingerprint on any of %d chains", total))
+	tree := ra.Render(comp.Stmt.Source) // the narrow tree every evaluator runs
+	if comp.Stmt.Source != comp.Plan {
+		tree = append(tree, "column pruning: join inputs projected onto the columns read above them")
+	}
+	// A query arriving now would subscribe to the views live under its
+	// fingerprint instead of mounting fresh ones.
+	live := 0
+	for _, c := range e.chains {
+		if c.reg.viewSeries(comp.Fingerprint) != nil {
+			live++
 		}
 	}
-	lines = append(lines, "result spec: "+specString(comp.Spec))
-	lines = append(lines, "plan cache: "+hitMiss(hit))
-	return append(tree, lines...), nil
+	sharing := fmt.Sprintf("view sharing: fresh — no live view with this fingerprint on any of %d chains", e.cfg.Chains)
+	if live > 0 {
+		sharing = fmt.Sprintf("view sharing: reuse — a view with this fingerprint is live on %d/%d chains", live, e.cfg.Chains)
+	}
+	return append(tree, "bound fingerprint: "+comp.Fingerprint, sharing,
+		"result spec: "+specString(comp.Spec), "plan cache: "+hitMiss(hit)), nil
 }
 
 // explainAnalyze is EXPLAIN ANALYZE SELECT: compile the target, execute
@@ -122,7 +110,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, target string, args []any) 
 		e.m.failed.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	st, err := e.strat.analyze(ctx, comp.Plan)
+	st, err := e.strat.analyze(ctx, comp.Stmt)
 	if err != nil {
 		if !errors.Is(err, ErrClosed) && !errors.Is(err, ctx.Err()) {
 			e.m.failed.Inc()
@@ -131,7 +119,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, target string, args []any) 
 		return nil, err
 	}
 	return append(st.Render(),
-		"plan fingerprint: "+comp.Fingerprint,
+		"bound fingerprint: "+comp.Fingerprint,
 		fmt.Sprintf("analyzed chains: %d", e.cfg.Chains),
 		"plan cache: "+hitMiss(hit)), nil
 }
@@ -181,32 +169,15 @@ func specString(spec ra.ResultSpec) string {
 	return sb.String()
 }
 
-// liveViewChains reports on how many chains of the pool a materialized
-// view with the given bound-plan fingerprint is currently live, plus the
-// pool size — the EXPLAIN view-sharing decision: a query arriving now
-// with that fingerprint would subscribe to those existing views instead
-// of mounting fresh ones.
-func (e *Engine) liveViewChains(fp string) (live, total int) {
-	for _, c := range e.chains {
-		for _, f := range c.reg.liveFingerprints() {
-			if f == fp {
-				live++
-				break
-			}
-		}
-	}
-	return live, e.cfg.Chains
-}
-
 // analyze runs the pipeline on every chain in the pool. Each chain
 // executes it against its own world at an epoch boundary, so the
 // aggregated actual-row counts are a cross-chain sample of the plan's
 // runtime behavior — per-chain variance in the possible worlds averages
 // out exactly the way the engine's marginal estimates do.
-func (p pool) analyze(ctx context.Context, plan ra.Plan) (*ra.StreamStats, error) {
+func (p pool) analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, error) {
 	stats := make([]*ra.StreamStats, len(p.chains))
 	if err := p.each(ctx, func(i int, c *chain) (err error) {
-		stats[i], err = analyzePlan(c.log.DB(), plan)
+		stats[i], err = analyzePlan(c.log.DB(), stmt)
 		return err
 	}); err != nil {
 		return nil, err

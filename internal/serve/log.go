@@ -60,7 +60,7 @@ func (e *Engine) finishTrace(tr *qtrace, outcome string) *QueryTrace {
 }
 
 // logSlowQuery emits one slow-query record: trace ID (the cross-
-// reference key into /debug/traces), plan fingerprint, outcome, wall
+// reference key into /debug/traces), bound fingerprint, outcome, wall
 // time, and the span breakdown with durations summed per span name
 // (retried collection passes repeat register/sample_wait/snapshot_merge).
 func (e *Engine) logSlowQuery(qt *QueryTrace) {

@@ -10,7 +10,6 @@ import (
 
 	"factordb/internal/exp"
 	"factordb/internal/metrics"
-	"factordb/internal/sqlparse"
 )
 
 // TestQueryTraceSpans pins the trace contract: opt-in tracing returns a
@@ -31,7 +30,7 @@ func TestQueryTraceSpans(t *testing.T) {
 	if tr.Outcome != "ok" {
 		t.Fatalf("outcome = %q, want ok", tr.Outcome)
 	}
-	if !strings.HasPrefix(tr.Plan, "qfp1:") && !strings.HasPrefix(tr.Plan, "bfp1:") {
+	if !strings.HasPrefix(tr.Plan, "bfp1:") {
 		t.Fatalf("trace carries no plan fingerprint: %q", tr.Plan)
 	}
 	if len(tr.Spans) == 0 {
@@ -257,11 +256,7 @@ func TestRateTracker(t *testing.T) {
 // and per-view gauges render on the metrics page.
 func TestEngineStatusAndHealthGauges(t *testing.T) {
 	eng := testEngine(t, Config{Chains: 2, Seed: 59})
-	plan, _, err := sqlparse.Compile(exp.Query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holdView(t, eng, plan).detach()
+	defer holdView(t, eng, exp.Query1).detach()
 
 	// Wait for the chain to produce a few epochs so the gauges have data.
 	deadline := time.Now().Add(10 * time.Second)

@@ -7,6 +7,7 @@ import (
 	"factordb/internal/core"
 	"factordb/internal/ivm"
 	"factordb/internal/ra"
+	"factordb/internal/relstore"
 	"factordb/internal/world"
 )
 
@@ -80,7 +81,7 @@ type ViewStat struct {
 }
 
 // viewRegistry is the per-chain shared-view table: it keys physical
-// views by the structural fingerprint of their bound plan, so any number
+// views by the fingerprint of their bound statement, so any number
 // of concurrent queries with equal plans — whatever their SQL spelling
 // or per-query options — cost one view maintenance per walk batch. Each
 // physical view is a private operator tree (ivm.NewView): plans that are
@@ -107,17 +108,18 @@ func newViewRegistry() *viewRegistry {
 	}
 }
 
-// acquire attaches a subscriber to the physical view for bound's
-// fingerprint, building and mounting the view if this is its first
-// subscriber. It reports whether an existing view was reused.
-func (r *viewRegistry) acquire(id viewID, bound *ra.Bound, target int64, done chan struct{},
-	final *atomic.Pointer[finalSnap]) (pv *physicalView, hit bool, err error) {
-	fp := bound.Fingerprint()
-	pv = r.byFP[fp]
+// acquire subscribes reg to the view for stmt's fingerprint fp, building
+// it over stmt mounted on db first if none is live; hit reports reuse.
+func (r *viewRegistry) acquire(reg *registration, stmt *ra.Bound, fp string, db *relstore.DB, target int64) (hit bool, err error) {
+	pv := r.byFP[fp]
 	if pv == nil {
-		view, err := ivm.NewView(bound)
+		tree, err := stmt.On(db)
 		if err != nil {
-			return nil, false, err
+			return false, err
+		}
+		view, err := ivm.NewView(tree)
+		if err != nil {
+			return false, err
 		}
 		pv = &physicalView{
 			fp:   fp,
@@ -135,12 +137,13 @@ func (r *viewRegistry) acquire(id viewID, bound *ra.Bound, target int64, done ch
 	} else {
 		hit = true
 	}
-	pv.subs[id] = &subscriber{target: target, start: pv.est.Samples(), done: done, final: final}
-	r.bySub[id] = pv
+	pv.subs[reg.id] = &subscriber{target: target, start: pv.est.Samples(), done: reg.done, final: &reg.final}
+	r.bySub[reg.id] = pv
 	r.statsMu.Lock()
 	pv.stat.subs = len(pv.subs)
 	r.statsMu.Unlock()
-	return pv, hit, nil
+	reg.cell, reg.wanted = pv.cell, &pv.wanted
+	return hit, nil
 }
 
 // dropSub detaches one subscriber (budget met, cancellation, or timeout).
@@ -195,17 +198,6 @@ func (r *viewRegistry) viewSeries(fp string) *sampleSeries {
 		return s.series
 	}
 	return nil
-}
-
-// liveFingerprints lists the fingerprints of this chain's live views.
-func (r *viewRegistry) liveFingerprints() []string {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	out := make([]string, 0, len(r.stats))
-	for fp := range r.stats {
-		out = append(out, fp)
-	}
-	return out
 }
 
 // empty reports whether no physical views are live (the chain may park).

@@ -2,16 +2,23 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"factordb/internal/exp"
+	"factordb/internal/ivm"
+	"factordb/internal/ra"
+	"factordb/internal/relstore"
 )
 
 // TestCacheKeysOnFingerprint is the regression test for result-cache
 // keying: the cache used to key on the raw SQL string, so whitespace,
 // keyword-case, alias, and flipped-comparison variants of one query never
-// hit. Keying on the canonical plan's fingerprint makes them one entry.
+// hit. Keying on the bound statement's fingerprint makes them one entry —
+// but only alongside the output column names, which the fingerprint
+// leaves out and a cached answer carries.
 func TestCacheKeysOnFingerprint(t *testing.T) {
 	eng := testEngine(t, Config{Chains: 2, Seed: 41})
 	ctx := context.Background()
@@ -76,6 +83,69 @@ func TestCacheKeysOnFingerprint(t *testing.T) {
 	}
 	if ranked.Len() > 2 {
 		t.Errorf("ranked answer has %d tuples, want <= 2", ranked.Len())
+	}
+
+	// Query 2 renamed shares Query 2's fingerprint, and so its views, but
+	// not its columns: it must not be answered under the other name.
+	if _, err := eng.Query(ctx, exp.Query2, QueryOptions{Samples: 8}); err != nil {
+		t.Fatal(err)
+	}
+	renamed, err := eng.Query(ctx, strings.Replace(exp.Query2, "AS PERSONS", "AS N", 1), QueryOptions{Samples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renamed.Cached {
+		t.Error("Query 2 spelled AS N was served from the AS PERSONS cache entry")
+	}
+	if cols := renamed.Columns(); len(cols) != 1 || cols[0] != "N" {
+		t.Errorf("Query 2 spelled AS N reports columns %v, want [N]", cols)
+	}
+}
+
+// TestCompiledStatementRefersToNoWorld pins what a plan-cache entry
+// keeps: a statement bound once against the schema that no executor runs
+// until it is mounted on a world. Run unmounted, it fails instead of
+// reading the prototype its schema came from; and a pool write, which
+// lands on the chains' worlds, is answered by the engine but never
+// reaches the prototype.
+func TestCompiledStatementRefersToNoWorld(t *testing.T) {
+	eng := testEngine(t, Config{Chains: 1, Seed: 47})
+	ctx := context.Background()
+	const q = `SELECT STRING FROM TOKEN WHERE TOK_ID = 5`
+	comp, _, err := eng.plans.CompileQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ra.Stream(comp.Stmt); !errors.Is(err, ra.ErrUnmounted) {
+		t.Errorf("ra.Stream of the unmounted statement = %v, want ErrUnmounted", err)
+	}
+	if _, _, _, err := ra.AnalyzeStream(comp.Stmt); !errors.Is(err, ra.ErrUnmounted) {
+		t.Errorf("ra.AnalyzeStream of the unmounted statement = %v, want ErrUnmounted", err)
+	}
+	if _, err := ivm.NewView(comp.Stmt); !errors.Is(err, ra.ErrUnmounted) {
+		t.Errorf("ivm.NewView of the unmounted statement = %v, want ErrUnmounted", err)
+	}
+
+	if _, err := eng.Exec(ctx, `UPDATE TOKEN SET STRING = 'Zzz' WHERE TOK_ID = 5`, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(ctx, q, QueryOptions{Samples: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Value(0, 0).AsString() != "Zzz" {
+		t.Errorf("after the write the engine answers %d tuples, want only Zzz", res.Len())
+	}
+	proto, err := comp.Stmt.On(eng.src.WorldDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag, err := ra.Eval(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bag.Size() != 1 || bag.Count(relstore.Tuple{relstore.String("Zzz")}.Key()) != 0 {
+		t.Error("the pool write reached the prototype world")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"factordb/internal/core"
 	"factordb/internal/exp"
-	"factordb/internal/sqlparse"
 )
 
 // testSystem builds one small trained NER system shared by every test in
@@ -315,11 +314,7 @@ func TestCloseDuringInflightQuery(t *testing.T) {
 // walked from its cell instead of nothing.
 func TestStoppingChainPublishes(t *testing.T) {
 	eng := testEngine(t, Config{Chains: 1, Seed: 31})
-	plan, _, err := sqlparse.Compile(exp.Query1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := holdView(t, eng, plan)
+	reg := holdView(t, eng, exp.Query1)
 	deadline := time.Now().Add(10 * time.Second)
 	for eng.m.samples.Value() < 4 {
 		if time.Now().After(deadline) {

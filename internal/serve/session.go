@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"factordb/internal/core"
-	"factordb/internal/ra"
 	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
@@ -207,13 +206,11 @@ func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Res
 	}
 
 	// Compile through the plan cache, keyed on the exact SQL byte string:
-	// a repeated spelling skips lexing, parsing and canonicalization and
-	// jumps straight to the fingerprint, and a repeated statement with
-	// placeholders skips the parse and binds its kept tree. The result
-	// cache below still keys on the canonical plan's fingerprint rather
-	// than the SQL text, so whitespace, keyword case, alias spelling,
-	// predicate-order and placeholder variants of one query remain one
-	// result entry either way.
+	// a repeated spelling skips lexing, parsing, planning and binding, and
+	// a repeated statement with placeholders skips the parse. The result
+	// cache below keys on the bound fingerprint rather than the SQL text,
+	// so whitespace, keyword case, alias spelling, predicate-order and
+	// placeholder variants of one query remain one result entry.
 	begin := time.Now()
 	comp, cached, err := e.plans.Lookup(sql, sqlparse.UseQuery)
 	if err == nil && comp.Explain != nil {
@@ -275,8 +272,7 @@ func (e *Engine) fillOpts(opts QueryOptions) (QueryOptions, error) {
 // admission, write-consistent collection over the chain pool, merge,
 // rank, and cache fill.
 func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
-	plan, spec, fp := comp.Plan, comp.Spec, comp.Fingerprint
-	tr.setPlan(fp)
+	tr.setPlan(comp.Fingerprint)
 	// The key adds the result-level spec (ORDER BY P / LIMIT shape the
 	// cached presentation) and the per-query options that scale the
 	// estimate; plan identity itself is options-free. The data epoch
@@ -285,10 +281,10 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	// unreachable — a cached pre-write answer can never be served after
 	// the write, however the query was spelled. The key is appended into
 	// a stack buffer, so a probe allocates nothing.
-	var keyBuf [128]byte
+	var keyBuf [192]byte
 	if !opts.NoCache {
 		tr.span("cache_probe")
-		key := appendCacheKey(keyBuf[:0], e.dataEpoch.Load(), fp, spec, opts)
+		key := appendCacheKey(keyBuf[:0], e.dataEpoch.Load(), comp, opts)
 		if frozen, ok := e.cache.get(key, time.Now()); ok {
 			e.m.hits.Inc()
 			// A fresh header over the shared answer: the per-request
@@ -337,7 +333,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	for attempt := 0; ; attempt++ {
 		epoch0 = e.dataEpoch.Load()
 		var err error
-		col, err = e.strat.collectOnce(ctx, plan, spec, opts, z, tr)
+		col, err = e.strat.collectOnce(ctx, comp, opts, z, tr)
 		if err != nil {
 			e.finishTrace(tr, "error")
 			return nil, err
@@ -386,7 +382,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		EarlyStop:  earlyStop,
 		Elapsed:    time.Since(start),
 		cols:       comp.Cols,
-		tuples:     core.SortTupleCIs(merged.ResultsCI(z), spec),
+		tuples:     core.SortTupleCIs(merged.ResultsCI(z), comp.Spec),
 		wire:       new(encoding),
 	}
 	e.m.queries.Inc()
@@ -407,7 +403,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	if !opts.NoCache && !partial && e.dataEpoch.Load() == epoch0 {
 		frozen := *res // the entry's own header, free of this request's fields
 		frozen.SQL, frozen.Trace = "", nil
-		e.cache.put(appendCacheKey(keyBuf[:0], epoch0, fp, spec, opts), &frozen, time.Now())
+		e.cache.put(appendCacheKey(keyBuf[:0], epoch0, comp, opts), &frozen, time.Now())
 	}
 	return res, nil
 }
@@ -434,7 +430,7 @@ type collection struct {
 // budget (or cancellation, shutdown, or ranked early stop), detaches the
 // chains that did not complete, and merges the per-chain snapshots. Each
 // call is self-contained: its views are detached before it returns.
-func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
+func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	opts QueryOptions, z float64, tr *qtrace) (col collection, err error) {
 	perChain := int64((opts.Samples + len(p.chains) - 1) / len(p.chains))
 	regs := make([]*registration, 0, len(p.chains))
@@ -453,7 +449,7 @@ func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
 		}
 		var hit bool
 		if err := c.call(ctx, func() (err error) {
-			hit, err = c.register(reg, plan, perChain)
+			hit, err = c.register(reg, comp.Stmt, comp.Fingerprint, perChain)
 			return err
 		}); err != nil {
 			p.m.failed.Inc()
@@ -474,7 +470,7 @@ func (p pool) collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
 	// Ranked queries watch the merged snapshots while waiting: when the
 	// top k separates, the remaining budget is handed back to the pool.
 	var tick <-chan time.Time
-	if spec.TopKByProb() {
+	if comp.Spec.TopKByProb() {
 		ticker := time.NewTicker(topKCheckInterval)
 		defer ticker.Stop()
 		tick = ticker.C
@@ -519,7 +515,7 @@ wait:
 				}
 				if ep := epochSum(regs); ep != lastEpochs {
 					lastEpochs = ep
-					if topKSeparated(regs, spec.Limit, z) {
+					if topKSeparated(regs, comp.Spec.Limit, z) {
 						col.earlyStop = true
 						p.m.topkStops.Inc()
 						break wait
@@ -605,15 +601,19 @@ func topKSeparated(regs []*registration, k int64, z float64) bool {
 }
 
 // appendCacheKey appends the result-cache key of an evaluation to dst:
-// the data epoch, the plan fingerprint, the result spec and the options
-// that scale the estimate.
-func appendCacheKey(dst []byte, epoch int64, fp string, spec ra.ResultSpec, opts QueryOptions) []byte {
+// the data epoch, the bound fingerprint, the output names it leaves out,
+// the result spec and the options that scale the estimate.
+func appendCacheKey(dst []byte, epoch int64, comp *sqlparse.Compiled, opts QueryOptions) []byte {
 	dst = append(dst, 'w')
 	dst = strconv.AppendInt(dst, epoch, 10)
 	dst = append(dst, '|')
-	dst = append(dst, fp...)
+	dst = append(dst, comp.Fingerprint...)
+	for _, c := range comp.Cols {
+		dst = append(strconv.AppendInt(append(dst, '|'), int64(len(c)), 10), ':')
+		dst = append(dst, c...)
+	}
 	dst = append(dst, "|o="...)
-	for _, o := range spec.Order {
+	for _, o := range comp.Spec.Order {
 		if o.ByProb {
 			dst = append(dst, 'P')
 		} else {
@@ -626,7 +626,7 @@ func appendCacheKey(dst []byte, epoch int64, fp string, spec ra.ResultSpec, opts
 		}
 	}
 	dst = append(dst, ";l="...)
-	dst = strconv.AppendInt(dst, spec.Limit, 10)
+	dst = strconv.AppendInt(dst, comp.Spec.Limit, 10)
 	dst = append(dst, "|n="...)
 	dst = strconv.AppendInt(dst, int64(opts.Samples), 10)
 	dst = append(dst, "|c="...)

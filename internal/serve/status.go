@@ -44,7 +44,7 @@ type ChainStatus struct {
 }
 
 // ViewHealth is one live shared view aggregated across the pool: its
-// plan fingerprint, the total subscriber refcount, the per-chain sample
+// bound fingerprint, the total subscriber refcount, the per-chain sample
 // counts' minimum (the least-served chain bounds merged answers), and
 // the cross-chain convergence diagnostics over the view's per-sample
 // answer cardinality. RHat and ESS are nil until enough observations

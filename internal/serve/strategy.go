@@ -7,6 +7,7 @@ import (
 	"factordb/internal/core"
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
+	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
 
@@ -16,9 +17,9 @@ import (
 // around it (plan cache, result cache, admission, tracing, logging,
 // ranking, WAL, data epoch) belongs to the Engine and exists once.
 type strategy interface {
-	// collectOnce runs one sampling pass of plan up to opts.Samples (or
+	// collectOnce runs one sampling pass of comp up to opts.Samples (or
 	// cancellation, or shutdown) and returns the merged estimate.
-	collectOnce(ctx context.Context, plan ra.Plan, spec ra.ResultSpec,
+	collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 		opts QueryOptions, z float64, tr *qtrace) (collection, error)
 	// resolve turns mut into row-level ops against the current world
 	// without applying them.
@@ -26,9 +27,9 @@ type strategy interface {
 	// apply lands resolved ops on every world copy. It runs after the WAL
 	// append, under the write lock, and is not cancellable.
 	apply(ops []world.Op, tr *qtrace) error
-	// analyze runs one instrumented evaluation of plan per world copy
+	// analyze runs one instrumented evaluation of stmt per world copy
 	// and merges the per-operator counters.
-	analyze(ctx context.Context, plan ra.Plan) (*ra.StreamStats, error)
+	analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, error)
 }
 
 // pool is the served strategy: the engine's long-lived chains, whose
@@ -49,14 +50,16 @@ type private struct {
 	mode core.Mode
 }
 
-func (p private) collectOnce(ctx context.Context, plan ra.Plan, _ ra.ResultSpec,
+func (p private) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	opts QueryOptions, _ float64, tr *qtrace) (collection, error) {
 	tr.span("clone_world")
-	log, proposer, err := p.cloneWorld()
+	p.writeMu.RLock() // the clone is wholly before or after any write
+	log, proposer, err := p.src.NewChainWorld(0)
+	p.writeMu.RUnlock()
 	if err != nil {
 		return collection{}, err
 	}
-	ev, err := core.NewEvaluator(p.mode, log, proposer, plan, p.cfg.StepsPerSample, p.cfg.Seed)
+	ev, err := core.NewEvaluator(p.mode, log, proposer, comp.Plan, p.cfg.StepsPerSample, p.cfg.Seed)
 	if err != nil {
 		p.m.failed.Inc()
 		return collection{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
@@ -91,7 +94,7 @@ func (p private) resolve(_ context.Context, mut ra.Mutation) ([]world.Op, error)
 }
 
 // apply mutates the prototype world. The caller holds the write lock, so
-// no cloneWorld observes a half-applied batch. The change log is
+// no reader observes a half-applied batch. The change log is
 // throwaway: the prototype has no views to maintain, and chains clone the
 // store, not the delta.
 func (p private) apply(ops []world.Op, tr *qtrace) error {
@@ -100,18 +103,17 @@ func (p private) apply(ops []world.Op, tr *qtrace) error {
 	return err
 }
 
-func (p private) analyze(_ context.Context, plan ra.Plan) (*ra.StreamStats, error) {
-	log, _, err := p.cloneWorld()
-	if err != nil {
-		return nil, err
-	}
-	return analyzePlan(log.DB(), plan)
+func (p private) analyze(_ context.Context, stmt *ra.Bound) (*ra.StreamStats, error) {
+	p.writeMu.RLock() // the clone is wholly before or after any write
+	db := p.src.WorldDB().Clone()
+	p.writeMu.RUnlock()
+	return analyzePlan(db, stmt)
 }
 
-// analyzePlan binds plan against db and runs the instrumented streaming
+// analyzePlan mounts stmt on db and runs the instrumented streaming
 // pipeline once, returning per-operator counters.
-func analyzePlan(db *relstore.DB, plan ra.Plan) (*ra.StreamStats, error) {
-	bound, err := ra.Bind(db, plan)
+func analyzePlan(db *relstore.DB, stmt *ra.Bound) (*ra.StreamStats, error) {
+	bound, err := stmt.On(db)
 	if err != nil {
 		return nil, err
 	}

@@ -142,7 +142,7 @@ func (t *qtrace) splitTail(name string, tailNS int64) {
 	t.start = now.Add(-time.Duration(tailNS))
 }
 
-// setPlan records the canonical plan fingerprint.
+// setPlan records the statement's bound fingerprint.
 func (t *qtrace) setPlan(fp string) {
 	if t == nil {
 		return

@@ -184,15 +184,23 @@ func TestFrontEndBudget(t *testing.T) {
 	}
 
 	// The same statement with its literals as placeholders: a cached
-	// entry keeps the tree, so an execution binds and plans a copy and
-	// never parses again. A bypassed cache must fail this gate too.
+	// entry keeps the tree, so an execution with arguments not bound
+	// before binds and plans a copy and never parses again. The gate
+	// cycles through twice as many argument lists as the cache holds, so
+	// no execution finds its arguments' plan kept; a bypassed cache must
+	// fail it too.
 	bindSQL := strings.NewReplacer(`'Boston'`, `?`, `'B-ORG'`, `?`, `'B-PER'`, `?`).Replace(sql)
-	args := []any{"Boston", "B-ORG", "B-PER"}
+	argSets := make([][]any, 2*DefaultPlanCacheSize)
+	for i := range argSets {
+		argSets[i] = []any{"City" + strconv.Itoa(i), "B-ORG", "B-PER"}
+	}
+	var calls int
 	bind := func(pc *PlanCache) func() {
 		return func() {
 			c, _, err := pc.Lookup(bindSQL, UseQuery)
 			if err == nil {
-				_, err = c.Bind(args)
+				calls++
+				_, err = c.Bind(argSets[calls%len(argSets)])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -207,6 +215,26 @@ func TestFrontEndBudget(t *testing.T) {
 	}
 	if bypassed := testing.AllocsPerRun(20, bind(nil)); bypassed <= bindMax && !raceEnabled {
 		t.Errorf("with the cache bypassed a bound execution allocates %v objects and still passes the bind gate", bypassed)
+	}
+	// Executions alternating between argument lists bound before plan
+	// nothing: each finds its own arguments' entry, not only the last.
+	c, _, err := pc.Lookup(bindSQL, UseQuery)
+	for _, args := range argSets[:2] {
+		if err == nil {
+			_, err = c.Bind(args)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := testing.AllocsPerRun(100, func() {
+		calls++
+		if _, err := c.Bind(argSets[calls%2]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if again != 0 && !raceEnabled {
+		t.Errorf("re-executing a cached placeholder statement with earlier arguments allocates %v objects, want 0", again)
 	}
 
 	coldNS := testing.Benchmark(func(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPlanCacheHitMiss(t *testing.T) {
-	pc := NewPlanCache(4)
+	pc := NewSchemaPlanCache(testDB(t), 4)
 	c1, hit, err := pc.CompileQuery(query1)
 	if err != nil {
 		t.Fatal(err)
@@ -17,8 +17,9 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	if hit {
 		t.Error("first compile reported a hit")
 	}
-	if c1.Plan == nil || c1.Fingerprint == "" || len(c1.Cols) != 1 || c1.Cols[0] != "STRING" {
-		t.Fatalf("Compiled = %+v, want plan, fingerprint and [STRING] columns", c1)
+	if c1.Plan == nil || c1.Stmt == nil || c1.Fingerprint != c1.Stmt.Fingerprint() ||
+		len(c1.Cols) != 1 || c1.Cols[0] != "STRING" {
+		t.Fatalf("Compiled = %+v, want plan, bound statement, its fingerprint and [STRING] columns", c1)
 	}
 	c2, hit, err := pc.CompileQuery(query1)
 	if err != nil {
@@ -113,7 +114,11 @@ func TestPlanCacheUnboundPlaceholderError(t *testing.T) {
 }
 
 func TestPlanCacheConcurrent(t *testing.T) {
-	pc := NewPlanCache(8)
+	pc := NewSchemaPlanCache(testDB(t), 8)
+	want := make([]string, 12)
+	for i := range want {
+		want[i] = fingerprintOf(t, fmt.Sprintf("SELECT STRING FROM TOKEN WHERE TOK_ID=%d", i))
+	}
 	done := make(chan error, 16)
 	for g := 0; g < 16; g++ {
 		go func(g int) {
@@ -121,10 +126,13 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200 && err == nil; i++ {
 				sql := fmt.Sprintf("SELECT STRING FROM TOKEN WHERE TOK_ID=%d", i%12)
 				_, _, err = pc.CompileQuery(sql)
-				// Every goroutine binds the one kept placeholder tree.
+				// Every goroutine binds the one kept placeholder tree, and
+				// gets its own arguments' plan whoever bound last.
 				var c *Compiled
 				if c, _, err = pc.Lookup("SELECT STRING FROM TOKEN WHERE TOK_ID=?", UseQuery); err == nil {
-					_, err = c.Bind([]any{i})
+					if c, err = c.Bind([]any{i % 12}); err == nil && c.Fingerprint != want[i%12] {
+						err = fmt.Errorf("Bind(%d) fingerprint %s, want %s", i%12, c.Fingerprint, want[i%12])
+					}
 				}
 			}
 			done <- err
@@ -145,7 +153,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 // a bound copy that fingerprints like the inlined spelling, and the kept
 // tree survives binding unchanged.
 func TestPlanCacheKeepsPlaceholderStatements(t *testing.T) {
-	pc := NewPlanCache(4)
+	pc := NewSchemaPlanCache(testDB(t), 4)
 	const param = `SELECT STRING FROM TOKEN WHERE LABEL=? AND DOC_ID=?`
 	c, hit, err := pc.Lookup(param, UsePrepare)
 	if err != nil || hit || c.Params != 2 {
@@ -164,6 +172,30 @@ func TestPlanCacheKeepsPlaceholderStatements(t *testing.T) {
 		if want := fingerprintOf(t, inlined); bound.Fingerprint != want {
 			t.Errorf("Bind(%v) fingerprint %s, inlined %s", args, bound.Fingerprint, want)
 		}
+	}
+	// Arguments bound before, not only the previous ones, reuse their
+	// entry. The key is the literal an argument binds as, so a []byte
+	// matches its string and an int its int64 — but never its float —
+	// and a reused buffer keys on what it holds now.
+	first, err := c.Bind([]any{"B-ORG", 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Bind([]any{"B-PER", int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("B-ORG")
+	for _, args := range [][]any{{"B-ORG", 7}, {buf, int64(7)}} {
+		if again, err := c.Bind(args); err != nil || again != first {
+			t.Errorf("Bind%v = %p, %v; want the entry bound first %p", args, again, err, first)
+		}
+	}
+	if asFloat, err := c.Bind([]any{"B-ORG", 7.0}); err != nil || asFloat == first {
+		t.Errorf("Bind of a float argument reused the int's entry (err %v)", err)
+	}
+	copy(buf, "B-PER")
+	if other, err := c.Bind([]any{buf, 7}); err != nil || other.Fingerprint == first.Fingerprint {
+		t.Errorf("Bind after the argument buffer changed reused the previous entry (err %v)", err)
 	}
 	if _, err := c.Bind([]any{"B-PER"}); err == nil || !strings.Contains(err.Error(), "2 placeholders, got 1") {
 		t.Errorf("Bind with too few args = %v", err)

@@ -11,33 +11,29 @@ import (
 )
 
 // fingerprintCases are the paper's evaluation queries; the golden file
-// pins both fingerprint levels for each:
-//
-//   - the logical fingerprint of the compiled (canonical) plan, which
-//     keys the serving engine's result cache, and
-//   - the structural fingerprint of the plan bound against the TOKEN
-//     catalog, which keys the per-chain shared-view registries.
+// pins the fingerprint of each as the plan cache binds it against the
+// TOKEN catalog — the statement's one identity, which keys the serving
+// engine's result cache (with the output column names) and its per-chain
+// shared-view registries.
 //
 // These values are a compatibility contract: they must not drift across
-// releases within one encoding version ("qfp1:"/"bfp1:"), because cached
-// results and shared views are keyed by them. An intentional encoding
-// change must bump the version prefixes and regenerate the golden file
-// (rerun this test with UPDATE_FINGERPRINTS=1).
+// releases within one encoding version ("bfp1:"). An intentional
+// encoding change must bump the version prefix and regenerate the golden
+// file (rerun this test with UPDATE_FINGERPRINTS=1).
 //
-// The bound fingerprint hashes the tree ra.Bind returns, which is the
+// The fingerprint hashes the tree ra.Bind returns, which is the
 // column-pruned one: query3 and query4 (joins) were re-keyed, under the
 // same encoding, when Bind began inserting projections under join
 // inputs; query1 and query2 have no join and kept their values. query3
-// was re-keyed again, at both levels, when the planner put its subquery
-// filter on the group side of the join. Bound fingerprints key
-// in-memory view registries only, so a re-key of a plan's tree costs
-// nothing persisted.
+// was re-keyed again when the planner put its subquery filter on the
+// group side of the join. Fingerprints key in-memory caches and view
+// registries only, so a re-key of a plan's tree costs nothing persisted.
 //
-// query4 and query4ranked deliberately share both fingerprints: ORDER BY
+// query4 and query4ranked deliberately share a fingerprint: ORDER BY
 // P DESC LIMIT 10 is result-level presentation (the ra.ResultSpec), not
 // plan structure, so the ranked query shares the unranked query's
 // physical views — only the result cache distinguishes them, by keying
-// on (fingerprint, spec, options).
+// on (fingerprint, columns, spec, options).
 var fingerprintCases = []struct {
 	name string
 	sql  string
@@ -54,19 +50,15 @@ var updateFingerprints = os.Getenv("UPDATE_FINGERPRINTS") != ""
 func TestFingerprintGolden(t *testing.T) {
 	db := testDB(t)
 	var lines []string
-	got := make(map[string][2]string, len(fingerprintCases))
+	got := make(map[string]string, len(fingerprintCases))
+	pc := NewSchemaPlanCache(db, 0)
 	for _, tc := range fingerprintCases {
-		plan, _, err := Compile(tc.sql)
+		c, _, err := pc.CompileQuery(tc.sql)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", tc.name, err)
+			t.Fatalf("CompileQuery(%s): %v", tc.name, err)
 		}
-		logical := ra.PlanFingerprint(plan)
-		bound, err := ra.Bind(db, plan)
-		if err != nil {
-			t.Fatalf("Bind(%s): %v", tc.name, err)
-		}
-		got[tc.name] = [2]string{logical, bound.Fingerprint()}
-		lines = append(lines, fmt.Sprintf("%s %s %s", tc.name, logical, bound.Fingerprint()))
+		got[tc.name] = c.Fingerprint
+		lines = append(lines, fmt.Sprintf("%s %s", tc.name, c.Fingerprint))
 	}
 
 	golden := filepath.Join("testdata", "fingerprints.golden")
@@ -86,23 +78,18 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		f := strings.Fields(line)
-		if len(f) != 3 {
+		if len(f) != 2 {
 			t.Fatalf("malformed golden line %q", line)
 		}
-		want, ok := got[f[0]]
+		fp, ok := got[f[0]]
 		if !ok {
 			t.Errorf("golden query %q no longer tested", f[0])
 			continue
 		}
-		if want[0] != f[1] {
-			t.Errorf("%s: logical fingerprint drifted\n got %s\nwant %s\n"+
-				"(cached results key on this; an intentional canonical-form change must bump the qfp version)",
-				f[0], want[0], f[1])
-		}
-		if want[1] != f[2] {
-			t.Errorf("%s: bound fingerprint drifted\n got %s\nwant %s\n"+
-				"(shared views key on this; an intentional encoding change must bump the bfp version)",
-				f[0], want[1], f[2])
+		if fp != f[1] {
+			t.Errorf("%s: fingerprint drifted\n got %s\nwant %s\n"+
+				"(cached results and shared views key on this; an intentional encoding change must bump the bfp version)",
+				f[0], fp, f[1])
 		}
 		delete(got, f[0])
 	}
@@ -115,18 +102,14 @@ func TestFingerprintGolden(t *testing.T) {
 // SQL front end: spelling variants of the paper queries compile to equal
 // fingerprints, and genuinely different queries never collide.
 func TestFingerprintSQLEquivalence(t *testing.T) {
-	db := testDB(t)
-	fps := func(sql string) [2]string {
+	pc := NewSchemaPlanCache(testDB(t), 0)
+	fps := func(sql string) string {
 		t.Helper()
-		plan, _, err := Compile(sql)
+		c, _, err := pc.CompileQuery(sql)
 		if err != nil {
-			t.Fatalf("Compile(%q): %v", sql, err)
+			t.Fatalf("CompileQuery(%q): %v", sql, err)
 		}
-		bound, err := ra.Bind(db, plan)
-		if err != nil {
-			t.Fatalf("Bind(%q): %v", sql, err)
-		}
-		return [2]string{ra.PlanFingerprint(plan), bound.Fingerprint()}
+		return c.Fingerprint
 	}
 
 	equiv := []struct {
@@ -152,6 +135,12 @@ func TestFingerprintSQLEquivalence(t *testing.T) {
 		{"subquery alias renaming",
 			query3,
 			strings.NewReplacer("T1", "ZZ", "T.", "OUTER_T.", " T ", " OUTER_T ").Replace(query3)},
+		{"unqualified outer IN-subquery column",
+			`SELECT TOK_ID FROM TOKEN WHERE DOC_ID IN (SELECT DOC_ID FROM TOKEN WHERE STRING='Boston')`,
+			`SELECT T.TOK_ID FROM TOKEN T WHERE T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.STRING='Boston')`},
+		{"unqualified outer IN-subquery column after a filter",
+			`SELECT TOK_ID FROM TOKEN WHERE LABEL='B-PER' AND DOC_ID IN (SELECT DOC_ID FROM TOKEN WHERE STRING='Boston')`,
+			`SELECT T.TOK_ID FROM TOKEN T WHERE T.LABEL='B-PER' AND T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.STRING='Boston')`},
 	}
 	for _, tc := range equiv {
 		if a, b := fps(tc.a), fps(tc.b); a != b {
@@ -164,7 +153,7 @@ func TestFingerprintSQLEquivalence(t *testing.T) {
 		`SELECT LABEL FROM TOKEN WHERE LABEL='B-PER'`,  // different projection than query1
 		query4 + ` ORDER BY STRING LIMIT 3`,            // extra plan-level operator
 	}
-	seen := make(map[[2]string]string)
+	seen := make(map[string]string)
 	for _, sql := range distinct {
 		fp := fps(sql)
 		if prev, dup := seen[fp]; dup {

@@ -20,6 +20,8 @@ var placementCorpus = []string{
 	pairQuery,
 	`SELECT T.STRING FROM TOKEN T WHERE EXISTS (SELECT * FROM TOKEN T1 WHERE T1.LABEL='B-ORG' AND T1.DOC_ID=T.DOC_ID)`,
 	`SELECT T.STRING FROM TOKEN T WHERE T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.LABEL='B-ORG')`,
+	`SELECT TOK_ID FROM TOKEN WHERE DOC_ID IN (SELECT DOC_ID FROM TOKEN WHERE STRING='Boston')`,
+	`SELECT TOK_ID FROM TOKEN WHERE LABEL='B-PER' AND DOC_ID IN (SELECT DOC_ID FROM TOKEN WHERE STRING='Boston')`,
 	`SELECT T2.STRING FROM TOKEN T1 JOIN TOKEN T2 ON T1.DOC_ID = T2.DOC_ID WHERE T1.LABEL = 'B-PER'`,
 	`SELECT T1.STRING, M.MENTION_ID FROM TOKEN T1, TOKEN T2, MENTION M
 		WHERE T1.DOC_ID = T2.DOC_ID AND T1.TOK_ID < T2.TOK_ID AND T2.STRING = M.STRING AND M.CLUSTER > 0`,

@@ -106,7 +106,11 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 			groupPlans = append(groupPlans, *gp)
 			continue
 		case c.In != nil && c.In.Sub != nil:
-			gp, err := lowerInSub(c.Left, c.In.Sub, aliases, subEqIndex)
+			left := c.Left
+			if left.Qual == "" { // the one table in FROM, if there is one
+				left.Qual = singleTable
+			}
+			gp, err := lowerInSub(left, c.In.Sub, aliases, subEqIndex)
 			if err != nil {
 				return nil, spec, err
 			}

@@ -325,8 +325,8 @@ func TestQueryTraceFacade(t *testing.T) {
 		if tr.Outcome != "ok" {
 			t.Errorf("local trace outcome %q", tr.Outcome)
 		}
-		if !strings.HasPrefix(tr.Plan, "qfp1:") {
-			t.Errorf("local trace fingerprint %q lacks the canonical-plan prefix", tr.Plan)
+		if !strings.HasPrefix(tr.Plan, "bfp1:") {
+			t.Errorf("local trace fingerprint %q lacks the bound-statement prefix", tr.Plan)
 		}
 		found := false
 		for _, rt := range db.RecentTraces() {

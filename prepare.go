@@ -6,7 +6,8 @@ import "context"
 // statement is compiled once, at Prepare, into the database's plan cache,
 // and every execution finds it there — a statement with ? placeholders
 // keeps its parsed syntax tree in the cache, so an execution binds the
-// arguments as literals into a copy and re-plans without parsing again.
+// arguments as literals into a copy and re-plans without parsing again,
+// and one with arguments bound before finds their plan kept there too.
 // Stmt is safe for concurrent use and holds no engine resources. Should
 // the statement be evicted from the cache (WithPlanCache bounds it), its
 // next execution compiles it again.
@@ -41,9 +42,9 @@ func (s *Stmt) Close() error { return nil }
 
 // Query executes a prepared SELECT with the given placeholder arguments
 // and the DB's default query options. Results are identical to
-// DB.Query with the literals inlined: the bound tree is re-planned and
-// canonicalized, so the plan fingerprint — and with it result-cache and
-// shared-view identity — matches the inlined spelling exactly.
+// DB.Query with the literals inlined: the bound tree is re-planned,
+// canonicalized and bound, so its fingerprint — and with it result-cache
+// and shared-view identity — matches the inlined spelling exactly.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	return s.db.query(ctx, s.sql, args, nil)
 }

@@ -27,9 +27,9 @@ func Samples(n int) QueryOption { return func(o *queryOptions) { o.Samples = n }
 func Confidence(c float64) QueryOption { return func(o *queryOptions) { o.Confidence = c } }
 
 // NoCache bypasses the served-mode result cache for this query. The
-// cache is keyed by the canonical plan's fingerprint plus the query
-// options, not the SQL text: spelling variants of one query share an
-// entry, while different budgets or confidence levels do not.
+// cache is keyed by the statement's bound fingerprint, output names and
+// query options, not the SQL text: spelling variants of one query share
+// an entry, while different budgets or confidence levels do not.
 func NoCache() QueryOption { return func(o *queryOptions) { o.NoCache = true } }
 
 // AllowPartial opts into anytime semantics: if the context expires (or
@@ -70,7 +70,7 @@ func (db *DB) Query(ctx context.Context, sql string, opts ...QueryOption) (*Rows
 // plan cache (EXPLAIN included) and returns the output column names with
 // the result — the facade compiles nothing. The planner emits canonical
 // plans (ra.Canonicalize), and the engine keys both its result cache and
-// its per-chain shared views by plan fingerprint rather than SQL text —
+// its per-chain shared views by their bound fingerprint, not SQL text —
 // so however a query reaches the engine and however it is spelled, with
 // literals or bound placeholders, equal queries share cache entries and
 // materialized views.

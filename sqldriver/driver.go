@@ -28,7 +28,7 @@
 // on first use, not per connection: all pooled connections share one
 // underlying factordb.DB, which is released when the sql.DB is closed.
 // In served mode the engine identifies queries by the fingerprint of
-// their canonical plan rather than the SQL text, so spelling variants of
+// their bound plan rather than the SQL text, so spelling variants of
 // one query issued across pooled connections share a result-cache entry
 // and, while concurrently in flight, one materialized view per chain.
 //
@@ -52,9 +52,9 @@
 // A statement is compiled into the database's plan cache once, whichever
 // way it arrives: a statement with placeholders keeps its parsed syntax
 // tree there, and each execution binds the arguments into a copy and
-// re-plans, which — because plans are canonicalized before
-// fingerprinting — yields the same plan fingerprint, cache entries, and
-// shared views as the query with its literals inlined. Ad-hoc
+// re-plans it, which — because plans are canonicalized before they are
+// bound and fingerprinted — yields the same fingerprint, cache entries,
+// and shared views as the query with its literals inlined. Ad-hoc
 // QueryContext/ExecContext calls with args look the statement up the
 // same way.
 package sqldriver
