@@ -107,7 +107,7 @@
 //	exec      fanout              pool        ops delivered until every chain has applied them
 //	exec      burn_in             pool        the re-equilibration walk; opens when the slowest chain has applied the ops
 //	exec      delta_fold          pool        folding the delta into every live view; opens when the slowest chain ends burn_in
-//	exec      republish           pool        the empty snapshot republished to readers; opens when the slowest chain ends delta_fold
+//	exec      republish           pool        from the slowest chain's delta fold to the fan-out's return; copies nothing (a stable name)
 //	exec      apply               private     mutating the prototype world
 //	exec      cache_invalidate    all         the data-epoch bump
 //	recovery  snapshot_load       all         attr snapshot_epoch
@@ -186,7 +186,8 @@
 // the chains' worlds never diverge. Each chain absorbs them at an epoch
 // boundary, walks a configurable burn-in, and resets the estimators of
 // its live views; a query in flight across a write re-collects rather
-// than blend pre- and post-write samples, and queries issued after Exec
+// than blend pre- and post-write samples (one cut short merges only the
+// chains at the newest write generation), and queries issued after Exec
 // returns never observe pre-write state. Resolution evaluates the predicate
 // inside a storage scan, which runs in ascending RowID order, as does the
 // op list; a top-level column = constant conjunct is tested on the
@@ -431,7 +432,7 @@
 //	internal/ra        relational algebra: plans, binding, evaluation
 //	internal/sqlparse  SQL front end lowering to ra plans
 //	internal/ivm       incremental view maintenance over Δ⁻/Δ⁺ deltas
-//	internal/world     change log, epochs, snapshot publication
+//	internal/world     change log, epochs
 //	internal/store     durable storage: snapshots + WAL, crash recovery
 //	internal/core      query evaluators (naive and materialized) + estimator
 //	                   whose dictionary is the view's answer slot table, so

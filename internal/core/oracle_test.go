@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"factordb/internal/ivm"
@@ -383,7 +384,7 @@ func TestSnapshotMergeRacesFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator()
-	var cell world.Cell[Snapshot]
+	var latest atomic.Pointer[Snapshot]
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -398,7 +399,7 @@ func TestSnapshotMergeRacesFold(t *testing.T) {
 			est.AddSample(view.Result())
 			snap := est.Snapshot()
 			snap.Epoch = int64(round)
-			cell.Publish(snap)
+			latest.Store(snap)
 		}
 	}()
 	spec := ra.ResultSpec{Order: []ra.ResultOrder{{ByProb: true, Desc: true}}, Limit: 10}
@@ -408,7 +409,7 @@ func TestSnapshotMergeRacesFold(t *testing.T) {
 			finished = true
 		default:
 		}
-		s := cell.Load()
+		s := latest.Load()
 		if s == nil {
 			continue
 		}

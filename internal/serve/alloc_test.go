@@ -185,7 +185,7 @@ func TestRegisterAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := &registration{c: c, done: make(chan struct{})}
+		reg := &registration{c: c, done: make(chan handoff, 1)}
 		var got float64
 		if err := c.call(context.Background(), func() error {
 			got = testing.AllocsPerRun(200, func() {

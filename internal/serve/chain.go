@@ -25,10 +25,10 @@ type viewID int64
 // query.
 //
 // The world, the sampler and the registry belong to the chain goroutine.
-// Every request from outside — subscribe or detach a query, resolve or
-// apply a write, EXPLAIN ANALYZE — is a closure the chain runs at an
-// epoch boundary (see call), when the store holds no pending delta and
-// every view matches the world.
+// Every request from outside — subscribe, peek at or detach a query,
+// resolve or apply a write, EXPLAIN ANALYZE — is a closure the chain
+// runs at an epoch boundary (see call), when the store holds no pending
+// delta and every view matches the world.
 type chain struct {
 	id      int
 	steps   int // k, walk-steps per epoch
@@ -45,9 +45,9 @@ type chain struct {
 	curEpoch atomic.Int64
 
 	// writeGen counts the DML mutations this chain has absorbed. Written
-	// only by the chain goroutine; completed subscribers carry it out in
-	// their final snapshots so sessions can detect cross-chain blends,
-	// and /statusz reads it atomically.
+	// only by the chain goroutine; every handoff carries it out so
+	// sessions can detect cross-chain blends, and /statusz reads it
+	// atomically.
 	writeGen atomic.Int64
 
 	// stepsC/acceptedC are this chain's children of the labeled
@@ -105,10 +105,13 @@ func (c *chain) run(burnIn int) {
 		}
 		select {
 		case <-c.stop:
-			// A session that shutdown cuts short merges what the cells
-			// hold, so hand it every sample walked.
+			// Hand every live subscriber the samples walked, so a
+			// session that shutdown cuts short merges them.
 			for _, pv := range c.reg.byFP {
-				c.publish(pv)
+				h := c.handOff(pv, true)
+				for _, sub := range pv.subs {
+					sub.done <- h
+				}
 			}
 			return
 		case fn := <-c.ctl:
@@ -145,11 +148,10 @@ func (c *chain) call(ctx context.Context, fn func() error) error {
 // epoch advances the walk by k steps and folds the resulting Δ⁻/Δ⁺
 // delta into every physical view exactly once — regardless of how many
 // queries subscribe to each. Subscribers whose sample budgets are met
-// complete here; a view's last completion evicts it. A view's estimate
-// is copied only when someone will read the copy: one snapshot when a
-// subscriber completes (shared by every subscriber completing in the
-// same epoch), or when a ranked reader has raised the view's request
-// flag. An epoch nobody reads from copies nothing.
+// complete here, each receiving the handoff of one snapshot shared by
+// every subscriber completing in the same epoch; a view's last
+// completion evicts it. An epoch in which nobody completes copies
+// nothing.
 func (c *chain) epoch() {
 	c.walk(c.steps)
 	d := c.log.Drain()
@@ -167,45 +169,42 @@ func (c *chain) epoch() {
 		// Every subscriber receives this sample; the walk and the view
 		// maintenance were paid once.
 		c.m.samples.Add(int64(len(pv.subs)))
-		var snap *core.Snapshot
-		if pv.wanted.Swap(false) {
-			snap = c.publish(pv)
-		}
+		var h handoff
 		for id, sub := range pv.subs {
 			if pv.est.Samples()-sub.start >= sub.target {
-				if snap == nil {
-					snap = c.publish(pv)
+				if h.snap == nil {
+					h = c.handOff(pv, false)
 				}
-				// Hand the completed subscriber this snapshot before
-				// waking it: the shared cell may be reset by a later
-				// write before the session gets around to merging.
-				sub.final.Store(&finalSnap{snap: snap, gen: c.writeGen.Load()})
-				close(sub.done)
+				sub.done <- h // never blocks: the subscription's only send
 				c.reg.dropSub(id)
 			}
 		}
 	}
 }
 
-// publish copies pv's current estimate into a snapshot stamped with the
-// chain's epoch, publishes it to the view's cell and returns it.
-func (c *chain) publish(pv *physicalView) *core.Snapshot {
+// handOff copies pv's current estimate into a snapshot stamped with the
+// chain's epoch and write generation.
+func (c *chain) handOff(pv *physicalView, stopped bool) handoff {
 	snap := pv.est.Snapshot()
 	snap.Epoch = c.log.Epoch()
-	pv.cell.Publish(snap)
 	c.m.snapshots.Inc()
-	return snap
+	return handoff{snap: snap, gen: c.writeGen.Load(), stopped: stopped}
 }
 
-// detach publishes the estimate of the view subscriber id reads, so the
-// session abandoning it (deadline, cancellation, ranked early stop)
-// merges every sample walked so far, and then drops the subscriber. An
-// id that already completed, or was never registered, is a no-op.
-func (c *chain) detach(id viewID) {
+// peek hands back the current estimate of the view subscriber id reads —
+// for a ranked reader testing separation — and with detach also drops
+// the subscriber, so a session abandoning it (deadline, cancellation,
+// ranked early stop) merges every sample walked so far. An id that
+// already completed, was detached or was never registered gets the zero
+// handoff and costs no snapshot.
+func (c *chain) peek(id viewID, detach bool) (h handoff) {
 	if pv := c.reg.bySub[id]; pv != nil {
-		c.publish(pv)
-		c.reg.dropSub(id)
+		h = c.handOff(pv, false)
+		if detach {
+			c.reg.dropSub(id)
+		}
 	}
+	return h
 }
 
 // walk runs n MH steps and feeds the global and per-chain
@@ -225,16 +224,16 @@ func (c *chain) walk(n int) {
 // walk burnIn steps so the chain re-equilibrates around the mutated
 // world, fold the combined delta into every live view once, and reset
 // every view's estimator — pre-write samples estimate marginals of a
-// distribution that no longer exists, so post-write snapshots must carry
+// distribution that no longer exists, so post-write handoffs must carry
 // post-write samples only. Subscriber budgets restart with the
 // estimators: a query in flight across a write completes with its full
 // budget of post-write samples.
 //
 // It runs at an epoch boundary (see call), so the store holds no pending
 // sampler delta when the write lands: the write closes its own epoch and
-// every view is consistent with the mutated world from the published
-// snapshot on. ends records when the ops were applied, the burn-in
-// walked and the delta folded — the phase marks a traced write spans.
+// every view is consistent with the mutated world from then on. ends
+// records when the ops were applied, the burn-in walked and the delta
+// folded — the phase marks a traced write spans.
 func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err error) {
 	if _, err := c.log.ApplyOps(ops); err != nil {
 		return ends, err
@@ -246,8 +245,7 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err e
 	}
 	ends[1] = time.Now()
 	d := c.log.Drain()
-	epoch := c.log.Epoch()
-	c.curEpoch.Store(epoch)
+	c.curEpoch.Store(c.log.Epoch())
 	for _, pv := range c.reg.byFP {
 		pv.view.Apply(d)
 		// The fresh estimator's first sample compares every slot of
@@ -262,11 +260,6 @@ func (c *chain) applyWrite(ops []world.Op, burnIn int) (ends [3]time.Time, err e
 		pv.stat.series.reset()
 	}
 	ends[2] = time.Now()
-	for _, pv := range c.reg.byFP {
-		// Publish the empty estimate: the cell must not keep serving the
-		// pre-write snapshot to readers that merge before the next batch.
-		pv.cell.Publish(&core.Snapshot{Epoch: epoch})
-	}
 	return ends, nil
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"factordb/internal/exp"
 )
 
 // holdView subscribes a never-completing query of sql to chain 0 — a
@@ -20,7 +22,7 @@ func holdView(tb testing.TB, eng *Engine, sql string) *registration {
 		tb.Fatal(err)
 	}
 	c := eng.chains[0]
-	reg := &registration{c: c, id: viewID(eng.nextID.Add(1)), done: make(chan struct{})}
+	reg := &registration{c: c, id: viewID(eng.nextID.Add(1)), done: make(chan handoff, 1)}
 	if err := c.call(context.Background(), func() error {
 		_, err := c.register(reg, comp.Stmt, comp.Fingerprint, 1<<62)
 		return err
@@ -165,4 +167,56 @@ func TestChainCall(t *testing.T) {
 			t.Fatalf("call after Close = %v, want ErrClosed", err)
 		}
 	})
+}
+
+// TestPeekAfterHandoff pins what a peek costs: on a live subscription it
+// takes one snapshot (factordb_snapshots_total), and on one that already
+// completed or was detached it returns the zero handoff and takes none.
+func TestPeekAfterHandoff(t *testing.T) {
+	eng := testEngine(t, Config{Chains: 1, Seed: 79})
+	c := eng.chains[0]
+	ctx := context.Background()
+	comp, _, err := eng.plans.CompileQuery(exp.Query1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := &registration{c: c, id: viewID(eng.nextID.Add(1)), done: make(chan handoff, 1)}
+	if err := c.call(ctx, func() error {
+		_, err := c.register(completed, comp.Stmt, comp.Fingerprint, 2)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case h := <-completed.done:
+		if h.snap == nil || h.stopped {
+			t.Fatalf("completion handoff = %+v", h)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a 2-sample subscription never completed")
+	}
+	detached := holdView(t, eng, exp.Query1)
+	if h := detached.detach(); h.snap == nil {
+		t.Fatal("detach handed off no estimate")
+	}
+
+	before := eng.m.snapshots.Value()
+	for name, r := range map[string]*registration{"completed": completed, "detached": detached} {
+		if h := r.peek(ctx); h != (handoff{}) {
+			t.Errorf("peek on a %s subscription = %+v, want nothing", name, h)
+		}
+	}
+	if got := eng.m.snapshots.Value() - before; got != 0 {
+		t.Errorf("peeks on settled subscriptions took %d snapshots, want 0", got)
+	}
+
+	live := holdView(t, eng, exp.Query1)
+	defer live.detach()
+	before = eng.m.snapshots.Value()
+	if h := live.peek(ctx); h.snap == nil || h.stopped {
+		t.Errorf("peek on a live subscription = %+v, want its estimate", h)
+	}
+	if got := eng.m.snapshots.Value() - before; got != 1 {
+		t.Errorf("a peek on a live subscription took %d snapshots, want 1", got)
+	}
 }

@@ -17,15 +17,17 @@
 // spelling or per-query options — subscribe to one refcounted view that
 // is maintained exactly once per batch; plans that differ each keep a
 // private operator tree.
-// Chains publish epoch-stamped estimator snapshots (world.Cell), which
-// is how query sessions read consistent marginals without ever blocking
-// the walk. A chain copies a view's estimate only when a reader will read
-// the copy: when a subscriber's budget completes, when a session detaches
-// a query cut short, when the chain stops, and after a ranked reader
-// asks; a batch nobody reads from copies nothing. Merging the per-chain
-// estimators is the paper's Section 5.4 parallelization: samples from
-// different chains are far more independent than consecutive samples
-// within one.
+// A chain gives a query session its estimate as one handoff: a snapshot
+// stamped with the chain's epoch and write generation, sent on the
+// subscription's channel when its budget completes or the chain stops,
+// or returned by a mailbox call when the session detaches a query cut
+// short or a ranked reader peeks. So sessions read consistent marginals
+// without ever blocking the walk, and a batch nobody reads from copies
+// nothing. Merging the per-chain estimators is the paper's Section 5.4
+// parallelization: samples from different chains are far more
+// independent than consecutive samples within one; a session merges only
+// the handoffs of the newest write generation, so no answer blends the
+// worlds before and after a write.
 package serve
 
 import (

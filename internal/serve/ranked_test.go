@@ -10,7 +10,6 @@ import (
 	"factordb/internal/exp"
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
-	"factordb/internal/world"
 )
 
 // TestCacheHitMutationIsolation is the regression test for the result-
@@ -137,12 +136,10 @@ func TestTopKSeparated(t *testing.T) {
 			}
 		}
 	}
-	mkregs := func(est *core.Estimator) []*registration {
-		cell := &world.Cell[core.Snapshot]{}
+	peeked := func(est *core.Estimator) []handoff {
 		snap := est.Snapshot()
 		snap.Epoch = 1
-		cell.Publish(snap)
-		return []*registration{{cell: cell}}
+		return []handoff{{snap: snap}}
 	}
 	const z = 1.96
 
@@ -155,7 +152,7 @@ func TestTopKSeparated(t *testing.T) {
 			est.AddSampleStream(sample("A"))
 		}
 	}
-	if !topKSeparated(mkregs(est), 1, z) {
+	if !topKSeparated(peeked(est), 1, z) {
 		t.Error("clear gap did not separate")
 	}
 
@@ -164,12 +161,12 @@ func TestTopKSeparated(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tie.AddSampleStream(sample("A", "B"))
 	}
-	if topKSeparated(mkregs(tie), 1, z) {
+	if topKSeparated(peeked(tie), 1, z) {
 		t.Error("dead tie separated")
 	}
 
 	// Fewer tuples than k: new tuples may still surface, keep sampling.
-	if topKSeparated(mkregs(est), 5, z) {
+	if topKSeparated(peeked(est), 5, z) {
 		t.Error("undersized answer separated")
 	}
 
@@ -182,7 +179,7 @@ func TestTopKSeparated(t *testing.T) {
 			thin.AddSampleStream(sample("A"))
 		}
 	}
-	if topKSeparated(mkregs(thin), 1, z) {
+	if topKSeparated(peeked(thin), 1, z) {
 		t.Error("separated below the sample floor")
 	}
 }

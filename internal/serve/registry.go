@@ -8,42 +8,40 @@ import (
 	"factordb/internal/ivm"
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
-	"factordb/internal/world"
 )
 
-// finalSnap is the answer a chain hands a completed subscriber: the
-// snapshot the chain took of the view in the epoch the sample target was
-// met (stamped with that epoch; subscribers completing in one epoch share
-// it), and the chain's write generation — how many DML mutations this
-// chain had absorbed when the estimate completed. Sessions compare
-// generations across chains to detect (and re-collect) answers that
-// would otherwise blend pre- and post-write worlds.
-type finalSnap struct {
-	snap *core.Snapshot
-	gen  int64
+// handoff is how a chain gives a session an estimate: a snapshot of the
+// view, stamped with the chain epoch it was taken in, and the chain's
+// write generation — how many DML mutations the chain had absorbed when
+// the snapshot was taken. Sessions compare generations across chains so
+// that no answer blends pre- and post-write worlds. A zero handoff (nil
+// snap) is no estimate.
+//
+// A subscription receives at most one handoff on its done channel: when
+// its budget completes, or, marked stopped, when its chain shuts down.
+// Any other handoff is the reply to a mailbox call (see chain.peek).
+type handoff struct {
+	snap    *core.Snapshot
+	gen     int64
+	stopped bool
 }
 
 // subscriber is one query's stake in a physical view on one chain: how
 // many fresh samples it still wants (target, counted from the view's
-// sample count at attach time) and the channel the chain closes when the
-// target is met. Just before closing done, the chain snapshots the view
-// and stores the copy in final: the session must read its completed
-// answer from there, because a write landing after completion resets the
-// view's estimator and republishes the shared cell empty.
+// sample count at attach time) and the channel, of capacity one, that
+// carries its closing handoff.
 type subscriber struct {
 	target int64
 	start  int64 // physical view's sample count when this subscriber attached
-	done   chan struct{}
-	final  *atomic.Pointer[finalSnap]
+	done   chan<- handoff
 }
 
 // physicalView is one materialized view maintained exactly once per
 // epoch, however many queries subscribe to it. Its estimator accumulates
 // one sample per epoch since the view was created; subscribers meter
 // their budgets against it via start offsets. The chain copies the
-// estimate into the view's snapshot cell only when a reader will read
-// it: when a subscriber completes or detaches, when the chain stops, and
-// in the first epoch after a ranked reader raises wanted. Query options
+// estimate only to hand it off: when a subscriber completes or detaches,
+// when the chain stops, and when a ranked reader peeks. Query options
 // that do not change the answer distribution — sample budget, confidence
 // level — never reach this type: they are applied at snapshot-merge time
 // in the session.
@@ -51,14 +49,8 @@ type physicalView struct {
 	fp   string
 	view *ivm.View
 	est  *core.Estimator
-	cell *world.Cell[core.Snapshot]
 	subs map[viewID]*subscriber
 	stat *viewStat
-
-	// wanted is a reader's request for a snapshot at the next epoch:
-	// readers set it from any goroutine, and the chain's next epoch
-	// clears it and publishes.
-	wanted atomic.Bool
 }
 
 // viewStat is the externally readable shadow of a physical view: the
@@ -125,7 +117,6 @@ func (r *viewRegistry) acquire(reg *registration, stmt *ra.Bound, fp string, db 
 			fp:   fp,
 			view: view,
 			est:  core.NewEstimator(),
-			cell: &world.Cell[core.Snapshot]{},
 			subs: make(map[viewID]*subscriber),
 			stat: &viewStat{fp: fp, series: newSampleSeries()},
 		}
@@ -137,12 +128,11 @@ func (r *viewRegistry) acquire(reg *registration, stmt *ra.Bound, fp string, db 
 	} else {
 		hit = true
 	}
-	pv.subs[reg.id] = &subscriber{target: target, start: pv.est.Samples(), done: reg.done, final: &reg.final}
+	pv.subs[reg.id] = &subscriber{target: target, start: pv.est.Samples(), done: reg.done}
 	r.bySub[reg.id] = pv
 	r.statsMu.Lock()
 	pv.stat.subs = len(pv.subs)
 	r.statsMu.Unlock()
-	reg.cell, reg.wanted = pv.cell, &pv.wanted
 	return hit, nil
 }
 

@@ -309,9 +309,9 @@ func TestCloseDuringInflightQuery(t *testing.T) {
 }
 
 // TestStoppingChainPublishes pins what a query cut short by Close
-// merges: a stopping chain publishes the estimates of the views still
-// live on it, so a subscriber that never completed reads every sample
-// walked from its cell instead of nothing.
+// merges: a stopping chain hands every subscriber still live on it a
+// handoff marked stopped, so a subscriber that never completed receives
+// every sample walked instead of nothing.
 func TestStoppingChainPublishes(t *testing.T) {
 	eng := testEngine(t, Config{Chains: 1, Seed: 31})
 	reg := holdView(t, eng, exp.Query1)
@@ -323,8 +323,13 @@ func TestStoppingChainPublishes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	eng.Close()
-	if snap := reg.snapshot(); snap == nil || snap.Samples() < 4 {
-		t.Fatalf("after Close the held view's cell holds %v, want its walked samples", snap)
+	select {
+	case h := <-reg.done:
+		if !h.stopped || h.snap == nil || h.snap.Samples() < 4 {
+			t.Fatalf("after Close the held view's handoff is %+v, want its walked samples, stopped", h)
+		}
+	default:
+		t.Fatal("a stopped chain handed the held view nothing")
 	}
 }
 

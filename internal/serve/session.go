@@ -7,13 +7,11 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"factordb/internal/core"
 	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
-	"factordb/internal/world"
 )
 
 // ErrBadQuery wraps SQL compile and bind failures so transports can map
@@ -128,51 +126,42 @@ func (r *Result) Prob(i int) float64 { return r.tuples[i].P }
 // CI returns the confidence interval of tuple i's marginal.
 func (r *Result) CI(i int) (lo, hi float64) { return r.tuples[i].Lo, r.tuples[i].Hi }
 
-// registration tracks one chain's share of a query. A completed chain
-// stores its final snapshot in final before closing done; the cell is the
-// fallback for chains interrupted by a deadline, cancellation, early stop
-// or shutdown, which publish into it when the session detaches or the
-// chain stops. wanted is the view's snapshot request flag, which a ranked
-// reader raises to watch the estimate while it waits.
+// registration tracks one chain's share of a query. done carries the
+// subscription's closing handoff when the chain completes its budget or
+// stops; a session that ends the subscription itself gets its handoff as
+// the reply to detach.
 type registration struct {
-	c      *chain
-	id     viewID
-	cell   *world.Cell[core.Snapshot]
-	wanted *atomic.Bool
-	done   chan struct{}
-	final  atomic.Pointer[finalSnap]
+	c    *chain
+	id   viewID
+	done chan handoff // capacity one
 }
 
-// snapshot returns the chain's contribution to the merged answer: the
-// completion snapshot when the chain finished this query's budget, else
-// whatever the shared view last published — after detach, the estimate
-// as of the detach — or nil.
-func (r *registration) snapshot() *core.Snapshot {
-	if f := r.final.Load(); f != nil {
-		return f.snap
-	}
-	return r.cell.Load()
+// peek returns the chain's current estimate of a live subscription, or
+// the zero handoff when it already completed, was detached, or ctx ended
+// before the chain took the request.
+func (r *registration) peek(ctx context.Context) handoff {
+	var h handoff
+	_ = r.c.call(ctx, func() error { h = r.c.peek(r.id, false); return nil })
+	return h
 }
 
-// detach drops the subscription, waiting until the chain has published
-// the view's current estimate to the cell and dropped it, so the caller
-// merges every sample walked and knows no further snapshots are owed.
-func (r *registration) detach() {
-	// Shutdown is the only possible error, and a stopping chain
-	// publishes its live views itself.
-	_ = r.c.call(context.Background(), func() error { r.c.detach(r.id); return nil })
-}
-
-// detachUnfinished detaches every registration whose chain has not
-// completed it; completed views were already removed by the chain.
-func detachUnfinished(regs []*registration) {
-	for _, r := range regs {
+// detach drops the subscription and returns the handoff the chain owes
+// it: the estimate as of the detach, or the completion or stopped
+// handoff the chain sent first. Either way the caller merges every
+// sample walked and no further handoff is owed.
+func (r *registration) detach() handoff {
+	var h handoff
+	// Shutdown is the only possible error. Either way, h is set if the
+	// chain ran the detach on a live subscription (c.done closes only
+	// after it returns); otherwise the chain had sent a handoff on done.
+	_ = r.c.call(context.Background(), func() error { h = r.c.peek(r.id, true); return nil })
+	if h.snap == nil {
 		select {
-		case <-r.done:
+		case h = <-r.done:
 		default:
-			r.detach()
 		}
 	}
+	return h
 }
 
 // Query compiles sql, registers a materialized view for it on every chain
@@ -314,20 +303,19 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 
 	// Collect until one pass is write-consistent. Chains absorb a write
 	// independently, so a query in flight across one can end up with
-	// some chains completed pre-write and others post-write; merging
+	// some chains answering pre-write and others post-write; merging
 	// those would blend two answer distributions, so such a pass is
 	// discarded and re-collected (the reset views hand every retry a
 	// fresh full budget). Consistency is judged by the write generations
-	// stamped into the chains' completion snapshots: equal generations
-	// mean every chain answered from the same world content, however
-	// many writes committed meanwhile — so steady write traffic does not
-	// starve readers; only the narrow mid-fan-out interleaving retries.
-	// Early-stopped passes merge live cells instead of completion
-	// snapshots and carry no generations, so they fall back to the
-	// coarser data-epoch check. The retry budget is bounded so a
-	// deadline-free reader cannot loop forever: a query torn that many
-	// consecutive times is shed as overloaded (an honest, retryable
-	// signal) rather than answered with a blend.
+	// every handoff carries: equal generations mean every chain answered
+	// from the same world content, however many writes committed
+	// meanwhile — so steady write traffic does not starve readers; only
+	// the narrow mid-fan-out interleaving retries. A pass cut short is
+	// not retried: it merges the newest generation only (see collectOnce).
+	// The retry budget is bounded so a deadline-free reader cannot loop
+	// forever: a query torn that many consecutive times is shed as
+	// overloaded (an honest, retryable signal) rather than answered with
+	// a blend.
 	var col collection
 	var epoch0 int64
 	for attempt := 0; ; attempt++ {
@@ -338,14 +326,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 			e.finishTrace(tr, "error")
 			return nil, err
 		}
-		if col.partial || col.closed {
-			break
-		}
-		consistent := !col.blended
-		if col.earlyStop && e.dataEpoch.Load() != epoch0 {
-			consistent = false
-		}
-		if consistent {
+		if col.partial || !col.blended {
 			break
 		}
 		if attempt >= maxCollectRetries {
@@ -365,9 +346,9 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// All chains hit their targets yet nothing was published — cannot
-		// happen (a completed view publishes every sample), so any zero
-		// here is a real bug, not a timeout.
+		// All chains hit their targets yet nothing was handed off —
+		// cannot happen (a completed view hands off every sample), so any
+		// zero here is a real bug, not a timeout.
 		return nil, fmt.Errorf("serve: no samples collected for %q", sql)
 	}
 
@@ -409,7 +390,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 }
 
 // maxCollectRetries bounds how many torn collection passes a query
-// discards before degrading to a best-effort (partial) answer.
+// discards before it is shed with ErrOverloaded.
 const maxCollectRetries = 4
 
 // collection is the outcome of one register-wait-merge pass over the
@@ -420,15 +401,15 @@ type collection struct {
 	partial   bool
 	closed    bool
 	earlyStop bool
-	// blended reports that the chains completed this pass on different
-	// sides of a write (unequal write generations): the merge mixes two
-	// answer distributions and must be discarded.
+	// blended reports that the chains handed off this pass on different
+	// sides of a write (unequal write generations), so merged holds the
+	// newest generation only: a complete pass must be re-collected.
 	blended bool
 }
 
 // collectOnce registers the plan on every chain, waits for the sample
 // budget (or cancellation, shutdown, or ranked early stop), detaches the
-// chains that did not complete, and merges the per-chain snapshots. Each
+// chains that did not complete, and merges the chains' handoffs. Each
 // call is self-contained: its views are detached before it returns.
 func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	opts QueryOptions, z float64, tr *qtrace) (col collection, err error) {
@@ -436,7 +417,9 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	regs := make([]*registration, 0, len(p.chains))
 	defer func() {
 		if err != nil {
-			detachUnfinished(regs)
+			for _, r := range regs {
+				r.detach()
+			}
 		}
 	}()
 	tr.span("register")
@@ -445,7 +428,7 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 		reg := &registration{
 			c:    c,
 			id:   viewID(p.nextID.Add(1)),
-			done: make(chan struct{}),
+			done: make(chan handoff, 1),
 		}
 		var hit bool
 		if err := c.call(ctx, func() (err error) {
@@ -467,8 +450,9 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	// fresh mounts, per chain.
 	tr.attr("view_reuse", fmt.Sprintf("%d/%d", reused, len(p.chains)))
 
-	// Ranked queries watch the merged snapshots while waiting: when the
-	// top k separates, the remaining budget is handed back to the pool.
+	// Ranked queries peek at the chains' estimates while waiting: when
+	// the top k separates, the remaining budget is handed back to the
+	// pool.
 	var tick <-chan time.Time
 	if comp.Spec.TopKByProb() {
 		ticker := time.NewTicker(topKCheckInterval)
@@ -477,73 +461,76 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	}
 
 	tr.span("sample_wait")
-	lastEpochs := int64(-1)
+	hs := make([]handoff, len(regs))
+	var tested []handoff
 wait:
-	for _, r := range regs {
-		// Drain completions first: if the view already hit its target, a
-		// simultaneously-closing chain or expiring context must not win
-		// the select below and mark a complete answer partial.
+	for i, r := range regs {
+		// A handoff already sent wins: a simultaneously expiring context
+		// must not mark a complete answer partial.
 		select {
-		case <-r.done:
-			continue
+		case hs[i] = <-r.done:
 		default:
 		}
-	regWait:
-		for {
+		for hs[i].snap == nil {
 			select {
-			case <-r.done:
-				break regWait
-			case <-r.c.done:
-				// Engine closed underneath us: the chain goroutine has
-				// exited and will never complete this view. Return
-				// whatever was published rather than blocking until ctx
-				// expires.
-				col.partial = true
-				col.closed = true
-				break wait
+			case hs[i] = <-r.done:
 			case <-ctx.Done():
 				col.partial = true
 				break wait
 			case <-tick:
-				// Ask each chain for a snapshot at its next epoch, for
-				// the next tick to test. Merging and re-ranking every
-				// snapshot is linear in the answer set; only pay for it
-				// when some chain has published a new epoch since the
-				// last check.
-				for _, r := range regs {
-					r.wanted.Store(true)
+				tested = peekUnsettled(ctx, regs, hs)
+				if topKSeparated(tested, comp.Spec.Limit, z) {
+					col.earlyStop = true
+					p.m.topkStops.Inc()
+					break wait
 				}
-				if ep := epochSum(regs); ep != lastEpochs {
-					lastEpochs = ep
-					if topKSeparated(regs, comp.Spec.Limit, z) {
-						col.earlyStop = true
-						p.m.topkStops.Inc()
-						break wait
-					}
-				}
+			}
+		}
+		if hs[i].stopped {
+			break wait
+		}
+	}
+
+	// Detaching hands off each unfinished chain's estimate, so a partial
+	// answer carries every sample walked.
+	for i, r := range regs {
+		if hs[i].snap == nil {
+			hs[i] = r.detach()
+		}
+	}
+	if col.earlyStop {
+		// An early-stopped answer is the estimate whose separation was
+		// tested, not a fresher one a write may have reset since.
+		for i, h := range tested {
+			if h.snap != nil {
+				hs[i] = h
 			}
 		}
 	}
 
-	// Detaching publishes each unfinished chain's estimate, so a partial
-	// or early-stopped answer carries every sample walked.
-	detachUnfinished(regs)
-
+	// One rule for every pass: merge only the handoffs of the newest
+	// write generation. A chain behind it answered from a world a write
+	// has since replaced; a pass cut short drops its stale estimate, a
+	// complete one is flagged blended and re-collected.
 	tr.span("snapshot_merge")
-	col.merged = core.NewEstimator()
 	gen := int64(-1)
-	for _, r := range regs {
-		if f := r.final.Load(); f != nil {
-			if gen >= 0 && f.gen != gen {
-				col.blended = true
-			}
-			gen = f.gen
+	for _, h := range hs {
+		if h.snap != nil && h.gen > gen {
+			gen = h.gen
 		}
-		if snap := r.snapshot(); snap != nil {
-			col.merged.Merge(snap)
-			if snap.Epoch > col.epoch {
-				col.epoch = snap.Epoch
-			}
+		if h.stopped {
+			col.partial, col.closed = true, true
+		}
+	}
+	col.merged = core.NewEstimator()
+	for _, h := range hs {
+		switch {
+		case h.snap == nil:
+		case h.gen != gen:
+			col.blended = true
+		default:
+			col.merged.Merge(h.snap)
+			col.epoch = max(col.epoch, h.snap.Epoch)
 		}
 	}
 	tr.attr("samples", fmt.Sprintf("%d", col.merged.Samples()))
@@ -553,8 +540,8 @@ wait:
 	return col, nil
 }
 
-// topKCheckInterval is how often a waiting ranked query re-merges the
-// chains' snapshots to test for top-k separation.
+// topKCheckInterval is how often a waiting ranked query peeks at the
+// chains' estimates to test for top-k separation.
 const topKCheckInterval = 5 * time.Millisecond
 
 // minTopKStopSamples is the floor of merged samples before an early stop
@@ -562,30 +549,29 @@ const topKCheckInterval = 5 * time.Millisecond
 // the check would only burn cycles.
 const minTopKStopSamples = 16
 
-// epochSum is a cheap change detector for the early-stop check: per-
-// chain epochs are monotone, and the merged estimate can only change
-// when some chain publishes a snapshot for a new epoch.
-func epochSum(regs []*registration) int64 {
-	var sum int64
-	for _, r := range regs {
-		if snap := r.snapshot(); snap != nil {
-			sum += snap.Epoch
+// peekUnsettled returns the estimates a ranked reader tests in this
+// tick: each chain's closing handoff if it has one, else its current
+// estimate, peeked.
+func peekUnsettled(ctx context.Context, regs []*registration, hs []handoff) []handoff {
+	out := make([]handoff, len(regs))
+	for i, r := range regs {
+		if out[i] = hs[i]; out[i].snap == nil {
+			out[i] = r.peek(ctx)
 		}
 	}
-	return sum
+	return out
 }
 
-// topKSeparated merges the chains' latest published snapshots and
-// reports whether the ranked answer is already decided: more than k
-// tuples observed, and the Wilson interval of the k-th ranked tuple
-// lies entirely above the (k+1)-th's — no tuple outside the top k can
-// overtake one inside it, so further refinement cannot change the
-// answer's membership.
-func topKSeparated(regs []*registration, k int64, z float64) bool {
+// topKSeparated merges the handed-off estimates and reports whether the
+// ranked answer is already decided: more than k tuples observed, and the
+// Wilson interval of the k-th ranked tuple lies entirely above the
+// (k+1)-th's — no tuple outside the top k can overtake one inside it, so
+// further refinement cannot change the answer's membership.
+func topKSeparated(hs []handoff, k int64, z float64) bool {
 	merged := core.NewEstimator()
-	for _, r := range regs {
-		if snap := r.snapshot(); snap != nil {
-			merged.Merge(snap)
+	for _, h := range hs {
+		if h.snap != nil {
+			merged.Merge(h.snap)
 		}
 	}
 	if merged.Samples() < minTopKStopSamples {

@@ -227,7 +227,9 @@ func (p pool) resolve(ctx context.Context, mut ra.Mutation) (ops []world.Op, err
 // them. It is deliberately not cancellable — a write that reached some
 // chains must reach all of them — so only engine shutdown aborts. A
 // traced write spans fanout / burn_in / delta_fold / republish: each
-// phase opens when the slowest chain finished the one before.
+// phase opens when the slowest chain finished the one before. republish
+// copies nothing; it keeps its name as a stable span and runs from the
+// slowest chain's delta fold to the fan-out's return.
 func (p pool) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("fanout")
 	ends := make([][3]time.Time, len(p.chains))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -198,6 +199,109 @@ func TestInFlightQueryCompletesAcrossWrite(t *testing.T) {
 	got := queryTuples(t, eng, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2`)
 	if len(got) != 1 || got[0].Values[0] != "SHIFTED" || got[0].P != 1 {
 		t.Fatalf("post-write answer = %+v", got)
+	}
+}
+
+// gateWAL holds its one Append until release closes, so a test can stop
+// a write between its resolve on chain 0 and its fan-out.
+type gateWAL struct{ entered, release chan struct{} }
+
+func (g gateWAL) Append(int64, []world.Op) error {
+	close(g.entered)
+	<-g.release
+	return nil
+}
+
+// TestCutShortPassNeverBlends pins the blend rule for a pass that ends
+// partial: a cancelled query whose chains hand off on different sides of
+// a write merges only the handoffs of the newest write generation. The
+// mailbox gates force the interleaving: chain 0 hands off its pre-write
+// estimate (the detach is queued ahead of the write) while chain 1 has
+// already absorbed the write and sampled the new world. STRING is
+// evidence, so each world's answer is one tuple at marginal 1, and two
+// tuples is a blend.
+func TestCutShortPassNeverBlends(t *testing.T) {
+	wal := gateWAL{entered: make(chan struct{}), release: make(chan struct{})}
+	eng := corefEngine(t, Config{Chains: 2, Seed: 7, WAL: wal})
+	c0, c1 := eng.chains[0], eng.chains[1]
+	eventually := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	type out struct {
+		res *Result
+		err error
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queried := make(chan out, 1)
+	go func() {
+		res, err := eng.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2`,
+			QueryOptions{Samples: 1 << 30, NoCache: true})
+		queried <- out{res, err}
+	}()
+	eventually("the query's view on both chains", func() bool { return eng.sharedViews() == 2 })
+
+	written := make(chan error, 1)
+	go func() {
+		_, err := eng.Exec(context.Background(), `UPDATE MENTION SET STRING = 'SHIFTED' WHERE MENTION_ID = 2`, ExecOptions{})
+		written <- err
+	}()
+	<-wal.entered // resolved on chain 0, not yet fanned out
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	gate := callResult(context.Background(), c0, func() error {
+		close(entered)
+		<-release
+		return nil
+	})
+	<-entered
+	cancel()
+	eventually("the session's detach blocked on gated chain 0", func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*registration).detach")
+	})
+
+	// The fan-out lands on chain 1 at once and queues behind the detach
+	// on chain 0.
+	close(wal.release)
+	var post int64
+	eventually("chain 1 sampling the written world", func() bool {
+		if c1.writeGen.Load() != 1 {
+			return false
+		}
+		if err := c1.call(context.Background(), func() error {
+			for _, pv := range c1.reg.byFP {
+				post = pv.est.Samples()
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return post >= 2
+	})
+	close(release)
+	if err := await(t, gate); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+
+	o := <-queried
+	if o.err != nil {
+		t.Fatalf("cut-short query = %v, want a partial answer from chain 1's %d post-write samples", o.err, post)
+	}
+	if !o.res.Partial {
+		t.Error("cancelled query not flagged partial")
+	}
+	if o.res.Len() != 1 || o.res.Value(0, 0).String() != "SHIFTED" || o.res.Prob(0) != 1 {
+		t.Errorf("cut-short answer blends the worlds before and after the write: %+v", tuples(o.res))
 	}
 }
 

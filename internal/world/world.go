@@ -270,7 +270,7 @@ const keepRows = 4096
 // Between two Drains the world passes through many intermediate states;
 // an epoch boundary is the only place where the store, the delta tables
 // and any maintained views are simultaneously consistent, which is what
-// makes it the unit of snapshot publication (see Cell).
+// makes it the unit at which a chain hands off an estimate.
 func (l *ChangeLog) Epoch() int64 { return l.epoch }
 
 // DeltaTables renders the pending delta for one relation as the paper's

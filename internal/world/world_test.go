@@ -147,3 +147,26 @@ func TestDrainedDeltaExpiresAtNextDrain(t *testing.T) {
 		t.Errorf("round trip drained %v", d["TOKEN"])
 	}
 }
+
+func TestEpochAdvancesPerDrain(t *testing.T) {
+	log, id := setup(t)
+	if log.Epoch() != 0 {
+		t.Fatalf("fresh log epoch = %d, want 0", log.Epoch())
+	}
+	log.Drain()
+	if log.Epoch() != 1 {
+		t.Fatalf("epoch after one drain = %d, want 1", log.Epoch())
+	}
+	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
+	if err := log.SetField(ref, relstore.String("B-ORG")); err != nil {
+		t.Fatal(err)
+	}
+	// Writes accumulate within an epoch; only Drain closes it.
+	if log.Epoch() != 1 {
+		t.Fatalf("epoch moved on SetField: %d", log.Epoch())
+	}
+	log.Drain()
+	if log.Epoch() != 2 {
+		t.Fatalf("epoch after two drains = %d, want 2", log.Epoch())
+	}
+}
