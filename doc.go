@@ -241,26 +241,37 @@
 //
 // WithDataDir(dir) makes the write path durable (cmd/factordbd:
 // -data-dir). The store persists exactly the evidence — the prototype
-// possible world and committed mutations — because everything else
-// (graph, weights, chains) is a deterministic function of the workload
-// config and is rebuilt on open. Two on-disk artifacts live in dir:
+// possible world and committed mutations. Everything else (graph,
+// weights, chains) is rebuilt from the workload config on every open, and
+// nothing checks that config against the one that wrote the directory: a
+// reopen under another config (say, a changed factordbd -tokens) serves
+// the recovered world under a model built for other rows, undetected.
+// Two on-disk artifacts live in dir:
 //
 //   - snap-<epoch>.snap: a checkpoint of the world as of a data epoch.
 //     Format "snap2:": magic, little-endian epoch, columnar world dump
 //     (per relation a liveness bitmap, then per column the live rows'
 //     payloads: int64 vectors, dictionary strings and uint32 codes),
 //     CRC-32 trailer; streamed to a temp file and atomically renamed.
-//     Files of the previous format, "snap1:" with a gob world dump,
-//     still load.
+//     A relation's slot vectors, tombstones included, may take at most
+//     513 times the bytes its header obliges the file to hold (the
+//     bitmap and the fixed-width payloads). So decoding allocates at
+//     most 513 bytes of vector per byte of input, and a relation of up to
+//     8 columns checkpoints whatever it deleted. Files of the retired
+//     gob format, "snap1:", are refused with ErrRecovery; convert such a
+//     directory by opening it once with an earlier build that still reads
+//     snap1 and calling DB.Checkpoint.
 //   - wal.log: an append-only log of committed op batches. Format
 //     "wal1:": magic, then length-prefixed records (u32 length, u32
 //     CRC-32 (IEEE), payload of epoch + resolved row-level ops). Both
 //     prefixes are versioned; incompatible changes bump them, so an old
-//     binary refuses a new directory rather than misreading it. Because
-//     a checkpoint keeps the next older snapshot and the log records
-//     past it, a binary that reads only snap1 recovers a directory's
-//     kept snap1 snapshot plus its whole log tail, the same world, and
-//     refuses the directory once no snap1 snapshot is left.
+//     binary refuses a new directory rather than misreading it. A
+//     checkpoint keeps the next older snapshot and the log records past
+//     it. An earlier build that held snapshots to an id-density rule (at
+//     most 65 536 + 16 ids per live row) refuses a checkpoint of a
+//     mostly-deleted world. It falls back to that kept snapshot plus its
+//     log tail, the same world, until a later checkpoint prunes that
+//     snapshot; from then on that build refuses the directory.
 //
 // The commit rule: Exec appends the batch to the WAL (honoring the
 // fsync policy — FsyncAlways syncs per append, FsyncInterval (default)

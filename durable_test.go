@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +98,35 @@ func TestDurableReopenRestoresWorld(t *testing.T) {
 	execN(t, re, 1)
 	if got := re.WriteEpoch(); got != 4 {
 		t.Fatalf("post-recovery write epoch %d, want 4", got)
+	}
+}
+
+// TestOpenRefusesSnap1Directory: a data directory of the retired gob
+// snapshot format fails Open with ErrRecovery instead of serving another
+// world.
+func TestOpenRefusesSnap1Directory(t *testing.T) {
+	src := filepath.Join("internal", "store", "testdata", "snap1")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(durableNER(), durableOpts(dir)...)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open served a snap1 directory")
+	}
+	if !errors.Is(err, ErrRecovery) || !strings.Contains(err.Error(), "snap1") {
+		t.Fatalf("Open = %v, want ErrRecovery naming snap1", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -38,39 +37,56 @@ import (
 // coded in order of first use, so the bytes depend on the world's values
 // alone and a reload drops the strings no row holds any more.
 //
-// ReadDB also reads the gob encoding Dump wrote until the store went
-// columnar (see readGob).
+// A relation is dense by RowID, so decoding gives every id below the
+// counter a slot, tombstones included, and the counter is a header a
+// corrupt or hostile stream can set to anything. checkSlots therefore
+// holds the slot vectors a relation header asks for (the liveness bitmap;
+// 8 B per id for an INT, BOOL or FLOAT column, 4 B for a STRING one; a
+// FLOAT column's ints bitmap) to K = 513 times the bytes the same header
+// obliges the input to hold (the liveness bitmap; 8 B per live number,
+// 4 B per live code; the FLOAT ints bitmaps). The bitmap is read before
+// any column is sized and each payload before its vector, so decoding
+// allocates at most 513 bytes of slot vector per input byte, plus a
+// constant per dictionary string, which the input holds in full. K is
+// 1 + 8 × 64: a bitmap is 1/64 of an 8 B vector, so a relation of up to 8
+// columns passes whatever it deleted. Dump holds every relation to the
+// same rule, so the store never replaces a checkpoint it can read with
+// one it cannot.
 
-// ErrBadSnapshot marks a snapshot that decodes but does not describe a
-// world: row ids out of order or beyond the id counter, rows that do not
-// fit their schema, unknown column types, codes outside the dictionary,
-// an id counter out of proportion to the rows (see checkDensity).
+// ErrBadSnapshot marks input that is not a snapshot of a world: no
+// columnar magic, sections that do not frame, payloads that do not fit
+// their schema, codes outside the dictionary, or slot vectors out of
+// proportion to the input (see checkSlots).
 var ErrBadSnapshot = errors.New("malformed snapshot")
 
-// columnarMagic opens the columnar encoding. A gob stream opens with the
-// byte count of its first message as a gob unsigned integer: one byte
-// below 0x80 for a count under 128, otherwise a negated byte count of 1
-// to 8 (0xF8–0xFF) followed by the count. 0x80 is neither, so the first
-// byte tells the two encodings apart.
 const columnarMagic = "\x80col"
 
-// A relation is dense by RowID, so one restored from a snapshot gets a
-// slot for every id up to its counter, tombstones included. The counter is
-// a header a corrupt or hostile stream can set to anything; a snapshot is
-// therefore accepted only while the counter stays within snapshotSlack
-// ids plus snapshotSpread ids per row present. Dump holds a world to the
-// same rule, so the store never replaces a checkpoint it can read with one
-// it cannot: a relation that has deleted more than 15 of every 16 rows it
-// ever held, beyond the first 65 536, fails its checkpoint and stays
-// recoverable from the previous one and the log.
-const (
-	snapshotSlack  = 1 << 16
-	snapshotSpread = 16
-)
+// slotRatio is K: the most bytes of slot vectors a relation header may
+// ask for per byte it obliges the input to hold.
+const slotRatio = 513
 
-func checkDensity(rows int, nextID RowID) error {
-	if nextID < 0 || nextID-snapshotSlack > snapshotSpread*RowID(rows) {
-		return fmt.Errorf("id counter %d for %d rows: negative or more than %d + %d per row", nextID, rows, snapshotSlack, snapshotSpread)
+// checkSlots refuses a relation header whose slot vectors would exceed
+// slotRatio times the bytes it obliges the input to hold. Dictionary
+// bytes are left out, because a reload compacts them. It counts in
+// float64, which no header can overflow.
+func checkSlots(cols []Column, n, live int) error {
+	bitmap := float64(8 * words(n))
+	slots, held := bitmap, bitmap
+	for _, c := range cols {
+		width := 8.0
+		if c.Type == TString {
+			width = 4
+		}
+		slots += width * float64(n)
+		held += width * float64(live)
+		if c.Type == TFloat {
+			slots += bitmap
+			held += bitmap
+		}
+	}
+	if slots > slotRatio*held {
+		return fmt.Errorf("%d columns over %d ids, %d live, ask for %.0f bytes of slots against %.0f bytes of input, more than %d times",
+			len(cols), n, live, slots, held, slotRatio)
 	}
 	return nil
 }
@@ -85,8 +101,8 @@ func (db *DB) Dump(w io.Writer) error {
 	names := db.Names()
 	for _, name := range names {
 		rel := db.rels[name]
-		if err := checkDensity(rel.live, RowID(rel.n)); err != nil {
-			return fmt.Errorf("relstore: relation %q is too sparse to snapshot: %w", name, err)
+		if err := checkSlots(rel.schema.Cols, rel.n, rel.live); err != nil {
+			return fmt.Errorf("relstore: relation %q cannot be snapshotted: %w", name, err)
 		}
 	}
 	bw := bufio.NewWriterSize(w, dumpBuffer)
@@ -226,8 +242,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	}
 }
 
-// ReadDB reads a database written by Dump, in either encoding, from r.
-// See DecodeDB.
+// ReadDB reads a database written by Dump from r. See DecodeDB.
 func ReadDB(r io.Reader) (*DB, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -236,15 +251,14 @@ func ReadDB(r io.Reader) (*DB, error) {
 	return DecodeDB(data)
 }
 
-// DecodeDB decodes a database written by Dump, in either encoding. Input
-// that is not a well-formed snapshot is reported as an error
-// (ErrBadSnapshot once it got past the framing), and the memory used is
-// bounded by what the input holds (see checkDensity), whatever its
+// DecodeDB decodes a database written by Dump. Input that is not a
+// well-formed snapshot is reported as ErrBadSnapshot, and the memory used
+// is bounded by what the input holds (see checkSlots), whatever its
 // headers claim. The database does not refer to data.
 func DecodeDB(data []byte) (*DB, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(columnarMagic))
 	if !ok {
-		return readGob(data)
+		return nil, fmt.Errorf("relstore: decoding snapshot: %w: no %q magic", ErrBadSnapshot, columnarMagic)
 	}
 	db := NewDB()
 	d := decoder{b: rest}
@@ -365,12 +379,12 @@ func (db *DB) decodeRelation(d *decoder, name string) error {
 		return fmt.Errorf("%d live rows over %d ids", live, next)
 	}
 	n, nlive := int(next), int(live)
-	if err := checkDensity(nlive, RowID(n)); err != nil {
-		return err
-	}
 	alive := d.sectionWords("liveness", n)
 	if d.err != nil {
 		return d.err
+	}
+	if err := checkSlots(cols, n, nlive); err != nil {
+		return err
 	}
 	if got := popcount(alive); got != nlive {
 		return fmt.Errorf("liveness bitmap holds %d rows, header says %d", got, nlive)
@@ -478,108 +492,4 @@ func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {
 		j++
 	}
 	return nil
-}
-
-// wireValue is the gob form of Value, read from snapshots written before
-// the store went columnar.
-type wireValue struct {
-	Kind Type
-	I    int64
-	F    float64
-	S    string
-}
-
-// wireRelation is the gob form of Relation: the live rows in ascending
-// id order. Snapshots written before the store held columns also carry
-// an Indexes field, which gob skips.
-type wireRelation struct {
-	Name   string
-	Cols   []Column
-	NextID RowID
-	RowIDs []RowID
-	Rows   [][]wireValue
-}
-
-type wireDB struct {
-	Relations []wireRelation
-}
-
-// readGob decodes the gob encoding, inserting its rows one by one.
-func readGob(data []byte) (*DB, error) {
-	var wire wireDB
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("relstore: decoding snapshot: %w", err)
-	}
-	db := NewDB()
-	for i := range wire.Relations {
-		if err := db.readRelation(&wire.Relations[i]); err != nil {
-			return nil, fmt.Errorf("relstore: snapshot relation %q: %w: %w", wire.Relations[i].Name, ErrBadSnapshot, err)
-		}
-	}
-	return db, nil
-}
-
-func (db *DB) readRelation(wr *wireRelation) error {
-	for _, c := range wr.Cols {
-		if c.Type > TBool {
-			return fmt.Errorf("column %q has unknown type %v", c.Name, c.Type)
-		}
-	}
-	schema, err := NewSchema(wr.Name, wr.Cols...)
-	if err != nil {
-		return err
-	}
-	rel, err := db.Create(schema)
-	if err != nil {
-		return err
-	}
-	if len(wr.RowIDs) != len(wr.Rows) {
-		return fmt.Errorf("%d ids but %d rows", len(wr.RowIDs), len(wr.Rows))
-	}
-	if err := checkDensity(len(wr.Rows), wr.NextID); err != nil {
-		return err
-	}
-	row := make(Tuple, len(wr.Cols))
-	prev := RowID(-1)
-	for i, id := range wr.RowIDs {
-		// Ids are non-negative, ascend strictly and stay below the counter,
-		// so none repeats and no later Insert hands out one that is in use.
-		if id <= prev || id >= wr.NextID {
-			return fmt.Errorf("row id %d after %d is negative, out of order or not below the id counter %d", id, prev, wr.NextID)
-		}
-		prev = id
-		if len(wr.Rows[i]) != len(row) {
-			return fmt.Errorf("row %d has %d values, want %d", id, len(wr.Rows[i]), len(row))
-		}
-		for j, wv := range wr.Rows[i] {
-			row[j] = normalized(wv)
-		}
-		// The ids the stream skipped become tombstones.
-		if gap := int(id) - rel.n; gap > 0 {
-			rel.extend(gap)
-		}
-		if _, err := rel.Insert(row); err != nil {
-			return fmt.Errorf("row %d: %w", id, err)
-		}
-	}
-	if gap := int(wr.NextID) - rel.n; gap > 0 {
-		rel.extend(gap)
-	}
-	return nil
-}
-
-// normalized converts a wire value, dropping whatever the stream put in
-// the payload fields its kind does not use.
-func normalized(w wireValue) Value {
-	switch w.Kind {
-	case TInt:
-		return Int(w.I)
-	case TBool:
-		return Bool(w.I != 0)
-	case TFloat:
-		return Float(w.F)
-	case TString:
-		return String(w.S)
-	}
-	return Value{kind: w.Kind} // no column accepts it: Insert reports it
 }

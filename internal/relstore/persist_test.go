@@ -1,9 +1,9 @@
 package relstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -35,23 +35,9 @@ func snapshotDB(t testing.TB) *DB {
 	return db
 }
 
-// sameRow is Identical, except that it lets −0 stand for 0: gob leaves a
-// zero-valued field out of the stream, and −0 == 0, so a snapshot does
-// not keep the sign of a negative zero.
-func sameRow(a, b Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].identical(b[i]) && !(a[i].kind == b[i].kind && a[i].Equal(b[i])) {
-			return false
-		}
-	}
-	return true
-}
-
-// assertDBEqual holds b to a: same relations, same rows under the same
-// ids in the same scan order, and the same id for the next insert.
+// assertDBEqual holds b to a: same relations, identical rows (a −0 keeps
+// its sign) under the same ids in the same scan order, and the same id
+// for the next insert.
 func assertDBEqual(t testing.TB, a, b *DB) {
 	t.Helper()
 	an, bn := a.Names(), b.Names()
@@ -71,7 +57,7 @@ func assertDBEqual(t testing.TB, a, b *DB) {
 		rb.Scan(func(id RowID, _ Tuple) bool { ids = append(ids, id); return true })
 		ra.Scan(func(id RowID, tu Tuple) bool {
 			other, ok := rb.Get(id)
-			if !ok || !sameRow(tu, other) {
+			if !ok || !identical(tu, other) {
 				t.Fatalf("%s row %d: %v vs %v (ok=%v)", an[i], id, tu, other, ok)
 			}
 			if len(ids) == 0 || ids[0] != id {
@@ -81,6 +67,19 @@ func assertDBEqual(t testing.TB, a, b *DB) {
 			return true
 		})
 	}
+}
+
+// identical reports whether two rows hold the same kinds and payload bits.
+func identical(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].identical(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -108,42 +107,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	assertDBEqual(t, db, back)
 }
 
-// TestReadsParentCommitSnapshot: testdata/parent_dump.snap was written by
-// Dump as it stood before the store went columnar — row maps, and an
-// Indexes field naming the hash index TOKEN then had on LABEL. It decodes
-// to the world built afresh here, and re-encodes without that field.
-func TestReadsParentCommitSnapshot(t *testing.T) {
-	raw, err := os.ReadFile("testdata/parent_dump.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte("Indexes")) {
-		t.Fatal("the fixture carries no Indexes field: not a snapshot of the old format")
-	}
-	back, err := ReadDB(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotDB(t)
-	misc, _ := want.Relation("MISC")
-	misc.Insert(Tuple{Int(7), Bool(true)})
-	assertDBEqual(t, want, back)
-
-	var again bytes.Buffer
-	if err := back.Dump(&again); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(again.Bytes(), []byte("Indexes")) {
-		t.Error("Dump still writes an Indexes field")
-	}
-	if grew := again.Len() - len(raw); grew > 0 {
-		t.Errorf("snapshot grew by %d bytes over the old encoding of the same world", grew)
-	}
-}
-
 // TestDumpGolden pins the columnar encoding: testdata/dump2.golden is
-// Dump of snapshotDB. testdata/dump.golden, the gob encoding Dump wrote of
-// the same world before, still decodes to it.
+// Dump of snapshotDB.
 func TestDumpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/dump2.golden")
 	if err != nil {
@@ -156,15 +121,6 @@ func TestDumpGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("Dump wrote %d bytes that differ from the %d of testdata/dump2.golden", buf.Len(), len(want))
 	}
-	old, err := os.ReadFile("testdata/dump.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDB(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDBEqual(t, snapshotDB(t), back)
 }
 
 // TestReloadCompactsDictionary: strings that no live row holds any more
@@ -218,73 +174,58 @@ func TestReadDBGarbage(t *testing.T) {
 	}
 }
 
-func encodeWire(t testing.TB, rels ...wireRelation) []byte {
+// tombstoned builds a relation R of one INT column over ids 0..last,
+// every one deleted but 3, 5000 and last, which hold 30, 31 and 32.
+func tombstoned(t testing.TB, last RowID) *DB {
+	t.Helper()
+	db := NewDB()
+	r := db.MustCreate(MustSchema("R", Column{"K", TInt}))
+	keep := map[RowID]int64{3: 30, 5000: 31, last: 32}
+	for id := RowID(0); id <= last; id++ {
+		if _, err := r.Insert(Tuple{Int(keep[id])}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := keep[id]; !ok {
+			r.Delete(id)
+		}
+	}
+	return db
+}
+
+// undumped writes db as Dump would, without holding it to checkSlots.
+func undumped(t testing.TB, db *DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wireDB{Relations: rels}); err != nil {
-		t.Fatal(err)
+	bw := bufio.NewWriter(&buf)
+	e := encoder{w: bw}
+	e.raw(columnarMagic)
+	e.uvarint(uint64(len(db.Names())))
+	for _, name := range db.Names() {
+		e.relation(db.rels[name])
+	}
+	if e.err != nil || bw.Flush() != nil {
+		t.Fatal(e.err)
 	}
 	return buf.Bytes()
 }
 
-// TestReadDBRejectsMalformedWorlds: snapshots that are valid gob but
-// describe no world a relation can hold are errors, not worlds with a
-// row silently lost or an id waiting to be handed out twice.
-func TestReadDBRejectsMalformedWorlds(t *testing.T) {
-	cols := []Column{{"K", TInt}, {"V", TString}}
-	row := func(k int64, v string) []wireValue {
-		return []wireValue{{Kind: TInt, I: k}, {Kind: TString, S: v}}
-	}
-	rel := func(next RowID, ids []RowID, rows ...[]wireValue) wireRelation {
-		return wireRelation{Name: "R", Cols: cols, NextID: next, RowIDs: ids, Rows: rows}
-	}
-	cases := map[string][]wireRelation{
-		"negative id":             {rel(3, []RowID{-1, 0}, row(1, "a"), row(2, "b"))},
-		"duplicate id":            {rel(3, []RowID{1, 1}, row(1, "a"), row(2, "b"))},
-		"ids out of order":        {rel(3, []RowID{2, 1}, row(1, "a"), row(2, "b"))},
-		"id at the counter":       {rel(2, []RowID{1, 2}, row(1, "a"), row(2, "b"))},
-		"id past the counter":     {rel(0, []RowID{5}, row(1, "a"))},
-		"negative counter":        {rel(-4, nil)},
-		"counter far past rows":   {rel(1<<40, []RowID{0}, row(1, "a"))},
-		"id far past the rows":    {rel(1<<40, []RowID{0, 1 << 39}, row(1, "a"), row(2, "b"))},
-		"more ids than rows":      {rel(3, []RowID{0, 1}, row(1, "a"))},
-		"more rows than ids":      {rel(3, []RowID{0}, row(1, "a"), row(2, "b"))},
-		"short row":               {rel(3, []RowID{0}, row(1, "a")[:1])},
-		"long row":                {rel(3, []RowID{0}, append(row(1, "a"), wireValue{Kind: TInt}))},
-		"value of the wrong type": {rel(3, []RowID{0}, []wireValue{{Kind: TString, S: "1"}, {Kind: TString, S: "a"}})},
-		"value of no type":        {rel(3, []RowID{0}, []wireValue{{Kind: 9}, {Kind: TString, S: "a"}})},
-		"column of no type":       {{Name: "R", Cols: []Column{{"K", 7}}}},
-		"duplicate column":        {{Name: "R", Cols: []Column{{"K", TInt}, {"K", TInt}}}},
-		"unnamed column":          {{Name: "R", Cols: []Column{{"", TInt}}}},
-		"unnamed relation":        {{Cols: cols}},
-		"duplicate relation":      {rel(0, nil), rel(0, nil)},
-	}
-	for name, rels := range cases {
-		db, err := ReadDB(bytes.NewReader(encodeWire(t, rels...)))
-		if !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s: ReadDB = %v, %v, want ErrBadSnapshot", name, db, err)
-		}
-	}
-}
-
-// TestReadDBBoundsTombstones: the ids a snapshot skips come back as
-// tombstones of the one dense layout, and the relation behaves like any
-// other afterwards; an id counter or a row id out of proportion to the
-// rows present is refused before anything is sized by it, and Dump
-// refuses to write what ReadDB would not take back.
+// TestReadDBBoundsTombstones: a relation that deleted almost every id it
+// issued round-trips, its skipped ids come back as tombstones of the one
+// dense layout, and it behaves like any other afterwards; an id counter
+// the input does not back is refused before anything is sized by it,
+// and Dump refuses exactly the worlds DecodeDB would.
 func TestReadDBBoundsTombstones(t *testing.T) {
-	one := func(k int64) [][]wireValue { return [][]wireValue{{{Kind: TInt, I: k}}} }
-	const bound = snapshotSlack + 3*snapshotSpread // the ids three rows may span
-	const last = bound - 2                         // leaves room for one Insert below
-	raw := encodeWire(t, wireRelation{
-		Name: "R", Cols: []Column{{"K", TInt}}, NextID: last + 1,
-		RowIDs: []RowID{3, 5000, last},
-		Rows:   append(append(one(30), one(31)...), one(32)...),
-	})
-	db, err := ReadDB(bytes.NewReader(raw))
+	const last = 70_000 // past any density rule a few rows could satisfy
+	var buf bytes.Buffer
+	if err := tombstoned(t, last).Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := bytes.Clone(buf.Bytes())
+	db, err := ReadDB(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDBEqual(t, tombstoned(t, last), db)
 	r, _ := db.Relation("R")
 	if v, ok := r.GetCol(5000, 0); !ok || v.AsInt() != 31 {
 		t.Errorf("row 5000 = %v, %v", v, ok)
@@ -307,7 +248,7 @@ func TestReadDBBoundsTombstones(t *testing.T) {
 		t.Errorf("scan = %v, Len %d", ids, r.Len())
 	}
 	// And it survives a round trip and a clone.
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := db.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -318,60 +259,77 @@ func TestReadDBBoundsTombstones(t *testing.T) {
 	assertDBEqual(t, db, back)
 	assertDBEqual(t, db, db.Clone())
 
-	// One id further, or 2^55 ids further, is a header asking for memory
-	// the rows do not account for.
-	for _, next := range []RowID{bound + 1, 1 << 55, math.MaxInt64} {
-		raw := encodeWire(t, wireRelation{
-			Name: "R", Cols: []Column{{"K", TInt}}, NextID: next,
-			RowIDs: []RowID{3, 5000, next - 1},
-			Rows:   append(append(one(30), one(31)...), one(32)...),
-		})
-		if db, err := ReadDB(bytes.NewReader(raw)); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("id counter %d over 3 rows: ReadDB = %v, %v, want ErrBadSnapshot", next, db, err)
+	// A counter further out asks for a liveness bitmap the input does not
+	// hold.
+	head := columnar("R", []Column{{"K", TInt}}, last+1, 3)
+	if !bytes.HasPrefix(raw, head) {
+		t.Fatal("the dump does not open with the relation header")
+	}
+	body := raw[len(head):]
+	for _, next := range []uint64{last + 65, 1 << 55, math.MaxInt64} {
+		raw := append(columnar("R", []Column{{"K", TInt}}, next, 3), body...)
+		if db, err := DecodeDB(raw); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("id counter %d over 3 rows: DecodeDB = %v, %v, want ErrBadSnapshot", next, db, err)
 		}
 	}
 
-	// A world that deleted its way past the bound keeps its last readable
-	// checkpoint: Dump fails instead of writing one ReadDB refuses.
-	sparse := NewDB()
-	sr, _ := sparse.Create(MustSchema("S", Column{"K", TInt}))
-	for i := 0; i < snapshotSlack+snapshotSpread*10; i++ {
-		sr.Insert(Tuple{Int(int64(i))})
+	// Nine INT columns over 65 536 ids need 15 live rows to back their
+	// slots; 14 do not. Dump and DecodeDB draw the line at the same row.
+	wide := NewDB()
+	wr := wide.MustCreate(MustSchema("W", intCols(9)...))
+	for i := 0; i < 1<<16; i++ {
+		wr.Insert(intRow(9))
 	}
-	for id := RowID(9); id < RowID(sr.n); id++ {
-		sr.Delete(id)
+	for id := RowID(16); id < 1<<16; id++ {
+		wr.Delete(id)
 	}
-	if err := sparse.Dump(io.Discard); err == nil {
-		t.Errorf("Dump wrote a relation of %d rows over %d ids", sr.Len(), sr.n)
+	refused := 0
+	for id := RowID(15); id >= 12; id-- {
+		wr.Delete(id)
+		_, decodeErr := DecodeDB(undumped(t, wide))
+		dumpErr := wide.Dump(io.Discard)
+		if (decodeErr == nil) != (dumpErr == nil) {
+			t.Fatalf("%d live rows over %d ids: DecodeDB says %v, Dump says %v", wr.Len(), wr.n, decodeErr, dumpErr)
+		}
+		if decodeErr != nil {
+			if !errors.Is(decodeErr, ErrBadSnapshot) {
+				t.Fatalf("%d live rows: DecodeDB = %v, want ErrBadSnapshot", wr.Len(), decodeErr)
+			}
+			refused++
+		}
+		if wantRefused := wr.Len() < 15; (decodeErr != nil) != wantRefused {
+			t.Errorf("%d live rows over %d ids: refused %v, want %v", wr.Len(), wr.n, decodeErr != nil, wantRefused)
+		}
 	}
-	sr.Insert(Tuple{Int(-1)})
-	sr.Insert(Tuple{Int(-2)})
-	buf.Reset()
-	if err := sparse.Dump(&buf); err != nil {
-		t.Fatalf("Dump of %d rows over %d ids: %v", sr.Len(), sr.n, err)
+	if refused == 0 || refused == 4 {
+		t.Errorf("%d of 4 worlds refused: the line was not crossed", refused)
 	}
-	if back, err = ReadDB(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// intCols returns k INT columns, C0 to C(k-1).
+func intCols(k int) []Column {
+	cols := make([]Column, k)
+	for i := range cols {
+		cols[i] = Column{"C" + strconv.Itoa(i), TInt}
 	}
-	assertDBEqual(t, sparse, back)
+	return cols
+}
+
+func intRow(k int) Tuple {
+	row := make(Tuple, k)
+	for i := range row {
+		row[i] = Int(int64(i))
+	}
+	return row
 }
 
 // columnarSeeds are worlds whose columnar encodings seed FuzzReadDB: the
 // tombstoned relation of TestReadDBBoundsTombstones, a FLOAT column
-// holding an int and a negative zero, a BOOL column and an empty
-// relation.
+// holding an int and a negative zero, a BOOL column, an empty relation,
+// and eight INT columns over 64 ids, all deleted, which checkSlots admits
+// with nothing to spare.
 func columnarSeeds(t testing.TB) []*DB {
 	t.Helper()
-	one := func(k int64) [][]wireValue { return [][]wireValue{{{Kind: TInt, I: k}}} }
-	const last = snapshotSlack + 3*snapshotSpread - 2
-	tomb, err := ReadDB(bytes.NewReader(encodeWire(t, wireRelation{
-		Name: "R", Cols: []Column{{"K", TInt}}, NextID: last + 1,
-		RowIDs: []RowID{3, 5000, last},
-		Rows:   append(append(one(30), one(31)...), one(32)...),
-	})))
-	if err != nil {
-		t.Fatal(err)
-	}
 	floats := NewDB()
 	fr := floats.MustCreate(MustSchema("F", Column{"X", TFloat}))
 	for _, v := range []Value{Int(1), Float(math.Copysign(0, -1)), Float(2.5), Int(-3)} {
@@ -385,7 +343,13 @@ func columnarSeeds(t testing.TB) []*DB {
 	}
 	empty := NewDB()
 	empty.MustCreate(MustSchema("E", Column{"S", TString}, Column{"X", TFloat}))
-	return []*DB{tomb, floats, bools, empty}
+	eight := NewDB()
+	er := eight.MustCreate(MustSchema("G", intCols(8)...))
+	for i := 0; i < 64; i++ {
+		er.Insert(intRow(8))
+		er.Delete(RowID(i))
+	}
+	return []*DB{tombstoned(t, 70_000), floats, bools, empty, eight}
 }
 
 // columnar assembles a one-relation columnar snapshot by hand: the
@@ -403,6 +367,13 @@ func columnar(name string, cols []Column, next, live uint64, parts ...[]byte) []
 		b = append(b, p...)
 	}
 	return b
+}
+
+// twice turns a one-relation snapshot into one that holds its relation
+// twice.
+func twice(one []byte) []byte {
+	rel := one[len(columnarMagic)+1:]
+	return append(append(binary.AppendUvarint([]byte(columnarMagic), 2), rel...), rel...)
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -438,7 +409,9 @@ func dictSection(strs ...string) []byte {
 
 // TestReadDBBoundsDeclaredLengths: a columnar snapshot that declares more
 // rows, columns, strings or bytes than the input holds is refused before
-// anything is sized by the declaration.
+// anything is sized by the declaration, and so is one whose columns would
+// spread a small liveness bitmap over far more slot bytes than the input
+// holds.
 func TestReadDBBoundsDeclaredLengths(t *testing.T) {
 	const big = 1 << 20 // rows whose liveness bitmap the input does hold
 	full := bytes.Repeat([]byte{0xff}, big/8)
@@ -454,6 +427,8 @@ func TestReadDBBoundsDeclaredLengths(t *testing.T) {
 		"more strings than bytes":   columnar("R", strCol, big, big, sec(full), sec(binary.AppendUvarint(nil, 1<<40))),
 		"codes past the input":      columnar("R", strCol, big, big, sec(full), sec(dictSection("a")), declare(4*big, le32(0))),
 		"section longer than want":  columnar("R", intCol, 1, 1, sec(le64(1)), sec(le64(5, 6))),
+		"200 columns of tombstones": columnar("R", intCols(200), 1<<16, 0,
+			append(sec(make([]byte, 1<<13)), bytes.Repeat(sec(nil), 200)...)),
 	}
 	for name, raw := range cases {
 		var db *DB
@@ -468,16 +443,34 @@ func TestReadDBBoundsDeclaredLengths(t *testing.T) {
 	}
 }
 
+// TestReadDBRejectsMalformedWorlds: a columnar snapshot whose catalog or
+// row bookkeeping describes no world is refused by ReadDB: an unnamed or
+// repeated relation, a column unnamed, repeated or of no type, a live count
+// over the id counter, or a counter far past the rows the input holds.
+func TestReadDBRejectsMalformedWorlds(t *testing.T) {
+	intCol := []Column{{"K", TInt}}
+	cases := map[string][]byte{
+		"column of no type":     columnar("R", []Column{{"K", 7}}, 0, 0, sec(nil)),
+		"unnamed column":        columnar("R", []Column{{"", TInt}}, 0, 0, sec(nil), sec(nil)),
+		"unnamed relation":      columnar("", intCol, 0, 0, sec(nil), sec(nil)),
+		"duplicate relation":    twice(columnar("R", intCol, 0, 0, sec(nil), sec(nil))),
+		"duplicate column":      columnar("R", []Column{{"K", TInt}, {"K", TInt}}, 0, 0, sec(nil), sec(nil), sec(nil)),
+		"more live than ids":    columnar("R", intCol, 1, 2, sec(le64(1)), sec(le64(1, 2))),
+		"counter far past rows": columnar("R", intCol, 1<<40, 0, sec(nil)),
+	}
+	for name, raw := range cases {
+		if db, err := ReadDB(bytes.NewReader(raw)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: ReadDB = %v, %v, want ErrBadSnapshot", name, db, err)
+		}
+	}
+}
+
 // TestReadDBRejectsMalformedColumns: a columnar snapshot whose sections
-// frame correctly but hold no world is refused.
+// frame correctly but whose column payloads hold no world is refused.
 func TestReadDBRejectsMalformedColumns(t *testing.T) {
 	intCol := []Column{{"K", TInt}}
 	strCol := []Column{{"V", TString}}
 	cases := map[string][]byte{
-		"column of no type":      columnar("R", []Column{{"K", 7}}, 0, 0, sec(nil)),
-		"duplicate column":       columnar("R", []Column{{"K", TInt}, {"K", TInt}}, 0, 0, sec(nil), sec(nil), sec(nil)),
-		"more live than ids":     columnar("R", intCol, 1, 2, sec(le64(1)), sec(le64(1, 2))),
-		"counter far past rows":  columnar("R", intCol, 1<<40, 0, sec(nil)),
 		"popcount over live":     columnar("R", intCol, 2, 1, sec(le64(0b11)), sec(le64(1))),
 		"bit past the counter":   columnar("R", intCol, 2, 1, sec(le64(0b100)), sec(le64(1))),
 		"bool out of range":      columnar("R", []Column{{"B", TBool}}, 1, 1, sec(le64(1)), sec(le64(2))),
@@ -504,23 +497,21 @@ func TestReadDBRejectsMalformedColumns(t *testing.T) {
 	}
 }
 
-// FuzzReadDB: whatever the bytes, ReadDB returns a world or an error —
-// no panic, no allocation a header sizes beyond the density bound — and a
-// world it returns is
-// one Dump reproduces and Insert can extend.
+// decodeAllocBound is what decoding n bytes may allocate: slotRatio bytes
+// of slot vector per input byte (the format comment's bound), which also
+// covers a dictionary string's and a column's constant cost, plus slack
+// for the runtime's own bookkeeping.
+func decodeAllocBound(n int) float64 { return slotRatio*float64(n) + 64<<10 }
+
+// FuzzReadDB: whatever the bytes, DecodeDB returns a world or an error —
+// no panic, and allocation within decodeAllocBound either way — and a
+// world it returns is one Dump reproduces and Insert can extend.
 func FuzzReadDB(f *testing.F) {
-	fixture, err := os.ReadFile("testdata/parent_dump.snap")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fixture)
 	var buf bytes.Buffer
 	if err := snapshotDB(f).Dump(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add(encodeWire(f, wireRelation{Name: "R", Cols: []Column{{"X", TFloat}}, NextID: 100,
-		RowIDs: []RowID{7, 99}, Rows: [][]wireValue{{{Kind: TInt, I: 1}}, {{Kind: TFloat, F: math.Copysign(0, -1)}}}}))
+	f.Add(bytes.Clone(buf.Bytes()))
 	for _, db := range columnarSeeds(f) {
 		buf.Reset()
 		if err := db.Dump(&buf); err != nil {
@@ -531,8 +522,15 @@ func FuzzReadDB(f *testing.F) {
 	// A dictionary carrying a string no row uses, which Dump never writes.
 	f.Add(columnar("R", []Column{{"V", TString}}, 2, 2,
 		sec(le64(0b11)), sec(dictSection("dead", "a", "b")), sec(le32(1, 2))))
+	// Nine INT columns over 64 deleted ids: one column past what
+	// checkSlots admits.
+	f.Add(columnar("R", intCols(9), 64, 0, append(sec(le64(0)), bytes.Repeat(sec(nil), 9)...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := ReadDB(bytes.NewReader(data))
+		var db *DB
+		var err error
+		if _, allocated := measure(func() { db, err = DecodeDB(data) }); allocated > decodeAllocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %v (err %v), bound %v", len(data), allocated, err, decodeAllocBound(len(data)))
+		}
 		if err != nil {
 			return
 		}
@@ -556,7 +554,7 @@ func FuzzReadDB(f *testing.F) {
 			if id, err := r.Insert(first); err != nil || id != want {
 				t.Fatalf("%s: Insert = %d, %v, want id %d", name, id, err, want)
 			}
-			if got, ok := r.Get(want); !ok || !sameRow(got, first) {
+			if got, ok := r.Get(want); !ok || !identical(got, first) {
 				t.Fatalf("%s: inserted %v, read %v, %v", name, first, got, ok)
 			}
 		}

@@ -218,35 +218,27 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 		return 0, err
 	}
 	s := r.n
-	r.extend(1)
-	for ci, v := range t {
-		r.cols[ci].store(s, v)
-	}
-	r.rows.alive.set(s)
-	r.live++
-	return RowID(s), nil
-}
-
-// extend appends k dead slots holding zero values to every vector, owning
-// each one first.
-func (r *Relation) extend(k int) {
+	r.n++
 	// Headroom for a copied vector: the next few inserts append in place.
-	extra := k + r.n/8 + 16
-	r.n += k
-	for ci := range r.cols {
+	extra := 1 + s/8 + 16
+	for ci, v := range t {
 		c := r.own(ci, extra)
 		switch c.typ {
 		case TString:
-			c.codes = append(c.codes, make([]uint32, k)...)
+			c.codes = append(c.codes, 0)
 		case TFloat:
-			c.ints = c.ints.cover(r.n - 1)
+			c.ints = c.ints.cover(s)
 			fallthrough
 		default:
-			c.nums = append(c.nums, make([]int64, k)...)
+			c.nums = append(c.nums, 0)
 		}
+		c.store(s, v)
 	}
 	rs := r.ownRows(extra)
-	rs.alive = rs.alive.cover(r.n - 1)
+	rs.alive = rs.alive.cover(s)
+	rs.alive.set(s)
+	r.live++
+	return RowID(s), nil
 }
 
 // Has reports whether a row is stored under id.

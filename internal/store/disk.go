@@ -29,8 +29,8 @@ var ErrNoBase = errors.New("store: wal records without a base snapshot")
 const walName = "wal.log"
 
 // DiskStore is the durable store the engine writes through: one
-// append-only wal1 log plus checkpointed snap2 snapshots (snap1 ones
-// still load) in a flat directory. It keeps a private "shadow" copy of
+// append-only wal1 log plus checkpointed snap2 snapshots in a flat
+// directory. It keeps a private "shadow" copy of
 // the durable world — the snapshot-plus-log state — which every Append
 // advances, so checkpointing never has to reach into the engine: a
 // checkpoint is a clone of the shadow dumped to disk, followed by a

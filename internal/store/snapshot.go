@@ -26,13 +26,11 @@ import (
 // streamed to a temp file, fsynced, then renamed into place — a crash
 // mid-checkpoint leaves the previous snapshot untouched. The CRC trailer
 // makes a half-written or bit-rotted snapshot detectable, in which case
-// recovery falls back to the next older file. Files of the previous
-// version, "snap1:", hold relstore's gob world dump and still load.
+// recovery falls back to the next older file. Files of the retired
+// version, "snap1:", held a gob world dump; they are refused, with an
+// error that says how to convert them.
 
-var (
-	snapHeader  = []byte("snap2:")
-	snap1Header = []byte("snap1:")
-)
+var snapHeader = []byte("snap2:")
 
 const snapSuffix = ".snap"
 
@@ -104,8 +102,7 @@ func writeSnapshot(dir string, epoch int64, db *relstore.DB) (int64, error) {
 	return out.n + 4, syncDir(dir)
 }
 
-// readSnapshot loads and verifies one snapshot file, of either version,
-// and reports its size.
+// readSnapshot loads and verifies one snapshot file and reports its size.
 func readSnapshot(path string) (*relstore.DB, int64, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -114,8 +111,10 @@ func readSnapshot(path string) (*relstore.DB, int64, int64, error) {
 	if len(data) < len(snapHeader)+8+4 {
 		return nil, 0, 0, fmt.Errorf("store: snapshot %s shorter than its framing", filepath.Base(path))
 	}
-	if !bytes.HasPrefix(data, snapHeader) && !bytes.HasPrefix(data, snap1Header) {
-		return nil, 0, 0, fmt.Errorf("store: snapshot %s header is neither %q nor %q", filepath.Base(path), snapHeader, snap1Header)
+	if head := data[:len(snapHeader)]; !bytes.Equal(head, snapHeader) {
+		return nil, 0, 0, fmt.Errorf("store: snapshot %s opens with %q, not %q; the gob format \"snap1:\" is no longer read: "+
+			"open the directory once with an earlier build that still reads snap1 and call DB.Checkpoint to rewrite it as snap2",
+			filepath.Base(path), head, snapHeader)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {

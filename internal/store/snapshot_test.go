@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,106 +15,96 @@ import (
 	"factordb/internal/world"
 )
 
-// snap1History is the write history behind testdata/snap1: testWorld
-// seeded at epoch 0, then one batch per epoch from 1. The directory was
-// written by the store while it still wrote snap1 snapshots, with a
-// checkpoint cut at snap1Checkpoint, so it holds the seed snapshot, the
-// checkpoint and a log tail of the batches after it. The batches leave a tombstone, a FLOAT column
-// holding an int, a BOOL flipped and a string no live row holds.
-func snap1History() [][]world.Op {
-	return [][]world.Op{
-		{updateOp(1, "alpha"), insertOp(100, "beta")},
-		{deleteOp(2), updateOp(4, "w")},
-		{{Kind: world.OpUpdate, Rel: "TOKEN", Row: 5, Cols: []int{2, 3},
-			Vals: []relstore.Value{relstore.Int(7), relstore.Bool(true)}}},
-		{updateOp(1, "gamma"), deleteOp(8)},
-		{insertOp(101, "delta")},
-	}
-}
-
-const snap1Checkpoint = 3
-
-// snap1World is the dump of testWorld after the first epochs batches of
-// snap1History.
-func snap1World(t *testing.T, epochs int) []byte {
+// readDir returns the contents of every file in the flat directory dir.
+func readDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	db := testWorld(t)
-	log := world.NewChangeLog(db)
-	for _, ops := range snap1History()[:epochs] {
-		if _, err := log.ApplyOps(ops); err != nil {
-			t.Fatal(err)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return dump(t, db)
+	files := map[string][]byte{}
+	for _, e := range entries {
+		files[e.Name()] = read(t, filepath.Join(dir, e.Name()))
+	}
+	return files
 }
 
 // copyDir copies the flat directory src into a new temporary one.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		write(t, filepath.Join(dst, e.Name()), read(t, filepath.Join(src, e.Name())))
+	for name, data := range readDir(t, src) {
+		write(t, filepath.Join(dst, name), data)
 	}
 	return dst
 }
 
-// TestRecoversSnap1Directory: a data directory written before snapshots
-// went columnar — gob snapshots under the "snap1:" header and a log tail —
-// recovers to the world and epoch it recorded, the next checkpoint writes
-// "snap2:", which recovers the same, and a rotted snap2 file falls back
-// to the snap1 one it superseded, whose log tail the checkpoint kept, so
-// the fallback recovers the same world and epoch too.
-func TestRecoversSnap1Directory(t *testing.T) {
+// TestRefusesSnap1Directory: a data directory written before snapshots
+// went columnar — gob snapshots under the "snap1:" header and a log tail
+// — is refused, not misread. The error names the retired format and the
+// way to convert it, and the refused Open leaves every file as it was.
+func TestRefusesSnap1Directory(t *testing.T) {
 	dir := copyDir(t, "testdata/snap1")
-	last := int64(len(snap1History()))
-	want := snap1World(t, len(snap1History()))
-
-	s := openStore(t, dir, Options{Fsync: FsyncNever, CheckpointOps: -1, CheckpointBytes: -1})
-	rec := s.Recovery()
-	if rec.SnapshotEpoch != snap1Checkpoint || rec.Epoch != last || rec.ReplayedRecords != last-snap1Checkpoint {
-		t.Fatalf("recovery %+v, want snapshot %d, epoch %d", rec, snap1Checkpoint, last)
+	before := readDir(t, dir)
+	s, err := Open(Options{Dir: dir})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open recovered a snap1 directory")
 	}
-	if !bytes.Equal(dump(t, s.WorldClone()), want) {
-		t.Fatal("the snap1 directory recovered another world")
+	for _, want := range []string{`"snap1:"`, "no longer read", "DB.Checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q does not mention %s", err, want)
+		}
+	}
+	if after := readDir(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Error("the refused Open changed the directory")
+	}
+}
+
+// TestMostlyDeletedWorldCheckpoints: a world that deleted all but 5 of
+// the 70 008 rows it held still checkpoints, and the checkpoint recovers
+// it byte for byte.
+func TestMostlyDeletedWorldCheckpoints(t *testing.T) {
+	world70k := func() *relstore.DB {
+		db := testWorld(t)
+		tok, _ := db.Relation("TOKEN")
+		for i := 0; i < 70_000; i++ {
+			if _, err := tok.Insert(relstore.Tuple{relstore.Int(int64(100 + i)), relstore.String("x"),
+				relstore.Float(float64(i)), relstore.Bool(i%2 == 0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	var ops []world.Op
+	for id := int64(5); id < 70_008; id++ {
+		ops = append(ops, deleteOp(id))
+	}
+	want := world70k()
+	if _, err := world.NewChangeLog(want).ApplyOps(ops); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, CheckpointOps: -1, CheckpointBytes: -1}
+	s := openStore(t, dir, opts)
+	if err := s.Seed(world70k(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(1, ops); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("checkpoint of 5 rows over 70 008 ids: %v", err)
 	}
 	s.Close()
-	names, err := snapshotNames(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest := filepath.Join(dir, snapshotName(last))
-	if len(names) != 2 || names[0] != snapshotName(snap1Checkpoint) || names[1] != filepath.Base(newest) {
-		t.Fatalf("snapshots after the checkpoint: %v", names)
-	}
-	if !bytes.HasPrefix(read(t, newest), snapHeader) {
-		t.Fatalf("the checkpoint was not written as %q", snapHeader)
-	}
 
-	r := openStore(t, dir, Options{})
-	if rec := r.Recovery(); rec.SnapshotEpoch != last || rec.Epoch != last || rec.ReplayedRecords != 0 {
-		t.Fatalf("recovery from snap2 %+v, want snapshot and epoch %d", rec, last)
+	r := openStore(t, dir, opts)
+	if rec := r.Recovery(); rec.SnapshotEpoch != 1 || rec.Epoch != 1 || rec.ReplayedRecords != 0 {
+		t.Fatalf("recovery %+v, want snapshot and epoch 1", rec)
 	}
-	if !bytes.Equal(dump(t, r.WorldClone()), want) {
-		t.Fatal("the snap2 checkpoint recovered another world")
-	}
-	r.Close()
-
-	data := read(t, newest)
-	data[len(data)/2] ^= 0xFF
-	write(t, newest, data)
-	f := openStore(t, dir, Options{})
-	if rec := f.Recovery(); rec.SnapshotEpoch != snap1Checkpoint || rec.Epoch != last || rec.ReplayedRecords != last-snap1Checkpoint {
-		t.Fatalf("fallback recovery %+v, want the snap1 checkpoint at %d replayed to epoch %d", rec, snap1Checkpoint, last)
-	}
-	if !bytes.Equal(dump(t, f.WorldClone()), want) {
-		t.Fatal("the snap1 fallback recovered another world")
+	if !bytes.Equal(dump(t, r.WorldClone()), dump(t, want)) {
+		t.Fatal("the checkpoint recovered another world")
 	}
 }
 
