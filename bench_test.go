@@ -154,9 +154,9 @@ func BenchmarkScoreDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vocab := ie.BuildVocab(corpus)
-	model := ie.NewModel(vocab, true)
-	tg := ie.NewTagger(model, ie.NewCorpusIndex(corpus, vocab), ie.LO)
+	index := ie.NewCorpusIndex(corpus)
+	model := ie.NewModel(index.NumStrings(), true)
+	tg := ie.NewTagger(model, index, ie.LO)
 	ld := tg.Docs[0]
 	rng := rand.New(rand.NewSource(7))
 	b.Run("local-delta", func(b *testing.B) {

@@ -170,7 +170,7 @@
 // write changes the evidence columns it touches and every answer that
 // selects on them; it does not yet change the factor graph, which is
 // built from the corpus at set-up, so hidden-variable marginals do not
-// respond to it (ROADMAP item 1). The DML grammar (literals only
+// respond to it (ROADMAP item 2). The DML grammar (literals only
 // on the write path; WHERE is a conjunction of simple comparisons):
 //
 //	INSERT INTO t [(col, ...)] VALUES (lit, ...) [, (lit, ...)]...
@@ -242,10 +242,11 @@
 // WithDataDir(dir) makes the write path durable (cmd/factordbd:
 // -data-dir). The store persists exactly the evidence — the prototype
 // possible world and committed mutations. Everything else (graph,
-// weights, chains) is rebuilt from the workload config on every open, and
-// nothing checks that config against the one that wrote the directory: a
-// reopen under another config (say, a changed factordbd -tokens) serves
-// the recovered world under a model built for other rows, undetected.
+// weights, chains) is rebuilt from the workload config on every open,
+// over the recovered world: a model addressing rows that world never
+// issued (say, a larger factordbd -tokens) fails Open with ErrRecovery,
+// but one that fits the rows (a smaller or reseeded corpus) serves the
+// world under a model built for other rows, undetected.
 // Two on-disk artifacts live in dir:
 //
 //   - snap-<epoch>.snap: a checkpoint of the world as of a data epoch.
@@ -392,15 +393,16 @@
 //     same slice, summing the factors in the order FeatureDelta lists them.
 //     There is no second copy to keep in sync; θ is read-only once
 //     exp.BuildNER has scaled it by the temperature and shares the model.
-//     The per-token inputs of a score other than the labels — vocabulary
-//     ids, capitalization, skip edges — live in an ie.CorpusIndex built
-//     once per corpus and shared read-only by every tagger over it,
-//     beside each token's gold label (1 B per token). After set-up the
-//     store, the index and θ are all that stays in memory; the generated
-//     corpus does not. A token's TOKEN row is its document's first RowID
-//     plus its position: ie.LoadCorpus gives each document consecutive
-//     RowIDs, and Tagger.BindDB refuses a map that does not fit the
-//     relation.
+//     The per-token inputs of a score other than the labels — string
+//     ids (issued in order of first use; only their count, which sizes
+//     θ, is kept), capitalization, skip edges — live in an ie.CorpusIndex
+//     built once per corpus and shared read-only by every tagger over
+//     it, beside each token's gold label (1 B per token). After set-up
+//     the store, the index and θ are all that stays in memory; the
+//     generated corpus does not. Token i of document d is TOKEN row
+//     first[d]+i, first[d] being the document's offset in the index and
+//     ie.LoadCorpus inserting rows in that order; BindDB refuses a
+//     relation that has not issued every row the index addresses.
 //   - The store is columnar and its worlds share vectors copy-on-write
 //     (internal/relstore): a flip is Relation.SetCol, a store into the
 //     one column vector the chain owns, reached through a world.Field

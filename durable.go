@@ -3,13 +3,15 @@ package factordb
 import (
 	"fmt"
 
+	"factordb/internal/relstore"
 	"factordb/internal/serve"
 	"factordb/internal/store"
 )
 
 // ErrRecovery marks durable-storage failures surfaced through the public
-// API: a data directory that cannot be opened or recovered at Open, and
-// a WAL append that fails mid-Exec (the write is vetoed). Match it with
+// API: a data directory that cannot be opened or recovered at Open, or
+// that the model does not fit, and a WAL append that fails mid-Exec (the
+// write is vetoed). Match it with
 // errors.Is; the wrapped message carries the store-level detail.
 var ErrRecovery = serve.ErrWAL
 
@@ -51,36 +53,43 @@ func WithCheckpointEvery(ops, bytes int64) Option {
 	return func(o *options) { o.store.CheckpointOps, o.store.CheckpointBytes = ops, bytes }
 }
 
-// openDurability opens (or initializes) the data directory and installs
-// the recovered world into the system. Returns nil when durability is
-// not requested. On return the system's prototype world reflects every
-// record the log could prove, and the caller must resume the epoch
-// sequence at rec.Epoch.
-func openDurability(o store.Options, sys system) (*store.DiskStore, error) {
+// openDurability opens (or initializes) the data directory and returns
+// it with the world it recovered: nil when the directory is fresh, and no
+// store when durability is not requested. The caller must resume the
+// epoch sequence at rec.Epoch.
+func openDurability(o store.Options) (*store.DiskStore, *relstore.DB, error) {
 	if o.Dir == "" {
-		return nil, nil
+		return nil, nil, nil
 	}
 	st, err := store.Open(o)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrRecovery, err)
 	}
-	rec := st.Recovery()
-	if rec.Fresh {
-		// First open of this directory: the freshly built world is the
-		// base snapshot every later recovery starts from.
-		if err := st.Seed(sys.WorldDB(), 0); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("%w: seeding %s: %v", ErrRecovery, o.Dir, err)
-		}
-		return st, nil
+	if st.Recovery().Fresh {
+		return st, nil, nil
 	}
 	w := st.WorldClone()
 	if w == nil {
 		st.Close()
-		return nil, fmt.Errorf("%w: %s recovered no world", ErrRecovery, o.Dir)
+		return nil, nil, fmt.Errorf("%w: %s recovered no world", ErrRecovery, o.Dir)
 	}
-	sys.RestoreWorld(w)
-	return st, nil
+	return st, w, nil
+}
+
+// adoptDurability seeds a fresh directory with the system's world, or
+// binds one chain world to a recovered one, so that a model addressing
+// rows the world never issued fails Open rather than every query.
+func adoptDurability(st *store.DiskStore, dir string, sys system, name string) error {
+	if st.Recovery().Fresh {
+		if err := st.Seed(sys.WorldDB(), 0); err != nil {
+			return fmt.Errorf("%w: seeding %s: %v", ErrRecovery, dir, err)
+		}
+		return nil
+	}
+	if _, _, err := sys.NewChainWorld(0); err != nil {
+		return fmt.Errorf("%w: the %s model does not fit the world recovered from %s: %v", ErrRecovery, name, dir, err)
+	}
+	return nil
 }
 
 // recoveryTrace renders what Open found on disk as a QueryTrace — the

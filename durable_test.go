@@ -130,6 +130,43 @@ func TestOpenRefusesSnap1Directory(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesModelThatDoesNotFit: a directory seeded under a
+// 400-token corpus holds fewer TOKEN rows than a 1 200-token model
+// addresses, so reopening it under that model fails Open with
+// ErrRecovery, naming the directory and the model, in every mode. The
+// directory is left as it was. A config whose model fits the rows (a
+// smaller or reseeded corpus) is still served undetected.
+func TestOpenRefusesModelThatDoesNotFit(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(durableNER(), durableOpts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execN(t, db, 1)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bigger := NER(NERConfig{Tokens: 3 * durTokens, Seed: durSeed, TrainSteps: durTrain})
+	for _, mode := range []Mode{ModeNaive, ModeMaterialized, ModeServed} {
+		db, err := Open(bigger, durableOpts(dir, WithMode(mode))...)
+		if err == nil {
+			db.Close()
+			t.Fatalf("%s: Open served a directory the model does not fit", mode)
+		}
+		if !errors.Is(err, ErrRecovery) || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "ner") {
+			t.Fatalf("%s: Open = %v, want ErrRecovery naming %s and the ner model", mode, err, dir)
+		}
+	}
+	re, err := Open(durableNER(), durableOpts(dir)...)
+	if err != nil {
+		t.Fatalf("the seeding config no longer opens the directory: %v", err)
+	}
+	defer re.Close()
+	if got := re.WriteEpoch(); got != 1 {
+		t.Fatalf("recovered write epoch %d, want 1", got)
+	}
+}
+
 // TestDurableReopenServed runs the same contract through the serving
 // engine: the WAL sees the fan-out batches and the recovered epoch seeds
 // the engine's data epoch.

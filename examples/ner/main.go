@@ -25,11 +25,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vocab := ie.BuildVocab(corpus)
-	index := ie.NewCorpusIndex(corpus, vocab)
+	index := ie.NewCorpusIndex(corpus)
 
 	accuracy := func(useSkip bool) float64 {
-		m := ie.NewModel(vocab, useSkip)
+		m := ie.NewModel(index.NumStrings(), useSkip)
 		trainer := ie.NewTagger(m, index, ie.LO)
 		trainer.Train(400000, 1.0, 7)
 		// Decode with a fresh model-driven MH walk from all-O: the walk

@@ -5,7 +5,7 @@
 // bookkeeping as in tuple-level probabilistic databases. The write
 // changes the evidence and every answer that selects on it; it does not
 // yet change the factor graph, so the labels' marginals come from a
-// model that has not seen the correction (ROADMAP item 1).
+// model that has not seen the correction (ROADMAP item 2).
 //
 // The demo corrects a transcription error: a token in a document that
 // never mentioned Boston is fixed to read "Boston". Query 4 — persons

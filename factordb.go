@@ -192,8 +192,9 @@ type DB struct {
 }
 
 // Open builds (and, for the NER workload, trains) the model, then stands
-// up the selected evaluation strategy over it. Expect Open to dominate
-// startup cost; the returned DB answers queries until Close.
+// up the selected evaluation strategy over it, with WithDataDir over the
+// world the directory recovered. Expect Open to dominate startup cost;
+// the returned DB answers queries until Close.
 func Open(model Model, opts ...Option) (*DB, error) {
 	o := defaultOptions()
 	for _, f := range opts {
@@ -206,20 +207,24 @@ func Open(model Model, opts ...Option) (*DB, error) {
 	if cfg.DefaultSamples <= 0 {
 		return nil, fmt.Errorf("factordb: sample budget must be positive, got %d", cfg.DefaultSamples)
 	}
-	sys, err := model.build()
+	// Recovery comes first, so the model is built over the world it will
+	// serve and every chain cloned below carries post-replay evidence.
+	start := time.Now()
+	st, recovered, err := openDurability(o.store)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: o, sys: sys, name: model.modelName(), start: time.Now()}
-
-	// Recovery happens before any chain is cloned: openDurability swaps
-	// the recovered world into the system, so every world cloned below
-	// carries post-replay evidence.
-	st, err := openDurability(o.store, sys)
+	sys, err := model.build(recovered)
+	if err == nil && st != nil {
+		err = adoptDurability(st, o.store.Dir, sys, model.modelName())
+	}
 	if err != nil {
+		if st != nil {
+			st.Close()
+		}
 		return nil, err
 	}
-	db.store = st
+	db := &DB{opts: o, sys: sys, name: model.modelName(), start: start, store: st}
 	if st != nil {
 		cfg.WAL = st
 		cfg.InitialDataEpoch = st.Recovery().Epoch

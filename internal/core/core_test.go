@@ -151,19 +151,17 @@ func TestNERIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vocab := ie.BuildVocab(corpus)
-	model := ie.NewModel(vocab, true)
-	index := ie.NewCorpusIndex(corpus, vocab)
+	index := ie.NewCorpusIndex(corpus)
+	model := ie.NewModel(index.NumStrings(), true)
 
 	build := func(seed int64, mode Mode) (*Evaluator, *ie.Tagger) {
 		db := relstore.NewDB()
-		rows, err := ie.LoadCorpus(db, corpus, ie.LO)
-		if err != nil {
+		if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
 			t.Fatal(err)
 		}
 		log := world.NewChangeLog(db)
 		tg := ie.NewTagger(model, index, ie.LO)
-		if err := tg.BindDB(log, rows); err != nil {
+		if err := tg.BindDB(log); err != nil {
 			t.Fatal(err)
 		}
 		ev, err := NewEvaluator(mode, log, tg, perNERQuery(), 200, seed)

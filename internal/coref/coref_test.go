@@ -144,33 +144,50 @@ func TestPairwiseF1Extremes(t *testing.T) {
 func TestWriteThroughToDB(t *testing.T) {
 	mentions, _ := Generate(GenConfig{NumEntities: 3, MentionsPerEntity: 3, Seed: 21})
 	db := relstore.NewDB()
-	rows, err := LoadMentions(db, mentions)
-	if err != nil {
+	if err := LoadMentions(db, mentions); err != nil {
 		t.Fatal(err)
 	}
 	s := NewSingletonState(mentions)
 	p := NewMoveProposer(s, DefaultModel())
 	log := world.NewChangeLog(db)
-	if err := p.BindDB(log, rows); err != nil {
+	if err := p.BindDB(log); err != nil {
 		t.Fatal(err)
 	}
 	sampler := mcmc.NewSampler(p, 23)
 	sampler.Run(2000)
-	// The CLUSTER column must mirror the in-memory state.
+	// The CLUSTER column must mirror the in-memory state; mention i is
+	// row i.
 	rel, _ := db.Relation(MentionRelation)
-	for i, rid := range rows {
-		tu, _ := rel.Get(rid)
+	for i := range mentions {
+		tu, _ := rel.Get(relstore.RowID(i))
 		if int(tu[ClusterCol].AsInt()) != s.Cluster(i) {
 			t.Fatalf("mention %d: store cluster %d, memory %d", i, tu[ClusterCol].AsInt(), s.Cluster(i))
 		}
 	}
 }
 
+// TestBindDBValidation: BindDB refuses a world without MENTION and one
+// that issued fewer ids than the state has mentions, and binds the world
+// LoadMentions filled.
 func TestBindDBValidation(t *testing.T) {
 	mentions, _ := Generate(GenConfig{NumEntities: 2, MentionsPerEntity: 2, Seed: 1})
 	p := NewMoveProposer(NewSingletonState(mentions), DefaultModel())
-	if err := p.BindDB(world.NewChangeLog(relstore.NewDB()), nil); err == nil {
-		t.Error("mismatched rows: want error")
+	if err := p.BindDB(world.NewChangeLog(relstore.NewDB())); err == nil {
+		t.Error("a world without MENTION: want error")
+	}
+	short := relstore.NewDB()
+	if err := LoadMentions(short, mentions[:len(mentions)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindDB(world.NewChangeLog(short)); err == nil {
+		t.Error("a world that issued too few ids: want error")
+	}
+	db := relstore.NewDB()
+	if err := LoadMentions(db, mentions); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.BindDB(world.NewChangeLog(db)); err != nil {
+		t.Errorf("LoadMentions's own world: %v", err)
 	}
 }
 

@@ -29,25 +29,22 @@ func MentionSchema() *relstore.Schema {
 }
 
 // LoadMentions materializes mentions into a fresh MENTION relation with
-// singleton clusters, returning the RowID of each mention in order.
-func LoadMentions(db *relstore.DB, mentions []Mention) ([]relstore.RowID, error) {
+// singleton clusters: mention i is row i.
+func LoadMentions(db *relstore.DB, mentions []Mention) error {
 	rel, err := db.Create(MentionSchema())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows := make([]relstore.RowID, len(mentions))
 	for i, m := range mentions {
-		id, err := rel.Insert(relstore.Tuple{
+		if _, err := rel.Insert(relstore.Tuple{
 			relstore.Int(int64(m.ID)),
 			relstore.String(m.Str),
 			relstore.Int(int64(i)), // singleton cluster = own index
-		})
-		if err != nil {
-			return nil, fmt.Errorf("coref: loading mentions: %w", err)
+		}); err != nil {
+			return fmt.Errorf("coref: loading mentions: %w", err)
 		}
-		rows[i] = id
 	}
-	return rows, nil
+	return nil
 }
 
 // MoveProposer is the constraint-preserving proposal distribution over
@@ -65,7 +62,6 @@ type MoveProposer struct {
 	// Write-through binding: the CLUSTER column of MENTION, resolved once.
 	bound bool
 	field world.Field
-	rows  []relstore.RowID
 
 	// The pending move: mention m goes to cluster target (< 0 = a fresh
 	// singleton); noop when there is nowhere to move. others is the
@@ -81,16 +77,19 @@ func NewMoveProposer(s *State, m *Model) *MoveProposer {
 }
 
 // BindDB connects the proposer to a database change log so accepted moves
-// update the MENTION relation's CLUSTER field.
-func (p *MoveProposer) BindDB(log *world.ChangeLog, rows []relstore.RowID) error {
-	if len(rows) != len(p.State.Mentions) {
-		return fmt.Errorf("coref: row map covers %d mentions, state has %d", len(rows), len(p.State.Mentions))
-	}
+// update the MENTION relation's CLUSTER field, whose rows must follow
+// LoadMentions's layout of the state's mentions. A relation that has not
+// issued every id the state addresses is refused.
+func (p *MoveProposer) BindDB(log *world.ChangeLog) error {
 	field, err := log.Field(MentionRelation, ClusterCol)
 	if err != nil {
 		return err
 	}
-	p.bound, p.field, p.rows = true, field, rows
+	rel, _ := log.DB().Relation(MentionRelation) // Field found it
+	if n := relstore.RowID(len(p.State.Mentions)); n > rel.NextID() {
+		return fmt.Errorf("coref: the state addresses %d %s rows, but the relation has issued only %d ids", n, MentionRelation, rel.NextID())
+	}
+	p.bound, p.field = true, field
 	return nil
 }
 
@@ -163,7 +162,7 @@ func (p *MoveProposer) Accept() {
 	}
 	dest := p.State.Move(p.m, p.target)
 	if p.bound {
-		if err := p.field.Set(p.rows[p.m], relstore.Int(int64(dest))); err != nil {
+		if err := p.field.Set(relstore.RowID(p.m), relstore.Int(int64(dest))); err != nil {
 			// A mention deleted by DML stops mirroring; the in-memory
 			// clustering keeps being sampled.
 			if !errors.Is(err, relstore.ErrNotFound) {

@@ -18,13 +18,12 @@ func TestTrajectoryMoveProposer(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := relstore.NewDB()
-	rows, err := LoadMentions(db, mentions)
-	if err != nil {
+	if err := LoadMentions(db, mentions); err != nil {
 		t.Fatal(err)
 	}
 	state := NewSingletonState(mentions)
 	p := NewMoveProposer(state, DefaultModel())
-	if err := p.BindDB(world.NewChangeLog(db), rows); err != nil {
+	if err := p.BindDB(world.NewChangeLog(db)); err != nil {
 		t.Fatal(err)
 	}
 	s := mcmc.NewSampler(p, 103)
@@ -34,9 +33,9 @@ func TestTrajectoryMoveProposer(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := mcmctest.NewHash()
-	for m, rid := range rows {
+	for m := range mentions {
 		h.Int(state.Cluster(m))
-		tu, ok := rel.Get(rid)
+		tu, ok := rel.Get(relstore.RowID(m))
 		if !ok {
 			t.Fatalf("mention %d: row missing", m)
 		}

@@ -34,12 +34,16 @@ type CorefSystem struct {
 	cfg      CorefConfig
 
 	protoDB *relstore.DB
-	rows    []relstore.RowID
 }
 
 // BuildCoref generates the mention set and loads it once into the
 // prototype world, every mention in its own cluster.
-func BuildCoref(cfg CorefConfig) (*CorefSystem, error) {
+func BuildCoref(cfg CorefConfig) (*CorefSystem, error) { return BuildCorefOver(cfg, nil) }
+
+// BuildCorefOver is BuildCoref serving db, when it is not nil, instead of
+// loading the mentions: a world this config's mentions were loaded into,
+// such as one recovered from a data directory. Mention i is MENTION row i.
+func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {
 	if cfg.NumEntities <= 0 {
 		cfg.NumEntities = 6
 	}
@@ -54,12 +58,13 @@ func BuildCoref(cfg CorefConfig) (*CorefSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := relstore.NewDB()
-	rows, err := coref.LoadMentions(db, mentions)
-	if err != nil {
-		return nil, err
+	if db == nil {
+		db = relstore.NewDB()
+		if err := coref.LoadMentions(db, mentions); err != nil {
+			return nil, err
+		}
 	}
-	return &CorefSystem{Mentions: mentions, Model: coref.DefaultModel(), cfg: cfg, protoDB: db, rows: rows}, nil
+	return &CorefSystem{Mentions: mentions, Model: coref.DefaultModel(), cfg: cfg, protoDB: db}, nil
 }
 
 // NewChainWorld clones the prototype world and binds a fresh singleton
@@ -67,7 +72,7 @@ func BuildCoref(cfg CorefConfig) (*CorefSystem, error) {
 func (s *CorefSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error) {
 	log := world.NewChangeLog(s.protoDB.Clone())
 	proposer := coref.NewMoveProposer(coref.NewSingletonState(s.Mentions), s.Model)
-	if err := proposer.BindDB(log, s.rows); err != nil {
+	if err := proposer.BindDB(log); err != nil {
 		return nil, nil, err
 	}
 	return log, proposer, nil
@@ -76,10 +81,6 @@ func (s *CorefSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, err
 // WorldDB exposes the prototype world — the evidence a durable store
 // snapshots and local-mode writes mutate.
 func (s *CorefSystem) WorldDB() *relstore.DB { return s.protoDB }
-
-// RestoreWorld replaces the prototype world with a recovered copy; row
-// identities line up because BuildCoref is deterministic in its config.
-func (s *CorefSystem) RestoreWorld(db *relstore.DB) { s.protoDB = db }
 
 // Describe returns a one-line summary of the workload.
 func (s *CorefSystem) Describe() string {

@@ -42,14 +42,12 @@ const (
 // shared model plus a pristine initial world (every LABEL = O) that can
 // be cloned into independent chains.
 type NERSystem struct {
-	Vocab *ie.Vocab
 	Model *ie.Model
 	// Index is the corpus's read-only token index, built once and shared
 	// by the trainer and every chain's tagger.
 	Index *ie.CorpusIndex
 
 	protoDB *relstore.DB
-	base    []relstore.RowID // each document's first TOKEN row
 }
 
 // Config parameterizes system construction.
@@ -75,7 +73,14 @@ const DefaultTemperature = 3.0
 // BuildNER generates a corpus, trains the model with SampleRank on an
 // in-memory tagger (Section 5.2), and loads the corpus into a prototype
 // database world.
-func BuildNER(cfg Config) (*NERSystem, error) {
+func BuildNER(cfg Config) (*NERSystem, error) { return BuildNEROver(cfg, nil) }
+
+// BuildNEROver is BuildNER serving db, when it is not nil, instead of
+// loading the corpus: a world this config's corpus was loaded into, such
+// as one recovered from a data directory. The model addresses db's TOKEN
+// rows in load order; BindDB, on the first chain, refuses a relation with
+// too few of them, but nothing checks what the rows hold.
+func BuildNEROver(cfg Config, db *relstore.DB) (*NERSystem, error) {
 	gen := ie.DefaultGenConfig(cfg.NumTokens, cfg.Seed)
 	if cfg.TokensPerDoc > 0 {
 		gen.TokensPerDoc = cfg.TokensPerDoc
@@ -84,17 +89,20 @@ func BuildNER(cfg Config) (*NERSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildNER(cfg, corpus)
+	return buildNEROver(cfg, corpus, db)
 }
 
 // buildNER is BuildNER past generation; nothing it returns refers to corpus.
 func buildNER(cfg Config, corpus *ie.Corpus) (*NERSystem, error) {
+	return buildNEROver(cfg, corpus, nil)
+}
+
+func buildNEROver(cfg Config, corpus *ie.Corpus, db *relstore.DB) (*NERSystem, error) {
 	if cfg.TrainSteps == 0 {
 		cfg.TrainSteps = min(20*cfg.NumTokens, 2_000_000)
 	}
-	vocab := ie.BuildVocab(corpus)
-	model := ie.NewModel(vocab, cfg.UseSkip)
-	index := ie.NewCorpusIndex(corpus, vocab)
+	index := ie.NewCorpusIndex(corpus)
+	model := ie.NewModel(index.NumStrings(), cfg.UseSkip)
 	trainer := ie.NewTagger(model, index, ie.LO)
 	trainer.Train(cfg.TrainSteps, 1.0, cfg.Seed+1)
 	temp := cfg.Temperature
@@ -105,12 +113,13 @@ func buildNER(cfg Config, corpus *ie.Corpus) (*NERSystem, error) {
 		(*model.W)[i] /= temp
 	}
 
-	db := relstore.NewDB()
-	base, err := ie.LoadCorpus(db, corpus, ie.LO)
-	if err != nil {
-		return nil, err
+	if db == nil {
+		db = relstore.NewDB()
+		if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
+			return nil, err
+		}
 	}
-	return &NERSystem{Vocab: vocab, Model: model, Index: index, protoDB: db, base: base}, nil
+	return &NERSystem{Model: model, Index: index, protoDB: db}, nil
 }
 
 // Chain is one independent evaluator over a private copy of the world.
@@ -161,7 +170,7 @@ func (s *NERSystem) newChainWorld() (*world.ChangeLog, *ie.Tagger, error) {
 		tg.ActiveDocs = 5
 		tg.StepsPerBatch = 2000
 	}
-	if err := tg.BindDB(log, s.base); err != nil {
+	if err := tg.BindDB(log); err != nil {
 		return nil, nil, err
 	}
 	return log, tg, nil
@@ -183,15 +192,6 @@ func (s *NERSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error
 // WorldDB exposes the prototype world — the evidence a durable store
 // snapshots and local-mode writes mutate.
 func (s *NERSystem) WorldDB() *relstore.DB { return s.protoDB }
-
-// RestoreWorld replaces the prototype world with a recovered copy.
-// Row identities line up because system construction is deterministic
-// in its config (same corpus, same load order, same RowIDs), so the
-// per-document first RowIDs in s.base still address the tokens — exactly
-// the property local-mode writes rely on when cloning a mutated prototype.
-func (s *NERSystem) RestoreWorld(db *relstore.DB) {
-	s.protoDB = db
-}
 
 // GroundTruth estimates reference marginals with a long materialized run
 // on a private chain (the paper's methodology, Section 5.2).
@@ -502,5 +502,5 @@ func FormatDuration(d time.Duration, known bool) string {
 // Describe returns a one-line summary of a system.
 func (s *NERSystem) Describe() string {
 	return fmt.Sprintf("NER system: %d tokens, %d docs, %d vocab, skip=%v",
-		s.Index.NumTokens(), s.Index.NumDocs(), s.Vocab.Size(), s.Model.UseSkip)
+		s.Index.NumTokens(), s.Index.NumDocs(), s.Index.NumStrings(), s.Model.UseSkip)
 }

@@ -18,7 +18,8 @@ var raceEnabled bool
 
 // TestTrainedWeightsBenchScale pins θ as the benchmark trains it — 50 000
 // tokens, one million SampleRank steps, then temperature scaling — against
-// testdata/weights.txt: every slot the vocabulary defines, bit for bit.
+// testdata/weights.txt: every slot the index's strings define, bit for
+// bit.
 func TestTrainedWeightsBenchScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("bench-scale training is too slow under -race")
@@ -27,7 +28,7 @@ func TestTrainedWeightsBenchScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ie.EmissionKey(sys.Vocab.Size(), 0)
+	n := ie.EmissionKey(sys.Index.NumStrings(), 0)
 	h := fnv.New64a()
 	var b [8]byte
 	for i := 0; i < n; i++ {

@@ -17,9 +17,8 @@ func tinyChainSetup(t *testing.T, words []string, seed int64) (*Model, *LabeledD
 	for _, w := range words {
 		doc.Tokens = append(doc.Tokens, Token{Str: w})
 	}
-	v := NewVocab()
-	m := NewModel(v, false)
-	ld := labeledDoc(doc, v)
+	m := NewModel(0, false)
+	ld := labeledDoc(doc)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range words {
 		for l := Label(0); l < NumLabels; l++ {
@@ -203,9 +202,8 @@ func TestMCMCMatchesForwardBackward(t *testing.T) {
 }
 
 func TestChainRejectsSkipModels(t *testing.T) {
-	v := NewVocab()
-	m := NewModel(v, true)
-	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}}, v)
+	m := NewModel(0, true)
+	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}})
 	if _, err := m.ChainMarginals(ld); err == nil {
 		t.Error("ChainMarginals must reject skip models")
 	}
@@ -218,9 +216,8 @@ func TestChainRejectsSkipModels(t *testing.T) {
 }
 
 func TestChainEmptyDoc(t *testing.T) {
-	v := NewVocab()
-	m := NewModel(v, false)
-	ld := labeledDoc(&Doc{}, v)
+	m := NewModel(0, false)
+	ld := labeledDoc(&Doc{})
 	if got, err := m.ChainMarginals(ld); err != nil || got != nil {
 		t.Errorf("empty doc marginals = %v, %v", got, err)
 	}

@@ -233,40 +233,3 @@ func freshMention(rng *rand.Rand, lx lexicons) mention {
 		return mention{strs: []string{miscNames[rng.Intn(len(miscNames))]}, labels: []Label{LBMisc}}
 	}
 }
-
-// Vocab interns token strings to dense integer ids for fast feature keys.
-type Vocab struct {
-	ids  map[string]int
-	strs []string
-}
-
-// NewVocab returns an empty vocabulary.
-func NewVocab() *Vocab { return &Vocab{ids: make(map[string]int)} }
-
-// BuildVocab interns every distinct string of the corpus.
-func BuildVocab(c *Corpus) *Vocab {
-	v := NewVocab()
-	for _, d := range c.Docs {
-		for _, t := range d.Tokens {
-			v.Intern(t.Str)
-		}
-	}
-	return v
-}
-
-// Intern returns the id of s, assigning the next free id on first sight.
-func (v *Vocab) Intern(s string) int {
-	if id, ok := v.ids[s]; ok {
-		return id
-	}
-	id := len(v.strs)
-	v.ids[s] = id
-	v.strs = append(v.strs, s)
-	return id
-}
-
-// Str returns the string with the given id.
-func (v *Vocab) Str(id int) string { return v.strs[id] }
-
-// Size returns the number of interned strings.
-func (v *Vocab) Size() int { return len(v.strs) }

@@ -42,9 +42,8 @@ func TestFFBSMatchesForwardBackward(t *testing.T) {
 }
 
 func TestFFBSRejectsSkipModel(t *testing.T) {
-	v := NewVocab()
-	m := NewModel(v, true)
-	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}}, v)
+	m := NewModel(0, true)
+	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}})
 	if err := m.SampleChain(ld, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("SampleChain must reject skip models")
 	}
@@ -52,8 +51,7 @@ func TestFFBSRejectsSkipModel(t *testing.T) {
 
 func TestSampleCorpusWritesThrough(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(400, 41))
-	v := BuildVocab(c)
-	m := NewModel(v, false)
+	m := modelFor(c, false)
 	rng := rand.New(rand.NewSource(3))
 	// Random weights so samples are non-trivial.
 	tg0 := newTagger(m, c)
@@ -65,13 +63,12 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 		}
 	}
 	db := relstore.NewDB()
-	base, err := LoadCorpus(db, c, LO)
-	if err != nil {
+	if err := LoadCorpus(db, c, LO); err != nil {
 		t.Fatal(err)
 	}
 	log := world.NewChangeLog(db)
 	tg := newTagger(m, c)
-	if err := tg.BindDB(log, base); err != nil {
+	if err := tg.BindDB(log); err != nil {
 		t.Fatal(err)
 	}
 	if err := tg.SampleCorpus(rng); err != nil {
@@ -81,7 +78,7 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 	rel, _ := db.Relation(TokenRelation)
 	for d, ld := range tg.Docs {
 		for i, l := range ld.Labels {
-			tu, _ := rel.Get(base[d] + relstore.RowID(i))
+			tu, _ := rel.Get(rowOf(ld, i))
 			if tu[LabelCol].AsString() != l.String() {
 				t.Fatalf("doc %d tok %d: store %q, memory %q", d, i, tu[LabelCol].AsString(), l)
 			}
@@ -132,8 +129,7 @@ func TestGibbsMatchesExact(t *testing.T) {
 // run (and respect write-through) on the skip-chain model too.
 func TestGibbsWorksOnSkipChain(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(300, 47))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	rng := rand.New(rand.NewSource(13))
 	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {

@@ -137,32 +137,11 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestVocab(t *testing.T) {
-	v := NewVocab()
-	a := v.Intern("IBM")
-	if v.Intern("IBM") != a {
-		t.Error("re-intern changed id")
-	}
-	if id, ok := v.ids["IBM"]; !ok || id != a {
-		t.Error("id lookup broken")
-	}
-	if _, ok := v.ids["nope"]; ok {
-		t.Error("unknown string has an id")
-	}
-	if v.Str(a) != "IBM" {
-		t.Error("Str lookup broken")
-	}
-	if v.Size() != 1 {
-		t.Errorf("Size = %d", v.Size())
-	}
-}
-
 func TestSkipPartners(t *testing.T) {
 	doc := &Doc{ID: 0, Tokens: []Token{
 		{Str: "IBM"}, {Str: "said"}, {Str: "IBM"}, {Str: "the"}, {Str: "IBM"}, {Str: "the"},
 	}}
-	v := NewVocab()
-	ld := labeledDoc(doc, v)
+	ld := labeledDoc(doc)
 	// Three IBMs: each has 2 partners. Lowercase "the" gets none.
 	for _, i := range []int{0, 2, 4} {
 		if ld.SkipDegree(i) != 2 {
@@ -180,8 +159,7 @@ func TestSkipPartners(t *testing.T) {
 // on the skip-chain model: local deltas must equal full-document rescores.
 func TestScoreDeltaMatchesDocScore(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(600, 3))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	// Random weights make the check meaningful.
 	rng := rand.New(rand.NewSource(4))
 	tg := newTagger(m, c)
@@ -225,8 +203,7 @@ func TestScoreDeltaMatchesDocScore(t *testing.T) {
 
 func TestFeatureDeltaConsistentWithScoreDelta(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(400, 5))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	rng := rand.New(rand.NewSource(6))
 	tg := newTagger(m, c)
 	ld := tg.Docs[0]
@@ -252,8 +229,7 @@ func TestFeatureDeltaConsistentWithScoreDelta(t *testing.T) {
 
 func TestTrainingImprovesAccuracy(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(3000, 11))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	tg := newTagger(m, c)
 	base := tg.Accuracy() // all-O baseline
 	tg.Train(60000, 1.0, 13)
@@ -262,121 +238,103 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 		t.Errorf("accuracy after training = %.3f, baseline %.3f", got, base)
 	}
 	// The learned emission weight for an unambiguous filler must prefer O.
-	if theID, ok := v.ids["the"]; ok && m.W.Get(EmissionKey(theID, LO)) <= m.W.Get(EmissionKey(theID, LBPer)) {
-		t.Error("training did not learn that 'the' is O")
+	for d, doc := range c.Docs {
+		for i, tok := range doc.Tokens {
+			if tok.Str != "the" {
+				continue
+			}
+			if id := int(tg.Docs[d].ix.strIDs[i]); m.W.Get(EmissionKey(id, LO)) <= m.W.Get(EmissionKey(id, LBPer)) {
+				t.Error("training did not learn that 'the' is O")
+			}
+			return
+		}
 	}
 }
 
+// TestLoadCorpusAndWriteThrough: token i of document d is row first+i,
+// first being the tokens of the documents before it, and the index
+// addresses the same rows, so accepted flips land on them.
 func TestLoadCorpusAndWriteThrough(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(500, 17))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	db := relstore.NewDB()
-	base, err := LoadCorpus(db, c, LO)
-	if err != nil {
+	if err := LoadCorpus(db, c, LO); err != nil {
 		t.Fatal(err)
 	}
 	rel, _ := db.Relation(TokenRelation)
 	if rel.Len() != c.NumTokens {
 		t.Fatalf("TOKEN has %d rows, want %d", rel.Len(), c.NumTokens)
 	}
+	tg := newTagger(m, c)
+	first := 0
 	for d, doc := range c.Docs {
+		if got := tg.Docs[d].ix.first; got != first {
+			t.Fatalf("doc %d: the index starts it at row %d, the load at row %d", d, got, first)
+		}
 		for i, tok := range doc.Tokens {
-			if tu, ok := rel.Get(base[d] + relstore.RowID(i)); !ok || tu[2].AsString() != tok.Str || tu[truthCol].AsString() != tok.Gold.String() {
-				t.Fatalf("doc %d tok %d: row %d holds %v, want %q/%v", d, i, base[d]+relstore.RowID(i), tu, tok.Str, tok.Gold)
+			row := relstore.RowID(first + i)
+			if tu, ok := rel.Get(row); !ok || tu[2].AsString() != tok.Str || tu[truthCol].AsString() != tok.Gold.String() {
+				t.Fatalf("doc %d tok %d: row %d holds %v, want %q/%v", d, i, row, tu, tok.Str, tok.Gold)
 			}
 		}
+		first += len(doc.Tokens)
 	}
 	log := world.NewChangeLog(db)
-	tg := newTagger(m, c)
-	if err := tg.BindDB(log, base); err != nil {
+	if err := tg.BindDB(log); err != nil {
 		t.Fatal(err)
 	}
 	// Run a few MH steps with random weights; accepted flips must appear
-	// in the store.
+	// in the store, each on its own token's row.
 	s := mcmc.NewSampler(tg, 23)
 	s.Run(500)
-	flips := 0
-	rel.Scan(func(_ relstore.RowID, tu relstore.Tuple) bool {
-		if tu[LabelCol].AsString() != "O" {
-			flips++
-		}
-		return true
-	})
 	mem := 0
 	for _, ld := range tg.Docs {
-		for _, l := range ld.Labels {
+		for i, l := range ld.Labels {
+			if tu, _ := rel.Get(rowOf(ld, i)); tu[LabelCol].AsString() != l.String() {
+				t.Fatalf("row %d: store %q, memory %q", rowOf(ld, i), tu[LabelCol].AsString(), l)
+			}
 			if l != LO {
 				mem++
 			}
 		}
-	}
-	if flips != mem {
-		t.Errorf("store shows %d non-O labels, memory has %d", flips, mem)
 	}
 	if !log.Pending() && mem > 0 {
 		t.Error("change log should have pending deltas")
 	}
 }
 
-// TestBindDBValidation: BindDB refuses a first-RowID map that cannot
-// address the loaded relation. Each bad map below has the right length,
-// so before the map was validated it bound, and the flips that missed
-// their rows were dropped as deleted-row writes: the chain walked and
-// mirrored nothing.
+// TestBindDBValidation: BindDB refuses a world without TOKEN and one
+// that issued fewer ids than the index addresses, whose last flips would
+// miss their rows and be dropped as deleted-row writes; it binds the
+// world LoadCorpus filled.
 func TestBindDBValidation(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(1000, 19))
-	if len(c.Docs) < 3 {
-		t.Fatalf("need several docs, got %d", len(c.Docs))
+	tg := newTagger(modelFor(c, false), c)
+	if err := tg.BindDB(world.NewChangeLog(relstore.NewDB())); err == nil {
+		t.Error("a world without TOKEN: BindDB accepted it")
 	}
-	tg := newTagger(NewModel(BuildVocab(c), false), c)
+	short := &Corpus{Docs: slices.Clone(c.Docs)}
+	last := &short.Docs[len(short.Docs)-1]
+	last.Tokens = last.Tokens[:len(last.Tokens)-1]
 	db := relstore.NewDB()
-	base, err := LoadCorpus(db, c, LO)
-	if err != nil {
+	if err := LoadCorpus(db, short, LO); err != nil {
 		t.Fatal(err)
 	}
-	log := world.NewChangeLog(db)
-	edit := func(f func(b []relstore.RowID)) []relstore.RowID {
-		b := slices.Clone(base)
-		f(b)
-		return b
+	if err := tg.BindDB(world.NewChangeLog(db)); err == nil {
+		t.Error("a world one row short: BindDB accepted it")
 	}
-	for _, tc := range []struct {
-		name string
-		base []relstore.RowID
-	}{
-		{"nil", nil},
-		{"one doc short", base[:len(base)-1]},
-		{"every doc at row 0", make([]relstore.RowID, len(base))},
-		{"shifted past the last issued id", edit(func(b []relstore.RowID) {
-			for d := range b {
-				b[d]++
-			}
-		})},
-		{"shifted below row 0", edit(func(b []relstore.RowID) {
-			for d := range b {
-				b[d]--
-			}
-		})},
-		{"docs out of order", edit(func(b []relstore.RowID) { b[0], b[1] = b[1], b[0] })},
-		{"doc overlapping the one before", edit(func(b []relstore.RowID) { b[2]-- })},
-	} {
-		if err := tg.BindDB(log, tc.base); err == nil {
-			t.Errorf("%s: BindDB accepted the map", tc.name)
-		}
+	db = relstore.NewDB()
+	if err := LoadCorpus(db, c, LO); err != nil {
+		t.Fatal(err)
 	}
-	if err := tg.BindDB(world.NewChangeLog(relstore.NewDB()), base); err == nil {
-		t.Error("a world without TOKEN: BindDB accepted the map")
-	}
-	if err := tg.BindDB(log, base); err != nil {
-		t.Fatalf("LoadCorpus's own map: %v", err)
+	if err := tg.BindDB(world.NewChangeLog(db)); err != nil {
+		t.Fatalf("LoadCorpus's own world: %v", err)
 	}
 }
 
 func TestConstrainedProposerKeepsBIOValid(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(800, 29))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	tg := newTagger(m, c)
 	tg.ConstrainBIO = true
 	s := mcmc.NewSampler(tg, 31)
@@ -400,8 +358,7 @@ func TestActiveDocBatching(t *testing.T) {
 	if len(c.Docs) < 6 {
 		t.Skip("need several docs")
 	}
-	v := BuildVocab(c)
-	tg := newTagger(NewModel(v, true), c)
+	tg := newTagger(modelFor(c, true), c)
 	tg.ActiveDocs = 2
 	tg.StepsPerBatch = 50
 	s := mcmc.NewSampler(tg, 41)
@@ -413,8 +370,7 @@ func TestActiveDocBatching(t *testing.T) {
 
 func TestSetAll(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(300, 43))
-	v := BuildVocab(c)
-	tg := newTagger(NewModel(v, false), c)
+	tg := newTagger(modelFor(c, false), c)
 	tg.Docs[0].Labels[0] = LBPer
 	tg.SetAll(LO)
 	for _, ld := range tg.Docs {
@@ -428,9 +384,8 @@ func TestSetAll(t *testing.T) {
 
 func TestFactorsTouchedCounts(t *testing.T) {
 	doc := &Doc{ID: 0, Tokens: []Token{{Str: "IBM"}, {Str: "x"}, {Str: "IBM"}}}
-	v := NewVocab()
-	m := NewModel(v, true)
-	ld := labeledDoc(doc, v)
+	m := NewModel(0, true)
+	ld := labeledDoc(doc)
 	// Position 0: emission+caps+bias (3) + right trans (1) + 1 skip = 5 → ×2.
 	if got := m.FactorsTouched(ld, 0); got != 10 {
 		t.Errorf("FactorsTouched(0) = %d, want 10", got)
@@ -439,7 +394,7 @@ func TestFactorsTouchedCounts(t *testing.T) {
 	if got := m.FactorsTouched(ld, 1); got != 10 {
 		t.Errorf("FactorsTouched(1) = %d, want 10", got)
 	}
-	m2 := NewModel(v, false)
+	m2 := NewModel(0, false)
 	if got := m2.FactorsTouched(ld, 0); got != 8 {
 		t.Errorf("no-skip FactorsTouched(0) = %d, want 8", got)
 	}

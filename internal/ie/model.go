@@ -8,7 +8,7 @@ import (
 
 // The feature index space: capitalization, bias, transition and skip
 // take the first 110 slots of θ, then each (string id, label) has one
-// emission slot, so θ grows with the vocabulary by appending.
+// emission slot, so θ grows with the strings by appending.
 const (
 	offCaps  = 0                              // [capitalized][label]
 	offBias  = offCaps + 2*NumLabels          // [label]
@@ -55,7 +55,6 @@ func b2i(b bool) int {
 // goroutines share the model.
 type Model struct {
 	W       *learn.Weights
-	Vocab   *Vocab
 	UseSkip bool
 }
 
@@ -64,8 +63,8 @@ type Model struct {
 // keeps nodeScore within the compiler's inlining budget.
 type theta []float64
 
-// emit returns the emission weight of (string id, label); strings
-// interned after θ was sized have no weight yet.
+// emit returns the emission weight of (string id, label); a string id
+// past those θ was sized for has no weight.
 func (t theta) emit(strID int32, l Label) float64 {
 	if i := offEmit + int(strID)*NumLabels + int(l); i < len(t) {
 		return t[i]
@@ -81,11 +80,11 @@ func (t theta) skip(same bool) float64          { return t[offSkip+b2i(same)] }
 // theta returns θ for scoring.
 func (m *Model) theta() theta { return theta(*m.W) }
 
-// NewModel builds an untrained model over the vocabulary, with θ sized
-// for every string the vocabulary holds so far.
-func NewModel(v *Vocab, useSkip bool) *Model {
-	w := make(learn.Weights, offEmit+v.Size()*NumLabels)
-	return &Model{W: &w, Vocab: v, UseSkip: useSkip}
+// NewModel builds an untrained model with θ sized for string ids below
+// strings — an index's NumStrings.
+func NewModel(strings int, useSkip bool) *Model {
+	w := make(learn.Weights, offEmit+strings*NumLabels)
+	return &Model{W: &w, UseSkip: useSkip}
 }
 
 // IsCapitalized reports whether the token string starts with an uppercase
@@ -99,11 +98,12 @@ func IsCapitalized(s string) bool {
 }
 
 // docIndex is the half of a document's inference state that no label flip
-// changes: each token's vocabulary id, capitalization and gold label, and
-// the skip adjacency. It is a pure function of the document and the
-// vocabulary, so one copy (a CorpusIndex) serves the trainer, the
-// prototype and every chain, read-only.
+// changes: each token's string id, capitalization and gold label, and
+// the skip adjacency. It is a pure function of the corpus, so one copy
+// (a CorpusIndex) serves the trainer, the prototype and every chain,
+// read-only.
 type docIndex struct {
+	first  int // offset in the corpus-wide arrays: token i is TOKEN row first+i
 	strIDs []int32
 	caps   []bool
 	gold   []Label
@@ -118,11 +118,11 @@ func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOf
 
 // CorpusIndex is the docIndex of every document of a corpus, laid out in
 // five corpus-wide arrays that each document's index slices. It keeps no
-// reference to the corpus: the store holds the tokens' strings.
+// reference to the corpus, nor its strings: the store holds them.
 type CorpusIndex struct {
-	vocab  *Vocab
-	docs   []docIndex
-	tokens int
+	docs    []docIndex
+	tokens  int
+	strings int
 }
 
 // NumDocs returns the number of documents indexed.
@@ -131,29 +131,39 @@ func (ix *CorpusIndex) NumDocs() int { return len(ix.docs) }
 // NumTokens returns the number of tokens indexed.
 func (ix *CorpusIndex) NumTokens() int { return ix.tokens }
 
-// NewCorpusIndex indexes every document of c against v, interning any
-// string v does not hold yet. Build it once per (corpus, vocabulary) and
-// hand it to every NewTagger over that corpus.
-func NewCorpusIndex(c *Corpus, v *Vocab) *CorpusIndex {
+// NumStrings returns the number of distinct strings, whose ids run from 0.
+func (ix *CorpusIndex) NumStrings() int { return ix.strings }
+
+// NewCorpusIndex indexes every document of c, issuing string ids in
+// order of first use. Build it once per corpus and hand it to every
+// NewTagger over that corpus.
+func NewCorpusIndex(c *Corpus) *CorpusIndex {
 	n := 0
 	for d := range c.Docs {
 		n += len(c.Docs[d].Tokens)
 	}
-	ix := &CorpusIndex{vocab: v, docs: make([]docIndex, len(c.Docs)), tokens: n}
+	ix := &CorpusIndex{docs: make([]docIndex, len(c.Docs)), tokens: n}
 	strIDs, caps, gold := make([]int32, n), make([]bool, n), make([]Label, n)
 	offs := make([]int32, n+len(c.Docs))
+	ids := make(map[string]int32)
 	var skip []int32
 	for d := range c.Docs {
 		toks := c.Docs[d].Tokens
 		k := len(toks)
 		x := &ix.docs[d]
+		x.first = n - len(strIDs)
 		x.strIDs, x.caps, x.gold, x.skipOff = strIDs[:k:k], caps[:k:k], gold[:k:k], offs[:k+1:k+1]
 		strIDs, caps, gold, offs = strIDs[k:], caps[k:], gold[k:], offs[k+1:]
 		byStr := make(map[int32][]int32)
 		for i, t := range toks {
-			x.strIDs[i], x.gold[i] = int32(v.Intern(t.Str)), t.Gold
+			id, ok := ids[t.Str]
+			if !ok {
+				id = int32(len(ids))
+				ids[t.Str] = id
+			}
+			x.strIDs[i], x.gold[i] = id, t.Gold
 			if x.caps[i] = IsCapitalized(t.Str); x.caps[i] {
-				byStr[x.strIDs[i]] = append(byStr[x.strIDs[i]], int32(i))
+				byStr[id] = append(byStr[id], int32(i))
 			}
 		}
 		for p := range toks {
@@ -174,6 +184,7 @@ func NewCorpusIndex(c *Corpus, v *Vocab) *CorpusIndex {
 	for d := range ix.docs {
 		ix.docs[d].skip = skip
 	}
+	ix.strings = len(ids)
 	return ix
 }
 

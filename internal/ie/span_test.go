@@ -14,8 +14,7 @@ import (
 // full-document rescore on the skip-chain model.
 func TestSpanScoreDeltaMatchesDocScore(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(600, 51))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	tg := newTagger(m, c)
 	rng := rand.New(rand.NewSource(7))
 	ld := tg.Docs[0]
@@ -91,8 +90,7 @@ func TestSpanProposerMatchesExactMarginals(t *testing.T) {
 // tuple changes in the store (a multi-tuple Δ per step).
 func TestSpanProposerWriteThrough(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(500, 67))
-	v := BuildVocab(c)
-	m := NewModel(v, true)
+	m := modelFor(c, true)
 	rng := rand.New(rand.NewSource(3))
 	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {
@@ -102,8 +100,8 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 			}
 		}
 	}
-	db, base, log := loadBound(t, c)
-	if err := tg.BindDB(log, base); err != nil {
+	db, log := loadBound(t, c)
+	if err := tg.BindDB(log); err != nil {
 		t.Fatal(err)
 	}
 	s := mcmc.NewSampler(NewMixedProposer(tg, 1.0), 5)
@@ -111,7 +109,7 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 	rel, _ := db.Relation(TokenRelation)
 	for d, ld := range tg.Docs {
 		for i, l := range ld.Labels {
-			tu, _ := rel.Get(base[d] + relstore.RowID(i))
+			tu, _ := rel.Get(rowOf(ld, i))
 			if tu[LabelCol].AsString() != l.String() {
 				t.Fatalf("doc %d tok %d: store %q, memory %q", d, i, tu[LabelCol].AsString(), l)
 			}
@@ -120,13 +118,11 @@ func TestSpanProposerWriteThrough(t *testing.T) {
 }
 
 // loadBound is a small helper shared by write-through tests.
-func loadBound(t *testing.T, c *Corpus) (db *relstore.DB, base []relstore.RowID, log *world.ChangeLog) {
+func loadBound(t *testing.T, c *Corpus) (*relstore.DB, *world.ChangeLog) {
 	t.Helper()
-	db = relstore.NewDB()
-	var err error
-	base, err = LoadCorpus(db, c, LO)
-	if err != nil {
+	db := relstore.NewDB()
+	if err := LoadCorpus(db, c, LO); err != nil {
 		t.Fatal(err)
 	}
-	return db, base, world.NewChangeLog(db)
+	return db, world.NewChangeLog(db)
 }

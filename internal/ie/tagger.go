@@ -35,25 +35,23 @@ const LabelCol = 3
 const truthCol = 4
 
 // LoadCorpus materializes the corpus into a fresh TOKEN relation in db,
-// with LABEL initialized to init. A document's tokens take consecutive
-// RowIDs, so it returns each document's first: token i of document d is
-// row base[d]+i. The label inventory takes the first LABEL and TRUTH
-// codes, in Label order, so no flip ever has to intern one.
-func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([]relstore.RowID, error) {
+// with LABEL initialized to init. Rows follow the index's layout: token i
+// of document d is row first+i, first being the tokens of the documents
+// before it. The label inventory takes the first LABEL and TRUTH codes,
+// in Label order, so no flip ever has to intern one.
+func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 	rel, err := db.Create(TokenSchema())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, col := range []int{LabelCol, truthCol} {
 		if err := rel.Intern(col, LabelNames[:]...); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	base := make([]relstore.RowID, len(c.Docs))
 	tokID := int64(0)
 	for d := range c.Docs {
 		doc := &c.Docs[d]
-		base[d] = rel.NextID()
 		for _, t := range doc.Tokens {
 			if _, err := rel.Insert(relstore.Tuple{
 				relstore.Int(tokID),
@@ -62,12 +60,12 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) ([]relstore.RowID, error
 				labelValues[init],
 				labelValues[t.Gold],
 			}); err != nil {
-				return nil, fmt.Errorf("ie: loading corpus: %w", err)
+				return fmt.Errorf("ie: loading corpus: %w", err)
 			}
 			tokID++
 		}
 	}
-	return base, nil
+	return nil
 }
 
 // Tagger holds the in-memory inference state for a corpus and implements
@@ -97,7 +95,6 @@ type Tagger struct {
 	// Write-through binding: the LABEL column of TOKEN, resolved once.
 	bound bool
 	field world.Field
-	base  []relstore.RowID
 
 	active       []int
 	sinceRefresh int
@@ -119,8 +116,8 @@ var labelValues = func() (vs [NumLabels]relstore.Value) {
 
 // NewTagger builds inference state for every document of the indexed
 // corpus with all labels initialized to init (the paper initializes LABEL
-// to "O"). The index must be built against m's vocabulary; the tagger
-// shares it and owns only its labels — one byte per token.
+// to "O"). θ must be sized for the index's strings; the tagger shares
+// the index and owns only its labels — one byte per token.
 func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
 	labels := make([]Label, ix.tokens)
 	for i := range labels {
@@ -138,29 +135,20 @@ func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
 }
 
 // BindDB connects the tagger to a database change log so accepted label
-// flips propagate to the TOKEN relation. base must come from LoadCorpus
-// on the indexed corpus; a map whose documents overlap, or run past the
-// ids the relation issued, would make flips miss their rows silently.
-func (t *Tagger) BindDB(log *world.ChangeLog, base []relstore.RowID) error {
-	if len(base) != len(t.Docs) {
-		return fmt.Errorf("ie: row map covers %d docs, tagger has %d", len(base), len(t.Docs))
-	}
+// flips propagate to the TOKEN relation, whose rows must follow
+// LoadCorpus's layout of the indexed corpus. A relation that has not
+// issued every id the index addresses would make flips miss their rows
+// silently, so it is refused.
+func (t *Tagger) BindDB(log *world.ChangeLog) error {
 	field, err := log.Field(TokenRelation, LabelCol)
 	if err != nil {
 		return err
 	}
 	rel, _ := log.DB().Relation(TokenRelation) // Field found it
-	var end relstore.RowID
-	for d, ld := range t.Docs {
-		if base[d] < end {
-			return fmt.Errorf("ie: doc %d starts at row %d, inside the docs before it (they end at row %d)", d, base[d], end)
-		}
-		end = base[d] + relstore.RowID(len(ld.Labels))
+	if n := relstore.RowID(t.Index.tokens); n > rel.NextID() {
+		return fmt.Errorf("ie: the index addresses %d %s rows, but the relation has issued only %d ids", n, TokenRelation, rel.NextID())
 	}
-	if end > rel.NextID() {
-		return fmt.Errorf("ie: row map reaches row %d, but %s has issued only %d ids", end-1, TokenRelation, rel.NextID())
-	}
-	t.bound, t.field, t.base = true, field, base
+	t.bound, t.field = true, field
 	return nil
 }
 
@@ -227,12 +215,12 @@ func (t *Tagger) candidate(rng *rand.Rand, ld *LabeledDoc, i int) Label {
 func (t *Tagger) apply(d, i int, newLabel Label) {
 	t.Docs[d].Labels[i] = newLabel
 	if t.bound {
-		if err := t.field.Set(t.base[d]+relstore.RowID(i), labelValues[newLabel]); err != nil {
+		if err := t.field.Set(relstore.RowID(t.Docs[d].ix.first+i), labelValues[newLabel]); err != nil {
 			// A row deleted by DML (the write path mutates evidence while
 			// chains keep walking) simply stops mirroring: the in-memory
 			// variable keeps being sampled, the store no longer holds the
-			// tuple. Anything else is a program bug — the row map is
-			// validated at BindDB time and labels come from the fixed
+			// tuple. Anything else is a program bug — BindDB checked that
+			// the relation issued every row and labels come from the fixed
 			// inventory.
 			if errors.Is(err, relstore.ErrNotFound) {
 				return

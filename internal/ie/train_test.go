@@ -22,7 +22,7 @@ func TestTrainStepAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewModel(BuildVocab(c), true)
+	m := modelFor(c, true)
 	sr := learn.NewSampleRank(m.W, newTagger(m, c), 1, 2)
 	sr.Walk = learn.WalkByObjective
 	sr.Train(20000) // warm-up: the buffer reaches its largest delta

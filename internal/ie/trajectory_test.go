@@ -11,13 +11,13 @@ import (
 
 // trajectoryTagger builds a skip-chain tagger with random weights on
 // every template, bound to a freshly loaded TOKEN relation.
-func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation, []relstore.RowID) {
+func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation) {
 	t.Helper()
 	c, err := Generate(GenConfig{NumTokens: 1200, TokensPerDoc: 100, EntityRate: 0.2, RepeatRate: 0.4, Seed: 91})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewModel(BuildVocab(c), true)
+	m := modelFor(c, true)
 	tg := newTagger(m, c)
 	rng := rand.New(rand.NewSource(93))
 	for _, ld := range tg.Docs {
@@ -37,15 +37,15 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation, []relstore.Row
 	}
 	m.W.Set(SkipKey(true), 0.9)
 	m.W.Set(SkipKey(false), -0.4)
-	db, base, log := loadBound(t, c)
-	if err := tg.BindDB(log, base); err != nil {
+	db, log := loadBound(t, c)
+	if err := tg.BindDB(log); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := db.Relation(TokenRelation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tg, rel, base
+	return tg, rel
 }
 
 // TestTrajectory pins the walk of every NER proposal kernel: the hidden
@@ -72,14 +72,14 @@ func TestTrajectory(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tg, rel, base := trajectoryTagger(t)
+			tg, rel := trajectoryTagger(t)
 			s := mcmc.NewSampler(tc.proposer(tg), 97)
 			s.Run(8000)
 			h := mcmctest.NewHash()
 			for d, ld := range tg.Docs {
 				for i, l := range ld.Labels {
 					h.Int(int(l))
-					tu, ok := rel.Get(base[d] + relstore.RowID(i))
+					tu, ok := rel.Get(rowOf(ld, i))
 					if !ok {
 						t.Fatalf("doc %d tok %d: row missing", d, i)
 					}

@@ -164,7 +164,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.Fatal(err)
 	}
 	db := relstore.NewDB()
-	if _, err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
+	if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()

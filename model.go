@@ -18,20 +18,20 @@ type Model interface {
 	// modelName is the short workload name ("ner", "coref"), used in
 	// diagnostics and as the database/sql DSN prefix.
 	modelName() string
-	// build trains the model and returns the chain-world factory. Called
-	// exactly once, by Open; expect it to be expensive (corpus generation
-	// plus SampleRank training for the NER workload).
-	build() (system, error)
+	// build trains the model and returns the chain-world factory serving
+	// w, or, when w is nil, a freshly loaded world. A non-nil w is one a
+	// data directory recovered; the model addresses its rows in load
+	// order. Called exactly once, by Open; expect it to be expensive
+	// (corpus generation plus SampleRank training for the NER workload).
+	build(w *relstore.DB) (system, error)
 }
 
 // system is the built form of a Model: the serving engine's source — a
 // prototype evidence world plus a proposer bound to each clone of it —
-// with a one-line description and the hook durability uses to swap in a
-// recovered prototype before any chain is cloned.
+// with a one-line description.
 type system interface {
 	serve.Source
 	Describe() string
-	RestoreWorld(db *relstore.DB)
 }
 
 // NERConfig parameterizes the paper's named-entity-recognition workload:
@@ -67,7 +67,7 @@ type nerModel struct{ cfg NERConfig }
 
 func (nerModel) modelName() string { return "ner" }
 
-func (m nerModel) build() (system, error) {
+func (m nerModel) build(w *relstore.DB) (system, error) {
 	cfg := m.cfg
 	for _, f := range []struct {
 		name string
@@ -89,14 +89,14 @@ func (m nerModel) build() (system, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	sys, err := exp.BuildNER(exp.Config{
+	sys, err := exp.BuildNEROver(exp.Config{
 		NumTokens:    cfg.Tokens,
 		Seed:         cfg.Seed,
 		TrainSteps:   cfg.TrainSteps,
 		UseSkip:      !cfg.LinearChain,
 		TokensPerDoc: cfg.TokensPerDoc,
 		Temperature:  cfg.Temperature,
-	})
+	}, w)
 	if err != nil {
 		return nil, err
 	}
@@ -123,10 +123,10 @@ type corefModel struct{ cfg CorefConfig }
 
 func (corefModel) modelName() string { return "coref" }
 
-func (m corefModel) build() (system, error) {
-	return exp.BuildCoref(exp.CorefConfig{
+func (m corefModel) build(w *relstore.DB) (system, error) {
+	return exp.BuildCorefOver(exp.CorefConfig{
 		NumEntities:       m.cfg.Entities,
 		MentionsPerEntity: m.cfg.MentionsPerEntity,
 		Seed:              m.cfg.Seed,
-	})
+	}, w)
 }
