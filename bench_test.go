@@ -256,30 +256,6 @@ func BenchmarkGenerativeVsMCMC(b *testing.B) {
 	})
 }
 
-// BenchmarkGibbsVsMH compares kernel step costs: a Gibbs step evaluates
-// all nine labels' local scores; an MH step evaluates two.
-func BenchmarkGibbsVsMH(b *testing.B) {
-	sys := benchSystem(b, 30_000, true)
-	ch, err := sys.NewChain(core.Materialized, exp.Query1, benchThin, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("mh", func(b *testing.B) {
-		s := ch.Evaluator.Sampler()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Step()
-		}
-	})
-	b.Run("gibbs", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(5))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ch.Tagger.GibbsStep(rng)
-		}
-	})
-}
-
 // BenchmarkCorefSampling measures entity-resolution move proposals
 // (Figure 1's second modeled problem).
 func BenchmarkCorefSampling(b *testing.B) {

@@ -178,23 +178,28 @@
 //	DELETE FROM t [alias] [WHERE cond AND ...]
 //
 // An INSERT column list must cover the whole schema (the store has no
-// defaults). The durable write workload is evidence: assignments to a
-// hidden (sampled) column are overwritten as the sampler revisits it,
-// and rows inserted into a sampled relation carry their hidden field as
-// fixed evidence. UPDATE/DELETE predicates are resolved once against one
-// world and the resulting row-level ops are replayed on every chain, so
-// the chains' worlds never diverge. Each chain absorbs them at an epoch
-// boundary, walks a configurable burn-in, and resets the estimators of
-// its live views; a query in flight across a write re-collects rather
-// than blend pre- and post-write samples (one cut short merges only the
-// chains at the newest write generation), and queries issued after Exec
-// returns never observe pre-write state. Resolution evaluates the predicate
-// inside a storage scan, which runs in ascending RowID order, as does the
-// op list; a top-level column = constant conjunct is tested on the
-// column vector before a row is materialized. Applied ops go through the
-// same row-keyed change log as the sampler's flips (see "The walk step"
-// below), so a row updated and updated back, or inserted and deleted,
-// within one batch nets to nothing.
+// defaults). The durable write workload is evidence, and rows inserted
+// into a sampled relation carry their hidden field as fixed evidence. A
+// write to a hidden (sampled) column is accepted, but that is a known
+// defect (ROADMAP item 1): the value lands in the store and not in the
+// sampler's state, so answers are biased until the chain revisits each
+// written variable; in served mode a WHERE that reads a hidden column
+// resolves against chain 0's current sample, so which rows a write
+// touches depends on the walk. UPDATE/DELETE predicates are resolved
+// once against one world and the resulting row-level ops are replayed
+// on every chain, so the chains' worlds never diverge. Each chain
+// absorbs them at an epoch boundary, walks a configurable burn-in, and
+// resets the estimators of its live views; a query in flight across a
+// write re-collects rather than blend pre- and post-write samples (one
+// cut short merges only the chains at the newest write generation), and
+// queries issued after Exec returns never observe pre-write state.
+// Resolution evaluates the predicate inside a storage scan, which runs
+// in ascending RowID order, as does the op list; a top-level column =
+// constant conjunct is tested on the column vector before a row is
+// materialized. Applied ops go through the same row-keyed change log as
+// the sampler's flips (see "The walk step" below), so a row updated and
+// updated back, or inserted and deleted, within one batch nets to
+// nothing.
 //
 // The data-epoch contract sits next to the plan-IR contract above: every
 // committed write bumps the database's data epoch (ExecResult.Epoch,

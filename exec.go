@@ -52,8 +52,11 @@ func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.TraceID
 // In the local modes the prototype world is mutated under a write lock;
 // every subsequent query clones the mutated world. Statements' WHERE
 // clauses may reference any column, but the durable write workload is
-// evidence: a hidden (sampled) column assignment is overwritten as the
-// sampler revisits it.
+// evidence. A hidden (sampled) column assignment is a known defect
+// (ROADMAP item 1): it lands in the store but not in the sampler's
+// state, so answers are biased until the chain revisits each written
+// variable. In served mode a WHERE that reads a hidden column resolves
+// against chain 0's current sample.
 func (db *DB) Exec(ctx context.Context, sql string, opts ...ExecOption) (*ExecResult, error) {
 	return db.exec(ctx, sql, nil, opts)
 }

@@ -86,51 +86,6 @@ func (m *Model) ChainLogZ(ld *LabeledDoc) (float64, error) {
 	return logSumExp(prev[:]), nil
 }
 
-// ViterbiDecode returns the exact MAP label sequence of the linear-chain
-// model for one document, with its unnormalized log score.
-func (m *Model) ViterbiDecode(ld *LabeledDoc) ([]Label, float64, error) {
-	if m.UseSkip {
-		return nil, 0, fmt.Errorf("ie: ViterbiDecode requires a linear-chain model (UseSkip=false)")
-	}
-	t, n := m.theta(), len(ld.Labels)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	delta := make([][NumLabels]float64, n)
-	back := make([][NumLabels]Label, n)
-	for l := Label(0); l < NumLabels; l++ {
-		delta[0][l] = t.nodeScore(ld, 0, l)
-	}
-	for i := 1; i < n; i++ {
-		for l := Label(0); l < NumLabels; l++ {
-			best := math.Inf(-1)
-			var argBest Label
-			for p := Label(0); p < NumLabels; p++ {
-				s := delta[i-1][p] + t.trans(p, l)
-				if s > best {
-					best, argBest = s, p
-				}
-			}
-			delta[i][l] = best + t.nodeScore(ld, i, l)
-			back[i][l] = argBest
-		}
-	}
-	bestFinal := math.Inf(-1)
-	var lab Label
-	for l := Label(0); l < NumLabels; l++ {
-		if delta[n-1][l] > bestFinal {
-			bestFinal, lab = delta[n-1][l], l
-		}
-	}
-	seq := make([]Label, n)
-	seq[n-1] = lab
-	for i := n - 1; i > 0; i-- {
-		lab = back[i][lab]
-		seq[i-1] = lab
-	}
-	return seq, bestFinal, nil
-}
-
 // logSumExp returns log Σ exp(x) stably.
 func logSumExp(xs []float64) float64 {
 	max := math.Inf(-1)

@@ -36,8 +36,9 @@ func tinyChainSetup(t *testing.T, words []string, seed int64) (*Model, *LabeledD
 	return m, ld
 }
 
-// graphFor mirrors the chain model as an explicit factor graph so the
-// enumeration oracle applies.
+// graphFor mirrors the model as an explicit factor graph so the
+// enumeration oracle applies: node and transition factors, and on a
+// skip-chain model one skip factor per partner pair.
 func graphFor(m *Model, ld *LabeledDoc) *factor.Graph {
 	g := factor.NewGraph()
 	dom := factor.NewDomain("label", LabelNames[:]...)
@@ -53,6 +54,17 @@ func graphFor(m *Model, ld *LabeledDoc) *factor.Graph {
 		g.MustAddFactor("trans", func(vals []int) float64 {
 			return m.W.Get(TransKey(Label(vals[0]), Label(vals[1])))
 		}, vars[i-1], vars[i])
+	}
+	if m.UseSkip {
+		for i := range vars {
+			for _, q := range ld.ix.partners(i) {
+				if int(q) > i {
+					g.MustAddFactor("skip", func(vals []int) float64 {
+						return m.W.Get(SkipKey(vals[0] == vals[1]))
+					}, vars[i], vars[q])
+				}
+			}
+		}
 	}
 	return g
 }
@@ -91,42 +103,6 @@ func TestChainMarginalsSumToOne(t *testing.T) {
 		if math.Abs(s-1) > 1e-9 {
 			t.Errorf("pos %d marginals sum to %v", i, s)
 		}
-	}
-}
-
-func TestViterbiIsArgmax(t *testing.T) {
-	m, ld := tinyChainSetup(t, []string{"IBM", "said", "Clinton"}, 11)
-	seq, score, err := m.ViterbiDecode(ld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Viterbi score must equal DocScore at the decoded labels.
-	saved := append([]Label{}, ld.Labels...)
-	copy(ld.Labels, seq)
-	if got := m.DocScore(ld); math.Abs(got-score) > 1e-9 {
-		t.Fatalf("Viterbi score %v, DocScore at decode %v", score, got)
-	}
-	copy(ld.Labels, saved)
-	// Exhaustive check: no assignment scores higher (9^3 = 729 states).
-	var rec func(i int, assign []Label)
-	best := math.Inf(-1)
-	rec = func(i int, assign []Label) {
-		if i == len(assign) {
-			copy(ld.Labels, assign)
-			if s := m.DocScore(ld); s > best {
-				best = s
-			}
-			return
-		}
-		for l := Label(0); l < NumLabels; l++ {
-			assign[i] = l
-			rec(i+1, assign)
-		}
-	}
-	rec(0, make([]Label, len(ld.Labels)))
-	copy(ld.Labels, saved)
-	if math.Abs(best-score) > 1e-9 {
-		t.Fatalf("Viterbi %v but exhaustive max %v", score, best)
 	}
 }
 
@@ -201,14 +177,48 @@ func TestMCMCMatchesForwardBackward(t *testing.T) {
 	}
 }
 
+// TestMCMCMatchesExactSkipChain holds the tagger to exact marginals on a
+// skip-chain model, where no forward-backward oracle exists: the
+// capitalized string repeats, so the enumerated graph carries three skip
+// factors the walk must respect.
+func TestMCMCMatchesExactSkipChain(t *testing.T) {
+	m, ld := tinyChainSetup(t, []string{"Smith", "said", "Smith", "met", "Smith"}, 19)
+	m.UseSkip = true
+	m.W.Set(SkipKey(true), 1.2)
+	m.W.Set(SkipKey(false), -0.8)
+	exact, err := graphFor(m, ld).ExactMarginals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := retag(m, ld)
+	s := mcmc.NewSampler(tg, 29)
+	counts := make([][NumLabels]float64, len(ld.Labels))
+	s.Run(3000) // burn-in
+	samples := 150000
+	for i := 0; i < samples; i++ {
+		s.Run(4)
+		for pos, l := range tg.Docs[0].Labels {
+			counts[pos][l]++
+		}
+	}
+	worst := 0.0
+	for pos := range counts {
+		for l := 0; l < NumLabels; l++ {
+			if d := math.Abs(counts[pos][l]/float64(samples) - exact[pos][l]); d > worst {
+				worst = d
+			}
+		}
+	}
+	if worst > 0.02 {
+		t.Errorf("max |MCMC - exact| = %.4f on the skip chain, want <= 0.02", worst)
+	}
+}
+
 func TestChainRejectsSkipModels(t *testing.T) {
 	m := NewModel(0, true)
 	ld := labeledDoc(&Doc{Tokens: []Token{{Str: "x"}}})
 	if _, err := m.ChainMarginals(ld); err == nil {
 		t.Error("ChainMarginals must reject skip models")
-	}
-	if _, _, err := m.ViterbiDecode(ld); err == nil {
-		t.Error("ViterbiDecode must reject skip models")
 	}
 	if _, err := m.ChainLogZ(ld); err == nil {
 		t.Error("ChainLogZ must reject skip models")
@@ -220,9 +230,6 @@ func TestChainEmptyDoc(t *testing.T) {
 	ld := labeledDoc(&Doc{})
 	if got, err := m.ChainMarginals(ld); err != nil || got != nil {
 		t.Errorf("empty doc marginals = %v, %v", got, err)
-	}
-	if seq, score, err := m.ViterbiDecode(ld); err != nil || seq != nil || score != 0 {
-		t.Errorf("empty doc viterbi = %v, %v, %v", seq, score, err)
 	}
 	if z, err := m.ChainLogZ(ld); err != nil || z != 0 {
 		t.Errorf("empty doc logZ = %v, %v", z, err)

@@ -182,7 +182,9 @@ func Generate(cfg GenConfig) (*Corpus, error) {
 }
 
 func genDoc(rng *rand.Rand, id int, cfg GenConfig, lx lexicons) Doc {
-	target := cfg.TokensPerDoc/2 + rng.Intn(cfg.TokensPerDoc)
+	// At least one token, or a one-token config yields only empty
+	// documents and Generate never reaches NumTokens.
+	target := max(1, cfg.TokensPerDoc/2+rng.Intn(cfg.TokensPerDoc))
 	// Focus entities of this document, re-mentioned repeatedly.
 	nFocus := 2 + rng.Intn(4)
 	focus := make([]mention, nFocus)

@@ -97,24 +97,3 @@ func sampleLog(rng *rand.Rand, logw []float64) Label {
 	}
 	return Label(len(logw) - 1)
 }
-
-// GibbsStep resamples one uniformly chosen label variable from its exact
-// local conditional distribution (a Gibbs kernel: the acceptance
-// probability is identically one). Unlike FFBS this works for the skip
-// chain too, because the local conditional only needs the factors
-// touching the variable. Returns the document and position touched.
-func (t *Tagger) GibbsStep(rng *rand.Rand) (doc, pos int) {
-	d, i := t.pick(rng)
-	ld := t.Docs[d]
-	var logw [NumLabels]float64
-	old := ld.Labels[i]
-	tab := t.Model.theta()
-	for l := Label(0); l < NumLabels; l++ {
-		logw[l] = t.Model.localScore(tab, ld, i, l)
-	}
-	newLabel := sampleLog(rng, logw[:])
-	if newLabel != old {
-		t.apply(d, i, newLabel)
-	}
-	return d, i
-}

@@ -88,69 +88,3 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 		t.Error("full regeneration should produce deltas")
 	}
 }
-
-// TestGibbsMatchesExact: the Gibbs kernel must converge to the same
-// marginals as exact inference on a linear chain.
-func TestGibbsMatchesExact(t *testing.T) {
-	m, ld := tinyChainSetup(t, []string{"IBM", "said", "Clinton"}, 43)
-	exact, err := m.ChainMarginals(ld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg := retag(m, ld)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		tg.GibbsStep(rng)
-	}
-	counts := make([][NumLabels]float64, len(ld.Labels))
-	samples := 120000
-	for s := 0; s < samples; s++ {
-		for j := 0; j < 3; j++ {
-			tg.GibbsStep(rng)
-		}
-		for i, l := range tg.Docs[0].Labels {
-			counts[i][l]++
-		}
-	}
-	worst := 0.0
-	for i := range counts {
-		for l := 0; l < NumLabels; l++ {
-			if d := math.Abs(counts[i][l]/float64(samples) - exact[i][l]); d > worst {
-				worst = d
-			}
-		}
-	}
-	if worst > 0.02 {
-		t.Errorf("max |Gibbs - exact| = %.4f, want <= 0.02", worst)
-	}
-}
-
-// TestGibbsWorksOnSkipChain: Gibbs needs only local factors, so it must
-// run (and respect write-through) on the skip-chain model too.
-func TestGibbsWorksOnSkipChain(t *testing.T) {
-	c, _ := Generate(DefaultGenConfig(300, 47))
-	m := modelFor(c, true)
-	rng := rand.New(rand.NewSource(13))
-	tg := newTagger(m, c)
-	for _, ld := range tg.Docs {
-		for i := range ld.Labels {
-			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
-			}
-		}
-	}
-	moved := false
-	for i := 0; i < 3000; i++ {
-		tg.GibbsStep(rng)
-	}
-	for _, ld := range tg.Docs {
-		for _, l := range ld.Labels {
-			if l != LO {
-				moved = true
-			}
-		}
-	}
-	if !moved {
-		t.Error("Gibbs never moved any label")
-	}
-}

@@ -137,6 +137,20 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestGenDocNeverEmpty: at TokensPerDoc 1 the drawn target length rounds
+// to zero; every document must still get a token, or Generate, which
+// appends documents until it has NumTokens, would never return.
+func TestGenDocNeverEmpty(t *testing.T) {
+	cfg := GenConfig{NumTokens: 10, TokensPerDoc: 1, EntityRate: 0.2, RepeatRate: 0.4, Seed: 5}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	lx := buildLexicons(rng, cfg)
+	for id := 0; id < 5; id++ {
+		if doc := genDoc(rng, id, cfg, lx); len(doc.Tokens) == 0 {
+			t.Fatalf("document %d has no tokens", id)
+		}
+	}
+}
+
 func TestSkipPartners(t *testing.T) {
 	doc := &Doc{ID: 0, Tokens: []Token{
 		{Str: "IBM"}, {Str: "said"}, {Str: "IBM"}, {Str: "the"}, {Str: "IBM"}, {Str: "the"},
@@ -332,27 +346,6 @@ func TestBindDBValidation(t *testing.T) {
 	}
 }
 
-func TestConstrainedProposerKeepsBIOValid(t *testing.T) {
-	c, _ := Generate(DefaultGenConfig(800, 29))
-	m := modelFor(c, true)
-	tg := newTagger(m, c)
-	tg.ConstrainBIO = true
-	s := mcmc.NewSampler(tg, 31)
-	s.Run(5000)
-	for d, ld := range tg.Docs {
-		prev := LO
-		for i, l := range ld.Labels {
-			if i == 0 && l.IsInside() {
-				t.Fatalf("doc %d starts with %v", d, l)
-			}
-			if i > 0 && !l.ValidAfter(prev) {
-				t.Fatalf("doc %d: %v after %v at %d", d, l, prev, i)
-			}
-			prev = l
-		}
-	}
-}
-
 func TestActiveDocBatching(t *testing.T) {
 	c, _ := Generate(GenConfig{NumTokens: 2000, TokensPerDoc: 100, EntityRate: 0.2, RepeatRate: 0.4, Seed: 37})
 	if len(c.Docs) < 6 {
@@ -365,20 +358,6 @@ func TestActiveDocBatching(t *testing.T) {
 	s.Run(2000)
 	if s.Accepted() == 0 {
 		t.Error("batched proposer never accepted")
-	}
-}
-
-func TestSetAll(t *testing.T) {
-	c, _ := Generate(DefaultGenConfig(300, 43))
-	tg := newTagger(modelFor(c, false), c)
-	tg.Docs[0].Labels[0] = LBPer
-	tg.SetAll(LO)
-	for _, ld := range tg.Docs {
-		for _, l := range ld.Labels {
-			if l != LO {
-				t.Fatal("SetAll left a non-O label")
-			}
-		}
 	}
 }
 

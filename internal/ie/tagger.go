@@ -79,12 +79,6 @@ type Tagger struct {
 	// their token ids, capitalization and skip edges from.
 	Index *CorpusIndex
 
-	// ConstrainBIO restricts proposals to labels that keep the BIO
-	// encoding locally valid (the "more intelligent jump function"
-	// suggested in Appendix 9.3). The constrained candidate set depends
-	// only on unchanged neighbors, so proposals remain symmetric.
-	ConstrainBIO bool
-
 	// ActiveDocs and StepsPerBatch reproduce the paper's batching: up to
 	// ActiveDocs documents' variables form the working set L, re-drawn
 	// every StepsPerBatch proposals. Zero values mean "all documents /
@@ -183,32 +177,9 @@ func (t *Tagger) pick(rng *rand.Rand) (int, int) {
 	return d, rng.Intn(len(ld.Labels))
 }
 
-// candidate draws a proposed new label for position i of doc d.
-func (t *Tagger) candidate(rng *rand.Rand, ld *LabeledDoc, i int) Label {
-	if !t.ConstrainBIO {
-		return Label(rng.Intn(NumLabels))
-	}
-	// Valid relabelings keep this position consistent with its left
-	// neighbor and the right neighbor consistent with this position.
-	var valid [NumLabels]Label
-	n := 0
-	for l := Label(0); l < NumLabels; l++ {
-		if i > 0 && !l.ValidAfter(ld.Labels[i-1]) {
-			continue
-		}
-		if i == 0 && l.IsInside() {
-			continue
-		}
-		if i+1 < len(ld.Labels) && !ld.Labels[i+1].ValidAfter(l) {
-			continue
-		}
-		valid[n] = l
-		n++
-	}
-	if n == 0 {
-		return ld.Labels[i]
-	}
-	return valid[rng.Intn(n)]
+// candidate draws a proposed new label: uniform over the inventory.
+func (t *Tagger) candidate(rng *rand.Rand) Label {
+	return Label(rng.Intn(NumLabels))
 }
 
 // apply commits a label flip to memory and, when bound, to the database.
@@ -242,7 +213,7 @@ func (t *Tagger) Propose(rng *rand.Rand) mcmc.Proposal {
 func (t *Tagger) draw(rng *rand.Rand) *LabeledDoc {
 	t.d, t.i = t.pick(rng)
 	ld := t.Docs[t.d]
-	t.newLabel = t.candidate(rng, ld, t.i)
+	t.newLabel = t.candidate(rng)
 	return ld
 }
 
@@ -288,18 +259,6 @@ func (t *Tagger) Accuracy() float64 {
 		return 0
 	}
 	return ok / n
-}
-
-// SetAll sets every label (memory and database) to l; used to reset the
-// world between experiments.
-func (t *Tagger) SetAll(l Label) {
-	for d, ld := range t.Docs {
-		for i := range ld.Labels {
-			if ld.Labels[i] != l {
-				t.apply(d, i, l)
-			}
-		}
-	}
 }
 
 // Train runs SampleRank over the corpus, returning the trainer for

@@ -7,6 +7,7 @@ import (
 	"factordb/internal/mcmc"
 	"factordb/internal/mcmc/mcmctest"
 	"factordb/internal/relstore"
+	"factordb/internal/world"
 )
 
 // trajectoryTagger builds a skip-chain tagger with random weights on
@@ -48,27 +49,19 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation) {
 	return tg, rel
 }
 
-// TestTrajectory pins the walk of every NER proposal kernel: the hidden
-// labels in memory, their write-through copies in the store, and the
-// sampler's counters after a fixed-seed run.
+// TestTrajectory pins the walk of the NER proposal kernel, unbatched and
+// batched: the hidden labels in memory, their write-through copies in the
+// store, and the sampler's counters after a fixed-seed run.
 func TestTrajectory(t *testing.T) {
 	cases := []struct {
 		name     string
 		proposer func(tg *Tagger) mcmc.Proposer
 	}{
 		{"tagger", func(tg *Tagger) mcmc.Proposer { return tg }},
-		{"tagger-bio", func(tg *Tagger) mcmc.Proposer { tg.ConstrainBIO = true; return tg }},
 		{"tagger-batched", func(tg *Tagger) mcmc.Proposer {
 			tg.ActiveDocs, tg.StepsPerBatch = 3, 400
 			return tg
 		}},
-		{"tagger-bio-batched", func(tg *Tagger) mcmc.Proposer {
-			tg.ConstrainBIO = true
-			tg.ActiveDocs, tg.StepsPerBatch = 3, 400
-			return tg
-		}},
-		{"span", func(tg *Tagger) mcmc.Proposer { return &SpanProposer{Tagger: tg} }},
-		{"mixed", func(tg *Tagger) mcmc.Proposer { return NewMixedProposer(tg, 0.3) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,4 +82,14 @@ func TestTrajectory(t *testing.T) {
 			mcmctest.Check(t, tc.name, h, s.Steps(), s.Accepted())
 		})
 	}
+}
+
+// loadBound is a small helper shared by write-through tests.
+func loadBound(t *testing.T, c *Corpus) (*relstore.DB, *world.ChangeLog) {
+	t.Helper()
+	db := relstore.NewDB()
+	if err := LoadCorpus(db, c, LO); err != nil {
+		t.Fatal(err)
+	}
+	return db, world.NewChangeLog(db)
 }
