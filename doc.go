@@ -87,7 +87,9 @@
 // request pipeline and differs only in the sampling strategy under it —
 // "pool" is ModeServed's shared chain pool, "private" the local modes'
 // chain per query — so there is one glossary, which TestSpanGlossary
-// pins against the code:
+// pins against the code. A query whose plan reads no hidden column
+// samples nothing under any mode (see "Certain answers"): "certain"
+// marks its one span, which replaces the strategy's.
 //
 //	kind      span                emitted by  what is being timed
 //	query     compile             all         SQL to plan (attr plan_cache: hit, miss)
@@ -98,6 +100,7 @@
 //	query     snapshot_merge      pool        merging the per-chain snapshots (attr samples)
 //	query     clone_world         private     cloning the prototype world
 //	query     sample              private     burn-in plus the whole sample budget (attr samples)
+//	query     evaluate            certain     one evaluation of a certain plan, on chain 0's world or the prototype
 //	query     rank                all         ORDER BY / LIMIT over the merged estimate
 //	exec      compile             all         SQL to mutation (attr plan_cache)
 //	exec      admission_wait      all         as for queries
@@ -160,6 +163,25 @@
 // read on scrape: go_goroutines, go_gc_heap_live_bytes,
 // go_gc_cycles_total and go_gc_pause_seconds_total.
 //
+// # Certain answers
+//
+// The sampler owns the hidden columns — TOKEN.LABEL under NER,
+// MENTION.CLUSTER under coref — and the model that binds one declares it
+// in the schema (relstore.DB.DeclareHidden), also on a world a data
+// directory recovered, since a snapshot does not carry the declaration.
+// Every other column is evidence, the same in every possible world. A
+// plan whose bound tree reads no hidden column is certain
+// (ra.Bound.Certain): its answer is the same in every world, so it is
+// not sampled. After the result-cache probe it is evaluated once at the
+// current data epoch — in served mode on chain 0's world through its
+// mailbox, in the local modes on the prototype — with no view mounted
+// and no sample awaited. Every tuple comes back at P = 1 with the
+// interval [1, 1], and the answer reports its sample budget as its
+// sample count: an exact answer is worth any budget. It is cached like
+// any other, and EXPLAIN marks its plan certain. SELECT STRING FROM
+// TOKEN WHERE TOK_ID = 0 and SELECT COUNT(*) FROM TOKEN are certain;
+// Query 1, which selects on LABEL, is not.
+//
 // # Write path: DML and the data epoch
 //
 // The database is writable through DB.Exec, database/sql's ExecContext,
@@ -178,16 +200,15 @@
 //	DELETE FROM t [alias] [WHERE cond AND ...]
 //
 // An INSERT column list must cover the whole schema (the store has no
-// defaults). The durable write workload is evidence, and rows inserted
-// into a sampled relation carry their hidden field as fixed evidence. A
-// write to a hidden (sampled) column is accepted, but that is a known
-// defect (ROADMAP item 1): the value lands in the store and not in the
-// sampler's state, so answers are biased until the chain revisits each
-// written variable; in served mode a WHERE that reads a hidden column
-// resolves against chain 0's current sample, so which rows a write
-// touches depends on the walk. UPDATE/DELETE predicates are resolved
-// once against one world and the resulting row-level ops are replayed
-// on every chain, so the chains' worlds never diverge. Each chain
+// defaults). A write targets evidence only: an UPDATE that sets a hidden
+// column, or an UPDATE or DELETE whose WHERE reads one, fails with
+// ErrBadQuery naming the column, before the WAL append (HTTP 400). The
+// sampler, not the store, holds a hidden variable's state, and a
+// predicate over one would match rows by the walk of whichever world it
+// was resolved against. An INSERT's value for a hidden column is
+// accepted as the new row's initial state. UPDATE/DELETE predicates are
+// resolved once against one world and the resulting row-level ops are
+// replayed on every chain, so the chains' worlds never diverge. Each chain
 // absorbs them at an epoch boundary, walks a configurable burn-in, and
 // resets the estimators of its live views; a query in flight across a
 // write re-collects rather than blend pre- and post-write samples (one
@@ -239,7 +260,9 @@
 // /query and the CLI: a single PLAN column of strings, one plan line
 // per row — the rendered operator tree as bound (with the projections
 // column pruning put under join inputs, and a "column pruning:" line
-// when it put any), the bound fingerprint, the result spec, and whether
+// when it put any), the bound fingerprint, how a query arriving now
+// would be answered (a "certain:" line for a plan that reads no hidden
+// column, else the view-sharing decision), the result spec, and whether
 // the plan cache already held the entry.
 //
 // # Durability: snapshots, the WAL, and recovery

@@ -15,10 +15,14 @@
 // the corrected token is labeled B-ORG and the person token B-PER under
 // the model as trained, which has not seen the correction). Reverting
 // the correction shifts the answer straight back.
+//
+// The labels belong to the sampler: a write may set and select on
+// evidence only, so the last step, an UPDATE of LABEL, is refused.
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -40,8 +44,9 @@ func main() {
 	fmt.Println(db.Describe())
 
 	// Find the documents that already mention Boston, then pick a token
-	// from some other document to "correct". Evidence columns are
-	// deterministic, so these lookups return marginal-1 tuples.
+	// from some other document to "correct". These lookups read evidence
+	// only, so they are certain: one evaluation each, no sampling, and
+	// every tuple at marginal 1.
 	bostonDocs := map[int64]bool{}
 	rows, err := db.Query(ctx, `SELECT DOC_ID FROM TOKEN WHERE STRING='Boston'`, factordb.Samples(2))
 	if err != nil {
@@ -109,6 +114,14 @@ func main() {
 	}
 	reverted := query4(ctx, db)
 	fmt.Printf("\nQuery 4 after reverting: %d answer tuples (baseline had %d)\n", len(reverted), len(baseline))
+
+	// LABEL is the hidden column the sampler walks; a write to it would
+	// land in the store but not in the sampler's state.
+	_, err = db.Exec(ctx, fmt.Sprintf(`UPDATE TOKEN SET LABEL = 'B-ORG' WHERE TOK_ID = %d`, tokID))
+	if !errors.Is(err, factordb.ErrBadQuery) {
+		log.Fatalf("UPDATE of LABEL = %v, want ErrBadQuery", err)
+	}
+	fmt.Printf("\nUPDATE of LABEL refused: %v\n", err)
 }
 
 // query4 returns Query 4's answer as tuple → marginal.

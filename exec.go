@@ -50,13 +50,13 @@ func ExecTraceID(id string) ExecOption { return func(o *execOptions) { o.TraceID
 // after Exec returns never observe pre-write state.
 //
 // In the local modes the prototype world is mutated under a write lock;
-// every subsequent query clones the mutated world. Statements' WHERE
-// clauses may reference any column, but the durable write workload is
-// evidence. A hidden (sampled) column assignment is a known defect
-// (ROADMAP item 1): it lands in the store but not in the sampler's
-// state, so answers are biased until the chain revisits each written
-// variable. In served mode a WHERE that reads a hidden column resolves
-// against chain 0's current sample.
+// every subsequent query clones the mutated world. A write targets
+// evidence only: an UPDATE that sets a hidden (sampled) column, or an
+// UPDATE or DELETE whose WHERE reads one, fails with ErrBadQuery naming
+// the column, before anything is logged or applied. The sampler, not
+// the store, holds a hidden variable's state, and a predicate over one
+// would match rows by the walk. An INSERT's value for a hidden column is
+// accepted as the new row's initial state.
 func (db *DB) Exec(ctx context.Context, sql string, opts ...ExecOption) (*ExecResult, error) {
 	return db.exec(ctx, sql, nil, opts)
 }

@@ -324,6 +324,38 @@ func TestBadQueryErrors(t *testing.T) {
 	}
 }
 
+// TestHiddenColumnDMLErrors pins the write rule for the column the
+// sampler owns: an UPDATE that sets MENTION.CLUSTER, and an UPDATE or
+// DELETE whose WHERE reads it, is a bad query naming the column in every
+// mode, refused before the WAL append; an INSERT's CLUSTER is the new
+// mention's initial state, and it commits.
+func TestHiddenColumnDMLErrors(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []Mode{ModeNaive, ModeMaterialized, ModeServed} {
+		db := openCorefDB(t, WithMode(mode), WithChains(1), WithDataDir(t.TempDir()))
+		wal := db.Durability().WALBytes
+		for _, sql := range []string{
+			`UPDATE MENTION SET CLUSTER = 0 WHERE MENTION_ID = 1`,
+			`UPDATE MENTION SET STRING = 'X', CLUSTER = 0 WHERE MENTION_ID = 1`,
+			`UPDATE MENTION SET STRING = 'X' WHERE CLUSTER = 0`,
+			`DELETE FROM MENTION WHERE MENTION_ID = 1 AND CLUSTER >= 0`,
+		} {
+			_, err := db.Exec(ctx, sql)
+			if !errors.Is(err, ErrBadQuery) || !strings.Contains(err.Error(), "MENTION.CLUSTER") {
+				t.Errorf("%s: %s = %v, want ErrBadQuery naming MENTION.CLUSTER", mode, sql, err)
+			}
+		}
+		if got := db.Durability().WALBytes; db.WriteEpoch() != 0 || got != wal {
+			t.Errorf("%s: refused writes moved the write epoch to %d and the WAL from %d to %d bytes",
+				mode, db.WriteEpoch(), wal, got)
+		}
+		res, err := db.Exec(ctx, `INSERT INTO MENTION (MENTION_ID, STRING, CLUSTER) VALUES (100, 'NEW', 7)`)
+		if err != nil || res.RowsAffected != 1 {
+			t.Errorf("%s: INSERT with an initial CLUSTER = %+v, %v; want one row committed", mode, res, err)
+		}
+	}
+}
+
 // TestNERConfigRejectsBadParams pins Open's refusal of NER parameters that
 // would silently invert or poison the model — a negative temperature
 // negates every trained weight, a NaN or infinite one makes every score

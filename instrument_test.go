@@ -168,7 +168,8 @@ func TestReadmeExplainAnalyzeSample(t *testing.T) {
 // TestExplainShowsBoundPlan pins what plain EXPLAIN renders: the tree as
 // bound. Query 3's token side reads only DOC_ID, so the plan shows the
 // projection column pruning put under that join input and says so;
-// Query 1 has no join and is shown as written.
+// Query 1 has no join and is shown as written. An evidence-only query is
+// marked certain.
 func TestExplainShowsBoundPlan(t *testing.T) {
 	db := sharedDB(t, ModeMaterialized)
 	explain := func(sql string) string {
@@ -199,6 +200,11 @@ func TestExplainShowsBoundPlan(t *testing.T) {
 	}
 	if q1 := explain(Query1); strings.Contains(q1, "column pruning") || !strings.Contains(q1, "bound fingerprint: bfp1:") {
 		t.Errorf("EXPLAIN of Query 1 (no join, nothing to prune):\n%s", q1)
+	}
+	// A plan that reads no hidden column is marked certain instead of
+	// reporting a view it will never mount.
+	if ev := explain(`SELECT STRING FROM TOKEN WHERE TOK_ID = 0`); !strings.Contains(ev, "\ncertain: reads no hidden column") || strings.Contains(ev, "view sharing") {
+		t.Errorf("EXPLAIN of an evidence-only query is not marked certain:\n%s", ev)
 	}
 }
 

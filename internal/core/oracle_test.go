@@ -218,6 +218,9 @@ func newOracleWorld(t *testing.T, seed int64, rows int) *oracleWorld {
 		relstore.Column{Name: "STRING", Type: relstore.TString},
 		relstore.Column{Name: "LABEL", Type: relstore.TString},
 	))
+	if err := db.DeclareHidden("TOKEN", 3); err != nil {
+		t.Fatal(err)
+	}
 	w := &oracleWorld{rng: rand.New(rand.NewSource(seed)), log: world.NewChangeLog(db)}
 	var err error
 	if w.label, err = w.log.Field("TOKEN", 3); err != nil {

@@ -147,6 +147,13 @@ func TestWriteThroughToDB(t *testing.T) {
 	if err := LoadMentions(db, mentions); err != nil {
 		t.Fatal(err)
 	}
+	// The load declares the proposer's one column hidden, and no other.
+	loaded, _ := db.Relation(MentionRelation)
+	for i, col := range loaded.Schema().Cols {
+		if loaded.Schema().Hidden(i) != (i == ClusterCol) {
+			t.Errorf("MENTION.%s: hidden=%v, want %v", col.Name, loaded.Schema().Hidden(i), i == ClusterCol)
+		}
+	}
 	s := NewSingletonState(mentions)
 	p := NewMoveProposer(s, DefaultModel())
 	log := world.NewChangeLog(db)

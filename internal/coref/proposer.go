@@ -28,11 +28,20 @@ func MentionSchema() *relstore.Schema {
 	)
 }
 
+// Declare declares MENTION.CLUSTER, the column the proposer samples,
+// hidden in db: LoadMentions does so for the world it loads, and a
+// recovered world, whose snapshot does not carry the declaration, gets
+// it here.
+func Declare(db *relstore.DB) error { return db.DeclareHidden(MentionRelation, ClusterCol) }
+
 // LoadMentions materializes mentions into a fresh MENTION relation with
 // singleton clusters: mention i is row i.
 func LoadMentions(db *relstore.DB, mentions []Mention) error {
 	rel, err := db.Create(MentionSchema())
 	if err != nil {
+		return err
+	}
+	if err := Declare(db); err != nil {
 		return err
 	}
 	for i, m := range mentions {

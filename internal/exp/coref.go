@@ -42,7 +42,8 @@ func BuildCoref(cfg CorefConfig) (*CorefSystem, error) { return BuildCorefOver(c
 
 // BuildCorefOver is BuildCoref serving db, when it is not nil, instead of
 // loading the mentions: a world this config's mentions were loaded into,
-// such as one recovered from a data directory. Mention i is MENTION row i.
+// such as one recovered from a data directory, on which it declares
+// MENTION.CLUSTER hidden. Mention i is MENTION row i.
 func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {
 	if cfg.NumEntities <= 0 {
 		cfg.NumEntities = 6
@@ -63,6 +64,8 @@ func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {
 		if err := coref.LoadMentions(db, mentions); err != nil {
 			return nil, err
 		}
+	} else if err := coref.Declare(db); err != nil {
+		return nil, err
 	}
 	return &CorefSystem{Mentions: mentions, Model: coref.DefaultModel(), cfg: cfg, protoDB: db}, nil
 }

@@ -77,8 +77,8 @@ func BuildNER(cfg Config) (*NERSystem, error) { return BuildNEROver(cfg, nil) }
 
 // BuildNEROver is BuildNER serving db, when it is not nil, instead of
 // loading the corpus: a world this config's corpus was loaded into, such
-// as one recovered from a data directory. The model addresses db's TOKEN
-// rows in load order; BindDB, on the first chain, refuses a relation with
+// as one recovered from a data directory, on which it declares
+// TOKEN.LABEL hidden. The model addresses db's TOKEN rows in load order; BindDB, on the first chain, refuses a relation with
 // too few of them, but nothing checks what the rows hold.
 func BuildNEROver(cfg Config, db *relstore.DB) (*NERSystem, error) {
 	gen := ie.DefaultGenConfig(cfg.NumTokens, cfg.Seed)
@@ -118,6 +118,8 @@ func buildNEROver(cfg Config, corpus *ie.Corpus, db *relstore.DB) (*NERSystem, e
 		if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
 			return nil, err
 		}
+	} else if err := ie.Declare(db); err != nil {
+		return nil, err
 	}
 	return &NERSystem{Model: model, Index: index, protoDB: db}, nil
 }

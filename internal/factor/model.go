@@ -24,11 +24,14 @@ type Model struct {
 }
 
 // NewModel binds g's variables to rows 0..len(g.Vars)-1 of relation rel
-// in proto. Every bound row must hold a value of its variable's domain in
-// column col.
+// in proto and declares column col hidden there. Every bound row must
+// hold a value of its variable's domain in column col.
 func NewModel(g *Graph, proto *relstore.DB, rel string, col int) (*Model, error) {
 	m := &Model{g: g, proto: proto, rel: rel, col: col}
 	if _, err := m.assignment(proto); err != nil {
+		return nil, err
+	}
+	if err := proto.DeclareHidden(rel, col); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -101,6 +101,13 @@ func TestUnrollErrors(t *testing.T) {
 	if _, err := NewModel(g, ok, "TOKEN", 2); err != nil {
 		t.Errorf("valid binding rejected: %v", err)
 	}
+	// The binding declares its one column hidden, and no other.
+	rel, _ := ok.Relation("TOKEN")
+	for i, col := range rel.Schema().Cols {
+		if rel.Schema().Hidden(i) != (i == 2) {
+			t.Errorf("TOKEN.%s: hidden=%v, want %v", col.Name, rel.Schema().Hidden(i), i == 2)
+		}
+	}
 }
 
 // TestSetAssignmentValidation: the assignment a world holds is validated

@@ -279,6 +279,12 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 	if rel.Len() != c.NumTokens {
 		t.Fatalf("TOKEN has %d rows, want %d", rel.Len(), c.NumTokens)
 	}
+	// The load declares the tagger's one column hidden, and no other.
+	for i, col := range rel.Schema().Cols {
+		if rel.Schema().Hidden(i) != (i == LabelCol) {
+			t.Errorf("TOKEN.%s: hidden=%v, want %v", col.Name, rel.Schema().Hidden(i), i == LabelCol)
+		}
+	}
 	tg := newTagger(m, c)
 	first := 0
 	for d, doc := range c.Docs {

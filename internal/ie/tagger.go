@@ -34,6 +34,11 @@ const LabelCol = 3
 // truthCol is the column index of the gold TRUTH attribute.
 const truthCol = 4
 
+// Declare declares TOKEN.LABEL, the column the tagger samples, hidden in
+// db: LoadCorpus does so for the world it loads, and a recovered world,
+// whose snapshot does not carry the declaration, gets it here.
+func Declare(db *relstore.DB) error { return db.DeclareHidden(TokenRelation, LabelCol) }
+
 // LoadCorpus materializes the corpus into a fresh TOKEN relation in db,
 // with LABEL initialized to init. Rows follow the index's layout: token i
 // of document d is row first+i, first being the tokens of the documents
@@ -42,6 +47,9 @@ const truthCol = 4
 func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 	rel, err := db.Create(TokenSchema())
 	if err != nil {
+		return err
+	}
+	if err := Declare(db); err != nil {
 		return err
 	}
 	for _, col := range []int{LabelCol, truthCol} {

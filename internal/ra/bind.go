@@ -68,6 +68,11 @@ type Bound struct {
 	SortIdx  []int
 	SortDesc []bool
 	Limit    int64
+
+	// Certain is set on the root Prepare returns when the tree reads no
+	// column that its relation's schema declares hidden: the answer is
+	// then the same in every possible world.
+	Certain bool
 }
 
 // Bind resolves a logical plan against db's catalog and returns the
@@ -93,11 +98,52 @@ func Prepare(db *relstore.DB, p Plan) (*Bound, error) {
 	if err != nil {
 		return nil, err
 	}
-	narrow := prunePlan(b, allCols(b.Schema.Arity()))
-	if narrow == b.Source {
-		return b, nil
+	if narrow := prunePlan(b, allCols(b.Schema.Arity())); narrow != b.Source {
+		if b, err = bindPlan(db, narrow); err != nil {
+			return nil, err
+		}
 	}
-	return bindPlan(db, narrow)
+	b.Certain = hiddenRead(db, b, allCols(b.Schema.Arity())) == ""
+	return b, nil
+}
+
+// hiddenRead returns the first hidden column of a scanned relation that
+// b reads, given which of b's output columns its ancestors read, or "".
+// A column is read when anything above its scan names it: a predicate,
+// a projection, a join or group key, an aggregate's argument, or the
+// root's output.
+func hiddenRead(db *relstore.DB, b *Bound, need []bool) string {
+	if b.Kind == KScan {
+		rel, _ := db.Relation(b.Table) // bindScan found it
+		return firstHidden(rel.Schema(), need)
+	}
+	needs := childNeeds(b, need)
+	for i, c := range b.Children {
+		if col := hiddenRead(db, c, needs[i]); col != "" {
+			return col
+		}
+	}
+	return ""
+}
+
+// HiddenInPredicate returns the first column of sch that pred, bound
+// over sch's columns in schema order, reads and sch declares hidden, or
+// "".
+func HiddenInPredicate(sch *relstore.Schema, pred BExpr) string {
+	read := make([]bool, sch.Arity())
+	markCols(pred, read)
+	return firstHidden(sch, read)
+}
+
+// firstHidden returns the first column of sch marked in read that sch
+// declares hidden, as REL.COL, or "".
+func firstHidden(sch *relstore.Schema, read []bool) string {
+	for i, r := range read {
+		if r && sch.Hidden(i) {
+			return sch.Name + "." + sch.Cols[i].Name
+		}
+	}
+	return ""
 }
 
 // On returns a copy of b, node for node, whose scans read db's relations

@@ -78,6 +78,9 @@ func TestNoLayerKeepsAScratchTuple(t *testing.T) {
 			return db
 		}
 
+		if err := w.db.DeclareHidden("TOKEN", 3); err != nil {
+			t.Fatal(err)
+		}
 		log := world.NewChangeLog(w.db)
 		label, err := log.Field("TOKEN", 3)
 		if err != nil {

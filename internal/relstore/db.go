@@ -47,6 +47,26 @@ func (db *DB) Relation(name string) (*Relation, error) {
 	return r, nil
 }
 
+// DeclareHidden marks column col of the named relation hidden: a model
+// samples its values. The mark lands on the schema every clone of the
+// relation shares, so declare before the world is cloned or read
+// concurrently, when the model is bound to a freshly loaded or recovered
+// world.
+func (db *DB) DeclareHidden(rel string, col int) error {
+	r, err := db.Relation(rel)
+	if err != nil {
+		return err
+	}
+	if col < 0 || col >= r.schema.Arity() {
+		return fmt.Errorf("relstore: column %d out of range in %q", col, rel)
+	}
+	if r.schema.hidden == nil {
+		r.schema.hidden = make([]bool, r.schema.Arity())
+	}
+	r.schema.hidden[col] = true
+	return nil
+}
+
 // Drop removes the named relation.
 func (db *DB) Drop(name string) error {
 	if _, ok := db.rels[name]; !ok {

@@ -123,6 +123,46 @@ func TestDumpGolden(t *testing.T) {
 	}
 }
 
+// TestDeclareHidden: a declaration marks one column of the schema every
+// clone shares, refuses a column or relation that does not exist, and is
+// no part of a snapshot — the dump of a declared world is byte for byte
+// the dump of the same world undeclared, and reads back undeclared.
+func TestDeclareHidden(t *testing.T) {
+	db := snapshotDB(t)
+	var plain bytes.Buffer
+	if err := db.Dump(&plain); err != nil {
+		t.Fatal(err)
+	}
+	clone := db.Clone()
+	if err := db.DeclareHidden("TOKEN", 3); err != nil {
+		t.Fatal(err)
+	}
+	if db.DeclareHidden("TOKEN", 4) == nil || db.DeclareHidden("TOKEN", -1) == nil || db.DeclareHidden("NOPE", 0) == nil {
+		t.Error("a declaration of a column that does not exist succeeded")
+	}
+	rel, _ := clone.Relation("TOKEN")
+	for i := range rel.Schema().Cols {
+		if rel.Schema().Hidden(i) != (i == 3) {
+			t.Errorf("column %d of the clone: hidden=%v, want %v", i, rel.Schema().Hidden(i), i == 3)
+		}
+	}
+	var declared bytes.Buffer
+	if err := db.Dump(&declared); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(declared.Bytes(), plain.Bytes()) {
+		t.Error("the declaration changed the snapshot's bytes")
+	}
+	back, err := ReadDB(&declared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brel, _ := back.Relation("TOKEN")
+	if brel.Schema().Hidden(3) {
+		t.Error("a snapshot carried the declaration")
+	}
+}
+
 // TestReloadCompactsDictionary: strings that no live row holds any more
 // stay in a column's dictionary until the world is read back from a
 // snapshot, which interns only what its rows hold.

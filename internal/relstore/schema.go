@@ -11,12 +11,19 @@ type Column struct {
 	Type Type
 }
 
-// Schema describes the name and typed attributes of a relation.
+// Schema describes the name and typed attributes of a relation. The
+// clones of a world share their schemas.
 type Schema struct {
 	Name string
 	Cols []Column
 
 	byName map[string]int
+	// hidden marks the columns whose values a model samples: every
+	// possible world holds its own value there, and every other column
+	// is evidence, the same in all of them. The model that binds a
+	// world.Field to a column declares it (DB.DeclareHidden); a snapshot
+	// does not persist the marks. Nil until the first declaration.
+	hidden []bool
 }
 
 // NewSchema builds a schema and validates that column names are unique.
@@ -51,6 +58,9 @@ func (s *Schema) ColIndex(name string) int {
 	}
 	return -1
 }
+
+// Hidden reports whether column i is declared hidden.
+func (s *Schema) Hidden(i int) bool { return i < len(s.hidden) && s.hidden[i] }
 
 // Arity returns the number of columns.
 func (s *Schema) Arity() int { return len(s.Cols) }

@@ -106,6 +106,45 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCertainAnswerAllocBudget is the allocation gate of a certain
+// answer (testdata/alloc_budget.txt): an untraced, uncached Engine.Query
+// of a plan that reads no hidden column is one evaluation on chain 0's
+// world through its mailbox, with no view mounted and no sample awaited,
+// so it allocates the request pipeline's overhead, one streaming run and
+// its one-tuple answer — however many chains and samples it is served
+// with. Counts only, so this is a gate, not a trend.
+func TestCertainAnswerAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	budget := allocBudget(t)
+	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(sys, Config{Chains: 2, StepsPerSample: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	const q = `SELECT STRING FROM TOKEN WHERE TOK_ID = 123`
+	opts := QueryOptions{Samples: 64, NoCache: true}
+	got := testing.AllocsPerRun(50, func() {
+		res, err := eng.Query(ctx, q, opts)
+		if err != nil || res.Len() != 1 || res.Prob(0) != 1 || res.Trace != nil {
+			t.Fatalf("certain answer: %v", err)
+		}
+	})
+	t.Logf("certain_answer: %v allocs", got)
+	if max, ok := budget["certain_answer"]; !ok || got > max {
+		t.Errorf("a certain answer allocates %v, budget %v", got, max)
+	}
+}
+
 // TestEpochAllocBudget is the allocation gate of a chain's epoch
 // (testdata/alloc_budget.txt): with Query 1 and Query 4 subscribed under
 // budgets they never reach and no ranked reader asking, nobody will read

@@ -23,9 +23,10 @@ import (
 // admitted, and ignores the sample budget.
 //
 // For a SELECT the output is the plan tree as bound, the bound
-// statement's fingerprint, the result spec, the view-sharing decision,
-// and whether the target came from the plan cache. For DML it is the
-// lowered mutation and the cache line.
+// statement's fingerprint, the view-sharing decision — or, for a plan
+// that reads no hidden column, the line that marks it certain — the
+// result spec, and whether the target came from the plan cache. For DML
+// it is the lowered mutation and the cache line.
 func (e *Engine) explain(ctx context.Context, sql string, x *sqlparse.Explain, opts QueryOptions) (*Result, error) {
 	start := time.Now()
 	var lines []string
@@ -83,20 +84,27 @@ func (e *Engine) explainQuery(target string, args []any) ([]string, error) {
 	if comp.Stmt.Source != comp.Plan {
 		tree = append(tree, "column pruning: join inputs projected onto the columns read above them")
 	}
-	// A query arriving now would subscribe to the views live under its
-	// fingerprint instead of mounting fresh ones.
+	return append(tree, "bound fingerprint: "+comp.Fingerprint, e.evaluation(comp),
+		"result spec: "+specString(comp.Spec), "plan cache: "+hitMiss(hit)), nil
+}
+
+// evaluation is EXPLAIN's line on how a query arriving now would be
+// answered: a certain plan by one evaluation, any other by the views
+// live under its fingerprint, or by fresh ones.
+func (e *Engine) evaluation(comp *sqlparse.Compiled) string {
+	if comp.Stmt.Certain {
+		return "certain: reads no hidden column — one evaluation, every tuple at P = 1, no view"
+	}
 	live := 0
 	for _, c := range e.chains {
 		if c.reg.viewSeries(comp.Fingerprint) != nil {
 			live++
 		}
 	}
-	sharing := fmt.Sprintf("view sharing: fresh — no live view with this fingerprint on any of %d chains", e.cfg.Chains)
 	if live > 0 {
-		sharing = fmt.Sprintf("view sharing: reuse — a view with this fingerprint is live on %d/%d chains", live, e.cfg.Chains)
+		return fmt.Sprintf("view sharing: reuse — a view with this fingerprint is live on %d/%d chains", live, e.cfg.Chains)
 	}
-	return append(tree, "bound fingerprint: "+comp.Fingerprint, sharing,
-		"result spec: "+specString(comp.Spec), "plan cache: "+hitMiss(hit)), nil
+	return fmt.Sprintf("view sharing: fresh — no live view with this fingerprint on any of %d chains", e.cfg.Chains)
 }
 
 // explainAnalyze is EXPLAIN ANALYZE SELECT: compile the target, execute

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"factordb/internal/core"
+	"factordb/internal/ra"
 	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 )
@@ -58,7 +59,10 @@ type QueryOptions struct {
 // exported fields are the caller's own header; each cache hit gets a
 // fresh one.
 type Result struct {
-	SQL        string
+	SQL string
+	// Samples is how many possible-world samples the estimate merges. A
+	// certain answer (see queryCertain) samples nothing and reports the
+	// budget: it is exact, and an exact answer is worth any budget.
 	Samples    int64
 	Chains     int
 	Epoch      int64 // latest chain epoch merged in
@@ -170,7 +174,8 @@ func (r *registration) detach() handoff {
 // marginal cost of a concurrent query is its view maintenance only — the
 // k walk-steps per sample are already paid for. A statement with ?
 // placeholders is bound with opts.Args first; an EXPLAIN is answered
-// without sampling (see explain).
+// without sampling (see explain), and so is a certain plan, one that
+// reads no hidden column (see queryCertain).
 //
 // If ctx expires after at least one sample was collected, the partial
 // estimate is returned with Partial set: MCMC estimates are anytime, and
@@ -258,8 +263,9 @@ func (e *Engine) fillOpts(opts QueryOptions) (QueryOptions, error) {
 }
 
 // queryCompiled is Query's evaluation core: result-cache probe,
-// admission, write-consistent collection over the chain pool, merge,
-// rank, and cache fill.
+// admission, then for a certain plan one evaluation, and for any other
+// write-consistent collection over the chain pool, merge and rank; and
+// the cache fill.
 func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
 	tr.setPlan(comp.Fingerprint)
 	// The key adds the result-level spec (ORDER BY P / LIMIT shape the
@@ -297,6 +303,9 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		return nil, err
 	}
 	defer e.admit.release()
+	if comp.Stmt.Certain {
+		return e.queryCertain(ctx, sql, comp, opts, tr)
+	}
 
 	start := time.Now()
 	z := math.Sqrt2 * math.Erfinv(opts.Confidence)
@@ -361,13 +370,10 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		Confidence: opts.Confidence,
 		Partial:    partial,
 		EarlyStop:  earlyStop,
-		Elapsed:    time.Since(start),
 		cols:       comp.Cols,
 		tuples:     core.SortTupleCIs(merged.ResultsCI(z), comp.Spec),
 		wire:       new(encoding),
 	}
-	e.m.queries.Inc()
-	e.m.latency.Observe(res.Elapsed.Seconds())
 	outcome := "ok"
 	switch {
 	case earlyStop:
@@ -375,18 +381,64 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	case partial:
 		outcome = "partial"
 	}
+	return e.publish(res, comp, opts, epoch0, start, outcome, tr), nil
+}
+
+// queryCertain answers a certain plan: one that reads no hidden column,
+// so that every possible world gives it the same answer. One evaluation
+// at the current data epoch replaces the sampling pass — no view is
+// mounted and no sample awaited — and every tuple is exact, P = 1 with
+// the interval [1, 1]. An exact answer is worth any budget, so it
+// reports the budget as its sample count. The write lock's read side
+// keeps the evaluation and the epoch it is cached under together.
+func (e *Engine) queryCertain(ctx context.Context, sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
+	start := time.Now()
+	tr.span("evaluate")
+	e.writeMu.RLock()
+	epoch := e.dataEpoch.Load()
+	tuples, chainEpoch, err := e.strat.certain(ctx, comp.Stmt)
+	e.writeMu.RUnlock()
+	if err != nil {
+		e.finishTrace(tr, "error")
+		if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
+			return nil, err
+		}
+		e.m.failed.Inc()
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	tr.span("rank")
+	res := &Result{
+		SQL:        sql,
+		Samples:    int64(opts.Samples),
+		Chains:     e.cfg.Chains,
+		Epoch:      chainEpoch,
+		Confidence: opts.Confidence,
+		cols:       comp.Cols,
+		tuples:     core.SortTupleCIs(tuples, comp.Spec),
+		wire:       new(encoding),
+	}
+	return e.publish(res, comp, opts, epoch, start, "ok", tr), nil
+}
+
+// publish completes an evaluation that began at start: it counts the
+// query, closes its trace with outcome, and caches the answer under
+// data epoch epoch. Only answers whose data epoch is still current are
+// cached: a consistent pass collected across a commit is a correct
+// answer to return, but its epoch attribution is ambiguous, and the
+// entry would either be born unreachable or risk pinning a pre-write
+// answer under the post-write key.
+func (e *Engine) publish(res *Result, comp *sqlparse.Compiled, opts QueryOptions, epoch int64, start time.Time, outcome string, tr *qtrace) *Result {
+	res.Elapsed = time.Since(start)
+	e.m.queries.Inc()
+	e.m.latency.Observe(res.Elapsed.Seconds())
 	res.Trace = e.finishTrace(tr, outcome)
-	// Cache only answers whose data epoch is still current: a consistent
-	// pass collected across a commit is a correct answer to return, but
-	// its epoch attribution is ambiguous, and the entry would either be
-	// born unreachable or risk pinning a pre-write answer under the
-	// post-write key.
-	if !opts.NoCache && !partial && e.dataEpoch.Load() == epoch0 {
+	if !opts.NoCache && !res.Partial && e.dataEpoch.Load() == epoch {
 		frozen := *res // the entry's own header, free of this request's fields
 		frozen.SQL, frozen.Trace = "", nil
-		e.cache.put(appendCacheKey(keyBuf[:0], epoch0, comp, opts), &frozen, time.Now())
+		var keyBuf [192]byte
+		e.cache.put(appendCacheKey(keyBuf[:0], epoch, comp, opts), &frozen, time.Now())
 	}
-	return res, nil
+	return res
 }
 
 // maxCollectRetries bounds how many torn collection passes a query
@@ -538,6 +590,19 @@ wait:
 		tr.attr("early_stop", "true")
 	}
 	return col, nil
+}
+
+// certain runs on chain 0's world at an epoch boundary, as resolve does:
+// chain worlds hold the same evidence, and a certain plan reads nothing
+// else.
+func (p pool) certain(ctx context.Context, stmt *ra.Bound) (tuples []core.TupleCI, epoch int64, err error) {
+	c := p.chains[0]
+	err = c.call(ctx, func() (err error) {
+		tuples, err = evalCertain(c.log.DB(), stmt)
+		epoch = c.log.Epoch()
+		return err
+	})
+	return tuples, epoch, err
 }
 
 // topKCheckInterval is how often a waiting ranked query peeks at the

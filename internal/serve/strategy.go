@@ -21,6 +21,11 @@ type strategy interface {
 	// cancellation, or shutdown) and returns the merged estimate.
 	collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 		opts QueryOptions, z float64, tr *qtrace) (collection, error)
+	// certain evaluates a certain plan once, on a world that holds the
+	// evidence as of the current data epoch, and returns its answer and
+	// the epoch of the chain it ran on (0 on the prototype). The caller
+	// holds the read side of the write lock.
+	certain(ctx context.Context, stmt *ra.Bound) ([]core.TupleCI, int64, error)
 	// resolve turns mut into row-level ops against the current world
 	// without applying them.
 	resolve(ctx context.Context, mut ra.Mutation) ([]world.Op, error)
@@ -87,6 +92,30 @@ func (p private) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	p.m.samples.Add(col.merged.Samples())
 	tr.attr("samples", fmt.Sprintf("%d", col.merged.Samples()))
 	return col, nil
+}
+
+// certain runs on the prototype, which no chain walks: a certain plan
+// reads evidence only, which a clone would copy unchanged.
+func (p private) certain(_ context.Context, stmt *ra.Bound) ([]core.TupleCI, int64, error) {
+	tuples, err := evalCertain(p.src.WorldDB(), stmt)
+	return tuples, 0, err
+}
+
+// evalCertain mounts stmt on db and runs it once. Its distinct tuples
+// are the answer, each in it with certainty: one sample counts every
+// one, and an interval at quantile 0 is the point [1, 1].
+func evalCertain(db *relstore.DB, stmt *ra.Bound) ([]core.TupleCI, error) {
+	bound, err := stmt.On(db)
+	if err != nil {
+		return nil, err
+	}
+	it, _, err := ra.Stream(bound)
+	if err != nil {
+		return nil, err
+	}
+	est := core.NewEstimator()
+	est.AddSampleStream(it)
+	return est.ResultsCI(0), nil
 }
 
 func (p private) resolve(_ context.Context, mut ra.Mutation) ([]world.Op, error) {

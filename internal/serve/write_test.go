@@ -169,7 +169,7 @@ func TestInFlightQueryCompletesAcrossWrite(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := eng.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2`,
+		res, err := eng.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2 AND CLUSTER >= 0`,
 			QueryOptions{Samples: 64, NoCache: true})
 		done <- out{res, err}
 	}()
@@ -184,8 +184,10 @@ func TestInFlightQueryCompletesAcrossWrite(t *testing.T) {
 	if o.err != nil {
 		t.Fatal(o.err)
 	}
-	// STRING is evidence, so within any single world the answer is one
-	// tuple with certainty. A complete query must therefore return
+	// The query reads the hidden CLUSTER, so it is sampled, but every
+	// cluster id passes its test and STRING is evidence: within any
+	// single world the answer is one tuple. A complete query must
+	// therefore return
 	// exactly one tuple at marginal 1 — the pre-write value if the query
 	// finished before the commit, the post-write value otherwise. Two
 	// tuples, or one below certainty, is a blend of the two worlds: the
@@ -200,6 +202,63 @@ func TestInFlightQueryCompletesAcrossWrite(t *testing.T) {
 	if len(got) != 1 || got[0].Values[0] != "SHIFTED" || got[0].P != 1 {
 		t.Fatalf("post-write answer = %+v", got)
 	}
+}
+
+// TestCertainReadAfterWrite pins the certain path beside the write path
+// it shares chain 0's mailbox with. A certain query is evaluated under
+// the write lock's read side at the current data epoch, so one issued
+// after Exec returns reads that write — and its cache entry is keyed
+// under that epoch — while one racing the writes reads one committed
+// world: one tuple at P = 1, never a half-applied batch. A sampled
+// reader keeps views live meanwhile, so chain 0 answers between walks.
+func TestCertainReadAfterWrite(t *testing.T) {
+	eng := corefEngine(t, Config{Chains: 2, Seed: 31, StepsPerSample: 50})
+	ctx := context.Background()
+	const q = `SELECT STRING FROM MENTION WHERE MENTION_ID = 2`
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	read := func(sql string, check func(*Result)) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := eng.Query(ctx, sql, QueryOptions{Samples: 4, NoCache: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			check(res)
+		}
+	}
+	wg.Add(2)
+	go read(exp.PairQuery, func(*Result) {})
+	go read(q, func(res *Result) {
+		if lo, hi := res.CI(0); res.Len() != 1 || res.Prob(0) != 1 || lo != 1 || hi != 1 {
+			t.Errorf("certain answer racing writes = %+v", tuples(res))
+		}
+	})
+
+	for i := range 8 {
+		want := fmt.Sprintf("V%d", i)
+		if _, err := eng.Exec(ctx, fmt.Sprintf(`UPDATE MENTION SET STRING = '%s' WHERE MENTION_ID = 2`, want), ExecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, cached := range []bool{false, true} {
+			res, err := eng.Query(ctx, q, QueryOptions{Samples: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached != cached || res.Len() != 1 || res.Value(0, 0).AsString() != want || res.Prob(0) != 1 || res.Samples != 4 {
+				t.Fatalf("read %d after write %q: cached=%v %+v samples=%d, want cached=%v, %q at P=1 and 4 samples",
+					i, want, res.Cached, tuples(res), res.Samples, cached, want)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // gateWAL holds its one Append until release closes, so a test can stop
@@ -217,9 +276,10 @@ func (g gateWAL) Append(int64, []world.Op) error {
 // a write merges only the handoffs of the newest write generation. The
 // mailbox gates force the interleaving: chain 0 hands off its pre-write
 // estimate (the detach is queued ahead of the write) while chain 1 has
-// already absorbed the write and sampled the new world. STRING is
-// evidence, so each world's answer is one tuple at marginal 1, and two
-// tuples is a blend.
+// already absorbed the write and sampled the new world. The query reads
+// the hidden CLUSTER, so it is sampled, but every cluster id passes its
+// test: each world's answer is one tuple at marginal 1, and two tuples
+// is a blend.
 func TestCutShortPassNeverBlends(t *testing.T) {
 	wal := gateWAL{entered: make(chan struct{}), release: make(chan struct{})}
 	eng := corefEngine(t, Config{Chains: 2, Seed: 7, WAL: wal})
@@ -241,7 +301,7 @@ func TestCutShortPassNeverBlends(t *testing.T) {
 	defer cancel()
 	queried := make(chan out, 1)
 	go func() {
-		res, err := eng.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2`,
+		res, err := eng.Query(ctx, `SELECT STRING FROM MENTION WHERE MENTION_ID = 2 AND CLUSTER >= 0`,
 			QueryOptions{Samples: 1 << 30, NoCache: true})
 		queried <- out{res, err}
 	}()

@@ -24,6 +24,9 @@ func itemDB(t *testing.T, rng *rand.Rand, n int) (*relstore.DB, *relstore.Relati
 			t.Fatal(err)
 		}
 	}
+	if err := db.DeclareHidden("ITEM", 1); err != nil {
+		t.Fatal(err)
+	}
 	return db, rel
 }
 
@@ -155,6 +158,9 @@ func TestRoundTripsDrainEmpty(t *testing.T) {
 	dup := relstore.Tuple{relstore.Int(1), relstore.String("a")}
 	r0, _ := rel.Insert(dup)
 	r1, _ := rel.Insert(dup)
+	if err := db.DeclareHidden("ITEM", 1); err != nil {
+		t.Fatal(err)
+	}
 	log := NewChangeLog(db)
 
 	for _, v := range []string{"b", "c", "a"} {
@@ -198,6 +204,9 @@ func TestNettingIsByKeyNotByEqual(t *testing.T) {
 	db := relstore.NewDB()
 	rel := db.MustCreate(relstore.MustSchema("M", relstore.Column{Name: "X", Type: relstore.TFloat}))
 	id, _ := rel.Insert(relstore.Tuple{relstore.Int(1)})
+	if err := db.DeclareHidden("M", 0); err != nil {
+		t.Fatal(err)
+	}
 	log := NewChangeLog(db)
 	for _, v := range []relstore.Value{relstore.Int(2), relstore.Float(1)} {
 		if err := log.SetField(FieldRef{Rel: "M", Row: id, Col: 0}, v); err != nil {

@@ -50,11 +50,14 @@ type Op struct {
 // conformance, column names, predicate types) so that a later ApplyOps on
 // any clone sharing this world's row identities cannot.
 //
-// UPDATE and DELETE predicates are evaluated against the world as passed;
-// if a predicate reads a hidden (sampled) column the matched row set
-// reflects that world's current sample. Predicates over evidence columns
-// — the intended write workload — are world-independent, since evidence
-// is identical across all clones.
+// A write targets evidence only. An UPDATE that sets a column the schema
+// declares hidden is refused: the model, not the store, holds a sampled
+// variable's state. So is an UPDATE or DELETE whose WHERE reads one:
+// which rows it matched would depend on the walk of the world it is
+// resolved against. Both errors name the column. An INSERT's value for
+// a hidden column is accepted as the new row's initial state. Every
+// predicate left is world-independent, since evidence is identical
+// across all clones.
 func ResolveMutation(db *relstore.DB, mut ra.Mutation) ([]Op, error) {
 	rel, err := db.Relation(mut.Table())
 	if err != nil {
@@ -130,6 +133,9 @@ func resolveUpdate(rel *relstore.Relation, m *ra.Update) ([]Op, error) {
 			return nil, fmt.Errorf("world: UPDATE %s: column %q assigned twice", sch.Name, s.Col)
 		}
 		seen[s.Col] = true
+		if sch.Hidden(ci) {
+			return nil, fmt.Errorf("world: UPDATE sets hidden column %s.%s (sampled by the model); a write may set evidence only", sch.Name, s.Col)
+		}
 		want, got := sch.Cols[ci].Type, s.Val.Kind()
 		if got != want && !(want == relstore.TFloat && got == relstore.TInt) {
 			return nil, fmt.Errorf("world: UPDATE %s: column %q takes %v, got %v", sch.Name, s.Col, want, got)
@@ -178,6 +184,9 @@ func matchRows(rel *relstore.Relation, alias string, where ra.Expr) ([]relstore.
 		pred, err = ra.BindPredicate(rs, where)
 		if err != nil {
 			return nil, err
+		}
+		if col := ra.HiddenInPredicate(sch, pred); col != "" {
+			return nil, fmt.Errorf("world: WHERE reads hidden column %s (sampled by the model); a write may select on evidence only", col)
 		}
 	}
 	// A `column = constant` conjunct — the usual shape of a write — is

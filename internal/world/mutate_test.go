@@ -2,6 +2,7 @@ package world
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"factordb/internal/ra"
@@ -145,6 +146,39 @@ func TestResolveValidation(t *testing.T) {
 	}
 }
 
+// TestResolveRefusesHiddenColumns pins the write rule: with CITY.POP
+// declared hidden, an UPDATE that sets it and an UPDATE or DELETE whose
+// WHERE reads it fail to resolve, naming the column; an INSERT's POP is
+// the new row's initial state, and a write over the other columns
+// resolves as before.
+func TestResolveRefusesHiddenColumns(t *testing.T) {
+	db := mutTestDB(t)
+	if err := db.DeclareHidden("CITY", 2); err != nil {
+		t.Fatal(err)
+	}
+	big := ra.Cmp(ra.OpGt, ra.Col(ra.C("", "POP")), ra.Const(relstore.Int(1)))
+	byID := ra.Eq(ra.Col(ra.C("", "ID")), ra.Const(relstore.Int(1)))
+	for name, mut := range map[string]ra.Mutation{
+		"set":          &ra.Update{TableName: "CITY", Set: []ra.SetClause{{Col: "POP", Val: relstore.Int(3)}}, Where: byID},
+		"update where": &ra.Update{TableName: "CITY", Set: []ra.SetClause{{Col: "NAME", Val: relstore.String("x")}}, Where: big},
+		"delete where": &ra.Delete{TableName: "CITY", Where: ra.And(byID, big)},
+	} {
+		if _, err := ResolveMutation(db, mut); err == nil || !strings.Contains(err.Error(), "CITY.POP") {
+			t.Errorf("%s: resolve = %v, want an error naming CITY.POP", name, err)
+		}
+	}
+	for name, mut := range map[string]ra.Mutation{
+		"insert": &ra.Insert{TableName: "CITY", Rows: [][]relstore.Value{
+			{relstore.Int(9), relstore.String("Lowell"), relstore.Int(4)}}},
+		"update evidence": &ra.Update{TableName: "CITY", Set: []ra.SetClause{{Col: "NAME", Val: relstore.String("x")}}, Where: byID},
+		"delete evidence": &ra.Delete{TableName: "CITY", Where: byID},
+	} {
+		if ops, err := ResolveMutation(db, mut); err != nil || len(ops) != 1 {
+			t.Errorf("%s: resolve = %d ops, %v; want one op", name, len(ops), err)
+		}
+	}
+}
+
 func TestUpdateFieldsNoopAndMissingRow(t *testing.T) {
 	db := mutTestDB(t)
 	log := NewChangeLog(db)
@@ -176,6 +210,9 @@ func TestUpdateFieldsNoopAndMissingRow(t *testing.T) {
 	}
 	// SetField on the deleted row surfaces the same sentinel — the MCMC
 	// write-through path relies on it to skip vanished rows.
+	if err := db.DeclareHidden("CITY", 1); err != nil {
+		t.Fatal(err)
+	}
 	err = log.SetField(FieldRef{Rel: "CITY", Row: 0, Col: 1}, relstore.String("Y"))
 	if !errors.Is(err, relstore.ErrNotFound) {
 		t.Errorf("SetField on deleted row = %v, want ErrNotFound", err)

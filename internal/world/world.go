@@ -149,14 +149,21 @@ type Field struct {
 	col int
 }
 
-// Field resolves column col of the named relation.
+// Field resolves column col of the named relation, which its schema
+// must declare hidden (relstore.DB.DeclareHidden): every other layer
+// reads the declaration, so a model may sample no column but a declared
+// one.
 func (l *ChangeLog) Field(rel string, col int) (Field, error) {
 	rl, err := l.relation(rel)
 	if err != nil {
 		return Field{}, err
 	}
-	if col < 0 || col >= rl.rel.Schema().Arity() {
+	sch := rl.rel.Schema()
+	if col < 0 || col >= sch.Arity() {
 		return Field{}, fmt.Errorf("world: column %d out of range in %q", col, rel)
+	}
+	if !sch.Hidden(col) {
+		return Field{}, fmt.Errorf("world: column %s.%s is not declared hidden", rel, sch.Cols[col].Name)
 	}
 	return Field{l: l, rl: rl, col: col}, nil
 }

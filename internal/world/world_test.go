@@ -1,6 +1,7 @@
 package world
 
 import (
+	"strings"
 	"testing"
 
 	"factordb/internal/relstore"
@@ -18,7 +19,23 @@ func setup(t *testing.T) (*ChangeLog, relstore.RowID) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.DeclareHidden("TOKEN", 2); err != nil {
+		t.Fatal(err)
+	}
 	return NewChangeLog(db), id
+}
+
+// TestFieldRefusesUndeclaredColumn: a model may bind a Field to a
+// column its schema declares hidden and to no other, so every other
+// layer can read the one declaration.
+func TestFieldRefusesUndeclaredColumn(t *testing.T) {
+	log, _ := setup(t)
+	if _, err := log.Field("TOKEN", 1); err == nil || !strings.Contains(err.Error(), "TOKEN.STRING is not declared hidden") {
+		t.Errorf("Field on evidence column STRING = %v, want a refusal naming it", err)
+	}
+	if _, err := log.Field("TOKEN", 2); err != nil {
+		t.Errorf("Field on declared column LABEL = %v", err)
+	}
 }
 
 func TestSetFieldRecordsDelta(t *testing.T) {

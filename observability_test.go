@@ -373,16 +373,17 @@ func TestQueryTraceFacade(t *testing.T) {
 
 // TestSpanGlossary pins the span glossary in doc.go against the code.
 // Under every mode it drives a durable database through traced queries
-// and writes (fresh, cached, failing, no-op) and a torn-tail recovery,
-// then requires that the span names each trace kind emitted are exactly
-// the glossary rows for that mode's strategy, and that every kind and
-// outcome seen is a documented one.
+// (certain, sampled, cached, failing), writes (a commit, a no-op) and a
+// torn-tail recovery, then requires that the span names each trace kind
+// emitted are exactly the glossary rows for that mode's strategy and for
+// certain plans, and that every kind and outcome seen is a documented
+// one.
 func TestSpanGlossary(t *testing.T) {
 	src, err := os.ReadFile("doc.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := map[string]map[string]string{} // kind → span → all | pool | private
+	spans := map[string]map[string]string{} // kind → span → all | pool | private | certain
 	outcomes := map[string]map[string]bool{}
 	for _, line := range strings.Split(string(src), "\n") {
 		f := strings.Fields(strings.TrimPrefix(line, "//\t"))
@@ -391,7 +392,7 @@ func TestSpanGlossary(t *testing.T) {
 		}
 		switch f[0] {
 		case "query", "exec", "recovery":
-			if len(f) > 2 && (f[2] == "all" || f[2] == "pool" || f[2] == "private") {
+			if len(f) > 2 && (f[2] == "all" || f[2] == "pool" || f[2] == "private" || f[2] == "certain") {
 				if spans[f[0]] == nil {
 					spans[f[0]] = map[string]string{}
 				}
@@ -431,8 +432,10 @@ func TestSpanGlossary(t *testing.T) {
 				t.Fatal(err)
 			}
 			note(db.Status().StartupTrace)
-			const q = `SELECT STRING FROM TOKEN WHERE TOK_ID = 1`
-			for _, sql := range []string{q, q, `SELECT NOPE FROM TOKEN`} { // fresh, cached when served, failing
+			const certain = `SELECT STRING FROM TOKEN WHERE TOK_ID = 1`
+			const sampled = `SELECT STRING FROM TOKEN WHERE TOK_ID = 1 AND LABEL <> 'X'`
+			// Certain fresh, then cached when served; sampled; failing.
+			for _, sql := range []string{certain, certain, sampled, `SELECT NOPE FROM TOKEN`} {
 				if rows, err := db.Query(ctx, sql, Samples(2), Trace()); err == nil {
 					rows.Close()
 				}
@@ -443,8 +446,8 @@ func TestSpanGlossary(t *testing.T) {
 				}
 			}
 			traces := db.RecentTraces()
-			if len(traces) != 5 {
-				t.Fatalf("5 traced operations left %d traces", len(traces))
+			if len(traces) != 6 {
+				t.Fatalf("6 traced operations left %d traces", len(traces))
 			}
 			for _, tr := range traces {
 				note(tr)
@@ -467,7 +470,7 @@ func TestSpanGlossary(t *testing.T) {
 
 			for kind, rows := range spans {
 				for name, by := range rows {
-					if (by == "all" || by == strategy) != emitted[kind][name] {
+					if (by == "all" || by == strategy || by == "certain") != emitted[kind][name] {
 						t.Errorf("%s span %q: glossary says emitted by %q, %s strategy emitted=%v",
 							kind, name, by, strategy, emitted[kind][name])
 					}

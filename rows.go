@@ -183,7 +183,9 @@ func (r *Rows) Close() error {
 }
 
 // Samples returns how many possible-world samples the estimate is built
-// from (summed across chains in served mode).
+// from (summed across chains in served mode). A certain answer — one to
+// a query that reads no hidden column, exact at P = 1 — samples nothing
+// and reports its sample budget: an exact answer is worth any budget.
 func (r *Rows) Samples() int64 { return r.res.Samples }
 
 // Chains returns how many parallel chains contributed samples.

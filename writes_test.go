@@ -149,6 +149,8 @@ func TestHandlerExecHardening(t *testing.T) {
 		{"missing sql", `{}`},
 		{"malformed DML", `{"sql": "UPDATE MENTION SET"}`},
 		{"select via exec", `{"sql": "SELECT STRING FROM MENTION"}`},
+		{"hidden column set", `{"sql": "UPDATE MENTION SET CLUSTER = 0 WHERE MENTION_ID = 1"}`},
+		{"hidden column read", `{"sql": "DELETE FROM MENTION WHERE CLUSTER = 0"}`},
 	}
 	for _, c := range cases {
 		if got, _ := post(c.body); got != http.StatusBadRequest {
