@@ -22,6 +22,7 @@ import (
 	"factordb/internal/exp"
 	"factordb/internal/ie"
 	"factordb/internal/mcmc"
+	"factordb/internal/relstore"
 )
 
 const benchThin = 1000 // MH steps per sample during benchmarks
@@ -154,7 +155,14 @@ func BenchmarkScoreDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	index := ie.NewCorpusIndex(corpus)
+	db := relstore.NewDB()
+	if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
+		b.Fatal(err)
+	}
+	index, err := ie.NewCorpusIndex(db)
+	if err != nil {
+		b.Fatal(err)
+	}
 	model := ie.NewModel(index.NumStrings(), true)
 	tg := ie.NewTagger(model, index, ie.LO)
 	ld := tg.Docs[0]

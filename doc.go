@@ -416,19 +416,19 @@
 //   - Scoring is array-indexed, on the weights training wrote.
 //     learn.Weights is one dense θ in ie's feature layout
 //     (capitalization, bias, transition and skip at fixed offsets, then
-//     emission per string id × label): SampleRank updates it in place
+//     emission per STRING code × label): SampleRank updates it in place
 //     through a reused learn.Delta buffer, and every score reads the
 //     same slice, summing the factors in the order FeatureDelta lists them.
 //     There is no second copy to keep in sync; θ is read-only once
 //     exp.BuildNER has scaled it by the temperature and shares the model.
-//     The per-token inputs of a score other than the labels — string
-//     ids (issued in order of first use; only their count, which sizes
-//     θ, is kept), capitalization, skip edges — live in an ie.CorpusIndex
-//     built once per corpus and shared read-only by every tagger over
-//     it, beside each token's gold label (1 B per token). After set-up
-//     the store, the index and θ are all that stays in memory; the
-//     generated corpus does not. Token i of document d is TOKEN row
-//     first[d]+i, first[d] being the document's offset in the index and
+//     An ie.CorpusIndex, built once per corpus over the loaded TOKEN
+//     relation and shared read-only by every tagger, reads each token's
+//     STRING code from the vector it borrows (Relation.StringCodes marks
+//     it shared, so no write changes it), keeps one capitalization flag
+//     per code and the skip edges; the trainer reads gold from TRUTH
+//     codes. After set-up the store, the index and θ are all that stays
+//     in memory. Token i of document d is TOKEN row first[d]+i, first[d]
+//     being the document's first row and
 //     ie.LoadCorpus inserting rows in that order; BindDB refuses a
 //     relation that has not issued every row the index addresses.
 //   - The store is columnar and its worlds share vectors copy-on-write

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"factordb/internal/relstore"
 )
 
 // Durability tests retrain their system on every Open, so they use a
@@ -340,4 +343,95 @@ func TestCorefDurableReopen(t *testing.T) {
 	if !bytes.Equal(worldBytes(t, re), want) {
 		t.Fatal("recovered prototype world differs from the world at close")
 	}
+}
+
+// TestReopenAfterRenumbering: a checkpoint re-codes STRING in first-use
+// order over the rows it keeps, so after one write renames the only row
+// of a rare string and another deletes the only row of a second one, the
+// reopened world's codes differ from the ones the model was indexed by.
+// The model indexes a fresh load of its corpus, not the recovered codes,
+// so Query 1 and Query 4 still answer exactly as a fresh open that
+// applied the same writes in memory.
+func TestReopenAfterRenumbering(t *testing.T) {
+	model := NER(NERConfig{Tokens: 2000, Seed: durSeed})
+	opts := []Option{WithMode(ModeMaterialized), WithSeed(5), WithSteps(50)}
+	ref, err := Open(model, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refRel, err := ref.sys.WorldDB().Relation("TOKEN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rows of the first two strings that only one row holds.
+	uses := map[string]int{}
+	refRel.Scan(func(_ relstore.RowID, tu relstore.Tuple) bool { uses[tu[2].AsString()]++; return true })
+	var rare []int64
+	refRel.Scan(func(_ relstore.RowID, tu relstore.Tuple) bool {
+		if uses[tu[2].AsString()] == 1 {
+			rare = append(rare, tu[0].AsInt())
+		}
+		return len(rare) < 2
+	})
+	if len(rare) < 2 {
+		t.Fatalf("the corpus has %d strings of one row; the check needs 2", len(rare))
+	}
+	writes := []string{
+		fmt.Sprintf("UPDATE TOKEN SET STRING = 'Renamed' WHERE TOK_ID = %d", rare[0]),
+		fmt.Sprintf("DELETE FROM TOKEN WHERE TOK_ID = %d", rare[1]),
+	}
+	dir := t.TempDir()
+	db, err := Open(model, durableOpts(dir, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range writes {
+		for _, d := range []*DB{ref, db} {
+			if res, err := d.Exec(context.Background(), w); err != nil || res.RowsAffected != 1 {
+				t.Fatalf("%s: %v, %+v", w, err, res)
+			}
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(model, durableOpts(dir, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+
+	reRel, err := re.sys.WorldDB().Relation("TOKEN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCodes, refTable, _ := refRel.StringCodes(2)
+	reCodes, reTable, _ := reRel.StringCodes(2)
+	moved := 0
+	for row := range refCodes {
+		if !refRel.Has(relstore.RowID(row)) {
+			continue
+		}
+		if refTable[refCodes[row]] != reTable[reCodes[row]] {
+			t.Fatalf("row %d reads %q reopened, %q in memory", row, reTable[reCodes[row]], refTable[refCodes[row]])
+		}
+		if refCodes[row] != reCodes[row] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the checkpoint renumbered no STRING code; the check proves nothing")
+	}
+	for _, q := range []string{Query1, Query4} {
+		want, _ := hiddenAnswer(t, ref, q, Samples(40), NoCache())
+		got, _ := hiddenAnswer(t, re, q, Samples(40), NoCache())
+		if len(want) == 0 || !maps.Equal(got, want) {
+			t.Errorf("%s\nreopened: %v\nin memory: %v", q, got, want)
+		}
+	}
+	t.Logf("the checkpoint re-coded %d of %d rows", moved, reRel.Len())
 }

@@ -21,21 +21,19 @@ import (
 
 func main() {
 	const tokens = 30000
-	corpus, err := ie.Generate(ie.DefaultGenConfig(tokens, 99))
-	if err != nil {
-		log.Fatal(err)
-	}
-	index := ie.NewCorpusIndex(corpus)
-
 	accuracy := func(useSkip bool) float64 {
-		m := ie.NewModel(index.NumStrings(), useSkip)
-		trainer := ie.NewTagger(m, index, ie.LO)
-		trainer.Train(400000, 1.0, 7)
+		sys, err := exp.BuildNER(exp.Config{NumTokens: tokens, Seed: 99, UseSkip: useSkip, TrainSteps: 400000, Temperature: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		// Decode with a fresh model-driven MH walk from all-O: the walk
-		// only sees the model, never the gold labels.
-		decoder := ie.NewTagger(m, index, ie.LO)
-		sampler := mcmc.NewSampler(decoder, 13)
-		sampler.Run(20 * corpus.NumTokens)
+		// only sees the model; the gold labels the decoder borrows from
+		// the world's TRUTH column are read only by Accuracy.
+		decoder, err := ie.NewTrainer(sys.Model, sys.Index, sys.WorldDB())
+		if err != nil {
+			log.Fatal(err)
+		}
+		mcmc.NewSampler(decoder, 13).Run(20 * sys.Index.NumTokens())
 		return decoder.Accuracy()
 	}
 	linear := accuracy(false)

@@ -9,12 +9,13 @@
 //
 // The demo corrects a transcription error: a token in a document that
 // never mentioned Boston is fixed to read "Boston". Query 4 — persons
-// co-occurring with Boston labeled B-ORG — immediately starts seeing the
-// corrected document: its person mentions enter the answer, because
-// Query 4 selects on the corrected STRING (each at the probability that
-// the corrected token is labeled B-ORG and the person token B-PER under
-// the model as trained, which has not seen the correction). Reverting
-// the correction shifts the answer straight back.
+// co-occurring with Boston labeled B-ORG — selects on the corrected
+// STRING, so the corrected document's tokens can enter the answer, at
+// the probability that the corrected token is B-ORG and the other B-PER.
+// Reverting the correction restores the evidence, not the sampled
+// answer: Query 4's marginals hinge on labels the chains flip rarely, so
+// at this budget two reads of one world can differ widely on a tuple, and
+// the run prints by how much.
 //
 // The labels belong to the sampler: a write may set and select on
 // evidence only, so the last step, an UPDATE of LABEL, is refused.
@@ -25,6 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"math"
+	"slices"
 
 	"factordb"
 )
@@ -36,6 +40,7 @@ func main() {
 		factordb.WithMode(factordb.ModeServed),
 		factordb.WithSteps(1000),
 		factordb.WithSeed(11),
+		factordb.WithBurnIn(200_000),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -47,41 +52,20 @@ func main() {
 	// from some other document to "correct". These lookups read evidence
 	// only, so they are certain: one evaluation each, no sampling, and
 	// every tuple at marginal 1.
-	bostonDocs := map[int64]bool{}
-	rows, err := db.Query(ctx, `SELECT DOC_ID FROM TOKEN WHERE STRING='Boston'`, factordb.Samples(2))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for rows.Next() {
-		var doc int64
-		if err := rows.Scan(&doc); err != nil {
-			log.Fatal(err)
-		}
-		bostonDocs[doc] = true
-	}
-	rows.Close()
-
-	var tokID, docID int64 = -1, -1
-	var oldString string
-	rows, err = db.Query(ctx, `SELECT TOK_ID, DOC_ID, STRING FROM TOKEN`, factordb.Samples(2))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for rows.Next() {
-		var tok, doc int64
-		var s string
-		if err := rows.Scan(&tok, &doc, &s); err != nil {
-			log.Fatal(err)
-		}
+	var tok, doc, tokID, docID int64 = 0, 0, -1, -1
+	var str, oldString string
+	bostonDocs, inDoc := map[int64]bool{}, map[string]bool{}
+	each(ctx, db, `SELECT DOC_ID FROM TOKEN WHERE STRING='Boston'`, func(float64) { bostonDocs[doc] = true }, &doc)
+	each(ctx, db, `SELECT TOK_ID, DOC_ID, STRING FROM TOKEN`, func(float64) {
 		if !bostonDocs[doc] && tokID < 0 {
-			tokID, docID, oldString = tok, doc, s
+			tokID, docID, oldString = tok, doc, str
 		}
-	}
-	rows.Close()
+	}, &tok, &doc, &str)
 	if tokID < 0 {
 		log.Fatal("every document already mentions Boston at this seed")
 	}
 	fmt.Printf("\ncorrection target: token %d in document %d currently reads %q\n", tokID, docID, oldString)
+	each(ctx, db, fmt.Sprintf(`SELECT STRING FROM TOKEN WHERE DOC_ID = %d`, docID), func(float64) { inDoc[str] = true }, &str)
 
 	baseline := query4(ctx, db)
 	fmt.Printf("\nQuery 4 before the correction: %d answer tuples\n", len(baseline))
@@ -97,23 +81,32 @@ func main() {
 
 	corrected := query4(ctx, db)
 	fmt.Printf("\nQuery 4 after the correction: %d answer tuples\n", len(corrected))
-	fresh := 0
-	for s, p := range corrected {
-		if _, ok := baseline[s]; !ok {
-			fmt.Printf("  new answer: %-20s p=%.3f  (person in the corrected document %d)\n", s, p, docID)
-			fresh++
+	elsewhere := 0
+	for _, s := range slices.Sorted(maps.Keys(corrected)) {
+		if _, old := baseline[s]; !old && inDoc[s] {
+			fmt.Printf("  new answer: %-20s p=%.3f  (a string of the corrected document %d)\n", s, corrected[s], docID)
+		} else if !old {
+			elsewhere++
 		}
 	}
-	if fresh == 0 {
-		fmt.Println("  (no new tuples at this sample budget — the corrected token was rarely labeled B-ORG)")
-	}
+	fmt.Printf("  and %d new answers that are strings of other documents\n", elsewhere)
 
-	// Revert the correction; the answer shifts straight back.
+	// Revert the correction: the evidence is as it was; the sampled
+	// answer need not be.
 	if _, err := db.Exec(ctx, fmt.Sprintf(`UPDATE TOKEN SET STRING = '%s' WHERE TOK_ID = %d`, oldString, tokID)); err != nil {
 		log.Fatal(err)
 	}
 	reverted := query4(ctx, db)
+	worst, at := 0.0, ""
+	for _, m := range []map[string]float64{baseline, reverted} {
+		for _, s := range slices.Sorted(maps.Keys(m)) {
+			if d := math.Abs(reverted[s] - baseline[s]); d > worst {
+				worst, at = d, s
+			}
+		}
+	}
 	fmt.Printf("\nQuery 4 after reverting: %d answer tuples (baseline had %d)\n", len(reverted), len(baseline))
+	fmt.Printf("  matches the baseline: %v (largest marginal difference %.3f, on %q)\n", maps.Equal(reverted, baseline), worst, at)
 
 	// LABEL is the hidden column the sampler walks; a write to it would
 	// land in the store but not in the sampler's state.
@@ -124,23 +117,28 @@ func main() {
 	fmt.Printf("\nUPDATE of LABEL refused: %v\n", err)
 }
 
-// query4 returns Query 4's answer as tuple → marginal.
-func query4(ctx context.Context, db *factordb.DB) map[string]float64 {
-	rows, err := db.Query(ctx, factordb.Query4, factordb.Samples(200), factordb.NoCache())
+// each runs sql and calls fn with each row's marginal after scanning the
+// row into dest.
+func each(ctx context.Context, db *factordb.DB, sql string, fn func(p float64), dest ...any) {
+	rows, err := db.Query(ctx, sql, factordb.Samples(200), factordb.NoCache())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rows.Close()
-	out := map[string]float64{}
 	for rows.Next() {
-		var s string
-		if err := rows.Scan(&s); err != nil {
+		if err := rows.Scan(dest...); err != nil {
 			log.Fatal(err)
 		}
-		out[s] = rows.Prob()
+		fn(rows.Prob())
 	}
 	if err := rows.Err(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// query4 returns Query 4's answer as tuple → marginal.
+func query4(ctx context.Context, db *factordb.DB) map[string]float64 {
+	out, s := map[string]float64{}, ""
+	each(ctx, db, factordb.Query4, func(p float64) { out[s] = p }, &s)
 	return out
 }

@@ -151,15 +151,22 @@ func TestNERIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	index := ie.NewCorpusIndex(corpus)
-	model := ie.NewModel(index.NumStrings(), true)
-
-	build := func(seed int64, mode Mode) (*Evaluator, *ie.Tagger) {
+	load := func() *relstore.DB {
 		db := relstore.NewDB()
 		if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
 			t.Fatal(err)
 		}
-		log := world.NewChangeLog(db)
+		return db
+	}
+	trainDB := load()
+	index, err := ie.NewCorpusIndex(trainDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := ie.NewModel(index.NumStrings(), true)
+
+	build := func(seed int64, mode Mode) (*Evaluator, *ie.Tagger) {
+		log := world.NewChangeLog(load())
 		tg := ie.NewTagger(model, index, ie.LO)
 		if err := tg.BindDB(log); err != nil {
 			t.Fatal(err)
@@ -172,7 +179,10 @@ func TestNERIntegration(t *testing.T) {
 	}
 
 	// Train on an unbound tagger (memory only), sharing the model.
-	trainTg := ie.NewTagger(model, index, ie.LO)
+	trainTg, err := ie.NewTrainer(model, index, trainDB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	trainTg.Train(30000, 1.0, 3)
 
 	evN, _ := build(55, Naive)

@@ -43,8 +43,8 @@ const (
 // be cloned into independent chains.
 type NERSystem struct {
 	Model *ie.Model
-	// Index is the corpus's read-only token index, built once and shared
-	// by the trainer and every chain's tagger.
+	// Index is the read-only token index over a fresh load of the
+	// corpus, shared by the trainer and every chain's tagger.
 	Index *ie.CorpusIndex
 
 	protoDB *relstore.DB
@@ -70,16 +70,15 @@ type Config struct {
 // DefaultTemperature is applied when Config.Temperature is zero.
 const DefaultTemperature = 3.0
 
-// BuildNER generates a corpus, trains the model with SampleRank on an
-// in-memory tagger (Section 5.2), and loads the corpus into a prototype
-// database world.
+// BuildNER generates a corpus, loads it into a prototype world, indexes
+// it and trains the model on it with SampleRank (Section 5.2).
 func BuildNER(cfg Config) (*NERSystem, error) { return BuildNEROver(cfg, nil) }
 
-// BuildNEROver is BuildNER serving db, when it is not nil, instead of
-// loading the corpus: a world this config's corpus was loaded into, such
-// as one recovered from a data directory, on which it declares
-// TOKEN.LABEL hidden. The model addresses db's TOKEN rows in load order; BindDB, on the first chain, refuses a relation with
-// too few of them, but nothing checks what the rows hold.
+// BuildNEROver is BuildNER serving db, when it is not nil, instead of the
+// world it loads: one this config's corpus was loaded into, such as a
+// recovered one, on which it declares TOKEN.LABEL hidden. The model is
+// still built over a load (db's snapshot may have re-coded STRING) and
+// addresses db's rows in load order, which BindDB checks only in number.
 func BuildNEROver(cfg Config, db *relstore.DB) (*NERSystem, error) {
 	gen := ie.DefaultGenConfig(cfg.NumTokens, cfg.Seed)
 	if cfg.TokensPerDoc > 0 {
@@ -101,9 +100,19 @@ func buildNEROver(cfg Config, corpus *ie.Corpus, db *relstore.DB) (*NERSystem, e
 	if cfg.TrainSteps == 0 {
 		cfg.TrainSteps = min(20*cfg.NumTokens, 2_000_000)
 	}
-	index := ie.NewCorpusIndex(corpus)
+	load := relstore.NewDB()
+	if err := ie.LoadCorpus(load, corpus, ie.LO); err != nil {
+		return nil, err
+	}
+	index, err := ie.NewCorpusIndex(load)
+	if err != nil {
+		return nil, err
+	}
 	model := ie.NewModel(index.NumStrings(), cfg.UseSkip)
-	trainer := ie.NewTagger(model, index, ie.LO)
+	trainer, err := ie.NewTrainer(model, index, load)
+	if err != nil {
+		return nil, err
+	}
 	trainer.Train(cfg.TrainSteps, 1.0, cfg.Seed+1)
 	temp := cfg.Temperature
 	if temp == 0 {
@@ -114,10 +123,7 @@ func buildNEROver(cfg Config, corpus *ie.Corpus, db *relstore.DB) (*NERSystem, e
 	}
 
 	if db == nil {
-		db = relstore.NewDB()
-		if err := ie.LoadCorpus(db, corpus, ie.LO); err != nil {
-			return nil, err
-		}
+		db = load
 	} else if err := ie.Declare(db); err != nil {
 		return nil, err
 	}

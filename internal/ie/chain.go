@@ -11,33 +11,41 @@ import (
 // correctness oracle for the MCMC sampler and as the classical baseline
 // (Lafferty et al.'s linear-chain CRF) that skip chains outperform.
 
-// ChainMarginals computes the exact per-token label marginals of the
-// linear-chain model by forward-backward. It refuses to run on a
-// skip-chain model, where the result would be wrong.
-func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
+// forward returns the linear-chain model's forward log-messages over ld,
+// alpha[i][l] summing every labeling of 0..i that ends in l. It refuses a
+// skip-chain model, for which the result would be wrong.
+func (m *Model) forward(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	if m.UseSkip {
-		return nil, fmt.Errorf("ie: ChainMarginals requires a linear-chain model (UseSkip=false)")
+		return nil, fmt.Errorf("ie: exact chain inference requires a linear-chain model (UseSkip=false)")
 	}
-	t, n := m.theta(), len(ld.Labels)
-	if n == 0 {
-		return nil, nil
-	}
-	alpha := make([][NumLabels]float64, n)
-	beta := make([][NumLabels]float64, n)
-
-	for l := Label(0); l < NumLabels; l++ {
-		alpha[0][l] = t.nodeScore(ld, 0, l)
-		beta[n-1][l] = 0
-	}
+	t := m.theta()
+	alpha := make([][NumLabels]float64, len(ld.Labels))
 	var terms [NumLabels]float64
-	for i := 1; i < n; i++ {
+	for i := range alpha {
 		for l := Label(0); l < NumLabels; l++ {
+			if i == 0 {
+				alpha[0][l] = t.nodeScore(ld, 0, l)
+				continue
+			}
 			for p := Label(0); p < NumLabels; p++ {
 				terms[p] = alpha[i-1][p] + t.trans(p, l)
 			}
 			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
 		}
 	}
+	return alpha, nil
+}
+
+// ChainMarginals computes the exact per-token label marginals of the
+// linear-chain model by forward-backward.
+func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
+	alpha, err := m.forward(ld)
+	if err != nil || len(alpha) == 0 {
+		return nil, err
+	}
+	t, n := m.theta(), len(alpha)
+	beta := make([][NumLabels]float64, n)
+	var terms [NumLabels]float64
 	for i := n - 2; i >= 0; i-- {
 		for l := Label(0); l < NumLabels; l++ {
 			for nx := Label(0); nx < NumLabels; nx++ {
@@ -62,28 +70,11 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 // ChainLogZ returns the exact log partition function of the linear-chain
 // model for one document.
 func (m *Model) ChainLogZ(ld *LabeledDoc) (float64, error) {
-	if m.UseSkip {
-		return 0, fmt.Errorf("ie: ChainLogZ requires a linear-chain model (UseSkip=false)")
+	alpha, err := m.forward(ld)
+	if err != nil || len(alpha) == 0 {
+		return 0, err
 	}
-	t, n := m.theta(), len(ld.Labels)
-	if n == 0 {
-		return 0, nil
-	}
-	var prev, cur [NumLabels]float64
-	for l := Label(0); l < NumLabels; l++ {
-		prev[l] = t.nodeScore(ld, 0, l)
-	}
-	var terms [NumLabels]float64
-	for i := 1; i < n; i++ {
-		for l := Label(0); l < NumLabels; l++ {
-			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = prev[p] + t.trans(p, l)
-			}
-			cur[l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
-		}
-		prev = cur
-	}
-	return logSumExp(prev[:]), nil
+	return logSumExp(alpha[len(alpha)-1][:]), nil
 }
 
 // logSumExp returns log Σ exp(x) stably.

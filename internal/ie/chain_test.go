@@ -22,7 +22,7 @@ func tinyChainSetup(t *testing.T, words []string, seed int64) (*Model, *LabeledD
 	rng := rand.New(rand.NewSource(seed))
 	for i := range words {
 		for l := Label(0); l < NumLabels; l++ {
-			m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
+			m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
 		}
 	}
 	for a := Label(0); a < NumLabels; a++ {

@@ -57,11 +57,16 @@ func (r F1Report) String() string {
 }
 
 // SpanF1 scores the tagger's current hypothesis against gold labels at
-// span level across all documents.
+// span level across all documents; t is a trainer (see NewTrainer).
 func (t *Tagger) SpanF1() F1Report {
 	var rep F1Report
+	var gold []Label
 	for _, ld := range t.Docs {
-		gs := Spans(ld.ix.gold)
+		gold = gold[:0]
+		for i := range ld.Labels {
+			gold = append(gold, t.goldOf(ld, i))
+		}
+		gs := Spans(gold)
 		ps := Spans(ld.Labels)
 		rep.Gold += len(gs)
 		rep.Predicted += len(ps)

@@ -1,7 +1,6 @@
 package ie
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -19,27 +18,12 @@ import (
 // SampleChain draws one exact sample from the linear-chain posterior for
 // the document, writing it into ld.Labels.
 func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
-	if m.UseSkip {
-		return fmt.Errorf("ie: SampleChain requires a linear-chain model (UseSkip=false)")
+	alpha, err := m.forward(ld)
+	if err != nil || len(alpha) == 0 {
+		return err
 	}
-	t, n := m.theta(), len(ld.Labels)
-	if n == 0 {
-		return nil
-	}
-	// Forward pass (same recursion as ChainMarginals).
-	alpha := make([][NumLabels]float64, n)
-	for l := Label(0); l < NumLabels; l++ {
-		alpha[0][l] = t.nodeScore(ld, 0, l)
-	}
+	t, n := m.theta(), len(alpha)
 	var terms [NumLabels]float64
-	for i := 1; i < n; i++ {
-		for l := Label(0); l < NumLabels; l++ {
-			for p := Label(0); p < NumLabels; p++ {
-				terms[p] = alpha[i-1][p] + t.trans(p, l)
-			}
-			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
-		}
-	}
 	// Backward sampling: y_n ~ α_n, then y_i ~ α_i(y) · ψ(y, y_{i+1}).
 	ld.Labels[n-1] = sampleLog(rng, alpha[n-1][:])
 	for i := n - 2; i >= 0; i-- {

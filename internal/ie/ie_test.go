@@ -180,7 +180,7 @@ func TestScoreDeltaMatchesDocScore(t *testing.T) {
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
 			}
 		}
 	}
@@ -257,7 +257,7 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 			if tok.Str != "the" {
 				continue
 			}
-			if id := int(tg.Docs[d].ix.strIDs[i]); m.W.Get(EmissionKey(id, LO)) <= m.W.Get(EmissionKey(id, LBPer)) {
+			if id := int(tg.Docs[d].ix.codes[i]); m.W.Get(EmissionKey(id, LO)) <= m.W.Get(EmissionKey(id, LBPer)) {
 				t.Error("training did not learn that 'the' is O")
 			}
 			return
@@ -349,6 +349,29 @@ func TestBindDBValidation(t *testing.T) {
 	}
 	if err := tg.BindDB(world.NewChangeLog(db)); err != nil {
 		t.Fatalf("LoadCorpus's own world: %v", err)
+	}
+}
+
+// TestIndexValidation: NewCorpusIndex refuses a world without TOKEN and
+// one with a deleted row, which no longer lays the corpus out row by row;
+// NewTrainer refuses the world of another corpus, whose TRUTH codes are
+// not the index's tokens' gold labels.
+func TestIndexValidation(t *testing.T) {
+	if _, err := NewCorpusIndex(relstore.NewDB()); err == nil {
+		t.Error("a world without TOKEN: NewCorpusIndex accepted it")
+	}
+	c, _ := Generate(DefaultGenConfig(500, 23))
+	db, ix := load(c)
+	other, _ := load(&Corpus{Docs: c.Docs[1:]})
+	if _, err := NewTrainer(NewModel(ix.NumStrings(), true), ix, other); err == nil {
+		t.Error("another corpus's world: NewTrainer accepted it")
+	}
+	rel, _ := db.Relation(TokenRelation)
+	if err := rel.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCorpusIndex(db); err == nil {
+		t.Error("a world with a deleted row: NewCorpusIndex accepted it")
 	}
 }
 

@@ -12,16 +12,35 @@ import (
 	"factordb/internal/relstore"
 )
 
-// modelFor builds an untrained model with θ sized for c's strings.
-func modelFor(c *Corpus, useSkip bool) *Model {
-	return NewModel(NewCorpusIndex(c).NumStrings(), useSkip)
+// load loads c into a fresh world and indexes it.
+func load(c *Corpus) (*relstore.DB, *CorpusIndex) {
+	db := relstore.NewDB()
+	if err := LoadCorpus(db, c, LO); err != nil {
+		panic(err)
+	}
+	ix, err := NewCorpusIndex(db)
+	if err != nil {
+		panic(err)
+	}
+	return db, ix
 }
 
-// newTagger builds a tagger over a fresh index of c, every label O. The
-// index issues c's string ids in the same order every time, so any model
-// sized by modelFor(c, …) fits it.
+// modelFor builds an untrained model with θ sized for c's strings.
+func modelFor(c *Corpus, useSkip bool) *Model {
+	_, ix := load(c)
+	return NewModel(ix.NumStrings(), useSkip)
+}
+
+// newTagger builds a trainer over a fresh load of c, every label O. A
+// load issues c's STRING codes in the same order every time, so any
+// model sized by modelFor(c, …) fits it.
 func newTagger(m *Model, c *Corpus) *Tagger {
-	return NewTagger(m, NewCorpusIndex(c), LO)
+	db, ix := load(c)
+	tg, err := NewTrainer(m, ix, db)
+	if err != nil {
+		panic(err)
+	}
+	return tg
 }
 
 // retag builds a fresh all-O tagger over the one document ld indexes.
@@ -31,8 +50,13 @@ func retag(m *Model, ld *LabeledDoc) *Tagger {
 	return NewTagger(m, &CorpusIndex{docs: []docIndex{x}, tokens: len(ld.Labels)}, LO)
 }
 
-// labeledDoc builds the inference state of one standalone document.
+// labeledDoc builds the inference state of one standalone document. An
+// empty one loads no row, so no DOC_ID run indexes it: it gets an empty
+// index.
 func labeledDoc(doc *Doc) *LabeledDoc {
+	if len(doc.Tokens) == 0 {
+		return &LabeledDoc{ix: &docIndex{}}
+	}
 	return newTagger(NewModel(0, false), &Corpus{Docs: []Doc{*doc}}).Docs[0]
 }
 
@@ -47,7 +71,7 @@ func TestIndexSkipOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewCorpusIndex(c)
+	_, ix := load(c)
 	edges := 0
 	for d := range c.Docs {
 		want := referenceSkip(&c.Docs[d])
@@ -61,6 +85,61 @@ func TestIndexSkipOrder(t *testing.T) {
 	}
 	if edges == 0 {
 		t.Fatal("corpus has no skip edges; the check proves nothing")
+	}
+}
+
+// TestIndexReadsTheLoad: on a fresh load every token's STRING code, which
+// the index borrows, is its string's first-use number over the corpus,
+// its TRUTH code is its gold Label, its code's capitalisation flag is its
+// string's and its row is first+i. So the model reads from the TOKEN
+// vectors the string ids, flags and gold labels it was trained on.
+func TestIndexReadsTheLoad(t *testing.T) {
+	for _, seed := range []int64{1, 5, 7} {
+		c, err := Generate(DefaultGenConfig(50000, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, ix := load(c)
+		tg, err := NewTrainer(NewModel(ix.NumStrings(), true), ix, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := db.Relation(TokenRelation)
+		ids := make(map[string]uint32)
+		row := 0
+		if ix.NumDocs() != len(c.Docs) {
+			t.Fatalf("seed %d: %d documents indexed, the corpus has %d", seed, ix.NumDocs(), len(c.Docs))
+		}
+		for d, doc := range c.Docs {
+			x := &ix.docs[d]
+			if x.first != row || len(x.codes) != len(doc.Tokens) {
+				t.Fatalf("seed %d doc %d: indexed as rows %d+%d, loaded as %d+%d", seed, d, x.first, len(x.codes), row, len(doc.Tokens))
+			}
+			for i, tok := range doc.Tokens {
+				id, ok := ids[tok.Str]
+				if !ok {
+					id = uint32(len(ids))
+					ids[tok.Str] = id
+				}
+				code := x.codes[i]
+				str, _ := rel.GetCol(relstore.RowID(x.first+i), stringCol)
+				docID, _ := rel.GetCol(relstore.RowID(x.first+i), docCol)
+				switch {
+				case code != id:
+					t.Fatalf("seed %d doc %d tok %d %q: STRING code %d, first-use id %d", seed, d, i, tok.Str, code, id)
+				case tg.goldOf(tg.Docs[d], i) != tok.Gold:
+					t.Fatalf("seed %d doc %d tok %d: TRUTH reads %v, gold %v", seed, d, i, tg.goldOf(tg.Docs[d], i), tok.Gold)
+				case x.capital[code] != IsCapitalized(tok.Str):
+					t.Fatalf("seed %d doc %d tok %d %q: capitalisation flag %v", seed, d, i, tok.Str, x.capital[code])
+				case str.AsString() != tok.Str || docID.AsInt() != int64(doc.ID):
+					t.Fatalf("seed %d doc %d tok %d: row %d holds %v in document %v", seed, d, i, x.first+i, str, docID)
+				}
+			}
+			row += len(doc.Tokens)
+		}
+		if ix.NumStrings() != len(ids) || ix.NumTokens() != row {
+			t.Fatalf("seed %d: %d strings and %d tokens indexed, the corpus has %d and %d", seed, ix.NumStrings(), ix.NumTokens(), len(ids), row)
+		}
 	}
 }
 
@@ -102,7 +181,7 @@ func TestTaggerAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewCorpusIndex(c)
+	_, ix := load(c)
 	m := NewModel(ix.NumStrings(), true)
 	first, tg := NewTagger(m, ix, LO), NewTagger(m, ix, LO)
 	if tg.Index != first.Index || tg.Docs[0].ix != first.Docs[0].ix || &tg.Docs[0].Labels[0] == &first.Docs[0].Labels[0] {

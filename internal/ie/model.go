@@ -1,24 +1,26 @@
 package ie
 
 import (
+	"fmt"
 	"unicode"
 
 	"factordb/internal/learn"
+	"factordb/internal/relstore"
 )
 
 // The feature index space: capitalization, bias, transition and skip
-// take the first 110 slots of θ, then each (string id, label) has one
+// take the first 110 slots of θ, then each (STRING code, label) has one
 // emission slot, so θ grows with the strings by appending.
 const (
 	offCaps  = 0                              // [capitalized][label]
 	offBias  = offCaps + 2*NumLabels          // [label]
 	offTrans = offBias + NumLabels            // [prev][next]
 	offSkip  = offTrans + NumLabels*NumLabels // [labels agree]
-	offEmit  = offSkip + 2                    // [string id][label]
+	offEmit  = offSkip + 2                    // [STRING code][label]
 )
 
-// EmissionKey is the index of the emission feature for (string id, label).
-func EmissionKey(strID int, l Label) int { return offEmit + strID*NumLabels + int(l) }
+// EmissionKey is the index of the emission feature for (code, label).
+func EmissionKey(code int, l Label) int { return offEmit + code*NumLabels + int(l) }
 
 // TransKey is the index of the first-order transition feature for
 // (prev, next).
@@ -63,10 +65,10 @@ type Model struct {
 // keeps nodeScore within the compiler's inlining budget.
 type theta []float64
 
-// emit returns the emission weight of (string id, label); a string id
-// past those θ was sized for has no weight.
-func (t theta) emit(strID int32, l Label) float64 {
-	if i := offEmit + int(strID)*NumLabels + int(l); i < len(t) {
+// emit returns the emission weight of (string, label): a string's row is
+// its STRING code, and a code past those θ was sized for has no weight.
+func (t theta) emit(code uint32, l Label) float64 {
+	if i := offEmit + int(code)*NumLabels + int(l); i < len(t) {
 		return t[i]
 	}
 	return 0
@@ -80,7 +82,7 @@ func (t theta) skip(same bool) float64          { return t[offSkip+b2i(same)] }
 // theta returns θ for scoring.
 func (m *Model) theta() theta { return theta(*m.W) }
 
-// NewModel builds an untrained model with θ sized for string ids below
+// NewModel builds an untrained model with θ sized for STRING codes below
 // strings — an index's NumStrings.
 func NewModel(strings int, useSkip bool) *Model {
 	w := make(learn.Weights, offEmit+strings*NumLabels)
@@ -98,15 +100,11 @@ func IsCapitalized(s string) bool {
 }
 
 // docIndex is the half of a document's inference state that no label flip
-// changes: each token's string id, capitalization and gold label, and
-// the skip adjacency. It is a pure function of the corpus, so one copy
-// (a CorpusIndex) serves the trainer, the prototype and every chain,
-// read-only.
+// changes, shared read-only by every tagger (see CorpusIndex).
 type docIndex struct {
-	first  int // offset in the corpus-wide arrays: token i is TOKEN row first+i
-	strIDs []int32
-	caps   []bool
-	gold   []Label
+	first   int      // token i is TOKEN row first+i
+	codes   []uint32 // token i's STRING code
+	capital []bool   // by code: the string is capitalized
 	// The skip partners of position i — the other positions sharing its
 	// capitalized string, ascending — are skip[skipOff[i]:skipOff[i+1]].
 	skipOff []int32
@@ -116,9 +114,11 @@ type docIndex struct {
 // partners returns the skip partners of position i.
 func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOff[i+1]] }
 
-// CorpusIndex is the docIndex of every document of a corpus, laid out in
-// five corpus-wide arrays that each document's index slices. It keeps no
-// reference to the corpus, nor its strings: the store holds them.
+// CorpusIndex is the docIndex of every document of a loaded TOKEN
+// relation. A token's string is its STRING code in the vector the index
+// borrows (relstore.Relation.StringCodes), which no write changes, with
+// one capitalization flag per code; the skip arrays are all it allocates
+// per token.
 type CorpusIndex struct {
 	docs    []docIndex
 	tokens  int
@@ -131,61 +131,58 @@ func (ix *CorpusIndex) NumDocs() int { return len(ix.docs) }
 // NumTokens returns the number of tokens indexed.
 func (ix *CorpusIndex) NumTokens() int { return ix.tokens }
 
-// NumStrings returns the number of distinct strings, whose ids run from 0.
+// NumStrings returns the number of STRING codes, which run from 0.
 func (ix *CorpusIndex) NumStrings() int { return ix.strings }
 
-// NewCorpusIndex indexes every document of c, issuing string ids in
-// order of first use. Build it once per corpus and hand it to every
-// NewTagger over that corpus.
-func NewCorpusIndex(c *Corpus) *CorpusIndex {
-	n := 0
-	for d := range c.Docs {
-		n += len(c.Docs[d].Tokens)
+// NewCorpusIndex indexes the TOKEN relation of db, a world LoadCorpus
+// filled and nothing has deleted from, once for every NewTagger over the
+// corpus. Its documents are the DOC_ID runs in row order.
+func NewCorpusIndex(db *relstore.DB) (*CorpusIndex, error) {
+	rel, err := db.Relation(TokenRelation)
+	if err != nil {
+		return nil, err
 	}
-	ix := &CorpusIndex{docs: make([]docIndex, len(c.Docs)), tokens: n}
-	strIDs, caps, gold := make([]int32, n), make([]bool, n), make([]Label, n)
-	offs := make([]int32, n+len(c.Docs))
-	ids := make(map[string]int32)
+	codes, strs, err := rel.StringCodes(stringCol)
+	if err != nil {
+		return nil, err
+	}
+	n := len(codes)
+	if rel.Len() != n {
+		return nil, fmt.Errorf("ie: %s has deleted rows; index a fresh load", TokenRelation)
+	}
+	capital := make([]bool, len(strs))
+	for c, s := range strs {
+		capital[c] = IsCapitalized(s)
+	}
+	ix := &CorpusIndex{tokens: n, strings: len(strs)}
+	offs := make([]int32, n+1) // by row: each document's skipOff is a window
 	var skip []int32
-	for d := range c.Docs {
-		toks := c.Docs[d].Tokens
-		k := len(toks)
-		x := &ix.docs[d]
-		x.first = n - len(strIDs)
-		x.strIDs, x.caps, x.gold, x.skipOff = strIDs[:k:k], caps[:k:k], gold[:k:k], offs[:k+1:k+1]
-		strIDs, caps, gold, offs = strIDs[k:], caps[k:], gold[k:], offs[k+1:]
-		byStr := make(map[int32][]int32)
-		for i, t := range toks {
-			id, ok := ids[t.Str]
-			if !ok {
-				id = int32(len(ids))
-				ids[t.Str] = id
+	for first, end := 0, 0; first < n; first = end {
+		doc, _ := rel.GetCol(relstore.RowID(first), docCol)
+		byCode := make(map[uint32][]int32)
+		for end = first; end < n; end++ {
+			if v, _ := rel.GetCol(relstore.RowID(end), docCol); !v.Equal(doc) {
+				break
 			}
-			x.strIDs[i], x.gold[i] = id, t.Gold
-			if x.caps[i] = IsCapitalized(t.Str); x.caps[i] {
-				byStr[id] = append(byStr[id], int32(i))
+			if c := codes[end]; capital[c] {
+				byCode[c] = append(byCode[c], int32(end-first))
 			}
 		}
-		for p := range toks {
-			x.skipOff[p] = int32(len(skip))
-			if !x.caps[p] {
-				continue
-			}
-			if group := byStr[x.strIDs[p]]; len(group) > 1 {
-				for _, q := range group {
-					if q != int32(p) {
-						skip = append(skip, q)
-					}
+		for row := first; row < end; row++ {
+			offs[row] = int32(len(skip))
+			for _, q := range byCode[codes[row]] {
+				if q != int32(row-first) {
+					skip = append(skip, q)
 				}
 			}
 		}
-		x.skipOff[k] = int32(len(skip))
+		ix.docs = append(ix.docs, docIndex{first: first, codes: codes[first:end:end], capital: capital, skipOff: offs[first : end+1 : end+1]})
 	}
+	offs[n] = int32(len(skip))
 	for d := range ix.docs {
 		ix.docs[d].skip = skip
 	}
-	ix.strings = len(ids)
-	return ix
+	return ix, nil
 }
 
 // LabeledDoc is a document with a current label hypothesis: the in-memory
@@ -205,8 +202,9 @@ func (ld *LabeledDoc) SkipDegree(i int) int { return len(ld.ix.partners(i)) }
 // incident transitions and all incident skip edges — the only factors
 // whose value changes when position i changes (Appendix 9.2).
 func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, sign float64) {
-	d.Add(EmissionKey(int(ld.ix.strIDs[i]), l), sign)
-	d.Add(CapsKey(ld.ix.caps[i], l), sign)
+	c := ld.ix.codes[i]
+	d.Add(EmissionKey(int(c), l), sign)
+	d.Add(CapsKey(ld.ix.capital[c], l), sign)
 	d.Add(BiasKey(l), sign)
 	if i > 0 {
 		d.Add(TransKey(ld.Labels[i-1], l), sign)
@@ -224,7 +222,8 @@ func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, si
 // nodeScore sums the factors private to position i under label l:
 // emission, capitalization and bias.
 func (t theta) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
-	return t.emit(ld.ix.strIDs[i], l) + t.caps(ld.ix.caps[i], l) + t.bias(l)
+	c := ld.ix.codes[i]
+	return t.emit(c, l) + t.caps(ld.ix.capital[c], l) + t.bias(l)
 }
 
 // localScore sums θ·φ over the factors touching position i under label l,

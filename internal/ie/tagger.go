@@ -28,11 +28,13 @@ func TokenSchema() *relstore.Schema {
 	)
 }
 
-// LabelCol is the column index of the hidden LABEL attribute.
-const LabelCol = 3
-
-// truthCol is the column index of the gold TRUTH attribute.
-const truthCol = 4
+// The column indexes of TOKEN's attributes; LABEL is the hidden one.
+const (
+	docCol    = 1
+	stringCol = 2
+	LabelCol  = 3
+	truthCol  = 4
+)
 
 // Declare declares TOKEN.LABEL, the column the tagger samples, hidden in
 // db: LoadCorpus does so for the world it loads, and a recovered world,
@@ -40,10 +42,11 @@ const truthCol = 4
 func Declare(db *relstore.DB) error { return db.DeclareHidden(TokenRelation, LabelCol) }
 
 // LoadCorpus materializes the corpus into a fresh TOKEN relation in db,
-// with LABEL initialized to init. Rows follow the index's layout: token i
-// of document d is row first+i, first being the tokens of the documents
-// before it. The label inventory takes the first LABEL and TRUTH codes,
-// in Label order, so no flip ever has to intern one.
+// with LABEL initialized to init: token i of document d is row first+i,
+// first being the tokens of the documents before it. The label inventory
+// takes the first LABEL and TRUTH codes, in Label order, so no flip ever
+// interns one and a TRUTH code is its gold Label; a string's STRING code,
+// issued in order of first use, is its emission row in θ.
 func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 	rel, err := db.Create(TokenSchema())
 	if err != nil {
@@ -84,8 +87,10 @@ type Tagger struct {
 	Model *Model
 	Docs  []*LabeledDoc
 	// Index is the shared read-only corpus index the documents read
-	// their token ids, capitalization and skip edges from.
+	// their STRING codes, capitalisation and skip edges from.
 	Index *CorpusIndex
+
+	gold []uint32 // a trainer's TRUTH codes by row (see NewTrainer)
 
 	// ActiveDocs and StepsPerBatch reproduce the paper's batching: up to
 	// ActiveDocs documents' variables form the working set L, re-drawn
@@ -128,13 +133,34 @@ func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
 	lds := make([]LabeledDoc, len(ix.docs))
 	t := &Tagger{Model: m, Docs: make([]*LabeledDoc, len(ix.docs)), Index: ix}
 	for d := range ix.docs {
-		k := len(ix.docs[d].strIDs)
+		k := len(ix.docs[d].codes)
 		lds[d] = LabeledDoc{Labels: labels[:k:k], ix: &ix.docs[d]}
 		labels = labels[k:]
 		t.Docs[d] = &lds[d]
 	}
 	return t
 }
+
+// NewTrainer is NewTagger, every label O, whose labels ProposeRank,
+// Accuracy and SpanF1 score against the gold labels of db, a load of the
+// indexed corpus: its TRUTH codes, borrowed as the index borrows STRING.
+func NewTrainer(m *Model, ix *CorpusIndex, db *relstore.DB) (*Tagger, error) {
+	rel, err := db.Relation(TokenRelation)
+	if err == nil && rel.NextID() != relstore.RowID(ix.tokens) {
+		err = fmt.Errorf("ie: %s has issued %d ids for %d indexed tokens", TokenRelation, rel.NextID(), ix.tokens)
+	}
+	if err != nil {
+		return nil, err
+	}
+	t := NewTagger(m, ix, LO)
+	if t.gold, _, err = rel.StringCodes(truthCol); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// goldOf returns the gold label of position i of ld; t is a trainer.
+func (t *Tagger) goldOf(ld *LabeledDoc, i int) Label { return Label(t.gold[ld.ix.first+i]) }
 
 // BindDB connects the tagger to a database change log so accepted label
 // flips propagate to the TOKEN relation, whose rows must follow
@@ -185,11 +211,6 @@ func (t *Tagger) pick(rng *rand.Rand) (int, int) {
 	return d, rng.Intn(len(ld.Labels))
 }
 
-// candidate draws a proposed new label: uniform over the inventory.
-func (t *Tagger) candidate(rng *rand.Rand) Label {
-	return Label(rng.Intn(NumLabels))
-}
-
 // apply commits a label flip to memory and, when bound, to the database.
 func (t *Tagger) apply(d, i int, newLabel Label) {
 	t.Docs[d].Labels[i] = newLabel
@@ -216,13 +237,12 @@ func (t *Tagger) Propose(rng *rand.Rand) mcmc.Proposal {
 	return mcmc.Proposal{LogScoreDelta: t.Model.ScoreDelta(ld, t.i, t.newLabel)}
 }
 
-// draw picks the pending move — a position and a candidate label for it —
-// and returns the document it lies in.
+// draw picks the pending move — a position and a label for it, uniform
+// over the inventory — and returns the document it lies in.
 func (t *Tagger) draw(rng *rand.Rand) *LabeledDoc {
 	t.d, t.i = t.pick(rng)
-	ld := t.Docs[t.d]
-	t.newLabel = t.candidate(rng)
-	return ld
+	t.newLabel = Label(rng.Intn(NumLabels))
+	return t.Docs[t.d]
 }
 
 // Accept implements mcmc.Proposer and learn.Proposer: it commits the
@@ -233,13 +253,13 @@ func (t *Tagger) Accept() {
 	}
 }
 
-// ProposeRank implements learn.Proposer for SampleRank training. The
-// objective is per-token accuracy against the gold labels.
+// ProposeRank implements learn.Proposer for SampleRank training; t is a
+// trainer. The objective is per-token accuracy against the gold labels.
 func (t *Tagger) ProposeRank(rng *rand.Rand, d *learn.Delta) float64 {
 	ld := t.draw(rng)
 	i, newLabel := t.i, t.newLabel
 	t.Model.FeatureDelta(d, ld, i, newLabel)
-	gold, old := ld.ix.gold[i], ld.Labels[i]
+	gold, old := t.goldOf(ld, i), ld.Labels[i]
 	switch {
 	case newLabel == old:
 		return 0
@@ -252,12 +272,12 @@ func (t *Tagger) ProposeRank(rng *rand.Rand, d *learn.Delta) float64 {
 }
 
 // Accuracy returns the fraction of tokens whose current label matches
-// gold.
+// gold; t is a trainer.
 func (t *Tagger) Accuracy() float64 {
 	var ok, n float64
 	for _, ld := range t.Docs {
 		for i, l := range ld.Labels {
-			if l == ld.ix.gold[i] {
+			if l == t.goldOf(ld, i) {
 				ok++
 			}
 			n++
@@ -270,7 +290,7 @@ func (t *Tagger) Accuracy() float64 {
 }
 
 // Train runs SampleRank over the corpus, returning the trainer for
-// inspection. A step costs about 0.2 µs and allocates nothing, so the one
+// inspection; t is a trainer (see NewTrainer). A step costs about 0.2 µs and allocates nothing, so the one
 // million steps of a 50 000-token corpus take about 0.25 s on one core of
 // a 2-CPU linux/amd64 machine; tests use far fewer.
 func (t *Tagger) Train(steps int, rate float64, seed int64) *learn.SampleRank {

@@ -24,7 +24,7 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation) {
 	for _, ld := range tg.Docs {
 		for i := range ld.Labels {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(int(ld.ix.strIDs[i]), l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
 			}
 		}
 	}

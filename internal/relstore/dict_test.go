@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"sync"
@@ -165,4 +166,84 @@ func TestStringDictionary(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStringCodesBorrowed: StringCodes lends the code vector without a
+// copy and marks it shared, so SetCol and Insert on its relation, alone
+// and beside a clone, running while other goroutines read the lent slice,
+// copy the vector instead of writing it. The slice stays byte-for-byte as
+// lent, with no data race. Without a clone only the lend's own mark stops
+// the relation writing in place.
+func TestStringCodesBorrowed(t *testing.T) {
+	const rows = 400
+	for _, withClone := range []bool{false, true} {
+		t.Run(fmt.Sprintf("clone=%v", withClone), func(t *testing.T) {
+			db := tokenWorld(t, rows)
+			rel, _ := db.Relation("TOKEN")
+			if _, _, err := rel.StringCodes(0); err == nil {
+				t.Error("StringCodes lent an INT column")
+			}
+			codes, table, err := rel.StringCodes(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(codes) != rows || cap(codes) != rows {
+				t.Fatalf("lent %d codes with capacity %d, want %d and %d", len(codes), cap(codes), rows, rows)
+			}
+			for i, c := range codes {
+				if v, _ := rel.GetCol(RowID(i), 2); table[c] != v.AsString() {
+					t.Fatalf("row %d: code %d reads %q, the row holds %v", i, c, table[c], v)
+				}
+			}
+			want, wantTable := slices.Clone(codes), slices.Clone(table)
+			writers := []*Relation{rel}
+			if withClone {
+				clone, _ := db.Clone().Relation("TOKEN")
+				writers = append(writers, clone)
+			}
+
+			var wg sync.WaitGroup
+			for w, r := range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rows; i += 3 {
+						if err := r.SetCol(RowID(i), 2, String("set"+strconv.Itoa(w*rows+i))); err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := r.Insert(Tuple{Int(int64(rows + i)), Int(99), String("ins" + strconv.Itoa(i)), String("O"), String("O")}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			changed := make([]int, 2)
+			for g := range changed {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range 200 {
+						if !slices.Equal(codes, want) {
+							changed[g]++
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			if changed[0]+changed[1] > 0 || !slices.Equal(codes, want) {
+				t.Fatalf("the lent vector changed under writes (seen by %d reads)", changed[0]+changed[1])
+			}
+			if !slices.Equal(table, wantTable) {
+				t.Fatal("the lent dictionary table changed under writes")
+			}
+			for w, r := range writers {
+				if v, _ := r.GetCol(0, 2); v.AsString() != "set"+strconv.Itoa(w*rows) || r.Len() != rows+(rows+2)/3 {
+					t.Fatalf("writer %d: row 0 reads %v and %d rows; the writes did not land", w, v, r.Len())
+				}
+			}
+		})
+	}
 }

@@ -296,11 +296,35 @@ func (r *Relation) SetCol(id RowID, col int, v Value) error {
 // first codes in a fixed order. Like a write, it grows the dictionary
 // every world descended from this column shares.
 func (r *Relation) Intern(col int, strs ...string) error {
-	if col < 0 || col >= len(r.cols) || r.cols[col].typ != TString {
-		return fmt.Errorf("relstore: relation %q: column %d is not a STRING column", r.schema.Name, col)
+	c, err := r.stringCol(col)
+	if err != nil {
+		return err
 	}
-	r.cols[col].dict.internAll(strs)
+	c.dict.internAll(strs)
 	return nil
+}
+
+// StringCodes lends STRING column col as it stands: its code vector, one
+// code per issued id (a deleted row's slot holds a stale one), and the
+// dictionary table the codes index. Nothing is copied. The vector is
+// marked shared first, as Clone marks it, so no later write in any world,
+// this one included, changes it in place: a writer copies it and goes on
+// with its copy. The caller must write to neither slice.
+func (r *Relation) StringCodes(col int) ([]uint32, []string, error) {
+	c, err := r.stringCol(col)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.shared.Store(true)
+	return c.codes[:r.n:r.n], c.dict.strs(), nil
+}
+
+// stringCol returns column col, which must be a STRING column.
+func (r *Relation) stringCol(col int) (*column, error) {
+	if col < 0 || col >= len(r.cols) || r.cols[col].typ != TString {
+		return nil, fmt.Errorf("relstore: relation %q: column %d is not a STRING column", r.schema.Name, col)
+	}
+	return r.cols[col], nil
 }
 
 // Delete removes the row. Its slot stays behind as a tombstone.
