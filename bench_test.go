@@ -23,6 +23,7 @@ import (
 	"factordb/internal/ie"
 	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
+	"factordb/internal/world"
 )
 
 const benchThin = 1000 // MH steps per sample during benchmarks
@@ -164,23 +165,27 @@ func BenchmarkScoreDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := ie.NewModel(index.NumStrings(), true)
-	tg := ie.NewTagger(model, index, ie.LO)
-	ld := tg.Docs[0]
+	tg, err := ie.NewTagger(model, index, world.NewChangeLog(db))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, _ := db.Relation(ie.TokenRelation)
+	ld := tg.Docs[0] // its position i is TOKEN row i
 	rng := rand.New(rand.NewSource(7))
 	b.Run("local-delta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pos := rng.Intn(len(ld.Labels))
+			pos := rng.Intn(ld.Len())
 			model.ScoreDelta(ld, pos, ie.Label(rng.Intn(ie.NumLabels)))
 		}
 	})
 	b.Run("full-rescore", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pos := rng.Intn(len(ld.Labels))
-			old := ld.Labels[pos]
+			pos := rng.Intn(ld.Len())
+			old := ld.Label(pos)
 			before := model.DocScore(ld)
-			ld.Labels[pos] = ie.Label(rng.Intn(ie.NumLabels))
+			rel.SetCol(relstore.RowID(pos), ie.LabelCol, relstore.String(ie.Label(rng.Intn(ie.NumLabels)).String()))
 			_ = model.DocScore(ld) - before
-			ld.Labels[pos] = old
+			rel.SetCol(relstore.RowID(pos), ie.LabelCol, relstore.String(old.String()))
 		}
 	})
 }

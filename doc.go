@@ -192,8 +192,10 @@
 // write changes the evidence columns it touches and every answer that
 // selects on them; it does not yet change the factor graph, which is
 // built from the corpus at set-up, so hidden-variable marginals do not
-// respond to it (ROADMAP item 2). The DML grammar (literals only
-// on the write path; WHERE is a conjunction of simple comparisons):
+// respond to it, and a DELETEd token's label freezes at its tombstone's
+// code while it still shapes its neighbours' factors (ROADMAP item 2).
+// The DML grammar (literals only on the write path; WHERE is a
+// conjunction of simple comparisons):
 //
 //	INSERT INTO t [(col, ...)] VALUES (lit, ...) [, (lit, ...)]...
 //	UPDATE t [alias] SET col = lit [, col = lit]... [WHERE cond AND ...]
@@ -203,9 +205,8 @@
 // defaults). A write targets evidence only: an UPDATE that sets a hidden
 // column, or an UPDATE or DELETE whose WHERE reads one, fails with
 // ErrBadQuery naming the column, before the WAL append (HTTP 400). The
-// sampler, not the store, holds a hidden variable's state, and a
-// predicate over one would match rows by the walk of whichever world it
-// was resolved against. An INSERT's value for a hidden column is
+// sampler owns a hidden variable's state, and a predicate over one would
+// match rows by the walk of whichever world it was resolved against. An INSERT's value for a hidden column is
 // accepted as the new row's initial state. UPDATE/DELETE predicates are
 // resolved once against one world and the resulting row-level ops are
 // replayed on every chain, so the chains' worlds never diverge. Each chain
@@ -410,37 +411,37 @@
 //     without touching the world. Accept() commits the pending move of
 //     the most recent Propose; the sampler calls it at most once, and
 //     only for an accepted proposal. A pending no-op commits nothing.
-//     Wrapping proposers forward Accept to the proposer that drew the
-//     pending move. learn.Proposer (ProposeRank + Accept) is the same
-//     protocol for SampleRank.
+//     learn.Proposer (ProposeRank + Accept) is the same protocol for
+//     SampleRank.
 //   - Scoring is array-indexed, on the weights training wrote.
 //     learn.Weights is one dense θ in ie's feature layout
 //     (capitalization, bias, transition and skip at fixed offsets, then
 //     emission per STRING code × label): SampleRank updates it in place
 //     through a reused learn.Delta buffer, and every score reads the
-//     same slice, summing the factors in the order FeatureDelta lists them.
-//     There is no second copy to keep in sync; θ is read-only once
-//     exp.BuildNER has scaled it by the temperature and shares the model.
+//     same slice, summing the factors in the order FeatureDelta lists
+//     them; θ is read-only once exp.BuildNER has scaled it by the
+//     temperature and shares the model.
 //     An ie.CorpusIndex, built once per corpus over the loaded TOKEN
 //     relation and shared read-only by every tagger, reads each token's
 //     STRING code from the vector it borrows (Relation.StringCodes marks
 //     it shared, so no write changes it), keeps one capitalization flag
 //     per code and the skip edges; the trainer reads gold from TRUTH
 //     codes. After set-up the store, the index and θ are all that stays
-//     in memory. Token i of document d is TOKEN row first[d]+i, first[d]
-//     being the document's first row and
-//     ie.LoadCorpus inserting rows in that order; BindDB refuses a
-//     relation that has not issued every row the index addresses.
+//     in memory. Token i of document d is TOKEN row first[d]+i, as
+//     ie.LoadCorpus inserts them; ie.NewTagger refuses a shorter relation.
 //   - The store is columnar and its worlds share vectors copy-on-write
-//     (internal/relstore): a flip is Relation.SetCol, a store into the
-//     one column vector the chain owns, reached through a world.Field
-//     handle resolved once at bind time. No row is copied. A STRING
-//     column is uint32 codes over an append-only dictionary shared by
-//     every world of its lineage, so LABEL costs a chain 4 B per token
-//     and a flip to a label (all nine interned at load) allocates
-//     nothing. The dictionary grows only on writes, never on reads — a
-//     scan looks its literal up and an absent one selects nothing — and
-//     a checkpoint reload compacts it to the strings live rows hold.
+//     (internal/relstore). A chain's labels are its world's LABEL codes,
+//     held nowhere else: the tagger reads them, tombstones included, with
+//     Relation.CodeAt from the column's current vector through a table
+//     from code to label, since a checkpoint reload re-codes LABEL. A
+//     flip is Relation.SetCol through a world.Field resolved when the
+//     tagger is built; no row is copied. A STRING column is uint32 codes
+//     over an append-only dictionary shared by every world of its
+//     lineage, so LABEL costs a chain 4 B per token and a flip (ie.Declare
+//     interns the nine labels on every world) allocates nothing. The
+//     dictionary grows only on writes, never on reads — a scan looks its
+//     literal up and an absent one selects nothing — and a checkpoint
+//     reload compacts it to the strings live rows hold.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
 //     entry per row touched since the last Drain — a copy, in a reused
 //     arena, of the tuple the row had first — behind a map on the

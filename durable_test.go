@@ -351,7 +351,9 @@ func TestCorefDurableReopen(t *testing.T) {
 // reopened world's codes differ from the ones the model was indexed by.
 // The model indexes a fresh load of its corpus, not the recovered codes,
 // so Query 1 and Query 4 still answer exactly as a fresh open that
-// applied the same writes in memory.
+// applied the same writes in memory. A third write inserts a row labelled
+// B-ORG, so LABEL reloads as [O B-ORG] and its codes are not in Label
+// order: the chains read labels through their code table.
 func TestReopenAfterRenumbering(t *testing.T) {
 	model := NER(NERConfig{Tokens: 2000, Seed: durSeed})
 	opts := []Option{WithMode(ModeMaterialized), WithSeed(5), WithSteps(50)}
@@ -380,6 +382,7 @@ func TestReopenAfterRenumbering(t *testing.T) {
 	writes := []string{
 		fmt.Sprintf("UPDATE TOKEN SET STRING = 'Renamed' WHERE TOK_ID = %d", rare[0]),
 		fmt.Sprintf("DELETE FROM TOKEN WHERE TOK_ID = %d", rare[1]),
+		"INSERT INTO TOKEN (TOK_ID, DOC_ID, STRING, LABEL, TRUTH) VALUES (10000000, 9000000, 'Inserted', 'B-ORG', 'O')",
 	}
 	dir := t.TempDir()
 	db, err := Open(model, durableOpts(dir, opts...)...)
@@ -425,6 +428,9 @@ func TestReopenAfterRenumbering(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("the checkpoint renumbered no STRING code; the check proves nothing")
+	}
+	if _, labels, _ := reRel.StringCodes(3); len(labels) < 2 || labels[1] != "B-ORG" {
+		t.Fatalf("the reopened LABEL codes %q; the check wants B-ORG at code 1", labels)
 	}
 	for _, q := range []string{Query1, Query4} {
 		want, _ := hiddenAnswer(t, ref, q, Samples(40), NoCache())

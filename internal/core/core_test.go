@@ -167,8 +167,8 @@ func TestNERIntegration(t *testing.T) {
 
 	build := func(seed int64, mode Mode) (*Evaluator, *ie.Tagger) {
 		log := world.NewChangeLog(load())
-		tg := ie.NewTagger(model, index, ie.LO)
-		if err := tg.BindDB(log); err != nil {
+		tg, err := ie.NewTagger(model, index, log)
+		if err != nil {
 			t.Fatal(err)
 		}
 		ev, err := NewEvaluator(mode, log, tg, perNERQuery(), 200, seed)

@@ -78,7 +78,8 @@ func BuildNER(cfg Config) (*NERSystem, error) { return BuildNEROver(cfg, nil) }
 // world it loads: one this config's corpus was loaded into, such as a
 // recovered one, on which it declares TOKEN.LABEL hidden. The model is
 // still built over a load (db's snapshot may have re-coded STRING) and
-// addresses db's rows in load order, which BindDB checks only in number.
+// addresses db's rows in load order, which NewTagger checks only in
+// number.
 func BuildNEROver(cfg Config, db *relstore.DB) (*NERSystem, error) {
 	gen := ie.DefaultGenConfig(cfg.NumTokens, cfg.Seed)
 	if cfg.TokensPerDoc > 0 {
@@ -168,18 +169,17 @@ func (s *NERSystem) NewChain(mode core.Mode, sql string, stepsPerSample int, see
 	return &Chain{Evaluator: ev, Tagger: tg, Log: log, Spec: spec}, nil
 }
 
-// newChainWorld clones the prototype world and binds a fresh tagger to
+// newChainWorld clones the prototype world and builds a fresh tagger over
 // it, with the paper's batching parameters as NewChain describes.
 func (s *NERSystem) newChainWorld() (*world.ChangeLog, *ie.Tagger, error) {
-	db := s.protoDB.Clone()
-	log := world.NewChangeLog(db)
-	tg := ie.NewTagger(s.Model, s.Index, ie.LO)
+	log := world.NewChangeLog(s.protoDB.Clone())
+	tg, err := ie.NewTagger(s.Model, s.Index, log)
+	if err != nil {
+		return nil, nil, err
+	}
 	if s.Index.NumDocs() > 5 {
 		tg.ActiveDocs = 5
 		tg.StepsPerBatch = 2000
-	}
-	if err := tg.BindDB(log); err != nil {
-		return nil, nil, err
 	}
 	return log, tg, nil
 }

@@ -5,6 +5,8 @@ import (
 
 	"factordb/internal/core"
 	"factordb/internal/ie"
+	"factordb/internal/relstore"
+	"factordb/internal/world"
 )
 
 // Small-scale smoke tests: the figures are regenerated at full scale by
@@ -17,6 +19,21 @@ func TestBuildAndChains(t *testing.T) {
 	}
 	if sys.Describe() == "" {
 		t.Error("Describe empty")
+	}
+	// The trainer walked a clone of the load: the world the system serves
+	// still holds O in every row.
+	rel, err := sys.WorldDB().Relation(ie.TokenRelation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes, table, err := rel.StringCodes(ie.LabelCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row, code := range codes {
+		if table[code] != ie.LO.String() {
+			t.Fatalf("after training, row %d of the served world holds LABEL %q", row, table[code])
+		}
 	}
 	// Two chains over clones must not interfere.
 	a, err := sys.NewChain(core.Materialized, Query1, 500, 7)
@@ -49,15 +66,16 @@ func TestBuildAndChains(t *testing.T) {
 }
 
 // TestChainsShareCorpusIndex checks that every chain's tagger reads the
-// one corpus index BuildNER made — the same pointer, not a copy — while
-// owning its labels: a flip in one chain is invisible to the other.
+// one corpus index BuildNER made — the same pointer, not a copy — and its
+// own world's labels: a flip in one chain's world is invisible to the
+// other.
 func TestChainsShareCorpusIndex(t *testing.T) {
 	sys, err := BuildNER(Config{NumTokens: 2000, Seed: 5, UseSkip: true, TrainSteps: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagger := func(chain int) *ie.Tagger {
-		_, p, err := sys.NewChainWorld(chain)
+	tagger := func(chain int) (*ie.Tagger, *world.ChangeLog) {
+		log, p, err := sys.NewChainWorld(chain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,14 +83,20 @@ func TestChainsShareCorpusIndex(t *testing.T) {
 		if !ok {
 			t.Fatalf("chain %d proposes with a %T, want an *ie.Tagger", chain, p)
 		}
-		return tg
+		return tg, log
 	}
-	a, b := tagger(0), tagger(1)
+	a, log := tagger(0)
+	b, _ := tagger(1)
 	if sys.Index == nil || a.Index != sys.Index || b.Index != sys.Index {
 		t.Fatalf("chain taggers read indexes %p and %p, want the system's %p", a.Index, b.Index, sys.Index)
 	}
-	a.Docs[0].Labels[0] = ie.LBPer
-	if b.Docs[0].Labels[0] != ie.LO {
+	if err := log.SetField(world.FieldRef{Rel: ie.TokenRelation, Row: 0, Col: ie.LabelCol}, relstore.String("B-PER")); err != nil {
+		t.Fatal(err)
+	}
+	if a.Docs[0].Label(0) != ie.LBPer {
+		t.Fatalf("chain 0's tagger reads %v after its world's flip to B-PER", a.Docs[0].Label(0))
+	}
+	if b.Docs[0].Label(0) != ie.LO {
 		t.Fatal("a label flip in one chain reached another")
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -81,10 +82,25 @@ func TestSystemLiveBudget(t *testing.T) {
 		t.Fatal("testdata/live_budget.txt pins no live_bytes_per_token")
 	}
 
-	// Two collections on each side: after one, the reading depended on
-	// what the process had run before (64.4 B/token for this test alone,
-	// 71.5 after any other test of the package); after two it is 71.6
-	// either way.
+	// The least of two readings, each over a system of its own: about
+	// one process in twenty allocates ~5 kB of its own at some moment
+	// once, and when that falls inside a reading it adds 1 B per token.
+	perToken := math.Inf(1)
+	for range 2 {
+		perToken = min(perToken, liveBytesPerToken(t))
+	}
+	if perToken > ceiling {
+		t.Errorf("a system and one chain keep %.2f B per token live, budget %v", perToken, ceiling)
+	}
+}
+
+// liveBytesPerToken builds a system and one chain that walks 1 000 steps
+// and drains its log, and returns the heap they keep live per token. Two
+// collections on each side: after one, the reading depended on what the
+// process had run before (64.4 B/token for this test alone, 71.5 after
+// any other test of the package, when each chain still mirrored its
+// labels); after two it read the same either way.
+func liveBytesPerToken(t *testing.T) float64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
@@ -107,9 +123,7 @@ func TestSystemLiveBudget(t *testing.T) {
 	runtime.KeepAlive(p)
 
 	tokens := sys.Index.NumTokens()
-	perToken := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(tokens)
-	t.Logf("system + one chain over %d tokens: %.0f live bytes, %.1f B/token", tokens, perToken*float64(tokens), perToken)
-	if perToken > ceiling {
-		t.Errorf("a system and one chain keep %.1f B per token live, budget %v", perToken, ceiling)
-	}
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("system + one chain over %d tokens: %d live bytes, %.2f B/token", tokens, live, float64(live)/float64(tokens))
+	return float64(live) / float64(tokens)
 }

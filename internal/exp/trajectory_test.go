@@ -24,8 +24,8 @@ func TestTrajectoryTrainedChain(t *testing.T) {
 	}
 	h := mcmctest.NewHash()
 	for _, ld := range ch.Tagger.Docs {
-		for _, l := range ld.Labels {
-			h.Int(int(l))
+		for i := range ld.Len() {
+			h.Int(int(ld.Label(i)))
 		}
 	}
 	for _, tp := range ch.Evaluator.Results() {

@@ -147,7 +147,7 @@ func (p *Proposer) Propose(rng *rand.Rand) mcmc.Proposal {
 func (p *Proposer) Accept() {
 	p.Assign[p.v] = p.newVal
 	val := relstore.String(p.g.Vars[p.v].Dom.Values[p.newVal])
-	// A row deleted by DML stops mirroring its variable, as in ie.Tagger.
+	// A deleted row refuses the write; Assign walks on (ie.Tagger freezes).
 	if err := p.field.Set(relstore.RowID(p.v), val); err != nil && !errors.Is(err, relstore.ErrNotFound) {
 		panic(fmt.Sprintf("factor: write-through failed: %v", err))
 	}

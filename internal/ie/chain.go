@@ -19,7 +19,7 @@ func (m *Model) forward(ld *LabeledDoc) ([][NumLabels]float64, error) {
 		return nil, fmt.Errorf("ie: exact chain inference requires a linear-chain model (UseSkip=false)")
 	}
 	t := m.theta()
-	alpha := make([][NumLabels]float64, len(ld.Labels))
+	alpha := make([][NumLabels]float64, ld.Len())
 	var terms [NumLabels]float64
 	for i := range alpha {
 		for l := Label(0); l < NumLabels; l++ {

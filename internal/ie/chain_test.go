@@ -42,7 +42,7 @@ func tinyChainSetup(t *testing.T, words []string, seed int64) (*Model, *LabeledD
 func graphFor(m *Model, ld *LabeledDoc) *factor.Graph {
 	g := factor.NewGraph()
 	dom := factor.NewDomain("label", LabelNames[:]...)
-	vars := make([]*factor.Var, len(ld.Labels))
+	vars := make([]*factor.Var, ld.Len())
 	for i := range vars {
 		i := i
 		vars[i] = g.AddVar("y", dom)
@@ -115,10 +115,10 @@ func TestChainLogZMatchesEnumeration(t *testing.T) {
 	// Enumerate.
 	var rec func(i int, assign []Label)
 	sum := math.Inf(-1)
-	saved := append([]Label{}, ld.Labels...)
+	saved := labelsOf(ld)
 	rec = func(i int, assign []Label) {
 		if i == len(assign) {
-			copy(ld.Labels, assign)
+			setLabels(ld, assign...)
 			s := m.DocScore(ld)
 			if math.IsInf(sum, -1) {
 				sum = s
@@ -136,8 +136,8 @@ func TestChainLogZMatchesEnumeration(t *testing.T) {
 			rec(i+1, assign)
 		}
 	}
-	rec(0, make([]Label, len(ld.Labels)))
-	copy(ld.Labels, saved)
+	rec(0, make([]Label, ld.Len()))
+	setLabels(ld, saved...)
 	if math.Abs(logZ-sum) > 1e-9 {
 		t.Fatalf("ChainLogZ %v, enumerated %v", logZ, sum)
 	}
@@ -154,13 +154,13 @@ func TestMCMCMatchesForwardBackward(t *testing.T) {
 	}
 	tg := retag(m, ld)
 	s := mcmc.NewSampler(tg, 23)
-	counts := make([][NumLabels]float64, len(ld.Labels))
+	counts := make([][NumLabels]float64, ld.Len())
 	s.Run(3000) // burn-in
 	samples := 150000
 	for i := 0; i < samples; i++ {
 		s.Run(4)
-		for pos, l := range tg.Docs[0].Labels {
-			counts[pos][l]++
+		for pos := range counts {
+			counts[pos][tg.Docs[0].Label(pos)]++
 		}
 	}
 	worst := 0.0
@@ -192,13 +192,13 @@ func TestMCMCMatchesExactSkipChain(t *testing.T) {
 	}
 	tg := retag(m, ld)
 	s := mcmc.NewSampler(tg, 29)
-	counts := make([][NumLabels]float64, len(ld.Labels))
+	counts := make([][NumLabels]float64, ld.Len())
 	s.Run(3000) // burn-in
 	samples := 150000
 	for i := 0; i < samples; i++ {
 		s.Run(4)
-		for pos, l := range tg.Docs[0].Labels {
-			counts[pos][l]++
+		for pos := range counts {
+			counts[pos][tg.Docs[0].Label(pos)]++
 		}
 	}
 	worst := 0.0

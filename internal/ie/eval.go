@@ -60,14 +60,15 @@ func (r F1Report) String() string {
 // span level across all documents; t is a trainer (see NewTrainer).
 func (t *Tagger) SpanF1() F1Report {
 	var rep F1Report
-	var gold []Label
+	var gold, pred []Label
 	for _, ld := range t.Docs {
-		gold = gold[:0]
-		for i := range ld.Labels {
+		gold, pred = gold[:0], pred[:0]
+		for i := range ld.Len() {
 			gold = append(gold, t.goldOf(ld, i))
+			pred = append(pred, ld.Label(i))
 		}
 		gs := Spans(gold)
-		ps := Spans(ld.Labels)
+		ps := Spans(pred)
 		rep.Gold += len(gs)
 		rep.Predicted += len(ps)
 		gset := make(map[Span]bool, len(gs))

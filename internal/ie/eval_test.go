@@ -59,8 +59,8 @@ func TestSpanF1PerfectAndEmpty(t *testing.T) {
 	}
 	// Copy gold into the hypothesis: perfect score.
 	for _, ld := range tg.Docs {
-		for i := range ld.Labels {
-			ld.Labels[i] = tg.goldOf(ld, i)
+		for i := range ld.Len() {
+			ld.set(i, tg.goldOf(ld, i))
 		}
 	}
 	rep = tg.SpanF1()
@@ -80,7 +80,7 @@ func TestSpanF1PartialCredit(t *testing.T) {
 	c := &Corpus{Docs: []Doc{doc}, NumTokens: 4}
 	tg := newTagger(modelFor(c, false), c)
 	// Predict the ORG but truncate the PER span: 1 hit of 2 gold, 2 predicted.
-	tg.Docs[0].Labels = []Label{LBPer, LO, LO, LBOrg}
+	setLabels(tg.Docs[0], LBPer, LO, LO, LBOrg)
 	rep := tg.SpanF1()
 	if rep.Hits != 1 || rep.Predicted != 2 || rep.Gold != 2 {
 		t.Fatalf("report = %+v", rep)

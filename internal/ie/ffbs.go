@@ -16,7 +16,8 @@ import (
 // the paper's point).
 
 // SampleChain draws one exact sample from the linear-chain posterior for
-// the document, writing it into ld.Labels.
+// the document and writes it into its tagger's world, last position
+// first.
 func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	alpha, err := m.forward(ld)
 	if err != nil || len(alpha) == 0 {
@@ -25,34 +26,24 @@ func (m *Model) SampleChain(ld *LabeledDoc, rng *rand.Rand) error {
 	t, n := m.theta(), len(alpha)
 	var terms [NumLabels]float64
 	// Backward sampling: y_n ~ α_n, then y_i ~ α_i(y) · ψ(y, y_{i+1}).
-	ld.Labels[n-1] = sampleLog(rng, alpha[n-1][:])
+	next := sampleLog(rng, alpha[n-1][:])
+	ld.set(n-1, next)
 	for i := n - 2; i >= 0; i-- {
-		next := ld.Labels[i+1]
 		for l := Label(0); l < NumLabels; l++ {
 			terms[l] = alpha[i][l] + t.trans(l, next)
 		}
-		ld.Labels[i] = sampleLog(rng, terms[:])
+		next = sampleLog(rng, terms[:])
+		ld.set(i, next)
 	}
 	return nil
 }
 
-// SampleCorpus regenerates every document of the tagger's corpus from the
+// SampleCorpus regenerates every document of the tagger's world from the
 // exact chain posterior: one full iid possible world.
 func (t *Tagger) SampleCorpus(rng *rand.Rand) error {
-	for d, ld := range t.Docs {
-		saved := append([]Label{}, ld.Labels...)
+	for _, ld := range t.Docs {
 		if err := t.Model.SampleChain(ld, rng); err != nil {
 			return err
-		}
-		// Propagate to the database (and delta log) where bound.
-		if t.bound {
-			fresh := append([]Label{}, ld.Labels...)
-			copy(ld.Labels, saved)
-			for i, l := range fresh {
-				if ld.Labels[i] != l {
-					t.apply(d, i, l)
-				}
-			}
 		}
 	}
 	return nil

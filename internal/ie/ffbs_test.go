@@ -4,9 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"factordb/internal/relstore"
-	"factordb/internal/world"
 )
 
 // TestFFBSMatchesForwardBackward: empirical marginals of exact iid
@@ -18,14 +15,14 @@ func TestFFBSMatchesForwardBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	counts := make([][NumLabels]float64, len(ld.Labels))
+	counts := make([][NumLabels]float64, ld.Len())
 	samples := 120000
 	for s := 0; s < samples; s++ {
 		if err := m.SampleChain(ld, rng); err != nil {
 			t.Fatal(err)
 		}
-		for i, l := range ld.Labels {
-			counts[i][l]++
+		for i := range counts {
+			counts[i][ld.Label(i)]++
 		}
 	}
 	worst := 0.0
@@ -49,40 +46,45 @@ func TestFFBSRejectsSkipModel(t *testing.T) {
 	}
 }
 
+// TestSampleCorpusWritesThrough: a chain's full-world regeneration lands
+// in its world's rows through the change log, and is the world a trainer,
+// whose flips skip the log, draws from the same seed.
 func TestSampleCorpusWritesThrough(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(400, 41))
 	m := modelFor(c, false)
 	rng := rand.New(rand.NewSource(3))
 	// Random weights so samples are non-trivial.
-	tg0 := newTagger(m, c)
-	for _, ld := range tg0.Docs {
-		for i := range ld.Labels {
+	trainer := newTagger(m, c)
+	for _, ld := range trainer.Docs {
+		for i := range ld.Len() {
 			for l := Label(0); l < NumLabels; l++ {
 				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
 			}
 		}
 	}
-	db := relstore.NewDB()
-	if err := LoadCorpus(db, c, LO); err != nil {
-		t.Fatal(err)
+	tg, log := chainTagger(t, m, c)
+	for _, s := range []*Tagger{tg, trainer} {
+		if err := s.SampleCorpus(rand.New(rand.NewSource(5))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	log := world.NewChangeLog(db)
-	tg := newTagger(m, c)
-	if err := tg.BindDB(log); err != nil {
-		t.Fatal(err)
-	}
-	if err := tg.SampleCorpus(rng); err != nil {
-		t.Fatal(err)
-	}
-	// Store must mirror memory after full-world regeneration.
-	rel, _ := db.Relation(TokenRelation)
+	entities := 0
 	for d, ld := range tg.Docs {
-		for i, l := range ld.Labels {
-			tu, _ := rel.Get(rowOf(ld, i))
-			if tu[LabelCol].AsString() != l.String() {
-				t.Fatalf("doc %d tok %d: store %q, memory %q", d, i, tu[LabelCol].AsString(), l)
+		for i := range ld.Len() {
+			l := ld.Label(i)
+			if tu, _ := tg.rel.Get(rowOf(ld, i)); tu[LabelCol].AsString() != l.String() {
+				t.Fatalf("doc %d tok %d: row %v, label %v", d, i, tu, l)
+			}
+			if got := trainer.Docs[d].Label(i); got != l {
+				t.Fatalf("doc %d tok %d: the trainer drew %v, the chain %v", d, i, got, l)
+			}
+			if l != LO {
+				entities++
 			}
 		}
+	}
+	if entities == 0 {
+		t.Fatal("the sampled world is all O; the check proves nothing")
 	}
 	if !log.Pending() {
 		t.Error("full regeneration should produce deltas")

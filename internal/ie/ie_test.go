@@ -178,7 +178,7 @@ func TestScoreDeltaMatchesDocScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tg := newTagger(m, c)
 	for _, ld := range tg.Docs {
-		for i := range ld.Labels {
+		for i := range ld.Len() {
 			for l := Label(0); l < NumLabels; l++ {
 				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
 			}
@@ -197,20 +197,20 @@ func TestScoreDeltaMatchesDocScore(t *testing.T) {
 
 	ld := tg.Docs[0]
 	for trial := 0; trial < 300; trial++ {
-		i := rng.Intn(len(ld.Labels))
+		i := rng.Intn(ld.Len())
 		newL := Label(rng.Intn(NumLabels))
 		before := m.DocScore(ld)
 		delta := m.ScoreDelta(ld, i, newL)
-		old := ld.Labels[i]
-		ld.Labels[i] = newL
+		old := ld.Label(i)
+		ld.set(i, newL)
 		after := m.DocScore(ld)
-		ld.Labels[i] = old
+		ld.set(i, old)
 		if math.Abs(delta-(after-before)) > 1e-9 {
 			t.Fatalf("trial %d pos %d %v->%v: delta=%v rescore=%v", trial, i, old, newL, delta, after-before)
 		}
 		// Apply some flips to vary the state.
 		if trial%3 == 0 {
-			ld.Labels[i] = newL
+			ld.set(i, newL)
 		}
 	}
 }
@@ -224,7 +224,7 @@ func TestFeatureDeltaConsistentWithScoreDelta(t *testing.T) {
 	// Seed random weights on the features that will fire.
 	var fd learn.Delta
 	for trial := 0; trial < 100; trial++ {
-		i := rng.Intn(len(ld.Labels))
+		i := rng.Intn(ld.Len())
 		newL := Label(rng.Intn(NumLabels))
 		fd.Reset()
 		m.FeatureDelta(&fd, ld, i, newL)
@@ -237,7 +237,7 @@ func TestFeatureDeltaConsistentWithScoreDelta(t *testing.T) {
 		if got, want := m.W.Dot(fd), m.ScoreDelta(ld, i, newL); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("after reweighting: W·Δφ = %v, ScoreDelta = %v", got, want)
 		}
-		ld.Labels[i] = newL
+		ld.set(i, newL)
 	}
 }
 
@@ -285,7 +285,15 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 			t.Errorf("TOKEN.%s: hidden=%v, want %v", col.Name, rel.Schema().Hidden(i), i == LabelCol)
 		}
 	}
-	tg := newTagger(m, c)
+	ix, err := NewCorpusIndex(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := world.NewChangeLog(db)
+	tg, err := NewTagger(m, ix, log)
+	if err != nil {
+		t.Fatal(err)
+	}
 	first := 0
 	for d, doc := range c.Docs {
 		if got := tg.Docs[d].ix.first; got != first {
@@ -299,19 +307,16 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 		}
 		first += len(doc.Tokens)
 	}
-	log := world.NewChangeLog(db)
-	if err := tg.BindDB(log); err != nil {
-		t.Fatal(err)
-	}
 	// Run a few MH steps with random weights; accepted flips must appear
 	// in the store, each on its own token's row.
 	s := mcmc.NewSampler(tg, 23)
 	s.Run(500)
 	mem := 0
 	for _, ld := range tg.Docs {
-		for i, l := range ld.Labels {
+		for i := range ld.Len() {
+			l := ld.Label(i)
 			if tu, _ := rel.Get(rowOf(ld, i)); tu[LabelCol].AsString() != l.String() {
-				t.Fatalf("row %d: store %q, memory %q", rowOf(ld, i), tu[LabelCol].AsString(), l)
+				t.Fatalf("row %d: store %q, tagger %q", rowOf(ld, i), tu[LabelCol].AsString(), l)
 			}
 			if l != LO {
 				mem++
@@ -323,33 +328,140 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 	}
 }
 
-// TestBindDBValidation: BindDB refuses a world without TOKEN and one
+// TestNewTaggerValidation: NewTagger refuses a world without TOKEN, one
 // that issued fewer ids than the index addresses, whose last flips would
-// miss their rows and be dropped as deleted-row writes; it binds the
-// world LoadCorpus filled.
-func TestBindDBValidation(t *testing.T) {
+// miss their rows and be dropped as deleted-row writes, and one whose
+// LABEL is not declared; it builds over the world LoadCorpus filled.
+func TestNewTaggerValidation(t *testing.T) {
 	c, _ := Generate(DefaultGenConfig(1000, 19))
-	tg := newTagger(modelFor(c, false), c)
-	if err := tg.BindDB(world.NewChangeLog(relstore.NewDB())); err == nil {
-		t.Error("a world without TOKEN: BindDB accepted it")
+	m := modelFor(c, false)
+	_, ix := load(c)
+	if _, err := NewTagger(m, ix, world.NewChangeLog(relstore.NewDB())); err == nil {
+		t.Error("a world without TOKEN: NewTagger accepted it")
 	}
 	short := &Corpus{Docs: slices.Clone(c.Docs)}
 	last := &short.Docs[len(short.Docs)-1]
 	last.Tokens = last.Tokens[:len(last.Tokens)-1]
-	db := relstore.NewDB()
-	if err := LoadCorpus(db, short, LO); err != nil {
-		t.Fatal(err)
+	db, _ := load(short)
+	if _, err := NewTagger(m, ix, world.NewChangeLog(db)); err == nil {
+		t.Error("a world one row short: NewTagger accepted it")
 	}
-	if err := tg.BindDB(world.NewChangeLog(db)); err == nil {
-		t.Error("a world one row short: BindDB accepted it")
+	undeclared := relstore.NewDB()
+	undeclared.MustCreate(TokenSchema())
+	if _, err := NewTagger(m, &CorpusIndex{}, world.NewChangeLog(undeclared)); err == nil {
+		t.Error("a world with LABEL undeclared: NewTagger accepted it")
 	}
-	db = relstore.NewDB()
-	if err := LoadCorpus(db, c, LO); err != nil {
-		t.Fatal(err)
-	}
-	if err := tg.BindDB(world.NewChangeLog(db)); err != nil {
+	db, _ = load(c)
+	if _, err := NewTagger(m, ix, world.NewChangeLog(db)); err != nil {
 		t.Fatalf("LoadCorpus's own world: %v", err)
 	}
+}
+
+// TestDeletedRowFreezes: once its world DELETEs an indexed row, a chain's
+// tagger goes on proposing flips of it, which fail with ErrNotFound and
+// are dropped. The tombstone keeps its code, the other rows go on
+// flipping, and nothing panics.
+func TestDeletedRowFreezes(t *testing.T) {
+	c, _ := Generate(DefaultGenConfig(200, 59))
+	m := modelFor(c, true)
+	rng := rand.New(rand.NewSource(60))
+	for i := range *m.W {
+		(*m.W)[i] = rng.NormFloat64()
+	}
+	tg, log := chainTagger(t, m, c)
+	mcmc.NewSampler(tg, 61).Run(2000)
+	ld, pos := tg.Docs[0], 5
+	row := rowOf(ld, pos)
+	frozen := tg.rel.CodeAt(row, LabelCol)
+	if err := log.DeleteRow(TokenRelation, row); err != nil {
+		t.Fatal(err)
+	}
+	before := labelsOf(ld)
+	s := mcmc.NewSampler(tg, 67)
+	s.Run(20000)
+	if got := tg.rel.CodeAt(row, LabelCol); got != frozen {
+		t.Errorf("the deleted row's code went %d → %d", frozen, got)
+	}
+	moved := 0
+	for i, l := range labelsOf(ld) {
+		if l != before[i] {
+			moved++
+		}
+	}
+	if moved == 0 || s.Accepted() == 0 {
+		t.Errorf("after the delete %d of %d positions moved in %d accepted steps", moved, ld.Len(), s.Accepted())
+	}
+}
+
+// TestTaggerReadsTheLiveColumn: a chain's tagger reads its world's LABEL
+// vector as it stands at each read. While it walks, the world takes 1 000
+// INSERTs, which regrow the vector, and one Clone, which shares it.
+// Afterwards the clone still holds the codes it was cloned with, and
+// DocScore equals a score recomputed from the stored labels.
+func TestTaggerReadsTheLiveColumn(t *testing.T) {
+	c, _ := Generate(DefaultGenConfig(400, 47))
+	m := modelFor(c, true)
+	rng := rand.New(rand.NewSource(48))
+	for i := range *m.W {
+		(*m.W)[i] = rng.NormFloat64()
+	}
+	tg, log := chainTagger(t, m, c)
+	s := mcmc.NewSampler(tg, 53)
+	var clone *relstore.Relation
+	var cloned []uint32
+	for k := range 1000 {
+		s.Run(20)
+		tok := relstore.Tuple{relstore.Int(int64(c.NumTokens + k)), relstore.Int(-1), relstore.String("new"), relstore.String("O"), relstore.String("O")}
+		if _, err := log.Insert(TokenRelation, tok); err != nil {
+			t.Fatal(err)
+		}
+		if k == 500 {
+			clone, _ = log.DB().Clone().Relation(TokenRelation)
+			for row := range clone.NextID() {
+				cloned = append(cloned, clone.CodeAt(row, LabelCol))
+			}
+		}
+	}
+	s.Run(2000)
+	for row, code := range cloned {
+		if got := clone.CodeAt(relstore.RowID(row), LabelCol); got != code {
+			t.Fatalf("the clone's row %d went from code %d to %d after cloning", row, code, got)
+		}
+	}
+	for d, ld := range tg.Docs {
+		if got, want := m.DocScore(ld), storedScore(t, m, ld); math.Abs(got-want) > 1e-9 {
+			t.Errorf("doc %d: DocScore %v, the stored labels score %v", d, got, want)
+		}
+	}
+}
+
+// storedScore scores ld under the labels its world's rows hold, read as
+// strings, summing the factors as Section 5.1 lists them.
+func storedScore(t *testing.T, m *Model, ld *LabeledDoc) float64 {
+	var labels []Label
+	for i := range ld.Len() {
+		v, _ := ld.t.rel.GetCol(rowOf(ld, i), LabelCol)
+		l, ok := ParseLabel(v.AsString())
+		if !ok {
+			t.Fatalf("row %d holds LABEL %v", rowOf(ld, i), v)
+		}
+		labels = append(labels, l)
+	}
+	w := m.W
+	var s float64
+	for i, l := range labels {
+		c := ld.ix.codes[i]
+		s += w.Get(EmissionKey(int(c), l)) + w.Get(CapsKey(ld.ix.capital[c], l)) + w.Get(BiasKey(l))
+		if i > 0 {
+			s += w.Get(TransKey(labels[i-1], l))
+		}
+		for _, q := range ld.ix.partners(i) {
+			if int(q) > i {
+				s += w.Get(SkipKey(labels[q] == l))
+			}
+		}
+	}
+	return s
 }
 
 // TestIndexValidation: NewCorpusIndex refuses a world without TOKEN and

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"factordb/internal/relstore"
+	"factordb/internal/world"
 )
 
 // load loads c into a fresh world and indexes it.
@@ -43,11 +44,44 @@ func newTagger(m *Model, c *Corpus) *Tagger {
 	return tg
 }
 
-// retag builds a fresh all-O tagger over the one document ld indexes.
+// retag builds a fresh all-O tagger over the one document ld indexes,
+// loading the strings its world's rows hold.
 func retag(m *Model, ld *LabeledDoc) *Tagger {
-	x := *ld.ix
-	x.first = 0
-	return NewTagger(m, &CorpusIndex{docs: []docIndex{x}, tokens: len(ld.Labels)}, LO)
+	var doc Doc
+	for i := range ld.Len() {
+		s, _ := ld.t.rel.GetCol(rowOf(ld, i), stringCol)
+		doc.Tokens = append(doc.Tokens, Token{Str: s.AsString()})
+	}
+	return newTagger(m, &Corpus{Docs: []Doc{doc}})
+}
+
+// chainTagger builds a chain's tagger over a fresh load of c, bound to
+// its change log.
+func chainTagger(t *testing.T, m *Model, c *Corpus) (*Tagger, *world.ChangeLog) {
+	t.Helper()
+	db, ix := load(c)
+	log := world.NewChangeLog(db)
+	tg, err := NewTagger(m, ix, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg, log
+}
+
+// labelsOf returns the labels of ld's positions.
+func labelsOf(ld *LabeledDoc) []Label {
+	var out []Label
+	for i := range ld.Len() {
+		out = append(out, ld.Label(i))
+	}
+	return out
+}
+
+// setLabels writes labels into ld's first positions.
+func setLabels(ld *LabeledDoc, labels ...Label) {
+	for i, l := range labels {
+		ld.set(i, l)
+	}
 }
 
 // labeledDoc builds the inference state of one standalone document. An
@@ -181,21 +215,26 @@ func TestTaggerAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ix := load(c)
+	db, ix := load(c)
 	m := NewModel(ix.NumStrings(), true)
-	first, tg := NewTagger(m, ix, LO), NewTagger(m, ix, LO)
-	if tg.Index != first.Index || tg.Docs[0].ix != first.Docs[0].ix || &tg.Docs[0].Labels[0] == &first.Docs[0].Labels[0] {
-		t.Fatal("a second tagger must share the index and own its labels")
+	log := world.NewChangeLog(db)
+	first, _ := NewTagger(m, ix, log)
+	tg, err := NewTagger(m, ix, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tg.Index != first.Index || tg.Docs[0].ix != first.Docs[0].ix {
+		t.Fatal("a second tagger must share the index")
 	}
 
 	const runs, batches = 20, 5
-	allocs := testing.AllocsPerRun(runs, func() { taggerSink = NewTagger(m, ix, LO) })
+	allocs := testing.AllocsPerRun(runs, func() { taggerSink, _ = NewTagger(m, ix, log) })
 	perToken := math.Inf(1)
 	for range batches {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			taggerSink = NewTagger(m, ix, LO)
+			taggerSink, _ = NewTagger(m, ix, log)
 		}
 		runtime.ReadMemStats(&after)
 		perToken = min(perToken, float64(after.TotalAlloc-before.TotalAlloc)/runs/float64(c.NumTokens))

@@ -185,13 +185,19 @@ func NewCorpusIndex(db *relstore.DB) (*CorpusIndex, error) {
 	return ix, nil
 }
 
-// LabeledDoc is a document with a current label hypothesis: the in-memory
-// working copy of the hidden variables that the paper keeps in main memory
-// while the DBMS holds the tuples (Section 5). Labels is the only part a
-// tagger owns; everything else is read from the shared document index.
+// LabeledDoc is one document of a tagger: its window of the shared index
+// and the tagger whose world holds its labels.
 type LabeledDoc struct {
-	Labels []Label
-	ix     *docIndex
+	ix *docIndex
+	t  *Tagger
+}
+
+// Len returns the number of tokens in the document.
+func (ld *LabeledDoc) Len() int { return len(ld.ix.codes) }
+
+// Label returns the current label of position i in the tagger's world.
+func (ld *LabeledDoc) Label(i int) Label {
+	return ld.t.labels[ld.t.rel.CodeAt(relstore.RowID(ld.ix.first+i), LabelCol)]
 }
 
 // SkipDegree returns the number of skip partners of position i.
@@ -207,14 +213,14 @@ func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, si
 	d.Add(CapsKey(ld.ix.capital[c], l), sign)
 	d.Add(BiasKey(l), sign)
 	if i > 0 {
-		d.Add(TransKey(ld.Labels[i-1], l), sign)
+		d.Add(TransKey(ld.Label(i-1), l), sign)
 	}
-	if i+1 < len(ld.Labels) {
-		d.Add(TransKey(l, ld.Labels[i+1]), sign)
+	if i+1 < ld.Len() {
+		d.Add(TransKey(l, ld.Label(i+1)), sign)
 	}
 	if m.UseSkip {
 		for _, q := range ld.ix.partners(i) {
-			d.Add(SkipKey(ld.Labels[q] == l), sign)
+			d.Add(SkipKey(ld.Label(int(q)) == l), sign)
 		}
 	}
 }
@@ -226,41 +232,40 @@ func (t theta) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
 	return t.emit(c, l) + t.caps(ld.ix.capital[c], l) + t.bias(l)
 }
 
-// localScore sums θ·φ over the factors touching position i under label l,
-// in the same order as localFeatures lists them.
-func (m *Model) localScore(t theta, ld *LabeledDoc, i int, l Label) float64 {
-	s := t.nodeScore(ld, i, l)
-	if i > 0 {
-		s += t.trans(ld.Labels[i-1], l)
-	}
-	if i+1 < len(ld.Labels) {
-		s += t.trans(l, ld.Labels[i+1])
-	}
-	if m.UseSkip {
-		for _, q := range ld.ix.partners(i) {
-			s += t.skip(ld.Labels[q] == l)
-		}
-	}
-	return s
-}
-
 // ScoreDelta returns log π(w') − log π(w) for relabeling position i of ld
 // to newLabel. Only the factors adjacent to the changed variable are
 // computed; everything else cancels in the MH ratio. The cost is constant
-// in the database size (plus the skip degree of the token).
+// in the database size (plus the skip degree of the token). Each
+// neighbour's label is read once and scored under both labels, each sum
+// in the order localFeatures lists the factors.
 func (m *Model) ScoreDelta(ld *LabeledDoc, i int, newLabel Label) float64 {
-	old := ld.Labels[i]
+	old := ld.Label(i)
 	if newLabel == old {
 		return 0
 	}
 	t := m.theta()
-	return m.localScore(t, ld, i, newLabel) - m.localScore(t, ld, i, old)
+	sNew, sOld := t.nodeScore(ld, i, newLabel), t.nodeScore(ld, i, old)
+	if i > 0 {
+		prev := ld.Label(i - 1)
+		sNew, sOld = sNew+t.trans(prev, newLabel), sOld+t.trans(prev, old)
+	}
+	if i+1 < ld.Len() {
+		next := ld.Label(i + 1)
+		sNew, sOld = sNew+t.trans(newLabel, next), sOld+t.trans(old, next)
+	}
+	if m.UseSkip {
+		for _, q := range ld.ix.partners(i) {
+			lq := ld.Label(int(q))
+			sNew, sOld = sNew+t.skip(lq == newLabel), sOld+t.skip(lq == old)
+		}
+	}
+	return sNew - sOld
 }
 
 // FeatureDelta accumulates φ(w') − φ(w) for the same relabeling into d,
 // used by SampleRank training.
 func (m *Model) FeatureDelta(d *learn.Delta, ld *LabeledDoc, i int, newLabel Label) {
-	if old := ld.Labels[i]; newLabel != old {
+	if old := ld.Label(i); newLabel != old {
 		m.localFeatures(d, ld, i, old, -1)
 		m.localFeatures(d, ld, i, newLabel, +1)
 	}
@@ -272,18 +277,19 @@ func (m *Model) FeatureDelta(d *learn.Delta, ld *LabeledDoc, i int, newLabel Lab
 func (m *Model) DocScore(ld *LabeledDoc) float64 {
 	t := m.theta()
 	var s float64
-	for i, l := range ld.Labels {
+	for i := range ld.Len() {
+		l := ld.Label(i)
 		s += t.nodeScore(ld, i, l)
 		if i > 0 {
-			s += t.trans(ld.Labels[i-1], l)
+			s += t.trans(ld.Label(i-1), l)
 		}
 	}
 	if m.UseSkip {
 		// Each unordered skip pair counts once.
-		for i := range ld.Labels {
+		for i := range ld.Len() {
 			for _, q := range ld.ix.partners(i) {
 				if int32(i) < q {
-					s += t.skip(ld.Labels[q] == ld.Labels[i])
+					s += t.skip(ld.Label(int(q)) == ld.Label(i))
 				}
 			}
 		}
@@ -299,7 +305,7 @@ func (m *Model) FactorsTouched(ld *LabeledDoc, i int) int {
 	if i > 0 {
 		n++
 	}
-	if i+1 < len(ld.Labels) {
+	if i+1 < ld.Len() {
 		n++
 	}
 	if m.UseSkip {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"factordb/internal/learn"
 	"factordb/internal/mcmc"
@@ -37,9 +38,18 @@ const (
 )
 
 // Declare declares TOKEN.LABEL, the column the tagger samples, hidden in
-// db: LoadCorpus does so for the world it loads, and a recovered world,
-// whose snapshot does not carry the declaration, gets it here.
-func Declare(db *relstore.DB) error { return db.DeclareHidden(TokenRelation, LabelCol) }
+// db and interns the nine labels in it, so no flip interns one. LoadCorpus
+// does so for the world it loads; a recovered world, whose snapshot
+// carries neither the declaration nor the labels no live row held, gets
+// both here. A reloaded dictionary codes the labels its rows hold first,
+// so a LABEL code need not be its Label (see Tagger).
+func Declare(db *relstore.DB) error {
+	if err := db.DeclareHidden(TokenRelation, LabelCol); err != nil {
+		return err
+	}
+	rel, _ := db.Relation(TokenRelation) // DeclareHidden found it
+	return rel.Intern(LabelCol, LabelNames[:]...)
+}
 
 // LoadCorpus materializes the corpus into a fresh TOKEN relation in db,
 // with LABEL initialized to init: token i of document d is row first+i,
@@ -55,10 +65,8 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 	if err := Declare(db); err != nil {
 		return err
 	}
-	for _, col := range []int{LabelCol, truthCol} {
-		if err := rel.Intern(col, LabelNames[:]...); err != nil {
-			return err
-		}
+	if err := rel.Intern(truthCol, LabelNames[:]...); err != nil {
+		return err
 	}
 	tokID := int64(0)
 	for d := range c.Docs {
@@ -68,8 +76,8 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 				relstore.Int(tokID),
 				relstore.Int(int64(doc.ID)),
 				relstore.String(t.Str),
-				labelValues[init],
-				labelValues[t.Gold],
+				relstore.String(init.String()),
+				relstore.String(t.Gold.String()),
 			}); err != nil {
 				return fmt.Errorf("ie: loading corpus: %w", err)
 			}
@@ -79,16 +87,25 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 	return nil
 }
 
-// Tagger holds the in-memory inference state for a corpus and implements
-// both the MCMC proposal distribution of Section 5.1 and the SampleRank
-// training interface. When bound to a change log, accepted proposals are
-// written through to the TOKEN relation, feeding the Δ⁻/Δ⁺ tables.
+// Tagger is the MCMC proposal distribution of Section 5.1 and the
+// SampleRank training interface over one world, which holds its labels:
+// token i of a document is the LABEL code of TOKEN row first+i, read
+// through a code-to-Label table from the column's current vector on every
+// read. A flip writes the code through the change log (a chain) or into
+// the relation (a trainer). A DELETEd row's tombstone keeps its code and
+// refuses every flip, so its label freezes there while it still shapes
+// its neighbours' factors (ROADMAP item 2 would unlink it).
 type Tagger struct {
 	Model *Model
 	Docs  []*LabeledDoc
 	// Index is the shared read-only corpus index the documents read
 	// their STRING codes, capitalisation and skip edges from.
 	Index *CorpusIndex
+
+	rel    *relstore.Relation // the world's TOKEN relation
+	labels []Label            // by LABEL code; a code no label has reads O
+	logged bool               // flips go through field (a chain)
+	field  world.Field
 
 	gold []uint32 // a trainer's TRUTH codes by row (see NewTrainer)
 
@@ -99,10 +116,6 @@ type Tagger struct {
 	ActiveDocs    int
 	StepsPerBatch int
 
-	// Write-through binding: the LABEL column of TOKEN, resolved once.
-	bound bool
-	field world.Field
-
 	active       []int
 	sinceRefresh int
 
@@ -112,73 +125,67 @@ type Tagger struct {
 	newLabel Label
 }
 
-// labelValues are the stored forms of the label inventory, built once so
-// a flip does not re-box its label string.
-var labelValues = func() (vs [NumLabels]relstore.Value) {
-	for l := range vs {
-		vs[l] = relstore.String(LabelNames[l])
-	}
-	return vs
-}()
-
-// NewTagger builds inference state for every document of the indexed
-// corpus with all labels initialized to init (the paper initializes LABEL
-// to "O"). θ must be sized for the index's strings; the tagger shares
-// the index and owns only its labels — one byte per token.
-func NewTagger(m *Model, ix *CorpusIndex, init Label) *Tagger {
-	labels := make([]Label, ix.tokens)
-	for i := range labels {
-		labels[i] = init
-	}
-	lds := make([]LabeledDoc, len(ix.docs))
-	t := &Tagger{Model: m, Docs: make([]*LabeledDoc, len(ix.docs)), Index: ix}
-	for d := range ix.docs {
-		k := len(ix.docs[d].codes)
-		lds[d] = LabeledDoc{Labels: labels[:k:k], ix: &ix.docs[d]}
-		labels = labels[k:]
-		t.Docs[d] = &lds[d]
-	}
-	return t
-}
-
-// NewTrainer is NewTagger, every label O, whose labels ProposeRank,
-// Accuracy and SpanF1 score against the gold labels of db, a load of the
-// indexed corpus: its TRUTH codes, borrowed as the index borrows STRING.
-func NewTrainer(m *Model, ix *CorpusIndex, db *relstore.DB) (*Tagger, error) {
-	rel, err := db.Relation(TokenRelation)
-	if err == nil && rel.NextID() != relstore.RowID(ix.tokens) {
-		err = fmt.Errorf("ie: %s has issued %d ids for %d indexed tokens", TokenRelation, rel.NextID(), ix.tokens)
-	}
+// NewTagger builds a chain's tagger over log's world, a Declared world
+// laid out by LoadCorpus, starting from the labels it holds. θ must be
+// sized for the index's strings; nothing is copied per token.
+func NewTagger(m *Model, ix *CorpusIndex, log *world.ChangeLog) (*Tagger, error) {
+	field, err := log.Field(TokenRelation, LabelCol)
 	if err != nil {
 		return nil, err
 	}
-	t := NewTagger(m, ix, LO)
+	rel, _ := log.DB().Relation(TokenRelation) // Field found it
+	return taggerOver(m, ix, rel, true, field)
+}
+
+// NewTrainer is a tagger over a private clone of db, a load of the
+// indexed corpus, with no change log, so training writes no world anyone
+// reads. ProposeRank, Accuracy and SpanF1 score it against db's TRUTH
+// codes, borrowed as the index borrows STRING.
+func NewTrainer(m *Model, ix *CorpusIndex, db *relstore.DB) (*Tagger, error) {
+	rel, err := db.Clone().Relation(TokenRelation)
+	if err != nil {
+		return nil, err
+	}
+	t, err := taggerOver(m, ix, rel, false, world.Field{})
+	if err != nil {
+		return nil, err
+	}
 	if t.gold, _, err = rel.StringCodes(truthCol); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
+// taggerOver builds a tagger over rel, flipping through field if logged.
+// It refuses a relation missing ids the index addresses, whose flips would
+// miss them, and a trainer's with more, whose gold rows the index does not
+// address. Its table covers the codes LABEL's dictionary has issued, the
+// nine labels among them (Declare). StringCodes marks the LABEL vector
+// shared, so the first flip copies it, as a clone's first flip does anyway.
+func taggerOver(m *Model, ix *CorpusIndex, rel *relstore.Relation, logged bool, field world.Field) (*Tagger, error) {
+	if n := relstore.RowID(ix.tokens); n > rel.NextID() || !logged && n != rel.NextID() {
+		return nil, fmt.Errorf("ie: the index addresses %d %s rows, but the relation has issued %d ids", n, TokenRelation, rel.NextID())
+	}
+	_, strs, err := rel.StringCodes(LabelCol)
+	if err != nil {
+		return nil, err
+	}
+	t := &Tagger{Model: m, Docs: make([]*LabeledDoc, len(ix.docs)), Index: ix,
+		rel: rel, labels: slices.Grow([]Label(nil), len(strs)), logged: logged, field: field}
+	for _, s := range strs {
+		l, _ := ParseLabel(s)
+		t.labels = append(t.labels, l)
+	}
+	lds := make([]LabeledDoc, len(ix.docs))
+	for d := range ix.docs {
+		lds[d] = LabeledDoc{ix: &ix.docs[d], t: t}
+		t.Docs[d] = &lds[d]
+	}
+	return t, nil
+}
+
 // goldOf returns the gold label of position i of ld; t is a trainer.
 func (t *Tagger) goldOf(ld *LabeledDoc, i int) Label { return Label(t.gold[ld.ix.first+i]) }
-
-// BindDB connects the tagger to a database change log so accepted label
-// flips propagate to the TOKEN relation, whose rows must follow
-// LoadCorpus's layout of the indexed corpus. A relation that has not
-// issued every id the index addresses would make flips miss their rows
-// silently, so it is refused.
-func (t *Tagger) BindDB(log *world.ChangeLog) error {
-	field, err := log.Field(TokenRelation, LabelCol)
-	if err != nil {
-		return err
-	}
-	rel, _ := log.DB().Relation(TokenRelation) // Field found it
-	if n := relstore.RowID(t.Index.tokens); n > rel.NextID() {
-		return fmt.Errorf("ie: the index addresses %d %s rows, but the relation has issued only %d ids", n, TokenRelation, rel.NextID())
-	}
-	t.bound, t.field = true, field
-	return nil
-}
 
 // refreshActive re-draws the working set of documents (Section 5.1: "up
 // to five documents worth of variables ... selected uniformly at random").
@@ -207,26 +214,24 @@ func (t *Tagger) pick(rng *rand.Rand) (int, int) {
 	} else {
 		d = rng.Intn(len(t.Docs))
 	}
-	ld := t.Docs[d]
-	return d, rng.Intn(len(ld.Labels))
+	return d, rng.Intn(t.Docs[d].Len())
 }
 
-// apply commits a label flip to memory and, when bound, to the database.
-func (t *Tagger) apply(d, i int, newLabel Label) {
-	t.Docs[d].Labels[i] = newLabel
-	if t.bound {
-		if err := t.field.Set(relstore.RowID(t.Docs[d].ix.first+i), labelValues[newLabel]); err != nil {
-			// A row deleted by DML (the write path mutates evidence while
-			// chains keep walking) simply stops mirroring: the in-memory
-			// variable keeps being sampled, the store no longer holds the
-			// tuple. Anything else is a program bug — BindDB checked that
-			// the relation issued every row and labels come from the fixed
-			// inventory.
-			if errors.Is(err, relstore.ErrNotFound) {
-				return
-			}
-			panic(fmt.Sprintf("ie: write-through failed: %v", err))
-		}
+// set relabels position i of ld in its tagger's world; its current label
+// writes nothing. A deleted row refuses with relstore.ErrNotFound, which is
+// dropped (see Tagger); any other refusal is a program bug.
+func (ld *LabeledDoc) set(i int, l Label) {
+	t, row, v := ld.t, relstore.RowID(ld.ix.first+i), relstore.String(LabelNames[l])
+	var err error
+	switch {
+	case ld.Label(i) == l:
+	case t.logged:
+		err = t.field.Set(row, v)
+	default:
+		err = t.rel.SetCol(row, LabelCol, v)
+	}
+	if err != nil && !errors.Is(err, relstore.ErrNotFound) {
+		panic(fmt.Sprintf("ie: label write failed: %v", err))
 	}
 }
 
@@ -247,11 +252,7 @@ func (t *Tagger) draw(rng *rand.Rand) *LabeledDoc {
 
 // Accept implements mcmc.Proposer and learn.Proposer: it commits the
 // pending move. Proposing the label a position already has is a no-op.
-func (t *Tagger) Accept() {
-	if t.Docs[t.d].Labels[t.i] != t.newLabel {
-		t.apply(t.d, t.i, t.newLabel)
-	}
-}
+func (t *Tagger) Accept() { t.Docs[t.d].set(t.i, t.newLabel) }
 
 // ProposeRank implements learn.Proposer for SampleRank training; t is a
 // trainer. The objective is per-token accuracy against the gold labels.
@@ -259,7 +260,7 @@ func (t *Tagger) ProposeRank(rng *rand.Rand, d *learn.Delta) float64 {
 	ld := t.draw(rng)
 	i, newLabel := t.i, t.newLabel
 	t.Model.FeatureDelta(d, ld, i, newLabel)
-	gold, old := t.goldOf(ld, i), ld.Labels[i]
+	gold, old := t.goldOf(ld, i), ld.Label(i)
 	switch {
 	case newLabel == old:
 		return 0
@@ -276,8 +277,8 @@ func (t *Tagger) ProposeRank(rng *rand.Rand, d *learn.Delta) float64 {
 func (t *Tagger) Accuracy() float64 {
 	var ok, n float64
 	for _, ld := range t.Docs {
-		for i, l := range ld.Labels {
-			if l == t.goldOf(ld, i) {
+		for i := range ld.Len() {
+			if ld.Label(i) == t.goldOf(ld, i) {
 				ok++
 			}
 			n++

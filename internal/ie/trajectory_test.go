@@ -7,7 +7,6 @@ import (
 	"factordb/internal/mcmc"
 	"factordb/internal/mcmc/mcmctest"
 	"factordb/internal/relstore"
-	"factordb/internal/world"
 )
 
 // trajectoryTagger builds a skip-chain tagger with random weights on
@@ -19,10 +18,10 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation) {
 		t.Fatal(err)
 	}
 	m := modelFor(c, true)
-	tg := newTagger(m, c)
+	tg, _ := chainTagger(t, m, c)
 	rng := rand.New(rand.NewSource(93))
 	for _, ld := range tg.Docs {
-		for i := range ld.Labels {
+		for i := range ld.Len() {
 			for l := Label(0); l < NumLabels; l++ {
 				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
 			}
@@ -38,15 +37,7 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation) {
 	}
 	m.W.Set(SkipKey(true), 0.9)
 	m.W.Set(SkipKey(false), -0.4)
-	db, log := loadBound(t, c)
-	if err := tg.BindDB(log); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := db.Relation(TokenRelation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tg, rel
+	return tg, tg.rel
 }
 
 // TestTrajectory pins the walk of the NER proposal kernel, unbatched and
@@ -70,8 +61,8 @@ func TestTrajectory(t *testing.T) {
 			s.Run(8000)
 			h := mcmctest.NewHash()
 			for d, ld := range tg.Docs {
-				for i, l := range ld.Labels {
-					h.Int(int(l))
+				for i := range ld.Len() {
+					h.Int(int(ld.Label(i)))
 					tu, ok := rel.Get(rowOf(ld, i))
 					if !ok {
 						t.Fatalf("doc %d tok %d: row missing", d, i)
@@ -82,14 +73,4 @@ func TestTrajectory(t *testing.T) {
 			mcmctest.Check(t, tc.name, h, s.Steps(), s.Accepted())
 		})
 	}
-}
-
-// loadBound is a small helper shared by write-through tests.
-func loadBound(t *testing.T, c *Corpus) (*relstore.DB, *world.ChangeLog) {
-	t.Helper()
-	db := relstore.NewDB()
-	if err := LoadCorpus(db, c, LO); err != nil {
-		t.Fatal(err)
-	}
-	return db, world.NewChangeLog(db)
 }

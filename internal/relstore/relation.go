@@ -319,6 +319,13 @@ func (r *Relation) StringCodes(col int) ([]uint32, []string, error) {
 	return c.codes[:r.n:r.n], c.dict.strs(), nil
 }
 
+// CodeAt returns the code STRING column col holds in slot id, read from
+// the column's current vector on every call, so it sees every write
+// before it and never a vector an Insert or a copy on write replaced; a
+// deleted row's slot still holds its last code. It marks nothing shared.
+// id must be below NextID; the code indexes the table StringCodes lends.
+func (r *Relation) CodeAt(id RowID, col int) uint32 { return r.cols[col].codes[id] }
+
 // stringCol returns column col, which must be a STRING column.
 func (r *Relation) stringCol(col int) (*column, error) {
 	if col < 0 || col >= len(r.cols) || r.cols[col].typ != TString {

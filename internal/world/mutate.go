@@ -51,8 +51,7 @@ type Op struct {
 // any clone sharing this world's row identities cannot.
 //
 // A write targets evidence only. An UPDATE that sets a column the schema
-// declares hidden is refused: the model, not the store, holds a sampled
-// variable's state. So is an UPDATE or DELETE whose WHERE reads one:
+// declares hidden is refused: the model owns a sampled variable's state. So is an UPDATE or DELETE whose WHERE reads one:
 // which rows it matched would depend on the walk of the world it is
 // resolved against. Both errors name the column. An INSERT's value for
 // a hidden column is accepted as the new row's initial state. Every
