@@ -261,7 +261,8 @@
 // /query and the CLI: a single PLAN column of strings, one plan line
 // per row — the rendered operator tree as bound (with the projections
 // column pruning put under join inputs, and a "column pruning:" line
-// when it put any), the bound fingerprint, how a query arriving now
+// when it put any), a "key filter:" line per join input a view filters
+// by key (see Execution), the bound fingerprint, how a query arriving now
 // would be answered (a "certain:" line for a plan that reads no hidden
 // column, else the view-sharing decision), the result spec, and whether
 // the plan cache already held the entry.
@@ -398,6 +399,26 @@
 // in push form — delta operators emit signed (tuple, count) pairs
 // downstream — and the same ownership rule, so eval and maintenance
 // share key encodings and allocation discipline.
+//
+// A view's join keeps only the rows that can join. ra.Prepare gives an
+// equi-join input a key filter (ra.KeyFilter) when the other input is a
+// leaf chain, selections and projections over one scan, whose selection
+// has conjuncts that read no hidden column and whose join key is
+// evidence. Query 4's Boston side is one: its STRING = 'Boston' conjunct
+// reaches the documents holding a "Boston" token, so its person side
+// keeps the persons of those documents only. EXPLAIN prints one
+// "key filter:" line per filtered input. At mount the join builds that
+// key set K with one store scan, per view and per chain. No flip changes
+// K, since a flip writes a hidden column only. A write can:
+// relstore.Relation.EvidenceGen counts a relation's inserts, deletes and
+// evidence updates, and a join whose relation's count moved looks
+// through the delta for an added row that passes the evidence conjuncts
+// with a key outside K. If it finds one, the join remounts from the
+// store, retracting its old output and emitting the new one, so the
+// view's answer keeps its slots and crossing log. So a write that brings
+// a new key into K costs each live view that filters on it one remount,
+// and any other write one pass over its delta rows. ra.Stream and
+// EXPLAIN ANALYZE run unfiltered.
 //
 // # The walk step: proposals, scoring, the Δ log
 //

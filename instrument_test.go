@@ -168,8 +168,9 @@ func TestReadmeExplainAnalyzeSample(t *testing.T) {
 // TestExplainShowsBoundPlan pins what plain EXPLAIN renders: the tree as
 // bound. Query 3's token side reads only DOC_ID, so the plan shows the
 // projection column pruning put under that join input and says so;
-// Query 1 has no join and is shown as written. An evidence-only query is
-// marked certain.
+// Query 1 has no join and is shown as written. Query 4's person side is
+// filtered by the documents its Boston side's evidence reaches, and
+// Query 3's is not. An evidence-only query is marked certain.
 func TestExplainShowsBoundPlan(t *testing.T) {
 	db := sharedDB(t, ModeMaterialized)
 	explain := func(sql string) string {
@@ -197,6 +198,14 @@ func TestExplainShowsBoundPlan(t *testing.T) {
 		if !strings.Contains(q3, want) {
 			t.Errorf("EXPLAIN of Query 3 lacks %q:\n%s", want, q3)
 		}
+	}
+	if strings.Contains(q3, "key filter") {
+		t.Errorf("EXPLAIN of Query 3 shows a key filter, but its token side has no selection:\n%s", q3)
+	}
+	// Query 4's Boston side reads STRING, which is evidence, so a view
+	// keeps only the persons of documents holding a "Boston" token.
+	if q4 := explain(Query4); !strings.Contains(q4, "\nkey filter: right side keeps DOC_ID of TOKEN _c0 rows where (_c0.STRING = \"Boston\")\n") {
+		t.Errorf("EXPLAIN of Query 4 lacks its key filter:\n%s", q4)
 	}
 	if q1 := explain(Query1); strings.Contains(q1, "column pruning") || !strings.Contains(q1, "bound fingerprint: bfp1:") {
 		t.Errorf("EXPLAIN of Query 1 (no join, nothing to prune):\n%s", q1)

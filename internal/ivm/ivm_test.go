@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -259,6 +260,55 @@ func TestViewSelfJoin(t *testing.T) {
 		ra.C("T2", "STRING"),
 	)
 	checkAgainstFullEval(t, p, 5, 48, 25, 4)
+}
+
+// TestViewSelfJoinHiddenLabel is TestViewSelfJoin on a world that
+// declares LABEL hidden, as every model's world does. The plan then
+// filters the person side by the documents that hold a "Boston" token,
+// and flips, which write LABEL only, never remount it: the view stays
+// exact, and the filtered side holds persons of those documents only.
+func TestViewSelfJoinHiddenLabel(t *testing.T) {
+	db, tok, ids := buildTokenDB(96, 9) // 6 of 12 documents hold "Boston"
+	if err := db.DeclareHidden("TOKEN", 3); err != nil {
+		t.Fatal(err)
+	}
+	bound := mustBind(t, db, selfJoinPlan())
+	if bound.Children[0].KeyFilters[1] == nil {
+		t.Fatalf("Query 4's person side is not filtered")
+	}
+	view, err := NewView(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := view.root.(*stage).child.(*joinOp)
+	boston := map[int64]bool{}
+	tok.Scan(func(_ relstore.RowID, r relstore.Tuple) bool {
+		boston[r[1].AsInt()] = boston[r[1].AsInt()] || r[2].AsString() == "Boston"
+		return true
+	})
+	rng := rand.New(rand.NewSource(10))
+	for b := 0; b < 40; b++ {
+		d := NewBaseDelta()
+		for f := 0; f < 4; f++ {
+			flipLabel(rng, tok, ids, d)
+		}
+		view.Apply(d)
+		checkExact(t, fmt.Sprintf("batch %d", b), view, bound)
+		// The side holds the persons' (DOC_ID, STRING) rows, distinct.
+		persons := map[string]bool{}
+		tok.Scan(func(_ relstore.RowID, r relstore.Tuple) bool {
+			if r[3].AsString() == "B-PER" && boston[r[1].AsInt()] {
+				persons[r[1].String()+" "+r[2].AsString()] = true
+			}
+			return true
+		})
+		if join.rs.live != len(persons) {
+			t.Fatalf("batch %d: the person side holds %d rows, the Boston documents %d", b, join.rs.live, len(persons))
+		}
+	}
+	if join.remounts != 0 {
+		t.Errorf("flips of a hidden column remounted the join %d times", join.remounts)
+	}
 }
 
 func TestViewJoinResidualFilter(t *testing.T) {

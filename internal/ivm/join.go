@@ -3,6 +3,7 @@ package ivm
 import (
 	"hash/maphash"
 	"math/bits"
+	"slices"
 
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
@@ -328,10 +329,18 @@ func (x *index) remove(p uint32) {
 // δL⋈δR). The phases are the join's two consumers, joinLeft and
 // joinRight: the operator itself under two names, so handing either to a
 // child allocates nothing.
+//
+// An input the plan gives a key filter (ra.KeyFilter) keeps only rows
+// whose key is in the filter's set: a row outside it is neither probed
+// nor folded into its side. The set is built at mount, from the store.
+// It holds until a write brings a key into it: then the join remounts
+// (see apply).
 type joinOp struct {
 	b           *ra.Bound
 	left, right op
 	ls, rs      sideState
+	keys        [2]*keySet // keys[i] filters input i; nil: no filter
+	remounts    int        // applies that remounted the join
 	out         consumer
 	scratch     relstore.Tuple
 }
@@ -369,6 +378,11 @@ func (o *joinOp) emitJoined(side *sideState, probeIdx []int, t relstore.Tuple, n
 func (o *joinOp) init(out consumer) error {
 	o.ls = newSideState(o.b.LeftKey, o.b.Children[0].Schema.Arity())
 	o.rs = newSideState(o.b.RightKey, o.b.Children[1].Schema.Arity())
+	for i, f := range o.b.KeyFilters {
+		if f != nil {
+			o.keys[i] = newKeySet(f, leafRel(o.b.Children[1-i]))
+		}
+	}
 	o.scratch = make(relstore.Tuple, 0, o.b.Schema.Arity())
 	o.out = out
 	if err := o.left.init((*joinLeft)(o)); err != nil {
@@ -377,15 +391,47 @@ func (o *joinOp) init(out consumer) error {
 	return o.right.init((*joinRight)(o))
 }
 
+// apply folds d, unless d brings a key into a filter's set. A filter
+// whose relation took no evidence write since its set was built costs
+// one compare; one that did looks through the relation's delta rows.
 func (o *joinOp) apply(d BaseDelta, out consumer) {
+	for _, k := range o.keys {
+		if k != nil && k.rel.EvidenceGen() != k.gen {
+			if k.grows(d) {
+				o.remount(out)
+				return
+			}
+			k.gen = k.rel.EvidenceGen()
+		}
+	}
 	o.out = out
 	o.left.apply(d, (*joinLeft)(o))
 	o.right.apply(d, (*joinRight)(o))
 }
 
+// remount rebuilds the join from the store, which already holds the
+// delta: it retracts every row it has emitted, mounts again (its
+// children and filter sets too) and emits the fresh join, so its
+// consumer sees one signed delta, as from any other apply.
+func (o *joinOp) remount(out consumer) {
+	o.remounts++
+	o.out = out
+	for i := int32(0); i < o.ls.used; i++ {
+		if sl, t := o.ls.at(i); sl.n != 0 {
+			o.emitJoined(&o.rs, o.b.LeftKey, t, -sl.n, true)
+		}
+	}
+	if err := o.init(out); err != nil {
+		panic(err) // the tree mounted before, and a mount reads no catalog
+	}
+}
+
 // push joins δL with R_old, then folds it into the left side.
 func (l *joinLeft) push(t relstore.Tuple, n int64) {
 	o := (*joinOp)(l)
+	if !o.keys[0].admits(t, o.b.LeftKey) {
+		return
+	}
 	o.emitJoined(&o.rs, o.b.LeftKey, t, n, true)
 	o.ls.add(t, n)
 }
@@ -393,6 +439,72 @@ func (l *joinLeft) push(t relstore.Tuple, n int64) {
 // push joins δR with L_new, then folds it into the right side.
 func (r *joinRight) push(t relstore.Tuple, n int64) {
 	o := (*joinOp)(r)
+	if !o.keys[1].admits(t, o.b.RightKey) {
+		return
+	}
 	o.emitJoined(&o.ls, o.b.RightKey, t, n, false)
 	o.rs.add(t, n)
+}
+
+// keySet is the set of keys a key filter's evidence reaches, built from
+// one world's store. A key is held as a code: a lone INT key's value,
+// any other key's 64-bit hash. Two keys that share a hash only keep a
+// row that cannot join, never drop one that can, since the set is
+// tested the same way when it is built, probed and grown.
+type keySet struct {
+	f     *ra.KeyFilter
+	rel   *relstore.Relation
+	gen   uint64   // rel.EvidenceGen() when the set was last checked
+	codes []uint64 // sorted, distinct
+	buf   []byte
+}
+
+// newKeySet returns the set of the keys of rel's rows that pass f.Where.
+func newKeySet(f *ra.KeyFilter, rel *relstore.Relation) *keySet {
+	k := &keySet{f: f, rel: rel, gen: rel.EvidenceGen()}
+	col, val, keep := ra.ScanFilter(f.Where)
+	rel.ScanWhere(col, val, keep, func(_ relstore.RowID, t relstore.Tuple) bool {
+		k.codes = append(k.codes, k.code(t, f.Key))
+		return true
+	})
+	slices.Sort(k.codes)
+	k.codes = slices.Compact(k.codes)
+	return k
+}
+
+func (k *keySet) code(t relstore.Tuple, idx []int) uint64 {
+	if len(idx) == 1 && t[idx[0]].Kind() == relstore.TInt {
+		return uint64(t[idx[0]].AsInt())
+	}
+	k.buf = ra.AppendKeyOf(k.buf[:0], t, idx)
+	return maphash.Bytes(hashSeed, k.buf)
+}
+
+// admits reports whether a row whose key is t's columns idx may enter
+// the input k filters; every row may enter an input with no filter.
+func (k *keySet) admits(t relstore.Tuple, idx []int) bool {
+	if k == nil {
+		return true
+	}
+	_, ok := slices.BinarySearch(k.codes, k.code(t, idx))
+	return ok
+}
+
+// grows reports whether d adds a row of the filter's relation that
+// passes its evidence conjuncts with a key outside the set.
+func (k *keySet) grows(d BaseDelta) bool {
+	for _, r := range d[k.f.Table] {
+		if r.N > 0 && k.f.Where.Eval(r.Tuple).AsBool() && !k.admits(r.Tuple, k.f.Key) {
+			return true
+		}
+	}
+	return false
+}
+
+// leafRel returns the relation a leaf chain scans.
+func leafRel(b *ra.Bound) *relstore.Relation {
+	for b.Kind != ra.KScan {
+		b = b.Children[0]
+	}
+	return b.Rel
 }

@@ -59,6 +59,9 @@ type Bound struct {
 	// KJoin
 	LeftKey, RightKey []int
 	Filter            BExpr // may be nil
+	// KeyFilters[i], when set, is the set of keys input 1−i's evidence
+	// reaches: input i may drop every row whose key is outside it.
+	KeyFilters [2]*KeyFilter
 
 	// KGroupAgg
 	GroupIdx []int
@@ -104,6 +107,7 @@ func Prepare(db *relstore.DB, p Plan) (*Bound, error) {
 		}
 	}
 	b.Certain = hiddenRead(db, b, allCols(b.Schema.Arity())) == ""
+	setKeyFilters(db, b)
 	return b, nil
 }
 

@@ -334,10 +334,7 @@ func ScanFilter(pred BExpr) (eqCol int, eqVal relstore.Value, keep func(relstore
 // operand order, off the top level of pred. col is -1 and rest is pred
 // when there is none; rest is nil when the conjunct was all of pred.
 func splitPoint(pred BExpr) (col int, val relstore.Value, rest BExpr) {
-	terms := []BExpr{pred}
-	if and, ok := pred.(boundAnd); ok {
-		terms = and.terms
-	}
+	terms := boundConjuncts(pred)
 	for i, t := range terms {
 		cmp, ok := t.(boundCmp)
 		if !ok || cmp.op != OpEq {

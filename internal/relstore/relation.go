@@ -42,8 +42,9 @@ type Relation struct {
 	schema *Schema
 	cols   []*column // one vector per attribute, each n slots long
 	rows   *rowSet
-	n      int // ids handed out: the next Insert assigns RowID(n)
-	live   int // rows not deleted
+	n      int    // ids handed out: the next Insert assigns RowID(n)
+	live   int    // rows not deleted
+	evGen  uint64 // writes that can change evidence (EvidenceGen)
 }
 
 // column is one attribute of every slot. TInt and TBool payloads and the
@@ -98,6 +99,13 @@ func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of rows.
 func (r *Relation) Len() int { return r.live }
+
+// EvidenceGen counts the writes that can change evidence: every Insert,
+// every Delete, and every SetCol of a column the schema does not declare
+// hidden. A sampler's flips write only hidden columns and leave it
+// alone, so a reader that derived something from the evidence knows it
+// still holds while the count has not moved. Clone carries it.
+func (r *Relation) EvidenceGen() uint64 { return r.evGen }
 
 // NextID returns the id the next Insert assigns; every id below it has
 // been issued, whether its row is live or deleted.
@@ -238,6 +246,7 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 	rs.alive = rs.alive.cover(s)
 	rs.alive.set(s)
 	r.live++
+	r.evGen++
 	return RowID(s), nil
 }
 
@@ -287,6 +296,9 @@ func (r *Relation) SetCol(id RowID, col int, v Value) error {
 		return err
 	}
 	r.set(s, col, v)
+	if !r.schema.Hidden(col) {
+		r.evGen++
+	}
 	return nil
 }
 
@@ -342,6 +354,7 @@ func (r *Relation) Delete(id RowID) error {
 	}
 	r.ownRows(0).alive.unset(s)
 	r.live--
+	r.evGen++
 	return nil
 }
 

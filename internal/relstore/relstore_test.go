@@ -408,3 +408,50 @@ func TestSetColValidation(t *testing.T) {
 		t.Error("failed update must not mutate row")
 	}
 }
+
+// TestEvidenceGeneration pins what moves a relation's evidence count:
+// an Insert, a Delete and a SetCol of an evidence column do, a SetCol
+// of a declared hidden column (a sampler's flip) and a failed write do
+// not, and a clone starts from its original's count and moves on its
+// own.
+func TestEvidenceGeneration(t *testing.T) {
+	db := NewDB()
+	r := db.MustCreate(tokenSchema(t))
+	if err := db.DeclareHidden("TOKEN", 3); err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, moves bool, write func() error) {
+		t.Helper()
+		before := r.EvidenceGen()
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := r.EvidenceGen() != before; got != moves {
+			t.Errorf("%s moved the evidence count: %v, want %v", what, got, moves)
+		}
+	}
+	var id RowID
+	step("Insert", true, func() (err error) { id, err = r.Insert(Tuple{Int(1), Int(1), String("IBM"), String("O")}); return err })
+	step("SetCol of a hidden column", false, func() error { return r.SetCol(id, 3, String("B-ORG")) })
+	step("SetCol of an evidence column", true, func() error { return r.SetCol(id, 2, String("Boston")) })
+	step("a failed SetCol", false, func() error {
+		if r.SetCol(id, 2, Int(5)) == nil {
+			t.Error("type-violating SetCol: want error")
+		}
+		return nil
+	})
+	c := r.Clone()
+	if c.EvidenceGen() != r.EvidenceGen() {
+		t.Fatalf("clone's evidence count %d, original's %d", c.EvidenceGen(), r.EvidenceGen())
+	}
+	step("Delete", true, func() error { return r.Delete(id) })
+	if c.EvidenceGen() == r.EvidenceGen() {
+		t.Error("a Delete in the original moved the clone's evidence count")
+	}
+	if err := c.SetCol(id, 1, Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	if c.EvidenceGen() != r.EvidenceGen() {
+		t.Errorf("clone's count %d after one write of its own, original's %d", c.EvidenceGen(), r.EvidenceGen())
+	}
+}

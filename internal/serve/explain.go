@@ -22,11 +22,12 @@ import (
 // Rows, the database/sql driver, and HTTP. It is never traced, cached or
 // admitted, and ignores the sample budget.
 //
-// For a SELECT the output is the plan tree as bound, the bound
-// statement's fingerprint, the view-sharing decision — or, for a plan
-// that reads no hidden column, the line that marks it certain — the
-// result spec, and whether the target came from the plan cache. For DML
-// it is the lowered mutation and the cache line.
+// For a SELECT the output is the plan tree as bound, a line per join
+// input a view filters by the keys the other input's evidence reaches,
+// the bound statement's fingerprint, the view-sharing decision — or,
+// for a plan that reads no hidden column, the line that marks it
+// certain — the result spec, and whether the target came from the plan
+// cache. For DML it is the lowered mutation and the cache line.
 func (e *Engine) explain(ctx context.Context, sql string, x *sqlparse.Explain, opts QueryOptions) (*Result, error) {
 	start := time.Now()
 	var lines []string
@@ -84,8 +85,25 @@ func (e *Engine) explainQuery(target string, args []any) ([]string, error) {
 	if comp.Stmt.Source != comp.Plan {
 		tree = append(tree, "column pruning: join inputs projected onto the columns read above them")
 	}
+	if !comp.Stmt.Certain {
+		tree = keyFilterLines(comp.Stmt, tree)
+	}
 	return append(tree, "bound fingerprint: "+comp.Fingerprint, e.evaluation(comp),
 		"result spec: "+specString(comp.Spec), "plan cache: "+hitMiss(hit)), nil
+}
+
+// keyFilterLines appends one line per key filter (ra.KeyFilter) a view
+// of b builds, children first.
+func keyFilterLines(b *ra.Bound, lines []string) []string {
+	for _, c := range b.Children {
+		lines = keyFilterLines(c, lines)
+	}
+	for i, f := range b.KeyFilters {
+		if f != nil {
+			lines = append(lines, fmt.Sprintf("key filter: %s side keeps %s", [2]string{"left", "right"}[i], f))
+		}
+	}
+	return lines
 }
 
 // evaluation is EXPLAIN's line on how a query arriving now would be
