@@ -282,7 +282,8 @@
 //   - snap-<epoch>.snap: a checkpoint of the world as of a data epoch.
 //     Format "snap2:": magic, little-endian epoch, columnar world dump
 //     (per relation a liveness bitmap, then per column the live rows'
-//     payloads: int64 vectors, dictionary strings and uint32 codes),
+//     payloads: int64 vectors, dictionary strings and codes, each a
+//     uint32 on disk; a column of at most 256 strings decodes 1 B wide),
 //     CRC-32 trailer; streamed to a temp file and atomically renamed.
 //     A relation's slot vectors, tombstones included, may take at most
 //     513 times the bytes its header obliges the file to hold (the
@@ -444,25 +445,30 @@
 //     temperature and shares the model.
 //     An ie.CorpusIndex, built once per corpus over the loaded TOKEN
 //     relation and shared read-only by every tagger, reads each token's
-//     STRING code from the vector it borrows (Relation.StringCodes marks
-//     it shared, so no write changes it), keeps one capitalization flag
-//     per code and the skip edges; the trainer reads gold from TRUTH
-//     codes. After set-up the store, the index and θ are all that stays
-//     in memory. Token i of document d is TOKEN row first[d]+i, as
-//     ie.LoadCorpus inserts them; ie.NewTagger refuses a shorter relation.
+//     STRING code from the vector it borrows at its width
+//     (Relation.StringCodes lends a read-only relstore.Codes view and
+//     marks the vector shared, so no write changes it), keeps one
+//     capitalization flag per code and the skip edges; the trainer reads
+//     gold from TRUTH codes through the same view. After set-up the
+//     store, the index and θ are all that stays in memory. Token i of
+//     document d is TOKEN row first[d]+i, as ie.LoadCorpus inserts them;
+//     ie.NewTagger refuses a shorter relation.
 //   - The store is columnar and its worlds share vectors copy-on-write
 //     (internal/relstore). A chain's labels are its world's LABEL codes,
 //     held nowhere else: the tagger reads them, tombstones included, with
 //     Relation.CodeAt from the column's current vector through a table
 //     from code to label, since a checkpoint reload re-codes LABEL. A
 //     flip is Relation.SetCol through a world.Field resolved when the
-//     tagger is built; no row is copied. A STRING column is uint32 codes
-//     over an append-only dictionary shared by every world of its
-//     lineage, so LABEL costs a chain 4 B per token and a flip (ie.Declare
-//     interns the nine labels on every world) allocates nothing. The
-//     dictionary grows only on writes, never on reads — a scan looks its
-//     literal up and an absent one selects nothing — and a checkpoint
-//     reload compacts it to the strings live rows hold.
+//     tagger is built; no row is copied. A STRING column is codes over
+//     an append-only dictionary shared by every world of its lineage,
+//     1 B per slot while every code it holds is below 256 and 4 B from
+//     the first store of a larger one (relstore.Codes; it widens once,
+//     in place, in a world that owns it, and never narrows). LABEL holds
+//     the nine labels, so it costs a chain 1 B per token, and a flip
+//     (ie.Declare interns the nine labels on every world) allocates
+//     nothing. The dictionary grows only on writes, never on reads — a
+//     scan looks its literal up and an absent one selects nothing — and a
+//     checkpoint reload compacts it to the strings live rows hold.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
 //     entry per row touched since the last Drain — a copy, in a reused
 //     arena, of the tuple the row had first — behind a map on the

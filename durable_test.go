@@ -415,14 +415,15 @@ func TestReopenAfterRenumbering(t *testing.T) {
 	refCodes, refTable, _ := refRel.StringCodes(2)
 	reCodes, reTable, _ := reRel.StringCodes(2)
 	moved := 0
-	for row := range refCodes {
+	for row := range refCodes.Len() {
 		if !refRel.Has(relstore.RowID(row)) {
 			continue
 		}
-		if refTable[refCodes[row]] != reTable[reCodes[row]] {
-			t.Fatalf("row %d reads %q reopened, %q in memory", row, reTable[reCodes[row]], refTable[refCodes[row]])
+		ref, re := refCodes.At(row), reCodes.At(row)
+		if refTable[ref] != reTable[re] {
+			t.Fatalf("row %d reads %q reopened, %q in memory", row, reTable[re], refTable[ref])
 		}
-		if refCodes[row] != reCodes[row] {
+		if ref != re {
 			moved++
 		}
 	}

@@ -30,8 +30,8 @@ func TestBuildAndChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for row, code := range codes {
-		if table[code] != ie.LO.String() {
+	for row := range codes.Len() {
+		if code := codes.At(row); table[code] != ie.LO.String() {
 			t.Fatalf("after training, row %d of the served world holds LABEL %q", row, table[code])
 		}
 	}

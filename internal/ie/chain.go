@@ -22,15 +22,16 @@ func (m *Model) forward(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	alpha := make([][NumLabels]float64, ld.Len())
 	var terms [NumLabels]float64
 	for i := range alpha {
+		c := ld.ix.code(i)
 		for l := Label(0); l < NumLabels; l++ {
 			if i == 0 {
-				alpha[0][l] = t.nodeScore(ld, 0, l)
+				alpha[0][l] = t.nodeScore(ld.ix, c, l)
 				continue
 			}
 			for p := Label(0); p < NumLabels; p++ {
 				terms[p] = alpha[i-1][p] + t.trans(p, l)
 			}
-			alpha[i][l] = t.nodeScore(ld, i, l) + logSumExp(terms[:])
+			alpha[i][l] = t.nodeScore(ld.ix, c, l) + logSumExp(terms[:])
 		}
 	}
 	return alpha, nil
@@ -47,9 +48,10 @@ func (m *Model) ChainMarginals(ld *LabeledDoc) ([][NumLabels]float64, error) {
 	beta := make([][NumLabels]float64, n)
 	var terms [NumLabels]float64
 	for i := n - 2; i >= 0; i-- {
+		c := ld.ix.code(i + 1)
 		for l := Label(0); l < NumLabels; l++ {
 			for nx := Label(0); nx < NumLabels; nx++ {
-				terms[nx] = t.trans(l, nx) + t.nodeScore(ld, i+1, nx) + beta[i+1][nx]
+				terms[nx] = t.trans(l, nx) + t.nodeScore(ld.ix, c, nx) + beta[i+1][nx]
 			}
 			beta[i][l] = logSumExp(terms[:])
 		}

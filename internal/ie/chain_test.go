@@ -22,7 +22,7 @@ func tinyChainSetup(t *testing.T, words []string, seed int64) (*Model, *LabeledD
 	rng := rand.New(rand.NewSource(seed))
 	for i := range words {
 		for l := Label(0); l < NumLabels; l++ {
-			m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
+			m.W.Set(EmissionKey(int(ld.ix.code(i)), l), rng.NormFloat64())
 		}
 	}
 	for a := Label(0); a < NumLabels; a++ {
@@ -47,7 +47,7 @@ func graphFor(m *Model, ld *LabeledDoc) *factor.Graph {
 		i := i
 		vars[i] = g.AddVar("y", dom)
 		g.MustAddFactor("node", func(vals []int) float64 {
-			return m.theta().nodeScore(ld, i, Label(vals[0]))
+			return m.theta().nodeScore(ld.ix, ld.ix.code(i), Label(vals[0]))
 		}, vars[i])
 	}
 	for i := 1; i < len(vars); i++ {

@@ -58,7 +58,7 @@ func TestSampleCorpusWritesThrough(t *testing.T) {
 	for _, ld := range trainer.Docs {
 		for i := range ld.Len() {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.code(i)), l), rng.NormFloat64())
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"factordb/internal/learn"
@@ -180,7 +181,7 @@ func TestScoreDeltaMatchesDocScore(t *testing.T) {
 	for _, ld := range tg.Docs {
 		for i := range ld.Len() {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.code(i)), l), rng.NormFloat64())
 			}
 		}
 	}
@@ -257,7 +258,7 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 			if tok.Str != "the" {
 				continue
 			}
-			if id := int(tg.Docs[d].ix.codes[i]); m.W.Get(EmissionKey(id, LO)) <= m.W.Get(EmissionKey(id, LBPer)) {
+			if id := int(tg.Docs[d].ix.code(i)); m.W.Get(EmissionKey(id, LO)) <= m.W.Get(EmissionKey(id, LBPer)) {
 				t.Error("training did not learn that 'the' is O")
 			}
 			return
@@ -435,6 +436,72 @@ func TestTaggerReadsTheLiveColumn(t *testing.T) {
 	}
 }
 
+// TestTaggerWalkIgnoresLabelWidth: the walk does not depend on the width
+// of the LABEL vector it reads and flips. Two chains share an index, θ
+// and seed; 4 000 steps in, the first chain's world takes one extra row,
+// which the index does not address, holding a 257th LABEL string, so its
+// LABEL vector widens from 1 B to 4 B per slot with the walk's labels in
+// it. Both walk label-for-label as a third chain over an untouched load,
+// whose LABEL stays 1 B per slot, over 24 000 steps.
+func TestTaggerWalkIgnoresLabelWidth(t *testing.T) {
+	c, _ := Generate(DefaultGenConfig(5000, 71))
+	db, ix := load(c)
+	m := NewModel(ix.NumStrings(), true)
+	rng := rand.New(rand.NewSource(72))
+	for i := range *m.W {
+		(*m.W)[i] = rng.NormFloat64()
+	}
+	freshDB, _ := load(c) // a LABEL dictionary of its own: nine labels
+	var taggers []*Tagger
+	var logs []*world.ChangeLog
+	var samplers []*mcmc.Sampler
+	for _, w := range []*relstore.DB{db.Clone(), db.Clone(), freshDB} {
+		log := world.NewChangeLog(w)
+		tg, err := NewTagger(m, ix, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taggers, logs = append(taggers, tg), append(logs, log)
+		samplers = append(samplers, mcmc.NewSampler(tg, 73))
+	}
+	rel := taggers[0].rel
+	for k := NumLabels; k < 256; k++ {
+		if err := rel.Intern(LabelCol, "pad"+strconv.Itoa(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extra := relstore.RowID(-1)
+	for step := 500; step <= 24000; step += 500 {
+		for _, s := range samplers {
+			s.Run(500)
+		}
+		if step == 4000 {
+			var err error
+			tok := relstore.Tuple{relstore.Int(-1), relstore.Int(-1), relstore.String("extra"), relstore.String("wide"), relstore.String("O")}
+			if extra, err = logs[0].Insert(TokenRelation, tok); err != nil {
+				t.Fatal(err)
+			}
+			if code := rel.CodeAt(extra, LabelCol); code < 256 {
+				t.Fatalf("the extra row holds LABEL code %d; the vector need not widen", code)
+			}
+		}
+		for d := range taggers[0].Docs {
+			want := labelsOf(taggers[2].Docs[d])
+			for k, tg := range taggers[:2] {
+				if got := labelsOf(tg.Docs[d]); !slices.Equal(got, want) {
+					t.Fatalf("after %d steps, doc %d of chain %d: labels %v, the fresh chain's %v", step, d, k, got, want)
+				}
+			}
+		}
+	}
+	if a := samplers[0].Accepted(); a == 0 || a != samplers[2].Accepted() {
+		t.Fatalf("accepted %d and %d steps", a, samplers[2].Accepted())
+	}
+	if v, _ := rel.GetCol(extra, LabelCol); v.AsString() != "wide" {
+		t.Errorf("the extra row's LABEL went to %v", v)
+	}
+}
+
 // storedScore scores ld under the labels its world's rows hold, read as
 // strings, summing the factors as Section 5.1 lists them.
 func storedScore(t *testing.T, m *Model, ld *LabeledDoc) float64 {
@@ -450,7 +517,7 @@ func storedScore(t *testing.T, m *Model, ld *LabeledDoc) float64 {
 	w := m.W
 	var s float64
 	for i, l := range labels {
-		c := ld.ix.codes[i]
+		c := ld.ix.code(i)
 		s += w.Get(EmissionKey(int(c), l)) + w.Get(CapsKey(ld.ix.capital[c], l)) + w.Get(BiasKey(l))
 		if i > 0 {
 			s += w.Get(TransKey(labels[i-1], l))

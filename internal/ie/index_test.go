@@ -146,8 +146,8 @@ func TestIndexReadsTheLoad(t *testing.T) {
 		}
 		for d, doc := range c.Docs {
 			x := &ix.docs[d]
-			if x.first != row || len(x.codes) != len(doc.Tokens) {
-				t.Fatalf("seed %d doc %d: indexed as rows %d+%d, loaded as %d+%d", seed, d, x.first, len(x.codes), row, len(doc.Tokens))
+			if x.first != row || x.end-x.first != len(doc.Tokens) {
+				t.Fatalf("seed %d doc %d: indexed as rows %d+%d, loaded as %d+%d", seed, d, x.first, x.end-x.first, row, len(doc.Tokens))
 			}
 			for i, tok := range doc.Tokens {
 				id, ok := ids[tok.Str]
@@ -155,7 +155,7 @@ func TestIndexReadsTheLoad(t *testing.T) {
 					id = uint32(len(ids))
 					ids[tok.Str] = id
 				}
-				code := x.codes[i]
+				code := x.code(i)
 				str, _ := rel.GetCol(relstore.RowID(x.first+i), stringCol)
 				docID, _ := rel.GetCol(relstore.RowID(x.first+i), docCol)
 				switch {

@@ -102,9 +102,9 @@ func IsCapitalized(s string) bool {
 // docIndex is the half of a document's inference state that no label flip
 // changes, shared read-only by every tagger (see CorpusIndex).
 type docIndex struct {
-	first   int      // token i is TOKEN row first+i
-	codes   []uint32 // token i's STRING code
-	capital []bool   // by code: the string is capitalized
+	first, end int            // token i is TOKEN row first+i, below end
+	codes      relstore.Codes // by row: the token's STRING code
+	capital    []bool         // by code: the string is capitalized
 	// The skip partners of position i — the other positions sharing its
 	// capitalized string, ascending — are skip[skipOff[i]:skipOff[i+1]].
 	skipOff []int32
@@ -114,11 +114,14 @@ type docIndex struct {
 // partners returns the skip partners of position i.
 func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOff[i+1]] }
 
+// code returns the STRING code of position i.
+func (x *docIndex) code(i int) uint32 { return x.codes.At(x.first + i) }
+
 // CorpusIndex is the docIndex of every document of a loaded TOKEN
 // relation. A token's string is its STRING code in the vector the index
-// borrows (relstore.Relation.StringCodes), which no write changes, with
-// one capitalization flag per code; the skip arrays are all it allocates
-// per token.
+// borrows (relstore.Relation.StringCodes), at the width the vector has,
+// which no write changes, with one capitalization flag per code; the skip
+// arrays are all it allocates per token.
 type CorpusIndex struct {
 	docs    []docIndex
 	tokens  int
@@ -146,7 +149,7 @@ func NewCorpusIndex(db *relstore.DB) (*CorpusIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(codes)
+	n := codes.Len()
 	if rel.Len() != n {
 		return nil, fmt.Errorf("ie: %s has deleted rows; index a fresh load", TokenRelation)
 	}
@@ -164,19 +167,19 @@ func NewCorpusIndex(db *relstore.DB) (*CorpusIndex, error) {
 			if v, _ := rel.GetCol(relstore.RowID(end), docCol); !v.Equal(doc) {
 				break
 			}
-			if c := codes[end]; capital[c] {
+			if c := codes.At(end); capital[c] {
 				byCode[c] = append(byCode[c], int32(end-first))
 			}
 		}
 		for row := first; row < end; row++ {
 			offs[row] = int32(len(skip))
-			for _, q := range byCode[codes[row]] {
+			for _, q := range byCode[codes.At(row)] {
 				if q != int32(row-first) {
 					skip = append(skip, q)
 				}
 			}
 		}
-		ix.docs = append(ix.docs, docIndex{first: first, codes: codes[first:end:end], capital: capital, skipOff: offs[first : end+1 : end+1]})
+		ix.docs = append(ix.docs, docIndex{first: first, end: end, codes: codes, capital: capital, skipOff: offs[first : end+1 : end+1]})
 	}
 	offs[n] = int32(len(skip))
 	for d := range ix.docs {
@@ -193,7 +196,7 @@ type LabeledDoc struct {
 }
 
 // Len returns the number of tokens in the document.
-func (ld *LabeledDoc) Len() int { return len(ld.ix.codes) }
+func (ld *LabeledDoc) Len() int { return ld.ix.end - ld.ix.first }
 
 // Label returns the current label of position i in the tagger's world.
 func (ld *LabeledDoc) Label(i int) Label {
@@ -208,7 +211,7 @@ func (ld *LabeledDoc) SkipDegree(i int) int { return len(ld.ix.partners(i)) }
 // incident transitions and all incident skip edges — the only factors
 // whose value changes when position i changes (Appendix 9.2).
 func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, sign float64) {
-	c := ld.ix.codes[i]
+	c := ld.ix.code(i)
 	d.Add(EmissionKey(int(c), l), sign)
 	d.Add(CapsKey(ld.ix.capital[c], l), sign)
 	d.Add(BiasKey(l), sign)
@@ -225,11 +228,11 @@ func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, si
 	}
 }
 
-// nodeScore sums the factors private to position i under label l:
-// emission, capitalization and bias.
-func (t theta) nodeScore(ld *LabeledDoc, i int, l Label) float64 {
-	c := ld.ix.codes[i]
-	return t.emit(c, l) + t.caps(ld.ix.capital[c], l) + t.bias(l)
+// nodeScore sums the factors private to a position of x whose STRING
+// code is c under label l: emission, capitalization and bias. The caller
+// reads c (docIndex.code) once for every label it scores.
+func (t theta) nodeScore(x *docIndex, c uint32, l Label) float64 {
+	return t.emit(c, l) + t.caps(x.capital[c], l) + t.bias(l)
 }
 
 // ScoreDelta returns log π(w') − log π(w) for relabeling position i of ld
@@ -244,7 +247,8 @@ func (m *Model) ScoreDelta(ld *LabeledDoc, i int, newLabel Label) float64 {
 		return 0
 	}
 	t := m.theta()
-	sNew, sOld := t.nodeScore(ld, i, newLabel), t.nodeScore(ld, i, old)
+	c := ld.ix.code(i)
+	sNew, sOld := t.nodeScore(ld.ix, c, newLabel), t.nodeScore(ld.ix, c, old)
 	if i > 0 {
 		prev := ld.Label(i - 1)
 		sNew, sOld = sNew+t.trans(prev, newLabel), sOld+t.trans(prev, old)
@@ -277,12 +281,14 @@ func (m *Model) FeatureDelta(d *learn.Delta, ld *LabeledDoc, i int, newLabel Lab
 func (m *Model) DocScore(ld *LabeledDoc) float64 {
 	t := m.theta()
 	var s float64
+	var prev Label
 	for i := range ld.Len() {
 		l := ld.Label(i)
-		s += t.nodeScore(ld, i, l)
+		s += t.nodeScore(ld.ix, ld.ix.code(i), l)
 		if i > 0 {
-			s += t.trans(ld.Label(i-1), l)
+			s += t.trans(prev, l)
 		}
+		prev = l
 	}
 	if m.UseSkip {
 		// Each unordered skip pair counts once.

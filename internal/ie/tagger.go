@@ -107,7 +107,7 @@ type Tagger struct {
 	logged bool               // flips go through field (a chain)
 	field  world.Field
 
-	gold []uint32 // a trainer's TRUTH codes by row (see NewTrainer)
+	gold relstore.Codes // a trainer's TRUTH codes by row (see NewTrainer)
 
 	// ActiveDocs and StepsPerBatch reproduce the paper's batching: up to
 	// ActiveDocs documents' variables form the working set L, re-drawn
@@ -161,7 +161,9 @@ func NewTrainer(m *Model, ix *CorpusIndex, db *relstore.DB) (*Tagger, error) {
 // miss them, and a trainer's with more, whose gold rows the index does not
 // address. Its table covers the codes LABEL's dictionary has issued, the
 // nine labels among them (Declare). StringCodes marks the LABEL vector
-// shared, so the first flip copies it, as a clone's first flip does anyway.
+// shared, so the first flip copies it, as a clone's first flip does anyway,
+// at the width it has: 1 B per token while no LABEL code exceeds 255, as
+// on every load, which holds the nine labels only.
 func taggerOver(m *Model, ix *CorpusIndex, rel *relstore.Relation, logged bool, field world.Field) (*Tagger, error) {
 	if n := relstore.RowID(ix.tokens); n > rel.NextID() || !logged && n != rel.NextID() {
 		return nil, fmt.Errorf("ie: the index addresses %d %s rows, but the relation has issued %d ids", n, TokenRelation, rel.NextID())
@@ -185,7 +187,7 @@ func taggerOver(m *Model, ix *CorpusIndex, rel *relstore.Relation, logged bool, 
 }
 
 // goldOf returns the gold label of position i of ld; t is a trainer.
-func (t *Tagger) goldOf(ld *LabeledDoc, i int) Label { return Label(t.gold[ld.ix.first+i]) }
+func (t *Tagger) goldOf(ld *LabeledDoc, i int) Label { return Label(t.gold.At(ld.ix.first + i)) }
 
 // refreshActive re-draws the working set of documents (Section 5.1: "up
 // to five documents worth of variables ... selected uniformly at random").

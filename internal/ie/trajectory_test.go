@@ -23,7 +23,7 @@ func trajectoryTagger(t *testing.T) (*Tagger, *relstore.Relation) {
 	for _, ld := range tg.Docs {
 		for i := range ld.Len() {
 			for l := Label(0); l < NumLabels; l++ {
-				m.W.Set(EmissionKey(int(ld.ix.codes[i]), l), rng.NormFloat64())
+				m.W.Set(EmissionKey(int(ld.ix.code(i)), l), rng.NormFloat64())
 			}
 		}
 	}

@@ -218,7 +218,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	var count uint32
 	size := 0
 	for s := 0; s < n; s++ {
-		if code := c.codes[s]; alive.get(s) && remap[code] == 0 {
+		if code := c.codes.At(s); alive.get(s) && remap[code] == 0 {
 			count++
 			remap[code] = count
 			size += uvarintLen(uint64(len(table[code]))) + len(table[code])
@@ -229,7 +229,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	// A string's first use is the first live row holding the next code.
 	next := uint32(1)
 	for s := 0; s < n && next <= count; s++ {
-		if code := c.codes[s]; alive.get(s) && remap[code] == next {
+		if code := c.codes.At(s); alive.get(s) && remap[code] == next {
 			e.str(table[code])
 			next++
 		}
@@ -237,7 +237,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	e.uvarint(4 * uint64(live))
 	for s := 0; s < n; s++ {
 		if alive.get(s) {
-			e.u32(remap[c.codes[s]] - 1)
+			e.u32(remap[c.codes.At(s)] - 1)
 		}
 	}
 }
@@ -478,7 +478,12 @@ func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {
 	if d.err != nil {
 		return d.err
 	}
-	c.codes = make([]uint32, n)
+	// The width the codes need: 1 B each while the dictionary fits a byte.
+	if count > 1<<8 {
+		c.codes.wide = make([]uint32, n)
+	} else {
+		c.codes.narrow = make([]uint8, n)
+	}
 	j := 0
 	for s := 0; s < n; s++ {
 		if !alive.get(s) {
@@ -488,7 +493,7 @@ func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {
 		if uint64(code) >= count {
 			return fmt.Errorf("code %d outside a dictionary of %d", code, count)
 		}
-		c.codes[s] = code
+		c.codes.set(s, code)
 		j++
 	}
 	return nil

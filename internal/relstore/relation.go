@@ -32,9 +32,10 @@ type RowID int64
 // therefore owns that one vector and reads the rest from the common
 // copy. Tuples are materialized on the way out — Get and AppendRow build
 // a row from the vectors, scans refill one scratch tuple per row. A
-// STRING vector holds 4-byte codes; the dictionary they index is shared
-// by every world descended from the column and is not copied with the
-// vector (see dict).
+// STRING vector holds codes, 1 B each while every code in it is below
+// 256 and 4 B once a larger one is stored (see Codes); the dictionary
+// they index is shared by every world descended from the column and is
+// not copied with the vector (see dict).
 //
 // A Relation is safe for any number of concurrent readers, Clone
 // included; a writer needs it exclusively.
@@ -56,7 +57,7 @@ type column struct {
 	shared atomic.Bool // visible to another world: copy before writing
 	typ    Type
 	nums   []int64
-	codes  []uint32
+	codes  Codes
 	dict   *dict // TString only
 	ints   bitmap
 }
@@ -115,7 +116,7 @@ func (r *Relation) NextID() RowID { return RowID(r.n) }
 func (c *column) value(s int) Value {
 	switch c.typ {
 	case TString:
-		return Value{kind: TString, s: c.dict.strs()[c.codes[s]]}
+		return Value{kind: TString, s: c.dict.strs()[c.codes.At(s)]}
 	case TFloat:
 		if c.ints.get(s) {
 			return Value{kind: TInt, i: c.nums[s]}
@@ -129,7 +130,7 @@ func (c *column) value(s int) Value {
 func (c *column) store(s int, v Value) {
 	switch {
 	case c.typ == TString:
-		c.codes[s] = c.dict.intern(v.s)
+		c.codes.set(s, c.dict.intern(v.s))
 	case c.typ != TFloat:
 		c.nums[s] = v.i
 	case v.kind == TInt:
@@ -147,7 +148,7 @@ func (c *column) store(s int, v Value) {
 func (c *column) matches(s int, code uint32, v Value) bool {
 	switch {
 	case c.typ == TString:
-		return c.codes[s] == code
+		return c.codes.At(s) == code
 	case c.typ == v.kind && c.typ != TFloat:
 		return c.nums[s] == v.i
 	}
@@ -165,7 +166,7 @@ func (c *column) copyOf(extra int) *column {
 	n := &column{typ: c.typ, dict: c.dict}
 	switch c.typ {
 	case TString:
-		n.codes = grown(c.codes, extra)
+		n.codes = c.codes.grown(extra)
 	case TFloat:
 		n.ints = grown(c.ints, extra/64+1)
 		fallthrough
@@ -233,7 +234,7 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 		c := r.own(ci, extra)
 		switch c.typ {
 		case TString:
-			c.codes = append(c.codes, 0)
+			c.codes.push()
 		case TFloat:
 			c.ints = c.ints.cover(s)
 			fallthrough
@@ -316,27 +317,29 @@ func (r *Relation) Intern(col int, strs ...string) error {
 	return nil
 }
 
-// StringCodes lends STRING column col as it stands: its code vector, one
-// code per issued id (a deleted row's slot holds a stale one), and the
-// dictionary table the codes index. Nothing is copied. The vector is
-// marked shared first, as Clone marks it, so no later write in any world,
-// this one included, changes it in place: a writer copies it and goes on
-// with its copy. The caller must write to neither slice.
-func (r *Relation) StringCodes(col int) ([]uint32, []string, error) {
+// StringCodes lends STRING column col as it stands: a read-only view of
+// its code vector, at the width the vector has, one code per issued id (a
+// deleted row's slot holds a stale one), and the dictionary table the
+// codes index. Nothing is copied or widened. The vector is marked shared
+// first, as Clone marks it, so no later write in any world, this one
+// included, changes it in place: a writer copies it (and widens only its
+// copy) and goes on with that. The caller must not write to the table.
+func (r *Relation) StringCodes(col int) (Codes, []string, error) {
 	c, err := r.stringCol(col)
 	if err != nil {
-		return nil, nil, err
+		return Codes{}, nil, err
 	}
 	c.shared.Store(true)
-	return c.codes[:r.n:r.n], c.dict.strs(), nil
+	return c.codes.prefix(r.n), c.dict.strs(), nil
 }
 
 // CodeAt returns the code STRING column col holds in slot id, read from
 // the column's current vector on every call, so it sees every write
 // before it and never a vector an Insert or a copy on write replaced; a
-// deleted row's slot still holds its last code. It marks nothing shared.
-// id must be below NextID; the code indexes the table StringCodes lends.
-func (r *Relation) CodeAt(id RowID, col int) uint32 { return r.cols[col].codes[id] }
+// deleted row's slot still holds its last code. It marks nothing shared
+// and reads either width. id must be below NextID; the code indexes the
+// table StringCodes lends.
+func (r *Relation) CodeAt(id RowID, col int) uint32 { return r.cols[col].codes.At(int(id)) }
 
 // stringCol returns column col, which must be a STRING column.
 func (r *Relation) stringCol(col int) (*column, error) {
@@ -404,7 +407,7 @@ func (r *Relation) ScanWhere(eqCol int, eqVal Value, keep func(t Tuple) bool, fn
 		for ci, c := range r.cols {
 			switch c.typ {
 			case TString:
-				scratch[ci].s = c.dict.strs()[c.codes[s]]
+				scratch[ci].s = c.dict.strs()[c.codes.At(s)]
 			case TFloat:
 				scratch[ci] = c.value(s)
 			default:

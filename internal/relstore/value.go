@@ -8,9 +8,10 @@
 // box by the sampler.
 //
 // A relation is stored by column: one typed vector per attribute ([]int64
-// for INT, BOOL and the bits of a FLOAT, []uint32 codes into the column's
-// string dictionary for STRING) indexed by row slot, and a bitmap of the
-// slots that hold live rows. RowIDs count up
+// for INT, BOOL and the bits of a FLOAT, codes into the column's string
+// dictionary for STRING, 1 B each while every code fits a byte and 4 B
+// after: see Codes) indexed by row slot, and a bitmap of the slots that
+// hold live rows. RowIDs count up
 // and are never reused, so a row sits in the slot of its id, a delete
 // leaves a tombstone, and every scan runs in ascending RowID order. There
 // are no row objects: Get builds a tuple, a scan refills one scratch tuple
