@@ -190,10 +190,12 @@
 // of that world: the samplers keep walking, with none of the lineage
 // recomputation tuple-level probabilistic databases pay on update. A
 // write changes the evidence columns it touches and every answer that
-// selects on them; it does not yet change the factor graph, which is
-// built from the corpus at set-up, so hidden-variable marginals do not
-// respond to it, and a DELETEd token's label freezes at its tombstone's
-// code while it still shapes its neighbours' factors (ROADMAP item 2).
+// selects on them. Coref's chains also see UPDATE, DELETE and INSERT on
+// MENTION in their factors, at their next proposal. NER's factor graph
+// is still built from the corpus at set-up, so its hidden-variable
+// marginals do not respond to a write, and a DELETEd token's label
+// freezes at its tombstone's code while it still shapes its neighbours'
+// factors (ROADMAP item 2).
 // The DML grammar (literals only on the write path; WHERE is a
 // conjunction of simple comparisons):
 //
@@ -271,12 +273,13 @@
 //
 // WithDataDir(dir) makes the write path durable (cmd/factordbd:
 // -data-dir). The store persists exactly the evidence — the prototype
-// possible world and committed mutations. Everything else (graph,
-// weights, chains) is rebuilt from the workload config on every open,
-// over the recovered world: a model addressing rows that world never
-// issued (say, a larger factordbd -tokens) fails Open with ErrRecovery,
-// but one that fits the rows (a smaller or reseeded corpus) serves the
-// world under a model built for other rows, undetected.
+// possible world and committed mutations; a coref reopen needs nothing
+// else and serves the recovered rows whatever CorefConfig says. NER's
+// graph, weights and chains are rebuilt from the workload config on
+// every open, over the recovered world: a model addressing rows that
+// world never issued (say, a larger factordbd -tokens) fails Open with
+// ErrRecovery, but one that fits the rows (a smaller or reseeded corpus)
+// serves the world under a model built for other rows, undetected.
 // Two on-disk artifacts live in dir:
 //
 //   - snap-<epoch>.snap: a checkpoint of the world as of a data epoch.

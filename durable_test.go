@@ -345,6 +345,81 @@ func TestCorefDurableReopen(t *testing.T) {
 	}
 }
 
+// TestCorefReopenServesTheDirectory: a coref directory is served from
+// its own rows, whatever the config says. Reopened under a config that
+// would generate 12 mentions, not the 24 it was seeded with, it answers
+// from the recovered MENTION rows — the same count and text, a written
+// row included — and samples every one of them: PairQuery answers
+// exactly as a reopen under the seeding config does on the same seed.
+func TestCorefReopenServesTheDirectory(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	opts := durableOpts(dir, WithMode(ModeMaterialized), WithSeed(11))
+	db, err := Open(Coref(CorefConfig{}), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(ctx, `UPDATE MENTION SET STRING = 'REVISED' WHERE MENTION_ID = 20`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	type served struct {
+		describe string
+		count    int64
+		text     map[int64]string
+		pairs    map[string]float64
+	}
+	reopen := func(cfg CorefConfig) served {
+		t.Helper()
+		re, err := Open(Coref(cfg), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		out := served{describe: re.Describe(), text: map[int64]string{}}
+		rows, err := re.Query(ctx, `SELECT COUNT(*) FROM MENTION`, Samples(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+			if err := rows.Scan(&out.count); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows.Close()
+		rows, err = re.Query(ctx, `SELECT MENTION_ID, STRING FROM MENTION`, Samples(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+			var id int64
+			var s string
+			if err := rows.Scan(&id, &s); err != nil {
+				t.Fatal(err)
+			}
+			out.text[id] = s
+		}
+		rows.Close()
+		out.pairs = pairAnswer(t, re, 100)
+		return out
+	}
+	seeded, other := reopen(CorefConfig{}), reopen(CorefConfig{Entities: 3})
+	if other.count != 24 || seeded.count != 24 {
+		t.Fatalf("SELECT COUNT(*) FROM MENTION = %d under {Entities: 3}, %d under {}; want 24", other.count, seeded.count)
+	}
+	if !maps.Equal(other.text, seeded.text) || other.text[20] != "REVISED" {
+		t.Fatalf("recovered text under {Entities: 3} %v, want %v with row 20 REVISED", other.text, seeded.text)
+	}
+	if !strings.Contains(other.describe, "24 mentions") {
+		t.Errorf("Describe %q, want 24 mentions", other.describe)
+	}
+	if !maps.Equal(other.pairs, seeded.pairs) {
+		t.Errorf("PairQuery under {Entities: 3} (%d tuples) differs from under {} (%d tuples)", len(other.pairs), len(seeded.pairs))
+	}
+}
+
 // TestReopenAfterRenumbering: a checkpoint re-codes STRING in first-use
 // order over the rows it keeps, so after one write renames the only row
 // of a rare string and another deletes the only row of a second one, the

@@ -29,7 +29,8 @@ func TestProposeAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(fmt.Sprintf("mentions=%d", len(mentions)), func(t *testing.T) {
-			p := NewMoveProposer(NewSingletonState(mentions), DefaultModel())
+			s, _ := newState(t, mentions)
+			p := NewMoveProposer(s, DefaultModel())
 			// Walk first, so proposals score against multi-mention clusters.
 			mcmc.NewSampler(p, 7).Run(5000)
 			rng := rand.New(rand.NewSource(11))

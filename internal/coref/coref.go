@@ -4,6 +4,13 @@
 // clustering representation keeps transitivity implicit — any clustering
 // is a valid world — so the sampler never needs the cubic number of
 // deterministic transitivity factors (Section 3.4).
+//
+// A mention's text and cluster are its STRING and CLUSTER fields in the
+// chain's world, read on every use; a move writes CLUSTER through the
+// world's change log. Writes are seen at the next proposal: an UPDATEd
+// STRING is scored, a DELETEd mention leaves its cluster, an INSERTed
+// one is a variable starting in the cluster its CLUSTER value names,
+// which must be ≥ 0 (a negative move target means a fresh cluster).
 package coref
 
 import (
@@ -11,10 +18,13 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+
+	"factordb/internal/relstore"
+	"factordb/internal/world"
 )
 
-// Mention is one observed mention string; Gold is the identifier of the
-// true underlying entity (used for evaluation: PairwiseF1).
+// Mention is one generated mention string; Gold is the identifier of the
+// true underlying entity, which only an evaluation reads.
 type Mention struct {
 	ID   int
 	Str  string
@@ -22,32 +32,64 @@ type Mention struct {
 }
 
 // State is a clustering of mentions: the hidden part of the possible
-// world. Cluster identifiers are arbitrary but stable between moves.
+// world, held in the CLUSTER column of a MENTION relation, mention m
+// being row m. Beside it the state keeps the live rows and the members
+// of each cluster, rebuilt at the first proposal after a write changes
+// the relation's evidence. Cluster ids are arbitrary but stable between
+// moves.
 type State struct {
-	Mentions []Mention
+	rel   *relstore.Relation
+	field world.Field
+	gen   uint64 // rel.EvidenceGen() the index was built at
 
-	cluster []int
+	rows    []int // live mentions, ascending: the ones a proposal draws
 	members map[int]map[int]struct{}
 	nextID  int
 }
 
-// NewSingletonState puts every mention in its own cluster.
-func NewSingletonState(mentions []Mention) *State {
-	s := &State{
-		Mentions: mentions,
-		cluster:  make([]int, len(mentions)),
-		members:  make(map[int]map[int]struct{}, len(mentions)),
+// NewState binds a clustering to the MENTION relation of a chain's world,
+// starting from the clusters its CLUSTER column holds.
+func NewState(log *world.ChangeLog) (*State, error) {
+	field, err := log.Field(MentionRelation, ClusterCol)
+	if err != nil {
+		return nil, err
 	}
-	for i := range mentions {
-		s.cluster[i] = i
-		s.members[i] = map[int]struct{}{i: {}}
-	}
-	s.nextID = len(mentions)
-	return s
+	rel, _ := log.DB().Relation(MentionRelation) // Field found it
+	s := &State{rel: rel, field: field, members: make(map[int]map[int]struct{})}
+	s.rebuild()
+	return s, nil
+}
+
+// rebuild derives the index from the relation. The next fresh cluster id
+// is one past the largest in use.
+func (s *State) rebuild() {
+	s.gen = s.rel.EvidenceGen()
+	s.rows = s.rows[:0]
+	clear(s.members)
+	s.nextID = 0
+	s.rel.Scan(func(id relstore.RowID, t relstore.Tuple) bool {
+		m, c := int(id), int(t[ClusterCol].AsInt())
+		s.rows = append(s.rows, m)
+		if s.members[c] == nil {
+			s.members[c] = make(map[int]struct{})
+		}
+		s.members[c][m] = struct{}{}
+		s.nextID = max(s.nextID, c+1)
+		return true
+	})
 }
 
 // Cluster returns the cluster id of mention m.
-func (s *State) Cluster(m int) int { return s.cluster[m] }
+func (s *State) Cluster(m int) int {
+	v, _ := s.rel.GetCol(relstore.RowID(m), ClusterCol)
+	return int(v.AsInt())
+}
+
+// text returns the mention string of mention m.
+func (s *State) text(m int) string {
+	v, _ := s.rel.GetCol(relstore.RowID(m), stringCol)
+	return v.AsString()
+}
 
 // NumClusters returns the number of non-empty clusters.
 func (s *State) NumClusters() int { return len(s.members) }
@@ -74,13 +116,13 @@ func (s *State) ClusterIDs() []int {
 }
 
 // IsSingleton reports whether mention m is alone in its cluster.
-func (s *State) IsSingleton(m int) bool { return len(s.members[s.cluster[m]]) == 1 }
+func (s *State) IsSingleton(m int) bool { return len(s.members[s.Cluster(m)]) == 1 }
 
 // Move transfers mention m into cluster target; target < 0 allocates a
 // fresh cluster. It returns the destination cluster id. Emptied clusters
 // disappear. Moving a mention to its own cluster is a no-op.
 func (s *State) Move(m, target int) int {
-	from := s.cluster[m]
+	from := s.Cluster(m)
 	if target == from {
 		return from
 	}
@@ -93,44 +135,15 @@ func (s *State) Move(m, target int) int {
 		s.nextID++
 		s.members[target] = make(map[int]struct{})
 	}
+	if err := s.field.Set(relstore.RowID(m), relstore.Int(int64(target))); err != nil {
+		panic(fmt.Sprintf("coref: moving mention %d: %v", m, err))
+	}
 	delete(s.members[from], m)
 	if len(s.members[from]) == 0 {
 		delete(s.members, from)
 	}
 	s.members[target][m] = struct{}{}
-	s.cluster[m] = target
 	return target
-}
-
-// PairwiseF1 scores the clustering against gold entities with pairwise
-// precision/recall/F1.
-func (s *State) PairwiseF1() (precision, recall, f1 float64) {
-	var tp, fp, fn float64
-	n := len(s.Mentions)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			same := s.cluster[i] == s.cluster[j]
-			gold := s.Mentions[i].Gold == s.Mentions[j].Gold
-			switch {
-			case same && gold:
-				tp++
-			case same && !gold:
-				fp++
-			case !same && gold:
-				fn++
-			}
-		}
-	}
-	if tp+fp > 0 {
-		precision = tp / (tp + fp)
-	}
-	if tp+fn > 0 {
-		recall = tp / (tp + fn)
-	}
-	if precision+recall > 0 {
-		f1 = 2 * precision * recall / (precision + recall)
-	}
-	return precision, recall, f1
 }
 
 // Similarity returns a string affinity in [0,1] combining exact match,
@@ -283,10 +296,10 @@ type Model struct {
 // DefaultModel returns the configuration used in examples and benchmarks.
 func DefaultModel() *Model { return &Model{W: 4, Threshold: 0.5} }
 
-// PairScore is the log-space factor value for mentions a and b sharing a
-// cluster.
-func (mo *Model) PairScore(a, b *Mention) float64 {
-	return mo.W * (Similarity(a.Str, b.Str) - mo.Threshold)
+// PairScore is the log-space factor value for mention strings a and b
+// sharing a cluster.
+func (mo *Model) PairScore(a, b string) float64 {
+	return mo.W * (Similarity(a, b) - mo.Threshold)
 }
 
 // Score computes the full log score of a state (sum over same-cluster
@@ -297,7 +310,7 @@ func (mo *Model) Score(s *State) float64 {
 		ms := s.Members(c)
 		for i := 0; i < len(ms); i++ {
 			for j := i + 1; j < len(ms); j++ {
-				total += mo.PairScore(&s.Mentions[ms[i]], &s.Mentions[ms[j]])
+				total += mo.PairScore(s.text(ms[i]), s.text(ms[j]))
 			}
 		}
 	}
@@ -309,19 +322,20 @@ func (mo *Model) Score(s *State) float64 {
 // incident to m: pairs gained in the target cluster minus pairs lost in
 // the source cluster.
 func (mo *Model) MoveDelta(s *State, m, target int) float64 {
-	from := s.cluster[m]
+	from := s.Cluster(m)
 	if target == from {
 		return 0
 	}
+	str := s.text(m)
 	var delta float64
 	if target >= 0 {
 		for x := range s.members[target] {
-			delta += mo.PairScore(&s.Mentions[m], &s.Mentions[x])
+			delta += mo.PairScore(str, s.text(x))
 		}
 	}
 	for x := range s.members[from] {
 		if x != m {
-			delta -= mo.PairScore(&s.Mentions[m], &s.Mentions[x])
+			delta -= mo.PairScore(str, s.text(x))
 		}
 	}
 	return delta

@@ -74,7 +74,7 @@ func TestLevenshteinPropertiesQuick(t *testing.T) {
 func TestStateInvariantsQuick(t *testing.T) {
 	f := func(moves []uint16) bool {
 		mentions, _ := Generate(GenConfig{NumEntities: 3, MentionsPerEntity: 3, Seed: 1})
-		s := NewSingletonState(mentions)
+		s, _ := newState(t, mentions)
 		for _, mv := range moves {
 			m := int(mv>>8) % len(mentions)
 			ids := s.ClusterIDs()

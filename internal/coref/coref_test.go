@@ -47,7 +47,7 @@ func TestLevenshtein(t *testing.T) {
 
 func TestStateMoves(t *testing.T) {
 	ms := []Mention{{ID: 0, Str: "a"}, {ID: 1, Str: "b"}, {ID: 2, Str: "c"}}
-	s := NewSingletonState(ms)
+	s, _ := newState(t, ms)
 	if s.NumClusters() != 3 {
 		t.Fatalf("NumClusters = %d", s.NumClusters())
 	}
@@ -75,7 +75,7 @@ func TestMoveDeltaMatchesFullScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSingletonState(mentions)
+	s, _ := newState(t, mentions)
 	mo := DefaultModel()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 300; trial++ {
@@ -105,12 +105,12 @@ func TestSamplingRecoversEntities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSingletonState(mentions)
-	_, _, f1Before := s.PairwiseF1()
+	s, _ := newState(t, mentions)
+	_, _, f1Before := s.PairwiseF1(mentions)
 	p := NewMoveProposer(s, DefaultModel())
 	sampler := mcmc.NewSampler(p, 13)
 	sampler.Run(30000)
-	_, _, f1After := s.PairwiseF1()
+	_, _, f1After := s.PairwiseF1(mentions)
 	if f1After <= f1Before {
 		t.Errorf("F1 did not improve: before %v, after %v", f1Before, f1After)
 	}
@@ -119,23 +119,55 @@ func TestSamplingRecoversEntities(t *testing.T) {
 	}
 }
 
+// PairwiseF1 scores the clustering against the gold entities of the
+// mentions it was loaded from (mention i is row i; see LoadMentions) with
+// pairwise precision/recall/F1: the evaluation the tests score walks by.
+func (s *State) PairwiseF1(mentions []Mention) (precision, recall, f1 float64) {
+	var tp, fp, fn float64
+	n := len(mentions)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			same := s.Cluster(i) == s.Cluster(j)
+			gold := mentions[i].Gold == mentions[j].Gold
+			switch {
+			case same && gold:
+				tp++
+			case same && !gold:
+				fp++
+			case !same && gold:
+				fn++
+			}
+		}
+	}
+	if tp+fp > 0 {
+		precision = tp / (tp + fp)
+	}
+	if tp+fn > 0 {
+		recall = tp / (tp + fn)
+	}
+	if precision+recall > 0 {
+		f1 = 2 * precision * recall / (precision + recall)
+	}
+	return precision, recall, f1
+}
+
 func TestPairwiseF1Extremes(t *testing.T) {
 	mentions := []Mention{{Gold: 0}, {Gold: 0}, {Gold: 1}}
-	s := NewSingletonState(mentions)
+	s, _ := newState(t, mentions)
 	// Singletons: no predicted pairs, recall 0.
-	p, r, f1 := s.PairwiseF1()
+	p, r, f1 := s.PairwiseF1(mentions)
 	if p != 0 || r != 0 || f1 != 0 {
 		t.Errorf("singleton F1 = %v/%v/%v", p, r, f1)
 	}
 	// Perfect clustering.
 	s.Move(1, s.Cluster(0))
-	p, r, f1 = s.PairwiseF1()
+	p, r, f1 = s.PairwiseF1(mentions)
 	if p != 1 || r != 1 || f1 != 1 {
 		t.Errorf("perfect F1 = %v/%v/%v", p, r, f1)
 	}
 	// Everything merged: precision suffers.
 	s.Move(2, s.Cluster(0))
-	p, r, _ = s.PairwiseF1()
+	p, r, _ = s.PairwiseF1(mentions)
 	if r != 1 || p >= 1 {
 		t.Errorf("merged all: p=%v r=%v", p, r)
 	}
@@ -154,16 +186,14 @@ func TestWriteThroughToDB(t *testing.T) {
 			t.Errorf("MENTION.%s: hidden=%v, want %v", col.Name, loaded.Schema().Hidden(i), i == ClusterCol)
 		}
 	}
-	s := NewSingletonState(mentions)
-	p := NewMoveProposer(s, DefaultModel())
-	log := world.NewChangeLog(db)
-	if err := p.BindDB(log); err != nil {
+	s, err := NewState(world.NewChangeLog(db))
+	if err != nil {
 		t.Fatal(err)
 	}
+	p := NewMoveProposer(s, DefaultModel())
 	sampler := mcmc.NewSampler(p, 23)
 	sampler.Run(2000)
-	// The CLUSTER column must mirror the in-memory state; mention i is
-	// row i.
+	// The CLUSTER column holds the state; mention i is row i.
 	rel, _ := db.Relation(MentionRelation)
 	for i := range mentions {
 		tu, _ := rel.Get(relstore.RowID(i))
@@ -173,29 +203,33 @@ func TestWriteThroughToDB(t *testing.T) {
 	}
 }
 
-// TestBindDBValidation: BindDB refuses a world without MENTION and one
-// that issued fewer ids than the state has mentions, and binds the world
-// LoadMentions filled.
-func TestBindDBValidation(t *testing.T) {
-	mentions, _ := Generate(GenConfig{NumEntities: 2, MentionsPerEntity: 2, Seed: 1})
-	p := NewMoveProposer(NewSingletonState(mentions), DefaultModel())
-	if err := p.BindDB(world.NewChangeLog(relstore.NewDB())); err == nil {
+// TestNewStateValidation: NewState refuses a world without MENTION and
+// binds the world LoadMentions filled, starting from its singletons.
+func TestNewStateValidation(t *testing.T) {
+	if _, err := NewState(world.NewChangeLog(relstore.NewDB())); err == nil {
 		t.Error("a world without MENTION: want error")
 	}
-	short := relstore.NewDB()
-	if err := LoadMentions(short, mentions[:len(mentions)-1]); err != nil {
-		t.Fatal(err)
+	mentions, _ := Generate(GenConfig{NumEntities: 2, MentionsPerEntity: 2, Seed: 1})
+	s, _ := newState(t, mentions)
+	if s.NumClusters() != len(mentions) {
+		t.Errorf("LoadMentions's own world: %d clusters, want %d singletons", s.NumClusters(), len(mentions))
 	}
-	if err := p.BindDB(world.NewChangeLog(short)); err == nil {
-		t.Error("a world that issued too few ids: want error")
-	}
+}
+
+// newState loads mentions into a fresh world, mention i as row i in
+// cluster i, and binds a clustering to it through the returned log.
+func newState(t testing.TB, mentions []Mention) (*State, *world.ChangeLog) {
+	t.Helper()
 	db := relstore.NewDB()
 	if err := LoadMentions(db, mentions); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.BindDB(world.NewChangeLog(db)); err != nil {
-		t.Errorf("LoadMentions's own world: %v", err)
+	log := world.NewChangeLog(db)
+	s, err := NewState(log)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s, log
 }
 
 func TestGenerateValidation(t *testing.T) {
@@ -217,7 +251,7 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 func TestSingleMentionProposalIsNoOp(t *testing.T) {
-	s := NewSingletonState([]Mention{{ID: 0, Str: "solo"}})
+	s, _ := newState(t, []Mention{{ID: 0, Str: "solo"}})
 	p := NewMoveProposer(s, DefaultModel())
 	sampler := mcmc.NewSampler(p, 3)
 	sampler.Run(100)
@@ -231,7 +265,7 @@ func TestSingleMentionProposalIsNoOp(t *testing.T) {
 // partitions of a 3-set must be visited with equal probability.
 func TestMoveProposerStationaryDistribution(t *testing.T) {
 	mentions := []Mention{{ID: 0, Str: "a"}, {ID: 1, Str: "b"}, {ID: 2, Str: "c"}}
-	s := NewSingletonState(mentions)
+	s, _ := newState(t, mentions)
 	p := NewMoveProposer(s, &Model{W: 0, Threshold: 0.5})
 	sampler := mcmc.NewSampler(p, 31)
 	counts := map[string]int{}
@@ -255,9 +289,9 @@ func TestMoveProposerStationaryDistribution(t *testing.T) {
 func canonicalPartition(s *State) string {
 	firstSeen := map[int]byte{}
 	next := byte('a')
-	out := make([]byte, len(s.Mentions))
-	for i := range s.Mentions {
-		c := s.Cluster(i)
+	out := make([]byte, len(s.rows))
+	for i, m := range s.rows {
+		c := s.Cluster(m)
 		b, ok := firstSeen[c]
 		if !ok {
 			b = next

@@ -1,7 +1,6 @@
 package coref
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,15 +8,17 @@ import (
 
 	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
-	"factordb/internal/world"
 )
 
 // MentionRelation is the name of the mention relation:
 // MENTION(MENTION_ID, STRING, CLUSTER) where CLUSTER is the hidden field.
 const MentionRelation = "MENTION"
 
-// ClusterCol is the column index of the hidden CLUSTER attribute.
-const ClusterCol = 2
+// Column indexes of the mention text and of the hidden CLUSTER attribute.
+const (
+	stringCol  = 1
+	ClusterCol = 2
+)
 
 // MentionSchema returns the MENTION relation schema.
 func MentionSchema() *relstore.Schema {
@@ -35,7 +36,7 @@ func MentionSchema() *relstore.Schema {
 func Declare(db *relstore.DB) error { return db.DeclareHidden(MentionRelation, ClusterCol) }
 
 // LoadMentions materializes mentions into a fresh MENTION relation with
-// singleton clusters: mention i is row i.
+// singleton clusters: mention i is row i, in cluster i.
 func LoadMentions(db *relstore.DB, mentions []Mention) error {
 	rel, err := db.Create(MentionSchema())
 	if err != nil {
@@ -68,10 +69,6 @@ type MoveProposer struct {
 	State *State
 	Model *Model
 
-	// Write-through binding: the CLUSTER column of MENTION, resolved once.
-	bound bool
-	field world.Field
-
 	// The pending move: mention m goes to cluster target (< 0 = a fresh
 	// singleton); noop when there is nowhere to move. others is the
 	// scratch list of candidate clusters.
@@ -83,23 +80,6 @@ type MoveProposer struct {
 // NewMoveProposer builds a proposer over the state.
 func NewMoveProposer(s *State, m *Model) *MoveProposer {
 	return &MoveProposer{State: s, Model: m}
-}
-
-// BindDB connects the proposer to a database change log so accepted moves
-// update the MENTION relation's CLUSTER field, whose rows must follow
-// LoadMentions's layout of the state's mentions. A relation that has not
-// issued every id the state addresses is refused.
-func (p *MoveProposer) BindDB(log *world.ChangeLog) error {
-	field, err := log.Field(MentionRelation, ClusterCol)
-	if err != nil {
-		return err
-	}
-	rel, _ := log.DB().Relation(MentionRelation) // Field found it
-	if n := relstore.RowID(len(p.State.Mentions)); n > rel.NextID() {
-		return fmt.Errorf("coref: the state addresses %d %s rows, but the relation has issued only %d ids", n, MentionRelation, rel.NextID())
-	}
-	p.bound, p.field = true, field
-	return nil
 }
 
 // options returns the number of move targets available to mention m in
@@ -116,7 +96,13 @@ func (p *MoveProposer) options(m int) int {
 // Propose implements mcmc.Proposer.
 func (p *MoveProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 	s := p.State
-	m := rng.Intn(len(s.Mentions))
+	if s.rel.EvidenceGen() != s.gen {
+		s.rebuild()
+	}
+	if p.noop = len(s.rows) == 0; p.noop {
+		return mcmc.Proposal{}
+	}
+	m := s.rows[rng.Intn(len(s.rows))]
 	optsFwd := p.options(m)
 	p.noop = optsFwd == 0
 	if p.noop {
@@ -166,18 +152,8 @@ func (p *MoveProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 
 // Accept implements mcmc.Proposer.
 func (p *MoveProposer) Accept() {
-	if p.noop {
-		return
-	}
-	dest := p.State.Move(p.m, p.target)
-	if p.bound {
-		if err := p.field.Set(relstore.RowID(p.m), relstore.Int(int64(dest))); err != nil {
-			// A mention deleted by DML stops mirroring; the in-memory
-			// clustering keeps being sampled.
-			if !errors.Is(err, relstore.ErrNotFound) {
-				panic(fmt.Sprintf("coref: write-through failed: %v", err))
-			}
-		}
+	if !p.noop {
+		p.State.Move(p.m, p.target)
 	}
 }
 

@@ -21,11 +21,11 @@ func TestTrajectoryMoveProposer(t *testing.T) {
 	if err := LoadMentions(db, mentions); err != nil {
 		t.Fatal(err)
 	}
-	state := NewSingletonState(mentions)
-	p := NewMoveProposer(state, DefaultModel())
-	if err := p.BindDB(world.NewChangeLog(db)); err != nil {
+	state, err := NewState(world.NewChangeLog(db))
+	if err != nil {
 		t.Fatal(err)
 	}
+	p := NewMoveProposer(state, DefaultModel())
 	s := mcmc.NewSampler(p, 103)
 	s.Run(4000)
 	rel, err := db.Relation(MentionRelation)

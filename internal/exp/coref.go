@@ -23,16 +23,15 @@ type CorefConfig struct {
 	Seed              int64
 }
 
-// CorefSystem is the entity-resolution probabilistic database: a fixed
-// set of generated mentions, the pairwise-cohesion model, and a prototype
-// world (MENTION with singleton clusters) cloned into independent chains
+// CorefSystem is the entity-resolution probabilistic database: the
+// pairwise-cohesion model and a prototype world (MENTION, whose CLUSTER
+// column holds the starting clustering) cloned into independent chains
 // — the same prototype-world contract as NERSystem, so the serving
 // engine and the public facade treat the two workloads identically.
 type CorefSystem struct {
-	Mentions []coref.Mention
-	Model    *coref.Model
-	cfg      CorefConfig
+	Model *coref.Model
 
+	desc    string // Describe's line, fixed at build
 	protoDB *relstore.DB
 }
 
@@ -41,10 +40,18 @@ type CorefSystem struct {
 func BuildCoref(cfg CorefConfig) (*CorefSystem, error) { return BuildCorefOver(cfg, nil) }
 
 // BuildCorefOver is BuildCoref serving db, when it is not nil, instead of
-// loading the mentions: a world this config's mentions were loaded into,
-// such as one recovered from a data directory, on which it declares
-// MENTION.CLUSTER hidden. Mention i is MENTION row i.
+// generating mentions: db, such as a world recovered from a data
+// directory, is served as it stands, with MENTION.CLUSTER declared
+// hidden, and cfg is not read.
 func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {
+	if db != nil {
+		if err := coref.Declare(db); err != nil {
+			return nil, err
+		}
+		rel, _ := db.Relation(coref.MentionRelation) // Declare found it
+		desc := fmt.Sprintf("coref system: %d mentions", rel.Len())
+		return &CorefSystem{Model: coref.DefaultModel(), desc: desc, protoDB: db}, nil
+	}
 	if cfg.NumEntities <= 0 {
 		cfg.NumEntities = 6
 	}
@@ -59,34 +66,29 @@ func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db == nil {
-		db = relstore.NewDB()
-		if err := coref.LoadMentions(db, mentions); err != nil {
-			return nil, err
-		}
-	} else if err := coref.Declare(db); err != nil {
+	db = relstore.NewDB()
+	if err := coref.LoadMentions(db, mentions); err != nil {
 		return nil, err
 	}
-	return &CorefSystem{Mentions: mentions, Model: coref.DefaultModel(), cfg: cfg, protoDB: db}, nil
+	desc := fmt.Sprintf("coref system: %d mentions of %d entities", len(mentions), cfg.NumEntities)
+	return &CorefSystem{Model: coref.DefaultModel(), desc: desc, protoDB: db}, nil
 }
 
-// NewChainWorld clones the prototype world and binds a fresh singleton
-// clustering and move proposer to it. The clones share nothing mutable.
+// NewChainWorld clones the prototype world and binds a clustering, which
+// starts from the clone's CLUSTER column, and a move proposer to it. The
+// clones share nothing mutable.
 func (s *CorefSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error) {
 	log := world.NewChangeLog(s.protoDB.Clone())
-	proposer := coref.NewMoveProposer(coref.NewSingletonState(s.Mentions), s.Model)
-	if err := proposer.BindDB(log); err != nil {
+	state, err := coref.NewState(log)
+	if err != nil {
 		return nil, nil, err
 	}
-	return log, proposer, nil
+	return log, coref.NewMoveProposer(state, s.Model), nil
 }
 
 // WorldDB exposes the prototype world — the evidence a durable store
 // snapshots and local-mode writes mutate.
 func (s *CorefSystem) WorldDB() *relstore.DB { return s.protoDB }
 
-// Describe returns a one-line summary of the workload.
-func (s *CorefSystem) Describe() string {
-	return fmt.Sprintf("coref system: %d mentions of %d entities",
-		len(s.Mentions), s.cfg.NumEntities)
-}
+// Describe returns a one-line summary of the workload as it was built.
+func (s *CorefSystem) Describe() string { return s.desc }

@@ -71,7 +71,7 @@ func TestExecMutatesEveryChainWorld(t *testing.T) {
 	}
 
 	// DELETE: the tuple disappears from the answer; the proposer keeps
-	// walking (its in-memory variable just stops mirroring).
+	// walking, and the deleted mention leaves its cluster.
 	if _, err := eng.Exec(ctx, `DELETE FROM MENTION WHERE MENTION_ID = 0`, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}

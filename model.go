@@ -104,8 +104,8 @@ func (m nerModel) build(w *relstore.DB) (system, error) {
 }
 
 // CorefConfig parameterizes the entity-resolution workload: generated
-// mention strings clustered by MCMC over a pairwise-cohesion model, with
-// the clustering written through to MENTION(MENTION_ID, STRING, CLUSTER).
+// mention strings clustered by MCMC over a pairwise-cohesion model; the
+// clustering is MENTION(MENTION_ID, STRING, CLUSTER)'s CLUSTER column.
 // The zero value gives 6 entities with 4 mentions each at seed 0.
 type CorefConfig struct {
 	// Entities is the number of gold entities (default 6).
@@ -116,7 +116,8 @@ type CorefConfig struct {
 	Seed int64
 }
 
-// Coref returns the entity-resolution workload model.
+// Coref returns the entity-resolution workload model. A reopened data
+// directory is served from its own MENTION rows, whatever cfg says.
 func Coref(cfg CorefConfig) Model { return corefModel{cfg} }
 
 type corefModel struct{ cfg CorefConfig }
