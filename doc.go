@@ -285,8 +285,11 @@
 //   - snap-<epoch>.snap: a checkpoint of the world as of a data epoch.
 //     Format "snap2:": magic, little-endian epoch, columnar world dump
 //     (per relation a liveness bitmap, then per column the live rows'
-//     payloads: int64 vectors, dictionary strings and codes, each a
-//     uint32 on disk; a column of at most 256 strings decodes 1 B wide),
+//     payloads: numbers, each an int64 on disk whatever width the store
+//     holds them at, and dictionary strings and codes, each code a
+//     uint32 on disk; a vector decodes at the narrowest width its live
+//     values need: 1 B for a column of at most 256 strings, 1, 2 or 4 B
+//     for integers in [0, 2⁸), [0, 2¹⁶) or [0, 2³²), 8 B otherwise),
 //     CRC-32 trailer; streamed to a temp file and atomically renamed.
 //     A relation's slot vectors, tombstones included, may take at most
 //     513 times the bytes its header obliges the file to hold (the
@@ -471,7 +474,12 @@
 //     (ie.Declare interns the nine labels on every world) allocates
 //     nothing. The dictionary grows only on writes, never on reads — a
 //     scan looks its literal up and an absent one selects nothing — and a
-//     checkpoint reload compacts it to the strings live rows hold.
+//     checkpoint reload compacts it to the strings live rows hold. An
+//     INT or BOOL column follows the same rule at four widths: 1, 2 or
+//     4 B per slot while every value it holds is in [0, 2⁸), [0, 2¹⁶) or
+//     [0, 2³²), 8 B otherwise, so TOK_ID costs 2 B and DOC_ID 1 B per
+//     token at 50 000 tokens. A scan's INT = c compares at that width,
+//     and a constant the width cannot hold selects nothing.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
 //     entry per row touched since the last Drain — a copy, in a reused
 //     arena, of the tuple the row had first — behind a map on the

@@ -10,7 +10,7 @@
 // world's change log. Writes are seen at the next proposal: an UPDATEd
 // STRING is scored, a DELETEd mention leaves its cluster, an INSERTed
 // one is a variable starting in the cluster its CLUSTER value names,
-// which must be ≥ 0 (a negative move target means a fresh cluster).
+// whatever its sign. A fresh cluster takes an id above every one in use.
 package coref
 
 import (
@@ -44,7 +44,7 @@ type State struct {
 
 	rows    []int // live mentions, ascending: the ones a proposal draws
 	members map[int]map[int]struct{}
-	nextID  int
+	nextID  int // a fresh cluster's id: above every cluster in use, and ≥ 0
 }
 
 // NewState binds a clustering to the MENTION relation of a chain's world,
@@ -61,7 +61,7 @@ func NewState(log *world.ChangeLog) (*State, error) {
 }
 
 // rebuild derives the index from the relation. The next fresh cluster id
-// is one past the largest in use.
+// is one past the largest in use, and at least 0.
 func (s *State) rebuild() {
 	s.gen = s.rel.EvidenceGen()
 	s.rows = s.rows[:0]
@@ -118,20 +118,19 @@ func (s *State) ClusterIDs() []int {
 // IsSingleton reports whether mention m is alone in its cluster.
 func (s *State) IsSingleton(m int) bool { return len(s.members[s.Cluster(m)]) == 1 }
 
-// Move transfers mention m into cluster target; target < 0 allocates a
-// fresh cluster. It returns the destination cluster id. Emptied clusters
-// disappear. Moving a mention to its own cluster is a no-op.
+// Move transfers mention m into cluster target, an existing cluster or
+// nextID (a fresh one, which no mention is in), and returns target.
+// Emptied clusters disappear. Moving a mention to its own cluster is a
+// no-op.
 func (s *State) Move(m, target int) int {
 	from := s.Cluster(m)
 	if target == from {
 		return from
 	}
-	if target >= 0 {
-		if _, ok := s.members[target]; !ok {
+	if _, ok := s.members[target]; !ok {
+		if target != s.nextID {
 			panic(fmt.Sprintf("coref: move to unknown cluster %d", target))
 		}
-	} else {
-		target = s.nextID
 		s.nextID++
 		s.members[target] = make(map[int]struct{})
 	}
@@ -318,9 +317,9 @@ func (mo *Model) Score(s *State) float64 {
 }
 
 // MoveDelta returns log π(w') − log π(w) for moving mention m to cluster
-// target (target < 0 meaning a fresh cluster), touching only factors
-// incident to m: pairs gained in the target cluster minus pairs lost in
-// the source cluster.
+// target (an existing cluster or nextID, a fresh one), touching only
+// factors incident to m: pairs gained in the target cluster minus pairs
+// lost in the source cluster.
 func (mo *Model) MoveDelta(s *State, m, target int) float64 {
 	from := s.Cluster(m)
 	if target == from {
@@ -328,10 +327,8 @@ func (mo *Model) MoveDelta(s *State, m, target int) float64 {
 	}
 	str := s.text(m)
 	var delta float64
-	if target >= 0 {
-		for x := range s.members[target] {
-			delta += mo.PairScore(str, s.text(x))
-		}
+	for x := range s.members[target] {
+		delta += mo.PairScore(str, s.text(x))
 	}
 	for x := range s.members[from] {
 		if x != m {

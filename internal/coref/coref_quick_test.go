@@ -78,7 +78,7 @@ func TestStateInvariantsQuick(t *testing.T) {
 		for _, mv := range moves {
 			m := int(mv>>8) % len(mentions)
 			ids := s.ClusterIDs()
-			target := -1
+			target := s.nextID
 			if pick := int(mv&0xff) % (len(ids) + 1); pick < len(ids) {
 				target = ids[pick]
 			}

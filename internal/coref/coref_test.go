@@ -60,7 +60,7 @@ func TestStateMoves(t *testing.T) {
 		t.Fatalf("members = %v", got)
 	}
 	// Split 1 back out to a fresh cluster.
-	fresh := s.Move(1, -1)
+	fresh := s.Move(1, s.nextID)
 	if fresh == dest || !s.IsSingleton(1) || s.NumClusters() != 3 {
 		t.Fatalf("after split: fresh=%d dest=%d clusters=%d", fresh, dest, s.NumClusters())
 	}
@@ -82,12 +82,12 @@ func TestMoveDeltaMatchesFullScore(t *testing.T) {
 		m := rng.Intn(len(mentions))
 		var target int
 		if rng.Float64() < 0.3 || s.NumClusters() == 1 {
-			target = -1
+			target = s.nextID
 		} else {
 			ids := s.ClusterIDs()
 			target = ids[rng.Intn(len(ids))]
 			if target == s.Cluster(m) {
-				target = -1
+				target = s.nextID
 			}
 		}
 		before := mo.Score(s)

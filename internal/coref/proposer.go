@@ -69,8 +69,8 @@ type MoveProposer struct {
 	State *State
 	Model *Model
 
-	// The pending move: mention m goes to cluster target (< 0 = a fresh
-	// singleton); noop when there is nowhere to move. others is the
+	// The pending move: mention m goes to cluster target (State.nextID:
+	// a fresh singleton); noop when there is nowhere to move. others is the
 	// scratch list of candidate clusters.
 	m, target int
 	noop      bool
@@ -120,25 +120,18 @@ func (p *MoveProposer) Propose(rng *rand.Rand) mcmc.Proposal {
 	}
 	slices.Sort(others)
 	p.others = others
-	target := -1 // fresh singleton
-	pick := rng.Intn(optsFwd)
-	if pick < len(others) {
+	target := s.nextID
+	if pick := rng.Intn(optsFwd); pick < len(others) {
 		target = others[pick]
 	}
 
-	// Backward options: in the new state m is a singleton iff it moved to
-	// a fresh cluster; cluster count changes when the source empties or a
-	// fresh cluster appears.
-	kAfter := s.NumClusters()
+	// Backward options: the clusters of the new state, less m's own when
+	// m is a singleton there. Moved to a fresh cluster, m is one, and that
+	// cluster is the one that appeared; moved into another, it is not. So
+	// either way it is the clusters now, less m's source if it empties.
+	optsBack := s.NumClusters()
 	if s.IsSingleton(m) {
-		kAfter-- // source disappears
-	}
-	if target < 0 {
-		kAfter++ // fresh cluster appears
-	}
-	optsBack := kAfter
-	if target < 0 {
-		optsBack = kAfter - 1 // m will be a singleton
+		optsBack-- // source disappears
 	}
 
 	delta := p.Model.MoveDelta(s, m, target)

@@ -1,9 +1,14 @@
 package coref
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"factordb/internal/mcmc"
+	"factordb/internal/ra"
+	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
@@ -16,6 +21,13 @@ func applySQL(t *testing.T, log *world.ChangeLog, sql string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyMutation(t, log, mut)
+}
+
+// applyMutation is applySQL for a mutation already compiled, as a
+// prepared statement's is once its arguments are bound.
+func applyMutation(t *testing.T, log *world.ChangeLog, mut ra.Mutation) {
+	t.Helper()
 	ops, err := world.ResolveMutation(log.DB(), mut)
 	if err != nil {
 		t.Fatal(err)
@@ -86,5 +98,49 @@ func TestWalkSurvivesDeletingEveryMention(t *testing.T) {
 	sampler.Run(100)
 	if s.NumClusters() != 0 {
 		t.Errorf("%d clusters left over an empty relation", s.NumClusters())
+	}
+}
+
+// TestMoveIntoNegativeCluster: a cluster id below 0, which an INSERT may
+// give a mention, is a cluster like any other, not a fresh one. With
+// mentions 0 and 1 in cluster −1 and mentions 2 and 3 in cluster 5, a
+// proposal for mention 2 or 3 draws cluster −1 and a fresh cluster at 1/2
+// each, and an accepted move into −1 lands there.
+func TestMoveIntoNegativeCluster(t *testing.T) {
+	s, log := newState(t, nil)
+	insert := &ra.Insert{TableName: MentionRelation, Columns: []string{"MENTION_ID", "STRING", "CLUSTER"}}
+	for i, c := range []int64{-1, -1, 5, 5} {
+		insert.Rows = append(insert.Rows, []relstore.Value{relstore.Int(int64(i)), relstore.String("m" + strconv.Itoa(i)), relstore.Int(c)})
+	}
+	applyMutation(t, log, insert)
+	p := NewMoveProposer(s, DefaultModel())
+	rng := rand.New(rand.NewSource(7))
+	var drawn, intoNegative, intoFresh int
+	for range 4000 {
+		p.Propose(rng)
+		if p.noop || p.m < 2 {
+			continue
+		}
+		drawn++
+		fresh := s.nextID
+		p.Accept()
+		switch c := s.Cluster(p.m); {
+		case c == -1:
+			intoNegative++
+			if got := s.Members(-1); len(got) != 3 {
+				t.Fatalf("mention %d moved into cluster -1, whose members are %v", p.m, got)
+			}
+		case c == fresh && s.IsSingleton(p.m):
+			intoFresh++
+		default:
+			t.Fatalf("mention %d moved to cluster %d: neither -1 nor the fresh %d", p.m, c, fresh)
+		}
+		s.Move(p.m, 5) // back where it was
+	}
+	for _, got := range []int{intoNegative, intoFresh} {
+		if math.Abs(float64(got)/float64(drawn)-0.5) > 0.05 {
+			t.Fatalf("of %d proposals for mentions 2 and 3, %d went into cluster -1 and %d to a fresh cluster; want 1/2 each",
+				drawn, intoNegative, intoFresh)
+		}
 	}
 }

@@ -34,24 +34,27 @@ import (
 // A string is a uvarint length and its bytes; a section is a uvarint
 // byte length and that many bytes; every fixed-width number is
 // little-endian. The dictionary holds only the strings live rows use,
-// coded in order of first use, so the bytes depend on the world's values
-// alone and a reload drops the strings no row holds any more.
+// coded in order of first use, and a number is written as an int64 and a
+// code as a uint32 whatever width the store holds it at, so the bytes
+// depend on the world's values alone and a reload drops the strings no
+// row holds any more. Decoding makes each vector once, at the narrowest
+// width its live values need (see nums and Codes).
 //
 // A relation is dense by RowID, so decoding gives every id below the
 // counter a slot, tombstones included, and the counter is a header a
 // corrupt or hostile stream can set to anything. checkSlots therefore
 // holds the slot vectors a relation header asks for (the liveness bitmap;
-// 8 B per id for an INT, BOOL or FLOAT column, 4 B for a STRING one; a
-// FLOAT column's ints bitmap) to K = 513 times the bytes the same header
-// obliges the input to hold (the liveness bitmap; 8 B per live number,
-// 4 B per live code; the FLOAT ints bitmaps). The bitmap is read before
-// any column is sized and each payload before its vector, so decoding
-// allocates at most 513 bytes of slot vector per input byte, plus a
-// constant per dictionary string, which the input holds in full. K is
-// 1 + 8 × 64: a bitmap is 1/64 of an 8 B vector, so a relation of up to 8
-// columns passes whatever it deleted. Dump holds every relation to the
-// same rule, so the store never replaces a checkpoint it can read with
-// one it cannot.
+// up to 8 B per id for an INT, BOOL or FLOAT column, up to 4 B for a
+// STRING one; a FLOAT column's ints bitmap) to K = 513 times the bytes
+// the same header obliges the input to hold (the liveness bitmap; 8 B per
+// live number, 4 B per live code; the FLOAT ints bitmaps). The bitmap is
+// read before any column is sized and each payload before its vector, so
+// decoding allocates at most 513 bytes of slot vector per input byte,
+// plus a constant per dictionary string, which the input holds in full.
+// K is 1 + 8 × 64: a bitmap is 1/64 of an 8 B vector, so a relation of up
+// to 8 columns passes whatever it deleted. Dump holds every relation to
+// the same rule, so the store never replaces a checkpoint it can read
+// with one it cannot.
 
 // ErrBadSnapshot marks input that is not a snapshot of a world: no
 // columnar magic, sections that do not frame, payloads that do not fit
@@ -195,7 +198,7 @@ func (e *encoder) relation(r *Relation) {
 		e.uvarint(8 * uint64(r.live))
 		for s := 0; s < r.n; s++ {
 			if alive.get(s) {
-				e.u64(uint64(c.nums[s]))
+				e.u64(uint64(c.nums.at(s)))
 			}
 		}
 		if c.typ == TFloat {
@@ -421,18 +424,25 @@ func (c *column) decode(d *decoder, alive bitmap, n, live int) error {
 	if d.err != nil {
 		return d.err
 	}
-	c.nums = make([]int64, n)
-	j := 0
-	for s := 0; s < n; s++ {
-		if !alive.get(s) {
-			continue
-		}
+	// The vector is made once, at the width its largest value needs.
+	var lg uint8
+	for j := range live {
 		x := int64(binary.LittleEndian.Uint64(b[8*j:]))
 		if c.typ == TBool && x != 0 && x != 1 {
 			return fmt.Errorf("bool payload %d", x)
 		}
-		c.nums[s] = x
-		j++
+		lg = max(lg, lgOf(x))
+	}
+	c.nums = makeNums(lg, n, 0)
+	switch lg {
+	case 0:
+		spread(c.nums.w8, b, alive)
+	case 1:
+		spread(c.nums.w16, b, alive)
+	case 2:
+		spread(c.nums.w32, b, alive)
+	default:
+		spread(c.nums.w64, b, alive)
 	}
 	if c.typ != TFloat {
 		return nil
@@ -447,6 +457,18 @@ func (c *column) decode(d *decoder, alive bitmap, n, live int) error {
 		}
 	}
 	return nil
+}
+
+// spread stores the payloads in b, one int64 per live row, in the live
+// slots of dst, a vector wide enough for every one of them.
+func spread[T slot](dst []T, b []byte, alive bitmap) {
+	j := 0
+	for s := range dst {
+		if alive.get(s) {
+			dst[s] = T(int64(binary.LittleEndian.Uint64(b[8*j:])))
+			j++
+		}
+	}
 }
 
 func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -35,7 +36,9 @@ type RowID int64
 // STRING vector holds codes, 1 B each while every code in it is below
 // 256 and 4 B once a larger one is stored (see Codes); the dictionary
 // they index is shared by every world descended from the column and is
-// not copied with the vector (see dict).
+// not copied with the vector (see dict). An INT, BOOL or FLOAT vector is
+// 1, 2, 4 or 8 B per slot, the narrowest that holds every value stored in
+// it (see nums). Either kind widens only in a vector its writer owns.
 //
 // A Relation is safe for any number of concurrent readers, Clone
 // included; a writer needs it exclusively.
@@ -49,14 +52,15 @@ type Relation struct {
 }
 
 // column is one attribute of every slot. TInt and TBool payloads and the
-// bits of a TFloat live in nums; a string's slot in codes holds its code
-// in dict. A FLOAT column accepts integers, and they keep their kind
-// (Int(1) and Float(1) key differently): ints marks the slots whose nums
-// entry is an integer payload rather than IEEE 754 bits.
+// bits of a TFloat live in nums, at the narrowest width that holds every
+// value stored (see nums); a string's slot in codes holds its code in
+// dict. A FLOAT column accepts integers, and they keep their kind (Int(1)
+// and Float(1) key differently): ints marks the slots whose nums entry is
+// an integer payload rather than IEEE 754 bits.
 type column struct {
 	shared atomic.Bool // visible to another world: copy before writing
 	typ    Type
-	nums   []int64
+	nums   nums
 	codes  Codes
 	dict   *dict // TString only
 	ints   bitmap
@@ -119,11 +123,20 @@ func (c *column) value(s int) Value {
 		return Value{kind: TString, s: c.dict.strs()[c.codes.At(s)]}
 	case TFloat:
 		if c.ints.get(s) {
-			return Value{kind: TInt, i: c.nums[s]}
+			return Value{kind: TInt, i: c.nums.at(s)}
 		}
-		return Value{kind: TFloat, f: math.Float64frombits(uint64(c.nums[s]))}
+		return Value{kind: TFloat, f: math.Float64frombits(uint64(c.nums.at(s)))}
 	}
-	return Value{kind: c.typ, i: c.nums[s]}
+	return Value{kind: c.typ, i: c.nums.at(s)}
+}
+
+// payload returns the int64 a numeric column holds for v: its integer, or
+// the IEEE 754 bits of a float.
+func payload(v Value) int64 {
+	if v.kind == TFloat {
+		return int64(math.Float64bits(v.f))
+	}
+	return v.i
 }
 
 // store writes v, already validated against the column type, into slot s.
@@ -131,28 +144,13 @@ func (c *column) store(s int, v Value) {
 	switch {
 	case c.typ == TString:
 		c.codes.set(s, c.dict.intern(v.s))
-	case c.typ != TFloat:
-		c.nums[s] = v.i
-	case v.kind == TInt:
-		c.nums[s] = v.i
+		return
+	case c.typ == TFloat && v.kind == TInt:
 		c.ints.set(s)
-	default:
-		c.nums[s] = int64(math.Float64bits(v.f))
+	case c.typ == TFloat:
 		c.ints.unset(s)
 	}
-}
-
-// matches reports whether slot s compares Equal to v, testing codes and
-// integers on the vector without materializing a Value. In a STRING
-// column, code is v's code.
-func (c *column) matches(s int, code uint32, v Value) bool {
-	switch {
-	case c.typ == TString:
-		return c.codes.At(s) == code
-	case c.typ == v.kind && c.typ != TFloat:
-		return c.nums[s] == v.i
-	}
-	return c.value(s).Equal(v)
+	c.nums.set(s, payload(v))
 }
 
 // grown returns a copy of x with room for extra more elements.
@@ -161,8 +159,8 @@ func grown[T any](x []T, extra int) []T {
 }
 
 // copyOf returns an unshared copy of the column with spare capacity for
-// extra more slots.
-func (c *column) copyOf(extra int) *column {
+// extra more slots, wide enough for v, the value about to be stored.
+func (c *column) copyOf(extra int, v Value) *column {
 	n := &column{typ: c.typ, dict: c.dict}
 	switch c.typ {
 	case TString:
@@ -171,19 +169,19 @@ func (c *column) copyOf(extra int) *column {
 		n.ints = grown(c.ints, extra/64+1)
 		fallthrough
 	default:
-		n.nums = grown(c.nums, extra)
+		n.nums = c.nums.grown(lgOf(payload(v)), extra)
 	}
 	return n
 }
 
-// own returns column ci ready to be written: the vector itself while no
-// other world can see it, otherwise a private copy that replaces it in
-// this relation. extra is the number of slots the caller is about to
-// append (0 for a store into an existing slot).
-func (r *Relation) own(ci, extra int) *column {
+// own returns column ci ready to store v: the vector itself while no
+// other world can see it, otherwise a private copy, made at the width v
+// needs, that replaces it in this relation. extra is the number of slots
+// the caller is about to append (0 for a store into an existing slot).
+func (r *Relation) own(ci, extra int, v Value) *column {
 	c := r.cols[ci]
 	if c.shared.Load() {
-		c = c.copyOf(extra)
+		c = c.copyOf(extra, v)
 		r.cols[ci] = c
 	}
 	return c
@@ -194,7 +192,7 @@ func (r *Relation) own(ci, extra int) *column {
 // nothing, so it never un-shares the vector.
 func (r *Relation) set(s, ci int, v Value) {
 	if !r.cols[ci].value(s).identical(v) {
-		r.own(ci, 0).store(s, v)
+		r.own(ci, 0, v).store(s, v)
 	}
 }
 
@@ -221,7 +219,8 @@ func (r *Relation) notFound(op string, id RowID) error {
 
 // Insert validates t, appends its values to the column vectors and
 // returns the new row's id. Appending writes to every vector, so the
-// first Insert after a Clone copies them all.
+// first Insert after a Clone copies them all, each at the width the new
+// value needs.
 func (r *Relation) Insert(t Tuple) (RowID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return 0, err
@@ -231,7 +230,7 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 	// Headroom for a copied vector: the next few inserts append in place.
 	extra := 1 + s/8 + 16
 	for ci, v := range t {
-		c := r.own(ci, extra)
+		c := r.own(ci, extra, v)
 		switch c.typ {
 		case TString:
 			c.codes.push()
@@ -239,7 +238,7 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 			c.ints = c.ints.cover(s)
 			fallthrough
 		default:
-			c.nums = append(c.nums, 0)
+			c.nums.push()
 		}
 		c.store(s, v)
 	}
@@ -376,49 +375,160 @@ func (r *Relation) Scan(fn func(id RowID, t Tuple) bool) {
 // rejected row; keep sees the same scratch tuple fn does. On a STRING
 // column that comparison is of codes: eqVal is looked up in the column's
 // dictionary once, and a string no row was ever given selects nothing
-// without entering the dictionary.
+// without entering the dictionary. On an INT or BOOL column it is made at
+// the vector's width, and a constant the width cannot hold selects
+// nothing before any row is read. Neither keep nor fn may write to r.
 func (r *Relation) ScanWhere(eqCol int, eqVal Value, keep func(t Tuple) bool, fn func(id RowID, t Tuple) bool) {
-	var eq *column
-	var eqCode uint32
-	if eqCol >= 0 {
-		eq = r.cols[eqCol]
-		if eq.typ == TString {
-			var ok bool
-			if eqVal.kind == TString {
-				eqCode, ok = eq.dict.lookup(eqVal.s)
-			}
-			if !ok {
-				return
-			}
-		}
-	}
+	// How to read each column is settled once per scan, not per cell.
+	var buf [8]scanCol
+	cols := buf[:0]
 	scratch := make(Tuple, len(r.cols))
 	defer clear(scratch)
-	// A STRING, INT or BOOL field needs its kind set once, and then only
-	// its payload per row.
 	for ci, c := range r.cols {
+		// A STRING, INT or BOOL field needs its kind set once, and then
+		// only its payload per row.
 		scratch[ci].kind = c.typ
+		cols = append(cols, readerOf(c))
 	}
-	alive := r.rows.alive
-	for s := 0; s < r.n; s++ {
-		if !alive.get(s) || (eq != nil && !eq.matches(s, eqCode, eqVal)) {
-			continue
+	if eqCol < 0 {
+		scanRows(r, nil, cols, scratch, keep, fn)
+		return
+	}
+	var match func(w int) uint64
+	switch c := r.cols[eqCol]; {
+	case c.typ == TString:
+		code, ok := uint32(0), false
+		if eqVal.kind == TString {
+			code, ok = c.dict.lookup(eqVal.s)
 		}
-		for ci, c := range r.cols {
-			switch c.typ {
-			case TString:
-				scratch[ci].s = c.dict.strs()[c.codes.At(s)]
-			case TFloat:
-				scratch[ci] = c.value(s)
-			default:
-				scratch[ci].i = c.nums[s]
-			}
-		}
-		if keep != nil && !keep(scratch) {
-			continue
-		}
-		if !fn(RowID(s), scratch) {
+		switch {
+		case !ok:
 			return
+		case c.codes.wide != nil:
+			match = func(w int) uint64 { return equalMask(c.codes.wide, code, w) }
+		case code < 1<<8:
+			match = func(w int) uint64 { return equalMask(c.codes.narrow, uint8(code), w) }
+		default:
+			return
+		}
+	case c.typ == eqVal.kind && c.typ != TFloat:
+		x := eqVal.i
+		if lgOf(x) > c.nums.lg {
+			return
+		}
+		switch c.nums.lg {
+		case 0:
+			match = func(w int) uint64 { return equalMask(c.nums.w8, uint8(x), w) }
+		case 1:
+			match = func(w int) uint64 { return equalMask(c.nums.w16, uint16(x), w) }
+		case 2:
+			match = func(w int) uint64 { return equalMask(c.nums.w32, uint32(x), w) }
+		default:
+			match = func(w int) uint64 { return equalMask(c.nums.w64, x, w) }
+		}
+	default:
+		// A FLOAT column, or a constant of another kind: compare the
+		// materialized value, numerically across INT and FLOAT.
+		eqKeep := func(t Tuple) bool { return t[eqCol].Equal(eqVal) && (keep == nil || keep(t)) }
+		scanRows(r, nil, cols, scratch, eqKeep, fn)
+		return
+	}
+	scanRows(r, match, cols, scratch, keep, fn)
+}
+
+// equalMask returns bit i set where slot 64w+i of vec holds x.
+func equalMask[T slot](vec []T, x T, w int) uint64 {
+	var m uint64
+	for i, y := range vec[w<<6 : min(len(vec), w<<6+64)] {
+		if y == x {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
+// scanCol is how a scan reads one column: the vector it reads, at the
+// width the column holds it, taken out of the column so that a cell costs
+// one load, and for a STRING column the dictionary table its codes index.
+type scanCol struct {
+	read readKind
+	u8   []uint8 // readCode8, readNum8
+	u16  []uint16
+	u32  []uint32 // readCode32, readNum32
+	i64  []int64
+	strs []string
+	c    *column // readFloat
+}
+
+// readKind is a column's type and vector width: the one switch a scan
+// makes per cell.
+type readKind uint8
+
+const (
+	readCode8 readKind = iota
+	readCode32
+	readFloat
+	readNum8
+	readNum16
+	readNum32
+	readNum64
+)
+
+func readerOf(c *column) scanCol {
+	switch {
+	case c.typ == TString && c.codes.wide != nil:
+		return scanCol{read: readCode32, u32: c.codes.wide, strs: c.dict.strs()}
+	case c.typ == TString:
+		return scanCol{read: readCode8, u8: c.codes.narrow, strs: c.dict.strs()}
+	case c.typ == TFloat:
+		return scanCol{read: readFloat, c: c}
+	}
+	switch c.nums.lg {
+	case 0:
+		return scanCol{read: readNum8, u8: c.nums.w8}
+	case 1:
+		return scanCol{read: readNum16, u16: c.nums.w16}
+	case 2:
+		return scanCol{read: readNum32, u32: c.nums.w32}
+	}
+	return scanCol{read: readNum64, i64: c.nums.w64}
+}
+
+// scanRows is ScanWhere's loop over the live rows, keeping in each word
+// of 64 slots only those match sets (nil: every one). It refills t from
+// each row it keeps and hands it to keep and fn.
+func scanRows(r *Relation, match func(w int) uint64, cols []scanCol, t Tuple, keep func(t Tuple) bool, fn func(id RowID, t Tuple) bool) {
+	for w, live := range r.rows.alive[:words(r.n)] {
+		if match != nil && live != 0 {
+			live &= match(w)
+		}
+		for ; live != 0; live &= live - 1 {
+			s := w<<6 | bits.TrailingZeros64(live)
+			for ci := range cols {
+				col := &cols[ci]
+				switch col.read {
+				case readCode8:
+					t[ci].s = col.strs[col.u8[s]]
+				case readCode32:
+					t[ci].s = col.strs[col.u32[s]]
+				case readFloat:
+					t[ci] = col.c.value(s)
+				case readNum8:
+					t[ci].i = int64(col.u8[s])
+				case readNum16:
+					t[ci].i = int64(col.u16[s])
+				case readNum32:
+					t[ci].i = int64(col.u32[s])
+				default:
+					t[ci].i = col.i64[s]
+				}
+			}
+			if keep != nil && !keep(t) {
+				continue
+			}
+			if !fn(RowID(s), t) {
+				return
+			}
 		}
 	}
 }

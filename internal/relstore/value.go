@@ -7,11 +7,12 @@
 // deterministic DBMS that always stores exactly one world, treated as a black
 // box by the sampler.
 //
-// A relation is stored by column: one typed vector per attribute ([]int64
-// for INT, BOOL and the bits of a FLOAT, codes into the column's string
-// dictionary for STRING, 1 B each while every code fits a byte and 4 B
-// after: see Codes) indexed by row slot, and a bitmap of the slots that
-// hold live rows. RowIDs count up
+// A relation is stored by column: one typed vector per attribute, indexed
+// by row slot, and a bitmap of the slots that hold live rows. An INT or
+// BOOL vector, and a FLOAT one holding IEEE 754 bits, is 1, 2, 4 or 8 B
+// per slot, the narrowest that holds every value in it (see nums); a
+// STRING vector holds codes into the column's string dictionary, 1 B each
+// while every code fits a byte and 4 B after (see Codes). RowIDs count up
 // and are never reused, so a row sits in the slot of its id, a delete
 // leaves a tombstone, and every scan runs in ascending RowID order. There
 // are no row objects: Get builds a tuple, a scan refills one scratch tuple
