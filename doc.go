@@ -481,12 +481,20 @@
 //     token at 50 000 tokens. A scan's INT = c compares at that width,
 //     and a constant the width cannot hold selects nothing.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
-//     entry per row touched since the last Drain — a copy, in a reused
-//     arena, of the tuple the row had first — behind a map on the
-//     RowID. Drain reads each touched row back from the store and
-//     emits, per row whose current tuple is not key-identical to its
-//     first, (old, −1) and (new, +1). A→B→A and insert-then-delete
-//     drain empty.
+//     record per row touched since the last Drain, behind a map on the
+//     RowID. A sampler flip records only the value the flipped column
+//     had first; a DML touch, or a flip of a second column, widens the
+//     record to the row's first tuple. Drain nets before it gathers: a
+//     flip record whose column is back at its value is dropped without
+//     reading the row, and for every other record the old and current
+//     tuples go into one arena per relation, sized to the netted rows,
+//     emitted in first-touch order as (old, −1) then (new, +1). A→B→A
+//     and insert-then-delete drain empty. A log whose delta nobody
+//     folds (a naive evaluator, a burn-in before any view, the durable
+//     store's shadow world) calls Discard, which closes the epoch
+//     without netting. Every buffer is kept only while at most four
+//     times what the batch used (64-row floor), so a burst goes at the
+//     next ordinary Drain.
 //   - An ivm.BaseDelta returned by Drain is valid until the next Drain
 //     on that log and no longer: containers and tuples alike sit in
 //     buffers the log zeroes and refills. Consumers clone the rows they

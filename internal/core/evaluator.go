@@ -70,7 +70,7 @@ func NewEvaluator(mode Mode, log *world.ChangeLog, proposer mcmc.Proposer, plan 
 		StepsPerSample: stepsPerSample,
 	}
 	if mode == Materialized {
-		log.Drain() // view initialization sees the current world directly
+		log.Discard() // view initialization sees the current world directly
 		view, err := ivm.NewView(bound)
 		if err != nil {
 			return nil, err
@@ -93,13 +93,15 @@ func (ev *Evaluator) Estimator() *Estimator { return ev.est }
 // Burn advances the world by n MH walk-steps without collecting a
 // sample, discarding the initial transient of the chain. For the
 // materialized evaluator the accumulated deltas are still folded into the
-// view so it stays consistent with the world.
+// view so it stays consistent with the world; the naive one discards
+// them.
 func (ev *Evaluator) Burn(n int) {
 	ev.sampler.Run(n)
-	d := ev.log.Drain()
 	if ev.mode == Materialized {
-		ev.view.Apply(d)
+		ev.view.Apply(ev.log.Drain())
+		return
 	}
+	ev.log.Discard()
 }
 
 // CollectSample advances the world by k MH walk-steps, evaluates the
@@ -117,8 +119,8 @@ func (ev *Evaluator) CollectSample() error {
 	}
 	// Algorithm 3 line 5: run the full query over the world, streaming
 	// answer tuples straight into the estimator. The delta log is
-	// discarded — the naive evaluator does not use it.
-	ev.log.Drain()
+	// discarded unread — the naive evaluator does not use it.
+	ev.log.Discard()
 	ev.est.AddSampleStream(ev.stream)
 	return nil
 }

@@ -127,3 +127,71 @@ func liveBytesPerToken(t *testing.T) float64 {
 	t.Logf("system + one chain over %d tokens: %d live bytes, %.2f B/token", tokens, live, float64(live)/float64(tokens))
 	return float64(live) / float64(tokens)
 }
+
+// TestChainDeltaLiveBudget is the change-log retention gate
+// (testdata/chain_live_budget.txt): a materialized Query 4 chain over a
+// 50k-token world that burned in n steps and then collected 20 samples
+// keeps no more heap live than the ceiling, whatever n. The burn-in's
+// delta is a burst of up to one row per token; what the chain keeps of
+// it once ordinary samples follow is the gate.
+func TestChainDeltaLiveBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("live-set budget gate skipped in -short mode and under the race detector")
+	}
+	data, err := os.ReadFile("testdata/chain_live_budget.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ceiling float64
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "chain_live_bytes "); ok {
+			if ceiling, err = strconv.ParseFloat(strings.TrimSpace(v), 64); err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+		}
+	}
+	if ceiling == 0 {
+		t.Fatal("testdata/chain_live_budget.txt pins no chain_live_bytes")
+	}
+	sys, err := BuildNER(Config{NumTokens: 50000, Seed: 1, UseSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst, worstN := int64(0), 0
+	for _, n := range []int{0, 1000, 5000, 10000, 20000, 30000, 200000} {
+		live := chainLiveBytes(t, sys, n)
+		t.Logf("burn-in %6d: %d live bytes", n, live)
+		if live > worst {
+			worst, worstN = live, n
+		}
+	}
+	if float64(worst) > ceiling {
+		t.Errorf("a chain burned in %d steps keeps %d bytes live, budget %v", worstN, worst, ceiling)
+	}
+	runtime.KeepAlive(sys)
+}
+
+// chainLiveBytes mounts a materialized Query 4 chain on sys, burns it in
+// n steps, collects 20 samples of 1 000 steps and returns the heap the
+// chain keeps live, two collections on each side.
+func chainLiveBytes(t *testing.T, sys *NERSystem, n int) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ch, err := sys.NewChain(core.Materialized, Query4, 1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Evaluator.Burn(n)
+	for range 20 {
+		if err := ch.Evaluator.CollectSample(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ch)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}

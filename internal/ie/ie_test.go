@@ -324,7 +324,7 @@ func TestLoadCorpusAndWriteThrough(t *testing.T) {
 			}
 		}
 	}
-	if !log.Pending() && mem > 0 {
+	if log.Drain().Empty() && mem > 0 {
 		t.Error("change log should have pending deltas")
 	}
 }

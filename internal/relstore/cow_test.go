@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -70,7 +71,7 @@ func (w *world) check() error {
 			return fmt.Errorf("Get(%d) = %v, %v; reference %v, %v", id, got, ok, want, live)
 		}
 		for col := range want {
-			if v, _ := w.rel.GetCol(id, col); !v.identical(want[col]) {
+			if v, _ := w.rel.GetCol(id, col); !v.Identical(want[col]) {
 				return fmt.Errorf("GetCol(%d, %d) = %v, reference %v", id, col, v, want[col])
 			}
 		}
@@ -382,15 +383,21 @@ func TestCloneAllocBudget(t *testing.T) {
 // TestDumpAllocBudget is the allocation gate of checkpoints
 // (testdata/alloc_budget.txt): Dump streams the vectors of a 5 000-token
 // world through one buffer, so it allocates per column, and 50 000 tokens
-// cost it the same number of allocations.
+// cost it the same number of allocations. Each size reads the least of 3
+// calls: an allocation of another goroutine inside a measured call can
+// only add to it, so an allocation Dump itself makes still shows.
 func TestDumpAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	within := budgetCheck(t)
 	dumpAllocs := func(db *DB) (n, b float64) {
-		var err error
-		n, b = measure(func() { err = db.Dump(io.Discard) })
-		if err != nil {
-			t.Fatal(err)
+		n, b = math.Inf(1), math.Inf(1)
+		for range 3 {
+			var err error
+			cn, cb := measure(func() { err = db.Dump(io.Discard) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, b = min(n, cn), min(b, cb)
 		}
 		return n, b
 	}

@@ -75,7 +75,7 @@ func identical(a, b Tuple) bool {
 		return false
 	}
 	for i := range a {
-		if !a[i].identical(b[i]) {
+		if !a[i].Identical(b[i]) {
 			return false
 		}
 	}

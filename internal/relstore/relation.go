@@ -191,7 +191,7 @@ func (r *Relation) own(ci, extra int, v Value) *column {
 // value the slot already holds (same kind, same payload bits) writes
 // nothing, so it never un-shares the vector.
 func (r *Relation) set(s, ci int, v Value) {
-	if !r.cols[ci].value(s).identical(v) {
+	if !r.cols[ci].value(s).Identical(v) {
 		r.own(ci, 0, v).store(s, v)
 	}
 }

@@ -154,7 +154,7 @@ func (t Tuple) Identical(o Tuple) bool {
 		return true
 	}
 	for i := range t {
-		if !t[i].identical(o[i]) {
+		if !t[i].Identical(o[i]) {
 			return false
 		}
 	}

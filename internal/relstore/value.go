@@ -138,9 +138,9 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// identical reports whether v and o encode to the same key: same kind,
+// Identical reports whether v and o encode to the same key: same kind,
 // same payload bits (see Tuple.Identical).
-func (v Value) identical(o Value) bool {
+func (v Value) Identical(o Value) bool {
 	return v.kind == o.kind && v.i == o.i && v.s == o.s && math.Float64bits(v.f) == math.Float64bits(o.f)
 }
 

@@ -90,7 +90,7 @@ func (c *chain) run(burnIn int) {
 	defer close(c.done)
 	if burnIn > 0 {
 		c.walk(burnIn)
-		c.log.Drain()
+		c.log.Discard() // no view is mounted yet
 		c.curEpoch.Store(c.log.Epoch())
 	}
 	for {

@@ -137,7 +137,7 @@ func Open(opts Options) (*DiskStore, error) {
 			epoch = r.epoch
 		}
 		if s.shadowLog != nil {
-			s.shadowLog.Drain() // no views to maintain; drop the replay delta
+			s.shadowLog.Discard() // no views to maintain; drop the replay delta
 		}
 		s.rec.ReplayNS = time.Since(phase).Nanoseconds()
 		if torn {
@@ -344,7 +344,7 @@ func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 			// ops resolved against a different world — a bug to surface.
 			return fmt.Errorf("store: shadow world rejected ops: %w", err)
 		}
-		s.shadowLog.Drain() // the shadow maintains no views; discard deltas
+		s.shadowLog.Discard() // the shadow maintains no views; discard deltas
 	}
 	s.epoch.Store(epoch)
 	s.walBytes.Add(int64(len(frame)))

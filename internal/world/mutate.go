@@ -242,7 +242,7 @@ func (l *ChangeLog) Insert(rel string, t relstore.Tuple) (relstore.RowID, error)
 	if err != nil {
 		return 0, err
 	}
-	rl.add(id, -1)
+	rl.add(rowChange{id: id, col: -1, off: -1})
 	l.updates++
 	return id, nil
 }
@@ -278,7 +278,7 @@ func (l *ChangeLog) UpdateFields(ref FieldRef, cols []int, vals []relstore.Value
 	if len(changed) == 0 {
 		return nil
 	}
-	if err := rl.touch(ref.Row); err != nil {
+	if err := rl.touch(ref.Row, -1, relstore.Value{}); err != nil {
 		return err
 	}
 	for _, i := range changed {
@@ -296,7 +296,7 @@ func (l *ChangeLog) DeleteRow(rel string, id relstore.RowID) error {
 	if err != nil {
 		return err
 	}
-	if err := rl.touch(id); err != nil {
+	if err := rl.touch(id, -1, relstore.Value{}); err != nil {
 		return err
 	}
 	if err := rl.rel.Delete(id); err != nil {

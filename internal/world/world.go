@@ -1,8 +1,10 @@
 // Package world bridges the MCMC sampler and the relational store: the
 // database always holds a single possible world (Section 3 of the paper),
-// and as inference mutates hidden fields the change log records the
-// removed and added tuples — the paper's auxiliary Δ⁻ ("deleted") and Δ⁺
-// ("added") tables — which the materialized-view query evaluator consumes.
+// and as inference mutates hidden fields the change log notes which rows
+// changed — for a flip, only the value the flipped column had. Drain nets
+// those notes into the removed and added tuples, the paper's auxiliary Δ⁻
+// ("deleted") and Δ⁺ ("added") tables, which the materialized-view query
+// evaluator consumes.
 package world
 
 import (
@@ -27,19 +29,22 @@ type FieldRef struct {
 //
 // The store keeps no row objects to point at — a flip is a store into one
 // column vector — so the pending delta is kept by row identity: per
-// relation, one entry for every row touched since the last Drain, holding
-// a copy of the tuple the row had before its first change. What the row
-// holds now is read back from the relation when the delta is netted. A
-// row flipped A→B→A, or inserted and deleted again, within one batch
-// therefore nets to nothing, and recording a change costs a map probe on
-// the RowID and, the first time only, one row copied into a reused arena.
+// relation, one record for every row touched since the last Drain, behind
+// a map on the RowID. A sampler flip records the value the one column it
+// writes had before the row's first change of the batch; a DML touch, or
+// a flip of a second column, widens that record to the whole tuple the row
+// started the batch with. What the row holds now is read back from the
+// relation when the delta is netted. A row flipped A→B→A, or inserted and
+// deleted again, within one batch therefore nets to nothing, and recording
+// a flip costs a map probe on the RowID and, the first time only, one
+// value.
 type ChangeLog struct {
 	db    *relstore.DB
 	rels  map[string]*relLog
 	delta ivm.BaseDelta // what the last Drain handed out; containers reused
 
 	updates int64 // total field updates applied through the log
-	epoch   int64 // number of Drains so far
+	epoch   int64 // number of Drains and Discards so far
 }
 
 // relLog is the pending delta of one relation. The relation handle is
@@ -49,69 +54,126 @@ type relLog struct {
 	arity int
 	idx   map[relstore.RowID]int32 // row -> position in rows
 	rows  []rowChange
-	// vals is the arena of this batch: the first-old tuples, arity values
-	// each, in the order their rows were first touched; Drain appends the
-	// rows' current tuples behind them and hands the whole arena out with
-	// the delta. drained is the arena the previous Drain handed out,
-	// zeroed and taken back into use at the next one.
-	vals, drained []relstore.Value
+	// olds holds the first-old tuples of the widened records, arity values
+	// each, for this batch only.
+	olds []relstore.Value
+	// arena holds the tuples the last Drain handed out, (old, now) per
+	// netted row; the next Drain zeroes and refills it.
+	arena []relstore.Value
 }
 
-// rowChange is one touched row. old is the offset in relLog.vals of the
-// tuple it had before the first change of the batch, or -1 for a row
-// inserted in the batch.
+// rowChange is one touched row in one of three forms. A flip record
+// (col ≥ 0) holds in old the value column col had before the row's first
+// change of the batch, every other column being unchanged. A widened
+// record (col < 0, off ≥ 0) keeps the row's first-old tuple at offset off
+// of relLog.olds. A row inserted in the batch has col < 0 and off < 0.
 type rowChange struct {
 	id  relstore.RowID
-	old int32
+	col int32
+	off int32
+	old relstore.Value
 }
 
-// touch notes that existing row id is about to change, keeping its
-// current tuple if this is the batch's first change to it.
-func (rl *relLog) touch(id relstore.RowID) error {
-	if _, ok := rl.idx[id]; ok {
+// touch notes that existing row id is about to change: in column col
+// alone, from cur, or, for col < 0, in more columns or as a whole. The
+// row's first touch of the batch records cur, or the whole current tuple
+// for col < 0. A later touch by another column, or by a DML statement,
+// widens a flip record: its first tuple is the current row with the
+// flipped column put back.
+func (rl *relLog) touch(id relstore.RowID, col int, cur relstore.Value) error {
+	if i, ok := rl.idx[id]; ok {
+		if c := &rl.rows[i]; c.col >= 0 && int(c.col) != col {
+			off := len(rl.olds)
+			rl.olds, _ = rl.rel.AppendRow(rl.olds, id)
+			rl.olds[off+int(c.col)] = c.old
+			*c = rowChange{id: id, col: -1, off: int32(off)}
+		}
 		return nil
 	}
-	off := len(rl.vals)
-	vals, ok := rl.rel.AppendRow(rl.vals, id)
+	if col >= 0 {
+		rl.add(rowChange{id: id, col: int32(col), off: -1, old: cur})
+		return nil
+	}
+	off := len(rl.olds)
+	olds, ok := rl.rel.AppendRow(rl.olds, id)
 	if !ok {
 		return fmt.Errorf("world: relation %q row %d: %w", rl.rel.Schema().Name, id, relstore.ErrNotFound)
 	}
-	rl.vals = vals
-	rl.add(id, int32(off))
+	rl.olds = olds
+	rl.add(rowChange{id: id, col: -1, off: int32(off)})
 	return nil
 }
 
-func (rl *relLog) add(id relstore.RowID, old int32) {
-	rl.idx[id] = int32(len(rl.rows))
-	rl.rows = append(rl.rows, rowChange{id: id, old: old})
+func (rl *relLog) add(c rowChange) {
+	rl.idx[c.id] = int32(len(rl.rows))
+	rl.rows = append(rl.rows, c)
 }
 
-// net calls fn for every signed row of the pending delta: −1 with the
-// tuple a touched row started the batch with, +1 with the tuple it holds
-// now, skipping rows that are back to the tuple they started with. The
-// current tuples are appended to buf, which is returned; a tuple passed
-// to fn is valid for as long as rl.vals and buf are.
-func (rl *relLog) net(buf []relstore.Value, fn func(t relstore.Tuple, n int64)) []relstore.Value {
+// moved reports whether flip record c's column is no longer key-identical
+// to the value it had first.
+func (rl *relLog) moved(c rowChange) bool {
+	cur, _ := rl.rel.GetCol(c.id, int(c.col))
+	return !cur.Identical(c.old)
+}
+
+// size bounds the values net gathers: the netted flip records' and the
+// widened records' old and current tuples, an inserted row's current one.
+func (rl *relLog) size() int {
+	n := 0
 	for _, c := range rl.rows {
-		var old, now relstore.Tuple
-		if c.old >= 0 {
-			end := int(c.old) + rl.arity
-			old = rl.vals[c.old:end:end]
+		switch {
+		case c.col >= 0:
+			if rl.moved(c) {
+				n += 2 * rl.arity
+			}
+		case c.off >= 0:
+			n += 2 * rl.arity
+		default:
+			n += rl.arity
 		}
+	}
+	return n
+}
+
+// net calls fn for every signed row of the pending delta, in first-touch
+// order: −1 with the tuple a touched row started the batch with, then +1
+// with the tuple it holds now, skipping rows that are back to the tuple
+// they started with. A flip record back at its value is skipped without
+// reading the row. Both tuples are appended to buf, which is returned; a
+// tuple passed to fn is valid for as long as buf is.
+func (rl *relLog) net(buf []relstore.Value, fn func(t relstore.Tuple, n int64)) []relstore.Value {
+	a := rl.arity
+	for _, c := range rl.rows {
 		mark := len(buf)
-		grown, live := rl.rel.AppendRow(buf, c.id)
-		if live {
-			buf, now = grown, grown[mark:len(grown):len(grown)]
-			if c.old >= 0 && old.Identical(now) {
-				buf = buf[:mark]
+		if c.col >= 0 {
+			if !rl.moved(c) {
 				continue
 			}
+			buf, _ = rl.rel.AppendRow(buf, c.id)
+			buf = append(buf, buf[mark:mark+a]...)
+			buf[mark+int(c.col)] = c.old
+			fn(buf[mark:mark+a:mark+a], -1)
+			fn(buf[mark+a:mark+2*a:mark+2*a], 1)
+			continue
 		}
-		if c.old >= 0 {
-			fn(old, -1)
+		grown, live := rl.rel.AppendRow(buf, c.id)
+		if c.off < 0 {
+			if live {
+				buf = grown
+				fn(buf[mark:mark+a:mark+a], 1)
+			}
+			continue
 		}
+		old := relstore.Tuple(rl.olds[c.off : int(c.off)+a])
+		if live && old.Identical(grown[mark:]) {
+			continue
+		}
+		// The old tuple goes behind the current one in buf, so both
+		// outlive the batch's olds.
+		buf = append(grown, old...)
+		fn(buf[len(buf)-a:len(buf):len(buf)], -1)
 		if live {
-			fn(now, 1)
+			fn(buf[mark:mark+a:mark+a], 1)
 		}
 	}
 	return buf
@@ -169,9 +231,9 @@ func (l *ChangeLog) Field(rel string, col int) (Field, error) {
 }
 
 // Set writes v into the field of the given row: a store into the
-// column's vector, with the row's previous tuple kept for Δ⁻ if this is
-// its first change of the batch. Writing the current value is a no-op; a
-// row that no longer exists reports relstore.ErrNotFound.
+// column's vector, with the field's previous value kept for Δ⁻ if this is
+// the row's first change of the batch. Writing the current value is a
+// no-op; a row that no longer exists reports relstore.ErrNotFound.
 func (f Field) Set(row relstore.RowID, v relstore.Value) error {
 	rel := f.rl.rel
 	cur, ok := rel.GetCol(row, f.col)
@@ -181,7 +243,7 @@ func (f Field) Set(row relstore.RowID, v relstore.Value) error {
 	if cur.Equal(v) {
 		return nil
 	}
-	if err := f.rl.touch(row); err != nil {
+	if err := f.rl.touch(row, f.col, cur); err != nil {
 		return err
 	}
 	if err := rel.SetCol(row, f.col, v); err != nil {
@@ -216,85 +278,84 @@ func (l *ChangeLog) GetField(ref FieldRef) (relstore.Value, error) {
 	return v, nil
 }
 
-// Pending reports whether any net changes have accumulated.
-func (l *ChangeLog) Pending() bool {
-	pending := false
-	for _, rl := range l.rels {
-		rl.net(nil, func(relstore.Tuple, int64) { pending = true })
-	}
-	return pending
-}
-
 // Updates returns the total number of effective field updates applied.
 func (l *ChangeLog) Updates() int64 { return l.updates }
 
 // Drain returns the accumulated net signed delta and resets the log,
 // closing the current epoch. This is the "cleaning and refreshing of the
 // tables between deterministic query executions" step of Section 4.2.
+// Per relation it nets first — a flip record back at its value is
+// dropped unread — and then gathers the old and current tuple of every
+// row left into one arena sized to them, emitting, in first-touch order,
+// (old, −1) before (now, +1).
 //
 // The returned delta is valid until the next Drain and no longer: the
 // map, the row slices and the tuples themselves live in buffers of the
 // log, which the next Drain zeroes and refills. Fold it into the views
-// (or drop it) before draining again; keep a tuple only as a Clone.
+// before draining again, or Discard instead of draining; keep a tuple
+// only as a Clone.
 func (l *ChangeLog) Drain() ivm.BaseDelta {
 	for name, rl := range l.rels {
-		out := l.delta[name][:0]
-		if cap(out) > 2*keepRows {
-			out = nil
-		}
-		rl.vals = slices.Grow(rl.vals, len(rl.rows)*rl.arity)
-		rl.vals = rl.net(rl.vals, func(t relstore.Tuple, n int64) {
+		vals := rl.size()
+		rl.arena = slices.Grow(keep(rl.arena, vals, 2*keepFloor*rl.arity), vals)
+		out := slices.Grow(keep(l.delta[name], vals/rl.arity, 2*keepFloor), vals/rl.arity)
+		rl.arena = rl.net(rl.arena, func(t relstore.Tuple, n int64) {
 			out = append(out, ra.BagRow{Tuple: t, N: n})
 		})
 		l.delta[name] = out
-		// The arena just filled goes out with the delta; the one that went
-		// out last time is zeroed, so nothing reads stale rows from it,
-		// and takes the next batch.
-		clear(rl.drained)
-		rl.vals, rl.drained = rl.drained[:0], rl.vals
-		if cap(rl.vals) > 2*keepRows*rl.arity {
-			rl.vals = nil
-		}
-		if cap(rl.rows) > keepRows {
-			rl.rows, rl.idx = nil, make(map[relstore.RowID]int32)
-			continue
-		}
-		clear(rl.idx)
-		rl.rows = rl.rows[:0]
+		rl.reset()
 	}
 	l.epoch++
 	return l.delta
 }
 
-// keepRows bounds the pending-delta buffers Drain keeps for reuse. A
-// sampling batch touches at most a few rows per walk-step and stays far
-// below it; a burst — a burn-in of 10⁵ steps drained once, a bulk DML
-// statement — grows the buffers past it, and those are dropped rather
-// than pinned at their high-water mark for the life of the chain.
-const keepRows = 4096
+// Discard closes the current epoch as Drain does but drops the pending
+// delta without netting it, for a log whose changes nobody folds: a naive
+// evaluator, a burn-in before any view is mounted, a shadow world. A
+// delta the last Drain returned stays valid.
+func (l *ChangeLog) Discard() {
+	for _, rl := range l.rels {
+		rl.reset()
+	}
+	l.epoch++
+}
 
-// Epoch returns the number of completed epochs: every Drain closes one.
-// Between two Drains the world passes through many intermediate states;
+// reset empties the batch's records, keeping the row list and its map
+// for the next batch unless a burst grew them far past what this batch
+// used.
+func (rl *relLog) reset() {
+	if cap(rl.rows) > 4*max(len(rl.rows), keepFloor) {
+		rl.rows, rl.idx = nil, make(map[relstore.RowID]int32)
+	} else {
+		clear(rl.idx)
+		clear(rl.rows)
+		rl.rows = rl.rows[:0]
+	}
+	rl.olds = keep(rl.olds, len(rl.olds), keepFloor*rl.arity)
+}
+
+// keep returns buf zeroed, so nothing reads a stale row from it, and
+// emptied for reuse — or nil once its capacity passes four times the
+// larger of used, what the batch needs of it, and floor. Retention thus
+// follows use: a steady batch reuses its buffers and allocates nothing,
+// and a burst (a long burn-in, a bulk DML statement) is released at the
+// next ordinary batch rather than pinned for the life of the chain.
+func keep[T any](buf []T, used, floor int) []T {
+	if cap(buf) > 4*max(used, floor) {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
+}
+
+// keepFloor is the row count below which a batch's buffers are kept
+// whatever the batch used: a sampling batch touches a few dozen rows and
+// varies from one batch to the next.
+const keepFloor = 64
+
+// Epoch returns the number of completed epochs: every Drain and every
+// Discard closes one. Between two of them the world passes through many intermediate states;
 // an epoch boundary is the only place where the store, the delta tables
 // and any maintained views are simultaneously consistent, which is what
 // makes it the unit at which a chain hands off an estimate.
 func (l *ChangeLog) Epoch() int64 { return l.epoch }
-
-// DeltaTables renders the pending delta for one relation as the paper's
-// two auxiliary tables: deleted (Δ⁻) holds the removed tuples, added (Δ⁺)
-// the new ones. Intended for display and debugging; Apply consumers use
-// the signed form directly.
-func (l *ChangeLog) DeltaTables(rel string) (deleted, added []relstore.Tuple) {
-	rl, ok := l.rels[rel]
-	if !ok {
-		return nil, nil
-	}
-	rl.net(nil, func(t relstore.Tuple, n int64) {
-		if n < 0 {
-			deleted = append(deleted, t.Clone())
-		} else {
-			added = append(added, t.Clone())
-		}
-	})
-	return deleted, added
-}
