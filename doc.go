@@ -288,8 +288,9 @@
 //     payloads: numbers, each an int64 on disk whatever width the store
 //     holds them at, and dictionary strings and codes, each code a
 //     uint32 on disk; a vector decodes at the narrowest width its live
-//     values need: 1 B for a column of at most 256 strings, 1, 2 or 4 B
-//     for integers in [0, 2⁸), [0, 2¹⁶) or [0, 2³²), 8 B otherwise),
+//     values need: 1, 2 or 4 B for integers in [0, 2⁸), [0, 2¹⁶) or
+//     [0, 2³²), 8 B otherwise, and a STRING column's codes by the same
+//     rule, 1 B for at most 256 strings, 2 B for at most 65 536),
 //     CRC-32 trailer; streamed to a temp file and atomically renamed.
 //     A relation's slot vectors, tombstones included, may take at most
 //     513 times the bytes its header obliges the file to hold (the
@@ -452,7 +453,7 @@
 //     An ie.CorpusIndex, built once per corpus over the loaded TOKEN
 //     relation and shared read-only by every tagger, reads each token's
 //     STRING code from the vector it borrows at its width
-//     (Relation.StringCodes lends a read-only relstore.Codes view and
+//     (Relation.StringCodes lends a read-only relstore.Slots view and
 //     marks the vector shared, so no write changes it), keeps one
 //     capitalization flag per code and the skip edges; the trainer reads
 //     gold from TRUTH codes through the same view. After set-up the
@@ -465,21 +466,21 @@
 //     Relation.CodeAt from the column's current vector through a table
 //     from code to label, since a checkpoint reload re-codes LABEL. A
 //     flip is Relation.SetCol through a world.Field resolved when the
-//     tagger is built; no row is copied. A STRING column is codes over
-//     an append-only dictionary shared by every world of its lineage,
-//     1 B per slot while every code it holds is below 256 and 4 B from
-//     the first store of a larger one (relstore.Codes; it widens once,
-//     in place, in a world that owns it, and never narrows). LABEL holds
-//     the nine labels, so it costs a chain 1 B per token, and a flip
-//     (ie.Declare interns the nine labels on every world) allocates
-//     nothing. The dictionary grows only on writes, never on reads — a
-//     scan looks its literal up and an absent one selects nothing — and a
-//     checkpoint reload compacts it to the strings live rows hold. An
-//     INT or BOOL column follows the same rule at four widths: 1, 2 or
-//     4 B per slot while every value it holds is in [0, 2⁸), [0, 2¹⁶) or
-//     [0, 2³²), 8 B otherwise, so TOK_ID costs 2 B and DOC_ID 1 B per
-//     token at 50 000 tokens. A scan's INT = c compares at that width,
-//     and a constant the width cannot hold selects nothing.
+//     tagger is built; no row is copied. Every column is one kind of
+//     vector, relstore.Slots: 1, 2 or 4 B per slot while every value it
+//     holds is in [0, 2⁸), [0, 2¹⁶) or [0, 2³²), 8 B otherwise; it
+//     widens in place, only in a world that owns it, and never narrows.
+//     An INT or BOOL vector holds values, a STRING one codes over an
+//     append-only dictionary shared by every world of its lineage. LABEL
+//     holds the nine labels, so it costs a chain 1 B per token, and a
+//     flip (ie.Declare interns the nine labels on every world) allocates
+//     nothing; at 50 000 tokens STRING (1 346 strings) and TOK_ID cost
+//     2 B and DOC_ID 1 B per token. The dictionary grows only on writes,
+//     never on reads — a scan looks its literal up and an absent one
+//     selects nothing — and a checkpoint reload compacts it to the
+//     strings live rows hold. A scan's column = c compares at the
+//     vector's width (a string as its code), and a constant the width
+//     cannot hold selects nothing.
 //   - world.ChangeLog nets by row identity. Per relation it keeps one
 //     record per row touched since the last Drain, behind a map on the
 //     RowID. A sampler flip records only the value the flipped column

@@ -103,7 +103,7 @@ func IsCapitalized(s string) bool {
 // changes, shared read-only by every tagger (see CorpusIndex).
 type docIndex struct {
 	first, end int            // token i is TOKEN row first+i, below end
-	codes      relstore.Codes // by row: the token's STRING code
+	codes      relstore.Slots // by row: the token's STRING code
 	capital    []bool         // by code: the string is capitalized
 	// The skip partners of position i — the other positions sharing its
 	// capitalized string, ascending — are skip[skipOff[i]:skipOff[i+1]].
@@ -115,7 +115,7 @@ type docIndex struct {
 func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOff[i+1]] }
 
 // code returns the STRING code of position i.
-func (x *docIndex) code(i int) uint32 { return x.codes.At(x.first + i) }
+func (x *docIndex) code(i int) uint32 { return uint32(x.codes.At(x.first + i)) }
 
 // CorpusIndex is the docIndex of every document of a loaded TOKEN
 // relation. A token's string is its STRING code in the vector the index
@@ -162,7 +162,7 @@ func NewCorpusIndex(db *relstore.DB) (*CorpusIndex, error) {
 	var skip []int32
 	for first, end := 0, 0; first < n; first = end {
 		doc, _ := rel.GetCol(relstore.RowID(first), docCol)
-		byCode := make(map[uint32][]int32)
+		byCode := make(map[int64][]int32)
 		for end = first; end < n; end++ {
 			if v, _ := rel.GetCol(relstore.RowID(end), docCol); !v.Equal(doc) {
 				break

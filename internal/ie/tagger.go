@@ -107,7 +107,7 @@ type Tagger struct {
 	logged bool               // flips go through field (a chain)
 	field  world.Field
 
-	gold relstore.Codes // a trainer's TRUTH codes by row (see NewTrainer)
+	gold relstore.Slots // a trainer's TRUTH codes by row (see NewTrainer)
 
 	// ActiveDocs and StepsPerBatch reproduce the paper's batching: up to
 	// ActiveDocs documents' variables form the working set L, re-drawn

@@ -93,8 +93,8 @@ func TestStringDictionary(t *testing.T) {
 		if got := r.cols[1].dict.strs(); !slices.Equal(got, []string{"O", "B-PER", "w"}) {
 			t.Errorf("dictionary = %q, want the interned strings first, once each", got)
 		}
-		if r.cols[1].codes.At(0) != 1 {
-			t.Errorf("B-PER stored as code %d, want 1", r.cols[1].codes.At(0))
+		if r.cols[1].vec.At(0) != 1 {
+			t.Errorf("B-PER stored as code %d, want 1", r.cols[1].vec.At(0))
 		}
 		if d := r.cols[1].dict; len(*d.read.Load()) != 2 {
 			t.Errorf("the read map holds %d of the interned strings, want both", len(*d.read.Load()))
@@ -188,8 +188,8 @@ func TestStringCodesBorrowed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if codes.Len() != rows || cap(codes.narrow) != rows {
-				t.Fatalf("lent %d narrow codes with capacity %d, want %d and %d", len(codes.narrow), cap(codes.narrow), rows, rows)
+			if codes.Len() != rows || cap(codes.w8) != rows {
+				t.Fatalf("lent %d narrow codes with capacity %d, want %d and %d", codes.Len(), cap(codes.w8), rows, rows)
 			}
 			for i, c := range codesOf(codes) {
 				if v, _ := rel.GetCol(RowID(i), 2); table[c] != v.AsString() {

@@ -38,7 +38,7 @@ import (
 // code as a uint32 whatever width the store holds it at, so the bytes
 // depend on the world's values alone and a reload drops the strings no
 // row holds any more. Decoding makes each vector once, at the narrowest
-// width its live values need (see nums and Codes).
+// width its live values need (see Slots).
 //
 // A relation is dense by RowID, so decoding gives every id below the
 // counter a slot, tombstones included, and the counter is a header a
@@ -198,7 +198,7 @@ func (e *encoder) relation(r *Relation) {
 		e.uvarint(8 * uint64(r.live))
 		for s := 0; s < r.n; s++ {
 			if alive.get(s) {
-				e.u64(uint64(c.nums.at(s)))
+				e.u64(uint64(c.vec.At(s)))
 			}
 		}
 		if c.typ == TFloat {
@@ -221,7 +221,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	var count uint32
 	size := 0
 	for s := 0; s < n; s++ {
-		if code := c.codes.At(s); alive.get(s) && remap[code] == 0 {
+		if code := c.vec.At(s); alive.get(s) && remap[code] == 0 {
 			count++
 			remap[code] = count
 			size += uvarintLen(uint64(len(table[code]))) + len(table[code])
@@ -232,7 +232,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	// A string's first use is the first live row holding the next code.
 	next := uint32(1)
 	for s := 0; s < n && next <= count; s++ {
-		if code := c.codes.At(s); alive.get(s) && remap[code] == next {
+		if code := c.vec.At(s); alive.get(s) && remap[code] == next {
 			e.str(table[code])
 			next++
 		}
@@ -240,7 +240,7 @@ func (e *encoder) strings(c *column, alive bitmap, n, live int) {
 	e.uvarint(4 * uint64(live))
 	for s := 0; s < n; s++ {
 		if alive.get(s) {
-			e.u32(remap[c.codes.At(s)] - 1)
+			e.u32(remap[c.vec.At(s)] - 1)
 		}
 	}
 }
@@ -433,16 +433,13 @@ func (c *column) decode(d *decoder, alive bitmap, n, live int) error {
 		}
 		lg = max(lg, lgOf(x))
 	}
-	c.nums = makeNums(lg, n, 0)
-	switch lg {
-	case 0:
-		spread(c.nums.w8, b, alive)
-	case 1:
-		spread(c.nums.w16, b, alive)
-	case 2:
-		spread(c.nums.w32, b, alive)
-	default:
-		spread(c.nums.w64, b, alive)
+	c.vec = makeSlots(lg, n, 0)
+	j := 0
+	for s := range n {
+		if alive.get(s) {
+			c.vec.set(s, int64(binary.LittleEndian.Uint64(b[8*j:])))
+			j++
+		}
 	}
 	if c.typ != TFloat {
 		return nil
@@ -457,18 +454,6 @@ func (c *column) decode(d *decoder, alive bitmap, n, live int) error {
 		}
 	}
 	return nil
-}
-
-// spread stores the payloads in b, one int64 per live row, in the live
-// slots of dst, a vector wide enough for every one of them.
-func spread[T slot](dst []T, b []byte, alive bitmap) {
-	j := 0
-	for s := range dst {
-		if alive.get(s) {
-			dst[s] = T(int64(binary.LittleEndian.Uint64(b[8*j:])))
-			j++
-		}
-	}
 }
 
 func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {
@@ -500,14 +485,10 @@ func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {
 	if d.err != nil {
 		return d.err
 	}
-	// The width the codes need: 1 B each while the dictionary fits a byte.
-	if count > 1<<8 {
-		c.codes.wide = make([]uint32, n)
-	} else {
-		c.codes.narrow = make([]uint8, n)
-	}
+	// The vector is made once, at the width the largest code needs.
+	c.vec = makeSlots(lgOf(int64(max(count, 1)-1)), n, 0)
 	j := 0
-	for s := 0; s < n; s++ {
+	for s := range n {
 		if !alive.get(s) {
 			continue
 		}
@@ -515,7 +496,7 @@ func (c *column) decodeStrings(d *decoder, alive bitmap, n, live int) error {
 		if uint64(code) >= count {
 			return fmt.Errorf("code %d outside a dictionary of %d", code, count)
 		}
-		c.codes.set(s, code)
+		c.vec.set(s, int64(code))
 		j++
 	}
 	return nil

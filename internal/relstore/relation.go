@@ -32,13 +32,12 @@ type RowID int64
 // its own copy (see own). A world that only ever changes one column
 // therefore owns that one vector and reads the rest from the common
 // copy. Tuples are materialized on the way out — Get and AppendRow build
-// a row from the vectors, scans refill one scratch tuple per row. A
-// STRING vector holds codes, 1 B each while every code in it is below
-// 256 and 4 B once a larger one is stored (see Codes); the dictionary
-// they index is shared by every world descended from the column and is
-// not copied with the vector (see dict). An INT, BOOL or FLOAT vector is
-// 1, 2, 4 or 8 B per slot, the narrowest that holds every value stored in
-// it (see nums). Either kind widens only in a vector its writer owns.
+// a row from the vectors, scans refill one scratch tuple per row. Every
+// vector is a Slots, 1, 2, 4 or 8 B per slot, the narrowest that holds
+// every value stored in it, and widens only in a vector its writer owns:
+// a STRING vector holds codes into a dictionary that every world
+// descended from the column shares and that is not copied with the
+// vector (see dict); an INT, BOOL or FLOAT vector holds payloads.
 //
 // A Relation is safe for any number of concurrent readers, Clone
 // included; a writer needs it exclusively.
@@ -51,17 +50,16 @@ type Relation struct {
 	evGen  uint64 // writes that can change evidence (EvidenceGen)
 }
 
-// column is one attribute of every slot. TInt and TBool payloads and the
-// bits of a TFloat live in nums, at the narrowest width that holds every
-// value stored (see nums); a string's slot in codes holds its code in
-// dict. A FLOAT column accepts integers, and they keep their kind (Int(1)
-// and Float(1) key differently): ints marks the slots whose nums entry is
-// an integer payload rather than IEEE 754 bits.
+// column is one attribute of every slot. Its vector holds each slot's
+// payload (see payload) at the narrowest width that holds every value
+// stored (see Slots): a string's code in dict, a TInt or TBool's integer,
+// a TFloat's bits. A FLOAT column accepts integers, and they keep their
+// kind (Int(1) and Float(1) key differently): ints marks the slots whose
+// entry is an integer payload rather than IEEE 754 bits.
 type column struct {
 	shared atomic.Bool // visible to another world: copy before writing
 	typ    Type
-	nums   nums
-	codes  Codes
+	vec    Slots
 	dict   *dict // TString only
 	ints   bitmap
 }
@@ -118,39 +116,40 @@ func (r *Relation) NextID() RowID { return RowID(r.n) }
 
 // value materializes slot s.
 func (c *column) value(s int) Value {
-	switch c.typ {
-	case TString:
-		return Value{kind: TString, s: c.dict.strs()[c.codes.At(s)]}
-	case TFloat:
-		if c.ints.get(s) {
-			return Value{kind: TInt, i: c.nums.at(s)}
-		}
-		return Value{kind: TFloat, f: math.Float64frombits(uint64(c.nums.at(s)))}
+	x := c.vec.At(s)
+	switch {
+	case c.typ == TString:
+		return Value{kind: TString, s: c.dict.strs()[x]}
+	case c.typ == TFloat && !c.ints.get(s):
+		return Value{kind: TFloat, f: math.Float64frombits(uint64(x))}
+	case c.typ == TFloat:
+		return Value{kind: TInt, i: x}
 	}
-	return Value{kind: c.typ, i: c.nums.at(s)}
+	return Value{kind: c.typ, i: x}
 }
 
-// payload returns the int64 a numeric column holds for v: its integer, or
-// the IEEE 754 bits of a float.
-func payload(v Value) int64 {
-	if v.kind == TFloat {
+// payload returns the int64 the column's vector holds for v, already
+// validated against the column type: a string's code, issued now if the
+// dictionary has none for it, an integer, or the IEEE 754 bits of a float.
+func (c *column) payload(v Value) int64 {
+	switch v.kind {
+	case TString:
+		return int64(c.dict.intern(v.s))
+	case TFloat:
 		return int64(math.Float64bits(v.f))
 	}
 	return v.i
 }
 
-// store writes v, already validated against the column type, into slot s.
-func (c *column) store(s int, v Value) {
+// store writes v into slot s as x, its payload.
+func (c *column) store(s int, v Value, x int64) {
 	switch {
-	case c.typ == TString:
-		c.codes.set(s, c.dict.intern(v.s))
-		return
 	case c.typ == TFloat && v.kind == TInt:
 		c.ints.set(s)
 	case c.typ == TFloat:
 		c.ints.unset(s)
 	}
-	c.nums.set(s, payload(v))
+	c.vec.set(s, x)
 }
 
 // grown returns a copy of x with room for extra more elements.
@@ -159,29 +158,23 @@ func grown[T any](x []T, extra int) []T {
 }
 
 // copyOf returns an unshared copy of the column with spare capacity for
-// extra more slots, wide enough for v, the value about to be stored.
-func (c *column) copyOf(extra int, v Value) *column {
-	n := &column{typ: c.typ, dict: c.dict}
-	switch c.typ {
-	case TString:
-		n.codes = c.codes.grown(extra)
-	case TFloat:
+// extra more slots, wide enough for x, the payload about to be stored.
+func (c *column) copyOf(extra int, x int64) *column {
+	n := &column{typ: c.typ, dict: c.dict, vec: c.vec.grown(lgOf(x), extra)}
+	if c.typ == TFloat {
 		n.ints = grown(c.ints, extra/64+1)
-		fallthrough
-	default:
-		n.nums = c.nums.grown(lgOf(payload(v)), extra)
 	}
 	return n
 }
 
-// own returns column ci ready to store v: the vector itself while no
-// other world can see it, otherwise a private copy, made at the width v
+// own returns column ci ready to store x: the vector itself while no
+// other world can see it, otherwise a private copy, made at the width x
 // needs, that replaces it in this relation. extra is the number of slots
 // the caller is about to append (0 for a store into an existing slot).
-func (r *Relation) own(ci, extra int, v Value) *column {
+func (r *Relation) own(ci, extra int, x int64) *column {
 	c := r.cols[ci]
 	if c.shared.Load() {
-		c = c.copyOf(extra, v)
+		c = c.copyOf(extra, x)
 		r.cols[ci] = c
 	}
 	return c
@@ -191,8 +184,9 @@ func (r *Relation) own(ci, extra int, v Value) *column {
 // value the slot already holds (same kind, same payload bits) writes
 // nothing, so it never un-shares the vector.
 func (r *Relation) set(s, ci int, v Value) {
-	if !r.cols[ci].value(s).Identical(v) {
-		r.own(ci, 0, v).store(s, v)
+	if c := r.cols[ci]; !c.value(s).Identical(v) {
+		x := c.payload(v)
+		r.own(ci, 0, x).store(s, v, x)
 	}
 }
 
@@ -230,17 +224,13 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 	// Headroom for a copied vector: the next few inserts append in place.
 	extra := 1 + s/8 + 16
 	for ci, v := range t {
-		c := r.own(ci, extra, v)
-		switch c.typ {
-		case TString:
-			c.codes.push()
-		case TFloat:
+		x := r.cols[ci].payload(v)
+		c := r.own(ci, extra, x)
+		if c.typ == TFloat {
 			c.ints = c.ints.cover(s)
-			fallthrough
-		default:
-			c.nums.push()
 		}
-		c.store(s, v)
+		c.vec.push()
+		c.store(s, v, x)
 	}
 	rs := r.ownRows(extra)
 	rs.alive = rs.alive.cover(s)
@@ -323,22 +313,22 @@ func (r *Relation) Intern(col int, strs ...string) error {
 // first, as Clone marks it, so no later write in any world, this one
 // included, changes it in place: a writer copies it (and widens only its
 // copy) and goes on with that. The caller must not write to the table.
-func (r *Relation) StringCodes(col int) (Codes, []string, error) {
+func (r *Relation) StringCodes(col int) (Slots, []string, error) {
 	c, err := r.stringCol(col)
 	if err != nil {
-		return Codes{}, nil, err
+		return Slots{}, nil, err
 	}
 	c.shared.Store(true)
-	return c.codes.prefix(r.n), c.dict.strs(), nil
+	return c.vec.prefix(r.n), c.dict.strs(), nil
 }
 
 // CodeAt returns the code STRING column col holds in slot id, read from
 // the column's current vector on every call, so it sees every write
 // before it and never a vector an Insert or a copy on write replaced; a
 // deleted row's slot still holds its last code. It marks nothing shared
-// and reads either width. id must be below NextID; the code indexes the
+// and reads any width. id must be below NextID; the code indexes the
 // table StringCodes lends.
-func (r *Relation) CodeAt(id RowID, col int) uint32 { return r.cols[col].codes.At(int(id)) }
+func (r *Relation) CodeAt(id RowID, col int) uint32 { return uint32(r.cols[col].vec.At(int(id))) }
 
 // stringCol returns column col, which must be a STRING column.
 func (r *Relation) stringCol(col int) (*column, error) {
@@ -371,13 +361,14 @@ func (r *Relation) Scan(fn func(id RowID, t Tuple) bool) {
 // fn sees only the rows whose column eqCol compares Equal to eqVal
 // (eqCol < 0: no such condition) and that satisfy keep (nil: all). The
 // equality is tested on the column vector, before the row is
-// materialized, so a point predicate costs one typed comparison per
-// rejected row; keep sees the same scratch tuple fn does. On a STRING
-// column that comparison is of codes: eqVal is looked up in the column's
-// dictionary once, and a string no row was ever given selects nothing
-// without entering the dictionary. On an INT or BOOL column it is made at
-// the vector's width, and a constant the width cannot hold selects
-// nothing before any row is read. Neither keep nor fn may write to r.
+// materialized, at the vector's width, so a point predicate costs one
+// integer comparison per rejected row; keep sees the same scratch tuple
+// fn does. A STRING constant is compared as its code: it is looked up in
+// the column's dictionary once, and a string no row was ever given
+// selects nothing without entering the dictionary. A constant or code
+// the width cannot hold selects nothing before any row is read. A FLOAT
+// column compares materialized values. Neither keep nor fn may write to
+// r.
 func (r *Relation) ScanWhere(eqCol int, eqVal Value, keep func(t Tuple) bool, fn func(id RowID, t Tuple) bool) {
 	// How to read each column is settled once per scan, not per cell.
 	var buf [8]scanCol
@@ -391,136 +382,79 @@ func (r *Relation) ScanWhere(eqCol int, eqVal Value, keep func(t Tuple) bool, fn
 		cols = append(cols, readerOf(c))
 	}
 	if eqCol < 0 {
-		scanRows(r, nil, cols, scratch, keep, fn)
+		scanRows(r, nil, 0, cols, scratch, keep, fn)
 		return
 	}
-	var match func(w int) uint64
-	switch c := r.cols[eqCol]; {
-	case c.typ == TString:
-		code, ok := uint32(0), false
-		if eqVal.kind == TString {
-			code, ok = c.dict.lookup(eqVal.s)
-		}
-		switch {
-		case !ok:
-			return
-		case c.codes.wide != nil:
-			match = func(w int) uint64 { return equalMask(c.codes.wide, code, w) }
-		case code < 1<<8:
-			match = func(w int) uint64 { return equalMask(c.codes.narrow, uint8(code), w) }
-		default:
-			return
-		}
-	case c.typ == eqVal.kind && c.typ != TFloat:
-		x := eqVal.i
-		if lgOf(x) > c.nums.lg {
-			return
-		}
-		switch c.nums.lg {
-		case 0:
-			match = func(w int) uint64 { return equalMask(c.nums.w8, uint8(x), w) }
-		case 1:
-			match = func(w int) uint64 { return equalMask(c.nums.w16, uint16(x), w) }
-		case 2:
-			match = func(w int) uint64 { return equalMask(c.nums.w32, uint32(x), w) }
-		default:
-			match = func(w int) uint64 { return equalMask(c.nums.w64, x, w) }
-		}
-	default:
+	c := r.cols[eqCol]
+	if c.typ == TFloat || (c.typ != eqVal.kind && c.typ != TString) {
 		// A FLOAT column, or a constant of another kind: compare the
 		// materialized value, numerically across INT and FLOAT.
 		eqKeep := func(t Tuple) bool { return t[eqCol].Equal(eqVal) && (keep == nil || keep(t)) }
-		scanRows(r, nil, cols, scratch, eqKeep, fn)
+		scanRows(r, nil, 0, cols, scratch, eqKeep, fn)
 		return
 	}
-	scanRows(r, match, cols, scratch, keep, fn)
-}
-
-// equalMask returns bit i set where slot 64w+i of vec holds x.
-func equalMask[T slot](vec []T, x T, w int) uint64 {
-	var m uint64
-	for i, y := range vec[w<<6 : min(len(vec), w<<6+64)] {
-		if y == x {
-			m |= 1 << i
+	x := eqVal.i
+	if c.typ == TString {
+		code, ok := c.dict.lookup(eqVal.s)
+		if !ok || eqVal.kind != TString {
+			return
 		}
+		x = int64(code)
 	}
-	return m
+	if lgOf(x) <= c.vec.lg {
+		scanRows(r, &c.vec, x, cols, scratch, keep, fn)
+	}
 }
 
-// scanCol is how a scan reads one column: the vector it reads, at the
-// width the column holds it, taken out of the column so that a cell costs
-// one load, and for a STRING column the dictionary table its codes index.
+// scanCol is how a scan reads one column: the vector it reads, taken out
+// of the column so that a cell costs one load, and for a STRING column
+// the dictionary table its codes index.
 type scanCol struct {
 	read readKind
-	u8   []uint8 // readCode8, readNum8
-	u16  []uint16
-	u32  []uint32 // readCode32, readNum32
-	i64  []int64
+	vec  Slots
 	strs []string
 	c    *column // readFloat
 }
 
-// readKind is a column's type and vector width: the one switch a scan
-// makes per cell.
+// readKind is what a scan makes of a column's slot: the one switch on the
+// column's type a scan makes per cell.
 type readKind uint8
 
 const (
-	readCode8 readKind = iota
-	readCode32
+	readInt readKind = iota
+	readString
 	readFloat
-	readNum8
-	readNum16
-	readNum32
-	readNum64
 )
 
 func readerOf(c *column) scanCol {
-	switch {
-	case c.typ == TString && c.codes.wide != nil:
-		return scanCol{read: readCode32, u32: c.codes.wide, strs: c.dict.strs()}
-	case c.typ == TString:
-		return scanCol{read: readCode8, u8: c.codes.narrow, strs: c.dict.strs()}
-	case c.typ == TFloat:
+	switch c.typ {
+	case TString:
+		return scanCol{read: readString, vec: c.vec, strs: c.dict.strs()}
+	case TFloat:
 		return scanCol{read: readFloat, c: c}
 	}
-	switch c.nums.lg {
-	case 0:
-		return scanCol{read: readNum8, u8: c.nums.w8}
-	case 1:
-		return scanCol{read: readNum16, u16: c.nums.w16}
-	case 2:
-		return scanCol{read: readNum32, u32: c.nums.w32}
-	}
-	return scanCol{read: readNum64, i64: c.nums.w64}
+	return scanCol{read: readInt, vec: c.vec}
 }
 
-// scanRows is ScanWhere's loop over the live rows, keeping in each word
-// of 64 slots only those match sets (nil: every one). It refills t from
-// each row it keeps and hands it to keep and fn.
-func scanRows(r *Relation, match func(w int) uint64, cols []scanCol, t Tuple, keep func(t Tuple) bool, fn func(id RowID, t Tuple) bool) {
+// scanRows is ScanWhere's loop over the live rows, keeping only the slots
+// of eq that hold x (eq nil: every one). It refills t from each row it
+// keeps and hands it to keep and fn.
+func scanRows(r *Relation, eq *Slots, x int64, cols []scanCol, t Tuple, keep func(t Tuple) bool, fn func(id RowID, t Tuple) bool) {
 	for w, live := range r.rows.alive[:words(r.n)] {
-		if match != nil && live != 0 {
-			live &= match(w)
+		if eq != nil && live != 0 {
+			live &= eq.mask(x, w)
 		}
 		for ; live != 0; live &= live - 1 {
 			s := w<<6 | bits.TrailingZeros64(live)
 			for ci := range cols {
 				col := &cols[ci]
 				switch col.read {
-				case readCode8:
-					t[ci].s = col.strs[col.u8[s]]
-				case readCode32:
-					t[ci].s = col.strs[col.u32[s]]
-				case readFloat:
-					t[ci] = col.c.value(s)
-				case readNum8:
-					t[ci].i = int64(col.u8[s])
-				case readNum16:
-					t[ci].i = int64(col.u16[s])
-				case readNum32:
-					t[ci].i = int64(col.u32[s])
+				case readInt:
+					t[ci].i = col.vec.At(s)
+				case readString:
+					t[ci].s = col.strs[col.vec.At(s)]
 				default:
-					t[ci].i = col.i64[s]
+					t[ci] = col.c.value(s)
 				}
 			}
 			if keep != nil && !keep(t) {

@@ -8,11 +8,12 @@
 // box by the sampler.
 //
 // A relation is stored by column: one typed vector per attribute, indexed
-// by row slot, and a bitmap of the slots that hold live rows. An INT or
-// BOOL vector, and a FLOAT one holding IEEE 754 bits, is 1, 2, 4 or 8 B
-// per slot, the narrowest that holds every value in it (see nums); a
-// STRING vector holds codes into the column's string dictionary, 1 B each
-// while every code fits a byte and 4 B after (see Codes). RowIDs count up
+// by row slot, and a bitmap of the slots that hold live rows. Every
+// vector is one type, Slots, 1, 2, 4 or 8 B per slot, the narrowest that
+// holds every value in it: an INT or BOOL vector holds integers, a FLOAT
+// one IEEE 754 bits, and a STRING one codes into the column's string
+// dictionary, so it is 1 B per slot while the dictionary has at most 256
+// codes, 2 B up to 65 536 and 4 B beyond. RowIDs count up
 // and are never reused, so a row sits in the slot of its id, a delete
 // leaves a tombstone, and every scan runs in ascending RowID order. There
 // are no row objects: Get builds a tuple, a scan refills one scratch tuple
