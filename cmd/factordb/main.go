@@ -11,8 +11,10 @@
 //	factordb -exec "UPDATE TOKEN SET STRING='Boston' WHERE TOK_ID=4" -paper-query 4
 //
 // -exec applies a DML statement (INSERT, UPDATE or DELETE) before the
-// query runs: an evidence correction whose effect the following query
-// shows without rebuilding or retraining anything.
+// query runs. The query sees the write only through its own evidence
+// selection: the sampled factor graph is built once at set-up and does
+// not see it, so an evidence correction does not move the hidden
+// labels' marginals (ROADMAP item 2).
 package main
 
 import (

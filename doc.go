@@ -336,18 +336,20 @@
 // # Plan IR: canonical form and fingerprints
 //
 // Every query, whatever its entry path (DB.Query, database/sql, HTTP),
-// lowers to the same canonical relational-algebra plan: the sqlparse
-// planner runs ra.Canonicalize on its output, which renames table
-// aliases positionally (and drops provably redundant qualifiers in
-// single-table plans), flattens and sorts AND/OR conjunctions, orients
-// comparisons (literals on the right), folds constant subexpressions,
-// and drops TRUE selections — without ever changing answer semantics or
-// output column names. Spelling variants of one query (whitespace,
-// keyword case, alias names, predicate order, flipped comparisons) are
-// therefore one plan.
+// binds to one canonical tree. ra.Prepare binds the plan the sqlparse
+// planner lowered against the catalog, then rewrites it: it flattens,
+// deduplicates and sorts AND/OR conjunctions, orients comparisons
+// (literals on the right), folds constant subexpressions, drops TRUE
+// selections and sorts equi-join keys — without ever changing answer
+// semantics, aliases or output column names. Every sort is keyed on the
+// bound encoding the fingerprint hashes, where a column is its position,
+// so spelling variants of one query (whitespace, keyword case, alias
+// names, column qualification, predicate order, flipped comparisons)
+// are one tree. A plan is bound as written first, so it fails with the
+// errors it was written with.
 //
 // The engine's plan cache binds each SELECT once (ra.Prepare) into a
-// column-pruned tree that refers to no world, and keeps its one
+// canonical, column-pruned tree that refers to no world, and keeps its one
 // fingerprint, ra.Bound.Fingerprint (prefix "bfp1:"): a hash of the bound
 // structure of every subtree — column positions rather than names, no
 // aliases, no output names. The served-mode result cache keys on it plus
@@ -373,13 +375,13 @@
 //
 // # Execution: the streaming iterator contract
 //
-// A query runs as compile → bind and prune → evaluate. ra.Bind resolves
-// columns and then narrows the tree: a top-down pass finds which output
-// columns of each node anything above it reads and projects every join
-// input onto the read ones (join keys, residual filter, ancestors'
-// references). The root, Distinct, Union/Diff and OrderLimit read every
+// A query runs as compile → bind, canonicalize and prune → evaluate.
+// ra.Bind resolves columns, binds the canonical form, and then narrows
+// the tree: a top-down pass finds which output columns of each node
+// anything above it reads and projects every join input onto the read
+// ones (join keys, residual filter, ancestors' references). The root, Distinct, Union/Diff and OrderLimit read every
 // column of their children; nothing is inserted where nothing would be
-// dropped, so a plan without a join binds as written. Every consumer —
+// dropped, so a plan without a join is not narrowed. Every consumer —
 // ra.Stream, the ivm compiler, EXPLAIN, Bound.Fingerprint — sees that
 // one narrow tree; a maintained view therefore keeps a pruned join side
 // as (read columns, multiplicity) rows, not as base tuples.

@@ -192,7 +192,7 @@ func TestExplainShowsBoundPlan(t *testing.T) {
 	}
 	q3 := explain(Query3)
 	for _, want := range []string{
-		"  Join[_c0.DOC_ID=_c1.DOC_ID]\n    Project[_c0.DOC_ID]\n      Scan(TOKEN AS _c0)\n    Project[_c1.DOC_ID]\n      Select[(_sqa0 = _sqb0)]\n        GroupAgg[",
+		"  Join[T.DOC_ID=_g0.DOC_ID]\n    Project[T.DOC_ID]\n      Scan(TOKEN AS T)\n    Project[_g0.DOC_ID]\n      Select[(_sqa0 = _sqb0)]\n        GroupAgg[",
 		"\ncolumn pruning: ", "\nbound fingerprint: bfp1:", "\nview sharing: fresh",
 	} {
 		if !strings.Contains(q3, want) {
@@ -204,7 +204,7 @@ func TestExplainShowsBoundPlan(t *testing.T) {
 	}
 	// Query 4's Boston side reads STRING, which is evidence, so a view
 	// keeps only the persons of documents holding a "Boston" token.
-	if q4 := explain(Query4); !strings.Contains(q4, "\nkey filter: right side keeps DOC_ID of TOKEN _c0 rows where (_c0.STRING = \"Boston\")\n") {
+	if q4 := explain(Query4); !strings.Contains(q4, "\nkey filter: right side keeps DOC_ID of TOKEN T1 rows where (T1.STRING = \"Boston\")\n") {
 		t.Errorf("EXPLAIN of Query 4 lacks its key filter:\n%s", q4)
 	}
 	if q1 := explain(Query1); strings.Contains(q1, "column pruning") || !strings.Contains(q1, "bound fingerprint: bfp1:") {

@@ -113,7 +113,7 @@ func joinReaders() []ra.Plan {
 
 func mustBind(t *testing.T, db *relstore.DB, p ra.Plan) *ra.Bound {
 	t.Helper()
-	b, err := ra.Bind(db, ra.Canonicalize(p))
+	b, err := ra.Bind(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}

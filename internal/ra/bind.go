@@ -41,8 +41,8 @@ type Bound struct {
 	Schema   *RowSchema
 	Children []*Bound
 	// Source is the logical node this one was bound from. At the root of
-	// a tree Bind returned it is the whole plan as bound: the caller's
-	// plan itself, or its column-pruned rewrite.
+	// a tree Prepare returned it is the whole plan as bound: the caller's
+	// plan in its canonical form (see canonPlan), column-pruned.
 	Source Plan
 
 	// KScan; Rel is nil until On mounts the tree on a world
@@ -76,11 +76,15 @@ type Bound struct {
 	// column that its relation's schema declares hidden: the answer is
 	// then the same in every possible world.
 	Certain bool
+	// Pruned is set on the root Prepare returns when column pruning put
+	// a projection under a join input (see prune.go).
+	Pruned bool
 }
 
 // Bind resolves a logical plan against db's catalog and returns the
-// column-pruned tree (see prune.go) mounted on db: every consumer — Eval,
-// Stream, the ivm compiler, EXPLAIN, Fingerprint — sees the one tree.
+// canonical, column-pruned tree (see Prepare) mounted on db: every
+// consumer — Eval, Stream, the ivm compiler, EXPLAIN, Fingerprint —
+// sees the one tree.
 func Bind(db *relstore.DB, p Plan) (*Bound, error) {
 	b, err := Prepare(db, p)
 	if err != nil {
@@ -96,15 +100,24 @@ var ErrUnmounted = errors.New("ra: statement is not mounted on a world (see Boun
 // Prepare is Bind without the mount: only db's schemas are read, and the
 // tree's scans name their tables but read no relation. It refers to no
 // world, so a statement is bound once and each world runs an On copy.
+//
+// p is bound as written, so its errors are the ones it was written
+// with; then its canonical form (canonPlan) is bound and column-pruned.
 func Prepare(db *relstore.DB, p Plan) (*Bound, error) {
 	b, err := bindPlan(db, p)
 	if err != nil {
 		return nil, err
 	}
+	if canon := canonPlan(b); canon != p {
+		if b, err = bindPlan(db, canon); err != nil {
+			return nil, err
+		}
+	}
 	if narrow := prunePlan(b, allCols(b.Schema.Arity())); narrow != b.Source {
 		if b, err = bindPlan(db, narrow); err != nil {
 			return nil, err
 		}
+		b.Pruned = true
 	}
 	b.Certain = hiddenRead(db, b, allCols(b.Schema.Arity())) == ""
 	setKeyFilters(db, b)

@@ -362,23 +362,23 @@ func TestPruneRendering(t *testing.T) {
 	}
 	for _, tc := range []struct{ sql, want string }{
 		{exp.Query3, `
-Project[_c0.DOC_ID]
-  Join[_c0.DOC_ID=_c1.DOC_ID]
-    Project[_c0.DOC_ID]
-      Scan(TOKEN AS _c0)
-    Project[_c1.DOC_ID]
+Project[T.DOC_ID]
+  Join[T.DOC_ID=_g0.DOC_ID]
+    Project[T.DOC_ID]
+      Scan(TOKEN AS T)
+    Project[_g0.DOC_ID]
       Select[(_sqa0 = _sqb0)]
-        GroupAgg[_c1.DOC_ID; COUNT_IF((_c1.LABEL = "B-PER")) AS _sqa0, COUNT_IF((_c1.LABEL = "B-ORG")) AS _sqb0]
-          Scan(TOKEN AS _c1)`},
+        GroupAgg[_g0.DOC_ID; COUNT_IF((_g0.LABEL = "B-PER")) AS _sqa0, COUNT_IF((_g0.LABEL = "B-ORG")) AS _sqb0]
+          Scan(TOKEN AS _g0)`},
 		{exp.Query4, `
-Project[_c1.STRING]
-  Join[_c0.DOC_ID=_c1.DOC_ID]
-    Project[_c0.DOC_ID]
-      Select[((_c0.LABEL = "B-ORG") AND (_c0.STRING = "Boston"))]
-        Scan(TOKEN AS _c0)
-    Project[_c1.DOC_ID, _c1.STRING]
-      Select[(_c1.LABEL = "B-PER")]
-        Scan(TOKEN AS _c1)`},
+Project[T2.STRING]
+  Join[T1.DOC_ID=T2.DOC_ID]
+    Project[T1.DOC_ID]
+      Select[((T1.STRING = "Boston") AND (T1.LABEL = "B-ORG"))]
+        Scan(TOKEN AS T1)
+    Project[T2.DOC_ID, T2.STRING]
+      Select[(T2.LABEL = "B-PER")]
+        Scan(TOKEN AS T2)`},
 	} {
 		b, err := ra.Bind(w.db, mustCompile(t, tc.sql))
 		if err != nil {

@@ -82,7 +82,7 @@ func (e *Engine) explainQuery(target string, args []any) ([]string, error) {
 		return nil, err
 	}
 	tree := ra.Render(comp.Stmt.Source) // the narrow tree every evaluator runs
-	if comp.Stmt.Source != comp.Plan {
+	if comp.Stmt.Pruned {
 		tree = append(tree, "column pruning: join inputs projected onto the columns read above them")
 	}
 	if !comp.Stmt.Certain {

@@ -57,8 +57,8 @@ func BenchmarkTokenize(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile compares a cold compile (lex + parse + plan +
-// canonicalize, every iteration) against a plan-cache hit on the same
+// BenchmarkCompile compares a cold compile (lex + parse + plan, every
+// iteration) against a plan-cache hit on the same
 // statement — the figure the raw-SQL cache exists for.
 func BenchmarkCompile(b *testing.B) {
 	const sql = `SELECT T2.STRING FROM TOKEN T1, TOKEN T2
@@ -136,8 +136,9 @@ func frontEndBudget(t *testing.T) map[string]int64 {
 //     from the cache costs binding and planning a copy of the kept
 //     tree, never a parse (exact counts, so not checked in race builds).
 //
-// The gate proves itself: with the cache bypassed (a nil *PlanCache
-// compiles every call) the hit and bind checks must fail. Timings are
+// The gate proves itself: with the cache bypassed (a compile outside
+// any cache, or a fresh cache per call) the hit and bind checks must
+// fail. Timings are
 // printed, never gated — no absolute or relative timing is stable on a
 // shared box. If an optimization legitimately moves a count, re-pin
 // testdata/alloc_budget.txt.
@@ -162,20 +163,24 @@ func TestFrontEndBudget(t *testing.T) {
 	}
 
 	const sql = query4 + ` ORDER BY P DESC LIMIT 10`
-	compile := func(pc *PlanCache) func() {
-		return func() {
-			if _, _, err := pc.CompileQuery(sql); err != nil {
-				t.Fatal(err)
-			}
+	pc := NewPlanCache(DefaultPlanCacheSize)
+	hitCompile := func() {
+		if _, _, err := pc.CompileQuery(sql); err != nil {
+			t.Fatal(err)
 		}
 	}
-	pc := NewPlanCache(DefaultPlanCacheSize)
-	compile(pc)() // warm the entry
+	bypass := NewPlanCache(1) // compile builds entries for it, never stores them
+	coldCompile := func() {
+		if _, err := compile(sql, UseQuery, bypass); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hitCompile() // warm the entry
 	hitMax := float64(budgets["hit_allocs"])
-	if hit := testing.AllocsPerRun(100, compile(pc)); hit > hitMax {
+	if hit := testing.AllocsPerRun(100, hitCompile); hit > hitMax {
 		t.Errorf("a plan-cache hit allocates %v objects, budget is %v", hit, hitMax)
 	}
-	cold := testing.AllocsPerRun(20, compile(nil)) // a nil cache compiles every call
+	cold := testing.AllocsPerRun(20, coldCompile)
 	if cold <= hitMax {
 		t.Errorf("with the cache bypassed a \"hit\" allocates %v objects and still passes the hit gate", cold)
 	}
@@ -195,9 +200,9 @@ func TestFrontEndBudget(t *testing.T) {
 		argSets[i] = []any{"City" + strconv.Itoa(i), "B-ORG", "B-PER"}
 	}
 	var calls int
-	bind := func(pc *PlanCache) func() {
+	bind := func(cache func() *PlanCache) func() {
 		return func() {
-			c, _, err := pc.Lookup(bindSQL, UseQuery)
+			c, _, err := cache().Lookup(bindSQL, UseQuery)
 			if err == nil {
 				calls++
 				_, err = c.Bind(argSets[calls%len(argSets)])
@@ -207,13 +212,15 @@ func TestFrontEndBudget(t *testing.T) {
 			}
 		}
 	}
-	bind(pc)() // warm the entry
+	cached := func() *PlanCache { return pc }
+	bind(cached)() // warm the entry
 	bindMax := float64(budgets["bind_hit_allocs"])
-	bindHit := testing.AllocsPerRun(100, bind(pc))
+	bindHit := testing.AllocsPerRun(100, bind(cached))
 	if bindHit > bindMax && !raceEnabled {
 		t.Errorf("binding a cached placeholder statement allocates %v objects, budget is %v", bindHit, bindMax)
 	}
-	if bypassed := testing.AllocsPerRun(20, bind(nil)); bypassed <= bindMax && !raceEnabled {
+	fresh := func() *PlanCache { return NewPlanCache(1) }
+	if bypassed := testing.AllocsPerRun(20, bind(fresh)); bypassed <= bindMax && !raceEnabled {
 		t.Errorf("with the cache bypassed a bound execution allocates %v objects and still passes the bind gate", bypassed)
 	}
 	// Executions alternating between argument lists bound before plan
@@ -239,12 +246,12 @@ func TestFrontEndBudget(t *testing.T) {
 
 	coldNS := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			compile(nil)()
+			coldCompile()
 		}
 	}).NsPerOp()
 	hitNS := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			compile(pc)()
+			hitCompile()
 		}
 	}).NsPerOp()
 	t.Logf("tokenize: %v allocs/op; compile: cold %v allocs, bound hit %v allocs; cold %dns, hit %dns (%.0fx, not gated)",

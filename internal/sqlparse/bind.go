@@ -6,8 +6,8 @@ import "fmt"
 // placeholder replaced by the corresponding argument as a literal. The
 // input statement is never mutated — operand-bearing slices are deep
 // copied — so the plan cache's kept AST can be bound concurrently. The
-// bound copy must then be re-planned (Compile's lowering +
-// canonicalization folds and reorders literals), which is still far
+// bound copy must then be re-planned and re-bound (the canonical form
+// ra.Prepare binds folds and reorders literals), which is still far
 // cheaper than re-lexing and re-parsing the SQL text.
 func BindArgs(stmt *Statement, args []any) (*Statement, error) {
 	if len(args) != stmt.Params {

@@ -34,10 +34,9 @@ type Compiled struct {
 	// Params counts the statement's ? placeholders.
 	Params int
 
-	stmt   *Statement   // the kept tree of a statement with placeholders
-	sql    string       // its text
-	schema *relstore.DB // what its plans bind against
-	cache  *PlanCache   // where Bind keeps its plans
+	stmt  *Statement // the kept tree of a statement with placeholders
+	sql   string     // its text
+	cache *PlanCache // where Bind keeps its plans, and binds them against
 }
 
 // Explain is an EXPLAIN [ANALYZE] entry. Target is the wrapped
@@ -76,10 +75,10 @@ func (c *Compiled) admits(use Use) bool {
 // Bind plans a SELECT or DML entry's statement with args substituted for
 // its ? placeholders. An entry without placeholders is already planned
 // and is returned as is (args must then be empty). Otherwise Bind plans
-// a copy of the kept tree with the arguments inlined as literals, which
-// re-runs canonicalization, so it fingerprints exactly as the statement
-// with its literals spelled inline; with no arguments at all the
-// statement fails to plan on its first unbound placeholder.
+// a copy of the kept tree with the arguments inlined as literals and
+// binds it to its canonical form, so it fingerprints exactly as the
+// statement with its literals spelled inline; with no arguments at all
+// the statement fails to plan on its first unbound placeholder.
 //
 // The result is kept in the plan cache, keyed on the statement's text
 // and the literals the arguments bind as: an execution whose arguments
@@ -93,7 +92,7 @@ func (c *Compiled) Bind(args []any) (*Compiled, error) {
 		return c, nil
 	}
 	if len(args) == 0 {
-		return build(c.stmt, c.schema)
+		return build(c.stmt, c.cache.schema)
 	}
 	var buf [256]byte
 	key, err := c.bindKey(buf[:0], args)
@@ -107,8 +106,8 @@ func (c *Compiled) Bind(args []any) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := build(stmt, c.schema)
-	if err == nil && c.cache != nil {
+	out, err := build(stmt, c.cache.schema)
+	if err == nil {
 		c.cache.put(&c.cache.binds, string(key), out)
 	}
 	return out, err
@@ -145,7 +144,7 @@ func build(stmt *Statement, schema *relstore.DB) (*Compiled, error) {
 		}
 		return &Compiled{Mutation: mut}, nil
 	}
-	plan, spec, err := PlanQuery(stmt.Select)
+	plan, spec, err := planQuery(stmt.Select, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -159,11 +158,12 @@ func build(stmt *Statement, schema *relstore.DB) (*Compiled, error) {
 	return c, nil
 }
 
-// compile parses sql on a pooled parser and builds its entry. A
-// statement with placeholders is parsed a second time onto a fresh tree,
-// because the pooled one is recycled with the parser; that happens once
-// per cache miss.
-func compile(sql string, use Use, pc *PlanCache, schema *relstore.DB) (*Compiled, error) {
+// compile parses sql on a pooled parser and builds its entry for pc,
+// without looking pc up or storing into it. A statement with
+// placeholders is parsed a second time onto a fresh tree, because the
+// pooled one is recycled with the parser; that happens once per cache
+// miss.
+func compile(sql string, use Use, pc *PlanCache) (*Compiled, error) {
 	p := parserPool.Get().(*parser)
 	defer parserPool.Put(p)
 	p.reset(sql)
@@ -186,16 +186,16 @@ func compile(sql string, use Use, pc *PlanCache, schema *relstore.DB) (*Compiled
 		if err != nil {
 			return nil, err
 		}
-		return &Compiled{Params: kept.Params, stmt: kept, sql: sql, schema: schema, cache: pc}, nil
+		return &Compiled{Params: kept.Params, stmt: kept, sql: sql, cache: pc}, nil
 	}
-	return build(stmt, schema)
+	return build(stmt, pc.schema)
 }
 
 // PlanCache memoizes compiled statements keyed on the raw SQL string,
-// so a repeated spelling skips lexing, parsing and canonicalization
+// so a repeated spelling skips lexing, parsing, planning and binding
 // entirely — and a statement with placeholders is parsed once while its
 // entry stays. Keys are exact byte strings: "SELECT  *" and "select *"
-// are distinct entries even though they canonicalize to the same plan.
+// are distinct entries even though they bind to the same canonical tree.
 //
 // A cache with a schema (NewSchemaPlanCache) binds each SELECT too, once.
 // Beside its statements the cache keeps, up to the same capacity, the
@@ -204,8 +204,7 @@ func compile(sql string, use Use, pc *PlanCache, schema *relstore.DB) (*Compiled
 // they never need invalidating when the database mutates; data-epoch
 // invalidation of *result* caches is a separate mechanism downstream.
 //
-// Eviction is FIFO with a fixed capacity. A nil *PlanCache is valid and
-// simply compiles every call (no caching).
+// Eviction is FIFO with a fixed capacity.
 type PlanCache struct {
 	mu     sync.Mutex
 	stmts  fifo // keyed on the raw SQL
@@ -242,9 +241,6 @@ func NewSchemaPlanCache(schema *relstore.DB, capacity int) *PlanCache {
 
 // Len reports the number of cached statements.
 func (pc *PlanCache) Len() int {
-	if pc == nil {
-		return 0
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return len(pc.stmts.entries)
@@ -258,9 +254,6 @@ func (pc *PlanCache) get(sql string) *Compiled {
 
 // getBound returns the entry Bind kept under key, if any.
 func (pc *PlanCache) getBound(key []byte) *Compiled {
-	if pc == nil {
-		return nil
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.binds.entries[string(key)]
@@ -288,14 +281,10 @@ func (pc *PlanCache) put(f *fifo, key string, c *Compiled) {
 // statement issued through the wrong entry point fails every time
 // without evicting anything.
 func (pc *PlanCache) Lookup(sql string, use Use) (*Compiled, bool, error) {
-	if pc == nil {
-		c, err := compile(sql, use, nil, nil)
-		return c, false, err
-	}
 	if c := pc.get(sql); c != nil && c.admits(use) {
 		return c, true, nil
 	}
-	c, err := compile(sql, use, pc, pc.schema)
+	c, err := compile(sql, use, pc)
 	if err != nil {
 		return nil, false, err
 	}

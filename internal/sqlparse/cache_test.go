@@ -91,17 +91,22 @@ func TestPlanCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
-func TestPlanCacheNilReceiver(t *testing.T) {
-	var pc *PlanCache
+// TestPlanCacheWithoutSchema pins what a cache without a schema keeps:
+// a SELECT planned but not bound, and the lowered DML.
+func TestPlanCacheWithoutSchema(t *testing.T) {
+	pc := NewPlanCache(4)
 	c, hit, err := pc.CompileQuery(query1)
-	if err != nil || hit || c == nil || c.Plan == nil {
-		t.Fatalf("nil cache CompileQuery = (%v, %v, %v), want uncached success", c, hit, err)
+	if err != nil || hit || c.Plan == nil || c.Stmt != nil || c.Fingerprint != "" {
+		t.Fatalf("CompileQuery = (%+v, %v, %v), want a planned, unbound miss", c, hit, err)
 	}
-	if _, hit, err := pc.CompileMutation(`DELETE FROM TOKEN WHERE TOK_ID=1`); err != nil || hit {
-		t.Fatalf("nil cache CompileMutation: hit=%v err=%v", hit, err)
+	if again, hit, err := pc.CompileQuery(query1); err != nil || !hit || again != c {
+		t.Fatalf("repeat CompileQuery: hit=%v err=%v", hit, err)
 	}
-	if pc.Len() != 0 {
-		t.Error("nil cache has a length")
+	if m, hit, err := pc.CompileMutation(`DELETE FROM TOKEN WHERE TOK_ID=1`); err != nil || hit || m == nil {
+		t.Fatalf("CompileMutation: hit=%v err=%v", hit, err)
+	}
+	if pc.Len() != 2 {
+		t.Errorf("Len = %d, want 2", pc.Len())
 	}
 }
 

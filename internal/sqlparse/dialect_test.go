@@ -205,9 +205,9 @@ func TestBoundFingerprintMatchesInlined(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BindArgs(%q): %v", tc.param, err)
 		}
-		plan, _, err := PlanQuery(bound.Select)
+		plan, _, err := planQuery(bound.Select, nil)
 		if err != nil {
-			t.Fatalf("PlanQuery(%q): %v", tc.param, err)
+			t.Fatalf("planQuery(%q): %v", tc.param, err)
 		}
 		if got, want := boundFingerprint(t, plan), fingerprintOf(t, tc.inlined); got != want {
 			t.Errorf("bound fingerprint of %q = %s, want inlined %s", tc.param, got, want)
@@ -240,11 +240,11 @@ func TestBindArgsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := PlanQuery(b1.Select)
+	p1, _, err := planQuery(b1.Select, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := PlanQuery(b2.Select)
+	p2, _, err := planQuery(b2.Select, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

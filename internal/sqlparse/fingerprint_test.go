@@ -26,8 +26,11 @@ import (
 // same encoding, when Bind began inserting projections under join
 // inputs; query1 and query2 have no join and kept their values. query3
 // was re-keyed again when the planner put its subquery filter on the
-// group side of the join. Fingerprints key in-memory caches and view
-// registries only, so a re-key of a plan's tree costs nothing persisted.
+// group side of the join, and query4 when conjuncts began to sort by
+// their bound encoding rather than their text (its Boston side tests
+// STRING, column 2, before LABEL, column 3). Fingerprints key in-memory
+// caches and view registries only, so a re-key of a plan's tree costs
+// nothing persisted.
 //
 // query4 and query4ranked deliberately share a fingerprint: ORDER BY
 // P DESC LIMIT 10 is result-level presentation (the ra.ResultSpec), not
@@ -141,6 +144,12 @@ func TestFingerprintSQLEquivalence(t *testing.T) {
 		{"unqualified outer IN-subquery column after a filter",
 			`SELECT TOK_ID FROM TOKEN WHERE LABEL='B-PER' AND DOC_ID IN (SELECT DOC_ID FROM TOKEN WHERE STRING='Boston')`,
 			`SELECT T.TOK_ID FROM TOKEN T WHERE T.LABEL='B-PER' AND T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.STRING='Boston')`},
+		{"unqualified column in a join",
+			`SELECT M.MENTION_ID FROM TOKEN T, MENTION M WHERE LABEL='B-PER' AND T.STRING=M.STRING AND CLUSTER > 0`,
+			`SELECT M.MENTION_ID FROM TOKEN T, MENTION M WHERE T.LABEL='B-PER' AND T.STRING=M.STRING AND M.CLUSTER > 0`},
+		{"redundant qualification of a bare projection",
+			`SELECT T.STRING FROM TOKEN T`,
+			`SELECT STRING FROM TOKEN`},
 	}
 	for _, tc := range equiv {
 		if a, b := fps(tc.a), fps(tc.b); a != b {
@@ -152,6 +161,10 @@ func TestFingerprintSQLEquivalence(t *testing.T) {
 		`SELECT STRING FROM TOKEN WHERE LABEL='B-ORG'`, // different literal than query1
 		`SELECT LABEL FROM TOKEN WHERE LABEL='B-PER'`,  // different projection than query1
 		query4 + ` ORDER BY STRING LIMIT 3`,            // extra plan-level operator
+		// Query 4 with the self-join's roles swapped: the encoding names
+		// no alias, yet it tells the join's inputs apart.
+		`SELECT T2.STRING FROM TOKEN T1, TOKEN T2
+		 WHERE T2.STRING='Boston' AND T2.LABEL='B-ORG' AND T1.DOC_ID=T2.DOC_ID AND T1.LABEL='B-PER'`,
 	}
 	seen := make(map[string]string)
 	for _, sql := range distinct {

@@ -3,8 +3,6 @@ package sqlparse
 import (
 	"strings"
 	"testing"
-
-	"factordb/internal/ra"
 )
 
 // fuzzSeeds is the shared seed corpus for both fuzz targets: every
@@ -79,12 +77,13 @@ func FuzzLex(f *testing.F) {
 // behind it) never panics and keeps its contracts on arbitrary input:
 // errors are positioned, successful parses survive placeholder
 // binding, SELECTs plan without fault, and a plan that binds against the
-// test catalog places every predicate (see misplaced).
+// test catalog, through a plan cache that has it, places every
+// predicate (see misplaced).
 func FuzzParseStatement(f *testing.F) {
 	for _, s := range append(fuzzSeeds(), placementCorpus...) {
 		f.Add(s)
 	}
-	db := testDB(f)
+	pc := NewSchemaPlanCache(testDB(f), 0)
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := ParseStatement(src)
 		if err != nil {
@@ -104,19 +103,16 @@ func FuzzParseStatement(f *testing.F) {
 		// through the public entry points; both paths are exercised so
 		// the planner sees fuzzed ASTs too, bound ones included.
 		if stmt.Select != nil || stmt.Explain != nil {
-			plan, _, err := Compile(src)
-			if err == nil && !unqualifiedInJoin(stmt.Select) {
-				if b, err := ra.Bind(db, plan); err == nil {
-					if bad := misplaced(b); len(bad) > 0 {
-						t.Fatalf("Compile(%q) misplaces a predicate: %s", src, strings.Join(bad, "; "))
-					}
-				}
-			}
+			_, _, _ = Compile(src)
 		} else {
 			_, _ = CompileExec(src)
 		}
-		if c, _, err := (*PlanCache)(nil).Lookup(src, UsePrepare); err == nil && c.Explain == nil {
-			_, _ = c.Bind(args)
+		if c, _, err := pc.Lookup(src, UsePrepare); err == nil && c.Explain == nil {
+			if c, err = c.Bind(args); err == nil && c.Stmt != nil {
+				if bad := misplaced(c.Stmt); len(bad) > 0 {
+					t.Fatalf("%q misplaces a predicate: %s", src, strings.Join(bad, "; "))
+				}
+			}
 		}
 	})
 }

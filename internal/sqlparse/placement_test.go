@@ -9,8 +9,9 @@ import (
 )
 
 // placementCorpus is the dialect corpus the placement invariant is held
-// on: the paper's queries, the coreference pair query, and the
-// COUNT-subquery, EXISTS and IN-subquery forms.
+// on: the paper's queries, the coreference pair query, the
+// COUNT-subquery, EXISTS and IN-subquery forms, and joins whose WHERE
+// names columns without their alias.
 var placementCorpus = []string{
 	query1,
 	query2,
@@ -25,6 +26,10 @@ var placementCorpus = []string{
 	`SELECT T2.STRING FROM TOKEN T1 JOIN TOKEN T2 ON T1.DOC_ID = T2.DOC_ID WHERE T1.LABEL = 'B-PER'`,
 	`SELECT T1.STRING, M.MENTION_ID FROM TOKEN T1, TOKEN T2, MENTION M
 		WHERE T1.DOC_ID = T2.DOC_ID AND T1.TOK_ID < T2.TOK_ID AND T2.STRING = M.STRING AND M.CLUSTER > 0`,
+	// Unqualified columns that one table of the join has: the planner
+	// qualifies them from the catalog.
+	`SELECT M.MENTION_ID FROM TOKEN T, MENTION M WHERE LABEL = 'B-PER' AND T.STRING = M.STRING AND CLUSTER > 0`,
+	`SELECT M.MENTION_ID FROM TOKEN T, MENTION M WHERE T.STRING = M.STRING AND TOK_ID < MENTION_ID`,
 }
 
 // misplaced lists the selections of a bound tree that sit above where
@@ -81,38 +86,17 @@ func selectMisplaced(s *ra.Bound) []string {
 	return out
 }
 
-// unqualifiedInJoin reports whether a multi-table query's WHERE names a
-// column without its alias. Only the catalog knows that column's table,
-// so the planner leaves such a conjunct above the last join: the query
-// is outside the placement invariant.
-func unqualifiedInJoin(q *Query) bool {
-	if len(q.From) < 2 {
-		return false
-	}
-	for _, c := range q.Where {
-		if c.SubEq != nil || c.Exists != nil {
-			continue
-		}
-		if c.Left.Qual == "" || (c.In == nil && c.Right.IsCol && c.Right.Col.Qual == "") {
-			return true
-		}
-	}
-	return false
-}
-
-// TestPlannerPlacesEveryPredicate binds the dialect corpus against the
-// test catalog and holds each tree to the placement invariant.
+// TestPlannerPlacesEveryPredicate compiles the dialect corpus through a
+// plan cache that binds against the test catalog and holds each tree to
+// the placement invariant.
 func TestPlannerPlacesEveryPredicate(t *testing.T) {
-	db := testDB(t)
+	pc := NewSchemaPlanCache(testDB(t), 0)
 	for _, sql := range placementCorpus {
-		plan, _, err := Compile(sql)
+		c, _, err := pc.CompileQuery(sql)
 		if err != nil {
-			t.Fatalf("Compile(%q): %v", sql, err)
+			t.Fatalf("CompileQuery(%q): %v", sql, err)
 		}
-		b, err := ra.Bind(db, plan)
-		if err != nil {
-			t.Fatalf("Bind(%q): %v", sql, err)
-		}
+		b := c.Stmt
 		for _, m := range misplaced(b) {
 			t.Errorf("%s\n  %s\n%s", sql, m, strings.Join(ra.Render(b.Source), "\n"))
 		}

@@ -31,12 +31,12 @@ func Compile(sql string) (ra.Plan, ra.ResultSpec, error) {
 		parserPool.Put(p)
 		return nil, ra.ResultSpec{}, err
 	}
-	plan, spec, err := PlanQuery(q)
+	plan, spec, err := planQuery(q, nil)
 	parserPool.Put(p)
 	return plan, spec, err
 }
 
-// PlanQuery lowers a parsed query to a relational-algebra plan:
+// planQuery lowers a parsed query to a relational-algebra plan:
 // single-alias predicates are pushed below joins, cross-alias equalities
 // become hash-join conditions, correlated COUNT(*)-subquery equalities
 // are rewritten into one shared group-aggregate join (making Query 3
@@ -44,8 +44,10 @@ func Compile(sql string) (ra.Plan, ra.ResultSpec, error) {
 // group-aggregate output (with hidden aggregates for conditions not in
 // the select list). Nothing downstream moves a predicate: a subquery's
 // count filter sits on its group-aggregate, a conjunct over two aliases
-// right above the join that brings both in (at the top if a column is
-// unqualified, as only the catalog knows its table).
+// right above the join that brings both in. With a schema, an
+// unqualified WHERE column is first qualified from the catalog (see
+// qualifyWhere); without one, such a column in a multi-table query
+// leaves its conjunct at the top.
 //
 // ORDER BY / LIMIT split between the plan and the returned ResultSpec:
 // an ORDER BY over real output columns with a LIMIT lowers to a
@@ -56,7 +58,7 @@ func Compile(sql string) (ra.Plan, ra.ResultSpec, error) {
 // to apply after estimation. The spec always carries the presentation
 // order and final truncation, so every consumer returns rows the same
 // way.
-func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
+func planQuery(q *Query, schema *relstore.DB) (ra.Plan, ra.ResultSpec, error) {
 	var spec ra.ResultSpec
 	if len(q.From) == 0 {
 		return nil, spec, fmt.Errorf("sqlparse: query has no FROM clause")
@@ -87,7 +89,7 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 	subEqIndex := 0
 	var groupPlans []groupPlan
 
-	for _, c := range q.Where {
+	for _, c := range qualifyWhere(q, schema) {
 		switch {
 		case c.SubEq != nil:
 			gp, err := lowerSubEq(c.SubEq, aliases, subEqIndex)
@@ -197,16 +199,43 @@ func PlanQuery(q *Query) (ra.Plan, ra.ResultSpec, error) {
 	if q.Distinct {
 		lowered = ra.NewDistinct(lowered)
 	}
-	final, spec, err := lowerOrderLimit(q, lowered, spec)
-	if err != nil {
-		return nil, spec, err
+	return lowerOrderLimit(q, lowered, spec)
+}
+
+// qualifyWhere returns q's WHERE conjuncts with each unqualified column
+// of a multi-table query qualified by the one FROM table whose schema
+// has a column of that name, so that placement puts the conjunct where
+// that table is scanned. A column that no table or several tables have
+// stays unqualified, and binding reports it as unknown or ambiguous. q
+// itself is not written: a kept statement is shared.
+func qualifyWhere(q *Query, schema *relstore.DB) []Cond {
+	if schema == nil || len(q.From) < 2 {
+		return q.Where
 	}
-	// Emit the canonical form: textual variants of one query (whitespace,
-	// keyword case, alias spelling, predicate order, flipped comparisons)
-	// lower to identical plans, so every fingerprint-keyed layer above —
-	// the serving engine's result cache and the per-chain shared-view
-	// registries — treats them as one query.
-	return ra.Canonicalize(final), spec, nil
+	qualify := func(col ColName) ColName {
+		if col.Qual != "" {
+			return col
+		}
+		for _, tr := range q.From {
+			if rel, err := schema.Relation(tr.Name); err == nil && rel.Schema().ColIndex(col.Name) >= 0 {
+				if col.Qual != "" { // several tables have it
+					col.Qual = ""
+					return col
+				}
+				col.Qual = tr.Alias
+			}
+		}
+		return col
+	}
+	where := make([]Cond, len(q.Where))
+	for i, c := range q.Where {
+		c.Left = qualify(c.Left)
+		if c.Right.IsCol {
+			c.Right.Col = qualify(c.Right.Col)
+		}
+		where[i] = c
+	}
+	return where
 }
 
 // lowerOrderLimit splits ORDER BY / LIMIT between a per-world top-k plan
@@ -390,7 +419,7 @@ func operandConst(o Operand) (relstore.Value, error) {
 }
 
 // inListExpr lowers col IN (v1, ..., vn) to an OR of equalities — which
-// canonicalization sorts and dedups, so spelling order doesn't split
+// ra.Prepare's canonical form sorts and dedups, so spelling order doesn't split
 // fingerprints — and col NOT IN (...) to an AND of inequalities.
 func inListExpr(ref ra.ColRef, in *InPred) (ra.Expr, error) {
 	terms := make([]ra.Expr, len(in.Values))

@@ -210,13 +210,13 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestPlannerErrorPaths exercises PlanQuery's own validation, including
+// TestPlannerErrorPaths exercises planQuery's own validation, including
 // branches the parser cannot reach through Compile (it rejects an empty
 // FROM clause syntactically before planning).
 func TestPlannerErrorPaths(t *testing.T) {
 	// Empty FROM: only reachable by planning a hand-built AST.
 	q := &Query{Items: []SelectItem{{Col: ColName{Name: "X"}}}}
-	if _, _, err := PlanQuery(q); err == nil || !strings.Contains(err.Error(), "no FROM clause") {
+	if _, _, err := planQuery(q, nil); err == nil || !strings.Contains(err.Error(), "no FROM clause") {
 		t.Errorf("empty FROM: %v", err)
 	}
 
@@ -225,7 +225,7 @@ func TestPlannerErrorPaths(t *testing.T) {
 		Items: []SelectItem{{Col: ColName{Qual: "T", Name: "X"}}},
 		From:  []TableRef{{Name: "TOKEN", Alias: "T"}, {Name: "TOKEN", Alias: "T"}},
 	}
-	if _, _, err := PlanQuery(q); err == nil || !strings.Contains(err.Error(), "duplicate table alias") {
+	if _, _, err := planQuery(q, nil); err == nil || !strings.Contains(err.Error(), "duplicate table alias") {
 		t.Errorf("duplicate alias: %v", err)
 	}
 	if _, _, err := Compile(`SELECT A.X FROM TOKEN A, OTHER A`); err == nil ||
@@ -312,6 +312,17 @@ func TestBindFailsOnUnknownColumnAtBindTime(t *testing.T) {
 	}
 	if _, err := ra.Bind(testDB(t), plan); err == nil {
 		t.Error("Bind should reject unknown column")
+	}
+	// A plan cache with the catalog qualifies unqualified WHERE columns,
+	// but not one that no FROM table or several have: bind rejects it.
+	pc := NewSchemaPlanCache(testDB(t), 0)
+	for sql, want := range map[string]string{
+		`SELECT T1.STRING FROM TOKEN T1, MENTION M WHERE NOPE = 1`:       "unknown column NOPE",
+		`SELECT T1.STRING FROM TOKEN T1, TOKEN T2 WHERE LABEL = 'B-PER'`: "ambiguous column reference LABEL",
+	} {
+		if _, _, err := pc.CompileQuery(sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CompileQuery(%q) = %v, want %q", sql, err, want)
+		}
 	}
 }
 

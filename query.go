@@ -68,9 +68,9 @@ func (db *DB) Query(ctx context.Context, sql string, opts ...QueryOption) (*Rows
 // one path of DB.Query, Stmt.Query, database/sql and HTTP. The SQL and
 // the arguments go straight to the engine, which compiles through the
 // plan cache (EXPLAIN included) and returns the output column names with
-// the result — the facade compiles nothing. The planner emits canonical
-// plans (ra.Canonicalize), and the engine keys both its result cache and
-// its per-chain shared views by their bound fingerprint, not SQL text —
+// the result — the facade compiles nothing. Statements bind to one
+// canonical tree (ra.Prepare), and the engine keys both its result cache
+// and its per-chain shared views by its bound fingerprint, not SQL text —
 // so however a query reaches the engine and however it is spelled, with
 // literals or bound placeholders, equal queries share cache entries and
 // materialized views.
