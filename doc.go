@@ -379,9 +379,10 @@
 // ra.Bind resolves columns, binds the canonical form, and then narrows
 // the tree: a top-down pass finds which output columns of each node
 // anything above it reads and projects every join input onto the read
-// ones (join keys, residual filter, ancestors' references). The root, Distinct, Union/Diff and OrderLimit read every
-// column of their children; nothing is inserted where nothing would be
-// dropped, so a plan without a join is not narrowed. Every consumer —
+// ones (join keys, residual filter, ancestors' references). The root,
+// Distinct and OrderLimit read every column of their children; nothing is
+// inserted where nothing would be dropped, so a plan without a join is
+// not narrowed. Every consumer —
 // ra.Stream, the ivm compiler, EXPLAIN, Bound.Fingerprint — sees that
 // one narrow tree; a maintained view therefore keeps a pruned join side
 // as (read columns, multiplicity) rows, not as base tuples.

@@ -195,7 +195,7 @@ func oraclePlans() map[string]ra.Plan {
 			[]ra.EquiCond{{Left: ra.C("T1", "DOC_ID"), Right: ra.C("T2", "DOC_ID")}},
 			ra.And(ra.Eq(ra.Col(ra.C("T1", "LABEL")), ra.Const(relstore.String("B-PER"))),
 				ra.Cmp(ra.OpLt, ra.Col(ra.C("T1", "TOK_ID")), ra.Col(ra.C("T2", "TOK_ID"))))),
-		"cross":   ra.NewCross(ra.NewProject(per, ra.C("T", "STRING")), org),
+		"cross":   ra.NewJoin(ra.NewProject(per, ra.C("T", "STRING")), org, nil, nil),
 		"min-max": ra.NewGroupAgg(per, []ra.ColRef{ra.C("T", "DOC_ID")}, ra.Agg{Fn: ra.FnMin, Arg: ra.C("T", "TOK_ID"), As: "LO"}, ra.Agg{Fn: ra.FnMax, Arg: ra.C("T", "TOK_ID"), As: "HI"}),
 	}
 }

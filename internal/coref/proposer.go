@@ -36,7 +36,8 @@ func MentionSchema() *relstore.Schema {
 func Declare(db *relstore.DB) error { return db.DeclareHidden(MentionRelation, ClusterCol) }
 
 // LoadMentions materializes mentions into a fresh MENTION relation with
-// singleton clusters: mention i is row i, in cluster i.
+// singleton clusters: mention i is row i, in cluster i. The loaded
+// vectors are trimmed (relstore.Relation.Trim).
 func LoadMentions(db *relstore.DB, mentions []Mention) error {
 	rel, err := db.Create(MentionSchema())
 	if err != nil {
@@ -54,6 +55,7 @@ func LoadMentions(db *relstore.DB, mentions []Mention) error {
 			return fmt.Errorf("coref: loading mentions: %w", err)
 		}
 	}
+	rel.Trim()
 	return nil
 }
 

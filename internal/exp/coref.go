@@ -35,12 +35,9 @@ type CorefSystem struct {
 	protoDB *relstore.DB
 }
 
-// BuildCoref generates the mention set and loads it once into the
-// prototype world, every mention in its own cluster.
-func BuildCoref(cfg CorefConfig) (*CorefSystem, error) { return BuildCorefOver(cfg, nil) }
-
-// BuildCorefOver is BuildCoref serving db, when it is not nil, instead of
-// generating mentions: db, such as a world recovered from a data
+// BuildCorefOver generates the mention set and loads it once into the
+// prototype world, every mention in its own cluster. When db is not nil
+// it serves db instead: db, such as a world recovered from a data
 // directory, is served as it stands, with MENTION.CLUSTER declared
 // hidden, and cfg is not read.
 func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {

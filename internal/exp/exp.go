@@ -139,15 +139,8 @@ type Chain struct {
 
 	// Spec is the compiled query's result-level ranking (ORDER BY /
 	// LIMIT / the P pseudo-column). Evaluator.Results is the raw
-	// estimate; RankedResultsCI applies the spec.
+	// estimate; core.SortTupleCIs applies the spec.
 	Spec ra.ResultSpec
-}
-
-// RankedResultsCI returns the chain's current answer with Wilson
-// intervals at normal quantile z, ordered and truncated per the
-// query's ORDER BY / LIMIT clauses (a no-op for unranked queries).
-func (c *Chain) RankedResultsCI(z float64) []core.TupleCI {
-	return core.SortTupleCIs(c.Evaluator.Estimator().ResultsCI(z), c.Spec)
 }
 
 // NewChain clones the prototype world and builds an evaluator over it.

@@ -90,7 +90,11 @@ func TestChainsShareCorpusIndex(t *testing.T) {
 	if sys.Index == nil || a.Index != sys.Index || b.Index != sys.Index {
 		t.Fatalf("chain taggers read indexes %p and %p, want the system's %p", a.Index, b.Index, sys.Index)
 	}
-	if err := log.SetField(world.FieldRef{Rel: ie.TokenRelation, Row: 0, Col: ie.LabelCol}, relstore.String("B-PER")); err != nil {
+	label, err := log.Field(ie.TokenRelation, ie.LabelCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := label.Set(0, relstore.String("B-PER")); err != nil {
 		t.Fatal(err)
 	}
 	if a.Docs[0].Label(0) != ie.LBPer {

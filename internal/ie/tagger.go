@@ -56,7 +56,9 @@ func Declare(db *relstore.DB) error {
 // first being the tokens of the documents before it. The label inventory
 // takes the first LABEL and TRUTH codes, in Label order, so no flip ever
 // interns one and a TRUTH code is its gold Label; a string's STRING code,
-// issued in order of first use, is its emission row in θ.
+// issued in order of first use, is its emission row in θ. The loaded
+// vectors are trimmed (relstore.Relation.Trim) before anything borrows or
+// clones them.
 func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 	rel, err := db.Create(TokenSchema())
 	if err != nil {
@@ -84,6 +86,7 @@ func LoadCorpus(db *relstore.DB, c *Corpus, init Label) error {
 			tokID++
 		}
 	}
+	rel.Trim()
 	return nil
 }
 

@@ -81,17 +81,13 @@ func (o *groupAggOp) init(out consumer) error {
 	if o.global {
 		o.group(nil) // ensure the global group exists even over empty input
 	}
-	// The same rule as apply: a group whose input nets to zero (possible
-	// below an EXCEPT) has no row and no state.
+	// Every operator's init pushes only positive multiplicities, so each
+	// group made here has input: apply's rule that a group netting to zero
+	// has no row and no state releases nothing here.
 	for i := int32(0); i < o.used; i++ {
 		sl, row := o.slot(i)
-		switch {
-		case sl.total > 0 || o.global:
-			if sl.row = o.setRow(row, o.aggsOf(i)); sl.row {
-				out.push(row, 1)
-			}
-		case sl.total == 0:
-			o.release(i)
+		if sl.row = o.setRow(row, o.aggsOf(i)); sl.row {
+			out.push(row, 1)
 		}
 	}
 	return nil

@@ -23,18 +23,18 @@
 // bags between operators — the same item may even arrive split across
 // several pushes and consumers fold signed counts. Every operator is its
 // children's consumer through its own pointer, so wiring a stream builds
-// no closure. An operator that consumes in two ways (a join's or a
-// difference's two inputs, a group-agg's init) does so through pointer
-// conversions to one named type per way.
+// no closure. An operator that consumes in two ways (a join's two
+// inputs, a group-agg's init) does so through pointer conversions to one
+// named type per way.
 //
 // Mirroring the streaming evaluator (package ra), each operator declares
 // via owned whether its pushed tuples are stable or scratch. Unlike
 // ra.Stream's, the group-agg here pushes scratch: its rows live in the
 // slots of its group table, which it rewrites between a group's −old
 // and +new push (groupagg.go). Retaining consumers never keep an
-// unowned tuple: difference and distinct state and the top-k buffer
-// clone it on first insert, and a join side and the view's answer table
-// copy every new row into chunks of their own (join.go, answer.go).
+// unowned tuple: distinct state and the top-k buffer clone it on first
+// insert, and a join side and the view's answer table copy every new row
+// into chunks of their own (join.go, answer.go).
 package ivm
 
 import (
@@ -73,16 +73,6 @@ func (d BaseDelta) Add(rel string, row relstore.Tuple, n int64) {
 	if n != 0 {
 		d[rel] = append(d[rel], ra.BagRow{Tuple: row, N: n})
 	}
-}
-
-// Empty reports whether the delta holds no rows.
-func (d BaseDelta) Empty() bool {
-	for _, rows := range d {
-		if len(rows) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // consumer receives one streamed (tuple, signed count) pair per push. The
@@ -179,10 +169,6 @@ func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 		return &joinOp{b: b, left: kids[0], right: kids[1]}, nil
 	case ra.KGroupAgg:
 		return newGroupAggOp(b, kids[0]), nil
-	case ra.KUnion:
-		return &unionOp{b: b, left: kids[0], right: kids[1]}, nil
-	case ra.KDiff:
-		return &diffOp{b: b, left: kids[0], right: kids[1]}, nil
 	case ra.KDistinct:
 		return &distinctOp{b: b, child: kids[0]}, nil
 	case ra.KOrderLimit:
@@ -289,4 +275,46 @@ func (s *stage) run(steps []step, t relstore.Tuple, n int64) {
 		t = st.buf
 	}
 	s.out.push(t, n)
+}
+
+// distinctOp maintains its input bag; the output toggles between 0 and 1
+// as a key's input multiplicity crosses zero. Toggles are computed per
+// streamed item, so opposite-signed split emissions cancel exactly.
+type distinctOp struct {
+	b     *ra.Bound
+	child op
+	state *ra.Bag
+	clone bool
+	out   consumer
+	kbuf  []byte
+}
+
+func (o *distinctOp) owned() bool { return o.child.owned() }
+
+func (o *distinctOp) push(t relstore.Tuple, n int64) {
+	if n == 0 {
+		return
+	}
+	o.kbuf = t.AppendKey(o.kbuf[:0])
+	c := o.state.CountBytes(o.kbuf)
+	before, after := c > 0, c+n > 0
+	o.state.AddKeyedBytes(o.kbuf, t, n, o.clone)
+	switch {
+	case !before && after:
+		o.out.push(t, 1)
+	case before && !after:
+		o.out.push(t, -1)
+	}
+}
+
+func (o *distinctOp) init(out consumer) error {
+	o.state = ra.NewBag(o.b.Schema)
+	o.clone = !o.child.owned()
+	o.out = out
+	return o.child.init(o)
+}
+
+func (o *distinctOp) apply(d BaseDelta, out consumer) {
+	o.out = out
+	o.child.apply(d, o)
 }

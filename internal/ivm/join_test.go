@@ -22,7 +22,7 @@ func newRefSide(keyIdx []int) *refSide {
 }
 
 func (s *refSide) add(t relstore.Tuple, n int64) {
-	jk, tk := ra.KeyOf(t, s.keyIdx), t.Key()
+	jk, tk := string(ra.AppendKeyOf(nil, t, s.keyIdx)), t.Key()
 	bucket := s.buckets[jk]
 	if bucket == nil {
 		bucket = make(map[string]*ra.BagRow)
@@ -41,7 +41,7 @@ func (s *refSide) add(t relstore.Tuple, n int64) {
 }
 
 func (s *refSide) count(t relstore.Tuple, keyIdx []int) int64 {
-	if r := s.buckets[ra.KeyOf(t, keyIdx)][t.Key()]; r != nil {
+	if r := s.buckets[string(ra.AppendKeyOf(nil, t, keyIdx))][t.Key()]; r != nil {
 		return r.N
 	}
 	return 0
@@ -58,7 +58,7 @@ func (s *refSide) rows() int {
 // probe returns the rows matching p's columns idx, as tuple key → count.
 func (s *refSide) probe(p relstore.Tuple, idx []int) map[string]int64 {
 	got := make(map[string]int64)
-	for k, r := range s.buckets[ra.KeyOf(p, idx)] {
+	for k, r := range s.buckets[string(ra.AppendKeyOf(nil, p, idx))] {
 		got[k] = r.N
 	}
 	return got
@@ -187,7 +187,7 @@ func TestSideStateMatchesReference(t *testing.T) {
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("step %d: probe %v = %v, want %v", step, p, got, want)
 					}
-					k := ra.KeyOf(p, probeIdx)
+					k := string(ra.AppendKeyOf(nil, p, probeIdx))
 					switch now := len(want) > 0; {
 					case now && gone[k]:
 						returned++

@@ -222,10 +222,6 @@ func boundName(b *Bound) string {
 			aggs[i] = fmt.Sprintf("%s AS %s", a.Fn, a.As)
 		}
 		return fmt.Sprintf("GroupAgg[%s; %s]", strings.Join(group, ", "), strings.Join(aggs, ", "))
-	case KUnion:
-		return "Union"
-	case KDiff:
-		return "Diff"
 	case KDistinct:
 		return "Distinct"
 	case KOrderLimit:

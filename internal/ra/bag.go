@@ -87,13 +87,6 @@ func (b *Bag) addKeyed(k string, t relstore.Tuple, n int64) {
 	b.rows[k] = &BagRow{Tuple: t, N: n}
 }
 
-// AddBag merges all rows of o (with their counts scaled by sign) into b.
-func (b *Bag) AddBag(o *Bag, sign int64) {
-	for k, r := range o.rows {
-		b.addKeyed(k, r.Tuple, sign*r.N)
-	}
-}
-
 // Count returns the multiplicity of the tuple with the given key.
 func (b *Bag) Count(key string) int64 {
 	if r, ok := b.rows[key]; ok {

@@ -43,8 +43,14 @@ func TestBagInverseQuick(t *testing.T) {
 	f := func(ops []bagOp) bool {
 		b := applyOps(ops)
 		out := NewBag(b.Schema)
-		out.AddBag(b, 1)
-		out.AddBag(b, -1)
+		b.Each(func(k string, row *BagRow) bool {
+			out.AddKeyed(k, row.Tuple, row.N)
+			return true
+		})
+		b.Each(func(k string, row *BagRow) bool {
+			out.AddKeyed(k, row.Tuple, -row.N)
+			return true
+		})
 		return out.Len() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -78,8 +84,14 @@ func TestBagSplitBatchesEquivalentQuick(t *testing.T) {
 		first := applyOps(ops[:cut])
 		second := applyOps(ops[cut:])
 		merged := NewBag(whole.Schema)
-		merged.AddBag(first, 1)
-		merged.AddBag(second, 1)
+		first.Each(func(k string, row *BagRow) bool {
+			merged.AddKeyed(k, row.Tuple, row.N)
+			return true
+		})
+		second.Each(func(k string, row *BagRow) bool {
+			merged.AddKeyed(k, row.Tuple, row.N)
+			return true
+		})
 		return merged.Equal(whole)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -17,8 +17,6 @@ const (
 	KProject
 	KJoin
 	KGroupAgg
-	KUnion
-	KDiff
 	KDistinct
 	KOrderLimit
 )
@@ -195,10 +193,6 @@ func bindPlan(db *relstore.DB, p Plan) (*Bound, error) {
 		return bindJoin(db, n)
 	case *GroupAgg:
 		return bindGroupAgg(db, n)
-	case *Union:
-		return bindUnion(db, n)
-	case *Diff:
-		return bindDiff(db, n)
 	case *Distinct:
 		return bindDistinct(db, n)
 	case *OrderLimit:
@@ -377,4 +371,12 @@ func bindGroupAgg(db *relstore.DB, n *GroupAgg) (*Bound, error) {
 	}
 	b.Schema = sch
 	return b, nil
+}
+
+func bindDistinct(db *relstore.DB, n *Distinct) (*Bound, error) {
+	child, err := bindPlan(db, n.Child)
+	if err != nil {
+		return nil, err
+	}
+	return &Bound{Kind: KDistinct, Schema: child.Schema, Source: n, Children: []*Bound{child}}, nil
 }

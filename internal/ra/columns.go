@@ -2,9 +2,10 @@ package ra
 
 // OutputColumns returns the output column names of a logical plan without
 // binding it against a catalog. It resolves every root the sqlparse
-// planner can produce (Project, possibly wrapped in Distinct, and the
-// set operators); for roots whose schema depends on the catalog — a bare
-// Scan — it returns nil and the caller must Bind to learn the names.
+// planner can produce (Project or GroupAgg, possibly wrapped in Select,
+// Distinct or OrderLimit); for roots whose schema depends on the catalog
+// — a bare Scan — it returns nil and the caller must Bind to learn the
+// names.
 func OutputColumns(p Plan) []string {
 	switch n := p.(type) {
 	case *Distinct:
@@ -28,10 +29,6 @@ func OutputColumns(p Plan) []string {
 			out = append(out, a.As)
 		}
 		return out
-	case *Union:
-		return OutputColumns(n.Left)
-	case *Diff:
-		return OutputColumns(n.Left)
 	}
 	return nil
 }

@@ -28,22 +28,6 @@ func Eval(b *Bound) (*Bag, error) {
 	return out, nil
 }
 
-// ProjectTuple extracts the indexed fields of t as a fresh tuple.
-func ProjectTuple(t relstore.Tuple, idx []int) relstore.Tuple {
-	out := make(relstore.Tuple, len(idx))
-	for i, j := range idx {
-		out[i] = t[j]
-	}
-	return out
-}
-
-// ConcatTuples concatenates l and r into a fresh tuple.
-func ConcatTuples(l, r relstore.Tuple) relstore.Tuple {
-	out := make(relstore.Tuple, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
 // aggAccum accumulates one aggregate over a group during evaluation.
 type aggAccum struct {
 	n     int64   // COUNT / COUNT_IF

@@ -15,9 +15,3 @@ func AppendKeyOf(dst []byte, t relstore.Tuple, idx []int) []byte {
 	}
 	return dst
 }
-
-// KeyOf computes the injective key of the indexed fields of t as a
-// string, for callers that store the key rather than probing with it.
-func KeyOf(t relstore.Tuple, idx []int) string {
-	return string(AppendKeyOf(nil, t, idx))
-}

@@ -88,9 +88,6 @@ func NewJoin(left, right Plan, on []EquiCond, filter Expr) *Join {
 	return &Join{Left: left, Right: right, On: on, Filter: filter}
 }
 
-// NewCross builds a Cartesian product.
-func NewCross(left, right Plan) *Join { return &Join{Left: left, Right: right} }
-
 func (*Join) plan() {}
 
 func (j *Join) String() string {
@@ -186,3 +183,15 @@ func (g *GroupAgg) String() string {
 	}
 	return s + fmt.Sprintf("](%s)", g.Child)
 }
+
+// Distinct collapses multiplicities to one (SELECT DISTINCT).
+type Distinct struct {
+	Child Plan
+}
+
+// NewDistinct builds a duplicate-eliminating node.
+func NewDistinct(child Plan) *Distinct { return &Distinct{Child: child} }
+
+func (*Distinct) plan() {}
+
+func (d *Distinct) String() string { return fmt.Sprintf("Distinct(%s)", d.Child) }

@@ -15,9 +15,8 @@ import "fmt"
 // (read columns, multiplicity) rows instead of full-width base tuples —
 // Query 3's 50k TOKEN rows become one DOC_ID count per document.
 //
-// The root, Distinct, Union/Diff and OrderLimit read every column of
-// their children (their output rows, tie-breaks or positional matching
-// depend on all of them); Select adds its predicate's columns to what
+// The root, Distinct and OrderLimit read every column of their children
+// (their output rows or tie-breaks depend on all of them); Select adds its predicate's columns to what
 // its parent reads; Project and GroupAgg read exactly the columns they
 // name. Nothing is inserted where nothing would be dropped, so a plan
 // without a join binds to the tree it was written as.
@@ -102,11 +101,8 @@ func childNeeds(b *Bound, need []bool) [][]bool {
 		}
 		return [][]bool{n}
 	}
-	out := make([][]bool, len(b.Children))
-	for i := range out {
-		out[i] = allCols(arity(i))
-	}
-	return out
+	// Distinct and OrderLimit: one child, every column read.
+	return [][]bool{allCols(arity(0))}
 }
 
 // markCols sets need[i] for every column position e reads.
@@ -177,10 +173,6 @@ func withChildren(p Plan, kids []Plan) Plan {
 		c := *n
 		c.Child = kids[0]
 		return &c
-	case *Union:
-		return &Union{Left: kids[0], Right: kids[1]}
-	case *Diff:
-		return &Diff{Left: kids[0], Right: kids[1]}
 	case *Distinct:
 		return &Distinct{Child: kids[0]}
 	case *OrderLimit:

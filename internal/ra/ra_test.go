@@ -165,7 +165,7 @@ func TestSelfJoinQuery4Shape(t *testing.T) {
 
 func TestCrossProduct(t *testing.T) {
 	db := testDB(t)
-	bag := mustEval(t, db, NewCross(NewScan("DOC", "A"), NewScan("DOC", "B")))
+	bag := mustEval(t, db, NewJoin(NewScan("DOC", "A"), NewScan("DOC", "B"), nil, nil))
 	if bag.Size() != 4 {
 		t.Errorf("cross size = %d, want 4", bag.Size())
 	}
@@ -342,8 +342,14 @@ func TestBagAlgebra(t *testing.T) {
 		t.Error("clone must be independent")
 	}
 	d := NewBag(sch)
-	d.AddBag(c, -1)
-	d.AddBag(c, 1)
+	c.Each(func(k string, row *BagRow) bool {
+		d.AddKeyed(k, row.Tuple, -row.N)
+		return true
+	})
+	c.Each(func(k string, row *BagRow) bool {
+		d.AddKeyed(k, row.Tuple, row.N)
+		return true
+	})
 	if d.Len() != 0 {
 		t.Error("bag minus itself must be empty")
 	}
@@ -404,5 +410,25 @@ func TestScanFilter(t *testing.T) {
 				t.Errorf("%s on %v: split predicate says %v, whole predicate %v", c.pred, row, got, want)
 			}
 		}
+	}
+}
+
+func perPlan(alias string) Plan {
+	return NewProject(
+		NewSelect(NewScan("TOKEN", alias),
+			Eq(Col(C(alias, "LABEL")), Const(relstore.String("B-PER")))),
+		C(alias, "STRING"),
+	)
+}
+
+func TestDistinctCollapses(t *testing.T) {
+	db := testDB(t)
+	bag := mustEval(t, db, NewDistinct(perPlan("A")))
+	if bag.Size() != 2 || bag.Len() != 2 {
+		t.Fatalf("distinct size/len = %d/%d, want 2/2", bag.Size(), bag.Len())
+	}
+	smith := relstore.Tuple{relstore.String("Smith")}.Key()
+	if bag.Count(smith) != 1 {
+		t.Errorf("distinct count(Smith) = %d, want 1", bag.Count(smith))
 	}
 }

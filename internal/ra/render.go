@@ -71,14 +71,6 @@ func renderInto(p Plan, depth int, lines *[]string) {
 		}
 		emit("OrderLimit[%s; limit %d]", strings.Join(keys, ", "), n.Limit)
 		renderInto(n.Child, depth+1, lines)
-	case *Union:
-		emit("Union")
-		renderInto(n.Left, depth+1, lines)
-		renderInto(n.Right, depth+1, lines)
-	case *Diff:
-		emit("Diff")
-		renderInto(n.Left, depth+1, lines)
-		renderInto(n.Right, depth+1, lines)
 	default:
 		emit("%s", p)
 	}

@@ -69,12 +69,3 @@ func (s *RowSchema) Resolve(ref ColRef) (int, error) {
 	}
 	return found, nil
 }
-
-// ColNames returns the rendered names of all output columns, for display.
-func (s *RowSchema) ColNames() []string {
-	out := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = c.Ref.String()
-	}
-	return out
-}

@@ -76,10 +76,6 @@ func compileNode(b *Bound, compile streamCompiler) (Iterator, bool, error) {
 		return streamJoin(b, compile)
 	case KGroupAgg:
 		return streamGroupAgg(b, compile)
-	case KUnion:
-		return streamUnion(b, compile)
-	case KDiff:
-		return streamDiff(b, compile)
 	case KDistinct:
 		return streamDistinct(b, compile)
 	case KOrderLimit:
@@ -284,83 +280,6 @@ func countsOnly(aggs []BoundAgg) bool {
 	return true
 }
 
-// streamUnion concatenates the two input streams (bag union: counts add
-// at the consumer).
-func streamUnion(b *Bound, compile streamCompiler) (Iterator, bool, error) {
-	left, lo, err := compile(b.Children[0])
-	if err != nil {
-		return nil, false, err
-	}
-	right, ro, err := compile(b.Children[1])
-	if err != nil {
-		return nil, false, err
-	}
-	it := func(yield func(relstore.Tuple, int64) bool) {
-		stopped := false
-		left(func(t relstore.Tuple, n int64) bool {
-			if !yield(t, n) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-		right(yield)
-	}
-	return it, lo && ro, nil
-}
-
-// streamDiff materializes only the right side's multiplicity counts, then
-// streams the left side through them: each left occurrence first pays
-// down the remaining right count for its key and yields whatever
-// survives. Summed per key this is exactly monus, max(0, left − right),
-// even when a key's left occurrences arrive split across yields.
-func streamDiff(b *Bound, compile streamCompiler) (Iterator, bool, error) {
-	left, lo, err := compile(b.Children[0])
-	if err != nil {
-		return nil, false, err
-	}
-	right, _, err := compile(b.Children[1])
-	if err != nil {
-		return nil, false, err
-	}
-	rightSize := estimateRows(b.Children[1])
-	it := func(yield func(relstore.Tuple, int64) bool) {
-		rem := make(map[string]*int64, rightSize)
-		var kbuf []byte
-		right(func(t relstore.Tuple, n int64) bool {
-			kbuf = t.AppendKey(kbuf[:0])
-			if p := rem[string(kbuf)]; p != nil {
-				*p += n
-			} else {
-				c := n
-				rem[string(kbuf)] = &c
-			}
-			return true
-		})
-		left(func(t relstore.Tuple, n int64) bool {
-			if len(rem) > 0 {
-				kbuf = t.AppendKey(kbuf[:0])
-				if p := rem[string(kbuf)]; p != nil && *p > 0 {
-					use := *p
-					if use > n {
-						use = n
-					}
-					*p -= use
-					n -= use
-				}
-			}
-			if n == 0 {
-				return true
-			}
-			return yield(t, n)
-		})
-	}
-	return it, lo, nil
-}
-
 // streamDistinct yields each distinct tuple once with count 1, on first
 // sight. Evaluation-path multiplicities are all positive, so first sight
 // decides membership.
@@ -507,10 +426,6 @@ func estimateRows(b *Bound) int {
 		return estimateRows(b.Children[0])
 	case KOrderLimit:
 		return int(b.Limit)
-	case KUnion:
-		return estimateRows(b.Children[0]) + estimateRows(b.Children[1])
-	case KDiff:
-		return estimateRows(b.Children[0])
 	case KJoin:
 		l, r := estimateRows(b.Children[0]), estimateRows(b.Children[1])
 		if l > r {

@@ -3,6 +3,7 @@ package ra
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -55,7 +56,7 @@ func matEval(b *Bound) (*Bag, error) {
 		}
 		out := NewBag(b.Schema)
 		child.Each(func(_ string, r *BagRow) bool {
-			out.Add(ProjectTuple(r.Tuple, b.ProjIdx), r.N)
+			out.Add(pick(r.Tuple, b.ProjIdx), r.N)
 			return true
 		})
 		return out, nil
@@ -63,28 +64,6 @@ func matEval(b *Bound) (*Bag, error) {
 		return matJoin(b)
 	case KGroupAgg:
 		return matGroupAgg(b)
-	case KUnion:
-		l, r, err := matEval2(b)
-		if err != nil {
-			return nil, err
-		}
-		out := NewBag(b.Schema)
-		out.AddBag(l, 1)
-		out.AddBag(r, 1)
-		return out, nil
-	case KDiff:
-		l, r, err := matEval2(b)
-		if err != nil {
-			return nil, err
-		}
-		out := NewBag(b.Schema)
-		l.Each(func(k string, row *BagRow) bool {
-			if n := row.N - r.Count(k); n > 0 {
-				out.AddKeyed(k, row.Tuple, n)
-			}
-			return true
-		})
-		return out, nil
 	case KDistinct:
 		child, err := matEval(b.Children[0])
 		if err != nil {
@@ -102,6 +81,16 @@ func matEval(b *Bound) (*Bag, error) {
 		return matOrderLimit(b)
 	}
 	return nil, fmt.Errorf("matEval: unknown bound kind %d", b.Kind)
+}
+
+// pick is the reference evaluator's projection: t's fields at idx, as a
+// fresh tuple.
+func pick(t relstore.Tuple, idx []int) relstore.Tuple {
+	out := make(relstore.Tuple, len(idx))
+	for i, j := range idx {
+		out[i] = t[j]
+	}
+	return out
 }
 
 func matEval2(b *Bound) (*Bag, *Bag, error) {
@@ -123,7 +112,7 @@ func matJoin(b *Bound) (*Bag, error) {
 	}
 	out := NewBag(b.Schema)
 	emit := func(l, r *BagRow) {
-		row := ConcatTuples(l.Tuple, r.Tuple)
+		row := slices.Concat(l.Tuple, r.Tuple)
 		if b.Filter != nil && !b.Filter.Eval(row).AsBool() {
 			return
 		}
@@ -131,12 +120,12 @@ func matJoin(b *Bound) (*Bag, error) {
 	}
 	table := make(map[string][]*BagRow)
 	right.Each(func(_ string, r *BagRow) bool {
-		k := KeyOf(r.Tuple, b.RightKey)
+		k := string(AppendKeyOf(nil, r.Tuple, b.RightKey))
 		table[k] = append(table[k], r)
 		return true
 	})
 	left.Each(func(_ string, l *BagRow) bool {
-		k := KeyOf(l.Tuple, b.LeftKey)
+		k := string(AppendKeyOf(nil, l.Tuple, b.LeftKey))
 		for _, r := range table[k] {
 			emit(l, r)
 		}
@@ -156,10 +145,10 @@ func matGroupAgg(b *Bound) (*Bag, error) {
 	}
 	groups := make(map[string]*group)
 	child.Each(func(_ string, r *BagRow) bool {
-		gk := KeyOf(r.Tuple, b.GroupIdx)
+		gk := string(AppendKeyOf(nil, r.Tuple, b.GroupIdx))
 		g, ok := groups[gk]
 		if !ok {
-			g = &group{key: ProjectTuple(r.Tuple, b.GroupIdx), accums: make([]aggAccum, len(b.Aggs))}
+			g = &group{key: pick(r.Tuple, b.GroupIdx), accums: make([]aggAccum, len(b.Aggs))}
 			groups[gk] = g
 		}
 		for i := range b.Aggs {
@@ -265,7 +254,7 @@ func sweepWorld(rng *rand.Rand, rows int) *relstore.DB {
 
 // sweepPlans covers every operator and the placements of selections
 // among them: on scans, over projections, joins (one-sided and residual
-// conjuncts), aggregation/union/diff/order-limit, and empty inputs.
+// conjuncts), aggregation/distinct/order-limit, and empty inputs.
 func sweepPlans() map[string]Plan {
 	rA, rB, rC := C("R", "A"), C("R", "B"), C("R", "C")
 	sA, sD := C("S", "A"), C("S", "D")
@@ -290,7 +279,7 @@ func sweepPlans() map[string]Plan {
 		"join-residual": join(scanR, scanS, Or(bIsX, dIsY)), // not single-side pushable
 		"select-over-join": NewSelect(
 			join(scanR, scanS, nil), And(aLt2, dIsY, cGt0)),
-		"cross": NewCross(NewProject(scanR, rB), scanS),
+		"cross": NewJoin(NewProject(scanR, rB), scanS, nil, nil),
 		"join-empty": NewJoin(scanR, scanE,
 			[]EquiCond{{Left: rA, Right: C("E", "A")}}, nil),
 		"group-agg": NewGroupAgg(scanR, []ColRef{rB},
@@ -310,13 +299,6 @@ func sweepPlans() map[string]Plan {
 		"select-over-groupagg": NewSelect(
 			NewGroupAgg(scanR, []ColRef{rB}, Agg{Fn: FnCount, As: "N"}),
 			Cmp(OpGt, Col(C("", "N")), Const(relstore.Int(1)))),
-		"union":       NewUnion(NewProject(scanR, rA, rB), scanS),
-		"union-empty": NewUnion(scanS, scanE),
-		"select-over-union": NewSelect(
-			NewUnion(scanS, scanE), Cmp(OpGe, Col(sA), Const(relstore.Int(1)))),
-		"diff":          NewDiff(NewProject(scanR, rA, rB), scanS),
-		"diff-empty-r":  NewDiff(scanS, scanE),
-		"diff-empty-l":  NewDiff(scanE, scanS),
 		"distinct":      NewDistinct(NewProject(scanR, rB)),
 		"distinct-join": NewDistinct(NewProject(join(scanR, scanS, nil), rB, sD)),
 		"order-limit": NewOrderLimit(scanR,
@@ -397,7 +379,12 @@ func dumpBag(b *Bag) string {
 // reusable.
 func TestStreamingEarlyStop(t *testing.T) {
 	db := sweepWorld(rand.New(rand.NewSource(3)), 24)
-	bound, err := Bind(db, NewUnion(NewScan("S", ""), NewScan("S", "s2")))
+	bound, err := Bind(db, NewJoin(NewScan("S", ""), NewScan("S", "s2"),
+		[]EquiCond{{Left: C("S", "A"), Right: C("s2", "A")}}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := matEval(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +405,7 @@ func TestStreamingEarlyStop(t *testing.T) {
 		total += n
 		return true
 	})
-	if want := int64(2 * 12); total != want {
-		t.Fatalf("re-run after early stop yielded %d rows, want %d", total, want)
+	if total != want.Size() {
+		t.Fatalf("re-run after early stop yielded %d rows, want %d", total, want.Size())
 	}
 }

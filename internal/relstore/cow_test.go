@@ -408,3 +408,58 @@ func TestDumpAllocBudget(t *testing.T) {
 		t.Errorf("Dump allocates %v times at 50 000 rows, %v at 5 000", big, n)
 	}
 }
+
+// TestTrimDropsAppendRoom: a trimmed relation's vectors and row set hold
+// exactly their slots, it reads and grows as before, and a vector a clone
+// shares is left as it is.
+func TestTrimDropsAppendRoom(t *testing.T) {
+	load := func() *Relation {
+		r := NewRelation(MustSchema("M", Column{"ID", TInt}, Column{"S", TString}, Column{"X", TFloat}))
+		for i := range 1000 {
+			if _, err := r.Insert(Tuple{Int(int64(i)), String(fmt.Sprint(i % 7)), Float(float64(i) / 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	room := func(r *Relation) (n int) {
+		for _, c := range r.cols {
+			v := &c.vec
+			n += cap(v.w8) + cap(v.w16) + cap(v.w32) + cap(v.w64) - v.Len() + cap(c.ints) - len(c.ints)
+		}
+		return n + cap(r.rows.alive) - len(r.rows.alive)
+	}
+	rows := func(r *Relation) (out []string) {
+		r.Scan(func(id RowID, tp Tuple) bool {
+			out = append(out, fmt.Sprint(id, tp))
+			return true
+		})
+		return out
+	}
+
+	shared := load()
+	before := room(shared)
+	if before == 0 {
+		t.Fatal("1 000 inserts left no room to append; the check proves nothing")
+	}
+	shared.Clone().Trim()
+	if room(shared) != before {
+		t.Error("Trim replaced vectors a clone shares")
+	}
+
+	r := load()
+	r.Trim()
+	if n := room(r); n != 0 {
+		t.Errorf("a trimmed relation keeps room for %d more slots", n)
+	}
+	if got, want := rows(r), rows(shared); !slices.Equal(got, want) {
+		t.Fatalf("Trim changed the rows:\n got %v\nwant %v", got, want)
+	}
+	next := Tuple{Int(1000), String("x"), Int(3)}
+	if _, err := r.Insert(next); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Get(1000); !got.Identical(next) {
+		t.Errorf("row appended after Trim reads %v, want %v", got, next)
+	}
+}

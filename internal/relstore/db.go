@@ -67,15 +67,6 @@ func (db *DB) DeclareHidden(rel string, col int) error {
 	return nil
 }
 
-// Drop removes the named relation.
-func (db *DB) Drop(name string) error {
-	if _, ok := db.rels[name]; !ok {
-		return fmt.Errorf("relstore: unknown relation %q", name)
-	}
-	delete(db.rels, name)
-	return nil
-}
-
 // Names returns the catalog's relation names in sorted order.
 func (db *DB) Names() []string {
 	out := make([]string, 0, len(db.rels))

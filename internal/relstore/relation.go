@@ -240,6 +240,24 @@ func (r *Relation) Insert(t Tuple) (RowID, error) {
 	return RowID(s), nil
 }
 
+// Trim gives back the room Insert keeps at the end of every vector for
+// the appends to come. A loader calls it once its last Insert is done,
+// before the relation is cloned or read concurrently: from the first
+// Clone on, a vector is shared, no write lands in it again (see own), and
+// that room would stay unused for good. A vector a clone already shares
+// is left as it is.
+func (r *Relation) Trim() {
+	for _, c := range r.cols {
+		if !c.shared.Load() {
+			c.vec = c.vec.grown(c.vec.lg, 0)
+			c.ints = grown(c.ints, 0)
+		}
+	}
+	if !r.rows.shared.Load() {
+		r.rows.alive = grown(r.rows.alive, 0)
+	}
+}
+
 // Has reports whether a row is stored under id.
 func (r *Relation) Has(id RowID) bool { return r.slot(id) >= 0 }
 

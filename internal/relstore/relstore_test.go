@@ -383,12 +383,6 @@ func TestDBCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
 		t.Errorf("Names = %v", names)
 	}
-	if err := db.Drop("A"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Drop("A"); err == nil {
-		t.Error("double drop: want error")
-	}
 	if _, err := db.Create(nil); err == nil {
 		t.Error("nil schema: want error")
 	}

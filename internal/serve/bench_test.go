@@ -109,7 +109,7 @@ func BenchmarkWriteReequilibrate(b *testing.B) {
 			name = "wal-interval"
 		}
 		b.Run(name, func(b *testing.B) {
-			sys, err := exp.BuildCoref(exp.CorefConfig{NumEntities: 6, MentionsPerEntity: 4, Seed: 3})
+			sys, err := exp.BuildCorefOver(exp.CorefConfig{NumEntities: 6, MentionsPerEntity: 4, Seed: 3}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -191,7 +191,7 @@ func TestTopKSeparated(t *testing.T) {
 // before an enormous budget — the "stop refining tuples that cannot
 // enter the top k" behavior.
 func TestRankedEarlyStop(t *testing.T) {
-	sys, err := exp.BuildCoref(exp.CorefConfig{NumEntities: 4, MentionsPerEntity: 3, Seed: 17})
+	sys, err := exp.BuildCorefOver(exp.CorefConfig{NumEntities: 4, MentionsPerEntity: 3, Seed: 17}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

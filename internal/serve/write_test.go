@@ -19,7 +19,7 @@ import (
 // worlds they may mutate freely.
 func corefEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
-	sys, err := exp.BuildCoref(exp.CorefConfig{NumEntities: 4, MentionsPerEntity: 3, Seed: 11})
+	sys, err := exp.BuildCorefOver(exp.CorefConfig{NumEntities: 4, MentionsPerEntity: 3, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,11 @@ package sqlparse
 
 import (
 	"fmt"
+	"go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,8 +15,8 @@ import (
 
 // placementCorpus is the dialect corpus the placement invariant is held
 // on: the paper's queries, the coreference pair query, the
-// COUNT-subquery, EXISTS and IN-subquery forms, and joins whose WHERE
-// names columns without their alias.
+// COUNT-subquery, EXISTS and IN-subquery forms, DISTINCT, a per-world
+// top-k, and joins whose WHERE names columns without their alias.
 var placementCorpus = []string{
 	query1,
 	query2,
@@ -19,6 +24,8 @@ var placementCorpus = []string{
 	query4,
 	query4 + ` ORDER BY P DESC LIMIT 10`,
 	pairQuery,
+	`SELECT DISTINCT T.STRING FROM TOKEN T WHERE T.LABEL = 'B-PER'`,
+	`SELECT STRING FROM TOKEN WHERE LABEL = 'B-PER' ORDER BY STRING DESC LIMIT 3`,
 	`SELECT T.STRING FROM TOKEN T WHERE EXISTS (SELECT * FROM TOKEN T1 WHERE T1.LABEL='B-ORG' AND T1.DOC_ID=T.DOC_ID)`,
 	`SELECT T.STRING FROM TOKEN T WHERE T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.LABEL='B-ORG')`,
 	`SELECT TOK_ID FROM TOKEN WHERE DOC_ID IN (SELECT DOC_ID FROM TOKEN WHERE STRING='Boston')`,
@@ -43,7 +50,7 @@ var placementCorpus = []string{
 //
 // The search below a selection passes selections, projections,
 // duplicate elimination and joins; a conjunct never moves through an
-// aggregation, a set operation or a top-k.
+// aggregation or a top-k.
 func misplaced(b *ra.Bound) []string {
 	var out []string
 	var walk func(*ra.Bound)
@@ -101,4 +108,70 @@ func TestPlannerPlacesEveryPredicate(t *testing.T) {
 			t.Errorf("%s\n  %s\n%s", sql, m, strings.Join(ra.Render(b.Source), "\n"))
 		}
 	}
+}
+
+// TestDialectBindsEveryKind holds the plan algebra to the dialect: the
+// corpora above, compiled and bound as the engines compile them, bind a
+// node of every kind ra declares, so each kind that the executors, the
+// pruner, EXPLAIN and the fingerprint carry is one a statement reaches.
+func TestDialectBindsEveryKind(t *testing.T) {
+	pc := NewSchemaPlanCache(testDB(t), 0)
+	seen := map[ra.BoundKind]bool{}
+	var walk func(*ra.Bound)
+	walk = func(b *ra.Bound) {
+		seen[b.Kind] = true
+		for _, c := range b.Children {
+			walk(c)
+		}
+	}
+	sqls := slices.Clone(placementCorpus)
+	for _, tc := range fingerprintCases {
+		sqls = append(sqls, tc.sql)
+	}
+	for _, sql := range sqls {
+		c, _, err := pc.CompileQuery(sql)
+		if err != nil {
+			t.Fatalf("CompileQuery(%q): %v", sql, err)
+		}
+		walk(c.Stmt)
+	}
+	kinds := boundKinds(t)
+	for i, name := range kinds {
+		if !seen[ra.BoundKind(i)] {
+			t.Errorf("no statement binds a %s node: the dialect cannot produce it", name)
+		}
+	}
+	for k := range seen {
+		if int(k) >= len(kinds) {
+			t.Errorf("a statement binds kind %d, which ra does not declare", k)
+		}
+	}
+}
+
+// boundKinds reads the BoundKind constants, in value order, from their
+// declaration in package ra, so a kind added there is held to the
+// dialect too.
+func boundKinds(t *testing.T) []string {
+	t.Helper()
+	f, err := goparser.ParseFile(gotoken.NewFileSet(), filepath.Join("..", "ra", "bind.go"), nil, goparser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != gotoken.CONST || len(g.Specs) == 0 {
+			continue
+		}
+		if typ, ok := g.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "BoundKind" {
+			continue
+		}
+		for _, s := range g.Specs {
+			names = append(names, s.(*ast.ValueSpec).Names[0].Name)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("no BoundKind constants in ra/bind.go")
+	}
+	return names
 }

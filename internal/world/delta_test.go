@@ -120,7 +120,10 @@ func TestDrainIsNetWorldChange(t *testing.T) {
 				}
 			}
 			want := contents(rel)
-			want.AddBag(before, -1)
+			before.Each(func(k string, row *ra.BagRow) bool {
+				want.AddKeyed(k, row.Tuple, -row.N)
+				return true
+			})
 			d := log.Drain()
 			got := ra.NewBag(nil)
 			for _, r := range d["ITEM"] {
@@ -164,7 +167,7 @@ func TestRoundTripsDrainEmpty(t *testing.T) {
 	log := NewChangeLog(db)
 
 	for _, v := range []string{"b", "c", "a"} {
-		if err := log.SetField(FieldRef{Rel: "ITEM", Row: r0, Col: 1}, relstore.String(v)); err != nil {
+		if err := mustField(t, log, "ITEM", 1).Set(r0, relstore.String(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +180,7 @@ func TestRoundTripsDrainEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.SetField(FieldRef{Rel: "ITEM", Row: id, Col: 1}, relstore.String("b")); err != nil {
+	if err := mustField(t, log, "ITEM", 1).Set(id, relstore.String("b")); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.DeleteRow("ITEM", id); err != nil {
@@ -189,7 +192,7 @@ func TestRoundTripsDrainEmpty(t *testing.T) {
 	if del, add := log.DeltaTables("ITEM"); del != nil || add != nil {
 		t.Errorf("DeltaTables = -%v +%v, want nothing", del, add)
 	}
-	if d := log.Drain(); !d.Empty() {
+	if d := log.Drain(); d["ITEM"].Len() != 0 {
 		t.Errorf("drained %d rows, want none", d["ITEM"].Len())
 	}
 	if log.Updates() != 8 {
@@ -209,7 +212,7 @@ func TestNettingIsByKeyNotByEqual(t *testing.T) {
 	}
 	log := NewChangeLog(db)
 	for _, v := range []relstore.Value{relstore.Int(2), relstore.Float(1)} {
-		if err := log.SetField(FieldRef{Rel: "M", Row: id, Col: 0}, v); err != nil {
+		if err := mustField(t, log, "M", 0).Set(id, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,10 +225,10 @@ func TestNettingIsByKeyNotByEqual(t *testing.T) {
 // intact while the walk goes on and is refilled by the next Drain.
 func TestDrainedDeltaLifetime(t *testing.T) {
 	log, id := setup(t)
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	log.SetField(ref, relstore.String("B-ORG"))
+	label := mustField(t, log, "TOKEN", 2)
+	label.Set(id, relstore.String("B-ORG"))
 	d := log.Drain()
-	log.SetField(ref, relstore.String("B-PER"))
+	label.Set(id, relstore.String("B-PER"))
 	if rows := d["TOKEN"]; rows.Len() != 2 || rows[0].Tuple[2].AsString() != "O" || rows[1].Tuple[2].AsString() != "B-ORG" {
 		t.Fatalf("writes after Drain disturbed the drained delta: %v", rows)
 	}

@@ -1,6 +1,20 @@
 package world
 
-import "factordb/internal/relstore"
+import (
+	"testing"
+
+	"factordb/internal/relstore"
+)
+
+// mustField binds the change log's writer for one hidden column.
+func mustField(t *testing.T, l *ChangeLog, rel string, col int) Field {
+	t.Helper()
+	f, err := l.Field(rel, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // Pending reports whether any net changes have accumulated.
 func (l *ChangeLog) Pending() bool {

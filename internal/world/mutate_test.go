@@ -208,14 +208,14 @@ func TestUpdateFieldsNoopAndMissingRow(t *testing.T) {
 	if err := log.DeleteRow("CITY", 0); !errors.Is(err, relstore.ErrNotFound) {
 		t.Errorf("double delete = %v, want ErrNotFound", err)
 	}
-	// SetField on the deleted row surfaces the same sentinel — the MCMC
-	// write-through path relies on it to skip vanished rows.
+	// A field write to the deleted row surfaces the same sentinel — the
+	// MCMC write-through path relies on it to skip vanished rows.
 	if err := db.DeclareHidden("CITY", 1); err != nil {
 		t.Fatal(err)
 	}
-	err = log.SetField(FieldRef{Rel: "CITY", Row: 0, Col: 1}, relstore.String("Y"))
+	err = mustField(t, log, "CITY", 1).Set(0, relstore.String("Y"))
 	if !errors.Is(err, relstore.ErrNotFound) {
-		t.Errorf("SetField on deleted row = %v, want ErrNotFound", err)
+		t.Errorf("field write to deleted row = %v, want ErrNotFound", err)
 	}
 }
 

@@ -253,31 +253,6 @@ func (f Field) Set(row relstore.RowID, v relstore.Value) error {
 	return nil
 }
 
-// SetField is Field followed by Set, for one-off writes.
-func (l *ChangeLog) SetField(ref FieldRef, v relstore.Value) error {
-	f, err := l.Field(ref.Rel, ref.Col)
-	if err != nil {
-		return err
-	}
-	return f.Set(ref.Row, v)
-}
-
-// GetField reads the referenced field.
-func (l *ChangeLog) GetField(ref FieldRef) (relstore.Value, error) {
-	rel, err := l.db.Relation(ref.Rel)
-	if err != nil {
-		return relstore.Value{}, err
-	}
-	if ref.Col < 0 || ref.Col >= rel.Schema().Arity() {
-		return relstore.Value{}, fmt.Errorf("world: column %d out of range in %q", ref.Col, ref.Rel)
-	}
-	v, ok := rel.GetCol(ref.Row, ref.Col)
-	if !ok {
-		return relstore.Value{}, fmt.Errorf("world: relation %q row %d: %w", ref.Rel, ref.Row, relstore.ErrNotFound)
-	}
-	return v, nil
-}
-
 // Updates returns the total number of effective field updates applied.
 func (l *ChangeLog) Updates() int64 { return l.updates }
 

@@ -40,8 +40,8 @@ func TestFieldRefusesUndeclaredColumn(t *testing.T) {
 
 func TestSetFieldRecordsDelta(t *testing.T) {
 	log, id := setup(t)
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	if err := log.SetField(ref, relstore.String("B-ORG")); err != nil {
+	label := mustField(t, log, "TOKEN", 2)
+	if err := label.Set(id, relstore.String("B-ORG")); err != nil {
 		t.Fatal(err)
 	}
 	if !log.Pending() {
@@ -55,19 +55,19 @@ func TestSetFieldRecordsDelta(t *testing.T) {
 		t.Errorf("delta contents wrong: -%v +%v", deleted[0], added[0])
 	}
 	// The store reflects the new world.
-	v, err := log.GetField(ref)
+	rel, err := log.DB().Relation("TOKEN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.AsString() != "B-ORG" {
+	if v, _ := rel.GetCol(id, 2); v.AsString() != "B-ORG" {
 		t.Errorf("field = %q", v.AsString())
 	}
 }
 
 func TestNoOpWriteProducesNoDelta(t *testing.T) {
 	log, id := setup(t)
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	if err := log.SetField(ref, relstore.String("O")); err != nil {
+	label := mustField(t, log, "TOKEN", 2)
+	if err := label.Set(id, relstore.String("O")); err != nil {
 		t.Fatal(err)
 	}
 	if log.Pending() {
@@ -80,9 +80,9 @@ func TestNoOpWriteProducesNoDelta(t *testing.T) {
 
 func TestFlipAndFlipBackCancels(t *testing.T) {
 	log, id := setup(t)
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	log.SetField(ref, relstore.String("B-ORG"))
-	log.SetField(ref, relstore.String("O"))
+	label := mustField(t, log, "TOKEN", 2)
+	label.Set(id, relstore.String("B-ORG"))
+	label.Set(id, relstore.String("O"))
 	if log.Pending() {
 		t.Error("round-trip flip should cancel to an empty net delta")
 	}
@@ -93,10 +93,10 @@ func TestFlipAndFlipBackCancels(t *testing.T) {
 
 func TestDrainResets(t *testing.T) {
 	log, id := setup(t)
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	log.SetField(ref, relstore.String("B-ORG"))
+	label := mustField(t, log, "TOKEN", 2)
+	label.Set(id, relstore.String("B-ORG"))
 	d := log.Drain()
-	if d.Empty() {
+	if d["TOKEN"].Len() == 0 {
 		t.Error("drained delta should contain the change")
 	}
 	if log.Pending() {
@@ -110,29 +110,21 @@ func TestDrainResets(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	log, id := setup(t)
-	if err := log.SetField(FieldRef{Rel: "NOPE", Row: id, Col: 2}, relstore.String("x")); err == nil {
+	if _, err := log.Field("NOPE", 2); err == nil {
 		t.Error("unknown relation: want error")
 	}
-	if err := log.SetField(FieldRef{Rel: "TOKEN", Row: 999, Col: 2}, relstore.String("x")); err == nil {
-		t.Error("unknown row: want error")
-	}
-	if err := log.SetField(FieldRef{Rel: "TOKEN", Row: id, Col: 99}, relstore.String("x")); err == nil {
+	if _, err := log.Field("TOKEN", 99); err == nil {
 		t.Error("bad column: want error")
 	}
-	if err := log.SetField(FieldRef{Rel: "TOKEN", Row: id, Col: 2}, relstore.Int(1)); err == nil {
+	label := mustField(t, log, "TOKEN", 2)
+	if err := label.Set(999, relstore.String("x")); err == nil {
+		t.Error("unknown row: want error")
+	}
+	if err := label.Set(id, relstore.Int(1)); err == nil {
 		t.Error("type violation: want error")
 	}
 	if log.Pending() {
 		t.Error("failed writes must not record deltas")
-	}
-	if _, err := log.GetField(FieldRef{Rel: "NOPE", Row: id, Col: 0}); err == nil {
-		t.Error("GetField unknown relation: want error")
-	}
-	if _, err := log.GetField(FieldRef{Rel: "TOKEN", Row: 999, Col: 0}); err == nil {
-		t.Error("GetField unknown row: want error")
-	}
-	if _, err := log.GetField(FieldRef{Rel: "TOKEN", Row: id, Col: 99}); err == nil {
-		t.Error("GetField bad column: want error")
 	}
 }
 
@@ -142,8 +134,8 @@ func TestErrors(t *testing.T) {
 // as zeros, never as a plausible stale row.
 func TestDrainedDeltaExpiresAtNextDrain(t *testing.T) {
 	log, id := setup(t)
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	log.SetField(ref, relstore.String("B-ORG"))
+	label := mustField(t, log, "TOKEN", 2)
+	label.Set(id, relstore.String("B-ORG"))
 	kept := log.Drain()["TOKEN"][1].Tuple
 	if kept[2].AsString() != "B-ORG" {
 		t.Fatalf("drained +row = %v", kept)
@@ -158,9 +150,9 @@ func TestDrainedDeltaExpiresAtNextDrain(t *testing.T) {
 		t.Errorf("a clone taken in time reads %v", copied)
 	}
 	// A change that nets to nothing leaves nothing behind in the arena.
-	log.SetField(ref, relstore.String("O"))
-	log.SetField(ref, relstore.String("B-ORG"))
-	if d := log.Drain(); !d.Empty() {
+	label.Set(id, relstore.String("O"))
+	label.Set(id, relstore.String("B-ORG"))
+	if d := log.Drain(); d["TOKEN"].Len() != 0 {
 		t.Errorf("round trip drained %v", d["TOKEN"])
 	}
 }
@@ -174,13 +166,13 @@ func TestEpochAdvancesPerDrain(t *testing.T) {
 	if log.Epoch() != 1 {
 		t.Fatalf("epoch after one drain = %d, want 1", log.Epoch())
 	}
-	ref := FieldRef{Rel: "TOKEN", Row: id, Col: 2}
-	if err := log.SetField(ref, relstore.String("B-ORG")); err != nil {
+	label := mustField(t, log, "TOKEN", 2)
+	if err := label.Set(id, relstore.String("B-ORG")); err != nil {
 		t.Fatal(err)
 	}
 	// Writes accumulate within an epoch; only Drain closes it.
 	if log.Epoch() != 1 {
-		t.Fatalf("epoch moved on SetField: %d", log.Epoch())
+		t.Fatalf("epoch moved on a write: %d", log.Epoch())
 	}
 	log.Drain()
 	if log.Epoch() != 2 {

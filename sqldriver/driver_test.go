@@ -264,7 +264,7 @@ func TestRankedThreePaths(t *testing.T) {
 	if err := ch.Evaluator.Run(testSamples, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := ch.RankedResultsCI(1.96)
+	want := core.SortTupleCIs(ch.Evaluator.Estimator().ResultsCI(1.96), ch.Spec)
 	if len(want) != k {
 		t.Fatalf("degenerate corpus: ranked reference has %d tuples, want %d", len(want), k)
 	}
