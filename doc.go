@@ -524,7 +524,7 @@
 //	internal/ra        relational algebra: plans, binding, evaluation
 //	internal/sqlparse  SQL front end lowering to ra plans
 //	internal/ivm       incremental view maintenance over Δ⁻/Δ⁺ deltas
-//	internal/world     change log, epochs
+//	internal/world     change log, epochs, and the model contract (Prototype)
 //	internal/store     durable storage: snapshots + WAL, crash recovery
 //	internal/core      query evaluators (naive and materialized) + estimator
 //	                   whose dictionary is the view's answer slot table, so
@@ -532,6 +532,19 @@
 //	internal/metrics   loss traces and serving counters
 //	internal/exp       experiment harness regenerating the paper's figures
 //	internal/serve     the request pipeline and its sampling strategies
+//
+// Every model, the factor oracle included, is served through one
+// contract, world.Prototype: a prototype world in which the model has
+// declared its hidden column, and a bind that makes a proposer over one
+// clone's change log. A model supplies three things: the declared hidden
+// column; a score delta over rows (ie.Model.ScoreDelta,
+// coref.Model.MoveDelta, factor.Graph.ScoreDelta); and that proposer,
+// which reads its state from the clone on every proposal, writes each
+// accepted move through the log, and rebuilds anything it derives from
+// the evidence when the relation's EvidenceGen moves, as coref's
+// cluster index does. No model keeps a copy of its hidden column, so a
+// chain's state is its world, and a deleted row's value freezes at its
+// tombstone.
 //
 // Three commands sit on top of the facade: cmd/factordb evaluates a
 // single query from the command line, cmd/factordbd serves concurrent

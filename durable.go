@@ -6,6 +6,7 @@ import (
 	"factordb/internal/relstore"
 	"factordb/internal/serve"
 	"factordb/internal/store"
+	"factordb/internal/world"
 )
 
 // ErrRecovery marks durable-storage failures surfaced through the public
@@ -76,10 +77,10 @@ func openDurability(o store.Options) (*store.DiskStore, *relstore.DB, error) {
 	return st, w, nil
 }
 
-// adoptDurability seeds a fresh directory with the system's world, or
+// adoptDurability seeds a fresh directory with the model's world, or
 // binds one chain world to a recovered one, so that a model addressing
 // rows the world never issued fails Open rather than every query.
-func adoptDurability(st *store.DiskStore, dir string, sys system, name string) error {
+func adoptDurability(st *store.DiskStore, dir string, sys *world.Prototype, name string) error {
 	if st.Recovery().Fresh {
 		if err := st.Seed(sys.WorldDB(), 0); err != nil {
 			return fmt.Errorf("%w: seeding %s: %v", ErrRecovery, dir, err)

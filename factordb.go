@@ -11,6 +11,7 @@ import (
 	"factordb/internal/metrics"
 	"factordb/internal/serve"
 	"factordb/internal/store"
+	"factordb/internal/world"
 )
 
 // The paper's evaluation queries (Section 5), ready to pass to DB.Query
@@ -174,7 +175,7 @@ func WithSlowQueryLog(threshold time.Duration) Option {
 // queries with ErrClosed.
 type DB struct {
 	opts options
-	sys  system
+	sys  *world.Prototype
 	name string
 
 	// eng is the request pipeline — compile, caches, admission, tracing,

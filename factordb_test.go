@@ -380,6 +380,37 @@ func TestNERConfigRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestCorefConfigRejectsBadParams: a negative count fails Open naming
+// its field, as NER's do, and an entity count the mention generator
+// cannot give distinct surnames fails it promptly instead of hanging.
+func TestCorefConfigRejectsBadParams(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  CorefConfig
+		want string
+	}{
+		{CorefConfig{Entities: -1}, "CorefConfig.Entities = -1"},
+		{CorefConfig{MentionsPerEntity: -2}, "CorefConfig.MentionsPerEntity = -2"},
+		{CorefConfig{Entities: 72, Seed: 1}, "distinct surnames"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			db, err := Open(Coref(tc.cfg))
+			if err == nil {
+				db.Close()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Open(Coref(%+v)) = %v, want an error containing %q", tc.cfg, err, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Open(Coref(%+v)) still running after 5 s", tc.cfg)
+		}
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	db := openCorefDB(t)
 

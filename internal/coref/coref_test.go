@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"factordb/internal/mcmc"
 	"factordb/internal/relstore"
@@ -247,6 +248,36 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if len(golds) != 3 {
 		t.Errorf("gold entities = %d", len(golds))
+	}
+}
+
+// TestGenerateRefusesShortSurnamePool: each entity draws a surname no
+// other entity holds, so a pool with fewer distinct surnames than entities
+// is refused at once instead of drawing forever. Configs the pool can
+// serve still generate.
+func TestGenerateRefusesShortSurnamePool(t *testing.T) {
+	for _, tc := range []struct {
+		cfg GenConfig
+		ok  bool
+	}{
+		{GenConfig{NumEntities: 72, MentionsPerEntity: 4, Seed: 1}, false},
+		{GenConfig{NumEntities: 73, MentionsPerEntity: 4, Seed: 0}, false},
+		{GenConfig{NumEntities: 72, MentionsPerEntity: 4, Seed: 0}, true},
+		{GenConfig{NumEntities: 70, MentionsPerEntity: 4, Seed: 1}, true},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Generate(tc.cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if (err == nil) != tc.ok {
+				t.Errorf("Generate(%+v) = %v, want ok=%v", tc.cfg, err, tc.ok)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Generate(%+v) still running after 5 s", tc.cfg)
+		}
 	}
 }
 

@@ -178,6 +178,15 @@ func Generate(cfg GenConfig) ([]Mention, error) {
 		s := lasts[rng.Intn(8)] + syllables[rng.Intn(len(syllables))]
 		lasts = append(lasts, s)
 	}
+	// Each entity draws a surname no other holds, so the pool needs as
+	// many distinct ones as there are entities: it has at most 72.
+	distinct := make(map[string]bool, len(lasts))
+	for _, s := range lasts {
+		distinct[s] = true
+	}
+	if len(distinct) < cfg.NumEntities {
+		return nil, fmt.Errorf("coref: %d entities need distinct surnames, but the pool drawn at seed %d has %d", cfg.NumEntities, cfg.Seed, len(distinct))
+	}
 	var out []Mention
 	id := 0
 	used := make(map[string]bool)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 
 	"factordb/internal/coref"
@@ -16,24 +17,16 @@ import (
 const PairQuery = `SELECT M1.MENTION_ID, M2.MENTION_ID FROM MENTION M1, MENTION M2
  WHERE M1.CLUSTER = M2.CLUSTER AND M1.MENTION_ID < M2.MENTION_ID`
 
-// CorefConfig parameterizes the entity-resolution workload.
-type CorefConfig struct {
-	NumEntities       int
-	MentionsPerEntity int
-	Seed              int64
-}
+// CorefConfig parameterizes the entity-resolution workload: the mention
+// generator's config, where zero in a count means its default (6
+// entities, 4 mentions each).
+type CorefConfig = coref.GenConfig
 
-// CorefSystem is the entity-resolution probabilistic database: the
-// pairwise-cohesion model and a prototype world (MENTION, whose CLUSTER
-// column holds the starting clustering) cloned into independent chains
-// — the same prototype-world contract as NERSystem, so the serving
-// engine and the public facade treat the two workloads identically.
-type CorefSystem struct {
-	Model *coref.Model
-
-	desc    string // Describe's line, fixed at build
-	protoDB *relstore.DB
-}
+// CorefSystem is the entity-resolution probabilistic database: a
+// prototype world (MENTION, whose CLUSTER column holds the starting
+// clustering) cloned into independent chains, each walked by a
+// coref.MoveProposer under the pairwise-cohesion model.
+type CorefSystem struct{ *world.Prototype }
 
 // BuildCorefOver generates the mention set and loads it once into the
 // prototype world, every mention in its own cluster. When db is not nil
@@ -41,51 +34,34 @@ type CorefSystem struct {
 // directory, is served as it stands, with MENTION.CLUSTER declared
 // hidden, and cfg is not read.
 func BuildCorefOver(cfg CorefConfig, db *relstore.DB) (*CorefSystem, error) {
+	var desc string
 	if db != nil {
 		if err := coref.Declare(db); err != nil {
 			return nil, err
 		}
 		rel, _ := db.Relation(coref.MentionRelation) // Declare found it
-		desc := fmt.Sprintf("coref system: %d mentions", rel.Len())
-		return &CorefSystem{Model: coref.DefaultModel(), desc: desc, protoDB: db}, nil
+		desc = fmt.Sprintf("coref system: %d mentions", rel.Len())
+	} else {
+		cfg.NumEntities = cmp.Or(cfg.NumEntities, 6)
+		cfg.MentionsPerEntity = cmp.Or(cfg.MentionsPerEntity, 4)
+		mentions, err := coref.Generate(cfg)
+		if err != nil {
+			return nil, err
+		}
+		db = relstore.NewDB()
+		if err := coref.LoadMentions(db, mentions); err != nil {
+			return nil, err
+		}
+		desc = fmt.Sprintf("coref system: %d mentions of %d entities", len(mentions), cfg.NumEntities)
 	}
-	if cfg.NumEntities <= 0 {
-		cfg.NumEntities = 6
+	m := coref.DefaultModel()
+	// A chain's clustering starts from its clone's CLUSTER column.
+	bind := func(log *world.ChangeLog) (mcmc.Proposer, error) {
+		state, err := coref.NewState(log)
+		if err != nil {
+			return nil, err
+		}
+		return coref.NewMoveProposer(state, m), nil
 	}
-	if cfg.MentionsPerEntity <= 0 {
-		cfg.MentionsPerEntity = 4
-	}
-	mentions, err := coref.Generate(coref.GenConfig{
-		NumEntities:       cfg.NumEntities,
-		MentionsPerEntity: cfg.MentionsPerEntity,
-		Seed:              cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	db = relstore.NewDB()
-	if err := coref.LoadMentions(db, mentions); err != nil {
-		return nil, err
-	}
-	desc := fmt.Sprintf("coref system: %d mentions of %d entities", len(mentions), cfg.NumEntities)
-	return &CorefSystem{Model: coref.DefaultModel(), desc: desc, protoDB: db}, nil
+	return &CorefSystem{world.NewPrototype(db, desc, bind)}, nil
 }
-
-// NewChainWorld clones the prototype world and binds a clustering, which
-// starts from the clone's CLUSTER column, and a move proposer to it. The
-// clones share nothing mutable.
-func (s *CorefSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error) {
-	log := world.NewChangeLog(s.protoDB.Clone())
-	state, err := coref.NewState(log)
-	if err != nil {
-		return nil, nil, err
-	}
-	return log, coref.NewMoveProposer(state, s.Model), nil
-}
-
-// WorldDB exposes the prototype world — the evidence a durable store
-// snapshots and local-mode writes mutate.
-func (s *CorefSystem) WorldDB() *relstore.DB { return s.protoDB }
-
-// Describe returns a one-line summary of the workload as it was built.
-func (s *CorefSystem) Describe() string { return s.desc }

@@ -39,15 +39,15 @@ const (
 )
 
 // NERSystem is a trained skip-chain NER probabilistic database: the
-// shared model plus a pristine initial world (every LABEL = O) that can
-// be cloned into independent chains.
+// shared model plus a pristine initial world (every LABEL = O) that is
+// cloned into independent chains, each walked by its own ie.Tagger.
 type NERSystem struct {
 	Model *ie.Model
 	// Index is the read-only token index over a fresh load of the
 	// corpus, shared by the trainer and every chain's tagger.
 	Index *ie.CorpusIndex
 
-	protoDB *relstore.DB
+	*world.Prototype
 }
 
 // Config parameterizes system construction.
@@ -92,11 +92,8 @@ func BuildNEROver(cfg Config, db *relstore.DB) (*NERSystem, error) {
 	return buildNEROver(cfg, corpus, db)
 }
 
-// buildNER is BuildNER past generation; nothing it returns refers to corpus.
-func buildNER(cfg Config, corpus *ie.Corpus) (*NERSystem, error) {
-	return buildNEROver(cfg, corpus, nil)
-}
-
+// buildNEROver is BuildNEROver past generation; nothing it returns refers
+// to corpus.
 func buildNEROver(cfg Config, corpus *ie.Corpus, db *relstore.DB) (*NERSystem, error) {
 	if cfg.TrainSteps == 0 {
 		cfg.TrainSteps = min(20*cfg.NumTokens, 2_000_000)
@@ -128,7 +125,21 @@ func buildNEROver(cfg Config, corpus *ie.Corpus, db *relstore.DB) (*NERSystem, e
 	} else if err := ie.Declare(db); err != nil {
 		return nil, err
 	}
-	return &NERSystem{Model: model, Index: index, protoDB: db}, nil
+	desc := fmt.Sprintf("NER system: %d tokens, %d docs, %d vocab, skip=%v",
+		index.NumTokens(), index.NumDocs(), index.NumStrings(), model.UseSkip)
+	// The paper's batching (five active documents, re-drawn every 2000
+	// proposals) applies when the corpus is large enough.
+	bind := func(log *world.ChangeLog) (mcmc.Proposer, error) {
+		tg, err := ie.NewTagger(model, index, log)
+		if err != nil {
+			return nil, err
+		}
+		if index.NumDocs() > 5 {
+			tg.ActiveDocs, tg.StepsPerBatch = 5, 2000
+		}
+		return tg, nil
+	}
+	return &NERSystem{Model: model, Index: index, Prototype: world.NewPrototype(db, desc, bind)}, nil
 }
 
 // Chain is one independent evaluator over a private copy of the world.
@@ -144,55 +155,21 @@ type Chain struct {
 }
 
 // NewChain clones the prototype world and builds an evaluator over it.
-// The paper's batching parameters (five active documents, re-drawn every
-// 2000 proposals) are applied when the corpus is large enough.
 func (s *NERSystem) NewChain(mode core.Mode, sql string, stepsPerSample int, seed int64) (*Chain, error) {
 	plan, spec, err := sqlparse.Compile(sql)
 	if err != nil {
 		return nil, err
 	}
-	log, tg, err := s.newChainWorld()
+	log, p, err := s.NewChainWorld(0)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := core.NewEvaluator(mode, log, tg, plan, stepsPerSample, seed)
+	ev, err := core.NewEvaluator(mode, log, p, plan, stepsPerSample, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Chain{Evaluator: ev, Tagger: tg, Log: log, Spec: spec}, nil
+	return &Chain{Evaluator: ev, Tagger: p.(*ie.Tagger), Log: log, Spec: spec}, nil
 }
-
-// newChainWorld clones the prototype world and builds a fresh tagger over
-// it, with the paper's batching parameters as NewChain describes.
-func (s *NERSystem) newChainWorld() (*world.ChangeLog, *ie.Tagger, error) {
-	log := world.NewChangeLog(s.protoDB.Clone())
-	tg, err := ie.NewTagger(s.Model, s.Index, log)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.Index.NumDocs() > 5 {
-		tg.ActiveDocs = 5
-		tg.StepsPerBatch = 2000
-	}
-	return log, tg, nil
-}
-
-// NewChainWorld clones the prototype world and returns it with a bound
-// proposer, for callers that drive the Metropolis-Hastings walk themselves
-// rather than through a core.Evaluator. The serve engine uses this to
-// stock its chain pool (it satisfies serve.Source); the chain index is
-// unused here because every clone starts from the same pristine world.
-func (s *NERSystem) NewChainWorld(_ int) (*world.ChangeLog, mcmc.Proposer, error) {
-	log, tg, err := s.newChainWorld()
-	if err != nil {
-		return nil, nil, err
-	}
-	return log, tg, nil
-}
-
-// WorldDB exposes the prototype world — the evidence a durable store
-// snapshots and local-mode writes mutate.
-func (s *NERSystem) WorldDB() *relstore.DB { return s.protoDB }
 
 // GroundTruth estimates reference marginals with a long materialized run
 // on a private chain (the paper's methodology, Section 5.2).
@@ -498,10 +475,4 @@ func FormatDuration(d time.Duration, known bool) string {
 		return "n/a"
 	}
 	return d.Round(time.Millisecond).String()
-}
-
-// Describe returns a one-line summary of a system.
-func (s *NERSystem) Describe() string {
-	return fmt.Sprintf("NER system: %d tokens, %d docs, %d vocab, skip=%v",
-		s.Index.NumTokens(), s.Index.NumDocs(), s.Index.NumStrings(), s.Model.UseSkip)
 }

@@ -51,7 +51,7 @@ func buildWatched(t *testing.T, cfg Config) (*NERSystem, weak.Pointer[ie.Corpus]
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := buildNER(cfg, corpus)
+	sys, err := buildNEROver(cfg, corpus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

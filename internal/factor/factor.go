@@ -4,8 +4,8 @@
 // through SQL, against their exact answer marginals.
 //
 // A Graph is built once and then shared read-only by every chain; a
-// chain's assignment lives in its Proposer. Model binds variable i to row
-// i of a caller-built prototype world and satisfies serve.Source, and
+// chain's assignment lives in its world. Model binds variable i to row i
+// of a caller-built prototype world as a world.Prototype, and
 // ExactAnswer computes Pr[t ∈ Q(W)] for a plan by brute force over every
 // assignment — the oracle the sampled estimates converge to.
 package factor

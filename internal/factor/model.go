@@ -15,67 +15,64 @@ import (
 // relation rel in a caller-built prototype world is the hidden field, and
 // row i (RowID i) holds variable i's value by name. Each chain clones the
 // prototype and walks it with a Proposer of its own; the graph is shared
-// read-only. Model satisfies serve.Source.
+// read-only.
 type Model struct {
-	g     *Graph
-	proto *relstore.DB
-	rel   string
-	col   int
+	*world.Prototype
+	g   *Graph
+	rel string
+	col int
 }
 
 // NewModel binds g's variables to rows 0..len(g.Vars)-1 of relation rel
 // in proto and declares column col hidden there. Every bound row must
-// hold a value of its variable's domain in column col.
+// hold a value of its variable's domain in column col. Every domain value
+// is interned in the column first, so no flip interns one and a chain's
+// code table covers every code a bound row can hold.
 func NewModel(g *Graph, proto *relstore.DB, rel string, col int) (*Model, error) {
-	m := &Model{g: g, proto: proto, rel: rel, col: col}
-	if _, err := m.assignment(proto); err != nil {
+	r, err := proto.Relation(rel)
+	if err != nil {
 		return nil, err
 	}
+	for _, v := range g.Vars {
+		if err := r.Intern(col, v.Dom.Values...); err != nil {
+			return nil, err
+		}
+	}
+	m := &Model{g: g, rel: rel, col: col}
+	m.Prototype = world.NewPrototype(proto, fmt.Sprintf("factor graph: %d variables on %s", len(g.Vars), rel), m.bind)
 	if err := proto.DeclareHidden(rel, col); err != nil {
+		return nil, err
+	}
+	if _, _, err := m.NewChainWorld(0); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// assignment reads the variables' values out of db.
-func (m *Model) assignment(db *relstore.DB) ([]int, error) {
-	r, err := db.Relation(m.rel)
+// bind makes a Proposer over log's world, starting from the values its
+// bound rows hold: each must be one of its variable's domain.
+func (m *Model) bind(log *world.ChangeLog) (mcmc.Proposer, error) {
+	field, err := log.Field(m.rel, m.col)
 	if err != nil {
 		return nil, err
 	}
-	if m.col < 0 || m.col >= r.Schema().Arity() || r.Schema().Cols[m.col].Type != relstore.TString {
-		return nil, fmt.Errorf("factor: column %d of %q is not a STRING column", m.col, m.rel)
+	r, _ := log.DB().Relation(m.rel)   // Field found it
+	_, strs, _ := r.StringCodes(m.col) // a STRING column (NewModel)
+	if n := relstore.RowID(len(m.g.Vars)); n > r.NextID() {
+		return nil, fmt.Errorf("factor: %d variables, but %q has issued %d rows", n, m.rel, r.NextID())
 	}
-	a := make([]int, len(m.g.Vars))
+	p := &Proposer{g: m.g, rel: r, col: m.col, field: field,
+		index: make([][]int, len(m.g.Vars)), a: make([]int, len(m.g.Vars))}
 	for i, v := range m.g.Vars {
-		val, ok := r.GetCol(relstore.RowID(i), m.col)
-		if !ok {
-			return nil, fmt.Errorf("factor: variable %q has no row %d in %q", v.Name, i, m.rel)
+		p.index[i] = make([]int, len(strs))
+		for c, s := range strs {
+			p.index[i][c] = v.Dom.Index(s)
 		}
-		if a[i] = v.Dom.Index(val.AsString()); a[i] < 0 {
-			return nil, fmt.Errorf("factor: row %d of %q holds %q, not a value of variable %q", i, m.rel, val.AsString(), v.Name)
+		if code := r.CodeAt(relstore.RowID(i), m.col); p.index[i][code] < 0 {
+			return nil, fmt.Errorf("factor: row %d of %q holds %q, not a value of variable %q", i, m.rel, strs[code], v.Name)
 		}
 	}
-	return a, nil
-}
-
-// WorldDB returns the prototype world.
-func (m *Model) WorldDB() *relstore.DB { return m.proto }
-
-// NewChainWorld clones the prototype world and binds a Proposer to it,
-// starting from the assignment the clone holds.
-func (m *Model) NewChainWorld(int) (*world.ChangeLog, mcmc.Proposer, error) {
-	db := m.proto.Clone()
-	a, err := m.assignment(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	log := world.NewChangeLog(db)
-	field, err := log.Field(m.rel, m.col)
-	if err != nil {
-		return nil, nil, err
-	}
-	return log, &Proposer{g: m.g, Assign: a, field: field}, nil
+	return p, nil
 }
 
 // ExactAnswer returns the answer marginals Pr[t ∈ Q(W)] of plan p
@@ -84,7 +81,7 @@ func (m *Model) NewChainWorld(int) (*world.ChangeLog, mcmc.Proposer, error) {
 // is evaluated there with ra.Eval, and every tuple in the answer gains the
 // assignment's probability.
 func (m *Model) ExactAnswer(p ra.Plan) (map[string]float64, error) {
-	db := m.proto.Clone()
+	db := m.WorldDB().Clone()
 	r, err := db.Relation(m.rel)
 	if err != nil {
 		return nil, err
@@ -125,12 +122,18 @@ func (m *Model) ExactAnswer(p ra.Plan) (map[string]float64, error) {
 // Proposer is the single-variable random walk over a graph: a variable
 // uniformly at random, then a value uniformly from its domain. It mirrors
 // the paper's NER proposal distribution (Section 5.1) and is symmetric,
-// so LogQRatio is 0. It owns its chain's assignment and writes each
-// accepted flip through to the variable's row of the chain's world.
+// so LogQRatio is 0. Its chain's assignment is its world: variable i's
+// value is read on every proposal from the code row i holds, through a
+// code-to-value table, and an accepted flip is written through the change
+// log. A deleted row refuses the write, so its value freezes at the
+// tombstone, as ie.Tagger's labels do.
 type Proposer struct {
-	g      *Graph
-	Assign []int
-	field  world.Field
+	g     *Graph
+	rel   *relstore.Relation
+	col   int
+	field world.Field
+	index [][]int // by variable: code -> index in its domain, -1 for none
+	a     []int   // the assignment read for the pending proposal
 
 	// The pending move: variable v takes value newVal.
 	v, newVal int
@@ -140,14 +143,15 @@ type Proposer struct {
 func (p *Proposer) Propose(rng *rand.Rand) mcmc.Proposal {
 	p.v = rng.Intn(len(p.g.Vars))
 	p.newVal = rng.Intn(p.g.Vars[p.v].Dom.Size())
-	return mcmc.Proposal{LogScoreDelta: p.g.ScoreDelta(p.Assign, p.v, p.newVal)}
+	for i := range p.a {
+		p.a[i] = p.index[i][p.rel.CodeAt(relstore.RowID(i), p.col)]
+	}
+	return mcmc.Proposal{LogScoreDelta: p.g.ScoreDelta(p.a, p.v, p.newVal)}
 }
 
 // Accept implements mcmc.Proposer.
 func (p *Proposer) Accept() {
-	p.Assign[p.v] = p.newVal
 	val := relstore.String(p.g.Vars[p.v].Dom.Values[p.newVal])
-	// A deleted row refuses the write; Assign walks on (ie.Tagger freezes).
 	if err := p.field.Set(relstore.RowID(p.v), val); err != nil && !errors.Is(err, relstore.ErrNotFound) {
 		panic(fmt.Sprintf("factor: write-through failed: %v", err))
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // walker serves g over a one-column world whose rows all start at value
-// 0 and returns a chain's proposer.
-func walker(t *testing.T, g *factor.Graph) *factor.Proposer {
+// 0 and returns a chain's proposer and a reader of the assignment the
+// chain's world holds, which reuses its slice between calls.
+func walker(t *testing.T, g *factor.Graph) (*factor.Proposer, func() []int) {
 	t.Helper()
 	db := relstore.NewDB()
 	rel := db.MustCreate(relstore.MustSchema("V", relstore.Column{Name: "VALUE", Type: relstore.TString}))
@@ -26,11 +27,19 @@ func walker(t *testing.T, g *factor.Graph) *factor.Proposer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p, err := m.NewChainWorld(0)
+	log, p, err := m.NewChainWorld(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.(*factor.Proposer)
+	chainRel, _ := log.DB().Relation("V")
+	a := make([]int, len(g.Vars))
+	return p.(*factor.Proposer), func() []int {
+		for i, v := range g.Vars {
+			val, _ := chainRel.GetCol(relstore.RowID(i), 0)
+			a[i] = v.Dom.Index(val.AsString())
+		}
+		return a
+	}
 }
 
 // loopyGraph builds a small non-tree graph (a cycle plus chords), the kind
@@ -75,7 +84,7 @@ func TestMHConvergesToExactMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := walker(t, g)
+	p, assign := walker(t, g)
 	s := mcmc.NewSampler(p, 17)
 	counts := make([][2]float64, len(g.Vars))
 	// Burn-in, then sample with thinning.
@@ -83,7 +92,7 @@ func TestMHConvergesToExactMarginals(t *testing.T) {
 	const samples = 60000
 	for i := 0; i < samples; i++ {
 		s.Run(5)
-		for v, val := range p.Assign {
+		for v, val := range assign() {
 			counts[v][val]++
 		}
 	}
@@ -111,11 +120,11 @@ func TestMHRespectsHardConstraints(t *testing.T) {
 		}
 		return math.Inf(-1)
 	}, a, b)
-	p := walker(t, g) // starts in an agreeing state (all zero)
+	p, assign := walker(t, g) // starts in an agreeing state (all zero)
 	s := mcmc.NewSampler(p, 5)
 	for i := 0; i < 5000; i++ {
 		s.Step()
-		if p.Assign[0] != p.Assign[1] {
+		if a := assign(); a[0] != a[1] {
 			t.Fatal("MH accepted a constraint-violating world")
 		}
 	}
@@ -123,7 +132,8 @@ func TestMHRespectsHardConstraints(t *testing.T) {
 
 func TestSamplerStats(t *testing.T) {
 	g := loopyGraph(4, 3)
-	s := mcmc.NewSampler(walker(t, g), 7)
+	p, _ := walker(t, g)
+	s := mcmc.NewSampler(p, 7)
 	if s.AcceptanceRate() != 0 {
 		t.Error("acceptance rate before any steps should be 0")
 	}
@@ -145,9 +155,9 @@ func TestSamplerStats(t *testing.T) {
 
 func TestDeterministicWithSeed(t *testing.T) {
 	run := func() []int {
-		p := walker(t, loopyGraph(5, 21))
+		p, assign := walker(t, loopyGraph(5, 21))
 		mcmc.NewSampler(p, 99).Run(3000)
-		return p.Assign
+		return assign()
 	}
 	if !slices.Equal(run(), run()) {
 		t.Fatal("same seed produced different walks")

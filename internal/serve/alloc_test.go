@@ -56,7 +56,7 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sys, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
+	eng, err := New(sys.Prototype, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCertainAnswerAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sys, Config{Chains: 2, StepsPerSample: 100, Seed: 1})
+	eng, err := New(sys.Prototype, Config{Chains: 2, StepsPerSample: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sys, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
+	eng, err := New(sys.Prototype, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRegisterAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sys, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
+	eng, err := New(sys.Prototype, Config{Chains: 1, StepsPerSample: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func BenchmarkSharedViews(b *testing.B) {
 	const budget = 128
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("queries=%d", n), func(b *testing.B) {
-			eng, err := New(sys, Config{Chains: 1, StepsPerSample: 100, Seed: 13,
+			eng, err := New(sys.Prototype, Config{Chains: 1, StepsPerSample: 100, Seed: 13,
 				MaxConcurrentQueries: 2 * n, MaxQueuedQueries: 2 * n})
 			if err != nil {
 				b.Fatal(err)
@@ -72,7 +72,7 @@ func BenchmarkEngineChainScaling(b *testing.B) {
 	const budget = 256
 	for _, chains := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) {
-			eng, err := New(sys, Config{Chains: chains, StepsPerSample: 1000, Seed: 9})
+			eng, err := New(sys.Prototype, Config{Chains: chains, StepsPerSample: 1000, Seed: 9})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func BenchmarkWriteReequilibrate(b *testing.B) {
 				}
 				cfg.WAL = st
 			}
-			eng, err := New(sys, cfg)
+			eng, err := New(sys.Prototype, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func BenchmarkEngineConcurrentQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := New(sys, Config{Chains: 4, StepsPerSample: 1000, Seed: 9})
+	eng, err := New(sys.Prototype, Config{Chains: 4, StepsPerSample: 1000, Seed: 9})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,23 +41,10 @@ import (
 	"time"
 
 	"factordb/internal/core"
-	"factordb/internal/mcmc"
 	"factordb/internal/metrics"
-	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
-
-// Source is a model: a prototype evidence world plus a proposer bound to
-// each clone of it. NewChainWorld clones the prototype for chain (the
-// index lets sources shard or pre-partition if they want); clones must be
-// fully independent (no shared mutable state). WorldDB is the prototype
-// itself, which the private-chain modes resolve writes against and
-// mutate, so every world cloned afterwards carries them.
-type Source interface {
-	NewChainWorld(chain int) (*world.ChangeLog, mcmc.Proposer, error)
-	WorldDB() *relstore.DB
-}
 
 // Mode selects how the engine obtains a query's samples (see strategy).
 type Mode uint8
@@ -248,7 +235,7 @@ type engineMetrics struct {
 // Engine owns the trained world and serves concurrent queries over it.
 type Engine struct {
 	cfg Config
-	src Source
+	src *world.Prototype // the model, whose clones the chains walk
 	// strat is the sampling strategy cfg.Mode selected; chains is the
 	// pool it walks, empty under a private-chain mode.
 	strat  strategy
@@ -282,7 +269,7 @@ type Engine struct {
 
 // New builds the chain pool from src and starts the chains. The engine
 // must be Closed to release the chain goroutines.
-func New(src Source, cfg Config) (*Engine, error) {
+func New(src *world.Prototype, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	m := newEngineMetrics()
 	e := &Engine{

@@ -104,7 +104,7 @@ func TestPaperQueriesMatchExactMarginals(t *testing.T) {
 		chains int
 	}{{PrivateNaive, 1}, {PrivateMaterialized, 1}, {Pooled, 2}}
 	for _, md := range modes {
-		eng, err := New(m, Config{Mode: md.mode, Chains: md.chains, Seed: 11, StepsPerSample: 10})
+		eng, err := New(m.Prototype, Config{Mode: md.mode, Chains: md.chains, Seed: 11, StepsPerSample: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

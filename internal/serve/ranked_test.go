@@ -195,7 +195,7 @@ func TestRankedEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sys, Config{Chains: 1, Seed: 19, StepsPerSample: 200})
+	eng, err := New(sys.Prototype, Config{Chains: 1, Seed: 19, StepsPerSample: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

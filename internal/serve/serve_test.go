@@ -60,7 +60,7 @@ func testEngine(t testing.TB, cfg Config) *Engine {
 	if cfg.StepsPerSample == 0 {
 		cfg.StepsPerSample = testThin
 	}
-	eng, err := New(testSystem(t), cfg)
+	eng, err := New(testSystem(t).Prototype, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPartialResultOnTimeout(t *testing.T) {
 }
 
 func TestEngineClose(t *testing.T) {
-	eng, err := New(testSystem(t), Config{Chains: 2, Seed: 19, StepsPerSample: testThin})
+	eng, err := New(testSystem(t).Prototype, Config{Chains: 2, Seed: 19, StepsPerSample: testThin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestEngineClose(t *testing.T) {
 // shutdown and return promptly — either ErrClosed (nothing sampled yet)
 // or a partial result — instead of blocking until its context expires.
 func TestCloseDuringInflightQuery(t *testing.T) {
-	eng, err := New(testSystem(t), Config{Chains: 2, Seed: 29, StepsPerSample: testThin})
+	eng, err := New(testSystem(t).Prototype, Config{Chains: 2, Seed: 29, StepsPerSample: testThin})
 	if err != nil {
 		t.Fatal(err)
 	}

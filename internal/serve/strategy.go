@@ -44,7 +44,7 @@ type strategy interface {
 type pool struct{ *Engine }
 
 // private is the paper's single-chain strategy: every query clones the
-// source's prototype world and walks it in the calling goroutine for its
+// model's prototype world and walks it in the calling goroutine for its
 // whole budget — re-running the query per sample (core.Naive,
 // Algorithm 3) or maintaining it as a view (core.Materialized,
 // Algorithm 1). Writes mutate the prototype, so every later clone

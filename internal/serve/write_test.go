@@ -26,7 +26,7 @@ func corefEngine(t testing.TB, cfg Config) *Engine {
 	if cfg.StepsPerSample == 0 {
 		cfg.StepsPerSample = 100
 	}
-	eng, err := New(sys, cfg)
+	eng, err := New(sys.Prototype, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

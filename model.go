@@ -6,32 +6,41 @@ import (
 
 	"factordb/internal/exp"
 	"factordb/internal/relstore"
-	"factordb/internal/serve"
+	"factordb/internal/world"
 )
 
 // Model describes a probabilistic-database workload: a factor-graph model
-// over a relational schema, from which independent possible-world chains
-// are stocked. Build one with NER or Coref and hand it to Open; the
-// interface is sealed (its methods are unexported) so the engine can
-// evolve the chain-world contract without breaking callers.
+// whose prototype world, its hidden column declared, is cloned into
+// independent possible-world chains. Build one with NER or Coref and hand
+// it to Open; the interface is sealed (its methods are unexported) so the
+// engine can evolve the chain-world contract without breaking callers.
 type Model interface {
 	// modelName is the short workload name ("ner", "coref"), used in
 	// diagnostics and as the database/sql DSN prefix.
 	modelName() string
-	// build trains the model and returns the chain-world factory serving
-	// w, or, when w is nil, a freshly loaded world. A non-nil w is one a
-	// data directory recovered; the model addresses its rows in load
+	// build checks the config, trains the model and returns its prototype
+	// serving w, or, when w is nil, a freshly loaded world. A non-nil w is
+	// one a data directory recovered; the model addresses its rows in load
 	// order. Called exactly once, by Open; expect it to be expensive
 	// (corpus generation plus SampleRank training for the NER workload).
-	build(w *relstore.DB) (system, error)
+	build(w *relstore.DB) (*world.Prototype, error)
 }
 
-// system is the built form of a Model: the serving engine's source — a
-// prototype evidence world plus a proposer bound to each clone of it —
-// with a one-line description.
-type system interface {
-	serve.Source
-	Describe() string
+// badField is one config field and whether build refuses its value.
+type badField struct {
+	name string
+	val  any
+	bad  bool
+}
+
+// checkFields refuses the first bad field of config cfg by name.
+func checkFields(cfg string, fields ...badField) error {
+	for _, f := range fields {
+		if f.bad {
+			return fmt.Errorf("factordb: %s.%s = %v: want 0 (the default) or a positive finite value", cfg, f.name, f.val)
+		}
+	}
+	return nil
 }
 
 // NERConfig parameterizes the paper's named-entity-recognition workload:
@@ -67,21 +76,15 @@ type nerModel struct{ cfg NERConfig }
 
 func (nerModel) modelName() string { return "ner" }
 
-func (m nerModel) build(w *relstore.DB) (system, error) {
+func (m nerModel) build(w *relstore.DB) (*world.Prototype, error) {
 	cfg := m.cfg
-	for _, f := range []struct {
-		name string
-		val  any
-		bad  bool
-	}{
-		{"Tokens", cfg.Tokens, cfg.Tokens < 0},
-		{"TrainSteps", cfg.TrainSteps, cfg.TrainSteps < 0},
-		{"TokensPerDoc", cfg.TokensPerDoc, cfg.TokensPerDoc < 0},
-		{"Temperature", cfg.Temperature, cfg.Temperature < 0 || math.IsNaN(cfg.Temperature) || math.IsInf(cfg.Temperature, 0)},
-	} {
-		if f.bad {
-			return nil, fmt.Errorf("factordb: NERConfig.%s = %v: want 0 (the default) or a positive finite value", f.name, f.val)
-		}
+	if err := checkFields("NERConfig",
+		badField{"Tokens", cfg.Tokens, cfg.Tokens < 0},
+		badField{"TrainSteps", cfg.TrainSteps, cfg.TrainSteps < 0},
+		badField{"TokensPerDoc", cfg.TokensPerDoc, cfg.TokensPerDoc < 0},
+		badField{"Temperature", cfg.Temperature, cfg.Temperature < 0 || math.IsNaN(cfg.Temperature) || math.IsInf(cfg.Temperature, 0)},
+	); err != nil {
+		return nil, err
 	}
 	if cfg.Tokens == 0 {
 		cfg.Tokens = 20000
@@ -100,17 +103,21 @@ func (m nerModel) build(w *relstore.DB) (system, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sys, nil
+	return sys.Prototype, nil
 }
 
 // CorefConfig parameterizes the entity-resolution workload: generated
 // mention strings clustered by MCMC over a pairwise-cohesion model; the
 // clustering is MENTION(MENTION_ID, STRING, CLUSTER)'s CLUSTER column.
-// The zero value gives 6 entities with 4 mentions each at seed 0.
+// The zero value gives 6 entities with 4 mentions each at seed 0. Zero in
+// a count means its default; a negative count fails Open, and so does an
+// entity count the generator cannot give distinct surnames (about 70).
 type CorefConfig struct {
-	// Entities is the number of gold entities (default 6).
+	// Entities is the number of gold entities (0 = 6; must not be
+	// negative).
 	Entities int
-	// MentionsPerEntity is the mentions generated per entity (default 4).
+	// MentionsPerEntity is the mentions generated per entity (0 = 4; must
+	// not be negative).
 	MentionsPerEntity int
 	// Seed drives mention generation.
 	Seed int64
@@ -124,10 +131,20 @@ type corefModel struct{ cfg CorefConfig }
 
 func (corefModel) modelName() string { return "coref" }
 
-func (m corefModel) build(w *relstore.DB) (system, error) {
-	return exp.BuildCorefOver(exp.CorefConfig{
+func (m corefModel) build(w *relstore.DB) (*world.Prototype, error) {
+	if err := checkFields("CorefConfig",
+		badField{"Entities", m.cfg.Entities, m.cfg.Entities < 0},
+		badField{"MentionsPerEntity", m.cfg.MentionsPerEntity, m.cfg.MentionsPerEntity < 0},
+	); err != nil {
+		return nil, err
+	}
+	sys, err := exp.BuildCorefOver(exp.CorefConfig{
 		NumEntities:       m.cfg.Entities,
 		MentionsPerEntity: m.cfg.MentionsPerEntity,
 		Seed:              m.cfg.Seed,
 	}, w)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Prototype, nil
 }

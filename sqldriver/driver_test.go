@@ -228,6 +228,8 @@ func TestBadDSN(t *testing.T) {
 		{"ner?target=Boston", `unknown DSN parameter "target"`},
 		{"ner?sampels=64", `unknown DSN parameter "sampels"`},
 		{"coref?tokens=800", `unknown DSN parameter "tokens"`},
+		{"coref?mentions=-1", "CorefConfig.MentionsPerEntity = -1"},
+		{"coref?entities=100", "distinct surnames"},
 	} {
 		db, err := sql.Open("factordb", tc.dsn)
 		if err == nil {
