@@ -244,11 +244,12 @@
 // normalization, so spellings differing by one whitespace byte occupy
 // two entries, and a repeated spelling skips lexing, parsing and
 // planning. An entry is a plan, a mutation, an EXPLAIN, or for a
-// statement with ? placeholders its parsed tree: each execution — via
-// Prepare, database/sql or HTTP args — binds the arguments as literals
-// into a copy and re-plans, so it fingerprints and caches identically to
-// the statement with its literals inline; the plan of each argument list
-// is kept beside the statements, so arguments bound before re-plan
+// statement with ? placeholders its text; no entry keeps a syntax tree.
+// An execution with new arguments — via Prepare, database/sql or HTTP
+// args — parses that text once with the arguments read as literals and
+// plans it, so it fingerprints and caches identically to the statement
+// with its literals inline; the plan of each argument list is kept
+// beside the statements, so arguments bound before parse and plan
 // nothing. Entries hold no data, so they
 // need no epoch invalidation; they are evicted FIFO (WithPlanCache) and
 // an evicted statement compiles again on its next execution. Statements

@@ -9,25 +9,32 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestEveryExportHasACaller keeps dead exports from coming back: every
 // exported function or method declared in a non-test file under
-// internal/ must be named somewhere in a non-test Go file of the repo
+// internal/ must be used somewhere in a non-test Go file of the repo
 // (bench/, cmd/, examples/ and sqldriver/ count) other than its own
-// declaration. Names are matched as identifiers, so comments and string
-// literals do not count as callers. The exceptions — reference
-// implementations that tests compare against, and methods that satisfy a
-// standard interface by name — are listed with a reason in
-// testdata/test_only_exports.txt, and an entry that is no longer needed
-// fails the test too.
+// declaration. A package-level function counts as used only through
+// pkg.Name, where pkg is an import of its package, or unqualified inside
+// its own package, so flag.Parse is no caller of a Parse elsewhere. A
+// method is matched by name, as any identifier. Comments and string
+// literals never count. The exceptions — reference implementations that
+// tests compare against, and methods that satisfy a standard interface
+// by name — are listed with a reason in testdata/test_only_exports.txt,
+// and an entry that is no longer needed fails the test too.
 func TestEveryExportHasACaller(t *testing.T) {
 	allowed := readExportAllowlist(t, filepath.Join("testdata", "test_only_exports.txt"))
+	const module = "factordb"
 
-	uses := map[string]int{} // identifier → references outside declarations
-	type decl struct{ key, name, pos string }
+	// uses counts each identifier outside declarations under its name,
+	// and each reference that can name a package-level function under
+	// the function's import path + "." + name.
+	uses := map[string]int{}
+	type decl struct{ key, use, pos string } // use: the key in uses that counts its callers
 	var decls []decl
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -47,25 +54,52 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		names := map[*ast.Ident]bool{}
+		pkgPath := module
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkgPath += "/" + dir
+		}
+		imports := map[string]string{} // name in this file → import path
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			name := ip[strings.LastIndex(ip, "/")+1:]
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = ip
+		}
+		declared := map[*ast.Ident]bool{}
 		for _, dd := range f.Decls {
 			fd, ok := dd.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			names[fd.Name] = true
+			declared[fd.Name] = true
 			if !fd.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
 				continue
 			}
-			key := f.Name.Name + "." + fd.Name.Name
+			d := decl{key: f.Name.Name + "." + fd.Name.Name, use: pkgPath + "." + fd.Name.Name}
 			if fd.Recv != nil {
-				key = f.Name.Name + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				d = decl{key: f.Name.Name + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name, use: fd.Name.Name}
 			}
-			decls = append(decls, decl{key, fd.Name.Name, fset.Position(fd.Pos()).String()})
+			d.pos = fset.Position(fd.Pos()).String()
+			decls = append(decls, d)
 		}
+		selected := map[*ast.Ident]bool{} // the Name of every x.Name
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !names[id] {
-				uses[id.Name]++
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				selected[x.Sel] = true
+				if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+					uses[imports[pkg.Name]+"."+x.Sel.Name]++
+				}
+			case *ast.Ident:
+				if declared[x] {
+					break
+				}
+				uses[x.Name]++
+				if !selected[x] {
+					uses[pkgPath+"."+x.Name]++
+				}
 			}
 			return true
 		})
@@ -77,7 +111,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 	var dead []string
 	for _, d := range decls {
-		if uses[d.name] > 0 {
+		if uses[d.use] > 0 {
 			continue
 		}
 		if _, ok := allowed[d.key]; ok {

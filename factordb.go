@@ -145,7 +145,7 @@ func WithTraceSampling(every int) Option { return func(o *options) { o.serve.Tra
 // this DB compiles through — Query, Exec, Prepare and EXPLAIN's target,
 // over every transport (default 256 entries). The cache keys on the
 // exact SQL byte string and holds plans (or, for a statement with ?
-// placeholders, its parsed tree) only — never data — so it needs no
+// placeholders, its text) only — never data — so it needs no
 // invalidation on writes.
 func WithPlanCache(entries int) Option { return func(o *options) { o.serve.PlanCacheSize = entries } }
 

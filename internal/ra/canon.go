@@ -159,15 +159,6 @@ func canonExpr(e Expr, sch *RowSchema) Expr {
 			return terms[0]
 		}
 		return orExpr{terms}
-	case notExpr:
-		inner := canonExpr(x.inner, sch)
-		if c, ok := inner.(constExpr); ok && c.v.Kind() == relstore.TBool {
-			return constExpr{relstore.Bool(!c.v.AsBool())}
-		}
-		if nn, ok := inner.(notExpr); ok {
-			return nn.inner
-		}
-		return notExpr{inner}
 	}
 	return e // a column or a constant
 }

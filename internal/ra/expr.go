@@ -260,30 +260,6 @@ func (b boundOr) Eval(row relstore.Tuple) relstore.Value {
 	return relstore.Bool(false)
 }
 
-type notExpr struct{ inner Expr }
-
-// Not negates a predicate.
-func Not(inner Expr) Expr { return notExpr{inner} }
-
-func (e notExpr) String() string { return "NOT " + e.inner.String() }
-
-func (e notExpr) bind(sch *RowSchema) (BExpr, relstore.Type, error) {
-	b, t, err := e.inner.bind(sch)
-	if err != nil {
-		return nil, 0, err
-	}
-	if t != relstore.TBool {
-		return nil, 0, fmt.Errorf("ra: NOT applied to non-boolean %s", e.inner)
-	}
-	return boundNot{b}, relstore.TBool, nil
-}
-
-type boundNot struct{ inner BExpr }
-
-func (b boundNot) Eval(row relstore.Tuple) relstore.Value {
-	return relstore.Bool(!b.inner.Eval(row).AsBool())
-}
-
 func bindBoolTerms(sch *RowSchema, terms []Expr, parent Expr) ([]BExpr, error) {
 	bs := make([]BExpr, len(terms))
 	for i, t := range terms {

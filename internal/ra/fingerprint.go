@@ -178,9 +178,6 @@ func appendBExprFP(dst []byte, e BExpr) []byte {
 			dst = append(appendBExprFP(dst, t), ' ')
 		}
 		dst = append(dst, ')')
-	case boundNot:
-		dst = append(dst, '!', '(')
-		dst = append(appendBExprFP(dst, x.inner), ')')
 	default:
 		// Every BExpr implementation lives in this package and must add a
 		// case above: a reflected fallback could embed pointer addresses

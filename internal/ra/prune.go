@@ -122,8 +122,6 @@ func markCols(e BExpr, need []bool) {
 		for _, t := range x.terms {
 			markCols(t, need)
 		}
-	case boundNot:
-		markCols(x.inner, need)
 	default:
 		// As in appendBExprFP: a BExpr this pass cannot see into would be
 		// pruned from under its reader, so fail loudly.

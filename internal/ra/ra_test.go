@@ -120,9 +120,6 @@ func TestBooleanConnectives(t *testing.T) {
 	if got := mustEval(t, db, NewSelect(NewScan("TOKEN", "T"), Or(per, doc2))).Size(); got != 5 {
 		t.Errorf("OR size = %d, want 5", got)
 	}
-	if got := mustEval(t, db, NewSelect(NewScan("TOKEN", "T"), Not(per))).Size(); got != 5 {
-		t.Errorf("NOT size = %d, want 5", got)
-	}
 }
 
 func TestJoinOnKey(t *testing.T) {

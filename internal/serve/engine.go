@@ -454,7 +454,8 @@ func (e *Engine) MintTraceID() (int64, string) {
 // EXPLAIN, ? placeholders allowed — and returns its placeholder count.
 // Executing it is Query or Exec with the arguments in the options: the
 // statement is then found in the cache, and one with placeholders is
-// bound and planned without being parsed again.
+// parsed with new arguments and planned, or finds the plan of arguments
+// it was bound to before.
 func (e *Engine) Prepare(sql string) (int, error) {
 	if e.Closed() {
 		return 0, ErrClosed

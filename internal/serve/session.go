@@ -43,10 +43,11 @@ type QueryOptions struct {
 	// field of a W3C traceparent) into the recorded trace. Empty means
 	// the engine assigns one when a trace is recorded.
 	TraceID string
-	// Args are the values of the statement's ? placeholders, bound
-	// positionally as literals (strings, integers, floats). The count
-	// must match; a statement with placeholders and no Args fails on its
-	// first unbound placeholder.
+	// Args are the values of the statement's ? placeholders, read
+	// positionally as literals (strings, integers, floats) by a parse of
+	// the statement's cached text; an argument list bound before reuses
+	// its plan. The count must match; a statement with placeholders and
+	// no Args fails on its first unbound placeholder.
 	Args []any
 }
 
@@ -200,11 +201,12 @@ func (e *Engine) Query(ctx context.Context, sql string, opts QueryOptions) (*Res
 	}
 
 	// Compile through the plan cache, keyed on the exact SQL byte string:
-	// a repeated spelling skips lexing, parsing, planning and binding, and
-	// a repeated statement with placeholders skips the parse. The result
-	// cache below keys on the bound fingerprint rather than the SQL text,
-	// so whitespace, keyword case, alias spelling, predicate-order and
-	// placeholder variants of one query remain one result entry.
+	// a repeated spelling skips lexing, parsing, planning and binding, as
+	// does a statement with placeholders repeated with arguments it was
+	// bound to before. The result cache below keys on the bound
+	// fingerprint rather than the SQL text, so whitespace, keyword case,
+	// alias spelling, predicate-order and placeholder variants of one
+	// query remain one result entry.
 	begin := time.Now()
 	comp, cached, err := e.plans.Lookup(sql, sqlparse.UseQuery)
 	if err == nil && comp.Explain != nil {

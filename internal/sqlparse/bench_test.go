@@ -133,8 +133,10 @@ func frontEndBudget(t *testing.T) map[string]int64 {
 //     allocate at least this much — the work the cache exists to skip
 //     is still being measured, so a zero-allocation "hit" means a hit;
 //   - bind_hit_allocs: executing the statement's placeholder spelling
-//     from the cache costs binding and planning a copy of the kept
-//     tree, never a parse (exact counts, so not checked in race builds).
+//     with new arguments costs one parse, with the arguments, on the
+//     pooled parser, then the plan and the entry: the cached entry keeps
+//     the text, never a tree (exact counts, so not checked in race
+//     builds).
 //
 // The gate proves itself: with the cache bypassed (a compile outside
 // any cache, or a fresh cache per call) the hit and bind checks must
@@ -189,11 +191,12 @@ func TestFrontEndBudget(t *testing.T) {
 	}
 
 	// The same statement with its literals as placeholders: a cached
-	// entry keeps the tree, so an execution with arguments not bound
-	// before binds and plans a copy and never parses again. The gate
-	// cycles through twice as many argument lists as the cache holds, so
-	// no execution finds its arguments' plan kept; a bypassed cache must
-	// fail it too.
+	// entry keeps the text, so an execution with arguments not bound
+	// before parses it once with them on the pooled parser and plans.
+	// The gate cycles through twice as many argument lists as the cache
+	// holds, so no execution finds its arguments' plan kept. A bypassed
+	// cache parses twice, without and then with the arguments, and must
+	// fail the gate.
 	bindSQL := strings.NewReplacer(`'Boston'`, `?`, `'B-ORG'`, `?`, `'B-PER'`, `?`).Replace(sql)
 	argSets := make([][]any, 2*DefaultPlanCacheSize)
 	for i := range argSets {
@@ -220,7 +223,8 @@ func TestFrontEndBudget(t *testing.T) {
 		t.Errorf("binding a cached placeholder statement allocates %v objects, budget is %v", bindHit, bindMax)
 	}
 	fresh := func() *PlanCache { return NewPlanCache(1) }
-	if bypassed := testing.AllocsPerRun(20, bind(fresh)); bypassed <= bindMax && !raceEnabled {
+	bypassed := testing.AllocsPerRun(20, bind(fresh))
+	if bypassed <= bindMax && !raceEnabled {
 		t.Errorf("with the cache bypassed a bound execution allocates %v objects and still passes the bind gate", bypassed)
 	}
 	// Executions alternating between argument lists bound before plan
@@ -254,6 +258,6 @@ func TestFrontEndBudget(t *testing.T) {
 			hitCompile()
 		}
 	}).NsPerOp()
-	t.Logf("tokenize: %v allocs/op; compile: cold %v allocs, bound hit %v allocs; cold %dns, hit %dns (%.0fx, not gated)",
-		allocs, cold, bindHit, coldNS, hitNS, float64(coldNS)/float64(hitNS))
+	t.Logf("tokenize: %v allocs/op; compile: cold %v allocs, bound hit %v allocs, bypassed %v; cold %dns, hit %dns (%.0fx, not gated)",
+		allocs, cold, bindHit, bypassed, coldNS, hitNS, float64(coldNS)/float64(hitNS))
 }

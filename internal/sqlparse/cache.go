@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -17,12 +18,12 @@ import (
 //   - a planned SELECT: Plan, Spec, Cols, and Stmt and Fingerprint if bound;
 //   - a lowered INSERT, UPDATE or DELETE: Mutation;
 //   - an EXPLAIN: Explain, which names the wrapped statement by its text;
-//   - a statement with ? placeholders (Params > 0): its syntax tree,
-//     freshly allocated and kept so that Bind can plan a bound copy.
+//   - a statement with ? placeholders (Params > 0): its text, which Bind
+//     parses again with each new argument list.
 //
-// Entries are immutable once published and are shared freely across
-// goroutines — plans and bound statements are read-only, and Bind copies
-// the kept tree rather than mutating it.
+// No entry keeps a syntax tree. Entries are immutable once published and
+// are shared freely across goroutines: plans and bound statements are
+// read-only.
 type Compiled struct {
 	Plan        ra.Plan
 	Spec        ra.ResultSpec
@@ -34,8 +35,8 @@ type Compiled struct {
 	// Params counts the statement's ? placeholders.
 	Params int
 
-	stmt  *Statement // the kept tree of a statement with placeholders
-	sql   string     // its text
+	sql   string     // the text of a statement with placeholders; "" on other entries
+	query bool       // that statement is a SELECT
 	cache *PlanCache // where Bind keeps its plans, and binds them against
 }
 
@@ -62,7 +63,7 @@ const (
 )
 
 func (c *Compiled) admits(use Use) bool {
-	query := c.Plan != nil || c.Explain != nil || c.stmt != nil && c.stmt.Select != nil
+	query := c.Plan != nil || c.Explain != nil || c.query
 	switch use {
 	case UseQuery:
 		return query
@@ -74,25 +75,25 @@ func (c *Compiled) admits(use Use) bool {
 
 // Bind plans a SELECT or DML entry's statement with args substituted for
 // its ? placeholders. An entry without placeholders is already planned
-// and is returned as is (args must then be empty). Otherwise Bind plans
-// a copy of the kept tree with the arguments inlined as literals and
-// binds it to its canonical form, so it fingerprints exactly as the
-// statement with its literals spelled inline; with no arguments at all
-// the statement fails to plan on its first unbound placeholder.
+// and is returned as is (args must then be empty). Otherwise Bind parses
+// the entry's text on a pooled parser with the arguments read as
+// literals, so the statement plans and binds to the canonical form of
+// its inline spelling and fingerprints exactly as that spelling does;
+// with no arguments at all the statement fails to plan on its first
+// unbound placeholder.
 //
 // The result is kept in the plan cache, keyed on the statement's text
 // and the literals the arguments bind as: an execution whose arguments
-// were bound before plans nothing, just as a literal spelling issued
-// again is a plan-cache hit.
+// were bound before parses and plans nothing, just as a literal spelling
+// issued again is a plan-cache hit.
 func (c *Compiled) Bind(args []any) (*Compiled, error) {
-	if c.stmt == nil {
-		if len(args) != c.Params {
-			return nil, arityErr(c.Params, len(args))
-		}
-		return c, nil
+	// A statement with placeholders and no arguments goes on to fail on
+	// its first unbound placeholder.
+	if len(args) != c.Params && (c.sql == "" || len(args) > 0) {
+		return nil, fmt.Errorf("sqlparse: statement has %d placeholders, got %d arguments", c.Params, len(args))
 	}
-	if len(args) == 0 {
-		return build(c.stmt, c.cache.schema)
+	if c.sql == "" {
+		return c, nil
 	}
 	var buf [256]byte
 	key, err := c.bindKey(buf[:0], args)
@@ -102,15 +103,16 @@ func (c *Compiled) Bind(args []any) (*Compiled, error) {
 	if out := c.cache.getBound(key); out != nil {
 		return out, nil
 	}
-	stmt, err := BindArgs(c.stmt, args)
+	var out *Compiled
+	err = parse(c.sql, args, UsePrepare, func(stmt *Statement) (err error) {
+		out, err = build(stmt, c.cache.schema)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := build(stmt, c.cache.schema)
-	if err == nil {
-		c.cache.put(&c.cache.binds, string(key), out)
-	}
-	return out, err
+	c.cache.put(&c.cache.binds, string(key), out)
+	return out, nil
 }
 
 // bindKey appends the key Bind keeps c bound to args under: c's text and
@@ -158,43 +160,31 @@ func build(stmt *Statement, schema *relstore.DB) (*Compiled, error) {
 	return c, nil
 }
 
-// compile parses sql on a pooled parser and builds its entry for pc,
-// without looking pc up or storing into it. A statement with
-// placeholders is parsed a second time onto a fresh tree, because the
-// pooled one is recycled with the parser; that happens once per cache
-// miss.
-func compile(sql string, use Use, pc *PlanCache) (*Compiled, error) {
-	p := parserPool.Get().(*parser)
-	defer parserPool.Put(p)
-	p.reset(sql)
-	stmt, err := p.parseInput()
-	if err != nil {
-		return nil, err
-	}
-	if err := misuse(sql, stmt, use); err != nil {
-		return nil, err
-	}
-	switch {
-	case stmt.Explain != nil:
-		return &Compiled{Params: stmt.Params, Explain: &Explain{
-			Analyze: stmt.Analyze,
-			Query:   stmt.Explain.Select != nil,
-			Target:  strings.TrimSpace(sql[stmt.target:]),
-		}}, nil
-	case stmt.Params > 0:
-		kept, err := ParseStatement(sql)
-		if err != nil {
-			return nil, err
+// compile parses sql and builds its entry for pc, without looking pc up
+// or storing into it. A statement with placeholders is not planned: its
+// entry keeps the text for Bind.
+func compile(sql string, use Use, pc *PlanCache) (c *Compiled, err error) {
+	err = parse(sql, nil, use, func(stmt *Statement) (err error) {
+		switch {
+		case stmt.Explain != nil:
+			c = &Compiled{Params: stmt.Params, Explain: &Explain{
+				Analyze: stmt.Analyze,
+				Query:   stmt.Explain.Select != nil,
+				Target:  strings.TrimSpace(sql[stmt.target:]),
+			}}
+		case stmt.Params > 0:
+			c = &Compiled{Params: stmt.Params, sql: sql, query: stmt.Select != nil, cache: pc}
+		default:
+			c, err = build(stmt, pc.schema)
 		}
-		return &Compiled{Params: kept.Params, stmt: kept, sql: sql, cache: pc}, nil
-	}
-	return build(stmt, pc.schema)
+		return err
+	})
+	return c, err
 }
 
 // PlanCache memoizes compiled statements keyed on the raw SQL string,
 // so a repeated spelling skips lexing, parsing, planning and binding
-// entirely — and a statement with placeholders is parsed once while its
-// entry stays. Keys are exact byte strings: "SELECT  *" and "select *"
+// entirely. Keys are exact byte strings: "SELECT  *" and "select *"
 // are distinct entries even though they bind to the same canonical tree.
 //
 // A cache with a schema (NewSchemaPlanCache) binds each SELECT too, once.

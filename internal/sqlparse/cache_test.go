@@ -131,8 +131,8 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200 && err == nil; i++ {
 				sql := fmt.Sprintf("SELECT STRING FROM TOKEN WHERE TOK_ID=%d", i%12)
 				_, _, err = pc.CompileQuery(sql)
-				// Every goroutine binds the one kept placeholder tree, and
-				// gets its own arguments' plan whoever bound last.
+				// Every goroutine binds the one placeholder entry, and gets
+				// its own arguments' plan whoever bound last.
 				var c *Compiled
 				if c, _, err = pc.Lookup("SELECT STRING FROM TOKEN WHERE TOK_ID=?", UseQuery); err == nil {
 					if c, err = c.Bind([]any{i % 12}); err == nil && c.Fingerprint != want[i%12] {
@@ -154,9 +154,9 @@ func TestPlanCacheConcurrent(t *testing.T) {
 }
 
 // TestPlanCacheKeepsPlaceholderStatements pins the fourth kind of entry:
-// a statement with placeholders is parsed once and kept, each Bind plans
-// a bound copy that fingerprints like the inlined spelling, and the kept
-// tree survives binding unchanged.
+// a statement with placeholders is kept as its text, and each Bind with
+// new arguments plans a statement that fingerprints like the inlined
+// spelling.
 func TestPlanCacheKeepsPlaceholderStatements(t *testing.T) {
 	pc := NewSchemaPlanCache(testDB(t), 4)
 	const param = `SELECT STRING FROM TOKEN WHERE LABEL=? AND DOC_ID=?`

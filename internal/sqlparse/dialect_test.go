@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,9 +128,9 @@ func TestDialectRejections(t *testing.T) {
 }
 
 func TestExplainParses(t *testing.T) {
-	stmt, err := ParseStatement(`EXPLAIN SELECT STRING FROM TOKEN WHERE LABEL='B-PER'`)
+	stmt, err := parseStatement(`EXPLAIN SELECT STRING FROM TOKEN WHERE LABEL='B-PER'`)
 	if err != nil {
-		t.Fatalf("ParseStatement(EXPLAIN ...): %v", err)
+		t.Fatalf("parseStatement(EXPLAIN ...): %v", err)
 	}
 	if stmt.Explain == nil || stmt.Explain.Select == nil {
 		t.Fatalf("EXPLAIN statement = %+v, want Explain wrapping a SELECT", stmt)
@@ -159,7 +160,7 @@ func TestExplainParses(t *testing.T) {
 }
 
 func TestPlaceholderCountingAndUnbound(t *testing.T) {
-	stmt, err := ParseStatement(`SELECT STRING FROM TOKEN WHERE LABEL=? AND DOC_ID=?`)
+	stmt, err := parseStatement(`SELECT STRING FROM TOKEN WHERE LABEL=? AND DOC_ID=?`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +180,12 @@ func TestPlaceholderCountingAndUnbound(t *testing.T) {
 }
 
 // TestBoundFingerprintMatchesInlined is the prepared-statement identity
-// contract: binding arguments and re-planning must land on the exact
-// fingerprint of the same query with the literals inlined, so result
-// caches and shared views are oblivious to which path compiled the SQL.
+// contract, through the path every execution takes (PlanCache.Lookup,
+// then Compiled.Bind), at every position the grammar admits a ?: a bound
+// SELECT lands on the exact fingerprint of the same query with the
+// literals inlined, so result caches and shared views are oblivious to
+// which spelling compiled the SQL, and a bound DML statement lowers to
+// the inlined spelling's mutation.
 func TestBoundFingerprintMatchesInlined(t *testing.T) {
 	cases := []struct {
 		param   string
@@ -192,66 +196,104 @@ func TestBoundFingerprintMatchesInlined(t *testing.T) {
 			`SELECT STRING FROM TOKEN WHERE LABEL='B-PER' AND DOC_ID=1`},
 		{`SELECT STRING FROM TOKEN WHERE LABEL IN (?, ?)`, []any{"B-PER", "B-ORG"},
 			`SELECT STRING FROM TOKEN WHERE LABEL IN ('B-PER', 'B-ORG')`},
+		{`SELECT STRING FROM TOKEN WHERE LABEL NOT IN (?, 'O') AND TOK_ID < ?`, []any{[]byte("B-ORG"), 7.5},
+			`SELECT STRING FROM TOKEN WHERE LABEL NOT IN ('B-ORG', 'O') AND TOK_ID < 7.5`},
 		{`SELECT T2.STRING FROM TOKEN T1 JOIN TOKEN T2 ON T1.DOC_ID=T2.DOC_ID
 		  WHERE T1.STRING=? AND T1.LABEL='B-ORG' AND T2.LABEL=?`, []any{"Boston", "B-PER"},
 			query4},
+		{`SELECT T2.STRING FROM TOKEN T1 JOIN TOKEN T2 ON T1.DOC_ID=T2.DOC_ID AND T1.STRING=? AND T1.LABEL=?
+		  WHERE T2.LABEL='B-PER'`, []any{"Boston", "B-ORG"},
+			query4},
+		{`SELECT DOC_ID, COUNT(*) FROM TOKEN WHERE LABEL=? GROUP BY DOC_ID HAVING COUNT(*) > ? AND DOC_ID < ?`,
+			[]any{"B-PER", 1, int32(9)},
+			`SELECT DOC_ID, COUNT(*) FROM TOKEN WHERE LABEL='B-PER' GROUP BY DOC_ID HAVING COUNT(*) > 1 AND DOC_ID < 9`},
+		{`SELECT T.STRING FROM TOKEN T WHERE T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.LABEL=? AND T1.TOK_ID > ?)`,
+			[]any{"B-ORG", int64(0)},
+			`SELECT T.STRING FROM TOKEN T WHERE T.DOC_ID IN (SELECT T1.DOC_ID FROM TOKEN T1 WHERE T1.LABEL='B-ORG' AND T1.TOK_ID > 0)`},
+		{`SELECT T.STRING FROM TOKEN T WHERE EXISTS (SELECT * FROM TOKEN T1 WHERE T1.LABEL=? AND T1.DOC_ID=T.DOC_ID)`,
+			[]any{"B-ORG"},
+			`SELECT T.STRING FROM TOKEN T WHERE EXISTS (SELECT * FROM TOKEN T1 WHERE T1.LABEL='B-ORG' AND T1.DOC_ID=T.DOC_ID)`},
+		{`SELECT T.DOC_ID FROM TOKEN T WHERE
+		  (SELECT COUNT(*) FROM TOKEN T1 WHERE T1.LABEL=? AND T.DOC_ID=T1.DOC_ID)
+		  =(SELECT COUNT(*) FROM TOKEN T1 WHERE T1.LABEL=? AND T.DOC_ID=T1.DOC_ID)`, []any{"B-PER", "B-ORG"},
+			query3},
+	}
+	pc := NewSchemaPlanCache(testDB(t), 0)
+	bind := func(sql string, args []any) *Compiled {
+		t.Helper()
+		c, _, err := pc.Lookup(sql, UsePrepare)
+		if err == nil {
+			c, err = c.Bind(args)
+		}
+		if err != nil {
+			t.Fatalf("binding %q to %v: %v", sql, args, err)
+		}
+		return c
 	}
 	for _, tc := range cases {
-		stmt, err := ParseStatement(tc.param)
-		if err != nil {
-			t.Fatalf("ParseStatement(%q): %v", tc.param, err)
+		got, want := bind(tc.param, tc.args), bind(tc.inlined, nil)
+		if got.Fingerprint == "" || got.Fingerprint != want.Fingerprint {
+			t.Errorf("bound fingerprint of %q = %q, want inlined %s", tc.param, got.Fingerprint, want.Fingerprint)
 		}
-		bound, err := BindArgs(stmt, tc.args)
-		if err != nil {
-			t.Fatalf("BindArgs(%q): %v", tc.param, err)
-		}
-		plan, _, err := planQuery(bound.Select, nil)
-		if err != nil {
-			t.Fatalf("planQuery(%q): %v", tc.param, err)
-		}
-		if got, want := boundFingerprint(t, plan), fingerprintOf(t, tc.inlined); got != want {
-			t.Errorf("bound fingerprint of %q = %s, want inlined %s", tc.param, got, want)
+	}
+	dml := []struct {
+		param   string
+		args    []any
+		inlined string
+	}{
+		{`INSERT INTO TOKEN (TOK_ID, DOC_ID, STRING, LABEL) VALUES (?, ?, ?, 'O'), (?, 4, ?, ?)`,
+			[]any{9, int64(4), "a", int32(10), []byte("b"), "B-PER"},
+			`INSERT INTO TOKEN (TOK_ID, DOC_ID, STRING, LABEL) VALUES (9, 4, 'a', 'O'), (10, 4, 'b', 'B-PER')`},
+		{`UPDATE TOKEN SET STRING=?, LABEL=? WHERE TOK_ID=? AND DOC_ID >= ?`, []any{"x", "O", 3, 1.5},
+			`UPDATE TOKEN SET STRING='x', LABEL='O' WHERE TOK_ID=3 AND DOC_ID >= 1.5`},
+		{`DELETE FROM TOKEN T WHERE T.TOK_ID IN (?, 4, ?) AND T.STRING != ?`, []any{1, int64(6), "IBM"},
+			`DELETE FROM TOKEN T WHERE T.TOK_ID IN (1, 4, 6) AND T.STRING != 'IBM'`},
+	}
+	for _, tc := range dml {
+		got, want := bind(tc.param, tc.args), bind(tc.inlined, nil)
+		if got.Mutation == nil || !reflect.DeepEqual(got.Mutation, want.Mutation) {
+			t.Errorf("bound %q lowers to %+v, want inlined %+v", tc.param, got.Mutation, want.Mutation)
 		}
 	}
 }
 
-func TestBindArgsValidation(t *testing.T) {
-	stmt, err := ParseStatement(`SELECT STRING FROM TOKEN WHERE LABEL=?`)
+// TestBindValidation pins Bind's argument checks: the count must match
+// in both directions, an argument must be of a type the dialect spells
+// as a literal, and two argument lists bound in turn do not interfere.
+func TestBindValidation(t *testing.T) {
+	pc := NewPlanCache(0)
+	c, _, err := pc.Lookup(`SELECT STRING FROM TOKEN WHERE LABEL=?`, UseQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BindArgs(stmt, nil); err == nil || !strings.Contains(err.Error(), "1 placeholders, got 0") {
-		t.Errorf("BindArgs with too few args = %v", err)
+	if _, err := c.Bind([]any{"a", "b"}); err == nil || !strings.Contains(err.Error(), "1 placeholders, got 2") {
+		t.Errorf("Bind with too many args = %v", err)
 	}
-	if _, err := BindArgs(stmt, []any{"a", "b"}); err == nil || !strings.Contains(err.Error(), "1 placeholders, got 2") {
-		t.Errorf("BindArgs with too many args = %v", err)
-	}
-	if _, err := BindArgs(stmt, []any{struct{}{}}); err == nil || !strings.Contains(err.Error(), "unsupported argument type") {
-		t.Errorf("BindArgs with a struct arg = %v", err)
-	}
-	// Binding must not mutate the retained tree: bind twice with
-	// different values and check both plans differ from each other but
-	// the statement still reports its placeholder.
-	b1, err := BindArgs(stmt, []any{"B-PER"})
+	two, _, err := pc.Lookup(`SELECT STRING FROM TOKEN WHERE LABEL=? AND DOC_ID=?`, UseQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := BindArgs(stmt, []any{"B-ORG"})
+	if _, err := two.Bind([]any{"a"}); err == nil || !strings.Contains(err.Error(), "2 placeholders, got 1") {
+		t.Errorf("Bind with too few args = %v", err)
+	}
+	if _, err := c.Bind([]any{struct{}{}}); err == nil || !strings.Contains(err.Error(), "unsupported argument type") {
+		t.Errorf("Bind with a struct arg = %v", err)
+	}
+	b1, err := c.Bind([]any{"B-PER"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := planQuery(b1.Select, nil)
+	b2, err := c.Bind([]any{"B-ORG"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := planQuery(b2.Select, nil)
-	if err != nil {
-		t.Fatal(err)
+	if b1.Plan.String() == b2.Plan.String() {
+		t.Errorf("binding different values produced identical plans: %s", b1.Plan)
 	}
-	if p1.String() == p2.String() {
-		t.Error("binding different values produced identical plans (retained tree mutated?)")
+	if again, err := c.Bind([]any{"B-PER"}); err != nil || again != b1 {
+		t.Errorf("rebinding the first arguments = %p, %v; want the first entry %p", again, err, b1)
 	}
-	if stmt.Params != 1 || stmt.Select.Where[0].Right.IsParam != true {
-		t.Error("BindArgs mutated the retained statement")
+	if want, _, _ := Compile(`SELECT STRING FROM TOKEN WHERE LABEL='B-PER'`); b1.Plan.String() != want.String() {
+		t.Errorf("first binding plans %s, want %s", b1.Plan, want)
 	}
 }

@@ -10,18 +10,12 @@ import (
 // CompileExec parses one DML statement (INSERT, UPDATE or DELETE) and
 // lowers it to the typed mutation IR. A SELECT is rejected with a pointer
 // at the read API, mirroring Compile's rejection of DML.
-func CompileExec(sql string) (ra.Mutation, error) {
-	p := parserPool.Get().(*parser)
-	defer parserPool.Put(p)
-	p.reset(sql)
-	stmt, err := p.parseInput()
-	if err != nil {
-		return nil, err
-	}
-	if err := misuse(sql, stmt, UseExec); err != nil {
-		return nil, err
-	}
-	return lower(stmt)
+func CompileExec(sql string) (mut ra.Mutation, err error) {
+	err = parse(sql, nil, UseExec, func(stmt *Statement) (err error) {
+		mut, err = lower(stmt)
+		return err
+	})
+	return mut, err
 }
 
 // explainOnlyQuery is the error text of an EXPLAIN issued anywhere but
@@ -43,7 +37,7 @@ func misuse(sql string, stmt *Statement, use Use) error {
 }
 
 // lower lowers a parsed INSERT, UPDATE or DELETE. The mutation shares
-// nothing with the tree, whose slices may sit in a pooled parser's arena.
+// nothing with the tree, whose slices sit in a pooled parser's arena.
 func lower(stmt *Statement) (ra.Mutation, error) {
 	switch {
 	case stmt.Insert != nil:

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 )
@@ -35,7 +36,7 @@ type TableRef struct {
 }
 
 // Operand is the right-hand side of a comparison: a column, a literal,
-// or a ? placeholder awaiting an argument.
+// or a ? placeholder parsed without arguments.
 type Operand struct {
 	IsCol bool
 	Col   ColName
@@ -152,8 +153,10 @@ type DeleteStmt struct {
 }
 
 // Statement is one parsed SQL statement: exactly one field is non-nil.
-// Params counts the ? placeholders in the statement; a statement with
-// Params > 0 cannot be planned until BindArgs substitutes arguments.
+// Params counts the ? placeholders in the statement. A parse with
+// arguments reads each placeholder as its argument's literal; without
+// them a placeholder stays an Operand with IsParam, and planning the
+// statement fails on the first one.
 type Statement struct {
 	Select  *Query
 	Insert  *InsertStmt
@@ -238,16 +241,18 @@ type parser struct {
 	toks   []token // EOF-terminated, owned by the arena
 	ti     int
 	params int
+	args   []any // the placeholders' arguments, in order; nil leaves them unbound
 	a      arena
 }
 
-func (p *parser) reset(input string) {
+func (p *parser) reset(input string, args []any) {
 	p.src = input
 	p.a.reset()
 	p.toks, p.lexErr = tokenize(input, p.a.toks[:0])
 	p.a.toks = p.toks
 	p.ti = 0
 	p.params = 0
+	p.args = args
 }
 
 func (p *parser) cur() token {
@@ -302,39 +307,6 @@ func (p *parser) expect(kind tokKind, text string) (token, error) {
 
 func (p *parser) errf(format string, args ...any) error {
 	return posErrf(p.src, int(p.cur().pos), format, args...)
-}
-
-// Parse parses one SELECT statement of the supported dialect. DML
-// statements are parsed by ParseStatement; passing one here reports the
-// read/write API split rather than a token-level error.
-func Parse(input string) (*Query, error) {
-	stmt, err := ParseStatement(input)
-	if err != nil {
-		return nil, err
-	}
-	return selectOf(input, stmt)
-}
-
-func selectOf(input string, stmt *Statement) (*Query, error) {
-	if stmt.Explain != nil {
-		return nil, posErrf(input, 0, explainOnlyQuery)
-	}
-	if err := misuse(input, stmt, UseQuery); err != nil {
-		return nil, err
-	}
-	return stmt.Select, nil
-}
-
-// ParseStatement parses one statement of the supported dialect: a SELECT
-// query, an INSERT/UPDATE/DELETE mutation, or EXPLAIN wrapping either.
-// The returned AST is freshly allocated and safe to retain (the plan
-// cache keeps one per statement with placeholders); the pooled-arena
-// fast path is reserved for the compile entry points, whose ASTs never
-// escape.
-func ParseStatement(input string) (*Statement, error) {
-	p := &parser{}
-	p.reset(input)
-	return p.parseInput()
 }
 
 func (p *parser) parseInput() (*Statement, error) {
@@ -903,10 +875,36 @@ func (p *parser) parseOperand() (Operand, error) {
 			p.next()
 			idx := p.params
 			p.params++
+			if idx < len(p.args) {
+				return literalOperand(p.args[idx], idx)
+			}
 			return Operand{IsParam: true, Param: idx}, nil
 		}
 	}
 	return Operand{}, p.errf("expected value or column, found %q", t.text)
+}
+
+// literalOperand converts one driver-level argument into a literal
+// Operand. The supported types mirror what the SQL dialect can spell
+// as a literal: strings, integers and floats.
+func literalOperand(arg any, idx int) (Operand, error) {
+	switch v := arg.(type) {
+	case string:
+		return Operand{IsStr: true, Str: v}, nil
+	case []byte:
+		return Operand{IsStr: true, Str: string(v)}, nil
+	case int:
+		return Operand{IsInt: true, Int: int64(v)}, nil
+	case int32:
+		return Operand{IsInt: true, Int: int64(v)}, nil
+	case int64:
+		return Operand{IsInt: true, Int: v}, nil
+	case float32:
+		return Operand{Float: float64(v)}, nil
+	case float64:
+		return Operand{Float: v}, nil
+	}
+	return Operand{}, fmt.Errorf("sqlparse: unsupported argument type %T for placeholder ?%d", arg, idx+1)
 }
 
 // parseInsert parses INSERT INTO t [(col, ...)] VALUES (lit, ...) [, ...].

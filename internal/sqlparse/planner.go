@@ -8,31 +8,40 @@ import (
 	"factordb/internal/relstore"
 )
 
-// parserPool recycles parsers — and with them the arena arrays backing
-// every AST slice — across Compile, CompileExec and plan-cache misses.
-// Only those entry points may use it: they lower the AST to an
-// independent plan before releasing the parser, whereas
-// Parse/ParseStatement hand the AST to the caller (the plan cache keeps
-// one per statement with placeholders), so they allocate fresh.
+// parserPool recycles parsers, and with them the arena arrays backing
+// every syntax tree, across parses.
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
+
+// parse parses sql on a pooled parser, with args read as the literals
+// of its ? placeholders (nil leaves them unbound), checks that use
+// admits the statement, and hands the tree to build. It is the one
+// place a syntax tree exists: the tree lives in the parser's arena,
+// which the next parse reuses, so build keeps nothing of it.
+func parse(sql string, args []any, use Use, build func(*Statement) error) error {
+	p := parserPool.Get().(*parser)
+	defer parserPool.Put(p)
+	p.reset(sql, args)
+	stmt, err := p.parseInput()
+	if err == nil {
+		err = misuse(sql, stmt, use)
+	}
+	if err == nil {
+		err = build(stmt)
+	}
+	return err
+}
 
 // Compile parses the SQL text and lowers it to a relational-algebra plan
 // plus the result-level ordering spec (ORDER BY / LIMIT clauses that act
 // on the final probabilistic answer rather than inside each world).
-func Compile(sql string) (ra.Plan, ra.ResultSpec, error) {
-	p := parserPool.Get().(*parser)
-	p.reset(sql)
-	stmt, err := p.parseInput()
-	var q *Query
-	if err == nil {
-		q, err = selectOf(sql, stmt)
-	}
-	if err != nil {
-		parserPool.Put(p)
-		return nil, ra.ResultSpec{}, err
-	}
-	plan, spec, err := planQuery(q, nil)
-	parserPool.Put(p)
+func Compile(sql string) (plan ra.Plan, spec ra.ResultSpec, err error) {
+	err = parse(sql, nil, UseQuery, func(stmt *Statement) (err error) {
+		if stmt.Explain != nil {
+			return posErrf(sql, 0, explainOnlyQuery)
+		}
+		plan, spec, err = planQuery(stmt.Select, nil)
+		return err
+	})
 	return plan, spec, err
 }
 
@@ -89,7 +98,8 @@ func planQuery(q *Query, schema *relstore.DB) (ra.Plan, ra.ResultSpec, error) {
 	subEqIndex := 0
 	var groupPlans []groupPlan
 
-	for _, c := range qualifyWhere(q, schema) {
+	qualifyWhere(q, schema)
+	for _, c := range q.Where {
 		switch {
 		case c.SubEq != nil:
 			gp, err := lowerSubEq(c.SubEq, aliases, subEqIndex)
@@ -202,15 +212,14 @@ func planQuery(q *Query, schema *relstore.DB) (ra.Plan, ra.ResultSpec, error) {
 	return lowerOrderLimit(q, lowered, spec)
 }
 
-// qualifyWhere returns q's WHERE conjuncts with each unqualified column
-// of a multi-table query qualified by the one FROM table whose schema
+// qualifyWhere qualifies, in place, each unqualified column of a
+// multi-table query's WHERE conjuncts by the one FROM table whose schema
 // has a column of that name, so that placement puts the conjunct where
 // that table is scanned. A column that no table or several tables have
-// stays unqualified, and binding reports it as unknown or ambiguous. q
-// itself is not written: a kept statement is shared.
-func qualifyWhere(q *Query, schema *relstore.DB) []Cond {
+// stays unqualified, and binding reports it as unknown or ambiguous.
+func qualifyWhere(q *Query, schema *relstore.DB) {
 	if schema == nil || len(q.From) < 2 {
-		return q.Where
+		return
 	}
 	qualify := func(col ColName) ColName {
 		if col.Qual != "" {
@@ -227,15 +236,13 @@ func qualifyWhere(q *Query, schema *relstore.DB) []Cond {
 		}
 		return col
 	}
-	where := make([]Cond, len(q.Where))
-	for i, c := range q.Where {
+	for i := range q.Where {
+		c := &q.Where[i]
 		c.Left = qualify(c.Left)
 		if c.Right.IsCol {
 			c.Right.Col = qualify(c.Right.Col)
 		}
-		where[i] = c
 	}
-	return where
 }
 
 // lowerOrderLimit splits ORDER BY / LIMIT between a per-world top-k plan
@@ -397,25 +404,19 @@ func cmpOpOf(op string) (ra.CmpOp, error) {
 	return 0, fmt.Errorf("sqlparse: unsupported operator %q", op)
 }
 
-func operandValue(o Operand) relstore.Value {
-	switch {
-	case o.IsStr:
-		return relstore.String(o.Str)
-	case o.IsInt:
-		return relstore.Int(o.Int)
-	default:
-		return relstore.Float(o.Float)
-	}
-}
-
-// operandConst is operandValue for planner positions that require a
-// bound constant: an unbound ? placeholder is a planning error (a plan
-// cache entry's Bind substitutes arguments before planning).
+// operandConst is the constant a literal operand plans as. An unbound
+// ? placeholder is a planning error: a statement with placeholders plans
+// only when parsed with its arguments (see Compiled.Bind).
 func operandConst(o Operand) (relstore.Value, error) {
-	if o.IsParam {
+	switch {
+	case o.IsParam:
 		return relstore.Value{}, fmt.Errorf("sqlparse: placeholder ?%d is unbound (prepare the statement and pass arguments)", o.Param+1)
+	case o.IsStr:
+		return relstore.String(o.Str), nil
+	case o.IsInt:
+		return relstore.Int(o.Int), nil
 	}
-	return operandValue(o), nil
+	return relstore.Float(o.Float), nil
 }
 
 // inListExpr lowers col IN (v1, ..., vn) to an OR of equalities — which

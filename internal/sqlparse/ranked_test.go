@@ -11,34 +11,34 @@ import (
 // ---- lexer regressions ----
 
 func TestStringEscaping(t *testing.T) {
-	q, err := Parse(`SELECT STRING FROM TOKEN WHERE STRING='O''Brien'`)
+	q, err := parseSelect(`SELECT STRING FROM TOKEN WHERE STRING='O''Brien'`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parseSelect: %v", err)
 	}
 	if got := q.Where[0].Right.Str; got != "O'Brien" {
 		t.Errorf("escaped literal = %q, want %q", got, "O'Brien")
 	}
 
 	// Doubled quotes at the very start, middle, and end of the literal.
-	q, err = Parse(`SELECT STRING FROM TOKEN WHERE STRING='''a''''b'''`)
+	q, err = parseSelect(`SELECT STRING FROM TOKEN WHERE STRING='''a''''b'''`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parseSelect: %v", err)
 	}
 	if got := q.Where[0].Right.Str; got != `'a''b'` {
 		t.Errorf("escaped literal = %q, want %q", got, `'a''b'`)
 	}
 
 	// A trailing escaped quote must not be mistaken for the terminator.
-	if _, err := Parse(`SELECT STRING FROM TOKEN WHERE STRING='oops''`); err == nil ||
+	if _, err := parseSelect(`SELECT STRING FROM TOKEN WHERE STRING='oops''`); err == nil ||
 		!strings.Contains(err.Error(), "unterminated") {
 		t.Errorf("trailing escaped quote: %v, want unterminated-literal error", err)
 	}
 }
 
 func TestMalformedNumber(t *testing.T) {
-	_, err := Parse(`SELECT X FROM T WHERE A=1.2.3`)
+	_, err := parseSelect(`SELECT X FROM T WHERE A=1.2.3`)
 	if err == nil {
-		t.Fatal("Parse accepted 1.2.3")
+		t.Fatal("parseSelect accepted 1.2.3")
 	}
 	if !strings.Contains(err.Error(), "malformed number") {
 		t.Errorf("error = %v, want malformed number", err)
@@ -51,9 +51,9 @@ func TestMalformedNumber(t *testing.T) {
 // ---- ORDER BY / LIMIT / HAVING parsing ----
 
 func TestParseOrderByLimit(t *testing.T) {
-	q, err := Parse(`SELECT STRING FROM TOKEN ORDER BY P DESC, STRING ASC LIMIT 10`)
+	q, err := parseSelect(`SELECT STRING FROM TOKEN ORDER BY P DESC, STRING ASC LIMIT 10`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parseSelect: %v", err)
 	}
 	if len(q.OrderBy) != 2 {
 		t.Fatalf("order keys = %d, want 2", len(q.OrderBy))
@@ -69,16 +69,16 @@ func TestParseOrderByLimit(t *testing.T) {
 	}
 
 	// LIMIT without ORDER BY, and the absent-limit default.
-	q, err = Parse(`SELECT STRING FROM TOKEN LIMIT 3`)
+	q, err = parseSelect(`SELECT STRING FROM TOKEN LIMIT 3`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parseSelect: %v", err)
 	}
 	if q.Limit != 3 || len(q.OrderBy) != 0 {
 		t.Errorf("bare LIMIT: limit=%d order=%v", q.Limit, q.OrderBy)
 	}
-	q, err = Parse(`SELECT STRING FROM TOKEN`)
+	q, err = parseSelect(`SELECT STRING FROM TOKEN`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parseSelect: %v", err)
 	}
 	if q.Limit != -1 {
 		t.Errorf("absent LIMIT = %d, want -1", q.Limit)
@@ -86,9 +86,9 @@ func TestParseOrderByLimit(t *testing.T) {
 }
 
 func TestParseHaving(t *testing.T) {
-	q, err := Parse(`SELECT DOC_ID FROM TOKEN GROUP BY DOC_ID HAVING COUNT(*) > 2 AND DOC_ID < 9`)
+	q, err := parseSelect(`SELECT DOC_ID FROM TOKEN GROUP BY DOC_ID HAVING COUNT(*) > 2 AND DOC_ID < 9`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parseSelect: %v", err)
 	}
 	if len(q.Having) != 2 {
 		t.Fatalf("having conds = %d, want 2", len(q.Having))

@@ -50,11 +50,11 @@
 //	rows, err := stmt.QueryContext(ctx, "B-PER")
 //
 // A statement is compiled into the database's plan cache once, whichever
-// way it arrives: a statement with placeholders keeps its parsed syntax
-// tree there, and each execution binds the arguments into a copy and
-// re-plans it, which — because plans are canonicalized before they are
-// bound and fingerprinted — yields the same fingerprint, cache entries,
-// and shared views as the query with its literals inlined. Ad-hoc
+// way it arrives: a statement with placeholders keeps its text there, and
+// an execution with new arguments parses it with the arguments read as
+// literals and plans it, which — because plans are canonicalized before
+// they are bound and fingerprinted — yields the same fingerprint, cache
+// entries, and shared views as the query with its literals inlined. Ad-hoc
 // QueryContext/ExecContext calls with args look the statement up the
 // same way.
 package sqldriver
@@ -329,8 +329,8 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 		return newRows(fr), nil
 	}
 	// Placeholder arguments route through a prepared statement: a
-	// plan-cache lookup, then the engine binds the args into the cached
-	// tree as literals and re-plans.
+	// plan-cache lookup, then the engine parses the cached text with the
+	// args as literals and plans it.
 	vals, err := argValues(args)
 	if err != nil {
 		return nil, err
@@ -399,8 +399,8 @@ func (execResult) LastInsertId() (int64, error) {
 func (r execResult) RowsAffected() (int64, error) { return r.rows, nil }
 
 // stmt is a prepared statement: the SQL was compiled into the plan cache
-// at Prepare time, and each execution binds its ? arguments as literals
-// into a copy of the cached syntax tree and re-plans.
+// at Prepare time, and an execution with new ? arguments parses the
+// cached text with them as literals and plans it.
 type stmt struct {
 	conn *conn
 	ps   *factordb.Stmt
