@@ -100,14 +100,14 @@
 //	query     snapshot_merge      pool        merging the per-chain snapshots (attr samples)
 //	query     clone_world         private     cloning the prototype world
 //	query     sample              private     burn-in plus the whole sample budget (attr samples)
-//	query     evaluate            certain     one evaluation of a certain plan, on chain 0's world or the prototype
+//	query     evaluate            certain     one evaluation of a certain plan, on the prototype world
 //	query     rank                all         ORDER BY / LIMIT over the merged estimate
 //	exec      compile             all         SQL to mutation (attr plan_cache)
 //	exec      admission_wait      all         as for queries
-//	exec      resolve             all         predicate to row-level ops, on one world
+//	exec      resolve             all         predicate to row-level ops, on the prototype world
 //	exec      wal_append          all         the durable log append (WithDataDir only)
 //	exec      fsync               all         the append's sync share, carved out once the WAL reports it
-//	exec      fanout              pool        ops delivered until every chain has applied them
+//	exec      fanout              pool        the prototype's apply, then ops delivered until every chain has applied them
 //	exec      burn_in             pool        the re-equilibration walk; opens when the slowest chain has applied the ops
 //	exec      delta_fold          pool        folding the delta into every live view; opens when the slowest chain ends burn_in
 //	exec      republish           pool        from the slowest chain's delta fold to the fan-out's return; copies nothing (a stable name)
@@ -173,11 +173,12 @@
 // plan whose bound tree reads no hidden column is certain
 // (ra.Bound.Certain): its answer is the same in every world, so it is
 // not sampled. After the result-cache probe it is evaluated once at the
-// current data epoch — in served mode on chain 0's world through its
-// mailbox, in the local modes on the prototype — with no view mounted
-// and no sample awaited. Every tuple comes back at P = 1 with the
-// interval [1, 1], and the answer reports its sample budget as its
-// sample count: an exact answer is worth any budget. It is cached like
+// current data epoch, in every mode on the prototype world, which holds
+// every committed write, with no view mounted, no chain asked and no
+// sample awaited. Every tuple comes back at P = 1 with the interval
+// [1, 1], and the answer reports its sample budget as its sample count
+// (an exact answer is worth any budget) and Epoch 0, since no chain
+// produced it. It is cached like
 // any other, and EXPLAIN marks its plan certain. SELECT STRING FROM
 // TOKEN WHERE TOK_ID = 0 and SELECT COUNT(*) FROM TOKEN are certain;
 // Query 1, which selects on LABEL, is not.
@@ -209,9 +210,11 @@
 // ErrBadQuery naming the column, before the WAL append (HTTP 400). The
 // sampler owns a hidden variable's state, and a predicate over one would
 // match rows by the walk of whichever world it was resolved against. An INSERT's value for a hidden column is
-// accepted as the new row's initial state. UPDATE/DELETE predicates are
-// resolved once against one world and the resulting row-level ops are
-// replayed on every chain, so the chains' worlds never diverge. Each chain
+// accepted as the new row's initial state. The prototype world is the
+// engine's one evidence world in every mode: under the write lock, a
+// write's predicates are resolved once against it, the resulting
+// row-level ops are appended to the WAL, applied to it, and replayed on
+// every chain, so the chains' worlds never diverge from it. Each chain
 // absorbs them at an epoch boundary, walks a configurable burn-in, and
 // resets the estimators of its live views; a query in flight across a
 // write re-collects rather than blend pre- and post-write samples (one
@@ -316,7 +319,7 @@
 // The commit rule: Exec appends the batch to the WAL (honoring the
 // fsync policy — FsyncAlways syncs per append, FsyncInterval (default)
 // syncs on a ~100ms background ticker, FsyncNever leaves it to the OS)
-// before any chain applies it. Recovery loads the newest valid snapshot
+// before any world, the prototype included, applies it. Recovery loads the newest valid snapshot
 // and replays only records with epoch greater than the snapshot epoch —
 // replay is idempotent by construction because ops are row-level
 // assignments keyed by epoch, never read-modify-write. The first
@@ -326,10 +329,15 @@
 // (WithCheckpointEvery) writes a snapshot, deletes all older ones but
 // the newest, and drops the WAL prefix that kept snapshot covers, so a
 // rotted newest snapshot falls back to the older one plus an unbroken
-// log tail. The write that crosses a threshold fixes the checkpoint: the
-// durable world is cloned at its epoch and the counts restart there,
-// and only the encoding and file writes run in the background, so which
-// writes each checkpoint covers never depends on timing. After recovery
+// log tail. The store owns no world: it keeps the prototype by reference
+// (the world it was seeded with, or the one it recovered and the model
+// was built over), and a checkpoint dumps a clone of it. The write that
+// crosses a threshold fixes the checkpoint inside its WAL append, before
+// the prototype takes it: the world is cloned at the previous epoch,
+// that write stays in the log tail, and the counts restart. Only the
+// encoding and file writes run in the background, so which writes each
+// checkpoint covers never depends on timing. DB.Checkpoint goes through
+// the engine, which clones between writes. After recovery
 // the restored write epoch is observable at DB.WriteEpoch and /healthz
 // write_epoch, and a served engine walks a burn-in before answering so
 // marginals re-equilibrate around the recovered evidence.
@@ -495,8 +503,9 @@
 //     tuples go into one arena per relation, sized to the netted rows,
 //     emitted in first-touch order as (old, −1) then (new, +1). A→B→A
 //     and insert-then-delete drain empty. A log whose delta nobody
-//     folds (a naive evaluator, a burn-in before any view, the durable
-//     store's shadow world) calls Discard, which closes the epoch
+//     folds (a naive evaluator, a burn-in before any view, the engine's
+//     log over its prototype, a recovery's replay) calls Discard, which
+//     closes the epoch
 //     without netting. Every buffer is kept only while at most four
 //     times what the batch used (64-row floor), so a burst goes at the
 //     next ordinary Drain.

@@ -34,8 +34,9 @@ const (
 // "always" or "never".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return store.ParseFsyncPolicy(s) }
 
-// WithDataDir enables durability: the prototype world is checkpointed to
-// dir and every committed write is appended to a write-ahead log there,
+// WithDataDir enables durability: the prototype world, the one the
+// database serves and writes, is checkpointed to dir and every committed
+// write is appended to a write-ahead log there,
 // so reopening the same directory recovers the evidence — and the write
 // epoch — a crash or restart interrupted. The directory is created if
 // missing.
@@ -55,9 +56,10 @@ func WithCheckpointEvery(ops, bytes int64) Option {
 }
 
 // openDurability opens (or initializes) the data directory and returns
-// it with the world it recovered: nil when the directory is fresh, and no
-// store when durability is not requested. The caller must resume the
-// epoch sequence at rec.Epoch.
+// it with the world it recovered, which the store keeps and the model is
+// built over: nil when the directory is fresh, and no store when
+// durability is not requested. The caller must resume the epoch sequence
+// at rec.Epoch.
 func openDurability(o store.Options) (*store.DiskStore, *relstore.DB, error) {
 	if o.Dir == "" {
 		return nil, nil, nil
@@ -69,7 +71,7 @@ func openDurability(o store.Options) (*store.DiskStore, *relstore.DB, error) {
 	if st.Recovery().Fresh {
 		return st, nil, nil
 	}
-	w := st.WorldClone()
+	w := st.World()
 	if w == nil {
 		st.Close()
 		return nil, nil, fmt.Errorf("%w: %s recovered no world", ErrRecovery, o.Dir)
@@ -186,13 +188,11 @@ func (db *DB) Durability() *DurabilityStatus {
 }
 
 // Checkpoint forces a snapshot of the durable world and truncates the
-// replayed log prefix, independent of the background thresholds. It is
-// a no-op error-free call on a DB opened without WithDataDir.
+// replayed log prefix, independent of the background thresholds. The
+// engine takes it between writes, so it may race Exec. It is a no-op
+// error-free call on a DB opened without WithDataDir.
 func (db *DB) Checkpoint() error {
-	if db.store == nil {
-		return nil
-	}
-	if err := db.store.Checkpoint(); err != nil {
+	if err := db.eng.Checkpoint(); err != nil {
 		return fmt.Errorf("%w: checkpoint: %v", ErrRecovery, err)
 	}
 	return nil

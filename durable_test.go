@@ -12,6 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"factordb/internal/relstore"
@@ -516,4 +518,107 @@ func TestReopenAfterRenumbering(t *testing.T) {
 		}
 	}
 	t.Logf("the checkpoint re-coded %d of %d rows", moved, reRel.Len())
+}
+
+// TestCheckpointRacesExec: on a durable served database, writes, certain
+// and sampled reads and explicit checkpoints run concurrently. The engine
+// takes each checkpoint between writes, so it never snapshots a
+// half-applied batch, and a reopen recovers every commit: its write
+// epoch is the number of commits, and its world is the one at close.
+func TestCheckpointRacesExec(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts(dir, WithMode(ModeServed), WithChains(2))
+	db, err := Open(durableNER(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	const writers, writes = 2, 8
+	var commits atomic.Int64
+	var writing, others sync.WaitGroup
+	stop := make(chan struct{})
+	for w := range writers {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := range writes {
+				res, err := db.Exec(ctx, fmt.Sprintf("UPDATE TOKEN SET STRING = 'race-%d-%d' WHERE TOK_ID = %d", w, i, w+1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				commits.Add(res.RowsAffected)
+			}
+		}()
+	}
+	// A sampled query that writes keep tearing may give up with
+	// ErrOverloaded, which asks its caller to retry; nothing else may
+	// fail.
+	for _, sql := range []string{
+		`SELECT STRING FROM TOKEN WHERE TOK_ID = 1`,
+		`SELECT STRING FROM TOKEN WHERE TOK_ID = 2 AND LABEL <> 'X'`,
+	} {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows, err := db.Query(ctx, sql, Samples(2), NoCache())
+				if errors.Is(err, ErrOverloaded) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rows.Close()
+			}
+		}()
+	}
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	writing.Wait()
+	close(stop)
+	others.Wait()
+	if t.Failed() {
+		return
+	}
+	n := commits.Load()
+	if n != writers*writes || db.WriteEpoch() != n {
+		t.Fatalf("%d commits at write epoch %d, want %d", n, db.WriteEpoch(), writers*writes)
+	}
+	want := worldBytes(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(durableNER(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.WriteEpoch(); got != n {
+		t.Fatalf("reopen recovered write epoch %d, want the %d commits", got, n)
+	}
+	if !bytes.Equal(worldBytes(t, re), want) {
+		t.Fatal("reopen recovered another world")
+	}
 }

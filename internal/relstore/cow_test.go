@@ -223,8 +223,8 @@ func TestCopyOnWriteRace(t *testing.T) {
 			}
 		})
 	}
-	// The durable store: a shadow world written under a lock, checkpoint
-	// clones taken under it and dumped outside it.
+	// A world written under a lock, as an engine writes its evidence
+	// world, with checkpoint clones taken under it and dumped outside it.
 	shadow := proto.clone()
 	var mu sync.Mutex
 	run(func() {

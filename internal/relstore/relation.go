@@ -488,8 +488,8 @@ func scanRows(r *Relation, eq *Slots, x int64, cols []scanCol, t Tuple, keep fun
 // Clone returns a relation with the same rows that shares every vector
 // with r; neither side writes to a shared vector again (see Relation).
 // The cost is one pointer per column, whatever the number of rows. Used
-// to give each MCMC chain, the durable store's shadow and every
-// checkpoint its own world.
+// to give each MCMC chain, each private-mode query and every checkpoint
+// its own world.
 func (r *Relation) Clone() *Relation {
 	c := *r
 	c.cols = slices.Clone(r.cols)

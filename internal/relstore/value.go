@@ -24,11 +24,11 @@
 // new world the same vectors and marks them shared; a shared vector is
 // never written again, and whichever world writes to it first copies it
 // and carries on with its own. Inference hypothesises modifications to one
-// stored world rather than generating worlds: the prototype, every chain,
-// the durable store's shadow and its checkpoints hold one copy of the
-// evidence columns between them, and a chain privately owns just the
-// hidden column it flips. Reads of a world, Clone included, may run
-// concurrently; writing one needs it exclusively.
+// stored world rather than generating worlds: the prototype (which the
+// durable store keeps as it is), every chain and every checkpoint hold
+// one copy of the evidence columns between them, and a chain privately
+// owns just the hidden column it flips. Reads of a world, Clone included,
+// may run concurrently; writing one needs it exclusively.
 //
 // A STRING column's dictionary is not copied with its vector: it is one
 // per column lineage, shared by every clone and every copy, and only ever

@@ -108,11 +108,11 @@ func TestCacheHitAllocBudget(t *testing.T) {
 
 // TestCertainAnswerAllocBudget is the allocation gate of a certain
 // answer (testdata/alloc_budget.txt): an untraced, uncached Engine.Query
-// of a plan that reads no hidden column is one evaluation on chain 0's
-// world through its mailbox, with no view mounted and no sample awaited,
-// so it allocates the request pipeline's overhead, one streaming run and
-// its one-tuple answer — however many chains and samples it is served
-// with. Counts only, so this is a gate, not a trend.
+// of a plan that reads no hidden column is one evaluation on the
+// prototype world, with no chain asked, no view mounted and no sample
+// awaited, so it allocates the request pipeline's overhead, one streaming
+// run and its one-tuple answer — however many chains and samples it is
+// served with. Counts only, so this is a gate, not a trend.
 func TestCertainAnswerAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget gate skipped in -short mode")

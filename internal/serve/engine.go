@@ -73,8 +73,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
-// WALSink receives every committed op batch before it is fanned out to
-// the chains — the write-ahead contract. Append must not return until
+// WALSink receives every committed op batch before any world takes it —
+// the write-ahead contract. Append must not return until
 // the record is durable to the sink's configured policy; an error vetoes
 // the write. The canonical implementation is store.DiskStore.
 type WALSink interface {
@@ -143,7 +143,7 @@ type Config struct {
 	SlowQuery time.Duration
 
 	// WAL, when non-nil, durably logs every committed op batch before it
-	// is applied to any chain. An Append error fails the write.
+	// is applied to any world. An Append error fails the write.
 	WAL WALSink
 	// InitialDataEpoch seeds the data-epoch counter, so an engine built
 	// over a recovered world resumes the epoch sequence its WAL records
@@ -235,7 +235,12 @@ type engineMetrics struct {
 // Engine owns the trained world and serves concurrent queries over it.
 type Engine struct {
 	cfg Config
-	src *world.Prototype // the model, whose clones the chains walk
+	// src is the model. Its prototype world is the engine's one evidence
+	// world: writes resolve and land on it, certain plans read it, a
+	// durable store checkpoints it, and the chains walk clones of it.
+	// proto is the one change log over it, for the engine's life.
+	src   *world.Prototype
+	proto *world.ChangeLog
 	// strat is the sampling strategy cfg.Mode selected; chains is the
 	// pool it walks, empty under a private-chain mode.
 	strat  strategy
@@ -254,9 +259,10 @@ type Engine struct {
 	// within and (for practical purposes) across restarts.
 	traceSeed uint64
 
-	// writeMu serializes Exec calls: one logical mutation lands on every
-	// chain before the next begins, so the clones see identical op
-	// streams in identical order. Its read side guards prototype readers.
+	// writeMu serializes Exec calls: one logical mutation lands on the
+	// prototype and every chain before the next begins, so the clones see
+	// identical op streams in identical order. Its read side guards
+	// prototype readers.
 	writeMu sync.RWMutex
 	// dataEpoch counts committed writes. It is folded into every
 	// result-cache key, so each write makes all earlier entries
@@ -275,6 +281,7 @@ func New(src *world.Prototype, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		src:    src,
+		proto:  world.NewChangeLog(src.WorldDB()),
 		plans:  sqlparse.NewSchemaPlanCache(src.WorldDB(), cfg.PlanCacheSize),
 		admit:  newAdmission(cfg.MaxConcurrentQueries, cfg.MaxQueuedQueries),
 		cache:  newResultCache(cfg.CacheSize, cfg.CacheTTL, m.evictions),

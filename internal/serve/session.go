@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"factordb/internal/core"
-	"factordb/internal/ra"
 	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 )
@@ -66,7 +65,7 @@ type Result struct {
 	// budget: it is exact, and an exact answer is worth any budget.
 	Samples    int64
 	Chains     int
-	Epoch      int64 // latest chain epoch merged in
+	Epoch      int64 // latest chain epoch merged in; 0 for a certain answer, which no chain produced
 	Confidence float64
 	Partial    bool // deadline hit before the budget
 	Cached     bool
@@ -306,7 +305,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	}
 	defer e.admit.release()
 	if comp.Stmt.Certain {
-		return e.queryCertain(ctx, sql, comp, opts, tr)
+		return e.queryCertain(sql, comp, opts, tr)
 	}
 
 	start := time.Now()
@@ -388,23 +387,22 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 
 // queryCertain answers a certain plan: one that reads no hidden column,
 // so that every possible world gives it the same answer. One evaluation
-// at the current data epoch replaces the sampling pass — no view is
-// mounted and no sample awaited — and every tuple is exact, P = 1 with
-// the interval [1, 1]. An exact answer is worth any budget, so it
-// reports the budget as its sample count. The write lock's read side
-// keeps the evaluation and the epoch it is cached under together.
-func (e *Engine) queryCertain(ctx context.Context, sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
+// on the prototype world at the current data epoch replaces the
+// sampling pass — no view is mounted, no chain is asked and no sample
+// awaited — and every tuple is exact, P = 1 with the interval [1, 1].
+// An exact answer is worth any budget, so it reports the budget as its
+// sample count, and no chain produced it, so its Epoch is 0. The write
+// lock's read side keeps the evaluation and the data epoch it is cached
+// under together.
+func (e *Engine) queryCertain(sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
 	start := time.Now()
 	tr.span("evaluate")
 	e.writeMu.RLock()
 	epoch := e.dataEpoch.Load()
-	tuples, chainEpoch, err := e.strat.certain(ctx, comp.Stmt)
+	tuples, err := evalCertain(e.src.WorldDB(), comp.Stmt)
 	e.writeMu.RUnlock()
 	if err != nil {
 		e.finishTrace(tr, "error")
-		if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
-			return nil, err
-		}
 		e.m.failed.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
@@ -413,7 +411,6 @@ func (e *Engine) queryCertain(ctx context.Context, sql string, comp *sqlparse.Co
 		SQL:        sql,
 		Samples:    int64(opts.Samples),
 		Chains:     e.cfg.Chains,
-		Epoch:      chainEpoch,
 		Confidence: opts.Confidence,
 		cols:       comp.Cols,
 		tuples:     core.SortTupleCIs(tuples, comp.Spec),
@@ -592,19 +589,6 @@ wait:
 		tr.attr("early_stop", "true")
 	}
 	return col, nil
-}
-
-// certain runs on chain 0's world at an epoch boundary, as resolve does:
-// chain worlds hold the same evidence, and a certain plan reads nothing
-// else.
-func (p pool) certain(ctx context.Context, stmt *ra.Bound) (tuples []core.TupleCI, epoch int64, err error) {
-	c := p.chains[0]
-	err = c.call(ctx, func() (err error) {
-		tuples, err = evalCertain(c.log.DB(), stmt)
-		epoch = c.log.Epoch()
-		return err
-	})
-	return tuples, epoch, err
 }
 
 // topKCheckInterval is how often a waiting ranked query peeks at the

@@ -13,24 +13,19 @@ import (
 
 // strategy is the one step in which the paper's evaluation algorithms
 // differ — how a query's samples are obtained — and its mirror image on
-// the write side: which worlds a resolved mutation lands on. Everything
-// around it (plan cache, result cache, admission, tracing, logging,
-// ranking, WAL, data epoch) belongs to the Engine and exists once.
+// the write side: which worlds beside the prototype a write lands on.
+// Everything around it (plan cache, result cache, admission, tracing,
+// logging, ranking, WAL, data epoch, the prototype world that writes
+// resolve on and certain plans read) belongs to the Engine and exists
+// once.
 type strategy interface {
 	// collectOnce runs one sampling pass of comp up to opts.Samples (or
 	// cancellation, or shutdown) and returns the merged estimate.
 	collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 		opts QueryOptions, z float64, tr *qtrace) (collection, error)
-	// certain evaluates a certain plan once, on a world that holds the
-	// evidence as of the current data epoch, and returns its answer and
-	// the epoch of the chain it ran on (0 on the prototype). The caller
-	// holds the read side of the write lock.
-	certain(ctx context.Context, stmt *ra.Bound) ([]core.TupleCI, int64, error)
-	// resolve turns mut into row-level ops against the current world
-	// without applying them.
-	resolve(ctx context.Context, mut ra.Mutation) ([]world.Op, error)
-	// apply lands resolved ops on every world copy. It runs after the WAL
-	// append, under the write lock, and is not cancellable.
+	// apply lands resolved ops on the prototype and on every world copy
+	// walked from it. It runs after the WAL append, under the write lock,
+	// and is not cancellable.
 	apply(ops []world.Op, tr *qtrace) error
 	// analyze runs one instrumented evaluation of stmt per world copy
 	// and merges the per-operator counters.
@@ -39,15 +34,15 @@ type strategy interface {
 
 // pool is the served strategy: the engine's long-lived chains, whose
 // walk every in-flight query shares. Its methods sit next to the code
-// they drive — collectOnce in session.go, resolve/apply in write.go,
-// analyze in explain.go.
+// they drive — collectOnce in session.go, apply in write.go, analyze in
+// explain.go.
 type pool struct{ *Engine }
 
 // private is the paper's single-chain strategy: every query clones the
 // model's prototype world and walks it in the calling goroutine for its
 // whole budget — re-running the query per sample (core.Naive,
 // Algorithm 3) or maintaining it as a view (core.Materialized,
-// Algorithm 1). Writes mutate the prototype, so every later clone
+// Algorithm 1). Writes land on the prototype only, so every later clone
 // carries them. The seed is used as given: equal queries repeat the same
 // walk.
 type private struct {
@@ -94,13 +89,6 @@ func (p private) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	return col, nil
 }
 
-// certain runs on the prototype, which no chain walks: a certain plan
-// reads evidence only, which a clone would copy unchanged.
-func (p private) certain(_ context.Context, stmt *ra.Bound) ([]core.TupleCI, int64, error) {
-	tuples, err := evalCertain(p.src.WorldDB(), stmt)
-	return tuples, 0, err
-}
-
 // evalCertain mounts stmt on db and runs it once. Its distinct tuples
 // are the answer, each in it with certainty: one sample counts every
 // one, and an interval at quantile 0 is the point [1, 1].
@@ -118,18 +106,11 @@ func evalCertain(db *relstore.DB, stmt *ra.Bound) ([]core.TupleCI, error) {
 	return est.ResultsCI(0), nil
 }
 
-func (p private) resolve(_ context.Context, mut ra.Mutation) ([]world.Op, error) {
-	return world.ResolveMutation(p.src.WorldDB(), mut)
-}
-
-// apply mutates the prototype world. The caller holds the write lock, so
-// no reader observes a half-applied batch. The change log is
-// throwaway: the prototype has no views to maintain, and chains clone the
-// store, not the delta.
+// apply has nothing to land beyond the prototype: no chain outlives the
+// query that cloned it.
 func (p private) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("apply")
-	_, err := world.NewChangeLog(p.src.WorldDB()).ApplyOps(ops)
-	return err
+	return p.applyPrototype(ops)
 }
 
 func (p private) analyze(_ context.Context, stmt *ra.Bound) (*ra.StreamStats, error) {

@@ -24,8 +24,9 @@ type ExecResult struct {
 	// result cache keys on it, so no answer cached before this write can
 	// be served after it.
 	Epoch int64
-	// Chains is the number of possible-world copies the mutation was
-	// applied to (the pool size in served mode, 1 otherwise).
+	// Chains is the engine's chain count: the pool size in served mode,
+	// whose every chain took the mutation after the prototype did, and 1
+	// otherwise.
 	Chains int
 	// Elapsed is the wall time to commit, including the post-write
 	// burn-in on every chain in served mode.
@@ -62,34 +63,36 @@ type FsyncReporter interface {
 }
 
 // Exec compiles one DML statement (INSERT, UPDATE or DELETE), applies it
-// to every chain's world, and blocks until all chains have absorbed it.
-// This is the paper's data-update model made operational: the database is
-// one possible world plus a factor graph, so a write mutates the world
-// in place and the chains keep sampling, with no lineage recomputation
-// and no engine restart. The factor graph does not see the write yet, so
-// it moves answers that select on the written evidence, not the hidden
-// variables' marginals.
+// to the prototype world and every chain's world, and blocks until all
+// chains have absorbed it. This is the paper's data-update model made
+// operational: the database is one possible world plus a factor graph,
+// so a write mutates the world in place and the chains keep sampling,
+// with no lineage recomputation and no engine restart. The factor graph
+// does not see the write yet, so it moves answers that select on the
+// written evidence, not the hidden variables' marginals.
 //
-// The mutation is resolved once, on chain 0, into concrete row-level ops
-// (predicates evaluated, row identities fixed), then the identical op
-// list is fanned out to every chain — chain worlds share row identities
-// by construction, so they never diverge on evidence. Each chain applies
-// the ops at an epoch boundary, walks StepsPerSample steps to
-// re-equilibrate, folds the combined delta into its live views once, and
-// resets their estimators: queries in flight across the write complete
-// with post-write samples only, and queries issued after Exec returns
-// never observe pre-write state. Committing bumps the data epoch, which
-// is part of every result-cache key, so all cached pre-write answers
-// become unreachable. (Under a private-chain mode there are no chains to
-// fan out to: the ops are resolved against, and applied to, the source's
-// prototype world.)
+// The prototype is the engine's one evidence world, in every mode. Under
+// the write lock the mutation is resolved on it into concrete row-level
+// ops (predicates evaluated, row identities fixed), appended to the WAL,
+// and applied to it; then the identical op list is fanned out to every
+// chain — chain worlds are clones of the prototype that took the same op
+// stream, so they share its row identities and never diverge on
+// evidence. Each chain applies the ops at an epoch boundary, walks
+// StepsPerSample steps to re-equilibrate, folds the combined delta into
+// its live views once, and resets their estimators: queries in flight
+// across the write complete with post-write samples only, and queries
+// issued after Exec returns never observe pre-write state. Committing
+// bumps the data epoch, which is part of every result-cache key, so all
+// cached pre-write answers become unreachable. (Under a private-chain
+// mode there are no chains to fan out to: every later query clones the
+// written prototype.)
 //
 // Writes pass the same admission control as queries and are serialized
-// with each other. ctx is honored up to the point of no return: once the
-// fan-out starts, Exec completes (or the engine closes) regardless of
-// cancellation, because a half-applied write would fork the chains'
-// worlds. opts carries the per-write tracing choices and the values of
-// the statement's ? placeholders.
+// with each other. ctx is honored until the write is admitted: from then
+// on Exec completes (or the engine closes) regardless of cancellation,
+// because a half-applied write would fork the worlds.
+// opts carries the per-write tracing choices and the values of the
+// statement's ? placeholders.
 func (e *Engine) Exec(ctx context.Context, sql string, opts ExecOptions) (*ExecResult, error) {
 	if e.Closed() {
 		return nil, ErrClosed
@@ -121,8 +124,8 @@ func (e *Engine) finishExec(ctx context.Context, sql string, res *ExecResult, ou
 	e.auditWrite(ctx, sql, res, outcome, tr)
 }
 
-// execMutation is Exec's write core: admission, single-point
-// resolution, WAL append, the strategy's apply, epoch bump. A traced
+// execMutation is Exec's write core: admission, resolution on the
+// prototype, WAL append, the strategy's apply, epoch bump. A traced
 // write spans each stage contiguously — compile / admission_wait /
 // resolve / wal_append / fsync / the apply spans / cache_invalidate.
 func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, tr *qtrace, begin time.Time) (res *ExecResult, err error) {
@@ -150,12 +153,8 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	start := time.Now()
 
 	tr.span("resolve")
-	ops, err := e.strat.resolve(ctx, mut)
+	ops, err := world.ResolveMutation(e.src.WorldDB(), mut)
 	if err != nil {
-		if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
-			outcome = "canceled"
-			return nil, err
-		}
 		e.m.failed.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
@@ -174,8 +173,8 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 		return res, nil
 	}
 
-	// Write-ahead: the batch goes to the durable log before any chain
-	// sees it. An Append error vetoes the write with every world still
+	// Write-ahead: the batch goes to the durable log before any world
+	// takes it. An Append error vetoes the write with every world still
 	// untouched. The converse failure — Append succeeded but the fan-out
 	// below aborted on shutdown — leaves a record that recovery will
 	// replay, which is the standard WAL commit rule: durable means
@@ -193,7 +192,8 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 		tr.splitTail("fsync", fsyncNS)
 	}
 
-	// Point of no return: every world copy must absorb the same ops.
+	// Point of no return: the prototype and every world copy must absorb
+	// the same ops.
 	if err := e.strat.apply(ops, tr); err != nil {
 		return nil, err
 	}
@@ -212,26 +212,30 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 	return res, nil
 }
 
-// resolve resolves once, on chain 0: chain worlds share row identities by
-// construction, so the op list is valid on every chain.
-func (p pool) resolve(ctx context.Context, mut ra.Mutation) (ops []world.Op, err error) {
-	c := p.chains[0]
-	err = c.call(ctx, func() (err error) {
-		ops, err = world.ResolveMutation(c.log.DB(), mut)
-		return err
-	})
-	return ops, err
+// applyPrototype lands ops on the prototype through the engine's one log
+// over it, whose delta nobody folds: the prototype has no views, and
+// chains clone the store, not the delta. The caller holds the write lock,
+// so no reader observes a half-applied batch. Resolution ran on this
+// world, so an error is a bug, reported rather than papered over.
+func (e *Engine) applyPrototype(ops []world.Op) error {
+	_, err := e.proto.ApplyOps(ops)
+	e.proto.Discard()
+	return err
 }
 
-// apply fans the ops out to every chain in parallel and waits for all of
-// them. It is deliberately not cancellable — a write that reached some
-// chains must reach all of them — so only engine shutdown aborts. A
-// traced write spans fanout / burn_in / delta_fold / republish: each
-// phase opens when the slowest chain finished the one before. republish
-// copies nothing; it keeps its name as a stable span and runs from the
-// slowest chain's delta fold to the fan-out's return.
+// apply lands the ops on the prototype, then fans them out to every
+// chain in parallel and waits for all of them. It is deliberately not
+// cancellable — a write that reached some chains must reach all of them
+// — so only engine shutdown aborts. A traced write spans fanout /
+// burn_in / delta_fold / republish: each phase opens when the slowest
+// chain finished the one before. republish copies nothing; it keeps its
+// name as a stable span and runs from the slowest chain's delta fold to
+// the fan-out's return.
 func (p pool) apply(ops []world.Op, tr *qtrace) error {
 	tr.span("fanout")
+	if err := p.applyPrototype(ops); err != nil {
+		return err
+	}
 	ends := make([][3]time.Time, len(p.chains))
 	if err := p.each(context.Background(), func(i int, c *chain) (err error) {
 		ends[i], err = c.applyWrite(ops, p.cfg.StepsPerSample)
@@ -273,6 +277,20 @@ func (p pool) each(ctx context.Context, f func(i int, c *chain) error) error {
 		}
 	}
 	return nil
+}
+
+// Checkpoint has the WAL sink snapshot the prototype world, when it can
+// (store.DiskStore can; any other sink makes it a no-op). It runs under
+// the write lock's read side, so the world the sink clones holds every
+// committed write and no half-applied one, while certain reads go on.
+func (e *Engine) Checkpoint() error {
+	ck, ok := e.cfg.WAL.(interface{ Checkpoint() error })
+	if !ok {
+		return nil
+	}
+	e.writeMu.RLock()
+	defer e.writeMu.RUnlock()
+	return ck.Checkpoint()
 }
 
 // DataEpoch returns the number of committed writes — the data-epoch

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +14,8 @@ import (
 	"time"
 
 	"factordb/internal/exp"
+	"factordb/internal/relstore"
+	"factordb/internal/store"
 	"factordb/internal/world"
 )
 
@@ -268,7 +273,7 @@ func TestCertainReadAfterWrite(t *testing.T) {
 }
 
 // gateWAL holds its one Append until release closes, so a test can stop
-// a write between its resolve on chain 0 and its fan-out.
+// a write between its resolve on the prototype and its fan-out.
 type gateWAL struct{ entered, release chan struct{} }
 
 func (g gateWAL) Append(int64, []world.Op) error {
@@ -595,4 +600,147 @@ func TestExecQueryCloseRace(t *testing.T) {
 	if _, err := eng.Exec(ctx, `DELETE FROM MENTION`, ExecOptions{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Exec after Close = %v, want ErrClosed", err)
 	}
+}
+
+// TestPrototypeTakesEveryWrite pins the engine's one evidence world: in
+// every mode a write resolves and lands on the prototype, which a durable
+// store keeps by reference and checkpoints. After each UPDATE, INSERT and
+// DELETE, on NER and on coref, every chain's evidence equals the
+// prototype's, the store's world is the prototype itself, and a
+// checkpoint taken through the engine recovers the prototype byte for
+// byte.
+func TestPrototypeTakesEveryWrite(t *testing.T) {
+	models := []struct {
+		name   string
+		build  func() (*world.Prototype, error)
+		writes []string
+	}{
+		{"ner", func() (*world.Prototype, error) {
+			sys, err := exp.BuildNER(exp.Config{NumTokens: 2000, Seed: 3, UseSkip: true})
+			if err != nil {
+				return nil, err
+			}
+			return sys.Prototype, nil
+		}, []string{
+			`UPDATE TOKEN SET STRING = 'Boston' WHERE TOK_ID = 5`,
+			`INSERT INTO TOKEN (TOK_ID, DOC_ID, STRING, LABEL, TRUTH) VALUES (10000000, 9000000, 'ins', 'O', 'O')`,
+			`DELETE FROM TOKEN WHERE TOK_ID = 7`,
+		}},
+		{"coref", func() (*world.Prototype, error) {
+			sys, err := exp.BuildCorefOver(exp.CorefConfig{NumEntities: 4, MentionsPerEntity: 3, Seed: 11}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return sys.Prototype, nil
+		}, []string{
+			`UPDATE MENTION SET STRING = 'CORRECTED' WHERE MENTION_ID = 0`,
+			`INSERT INTO MENTION (MENTION_ID, STRING, CLUSTER) VALUES (99, 'NEW', 42)`,
+			`DELETE FROM MENTION WHERE MENTION_ID = 1`,
+		}},
+	}
+	ctx := context.Background()
+	for _, m := range models {
+		for _, mode := range []Mode{Pooled, PrivateNaive, PrivateMaterialized} {
+			t.Run(m.name+"/"+mode.String(), func(t *testing.T) {
+				src, err := m.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				st, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever, CheckpointOps: -1, CheckpointBytes: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				if err := st.Seed(src.WorldDB(), 0); err != nil {
+					t.Fatal(err)
+				}
+				eng, err := New(src, Config{Mode: mode, Chains: 2, StepsPerSample: 50, Seed: 1, WAL: st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				proto := src.WorldDB()
+				for _, sql := range m.writes {
+					if _, err := eng.Exec(ctx, sql, ExecOptions{}); err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+					want := evidence(proto)
+					for _, c := range eng.chains {
+						var got string
+						if err := c.call(ctx, func() error { got = evidence(c.log.DB()); return nil }); err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Errorf("after %s: chain %d's evidence differs from the prototype's", sql, c.id)
+						}
+					}
+					if st.World() != proto {
+						t.Fatalf("after %s: the store keeps a world other than the prototype", sql)
+					}
+					if err := eng.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(reopenedDump(t, dir), dumpOf(t, proto)) {
+						t.Errorf("after %s: the checkpoint recovers a world other than the prototype", sql)
+					}
+				}
+			})
+		}
+	}
+}
+
+// evidence renders every live row's evidence columns — all but the
+// hidden ones — with its row id.
+func evidence(db *relstore.DB) string {
+	var b strings.Builder
+	for _, name := range db.Names() {
+		rel, _ := db.Relation(name)
+		rel.Scan(func(id relstore.RowID, tup relstore.Tuple) bool {
+			fmt.Fprintf(&b, "%s %d", name, id)
+			for i, v := range tup {
+				if !rel.Schema().Hidden(i) {
+					fmt.Fprintf(&b, " %s", v)
+				}
+			}
+			b.WriteByte('\n')
+			return true
+		})
+	}
+	return b.String()
+}
+
+func dumpOf(t *testing.T, db *relstore.DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reopenedDump recovers a copy of the data directory dir, which a live
+// store holds open, and dumps the world it recovers.
+func reopenedDump(t *testing.T, dir string) []byte {
+	t.Helper()
+	cp := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := store.Open(store.Options{Dir: cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	return dumpOf(t, r.World())
 }

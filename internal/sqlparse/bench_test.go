@@ -247,6 +247,26 @@ func TestFrontEndBudget(t *testing.T) {
 	if again != 0 && !raceEnabled {
 		t.Errorf("re-executing a cached placeholder statement with earlier arguments allocates %v objects, want 0", again)
 	}
+	// So does a statement whose text is longer (353 bytes) than any key
+	// built on the stack: the key names the entry by its id.
+	long := `SELECT STRING FROM TOKEN WHERE LABEL = ?` +
+		strings.Repeat(` AND STRING <> 'padding'`, 12) + ` AND STRING <> 'padding2'`
+	longArgs := []any{"B-PER"}
+	lc, _, err := pc.Lookup(long, UseQuery)
+	if err == nil {
+		_, err = lc.Bind(longArgs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	againLong := testing.AllocsPerRun(100, func() {
+		if _, err := lc.Bind(longArgs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if againLong != 0 && !raceEnabled {
+		t.Errorf("re-executing a cached %d-byte placeholder statement with earlier arguments allocates %v objects, want 0", len(long), againLong)
+	}
 
 	coldNS := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

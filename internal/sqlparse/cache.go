@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"factordb/internal/ra"
 	"factordb/internal/relstore"
@@ -36,6 +37,7 @@ type Compiled struct {
 	Params int
 
 	sql   string     // the text of a statement with placeholders; "" on other entries
+	id    uint64     // that statement's name in cache's bind keys, unique in cache
 	query bool       // that statement is a SELECT
 	cache *PlanCache // where Bind keeps its plans, and binds them against
 }
@@ -82,10 +84,12 @@ func (c *Compiled) admits(use Use) bool {
 // with no arguments at all the statement fails to plan on its first
 // unbound placeholder.
 //
-// The result is kept in the plan cache, keyed on the statement's text
-// and the literals the arguments bind as: an execution whose arguments
-// were bound before parses and plans nothing, just as a literal spelling
-// issued again is a plan-cache hit.
+// The result is kept in the plan cache, keyed on the entry's id and the
+// literals the arguments bind as: an execution whose arguments were bound
+// before parses and plans nothing, just as a literal spelling issued
+// again is a plan-cache hit, and however long the statement, builds its
+// key on the stack. A statement evicted and compiled again is a new entry
+// with a new id, so its first execution per argument list misses.
 func (c *Compiled) Bind(args []any) (*Compiled, error) {
 	// A statement with placeholders and no arguments goes on to fail on
 	// its first unbound placeholder.
@@ -115,11 +119,12 @@ func (c *Compiled) Bind(args []any) (*Compiled, error) {
 	return out, nil
 }
 
-// bindKey appends the key Bind keeps c bound to args under: c's text and
-// the literal each argument binds as, quoted or ';'-terminated, so two
-// argument lists share a key exactly when they bind the same statement.
+// bindKey appends the key Bind keeps c bound to args under: c's id and
+// the literal each argument binds as, each ';'-terminated or quoted, so
+// two argument lists share a key exactly when they bind the same
+// statement.
 func (c *Compiled) bindKey(key []byte, args []any) ([]byte, error) {
-	key = strconv.AppendQuote(key, c.sql)
+	key = append(strconv.AppendUint(key, c.id, 10), ';')
 	for i, arg := range args {
 		op, err := literalOperand(arg, i)
 		switch {
@@ -173,7 +178,7 @@ func compile(sql string, use Use, pc *PlanCache) (c *Compiled, err error) {
 				Target:  strings.TrimSpace(sql[stmt.target:]),
 			}}
 		case stmt.Params > 0:
-			c = &Compiled{Params: stmt.Params, sql: sql, query: stmt.Select != nil, cache: pc}
+			c = &Compiled{Params: stmt.Params, sql: sql, id: pc.ids.Add(1), query: stmt.Select != nil, cache: pc}
 		default:
 			c, err = build(stmt, pc.schema)
 		}
@@ -199,6 +204,7 @@ type PlanCache struct {
 	mu     sync.Mutex
 	stmts  fifo // keyed on the raw SQL
 	binds  fifo // keyed on Compiled.bindKey
+	ids    atomic.Uint64
 	cap    int
 	schema *relstore.DB
 }

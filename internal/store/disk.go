@@ -30,24 +30,24 @@ const walName = "wal.log"
 
 // DiskStore is the durable store the engine writes through: one
 // append-only wal1 log plus checkpointed snap2 snapshots in a flat
-// directory. It keeps a private "shadow" copy of
-// the durable world — the snapshot-plus-log state — which every Append
-// advances, so checkpointing never has to reach into the engine: a
-// checkpoint is a clone of the shadow dumped to disk, followed by a
+// directory. It owns no world of its own: it keeps the caller's world —
+// the one Seed was given, or the one Open recovered — by reference, and
+// a checkpoint is a clone of that world dumped to disk, followed by a
 // rewrite of the log that drops the prefix the kept older snapshot
-// covers.
+// covers. The caller is the world's one writer, and the WAL-first rule
+// is its to keep: it applies a batch only after Append returned, and it
+// never mutates the world while Append or Checkpoint runs.
 type DiskStore struct {
 	opts Options
 	rec  Recovery
 
 	mu         sync.Mutex
-	f          *os.File // wal handle, positioned at end of the valid prefix
-	shadow     *relstore.DB
-	shadowLog  *world.ChangeLog
+	f          *os.File     // wal handle, positioned at end of the valid prefix
+	world      *relstore.DB // the caller's, which takes each batch after its Append
 	closed     bool
 	dirty      bool  // appended frames not yet fsynced
-	sinceOps   int64 // appended ops since the last checkpoint was cut
-	sinceBytes int64 // appended log bytes since the last checkpoint was cut
+	sinceOps   int64 // ops appended since the last checkpoint was cut
+	sinceBytes int64 // log bytes appended since the last checkpoint was cut
 	pending    *cut  // cut by Append, not yet taken by the worker
 	lastErr    string
 
@@ -79,7 +79,8 @@ type DiskStore struct {
 // Open recovers (or initializes) a disk store in opts.Dir: it loads the
 // newest valid snapshot, replays the log tail past the snapshot's
 // epoch, truncates away a torn final record, and leaves the log handle
-// positioned for appends. The Recovery result says what happened.
+// positioned for appends. The Recovery result says what happened, and
+// World returns the recovered world, which the store keeps as its own.
 func Open(opts Options) (*DiskStore, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -95,14 +96,13 @@ func Open(opts Options) (*DiskStore, error) {
 	}
 
 	phase := time.Now()
-	shadow, snapEpoch, snapBytes, haveSnap, err := latestSnapshot(opts.Dir)
+	db, snapEpoch, snapBytes, haveSnap, err := latestSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	s.rec.SnapshotLoadNS = time.Since(phase).Nanoseconds()
 	if haveSnap {
-		s.shadow = shadow
-		s.shadowLog = world.NewChangeLog(shadow)
+		s.world = db
 		s.snapEpoch.Store(snapEpoch)
 		s.snapBytes.Store(snapBytes)
 		s.rec.SnapshotEpoch = snapEpoch
@@ -121,14 +121,18 @@ func Open(opts Options) (*DiskStore, error) {
 			return nil, serr
 		}
 		s.rec.TornTail = torn
+		var log *world.ChangeLog
 		for _, r := range recs {
 			if r.epoch <= snapEpoch {
 				continue // inside the snapshot; kept for the older fallback
 			}
-			if s.shadow == nil {
+			if s.world == nil {
 				return nil, fmt.Errorf("%w: record at epoch %d in %s", ErrNoBase, r.epoch, walPath)
 			}
-			if _, aerr := s.shadowLog.ApplyOps(r.ops); aerr != nil {
+			if log == nil {
+				log = world.NewChangeLog(s.world)
+			}
+			if _, aerr := log.ApplyOps(r.ops); aerr != nil {
 				return nil, fmt.Errorf("store: replaying wal record at epoch %d: %w", r.epoch, aerr)
 			}
 			s.rec.ReplayedRecords++
@@ -136,8 +140,8 @@ func Open(opts Options) (*DiskStore, error) {
 			s.sinceBytes += int64(len(r.frame))
 			epoch = r.epoch
 		}
-		if s.shadowLog != nil {
-			s.shadowLog.Discard() // no views to maintain; drop the replay delta
+		if log != nil {
+			log.Discard() // no views to maintain; drop the replay delta
 		}
 		s.rec.ReplayNS = time.Since(phase).Nanoseconds()
 		if torn {
@@ -183,8 +187,8 @@ func Open(opts Options) (*DiskStore, error) {
 	return s, nil
 }
 
-// cut is a checkpoint fixed in the write sequence: a clone of the shadow
-// world at epoch, waiting to be written.
+// cut is a checkpoint fixed in the write sequence: a clone of the world
+// at epoch, waiting to be written.
 type cut struct {
 	world *relstore.DB
 	epoch int64
@@ -261,37 +265,33 @@ func (s *DiskStore) Recovery() Recovery { return s.rec }
 // it to attribute WAL time between buffering and stable storage.
 func (s *DiskStore) LastFsyncNS() int64 { return s.lastFsyncNS.Load() }
 
-// WorldClone returns an independent copy of the durable world (nil when
-// the store was never seeded).
-func (s *DiskStore) WorldClone() *relstore.DB {
+// World returns the world the store keeps: the one Seed was given, or
+// the one Open recovered (nil when the store was never seeded). It is
+// the caller's to serve and to write, under the rules in DiskStore.
+func (s *DiskStore) World() *relstore.DB {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.shadow == nil {
-		return nil
-	}
-	return s.shadow.Clone()
+	return s.world
 }
 
-// Seed installs the initial world and writes the base snapshot, so a
-// later recovery always has a world to replay the log onto. Seeding a
-// store that already holds a world fails with ErrSeeded.
+// Seed keeps db as the store's world, by reference, and writes it as the
+// base snapshot, so a later recovery always has a world to replay the log
+// onto. The caller must not mutate db until Seed returns. Seeding a store
+// that already holds a world fails with ErrSeeded.
 func (s *DiskStore) Seed(db *relstore.DB, epoch int64) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.shadow != nil {
+	if s.world != nil {
 		s.mu.Unlock()
 		return ErrSeeded
 	}
-	s.shadow = db.Clone()
-	s.shadowLog = world.NewChangeLog(s.shadow)
+	s.world = db
 	s.epoch.Store(epoch)
-	shadow := s.shadow
 	s.mu.Unlock()
-	// Dump from the private clone: the caller keeps mutating its world.
-	size, err := writeSnapshot(s.opts.Dir, epoch, shadow)
+	size, err := writeSnapshot(s.opts.Dir, epoch, db)
 	if err != nil {
 		return err
 	}
@@ -301,10 +301,10 @@ func (s *DiskStore) Seed(db *relstore.DB, epoch int64) error {
 }
 
 // Append durably logs one committed op batch, stamped with the data
-// epoch it produces, and advances the shadow world. Epochs must strictly
-// increase; an error means nothing was committed and the write must
-// fail. The frame is written (and under FsyncAlways, synced) before the
-// shadow moves, so the log is never behind the world it describes.
+// epoch it produces. It applies nothing: the caller applies ops to the
+// world only after Append returned, so the log is never behind the world
+// it describes. Epochs must strictly increase; an error means nothing was
+// committed and the write must fail.
 func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 	start := time.Now()
 	frame := appendFrame(nil, encodePayload(epoch, ops))
@@ -314,6 +314,7 @@ func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 	if s.closed {
 		return ErrClosed
 	}
+	prev := s.epoch.Load()
 	if _, err := s.f.Write(frame); err != nil {
 		// A partial frame write leaves a torn tail; the CRC framing makes
 		// the next recovery drop it, so the store stays usable only if we
@@ -337,15 +338,6 @@ func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 		s.lastFsyncNS.Store(0)
 		s.dirty = true
 	}
-	if s.shadowLog != nil {
-		if _, err := s.shadowLog.ApplyOps(ops); err != nil {
-			// The log already holds the record, so the durable state is
-			// correct; the in-memory shadow diverging means the caller fed
-			// ops resolved against a different world — a bug to surface.
-			return fmt.Errorf("store: shadow world rejected ops: %w", err)
-		}
-		s.shadowLog.Discard() // the shadow maintains no views; discard deltas
-	}
 	s.epoch.Store(epoch)
 	s.walBytes.Add(int64(len(frame)))
 	s.walRecords.Add(1)
@@ -356,13 +348,15 @@ func (s *DiskStore) Append(epoch int64, ops []world.Op) error {
 	}
 
 	// Once the log has grown past a threshold (only meaningful once a
-	// world is seeded), the checkpoint is cut here: the shadow is cloned
-	// at this epoch and the counts restart, and the worker only writes
-	// it. Which writes a checkpoint covers and when the next one is due
-	// therefore follow from the writes alone, never from how soon the
-	// worker runs or how long a snapshot takes to write.
-	if s.shadow != nil && s.checkpointDue() {
-		s.pending = &cut{world: s.shadow.Clone(), epoch: epoch}
+	// world is seeded), the checkpoint is cut here: the world is cloned
+	// and the counts restart, and the worker only writes it. The caller
+	// has not applied this batch yet, so the clone is the world at the
+	// previous epoch and this record stays in the tail. Which writes a
+	// checkpoint covers and when the next one is due therefore follow
+	// from the writes alone, never from how soon the worker runs or how
+	// long a snapshot takes to write.
+	if s.world != nil && s.checkpointDue() {
+		s.pending = &cut{world: s.world.Clone(), epoch: prev}
 		s.sinceOps, s.sinceBytes = 0, 0
 		select {
 		case s.ckCh <- struct{}{}:
@@ -378,10 +372,12 @@ func (s *DiskStore) checkpointDue() bool {
 		(s.opts.CheckpointBytes > 0 && s.sinceBytes >= s.opts.CheckpointBytes)
 }
 
-// Checkpoint snapshots the shadow world at its current epoch and drops
-// the covered log prefix. The world clone happens under the lock but
-// the snapshot write does not, so appends only stall for the clone and
-// the log rewrite. It supersedes a cut the worker has not taken yet.
+// Checkpoint snapshots the world at the epoch of the last Append and
+// drops the covered log prefix, so the caller must have applied every
+// appended batch and must not write the world until the clone is taken.
+// The clone happens under the store's lock but the snapshot write does
+// not, so appends only stall for the clone and the log rewrite. It
+// supersedes a cut the worker has not taken yet.
 func (s *DiskStore) Checkpoint() error {
 	start := time.Now()
 	s.mu.Lock()
@@ -389,11 +385,11 @@ func (s *DiskStore) Checkpoint() error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.shadow == nil {
+	if s.world == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("store: checkpoint without a seeded world")
 	}
-	c := &cut{world: s.shadow.Clone(), epoch: s.epoch.Load()}
+	c := &cut{world: s.world.Clone(), epoch: s.epoch.Load()}
 	s.sinceOps, s.sinceBytes = 0, 0
 	s.pending = nil
 	s.mu.Unlock()

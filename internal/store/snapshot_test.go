@@ -88,10 +88,14 @@ func TestMostlyDeletedWorldCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Fsync: FsyncNever, CheckpointOps: -1, CheckpointBytes: -1}
 	s := openStore(t, dir, opts)
-	if err := s.Seed(world70k(), 0); err != nil {
+	seeded := world70k()
+	if err := s.Seed(seeded, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(1, ops); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := world.NewChangeLog(seeded).ApplyOps(ops); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -103,7 +107,7 @@ func TestMostlyDeletedWorldCheckpoints(t *testing.T) {
 	if rec := r.Recovery(); rec.SnapshotEpoch != 1 || rec.Epoch != 1 || rec.ReplayedRecords != 0 {
 		t.Fatalf("recovery %+v, want snapshot and epoch 1", rec)
 	}
-	if !bytes.Equal(dump(t, r.WorldClone()), dump(t, want)) {
+	if !bytes.Equal(dump(t, r.World()), dump(t, want)) {
 		t.Fatal("the checkpoint recovered another world")
 	}
 }
@@ -125,13 +129,18 @@ func TestSnapshotBytesStat(t *testing.T) {
 	if got := s.Stats().SnapshotBytes; got != 0 {
 		t.Fatalf("fresh store reports a %d-byte snapshot", got)
 	}
-	if err := s.Seed(testWorld(t), 0); err != nil {
+	db := testWorld(t)
+	if err := s.Seed(db, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.Stats().SnapshotBytes, fileSize(0); got != want {
 		t.Fatalf("after Seed: %d bytes, the file holds %d", got, want)
 	}
-	if err := s.Append(1, []world.Op{insertOp(100, strings.Repeat("x", 500))}); err != nil {
+	ops := []world.Op{insertOp(100, strings.Repeat("x", 500))}
+	if err := s.Append(1, ops); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := world.NewChangeLog(db).ApplyOps(ops); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {

@@ -122,10 +122,10 @@ func TestReopenRestoresWorldAndEpoch(t *testing.T) {
 	log := world.NewChangeLog(db)
 	for i := int64(1); i <= 5; i++ {
 		ops := []world.Op{updateOp(i, "v"), insertOp(100+i, "new")}
-		if _, err := log.ApplyOps(ops); err != nil {
+		if err := s.Append(i, ops); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(i, ops); err != nil {
+		if _, err := log.ApplyOps(ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestReopenRestoresWorldAndEpoch(t *testing.T) {
 	if rec.Epoch != 5 || rec.ReplayedRecords != 5 || rec.ReplayedOps != 10 || rec.TornTail || rec.Fresh {
 		t.Fatalf("recovery %+v, want epoch 5, 5 records, 10 ops, no torn tail", rec)
 	}
-	got := r.WorldClone()
+	got := r.World()
 	if got == nil {
 		t.Fatal("no recovered world")
 	}
@@ -163,10 +163,10 @@ func TestCheckpointReplaysOnlyTail(t *testing.T) {
 	log := world.NewChangeLog(db)
 	apply := func(epoch int64) {
 		ops := []world.Op{updateOp(epoch%8, "ck")}
-		if _, err := log.ApplyOps(ops); err != nil {
+		if err := s.Append(epoch, ops); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(epoch, ops); err != nil {
+		if _, err := log.ApplyOps(ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func TestCheckpointReplaysOnlyTail(t *testing.T) {
 	if rec.SnapshotEpoch != 9 || rec.Epoch != 12 || rec.ReplayedRecords != 3 {
 		t.Fatalf("recovery %+v, want snapshot 9, epoch 12, 3 tail records", rec)
 	}
-	if !bytes.Equal(dump(t, r.WorldClone()), want) {
+	if !bytes.Equal(dump(t, r.World()), want) {
 		t.Fatal("recovered world differs after checkpoint + tail replay")
 	}
 	if st := r.Stats(); st.WALRecords != 3 {
@@ -229,10 +229,10 @@ func TestOpCountTriggersCheckpoint(t *testing.T) {
 	log := world.NewChangeLog(db)
 	for e := int64(1); e <= 40; e++ {
 		ops := []world.Op{updateOp(e%8, "auto")}
-		if _, err := log.ApplyOps(ops); err != nil {
+		if err := s.Append(e, ops); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(e, ops); err != nil {
+		if _, err := log.ApplyOps(ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,11 +259,12 @@ func TestOpCountTriggersCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointCutByWrites: a background checkpoint covers exactly the
-// write that crossed the threshold, however far the worker lags behind
-// the writes racing it, and writes that land while a snapshot is being
-// written never start a redundant one. So which writes each checkpoint
-// covers, and how many checkpoints a run of writes makes, follow from the
-// writes alone.
+// writes before the one that crossed the threshold — the caller applies
+// that one only after its Append, so it stays in the log tail — however
+// far the worker lags behind the writes racing it, and writes that land
+// while a snapshot is being written never start a redundant one. So which
+// writes each checkpoint covers, and how many checkpoints a run of writes
+// makes, follow from the writes alone.
 func TestCheckpointCutByWrites(t *testing.T) {
 	const every, writes = 4, 40
 	db := testWorld(t)
@@ -285,10 +286,10 @@ func TestCheckpointCutByWrites(t *testing.T) {
 	log := world.NewChangeLog(db)
 	for e := int64(1); e <= writes; e++ {
 		ops := []world.Op{updateOp(e%8, "auto")}
-		if _, err := log.ApplyOps(ops); err != nil {
+		if err := s.Append(e, ops); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(e, ops); err != nil {
+		if _, err := log.ApplyOps(ops); err != nil {
 			t.Fatal(err)
 		}
 		s.mu.Lock()
@@ -297,20 +298,72 @@ func TestCheckpointCutByWrites(t *testing.T) {
 		if since != e%every {
 			t.Fatalf("after write %d: %d ops count toward the next checkpoint, want %d", e, since, e%every)
 		}
-		if got := s.Stats().SnapshotEpoch; got%every != 0 {
-			t.Fatalf("after write %d: snapshot at epoch %d, want a multiple of %d", e, got, every)
+		if got := s.Stats().SnapshotEpoch; got != 0 && (got+1)%every != 0 {
+			t.Fatalf("after write %d: snapshot at epoch %d, want one short of a multiple of %d", e, got, every)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().WALRecords != 0 && time.Now().Before(deadline) {
+	for s.Stats().WALRecords != 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	st := s.Stats()
-	if st.SnapshotEpoch != writes || st.WALRecords != 0 || st.LastError != "" {
-		t.Fatalf("after the last cut: %+v, want snapshot epoch %d and an empty log", st, writes)
+	if st.SnapshotEpoch != writes-1 || st.WALRecords != 1 || st.LastError != "" {
+		t.Fatalf("after the last cut: %+v, want snapshot epoch %d and the last write alone in the log", st, writes-1)
 	}
 	if st.Checkpoints > writes/every {
 		t.Fatalf("%d checkpoints for %d cuts", st.Checkpoints, writes/every)
+	}
+}
+
+// TestAutoCutLeavesItsRecordInTheTail pins the WAL-first order of an
+// automatic checkpoint: the caller applies a batch only after its Append
+// returned, so the cut that batch makes due is the world at the epoch
+// before it, and the batch stays in the log tail. A reopen replays it
+// exactly once: an INSERT replayed twice would add its row twice.
+func TestAutoCutLeavesItsRecordInTheTail(t *testing.T) {
+	dir := t.TempDir()
+	db := testWorld(t)
+	s := openStore(t, dir, Options{Fsync: FsyncNever, CheckpointOps: 2, CheckpointBytes: -1})
+	if err := s.Seed(db, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.World() != db {
+		t.Fatal("the store does not keep the seeded world")
+	}
+	log := world.NewChangeLog(db)
+	for e, ops := range [][]world.Op{
+		{updateOp(1, "before")},
+		{insertOp(200, "inserted"), updateOp(3, "due")}, // the second op makes the cut due
+	} {
+		if err := s.Append(int64(e+1), ops); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.ApplyOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Checkpoints == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Checkpoints != 1 || st.SnapshotEpoch != 1 || st.WALRecords != 1 || st.LastError != "" {
+		t.Fatalf("after the cut: %+v, want one checkpoint at epoch 1 and record 2 alone in the tail", st)
+	}
+	want := dump(t, db)
+	tok, _ := db.Relation("TOKEN")
+	s.Close()
+
+	r := openStore(t, dir, Options{})
+	rec := r.Recovery()
+	if rec.SnapshotEpoch != 1 || rec.Epoch != 2 || rec.ReplayedRecords != 1 || rec.ReplayedOps != 2 {
+		t.Fatalf("recovery %+v, want snapshot 1 and record 2 replayed once", rec)
+	}
+	got, _ := r.World().Relation("TOKEN")
+	if got.Len() != tok.Len() || got.Len() != 9 {
+		t.Fatalf("recovered %d rows, the caller's world holds %d (want 9)", got.Len(), tok.Len())
+	}
+	if !bytes.Equal(dump(t, r.World()), want) {
+		t.Fatal("recovered world differs from the caller's")
 	}
 }
 
@@ -361,19 +414,19 @@ func TestCorruptWALTails(t *testing.T) {
 			log := world.NewChangeLog(db)
 			for e := int64(1); e <= 3; e++ {
 				ops := []world.Op{updateOp(e, "good")}
-				if _, err := log.ApplyOps(ops); err != nil {
+				if err := s.Append(e, ops); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Append(e, ops); err != nil {
+				if _, err := log.ApplyOps(ops); err != nil {
 					t.Fatal(err)
 				}
 			}
 			good := dump(t, db) // world before the record the mangling may destroy
 			badOps := []world.Op{updateOp(7, "doomed")}
-			if _, err := log.ApplyOps(badOps); err != nil {
+			if err := s.Append(4, badOps); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Append(4, badOps); err != nil {
+			if _, err := log.ApplyOps(badOps); err != nil {
 				t.Fatal(err)
 			}
 			if !tc.lost {
@@ -396,17 +449,17 @@ func TestCorruptWALTails(t *testing.T) {
 			if rec.Epoch != wantEpoch || rec.ReplayedRecords != wantRecs {
 				t.Fatalf("recovery %+v, want epoch %d from %d records", rec, wantEpoch, wantRecs)
 			}
-			if !bytes.Equal(dump(t, r.WorldClone()), good) {
+			if !bytes.Equal(dump(t, r.World()), good) {
 				t.Fatal("recovered world is not the last-valid-record world")
 			}
 			// The torn tail is gone: appending and reopening must work.
-			w := r.WorldClone()
+			w := r.World()
 			wlog := world.NewChangeLog(w)
 			ops := []world.Op{updateOp(2, "after")}
-			if _, err := wlog.ApplyOps(ops); err != nil {
+			if err := r.Append(wantEpoch+1, ops); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Append(wantEpoch+1, ops); err != nil {
+			if _, err := wlog.ApplyOps(ops); err != nil {
 				t.Fatal(err)
 			}
 			want := dump(t, w)
@@ -415,7 +468,7 @@ func TestCorruptWALTails(t *testing.T) {
 			if rec := r2.Recovery(); rec.TornTail || rec.Epoch != wantEpoch+1 {
 				t.Fatalf("second recovery %+v, want clean epoch %d", rec, wantEpoch+1)
 			}
-			if !bytes.Equal(dump(t, r2.WorldClone()), want) {
+			if !bytes.Equal(dump(t, r2.World()), want) {
 				t.Fatal("world after post-corruption append did not survive")
 			}
 		})
@@ -435,10 +488,10 @@ func TestFsyncPolicies(t *testing.T) {
 			}
 			log := world.NewChangeLog(db)
 			ops := []world.Op{updateOp(1, "x")}
-			if _, err := log.ApplyOps(ops); err != nil {
+			if err := s.Append(1, ops); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Append(1, ops); err != nil {
+			if _, err := log.ApplyOps(ops); err != nil {
 				t.Fatal(err)
 			}
 			if got := s.Stats().Fsync; got != p.String() {
@@ -492,10 +545,10 @@ func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	log := world.NewChangeLog(db)
 	for e := int64(1); e <= 2; e++ {
 		ops := []world.Op{updateOp(e, "snapfall")}
-		if _, err := log.ApplyOps(ops); err != nil {
+		if err := s.Append(e, ops); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(e, ops); err != nil {
+		if _, err := log.ApplyOps(ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,7 +578,7 @@ func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	if rec.SnapshotEpoch != 0 || rec.Epoch != 2 || rec.ReplayedRecords != 2 {
 		t.Fatalf("fallback recovery %+v, want snapshot 0 replayed to epoch 2", rec)
 	}
-	if !bytes.Equal(dump(t, r.WorldClone()), want) {
+	if !bytes.Equal(dump(t, r.World()), want) {
 		t.Fatal("the fallback recovered another world")
 	}
 }

@@ -9,7 +9,9 @@ import (
 // says what a model supplies): a prototype world in which the model has
 // declared its hidden column, and a bind that makes a proposer over one
 // clone's change log, which keeps its state in that clone. The prototype is
-// the evidence a durable store snapshots and private-chain writes mutate.
+// an engine's one evidence world: every write resolves and lands on it
+// before any chain takes it, certain plans read it, and a durable store
+// keeps it by reference and snapshots it.
 type Prototype struct {
 	db   *relstore.DB
 	desc string

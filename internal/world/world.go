@@ -286,8 +286,8 @@ func (l *ChangeLog) Drain() ivm.BaseDelta {
 
 // Discard closes the current epoch as Drain does but drops the pending
 // delta without netting it, for a log whose changes nobody folds: a naive
-// evaluator, a burn-in before any view is mounted, a shadow world. A
-// delta the last Drain returned stays valid.
+// evaluator, a burn-in before any view is mounted, an engine's prototype,
+// a recovery's replay. A delta the last Drain returned stays valid.
 func (l *ChangeLog) Discard() {
 	for _, rl := range l.rels {
 		rl.reset()
