@@ -84,12 +84,13 @@
 // unaccounted for. A span whose stage was skipped is omitted rather than
 // emitted with zero duration, and new spans may be added (preserving
 // contiguity): key on names, not positions. Every mode runs the same
-// request pipeline and differs only in the sampling strategy under it —
-// "pool" is ModeServed's shared chain pool, "private" the local modes'
-// chain per query — so there is one glossary, which TestSpanGlossary
-// pins against the code. A query whose plan reads no hidden column
-// samples nothing under any mode (see "Certain answers"): "certain"
-// marks its one span, which replaces the strategy's.
+// engine, and the modes differ in one step, where a sampling pass takes
+// its samples — "pool" is ModeServed's shared chain pool, "private" the
+// local modes' chain per query — and in what a write lands on after the
+// prototype: the pool's chains, or nothing. So there is one glossary,
+// which TestSpanGlossary pins against the code. A query whose plan reads
+// no hidden column samples nothing under any mode (see "Certain
+// answers"): "certain" marks its one span, which replaces the pass's.
 //
 //	kind      span                emitted by  what is being timed
 //	query     compile             all         SQL to plan (attr plan_cache: hit, miss)
@@ -148,8 +149,10 @@
 // TestDaemonKillRecovery validates a real daemon's JSON log against this
 // contract and resolves its trace IDs on the debug listener.
 //
-// EXPLAIN ANALYZE SELECT executes the streaming plan once per chain with
-// per-operator instrumentation and returns the annotated tree (actual vs
+// EXPLAIN ANALYZE SELECT executes the streaming plan once per chain of
+// the served pool — in a local mode, once on the prototype world, which
+// every query's chain clones — with per-operator instrumentation and
+// returns the annotated tree (actual vs
 // estimated rows, per-operator self time, filters fused into scans and
 // joins) as PLAN rows, like EXPLAIN. DML cannot be analyzed — a write
 // cannot be executed speculatively. The uninstrumented path never
@@ -214,12 +217,14 @@
 // engine's one evidence world in every mode: under the write lock, a
 // write's predicates are resolved once against it, the resulting
 // row-level ops are appended to the WAL, applied to it, and replayed on
-// every chain, so the chains' worlds never diverge from it. Each chain
-// absorbs them at an epoch boundary, walks a configurable burn-in, and
-// resets the estimators of its live views; a query in flight across a
-// write re-collects rather than blend pre- and post-write samples (one
-// cut short merges only the chains at the newest write generation), and
-// queries issued after Exec returns never observe pre-write state.
+// every chain of the pool — a local mode has none, and its next query
+// clones the written prototype — so no chain's world diverges from it.
+// Each chain absorbs them at an epoch boundary, walks a configurable
+// burn-in, and resets the estimators of its live views; a query in
+// flight across a write re-collects rather than blend pre- and
+// post-write samples (one cut short merges only the chains at the newest
+// write generation), and queries issued after Exec returns never observe
+// pre-write state.
 // Resolution evaluates the predicate inside a storage scan, which runs
 // in ascending RowID order, as does the op list; a top-level column =
 // constant conjunct is tested on the column vector before a row is
@@ -541,7 +546,7 @@
 //	                   a sample folds only the tuples that crossed zero
 //	internal/metrics   loss traces and serving counters
 //	internal/exp       experiment harness regenerating the paper's figures
-//	internal/serve     the request pipeline and its sampling strategies
+//	internal/serve     the one engine: request pipeline, write path, chain pool
 //
 // Every model, the factor oracle included, is served through one
 // contract, world.Prototype: a prototype world in which the model has

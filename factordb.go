@@ -3,7 +3,6 @@ package factordb
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"sync"
 	"time"
 
@@ -42,8 +41,8 @@ var (
 	ErrOverloaded = serve.ErrOverloaded
 )
 
-// Mode selects the evaluation strategy behind a DB: the engine's
-// sampling strategy. Its String is the flag/DSN spelling.
+// Mode selects the evaluation strategy behind a DB: where the engine
+// takes a query's samples from. Its String is the flag/DSN spelling.
 type Mode = serve.Mode
 
 const (
@@ -180,7 +179,7 @@ type DB struct {
 
 	// eng is the request pipeline — compile, caches, admission, tracing,
 	// logging, metrics, the write path, EXPLAIN — under every mode; the
-	// mode only selects the sampling strategy Open configures it with.
+	// mode only selects where a query's samples come from.
 	eng *serve.Engine
 
 	// store is the durable snapshot+WAL backend (nil without WithDataDir);
@@ -230,21 +229,9 @@ func Open(model Model, opts ...Option) (*DB, error) {
 		cfg.WAL = st
 		cfg.InitialDataEpoch = st.Recovery().Epoch
 	}
-	// The one place the modes differ: which options reach the engine.
-	// The local modes evaluate every query on a private chain in its
-	// caller's goroutine, so the pool, cache, admission and
-	// trace-sampling options are not passed on: no result cache, no
-	// admission limit, client-opted traces only.
-	if cfg.Mode == ModeServed {
-		// A recovered world needs re-equilibration: the chains start from
-		// evidence the sampler never walked, so give them one sampling
-		// interval of burn-in unless the caller chose a budget explicitly.
-		if cfg.InitialDataEpoch > 0 && cfg.BurnIn == 0 {
-			cfg.BurnIn = cfg.StepsPerSample
-		}
-	} else {
-		cfg.CacheSize, cfg.MaxConcurrentQueries, cfg.TraceEvery = -1, math.MaxInt32, 0
-	}
+	// The engine owns the per-mode policy (serve.Config.Mode): a local
+	// mode drops the pool, cache, admission and trace-sampling options,
+	// and a recovered pool burns in.
 	db.eng, err = serve.New(sys, cfg)
 	if err != nil {
 		if st != nil {

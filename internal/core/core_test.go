@@ -89,6 +89,17 @@ func (tw tinyWorld) exact(t *testing.T) map[string]float64 {
 	return out
 }
 
+// prepared is plan as ra.Prepare makes it against db's catalog: the
+// statement an evaluator mounts on its own world.
+func prepared(t *testing.T, db *relstore.DB, plan ra.Plan) *ra.Bound {
+	t.Helper()
+	stmt, err := ra.Prepare(db, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
+
 func perQuery() ra.Plan {
 	return ra.NewProject(
 		ra.NewSelect(ra.NewScan("TOKEN", "T"),
@@ -103,7 +114,7 @@ func perQuery() ra.Plan {
 func TestEvaluatorMatchesExactMarginals(t *testing.T) {
 	for _, mode := range []Mode{Naive, Materialized} {
 		tw := newTinyWorld(t, 5)
-		ev, err := NewEvaluator(mode, tw.log, tw.p, perQuery(), 3, 99)
+		ev, err := NewEvaluator(mode, tw.log, tw.p, prepared(t, tw.log.DB(), perQuery()), 3, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +135,7 @@ func TestEvaluatorMatchesExactMarginals(t *testing.T) {
 func TestNaiveAndMaterializedAgreeExactly(t *testing.T) {
 	run := func(mode Mode) map[string]float64 {
 		tw := newTinyWorld(t, 7)
-		ev, err := NewEvaluator(mode, tw.log, tw.p, perQuery(), 5, 123)
+		ev, err := NewEvaluator(mode, tw.log, tw.p, prepared(t, tw.log.DB(), perQuery()), 5, 123)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +182,7 @@ func TestNERIntegration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := NewEvaluator(mode, log, tg, perNERQuery(), 200, seed)
+		ev, err := NewEvaluator(mode, log, tg, prepared(t, log.DB(), perNERQuery()), 200, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +227,7 @@ func perNERQuery() ra.Plan {
 func TestRunTracedLossDecreases(t *testing.T) {
 	tw := newTinyWorld(t, 9)
 	truth := tw.exact(t)
-	ev, err := NewEvaluator(Materialized, tw.log, tw.p, perQuery(), 3, 77)
+	ev, err := NewEvaluator(Materialized, tw.log, tw.p, prepared(t, tw.log.DB(), perQuery()), 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,21 +431,23 @@ func TestEmptyEstimator(t *testing.T) {
 
 func TestNewEvaluatorErrors(t *testing.T) {
 	tw := newTinyWorld(t, 1)
-	if _, err := NewEvaluator(Naive, tw.log, tw.p, perQuery(), 0, 1); err == nil {
+	stmt := prepared(t, tw.log.DB(), perQuery())
+	if _, err := NewEvaluator(Naive, tw.log, tw.p, stmt, 0, 1); err == nil {
 		t.Error("k=0: want error")
 	}
-	bad := ra.NewScan("MISSING", "")
-	if _, err := NewEvaluator(Naive, tw.log, tw.p, bad, 10, 1); err == nil {
-		t.Error("bad plan: want error")
+	if _, err := NewEvaluator(Naive, world.NewChangeLog(relstore.NewDB()), tw.p, stmt, 10, 1); err == nil {
+		t.Error("a world without the statement's table: want error")
 	}
 }
 
 func TestRunParallelReducesError(t *testing.T) {
-	truth := newTinyWorld(t, 13).exact(t)
+	tw0 := newTinyWorld(t, 13)
+	truth := tw0.exact(t)
+	stmt := prepared(t, tw0.log.DB(), perQuery())
 	loss := func(chains int) float64 {
 		est, err := RunParallel(chains, 400, func(c int) (*Evaluator, error) {
 			tw := newTinyWorld(t, 13) // identical initial worlds
-			return NewEvaluator(Materialized, tw.log, tw.p, perQuery(), 3, int64(1000+c*7919))
+			return NewEvaluator(Materialized, tw.log, tw.p, stmt, 3, int64(1000+c*7919))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -481,7 +494,7 @@ func TestGroundTruthAndAnswer(t *testing.T) {
 	}
 	// Ground truth the paper's way (Section 5.2): a long materialized run
 	// over the same world, one sample every thin steps.
-	ev, err := NewEvaluator(Materialized, tw.log, tw.p, perQuery(), 5, 11)
+	ev, err := NewEvaluator(Materialized, tw.log, tw.p, prepared(t, tw.log.DB(), perQuery()), 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

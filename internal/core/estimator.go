@@ -222,14 +222,10 @@ func (e *Estimator) Snapshot() *Snapshot {
 
 // Snapshot is an estimator's state frozen at one moment: what a serving
 // chain publishes, when a reader will read it, for readers to merge
-// while its walk keeps accumulating. It has read accessors only, apart
-// from Epoch, which the publisher stamps before publishing. The zero
-// value is the empty estimate.
+// while its walk keeps accumulating. It has read accessors only. The
+// zero value is the empty estimate.
 type Snapshot struct {
 	tally
-	// Epoch is the data epoch the snapshot was published at; Estimator.
-	// Snapshot leaves it zero.
-	Epoch int64
 }
 
 // Samples returns the number of samples accumulated (the normalizer z).

@@ -50,14 +50,16 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator over the world held in log's database.
 // The proposer embodies the factor-graph model and proposal distribution;
-// plan is the query. For Materialized mode the view is initialized with
-// one full evaluation, and any changes already pending in the log are
-// folded in first so the view starts consistent.
-func NewEvaluator(mode Mode, log *world.ChangeLog, proposer mcmc.Proposer, plan ra.Plan, stepsPerSample int, seed int64) (*Evaluator, error) {
+// stmt is the query as ra.Prepare made it, mounted here on log's world
+// with On, so a statement prepared once serves every evaluator. For
+// Materialized mode the view is initialized with one full evaluation, and
+// any changes already pending in the log are folded in first so the view
+// starts consistent.
+func NewEvaluator(mode Mode, log *world.ChangeLog, proposer mcmc.Proposer, stmt *ra.Bound, stepsPerSample int, seed int64) (*Evaluator, error) {
 	if stepsPerSample <= 0 {
 		return nil, fmt.Errorf("core: stepsPerSample must be positive, got %d", stepsPerSample)
 	}
-	bound, err := ra.Bind(log.DB(), plan)
+	bound, err := stmt.On(log.DB())
 	if err != nil {
 		return nil, err
 	}

@@ -387,7 +387,13 @@ func TestSnapshotMergeRacesFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewEstimator()
-	var latest atomic.Pointer[Snapshot]
+	// published carries the round a snapshot was taken in beside it, as
+	// a serving chain hands its epoch off beside its snapshot.
+	type published struct {
+		*Snapshot
+		round int64
+	}
+	var latest atomic.Pointer[published]
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -400,9 +406,7 @@ func TestSnapshotMergeRacesFold(t *testing.T) {
 			}
 			view.Apply(w.log.Drain())
 			est.AddSample(view.Result())
-			snap := est.Snapshot()
-			snap.Epoch = int64(round)
-			latest.Store(snap)
+			latest.Store(&published{est.Snapshot(), int64(round)})
 		}
 	}()
 	spec := ra.ResultSpec{Order: []ra.ResultOrder{{ByProb: true, Desc: true}}, Limit: 10}
@@ -417,18 +421,18 @@ func TestSnapshotMergeRacesFold(t *testing.T) {
 			continue
 		}
 		merged := NewEstimator()
-		merged.Merge(s)
-		merged.Merge(s)
+		merged.Merge(s.Snapshot)
+		merged.Merge(s.Snapshot)
 		cis := merged.ResultsCI(1.96)
-		if merged.Samples() != 2*s.Samples() || s.Samples() != s.Epoch {
-			t.Fatalf("epoch %d: snapshot of %d samples merged into %d", s.Epoch, s.Samples(), merged.Samples())
+		if merged.Samples() != 2*s.Samples() || s.Samples() != s.round {
+			t.Fatalf("epoch %d: snapshot of %d samples merged into %d", s.round, s.Samples(), merged.Samples())
 		}
 		if got, want := merged.Results(), s.Results(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("epoch %d: a merge of the snapshot with itself ranks differently from the snapshot", s.Epoch)
+			t.Fatalf("epoch %d: a merge of the snapshot with itself ranks differently from the snapshot", s.round)
 		}
 		for _, ci := range cis {
 			if ci.P <= 0 || ci.P > 1 {
-				t.Fatalf("epoch %d: %v at p=%v", s.Epoch, ci.Tuple, ci.P)
+				t.Fatalf("epoch %d: %v at p=%v", s.round, ci.Tuple, ci.P)
 			}
 		}
 		SortTupleCIs(cis, spec)

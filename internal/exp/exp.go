@@ -154,9 +154,14 @@ type Chain struct {
 	Spec ra.ResultSpec
 }
 
-// NewChain clones the prototype world and builds an evaluator over it.
+// NewChain prepares sql against the prototype's catalog, clones the
+// prototype world and builds an evaluator of the statement over it.
 func (s *NERSystem) NewChain(mode core.Mode, sql string, stepsPerSample int, seed int64) (*Chain, error) {
 	plan, spec, err := sqlparse.Compile(sql)
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := ra.Prepare(s.WorldDB(), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +169,7 @@ func (s *NERSystem) NewChain(mode core.Mode, sql string, stepsPerSample int, see
 	if err != nil {
 		return nil, err
 	}
-	ev, err := core.NewEvaluator(mode, log, p, plan, stepsPerSample, seed)
+	ev, err := core.NewEvaluator(mode, log, p, stmt, stepsPerSample, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -242,5 +243,48 @@ func TestRegisterAllocBudget(t *testing.T) {
 		if max, ok := budget["register_hit_"+q.tag]; !ok || got > max {
 			t.Errorf("a second subscriber to live %s allocates %v, budget %v", q.tag, got, max)
 		}
+	}
+}
+
+// TestLocalQueryAllocBudget is the allocation gate of a local query
+// (testdata/alloc_budget.txt): an untraced, uncached PrivateMaterialized
+// Engine.Query of paper Query 1 at a fixed seed clones the prototype,
+// mounts the statement the plan cache prepared on the clone and walks
+// its budget, so the count is the clone, the view and the walk — and it
+// fails the moment a local query prepares its statement again. Each
+// query repeats the same walk, and the least of 3 runs is taken, so an
+// allocation from outside the query cannot land in the count. Counts
+// only, so this is a gate, not a trend.
+func TestLocalQueryAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget gate skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	budget := allocBudget(t)
+	sys, err := exp.BuildNER(exp.Config{NumTokens: 5000, Seed: 1, UseSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(sys.Prototype, Config{Mode: PrivateMaterialized, StepsPerSample: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	opts := QueryOptions{Samples: 4, NoCache: true}
+	got := math.Inf(1)
+	for range 3 {
+		got = min(got, testing.AllocsPerRun(1, func() {
+			res, err := eng.Query(ctx, exp.Query1, opts)
+			if err != nil || res.Samples != 4 || res.Trace != nil {
+				t.Fatalf("local query: %v", err)
+			}
+		}))
+	}
+	t.Logf("local_query: %v allocs", got)
+	if max, ok := budget["local_query"]; !ok || got > max {
+		t.Errorf("a local query allocates %v, budget %v", got, max)
 	}
 }

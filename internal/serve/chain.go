@@ -26,9 +26,9 @@ type viewID int64
 //
 // The world, the sampler and the registry belong to the chain goroutine.
 // Every request from outside — subscribe, peek at or detach a query,
-// resolve or apply a write, EXPLAIN ANALYZE — is a closure the chain
-// runs at an epoch boundary (see call), when the store holds no pending
-// delta and every view matches the world.
+// apply a write the prototype resolved, EXPLAIN ANALYZE — is a closure
+// the chain runs at an epoch boundary (see call), when the store holds no
+// pending delta and every view matches the world.
 type chain struct {
 	id      int
 	steps   int // k, walk-steps per epoch
@@ -182,13 +182,11 @@ func (c *chain) epoch() {
 	}
 }
 
-// handOff copies pv's current estimate into a snapshot stamped with the
-// chain's epoch and write generation.
+// handOff copies pv's current estimate into a snapshot handed off with
+// the chain's epoch and write generation.
 func (c *chain) handOff(pv *physicalView, stopped bool) handoff {
-	snap := pv.est.Snapshot()
-	snap.Epoch = c.log.Epoch()
 	c.m.snapshots.Inc()
-	return handoff{snap: snap, gen: c.writeGen.Load(), stopped: stopped}
+	return handoff{snap: pv.est.Snapshot(), epoch: c.log.Epoch(), gen: c.writeGen.Load(), stopped: stopped}
 }
 
 // peek hands back the current estimate of the view subscriber id reads —

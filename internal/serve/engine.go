@@ -1,10 +1,12 @@
 // Package serve is the database's request pipeline: a long-lived engine
 // that owns one trained probabilistic database per process and answers
 // SQL queries and writes over it — plan and result caches, admission,
-// traces, logs, metrics, WAL and data epoch — on top of a sampling
-// strategy (see strategy.go). The default strategy, and the rest of this
-// comment, is the concurrent one: a pool of parallel MCMC chains that
-// keeps walking the possible-world space.
+// traces, logs, metrics, WAL, data epoch and the prototype world every
+// write lands on. The modes differ in one step, how a sampling pass gets
+// its samples: a local mode walks a private chain per query in the
+// caller's goroutine (see collectPrivate), and the default, served mode —
+// the rest of this comment — a pool of parallel MCMC chains that keeps
+// walking the possible-world space.
 //
 // The pool generalizes the paper's materialization trick (Section 4.2)
 // from one query to many: each chain owns a private clone of the world;
@@ -40,13 +42,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"factordb/internal/core"
 	"factordb/internal/metrics"
 	"factordb/internal/sqlparse"
 	"factordb/internal/world"
 )
 
-// Mode selects how the engine obtains a query's samples (see strategy).
+// Mode selects how the engine obtains a query's samples.
 type Mode uint8
 
 const (
@@ -59,8 +60,8 @@ const (
 	PrivateMaterialized
 )
 
-// String returns the flag/DSN spelling of the mode; the pooled strategy
-// is what the public API calls served.
+// String returns the flag/DSN spelling of the mode; the pooled mode is
+// what the public API calls served.
 func (m Mode) String() string {
 	switch m {
 	case Pooled:
@@ -84,8 +85,12 @@ type WALSink interface {
 // Config parameterizes an Engine. Zero values take the documented
 // defaults.
 type Config struct {
-	// Mode selects the sampling strategy (default Pooled). The private
-	// modes have no pool: Chains is 1.
+	// Mode selects how queries are sampled (default Pooled). A local
+	// mode (PrivateNaive, PrivateMaterialized) walks a private chain per
+	// query in the caller's goroutine, and withDefaults gives it what that
+	// needs whatever the caller set: no pool (Chains 1), no result cache
+	// (CacheSize -1), no admission limit (MaxConcurrentQueries
+	// math.MaxInt32) and no engine-initiated tracing (TraceEvery 0).
 	Mode Mode
 	// Chains is the number of parallel MCMC chains (default: GOMAXPROCS,
 	// capped at 8).
@@ -97,6 +102,9 @@ type Config struct {
 	StepsPerSample int
 	// BurnIn is the number of walk-steps each chain discards before
 	// serving (default 0; the world keeps mixing across queries anyway).
+	// A pool started over a recovered world (InitialDataEpoch > 0) walks
+	// StepsPerSample instead of 0: its chains start from evidence the
+	// sampler never walked.
 	BurnIn int
 	// Seed derives each chain's sampler seed via ChainSeed.
 	Seed int64
@@ -153,7 +161,7 @@ type Config struct {
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Mode != Pooled {
-		cfg.Chains = 1
+		cfg.Chains, cfg.CacheSize, cfg.MaxConcurrentQueries, cfg.TraceEvery = 1, -1, math.MaxInt32, 0
 	}
 	if cfg.Chains <= 0 {
 		cfg.Chains = runtime.GOMAXPROCS(0)
@@ -163,6 +171,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.StepsPerSample <= 0 {
 		cfg.StepsPerSample = 1000
+	}
+	if cfg.Mode == Pooled && cfg.InitialDataEpoch > 0 && cfg.BurnIn == 0 {
+		cfg.BurnIn = cfg.StepsPerSample
 	}
 	if cfg.DefaultSamples <= 0 {
 		cfg.DefaultSamples = 128
@@ -241,9 +252,7 @@ type Engine struct {
 	// proto is the one change log over it, for the engine's life.
 	src   *world.Prototype
 	proto *world.ChangeLog
-	// strat is the sampling strategy cfg.Mode selected; chains is the
-	// pool it walks, empty under a private-chain mode.
-	strat  strategy
+	// chains is the pool, empty under a local mode.
 	chains []*chain
 	plans  *sqlparse.PlanCache
 	admit  *admission
@@ -294,14 +303,8 @@ func New(src *world.Prototype, cfg Config) (*Engine, error) {
 	e.dataEpoch.Store(cfg.InitialDataEpoch)
 	e.registerDerivedMetrics()
 	if cfg.Mode != Pooled {
-		mode := core.Naive
-		if cfg.Mode == PrivateMaterialized {
-			mode = core.Materialized
-		}
-		e.strat = private{e, mode}
 		return e, nil
 	}
-	e.strat = pool{e}
 	// Each chain goroutine starts as soon as its world is cloned, so the
 	// error path below can always stopChains: every chain in e.chains has
 	// a running goroutine that will close its done channel.

@@ -126,17 +126,17 @@ func (e *Engine) evaluation(comp *sqlparse.Compiled) string {
 }
 
 // explainAnalyze is EXPLAIN ANALYZE SELECT: compile the target, execute
-// its streaming pipeline once per world copy the strategy samples from
-// with per-operator instrumentation, and render the annotated plan —
-// actual vs estimated rows, per-operator self time and its share of
-// total, and any filter fused into a scan or a join.
+// its streaming pipeline with per-operator instrumentation (see
+// analyze), and render the annotated plan — actual vs estimated rows,
+// per-operator self time and its share of total, and any filter fused
+// into a scan or a join.
 func (e *Engine) explainAnalyze(ctx context.Context, target string, args []any) ([]string, error) {
 	comp, hit, err := e.compileTarget(target, sqlparse.UseQuery, args)
 	if err != nil {
 		e.m.failed.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	st, err := e.strat.analyze(ctx, comp.Stmt)
+	st, err := e.analyze(ctx, comp.Stmt)
 	if err != nil {
 		if !errors.Is(err, ErrClosed) && !errors.Is(err, ctx.Err()) {
 			e.m.failed.Inc()
@@ -199,10 +199,18 @@ func specString(spec ra.ResultSpec) string {
 // executes it against its own world at an epoch boundary, so the
 // aggregated actual-row counts are a cross-chain sample of the plan's
 // runtime behavior — per-chain variance in the possible worlds averages
-// out exactly the way the engine's marginal estimates do.
-func (p pool) analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, error) {
-	stats := make([]*ra.StreamStats, len(p.chains))
-	if err := p.each(ctx, func(i int, c *chain) (err error) {
+// out exactly the way the engine's marginal estimates do. A local engine
+// has no chain: the pipeline runs on the prototype, which every query's
+// private chain clones, under the write lock's read side as a certain
+// read does, so it counts one committed world's rows and copies nothing.
+func (e *Engine) analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, error) {
+	if len(e.chains) == 0 {
+		e.writeMu.RLock()
+		defer e.writeMu.RUnlock()
+		return analyzePlan(e.src.WorldDB(), stmt)
+	}
+	stats := make([]*ra.StreamStats, len(e.chains))
+	if err := e.each(ctx, func(i int, c *chain) (err error) {
 		stats[i], err = analyzePlan(c.log.DB(), stmt)
 		return err
 	}); err != nil {
@@ -215,4 +223,19 @@ func (p pool) analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, err
 		}
 	}
 	return total, nil
+}
+
+// analyzePlan mounts stmt on db and runs the instrumented streaming
+// pipeline once, returning per-operator counters.
+func analyzePlan(db *relstore.DB, stmt *ra.Bound) (*ra.StreamStats, error) {
+	bound, err := stmt.On(db)
+	if err != nil {
+		return nil, err
+	}
+	it, _, st, err := ra.AnalyzeStream(bound)
+	if err != nil {
+		return nil, err
+	}
+	it(func(relstore.Tuple, int64) bool { return true })
+	return st, nil
 }

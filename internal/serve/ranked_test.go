@@ -137,9 +137,7 @@ func TestTopKSeparated(t *testing.T) {
 		}
 	}
 	peeked := func(est *core.Estimator) []handoff {
-		snap := est.Snapshot()
-		snap.Epoch = 1
-		return []handoff{{snap: snap}}
+		return []handoff{{snap: est.Snapshot(), epoch: 1}}
 	}
 	const z = 1.96
 

@@ -11,9 +11,9 @@ import (
 )
 
 // handoff is how a chain gives a session an estimate: a snapshot of the
-// view, stamped with the chain epoch it was taken in, and the chain's
-// write generation — how many DML mutations the chain had absorbed when
-// the snapshot was taken. Sessions compare generations across chains so
+// view, the chain epoch it was taken in, and the chain's write
+// generation — how many DML mutations the chain had absorbed when the
+// snapshot was taken. Sessions compare generations across chains so
 // that no answer blends pre- and post-write worlds. A zero handoff (nil
 // snap) is no estimate.
 //
@@ -22,6 +22,7 @@ import (
 // Any other handoff is the reply to a mailbox call (see chain.peek).
 type handoff struct {
 	snap    *core.Snapshot
+	epoch   int64
 	gen     int64
 	stopped bool
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"factordb/internal/core"
+	"factordb/internal/ra"
 	"factordb/internal/relstore"
 	"factordb/internal/sqlparse"
 )
@@ -265,8 +266,8 @@ func (e *Engine) fillOpts(opts QueryOptions) (QueryOptions, error) {
 
 // queryCompiled is Query's evaluation core: result-cache probe,
 // admission, then for a certain plan one evaluation, and for any other
-// write-consistent collection over the chain pool, merge and rank; and
-// the cache fill.
+// write-consistent collection — over the chain pool, or on a private
+// chain under a local mode — merge and rank; and the cache fill.
 func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.Compiled, opts QueryOptions, tr *qtrace) (*Result, error) {
 	tr.setPlan(comp.Fingerprint)
 	// The key adds the result-level spec (ORDER BY P / LIMIT shape the
@@ -331,7 +332,13 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	for attempt := 0; ; attempt++ {
 		epoch0 = e.dataEpoch.Load()
 		var err error
-		col, err = e.strat.collectOnce(ctx, comp, opts, z, tr)
+		// The one step in which the modes differ: where a pass's
+		// samples come from.
+		if e.cfg.Mode == Pooled {
+			col, err = e.collectOnce(ctx, comp, opts, z, tr)
+		} else {
+			col, err = e.collectPrivate(ctx, comp, opts, tr)
+		}
 		if err != nil {
 			e.finishTrace(tr, "error")
 			return nil, err
@@ -419,6 +426,23 @@ func (e *Engine) queryCertain(sql string, comp *sqlparse.Compiled, opts QueryOpt
 	return e.publish(res, comp, opts, epoch, start, "ok", tr), nil
 }
 
+// evalCertain mounts stmt on db and runs it once. Its distinct tuples
+// are the answer, each in it with certainty: one sample counts every
+// one, and an interval at quantile 0 is the point [1, 1].
+func evalCertain(db *relstore.DB, stmt *ra.Bound) ([]core.TupleCI, error) {
+	bound, err := stmt.On(db)
+	if err != nil {
+		return nil, err
+	}
+	it, _, err := ra.Stream(bound)
+	if err != nil {
+		return nil, err
+	}
+	est := core.NewEstimator()
+	est.AddSampleStream(it)
+	return est.ResultsCI(0), nil
+}
+
 // publish completes an evaluation that began at start: it counts the
 // query, closes its trace with outcome, and caches the answer under
 // data epoch epoch. Only answers whose data epoch is still current are
@@ -444,8 +468,8 @@ func (e *Engine) publish(res *Result, comp *sqlparse.Compiled, opts QueryOptions
 // discards before it is shed with ErrOverloaded.
 const maxCollectRetries = 4
 
-// collection is the outcome of one register-wait-merge pass over the
-// chain pool.
+// collection is the outcome of one sampling pass: a register-wait-merge
+// over the chain pool, or one private chain's walk.
 type collection struct {
 	merged    *core.Estimator
 	epoch     int64 // latest chain epoch merged in
@@ -462,10 +486,10 @@ type collection struct {
 // budget (or cancellation, shutdown, or ranked early stop), detaches the
 // chains that did not complete, and merges the chains' handoffs. Each
 // call is self-contained: its views are detached before it returns.
-func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
+func (e *Engine) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	opts QueryOptions, z float64, tr *qtrace) (col collection, err error) {
-	perChain := int64((opts.Samples + len(p.chains) - 1) / len(p.chains))
-	regs := make([]*registration, 0, len(p.chains))
+	perChain := int64((opts.Samples + len(e.chains) - 1) / len(e.chains))
+	regs := make([]*registration, 0, len(e.chains))
 	defer func() {
 		if err != nil {
 			for _, r := range regs {
@@ -475,10 +499,10 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	}()
 	tr.span("register")
 	reused := 0
-	for _, c := range p.chains {
+	for _, c := range e.chains {
 		reg := &registration{
 			c:    c,
-			id:   viewID(p.nextID.Add(1)),
+			id:   viewID(e.nextID.Add(1)),
 			done: make(chan handoff, 1),
 		}
 		var hit bool
@@ -486,7 +510,7 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 			hit, err = c.register(reg, comp.Stmt, comp.Fingerprint, perChain)
 			return err
 		}); err != nil {
-			p.m.failed.Inc()
+			e.m.failed.Inc()
 			if errors.Is(err, ErrClosed) || errors.Is(err, ctx.Err()) {
 				return collection{}, err
 			}
@@ -499,7 +523,7 @@ func (p pool) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	}
 	// view_reuse tells registry hits (shared view already live) from
 	// fresh mounts, per chain.
-	tr.attr("view_reuse", fmt.Sprintf("%d/%d", reused, len(p.chains)))
+	tr.attr("view_reuse", fmt.Sprintf("%d/%d", reused, len(e.chains)))
 
 	// Ranked queries peek at the chains' estimates while waiting: when
 	// the top k separates, the remaining budget is handed back to the
@@ -532,7 +556,7 @@ wait:
 				tested = peekUnsettled(ctx, regs, hs)
 				if topKSeparated(tested, comp.Spec.Limit, z) {
 					col.earlyStop = true
-					p.m.topkStops.Inc()
+					e.m.topkStops.Inc()
 					break wait
 				}
 			}
@@ -581,13 +605,63 @@ wait:
 			col.blended = true
 		default:
 			col.merged.Merge(h.snap)
-			col.epoch = max(col.epoch, h.snap.Epoch)
+			col.epoch = max(col.epoch, h.epoch)
 		}
 	}
 	tr.attr("samples", fmt.Sprintf("%d", col.merged.Samples()))
 	if col.earlyStop {
 		tr.attr("early_stop", "true")
 	}
+	return col, nil
+}
+
+// collectPrivate is a local mode's pass: it clones the prototype world
+// and walks the clone in the calling goroutine for the whole budget —
+// re-running the query per sample (core.Naive, Algorithm 3) or
+// maintaining it as a view (core.Materialized, Algorithm 1) — over the
+// statement the plan cache prepared. No chain outlives the pass, so a
+// write needs to land on the prototype only, and no pass is blended.
+// The seed is used as given: equal queries repeat the same walk.
+func (e *Engine) collectPrivate(ctx context.Context, comp *sqlparse.Compiled,
+	opts QueryOptions, tr *qtrace) (collection, error) {
+	mode := core.Naive
+	if e.cfg.Mode == PrivateMaterialized {
+		mode = core.Materialized
+	}
+	tr.span("clone_world")
+	e.writeMu.RLock() // the clone is wholly before or after any write
+	log, proposer, err := e.src.NewChainWorld(0)
+	e.writeMu.RUnlock()
+	if err != nil {
+		return collection{}, err
+	}
+	ev, err := core.NewEvaluator(mode, log, proposer, comp.Stmt, e.cfg.StepsPerSample, e.cfg.Seed)
+	if err != nil {
+		e.m.failed.Inc()
+		return collection{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	tr.span("sample")
+	if e.cfg.BurnIn > 0 {
+		ev.Burn(e.cfg.BurnIn)
+	}
+	var col collection
+	for i := 0; i < opts.Samples; i++ {
+		// Cancellation and shutdown are honored between samples: one
+		// sample is k walk-steps plus one (incremental) evaluation, the
+		// natural granularity of the algorithm.
+		if col.closed = e.Closed(); col.closed || ctx.Err() != nil {
+			col.partial = true
+			break
+		}
+		if err := ev.CollectSample(); err != nil {
+			return collection{}, err
+		}
+	}
+	col.merged, col.epoch = ev.Estimator(), log.Epoch()
+	e.m.steps.Add(ev.Sampler().Steps())
+	e.m.accepted.Add(ev.Sampler().Accepted())
+	e.m.samples.Add(col.merged.Samples())
+	tr.attr("samples", fmt.Sprintf("%d", col.merged.Samples()))
 	return col, nil
 }
 

@@ -83,9 +83,8 @@ type FsyncReporter interface {
 // across the write complete with post-write samples only, and queries
 // issued after Exec returns never observe pre-write state. Committing
 // bumps the data epoch, which is part of every result-cache key, so all
-// cached pre-write answers become unreachable. (Under a private-chain
-// mode there are no chains to fan out to: every later query clones the
-// written prototype.)
+// cached pre-write answers become unreachable. (A local mode has no
+// chains to fan out to: every later query clones the written prototype.)
 //
 // Writes pass the same admission control as queries and are serialized
 // with each other. ctx is honored until the write is admitted: from then
@@ -125,9 +124,9 @@ func (e *Engine) finishExec(ctx context.Context, sql string, res *ExecResult, ou
 }
 
 // execMutation is Exec's write core: admission, resolution on the
-// prototype, WAL append, the strategy's apply, epoch bump. A traced
-// write spans each stage contiguously — compile / admission_wait /
-// resolve / wal_append / fsync / the apply spans / cache_invalidate.
+// prototype, WAL append, apply, epoch bump. A traced write spans each
+// stage contiguously — compile / admission_wait / resolve / wal_append /
+// fsync / the apply spans / cache_invalidate.
 func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, tr *qtrace, begin time.Time) (res *ExecResult, err error) {
 	outcome := "error"
 	defer func() { e.finishExec(ctx, sql, res, outcome, tr, begin) }()
@@ -194,7 +193,7 @@ func (e *Engine) execMutation(ctx context.Context, sql string, mut ra.Mutation, 
 
 	// Point of no return: the prototype and every world copy must absorb
 	// the same ops.
-	if err := e.strat.apply(ops, tr); err != nil {
+	if err := e.apply(ops, tr); err != nil {
 		return nil, err
 	}
 
@@ -224,21 +223,27 @@ func (e *Engine) applyPrototype(ops []world.Op) error {
 }
 
 // apply lands the ops on the prototype, then fans them out to every
-// chain in parallel and waits for all of them. It is deliberately not
-// cancellable — a write that reached some chains must reach all of them
-// — so only engine shutdown aborts. A traced write spans fanout /
-// burn_in / delta_fold / republish: each phase opens when the slowest
-// chain finished the one before. republish copies nothing; it keeps its
-// name as a stable span and runs from the slowest chain's delta fold to
-// the fan-out's return.
-func (p pool) apply(ops []world.Op, tr *qtrace) error {
+// chain in parallel and waits for all of them. It runs after the WAL
+// append, under the write lock, and is deliberately not cancellable — a
+// write that reached some chains must reach all of them — so only engine
+// shutdown aborts. A local engine has no chain, and a traced write spans
+// its prototype's apply as apply. A pooled one spans fanout / burn_in /
+// delta_fold / republish: each phase opens when the slowest chain
+// finished the one before. republish copies nothing; it keeps its name
+// as a stable span and runs from the slowest chain's delta fold to the
+// fan-out's return.
+func (e *Engine) apply(ops []world.Op, tr *qtrace) error {
+	if len(e.chains) == 0 {
+		tr.span("apply")
+		return e.applyPrototype(ops)
+	}
 	tr.span("fanout")
-	if err := p.applyPrototype(ops); err != nil {
+	if err := e.applyPrototype(ops); err != nil {
 		return err
 	}
-	ends := make([][3]time.Time, len(p.chains))
-	if err := p.each(context.Background(), func(i int, c *chain) (err error) {
-		ends[i], err = c.applyWrite(ops, p.cfg.StepsPerSample)
+	ends := make([][3]time.Time, len(e.chains))
+	if err := e.each(context.Background(), func(i int, c *chain) (err error) {
+		ends[i], err = c.applyWrite(ops, e.cfg.StepsPerSample)
 		return err
 	}); err != nil || tr == nil {
 		return err
@@ -260,10 +265,10 @@ func (p pool) apply(ops []world.Op, tr *qtrace) error {
 // each runs f(i, c) on every chain's goroutine (via call, under ctx) in
 // parallel and waits for all of them, returning the first error in pool
 // order.
-func (p pool) each(ctx context.Context, f func(i int, c *chain) error) error {
-	errs := make([]error, len(p.chains))
+func (e *Engine) each(ctx context.Context, f func(i int, c *chain) error) error {
+	errs := make([]error, len(e.chains))
 	var wg sync.WaitGroup
-	for i, c := range p.chains {
+	for i, c := range e.chains {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

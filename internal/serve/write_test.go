@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,13 +210,14 @@ func TestInFlightQueryCompletesAcrossWrite(t *testing.T) {
 	}
 }
 
-// TestCertainReadAfterWrite pins the certain path beside the write path
-// it shares chain 0's mailbox with. A certain query is evaluated under
-// the write lock's read side at the current data epoch, so one issued
-// after Exec returns reads that write — and its cache entry is keyed
-// under that epoch — while one racing the writes reads one committed
-// world: one tuple at P = 1, never a half-applied batch. A sampled
-// reader keeps views live meanwhile, so chain 0 answers between walks.
+// TestCertainReadAfterWrite pins the certain path beside the write path:
+// both run on the prototype world, the write under the write lock and a
+// certain query under its read side at the current data epoch, so one
+// issued after Exec returns reads that write — and its cache entry is
+// keyed under that epoch — while one racing the writes reads one
+// committed world: one tuple at P = 1, never a half-applied batch. A
+// sampled reader keeps views live meanwhile, so every write fans out to
+// walking chains.
 func TestCertainReadAfterWrite(t *testing.T) {
 	eng := corefEngine(t, Config{Chains: 2, Seed: 31, StepsPerSample: 50})
 	ctx := context.Background()
@@ -284,10 +286,12 @@ func (g gateWAL) Append(int64, []world.Op) error {
 
 // TestCutShortPassNeverBlends pins the blend rule for a pass that ends
 // partial: a cancelled query whose chains hand off on different sides of
-// a write merges only the handoffs of the newest write generation. The
-// mailbox gates force the interleaving: chain 0 hands off its pre-write
-// estimate (the detach is queued ahead of the write) while chain 1 has
-// already absorbed the write and sampled the new world. The query reads
+// a write merges only the handoffs of the newest write generation. Two
+// gates force the interleaving: the WAL holds the write after its
+// resolve on the prototype, and chain 0's mailbox queues the session's
+// detach ahead of the write's fan-out, so chain 0 hands off its
+// pre-write estimate while chain 1 has already absorbed the write and
+// sampled the new world. The query reads
 // the hidden CLUSTER, so it is sampled, but every cluster id passes its
 // test: each world's answer is one tuple at marginal 1, and two tuples
 // is a blend.
@@ -323,7 +327,7 @@ func TestCutShortPassNeverBlends(t *testing.T) {
 		_, err := eng.Exec(context.Background(), `UPDATE MENTION SET STRING = 'SHIFTED' WHERE MENTION_ID = 2`, ExecOptions{})
 		written <- err
 	}()
-	<-wal.entered // resolved on chain 0, not yet fanned out
+	<-wal.entered // resolved on the prototype, not yet applied or fanned out
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	gate := callResult(context.Background(), c0, func() error {
@@ -743,4 +747,95 @@ func reopenedDump(t *testing.T, dir string) []byte {
 	}
 	defer r.Close()
 	return dumpOf(t, r.World())
+}
+
+// TestLocalExplainAnalyzeRacesExec: on a local engine, EXPLAIN ANALYZE,
+// a certain read, a sampled read and UPDATEs run concurrently. With no
+// chain, an analysis runs on the prototype under the write lock's read
+// side, as the certain read does, so under -race it is clean, and every
+// analysis and every certain answer counts one committed world's rows:
+// each write sets the STRING of the same six mentions, alternately to
+// 'A' and 'B', so the mentions named 'A' number six or none, never a
+// part of a batch.
+func TestLocalExplainAnalyzeRacesExec(t *testing.T) {
+	eng := corefEngine(t, Config{Mode: PrivateMaterialized, Seed: 3, StepsPerSample: 20})
+	ctx := context.Background()
+	set := func(s string) {
+		t.Helper()
+		res, err := eng.Exec(ctx, fmt.Sprintf(`UPDATE MENTION SET STRING = '%s' WHERE MENTION_ID < 6`, s), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsAffected != 6 {
+			t.Fatalf("UPDATE to %q touched %d mentions, want 6", s, res.RowsAffected)
+		}
+	}
+	set("A")
+	const named = `SELECT MENTION_ID FROM MENTION WHERE STRING = 'A'`
+	committed := func(rows int) bool { return rows == 0 || rows == 6 }
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads [3]atomic.Int64
+	read := func(r int, check func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(); err != nil {
+					t.Error(err)
+					return
+				}
+				reads[r].Add(1)
+			}
+		}()
+	}
+	read(0, func() error {
+		res, err := eng.Query(ctx, "EXPLAIN ANALYZE "+named, QueryOptions{})
+		if err != nil {
+			return err
+		}
+		lines := make([]string, res.Len())
+		for i := range lines {
+			lines[i] = res.Value(i, 0).AsString()
+		}
+		var rows int
+		if _, err := fmt.Sscanf(lines[0][strings.Index(lines[0], "actual rows="):], "actual rows=%d", &rows); err != nil {
+			return fmt.Errorf("root line %q: %v", lines[0], err)
+		}
+		if !committed(rows) || !strings.Contains(strings.Join(lines, "\n"), "analyzed chains: 1") {
+			return fmt.Errorf("analysis racing writes counts %d mentions named 'A', want 0 or 6:\n%s", rows, strings.Join(lines, "\n"))
+		}
+		return nil
+	})
+	read(1, func() error {
+		res, err := eng.Query(ctx, named, QueryOptions{Samples: 2})
+		if err == nil && !committed(res.Len()) {
+			err = fmt.Errorf("certain answer racing writes has %d mentions named 'A', want 0 or 6", res.Len())
+		}
+		return err
+	})
+	read(2, func() error {
+		_, err := eng.Query(ctx, exp.PairQuery, QueryOptions{Samples: 2})
+		return err
+	})
+	// Write at least 40 times, and on until every reader has run 20
+	// times across the writes.
+	busy := func() bool {
+		for i := range reads {
+			if reads[i].Load() < 20 {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; (i < 40 || busy()) && !t.Failed(); i++ {
+		set([2]string{"B", "A"}[i%2])
+	}
+	close(stop)
+	wg.Wait()
 }
