@@ -43,7 +43,8 @@ func TestMetricsContentType(t *testing.T) {
 
 // TestExplainAnalyzeFacade drives EXPLAIN ANALYZE through the facade in
 // both engines: the annotated plan flows back as ordinary PLAN rows with
-// per-operator actual-row counts, the chain count, and the plan-cache
+// per-operator actual-row counts, the world analyzed — the prototype, in
+// both, since the target reads no hidden column — and the plan-cache
 // line; the root operator's actual rows match what the plain query
 // returns. EXPLAIN ANALYZE of DML is refused — a write cannot be
 // executed speculatively.
@@ -100,10 +101,10 @@ func TestExplainAnalyzeFacade(t *testing.T) {
 		}
 	}
 	t.Run("local", func(t *testing.T) {
-		check(t, openCorefDB(t), "analyzed chains: 1")
+		check(t, openCorefDB(t), "analyzed: the prototype world")
 	})
 	t.Run("served", func(t *testing.T) {
-		check(t, openCorefDB(t, WithMode(ModeServed), WithChains(2)), "analyzed chains: 2")
+		check(t, openCorefDB(t, WithMode(ModeServed), WithChains(2)), "analyzed: the prototype world")
 	})
 }
 

@@ -57,7 +57,7 @@ func graphFor(m *Model, ld *LabeledDoc) *factor.Graph {
 	}
 	if m.UseSkip {
 		for i := range vars {
-			for _, q := range ld.ix.partners(i) {
+			for _, q := range partners(ld.ix, i) {
 				if int(q) > i {
 					g.MustAddFactor("skip", func(vals []int) float64 {
 						return m.W.Get(SkipKey(vals[0] == vals[1]))

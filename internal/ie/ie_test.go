@@ -522,7 +522,7 @@ func storedScore(t *testing.T, m *Model, ld *LabeledDoc) float64 {
 		if i > 0 {
 			s += w.Get(TransKey(labels[i-1], l))
 		}
-		for _, q := range ld.ix.partners(i) {
+		for _, q := range partners(ld.ix, i) {
 			if int(q) > i {
 				s += w.Get(SkipKey(labels[q] == l))
 			}

@@ -1,7 +1,9 @@
 package ie
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"slices"
@@ -111,7 +113,7 @@ func TestIndexSkipOrder(t *testing.T) {
 		want := referenceSkip(&c.Docs[d])
 		x := &ix.docs[d]
 		for i := range want {
-			if got := x.partners(i); !slices.Equal(got, want[i]) {
+			if got := partners(x, i); !slices.Equal(got, want[i]) {
 				t.Fatalf("doc %d position %d: partners %v, want %v", d, i, got, want[i])
 			}
 			edges += len(want[i])
@@ -119,6 +121,86 @@ func TestIndexSkipOrder(t *testing.T) {
 	}
 	if edges == 0 {
 		t.Fatal("corpus has no skip edges; the check proves nothing")
+	}
+}
+
+// TestIndexCliques builds the cliques of hand-built documents. A
+// capitalized string at one position and a lowercase one at several form
+// none; two interleaved capitalized strings form two, numbered by first
+// position, each listing its members ascending. A document of 300
+// cliques, past one byte per clique number, indexes, matches
+// referenceSkip, and scores every relabeling by ScoreDelta as DocScore
+// does.
+func TestIndexCliques(t *testing.T) {
+	docOf := func(strs ...string) *Doc {
+		doc := &Doc{}
+		for _, s := range strs {
+			doc.Tokens = append(doc.Tokens, Token{Str: s})
+		}
+		return doc
+	}
+	matchesReference := func(doc *Doc, x *docIndex) {
+		t.Helper()
+		for i, want := range referenceSkip(doc) {
+			if got := partners(x, i); !slices.Equal(got, want) {
+				t.Fatalf("position %d: partners %v, want %v", i, got, want)
+			}
+		}
+	}
+
+	doc := docOf("Alpha", "the", "Bravo", "the", "Charlie", "Bravo", "the", "Charlie", "Bravo")
+	x := labeledDoc(doc).ix
+	wantClique := []int{0, 0, 1, 0, 2, 1, 0, 2, 1}
+	for i, want := range wantClique {
+		if got := x.cliques.at(i); got != want {
+			t.Errorf("position %d %q: clique %d, want %d", i, doc.Tokens[i].Str, got, want)
+		}
+	}
+	for _, want := range [][]int{{2, 5, 8}, {4, 7}} {
+		var got []int
+		for j, end := x.clique(want[0]); j < end; j++ {
+			got = append(got, x.member.at(j))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("clique of position %d: members %v, want %v", want[0], got, want)
+		}
+	}
+	matchesReference(doc, x)
+
+	const cliques = 300
+	var strs []string
+	for range 2 {
+		for c := range cliques {
+			strs = append(strs, fmt.Sprintf("Name%d", c), "the")
+		}
+	}
+	doc = docOf(strs...)
+	m := modelFor(&Corpus{Docs: []Doc{*doc}}, true)
+	ld := newTagger(m, &Corpus{Docs: []Doc{*doc}}).Docs[0]
+	x = ld.ix
+	if got := x.cliques.at(len(strs) - 2); got != cliques {
+		t.Fatalf("last capitalized position: clique %d, want %d", got, cliques)
+	}
+	matchesReference(doc, x)
+	rng := rand.New(rand.NewSource(9))
+	for a := Label(0); a < NumLabels; a++ {
+		m.W.Set(BiasKey(a), rng.NormFloat64())
+		for b := Label(0); b < NumLabels; b++ {
+			m.W.Set(TransKey(a, b), rng.NormFloat64())
+		}
+	}
+	m.W.Set(SkipKey(true), 1.3)
+	m.W.Set(SkipKey(false), -0.7)
+	for i := range ld.Len() {
+		ld.set(i, Label(rng.Intn(NumLabels)))
+	}
+	for trial := range 200 {
+		i, newL := rng.Intn(ld.Len()), Label(rng.Intn(NumLabels))
+		before, delta, old := m.DocScore(ld), m.ScoreDelta(ld, i, newL), ld.Label(i)
+		ld.set(i, newL)
+		if after := m.DocScore(ld); math.Abs(delta-(after-before)) > 1e-9 {
+			t.Fatalf("trial %d position %d %v->%v: ScoreDelta %v, DocScore moved %v", trial, i, old, newL, delta, after-before)
+		}
 	}
 }
 
@@ -175,6 +257,18 @@ func TestIndexReadsTheLoad(t *testing.T) {
 			t.Fatalf("seed %d: %d strings and %d tokens indexed, the corpus has %d and %d", seed, ix.NumStrings(), ix.NumTokens(), len(ids), row)
 		}
 	}
+}
+
+// partners rebuilds the skip partners of position i of x from its clique:
+// the clique's other members, ascending.
+func partners(x *docIndex, i int) []int32 {
+	var out []int32
+	for j, end := x.clique(i); j < end; j++ {
+		if q := x.member.at(j); q != i {
+			out = append(out, int32(q))
+		}
+	}
+	return out
 }
 
 // referenceSkip is the adjacency as built per document before the shared

@@ -29,7 +29,8 @@ var walkPathInlined = []string{
 	"(*Relation).CodeAt",
 	"(*LabeledDoc).Label",
 	"(*docIndex).code",
-	"(*docIndex).partners",
+	"(*docIndex).clique",
+	"(*narrow).at",
 	"(*Tagger).Accept",
 }
 

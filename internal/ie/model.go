@@ -2,6 +2,7 @@ package ie
 
 import (
 	"fmt"
+	"slices"
 	"unicode"
 
 	"factordb/internal/learn"
@@ -100,28 +101,109 @@ func IsCapitalized(s string) bool {
 }
 
 // docIndex is the half of a document's inference state that no label flip
-// changes, shared read-only by every tagger (see CorpusIndex).
+// changes, shared read-only by every tagger (see CorpusIndex). Its skip
+// edges are cliques: each capitalized string at two or more of its
+// positions is one clique, numbered from 1 in order of its first
+// position, and every two members of a clique share a skip edge. A
+// position's partners are its clique's other members, ascending.
 type docIndex struct {
 	first, end int            // token i is TOKEN row first+i, below end
 	codes      relstore.Slots // by row: the token's STRING code
 	capital    []bool         // by code: the string is capitalized
-	// The skip partners of position i — the other positions sharing its
-	// capitalized string, ascending — are skip[skipOff[i]:skipOff[i+1]].
-	skipOff []int32
-	skip    []int32
+	cliques    narrow         // by position: its clique number, 0 for none
+	// Clique c's members, ascending, are member[start[c-1]:start[c]].
+	start  []int32
+	member narrow
 }
 
-// partners returns the skip partners of position i.
-func (x *docIndex) partners(i int) []int32 { return x.skip[x.skipOff[i]:x.skipOff[i+1]] }
+// clique returns the bounds in x.member of the clique of position i,
+// which is among them; they are equal for a position in no clique.
+func (x *docIndex) clique(i int) (lo, hi int) {
+	if c := x.cliques.at(i); c != 0 {
+		return int(x.start[c-1]), int(x.start[c])
+	}
+	return 0, 0
+}
 
 // code returns the STRING code of position i.
 func (x *docIndex) code(i int) uint32 { return uint32(x.codes.At(x.first + i)) }
 
+// indexDoc indexes the document at rows first to end-1 of codes, the
+// STRING code vector whose strings capital flags, on its own: it finds
+// the document's cliques. NewCorpusIndex calls it for each DOC_ID run.
+func indexDoc(codes relstore.Slots, capital []bool, first, end int) docIndex {
+	byCode := make(map[int64][]int) // by capitalized code: its positions
+	for i := range end - first {
+		if c := codes.At(first + i); capital[c] {
+			byCode[c] = append(byCode[c], i)
+		}
+	}
+	cliques, start, member := make([]int, end-first), []int32{0}, []int(nil)
+	for i := range cliques {
+		if same := byCode[codes.At(first+i)]; len(same) > 1 && cliques[i] == 0 {
+			for _, p := range same {
+				cliques[p] = len(start)
+			}
+			member = append(member, same...)
+			start = append(start, int32(len(member)))
+		}
+	}
+	return docIndex{first: first, end: end, codes: codes, capital: capital,
+		cliques: narrowOf(cliques), start: slices.Clone(start), member: narrowOf(member)}
+}
+
+// narrow is a read-only vector of ints in [0, 2³²) at the narrowest of
+// 1, 2 or 4 B per entry that holds them all: the one slice in use says
+// which. relstore.Slots does the same for a column, but its header is 104
+// B, where a document holds two of these.
+type narrow struct {
+	w8  []uint8
+	w16 []uint16
+	w32 []uint32
+}
+
+// narrowOf packs vals, each in [0, 2³²).
+func narrowOf(vals []int) narrow {
+	top := 0
+	for _, x := range vals {
+		top = max(top, x)
+	}
+	switch {
+	case top >= 1<<16:
+		return narrow{w32: convert[uint32](vals)}
+	case top >= 1<<8:
+		return narrow{w16: convert[uint16](vals)}
+	}
+	return narrow{w8: convert[uint8](vals)}
+}
+
+// convert returns vals as Ts, each of which holds its value.
+func convert[T uint8 | uint16 | uint32](vals []int) []T {
+	out := make([]T, len(vals))
+	for i, x := range vals {
+		out[i] = T(x)
+	}
+	return out
+}
+
+// at returns entry i.
+func (v *narrow) at(i int) int {
+	switch {
+	case v.w8 != nil:
+		return int(v.w8[i])
+	case v.w16 != nil:
+		return int(v.w16[i])
+	}
+	return int(v.w32[i])
+}
+
 // CorpusIndex is the docIndex of every document of a loaded TOKEN
 // relation. A token's string is its STRING code in the vector the index
 // borrows (relstore.Relation.StringCodes), at the width the vector has,
-// which no write changes, with one capitalization flag per code; the skip
-// arrays are all it allocates per token.
+// which no write changes, with one capitalization flag per code. Per
+// token it allocates only a clique number, 1 B while its document has
+// fewer than 256 cliques; the member lists hold only the tokens that
+// have a partner. At 50 000 tokens it keeps 134 kB.
 type CorpusIndex struct {
 	docs    []docIndex
 	tokens  int
@@ -157,33 +239,23 @@ func NewCorpusIndex(db *relstore.DB) (*CorpusIndex, error) {
 	for c, s := range strs {
 		capital[c] = IsCapitalized(s)
 	}
-	ix := &CorpusIndex{tokens: n, strings: len(strs)}
-	offs := make([]int32, n+1) // by row: each document's skipOff is a window
-	var skip []int32
-	for first, end := 0, 0; first < n; first = end {
-		doc, _ := rel.GetCol(relstore.RowID(first), docCol)
-		byCode := make(map[int64][]int32)
-		for end = first; end < n; end++ {
-			if v, _ := rel.GetCol(relstore.RowID(end), docCol); !v.Equal(doc) {
-				break
-			}
-			if c := codes.At(end); capital[c] {
-				byCode[c] = append(byCode[c], int32(end-first))
-			}
+	var ends []int // the row after each DOC_ID run
+	var doc relstore.Value
+	for row := range n {
+		v, _ := rel.GetCol(relstore.RowID(row), docCol)
+		if row > 0 && !v.Equal(doc) {
+			ends = append(ends, row)
 		}
-		for row := first; row < end; row++ {
-			offs[row] = int32(len(skip))
-			for _, q := range byCode[codes.At(row)] {
-				if q != int32(row-first) {
-					skip = append(skip, q)
-				}
-			}
-		}
-		ix.docs = append(ix.docs, docIndex{first: first, end: end, codes: codes, capital: capital, skipOff: offs[first : end+1 : end+1]})
+		doc = v
 	}
-	offs[n] = int32(len(skip))
-	for d := range ix.docs {
-		ix.docs[d].skip = skip
+	if n > 0 {
+		ends = append(ends, n)
+	}
+	ix := &CorpusIndex{docs: make([]docIndex, len(ends)), tokens: n, strings: len(strs)}
+	first := 0
+	for d, end := range ends {
+		ix.docs[d] = indexDoc(codes, capital, first, end)
+		first = end
 	}
 	return ix, nil
 }
@@ -203,8 +275,14 @@ func (ld *LabeledDoc) Label(i int) Label {
 	return ld.t.labels[ld.t.rel.CodeAt(relstore.RowID(ld.ix.first+i), LabelCol)]
 }
 
-// SkipDegree returns the number of skip partners of position i.
-func (ld *LabeledDoc) SkipDegree(i int) int { return len(ld.ix.partners(i)) }
+// SkipDegree returns the number of skip partners of position i: the
+// other members of its clique.
+func (ld *LabeledDoc) SkipDegree(i int) int {
+	if lo, hi := ld.ix.clique(i); hi > lo {
+		return hi - lo - 1
+	}
+	return 0
+}
 
 // localFeatures accumulates sign×φ for every factor touching position i
 // under label l into d. It covers emission, capitalization, bias, the two
@@ -222,8 +300,10 @@ func (m *Model) localFeatures(d *learn.Delta, ld *LabeledDoc, i int, l Label, si
 		d.Add(TransKey(l, ld.Label(i+1)), sign)
 	}
 	if m.UseSkip {
-		for _, q := range ld.ix.partners(i) {
-			d.Add(SkipKey(ld.Label(int(q)) == l), sign)
+		for j, end := ld.ix.clique(i); j < end; j++ {
+			if q := ld.ix.member.at(j); q != i {
+				d.Add(SkipKey(ld.Label(q) == l), sign)
+			}
 		}
 	}
 }
@@ -258,9 +338,11 @@ func (m *Model) ScoreDelta(ld *LabeledDoc, i int, newLabel Label) float64 {
 		sNew, sOld = sNew+t.trans(newLabel, next), sOld+t.trans(old, next)
 	}
 	if m.UseSkip {
-		for _, q := range ld.ix.partners(i) {
-			lq := ld.Label(int(q))
-			sNew, sOld = sNew+t.skip(lq == newLabel), sOld+t.skip(lq == old)
+		for j, end := ld.ix.clique(i); j < end; j++ {
+			if q := ld.ix.member.at(j); q != i {
+				lq := ld.Label(q)
+				sNew, sOld = sNew+t.skip(lq == newLabel), sOld+t.skip(lq == old)
+			}
 		}
 	}
 	return sNew - sOld
@@ -293,9 +375,9 @@ func (m *Model) DocScore(ld *LabeledDoc) float64 {
 	if m.UseSkip {
 		// Each unordered skip pair counts once.
 		for i := range ld.Len() {
-			for _, q := range ld.ix.partners(i) {
-				if int32(i) < q {
-					s += t.skip(ld.Label(int(q)) == ld.Label(i))
+			for j, end := ld.ix.clique(i); j < end; j++ {
+				if q := ld.ix.member.at(j); i < q {
+					s += t.skip(ld.Label(q) == ld.Label(i))
 				}
 			}
 		}

@@ -26,9 +26,10 @@ type viewID int64
 //
 // The world, the sampler and the registry belong to the chain goroutine.
 // Every request from outside — subscribe, peek at or detach a query,
-// apply a write the prototype resolved, EXPLAIN ANALYZE — is a closure
-// the chain runs at an epoch boundary (see call), when the store holds no
-// pending delta and every view matches the world.
+// apply a write the prototype resolved, EXPLAIN ANALYZE of a plan that
+// reads a hidden column — is a closure the chain runs at an epoch
+// boundary (see call), when the store holds no pending delta and every
+// view matches the world.
 type chain struct {
 	id      int
 	steps   int // k, walk-steps per epoch

@@ -136,7 +136,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, target string, args []any) 
 		e.m.failed.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	st, err := e.analyze(ctx, comp.Stmt)
+	st, prototype, err := e.analyze(ctx, comp.Stmt)
 	if err != nil {
 		if !errors.Is(err, ErrClosed) && !errors.Is(err, ctx.Err()) {
 			e.m.failed.Inc()
@@ -144,9 +144,13 @@ func (e *Engine) explainAnalyze(ctx context.Context, target string, args []any) 
 		}
 		return nil, err
 	}
+	analyzed := fmt.Sprintf("analyzed chains: %d", e.cfg.Chains)
+	if prototype {
+		analyzed = "analyzed: the prototype world"
+	}
 	return append(st.Render(),
 		"bound fingerprint: "+comp.Fingerprint,
-		fmt.Sprintf("analyzed chains: %d", e.cfg.Chains),
+		analyzed,
 		"plan cache: "+hitMiss(hit)), nil
 }
 
@@ -195,34 +199,38 @@ func specString(spec ra.ResultSpec) string {
 	return sb.String()
 }
 
-// analyze runs the pipeline on every chain in the pool. Each chain
-// executes it against its own world at an epoch boundary, so the
-// aggregated actual-row counts are a cross-chain sample of the plan's
-// runtime behavior — per-chain variance in the possible worlds averages
-// out exactly the way the engine's marginal estimates do. A local engine
-// has no chain: the pipeline runs on the prototype, which every query's
-// private chain clones, under the write lock's read side as a certain
-// read does, so it counts one committed world's rows and copies nothing.
-func (e *Engine) analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, error) {
-	if len(e.chains) == 0 {
+// analyze runs the pipeline on the worlds stmt's answer comes from, and
+// reports whether that was the prototype. A certain plan, which reads no
+// hidden column, is answered by one evaluation on the prototype in every
+// mode (queryCertain), and a local engine has no chain, so either runs
+// once there, under the write lock's read side as a certain read does:
+// it counts one committed world's rows, copies nothing and waits behind
+// no chain's epoch. Any other plan runs on every chain in the pool, each
+// against its own world at an epoch boundary, so the aggregated
+// actual-row counts are a cross-chain sample of the plan's runtime
+// behavior — per-chain variance in the possible worlds averages out
+// exactly the way the engine's marginal estimates do.
+func (e *Engine) analyze(ctx context.Context, stmt *ra.Bound) (*ra.StreamStats, bool, error) {
+	if stmt.Certain || len(e.chains) == 0 {
 		e.writeMu.RLock()
 		defer e.writeMu.RUnlock()
-		return analyzePlan(e.src.WorldDB(), stmt)
+		st, err := analyzePlan(e.src.WorldDB(), stmt)
+		return st, true, err
 	}
 	stats := make([]*ra.StreamStats, len(e.chains))
 	if err := e.each(ctx, func(i int, c *chain) (err error) {
 		stats[i], err = analyzePlan(c.log.DB(), stmt)
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	total := stats[0]
 	for _, st := range stats[1:] {
 		if err := total.Merge(st); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	return total, nil
+	return total, false, nil
 }
 
 // analyzePlan mounts stmt on db and runs the instrumented streaming
