@@ -352,10 +352,12 @@ func BenchmarkFacadeOverhead(b *testing.B) {
 // LIMIT k) against the fetch-all-and-sort pattern it replaces, on the
 // served engine over the bimodal coref workload (same-entity pairs near
 // p=1, cross-entity pairs near 0). Both paths get the same sample
-// budget; the SQL path may stop early once the confidence intervals
-// separate the top k from the rest, so it wins on samples walked —
-// the dominant cost — not merely on skipped client-side sorting. The
-// samples/op metric makes the saving visible directly.
+// budget; the SQL path may stop early, at a look of its sample schedule
+// (16 samples on this one chain and each doubling), once the intervals
+// at that look's share of the error rate separate the top k from the
+// rest, so it wins on samples walked — the dominant cost — not merely
+// on skipped client-side sorting. The samples/op metric makes the
+// saving visible directly.
 func BenchmarkTopK(b *testing.B) {
 	const (
 		budget = 512

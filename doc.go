@@ -97,7 +97,7 @@
 //	query     cache_probe         all         result-cache lookup (attr result); not under NoCache
 //	query     admission_wait      all         the admission queue queries and writes share
 //	query     register            pool        view mount or registry hit per chain (attr view_reuse)
-//	query     sample_wait         pool        the chains walking until the budget is met, then detaching the unfinished
+//	query     sample_wait         pool        the chains walking until the budget is met or a round of ranked looks separates, then detaching the unfinished
 //	query     snapshot_merge      pool        merging the per-chain snapshots (attr samples)
 //	query     clone_world         private     cloning the prototype world
 //	query     sample              private     burn-in plus the whole sample budget (attr samples)

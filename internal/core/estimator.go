@@ -231,6 +231,17 @@ type Snapshot struct {
 // Samples returns the number of samples accumulated (the normalizer z).
 func (e *Estimator) Samples() int64 { return e.z }
 
+// Len returns the number of tuples counted in at least one sample.
+func (e *Estimator) Len() int {
+	n := 0
+	for _, c := range e.settled(false) {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Marginals returns the estimated probability for every tuple seen,
 // keyed by tuple key.
 func (e *Estimator) Marginals() map[string]float64 { t := e.estimate(); return t.Marginals() }

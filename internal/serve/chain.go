@@ -25,8 +25,8 @@ type viewID int64
 // query.
 //
 // The world, the sampler and the registry belong to the chain goroutine.
-// Every request from outside — subscribe, peek at or detach a query,
-// apply a write the prototype resolved, EXPLAIN ANALYZE of a plan that
+// Every request from outside — subscribe or detach a query, apply a
+// write the prototype resolved, EXPLAIN ANALYZE of a plan that
 // reads a hidden column — is a closure the chain runs at an epoch
 // boundary (see call), when the store holds no pending delta and every
 // view matches the world.
@@ -149,10 +149,10 @@ func (c *chain) call(ctx context.Context, fn func() error) error {
 // epoch advances the walk by k steps and folds the resulting Δ⁻/Δ⁺
 // delta into every physical view exactly once — regardless of how many
 // queries subscribe to each. Subscribers whose sample budgets are met
-// complete here, each receiving the handoff of one snapshot shared by
-// every subscriber completing in the same epoch; a view's last
-// completion evicts it. An epoch in which nobody completes copies
-// nothing.
+// complete here, and ranked ones at a look get that look, each receiving
+// the handoff of one snapshot shared by every subscriber handed off to
+// in the same epoch; a view's last completion evicts it. An epoch in
+// which nobody is handed off to copies nothing.
 func (c *chain) epoch() {
 	c.walk(c.steps)
 	d := c.log.Drain()
@@ -172,13 +172,20 @@ func (c *chain) epoch() {
 		c.m.samples.Add(int64(len(pv.subs)))
 		var h handoff
 		for id, sub := range pv.subs {
-			if pv.est.Samples()-sub.start >= sub.target {
-				if h.snap == nil {
-					h = c.handOff(pv, false)
-				}
-				sub.done <- h // never blocks: the subscription's only send
-				c.reg.dropSub(id)
+			n := pv.est.Samples() - sub.start
+			if n < sub.next {
+				continue
 			}
+			if h.snap == nil {
+				h = c.handOff(pv, false)
+			}
+			if n >= sub.target {
+				sub.done <- h // never blocks: done holds every look and this
+				c.reg.dropSub(id)
+				continue
+			}
+			sub.done <- handoff{snap: h.snap, epoch: h.epoch, gen: h.gen, look: true}
+			sub.next = min(2*sub.next, sub.target)
 		}
 	}
 }
@@ -190,18 +197,15 @@ func (c *chain) handOff(pv *physicalView, stopped bool) handoff {
 	return handoff{snap: pv.est.Snapshot(), epoch: c.log.Epoch(), gen: c.writeGen.Load(), stopped: stopped}
 }
 
-// peek hands back the current estimate of the view subscriber id reads —
-// for a ranked reader testing separation — and with detach also drops
-// the subscriber, so a session abandoning it (deadline, cancellation,
+// detach drops subscriber id and hands back the current estimate of the
+// view it read, so a session abandoning it (deadline, cancellation,
 // ranked early stop) merges every sample walked so far. An id that
 // already completed, was detached or was never registered gets the zero
 // handoff and costs no snapshot.
-func (c *chain) peek(id viewID, detach bool) (h handoff) {
+func (c *chain) detach(id viewID) (h handoff) {
 	if pv := c.reg.bySub[id]; pv != nil {
 		h = c.handOff(pv, false)
-		if detach {
-			c.reg.dropSub(id)
-		}
+		c.reg.dropSub(id)
 	}
 	return h
 }
@@ -226,7 +230,7 @@ func (c *chain) walk(n int) {
 // distribution that no longer exists, so post-write handoffs must carry
 // post-write samples only. Subscriber budgets restart with the
 // estimators: a query in flight across a write completes with its full
-// budget of post-write samples.
+// budget of post-write samples; a ranked subscriber's next look stays.
 //
 // It runs at an epoch boundary (see call), so the store holds no pending
 // sampler delta when the write lands: the write closes its own epoch and

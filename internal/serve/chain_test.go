@@ -169,10 +169,14 @@ func TestChainCall(t *testing.T) {
 	})
 }
 
-// TestPeekAfterHandoff pins what a peek costs: on a live subscription it
-// takes one snapshot (factordb_snapshots_total), and on one that already
-// completed or was detached it returns the zero handoff and takes none.
-func TestPeekAfterHandoff(t *testing.T) {
+// TestRankedLooks pins a ranked subscription's look schedule and what
+// its handoffs cost: looks at exactly the scheduled per-chain sample
+// counts, before and after a write lands between them, then the closing
+// handoff, each taking one snapshot (factordb_snapshots_total); a
+// subscription nobody reads never blocks its chain, and detaching it
+// once settled returns its newest handoff; detaching a settled
+// subscription takes no snapshot.
+func TestRankedLooks(t *testing.T) {
 	eng := testEngine(t, Config{Chains: 1, Seed: 79})
 	c := eng.chains[0]
 	ctx := context.Background()
@@ -180,43 +184,68 @@ func TestPeekAfterHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := &registration{c: c, id: viewID(eng.nextID.Add(1)), done: make(chan handoff, 1)}
-	if err := c.call(ctx, func() error {
-		_, err := c.register(completed, comp.Stmt, comp.Fingerprint, 2)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case h := <-completed.done:
-		if h.snap == nil || h.stopped {
-			t.Fatalf("completion handoff = %+v", h)
+	const first, target = 16, 400
+	want := []int64{16, 32, 64, 128, 256, 400} // five looks, then the closing handoff
+	subscribe := func() *registration {
+		t.Helper()
+		r := &registration{c: c, id: viewID(eng.nextID.Add(1)), look: first, done: make(chan handoff, len(want))}
+		if err := c.call(ctx, func() error {
+			_, err := c.register(r, comp.Stmt, comp.Fingerprint, target)
+			return err
+		}); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a 2-sample subscription never completed")
+		return r
 	}
-	detached := holdView(t, eng, exp.Query1)
-	if h := detached.detach(); h.snap == nil {
-		t.Fatal("detach handed off no estimate")
+	next := func(r *registration) handoff {
+		t.Helper()
+		select {
+		case h := <-r.done:
+			return h
+		case <-time.After(10 * time.Second):
+			t.Fatal("a scheduled handoff never came")
+			return handoff{}
+		}
 	}
 
 	before := eng.m.snapshots.Value()
-	for name, r := range map[string]*registration{"completed": completed, "detached": detached} {
-		if h := r.peek(ctx); h != (handoff{}) {
-			t.Errorf("peek on a %s subscription = %+v, want nothing", name, h)
+	read := subscribe()
+	for i, n := range want {
+		h := next(read)
+		if h.snap == nil || h.stopped || h.snap.Samples() != n || h.look != (i < len(want)-1) {
+			t.Fatalf("handoff %d = %+v, want %d samples and look=%v", i, h, n, i < len(want)-1)
+		}
+		if i == 0 {
+			// The write restarts the sample count, not the schedule: the
+			// looks still to come fall at the scheduled post-write counts.
+			if _, err := eng.Exec(ctx, `UPDATE TOKEN SET STRING = 'Boston' WHERE TOK_ID = 5`, ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == len(want)-1 && h.gen != 1 {
+			t.Errorf("closing handoff from write generation %d, want 1", h.gen)
+		}
+	}
+	if got := eng.m.snapshots.Value() - before; got != int64(len(want)) {
+		t.Errorf("%d looks and a completion took %d snapshots, want %d", len(want)-1, got, len(want))
+	}
+
+	unread := subscribe()
+	for deadline := time.Now().Add(10 * time.Second); len(unread.done) < cap(unread.done); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("an unread subscription got %d of %d handoffs", len(unread.done), cap(unread.done))
+		}
+	}
+	before = eng.m.snapshots.Value()
+	if h := unread.detach(); h.snap == nil || h.look || h.snap.Samples() != target {
+		t.Errorf("detach of a settled subscription = %+v, want its closing handoff", h)
+	}
+	for name, r := range map[string]*registration{"read-out": read, "detached": unread} {
+		if h := r.detach(); h != (handoff{}) {
+			t.Errorf("detach of a %s subscription = %+v, want nothing", name, h)
 		}
 	}
 	if got := eng.m.snapshots.Value() - before; got != 0 {
-		t.Errorf("peeks on settled subscriptions took %d snapshots, want 0", got)
-	}
-
-	live := holdView(t, eng, exp.Query1)
-	defer live.detach()
-	before = eng.m.snapshots.Value()
-	if h := live.peek(ctx); h.snap == nil || h.stopped {
-		t.Errorf("peek on a live subscription = %+v, want its estimate", h)
-	}
-	if got := eng.m.snapshots.Value() - before; got != 1 {
-		t.Errorf("a peek on a live subscription took %d snapshots, want 1", got)
+		t.Errorf("detaches of settled subscriptions took %d snapshots, want 0", got)
 	}
 }

@@ -22,10 +22,10 @@
 // A chain gives a query session its estimate as one handoff: a snapshot
 // stamped with the chain's epoch and write generation, sent on the
 // subscription's channel when its budget completes or the chain stops,
-// or returned by a mailbox call when the session detaches a query cut
-// short or a ranked reader peeks. So sessions read consistent marginals
-// without ever blocking the walk, and a batch nobody reads from copies
-// nothing. Merging the per-chain estimators is the paper's Section 5.4
+// and at each look of a ranked query's sample schedule, or returned by a
+// mailbox call when the session detaches a query cut short. So sessions
+// read consistent marginals without ever blocking the walk, and a batch
+// nobody reads from copies nothing. Merging the per-chain estimators is the paper's Section 5.4
 // parallelization: samples from different chains are far more
 // independent than consecutive samples within one; a session merges only
 // the handoffs of the newest write generation, so no answer blends the
@@ -339,7 +339,7 @@ func newEngineMetrics() *engineMetrics {
 		topkStops: reg.NewCounter("factordb_topk_early_stops_total",
 			"ranked queries finished early because the top-k separated"),
 		snapshots: reg.NewCounter("factordb_snapshots_total",
-			"estimator snapshots the chains took for readers (completions, detaches, ranked requests)"),
+			"estimator snapshots the chains took for readers (completions, detaches, ranked queries' looks)"),
 		writes: reg.NewCounter("factordb_writes_total", "DML mutations applied across all chains"),
 		evictions: reg.NewCounter("factordb_cache_evictions_total",
 			"result-cache entries evicted (LRU overflow or TTL expiry)"),

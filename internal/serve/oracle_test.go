@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"factordb/internal/exp"
@@ -130,5 +132,83 @@ func TestPaperQueriesMatchExactMarginals(t *testing.T) {
 			}
 		}
 		eng.Close()
+	}
+}
+
+// TestRankedStopRate is the error-rate oracle of the ranked early stop.
+// On the enumerable world, served by 2 chains at 10 walk-steps per
+// sample with a 20 000-sample budget, it asks 200 engine seeds for the
+// top 6 tokens by their probability of being B-PER, and scores each run
+// that stops early against the exact top 6. A stop claims its top 6
+// decided at the query's 95 % confidence, so at most α = 5 % of runs
+// may stop on a wrong set in expectation; the gate, 19 of 200 (0.095),
+// lies about three binomial standard deviations above 10 of 200.
+func TestRankedStopRate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200 seeded ranked queries skipped in -short mode")
+	}
+	const (
+		seeds    = 200
+		k        = 6
+		maxWrong = 19
+		sql      = `SELECT TOK_ID FROM TOKEN WHERE LABEL = 'B-PER'`
+	)
+	m := oracleModel(t)
+	plan, _, err := sqlparse.Compile(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := m.ExactAnswer(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(exact))
+	for key := range exact {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b string) int {
+		switch {
+		case exact[a] > exact[b]:
+			return -1
+		case exact[a] < exact[b]:
+			return 1
+		}
+		return strings.Compare(a, b)
+	})
+	if len(keys) <= k || exact[keys[k-1]] == exact[keys[k]] {
+		t.Fatalf("the exact answer has no strict top %d: %v", k, exact)
+	}
+	top := keys[:k]
+	slices.Sort(top)
+
+	stops, wrong, samples := 0, 0, int64(0)
+	for seed := int64(1); seed <= seeds; seed++ {
+		eng, err := New(m.Prototype, Config{Chains: 2, Seed: seed, StepsPerSample: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Query(context.Background(), sql+` ORDER BY P DESC LIMIT 6`,
+			QueryOptions{Samples: 20000, NoCache: true})
+		eng.Close()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		samples += res.Samples
+		if !res.EarlyStop {
+			continue
+		}
+		stops++
+		got := make([]string, res.Len())
+		for i := range got {
+			got[i] = relstore.Tuple{res.Value(i, 0)}.Key()
+		}
+		if slices.Sort(got); !slices.Equal(got, top) {
+			wrong++
+		}
+	}
+	t.Logf("%d of %d seeds stopped early, %d on a wrong top %d; %d samples a query on average",
+		stops, seeds, wrong, k, samples/seeds)
+	if wrong > maxWrong {
+		t.Errorf("%d of %d seeds stopped on a wrong top %d, want at most %d", wrong, seeds, k, maxWrong)
 	}
 }

@@ -239,3 +239,41 @@ func TestRankedEarlyStop(t *testing.T) {
 	}
 	t.Logf("early stop after %d/%d samples for k=%d", res.Samples, budget, k)
 }
+
+// TestRankedReplay pins that a ranked query's stop replays: its looks
+// fall on per-chain sample counts, not on the clock, so two fresh
+// engines at one seed answer one ranked query with the same sample
+// count, the same early stop and bit-identical tuples, marginals and
+// intervals, however the machine schedules their chains.
+func TestRankedReplay(t *testing.T) {
+	sys, err := exp.BuildCorefOver(exp.CorefConfig{NumEntities: 4, MentionsPerEntity: 3, Seed: 17}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		t.Helper()
+		eng, err := New(sys.Prototype, Config{Chains: 2, Seed: 19, StepsPerSample: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		res, err := eng.Query(context.Background(), exp.PairQuery+" ORDER BY P DESC LIMIT 8",
+			QueryOptions{Samples: 4000, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if !a.EarlyStop {
+		t.Fatalf("the ranked query ran its whole budget (%d samples); the replay of a stop is untested", a.Samples)
+	}
+	if a.Samples != b.Samples || a.EarlyStop != b.EarlyStop {
+		t.Fatalf("replay: %d samples, early stop %v; first run: %d samples, early stop %v",
+			b.Samples, b.EarlyStop, a.Samples, a.EarlyStop)
+	}
+	if ta, tb := tuples(a), tuples(b); !reflect.DeepEqual(ta, tb) {
+		t.Errorf("replay answered %+v, first run %+v", tb, ta)
+	}
+	t.Logf("both runs stopped after %d of 4000 samples", a.Samples)
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -17,22 +18,26 @@ import (
 // that no answer blends pre- and post-write worlds. A zero handoff (nil
 // snap) is no estimate.
 //
-// A subscription receives at most one handoff on its done channel: when
-// its budget completes, or, marked stopped, when its chain shuts down.
-// Any other handoff is the reply to a mailbox call (see chain.peek).
+// A subscription's done channel carries a ranked query's looks, marked
+// look, then at most one closing handoff: when its budget completes, or,
+// marked stopped, when its chain shuts down. Any other handoff is the
+// reply to a detach (see chain.detach).
 type handoff struct {
 	snap    *core.Snapshot
 	epoch   int64
 	gen     int64
 	stopped bool
+	look    bool
 }
 
 // subscriber is one query's stake in a physical view on one chain: how
 // many fresh samples it still wants (target, counted from the view's
-// sample count at attach time) and the channel, of capacity one, that
-// carries its closing handoff.
+// sample count at attach time), the count of its next handoff (a look
+// below target, each at twice the last, else target) and the channel
+// that carries its handoffs.
 type subscriber struct {
 	target int64
+	next   int64
 	start  int64 // physical view's sample count when this subscriber attached
 	done   chan<- handoff
 }
@@ -41,8 +46,8 @@ type subscriber struct {
 // epoch, however many queries subscribe to it. Its estimator accumulates
 // one sample per epoch since the view was created; subscribers meter
 // their budgets against it via start offsets. The chain copies the
-// estimate only to hand it off: when a subscriber completes or detaches,
-// when the chain stops, and when a ranked reader peeks. Query options
+// estimate only to hand it off: when a subscriber completes, reaches a
+// look or detaches, and when the chain stops. Query options
 // that do not change the answer distribution — sample budget, confidence
 // level — never reach this type: they are applied at snapshot-merge time
 // in the session.
@@ -129,7 +134,7 @@ func (r *viewRegistry) acquire(reg *registration, stmt *ra.Bound, fp string, db 
 	} else {
 		hit = true
 	}
-	pv.subs[reg.id] = &subscriber{target: target, start: pv.est.Samples(), done: reg.done}
+	pv.subs[reg.id] = &subscriber{target: target, next: min(cmp.Or(reg.look, target), target), start: pv.est.Samples(), done: reg.done}
 	r.bySub[reg.id] = pv
 	r.statsMu.Lock()
 	pv.stat.subs = len(pv.subs)

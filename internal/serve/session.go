@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -75,9 +77,10 @@ type Result struct {
 	Elapsed time.Duration
 
 	// EarlyStop reports that a ranked query (ORDER BY P DESC LIMIT k)
-	// finished before its sample budget because the confidence intervals
-	// already separated the top k from the rest — refining the remaining
-	// tuples could no longer change the answer.
+	// finished before its sample budget because at a look of its sample
+	// schedule the confidence intervals separated the top k from the
+	// rest — refining the remaining tuples could no longer change the
+	// answer (see Engine.Query).
 	EarlyStop bool
 
 	// Trace is the span breakdown of this request, present only when it
@@ -131,39 +134,30 @@ func (r *Result) Prob(i int) float64 { return r.tuples[i].P }
 // CI returns the confidence interval of tuple i's marginal.
 func (r *Result) CI(i int) (lo, hi float64) { return r.tuples[i].Lo, r.tuples[i].Hi }
 
-// registration tracks one chain's share of a query. done carries the
-// subscription's closing handoff when the chain completes its budget or
-// stops; a session that ends the subscription itself gets its handoff as
-// the reply to detach.
+// registration tracks one chain's share of a query. done carries a
+// ranked query's looks, the first at sample count look (0: none), then
+// the closing handoff when the chain completes its budget or stops; a
+// session ending the subscription gets its handoff from detach.
 type registration struct {
 	c    *chain
 	id   viewID
-	done chan handoff // capacity one
+	look int64
+	done chan handoff // capacity: the looks below the budget, plus one
 }
 
-// peek returns the chain's current estimate of a live subscription, or
-// the zero handoff when it already completed, was detached, or ctx ended
-// before the chain took the request.
-func (r *registration) peek(ctx context.Context) handoff {
-	var h handoff
-	_ = r.c.call(ctx, func() error { h = r.c.peek(r.id, false); return nil })
-	return h
-}
-
-// detach drops the subscription and returns the handoff the chain owes
-// it: the estimate as of the detach, or the completion or stopped
-// handoff the chain sent first. Either way the caller merges every
-// sample walked and no further handoff is owed.
+// detach drops the subscription and returns its newest handoff: the
+// estimate as of the detach, or the completion or stopped handoff the
+// chain sent first, never an older unread look. Either way the caller
+// merges every sample walked and no further handoff is owed.
 func (r *registration) detach() handoff {
 	var h handoff
 	// Shutdown is the only possible error. Either way, h is set if the
 	// chain ran the detach on a live subscription (c.done closes only
-	// after it returns); otherwise the chain had sent a handoff on done.
-	_ = r.c.call(context.Background(), func() error { h = r.c.peek(r.id, true); return nil })
+	// after it returns); otherwise the chain has sent its last handoff.
+	_ = r.c.call(context.Background(), func() error { h = r.c.detach(r.id); return nil })
 	if h.snap == nil {
-		select {
-		case h = <-r.done:
-		default:
+		for len(r.done) > 0 {
+			h = <-r.done
 		}
 	}
 	return h
@@ -183,10 +177,11 @@ func (r *registration) detach() handoff {
 // a truncated answer with wide intervals beats an error.
 //
 // Ranked queries (ORDER BY P DESC LIMIT k) may finish before the budget
-// with EarlyStop set: once the per-chain ranked snapshots, merged at read
-// time, separate the k-th tuple's confidence interval from the (k+1)-th's,
-// tuples outside the top k can no longer enter it and further refinement
-// is wasted walk.
+// with EarlyStop set. Each chain hands a ranked query a look at its
+// estimate at ⌈16 / chains⌉ samples and each doubling below the budget;
+// once a round of looks separates the k-th tuple's confidence interval
+// from the (k+1)-th's (see topKSeparated), further refinement is wasted
+// walk. Looks fall on sample counts, so a seeded engine replays a stop.
 //
 // The returned Result's exported fields belong to the caller. Its answer
 // is shared read-only with the result cache and every later hit, so a
@@ -310,7 +305,6 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 	}
 
 	start := time.Now()
-	z := math.Sqrt2 * math.Erfinv(opts.Confidence)
 
 	// Collect until one pass is write-consistent. Chains absorb a write
 	// independently, so a query in flight across one can end up with
@@ -335,7 +329,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		// The one step in which the modes differ: where a pass's
 		// samples come from.
 		if e.cfg.Mode == Pooled {
-			col, err = e.collectOnce(ctx, comp, opts, z, tr)
+			col, err = e.collectOnce(ctx, comp, opts, tr)
 		} else {
 			col, err = e.collectPrivate(ctx, comp, opts, tr)
 		}
@@ -379,7 +373,7 @@ func (e *Engine) queryCompiled(ctx context.Context, sql string, comp *sqlparse.C
 		Partial:    partial,
 		EarlyStop:  earlyStop,
 		cols:       comp.Cols,
-		tuples:     core.SortTupleCIs(merged.ResultsCI(z), comp.Spec),
+		tuples:     core.SortTupleCIs(merged.ResultsCI(math.Sqrt2*math.Erfinv(opts.Confidence)), comp.Spec),
 		wire:       new(encoding),
 	}
 	outcome := "ok"
@@ -487,8 +481,16 @@ type collection struct {
 // chains that did not complete, and merges the chains' handoffs. Each
 // call is self-contained: its views are detached before it returns.
 func (e *Engine) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
-	opts QueryOptions, z float64, tr *qtrace) (col collection, err error) {
+	opts QueryOptions, tr *qtrace) (col collection, err error) {
 	perChain := int64((opts.Samples + len(e.chains) - 1) / len(e.chains))
+	// A ranked query looks at the merged sample floor and each doubling
+	// of it below the budget: at look·2^j < perChain for j ≥ 0.
+	var look int64
+	looks := 0
+	if comp.Spec.TopKByProb() {
+		look = (minTopKStopSamples + int64(len(e.chains)) - 1) / int64(len(e.chains))
+		looks = bits.Len64(uint64((perChain - 1) / look))
+	}
 	regs := make([]*registration, 0, len(e.chains))
 	defer func() {
 		if err != nil {
@@ -503,7 +505,8 @@ func (e *Engine) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 		reg := &registration{
 			c:    c,
 			id:   viewID(e.nextID.Add(1)),
-			done: make(chan handoff, 1),
+			look: look,
+			done: make(chan handoff, looks+1),
 		}
 		var hit bool
 		if err := c.call(ctx, func() (err error) {
@@ -525,59 +528,50 @@ func (e *Engine) collectOnce(ctx context.Context, comp *sqlparse.Compiled,
 	// fresh mounts, per chain.
 	tr.attr("view_reuse", fmt.Sprintf("%d/%d", reused, len(e.chains)))
 
-	// Ranked queries peek at the chains' estimates while waiting: when
-	// the top k separates, the remaining budget is handed back to the
-	// pool.
-	var tick <-chan time.Time
-	if comp.Spec.TopKByProb() {
-		ticker := time.NewTicker(topKCheckInterval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-
+	// Each round takes the next handoff of every chain not yet closed: an
+	// unranked query's one round is the closing handoffs. A ranked query
+	// tests each round of looks; when the top k separates, the remaining
+	// budget is handed back to the pool.
 	tr.span("sample_wait")
 	hs := make([]handoff, len(regs))
-	var tested []handoff
 wait:
-	for i, r := range regs {
-		// A handoff already sent wins: a simultaneously expiring context
-		// must not mark a complete answer partial.
-		select {
-		case hs[i] = <-r.done:
-		default:
-		}
-		for hs[i].snap == nil {
+	for round := 1; ; round++ {
+		for i, r := range regs {
+			if hs[i].snap != nil && !hs[i].look {
+				continue // closed
+			}
 			select {
 			case hs[i] = <-r.done:
 			case <-ctx.Done():
-				col.partial = true
-				break wait
-			case <-tick:
-				tested = peekUnsettled(ctx, regs, hs)
-				if topKSeparated(tested, comp.Spec.Limit, z) {
-					col.earlyStop = true
-					e.m.topkStops.Inc()
+				// A handoff already sent wins: an expiring context must
+				// not mark a complete answer partial.
+				if len(r.done) == 0 {
+					col.partial = true
 					break wait
 				}
+				hs[i] = <-r.done
+			}
+			if hs[i].stopped {
+				break wait
 			}
 		}
-		if hs[i].stopped {
-			break wait
+		if !slices.ContainsFunc(hs, func(h handoff) bool { return h.look }) {
+			break
+		}
+		straddlesWrite := slices.ContainsFunc(hs, func(h handoff) bool { return h.gen != hs[0].gen })
+		if !straddlesWrite && topKSeparated(hs, comp.Spec.Limit, lookZ(opts.Confidence, round, hs)) {
+			col.earlyStop = true
+			e.m.topkStops.Inc()
+			break
 		}
 	}
 
-	// Detaching hands off each unfinished chain's estimate, so a partial
-	// answer carries every sample walked.
+	// Detaching hands off each live chain's estimate, so a partial answer
+	// carries every sample walked. An early-stopped answer keeps the
+	// looks it tested, not fresher ones a write may have reset since.
 	for i, r := range regs {
-		if hs[i].snap == nil {
-			hs[i] = r.detach()
-		}
-	}
-	if col.earlyStop {
-		// An early-stopped answer is the estimate whose separation was
-		// tested, not a fresher one a write may have reset since.
-		for i, h := range tested {
-			if h.snap != nil {
+		if hs[i].snap == nil || hs[i].look {
+			if h := r.detach(); !col.earlyStop {
 				hs[i] = h
 			}
 		}
@@ -665,39 +659,35 @@ func (e *Engine) collectPrivate(ctx context.Context, comp *sqlparse.Compiled,
 	return col, nil
 }
 
-// topKCheckInterval is how often a waiting ranked query peeks at the
-// chains' estimates to test for top-k separation.
-const topKCheckInterval = 5 * time.Millisecond
-
-// minTopKStopSamples is the floor of merged samples before an early stop
-// is considered; below it the intervals are too wide to trust anyway and
-// the check would only burn cycles.
+// minTopKStopSamples is the merged sample count of a ranked query's
+// first look; below it the intervals are too wide to trust anyway.
 const minTopKStopSamples = 16
 
-// peekUnsettled returns the estimates a ranked reader tests in this
-// tick: each chain's closing handoff if it has one, else its current
-// estimate, peeked.
-func peekUnsettled(ctx context.Context, regs []*registration, hs []handoff) []handoff {
-	out := make([]handoff, len(regs))
-	for i, r := range regs {
-		if out[i] = hs[i]; out[i].snap == nil {
-			out[i] = r.peek(ctx)
-		}
+// lookZ is the quantile z_j at which a ranked query tests its look j
+// (from 1), the round hs (see topKSeparated).
+func lookZ(confidence float64, j int, hs []handoff) float64 {
+	merged := core.NewEstimator()
+	for _, h := range hs {
+		merged.Merge(h.snap)
 	}
-	return out
+	alpha := (1 - confidence) * 6 / (math.Pi * math.Pi * float64(j*j))
+	return math.Sqrt2 * math.Erfinv(1-alpha/float64(max(merged.Len(), 1)))
 }
 
 // topKSeparated merges the handed-off estimates and reports whether the
-// ranked answer is already decided: more than k tuples observed, and the
-// Wilson interval of the k-th ranked tuple lies entirely above the
-// (k+1)-th's — no tuple outside the top k can overtake one inside it, so
-// further refinement cannot change the answer's membership.
+// ranked answer is already decided: at least minTopKStopSamples merged
+// samples, more than k tuples observed, and the k-th ranked tuple's
+// Wilson interval entirely above the (k+1)-th's. A ranked query tests
+// look j at z_j = Φ⁻¹(1 − α_j / 2m): α = 1 − confidence spent across
+// looks as α_j = α·6/(π²j²), which sums to α, and split over the m
+// merged tuples (Bonferroni). If every interval covers, all looks
+// together stop on a wrong top k at rate at most α; but the intervals
+// still count every sample as independent, with no effective n for
+// autocorrelated samples yet (ROADMAP item 17).
 func topKSeparated(hs []handoff, k int64, z float64) bool {
 	merged := core.NewEstimator()
 	for _, h := range hs {
-		if h.snap != nil {
-			merged.Merge(h.snap)
-		}
+		merged.Merge(h.snap)
 	}
 	if merged.Samples() < minTopKStopSamples {
 		return false

@@ -200,10 +200,10 @@ func (r *Rows) Confidence() float64 { return r.res.Confidence }
 func (r *Rows) Partial() bool { return r.res.Partial }
 
 // EarlyStopped reports that a served ranked query (ORDER BY P DESC
-// LIMIT k) finished before its sample budget because the confidence
-// intervals already separated the top k from the rest — the answer's
-// membership could no longer change, so the engine returned the
-// remaining budget to the pool.
+// LIMIT k) finished before its sample budget because, at one of the
+// looks of its sample schedule, the confidence intervals separated the
+// top k from the rest — the answer's membership could no longer change,
+// so the engine returned the remaining budget to the pool.
 func (r *Rows) EarlyStopped() bool { return r.res.EarlyStop }
 
 // Cached reports whether the answer was served from the result cache.
