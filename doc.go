@@ -506,11 +506,12 @@
 //     record per row touched since the last Drain, behind a map on the
 //     RowID. A sampler flip records only the value the flipped column
 //     had first; a DML touch, or a flip of a second column, widens the
-//     record to the row's first tuple. Drain nets before it gathers: a
-//     flip record whose column is back at its value is dropped without
-//     reading the row, and for every other record the old and current
-//     tuples go into one arena per relation, sized to the netted rows,
-//     emitted in first-touch order as (old, −1) then (new, +1). A→B→A
+//     record to the row's first tuple. Drain nets and gathers nothing:
+//     a flip record whose column is back at its value is dropped, and
+//     every other one goes out in first-touch order as the log holds
+//     it, the row, the column and its old value, with the value the
+//     column holds now read beside it. A widened or inserted record
+//     goes out as whole signed tuples, (old, −1) then (new, +1). A→B→A
 //     and insert-then-delete drain empty. A log whose delta nobody
 //     folds (a naive evaluator, a burn-in before any view, the engine's
 //     log over its prototype, a recovery's replay) calls Discard, which
@@ -519,10 +520,17 @@
 //     times what the batch used (64-row floor), so a burst goes at the
 //     next ordinary Drain.
 //   - An ivm.BaseDelta returned by Drain is valid until the next Drain
-//     on that log and no longer: containers and tuples alike sit in
-//     buffers the log zeroes and refills. Consumers clone the rows they
-//     keep (ivm's scan leaf reports them unowned). It is a plain list
-//     of signed rows, not a set: operators fold signed counts.
+//     on that log and no longer, and while the walk alone writes the
+//     store: the next Drain zeroes and refills its records, and a flip
+//     record's other columns are read from the store. A scan leaf
+//     gathers a flip record's two rows into scratch of its own, one
+//     record at a time, and only when the flip can change what it
+//     pushes: its steps read the flipped column (Query 3's outer TOKEN
+//     reads only DOC_ID) and its col = const conjunct holds before or
+//     after the flip (the LABEL = '…' leaves of Queries 1–4). Consumers
+//     clone the rows they keep (the leaf reports them unowned). The
+//     records are a plain list of signed rows, not a set: operators
+//     fold signed counts.
 //
 // The walk itself is unchanged by any of this: testdata/trajectory.txt
 // in internal/mcmc, internal/ie, internal/coref and internal/exp pin a

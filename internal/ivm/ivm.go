@@ -17,6 +17,14 @@
 // All operators run in time proportional to the delta (plus index probes),
 // never to the base relations.
 //
+// A base delta arrives as one record per changed row (Rows). A sampler
+// writes one column, so its flip is a record of that column's old and new
+// value. The leaf over the table reads the row from the store, as it was
+// and as it is, only when the flip can change what the leaf pushes: a
+// leaf whose steps never read the flipped column pushes nothing for it,
+// nor does one whose `col = const` conjunct is false before and after
+// the flip. A DML row arrives as whole signed tuples.
+//
 // Deltas flow between operators as push streams: an operator hands each
 // changed (tuple, signed count) pair to its parent's push method the
 // moment it is produced, so a maintenance round allocates no intermediate
@@ -45,23 +53,91 @@ import (
 	"factordb/internal/relstore"
 )
 
-// BaseDelta maps base-relation names to the signed rows that changed: a
-// tuple with count −n was removed n times (the paper's Δ⁻) and +n added
-// (Δ⁺). The tuples use the base relation's column layout. Rows are a plain
-// list, not a set: the same tuple may appear more than once and with
-// either sign, and every operator folds signed counts.
+// BaseDelta maps base-relation names to the rows that changed, one
+// record per row (Rows). Its signed rows are the paper's Δ⁻ (a tuple with
+// count −n was removed n times) and Δ⁺ (+n: added); they use the base
+// relation's column layout. The records are a plain list, not a set: the
+// same tuple may appear more than once and with either sign, and every
+// operator folds signed counts.
 //
 // A delta handed out by world.ChangeLog.Drain is valid until the next
-// Drain on that log and no longer: containers and tuples alike sit in
-// buffers the log reuses. An operator that keeps a delta row past the
-// round clones it (a leaf stage reports its emissions unowned).
+// Drain on that log and no longer: its containers and records sit in
+// buffers the log refills. A flip record's other columns are read from
+// the store when it is gathered, so it is folded before anything but the
+// walk of its own column writes the store. A tuple an operator gathers
+// from a flip record is scratch for the push it is passed to, so an
+// operator that keeps a delta row past the push clones it (a leaf stage
+// reports its emissions unowned).
 type BaseDelta map[string]Rows
 
-// Rows is one relation's share of a BaseDelta.
-type Rows []ra.BagRow
+// Rows is one relation's share of a BaseDelta, in the order the rows
+// changed.
+type Rows []Row
 
-// Len returns the number of signed rows.
-func (r Rows) Len() int { return len(r) }
+// Row is one record of a Rows. A tuple record (Tuple set) is N signed
+// copies of Tuple: the DML rows a change log drains and the rows Add
+// records. A flip record (Tuple nil) is what a sampler's write leaves:
+// column Col of stored row ID went from Old to New, every other column
+// unchanged. It stands for two signed rows, −1 of the row as it was and
+// +1 as it is, which a reader gathers from the relation (Rows.Each) only
+// when it needs them.
+type Row struct {
+	Tuple    relstore.Tuple
+	N        int64
+	ID       relstore.RowID
+	Col      int
+	Old, New relstore.Value
+}
+
+// Len returns the number of signed rows: one per tuple record, two per
+// flip record.
+func (r Rows) Len() int {
+	n := 0
+	for i := range r {
+		if r[i].Tuple == nil {
+			n++
+		}
+		n++
+	}
+	return n
+}
+
+// Each calls fn with every signed row of r in order: a tuple record's
+// tuple and count, and for a flip record −1 with the row as it was, then
+// +1 with it as it is, gathered from rel, the relation r was drained
+// from. A gathered tuple is scratch for the call it is passed to: it
+// lives in buf, which holds one row of rel (nil: Each makes one at the
+// first flip record), and Each returns buf.
+func (r Rows) Each(rel *relstore.Relation, buf relstore.Tuple, fn func(t relstore.Tuple, n int64)) relstore.Tuple {
+	for i := range r {
+		row := &r[i]
+		if row.Tuple != nil {
+			fn(row.Tuple, row.N)
+			continue
+		}
+		if buf == nil {
+			buf = make(relstore.Tuple, rel.Schema().Arity())
+		}
+		t := row.gather(rel, buf)
+		fn(t, -1)
+		t[row.Col] = row.New
+		fn(t, 1)
+	}
+	return buf
+}
+
+// gather reads flip record r's row from rel into buf, one row long, with
+// Col put back to Old: the row as it was. Storing New in Col then makes
+// it the row as it is. Every other column is read from the store, which
+// the lifetime of a drained delta keeps as it was drained.
+func (r *Row) gather(rel *relstore.Relation, buf relstore.Tuple) relstore.Tuple {
+	t, ok := rel.AppendRow(buf[:0], r.ID)
+	if !ok {
+		panic(fmt.Sprintf("ivm: flip record of row %d of %q read after the row went", r.ID, rel.Schema().Name))
+	}
+	t[r.Col] = r.Old
+	return t
+}
 
 // NewBaseDelta returns an empty delta set.
 func NewBaseDelta() BaseDelta { return make(BaseDelta) }
@@ -71,7 +147,7 @@ func NewBaseDelta() BaseDelta { return make(BaseDelta) }
 // in use.
 func (d BaseDelta) Add(rel string, row relstore.Tuple, n int64) {
 	if n != 0 {
-		d[rel] = append(d[rel], ra.BagRow{Tuple: row, N: n})
+		d[rel] = append(d[rel], Row{Tuple: row, N: n})
 	}
 }
 
@@ -184,12 +260,29 @@ func compileNode(b *ra.Bound, cc childCompiler) (op, error) {
 // only the rows that selection keeps; apply runs every step over the
 // table's delta rows or the child's pushes, so it sees a row the mount
 // could not (a string no row held yet) when a delta brings it.
+//
+// A leaf gathers a flip record's row into buf, one record at a time,
+// and only when the flip can change what it pushes (sees): its steps
+// read the flipped column, and the scan's `col = const` conjunct holds
+// before or after the flip. A flip it skips would have pushed a row and
+// its negation, or two rows the selection drops.
 type stage struct {
 	scan     *ra.Bound // a leaf's; nil over a child
 	child    op
 	steps    []step // bottom-up
 	projects bool   // some step is a projection, so the output is scratch
 	out      consumer
+
+	// A leaf's: a bit per column of the table its steps read (every
+	// column from the 64th on counts as read), the `col = const`
+	// conjunct ra.ScanFilter splits off its scan selection at mount, the
+	// one-row gather scratch (made at the first gather), and how many
+	// flip records it has gathered.
+	reads   uint64
+	eqCol   int
+	eqVal   relstore.Value
+	buf     relstore.Tuple
+	gathers int
 }
 
 // step is one node of a stage: a selection when pred is set, else a
@@ -201,7 +294,11 @@ type step struct {
 }
 
 func newStage(b *ra.Bound, cc childCompiler) (*stage, error) {
-	s := &stage{}
+	n := 0
+	for c := b; c.Kind == ra.KSelect || c.Kind == ra.KProject; c = c.Children[0] {
+		n++
+	}
+	s := &stage{steps: make([]step, 0, n)}
 	for ; b.Kind == ra.KSelect || b.Kind == ra.KProject; b = b.Children[0] {
 		if b.Kind == ra.KSelect {
 			s.steps = append(s.steps, step{pred: b.Pred})
@@ -216,6 +313,7 @@ func newStage(b *ra.Bound, cc childCompiler) (*stage, error) {
 			return nil, ra.ErrUnmounted
 		}
 		s.scan = b
+		s.reads = readCols(s.steps, b.Rel.Schema().Arity())
 		return s, nil
 	}
 	child, err := cc(b)
@@ -226,7 +324,37 @@ func newStage(b *ra.Bound, cc childCompiler) (*stage, error) {
 	return s, nil
 }
 
-// owned: a leaf pushes the store's scratch tuple or a delta's rows.
+// readCols returns a bit per column of a table of the given arity, set
+// for the columns steps read up to their first projection, which reads
+// its own and hides the rest from every later step; every bit when no
+// step projects, since the row itself is then the output.
+func readCols(steps []step, arity int) uint64 {
+	var small [64]bool
+	reads := small[:]
+	if arity > len(small) {
+		reads = make([]bool, arity)
+	}
+	for _, st := range steps {
+		if st.pred != nil {
+			ra.MarkCols(st.pred, reads)
+			continue
+		}
+		for _, c := range st.idx {
+			reads[c] = true
+		}
+		var mask uint64
+		for c := range min(arity, 64) {
+			if reads[c] {
+				mask |= 1 << c
+			}
+		}
+		return mask
+	}
+	return ^uint64(0)
+}
+
+// owned: a leaf pushes the store's scratch tuple, a delta's tuple or a
+// row gathered into its own scratch.
 func (s *stage) owned() bool { return !s.projects && s.child != nil && s.child.owned() }
 
 func (s *stage) init(out consumer) error {
@@ -239,6 +367,7 @@ func (s *stage) init(out consumer) error {
 		pred, steps = steps[0].pred, steps[1:]
 	}
 	col, val, keep := ra.ScanFilter(pred)
+	s.eqCol, s.eqVal = col, val
 	s.scan.Rel.ScanWhere(col, val, keep, func(_ relstore.RowID, t relstore.Tuple) bool {
 		s.run(steps, t, 1)
 		return true
@@ -252,9 +381,40 @@ func (s *stage) apply(d BaseDelta, out consumer) {
 		s.child.apply(d, s)
 		return
 	}
-	for _, r := range d[s.scan.Table] {
-		s.run(s.steps, r.Tuple, r.N)
+	rows := d[s.scan.Table]
+	for i := range rows {
+		r := &rows[i]
+		switch {
+		case r.Tuple != nil:
+			s.run(s.steps, r.Tuple, r.N)
+		case s.sees(r):
+			if s.buf == nil {
+				s.buf = make(relstore.Tuple, s.scan.Rel.Schema().Arity())
+			}
+			s.gathers++
+			t := r.gather(s.scan.Rel, s.buf)
+			s.run(s.steps, t, -1)
+			t[r.Col] = r.New
+			s.run(s.steps, t, 1)
+		}
 	}
+}
+
+// sees reports whether flip record r can change what the leaf pushes. A
+// conjunct on the flipped column is decided by r's two values; one on
+// another column by a single read of the row, which the flip left as it
+// was.
+func (s *stage) sees(r *Row) bool {
+	switch {
+	case r.Col < 64 && s.reads&(1<<r.Col) == 0:
+		return false
+	case s.eqCol < 0:
+		return true
+	case s.eqCol == r.Col:
+		return r.Old.Equal(s.eqVal) || r.New.Equal(s.eqVal)
+	}
+	v, _ := s.scan.Rel.GetCol(r.ID, s.eqCol)
+	return v.Equal(s.eqVal)
 }
 
 func (s *stage) push(t relstore.Tuple, n int64) { s.run(s.steps, t, n) }

@@ -457,6 +457,7 @@ type keySet struct {
 	gen   uint64   // rel.EvidenceGen() when the set was last checked
 	codes []uint64 // sorted, distinct
 	buf   []byte
+	rows  relstore.Tuple // one row of rel, Each's gather scratch, made at its first flip
 }
 
 // newKeySet returns the set of the keys of rel's rows that pass f.Where.
@@ -493,12 +494,11 @@ func (k *keySet) admits(t relstore.Tuple, idx []int) bool {
 // grows reports whether d adds a row of the filter's relation that
 // passes its evidence conjuncts with a key outside the set.
 func (k *keySet) grows(d BaseDelta) bool {
-	for _, r := range d[k.f.Table] {
-		if r.N > 0 && k.f.Where.Eval(r.Tuple).AsBool() && !k.admits(r.Tuple, k.f.Key) {
-			return true
-		}
-	}
-	return false
+	grows := false
+	k.rows = d[k.f.Table].Each(k.rel, k.rows, func(t relstore.Tuple, n int64) {
+		grows = grows || n > 0 && k.f.Where.Eval(t).AsBool() && !k.admits(t, k.f.Key)
+	})
+	return grows
 }
 
 // leafRel returns the relation a leaf chain scans.

@@ -297,7 +297,7 @@ func TestNoConsumerKeepsAnUnownedTuple(t *testing.T) {
 				v.Apply(d)
 			}
 		}
-		// The round is over: a change log would now take its arena back.
+		// The round is over: a change log would now refill its records.
 		for _, r := range d["TOKEN"] {
 			for i := range r.Tuple {
 				r.Tuple[i] = relstore.String("canary")

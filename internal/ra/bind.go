@@ -146,7 +146,7 @@ func hiddenRead(db *relstore.DB, b *Bound, need []bool) string {
 // "".
 func HiddenInPredicate(sch *relstore.Schema, pred BExpr) string {
 	read := make([]bool, sch.Arity())
-	markCols(pred, read)
+	MarkCols(pred, read)
 	return firstHidden(sch, read)
 }
 

@@ -67,7 +67,7 @@ func childNeeds(b *Bound, need []bool) [][]bool {
 	switch b.Kind {
 	case KSelect:
 		n := append([]bool(nil), need...)
-		markCols(b.Pred, n)
+		MarkCols(b.Pred, n)
 		return [][]bool{n}
 	case KProject:
 		n := make([]bool, arity(0))
@@ -79,7 +79,7 @@ func childNeeds(b *Bound, need []bool) [][]bool {
 		la := arity(0)
 		n := append([]bool(nil), need...)
 		if b.Filter != nil {
-			markCols(b.Filter, n)
+			MarkCols(b.Filter, n)
 		}
 		for i := range b.LeftKey {
 			n[b.LeftKey[i]] = true
@@ -96,7 +96,7 @@ func childNeeds(b *Bound, need []bool) [][]bool {
 				n[a.ArgIdx] = true
 			}
 			if a.Pred != nil {
-				markCols(a.Pred, n)
+				MarkCols(a.Pred, n)
 			}
 		}
 		return [][]bool{n}
@@ -105,22 +105,22 @@ func childNeeds(b *Bound, need []bool) [][]bool {
 	return [][]bool{allCols(arity(0))}
 }
 
-// markCols sets need[i] for every column position e reads.
-func markCols(e BExpr, need []bool) {
+// MarkCols sets need[i] for every column position e reads.
+func MarkCols(e BExpr, need []bool) {
 	switch x := e.(type) {
 	case boundCol:
 		need[x.idx] = true
 	case boundConst:
 	case boundCmp:
-		markCols(x.l, need)
-		markCols(x.r, need)
+		MarkCols(x.l, need)
+		MarkCols(x.r, need)
 	case boundAnd:
 		for _, t := range x.terms {
-			markCols(t, need)
+			MarkCols(t, need)
 		}
 	case boundOr:
 		for _, t := range x.terms {
-			markCols(t, need)
+			MarkCols(t, need)
 		}
 	default:
 		// As in appendBExprFP: a BExpr this pass cannot see into would be

@@ -33,9 +33,9 @@ func bagStream(b *ra.Bag) ra.Iterator {
 
 // TestNoLayerKeepsAScratchTuple is the ownership canary of the base
 // layers. The store scans through one scratch tuple that it zeroes when
-// the scan ends, and a change log hands out deltas whose tuples sit in an
-// arena it zeroes at the next Drain; so whoever keeps such a tuple
-// without cloning it — a join's build side, distinct state,
+// the scan ends, and a view's scan leaf gathers each flip record a change
+// log drains into one scratch pair it refills at the next gather; so
+// whoever keeps such a tuple without cloning it — a join's build side, distinct state,
 // a top-k buffer, a MIN/MAX value set, a view's result, an estimator —
 // ends up holding zeros, and its answers drift from the truth. The
 // paper's queries and the hand-built plans of prune_test.go run through

@@ -126,7 +126,7 @@ func TestDrainIsNetWorldChange(t *testing.T) {
 			})
 			d := log.Drain()
 			got := ra.NewBag(nil)
-			for _, r := range d["ITEM"] {
+			for _, r := range log.signedRows(d, "ITEM") {
 				got.Add(r.Tuple, r.N)
 			}
 			if !got.Equal(want) {
@@ -229,11 +229,11 @@ func TestDrainedDeltaLifetime(t *testing.T) {
 	label.Set(id, relstore.String("B-ORG"))
 	d := log.Drain()
 	label.Set(id, relstore.String("B-PER"))
-	if rows := d["TOKEN"]; rows.Len() != 2 || rows[0].Tuple[2].AsString() != "O" || rows[1].Tuple[2].AsString() != "B-ORG" {
+	if rows := log.signedRows(d, "TOKEN"); len(rows) != 2 || rows[0].Tuple[2].AsString() != "O" || rows[1].Tuple[2].AsString() != "B-ORG" {
 		t.Fatalf("writes after Drain disturbed the drained delta: %v", rows)
 	}
 	d2 := log.Drain()
-	if rows := d2["TOKEN"]; rows.Len() != 2 || rows[0].Tuple[2].AsString() != "B-ORG" || rows[0].N != -1 || rows[1].Tuple[2].AsString() != "B-PER" {
+	if rows := log.signedRows(d2, "TOKEN"); len(rows) != 2 || rows[0].Tuple[2].AsString() != "B-ORG" || rows[0].N != -1 || rows[1].Tuple[2].AsString() != "B-PER" {
 		t.Fatalf("second delta = %v", rows)
 	}
 }

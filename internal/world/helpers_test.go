@@ -3,6 +3,8 @@ package world
 import (
 	"testing"
 
+	"factordb/internal/ivm"
+	"factordb/internal/ra"
 	"factordb/internal/relstore"
 )
 
@@ -18,11 +20,12 @@ func mustField(t *testing.T, l *ChangeLog, rel string, col int) Field {
 
 // Pending reports whether any net changes have accumulated.
 func (l *ChangeLog) Pending() bool {
-	pending := false
 	for _, rl := range l.rels {
-		rl.net(nil, func(relstore.Tuple, int64) { pending = true })
+		if rows, _ := rl.net(nil, nil); len(rows) > 0 {
+			return true
+		}
 	}
-	return pending
+	return false
 }
 
 // DeltaTables renders the pending delta for one relation as the paper's
@@ -33,7 +36,8 @@ func (l *ChangeLog) DeltaTables(rel string) (deleted, added []relstore.Tuple) {
 	if !ok {
 		return nil, nil
 	}
-	rl.net(nil, func(t relstore.Tuple, n int64) {
+	rows, _ := rl.net(nil, nil)
+	rows.Each(rl.rel, nil, func(t relstore.Tuple, n int64) {
 		if n < 0 {
 			deleted = append(deleted, t.Clone())
 		} else {
@@ -41,4 +45,16 @@ func (l *ChangeLog) DeltaTables(rel string) (deleted, added []relstore.Tuple) {
 		}
 	})
 	return deleted, added
+}
+
+// signedRows reads relation rel's share of d, a delta this log drained,
+// through the one accessor, ivm.Rows.Each, cloning every tuple.
+func (l *ChangeLog) signedRows(d ivm.BaseDelta, rel string) []ra.BagRow {
+	var out []ra.BagRow
+	if rl, ok := l.rels[rel]; ok {
+		d[rel].Each(rl.rel, nil, func(t relstore.Tuple, n int64) {
+			out = append(out, ra.BagRow{Tuple: t.Clone(), N: n})
+		})
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package world
 import (
 	"testing"
 
-	"factordb/internal/ivm"
 	"factordb/internal/relstore"
 )
 
@@ -56,11 +55,12 @@ func update(t *testing.T, log *ChangeLog, id relstore.RowID, cols []int, vals ..
 	}
 }
 
-// sameDelta fails unless got and want hold the same signed rows in the
-// same order, tuple by tuple key-identical.
-func sameDelta(t *testing.T, got, want ivm.BaseDelta) {
+// sameDelta drains both logs and fails unless the deltas hold the same
+// signed rows in the same order, tuple by tuple key-identical, read
+// through ivm.Rows.Each.
+func sameDelta(t *testing.T, walked, net *ChangeLog) {
 	t.Helper()
-	g, w := got["PAIR"], want["PAIR"]
+	g, w := walked.signedRows(walked.Drain(), "PAIR"), net.signedRows(net.Drain(), "PAIR")
 	if len(g) != len(w) {
 		t.Fatalf("drained %d rows, the net change %d:\n got %v\nwant %v", len(g), len(w), g, w)
 	}
@@ -84,7 +84,7 @@ func TestFlipThenUpdate(t *testing.T) {
 
 	update(t, net, 2, []int{2}, "a1")
 	update(t, net, 1, []int{1, 2}, "x'", "a2")
-	sameDelta(t, walked.Drain(), net.Drain())
+	sameDelta(t, walked, net)
 }
 
 // TestFlipThenDelete: a row flipped and then DELETEd drains as the
@@ -101,7 +101,7 @@ func TestFlipThenDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	update(t, net, 0, []int{2}, "a1")
-	sameDelta(t, walked.Drain(), net.Drain())
+	sameDelta(t, walked, net)
 }
 
 // TestTwoHiddenColumnsFlipped: flips of two hidden columns of one row in
@@ -117,7 +117,7 @@ func TestTwoHiddenColumnsFlipped(t *testing.T) {
 
 	update(t, net, 1, []int{2, 3}, "a1", "b1")
 	update(t, net, 2, []int{2}, "a1")
-	sameDelta(t, walked.Drain(), net.Drain())
+	sameDelta(t, walked, net)
 }
 
 // TestFlipBackIsSkipped: a row flipped A→B→A drains nothing beside a row
@@ -129,7 +129,7 @@ func TestFlipBackIsSkipped(t *testing.T) {
 	set(t, walked, 0, 2, "a0")
 
 	update(t, net, 3, []int{2}, "a1")
-	sameDelta(t, walked.Drain(), net.Drain())
+	sameDelta(t, walked, net)
 	if d := walked.Drain(); d["PAIR"].Len() != 0 {
 		t.Errorf("a second Drain drained %v", d["PAIR"])
 	}
@@ -169,7 +169,7 @@ func TestDiscardThenDrain(t *testing.T) {
 	}
 	update(t, net, 0, []int{2}, "a2")
 	update(t, net, 2, []int{3}, "b1")
-	sameDelta(t, walked.Drain(), net.Drain())
+	sameDelta(t, walked, net)
 	if e := walked.Epoch(); e != 2 {
 		t.Errorf("Epoch after Discard and Drain = %d, want 2", e)
 	}

@@ -2,9 +2,10 @@
 // database always holds a single possible world (Section 3 of the paper),
 // and as inference mutates hidden fields the change log notes which rows
 // changed — for a flip, only the value the flipped column had. Drain nets
-// those notes into the removed and added tuples, the paper's auxiliary Δ⁻
-// ("deleted") and Δ⁺ ("added") tables, which the materialized-view query
-// evaluator consumes.
+// those notes into the paper's auxiliary Δ⁻ ("deleted") and Δ⁺ ("added")
+// tables, which the materialized-view query evaluator consumes: a flip as
+// its record, which stands for the row before and after it, and a DML
+// row as whole removed and added tuples.
 package world
 
 import (
@@ -12,7 +13,6 @@ import (
 	"slices"
 
 	"factordb/internal/ivm"
-	"factordb/internal/ra"
 	"factordb/internal/relstore"
 )
 
@@ -34,14 +34,15 @@ type FieldRef struct {
 // writes had before the row's first change of the batch; a DML touch, or
 // a flip of a second column, widens that record to the whole tuple the row
 // started the batch with. What the row holds now is read back from the
-// relation when the delta is netted. A row flipped A→B→A, or inserted and
-// deleted again, within one batch therefore nets to nothing, and recording
-// a flip costs a map probe on the RowID and, the first time only, one
-// value.
+// relation when the delta is netted, and Drain hands a flip record out
+// as it is, with that value beside its old one. A row flipped A→B→A, or
+// inserted and deleted again, within one batch therefore nets to
+// nothing, and recording a flip costs a map probe on the RowID and, the
+// first time only, one value.
 type ChangeLog struct {
 	db    *relstore.DB
 	rels  map[string]*relLog
-	delta ivm.BaseDelta // what the last Drain handed out; containers reused
+	delta ivm.BaseDelta // what the last Drain handed out; record slices reused
 
 	updates int64 // total field updates applied through the log
 	epoch   int64 // number of Drains and Discards so far
@@ -57,9 +58,9 @@ type relLog struct {
 	// olds holds the first-old tuples of the widened records, arity values
 	// each, for this batch only.
 	olds []relstore.Value
-	// arena holds the tuples the last Drain handed out, (old, now) per
-	// netted row; the next Drain zeroes and refills it.
-	arena []relstore.Value
+	// written holds the whole tuples the last Drain handed out for the
+	// widened and inserted records; the next Drain zeroes and refills it.
+	written []relstore.Value
 }
 
 // rowChange is one touched row in one of three forms. A flip record
@@ -109,58 +110,30 @@ func (rl *relLog) add(c rowChange) {
 	rl.rows = append(rl.rows, c)
 }
 
-// moved reports whether flip record c's column is no longer key-identical
-// to the value it had first.
-func (rl *relLog) moved(c rowChange) bool {
-	cur, _ := rl.rel.GetCol(c.id, int(c.col))
-	return !cur.Identical(c.old)
-}
-
-// size bounds the values net gathers: the netted flip records' and the
-// widened records' old and current tuples, an inserted row's current one.
-func (rl *relLog) size() int {
-	n := 0
-	for _, c := range rl.rows {
-		switch {
-		case c.col >= 0:
-			if rl.moved(c) {
-				n += 2 * rl.arity
-			}
-		case c.off >= 0:
-			n += 2 * rl.arity
-		default:
-			n += rl.arity
-		}
-	}
-	return n
-}
-
-// net calls fn for every signed row of the pending delta, in first-touch
-// order: −1 with the tuple a touched row started the batch with, then +1
-// with the tuple it holds now, skipping rows that are back to the tuple
-// they started with. A flip record back at its value is skipped without
-// reading the row. Both tuples are appended to buf, which is returned; a
-// tuple passed to fn is valid for as long as buf is.
-func (rl *relLog) net(buf []relstore.Value, fn func(t relstore.Tuple, n int64)) []relstore.Value {
+// net appends to out a record of every row of the pending delta that is
+// not back at the tuple it started the batch with, in first-touch order,
+// and returns it. A flip record goes out as the log holds it, with the
+// value its column holds now beside the one it had; one back at its value
+// is skipped with one read of that column. A widened record goes out as
+// (first tuple, −1) then (current tuple, +1), an inserted row as (current
+// tuple, +1); a row deleted again has no +1, and one whose two tuples are
+// key-identical goes nowhere. Those tuples are appended to whole, which
+// is returned, so they outlive the batch's olds.
+func (rl *relLog) net(out ivm.Rows, whole []relstore.Value) (ivm.Rows, []relstore.Value) {
 	a := rl.arity
 	for _, c := range rl.rows {
-		mark := len(buf)
 		if c.col >= 0 {
-			if !rl.moved(c) {
-				continue
+			if cur, _ := rl.rel.GetCol(c.id, int(c.col)); !cur.Identical(c.old) {
+				out = append(out, ivm.Row{ID: c.id, Col: int(c.col), Old: c.old, New: cur})
 			}
-			buf, _ = rl.rel.AppendRow(buf, c.id)
-			buf = append(buf, buf[mark:mark+a]...)
-			buf[mark+int(c.col)] = c.old
-			fn(buf[mark:mark+a:mark+a], -1)
-			fn(buf[mark+a:mark+2*a:mark+2*a], 1)
 			continue
 		}
-		grown, live := rl.rel.AppendRow(buf, c.id)
+		mark := len(whole)
+		grown, live := rl.rel.AppendRow(whole, c.id)
 		if c.off < 0 {
 			if live {
-				buf = grown
-				fn(buf[mark:mark+a:mark+a], 1)
+				whole = grown
+				out = append(out, ivm.Row{Tuple: whole[mark : mark+a : mark+a], N: 1})
 			}
 			continue
 		}
@@ -168,15 +141,13 @@ func (rl *relLog) net(buf []relstore.Value, fn func(t relstore.Tuple, n int64)) 
 		if live && old.Identical(grown[mark:]) {
 			continue
 		}
-		// The old tuple goes behind the current one in buf, so both
-		// outlive the batch's olds.
-		buf = append(grown, old...)
-		fn(buf[len(buf)-a:len(buf):len(buf)], -1)
+		whole = append(grown, old...)
+		out = append(out, ivm.Row{Tuple: whole[len(whole)-a : len(whole) : len(whole)], N: -1})
 		if live {
-			fn(buf[mark:mark+a:mark+a], 1)
+			out = append(out, ivm.Row{Tuple: whole[mark : mark+a : mark+a], N: 1})
 		}
 	}
-	return buf
+	return out, whole
 }
 
 // NewChangeLog wraps a database.
@@ -256,28 +227,29 @@ func (f Field) Set(row relstore.RowID, v relstore.Value) error {
 // Updates returns the total number of effective field updates applied.
 func (l *ChangeLog) Updates() int64 { return l.updates }
 
-// Drain returns the accumulated net signed delta and resets the log,
-// closing the current epoch. This is the "cleaning and refreshing of the
-// tables between deterministic query executions" step of Section 4.2.
-// Per relation it nets first — a flip record back at its value is
-// dropped unread — and then gathers the old and current tuple of every
-// row left into one arena sized to them, emitting, in first-touch order,
-// (old, −1) before (now, +1).
+// Drain returns the accumulated net delta and resets the log, closing
+// the current epoch. This is the "cleaning and refreshing of the tables
+// between deterministic query executions" step of Section 4.2. Per
+// relation it nets the log's records, dropping a flip back at its value,
+// and hands the rest out in first-touch order: a sampler's flip as its
+// record (the row, the column, the column's old and new values), a DML
+// row as whole signed tuples. No row is gathered here; a view gathers a
+// flip's rows only if it reads them (ivm.Rows.Each).
 //
 // The returned delta is valid until the next Drain and no longer: the
-// map, the row slices and the tuples themselves live in buffers of the
-// log, which the next Drain zeroes and refills. Fold it into the views
-// before draining again, or Discard instead of draining; keep a tuple
-// only as a Clone.
+// next Drain refills the map and the record slices. A flip record's other
+// columns are read from the store when it is gathered, so the delta stays
+// intact while the walk goes on as long as the walk flips no other
+// column of a drained row, as it cannot with one hidden column per
+// relation (every model here); a write does not leave it intact. Fold it
+// into the views before draining again, or Discard instead of draining;
+// keep a gathered tuple only as a Clone.
 func (l *ChangeLog) Drain() ivm.BaseDelta {
 	for name, rl := range l.rels {
-		vals := rl.size()
-		rl.arena = slices.Grow(keep(rl.arena, vals, 2*keepFloor*rl.arity), vals)
-		out := slices.Grow(keep(l.delta[name], vals/rl.arity, 2*keepFloor), vals/rl.arity)
-		rl.arena = rl.net(rl.arena, func(t relstore.Tuple, n int64) {
-			out = append(out, ra.BagRow{Tuple: t, N: n})
-		})
-		l.delta[name] = out
+		out := slices.Grow(keep(l.delta[name], len(rl.rows), keepFloor), len(rl.rows))
+		// A write's tuples: the buffer is kept while it holds no more
+		// than four rows' pairs, whatever the batch wrote.
+		l.delta[name], rl.written = rl.net(out, keep(rl.written, 0, 2*rl.arity))
 		rl.reset()
 	}
 	l.epoch++

@@ -96,8 +96,8 @@ func TestDrainResets(t *testing.T) {
 	label := mustField(t, log, "TOKEN", 2)
 	label.Set(id, relstore.String("B-ORG"))
 	d := log.Drain()
-	if d["TOKEN"].Len() == 0 {
-		t.Error("drained delta should contain the change")
+	if rows := log.signedRows(d, "TOKEN"); len(rows) != 2 || rows[0].Tuple[2].AsString() != "O" || rows[1].Tuple[2].AsString() != "B-ORG" {
+		t.Errorf("drained %v, want −O +B-ORG", rows)
 	}
 	if log.Pending() {
 		t.Error("log must be empty after Drain")
@@ -128,32 +128,62 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestDrainedDeltaExpiresAtNextDrain pins the other end of the lifetime
-// rule: the tuples of a drained delta sit in an arena of the log, and the
-// next Drain zeroes it before reuse — a tuple kept past that point reads
-// as zeros, never as a plausible stale row.
-func TestDrainedDeltaExpiresAtNextDrain(t *testing.T) {
+// TestDrainRefillsItsRecords pins the other end of the lifetime rule: a
+// drained delta's records sit in a slice of the log that the next Drain
+// zeroes and refills, so a record kept past that point reads as the next
+// batch's record or as zeros, never as a plausible stale change; and a
+// tuple gathered from a flip record is scratch for the one call it is
+// passed to.
+func TestDrainRefillsItsRecords(t *testing.T) {
 	log, id := setup(t)
+	rel, err := log.DB().Relation("TOKEN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id2, err := rel.Insert(relstore.Tuple{relstore.Int(2), relstore.String("Boston"), relstore.String("O")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	label := mustField(t, log, "TOKEN", 2)
 	label.Set(id, relstore.String("B-ORG"))
-	kept := log.Drain()["TOKEN"][1].Tuple
-	if kept[2].AsString() != "B-ORG" {
-		t.Fatalf("drained +row = %v", kept)
+	kept := log.Drain()["TOKEN"]
+	if len(kept) != 1 || kept[0].Tuple != nil || kept[0].ID != id || kept[0].New.AsString() != "B-ORG" {
+		t.Fatalf("drained records %+v, want row %d's flip to B-ORG", kept, id)
 	}
-	copied := kept.Clone()
+	label.Set(id2, relstore.String("B-LOC"))
+	if d := log.Drain(); &d["TOKEN"][0] != &kept[0] {
+		t.Error("the next Drain did not refill the record slice")
+	}
+	if kept[0].ID != id2 || kept[0].Old.AsString() != "O" || kept[0].New.AsString() != "B-LOC" {
+		t.Errorf("a record kept across the next Drain reads %+v, want the next batch's record", kept[0])
+	}
 	log.Drain()
-	zero := relstore.Tuple{relstore.Int(0), relstore.Int(0), relstore.Int(0)}
-	if !kept.Identical(zero) {
-		t.Errorf("a tuple kept across the next Drain reads %v, want zeros", kept)
+	if r := kept[0]; r.Tuple != nil || r.ID != 0 || r.Old != (relstore.Value{}) || r.New != (relstore.Value{}) {
+		t.Errorf("a record kept across a Drain of nothing reads %+v, want zeros", kept[0])
 	}
-	if copied[2].AsString() != "B-ORG" {
-		t.Errorf("a clone taken in time reads %v", copied)
-	}
-	// A change that nets to nothing leaves nothing behind in the arena.
+
+	// A change that nets to nothing leaves nothing behind.
 	label.Set(id, relstore.String("O"))
 	label.Set(id, relstore.String("B-ORG"))
 	if d := log.Drain(); d["TOKEN"].Len() != 0 {
 		t.Errorf("round trip drained %v", d["TOKEN"])
+	}
+
+	// Each gathers every flip into the one scratch it is given.
+	label.Set(id, relstore.String("B-PER"))
+	label.Set(id2, relstore.String("O"))
+	var first relstore.Tuple
+	var copied relstore.Tuple
+	log.Drain()["TOKEN"].Each(rel, nil, func(t relstore.Tuple, n int64) {
+		if first == nil {
+			first, copied = t, t.Clone()
+		}
+	})
+	if copied[1].AsString() != "IBM" || copied[2].AsString() != "B-ORG" {
+		t.Fatalf("first gathered row = %v, want IBM's row as it was", copied)
+	}
+	if first.Identical(copied) {
+		t.Errorf("a gathered tuple kept past its call still reads %v: the next gather did not reuse the scratch", first)
 	}
 }
 
